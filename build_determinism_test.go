@@ -87,14 +87,15 @@ func TestFacadeBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
-			ra, err := ixA.Search(q, 10)
+			respA, err := ixA.Query(ctx, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := ixB.Search(q, 10)
+			respB, err := ixB.Query(ctx, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ra, rb := respA.Results, respB.Results
 			if len(ra) != len(rb) {
 				t.Fatalf("shards=%d: result counts differ", shards)
 			}

@@ -8,8 +8,8 @@
 //	hdbench -list
 //
 // Each experiment prints the same rows/series the corresponding table or
-// figure of the paper reports (see EXPERIMENTS.md for the mapping and
-// the recorded full-scale outputs).
+// figure of the paper reports; -list prints the experiment ids with the
+// table or figure each reproduces (README.md, "Benchmarks").
 package main
 
 import (

@@ -59,7 +59,6 @@ func main() {
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
 		maxBatch     = flag.Int("max-batch", 4096, "largest accepted /searchbatch size")
 		readOnly     = flag.Bool("readonly", false, "reject /insert and /delete")
-		noFlush      = flag.Bool("no-flush-on-write", false, "deprecated no-op: inserts are WAL-durable; tune with -wal-sync")
 		walSync      = flag.Duration("wal-sync", 0, "WAL fsync cadence: 0 group-commits every write, >0 acks after the page-cache write and fsyncs on this interval")
 		memtableMax  = flag.Int("memtable-max", 0, "memtable vectors before a background compaction folds them into the trees (0 = 4096)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "shutdown grace period for in-flight requests")
@@ -173,10 +172,6 @@ func main() {
 				log.Fatalf("hdserve: %s only applies with -slo", f.name)
 			}
 		}
-	}
-
-	if *noFlush {
-		log.Print("hdserve: -no-flush-on-write is deprecated and ignored (inserts are WAL-durable; see -wal-sync)")
 	}
 
 	idx, err := hdindex.Open(*indexDir, hdindex.Options{

@@ -248,7 +248,7 @@ func runInfo(args []string) error {
 	fmt.Printf("size on disk:  %d bytes (%.1f MB)\n", ix.SizeOnDisk(), float64(ix.SizeOnDisk())/(1<<20))
 
 	if !shard.IsSharded(*indexDir) {
-		fmt.Printf("layout:        single index (legacy)\n")
+		fmt.Printf("layout:        single index\n")
 		return nil
 	}
 	man, err := shard.ReadManifest(*indexDir)

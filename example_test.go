@@ -27,13 +27,13 @@ func Example() {
 	defer idx.Close()
 
 	query := ds.Vectors[42] // search for a known vector
-	results, err := idx.Search(query, 3)
+	resp, err := idx.Query(context.Background(), query, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("indexed %d vectors of %d dims\n", idx.Count(), idx.Dim())
 	fmt.Printf("got %d neighbours; nearest is id %d at distance %.0f\n",
-		len(results), results[0].ID, results[0].Dist)
+		len(resp.Results), resp.Results[0].ID, resp.Results[0].Dist)
 	// Output:
 	// indexed 2000 vectors of 128 dims
 	// got 3 neighbours; nearest is id 42 at distance 0
@@ -106,12 +106,12 @@ func Example_updates() {
 	if err := idx.Delete(0); err != nil { // hide the original
 		log.Fatal(err)
 	}
-	results, err := idx.Search(ds.Vectors[0], 1)
+	resp, err := idx.Query(context.Background(), ds.Vectors[0], 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("nearest after delete: id %d at distance %.0f\n",
-		results[0].ID, results[0].Dist)
+		resp.Results[0].ID, resp.Results[0].Dist)
 	// Output:
 	// inserted as id 1000
 	// nearest after delete: id 1000 at distance 0

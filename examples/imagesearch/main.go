@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -85,14 +86,14 @@ func main() {
 	}
 
 	// kANN per descriptor, then Borda aggregation.
-	lists := make([][]uint64, len(queryDescs))
-	for i, qd := range queryDescs {
-		res, err := idx.Search(qd, kPerDesc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ids := make([]uint64, len(res))
-		for j, r := range res {
+	resps, err := idx.QueryBatch(context.Background(), queryDescs, kPerDesc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lists := make([][]uint64, len(resps))
+	for i, resp := range resps {
+		ids := make([]uint64, len(resp.Results))
+		for j, r := range resp.Results {
 			ids[j] = r.ID
 		}
 		lists[i] = ids

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,14 +31,15 @@ func main() {
 	fmt.Printf("built HD-Index over %d vectors (%d dims), %.1f MB on disk\n",
 		idx.Count(), idx.Dim(), float64(idx.SizeOnDisk())/(1<<20))
 
+	ctx := context.Background()
 	for qi, q := range queries {
-		res, stats, err := idx.SearchWithStats(q, 5)
+		resp, err := idx.Query(ctx, q, 5, hdindex.WithStats())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nquery %d: 5 nearest neighbours (refined %d candidates, %d page reads)\n",
-			qi, stats.Candidates, stats.PageReads)
-		for rank, r := range res {
+			qi, resp.Stats.Candidates, resp.Stats.PageReads)
+		for rank, r := range resp.Results {
 			fmt.Printf("  #%d id=%-6d dist=%.2f\n", rank+1, r.ID, r.Dist)
 		}
 	}
@@ -51,10 +53,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer reopened.Close()
-	res, err := reopened.Search(queries[0], 1)
+	resp, err := reopened.Query(ctx, queries[0], 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreopened index answers the same query: nearest id=%d dist=%.2f\n",
-		res[0].ID, res[0].Dist)
+		resp.Results[0].ID, resp.Results[0].Dist)
 }

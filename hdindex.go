@@ -28,13 +28,9 @@
 //	resp, err := idx.Query(ctx, query, 10,
 //	    hdindex.WithAlpha(8192), hdindex.WithStats())
 //
-// The older Search/SearchWithStats/SearchBatch (×Context) method matrix
-// is deprecated; each method is a thin wrapper over Query/QueryBatch
-// with zero options and returns bit-identical results.
-//
-// The package is a thin facade over internal/core; see DESIGN.md for the
-// full system inventory and EXPERIMENTS.md for the reproduction of the
-// paper's evaluation.
+// The package is a thin facade over internal/shard and internal/core;
+// README.md's "Layout" section is the system inventory and its
+// "Benchmarks" section the reproduction of the paper's evaluation.
 package hdindex
 
 import (
@@ -66,7 +62,7 @@ type Options struct {
 	UsePtolemaic bool
 	// Parallel searches the τ trees concurrently.
 	Parallel bool
-	// BatchWorkers bounds the SearchBatch fan-out: at most this many
+	// BatchWorkers bounds the QueryBatch fan-out: at most this many
 	// queries run concurrently (0 = GOMAXPROCS).
 	BatchWorkers int
 	// DisableCache turns the buffer pool off (the paper's cold-cache
@@ -78,9 +74,9 @@ type Options struct {
 	Seed int64
 	// Shards partitions the index into this many independently built
 	// and searched sub-indexes under a manifest-backed on-disk layout
-	// (round-robin striping; see internal/shard). 0 keeps the legacy
-	// single-index layout. Open ignores this field: it auto-detects the
-	// layout from the directory, so existing indexes keep working.
+	// (round-robin striping; see internal/shard). 0 writes one index
+	// directly into the directory. Open ignores this field: it detects
+	// the layout from the directory.
 	Shards int
 	// BuildWorkers is the total construction-parallelism budget
 	// (0 = GOMAXPROCS): one bound shared by concurrently building
@@ -141,47 +137,15 @@ type Stats = core.QueryStats
 // cache behaviour of the refinement step's page-ordered fetch.
 type PoolStats = pager.Stats
 
-// backend is the method set the facade needs from an index layout.
-// Both *core.Index (the legacy single-index layout) and *shard.Sharded
-// (the manifest-backed sharded layout) implement it, which is what lets
-// every caller above this file — server, tools, examples — stay
-// layout-agnostic. Query/QueryBatch are the only search entry points:
-// every facade search method, legacy or not, funnels through them, so
-// the per-query options path is the only path there is.
-type backend interface {
-	Query(ctx context.Context, q []float32, k int, o core.SearchOptions) ([]core.Result, *core.QueryStats, error)
-	QueryBatch(ctx context.Context, queries [][]float32, k int, o core.SearchOptions) ([][]core.Result, []*core.QueryStats, error)
-	Insert(vec []float32) (uint64, error)
-	Delete(id uint64) error
-	Undelete(id uint64) error
-	Compact(ctx context.Context) error
-	IngestStats() core.IngestStats
-	Count() uint64
-	Dim() int
-	DeletedCount() int
-	SizeOnDisk() int64
-	IOStats() pager.Stats
-	BuildStats() *core.BuildStats
-	Telemetry() telemetry.CollectorSnapshot
-	Params() core.Params
-	Flush() error
-	Close() error
-}
-
-// Index is a built HD-Index — monolithic or sharded; the layout is
-// transparent to every method. It is safe for concurrent searches.
+// Index is a built HD-Index of one or more shards; the on-disk layout
+// is transparent to every method. It is safe for concurrent searches.
 type Index struct {
-	ix backend
+	ix *shard.Sharded
 }
 
-// ShardInfo is one shard's row of an index's layout breakdown. A legacy
-// single-index layout reports exactly one shard.
-type ShardInfo struct {
-	ID         int
-	Count      uint64
-	Deleted    int
-	SizeOnDisk int64
-}
+// ShardInfo is one shard's row of an index's layout breakdown. An index
+// built with Shards == 0 reports exactly one shard.
+type ShardInfo = shard.Info
 
 // BuildStats is the construction cost breakdown of a freshly built
 // index: per-phase milliseconds (reference distances, Hilbert encode,
@@ -226,7 +190,7 @@ func (i *Index) BuildStats() *BuildStats { return i.ix.BuildStats() }
 
 // Build constructs an HD-Index over vectors in the directory dir.
 // All vectors must share the same dimensionality. Options.Shards
-// selects the on-disk layout: 0 writes the legacy single-index layout,
+// selects the on-disk layout: 0 writes one index directly into dir,
 // N >= 1 a manifest-backed layout of N concurrently built shards.
 func Build(dir string, vectors [][]float32, o Options) (*Index, error) {
 	return BuildContext(context.Background(), dir, vectors, o)
@@ -239,53 +203,39 @@ func Build(dir string, vectors [][]float32, o Options) (*Index, error) {
 // (meta.json or manifest.json), so Open rejects the directory instead
 // of serving a half-built index.
 func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Options) (*Index, error) {
-	p := core.Params{
-		Tau:          o.Tau,
-		Omega:        o.Omega,
-		M:            o.M,
-		Alpha:        o.Alpha,
-		Beta:         o.Beta,
-		Gamma:        o.Gamma,
-		UsePtolemaic: o.UsePtolemaic,
-		Parallel:     o.Parallel,
-		BatchWorkers: o.BatchWorkers,
-		BuildWorkers: o.BuildWorkers,
-		DisableCache: o.DisableCache,
-		PageSize:     o.PageSize,
-		Seed:         o.Seed,
+	sh, err := shard.BuildContext(ctx, dir, vectors, shard.Params{
+		Params: core.Params{
+			Tau:          o.Tau,
+			Omega:        o.Omega,
+			M:            o.M,
+			Alpha:        o.Alpha,
+			Beta:         o.Beta,
+			Gamma:        o.Gamma,
+			UsePtolemaic: o.UsePtolemaic,
+			Parallel:     o.Parallel,
+			BatchWorkers: o.BatchWorkers,
+			BuildWorkers: o.BuildWorkers,
+			DisableCache: o.DisableCache,
+			PageSize:     o.PageSize,
+			Seed:         o.Seed,
 
-		WALSyncInterval:    o.WALSyncInterval,
-		MemtableMaxVectors: o.MemtableMaxVectors,
-		DisableTelemetry:   o.DisableTelemetry,
-	}
-	if o.Shards > 0 {
-		sh, err := shard.BuildContext(ctx, dir, vectors, shard.Params{
-			Params: p, Shards: o.Shards, BuildWorkers: o.BuildWorkers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Index{ix: sh}, nil
-	}
-	// A legacy build into a directory that previously held a sharded
-	// layout must remove it first — a stale manifest would keep Open's
-	// auto-detection serving the old shards, and stale shard dirs would
-	// leak a full copy of the previous dataset.
-	if err := shard.ClearLayout(dir); err != nil {
-		return nil, err
-	}
-	ix, err := core.BuildContext(ctx, dir, vectors, p)
+			WALSyncInterval:    o.WALSyncInterval,
+			MemtableMaxVectors: o.MemtableMaxVectors,
+			DisableTelemetry:   o.DisableTelemetry,
+		},
+		Shards: o.Shards,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ix: ix}, nil
+	return &Index{ix: sh}, nil
 }
 
-// Open loads an index previously written by Build, auto-detecting the
-// layout: a directory with a manifest.json opens as a sharded index,
-// anything else as the legacy single-index layout.
+// Open loads an index previously written by Build, detecting the
+// layout: a directory with a manifest.json opens as its N shards,
+// anything else as one index held directly in dir.
 func Open(dir string, o Options) (*Index, error) {
-	opts := core.OpenOptions{
+	sh, err := shard.Open(dir, core.OpenOptions{
 		DisableCache: o.DisableCache,
 		Parallel:     o.Parallel,
 		BatchWorkers: o.BatchWorkers,
@@ -293,72 +243,11 @@ func Open(dir string, o Options) (*Index, error) {
 		WALSyncInterval:    o.WALSyncInterval,
 		MemtableMaxVectors: o.MemtableMaxVectors,
 		DisableTelemetry:   o.DisableTelemetry,
-	}
-	if shard.IsSharded(dir) {
-		sh, err := shard.Open(dir, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Index{ix: sh}, nil
-	}
-	ix, err := core.Open(dir, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ix: ix}, nil
-}
-
-// Search returns the approximate k nearest neighbours of q.
-//
-// Deprecated: use Query, which subsumes the whole Search* method matrix
-// (context, stats, and per-query tuning). Search(q, k) is exactly
-// Query(context.Background(), q, k) and stays bit-identical to it.
-func (i *Index) Search(q []float32, k int) ([]Result, error) {
-	res, _, err := i.ix.Query(context.Background(), q, k, core.SearchOptions{})
-	return res, err
-}
-
-// SearchContext is Search honouring ctx: the query returns early with
-// ctx.Err() when ctx is cancelled or its deadline expires.
-//
-// Deprecated: use Query.
-func (i *Index) SearchContext(ctx context.Context, q []float32, k int) ([]Result, error) {
-	res, _, err := i.ix.Query(ctx, q, k, core.SearchOptions{})
-	return res, err
-}
-
-// SearchWithStats is Search plus work counters. On a sharded index the
-// counters are summed across shards; see Shards for the breakdown.
-//
-// Deprecated: use Query with WithStats.
-func (i *Index) SearchWithStats(q []float32, k int) ([]Result, *Stats, error) {
-	return i.ix.Query(context.Background(), q, k, core.SearchOptions{})
-}
-
-// SearchWithStatsContext is SearchContext plus work counters.
-//
-// Deprecated: use Query with WithStats.
-func (i *Index) SearchWithStatsContext(ctx context.Context, q []float32, k int) ([]Result, *Stats, error) {
-	return i.ix.Query(ctx, q, k, core.SearchOptions{})
-}
-
-// SearchBatch answers many queries concurrently, preserving input order
-// — the natural shape for multi-descriptor workloads like §5.5's image
-// search.
-//
-// Deprecated: use QueryBatch.
-func (i *Index) SearchBatch(queries [][]float32, k int) ([][]Result, error) {
-	res, _, err := i.ix.QueryBatch(context.Background(), queries, k, core.SearchOptions{})
-	return res, err
-}
-
-// SearchBatchContext is SearchBatch honouring ctx: remaining queries are
-// abandoned promptly on cancellation and ctx.Err() is returned.
-//
-// Deprecated: use QueryBatch.
-func (i *Index) SearchBatchContext(ctx context.Context, queries [][]float32, k int) ([][]Result, error) {
-	res, _, err := i.ix.QueryBatch(ctx, queries, k, core.SearchOptions{})
-	return res, err
+	return &Index{ix: sh}, nil
 }
 
 // Insert adds a vector to the index (§3.6) and returns its id. The
@@ -371,7 +260,7 @@ func (i *Index) Insert(vec []float32) (uint64, error) {
 }
 
 // Delete marks an object as deleted (§3.6); it will no longer be
-// returned by Search. The mark is WAL-logged before Delete returns.
+// returned by Query. The mark is WAL-logged before Delete returns.
 func (i *Index) Delete(id uint64) error { return i.ix.Delete(id) }
 
 // Undelete removes a deletion mark. It fails with ErrPurged when a
@@ -422,29 +311,14 @@ type Telemetry = telemetry.CollectorSnapshot
 // Telemetry returns the index's latency histogram snapshot.
 func (i *Index) Telemetry() Telemetry { return i.ix.Telemetry() }
 
-// NumShards returns the number of shards in the on-disk layout; a
-// legacy single-index layout counts as 1.
-func (i *Index) NumShards() int {
-	if sh, ok := i.ix.(*shard.Sharded); ok {
-		return sh.NumShards()
-	}
-	return 1
-}
+// NumShards returns the number of shards in the on-disk layout; an
+// index built with Shards == 0 counts as 1.
+func (i *Index) NumShards() int { return i.ix.NumShards() }
 
-// Shards returns the per-shard layout breakdown, in shard order. A
-// legacy single-index layout reports itself as one shard, so callers
-// (the /stats endpoint, hdtool info) render both layouts uniformly.
-func (i *Index) Shards() []ShardInfo {
-	if sh, ok := i.ix.(*shard.Sharded); ok {
-		infos := sh.ShardInfos()
-		out := make([]ShardInfo, len(infos))
-		for j, in := range infos {
-			out[j] = ShardInfo{ID: in.ID, Count: in.Count, Deleted: in.Deleted, SizeOnDisk: in.SizeOnDisk}
-		}
-		return out
-	}
-	return []ShardInfo{{ID: 0, Count: i.ix.Count(), Deleted: i.ix.DeletedCount(), SizeOnDisk: i.ix.SizeOnDisk()}}
-}
+// Shards returns the per-shard layout breakdown, in shard order, so
+// callers (the /stats endpoint, hdtool info) render every layout
+// uniformly.
+func (i *Index) Shards() []ShardInfo { return i.ix.ShardInfos() }
 
 // Flush persists all state.
 func (i *Index) Flush() error { return i.ix.Flush() }

@@ -1,6 +1,7 @@
 package hdindex
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,10 @@ import (
 
 // The facade must behave identically to the core: build, search, insert,
 // persist, reopen.
+// ctx is the context of every query in this package's tests that does
+// not exercise cancellation.
+var ctx = context.Background()
+
 func TestFacadeEndToEnd(t *testing.T) {
 	ds := data.Generate(data.Config{N: 2000, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 1})
 	queries := ds.PerturbedQueries(10, 0.01, 2)
@@ -31,15 +36,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 10)
 	var got [][]uint64
 	for _, q := range queries {
-		res, stats, err := idx.SearchWithStats(q, 10)
+		resp, err := idx.Query(ctx, q, 10, WithStats())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Candidates < 1 {
+		if resp.Stats.Candidates < 1 {
 			t.Fatal("stats not populated")
 		}
-		ids := make([]uint64, len(res))
-		for i, r := range res {
+		ids := make([]uint64, len(resp.Results))
+		for i, r := range resp.Results {
 			ids[i] = r.ID
 		}
 		got = append(got, ids)
@@ -57,12 +62,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := idx.Search(novel, 1)
+	resp, err := idx.Query(ctx, novel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].ID != id {
-		t.Fatalf("inserted vector not found: %+v", res[0])
+	if resp.Results[0].ID != id {
+		t.Fatalf("inserted vector not found: %+v", resp.Results[0])
 	}
 	if err := idx.Flush(); err != nil {
 		t.Fatal(err)
@@ -80,11 +85,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if re.Count() != 2001 {
 		t.Fatalf("reopened count = %d, want 2001", re.Count())
 	}
-	res, err = re.Search(novel, 1)
+	resp, err = re.Query(ctx, novel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].ID != id {
+	if resp.Results[0].ID != id {
 		t.Fatal("reopened index lost the inserted vector")
 	}
 }
@@ -118,15 +123,15 @@ func TestFacadeShardedLayout(t *testing.T) {
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 10)
 	var got [][]uint64
 	for _, q := range queries {
-		res, stats, err := idx.SearchWithStats(q, 10)
+		resp, err := idx.Query(ctx, q, 10, WithStats())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Candidates < 1 {
+		if resp.Stats.Candidates < 1 {
 			t.Fatal("aggregated stats not populated")
 		}
-		ids := make([]uint64, len(res))
-		for i, r := range res {
+		ids := make([]uint64, len(resp.Results))
+		for i, r := range resp.Results {
 			ids[i] = r.ID
 		}
 		got = append(got, ids)
@@ -151,7 +156,7 @@ func TestFacadeShardedLayout(t *testing.T) {
 
 // The mutation lifecycle must survive close/reopen with identical
 // results on both layouts the facade can write (Options.Shards 0, 1,
-// and 4 — legacy, 1-shard manifest, multi-shard manifest).
+// and 4 — bare, 1-shard manifest, multi-shard manifest).
 func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -179,9 +184,11 @@ func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 			}
 			want := make([][]Result, len(queries))
 			for qi, q := range queries {
-				if want[qi], err = idx.Search(q, 10); err != nil {
+				resp, err := idx.Query(ctx, q, 10)
+				if err != nil {
 					t.Fatal(err)
 				}
+				want[qi] = resp.Results
 			}
 			if err := idx.Close(); err != nil {
 				t.Fatal(err)
@@ -196,10 +203,11 @@ func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 				t.Fatalf("reopened count=%d deleted=%d", re.Count(), re.DeletedCount())
 			}
 			for qi, q := range queries {
-				got, err := re.Search(q, 10)
+				resp, err := re.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := resp.Results
 				if len(got) != len(want[qi]) {
 					t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want[qi]))
 				}
@@ -210,11 +218,11 @@ func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 					}
 				}
 			}
-			res, err := re.Search(novel, 1)
+			resp, err := re.Query(ctx, novel, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res[0].ID != id {
+			if resp.Results[0].ID != id {
 				t.Fatal("reopened index lost the inserted vector")
 			}
 		})
@@ -232,7 +240,7 @@ func TestFacadeRebuildAcrossLayouts(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "ix")
 
-	// sharded(4) -> legacy: the manifest, the shard dirs, and any
+	// sharded(4) -> bare: the manifest, the shard dirs, and any
 	// deletion marks of the old layout must all go.
 	idx, err := Build(dir, old.Vectors, opts(4))
 	if err != nil {
@@ -251,19 +259,19 @@ func TestFacadeRebuildAcrossLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if re.NumShards() != 1 || re.Count() != 500 {
-		t.Fatalf("after sharded->legacy rebuild: shards=%d count=%d, want 1/500", re.NumShards(), re.Count())
+		t.Fatalf("after sharded->bare rebuild: shards=%d count=%d, want 1/500", re.NumShards(), re.Count())
 	}
 	if n := re.DeletedCount(); n != 0 {
 		t.Fatalf("rebuilt index inherited %d deletion marks", n)
 	}
 	for _, stale := range []string{"shard-00", "shard-01", "shard-02", "shard-03"} {
 		if _, err := os.Stat(filepath.Join(dir, stale)); err == nil {
-			t.Errorf("stale %s left behind after sharded->legacy rebuild", stale)
+			t.Errorf("stale %s left behind after sharded->bare rebuild", stale)
 		}
 	}
 	re.Close()
 
-	// legacy -> sharded(4) -> sharded(2): the legacy root files and
+	// bare -> sharded(4) -> sharded(2): the bare index's root files and
 	// then the stale higher shard dirs must go.
 	if idx, err = Build(dir, old.Vectors, opts(4)); err != nil {
 		t.Fatal(err)
@@ -271,7 +279,7 @@ func TestFacadeRebuildAcrossLayouts(t *testing.T) {
 	idx.Close()
 	for _, stale := range []string{"meta.json", "vectors.pg", "tree_00.pg"} {
 		if _, err := os.Stat(filepath.Join(dir, stale)); err == nil {
-			t.Errorf("stale legacy %s left behind after legacy->sharded rebuild", stale)
+			t.Errorf("stale root %s left behind after bare->sharded rebuild", stale)
 		}
 	}
 	if idx, err = Build(dir, fresh.Vectors, opts(2)); err != nil {

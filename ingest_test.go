@@ -87,11 +87,11 @@ func TestFacadeCrashRecovery(t *testing.T) {
 			}
 			want := make([][]Result, len(queries))
 			for qi, q := range queries {
-				res, err := idx.Search(q, 10)
+				resp, err := idx.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[qi] = res
+				want[qi] = resp.Results
 			}
 
 			re, err := Open(crashClone(t, dir), Options{MemtableMaxVectors: 1 << 20})
@@ -113,10 +113,11 @@ func TestFacadeCrashRecovery(t *testing.T) {
 				t.Fatalf("recovered memtable = %d, want 100", ist.MemtableVectors)
 			}
 			for qi, q := range queries {
-				res, err := re.Search(q, 10)
+				resp, err := re.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := resp.Results
 				if len(res) != len(want[qi]) {
 					t.Fatalf("query %d: %d results, want %d", qi, len(res), len(want[qi]))
 				}
@@ -155,7 +156,7 @@ func TestFacadeCompactAndPurge(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Vectors[550]
-	want, err := idx.Search(q, 5)
+	want, err := idx.Query(ctx, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +167,13 @@ func TestFacadeCompactAndPurge(t *testing.T) {
 	if st.MemtableVectors != 0 || st.Compactions != 1 {
 		t.Fatalf("post-compaction ingest stats = %+v", st)
 	}
-	got, err := idx.Search(q, 5)
+	got, err := idx.Query(ctx, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d changed across Compact: %+v != %+v", i, got[i], want[i])
+	for i := range want.Results {
+		if got.Results[i] != want.Results[i] {
+			t.Fatalf("rank %d changed across Compact: %+v != %+v", i, got.Results[i], want.Results[i])
 		}
 	}
 	if err := idx.Undelete(42); !errors.Is(err, ErrPurged) {

@@ -200,14 +200,9 @@ type Controller struct {
 	tmu     sync.Mutex
 	tenants map[string]*tenantState
 
-	// Accepted-request latency feed (Observe) and the cached windowed
-	// p99 derived from it.
-	hist    telemetry.Histogram
-	pmu     sync.Mutex
-	winSnap telemetry.Snapshot
-	winAt   time.Time
-	lastP99 atomic.Uint64 // nanoseconds
-	p99At   atomic.Int64  // unixnano of last recompute
+	// lat is the accepted-request latency feed (Observe) and the
+	// windowed p99 derived from it.
+	lat *telemetry.WindowedP99
 
 	accepted     atomic.Uint64
 	shedOverload atomic.Uint64
@@ -222,13 +217,6 @@ type Controller struct {
 }
 
 const (
-	// p99CacheTTL bounds how often the pressure path pays for a
-	// histogram snapshot; between recomputes Acquire reads one atomic.
-	p99CacheTTL = 250 * time.Millisecond
-	// p99Window is how far back the latency window reaches. Long
-	// enough to smooth bursts, short enough that recovery from an
-	// incident is visible within seconds.
-	p99Window = 10 * time.Second
 	// degradeHold is how long ShouldDegrade stays on after a request
 	// queued (or shed) under pressure — hysteresis so degradation covers
 	// the burst instead of flickering with instantaneous queue depth.
@@ -242,6 +230,8 @@ func New(cfg Config) *Controller {
 		return nil
 	}
 	c := &Controller{cfg: cfg, now: time.Now}
+	// Through c.now, not a copy of it: tests swap the clock after New.
+	c.lat = telemetry.NewWindowedP99(func() time.Time { return c.now() })
 	if cfg.MaxInflight > 0 {
 		c.maxQueue = cfg.MaxQueue
 		if c.maxQueue <= 0 {
@@ -360,7 +350,7 @@ func (c *Controller) Acquire(ctx context.Context, tenant string, weight int) (re
 	// degrade hold so ShouldDegrade reflects the burst rather than the
 	// instantaneous queue depth its callers happen to sample.
 	if c.cfg.DegradePressure > 0 {
-		if drain := float64(c.queued+weight) / float64(c.cfg.MaxInflight) * c.p99NS() / 1e9; drain >= c.cfg.DegradePressure {
+		if drain := float64(c.queued+weight) / float64(c.cfg.MaxInflight) * c.lat.P99NS() / 1e9; drain >= c.cfg.DegradePressure {
 			c.armDegrade()
 		}
 	}
@@ -465,7 +455,7 @@ func (c *Controller) grantLocked() {
 func (c *Controller) estimateWaitLocked(weight int) time.Duration {
 	ahead := c.inflight + c.queued + weight
 	rounds := float64(ahead) / float64(c.cfg.MaxInflight)
-	return time.Duration(rounds * c.p99NS())
+	return time.Duration(rounds * c.lat.P99NS())
 }
 
 func (c *Controller) estimateWait(weight int) time.Duration {
@@ -481,34 +471,7 @@ func (c *Controller) Observe(d time.Duration) {
 	if c == nil {
 		return
 	}
-	c.hist.ObserveDuration(d)
-}
-
-// p99NS returns the windowed p99 of accepted-request latency in
-// nanoseconds, recomputed at most every p99CacheTTL.
-func (c *Controller) p99NS() float64 {
-	nowNS := c.now().UnixNano()
-	if nowNS-c.p99At.Load() < int64(p99CacheTTL) {
-		return float64(c.lastP99.Load())
-	}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if nowNS-c.p99At.Load() < int64(p99CacheTTL) {
-		return float64(c.lastP99.Load())
-	}
-	cur := c.hist.Snapshot()
-	win := cur.Sub(c.winSnap)
-	if win.Count == 0 {
-		win = cur // quiet window: fall back to all-time
-	}
-	p := win.Quantile(0.99)
-	if now := c.now(); c.winAt.IsZero() || now.Sub(c.winAt) >= p99Window {
-		c.winSnap = cur
-		c.winAt = now
-	}
-	c.lastP99.Store(uint64(p))
-	c.p99At.Store(nowNS)
-	return p
+	c.lat.ObserveDuration(d)
 }
 
 // Pressure is the queue-drain estimate in seconds: queued weight × the
@@ -523,7 +486,7 @@ func (c *Controller) Pressure() float64 {
 	if queued == 0 {
 		return 0
 	}
-	return float64(queued) / float64(c.cfg.MaxInflight) * c.p99NS() / 1e9
+	return float64(queued) / float64(c.cfg.MaxInflight) * c.lat.P99NS() / 1e9
 }
 
 // armDegrade extends the degrade hold to degradeHold from now.
@@ -590,7 +553,7 @@ func (c *Controller) Stats() Stats {
 		MaxInflight:  c.cfg.MaxInflight,
 		MaxQueue:     c.maxQueue,
 		Pressure:     c.Pressure(),
-		P99Millis:    c.p99NS() / 1e6,
+		P99Millis:    c.lat.P99NS() / 1e6,
 		Degraded:     c.ShouldDegrade(),
 		Tenants:      c.tenantStats(),
 	}

@@ -1,0 +1,384 @@
+// Package api is the wire schema of the search endpoints: the JSON
+// request, response and error types of /search, /searchbatch and
+// /healthz, the strict body decoder, and the request checks that need
+// no index. A shard server (internal/server) and the cluster
+// coordinator (internal/cluster) speak it to clients and to each other,
+// so a field exists — and is accepted, rejected or omitted — in exactly
+// one place.
+package api
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"time"
+
+	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/shard"
+	"github.com/hd-index/hdindex/internal/telemetry"
+)
+
+// Tuning is the per-request filter-cascade override block shared by
+// /search and /searchbatch. Zero values inherit the index's built
+// parameters; "ptolemaic" is a JSON tri-state (absent = built default).
+// "preset" names a quality preset instead of spelling knobs out; the
+// two ways are mutually exclusive.
+type Tuning struct {
+	Alpha         int    `json:"alpha,omitempty"`
+	Gamma         int    `json:"gamma,omitempty"`
+	MaxCandidates int    `json:"max_candidates,omitempty"`
+	Ptolemaic     *bool  `json:"ptolemaic,omitempty"`
+	Preset        string `json:"preset,omitempty"`
+}
+
+// HasKnobs reports whether the request spelled out any explicit
+// cascade override.
+func (t Tuning) HasKnobs() bool {
+	return t.Alpha != 0 || t.Gamma != 0 || t.MaxCandidates != 0 || t.Ptolemaic != nil
+}
+
+// Validate rejects negative knobs with a coded 400.
+func (t Tuning) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"alpha", t.Alpha}, {"gamma", t.Gamma}, {"max_candidates", t.MaxCandidates}} {
+		if f.v < 0 {
+			return BadRequest(CodeBadOptions, "%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// SearchRequest is the /search body. The coordinator forwards it to
+// every shard server re-encoded, which is why absent fields are
+// omitted.
+type SearchRequest struct {
+	Query     []float32 `json:"query,omitempty"`
+	K         int       `json:"k"`
+	TimeoutMs int       `json:"timeout_ms,omitempty"`
+	Stats     bool      `json:"stats,omitempty"`
+	Tuning
+}
+
+// SearchBatchRequest is the /searchbatch body.
+type SearchBatchRequest struct {
+	Queries   [][]float32 `json:"queries,omitempty"`
+	K         int         `json:"k"`
+	TimeoutMs int         `json:"timeout_ms,omitempty"`
+	Stats     bool        `json:"stats,omitempty"`
+	Tuning
+}
+
+// Result is one neighbour in a search response. Dist stays a float64
+// end to end — Go's JSON encoding of a float64 round-trips exactly,
+// which is what makes the cluster's merged answer bit-identical to the
+// in-process sharded index.
+type Result struct {
+	ID   uint64  `json:"id"`
+	Dist float64 `json:"dist"`
+}
+
+// QueryStats mirrors core.QueryStats with stable snake_case keys, so
+// the wire format stays put if the internal struct evolves. Alongside
+// the work counters it echoes the effective filter cascade the query
+// ran with — with per-request overrides the knobs are no longer implied
+// by the built index.
+type QueryStats struct {
+	Candidates      int    `json:"candidates"`
+	TreeEntries     int    `json:"tree_entries"`
+	PageReads       uint64 `json:"page_reads"`
+	PageHits        uint64 `json:"page_hits"`
+	PageMisses      uint64 `json:"page_misses"`
+	ExactDistances  int    `json:"exact_distances"`
+	MemtableScanned int    `json:"memtable_scanned"`
+	Alpha           int    `json:"alpha"`
+	Beta            int    `json:"beta"`
+	Gamma           int    `json:"gamma"`
+	Ptolemaic       bool   `json:"ptolemaic"`
+	// Degraded reports that adaptive degradation actually shrank a
+	// cascade knob for this query (overload pressure + no explicit
+	// α/β/γ in the request).
+	Degraded bool `json:"degraded,omitempty"`
+	// Preset echoes the quality preset the server resolved for this
+	// request — the request's own, its tenant tier's, or the server
+	// default ("auto" when the tuner/degradation decided).
+	Preset string `json:"preset,omitempty"`
+	// PhaseUS attributes the query's time to pipeline phases, in
+	// microseconds, keyed by phase name (tree_walk, candidate_sort,
+	// refine, memtable_scan, topk_merge). Omitted when telemetry is
+	// disabled on the index. Across shards the phases sum — work, not
+	// wall time.
+	PhaseUS map[string]float64 `json:"phase_us,omitempty"`
+	// PartialShards lists the ordinals that contributed nothing to this
+	// answer (every replica exhausted). Only a coordinator sets it, and
+	// only on partial answers.
+	PartialShards []int `json:"partial_shards,omitempty"`
+}
+
+// SearchResponse is the /search reply.
+type SearchResponse struct {
+	Results []Result    `json:"results"`
+	Stats   *QueryStats `json:"stats,omitempty"`
+}
+
+// SearchBatchResponse is the /searchbatch reply.
+type SearchBatchResponse struct {
+	Results [][]Result `json:"results"`
+	// Stats holds one entry per query, in input order, when the request
+	// set "stats": true.
+	Stats []*QueryStats `json:"stats,omitempty"`
+	// PartialShards is a coordinator's batch-level completeness report:
+	// the ordinals missing from every answer in the batch (a shard
+	// fails for the whole sub-batch or not at all).
+	PartialShards []int `json:"partial_shards,omitempty"`
+}
+
+// Healthz is a shard server's /healthz payload. Beyond the liveness
+// status it carries enough identity for a cluster coordinator's startup
+// check: the vector count and dimensionality always, and the shard
+// identity stamp when the served directory is one shard of a sharded
+// build.
+type Healthz struct {
+	Status string `json:"status"`
+	Count  uint64 `json:"count"`
+	Dim    int    `json:"dim"`
+	// Identity names which shard of which sharded build this server
+	// holds; absent for standalone indexes.
+	Identity *shard.Identity `json:"identity,omitempty"`
+}
+
+// ToResults renders neighbours for the wire.
+func ToResults(res []core.Result) []Result {
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result{ID: r.ID, Dist: r.Dist}
+	}
+	return out
+}
+
+// FromResults is ToResults' inverse, for a coordinator reading a shard
+// server's reply.
+func FromResults(res []Result) []core.Result {
+	out := make([]core.Result, len(res))
+	for i, r := range res {
+		out[i] = core.Result{ID: r.ID, Dist: r.Dist}
+	}
+	return out
+}
+
+// ToStats renders a query's work counters for the wire; nil stays nil.
+func ToStats(st *core.QueryStats) *QueryStats {
+	if st == nil {
+		return nil
+	}
+	out := &QueryStats{
+		Candidates:      st.Candidates,
+		TreeEntries:     st.TreeEntries,
+		PageReads:       st.PageReads,
+		PageHits:        st.PageHits,
+		PageMisses:      st.PageMisses,
+		ExactDistances:  st.ExactDistances,
+		MemtableScanned: st.MemtableScanned,
+		Alpha:           st.Alpha,
+		Beta:            st.Beta,
+		Gamma:           st.Gamma,
+		Ptolemaic:       st.Ptolemaic,
+		Degraded:        st.Degraded,
+	}
+	if st.Phases.Total() != 0 {
+		out.PhaseUS = make(map[string]float64, telemetry.NumPhases)
+		for i, ns := range st.Phases {
+			out.PhaseUS[telemetry.Phase(i).String()] = float64(ns) / 1e3
+		}
+	}
+	return out
+}
+
+// Core is ToStats' inverse (Preset and PartialShards have no core
+// counterpart and are dropped); nil stays nil. The µs → ns rounding
+// undoes ToStats' division exactly.
+func (st *QueryStats) Core() *core.QueryStats {
+	if st == nil {
+		return nil
+	}
+	out := &core.QueryStats{
+		Candidates:      st.Candidates,
+		TreeEntries:     st.TreeEntries,
+		PageReads:       st.PageReads,
+		PageHits:        st.PageHits,
+		PageMisses:      st.PageMisses,
+		ExactDistances:  st.ExactDistances,
+		MemtableScanned: st.MemtableScanned,
+		Alpha:           st.Alpha,
+		Beta:            st.Beta,
+		Gamma:           st.Gamma,
+		Ptolemaic:       st.Ptolemaic,
+		Degraded:        st.Degraded,
+	}
+	for i := range out.Phases {
+		out.Phases[i] = int64(math.Round(st.PhaseUS[telemetry.Phase(i).String()] * 1e3))
+	}
+	return out
+}
+
+// Machine-readable error classes of the structured error body (the
+// admission layer adds "overloaded" and "tenant_throttled"):
+//
+//	dim_mismatch      -> 400 (query or vector of the wrong dimensionality)
+//	bad_options       -> 400 (a cascade that cannot be formed, unknown preset, preset + knobs)
+//	wal_unavailable   -> 503 (WAL failed; index read-only, reads keep serving)
+//	io_error          -> 503 (disk I/O failure in the page layer)
+//	shard_unavailable -> 503 (coordinator: a shard exhausted every replica
+//	                     and the request's completeness policy allowed no partial answer)
+const (
+	CodeDimMismatch      = "dim_mismatch"
+	CodeBadOptions       = "bad_options"
+	CodeWALUnavailable   = "wal_unavailable"
+	CodeIOError          = "io_error"
+	CodeShardUnavailable = "shard_unavailable"
+)
+
+// StatusClientClosedRequest is nginx's non-standard 499, used when the
+// client cancelled the request before the response was ready.
+const StatusClientClosedRequest = 499
+
+// ErrorBody is the structured error response: a human-readable message
+// plus, for the error classes a caller can act on, a stable
+// machine-readable code.
+type ErrorBody struct {
+	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
+}
+
+// Error is an error that chose its own HTTP status and (optionally)
+// error code.
+type Error struct {
+	Status int
+	Code   string // "code" field of the error body; may be empty
+	Msg    string
+}
+
+func (e *Error) Error() string { return e.Msg }
+
+// BadRequest is a 400 with the given code ("" for none).
+func BadRequest(code, format string, args ...any) error {
+	return &Error{Status: http.StatusBadRequest, Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+// WriteJSON writes v as the response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v) // a failed write means the client is gone
+}
+
+// WriteError renders err as a structured error body, classifying the
+// errors every search endpoint can meet: an *Error's own status, the
+// index's typed errors, and the request context's end. Anything else
+// is a 500.
+func WriteError(w http.ResponseWriter, err error) {
+	body := ErrorBody{Error: err.Error()}
+	status := http.StatusInternalServerError
+	var e *Error
+	switch {
+	case errors.As(err, &e):
+		status, body.Code = e.Status, e.Code
+	case errors.Is(err, core.ErrDimMismatch):
+		status, body.Code = http.StatusBadRequest, CodeDimMismatch
+	case errors.Is(err, core.ErrBadOptions):
+		status, body.Code = http.StatusBadRequest, CodeBadOptions
+	case errors.Is(err, core.ErrWALUnavailable):
+		// The WAL failed: writes are rejected while reads keep serving.
+		// 503 tells the client this is the server's condition, not the
+		// request's.
+		status, body.Code = http.StatusServiceUnavailable, CodeWALUnavailable
+	case errors.Is(err, pager.ErrIO):
+		status, body.Code = http.StatusServiceUnavailable, CodeIOError
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status is for the log line only.
+		status = StatusClientClosedRequest
+	}
+	WriteJSON(w, status, body)
+}
+
+// DecodeBody strictly parses the JSON request body into v: unknown
+// fields and trailing data are a 400, a body over the reader's cap a
+// 413.
+func DecodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &Error{Status: http.StatusRequestEntityTooLarge,
+				Msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+		}
+		return BadRequest("", "invalid request body: %v", err)
+	}
+	if dec.More() {
+		return BadRequest("", "invalid request body: trailing data after JSON object")
+	}
+	return nil
+}
+
+// ValidateK checks the requested neighbour count against the server's
+// cap.
+func ValidateK(k, maxK int) error {
+	if k < 1 {
+		return BadRequest("", "k must be >= 1, got %d", k)
+	}
+	if k > maxK {
+		return BadRequest("", "k = %d exceeds the server limit %d", k, maxK)
+	}
+	return nil
+}
+
+// ValidateQuery checks one vector (the JSON field called name) against
+// the indexed dimensionality.
+func ValidateQuery(name string, q []float32, dim int) error {
+	if len(q) == 0 {
+		return BadRequest("", "%s must be non-empty", name)
+	}
+	if len(q) != dim {
+		return BadRequest(CodeDimMismatch, "%s has %d dims, index has %d", name, len(q), dim)
+	}
+	return nil
+}
+
+// ValidateQueries checks a batch: non-empty, within the server's batch
+// cap, every query of the indexed dimensionality.
+func ValidateQueries(queries [][]float32, maxBatch, dim int) error {
+	if len(queries) == 0 {
+		return BadRequest("", "queries must be non-empty")
+	}
+	if len(queries) > maxBatch {
+		return BadRequest("", "batch of %d queries exceeds the server limit %d", len(queries), maxBatch)
+	}
+	for i, q := range queries {
+		// Build the field name only on failure: a full-cap batch must
+		// not pay per-query formatting just to validate.
+		if len(q) != dim {
+			return ValidateQuery(fmt.Sprintf("queries[%d]", i), q, dim)
+		}
+	}
+	return nil
+}
+
+// Timeout converts a request's timeout_ms into a duration; 0 means
+// none. The upper bound is checked before multiplying: an absurd
+// timeout_ms would overflow the Duration and could wrap to an arbitrary
+// value, either disabling a deadline or imposing a near-zero one.
+// Out-of-range values are ignored, like absent.
+func Timeout(timeoutMs int) time.Duration {
+	if timeoutMs > 0 && int64(timeoutMs) <= int64(math.MaxInt64)/int64(time.Millisecond) {
+		return time.Duration(timeoutMs) * time.Millisecond
+	}
+	return 0
+}

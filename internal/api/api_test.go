@@ -1,0 +1,229 @@
+package api
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/telemetry"
+)
+
+var (
+	goldenResults = []core.Result{{ID: 42, Dist: 0}, {ID: 7, Dist: 1.5}}
+	goldenStats   = &core.QueryStats{
+		Candidates: 12, TreeEntries: 512, PageReads: 9, PageHits: 30, PageMisses: 9,
+		ExactDistances: 12, MemtableScanned: 3, Alpha: 64, Beta: 64, Gamma: 16, Ptolemaic: true,
+		Phases: telemetry.PhaseNS{1500, 250, 4000, 0, 125},
+	}
+)
+
+// TestGoldenResponses pins the exact bytes of every search response
+// shape: a renamed field, a reordered one or a lost omitempty fails
+// here instead of in a client.
+func TestGoldenResponses(t *testing.T) {
+	withPreset := ToStats(goldenStats)
+	withPreset.Preset = "fast"
+	bare := *goldenStats
+	bare.Phases = telemetry.PhaseNS{} // telemetry off: phase_us omitted
+	bare.Degraded = true
+	partial := ToStats(&bare)
+	partial.PartialShards = []int{1}
+
+	cases := []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"search without stats",
+			SearchResponse{Results: ToResults(goldenResults)},
+			`{"results":[{"id":42,"dist":0},{"id":7,"dist":1.5}]}`},
+		{"search with stats",
+			SearchResponse{Results: ToResults(goldenResults), Stats: withPreset},
+			`{"results":[{"id":42,"dist":0},{"id":7,"dist":1.5}],"stats":{"candidates":12,"tree_entries":512,` +
+				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
+				`"alpha":64,"beta":64,"gamma":16,"ptolemaic":true,"preset":"fast",` +
+				`"phase_us":{"candidate_sort":0.25,"memtable_scan":0,"refine":4,"topk_merge":0.125,"tree_walk":1.5}}}`},
+		{"search with no neighbours",
+			SearchResponse{Results: ToResults(nil)},
+			`{"results":[]}`},
+		{"partial search",
+			SearchResponse{Results: ToResults(goldenResults[:1]), Stats: partial},
+			`{"results":[{"id":42,"dist":0}],"stats":{"candidates":12,"tree_entries":512,` +
+				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
+				`"alpha":64,"beta":64,"gamma":16,"ptolemaic":true,"degraded":true,"partial_shards":[1]}}`},
+		{"searchbatch",
+			SearchBatchResponse{Results: [][]Result{ToResults(goldenResults[:1]), ToResults(nil)}},
+			`{"results":[[{"id":42,"dist":0}],[]]}`},
+		{"partial searchbatch with stats",
+			SearchBatchResponse{Results: [][]Result{ToResults(goldenResults[:1])},
+				Stats: []*QueryStats{partial}, PartialShards: []int{1}},
+			`{"results":[[{"id":42,"dist":0}]],"stats":[{"candidates":12,"tree_entries":512,` +
+				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
+				`"alpha":64,"beta":64,"gamma":16,"ptolemaic":true,"degraded":true,"partial_shards":[1]}],"partial_shards":[1]}`},
+		{"healthz of a standalone index",
+			Healthz{Status: "ok", Count: 100, Dim: 128},
+			`{"status":"ok","count":100,"dim":128}`},
+		{"forwarded search request",
+			SearchRequest{Query: []float32{0.5, 1}, K: 10, Stats: true, Tuning: Tuning{Alpha: 64, Preset: "fast"}},
+			`{"query":[0.5,1],"k":10,"stats":true,"alpha":64,"preset":"fast"}`},
+		{"forwarded batch request",
+			SearchBatchRequest{Queries: [][]float32{{0.5, 1}}, K: 10, TimeoutMs: 250, Tuning: Tuning{MaxCandidates: 40}},
+			`{"queries":[[0.5,1]],"k":10,"timeout_ms":250,"max_candidates":40}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			WriteJSON(rec, http.StatusOK, tc.v)
+			if got := rec.Body.String(); got != tc.want+"\n" {
+				t.Errorf("wire bytes\n got: %s want: %s", got, tc.want)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type %q", ct)
+			}
+		})
+	}
+}
+
+// TestGoldenErrors pins the status and exact body of each error class
+// (the encoder's HTML escaping of < and > included).
+func TestGoldenErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		err    error
+		status int
+		want   string
+	}{
+		{"uncoded 400", ValidateK(0, 1000), 400,
+			`{"error":"k must be \u003e= 1, got 0"}`},
+		{"dim_mismatch from validation", ValidateQuery("query", []float32{1, 2}, 4), 400,
+			`{"error":"query has 2 dims, index has 4","code":"dim_mismatch"}`},
+		{"dim_mismatch from the index", fmt.Errorf("%w: query has 2 dims, index has 4", core.ErrDimMismatch), 400,
+			`{"error":"` + core.ErrDimMismatch.Error() + `: query has 2 dims, index has 4","code":"dim_mismatch"}`},
+		{"bad_options from validation", Tuning{Gamma: -1}.Validate(), 400,
+			`{"error":"gamma must be \u003e= 0, got -1","code":"bad_options"}`},
+		{"bad_options from the index", fmt.Errorf("%w: max_candidates=3 < k=5", core.ErrBadOptions), 400,
+			`{"error":"` + core.ErrBadOptions.Error() + `: max_candidates=3 \u003c k=5","code":"bad_options"}`},
+		{"wal_unavailable", core.ErrWALUnavailable, 503,
+			`{"error":"` + core.ErrWALUnavailable.Error() + `","code":"wal_unavailable"}`},
+		{"io_error", fmt.Errorf("read page 7: %w", pager.ErrIO), 503,
+			`{"error":"read page 7: ` + pager.ErrIO.Error() + `","code":"io_error"}`},
+		{"shard_unavailable",
+			&Error{Status: http.StatusServiceUnavailable, Code: CodeShardUnavailable, Msg: "all 2 shards unavailable"}, 503,
+			`{"error":"all 2 shards unavailable","code":"shard_unavailable"}`},
+		{"deadline", context.DeadlineExceeded, 504,
+			`{"error":"context deadline exceeded"}`},
+		{"client gone", context.Canceled, StatusClientClosedRequest,
+			`{"error":"context canceled"}`},
+		{"anything else", fmt.Errorf("boom"), 500,
+			`{"error":"boom"}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			WriteError(rec, tc.err)
+			if rec.Code != tc.status {
+				t.Errorf("status %d, want %d", rec.Code, tc.status)
+			}
+			if got := rec.Body.String(); got != tc.want+"\n" {
+				t.Errorf("wire bytes\n got: %s want: %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// A stats block must survive wire -> core -> wire unchanged: that is
+// what lets a coordinator merge shard replies with the in-process merge
+// and stay bit-identical to it.
+func TestStatsRoundTrip(t *testing.T) {
+	odd := *goldenStats
+	odd.Phases = telemetry.PhaseNS{1, 999_999_999_937, 3, 123_456_789, 7}
+	for _, st := range []*core.QueryStats{goldenStats, &odd, {}} {
+		wire, err := json.Marshal(ToStats(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded QueryStats
+		if err := json.Unmarshal(wire, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if got := decoded.Core(); *got != *st {
+			t.Errorf("round trip\n got: %+v\nwant: %+v", *got, *st)
+		}
+	}
+	if (*QueryStats)(nil).Core() != nil || ToStats(nil) != nil {
+		t.Error("nil stats must stay nil")
+	}
+}
+
+func TestDecodeBody(t *testing.T) {
+	decode := func(body string, limit int64) (SearchRequest, error) {
+		r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(body))
+		if limit > 0 {
+			r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
+		}
+		var req SearchRequest
+		return req, DecodeBody(r, &req)
+	}
+	on := true
+	req, err := decode(`{"query":[1,2],"k":3,"timeout_ms":5,"stats":true,"alpha":8,"gamma":4,"max_candidates":9,"ptolemaic":true,"preset":"x"}`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SearchRequest{Query: []float32{1, 2}, K: 3, TimeoutMs: 5, Stats: true,
+		Tuning: Tuning{Alpha: 8, Gamma: 4, MaxCandidates: 9, Ptolemaic: &on, Preset: "x"}}
+	if !reflect.DeepEqual(req, want) {
+		t.Errorf("decoded %+v, want %+v", req, want)
+	}
+	for name, tc := range map[string]struct {
+		body   string
+		limit  int64
+		status int
+	}{
+		"unknown field": {`{"k":1,"wat":true}`, 0, 400},
+		"trailing data": {`{"k":1} {"k":2}`, 0, 400},
+		"malformed":     {`{"k":`, 0, 400},
+		"over the cap":  {`{"query":[1,2,3,4,5,6,7,8,9,10],"k":1}`, 16, 413},
+	} {
+		_, err := decode(tc.body, tc.limit)
+		var e *Error
+		if !errors.As(err, &e) || e.Status != tc.status {
+			t.Errorf("%s: err = %v, want an *Error with status %d", name, err, tc.status)
+		}
+	}
+}
+
+func TestValidateQueries(t *testing.T) {
+	ok := [][]float32{{1, 2}, {3, 4}}
+	if err := ValidateQueries(ok, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		queries [][]float32
+		want    string
+	}{
+		"empty batch":     {nil, "queries must be non-empty"},
+		"over the cap":    {[][]float32{{1, 2}, {3, 4}, {5, 6}}, "exceeds the server limit 2"},
+		"empty query":     {[][]float32{{1, 2}, {}}, "queries[1] must be non-empty"},
+		"wrong dimension": {[][]float32{{1, 2}, {3}}, "queries[1] has 1 dims, index has 2"},
+	} {
+		if err := ValidateQueries(tc.queries, 2, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, tc.want)
+		}
+	}
+}
+
+func TestTimeout(t *testing.T) {
+	for ms, want := range map[int]int64{0: 0, -5: 0, 250: 250e6, 1 << 62: 0} {
+		if got := Timeout(ms); int64(got) != want {
+			t.Errorf("Timeout(%d) = %v, want %dns", ms, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -133,7 +134,7 @@ func AblationCache(out io.Writer, cfg Config) error {
 		got := make([][]uint64, len(w.Queries))
 		t0 := time.Now()
 		for qi, q := range w.Queries {
-			res, err := ix.Search(q, 10)
+			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
 			if err != nil {
 				ix.Close()
 				return err
@@ -229,7 +230,7 @@ func AblationPtolemaicIO(out io.Writer, cfg Config) error {
 		got := make([][]uint64, len(w.Queries))
 		t0 := time.Now()
 		for qi, q := range w.Queries {
-			res, err := ix.Search(q, 10)
+			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
 			if err != nil {
 				ix.Close()
 				return err

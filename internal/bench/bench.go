@@ -4,12 +4,13 @@
 // scale; the repository-root benchmarks drive it at reduced scale.
 //
 // Scale note: the harness generates synthetic stand-ins for the paper's
-// corpora (see DESIGN.md §3) whose sizes scale with Config.Scale, so the
+// corpora (see internal/data) whose sizes scale with Config.Scale, so the
 // same code runs as a quick smoke test (Scale≈0.05) or a multi-minute
 // full reproduction (Scale=1).
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -39,7 +40,7 @@ type Config struct {
 	WorkDir string  // scratch directory for on-disk indexes; "" = temp
 	Seed    int64
 	// Shards builds the snapshot's HD-Index as a manifest-backed
-	// sharded layout with this many shards (0 = the legacy single
+	// sharded layout with this many shards (0 = one bare single
 	// index). Only the snapshot runner consults it; the paper's
 	// experiment runners always measure the monolithic index.
 	Shards int
@@ -97,7 +98,7 @@ func (c *Config) defaults() {
 type DataSpec struct {
 	Name       string
 	Gen        func(n int, seed int64) *data.Dataset
-	BaseN      int // harness size at Scale = 1 (paper sizes are larger; see DESIGN.md)
+	BaseN      int // harness size at Scale = 1 (the paper's corpora are larger)
 	Tau        int
 	Omega      int
 	Alpha      int
@@ -171,7 +172,7 @@ type hdAdapter struct{ ix *core.Index }
 
 func (a hdAdapter) Name() string { return "HD-Index" }
 func (a hdAdapter) Search(q []float32, k int) ([]baselines.Result, error) {
-	res, err := a.ix.Search(q, k)
+	res, _, err := a.ix.Query(context.Background(), q, k, core.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}

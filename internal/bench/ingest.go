@@ -56,17 +56,6 @@ type IngestResult struct {
 	WALSyncs    int64  `json:"wal_syncs"`
 }
 
-// ingestIndex is the mutation surface the mixed phase measures,
-// satisfied by core.Index and shard.Sharded alike.
-type ingestIndex interface {
-	Insert(vec []float32) (uint64, error)
-	Flush() error
-	Compact(ctx context.Context) error
-	IngestStats() core.IngestStats
-	Search(q []float32, k int) ([]core.Result, error)
-	Close() error
-}
-
 // ingestWriters is the fixed concurrent writer count, fixed (like
 // snapshotParallelClients) so snapshots stay machine-comparable.
 const ingestWriters = 8
@@ -87,7 +76,7 @@ func insertVector(dim, i int, base []float32) []float32 {
 // When hist is non-nil every insert's acknowledge latency is recorded
 // into it (telemetry.Histogram is lock-free, so the writers don't
 // serialize on the bookkeeping).
-func stormWrite(ix ingestIndex, w *Workload, offset, count int, hist *telemetry.Histogram) (time.Duration, error) {
+func stormWrite(ix *shard.Sharded, w *Workload, offset, count int, hist *telemetry.Histogram) (time.Duration, error) {
 	var (
 		next      atomic.Int64
 		insertErr atomic.Value
@@ -150,16 +139,8 @@ func snapshotIngest(spec DataSpec, cfg Config) (IngestResult, error) {
 		p.MemtableMaxVectors = 64
 	}
 
-	build := func() (ingestIndex, error) {
-		if err := shard.ClearLayout(dir); err != nil {
-			return nil, err
-		}
-		return core.Build(dir, w.Data.Vectors, p)
-	}
-	if cfg.Shards > 0 {
-		build = func() (ingestIndex, error) {
-			return shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
-		}
+	build := func() (*shard.Sharded, error) {
+		return shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
 	}
 
 	// Phase 1: pure write storm — the WAL path's insert throughput.
@@ -205,7 +186,7 @@ func snapshotIngest(spec DataSpec, cfg Config) (IngestResult, error) {
 				}
 				q := w.Queries[qi%len(w.Queries)]
 				t := time.Now()
-				if _, err := ix.Search(q, w.K); err != nil {
+				if _, _, err := ix.Query(context.Background(), q, w.K, core.SearchOptions{}); err != nil {
 					readErr.Store(err)
 					return
 				}

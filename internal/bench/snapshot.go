@@ -15,7 +15,6 @@ import (
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/metrics"
 	"github.com/hd-index/hdindex/internal/shard"
-	"github.com/hd-index/hdindex/internal/telemetry"
 )
 
 // Snapshot is a machine-readable perf baseline: the numbers a CI run (or
@@ -68,7 +67,7 @@ type SnapshotConfig struct {
 	Queries         int     `json:"queries"`
 	K               int     `json:"k"`
 	Seed            int64   `json:"seed"`
-	Shards          int     `json:"shards"` // 0 = legacy single-index layout
+	Shards          int     `json:"shards"` // 0 = bare single-index layout
 	ParallelClients int     `json:"parallel_clients"`
 	// BuildScale > 0 adds the build-only rows: each dataset built once
 	// at this scale (typically 1, i.e. 10× the query-phase scale 0.1)
@@ -287,17 +286,8 @@ func snapshotBuild(spec DataSpec, cfg Config) (BuildResult, error) {
 	p := HDParams(spec, n)
 	p.Seed = cfg.Seed
 
-	var built snapIndex
-	var err error
 	t0 := time.Now()
-	if cfg.Shards > 0 {
-		built, err = shard.Build(dir, ds.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
-	} else {
-		if cerr := shard.ClearLayout(dir); cerr != nil {
-			return out, cerr
-		}
-		built, err = core.Build(dir, ds.Vectors, p)
-	}
+	built, err := shard.Build(dir, ds.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
 	if err != nil {
 		return out, err
 	}
@@ -309,19 +299,6 @@ func snapshotBuild(spec DataSpec, cfg Config) (BuildResult, error) {
 	}
 	out.IndexBytes = built.SizeOnDisk()
 	return out, built.Close()
-}
-
-// snapIndex is the slice of the index surface the snapshot measures —
-// satisfied by both core.Index and shard.Sharded, so one measurement
-// body covers both layouts.
-type snapIndex interface {
-	SearchWithStats(q []float32, k int) ([]core.Result, *core.QueryStats, error)
-	SearchBatch(queries [][]float32, k int) ([][]core.Result, error)
-	Query(ctx context.Context, q []float32, k int, o core.SearchOptions) ([]core.Result, *core.QueryStats, error)
-	SizeOnDisk() int64
-	BuildStats() *core.BuildStats
-	Telemetry() telemetry.CollectorSnapshot
-	Close() error
 }
 
 // exactPercentile returns the nearest-rank q-th percentile of sorted —
@@ -347,26 +324,8 @@ func snapshotDataset(spec DataSpec, cfg Config) (DatasetResult, []SweepRow, erro
 	p := HDParams(spec, n)
 	p.Seed = cfg.Seed
 
-	// Select the layout under measurement; the measurement body below
-	// is layout-agnostic. The legacy build clears any sharded layout a
-	// previous run left in the reused workdir, mirroring the facade, so
-	// the directory left behind never holds a stale manifest.
-	build := func() (snapIndex, error) {
-		if err := shard.ClearLayout(dir); err != nil {
-			return nil, err
-		}
-		return core.Build(dir, w.Data.Vectors, p)
-	}
-	open := func() (snapIndex, error) { return core.Open(dir, core.OpenOptions{}) }
-	if cfg.Shards > 0 {
-		build = func() (snapIndex, error) {
-			return shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
-		}
-		open = func() (snapIndex, error) { return shard.Open(dir, core.OpenOptions{}) }
-	}
-
 	t0 := time.Now()
-	built, err := build()
+	built, err := shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
 	if err != nil {
 		return out, nil, err
 	}
@@ -382,14 +341,15 @@ func snapshotDataset(spec DataSpec, cfg Config) (DatasetResult, []SweepRow, erro
 	if err := built.Close(); err != nil {
 		return out, nil, err
 	}
-	ix, err := open()
+	ix, err := shard.Open(dir, core.OpenOptions{})
 	if err != nil {
 		return out, nil, err
 	}
 	defer ix.Close()
+	ctx := context.Background()
 	out.IndexBytes = ix.SizeOnDisk()
 
-	// Single-query latency, quality, and I/O. Only the Search call is
+	// Single-query latency, quality, and I/O. Only the Query call is
 	// timed — metric bookkeeping must not inflate the baseline.
 	var got [][]uint64
 	var ratioSum float64
@@ -398,7 +358,7 @@ func snapshotDataset(spec DataSpec, cfg Config) (DatasetResult, []SweepRow, erro
 	perQuery := make([]time.Duration, 0, len(w.Queries))
 	for qi, q := range w.Queries {
 		t := time.Now()
-		res, st, err := ix.SearchWithStats(q, w.K)
+		res, st, err := ix.Query(ctx, q, w.K, core.SearchOptions{})
 		d := time.Since(t)
 		elapsed += d
 		perQuery = append(perQuery, d)
@@ -437,7 +397,7 @@ func snapshotDataset(spec DataSpec, cfg Config) (DatasetResult, []SweepRow, erro
 	// the delta — the same windowing a /metrics scraper does.
 	telBefore := ix.Telemetry().Query
 	t0 = time.Now()
-	if _, err := ix.SearchBatch(w.Queries, w.K); err != nil {
+	if _, _, err := ix.QueryBatch(ctx, w.Queries, w.K, core.SearchOptions{}); err != nil {
 		return out, nil, err
 	}
 	if d := time.Since(t0).Seconds(); d > 0 {
@@ -462,7 +422,7 @@ func snapshotDataset(spec DataSpec, cfg Config) (DatasetResult, []SweepRow, erro
 			defer wg.Done()
 			for qi := range w.Queries {
 				q := w.Queries[(qi+c)%nq]
-				if _, _, err := ix.SearchWithStats(q, w.K); err != nil {
+				if _, _, err := ix.Query(ctx, q, w.K, core.SearchOptions{}); err != nil {
 					errs[c] = err
 					return
 				}

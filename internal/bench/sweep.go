@@ -10,6 +10,7 @@ import (
 
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/metrics"
+	"github.com/hd-index/hdindex/internal/shard"
 	"github.com/hd-index/hdindex/internal/slo"
 )
 
@@ -123,7 +124,7 @@ func Frontier(rows []SweepRow, dataset string, k int) *slo.Frontier {
 // sweepDataset walks the spec's values over the open index, issuing the
 // workload's queries with the per-query override — no rebuild between
 // points; the index never notices the knob moving.
-func sweepDataset(ix snapIndex, w *Workload, spec *SweepSpec) ([]SweepRow, error) {
+func sweepDataset(ix *shard.Sharded, w *Workload, spec *SweepSpec) ([]SweepRow, error) {
 	rows := make([]SweepRow, 0, len(spec.Values))
 	ctx := context.Background()
 	for _, v := range spec.Values {

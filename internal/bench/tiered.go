@@ -52,16 +52,7 @@ func snapshotTiered(spec DataSpec, cfg Config) ([]TieredResult, error) {
 	p := HDParams(spec, len(w.Data.Vectors))
 	p.Seed = cfg.Seed
 
-	var ix snapIndex
-	var err error
-	if cfg.Shards > 0 {
-		ix, err = shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
-	} else {
-		if cerr := shard.ClearLayout(dir); cerr != nil {
-			return nil, cerr
-		}
-		ix, err = core.Build(dir, w.Data.Vectors, p)
-	}
+	ix, err := shard.Build(dir, w.Data.Vectors, shard.Params{Params: p, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}

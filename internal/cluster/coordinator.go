@@ -154,20 +154,10 @@ type Coordinator struct {
 	partials    atomic.Uint64
 	unavailable atomic.Uint64
 
-	// Successful sub-query latency, feeding the adaptive hedge delay
-	// (windowed p99, cached like internal/admission's pressure p99).
-	subq    telemetry.Histogram
-	pmu     sync.Mutex
-	winSnap telemetry.Snapshot
-	winAt   time.Time
-	lastP99 atomic.Uint64
-	p99At   atomic.Int64
+	// subq is successful sub-query latency; its windowed p99 is the
+	// adaptive hedge delay.
+	subq *telemetry.WindowedP99
 }
-
-const (
-	p99CacheTTL = 250 * time.Millisecond
-	p99Window   = 10 * time.Second
-)
 
 // New builds a Coordinator over a validated manifest and starts the
 // health checker. It does not contact any endpoint — call Verify to
@@ -182,6 +172,7 @@ func New(man *Manifest, opts Options) (*Coordinator, error) {
 		opts:       opts,
 		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
+		subq:       telemetry.NewWindowedP99(time.Now),
 	}
 	transport := opts.Transport
 	if transport == nil {
@@ -255,39 +246,11 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.opts.HedgeDelay > 0 {
 		return c.opts.HedgeDelay
 	}
-	p99 := time.Duration(c.p99NS())
+	p99 := time.Duration(c.subq.P99NS())
 	if p99 == 0 {
 		return c.opts.HedgeMaxDelay
 	}
 	return min(max(p99, c.opts.HedgeMinDelay), c.opts.HedgeMaxDelay)
-}
-
-// p99NS is the windowed p99 of successful sub-query latency in
-// nanoseconds, recomputed at most every p99CacheTTL over a sliding
-// ~p99Window (the same scheme as internal/admission's pressure p99).
-func (c *Coordinator) p99NS() float64 {
-	nowNS := time.Now().UnixNano()
-	if nowNS-c.p99At.Load() < int64(p99CacheTTL) {
-		return float64(c.lastP99.Load())
-	}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if nowNS-c.p99At.Load() < int64(p99CacheTTL) {
-		return float64(c.lastP99.Load())
-	}
-	cur := c.subq.Snapshot()
-	win := cur.Sub(c.winSnap)
-	if win.Count == 0 {
-		win = cur
-	}
-	p := win.Quantile(0.99)
-	if now := time.Now(); c.winAt.IsZero() || now.Sub(c.winAt) >= p99Window {
-		c.winSnap = cur
-		c.winAt = now
-	}
-	c.lastP99.Store(uint64(p))
-	c.p99At.Store(nowNS)
-	return p
 }
 
 // ShardError reports a sub-query that exhausted every replica of one

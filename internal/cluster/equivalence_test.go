@@ -13,6 +13,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/cluster"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/server"
@@ -23,6 +24,7 @@ import (
 // in-process sharded server it must be indistinguishable from.
 type testCluster struct {
 	inproc *httptest.Server   // server over the whole sharded index
+	whole  *hdindex.Index     // the handle that server serves
 	nodes  []*httptest.Server // one server per shard directory
 	coord  *cluster.Coordinator
 	front  *httptest.Server // the coordinator's HTTP face
@@ -53,7 +55,7 @@ func buildCluster(t *testing.T, copts cluster.Options) *testCluster {
 	}
 
 	tc := &testCluster{ds: ds}
-	openServer := func(dir string) *httptest.Server {
+	openServer := func(dir string) (*httptest.Server, *hdindex.Index) {
 		idx, err := hdindex.Open(dir, hdindex.Options{})
 		if err != nil {
 			t.Fatalf("open %s: %v", dir, err)
@@ -65,9 +67,9 @@ func buildCluster(t *testing.T, copts cluster.Options) *testCluster {
 		}
 		ts := httptest.NewServer(server.New(idx, server.Config{Identity: id}).Handler())
 		t.Cleanup(ts.Close)
-		return ts
+		return ts, idx
 	}
-	tc.inproc = openServer(root)
+	tc.inproc, tc.whole = openServer(root)
 
 	tc.man = &cluster.Manifest{FormatVersion: cluster.ManifestFormatVersion, Dim: eqDim}
 	for i := 0; i < eqShards; i++ {
@@ -77,7 +79,7 @@ func buildCluster(t *testing.T, copts cluster.Options) *testCluster {
 			t.Fatalf("shard %d has no identity stamp: %v", i, err)
 		}
 		tc.man.UUID = id.ClusterUUID
-		node := openServer(dir)
+		node, _ := openServer(dir)
 		tc.nodes = append(tc.nodes, node)
 		tc.man.Shards = append(tc.man.Shards, cluster.ShardSpec{Ordinal: i, Replicas: []string{node.URL}})
 	}
@@ -133,6 +135,7 @@ func TestClusterEquivalence(t *testing.T) {
 		{"k": 5, "ptolemaic": false},
 		{"k": 7, "stats": true},
 	}
+	reqs = append(reqs, presetRows...)
 	for qi, q := range queries {
 		for _, base := range reqs {
 			req := map[string]any{"query": q}
@@ -157,6 +160,67 @@ func TestClusterEquivalence(t *testing.T) {
 			if !bytes.Equal(want.Results, got.Results) {
 				t.Fatalf("%s: results diverge\ninproc:  %s\ncluster: %s", label, want.Results, got.Results)
 			}
+			if preset, ok := base["preset"].(string); ok {
+				requireQueryResults(t, label, tc.whole, q, base["k"].(int), preset, got.Results)
+			}
+		}
+	}
+}
+
+// presetRows are the named quality presets: the coordinator forwards
+// "preset" to every shard server, which resolves it against the same
+// built parameters the in-process index does.
+var presetRows = []map[string]any{
+	{"k": 10, "preset": "exact"},
+	{"k": 10, "preset": "balanced"},
+	{"k": 10, "preset": "fast"},
+}
+
+// requireQueryResults checks a wire results array against Query on the
+// in-process 4-shard index with the preset's options.
+func requireQueryResults(t *testing.T, label string, whole *hdindex.Index, q []float32, k int, preset string, got json.RawMessage) {
+	t.Helper()
+	opts, err := whole.PresetOptions(hdindex.Preset(preset), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := whole.Query(context.Background(), q, k, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(api.ToResults(resp.Results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s: results diverge from Query with PresetOptions\nquery:   %s\ncluster: %s", label, want, got)
+	}
+}
+
+// TestClusterPresetWithKnobsRelayed: the coordinator forwards "preset"
+// instead of rejecting it, and a preset combined with explicit knobs is
+// still the shard servers' 400 bad_options, relayed verbatim.
+func TestClusterPresetWithKnobsRelayed(t *testing.T) {
+	tc := buildCluster(t, cluster.Options{HealthInterval: -1, DisableHedging: true})
+	q := tc.ds.PerturbedQueries(1, 0.01, 9)[0]
+	for _, path := range []string{"/search", "/searchbatch"} {
+		req := map[string]any{"k": 5, "preset": "fast", "alpha": 64}
+		if path == "/search" {
+			req["query"] = q
+		} else {
+			req["queries"] = [][]float32{q}
+		}
+		wantCode, wantBody := post(t, tc.inproc.URL, path, req)
+		gotCode, gotBody := post(t, tc.front.URL, path, req)
+		if wantCode != http.StatusBadRequest || gotCode != http.StatusBadRequest {
+			t.Fatalf("%s: inproc %d, cluster %d, want 400 from both: %s / %s", path, wantCode, gotCode, wantBody, gotBody)
+		}
+		var eb api.ErrorBody
+		if err := json.Unmarshal(gotBody, &eb); err != nil || eb.Code != api.CodeBadOptions {
+			t.Fatalf("%s: cluster error body %s (err %v), want code %q", path, gotBody, err, api.CodeBadOptions)
+		}
+		if !bytes.Equal(wantBody, gotBody) {
+			t.Fatalf("%s: error body not relayed verbatim\ninproc:  %s\ncluster: %s", path, wantBody, gotBody)
 		}
 	}
 }
@@ -167,28 +231,36 @@ func TestClusterEquivalence(t *testing.T) {
 func TestClusterEquivalenceBatch(t *testing.T) {
 	tc := buildCluster(t, cluster.Options{HealthInterval: -1, DisableHedging: true})
 	queries := tc.ds.PerturbedQueries(6, 0.01, 5)
-	req := map[string]any{"queries": queries, "k": 10, "max_candidates": 80}
-
-	wantCode, wantBody := post(t, tc.inproc.URL, "/searchbatch", req)
-	gotCode, gotBody := post(t, tc.front.URL, "/searchbatch", req)
-	if wantCode != http.StatusOK || gotCode != http.StatusOK {
-		t.Fatalf("inproc %d, cluster %d: %s / %s", wantCode, gotCode, wantBody, gotBody)
-	}
-	var want, got struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(wantBody, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(gotBody, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Results) != len(queries) || len(got.Results) != len(queries) {
-		t.Fatalf("result counts: inproc %d, cluster %d", len(want.Results), len(got.Results))
-	}
-	for i := range want.Results {
-		if !bytes.Equal(want.Results[i], got.Results[i]) {
-			t.Fatalf("query %d diverges\ninproc:  %s\ncluster: %s", i, want.Results[i], got.Results[i])
+	for _, base := range append([]map[string]any{{"k": 10, "max_candidates": 80}}, presetRows...) {
+		req := map[string]any{"queries": queries}
+		for k, v := range base {
+			req[k] = v
+		}
+		wantCode, wantBody := post(t, tc.inproc.URL, "/searchbatch", req)
+		gotCode, gotBody := post(t, tc.front.URL, "/searchbatch", req)
+		if wantCode != http.StatusOK || gotCode != http.StatusOK {
+			t.Fatalf("%v: inproc %d, cluster %d: %s / %s", base, wantCode, gotCode, wantBody, gotBody)
+		}
+		var want, got struct {
+			Results []json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(wantBody, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(gotBody, &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Results) != len(queries) || len(got.Results) != len(queries) {
+			t.Fatalf("%v: result counts: inproc %d, cluster %d", base, len(want.Results), len(got.Results))
+		}
+		for i := range want.Results {
+			label := fmt.Sprintf("batch query %d %v", i, base)
+			if !bytes.Equal(want.Results[i], got.Results[i]) {
+				t.Fatalf("%s diverges\ninproc:  %s\ncluster: %s", label, want.Results[i], got.Results[i])
+			}
+			if preset, ok := base["preset"].(string); ok {
+				requireQueryResults(t, label, tc.whole, queries[i], base["k"].(int), preset, got.Results[i])
+			}
 		}
 	}
 }

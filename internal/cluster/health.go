@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hd-index/hdindex/internal/shard"
+	"github.com/hd-index/hdindex/internal/api"
 )
 
 // Replica health states. A replica starts healthy (optimistic: the
@@ -108,15 +108,6 @@ func (r *replica) stats() ReplicaStats {
 	return rs
 }
 
-// healthzReply is the slice of a shard server's /healthz the
-// coordinator reads: liveness plus the identity facts.
-type healthzReply struct {
-	Status   string          `json:"status"`
-	Count    uint64          `json:"count"`
-	Dim      int             `json:"dim"`
-	Identity *shard.Identity `json:"identity"`
-}
-
 // probe checks one replica's /healthz: reachability drives the health
 // state machine, and the reply's identity facts are verified against
 // the manifest — every probe, not just the first, so an endpoint
@@ -134,7 +125,7 @@ func (c *Coordinator) probe(ctx context.Context, rep *replica) error {
 		return err
 	}
 	defer resp.Body.Close()
-	var hz healthzReply
+	var hz api.Healthz
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hz); err != nil {
 		err = fmt.Errorf("decode /healthz: %w", err)
 		rep.noteFailure(err.Error())
@@ -162,7 +153,7 @@ func (c *Coordinator) probe(ctx context.Context, rep *replica) error {
 
 // checkIdentity verifies a /healthz reply against the manifest's
 // expectations for this replica's slot.
-func (c *Coordinator) checkIdentity(rep *replica, hz *healthzReply) error {
+func (c *Coordinator) checkIdentity(rep *replica, hz *api.Healthz) error {
 	if hz.Dim != 0 && hz.Dim != c.man.Dim {
 		return fmt.Errorf("serves dimensionality %d, manifest declares %d", hz.Dim, c.man.Dim)
 	}

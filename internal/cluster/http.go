@@ -5,119 +5,27 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
-	"github.com/hd-index/hdindex/internal/topk"
-)
-
-// Wire error codes. The first two mirror the shard servers' codes (the
-// coordinator speaks the same protocol); shard_unavailable is the
-// coordinator's own: a shard exhausted every replica and the request's
-// completeness policy did not allow a partial answer.
-const (
-	codeDimMismatch      = "dim_mismatch"
-	codeBadOptions       = "bad_options"
-	codeShardUnavailable = "shard_unavailable"
+	"github.com/hd-index/hdindex/internal/api"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
 // searchRequest is the coordinator's /search body: the shard servers'
 // schema plus require_full.
 type searchRequest struct {
-	Query     []float32 `json:"query"`
-	K         int       `json:"k"`
-	TimeoutMs int       `json:"timeout_ms"`
-	Stats     bool      `json:"stats"`
+	api.SearchRequest
 	// RequireFull selects the completeness policy: true fails the whole
 	// request with 503 shard_unavailable when any shard cannot answer;
 	// false (the default) serves the merged partial result with the
 	// missing ordinals echoed in stats.partial_shards.
 	RequireFull bool `json:"require_full"`
-	tuningJSON
 }
 
 type searchBatchRequest struct {
-	Queries     [][]float32 `json:"queries"`
-	K           int         `json:"k"`
-	TimeoutMs   int         `json:"timeout_ms"`
-	Stats       bool        `json:"stats"`
-	RequireFull bool        `json:"require_full"`
-	tuningJSON
-}
-
-// tuningJSON is the per-request cascade override block, forwarded to
-// every shard (with max_candidates split across the scatter).
-type tuningJSON struct {
-	Alpha         int   `json:"alpha,omitempty"`
-	Gamma         int   `json:"gamma,omitempty"`
-	MaxCandidates int   `json:"max_candidates,omitempty"`
-	Ptolemaic     *bool `json:"ptolemaic,omitempty"`
-}
-
-// subRequest is the body fanned out to shard servers. One struct for
-// both endpoints: exactly one of Query/Queries is set.
-type subRequest struct {
-	Query     []float32   `json:"query,omitempty"`
-	Queries   [][]float32 `json:"queries,omitempty"`
-	K         int         `json:"k"`
-	TimeoutMs int         `json:"timeout_ms,omitempty"`
-	Stats     bool        `json:"stats,omitempty"`
-	tuningJSON
-}
-
-// resultJSON mirrors the shard servers' result entry. Dist stays a
-// float64 end to end — Go's JSON encoding of a float64 round-trips
-// exactly, which is what makes the cluster's merged answer bit-identical
-// to the in-process sharded index.
-type resultJSON struct {
-	ID   uint64  `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-// statsJSON mirrors the shard servers' per-query stats block, plus the
-// coordinator's partial_shards.
-type statsJSON struct {
-	Candidates      int                `json:"candidates"`
-	TreeEntries     int                `json:"tree_entries"`
-	PageReads       uint64             `json:"page_reads"`
-	PageHits        uint64             `json:"page_hits"`
-	PageMisses      uint64             `json:"page_misses"`
-	ExactDistances  int                `json:"exact_distances"`
-	MemtableScanned int                `json:"memtable_scanned"`
-	Alpha           int                `json:"alpha"`
-	Beta            int                `json:"beta"`
-	Gamma           int                `json:"gamma"`
-	Ptolemaic       bool               `json:"ptolemaic"`
-	Degraded        bool               `json:"degraded,omitempty"`
-	PhaseUS         map[string]float64 `json:"phase_us,omitempty"`
-	// PartialShards lists the ordinals that contributed nothing to this
-	// answer (every replica exhausted). Present only on partial answers.
-	PartialShards []int `json:"partial_shards,omitempty"`
-}
-
-type subResponse struct {
-	Results []resultJSON `json:"results"`
-	Stats   *statsJSON   `json:"stats"`
-}
-
-type subBatchResponse struct {
-	Results [][]resultJSON `json:"results"`
-	Stats   []*statsJSON   `json:"stats"`
-}
-
-type searchResponse struct {
-	Results []resultJSON `json:"results"`
-	Stats   *statsJSON   `json:"stats,omitempty"`
-}
-
-type searchBatchResponse struct {
-	Results [][]resultJSON `json:"results"`
-	Stats   []*statsJSON   `json:"stats,omitempty"`
-	// PartialShards is the batch-level completeness report: the ordinals
-	// missing from every answer in the batch (a shard fails for the
-	// whole sub-batch or not at all).
-	PartialShards []int `json:"partial_shards,omitempty"`
+	api.SearchBatchRequest
+	RequireFull bool `json:"require_full"`
 }
 
 // healthzResponse is the coordinator's /healthz: ok when every replica
@@ -135,27 +43,9 @@ type statsResponse struct {
 	Coordinator Stats  `json:"coordinator"`
 }
 
-type httpError struct {
-	code    int
-	errCode string
-	msg     string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func badRequest(errCode, format string, args ...any) error {
-	return &httpError{code: http.StatusBadRequest, errCode: errCode, msg: fmt.Sprintf(format, args...)}
+func shardUnavailable(format string, args ...any) error {
+	return &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
+		Msg: fmt.Sprintf(format, args...)}
 }
 
 // Handler returns the coordinator's routed HTTP handler: the shard
@@ -179,35 +69,30 @@ func (c *Coordinator) wrap(h func(r *http.Request) (any, error)) http.HandlerFun
 		w.Header().Set("Server-Timing",
 			fmt.Sprintf("total;dur=%.3f", float64(time.Since(start).Nanoseconds())/1e6))
 		if err != nil {
-			c.writeError(w, err)
+			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
-func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
-	var he *httpError
+func writeError(w http.ResponseWriter, err error) {
 	var pe *permanentError
 	var se *ShardError
 	switch {
 	case errors.As(err, &pe):
 		// A shard server judged the request itself invalid (bad options,
-		// dim mismatch the coordinator's own checks missed). Its body is
-		// already the structured error the client expects — relay it.
+		// a preset combined with knobs). Its body is already the
+		// structured error the client expects — relay it.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(pe.status)
 		_, _ = w.Write(pe.body)
 	case errors.As(err, &se):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
-			Error: err.Error(), Code: codeShardUnavailable,
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.ErrorBody{
+			Error: err.Error(), Code: api.CodeShardUnavailable,
 		})
-	case errors.As(err, &he):
-		writeJSON(w, he.code, errorBody{Error: he.msg, Code: he.errCode})
-	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		api.WriteError(w, err)
 	}
 }
 
@@ -217,7 +102,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if status == "unavailable" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, healthzResponse{Status: status, Shards: len(c.shards), Dim: c.man.Dim})
+	api.WriteJSON(w, code, healthzResponse{Status: status, Shards: len(c.shards), Dim: c.man.Dim})
 }
 
 // healthStatus folds the replica table into one verdict.
@@ -245,245 +130,159 @@ func (c *Coordinator) healthStatus() string {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsResponse{Status: c.healthStatus(), Coordinator: c.Stats()})
+	api.WriteJSON(w, http.StatusOK, statsResponse{Status: c.healthStatus(), Coordinator: c.Stats()})
 }
 
-// decodeBody strictly parses the JSON request body into v, mirroring
-// the shard servers' decoding so the coordinator rejects exactly what
-// they would.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return badRequest("", "invalid request body: %v", err)
+// perShard covers the checks shared by both endpoints and returns the
+// tuning block to forward to every shard: the request's own, with
+// max_candidates split across the scatter exactly as the in-process
+// sharded index splits it. Whatever needs the built parameters (the
+// cascade's shape, a preset's expansion, preset + knobs) is left to the
+// shard servers, whose 400 is relayed verbatim.
+func (c *Coordinator) perShard(k int, t api.Tuning) (api.Tuning, error) {
+	if err := api.ValidateK(k, c.opts.MaxK); err != nil {
+		return t, err
 	}
-	if dec.More() {
-		return badRequest("", "invalid request body: trailing data after JSON object")
+	if err := t.Validate(); err != nil {
+		return t, err
 	}
-	return nil
+	var err error
+	t.MaxCandidates, err = shard.SplitMaxCandidates(t.MaxCandidates, k, len(c.shards))
+	return t, err
 }
 
-// validate covers the checks shared by both endpoints; returns the
-// per-shard tuning block (max_candidates split across the scatter, the
-// same arithmetic as the in-process sharded index: floor division,
-// each shard keeping at least k so the merge sees a full local top-k).
-func (c *Coordinator) validate(k int, t tuningJSON) (tuningJSON, error) {
-	if k < 1 {
-		return t, badRequest("", "k must be >= 1, got %d", k)
-	}
-	if k > c.opts.MaxK {
-		return t, badRequest("", "k = %d exceeds the server limit %d", k, c.opts.MaxK)
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"alpha", t.Alpha}, {"gamma", t.Gamma}, {"max_candidates", t.MaxCandidates}} {
-		if f.v < 0 {
-			return t, badRequest(codeBadOptions, "%s must be >= 0, got %d", f.name, f.v)
-		}
-	}
-	if t.MaxCandidates > 0 {
-		if t.MaxCandidates < k {
-			return t, badRequest(codeBadOptions, "max_candidates=%d < k=%d", t.MaxCandidates, k)
-		}
-		t.MaxCandidates = max(k, t.MaxCandidates/len(c.shards))
-	}
-	return t, nil
-}
-
-func (c *Coordinator) validateQuery(name string, q []float32) error {
-	if len(q) == 0 {
-		return badRequest("", "%s must be non-empty", name)
-	}
-	if len(q) != c.man.Dim {
-		return badRequest(codeDimMismatch, "%s has %d dims, cluster has %d", name, len(q), c.man.Dim)
-	}
-	return nil
-}
-
-// requestContext applies the request's own deadline, if any, bounded
-// against overflow exactly like the shard servers.
+// requestContext applies the request's own deadline, if any.
 func requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if timeoutMs > 0 && int64(timeoutMs) <= int64(math.MaxInt64)/int64(time.Millisecond) {
-		return context.WithTimeout(ctx, time.Duration(timeoutMs)*time.Millisecond)
+	if d := api.Timeout(timeoutMs); d > 0 {
+		return context.WithTimeout(r.Context(), d)
 	}
-	return ctx, func() {}
+	return r.Context(), func() {}
 }
 
-// globalID maps a shard-local id back to the global id of the
-// round-robin striped build: global g was routed to shard g mod N at
-// local slot g div N, so local l of shard i is l*N + i.
-func (c *Coordinator) globalID(ordinal int, local uint64) uint64 {
-	return local*uint64(len(c.shards)) + uint64(ordinal)
-}
-
-// aggStats merges per-shard stats blocks the way the in-process
-// sharded index does: counters summed, the cascade echo taken from the
-// lowest answering ordinal (every shard resolves the same options
-// against the same built params, so any echo is THE echo).
-func aggStats(perShard []*statsJSON, failed []int) *statsJSON {
-	agg := &statsJSON{}
-	first := true
-	for _, st := range perShard {
-		if st == nil {
-			continue
-		}
-		agg.Candidates += st.Candidates
-		agg.TreeEntries += st.TreeEntries
-		agg.PageReads += st.PageReads
-		agg.PageHits += st.PageHits
-		agg.PageMisses += st.PageMisses
-		agg.ExactDistances += st.ExactDistances
-		agg.MemtableScanned += st.MemtableScanned
-		for phase, us := range st.PhaseUS {
-			if agg.PhaseUS == nil {
-				agg.PhaseUS = make(map[string]float64, len(st.PhaseUS))
-			}
-			agg.PhaseUS[phase] += us
-		}
-		if first {
-			agg.Alpha, agg.Beta, agg.Gamma = st.Alpha, st.Beta, st.Gamma
-			agg.Ptolemaic, agg.Degraded = st.Ptolemaic, st.Degraded
-			first = false
-		}
-	}
-	agg.PartialShards = failed
-	return agg
-}
-
-func (c *Coordinator) handleSearch(r *http.Request) (any, error) {
-	var req searchRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	if err := c.validateQuery("query", req.Query); err != nil {
-		return nil, err
-	}
-	tuning, err := c.validate(req.K, req.tuningJSON)
+// gather scatters one sub-request to every shard, applies the
+// completeness policy, and decodes the answering shards' replies into
+// out (indexed by ordinal, nil where the shard did not answer). It
+// returns the ordinals that did not.
+func gather[T any](ctx context.Context, c *Coordinator, path string, subReq any, requireFull bool, out []*T) (failed []int, err error) {
+	body, err := json.Marshal(subReq)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
-	defer cancel()
-	body, err := json.Marshal(subRequest{
-		Query: req.Query, K: req.K, TimeoutMs: req.TimeoutMs,
-		Stats: req.Stats, tuningJSON: tuning,
-	})
-	if err != nil {
-		return nil, err
-	}
-	replies, failed, permErr := c.scatter(ctx, "/search", body)
+	replies, failed, permErr := c.scatter(ctx, path, body)
 	if permErr != nil {
 		return nil, permErr
 	}
-	if err := c.completeness(ctx, req.RequireFull, failed); err != nil {
+	if err := c.completeness(ctx, requireFull, failed); err != nil {
 		return nil, err
 	}
-
-	best := topk.New(req.K)
-	perStats := make([]*statsJSON, len(replies))
 	for i, raw := range replies {
 		if raw == nil {
 			continue
 		}
-		var sub subResponse
-		if err := json.Unmarshal(raw, &sub); err != nil {
+		out[i] = new(T)
+		if err := json.Unmarshal(raw, out[i]); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d returned malformed response: %w", i, err)
 		}
-		for _, res := range sub.Results {
-			best.Push(c.globalID(i, res.ID), res.Dist)
-		}
-		perStats[i] = sub.Stats
 	}
-	out := searchResponse{Results: itemsToResults(best.Items())}
-	if req.Stats || len(failed) > 0 {
-		out.Stats = aggStats(perStats, failed)
+	return failed, nil
+}
+
+// merge folds one query's per-shard /search replies (indexed by
+// ordinal, nil where the shard did not answer) through the same
+// shard.Merge the in-process sharded index runs. The preset echo, like
+// the cascade echo, is the lowest answering ordinal's.
+func merge(k int, failed []int, subs []*api.SearchResponse) api.SearchResponse {
+	replies := make([]*shard.Reply, len(subs))
+	preset := ""
+	for i, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		replies[i] = &shard.Reply{Results: api.FromResults(sub.Results), Stats: sub.Stats.Core()}
+		if preset == "" && sub.Stats != nil {
+			preset = sub.Stats.Preset
+		}
+	}
+	res, st := shard.Merge(k, replies)
+	out := api.SearchResponse{Results: api.ToResults(res), Stats: api.ToStats(st)}
+	out.Stats.Preset = preset
+	out.Stats.PartialShards = failed
+	return out
+}
+
+func (c *Coordinator) handleSearch(r *http.Request) (any, error) {
+	var req searchRequest
+	if err := api.DecodeBody(r, &req); err != nil {
+		return nil, err
+	}
+	if err := api.ValidateQuery("query", req.Query, c.man.Dim); err != nil {
+		return nil, err
+	}
+	var err error
+	if req.Tuning, err = c.perShard(req.K, req.Tuning); err != nil {
+		return nil, err
+	}
+	ctx, cancel := requestContext(r, req.TimeoutMs)
+	defer cancel()
+	subs := make([]*api.SearchResponse, len(c.shards))
+	failed, err := gather(ctx, c, "/search", req.SearchRequest, req.RequireFull, subs)
+	if err != nil {
+		return nil, err
+	}
+	out := merge(req.K, failed, subs)
+	if !req.Stats && len(failed) == 0 {
+		out.Stats = nil
 	}
 	return out, nil
 }
 
 func (c *Coordinator) handleSearchBatch(r *http.Request) (any, error) {
 	var req searchBatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if len(req.Queries) == 0 {
-		return nil, badRequest("", "queries must be non-empty")
+	if err := api.ValidateQueries(req.Queries, c.opts.MaxBatch, c.man.Dim); err != nil {
+		return nil, err
 	}
-	if len(req.Queries) > c.opts.MaxBatch {
-		return nil, badRequest("", "batch of %d queries exceeds the server limit %d", len(req.Queries), c.opts.MaxBatch)
-	}
-	for i, q := range req.Queries {
-		if len(q) == 0 {
-			return nil, badRequest("", "queries[%d] must be non-empty", i)
-		}
-		if len(q) != c.man.Dim {
-			return nil, badRequest(codeDimMismatch, "queries[%d] has %d dims, cluster has %d", i, len(q), c.man.Dim)
-		}
-	}
-	tuning, err := c.validate(req.K, req.tuningJSON)
-	if err != nil {
+	var err error
+	if req.Tuning, err = c.perShard(req.K, req.Tuning); err != nil {
 		return nil, err
 	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
-	body, err := json.Marshal(subRequest{
-		Queries: req.Queries, K: req.K, TimeoutMs: req.TimeoutMs,
-		Stats: req.Stats, tuningJSON: tuning,
-	})
+	subs := make([]*api.SearchBatchResponse, len(c.shards))
+	failed, err := gather(ctx, c, "/searchbatch", req.SearchBatchRequest, req.RequireFull, subs)
 	if err != nil {
-		return nil, err
-	}
-	replies, failed, permErr := c.scatter(ctx, "/searchbatch", body)
-	if permErr != nil {
-		return nil, permErr
-	}
-	if err := c.completeness(ctx, req.RequireFull, failed); err != nil {
 		return nil, err
 	}
 
 	nq := len(req.Queries)
-	subs := make([]*subBatchResponse, len(replies))
-	for i, raw := range replies {
-		if raw == nil {
-			continue
-		}
-		var sub subBatchResponse
-		if err := json.Unmarshal(raw, &sub); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d returned malformed response: %w", i, err)
-		}
-		if len(sub.Results) != nq {
+	for i, sub := range subs {
+		if sub != nil && len(sub.Results) != nq {
 			return nil, fmt.Errorf("cluster: shard %d answered %d queries, batch has %d", i, len(sub.Results), nq)
 		}
-		subs[i] = &sub
 	}
-	out := searchBatchResponse{Results: make([][]resultJSON, nq), PartialShards: failed}
+	out := api.SearchBatchResponse{Results: make([][]api.Result, nq), PartialShards: failed}
 	if req.Stats {
-		out.Stats = make([]*statsJSON, nq)
+		out.Stats = make([]*api.QueryStats, nq)
 	}
-	for qi := 0; qi < nq; qi++ {
-		best := topk.New(req.K)
-		perStats := make([]*statsJSON, len(replies))
+	// One scatter carried the whole batch; the merge is per query, over
+	// each shard's slice of its batch reply.
+	perQuery := make([]*api.SearchResponse, len(subs))
+	for qi := range out.Results {
 		for i, sub := range subs {
 			if sub == nil {
 				continue
 			}
-			for _, res := range sub.Results[qi] {
-				best.Push(c.globalID(i, res.ID), res.Dist)
-			}
-			if sub.Stats != nil {
-				perStats[i] = sub.Stats[qi]
+			perQuery[i] = &api.SearchResponse{Results: sub.Results[qi]}
+			if qi < len(sub.Stats) {
+				perQuery[i].Stats = sub.Stats[qi]
 			}
 		}
-		out.Results[qi] = itemsToResults(best.Items())
+		merged := merge(req.K, failed, perQuery)
+		out.Results[qi] = merged.Results
 		if req.Stats {
-			out.Stats[qi] = aggStats(perStats, failed)
+			out.Stats[qi] = merged.Stats
 		}
 	}
 	return out, nil
@@ -501,21 +300,11 @@ func (c *Coordinator) completeness(ctx context.Context, requireFull bool, failed
 		return err
 	}
 	if len(failed) == len(c.shards) {
-		return &httpError{code: http.StatusServiceUnavailable, errCode: codeShardUnavailable,
-			msg: fmt.Sprintf("all %d shards unavailable", len(c.shards))}
+		return shardUnavailable("all %d shards unavailable", len(c.shards))
 	}
 	if requireFull {
-		return &httpError{code: http.StatusServiceUnavailable, errCode: codeShardUnavailable,
-			msg: fmt.Sprintf("shards %v unavailable and require_full is set", failed)}
+		return shardUnavailable("shards %v unavailable and require_full is set", failed)
 	}
 	c.partials.Add(1)
 	return nil
-}
-
-func itemsToResults(items []topk.Item) []resultJSON {
-	out := make([]resultJSON, len(items))
-	for i, it := range items {
-		out[i] = resultJSON{ID: it.ID, Dist: it.Dist}
-	}
-	return out
 }

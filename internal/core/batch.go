@@ -7,28 +7,16 @@ import (
 	"github.com/hd-index/hdindex/internal/fanout"
 )
 
-// SearchBatch answers many queries concurrently (across queries, not
-// trees), returning per-query results in input order. This is the
-// natural shape for the §5.5 image-search workload, where one logical
-// query fans out into N descriptor searches.
-func (ix *Index) SearchBatch(queries [][]float32, k int) ([][]Result, error) {
-	return ix.SearchBatchContext(context.Background(), queries, k)
-}
-
-// SearchBatchContext is SearchBatch honouring ctx. The fan-out runs on a
-// bounded worker pool (Params.BatchWorkers, default GOMAXPROCS) so a
-// huge batch cannot monopolise the scheduler; cancellation or the first
-// per-query error stops the remaining work promptly and is returned.
-func (ix *Index) SearchBatchContext(ctx context.Context, queries [][]float32, k int) ([][]Result, error) {
-	res, _, err := ix.QueryBatch(ctx, queries, k, SearchOptions{})
-	return res, err
-}
-
-// QueryBatch is SearchBatchContext with per-query cascade overrides and
-// per-query work counters: the same options apply to every query in the
-// batch and are resolved and validated once, up front — a bad option
-// set fails before any query runs. Results and stats are returned in
-// input order.
+// QueryBatch answers many queries concurrently (across queries, not
+// trees) — the natural shape for the §5.5 image-search workload, where
+// one logical query fans out into N descriptor searches. The fan-out
+// runs on a bounded worker pool (Params.BatchWorkers, default
+// GOMAXPROCS) so a huge batch cannot monopolise the scheduler;
+// cancellation or the first per-query error stops the remaining work
+// promptly and is returned. The same options apply to every query in
+// the batch and are resolved and validated once, up front — a bad
+// option set fails before any query runs. Results and per-query work
+// counters are returned in input order.
 func (ix *Index) QueryBatch(ctx context.Context, queries [][]float32, k int, o SearchOptions) ([][]Result, []*QueryStats, error) {
 	if len(queries) == 0 {
 		return nil, nil, nil

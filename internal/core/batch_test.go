@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	}
 	defer ix.Close()
 
-	batch, err := ix.SearchBatch(queries, 10)
+	batch, _, err := ix.QueryBatch(context.Background(), queries, 10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("batch returned %d result sets", len(batch))
 	}
 	for qi, q := range queries {
-		seq, err := ix.Search(q, 10)
+		seq, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestSearchBatchEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	out, err := ix.SearchBatch(nil, 5)
+	out, _, err := ix.QueryBatch(context.Background(), nil, 5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSearchBatchEmpty(t *testing.T) {
 		t.Fatal("empty batch must return empty results")
 	}
 	// A bad query inside a batch surfaces as an error.
-	if _, err := ix.SearchBatch([][]float32{{1}}, 5); err == nil {
+	if _, _, err := ix.QueryBatch(context.Background(), [][]float32{{1}}, 5, SearchOptions{}); err == nil {
 		t.Fatal("bad query in batch must fail")
 	}
 }

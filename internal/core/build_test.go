@@ -125,11 +125,11 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for qi := 0; qi < 20; qi++ {
 		q := vectors[rng.Intn(len(vectors))]
-		a, err := ix.Search(q, 10)
+		a, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := refIx.Search(q, 10)
+		b, _, err := refIx.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,12 +21,12 @@ func TestSearchBatchPreservesOrder(t *testing.T) {
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
 		var err error
-		want[i], err = ix.Search(q, 5)
+		want[i], _, err = ix.Query(context.Background(), q, 5, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := ix.SearchBatch(queries, 5)
+	got, _, err := ix.QueryBatch(context.Background(), queries, 5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSearchBatchWorkerBounds(t *testing.T) {
 		p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, BatchWorkers: workers, Seed: 3}
 		ix, ds, _ := buildSmall(t, 400, p)
 		queries := ds.PerturbedQueries(9, 0.02, 4)
-		res, err := ix.SearchBatch(queries, 3)
+		res, _, err := ix.QueryBatch(context.Background(), queries, 3, SearchOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -81,7 +81,7 @@ func TestConcurrentSearchInsertDelete(t *testing.T) {
 					return
 				default:
 				}
-				res, err := ix.Search(queries[(w+i)%len(queries)], 5)
+				res, _, err := ix.Query(context.Background(), queries[(w+i)%len(queries)], 5, SearchOptions{})
 				if err != nil {
 					errCh <- err
 					return
@@ -123,7 +123,7 @@ func TestConcurrentSearchInsertDelete(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			_ = ix.Count()
-			_, _ = ix.SearchBatch(queries[:4], 3)
+			_, _, _ = ix.QueryBatch(context.Background(), queries[:4], 3, SearchOptions{})
 		}
 	}()
 
@@ -150,11 +150,8 @@ func TestSearchCancelledContext(t *testing.T) {
 	ix, _, queries := buildSmall(t, 400, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.SearchContext(ctx, queries[0], 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.Query(ctx, queries[0], 5, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, _, err := ix.SearchWithStatsContext(ctx, queries[0], 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("stats err = %v, want context.Canceled", err)
 	}
 }
 
@@ -178,7 +175,7 @@ func TestSearchAbortsOnCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel() // race the cancel against the search
 		for _, q := range queries {
-			if _, err := ix.SearchContext(ctx, q, 10); errors.Is(err, context.Canceled) {
+			if _, _, err := ix.Query(ctx, q, 10, SearchOptions{}); errors.Is(err, context.Canceled) {
 				cancelled.Add(1)
 				break
 			} else if err != nil {
@@ -198,7 +195,7 @@ func TestSearchDeadlineExceeded(t *testing.T) {
 	ix, _, queries := buildSmall(t, 400, p)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := ix.SearchContext(ctx, queries[0], 5); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := ix.Query(ctx, queries[0], 5, SearchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -212,14 +209,14 @@ func TestSearchBatchCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.SearchBatchContext(ctx, queries, 3); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.QueryBatch(ctx, queries, 3, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, err := ix.SearchBatchContext(ctx2, queries, 3)
+	_, _, err := ix.QueryBatch(ctx2, queries, 3, SearchOptions{})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled batch took %v to return", elapsed)
 	}

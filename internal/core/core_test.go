@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -96,7 +97,7 @@ func TestBuildAndSearchQuality(t *testing.T) {
 	var got [][]uint64
 	var ratioSum float64
 	for qi, q := range queries {
-		res, err := ix.Search(q, 10)
+		res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestExhaustiveAlphaIsExact(t *testing.T) {
 	defer ix.Close()
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 5)
 	for qi, q := range queries {
-		res, err := ix.Search(q, 5)
+		res, _, err := ix.Query(context.Background(), q, 5, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestPtolemaicAtLeastAsGoodAsTriangular(t *testing.T) {
 		defer ix.Close()
 		var got [][]uint64
 		for _, q := range queries {
-			res, err := ix.Search(q, 10)
+			res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +243,7 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
-		want[i], err = ix.Search(q, 5)
+		want[i], _, err = ix.Query(context.Background(), q, 5, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func TestOpenRoundTrip(t *testing.T) {
 		t.Fatalf("reopened count=%d dim=%d", ix2.Count(), ix2.Dim())
 	}
 	for i, q := range queries {
-		got, err := ix2.Search(q, 5)
+		got, _, err := ix2.Query(context.Background(), q, 5, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,12 +285,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	defer ix.Close()
 	for _, q := range queries {
 		ix.params.Parallel = false
-		seq, err := ix.Search(q, 10)
+		seq, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix.params.Parallel = true
-		par, err := ix.Search(q, 10)
+		par, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestInsertAfterBuild(t *testing.T) {
 	if id != 500 {
 		t.Fatalf("inserted id = %d, want 500", id)
 	}
-	res, err := ix.Search(novel, 1)
+	res, _, err := ix.Query(context.Background(), novel, 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestInsertAfterBuild(t *testing.T) {
 func TestSearchStats(t *testing.T) {
 	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 61}
 	ix, _, queries := buildSmall(t, 1000, p)
-	_, stats, err := ix.SearchWithStats(queries[0], 10)
+	_, stats, err := ix.Query(context.Background(), queries[0], 10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +353,10 @@ func TestSearchStats(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 71}
 	ix, _, queries := buildSmall(t, 300, p)
-	if _, err := ix.Search(queries[0][:5], 3); err == nil {
+	if _, _, err := ix.Query(context.Background(), queries[0][:5], 3, SearchOptions{}); err == nil {
 		t.Error("wrong query dims must fail")
 	}
-	if _, err := ix.Search(queries[0], 0); err == nil {
+	if _, _, err := ix.Query(context.Background(), queries[0], 0, SearchOptions{}); err == nil {
 		t.Error("k=0 must fail")
 	}
 }
@@ -373,7 +374,7 @@ func TestZOrderCurveWorks(t *testing.T) {
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 10)
 	var got [][]uint64
 	for _, q := range queries {
-		res, err := ix.Search(q, 10)
+		res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestDeleteHidesObject(t *testing.T) {
 
 	// Query right on top of object 123: it must rank first.
 	q := ds.Vectors[123]
-	res, err := ix.Search(q, 3)
+	res, _, err := ix.Query(context.Background(), q, 3, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestDeleteHidesObject(t *testing.T) {
 	if ix.DeletedCount() != 1 {
 		t.Fatalf("DeletedCount = %d", ix.DeletedCount())
 	}
-	res, err = ix.Search(q, 3)
+	res, _, err = ix.Query(context.Background(), q, 3, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestDeleteHidesObject(t *testing.T) {
 	if err := ix.Undelete(123); err != nil {
 		t.Fatal(err)
 	}
-	res, err = ix.Search(q, 1)
+	res, _, err = ix.Query(context.Background(), q, 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 	if re.DeletedCount() != 1 {
 		t.Fatalf("reopened DeletedCount = %d", re.DeletedCount())
 	}
-	res, err := re.Search(ds.Vectors[42], 1)
+	res, _, err := re.Query(context.Background(), ds.Vectors[42], 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

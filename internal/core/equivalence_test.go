@@ -84,7 +84,7 @@ func TestRefineEquivalenceRandom(t *testing.T) {
 		for _, k := range []int{1, 5, 20} {
 			for qi, q := range queries {
 				want, wantCand := naiveSearch(t, ix, q, k)
-				got, st, err := ix.SearchWithStats(q, k)
+				got, st, err := ix.Query(context.Background(), q, k, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestRefineEquivalenceAdversarialTies(t *testing.T) {
 	for qi, q := range base {
 		for _, k := range []int{1, copies - 1, copies + 3} {
 			want, wantCand := naiveSearch(t, ix, q, k)
-			got, st, err := ix.SearchWithStats(q, k)
+			got, st, err := ix.Query(context.Background(), q, k, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestRefineEquivalenceWithDeletes(t *testing.T) {
 	queries := ds.PerturbedQueries(15, 0.02, 31)
 	for qi, q := range queries {
 		want, wantCand := naiveSearch(t, ix, q, 10)
-		got, st, err := ix.SearchWithStats(q, 10)
+		got, st, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestRefineEquivalenceSpanningRecords(t *testing.T) {
 	queries := ds.PerturbedQueries(10, 0.02, 17)
 	for qi, q := range queries {
 		want, wantCand := naiveSearch(t, ix, q, 8)
-		got, st, err := ix.SearchWithStats(q, 8)
+		got, st, err := ix.Query(context.Background(), q, 8, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -150,7 +151,7 @@ func TestOpenPrunesStaleDeleteMarks(t *testing.T) {
 	if id != 200 {
 		t.Fatalf("refill insert assigned id %d, want 200", id)
 	}
-	res, err := ix.Search(vec, 1)
+	res, _, err := ix.Query(context.Background(), vec, 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestOpenPrunesStaleDeleteMarks(t *testing.T) {
 	if n := re.DeletedCount(); n != 0 {
 		t.Fatalf("stale mark resurrected after reopen: DeletedCount = %d", n)
 	}
-	res, err = re.Search(vec, 1)
+	res, _, err = re.Query(context.Background(), vec, 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func insertUntilFailure(t *testing.T, ix *Index, vecs [][]float32) ([]uint64, er
 func assertServes(t *testing.T, ix *Index, ids []uint64, vecs [][]float32) {
 	t.Helper()
 	for i, id := range ids {
-		res, err := ix.Search(vecs[i], 1)
+		res, _, err := ix.Query(context.Background(), vecs[i], 1, SearchOptions{})
 		if err != nil {
 			t.Fatalf("search for acked insert %d: %v", id, err)
 		}
@@ -158,7 +158,7 @@ func TestFaultWALSyncFailureRollsBackAck(t *testing.T) {
 	}
 	// The rolled-back vector must not serve.
 	failedVec := ds.Vectors[200+len(acked)]
-	res, err := ix.Search(failedVec, 1)
+	res, _, err := ix.Query(context.Background(), failedVec, 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFaultPagerReadEIOTypedError(t *testing.T) {
 
 	var searchErr error
 	for i := 0; i < 2000 && searchErr == nil; i++ {
-		_, searchErr = ix.Search(ds.Vectors[i%200], 5)
+		_, _, searchErr = ix.Query(context.Background(), ds.Vectors[i%200], 5, SearchOptions{})
 	}
 	if searchErr == nil {
 		t.Fatal("read fault never fired: raise the query count")

@@ -211,7 +211,7 @@ type OpenOptions struct {
 	PoolPages    int  // buffer-pool pages per file; 0 keeps the build-time value
 	DisableCache bool // paper's caching-off protocol
 	Parallel     bool // search trees concurrently
-	BatchWorkers int  // SearchBatch fan-out bound; 0 = GOMAXPROCS
+	BatchWorkers int  // QueryBatch fan-out bound; 0 = GOMAXPROCS
 
 	// WALSyncInterval selects the ingest durability discipline: 0 group-
 	// commits every insert/delete (acknowledged = fsynced); > 0

@@ -117,7 +117,7 @@ func TestInsertsSurviveCrashBeforeCompaction(t *testing.T) {
 
 	want := make([][]Result, len(queries))
 	for qi, q := range queries {
-		res, err := ix.Search(q, 10)
+		res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestInsertsSurviveCrashBeforeCompaction(t *testing.T) {
 		t.Fatalf("recovered deleted count = %d, want 2", re.DeletedCount())
 	}
 	for qi, q := range queries {
-		res, err := re.Search(q, 10)
+		res, _, err := re.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestTornFinalWALRecordTruncates(t *testing.T) {
 	if id != 299 {
 		t.Fatalf("reassigned id = %d, want 299", id)
 	}
-	res, err := re.Search(ds.Vectors[299], 1)
+	res, _, err := re.Query(context.Background(), ds.Vectors[299], 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ func TestCompactionMatchesDirectInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		a, err := viaWAL.Search(q, 10)
+		a, _, err := viaWAL.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := viaDirect.Search(q, 10)
+		b, _, err := viaDirect.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestCompactIdempotentAndDurable(t *testing.T) {
 		t.Fatalf("empty compaction must be a no-op; compactions = %d, want 1", got)
 	}
 	q := ds.Vectors[380]
-	want, err := ix.Search(q, 5)
+	want, _, err := ix.Query(context.Background(), q, 5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestCompactIdempotentAndDurable(t *testing.T) {
 	if re.Count() != 400 {
 		t.Fatalf("count = %d, want 400", re.Count())
 	}
-	got, err := re.Search(q, 5)
+	got, _, err := re.Query(context.Background(), q, 5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestCrashMidCompactionRecoversFromWAL(t *testing.T) {
 	if err := re.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := re.Search(ds.Vectors[290], 1)
+	res, _, err := re.Query(context.Background(), ds.Vectors[290], 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestCompactionPurgesDeletes(t *testing.T) {
 	}
 	deleted := map[uint64]bool{50: true, 290: true}
 	for qi, q := range ds.PerturbedQueries(5, 0.05, 103) {
-		res, err := ix.Search(q, 10)
+		res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	res, err := ix.Search(ds.Vectors[399], 1)
+	res, _, err := ix.Query(context.Background(), ds.Vectors[399], 1, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

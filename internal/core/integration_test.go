@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func TestConcurrentSearches(t *testing.T) {
 
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
-		want[i], err = ix.Search(q, 10)
+		want[i], _, err = ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q []float32) {
 			defer wg.Done()
-			got, err := ix.Search(q, 10)
+			got, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -80,7 +81,7 @@ func TestDiskAccessBound(t *testing.T) {
 	var worst uint64
 	for _, q := range queries {
 		ix.ResetIOStats()
-		if _, err := ix.Search(q, 10); err != nil {
+		if _, _, err := ix.Query(context.Background(), q, 10, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if r := ix.IOStats().Reads; r > worst {
@@ -128,7 +129,7 @@ func TestFileFormatPipeline(t *testing.T) {
 
 	results := make([][]uint64, len(queries))
 	for qi, q := range queries {
-		res, err := ix.Search(q, 10)
+		res, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

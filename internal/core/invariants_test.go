@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -38,7 +39,7 @@ func TestQuickQueryInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		qs := data.Generate(data.Config{N: 1, Dim: 32, Clusters: 1, Lo: 0, Hi: 1, Seed: seed})
 		q := qs.Vectors[0]
-		res, stats, err := ix.SearchWithStats(q, 10)
+		res, stats, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			return false
 		}
@@ -75,7 +76,7 @@ func TestSelfQueriesAreExact(t *testing.T) {
 	misses := 0
 	for i := 0; i < 100; i++ {
 		id := uint64(i * 8)
-		res, err := ix.Search(ds.Vectors[id], 1)
+		res, _, err := ix.Query(context.Background(), ds.Vectors[id], 1, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

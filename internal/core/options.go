@@ -36,9 +36,8 @@ const maxKnob = 1 << 24
 
 // SearchOptions carries per-query overrides of the filter-cascade
 // parameters that Params froze at build time. The zero value inherits
-// every built default, which is what keeps the legacy Search* methods
-// bit-identical to Query with no options. It is a small value type:
-// copy it freely, never share pointers across queries.
+// every built default. It is a small value type: copy it freely, never
+// share pointers across queries.
 type SearchOptions struct {
 	// Alpha overrides the leaf candidates fetched per tree (0 = the
 	// built Params.Alpha). Raising it explores further along each

@@ -106,30 +106,14 @@ func TestQueryDimMismatchTyped(t *testing.T) {
 	}
 }
 
-// Query with zero options must be bit-identical to the legacy stats
-// path (they share one implementation; this pins it).
-func TestQueryZeroOptionsMatchesSearch(t *testing.T) {
+// Query with zero options runs, and echoes, the built cascade.
+func TestQueryZeroOptionsEchoesBuiltCascade(t *testing.T) {
 	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 256, Gamma: 64, Seed: 7}
 	ix, ds, _ := buildSmall(t, 1500, p)
 	for qi, q := range ds.PerturbedQueries(10, 0.02, 3) {
-		want, wantSt, err := ix.SearchWithStats(q, 10)
+		_, st, err := ix.Query(context.Background(), q, 10, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		got, st, err := ix.Query(context.Background(), q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results vs %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-				t.Fatalf("query %d rank %d: %+v vs %+v", qi, i, got[i], want[i])
-			}
-		}
-		if st.Candidates != wantSt.Candidates || st.TreeEntries != wantSt.TreeEntries {
-			t.Fatalf("query %d stats: %+v vs %+v", qi, st, wantSt)
 		}
 		if st.Alpha != p.Alpha || st.Gamma != p.Gamma || st.Ptolemaic {
 			t.Fatalf("query %d: stats echo %+v, want built cascade", qi, st)
@@ -175,7 +159,7 @@ func TestQueryOverrideMatchesRebuiltIndex(t *testing.T) {
 				want, wantSt, err = ixHi.Query(context.Background(), q, 10,
 					SearchOptions{Ptolemaic: PtolemaicOn})
 			} else {
-				want, wantSt, err = ixHi.SearchWithStats(q, 10)
+				want, wantSt, err = ixHi.Query(context.Background(), q, 10, SearchOptions{})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -59,7 +59,7 @@ type Params struct {
 	// parallelises trivially across its independent trees).
 	Parallel bool
 
-	// BatchWorkers bounds the SearchBatch fan-out: at most this many
+	// BatchWorkers bounds the QueryBatch fan-out: at most this many
 	// queries run concurrently. 0 means GOMAXPROCS.
 	BatchWorkers int
 

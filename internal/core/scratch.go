@@ -15,7 +15,7 @@ import (
 // treeScratch per searchTree invocation (trees may run concurrently
 // within a query, so tree scratch cannot live inside searchScratch).
 
-// searchScratch is the per-query state of SearchWithStatsContext.
+// searchScratch is the per-query state of Query.
 type searchScratch struct {
 	qdist   []float64
 	vec     []float32

@@ -72,36 +72,13 @@ type QueryStats struct {
 // reads, rare enough to keep the check off the profile.
 const refineCheckEvery = 64
 
-// Search answers a kANN query (Algorithm 2).
-func (ix *Index) Search(q []float32, k int) ([]Result, error) {
-	res, _, err := ix.Query(context.Background(), q, k, SearchOptions{})
-	return res, err
-}
-
-// SearchContext is Search honouring ctx: the query returns early with
-// ctx.Err() on cancellation or deadline expiry.
-func (ix *Index) SearchContext(ctx context.Context, q []float32, k int) ([]Result, error) {
-	res, _, err := ix.Query(ctx, q, k, SearchOptions{})
-	return res, err
-}
-
-// SearchWithStats is Search plus per-query work counters.
-func (ix *Index) SearchWithStats(q []float32, k int) ([]Result, *QueryStats, error) {
-	return ix.Query(context.Background(), q, k, SearchOptions{})
-}
-
-// SearchWithStatsContext is SearchContext plus per-query work counters.
-func (ix *Index) SearchWithStatsContext(ctx context.Context, q []float32, k int) ([]Result, *QueryStats, error) {
-	return ix.Query(ctx, q, k, SearchOptions{})
-}
-
-// Query is the full query entry point: Algorithm 2 with per-query
+// Query answers a kANN query: Algorithm 2 with per-query
 // filter-cascade overrides, work counters, and cooperative
 // cancellation. Options are resolved against the built Params and
 // validated once, before any tree is touched; the zero SearchOptions
-// runs exactly the built defaults, bit-identical to the legacy Search*
-// methods. The context is checked between pipeline stages (per tree
-// when sequential) and every refineCheckEvery candidate refinements.
+// runs exactly the built defaults. The context is checked between
+// pipeline stages (per tree when sequential) and every refineCheckEvery
+// candidate refinements.
 func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions) ([]Result, *QueryStats, error) {
 	if len(q) != ix.nu {
 		return nil, nil, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimMismatch, len(q), ix.nu)

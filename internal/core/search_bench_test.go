@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search(queries[i%len(queries)], 10); err != nil {
+		if _, _, err := ix.Query(context.Background(), queries[i%len(queries)], 10, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -25,7 +26,7 @@ func BenchmarkSearchParallelTrees(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search(queries[i%len(queries)], 10); err != nil {
+		if _, _, err := ix.Query(context.Background(), queries[i%len(queries)], 10, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +41,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchBatch(queries, 10); err != nil {
+		if _, _, err := ix.QueryBatch(context.Background(), queries, 10, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func BenchmarkSearchTelemetry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Search(queries[i%len(queries)], 10); err != nil {
+				if _, _, err := ix.Query(context.Background(), queries[i%len(queries)], 10, SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,7 +48,7 @@ func BenchmarkSearchBatchTelemetry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.SearchBatch(queries, 10); err != nil {
+				if _, _, err := ix.QueryBatch(context.Background(), queries, 10, SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,6 +13,7 @@ package crash
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -190,10 +191,11 @@ func verifyAcked(t *testing.T, dir string, acked map[uint64][]float32) {
 		t.Fatalf("recovered count %d < max acked id %d + 1", idx.Count(), maxID)
 	}
 	for id, vec := range acked {
-		res, err := idx.Search(vec, 1)
+		resp, err := idx.Query(context.Background(), vec, 1)
 		if err != nil {
 			t.Fatalf("search for acked id %d: %v", id, err)
 		}
+		res := resp.Results
 		if len(res) != 1 || res[0].ID != id || res[0].Dist > 1e-4 {
 			t.Fatalf("acknowledged insert id %d lost after crash: got %+v", id, res)
 		}
@@ -348,14 +350,15 @@ func TestKillInjectionSerialBitIdentical(t *testing.T) {
 	queries := ds.PerturbedQueries(10, 0.05, 9)
 	queries = append(queries, stormVector(16, 0), stormVector(16, 3))
 	for qi, q := range queries {
-		a, err := crashed.Search(q, 10)
+		respA, err := crashed.Query(context.Background(), q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ref.Search(q, 10)
+		respB, err := ref.Query(context.Background(), q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := respA.Results, respB.Results
 		// The crashed server may hold one extra write: the in-flight
 		// insert whose ack was lost. Its id is 500+len(history) — ignore
 		// results differing only by that trailing, unacknowledged id.

@@ -3,7 +3,7 @@
 // query/hold-out handling, exact ground-truth computation, and the
 // fvecs/ivecs file formats the original corpora ship in.
 //
-// Substitution note (see DESIGN.md §3): the paper's datasets are real
+// Substitution note: the paper's datasets are real
 // SIFT/GIST/SURF/audio/text features. We generate Gaussian-mixture data
 // with the same dimensionality and value domains, integer-quantised where
 // the originals are integral (SIFT, Enron). What drives kANN index

@@ -13,7 +13,7 @@ import (
 // Table 3 of the paper: leaf orders from Eq. (4) at page size 4 KB.
 // SIFT/Yorck/SUN/Audio match the printed table; for Enron and Glove the
 // printed values (18 and 40) disagree with the paper's own Eq. (4), which
-// yields 33 and 46 — we implement the equation (see EXPERIMENTS.md).
+// yields 33 and 46 — we implement the equation.
 func TestLeafOrderTable3(t *testing.T) {
 	cases := []struct {
 		name            string

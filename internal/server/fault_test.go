@@ -14,6 +14,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/iofault"
 	"github.com/hd-index/hdindex/internal/leakcheck"
@@ -42,10 +43,10 @@ func postTenant(t testing.TB, url, tenant string, body any) *http.Response {
 	return resp
 }
 
-func decodeErrorBody(t testing.TB, resp *http.Response) errorBody {
+func decodeErrorBody(t testing.TB, resp *http.Response) api.ErrorBody {
 	t.Helper()
 	defer resp.Body.Close()
-	var eb errorBody
+	var eb api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -135,8 +136,8 @@ func TestFaultWALFailureReadOnlyServing(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("insert with poisoned WAL: status %d, want 503", resp.StatusCode)
 	}
-	if eb := decodeErrorBody(t, resp); eb.Code != codeWALUnavailable {
-		t.Fatalf("insert error code %q, want %q", eb.Code, codeWALUnavailable)
+	if eb := decodeErrorBody(t, resp); eb.Code != api.CodeWALUnavailable {
+		t.Fatalf("insert error code %q, want %q", eb.Code, api.CodeWALUnavailable)
 	}
 	// Sticky: the next write fails the same way without touching disk.
 	resp = postTenant(t, ts.URL+"/delete", "", deleteRequest{ID: 0})
@@ -149,7 +150,7 @@ func TestFaultWALFailureReadOnlyServing(t *testing.T) {
 		t.Fatalf("healthz = %d %q, want 200 read_only", code, status)
 	}
 	q := ds.PerturbedQueries(1, 0.02, 3)[0]
-	if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5}, nil); code != 200 {
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5}, nil); code != 200 {
 		t.Fatalf("search while read-only: status %d, want 200", code)
 	}
 	var st StatsResponse
@@ -196,7 +197,7 @@ func TestOverloadStormShedsFast(t *testing.T) {
 	// fan-in genuinely stacks up against the 1-slot limiter instead of
 	// draining between arrivals.
 	queries := ds.PerturbedQueries(24, 0.02, 7)
-	req := searchBatchRequest{Queries: queries, K: 5, Stats: true}
+	req := api.SearchBatchRequest{Queries: queries, K: 5, Stats: true}
 
 	// Unloaded baseline: the same request shape, sequentially, with no
 	// contention. The max over the warm runs stands in for the p99 the
@@ -243,7 +244,7 @@ func TestOverloadStormShedsFast(t *testing.T) {
 					mu.Lock()
 					okLat = append(okLat, srvLatency)
 					mu.Unlock()
-					var sr searchBatchResponse
+					var sr api.SearchBatchResponse
 					if json.NewDecoder(resp.Body).Decode(&sr) == nil {
 						for _, st := range sr.Stats {
 							if st != nil && st.Degraded {
@@ -325,7 +326,7 @@ func TestOverloadStormShedsFast(t *testing.T) {
 func TestOverloadTenantThrottled(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{TenantRPS: 0.1, TenantBurst: 1})
 	q := ds.PerturbedQueries(1, 0.02, 8)[0]
-	req := searchRequest{Query: q, K: 5}
+	req := api.SearchRequest{Query: q, K: 5}
 
 	resp := postTenant(t, ts.URL+"/search", "alice", req)
 	if resp.StatusCode != http.StatusOK {
@@ -367,7 +368,7 @@ func TestChaosServerShutdownNoLeak(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	q := ds.PerturbedQueries(1, 0.02, 9)[0]
 	for i := 0; i < 5; i++ {
-		if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 3}, nil); code != 200 {
+		if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 3}, nil); code != 200 {
 			t.Fatalf("search status %d", code)
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/hd-index/hdindex/internal/api"
 )
 
 // TestLoad64Clients is the acceptance load test: 64 concurrent clients
@@ -59,7 +61,7 @@ func TestLoad64Clients(t *testing.T) {
 		return resp.StatusCode, nil
 	}
 
-	checkSorted := func(res []ResultJSON) bool {
+	checkSorted := func(res []api.Result) bool {
 		for i := 1; i < len(res); i++ {
 			if res[i].Dist < res[i-1].Dist {
 				return false
@@ -130,9 +132,9 @@ func TestLoad64Clients(t *testing.T) {
 					}
 					writes.Add(1)
 				case r%3 == 2:
-					var out searchBatchResponse
+					var out api.SearchBatchResponse
 					batch := [][]float32{q, queries[(c+1)%clients], queries[(c+2)%clients]}
-					code, err := doPost("/searchbatch", searchBatchRequest{Queries: batch, K: 5}, &out)
+					code, err := doPost("/searchbatch", api.SearchBatchRequest{Queries: batch, K: 5}, &out)
 					if err != nil || code != 200 {
 						fail("client %d batch: code %d err %v", c, code, err)
 						return
@@ -149,8 +151,8 @@ func TestLoad64Clients(t *testing.T) {
 					}
 					batches.Add(1)
 				default:
-					var out searchResponse
-					code, err := doPost("/search", searchRequest{Query: q, K: 10}, &out)
+					var out api.SearchResponse
+					code, err := doPost("/search", api.SearchRequest{Query: q, K: 10}, &out)
 					if err != nil || code != 200 {
 						fail("client %d search: code %d err %v", c, code, err)
 						return

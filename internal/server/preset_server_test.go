@@ -13,6 +13,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/slo"
 )
@@ -27,12 +28,12 @@ func TestSearchPresetBitIdentical(t *testing.T) {
 	ts, idx, ds := newTestServer(t, Config{})
 	q := ds.PerturbedQueries(1, 0.02, 21)[0]
 
-	var viaPreset, viaKnobs searchResponse
-	req := searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Preset: "fast"}}
+	var viaPreset, viaKnobs api.SearchResponse
+	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Preset: "fast"}}
 	if code := post(t, ts.URL+"/search", req, &viaPreset); code != 200 {
 		t.Fatalf("preset request: status %d", code)
 	}
-	req = searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Alpha: 64, Gamma: 16}}
+	req = api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 64, Gamma: 16}}
 	if code := post(t, ts.URL+"/search", req, &viaKnobs); code != 200 {
 		t.Fatalf("explicit request: status %d", code)
 	}
@@ -74,8 +75,8 @@ func TestSearchPresetBitIdentical(t *testing.T) {
 		preset       string
 		alpha, gamma int
 	}{{"exact", 512, 512}, {"balanced", 128, 32}} {
-		var got searchResponse
-		req := searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Preset: c.preset}}
+		var got api.SearchResponse
+		req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Preset: c.preset}}
 		if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 			t.Fatalf("%s: status %d", c.preset, code)
 		}
@@ -92,31 +93,31 @@ func TestSearchPresetValidation(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{})
 	q := ds.PerturbedQueries(1, 0.02, 22)[0]
 
-	var errResp errorBody
-	req := searchRequest{Query: q, K: 5, tuningFields: tuningFields{Preset: "fast", Alpha: 64}}
+	var errResp api.ErrorBody
+	req := api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Preset: "fast", Alpha: 64}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("preset+alpha: status %d, want 400", code)
 	}
-	if errResp.Code != codeBadOptions {
-		t.Fatalf("preset+alpha: code %q, want %q", errResp.Code, codeBadOptions)
+	if errResp.Code != api.CodeBadOptions {
+		t.Fatalf("preset+alpha: code %q, want %q", errResp.Code, api.CodeBadOptions)
 	}
 
-	req = searchRequest{Query: q, K: 5, tuningFields: tuningFields{Preset: "turbo"}}
+	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Preset: "turbo"}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("unknown preset: status %d, want 400", code)
 	}
-	if errResp.Code != codeBadOptions {
-		t.Fatalf("unknown preset: code %q, want %q", errResp.Code, codeBadOptions)
+	if errResp.Code != api.CodeBadOptions {
+		t.Fatalf("unknown preset: code %q, want %q", errResp.Code, api.CodeBadOptions)
 	}
 
-	breq := searchBatchRequest{Queries: [][]float32{q}, K: 5,
-		tuningFields: tuningFields{Preset: "exact", Gamma: 16}}
+	breq := api.SearchBatchRequest{Queries: [][]float32{q}, K: 5,
+		Tuning: api.Tuning{Preset: "exact", Gamma: 16}}
 	if code := post(t, ts.URL+"/searchbatch", breq, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("batch preset+gamma: status %d, want 400", code)
 	}
 
-	var got searchResponse
-	req = searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Preset: "auto"}}
+	var got api.SearchResponse
+	req = api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Preset: "auto"}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("auto preset: status %d", code)
 	}
@@ -148,11 +149,11 @@ func decodeResp(t testing.TB, resp *http.Response, out any) {
 func TestTenantTierPreset(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{Tiers: testTiers()})
 	q := ds.PerturbedQueries(1, 0.02, 23)[0]
-	plain := searchRequest{Query: q, K: 5, Stats: true}
+	plain := api.SearchRequest{Query: q, K: 5, Stats: true}
 
 	cases := []struct {
 		tenant       string
-		req          searchRequest
+		req          api.SearchRequest
 		preset       string
 		alpha, gamma int
 	}{
@@ -163,11 +164,11 @@ func TestTenantTierPreset(t *testing.T) {
 		{"carol", plain, "auto", 128, 32},
 		{"", plain, "auto", 128, 32},
 		// The request's own preset beats the tier's.
-		{"alice", searchRequest{Query: q, K: 5, Stats: true,
-			tuningFields: tuningFields{Preset: "fast"}}, "fast", 64, 16},
+		{"alice", api.SearchRequest{Query: q, K: 5, Stats: true,
+			Tuning: api.Tuning{Preset: "fast"}}, "fast", 64, 16},
 		// Explicit knobs beat the tier too, and echo as auto.
-		{"alice", searchRequest{Query: q, K: 5, Stats: true,
-			tuningFields: tuningFields{Alpha: 100}}, "auto", 100, 32},
+		{"alice", api.SearchRequest{Query: q, K: 5, Stats: true,
+			Tuning: api.Tuning{Alpha: 100}}, "auto", 100, 32},
 	}
 	for _, c := range cases {
 		resp := postTenant(t, ts.URL+"/search", c.tenant, c.req)
@@ -175,7 +176,7 @@ func TestTenantTierPreset(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("tenant %q: status %d", c.tenant, resp.StatusCode)
 		}
-		var got searchResponse
+		var got api.SearchResponse
 		decodeResp(t, resp, &got)
 		if got.Stats == nil || got.Stats.Preset != c.preset ||
 			got.Stats.Alpha != c.alpha || got.Stats.Gamma != c.gamma {
@@ -192,7 +193,7 @@ func TestTenantTierPreset(t *testing.T) {
 func TestTenantTierAdmissionShares(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{TenantRPS: 1000, Tiers: testTiers()})
 	q := ds.PerturbedQueries(1, 0.02, 24)[0]
-	req := searchRequest{Query: q, K: 5}
+	req := api.SearchRequest{Query: q, K: 5}
 
 	for i := 0; i < 3; i++ {
 		resp := postTenant(t, ts.URL+"/search", "alice", req)
@@ -208,7 +209,7 @@ func TestTenantTierAdmissionShares(t *testing.T) {
 		t.Fatalf("first bulk request: status %d", resp.StatusCode)
 	}
 	resp = postTenant(t, ts.URL+"/search", "bob", req)
-	var errResp errorBody
+	var errResp api.ErrorBody
 	decodeResp(t, resp, &errResp)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second bulk request: status %d, want 429", resp.StatusCode)
@@ -271,8 +272,8 @@ func TestServerSLOTunerAppliesChoice(t *testing.T) {
 
 	// Auto (the default) runs the tuner's choice: the cheapest point
 	// with recall >= 0.85 is α=64/γ=16.
-	var got searchResponse
-	if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Stats: true}, &got); code != 200 {
+	var got api.SearchResponse
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5, Stats: true}, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if got.Stats.Alpha != 64 || got.Stats.Gamma != 16 || got.Stats.Preset != "auto" {
@@ -280,14 +281,14 @@ func TestServerSLOTunerAppliesChoice(t *testing.T) {
 	}
 
 	// Explicit knobs and named presets are never tuner-overridden.
-	req := searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Alpha: 100}}
+	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 100}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if got.Stats.Alpha != 100 {
 		t.Fatalf("explicit alpha overridden to %d", got.Stats.Alpha)
 	}
-	req = searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Preset: "exact"}}
+	req = api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Preset: "exact"}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -378,9 +379,9 @@ func TestPresetPinnedUnderPressure(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	queries := ds.PerturbedQueries(24, 0.02, 31)
-	autoReq := searchBatchRequest{Queries: queries, K: 5, Stats: true}
-	exactReq := searchRequest{Query: queries[0], K: 5, Stats: true,
-		tuningFields: tuningFields{Preset: "exact"}}
+	autoReq := api.SearchBatchRequest{Queries: queries, K: 5, Stats: true}
+	exactReq := api.SearchRequest{Query: queries[0], K: 5, Stats: true,
+		Tuning: api.Tuning{Preset: "exact"}}
 
 	var autoDegraded atomic.Int64
 	stop := make(chan struct{})
@@ -397,7 +398,7 @@ func TestPresetPinnedUnderPressure(t *testing.T) {
 				}
 				resp := postTenant(t, ts.URL+"/searchbatch", "", autoReq)
 				if resp.StatusCode == http.StatusOK {
-					var sr searchBatchResponse
+					var sr api.SearchBatchResponse
 					if json.NewDecoder(resp.Body).Decode(&sr) == nil {
 						for _, st := range sr.Stats {
 							if st != nil && st.Degraded {
@@ -420,7 +421,7 @@ func TestPresetPinnedUnderPressure(t *testing.T) {
 			resp.Body.Close() // shed mid-storm: fine, retry
 			continue
 		}
-		var sr searchResponse
+		var sr api.SearchResponse
 		err := json.NewDecoder(resp.Body).Decode(&sr)
 		resp.Body.Close()
 		if err != nil || sr.Stats == nil {

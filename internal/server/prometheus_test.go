@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hd-index/hdindex/internal/api"
 )
 
 // TestMetricsExposition drives real traffic through every endpoint,
@@ -38,9 +40,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	for _, q := range queries {
-		post("/search", searchRequest{Query: q, K: 10})
+		post("/search", api.SearchRequest{Query: q, K: 10})
 	}
-	post("/searchbatch", searchBatchRequest{Queries: [][]float32{queries[0], queries[1]}, K: 5})
+	post("/searchbatch", api.SearchBatchRequest{Queries: [][]float32{queries[0], queries[1]}, K: 5})
 	vec := make([]float32, dim)
 	for d := range vec {
 		vec[d] = 0.25

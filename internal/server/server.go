@@ -28,7 +28,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -41,6 +40,7 @@ import (
 
 	hdindex "github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/admission"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/shard"
 	"github.com/hd-index/hdindex/internal/slo"
 	"github.com/hd-index/hdindex/internal/telemetry"
@@ -67,12 +67,6 @@ type Config struct {
 	MaxAlpha int
 	// ReadOnly disables /insert and /delete.
 	ReadOnly bool
-	// NoFlushOnWrite is a no-op kept for configuration compatibility.
-	// It used to skip the full index flush /insert once paid for
-	// durability; inserts are now write-ahead logged by the index
-	// itself, so every acknowledged /insert is durable and no endpoint
-	// flushes (tune the guarantee with hdserve's -wal-sync instead).
-	NoFlushOnWrite bool
 	// SlowQueryThreshold enables the slow-query log: /search requests
 	// slower than this (and /searchbatch requests whose whole batch is)
 	// are logged through Logger with the per-phase breakdown and work
@@ -326,36 +320,8 @@ func (s *Server) Shutdown() error {
 }
 
 // handlerFunc is an endpoint body: it returns the response object, or
-// an httpError/plain error.
+// an *api.Error/plain error.
 type handlerFunc func(w http.ResponseWriter, r *http.Request) (any, error)
-
-// httpError carries a status code (and an optional machine-readable
-// error class) chosen by the handler.
-type httpError struct {
-	code    int
-	errCode string // "code" field of the structured error body; may be empty
-	msg     string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// Machine-readable error classes of the structured error body. The
-// overload/failure classes map to HTTP statuses as:
-//
-//	overloaded       -> 503 + Retry-After (admission queue full or deadline cannot cover the wait)
-//	tenant_throttled -> 429 + Retry-After (per-tenant rate exceeded)
-//	wal_unavailable  -> 503 (WAL failed; index read-only, reads keep serving)
-//	io_error         -> 503 (disk I/O failure in the page layer)
-const (
-	codeDimMismatch    = "dim_mismatch"
-	codeBadOptions     = "bad_options"
-	codeWALUnavailable = "wal_unavailable"
-	codeIOError        = "io_error"
-)
 
 // instrument wraps a handler with a body-size cap, metrics, and uniform
 // JSON rendering.
@@ -374,108 +340,52 @@ func (s *Server) instrument(m *endpointMetrics, h handlerFunc) http.HandlerFunc 
 		w.Header().Set("Server-Timing",
 			fmt.Sprintf("total;dur=%.3f", float64(elapsed.Nanoseconds())/1e6))
 		if err != nil {
-			writeError(w, r, err)
+			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// errorBody is the structured error response: a human-readable message
-// plus, for the client-error classes a caller can act on, a stable
-// machine-readable code.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, err error) {
-	body := errorBody{Error: err.Error()}
-	code := http.StatusInternalServerError
-	var he *httpError
+// writeError renders err as the structured error body. The admission
+// layer's shed/throttle decisions are this server's own:
+//
+//	overloaded       -> 503 + Retry-After (admission queue full or deadline cannot cover the wait)
+//	tenant_throttled -> 429 + Retry-After (per-tenant rate exceeded)
+//
+// everything else is classified by api.WriteError.
+func writeError(w http.ResponseWriter, err error) {
 	var ae *admission.Error
-	switch {
-	case errors.As(err, &ae):
-		// Shed/throttle decisions carry a Retry-After hint, rounded up to
-		// whole seconds (the header's resolution, and never 0 — a zero
-		// would read as "retry immediately" mid-overload).
-		secs := int64((ae.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		code, body.Code = http.StatusServiceUnavailable, ae.Code
-		if ae.Code == admission.CodeTenantThrottled {
-			code = http.StatusTooManyRequests
-		}
-	case errors.As(err, &he):
-		code, body.Code = he.code, he.errCode
-	case errors.Is(err, hdindex.ErrDimMismatch):
-		code, body.Code = http.StatusBadRequest, codeDimMismatch
-	case errors.Is(err, hdindex.ErrBadOptions):
-		code, body.Code = http.StatusBadRequest, codeBadOptions
-	case errors.Is(err, hdindex.ErrWALUnavailable):
-		// The WAL failed: writes are rejected while reads keep serving.
-		// 503 tells the client this is the server's condition, not the
-		// request's.
-		code, body.Code = http.StatusServiceUnavailable, codeWALUnavailable
-	case errors.Is(err, hdindex.ErrIO):
-		code, body.Code = http.StatusServiceUnavailable, codeIOError
-	case errors.Is(err, context.DeadlineExceeded):
-		code = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is for the log line only.
-		code = StatusClientClosedRequest
+	if !errors.As(err, &ae) {
+		api.WriteError(w, err)
+		return
 	}
-	writeJSON(w, code, body)
-}
-
-// StatusClientClosedRequest is nginx's non-standard 499, used when the
-// client cancelled the request before the response was ready.
-const StatusClientClosedRequest = 499
-
-// decodeBody strictly parses the JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return badRequest("invalid request body: %v", err)
+	// Shed/throttle decisions carry a Retry-After hint, rounded up to
+	// whole seconds (the header's resolution, and never 0 — a zero
+	// would read as "retry immediately" mid-overload).
+	secs := int64((ae.RetryAfter + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
 	}
-	if dec.More() {
-		return badRequest("invalid request body: trailing data after JSON object")
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	status := http.StatusServiceUnavailable
+	if ae.Code == admission.CodeTenantThrottled {
+		status = http.StatusTooManyRequests
 	}
-	return nil
+	api.WriteJSON(w, status, api.ErrorBody{Error: err.Error(), Code: ae.Code})
 }
 
 // queryContext applies the effective deadline: the server default,
 // lowered by the request's timeout_ms if given.
 func (s *Server) queryContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
 	d := s.cfg.QueryTimeout
-	// The upper bound is checked before multiplying: an absurd
-	// timeout_ms would overflow the Duration and could wrap to an
-	// arbitrary value, either disabling the server deadline or imposing
-	// a near-zero one. Out-of-range values are ignored, like absent.
-	if timeoutMs > 0 && int64(timeoutMs) <= int64(math.MaxInt64)/int64(time.Millisecond) {
-		if rd := time.Duration(timeoutMs) * time.Millisecond; d == 0 || rd < d {
-			d = rd
-		}
+	if rd := api.Timeout(timeoutMs); rd > 0 && (d == 0 || rd < d) {
+		d = rd
 	}
 	if d > 0 {
-		return context.WithTimeout(ctx, d)
+		return context.WithTimeout(r.Context(), d)
 	}
-	return ctx, func() {}
+	return r.Context(), func() {}
 }
 
 // admit runs the request through the admission controller: per-tenant
@@ -488,58 +398,24 @@ func (s *Server) admit(ctx context.Context, r *http.Request, weight int) (func()
 	return s.adm.Acquire(ctx, r.Header.Get("X-Tenant"), weight)
 }
 
-// ResultJSON is one neighbour in a search response.
-type ResultJSON struct {
-	ID   uint64  `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-func toResultJSON(res []hdindex.Result) []ResultJSON {
-	out := make([]ResultJSON, len(res))
-	for i, r := range res {
-		out[i] = ResultJSON{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
-
-// tuningFields are the per-request filter-cascade overrides shared by
-// /search and /searchbatch. Zero values inherit the index's built
-// parameters; "ptolemaic" is a JSON tri-state (absent = built default).
-// "preset" names a quality preset instead of spelling knobs out; the
-// two ways are mutually exclusive.
-type tuningFields struct {
-	Alpha         int    `json:"alpha"`
-	Gamma         int    `json:"gamma"`
-	MaxCandidates int    `json:"max_candidates"`
-	Ptolemaic     *bool  `json:"ptolemaic"`
-	Preset        string `json:"preset"`
-}
-
-// hasKnobs reports whether the request spelled out any explicit
-// cascade override.
-func (t tuningFields) hasKnobs() bool {
-	return t.Alpha != 0 || t.Gamma != 0 || t.MaxCandidates != 0 || t.Ptolemaic != nil
-}
-
 // resolvePreset picks the request's effective quality preset:
 // the explicit "preset" field, else — only when the request also
 // spelled no explicit knobs — the tenant's tier preset, else the
 // server default. A request may not combine "preset" with explicit
 // knobs: a preset IS a knob assignment, and silently letting one win
 // would hide the conflict.
-func (s *Server) resolvePreset(r *http.Request, t tuningFields) (hdindex.Preset, error) {
+func (s *Server) resolvePreset(r *http.Request, t api.Tuning) (hdindex.Preset, error) {
 	if t.Preset != "" {
-		if t.hasKnobs() {
-			return "", &httpError{code: http.StatusBadRequest, errCode: codeBadOptions,
-				msg: fmt.Sprintf("preset %q cannot be combined with explicit tuning knobs", t.Preset)}
+		if t.HasKnobs() {
+			return "", api.BadRequest(api.CodeBadOptions, "preset %q cannot be combined with explicit tuning knobs", t.Preset)
 		}
 		p, err := hdindex.ParsePreset(t.Preset)
 		if err != nil {
-			return "", &httpError{code: http.StatusBadRequest, errCode: codeBadOptions, msg: err.Error()}
+			return "", api.BadRequest(api.CodeBadOptions, "%v", err)
 		}
 		return p, nil
 	}
-	if t.hasKnobs() {
+	if t.HasKnobs() {
 		// Explicit knobs are their own quality choice; tier and server
 		// defaults must not override them.
 		return hdindex.PresetAuto, nil
@@ -550,36 +426,17 @@ func (s *Server) resolvePreset(r *http.Request, t tuningFields) (hdindex.Preset,
 	return s.defaultPreset, nil
 }
 
-// presetOptions expands a resolved preset into query options for one
-// request. Named presets (exact/balanced/fast) are pinned: their knobs
-// come straight from the preset table and pressure degradation never
-// touches them. Auto returns pinned=false and leaves the options to
-// the explicit knobs + degrade/tuner path.
-func (s *Server) presetOptions(p hdindex.Preset, k int, withStats bool) (opts []hdindex.QueryOption, pinned bool, err error) {
-	if p == hdindex.PresetAuto {
-		return nil, false, nil
-	}
-	opts, err = s.idx.PresetOptions(p, k)
-	if err != nil {
-		return nil, false, err
-	}
-	if withStats {
-		opts = append(opts, hdindex.WithStats())
-	}
-	return opts, true, nil
-}
-
 // autoOptions appends the auto preset's post-admission decision: under
 // pressure the fast cascade (stats echo degraded=true), otherwise the
 // SLO tuner's operating point when one runs, otherwise nothing (the
 // built parameters). Requests with explicit knobs keep them — the
 // degrade marker is still appended because core only acts on it when
 // every cascade knob is unset.
-func (s *Server) autoOptions(opts []hdindex.QueryOption, t tuningFields, k int) []hdindex.QueryOption {
+func (s *Server) autoOptions(opts []hdindex.QueryOption, t api.Tuning, k int) []hdindex.QueryOption {
 	if s.adm.ShouldDegrade() {
 		return append(opts, hdindex.WithDegrade())
 	}
-	if s.tuner != nil && !t.hasKnobs() {
+	if s.tuner != nil && !t.HasKnobs() {
 		if ch := s.tuner.Current(); ch.Alpha > 0 {
 			// Clamped up to k: a frontier measured at k=10 must not make
 			// a k=500 request invalid.
@@ -589,179 +446,92 @@ func (s *Server) autoOptions(opts []hdindex.QueryOption, t tuningFields, k int) 
 	return opts
 }
 
-// options converts the request's tuning fields into query options:
-// negative knobs are a coded 400, values above the server's MaxAlpha
-// cap are clamped to it.
-func (t tuningFields) options(cfg Config, withStats bool) ([]hdindex.QueryOption, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"alpha", t.Alpha}, {"gamma", t.Gamma}, {"max_candidates", t.MaxCandidates}} {
-		if f.v < 0 {
-			return nil, &httpError{code: http.StatusBadRequest, errCode: codeBadOptions,
-				msg: fmt.Sprintf("%s must be >= 0, got %d", f.name, f.v)}
-		}
+// knobOptions converts the request's explicit tuning knobs into query
+// options: negative knobs are a coded 400, values above the server's
+// MaxAlpha cap are clamped to it.
+func (s *Server) knobOptions(t api.Tuning) ([]hdindex.QueryOption, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	var opts []hdindex.QueryOption
-	if v := min(t.Alpha, cfg.MaxAlpha); v > 0 {
+	if v := min(t.Alpha, s.cfg.MaxAlpha); v > 0 {
 		opts = append(opts, hdindex.WithAlpha(v))
 	}
-	if v := min(t.Gamma, cfg.MaxAlpha); v > 0 {
+	if v := min(t.Gamma, s.cfg.MaxAlpha); v > 0 {
 		opts = append(opts, hdindex.WithGamma(v))
 	}
-	if v := min(t.MaxCandidates, cfg.MaxAlpha); v > 0 {
+	if v := min(t.MaxCandidates, s.cfg.MaxAlpha); v > 0 {
 		opts = append(opts, hdindex.WithMaxCandidates(v))
 	}
 	if t.Ptolemaic != nil {
 		opts = append(opts, hdindex.WithPtolemaic(*t.Ptolemaic))
 	}
-	if withStats {
-		opts = append(opts, hdindex.WithStats())
-	}
 	return opts, nil
 }
 
-type searchRequest struct {
-	Query     []float32 `json:"query"`
-	K         int       `json:"k"`
-	TimeoutMs int       `json:"timeout_ms"`
-	Stats     bool      `json:"stats"`
-	tuningFields
-}
-
-// QueryStatsJSON mirrors hdindex.Stats with stable snake_case keys, so
-// the wire format stays put if the internal struct evolves. Alongside
-// the work counters it echoes the effective filter cascade the query
-// ran with — with per-request overrides the knobs are no longer implied
-// by the built index.
-type QueryStatsJSON struct {
-	Candidates      int    `json:"candidates"`
-	TreeEntries     int    `json:"tree_entries"`
-	PageReads       uint64 `json:"page_reads"`
-	PageHits        uint64 `json:"page_hits"`
-	PageMisses      uint64 `json:"page_misses"`
-	ExactDistances  int    `json:"exact_distances"`
-	MemtableScanned int    `json:"memtable_scanned"`
-	Alpha           int    `json:"alpha"`
-	Beta            int    `json:"beta"`
-	Gamma           int    `json:"gamma"`
-	Ptolemaic       bool   `json:"ptolemaic"`
-	// Degraded reports that adaptive degradation actually shrank a
-	// cascade knob for this query (overload pressure + no explicit
-	// α/β/γ in the request).
-	Degraded bool `json:"degraded,omitempty"`
-	// Preset echoes the quality preset the server resolved for this
-	// request — the request's own, its tenant tier's, or the server
-	// default ("auto" when the tuner/degradation decided).
-	Preset string `json:"preset,omitempty"`
-	// PhaseUS attributes the query's time to pipeline phases, in
-	// microseconds, keyed by phase name (tree_walk, candidate_sort,
-	// refine, memtable_scan, topk_merge). Omitted when telemetry is
-	// disabled on the index. On a sharded index the phases sum across
-	// shards — work, not wall time.
-	PhaseUS map[string]float64 `json:"phase_us,omitempty"`
-}
-
-func phaseUS(p telemetry.PhaseNS) map[string]float64 {
-	if p.Total() == 0 {
-		return nil
+// begin is the part of /search and /searchbatch between validation and
+// the index call: it resolves the request's quality preset into query
+// options, applies the effective deadline, and runs admission with the
+// request's weight (a batch weighs its query count: one huge
+// /searchbatch occupies the limiter like the equivalent run of single
+// searches would). done must be called exactly once when the work
+// finishes; it releases the admission slot and the deadline.
+//
+// Named presets (exact/balanced/fast) are pinned: their knobs come
+// straight from the preset table and pressure degradation never touches
+// them. Auto leaves the options to the explicit knobs, and the
+// degrade/tuner decision is taken after the queue wait, against the
+// current pressure: a request that queued through the worst of a burst
+// does not pay the quality cut if pressure already fell.
+//
+// With the slow-query log armed, stats are requested regardless of the
+// client's wish (the phase breakdown is the log's payload); handlers
+// strip them from the response when not asked for.
+func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, wantStats bool) (
+	ctx context.Context, opts []hdindex.QueryOption, preset hdindex.Preset, done func(), err error) {
+	if preset, err = s.resolvePreset(r, t); err != nil {
+		return nil, nil, "", nil, err
 	}
-	out := make(map[string]float64, telemetry.NumPhases)
-	for i, ns := range p {
-		out[telemetry.Phase(i).String()] = float64(ns) / 1e3
+	pinned := preset != hdindex.PresetAuto
+	if pinned {
+		opts, err = s.idx.PresetOptions(preset, k)
+	} else {
+		opts, err = s.knobOptions(t)
 	}
-	return out
-}
-
-func toStatsJSON(st *hdindex.Stats) *QueryStatsJSON {
-	if st == nil {
-		return nil
+	if err != nil {
+		return nil, nil, "", nil, err
 	}
-	return &QueryStatsJSON{
-		Candidates:      st.Candidates,
-		TreeEntries:     st.TreeEntries,
-		PageReads:       st.PageReads,
-		PageHits:        st.PageHits,
-		PageMisses:      st.PageMisses,
-		ExactDistances:  st.ExactDistances,
-		MemtableScanned: st.MemtableScanned,
-		Alpha:           st.Alpha,
-		Beta:            st.Beta,
-		Gamma:           st.Gamma,
-		Ptolemaic:       st.Ptolemaic,
-		Degraded:        st.Degraded,
-		PhaseUS:         phaseUS(st.Phases),
+	if wantStats || s.cfg.SlowQueryThreshold > 0 {
+		opts = append(opts, hdindex.WithStats())
 	}
-}
-
-type searchResponse struct {
-	Results []ResultJSON    `json:"results"`
-	Stats   *QueryStatsJSON `json:"stats,omitempty"`
-}
-
-func (s *Server) validateQuery(name string, q []float32) error {
-	if len(q) == 0 {
-		return badRequest("%s must be non-empty", name)
+	ctx, cancel := s.queryContext(r, timeoutMs)
+	release, err := s.admit(ctx, r, weight)
+	if err != nil {
+		cancel()
+		return nil, nil, "", nil, err
 	}
-	if len(q) != s.idx.Dim() {
-		return &httpError{code: http.StatusBadRequest, errCode: codeDimMismatch,
-			msg: fmt.Sprintf("%s has %d dims, index has %d", name, len(q), s.idx.Dim())}
+	if !pinned {
+		opts = s.autoOptions(opts, t, k)
 	}
-	return nil
-}
-
-func (s *Server) validateK(k int) error {
-	if k < 1 {
-		return badRequest("k must be >= 1, got %d", k)
-	}
-	if k > s.cfg.MaxK {
-		return badRequest("k = %d exceeds the server limit %d", k, s.cfg.MaxK)
-	}
-	return nil
+	return ctx, opts, preset, func() { release(); cancel() }, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, error) {
-	var req searchRequest
-	if err := decodeBody(r, &req); err != nil {
+	var req api.SearchRequest
+	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if err := s.validateQuery("query", req.Query); err != nil {
+	if err := api.ValidateQuery("query", req.Query, s.idx.Dim()); err != nil {
 		return nil, err
 	}
-	if err := s.validateK(req.K); err != nil {
+	if err := api.ValidateK(req.K, s.cfg.MaxK); err != nil {
 		return nil, err
 	}
-	// With the slow-query log armed, stats are requested regardless of
-	// the client's wish (the phase breakdown is the log's payload) and
-	// stripped from the response below when not asked for.
-	slowLog := s.cfg.SlowQueryThreshold > 0
-	preset, err := s.resolvePreset(r, req.tuningFields)
+	ctx, opts, preset, done, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, 1, req.Stats)
 	if err != nil {
 		return nil, err
 	}
-	opts, pinned, err := s.presetOptions(preset, req.K, req.Stats || slowLog)
-	if err != nil {
-		return nil, err
-	}
-	if !pinned {
-		if opts, err = req.tuningFields.options(s.cfg, req.Stats || slowLog); err != nil {
-			return nil, err
-		}
-	}
-	ctx, cancel := s.queryContext(r, req.TimeoutMs)
-	defer cancel()
-	release, err := s.admit(ctx, r, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	// The degrade/tuner decision is taken after the queue wait, against
-	// the current pressure: a request that queued through the worst of a
-	// burst does not pay the quality cut if pressure already fell. Named
-	// presets skip it — they pin their quality whatever the load.
-	if !pinned {
-		opts = s.autoOptions(opts, req.tuningFields, req.K)
-	}
+	defer done()
 	if s.tuner != nil {
 		s.tuner.Record(req.Query)
 	}
@@ -773,17 +543,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, erro
 	}
 	elapsed := time.Since(start)
 	s.adm.Observe(elapsed)
-	if slowLog && elapsed >= s.cfg.SlowQueryThreshold {
+	if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold {
 		s.logSlowQuery("search", elapsed, 1, req.K, resp.Stats)
 	}
-	if !req.Stats {
-		resp.Stats = nil
-	}
-	out := searchResponse{Results: toResultJSON(resp.Results), Stats: toStatsJSON(resp.Stats)}
-	if out.Stats != nil {
-		out.Stats.Preset = string(preset)
+	out := api.SearchResponse{Results: api.ToResults(resp.Results)}
+	if req.Stats {
+		out.Stats = statsJSON(resp.Stats, preset)
 	}
 	return out, nil
+}
+
+// statsJSON renders one query's stats block with the resolved preset
+// echoed.
+func statsJSON(st *hdindex.Stats, preset hdindex.Preset) *api.QueryStats {
+	out := api.ToStats(st)
+	if out != nil {
+		out.Preset = string(preset)
+	}
+	return out
 }
 
 // logSlowQuery emits one structured slow-query record: the endpoint,
@@ -817,80 +594,31 @@ func (s *Server) logSlowQuery(endpoint string, elapsed time.Duration, queries, k
 	s.logger.Warn("slow query", attrs...)
 }
 
-type searchBatchRequest struct {
-	Queries   [][]float32 `json:"queries"`
-	K         int         `json:"k"`
-	TimeoutMs int         `json:"timeout_ms"`
-	Stats     bool        `json:"stats"`
-	tuningFields
-}
-
-type searchBatchResponse struct {
-	Results [][]ResultJSON `json:"results"`
-	// Stats holds one entry per query, in input order, when the request
-	// set "stats": true.
-	Stats []*QueryStatsJSON `json:"stats,omitempty"`
-}
-
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any, error) {
-	var req searchBatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	var req api.SearchBatchRequest
+	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if len(req.Queries) == 0 {
-		return nil, badRequest("queries must be non-empty")
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		return nil, badRequest("batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.MaxBatch)
-	}
-	for i, q := range req.Queries {
-		// Build the field name only on failure: a full MaxBatch request
-		// must not pay per-query formatting just to validate.
-		if len(q) == 0 {
-			return nil, badRequest("queries[%d] must be non-empty", i)
-		}
-		if len(q) != s.idx.Dim() {
-			return nil, &httpError{code: http.StatusBadRequest, errCode: codeDimMismatch,
-				msg: fmt.Sprintf("queries[%d] has %d dims, index has %d", i, len(q), s.idx.Dim())}
-		}
-	}
-	if err := s.validateK(req.K); err != nil {
+	if err := api.ValidateQueries(req.Queries, s.cfg.MaxBatch, s.idx.Dim()); err != nil {
 		return nil, err
 	}
-	slowLog := s.cfg.SlowQueryThreshold > 0
-	preset, err := s.resolvePreset(r, req.tuningFields)
+	if err := api.ValidateK(req.K, s.cfg.MaxK); err != nil {
+		return nil, err
+	}
+	ctx, opts, preset, done, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, len(req.Queries), req.Stats)
 	if err != nil {
 		return nil, err
 	}
-	opts, pinned, err := s.presetOptions(preset, req.K, req.Stats || slowLog)
-	if err != nil {
-		return nil, err
-	}
-	if !pinned {
-		if opts, err = req.tuningFields.options(s.cfg, req.Stats || slowLog); err != nil {
-			return nil, err
-		}
-	}
-	ctx, cancel := s.queryContext(r, req.TimeoutMs)
-	defer cancel()
-	// A batch weighs its query count: one huge /searchbatch occupies the
-	// limiter like the equivalent run of single searches would.
-	release, err := s.admit(ctx, r, len(req.Queries))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if !pinned {
-		opts = s.autoOptions(opts, req.tuningFields, req.K)
-	}
+	defer done()
 
 	start := time.Now()
 	res, err := s.idx.QueryBatch(ctx, req.Queries, req.K, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s.adm.Observe(time.Since(start))
-	if elapsed := time.Since(start); slowLog && elapsed >= s.cfg.SlowQueryThreshold {
+	elapsed := time.Since(start)
+	s.adm.Observe(elapsed)
+	if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold {
 		// One record for the whole batch, with the work summed across
 		// its queries — per-query records would let a big batch flood
 		// the log.
@@ -909,17 +637,14 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any,
 		}
 		s.logSlowQuery("searchbatch", elapsed, len(req.Queries), req.K, agg)
 	}
-	out := searchBatchResponse{Results: make([][]ResultJSON, len(res))}
+	out := api.SearchBatchResponse{Results: make([][]api.Result, len(res))}
 	if req.Stats {
-		out.Stats = make([]*QueryStatsJSON, len(res))
+		out.Stats = make([]*api.QueryStats, len(res))
 	}
 	for i, rs := range res {
-		out.Results[i] = toResultJSON(rs.Results)
+		out.Results[i] = api.ToResults(rs.Results)
 		if req.Stats {
-			out.Stats[i] = toStatsJSON(rs.Stats)
-			if out.Stats[i] != nil {
-				out.Stats[i].Preset = string(preset)
-			}
+			out.Stats[i] = statsJSON(rs.Stats, preset)
 		}
 	}
 	return out, nil
@@ -931,13 +656,13 @@ type insertRequest struct {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (any, error) {
 	if s.cfg.ReadOnly {
-		return nil, &httpError{code: http.StatusForbidden, msg: "server is read-only"}
+		return nil, &api.Error{Status: http.StatusForbidden, Msg: "server is read-only"}
 	}
 	var req insertRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if err := s.validateQuery("vector", req.Vector); err != nil {
+	if err := api.ValidateQuery("vector", req.Vector, s.idx.Dim()); err != nil {
 		return nil, err
 	}
 	release, err := s.admit(r.Context(), r, 1)
@@ -962,10 +687,10 @@ type deleteRequest struct {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, error) {
 	if s.cfg.ReadOnly {
-		return nil, &httpError{code: http.StatusForbidden, msg: "server is read-only"}
+		return nil, &api.Error{Status: http.StatusForbidden, Msg: "server is read-only"}
 	}
 	var req deleteRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	release, err := s.admit(r.Context(), r, 1)
@@ -979,7 +704,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, erro
 	}
 	if err := op(req.ID); err != nil {
 		if errors.Is(err, hdindex.ErrUnknownID) {
-			return nil, badRequest("%v", err)
+			return nil, api.BadRequest("", "%v", err)
 		}
 		return nil, err
 	}
@@ -1013,7 +738,7 @@ type StatsResponse struct {
 		Dim        int    `json:"dim"`
 		Deleted    int    `json:"deleted"`
 		SizeOnDisk int64  `json:"size_on_disk"`
-		// Shards describes the on-disk layout: 1 for a legacy
+		// Shards describes the on-disk layout: 1 for a bare
 		// single-index directory, N for a manifest-backed sharded
 		// layout, with the per-shard breakdown alongside.
 		Shards   int              `json:"shards"`
@@ -1104,19 +829,6 @@ func (s *Server) healthState() string {
 	return "ok"
 }
 
-// HealthzResponse is the /healthz payload. Beyond the liveness status
-// it carries enough identity for a cluster coordinator's startup check:
-// the vector count and dimensionality always, and the shard identity
-// stamp when the served directory is one shard of a sharded build.
-type HealthzResponse struct {
-	Status string `json:"status"`
-	Count  uint64 `json:"count"`
-	Dim    int    `json:"dim"`
-	// Identity names which shard of which sharded build this server
-	// holds; absent for standalone indexes.
-	Identity *shard.Identity `json:"identity,omitempty"`
-}
-
 // handleHealthz reports the health state machine. Status is 200 for
 // ok, degraded, and read_only — the server is still answering queries
 // and a restart would not help — and 503 for overloaded, which pulls
@@ -1130,7 +842,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if status == "overloaded" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, HealthzResponse{
+	api.WriteJSON(w, code, api.Healthz{
 		Status:   status,
 		Count:    s.idx.Count(),
 		Dim:      s.idx.Dim(),

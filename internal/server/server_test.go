@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
 )
 
@@ -53,12 +55,13 @@ func TestSearchEndpointMatchesDirect(t *testing.T) {
 	ts, idx, ds := newTestServer(t, Config{})
 	queries := ds.PerturbedQueries(5, 0.02, 2)
 	for _, q := range queries {
-		want, err := idx.Search(q, 10)
+		resp, err := idx.Query(context.Background(), q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got searchResponse
-		if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 10}, &got); code != 200 {
+		want := resp.Results
+		var got api.SearchResponse
+		if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 10}, &got); code != 200 {
 			t.Fatalf("status %d", code)
 		}
 		if len(got.Results) != len(want) {
@@ -75,8 +78,8 @@ func TestSearchEndpointMatchesDirect(t *testing.T) {
 func TestSearchEndpointStats(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{})
 	q := ds.PerturbedQueries(1, 0.02, 3)[0]
-	var got searchResponse
-	if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Stats: true}, &got); code != 200 {
+	var got api.SearchResponse
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5, Stats: true}, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if got.Stats == nil || got.Stats.Candidates == 0 {
@@ -87,8 +90,8 @@ func TestSearchEndpointStats(t *testing.T) {
 func TestSearchBatchEndpoint(t *testing.T) {
 	ts, idx, ds := newTestServer(t, Config{})
 	queries := ds.PerturbedQueries(12, 0.02, 4)
-	var got searchBatchResponse
-	if code := post(t, ts.URL+"/searchbatch", searchBatchRequest{Queries: queries, K: 5}, &got); code != 200 {
+	var got api.SearchBatchResponse
+	if code := post(t, ts.URL+"/searchbatch", api.SearchBatchRequest{Queries: queries, K: 5}, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(got.Results) != len(queries) {
@@ -96,10 +99,11 @@ func TestSearchBatchEndpoint(t *testing.T) {
 	}
 	// Order must match per-query searches.
 	for qi, q := range queries {
-		want, err := idx.Search(q, 5)
+		resp, err := idx.Query(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := resp.Results
 		for i := range want {
 			if got.Results[qi][i].ID != want[i].ID {
 				t.Fatalf("query %d rank %d: id %d, want %d", qi, i, got.Results[qi][i].ID, want[i].ID)
@@ -116,13 +120,13 @@ func TestRequestValidation(t *testing.T) {
 		url  string
 		body any
 	}{
-		{"empty query", "/search", searchRequest{K: 5}},
-		{"wrong dims", "/search", searchRequest{Query: q[:7], K: 5}},
-		{"k=0", "/search", searchRequest{Query: q, K: 0}},
-		{"k over cap", "/search", searchRequest{Query: q, K: 51}},
-		{"empty batch", "/searchbatch", searchBatchRequest{K: 5}},
-		{"oversized batch", "/searchbatch", searchBatchRequest{Queries: [][]float32{q, q, q, q, q}, K: 5}},
-		{"bad batch query", "/searchbatch", searchBatchRequest{Queries: [][]float32{q[:3]}, K: 5}},
+		{"empty query", "/search", api.SearchRequest{K: 5}},
+		{"wrong dims", "/search", api.SearchRequest{Query: q[:7], K: 5}},
+		{"k=0", "/search", api.SearchRequest{Query: q, K: 0}},
+		{"k over cap", "/search", api.SearchRequest{Query: q, K: 51}},
+		{"empty batch", "/searchbatch", api.SearchBatchRequest{K: 5}},
+		{"oversized batch", "/searchbatch", api.SearchBatchRequest{Queries: [][]float32{q, q, q, q, q}, K: 5}},
+		{"bad batch query", "/searchbatch", api.SearchBatchRequest{Queries: [][]float32{q[:3]}, K: 5}},
 		{"empty insert", "/insert", insertRequest{}},
 		{"unknown delete id", "/delete", deleteRequest{ID: idx.Count() + 10}},
 		{"unknown field", "/search", map[string]any{"query": q, "k": 5, "bogus": 1}},
@@ -177,8 +181,8 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	}
 	id := ins["id"]
 
-	var sr searchResponse
-	if code := post(t, ts.URL+"/search", searchRequest{Query: novel, K: 1}, &sr); code != 200 {
+	var sr api.SearchResponse
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: novel, K: 1}, &sr); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
 	if len(sr.Results) != 1 || sr.Results[0].ID != id {
@@ -188,7 +192,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	if code := post(t, ts.URL+"/delete", deleteRequest{ID: id}, nil); code != 200 {
 		t.Fatalf("delete status %d", code)
 	}
-	if code := post(t, ts.URL+"/search", searchRequest{Query: novel, K: 1}, &sr); code != 200 {
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: novel, K: 1}, &sr); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
 	if len(sr.Results) == 1 && sr.Results[0].ID == id {
@@ -198,7 +202,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	if code := post(t, ts.URL+"/delete", deleteRequest{ID: id, Undelete: true}, nil); code != 200 {
 		t.Fatalf("undelete status %d", code)
 	}
-	if code := post(t, ts.URL+"/search", searchRequest{Query: novel, K: 1}, &sr); code != 200 {
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: novel, K: 1}, &sr); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
 	if len(sr.Results) != 1 || sr.Results[0].ID != id {
@@ -234,12 +238,12 @@ func TestStatsEndpoint(t *testing.T) {
 	q := ds.PerturbedQueries(1, 0.02, 6)[0]
 	const n = 7
 	for i := 0; i < n; i++ {
-		if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 3}, nil); code != 200 {
+		if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 3}, nil); code != 200 {
 			t.Fatalf("search status %d", code)
 		}
 	}
 	// One failed request must show up in the error counter.
-	post(t, ts.URL+"/search", searchRequest{Query: q, K: 0}, nil)
+	post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 0}, nil)
 
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -253,9 +257,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Index.Count != idx.Count() || st.Index.Dim != idx.Dim() {
 		t.Errorf("index stats = %+v", st.Index)
 	}
-	// A legacy single-index layout reports itself as one shard.
+	// A bare single-index layout reports itself as one shard.
 	if st.Index.Shards != 1 || len(st.Index.PerShard) != 1 || st.Index.PerShard[0].Count != idx.Count() {
-		t.Errorf("legacy layout shard stats = %+v", st.Index)
+		t.Errorf("bare layout shard stats = %+v", st.Index)
 	}
 	es := st.Endpoints["search"]
 	if es.Requests != n+1 || es.Errors != 1 {
@@ -312,8 +316,8 @@ func TestStatsShardedLayout(t *testing.T) {
 
 	// Search still round-trips through the scatter-gather path.
 	q := ds.PerturbedQueries(1, 0.02, 8)[0]
-	var got searchResponse
-	if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5}, &got); code != 200 {
+	var got api.SearchResponse
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5}, &got); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
 	if len(got.Results) != 5 {
@@ -326,13 +330,13 @@ func TestSearchTimeoutHonoured(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{QueryTimeout: time.Nanosecond})
 	q := ds.PerturbedQueries(1, 0.02, 7)[0]
 	var errResp map[string]string
-	code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5}, &errResp)
+	code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5}, &errResp)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (resp %v)", code, errResp)
 	}
 	// An absurd timeout_ms must not overflow into disabling the server
 	// deadline.
-	code = post(t, ts.URL+"/search", searchRequest{Query: q, K: 5, TimeoutMs: math.MaxInt}, &errResp)
+	code = post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5, TimeoutMs: math.MaxInt}, &errResp)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("overflow timeout_ms: status %d, want 504 (resp %v)", code, errResp)
 	}
@@ -340,7 +344,7 @@ func TestSearchTimeoutHonoured(t *testing.T) {
 	ts2, _, _ := newTestServer(t, Config{})
 	var batchErr map[string]string
 	queries := ds.PerturbedQueries(64, 0.02, 8)
-	code = post(t, ts2.URL+"/searchbatch", searchBatchRequest{Queries: queries, K: 5, TimeoutMs: -1}, nil)
+	code = post(t, ts2.URL+"/searchbatch", api.SearchBatchRequest{Queries: queries, K: 5, TimeoutMs: -1}, nil)
 	if code != 200 {
 		t.Fatalf("negative timeout_ms must be ignored, got %d (%v)", code, batchErr)
 	}
@@ -458,9 +462,9 @@ func TestDeleteUnknownIDMessage(t *testing.T) {
 func TestStatsExposeBufferPoolHitRatio(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{})
 	queries := ds.PerturbedQueries(5, 0.02, 8)
-	var sr searchResponse
+	var sr api.SearchResponse
 	for _, q := range queries {
-		if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Stats: true}, &sr); code != 200 {
+		if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5, Stats: true}, &sr); code != 200 {
 			t.Fatalf("search status %d", code)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 )
 
 func boolp(b bool) *bool { return &b }
@@ -17,9 +18,9 @@ func TestSearchPerRequestTuning(t *testing.T) {
 	ts, idx, ds := newTestServer(t, Config{})
 	q := ds.PerturbedQueries(1, 0.02, 7)[0]
 
-	var got searchResponse
-	req := searchRequest{Query: q, K: 5, Stats: true,
-		tuningFields: tuningFields{Alpha: 64, Gamma: 16, Ptolemaic: boolp(true)}}
+	var got api.SearchResponse
+	req := api.SearchRequest{Query: q, K: 5, Stats: true,
+		Tuning: api.Tuning{Alpha: 64, Gamma: 16, Ptolemaic: boolp(true)}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -48,8 +49,8 @@ func TestSearchPerRequestTuning(t *testing.T) {
 	}
 
 	// The same request without overrides runs the built cascade.
-	var def searchResponse
-	if code := post(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Stats: true}, &def); code != 200 {
+	var def api.SearchResponse
+	if code := post(t, ts.URL+"/search", api.SearchRequest{Query: q, K: 5, Stats: true}, &def); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if def.Stats.Alpha != 128 || def.Stats.Gamma != 32 || def.Stats.Ptolemaic {
@@ -63,8 +64,8 @@ func TestSearchTuningClampAndValidation(t *testing.T) {
 	ts, _, ds := newTestServer(t, Config{MaxAlpha: 64})
 	q := ds.PerturbedQueries(1, 0.02, 8)[0]
 
-	var got searchResponse
-	req := searchRequest{Query: q, K: 5, Stats: true, tuningFields: tuningFields{Alpha: 100000}}
+	var got api.SearchResponse
+	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 100000}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -72,23 +73,23 @@ func TestSearchTuningClampAndValidation(t *testing.T) {
 		t.Fatalf("alpha clamped to %d, want the MaxAlpha cap 64", got.Stats.Alpha)
 	}
 
-	var errResp errorBody
-	req = searchRequest{Query: q, K: 5, tuningFields: tuningFields{Alpha: -2}}
+	var errResp api.ErrorBody
+	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Alpha: -2}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("negative alpha: status %d", code)
 	}
-	if errResp.Code != codeBadOptions {
-		t.Fatalf("negative alpha: code %q, want %q", errResp.Code, codeBadOptions)
+	if errResp.Code != api.CodeBadOptions {
+		t.Fatalf("negative alpha: code %q, want %q", errResp.Code, api.CodeBadOptions)
 	}
 
 	// A widening cascade is rejected by the library and surfaces as the
 	// same coded 400.
-	req = searchRequest{Query: q, K: 5, tuningFields: tuningFields{Alpha: 16, Gamma: 32}}
+	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Alpha: 16, Gamma: 32}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("widening cascade: status %d", code)
 	}
-	if errResp.Code != codeBadOptions {
-		t.Fatalf("widening cascade: code %q, want %q", errResp.Code, codeBadOptions)
+	if errResp.Code != api.CodeBadOptions {
+		t.Fatalf("widening cascade: code %q, want %q", errResp.Code, api.CodeBadOptions)
 	}
 }
 
@@ -103,17 +104,17 @@ func TestDimMismatchStructuredError(t *testing.T) {
 		url  string
 		body any
 	}{
-		{"search", "/search", searchRequest{Query: q[:7], K: 5}},
-		{"searchbatch", "/searchbatch", searchBatchRequest{Queries: [][]float32{q[:7]}, K: 5}},
+		{"search", "/search", api.SearchRequest{Query: q[:7], K: 5}},
+		{"searchbatch", "/searchbatch", api.SearchBatchRequest{Queries: [][]float32{q[:7]}, K: 5}},
 		{"insert", "/insert", insertRequest{Vector: q[:7]}},
 	}
 	for _, c := range cases {
-		var errResp errorBody
+		var errResp api.ErrorBody
 		if code := post(t, ts.URL+c.url, c.body, &errResp); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, code)
 		}
-		if errResp.Code != codeDimMismatch {
-			t.Errorf("%s: code %q, want %q", c.name, errResp.Code, codeDimMismatch)
+		if errResp.Code != api.CodeDimMismatch {
+			t.Errorf("%s: code %q, want %q", c.name, errResp.Code, api.CodeDimMismatch)
 		}
 		if errResp.Error == "" {
 			t.Errorf("%s: no error message", c.name)
@@ -127,9 +128,9 @@ func TestSearchBatchPerRequestTuning(t *testing.T) {
 	ts, idx, ds := newTestServer(t, Config{})
 	queries := ds.PerturbedQueries(4, 0.02, 10)
 
-	var got searchBatchResponse
-	req := searchBatchRequest{Queries: queries, K: 5, Stats: true,
-		tuningFields: tuningFields{Gamma: 16}}
+	var got api.SearchBatchResponse
+	req := api.SearchBatchRequest{Queries: queries, K: 5, Stats: true,
+		Tuning: api.Tuning{Gamma: 16}}
 	if code := post(t, ts.URL+"/searchbatch", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -152,8 +153,8 @@ func TestSearchBatchPerRequestTuning(t *testing.T) {
 	}
 
 	// Without stats the array stays absent.
-	var noStats searchBatchResponse
-	if code := post(t, ts.URL+"/searchbatch", searchBatchRequest{Queries: queries, K: 5}, &noStats); code != 200 {
+	var noStats api.SearchBatchResponse
+	if code := post(t, ts.URL+"/searchbatch", api.SearchBatchRequest{Queries: queries, K: 5}, &noStats); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if noStats.Stats != nil {
@@ -161,12 +162,12 @@ func TestSearchBatchPerRequestTuning(t *testing.T) {
 	}
 
 	// Bad options fail the whole batch with the coded 400.
-	var errResp errorBody
-	req = searchBatchRequest{Queries: queries, K: 5, tuningFields: tuningFields{Alpha: 8, Gamma: 16}}
+	var errResp api.ErrorBody
+	req = api.SearchBatchRequest{Queries: queries, K: 5, Tuning: api.Tuning{Alpha: 8, Gamma: 16}}
 	if code := post(t, ts.URL+"/searchbatch", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("bad batch options: status %d", code)
 	}
-	if errResp.Code != codeBadOptions {
+	if errResp.Code != api.CodeBadOptions {
 		t.Fatalf("bad batch options: code %q", errResp.Code)
 	}
 }

@@ -12,30 +12,29 @@ import (
 	"github.com/hd-index/hdindex/internal/fanout"
 )
 
-// Params configures a sharded build: the per-shard HD-Index parameters
-// plus the layout shape.
+// Params configures a build: the HD-Index parameters plus the layout
+// shape. Params.BuildWorkers is the total construction-parallelism
+// budget (0 = GOMAXPROCS): it bounds how many shards build concurrently
+// AND is divided among them, so shard × tree × encode-chunk workers
+// never oversubscribe the machine however the three layers nest.
 type Params struct {
 	core.Params
 
-	// Shards is the number of sub-indexes N (default 1). Each shard is
-	// a complete HD-Index over its ~1/N stripe of the data: smaller
-	// sorts, smaller reference-selection samples, and independent files
-	// — which is what lets Build parallelise beyond core's per-tree
-	// concurrency and later PRs rebalance or place shards elsewhere.
+	// Shards selects the on-disk layout. 0 writes one core index
+	// directly into the directory (no manifest, no shard-NN/). N >= 1
+	// writes the manifest layout of N sub-indexes, each a complete
+	// HD-Index over its ~1/N stripe of the data: smaller sorts, smaller
+	// reference-selection samples, and independent files — which is
+	// what lets Build parallelise beyond core's per-tree concurrency
+	// and a cluster place shards on different machines.
 	Shards int
-
-	// BuildWorkers is the total construction-parallelism budget
-	// (0 = GOMAXPROCS): it bounds how many shards build concurrently
-	// AND is divided among them as each shard's core.Params.BuildWorkers,
-	// so shard × tree × encode-chunk workers never oversubscribe the
-	// machine however the three layers nest.
-	BuildWorkers int
 }
 
-// Build constructs a sharded HD-Index over vectors in directory dir:
-// stripes the dataset round-robin across N shards, builds the shards
-// concurrently on a bounded worker pool, and commits the layout by
-// writing the manifest last.
+// Build constructs an HD-Index over vectors in directory dir. With
+// Shards >= 1 it stripes the dataset round-robin across N shards,
+// builds the shards concurrently on a bounded worker pool, and commits
+// the layout by writing the manifest last; with Shards == 0 the
+// directory holds the one core index itself.
 func Build(dir string, vectors [][]float32, p Params) (*Sharded, error) {
 	return BuildContext(context.Background(), dir, vectors, p)
 }
@@ -45,11 +44,22 @@ func Build(dir string, vectors [][]float32, p Params) (*Sharded, error) {
 // and the manifest (the layout's commit point) is never written — a
 // cancelled directory fails Open rather than serving a partial layout.
 func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params) (*Sharded, error) {
-	if p.Shards == 0 {
-		p.Shards = 1
+	if p.Shards < 0 {
+		return nil, fmt.Errorf("shard: shards must be >= 0, got %d", p.Shards)
 	}
-	if p.Shards < 1 {
-		return nil, fmt.Errorf("shard: shards must be >= 1, got %d", p.Shards)
+	if p.Shards == 0 {
+		// A bare build into a directory that previously held a manifest
+		// layout must remove it first — a stale manifest would keep Open
+		// serving the old shards, and stale shard dirs would leak a full
+		// copy of the previous dataset.
+		if err := clearLayout(dir); err != nil {
+			return nil, err
+		}
+		ix, err := core.BuildContext(ctx, dir, vectors, p.Params)
+		if err != nil {
+			return nil, err
+		}
+		return bare(ix, p.BatchWorkers), nil
 	}
 	if len(vectors) == 0 {
 		return nil, errors.New("shard: empty dataset")
@@ -60,13 +70,13 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: mkdir %s: %w", dir, err)
 	}
-	// Invalidate and remove any previous layout first — sharded (the
-	// manifest and shard dirs) and legacy (root meta.json, trees,
-	// vectors) alike. Until the new manifest is written at the end, the
+	// Invalidate and remove any previous layout first — the manifest
+	// and shard dirs, and a bare index's root meta.json, trees and
+	// vectors alike. Until the new manifest is written at the end, the
 	// directory must not look like a complete index of either kind, so
 	// a crash mid-rebuild fails Open instead of silently serving the
 	// old dataset.
-	if err := ClearLayout(dir); err != nil {
+	if err := clearLayout(dir); err != nil {
 		return nil, err
 	}
 	if err := core.RemoveIndexFiles(dir); err != nil {
@@ -85,7 +95,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	}
 
 	s := &Sharded{
-		dir: dir,
 		man: Manifest{
 			FormatVersion: FormatVersion,
 			Shards:        n,

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -51,7 +52,7 @@ func BenchmarkSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(queries[i%len(queries)], 10); err != nil {
+				if _, _, err := s.Query(context.Background(), queries[i%len(queries)], 10, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

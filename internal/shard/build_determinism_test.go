@@ -91,11 +91,11 @@ func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	defer sb.Close()
 	for _, q := range ds.PerturbedQueries(10, 0.01, 5) {
-		ra, err := sa.SearchContext(context.Background(), q, 10)
+		ra, _, err := sa.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := sb.SearchContext(context.Background(), q, 10)
+		rb, _, err := sb.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

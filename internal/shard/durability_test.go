@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -52,7 +53,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 			// dirty pages; deletes were already persisted synchronously.
 			want := make([][]core.Result, len(queries))
 			for qi, q := range queries {
-				res, err := s.Search(q, 10)
+				res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +75,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 				t.Fatalf("reopened deleted count = %d, want 2", re.DeletedCount())
 			}
 			for qi, q := range queries {
-				res, err := re.Search(q, 10)
+				res, _, err := re.Query(context.Background(), q, 10, core.SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +83,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 			}
 			// The deletion marks specifically must still hold.
 			for _, id := range []uint64{77, inserted[2]} {
-				res, err := re.Search(ds.Vectors[0], int(re.Count())/2)
+				res, _, err := re.Query(context.Background(), ds.Vectors[0], int(re.Count())/2, core.SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestOneShardMatchesMonolithic(t *testing.T) {
 	defer one.Close()
 
 	for qi, q := range queries {
-		want, wantSt, err := mono.SearchWithStats(q, 10)
+		want, wantSt, err := mono.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotSt, err := one.SearchWithStats(q, 10)
+		got, gotSt, err := one.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +82,11 @@ func TestScatterGatherExhaustiveEquivalence(t *testing.T) {
 
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, k)
 	for qi, q := range queries {
-		want, err := one.Search(q, k)
+		want, _, err := one.Query(context.Background(), q, k, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := four.Search(q, k)
+		got, _, err := four.Query(context.Background(), q, k, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func WriteIdentity(dir string, id Identity) error {
 }
 
 // ReadIdentity loads dir's identity stamp. A directory without one —
-// a legacy single-index layout, or a shard built before identities
+// a bare single-index directory, or a shard built before identities
 // existed — returns (nil, nil): absence is a valid state, not an error.
 func ReadIdentity(dir string) (*Identity, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, IdentityFile))

@@ -7,10 +7,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/data"
+	"github.com/hd-index/hdindex/internal/iofault"
 )
 
 // crashCopyTree snapshots the sharded layout while its owner is still
@@ -84,7 +87,7 @@ func TestShardedInsertsSurviveCrash(t *testing.T) {
 	}
 	want := make([][]core.Result, len(queries))
 	for qi, q := range queries {
-		res, err := s.Search(q, 10)
+		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +109,7 @@ func TestShardedInsertsSurviveCrash(t *testing.T) {
 		t.Fatalf("replayed = %d, want 102", got)
 	}
 	for qi, q := range queries {
-		res, err := re.Search(q, 10)
+		res, _, err := re.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +142,7 @@ func TestShardedCompact(t *testing.T) {
 	}
 	want := make([][]core.Result, len(queries))
 	for qi, q := range queries {
-		res, err := s.Search(q, 10)
+		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +159,7 @@ func TestShardedCompact(t *testing.T) {
 		t.Fatalf("compactions = %d, want 3 (one per shard)", st.Compactions)
 	}
 	for qi, q := range queries {
-		res, err := s.Search(q, 10)
+		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +217,74 @@ func TestShardedTornWALRecord(t *testing.T) {
 	if id != 309 {
 		t.Fatalf("reassigned id = %d, want 309", id)
 	}
-	res, err := re.Search(ds.Vectors[309], 1)
+	res, _, err := re.Query(context.Background(), ds.Vectors[309], 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].ID != 309 || res[0].Dist > 1e-6 {
 		t.Fatalf("refilled insert not queryable: %+v", res)
+	}
+}
+
+// TestBareLayoutInsertsGroupCommit pins the one-shard write path: a bare
+// directory has nothing to route, so concurrent writers must reach
+// core.Insert unserialised and share fsyncs. An outer lock held across
+// the durable wait would cost exactly one fsync per insert.
+func TestBareLayoutInsertsGroupCommit(t *testing.T) {
+	const writers, each = 8, 25
+	ds := data.Generate(data.Config{Name: "sgroup", N: 300 + writers*each, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 171})
+	dir := filepath.Join(t.TempDir(), "ix")
+	built, err := Build(dir, ds.Vectors[:300], testParams(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A slow fsync makes the overlap certain rather than likely: while
+	// the leader sleeps, the other writers append and queue behind it.
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: "wal.log", Op: iofault.OpSync, Latency: time.Millisecond,
+	}))
+	defer restore()
+	s, err := Open(dir, core.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	ids := make([][]uint64, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, v := range ds.Vectors[300+w*each : 300+(w+1)*each] {
+				id, err := s.Insert(v)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[w] = append(ids[w], id)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	seen := make(map[uint64]bool)
+	for _, w := range ids {
+		for _, id := range w {
+			if id < 300 || id >= 300+writers*each || seen[id] {
+				t.Fatalf("id %d out of range or handed out twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if got := s.Count(); got != 300+writers*each {
+		t.Fatalf("Count = %d, want %d", got, 300+writers*each)
+	}
+	if syncs := s.IngestStats().WALSyncs; syncs > writers*each/2 {
+		t.Fatalf("%d fsyncs for %d concurrent inserts: writers are not group-committing", syncs, writers*each)
 	}
 }

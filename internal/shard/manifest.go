@@ -9,6 +9,10 @@
 //	  shard-02/
 //	  shard-03/
 //
+// A directory without a manifest.json that holds a core.Index directly
+// is the other layout: it opens as a single shard (see Open), and Build
+// with Shards == 0 writes it.
+//
 // Vectors are striped round-robin, so global id g lives in shard g mod N
 // at local id g div N. The striping keeps shard sizes within one vector
 // of each other and the global id space dense and append-only, exactly
@@ -35,7 +39,7 @@ import (
 )
 
 // ManifestFile is the layout descriptor's file name; its presence is
-// what distinguishes a sharded layout from a legacy single-index
+// what distinguishes a sharded layout from a bare single-index
 // directory (which has meta.json at its root instead).
 const ManifestFile = "manifest.json"
 
@@ -69,32 +73,20 @@ func IsSharded(dir string) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
-// ClearManifest removes dir's manifest so the directory stops being
-// detected as a sharded layout. Rebuilders call it first: a build that
-// replaces the layout (or replaces it with a legacy single index) must
-// invalidate the old commit point before touching any files, so a crash
+// clearLayout removes the sharded layout's artifacts under dir: the
+// manifest first, then every shard subdirectory. Every build calls it
+// before touching any file — a bare build replacing a sharded layout
+// included — so the old commit point is invalidated first (a crash
 // mid-rebuild leaves a directory Open rejects rather than a stale
-// manifest silently serving the previous dataset. A missing manifest
-// (or missing directory) is not an error.
-func ClearManifest(dir string) error {
-	err := os.Remove(filepath.Join(dir, ManifestFile))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// ClearLayout removes the sharded layout's artifacts under dir: the
-// manifest first (invalidating the commit point), then every shard
-// subdirectory. Rebuilders — including a legacy build replacing a
-// sharded layout — call it so nothing of the old layout survives to be
-// served or leak disk. Missing pieces (or a missing dir) are fine.
-func ClearLayout(dir string) error {
-	if err := ClearManifest(dir); err != nil {
+// manifest silently serving the previous dataset) and nothing of the
+// old layout survives to be served or leak disk. Missing pieces (or a
+// missing dir) are fine.
+func clearLayout(dir string) error {
+	if err := os.Remove(filepath.Join(dir, ManifestFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// Glob rather than counting up from shard-00: a gap in the numbering
-	// (say, a crash partway through a previous ClearLayout) must not
+	// (say, a crash partway through a previous clearLayout) must not
 	// strand the stale dirs behind it.
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {

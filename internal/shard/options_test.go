@@ -10,12 +10,10 @@ import (
 	"github.com/hd-index/hdindex/internal/data"
 )
 
-// Query with zero options must be bit-identical to the legacy stats
-// path on a multi-shard layout, and the aggregated stats must echo the
-// effective cascade once (not summed across shards).
-func TestShardedQueryZeroOptionsMatchesSearch(t *testing.T) {
+// On a multi-shard layout the aggregated stats must echo the effective
+// cascade once (not summed across shards).
+func TestShardedQueryEchoesCascadeOnce(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "qopt", N: 1600, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 23})
-	queries := ds.PerturbedQueries(10, 0.02, 24)
 	p := core.Params{Tau: 4, Omega: 8, M: 5, Alpha: 256, Gamma: 64, Seed: 9}
 	four, err := Build(filepath.Join(t.TempDir(), "four"), ds.Vectors, Params{Params: p, Shards: 4})
 	if err != nil {
@@ -23,18 +21,10 @@ func TestShardedQueryZeroOptionsMatchesSearch(t *testing.T) {
 	}
 	defer four.Close()
 
-	for qi, q := range queries {
-		want, wantSt, err := four.SearchWithStats(q, 10)
+	for qi, q := range ds.PerturbedQueries(10, 0.02, 24) {
+		_, st, err := four.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		got, st, err := four.Query(context.Background(), q, 10, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, "query", got, want)
-		if st.Candidates != wantSt.Candidates || st.TreeEntries != wantSt.TreeEntries {
-			t.Fatalf("query %d: stats diverge: %+v vs %+v", qi, st, wantSt)
 		}
 		if st.Alpha != 256 || st.Gamma != 64 || st.Ptolemaic {
 			t.Fatalf("query %d: aggregated stats echo %+v, want the built cascade once", qi, st)

@@ -9,44 +9,96 @@ import (
 	"github.com/hd-index/hdindex/internal/topk"
 )
 
-// Search answers a kANN query across all shards.
-func (s *Sharded) Search(q []float32, k int) ([]core.Result, error) {
-	return s.SearchContext(context.Background(), q, k)
+// Reply is one shard's answer to a scattered query: its local top-k
+// (local ids) and, when the shard reported them, its work counters.
+type Reply struct {
+	Results []core.Result
+	Stats   *core.QueryStats
 }
 
-// SearchContext is Search honouring ctx.
-func (s *Sharded) SearchContext(ctx context.Context, q []float32, k int) ([]core.Result, error) {
-	res, _, err := s.Query(ctx, q, k, core.SearchOptions{})
-	return res, err
+// GlobalID maps local id l of shard ordinal in an n-shard layout back
+// to the global id of the round-robin striped build: global g was
+// routed to shard g mod n at local slot g div n.
+func GlobalID(ordinal, n int, local uint64) uint64 {
+	return local*uint64(n) + uint64(ordinal)
 }
 
-// SearchWithStats is Search plus work counters summed across shards.
-func (s *Sharded) SearchWithStats(q []float32, k int) ([]core.Result, *core.QueryStats, error) {
-	return s.Query(context.Background(), q, k, core.SearchOptions{})
+// SplitMaxCandidates turns a query's κ cap into the per-shard cap of an
+// n-shard scatter. The cap is a per-QUERY refinement budget: floor
+// division keeps the shards' sum within it, and each shard keeps at
+// least k so the merge still sees a full local top-k. The k check runs
+// here because the floored per-shard cap would otherwise silently
+// legalise a cap < k. 0 (no cap) stays 0.
+func SplitMaxCandidates(mc, k, n int) (int, error) {
+	if mc <= 0 {
+		return mc, nil
+	}
+	if mc < k {
+		return 0, fmt.Errorf("%w: max_candidates=%d < k=%d", core.ErrBadOptions, mc, k)
+	}
+	return max(k, mc/n), nil
 }
 
-// SearchWithStatsContext is SearchContext plus work counters summed
-// across shards.
-func (s *Sharded) SearchWithStatsContext(ctx context.Context, q []float32, k int) ([]core.Result, *core.QueryStats, error) {
-	return s.Query(ctx, q, k, core.SearchOptions{})
+// Merge gathers one query's per-shard replies, indexed by ordinal, into
+// the global answer: local ids mapped to global ids, the n·k candidates
+// merged through one bounded top-k heap (nearest first, distance ties
+// by id), work counters summed. Every shard resolves the same options
+// against the same built params, so the cascade echo is taken from the
+// lowest answering ordinal. A nil reply means the shard did not answer
+// (the cluster coordinator's partial responses) and contributes
+// nothing; so does a nil Stats.
+//
+// Because each shard's answer is exact over the candidates it refined,
+// merging per-shard top-k lists loses nothing: the global k nearest of
+// the union of refined candidates all appear in their own shard's
+// top-k.
+func Merge(k int, replies []*Reply) ([]core.Result, *core.QueryStats) {
+	best := topk.New(k)
+	agg := &core.QueryStats{}
+	echoed := false
+	for i, rep := range replies {
+		if rep == nil {
+			continue
+		}
+		for _, r := range rep.Results {
+			best.Push(GlobalID(i, len(replies), r.ID), r.Dist)
+		}
+		st := rep.Stats
+		if st == nil {
+			continue
+		}
+		agg.Candidates += st.Candidates
+		agg.TreeEntries += st.TreeEntries
+		agg.PageReads += st.PageReads
+		agg.PageHits += st.PageHits
+		agg.PageMisses += st.PageMisses
+		agg.ExactDistances += st.ExactDistances
+		agg.MemtableScanned += st.MemtableScanned
+		agg.Phases.Add(st.Phases)
+		if !echoed {
+			agg.Alpha, agg.Beta, agg.Gamma = st.Alpha, st.Beta, st.Gamma
+			agg.Ptolemaic, agg.Degraded = st.Ptolemaic, st.Degraded
+			echoed = true
+		}
+	}
+	items := best.Items()
+	out := make([]core.Result, len(items))
+	for i, it := range items {
+		out[i] = core.Result{ID: it.ID, Dist: it.Dist}
+	}
+	return out, agg
 }
 
 // Query scatter-gathers the query with per-query cascade overrides:
 // the same options apply to every shard (the cascade is a per-query
 // property, not a per-shard one), every shard answers its local top-k
-// concurrently, local ids are mapped back to global ids, and the N·k
-// candidates are merged through one bounded top-k heap. Work counters
-// are summed across shards; the echoed cascade knobs are identical on
-// every shard and carried through unchanged. Cancellation propagates
+// concurrently, and Merge folds the answers. Cancellation propagates
 // into each shard's query loop, and the first shard error cancels the
 // remaining fan-out.
 //
-// Because each shard's answer is exact over the candidates it refined,
-// merging per-shard top-k lists loses nothing: the global k nearest of
-// the union of refined candidates all appear in their own shard's
-// top-k. A 1-shard layout therefore returns exactly what the monolithic
-// layout would, and with exhaustive filter parameters an N-shard layout
-// returns the exact global kNN.
+// A 1-shard layout returns exactly what its one core index does, and
+// with exhaustive filter parameters an N-shard layout returns the exact
+// global kNN.
 func (s *Sharded) Query(ctx context.Context, q []float32, k int, o core.SearchOptions) ([]core.Result, *core.QueryStats, error) {
 	n := len(s.shards)
 	if n == 1 {
@@ -56,83 +108,37 @@ func (s *Sharded) Query(ctx context.Context, q []float32, k int, o core.SearchOp
 	if len(q) != s.man.Dim {
 		return nil, nil, fmt.Errorf("%w: query has %d dims, index has %d", core.ErrDimMismatch, len(q), s.man.Dim)
 	}
-	if o.MaxCandidates > 0 {
-		// The κ cap is a per-QUERY refinement budget: split it across
-		// the scatter so N shards cannot multiply the caller's ceiling
-		// by N. Floor division keeps the sum within the budget; each
-		// shard keeps at least k so the merge still sees a full local
-		// top-k. The k check runs here because the floored per-shard
-		// cap would otherwise silently legalise a cap < k.
-		if o.MaxCandidates < k {
-			return nil, nil, fmt.Errorf("%w: max_candidates=%d < k=%d", core.ErrBadOptions, o.MaxCandidates, k)
-		}
-		o.MaxCandidates = max(k, o.MaxCandidates/n)
+	var err error
+	if o.MaxCandidates, err = SplitMaxCandidates(o.MaxCandidates, k, n); err != nil {
+		return nil, nil, err
 	}
 
-	perShard := make([][]core.Result, n)
-	perStats := make([]*core.QueryStats, n)
-	err := fanout.Run(ctx, n, n, func(ctx context.Context, i int) error {
+	answers := make([]Reply, n)
+	replies := make([]*Reply, n)
+	err = fanout.Run(ctx, n, n, func(ctx context.Context, i int) error {
 		res, st, err := s.shards[i].Query(ctx, q, k, o)
 		if err != nil {
 			return err
 		}
-		perShard[i], perStats[i] = res, st
+		answers[i] = Reply{Results: res, Stats: st}
+		replies[i] = &answers[i]
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	best := topk.New(k)
-	agg := &core.QueryStats{}
-	for i, res := range perShard {
-		for _, r := range res {
-			best.Push(s.globalID(i, r.ID), r.Dist)
-		}
-		agg.Candidates += perStats[i].Candidates
-		agg.TreeEntries += perStats[i].TreeEntries
-		agg.PageReads += perStats[i].PageReads
-		agg.PageHits += perStats[i].PageHits
-		agg.PageMisses += perStats[i].PageMisses
-		agg.ExactDistances += perStats[i].ExactDistances
-		agg.MemtableScanned += perStats[i].MemtableScanned
-		agg.Phases.Add(perStats[i].Phases)
-	}
-	// Every shard resolved the same options against the same built
-	// params, so the effective cascade is whichever shard's echo.
-	agg.Alpha = perStats[0].Alpha
-	agg.Beta = perStats[0].Beta
-	agg.Gamma = perStats[0].Gamma
-	agg.Ptolemaic = perStats[0].Ptolemaic
-	agg.Degraded = perStats[0].Degraded
-	items := best.Items()
-	out := make([]core.Result, len(items))
-	for i, it := range items {
-		out[i] = core.Result{ID: it.ID, Dist: it.Dist}
-	}
-	return out, agg, nil
+	res, st := Merge(k, replies)
+	return res, st, nil
 }
 
-// SearchBatch answers many queries, preserving input order.
-func (s *Sharded) SearchBatch(queries [][]float32, k int) ([][]core.Result, error) {
-	return s.SearchBatchContext(context.Background(), queries, k)
-}
-
-// SearchBatchContext fans the batch out on a bounded worker pool (the
-// layout's BatchWorkers, default GOMAXPROCS); each query then
-// scatter-gathers across shards. Cancellation or the first error stops
+// QueryBatch fans the batch out on a bounded worker pool (the layout's
+// BatchWorkers, default GOMAXPROCS) with one option set shared by the
+// whole batch; each query then scatter-gathers across shards. Results
+// and work counters come back in input order. Options and
+// dimensionalities are validated up front, mirroring core.QueryBatch,
+// so a bad option set or a malformed query deep in the batch never
+// burns the fan-out ahead of it. Cancellation or the first error stops
 // the remaining queries promptly.
-func (s *Sharded) SearchBatchContext(ctx context.Context, queries [][]float32, k int) ([][]core.Result, error) {
-	res, _, err := s.QueryBatch(ctx, queries, k, core.SearchOptions{})
-	return res, err
-}
-
-// QueryBatch is SearchBatchContext with per-query cascade overrides
-// (one option set shared by the whole batch) and per-query work
-// counters in input order. Options and dimensionalities are validated
-// up front, mirroring core.QueryBatch, so a bad option set or a
-// malformed query deep in the batch never burns the fan-out ahead of
-// it.
 func (s *Sharded) QueryBatch(ctx context.Context, queries [][]float32, k int, o core.SearchOptions) ([][]core.Result, []*core.QueryStats, error) {
 	if len(queries) == 0 {
 		return nil, nil, nil

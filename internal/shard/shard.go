@@ -10,20 +10,22 @@ import (
 	"github.com/hd-index/hdindex/internal/telemetry"
 )
 
-// Sharded is an HD-Index partitioned across N independent core
-// sub-indexes under one manifest-backed directory. It mirrors
-// core.Index's method set so callers (the public facade, the server,
-// the bench harness) can treat the two layouts interchangeably.
+// Sharded is an HD-Index partitioned across N >= 1 independent core
+// sub-indexes: a manifest-backed directory of N shards, or a bare core
+// directory serving as its own single shard. It is the one index handle
+// everything above this package holds (the public facade, the server,
+// the bench harness), whatever the on-disk layout.
 //
 // Concurrency: searches run lock-free here (each sub-index does its own
 // reader/writer locking); mu serialises Insert's route-and-append pair
-// and guards the cached total count.
+// and guards the cached total count. A one-shard layout has nothing to
+// route, so its Insert and Count go straight to the sub-index without mu
+// and concurrent writers keep core's WAL group commit.
 type Sharded struct {
 	mu     sync.RWMutex
-	dir    string
 	man    Manifest
 	shards []*core.Index
-	total  uint64 // sum of shard counts; maintained by Insert
+	total  uint64 // sum of shard counts; maintained by Insert when N > 1
 
 	batchWorkers int
 
@@ -51,20 +53,23 @@ func (s *Sharded) ownerOf(id uint64) (shard int, local uint64) {
 	return int(id % n), id / n
 }
 
-// globalID is the inverse mapping.
-func (s *Sharded) globalID(shard int, local uint64) uint64 {
-	return local*s.numShards() + uint64(shard)
-}
-
-// Open loads a sharded layout previously written by Build. opts is
-// applied to every sub-index.
+// Open loads a layout previously written by Build, detecting it from
+// the directory: with a manifest.json it opens the manifest's shards,
+// otherwise dir itself as a bare core index serving as one shard.
+// opts is applied to every sub-index.
 func Open(dir string, opts core.OpenOptions) (*Sharded, error) {
+	if !IsSharded(dir) {
+		ix, err := core.Open(dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		return bare(ix, opts.BatchWorkers), nil
+	}
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sharded{
-		dir:          dir,
 		man:          *man,
 		shards:       make([]*core.Index, man.Shards),
 		batchWorkers: opts.BatchWorkers,
@@ -83,6 +88,19 @@ func Open(dir string, opts core.OpenOptions) (*Sharded, error) {
 		s.total += ix.Count()
 	}
 	return s, nil
+}
+
+// bare wraps a core index living directly in its directory as a
+// 1-shard layout. The manifest exists in memory only: a bare directory
+// stays exactly what core wrote, so core.Open keeps reading it.
+func bare(ix *core.Index, batchWorkers int) *Sharded {
+	return &Sharded{
+		man:          Manifest{FormatVersion: FormatVersion, Shards: 1, Dim: ix.Dim()},
+		shards:       []*core.Index{ix},
+		total:        ix.Count(),
+		batchWorkers: batchWorkers,
+		buildStats:   ix.BuildStats(),
+	}
 }
 
 // Close releases every sub-index. Safe to call more than once and on a
@@ -160,14 +178,14 @@ func (s *Sharded) Params() core.Params { return s.shards[0].Params() }
 // Opened from disk.
 func (s *Sharded) BuildStats() *core.BuildStats { return s.buildStats }
 
-// Manifest returns a copy of the layout descriptor.
-func (s *Sharded) Manifest() Manifest { return s.man }
-
 // Dim returns the indexed dimensionality.
 func (s *Sharded) Dim() int { return s.man.Dim }
 
 // Count returns the total number of indexed vectors across shards.
 func (s *Sharded) Count() uint64 {
+	if len(s.shards) == 1 {
+		return s.shards[0].Count()
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.total
@@ -201,13 +219,6 @@ func (s *Sharded) IOStats() pager.Stats {
 	return agg
 }
 
-// ResetIOStats zeroes every shard's pager counters.
-func (s *Sharded) ResetIOStats() {
-	for _, ix := range s.shards {
-		ix.ResetIOStats()
-	}
-}
-
 // ShardInfos returns the per-shard breakdown, in shard order.
 func (s *Sharded) ShardInfos() []Info {
 	out := make([]Info, len(s.shards))
@@ -222,12 +233,15 @@ func (s *Sharded) ShardInfos() []Info {
 // exactly "total mod N" round-robin; after a crash that persisted some
 // shards' tails and not others', it refills the lost ids first, so the
 // layout self-heals instead of refusing to open — the same semantics
-// as the legacy layout, where ids of unflushed inserts are reused. The
+// as a single core index, where ids of unflushed inserts are reused. The
 // insert is durable when Insert returns: the owning shard appends it to
 // its write-ahead log before acknowledging, as with core.
 func (s *Sharded) Insert(vec []float32) (uint64, error) {
 	if len(vec) != s.man.Dim {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", core.ErrDimMismatch, len(vec), s.man.Dim)
+	}
+	if len(s.shards) == 1 {
+		return s.shards[0].Insert(vec)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,7 +257,7 @@ func (s *Sharded) Insert(vec []float32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := s.globalID(sh, local)
+	id := GlobalID(sh, len(s.shards), local)
 	if id != next {
 		// The sub-index disagrees about its own length — id ownership
 		// can no longer be trusted, so fail loudly rather than hand out

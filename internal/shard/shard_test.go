@@ -68,7 +68,7 @@ func TestBuildSearchQuality(t *testing.T) {
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 10)
 	var got [][]uint64
 	for _, q := range queries {
-		res, st, err := s.SearchWithStats(q, 10)
+		res, st, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestInsertRoutingAndReopen(t *testing.T) {
 		if want := uint64(1001 + i); id != want {
 			t.Fatalf("insert %d assigned id %d, want %d", i, id, want)
 		}
-		res, err := s.Search(vec, 1)
+		res, _, err := s.Query(context.Background(), vec, 1, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestDeleteRouting(t *testing.T) {
 	defer s.Close()
 
 	q := ds.Vectors[123]
-	res, err := s.Search(q, 1)
+	res, _, err := s.Query(context.Background(), q, 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDeleteRouting(t *testing.T) {
 	if s.DeletedCount() != 1 {
 		t.Fatalf("DeletedCount = %d", s.DeletedCount())
 	}
-	res, err = s.Search(q, 1)
+	res, _, err = s.Query(context.Background(), q, 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDeleteRouting(t *testing.T) {
 	if err := s.Undelete(123); err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Search(q, 1)
+	res, _, err = s.Query(context.Background(), q, 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 	defer s.Close()
 
-	batch, err := s.SearchBatch(queries, 5)
+	batch, _, err := s.QueryBatch(context.Background(), queries, 5, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 		t.Fatalf("%d batch results", len(batch))
 	}
 	for qi, q := range queries {
-		single, err := s.Search(q, 5)
+		single, _, err := s.Query(context.Background(), q, 5, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +241,10 @@ func TestCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SearchContext(ctx, ds.Vectors[0], 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.Query(ctx, ds.Vectors[0], 5, core.SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: %v", err)
 	}
-	if _, err := s.SearchBatchContext(ctx, ds.PerturbedQueries(4, 0.01, 1), 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.QueryBatch(ctx, ds.PerturbedQueries(4, 0.01, 1), 5, core.SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: %v", err)
 	}
 }
@@ -268,21 +268,26 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 		t.Error("missing layout must fail")
 	}
 
-	// A legacy single-index directory has no manifest.
+	// A bare core directory has no manifest and opens as one shard.
 	ds := testData(t, 400)
-	legacy := filepath.Join(t.TempDir(), "legacy")
+	bareDir := filepath.Join(t.TempDir(), "bare")
 	p := testParams(1)
-	ix, err := core.Build(legacy, ds.Vectors, p.Params)
+	ix, err := core.Build(bareDir, ds.Vectors, p.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.Close()
-	if IsSharded(legacy) {
-		t.Error("legacy dir misdetected as sharded")
+	if IsSharded(bareDir) {
+		t.Error("bare dir misdetected as a manifest layout")
 	}
-	if _, err := Open(legacy, core.OpenOptions{}); err == nil {
-		t.Error("legacy dir must not open as a sharded layout")
+	one, err := Open(bareDir, core.OpenOptions{})
+	if err != nil {
+		t.Fatalf("bare dir must open as one shard: %v", err)
 	}
+	if one.NumShards() != 1 || one.Count() != 400 {
+		t.Errorf("bare dir opened as %d shards holding %d vectors, want 1 and 400", one.NumShards(), one.Count())
+	}
+	one.Close()
 
 	// Corrupt manifest.
 	dir := filepath.Join(t.TempDir(), "corrupt")
@@ -327,7 +332,7 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 // A crash can persist one shard's tail and not another's (each shard
 // flushes independently), leaving skewed counts. The layout must still
 // open, report the honest total, and refill the lost ids on the next
-// inserts instead of bricking — the legacy layout's crash semantics,
+// inserts instead of bricking — a single core index's crash semantics,
 // where unflushed inserts lose their ids to later ones.
 func TestRaggedTailSelfHeals(t *testing.T) {
 	ds := testData(t, 400)
@@ -401,7 +406,7 @@ func TestClearLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := ClearLayout(dir); err != nil {
+	if err := clearLayout(dir); err != nil {
 		t.Fatal(err)
 	}
 	if IsSharded(dir) {
@@ -411,10 +416,10 @@ func TestClearLayout(t *testing.T) {
 		t.Fatal("shard dir survived ClearLayout")
 	}
 	// Idempotent, and fine on a directory that never held a layout.
-	if err := ClearLayout(dir); err != nil {
+	if err := clearLayout(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := ClearLayout(filepath.Join(t.TempDir(), "missing")); err != nil {
+	if err := clearLayout(filepath.Join(t.TempDir(), "missing")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -100,9 +100,8 @@ type Response struct {
 }
 
 // Query answers a kANN query with per-query tuning. With no options it
-// runs the parameters the index was built with and returns results
-// bit-identical to Search; options override the filter cascade for this
-// request only:
+// runs the parameters the index was built with; options override the
+// filter cascade for this request only:
 //
 //	resp, err := idx.Query(ctx, q, 10, hdindex.WithAlpha(8192), hdindex.WithStats())
 //

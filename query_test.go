@@ -8,12 +8,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/data"
 )
 
 // buildLayout builds the same dataset under one of the facade's three
-// on-disk layouts: legacy (Shards 0), 1-shard manifest, 4-shard
-// manifest.
+// on-disk layouts: bare (Shards 0), 1-shard manifest, 4-shard manifest.
 func buildLayout(t *testing.T, shards int) (*Index, [][]float32) {
 	t.Helper()
 	ds := data.Generate(data.Config{Name: "q", N: 1600, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 33})
@@ -40,14 +40,20 @@ func requireBitIdentical(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// Query with zero options must be bit-identical to every method of the
-// deprecated Search matrix, on every layout the facade can write. This
-// is the contract that lets callers migrate mechanically.
-func TestQueryEquivalentToLegacyMatrix(t *testing.T) {
+// QueryBatch must answer each query bit-identically to Query on every
+// layout the facade can write, and stats are returned only on request.
+func TestQueryBatchMatchesQuery(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			idx, queries := buildLayout(t, shards)
 			ctx := context.Background()
+			batch, err := idx.QueryBatch(ctx, queries, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) != len(queries) {
+				t.Fatalf("QueryBatch returned %d responses", len(batch))
+			}
 			for qi, q := range queries {
 				resp, err := idx.Query(ctx, q, 10, WithStats())
 				if err != nil {
@@ -56,57 +62,7 @@ func TestQueryEquivalentToLegacyMatrix(t *testing.T) {
 				if resp.Stats == nil || resp.Stats.Candidates < 1 {
 					t.Fatalf("query %d: stats not populated: %+v", qi, resp.Stats)
 				}
-
-				fromSearch, err := idx.Search(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, "Search", resp.Results, fromSearch)
-
-				fromCtx, err := idx.SearchContext(ctx, q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, "SearchContext", resp.Results, fromCtx)
-
-				fromStats, st, err := idx.SearchWithStats(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, "SearchWithStats", resp.Results, fromStats)
-				if st.Candidates != resp.Stats.Candidates || st.TreeEntries != resp.Stats.TreeEntries {
-					t.Fatalf("query %d: stats diverge: Query %+v vs SearchWithStats %+v", qi, resp.Stats, st)
-				}
-
-				fromStatsCtx, stCtx, err := idx.SearchWithStatsContext(ctx, q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, "SearchWithStatsContext", resp.Results, fromStatsCtx)
-				if stCtx.Candidates != resp.Stats.Candidates {
-					t.Fatalf("query %d: context stats diverge", qi)
-				}
-			}
-
-			// The batch pair.
-			batch, err := idx.QueryBatch(ctx, queries, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromBatch, err := idx.SearchBatch(queries, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromBatchCtx, err := idx.SearchBatchContext(ctx, queries, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) != len(queries) {
-				t.Fatalf("QueryBatch returned %d responses", len(batch))
-			}
-			for qi := range queries {
-				requireBitIdentical(t, "SearchBatch", batch[qi].Results, fromBatch[qi])
-				requireBitIdentical(t, "SearchBatchContext", batch[qi].Results, fromBatchCtx[qi])
+				requireBitIdentical(t, "QueryBatch", batch[qi].Results, resp.Results)
 				if batch[qi].Stats != nil {
 					t.Fatal("QueryBatch without WithStats must not return stats")
 				}
@@ -207,5 +163,95 @@ func TestQueryTypedErrors(t *testing.T) {
 				t.Fatalf("batch gamma<k err = %v, want ErrBadOptions", err)
 			}
 		})
+	}
+}
+
+// One set of vectors, three ways to hold it — a bare directory opened
+// through the facade, the same bytes opened with core.Open (what a
+// cluster's shard server does), and a 1-shard manifest layout — must
+// answer bit-identically, and keep doing so across a live insert, a
+// compaction and a reopen.
+func TestOneShardLayoutsBitIdentical(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "lay", N: 1200, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 51})
+	novel := make([]float32, 32)
+	for d := range novel {
+		novel[d] = 0.37
+	}
+	queries := append(ds.PerturbedQueries(50, 0.02, 52), novel)
+	opts := Options{Tau: 4, Omega: 8, M: 5, Alpha: 256, Gamma: 64, Seed: 3}
+
+	bareDir := filepath.Join(t.TempDir(), "bare")
+	built, err := Build(bareDir, ds.Vectors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	coreDir := crashClone(t, bareDir) // its own copy: two handles on one directory fight over the WAL
+	opts.Shards = 1
+	oneDir := filepath.Join(t.TempDir(), "one")
+	if built, err = Build(oneDir, ds.Vectors, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, stage := range []string{"as built", "after insert + compact + reopen"} {
+		viaFacade, err := Open(bareDir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaCore, err := core.Open(coreDir, core.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShard, err := Open(oneDir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaFacade.NumShards() != 1 || oneShard.NumShards() != 1 {
+			t.Fatalf("%s: NumShards = %d (bare), %d (Shards: 1), want 1 and 1", stage, viaFacade.NumShards(), oneShard.NumShards())
+		}
+		for qi, q := range queries {
+			want, err := viaFacade.Query(ctx, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromCore, _, err := viaCore.Query(ctx, q, 10, core.SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromOne, err := oneShard.Query(ctx, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("%s, query %d, core.Open", stage, qi), fromCore, want.Results)
+			requireBitIdentical(t, fmt.Sprintf("%s, query %d, Shards: 1", stage, qi), fromOne.Results, want.Results)
+		}
+
+		// Mutate all three alike; the second pass reads it back from disk.
+		idFacade, err := viaFacade.Insert(novel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idCore, err := viaCore.Insert(novel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idOne, err := oneShard.Insert(novel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idCore != idFacade || idOne != idFacade {
+			t.Fatalf("%s: insert ids %d (facade), %d (core), %d (Shards: 1)", stage, idFacade, idCore, idOne)
+		}
+		if err := errors.Join(viaFacade.Compact(ctx), viaCore.Compact(ctx), oneShard.Compact(ctx)); err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(viaFacade.Close(), viaCore.Close(), oneShard.Close()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

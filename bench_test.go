@@ -9,9 +9,8 @@
 // the full experiment, so -benchtime=1x (the default for long cases) is
 // typical.
 //
-// External test package: internal/bench (via its overload phase) now
-// imports the facade, so an in-package test file importing bench would
-// be an import cycle.
+// External test package: the suite drives internal/bench only and needs
+// nothing unexported from the facade.
 package hdindex_test
 
 import (

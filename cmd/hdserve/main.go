@@ -89,19 +89,16 @@ func main() {
 	)
 	flag.Parse()
 	if *coordinator {
-		runCoordinator(coordinatorConfig{
-			manifestPath:   *clusterManifest,
-			addr:           *addr,
-			drainTimeout:   *drainTimeout,
-			maxK:           *maxK,
-			maxBatch:       *maxBatch,
-			subQueryTO:     *queryTimeout,
-			retries:        *retries,
-			backoffBase:    *backoffBase,
-			backoffMax:     *backoffMax,
-			hedgeDelay:     *hedgeDelay,
-			noHedge:        *noHedge,
-			healthInterval: *healthInterval,
+		runCoordinator(*clusterManifest, *addr, *drainTimeout, cluster.Options{
+			MaxAttempts:     *retries,
+			BackoffBase:     *backoffBase,
+			BackoffMax:      *backoffMax,
+			SubQueryTimeout: *queryTimeout,
+			HedgeDelay:      *hedgeDelay,
+			DisableHedging:  *noHedge,
+			HealthInterval:  *healthInterval,
+			MaxK:            *maxK,
+			MaxBatch:        *maxBatch,
 		})
 		return
 	}
@@ -243,18 +240,33 @@ func main() {
 	if *pprofOn {
 		log.Print("hdserve: pprof enabled at /debug/pprof/")
 	}
+	serve(*addr, srv.Handler(), *drainTimeout, func() {
+		if err := srv.Shutdown(); err != nil {
+			log.Printf("hdserve: flush: %v", err)
+		}
+		if err := idx.Close(); err != nil {
+			log.Printf("hdserve: close: %v", err)
+		}
+	})
+}
+
+// serve listens on addr until SIGINT/SIGTERM or a listener error,
+// drains in-flight requests for up to drainTimeout, runs closeFn, and
+// exits the process — status 1 after a listener error. A dead listener
+// still drains and closes: exiting at once would lose inserts not yet
+// flushed to disk.
+func serve(addr string, handler http.Handler, drainTimeout time.Duration, closeFn func()) {
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Addr:              addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		// Reap idle keep-alive connections so a slow-loris fleet cannot
 		// pin file descriptors between requests.
 		IdleTimeout: 60 * time.Second,
 	}
-
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("hdserve: listening on %s", *addr)
+		log.Printf("hdserve: listening on %s", addr)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -263,65 +275,33 @@ func main() {
 	exitCode := 0
 	select {
 	case err := <-errCh:
-		// A dead listener still drains, flushes, and closes below —
-		// exiting here would lose inserts not yet flushed to disk.
 		log.Printf("hdserve: %v", err)
 		exitCode = 1
 	case s := <-sig:
-		log.Printf("hdserve: %v, draining for up to %v", s, *drainTimeout)
+		log.Printf("hdserve: %v, draining for up to %v", s, drainTimeout)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("hdserve: drain: %v", err)
 	}
-	if err := srv.Shutdown(); err != nil {
-		log.Printf("hdserve: flush: %v", err)
-	}
-	if err := idx.Close(); err != nil {
-		log.Printf("hdserve: close: %v", err)
-	}
+	closeFn()
 	log.Print("hdserve: bye")
 	os.Exit(exitCode)
 }
 
-type coordinatorConfig struct {
-	manifestPath   string
-	addr           string
-	drainTimeout   time.Duration
-	maxK           int
-	maxBatch       int
-	subQueryTO     time.Duration
-	retries        int
-	backoffBase    time.Duration
-	backoffMax     time.Duration
-	hedgeDelay     time.Duration
-	noHedge        bool
-	healthInterval time.Duration
-}
-
 // runCoordinator is main for -coordinator mode: no local index, just
 // the scatter-gather layer over the manifest's shard servers.
-func runCoordinator(cfg coordinatorConfig) {
-	if cfg.manifestPath == "" {
+func runCoordinator(manifestPath, addr string, drainTimeout time.Duration, opts cluster.Options) {
+	if manifestPath == "" {
 		log.Fatal("hdserve: -coordinator requires -cluster-manifest")
 	}
-	man, err := cluster.ReadManifest(cfg.manifestPath)
+	man, err := cluster.ReadManifest(manifestPath)
 	if err != nil {
 		log.Fatalf("hdserve: %v", err)
 	}
-	coord, err := cluster.New(man, cluster.Options{
-		MaxAttempts:     cfg.retries,
-		BackoffBase:     cfg.backoffBase,
-		BackoffMax:      cfg.backoffMax,
-		SubQueryTimeout: cfg.subQueryTO,
-		HedgeDelay:      cfg.hedgeDelay,
-		DisableHedging:  cfg.noHedge,
-		HealthInterval:  cfg.healthInterval,
-		MaxK:            cfg.maxK,
-		MaxBatch:        cfg.maxBatch,
-	})
+	coord, err := cluster.New(man, opts)
 	if err != nil {
 		log.Fatalf("hdserve: %v", err)
 	}
@@ -336,36 +316,6 @@ func runCoordinator(cfg coordinatorConfig) {
 		log.Fatalf("hdserve: %v", err)
 	}
 	log.Printf("hdserve: coordinating %d shards (dim %d) from %s",
-		coord.NumShards(), coord.Dim(), cfg.manifestPath)
-
-	httpSrv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("hdserve: coordinator listening on %s", cfg.addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	exitCode := 0
-	select {
-	case err := <-errCh:
-		log.Printf("hdserve: %v", err)
-		exitCode = 1
-	case s := <-sig:
-		log.Printf("hdserve: %v, draining for up to %v", s, cfg.drainTimeout)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("hdserve: drain: %v", err)
-	}
-	coord.Close()
-	log.Print("hdserve: bye")
-	os.Exit(exitCode)
+		coord.NumShards(), coord.Dim(), manifestPath)
+	serve(addr, coord.Handler(), drainTimeout, coord.Close)
 }

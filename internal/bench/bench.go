@@ -39,43 +39,6 @@ type Config struct {
 	K       int     // neighbours for quality metrics where the paper uses 100
 	WorkDir string  // scratch directory for on-disk indexes; "" = temp
 	Seed    int64
-	// Shards builds the snapshot's HD-Index as a manifest-backed
-	// sharded layout with this many shards (0 = one bare single
-	// index). Only the snapshot runner consults it; the paper's
-	// experiment runners always measure the monolithic index.
-	Shards int
-	// BuildScale > 0 adds build-only rows to the snapshot: each
-	// dataset built once at this scale purely for construction-cost
-	// measurement (see Snapshot.Build). Only the snapshot runner
-	// consults it.
-	BuildScale float64
-	// Sweep, when set, walks one per-query knob (alpha or gamma)
-	// across its values on each dataset's already-built index and adds
-	// the recall/latency frontier rows to the snapshot (see
-	// Snapshot.Sweep). Only the snapshot runner consults it.
-	Sweep *SweepSpec
-	// Ingest > 0 adds the mixed insert/search rows to the snapshot:
-	// this many concurrent WAL-durable inserts per dataset with readers
-	// alongside, plus the flush-per-insert comparison (see
-	// Snapshot.Ingest). Only the snapshot runner consults it.
-	Ingest int
-	// Overload adds the admission-control storm rows to the snapshot:
-	// each dataset served over HTTP with admission on, offered ~4× its
-	// sustainable closed-loop rate (see Snapshot.Overload). Only the
-	// snapshot runner consults it.
-	Overload bool
-	// Cluster adds the cluster-serving rows to the snapshot: each
-	// dataset built sharded and served both in-process and as a
-	// coordinator-fronted cluster of per-shard servers, under the same
-	// closed-loop storm (see Snapshot.Cluster). Only the snapshot
-	// runner consults it.
-	Cluster bool
-	// Tiered adds the quality-tier rows to the snapshot: each named
-	// preset (exact/balanced/fast) measured on each dataset's built
-	// index, plus an "auto" row where the SLO tuner picks its own
-	// operating point from a self-measured frontier (see
-	// Snapshot.Tiered). Only the snapshot runner consults it.
-	Tiered bool
 }
 
 func (c *Config) defaults() {

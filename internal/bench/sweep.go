@@ -3,20 +3,21 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/metrics"
-	"github.com/hd-index/hdindex/internal/shard"
 	"github.com/hd-index/hdindex/internal/slo"
 )
 
-// SweepSpec asks the snapshot runner to walk one filter-cascade knob
-// across several values on the SAME built index — the recall/latency
-// frontier that used to require one rebuild per operating point. Only
+// SweepSpec asks RunSweep to walk one filter-cascade knob across
+// several values on the SAME built index — the recall/latency frontier
+// that used to require one rebuild per operating point. Only
 // per-query knobs are sweepable: alpha (leaf candidates per tree) and
 // gamma (per-tree filter output). The alpha sweep holds the paper's
 // α/γ = 4 ratio (§5.2.6), flooring γ at k, so each point moves the
@@ -62,71 +63,44 @@ func ParseSweep(s string) (*SweepSpec, error) {
 	}
 	// Walk the frontier smallest-first so the printed rows read as a
 	// monotone cost curve whatever order the flag listed them in.
-	sort.Ints(spec.Values)
+	slices.Sort(spec.Values)
 	return spec, nil
 }
 
-// String renders the spec back into the flag syntax it was parsed from;
-// it is what SnapshotConfig records.
-func (s *SweepSpec) String() string {
-	if s == nil {
-		return ""
+// RunSweep builds SIFT10K (the first dataset of Table 4) at cfg.Scale
+// as a bare single-index layout, reopens it cold, and walks spec's
+// values over it with per-query overrides — no rebuild between points;
+// the index never notices the knob moving. The result is the artifact
+// internal/slo's tuner loads (`hdbench -sweep-out`, `hdserve
+// -frontier`, `hdtool tune`): one point per value, smallest first, each
+// carrying the full resolved cascade it ran with (echoed from
+// QueryStats) — what a tuner or a request must set to reproduce the
+// point exactly, whichever single knob the sweep nominally walked.
+func RunSweep(cfg Config, spec *SweepSpec) (*slo.Frontier, error) {
+	cfg.defaults()
+	ds, _ := SpecByName("SIFT10K")
+	w := MakeWorkload(ds, cfg)
+	dir := filepath.Join(cfg.WorkDir, "sweep", ds.Name)
+	p := HDParams(ds, len(w.Data.Vectors))
+	p.Seed = cfg.Seed
+	built, err := core.Build(dir, w.Data.Vectors, p)
+	if err != nil {
+		return nil, err
 	}
-	vals := make([]string, len(s.Values))
-	for i, v := range s.Values {
-		vals[i] = strconv.Itoa(v)
+	// Reopen before measuring: the just-built index's buffer pools are
+	// still warm from construction.
+	if err := built.Close(); err != nil {
+		return nil, err
 	}
-	return s.Param + "=" + strings.Join(vals, ",")
-}
-
-// SweepRow is one operating point of the recall/latency frontier: the
-// swept knob's value plus the quality and cost observed at it, measured
-// over the workload's query set on the already-built index.
-type SweepRow struct {
-	Dataset string `json:"dataset"`
-	Param   string `json:"param"`
-	Value   int    `json:"value"`
-	// Alpha/Gamma are the full resolved cascade the point ran with
-	// (echoed from QueryStats) — what a tuner or a request must set to
-	// reproduce this operating point exactly, whichever single knob the
-	// sweep nominally walked.
-	Alpha              int     `json:"alpha,omitempty"`
-	Gamma              int     `json:"gamma,omitempty"`
-	MeanQueryUS        float64 `json:"mean_query_us"`
-	P99QueryUS         float64 `json:"p99_query_us,omitempty"`
-	Recall             float64 `json:"recall"`
-	MAP                float64 `json:"map"`
-	CandidatesPerQuery float64 `json:"candidates_per_query"`
-	PageReadsPerQuery  float64 `json:"page_reads_per_query"`
-}
-
-// Frontier converts sweep rows for one dataset into the artifact
-// internal/slo's tuner loads (`hdbench -sweep-out`).
-func Frontier(rows []SweepRow, dataset string, k int) *slo.Frontier {
-	f := &slo.Frontier{FormatVersion: slo.FrontierFormatVersion, Dataset: dataset, K: k}
-	for _, r := range rows {
-		if r.Dataset != dataset {
-			continue
-		}
-		f.Points = append(f.Points, slo.Point{
-			Alpha:              r.Alpha,
-			Gamma:              r.Gamma,
-			MeanQueryUS:        r.MeanQueryUS,
-			P99QueryUS:         r.P99QueryUS,
-			Recall:             r.Recall,
-			MAP:                r.MAP,
-			CandidatesPerQuery: r.CandidatesPerQuery,
-		})
+	ix, err := core.Open(dir, core.OpenOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return f
-}
+	defer ix.Close()
 
-// sweepDataset walks the spec's values over the open index, issuing the
-// workload's queries with the per-query override — no rebuild between
-// points; the index never notices the knob moving.
-func sweepDataset(ix *shard.Sharded, w *Workload, spec *SweepSpec) ([]SweepRow, error) {
-	rows := make([]SweepRow, 0, len(spec.Values))
+	f := &slo.Frontier{FormatVersion: slo.FrontierFormatVersion, Dataset: ds.Name, K: w.K}
 	ctx := context.Background()
+	nq := float64(len(w.Queries))
 	for _, v := range spec.Values {
 		var o core.SearchOptions
 		switch spec.Param {
@@ -139,44 +113,40 @@ func sweepDataset(ix *shard.Sharded, w *Workload, spec *SweepSpec) ([]SweepRow, 
 			// set. γ floors at k so the point can still return k results.
 			o.Gamma = max(v/4, w.K)
 		}
-		var got [][]uint64
-		var candidates, reads uint64
-		var elapsed time.Duration
-		var effAlpha, effGamma int
+		var pt slo.Point
+		var candidates int
+		got := make([][]uint64, 0, len(w.Queries))
 		perQuery := make([]time.Duration, 0, len(w.Queries))
+		var elapsed time.Duration
 		for _, q := range w.Queries {
+			// Only the Query call is timed — metric bookkeeping must not
+			// inflate the point.
 			t0 := time.Now()
 			res, st, err := ix.Query(ctx, q, w.K, o)
 			d := time.Since(t0)
-			elapsed += d
-			perQuery = append(perQuery, d)
 			if err != nil {
 				return nil, fmt.Errorf("sweep %s=%d: %w", spec.Param, v, err)
 			}
+			elapsed += d
+			perQuery = append(perQuery, d)
 			ids := make([]uint64, len(res))
 			for i, r := range res {
 				ids[i] = r.ID
 			}
 			got = append(got, ids)
-			candidates += uint64(st.Candidates)
-			reads += st.PageReads
-			effAlpha, effGamma = st.Alpha, st.Gamma
+			candidates += st.Candidates
+			pt.Alpha, pt.Gamma = st.Alpha, st.Gamma
 		}
-		sort.Slice(perQuery, func(i, j int) bool { return perQuery[i] < perQuery[j] })
-		nq := float64(len(w.Queries))
-		rows = append(rows, SweepRow{
-			Dataset:            w.Spec.Name,
-			Param:              spec.Param,
-			Value:              v,
-			Alpha:              effAlpha,
-			Gamma:              effGamma,
-			MeanQueryUS:        float64(elapsed.Microseconds()) / nq,
-			P99QueryUS:         float64(exactPercentile(perQuery, 0.99).Nanoseconds()) / 1e3,
-			Recall:             metrics.MeanRecall(got, w.TruthIDs, w.K),
-			MAP:                metrics.MAP(got, w.TruthIDs, w.K),
-			CandidatesPerQuery: float64(candidates) / nq,
-			PageReadsPerQuery:  float64(reads) / nq,
-		})
+		// Nearest-rank p99 (the ⌈0.99·n⌉-th smallest), the convention
+		// the telemetry histograms estimate.
+		slices.Sort(perQuery)
+		p99 := perQuery[int(math.Ceil(0.99*nq))-1]
+		pt.MeanQueryUS = float64(elapsed.Microseconds()) / nq
+		pt.P99QueryUS = float64(p99.Nanoseconds()) / 1e3
+		pt.Recall = metrics.MeanRecall(got, w.TruthIDs, w.K)
+		pt.MAP = metrics.MAP(got, w.TruthIDs, w.K)
+		pt.CandidatesPerQuery = float64(candidates) / nq
+		f.Points = append(f.Points, pt)
 	}
-	return rows, nil
+	return f, nil
 }

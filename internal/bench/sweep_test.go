@@ -25,9 +25,6 @@ func TestParseSweep(t *testing.T) {
 			t.Fatalf("values %v, want %v", spec.Values, want)
 		}
 	}
-	if s := spec.String(); s != "alpha=128,512,2048" {
-		t.Fatalf("String() = %q", s)
-	}
 
 	for _, bad := range []string{"", "alpha", "beta=1,2", "alpha=", "alpha=x", "alpha=0", "alpha=-4", "alpha=8,8"} {
 		if _, err := ParseSweep(bad); err == nil {
@@ -36,92 +33,61 @@ func TestParseSweep(t *testing.T) {
 	}
 }
 
-// The snapshot's sweep rows are the acceptance check of the per-query
-// tuning API: one built index, several alpha operating points, page
-// reads strictly responding to the knob — no rebuild between rows.
-func TestRunSnapshotSweep(t *testing.T) {
-	spec, err := ParseSweep("alpha=64,512")
+// sweepSIFT runs RunSweep at smoke scale.
+func sweepSIFT(t *testing.T, arg string) *slo.Frontier {
+	t.Helper()
+	spec, err := ParseSweep(arg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Scale: 0.05, Queries: 5, K: 10, WorkDir: t.TempDir(), Seed: 42, Sweep: spec}
-	snap, err := RunSnapshot(cfg, []string{"SIFT10K"})
+	f, err := RunSweep(Config{Scale: 0.05, Queries: 5, K: 10, WorkDir: t.TempDir(), Seed: 42}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Config.Sweep != "alpha=64,512" {
-		t.Fatalf("config sweep %q", snap.Config.Sweep)
+	return f
+}
+
+// RunSweep is the acceptance check of the per-query tuning API: one
+// built index, several alpha operating points with no rebuild between
+// them, each carrying the resolved cascade and a p99.
+func TestRunSweep(t *testing.T) {
+	// Listed largest-first: ParseSweep orders the walk smallest-first.
+	f := sweepSIFT(t, "alpha=512,64")
+	if f.FormatVersion != slo.FrontierFormatVersion || f.Dataset != "SIFT10K" || f.K != 10 || len(f.Points) != 2 {
+		t.Fatalf("frontier %+v", f)
 	}
-	if len(snap.Sweep) != 2 {
-		t.Fatalf("%d sweep rows, want 2", len(snap.Sweep))
+	lo, hi := f.Points[0], f.Points[1]
+	// The alpha sweep holds α/γ = 4, flooring γ at k.
+	if lo.Alpha != 64 || lo.Gamma != 16 || hi.Alpha != 512 || hi.Gamma != 128 {
+		t.Fatalf("cascade not echoed: %+v / %+v", lo, hi)
 	}
-	lo, hi := snap.Sweep[0], snap.Sweep[1]
-	if lo.Value != 64 || hi.Value != 512 || lo.Param != "alpha" || lo.Dataset != "SIFT10K" {
-		t.Fatalf("rows %+v / %+v", lo, hi)
-	}
-	for _, row := range snap.Sweep {
-		if row.CandidatesPerQuery <= 0 || row.MeanQueryUS <= 0 {
-			t.Fatalf("row not measured: %+v", row)
+	for _, p := range f.Points {
+		if p.CandidatesPerQuery <= 0 || p.MeanQueryUS <= 0 {
+			t.Fatalf("point not measured: %+v", p)
 		}
-		if row.Recall <= 0 || row.Recall > 1 {
-			t.Fatalf("recall out of range: %+v", row)
+		if p.Recall <= 0 || p.Recall > 1 {
+			t.Fatalf("recall out of range: %+v", p)
+		}
+		if p.P99QueryUS < p.MeanQueryUS/10 {
+			t.Fatalf("point p99 implausible: %+v", p)
 		}
 	}
-	// More leaf candidates per tree can only grow per-query I/O; recall
-	// must not degrade as the cascade widens.
-	if hi.PageReadsPerQuery < lo.PageReadsPerQuery {
-		t.Fatalf("alpha=512 read %v pages/query, alpha=64 read %v", hi.PageReadsPerQuery, lo.PageReadsPerQuery)
+	// A wider cascade can only refine more candidates, and recall must
+	// not degrade as it widens.
+	if hi.CandidatesPerQuery < lo.CandidatesPerQuery {
+		t.Fatalf("alpha=512 refined %v candidates/query, alpha=64 refined %v", hi.CandidatesPerQuery, lo.CandidatesPerQuery)
 	}
 	if hi.Recall < lo.Recall {
 		t.Fatalf("alpha=512 recall %v < alpha=64 recall %v", hi.Recall, lo.Recall)
 	}
 }
 
-// The sweep must also run over a sharded layout (the CI smoke does).
-func TestRunSnapshotSweepSharded(t *testing.T) {
-	spec, err := ParseSweep("gamma=16,64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Scale: 0.05, Queries: 5, K: 10, WorkDir: t.TempDir(), Seed: 42, Shards: 4, Sweep: spec}
-	snap, err := RunSnapshot(cfg, []string{"SIFT10K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Sweep) != 2 {
-		t.Fatalf("%d sweep rows, want 2", len(snap.Sweep))
-	}
-	if snap.Sweep[0].CandidatesPerQuery > snap.Sweep[1].CandidatesPerQuery {
-		t.Fatalf("gamma=16 refined more than gamma=64: %+v", snap.Sweep)
-	}
-}
-
-// Sweep rows must carry the resolved cascade and a p99, and convert
-// into a loadable frontier artifact — the `-sweep-out` path end to end.
+// The swept frontier is a loadable artifact the SLO tuner can resolve
+// a target against — the `-sweep-out` → `hdtool tune` path end to end.
 func TestSweepFrontierArtifact(t *testing.T) {
-	spec, err := ParseSweep("alpha=64,512")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Scale: 0.05, Queries: 5, K: 10, WorkDir: t.TempDir(), Seed: 42, Sweep: spec}
-	snap, err := RunSnapshot(cfg, []string{"SIFT10K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range snap.Sweep {
-		if row.Alpha != row.Value || row.Gamma < cfg.K || row.Gamma > row.Alpha {
-			t.Fatalf("row cascade not echoed: %+v", row)
-		}
-		if row.P99QueryUS < row.MeanQueryUS/10 {
-			t.Fatalf("row p99 implausible: %+v", row)
-		}
-	}
-	f := Frontier(snap.Sweep, "SIFT10K", cfg.K)
+	f := sweepSIFT(t, "alpha=64,512")
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if len(f.Points) != 2 || f.Dataset != "SIFT10K" || f.K != cfg.K {
-		t.Fatalf("frontier %+v", f)
 	}
 	path := filepath.Join(t.TempDir(), "frontier.json")
 	if err := slo.WriteFrontier(path, f); err != nil {
@@ -134,8 +100,28 @@ func TestSweepFrontierArtifact(t *testing.T) {
 	if len(g.Points) != 2 || g.Points[0] != f.Points[0] || g.Points[1] != f.Points[1] {
 		t.Fatalf("round trip mangled: %+v vs %+v", g.Points, f.Points)
 	}
-	// Rows from another dataset are excluded.
-	if other := Frontier(snap.Sweep, "Audio", cfg.K); len(other.Points) != 0 {
-		t.Fatalf("foreign rows leaked: %+v", other.Points)
+	// At this scale alpha=512 covers the whole dataset, so the target
+	// must be satisfiable.
+	target, err := slo.ParseTarget("recall>=0.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner, err := slo.NewTuner(g, slo.Config{Target: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch := tuner.Current(); ch.SLOUnmet || ch.Point.Recall < 0.9 {
+		t.Fatalf("recall>=0.9 unresolved against %+v: %+v", g.Points, ch)
+	}
+}
+
+// A gamma sweep moves γ alone at the built α.
+func TestRunSweepGamma(t *testing.T) {
+	f := sweepSIFT(t, "gamma=16,64")
+	if len(f.Points) != 2 || f.Points[0].Gamma != 16 || f.Points[1].Gamma != 64 || f.Points[0].Alpha != f.Points[1].Alpha {
+		t.Fatalf("points %+v", f.Points)
+	}
+	if f.Points[0].CandidatesPerQuery > f.Points[1].CandidatesPerQuery {
+		t.Fatalf("gamma=16 refined more than gamma=64: %+v", f.Points)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -172,7 +173,8 @@ func TestFaultWALFailureReadOnlyServing(t *testing.T) {
 // deadline-aware queue sheds what it cannot serve in time), and
 // sustained pressure must flip unpinned queries onto the degraded
 // cascade (echoed in stats). Latencies are measured server-side via
-// Server-Timing.
+// Server-Timing; the two latency assertions run only under HD_CHAOS
+// (`make chaos`), the counting ones always.
 func TestOverloadStormShedsFast(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "t", N: 1500, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 42})
 	// BatchWorkers 2 keeps the admitted batch from saturating every
@@ -288,6 +290,28 @@ func TestOverloadStormShedsFast(t *testing.T) {
 	if other.Load() != 0 {
 		t.Fatalf("%d responses were neither clean 200s nor well-formed 503 sheds", other.Load())
 	}
+	if degraded.Load() == 0 {
+		t.Fatal("sustained pressure never produced a degraded-cascade response")
+	}
+
+	var st StatsResponse
+	if err := getJSON(ts.URL+"/stats", &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Admission == nil {
+		t.Fatal("/stats must carry the admission block when admission is on")
+	}
+	if st.Admission.Accepted == 0 || st.Admission.ShedOverload == 0 {
+		t.Fatalf("admission counters: %+v", st.Admission)
+	}
+
+	// The two wall-clock properties depend on what else the machine is
+	// doing, so tier-1 stops at the counts above; `make chaos` sets
+	// HD_CHAOS and runs them.
+	if os.Getenv("HD_CHAOS") == "" {
+		t.Log("HD_CHAOS unset: skipping the shed-latency and accepted-p99 assertions (make chaos runs them)")
+		return
+	}
 	// Shedding must not queue: the decision itself is lock-then-return.
 	// Server-side time still includes the request decode and possible
 	// scheduler preemption while admitted batches burn the CPU (this box
@@ -303,20 +327,6 @@ func TestOverloadStormShedsFast(t *testing.T) {
 	acceptedP99 := okLat[(len(okLat)*99+99)/100-1]
 	if budget := 3 * unloadedP99; acceptedP99 > budget {
 		t.Fatalf("accepted p99 %v exceeds 3× the unloaded p99 (%v); the queue must not grow the accepted tail", acceptedP99, unloadedP99)
-	}
-	if degraded.Load() == 0 {
-		t.Fatal("sustained pressure never produced a degraded-cascade response")
-	}
-
-	var st StatsResponse
-	if err := getJSON(ts.URL+"/stats", &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Admission == nil {
-		t.Fatal("/stats must carry the admission block when admission is on")
-	}
-	if st.Admission.Accepted == 0 || st.Admission.ShedOverload == 0 {
-		t.Fatalf("admission counters: %+v", st.Admission)
 	}
 }
 

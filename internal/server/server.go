@@ -469,13 +469,23 @@ func (s *Server) knobOptions(t api.Tuning) ([]hdindex.QueryOption, error) {
 	return opts, nil
 }
 
+// admitted is what begin hands a search handler: the deadline-bound
+// context, the resolved query options, the preset to echo in stats, and
+// the release the handler must call exactly once when the work
+// finishes (it frees the admission slot and the deadline).
+type admitted struct {
+	ctx    context.Context
+	opts   []hdindex.QueryOption
+	preset hdindex.Preset
+	done   func()
+}
+
 // begin is the part of /search and /searchbatch between validation and
 // the index call: it resolves the request's quality preset into query
 // options, applies the effective deadline, and runs admission with the
 // request's weight (a batch weighs its query count: one huge
 // /searchbatch occupies the limiter like the equivalent run of single
-// searches would). done must be called exactly once when the work
-// finishes; it releases the admission slot and the deadline.
+// searches would).
 //
 // Named presets (exact/balanced/fast) are pinned: their knobs come
 // straight from the preset table and pressure degradation never touches
@@ -487,19 +497,20 @@ func (s *Server) knobOptions(t api.Tuning) ([]hdindex.QueryOption, error) {
 // With the slow-query log armed, stats are requested regardless of the
 // client's wish (the phase breakdown is the log's payload); handlers
 // strip them from the response when not asked for.
-func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, wantStats bool) (
-	ctx context.Context, opts []hdindex.QueryOption, preset hdindex.Preset, done func(), err error) {
-	if preset, err = s.resolvePreset(r, t); err != nil {
-		return nil, nil, "", nil, err
+func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, wantStats bool) (admitted, error) {
+	preset, err := s.resolvePreset(r, t)
+	if err != nil {
+		return admitted{}, err
 	}
 	pinned := preset != hdindex.PresetAuto
+	var opts []hdindex.QueryOption
 	if pinned {
 		opts, err = s.idx.PresetOptions(preset, k)
 	} else {
 		opts, err = s.knobOptions(t)
 	}
 	if err != nil {
-		return nil, nil, "", nil, err
+		return admitted{}, err
 	}
 	if wantStats || s.cfg.SlowQueryThreshold > 0 {
 		opts = append(opts, hdindex.WithStats())
@@ -508,12 +519,12 @@ func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, 
 	release, err := s.admit(ctx, r, weight)
 	if err != nil {
 		cancel()
-		return nil, nil, "", nil, err
+		return admitted{}, err
 	}
 	if !pinned {
 		opts = s.autoOptions(opts, t, k)
 	}
-	return ctx, opts, preset, func() { release(); cancel() }, nil
+	return admitted{ctx: ctx, opts: opts, preset: preset, done: func() { release(); cancel() }}, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -527,17 +538,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, erro
 	if err := api.ValidateK(req.K, s.cfg.MaxK); err != nil {
 		return nil, err
 	}
-	ctx, opts, preset, done, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, 1, req.Stats)
+	a, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, 1, req.Stats)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer a.done()
 	if s.tuner != nil {
 		s.tuner.Record(req.Query)
 	}
 
 	start := time.Now()
-	resp, err := s.idx.Query(ctx, req.Query, req.K, opts...)
+	resp, err := s.idx.Query(a.ctx, req.Query, req.K, a.opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +559,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, erro
 	}
 	out := api.SearchResponse{Results: api.ToResults(resp.Results)}
 	if req.Stats {
-		out.Stats = statsJSON(resp.Stats, preset)
+		out.Stats = statsJSON(resp.Stats, a.preset)
 	}
 	return out, nil
 }
@@ -605,14 +616,14 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any,
 	if err := api.ValidateK(req.K, s.cfg.MaxK); err != nil {
 		return nil, err
 	}
-	ctx, opts, preset, done, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, len(req.Queries), req.Stats)
+	a, err := s.begin(r, req.Tuning, req.K, req.TimeoutMs, len(req.Queries), req.Stats)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer a.done()
 
 	start := time.Now()
-	res, err := s.idx.QueryBatch(ctx, req.Queries, req.K, opts...)
+	res, err := s.idx.QueryBatch(a.ctx, req.Queries, req.K, a.opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +655,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any,
 	for i, rs := range res {
 		out.Results[i] = api.ToResults(rs.Results)
 		if req.Stats {
-			out.Stats[i] = statsJSON(rs.Stats, preset)
+			out.Stats[i] = statsJSON(rs.Stats, a.preset)
 		}
 	}
 	return out, nil

@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/wal/... ./internal/core/... ./internal/server/... ./internal/shard/... ./internal/fanout/... ./internal/pager/... ./internal/vecstore/... ./internal/telemetry/... ./internal/admission/... ./internal/api/... ./internal/iofault/... ./internal/slo/...
+	$(GO) test -race ./...
 
 # SIGKILL a live hdserve mid-insert-storm and prove recovery loses no
 # acknowledged write (the crash-recovery CI job). Rounds default to 3;

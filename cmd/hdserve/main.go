@@ -28,162 +28,172 @@
 // build to its ordered replica endpoints (each a stock hdserve holding
 // one shard directory), and answers /search and /searchbatch by
 // scatter-gathering over them — with retries, failover, hedged
-// requests, and active health checking. See internal/cluster.
+// requests, and active health checking. See internal/cluster. The two
+// modes have separate flag sets (hdserve -h, hdserve -coordinator -h).
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"syscall"
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/cluster"
 	"github.com/hd-index/hdindex/internal/server"
 	"github.com/hd-index/hdindex/internal/shard"
 	"github.com/hd-index/hdindex/internal/slo"
 )
 
-func main() {
-	var (
-		indexDir     = flag.String("index", "", "directory of a built index (required unless -coordinator)")
-		addr         = flag.String("addr", ":8080", "listen address")
-		parallel     = flag.Bool("parallel", true, "search the index's trees concurrently")
-		batchWorkers = flag.Int("batch-workers", 0, "bound on concurrent queries per /searchbatch request (0 = GOMAXPROCS)")
-		queryTimeout = flag.Duration("query-timeout", 2*time.Second, "default per-request search deadline (0 = none)")
-		maxK         = flag.Int("max-k", 1000, "largest accepted k")
-		maxBatch     = flag.Int("max-batch", 4096, "largest accepted /searchbatch size")
-		readOnly     = flag.Bool("readonly", false, "reject /insert and /delete")
-		walSync      = flag.Duration("wal-sync", 0, "WAL fsync cadence: 0 group-commits every write, >0 acks after the page-cache write and fsyncs on this interval")
-		memtableMax  = flag.Int("memtable-max", 0, "memtable vectors before a background compaction folds them into the trees (0 = 4096)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "shutdown grace period for in-flight requests")
-		slowQueryMs  = flag.Int("slow-query-ms", 0, "log a structured slow-query record with the per-phase breakdown for searches slower than this (0 = off)")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
+// config is what the command line decides: the mode, and the option
+// structs of the packages that consume the flags. Every flag is bound
+// straight into the field that uses it, and a zero field means the
+// owning package's default.
+type config struct {
+	coordinator  bool
+	addr         string
+	drainTimeout time.Duration
 
-		maxInflight     = flag.Int("max-inflight", 0, "admitted requests executing at once; excess queue and shed with 503 (0 = unlimited)")
-		maxQueue        = flag.Int("max-queue", 0, "admission queue depth before instant shedding (0 = 4x max-inflight)")
-		tenantRPS       = flag.Float64("tenant-rps", 0, "per-tenant (X-Tenant header) sustained requests/sec; over-budget tenants get 429 (0 = off)")
-		tenantBurst     = flag.Float64("tenant-burst", 0, "per-tenant burst allowance above -tenant-rps (0 = 2x rate)")
-		degradePressure = flag.Float64("degrade-pressure", 0, "expected queue wait in seconds beyond which unpinned queries run the cheap cascade (0 = default when admission is on)")
+	// Serve mode.
+	indexDir string
+	index    hdindex.Options
+	server   server.Config
 
-		defaultPreset  = flag.String("preset", "", "server default quality preset for requests naming none: exact, balanced, fast, or auto (default auto)")
-		tiersPath      = flag.String("tiers", "", "tenant tier config file mapping X-Tenant values to a preset and admission shares")
-		sloTarget      = flag.String("slo", "", `SLO target the auto-tuner holds, e.g. "recall>=0.98" or "p99<=2ms" (requires -frontier)`)
-		frontierPath   = flag.String("frontier", "", "recall/latency frontier artifact from hdbench -sweep -sweep-out (required with -slo)")
-		retuneInterval = flag.Duration("retune-interval", 0, "how often the tuner re-evaluates its operating point (0 = 30s)")
-		remeasureEvery = flag.Duration("remeasure-interval", 0, "how often the tuner replays sampled queries to refresh the frontier (0 = 10m, negative = never)")
+	// Coordinator mode.
+	manifestPath string
+	cluster      cluster.Options
+}
 
-		coordinator     = flag.Bool("coordinator", false, "serve as a cluster coordinator over -cluster-manifest instead of a local index")
-		clusterManifest = flag.String("cluster-manifest", "", "cluster manifest path (coordinator mode; required with -coordinator)")
-		retries         = flag.Int("retries", 0, "coordinator: replica attempts per sub-query (0 = 4)")
-		backoffBase     = flag.Duration("backoff", 0, "coordinator: initial retry backoff, doubled per attempt with jitter (0 = 5ms)")
-		backoffMax      = flag.Duration("backoff-max", 0, "coordinator: retry backoff ceiling (0 = 250ms)")
-		hedgeDelay      = flag.Duration("hedge-delay", 0, "coordinator: fixed hedge trigger; 0 adapts to the windowed p99 of sub-query latency")
-		noHedge         = flag.Bool("no-hedge", false, "coordinator: disable hedged requests")
-		healthInterval  = flag.Duration("health-interval", 0, "coordinator: replica health-check cadence (0 = 500ms, negative disables)")
-	)
-	flag.Parse()
-	if *coordinator {
-		runCoordinator(*clusterManifest, *addr, *drainTimeout, cluster.Options{
-			MaxAttempts:     *retries,
-			BackoffBase:     *backoffBase,
-			BackoffMax:      *backoffMax,
-			SubQueryTimeout: *queryTimeout,
-			HedgeDelay:      *hedgeDelay,
-			DisableHedging:  *noHedge,
-			HealthInterval:  *healthInterval,
-			MaxK:            *maxK,
-			MaxBatch:        *maxBatch,
-		})
-		return
+// parseFlags reads the command line of one mode. -coordinator anywhere
+// on it selects the coordinator's flag set, otherwise the server's; a
+// flag of the other mode is the flag package's "provided but not
+// defined" error. Every failure has been reported on stderr by the time
+// it is returned (flag.ErrHelp after printing the usage).
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	c := config{
+		coordinator: slices.Contains(args, "-coordinator") || slices.Contains(args, "--coordinator"),
+		// One query's trees are always searched concurrently.
+		index: hdindex.Options{Parallel: true},
 	}
-	for _, f := range []struct {
-		set  bool
-		name string
-	}{
-		{*clusterManifest != "", "-cluster-manifest"},
-		{*retries != 0, "-retries"},
-		{*backoffBase != 0, "-backoff"},
-		{*backoffMax != 0, "-backoff-max"},
-		{*hedgeDelay != 0, "-hedge-delay"},
-		{*noHedge, "-no-hedge"},
-		{*healthInterval != 0, "-health-interval"},
-	} {
-		if f.set {
-			log.Fatalf("hdserve: %s only applies with -coordinator", f.name)
+	if err := c.flagSet(stderr).Parse(args); err != nil {
+		return c, err
+	}
+	var err error
+	switch {
+	case c.coordinator:
+		if c.manifestPath == "" {
+			err = errors.New("-coordinator requires -cluster-manifest")
 		}
+	case c.indexDir == "":
+		err = errors.New("-index is required")
+	case c.server.SLO != nil && c.server.Frontier == nil:
+		err = errors.New("-slo requires -frontier (write one with hdbench -sweep ... -sweep-out)")
+	case c.server.SLO == nil && c.server.Frontier != nil:
+		err = errors.New("-frontier only applies with -slo")
 	}
-	if *indexDir == "" {
-		log.Fatal("hdserve: -index is required")
+	if err != nil {
+		fmt.Fprintf(stderr, "hdserve: %v\n", err)
 	}
+	return c, err
+}
 
-	// Quality-tier and SLO config is validated before touching the
-	// index: a typo'd preset or a stale frontier path must fail fast,
-	// not after a multi-second open.
-	var preset hdindex.Preset
-	if *defaultPreset != "" {
-		p, err := hdindex.ParsePreset(*defaultPreset)
-		if err != nil {
-			log.Fatalf("hdserve: -preset: %v", err)
-		}
-		preset = p
+// flagSet declares the flags of c's mode, each bound to the field of c
+// that consumes it.
+func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("hdserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprint(stderr, "Usage:\n  hdserve -index DIR [flags]\n  hdserve -coordinator -cluster-manifest FILE [flags]   (flags: hdserve -coordinator -h)\n\nFlags of this mode:\n")
+		fs.PrintDefaults()
 	}
-	var tiers *slo.TierConfig
-	if *tiersPath != "" {
-		t, err := slo.ReadTierConfig(*tiersPath)
-		if err != nil {
-			log.Fatalf("hdserve: -tiers: %v", err)
-		}
-		tiers = t
-	}
-	var target *slo.Target
-	var frontier *slo.Frontier
-	if *sloTarget != "" {
-		if *frontierPath == "" {
-			log.Fatal("hdserve: -slo requires -frontier (write one with hdbench -sweep ... -sweep-out)")
-		}
-		tg, err := slo.ParseTarget(*sloTarget)
-		if err != nil {
-			log.Fatalf("hdserve: -slo: %v", err)
-		}
-		target = &tg
-		frontier, err = slo.ReadFrontier(*frontierPath)
-		if err != nil {
-			log.Fatalf("hdserve: -frontier: %v", err)
-		}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "shutdown grace period for in-flight requests")
+	maxK, maxBatch := &c.server.MaxK, &c.server.MaxBatch
+	if c.coordinator {
+		maxK, maxBatch = &c.cluster.MaxK, &c.cluster.MaxBatch
+		fs.Bool("coordinator", false, "selects this mode: coordinate the shard servers of -cluster-manifest instead of serving a local index")
+		fs.StringVar(&c.manifestPath, "cluster-manifest", "", "cluster manifest path (required)")
+		fs.DurationVar(&c.cluster.SubQueryTimeout, "query-timeout", 2*time.Second, "deadline of one sub-query attempt against one replica (0 = 5s, not unlimited)")
+		fs.DurationVar(&c.cluster.HealthInterval, "health-interval", 0, "replica health-check cadence (0 = 500ms, negative disables)")
 	} else {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*frontierPath != "", "-frontier"},
-			{*retuneInterval != 0, "-retune-interval"},
-			{*remeasureEvery != 0, "-remeasure-interval"},
-		} {
-			if f.set {
-				log.Fatalf("hdserve: %s only applies with -slo", f.name)
-			}
-		}
-	}
+		fs.StringVar(&c.indexDir, "index", "", "directory of a built index (required)")
+		fs.DurationVar(&c.server.QueryTimeout, "query-timeout", 2*time.Second, "default per-request search deadline (0 = none)")
+		fs.BoolVar(&c.server.ReadOnly, "readonly", false, "reject /insert and /delete")
+		fs.DurationVar(&c.index.WALSyncInterval, "wal-sync", 0, "WAL fsync cadence: 0 group-commits every write, >0 acks after the page-cache write and fsyncs on this interval")
+		fs.IntVar(&c.index.MemtableMaxVectors, "memtable-max", 0, "memtable vectors before a background compaction folds them into the trees (0 = 4096)")
+		fs.Func("slow-query-ms", "log a structured slow-query record with the per-phase breakdown for searches slower than this many milliseconds (0 = off)", func(v string) error {
+			ms, err := strconv.Atoi(v)
+			c.server.SlowQueryThreshold = time.Duration(ms) * time.Millisecond
+			return err
+		})
+		fs.BoolVar(&c.server.Pprof, "pprof", false, "expose net/http/pprof under GET /debug/pprof/")
 
-	idx, err := hdindex.Open(*indexDir, hdindex.Options{
-		Parallel:           *parallel,
-		BatchWorkers:       *batchWorkers,
-		WALSyncInterval:    *walSync,
-		MemtableMaxVectors: *memtableMax,
-	})
+		fs.IntVar(&c.server.Admission.MaxInflight, "max-inflight", 0, "admitted requests executing at once; excess queue (4x this deep) and shed with 503 (0 = unlimited)")
+		fs.Float64Var(&c.server.Admission.TenantRPS, "tenant-rps", 0, "per-tenant (X-Tenant header) sustained requests/sec with a 2x burst; over-budget tenants get 429 (0 = off)")
+		fs.Float64Var(&c.server.Admission.DegradePressure, "degrade-pressure", 0, "expected queue wait in seconds beyond which unpinned queries run the cheap cascade (0 = off)")
+
+		// Quality-tier and SLO files are read while parsing: a typo'd
+		// preset or a stale frontier path must fail before a
+		// multi-second index open, not after.
+		fs.Func("preset", "server default quality preset for requests naming none: exact, balanced, fast, or auto (default auto)", func(v string) (err error) {
+			c.server.DefaultPreset, err = hdindex.ParsePreset(v)
+			return err
+		})
+		fs.Func("tiers", "tenant tier config file mapping X-Tenant values to a preset and admission shares", func(path string) (err error) {
+			c.server.Tiers, err = slo.ReadTierConfig(path)
+			return err
+		})
+		fs.Func("slo", `SLO target the auto-tuner holds, e.g. "recall>=0.98" or "p99<=2ms" (requires -frontier)`, func(v string) error {
+			target, err := slo.ParseTarget(v)
+			if err == nil {
+				c.server.SLO = &target
+			}
+			return err
+		})
+		fs.Func("frontier", "recall/latency frontier artifact from hdbench -sweep -sweep-out (required with -slo)", func(path string) (err error) {
+			c.server.Frontier, err = slo.ReadFrontier(path)
+			return err
+		})
+	}
+	fs.IntVar(maxK, "max-k", api.DefaultMaxK, "largest accepted k")
+	fs.IntVar(maxBatch, "max-batch", api.DefaultMaxBatch, "largest accepted /searchbatch size")
+	return fs
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2) // parseFlags has said why
+	case c.coordinator:
+		runCoordinator(c)
+	default:
+		runServer(c)
+	}
+}
+
+// runServer is main for the default mode: open the index and serve it.
+func runServer(c config) {
+	idx, err := hdindex.Open(c.indexDir, c.index)
 	if err != nil {
 		log.Fatalf("hdserve: open index: %v", err)
 	}
 	// No defer: every exit path below ends in os.Exit, so the index is
 	// closed explicitly after the drain.
 	log.Printf("hdserve: opened %s: %d vectors, %d dims, %.1f MB on disk",
-		*indexDir, idx.Count(), idx.Dim(), float64(idx.SizeOnDisk())/(1<<20))
+		c.indexDir, idx.Count(), idx.Dim(), float64(idx.SizeOnDisk())/(1<<20))
 	// Replay happens on any open with an uncompacted WAL tail — after a
 	// crash, but also after a clean shutdown whose memtable had not hit
 	// the compaction threshold yet. Both are normal.
@@ -200,47 +210,25 @@ func main() {
 	// exposing it on /healthz and /stats lets a cluster coordinator
 	// verify at startup that this endpoint serves the shard its manifest
 	// claims. Absent (standalone index) is fine; unreadable is not.
-	identity, err := shard.ReadIdentity(*indexDir)
+	c.server.Identity, err = shard.ReadIdentity(c.indexDir)
 	if err != nil {
 		log.Fatalf("hdserve: read shard identity: %v", err)
 	}
-	if identity != nil {
-		log.Printf("hdserve: serving shard %d of %d (cluster %s)",
-			identity.Shard, identity.Shards, identity.ClusterUUID)
+	if id := c.server.Identity; id != nil {
+		log.Printf("hdserve: serving shard %d of %d (cluster %s)", id.Shard, id.Shards, id.ClusterUUID)
 	}
 
-	srv := server.New(idx, server.Config{
-		QueryTimeout:       *queryTimeout,
-		Identity:           identity,
-		MaxK:               *maxK,
-		MaxBatch:           *maxBatch,
-		ReadOnly:           *readOnly,
-		SlowQueryThreshold: time.Duration(*slowQueryMs) * time.Millisecond,
-		Pprof:              *pprofOn,
-		MaxInflight:        *maxInflight,
-		MaxQueue:           *maxQueue,
-		TenantRPS:          *tenantRPS,
-		TenantBurst:        *tenantBurst,
-		DegradePressure:    *degradePressure,
-		DefaultPreset:      preset,
-		Tiers:              tiers,
-		SLO:                target,
-		Frontier:           frontier,
-		RetuneInterval:     *retuneInterval,
-		RemeasureInterval:  *remeasureEvery,
-	})
-	if target != nil {
-		log.Printf("hdserve: SLO tuner holding %s over %d frontier points (%s)",
-			target, len(frontier.Points), *frontierPath)
+	srv := server.New(idx, c.server)
+	if c.server.SLO != nil {
+		log.Printf("hdserve: SLO tuner holding %s over %d frontier points", c.server.SLO, len(c.server.Frontier.Points))
 	}
-	if tiers != nil {
-		log.Printf("hdserve: %d tenant tiers over %d mapped tenants (%s)",
-			len(tiers.Tiers), len(tiers.Tenants), *tiersPath)
+	if t := c.server.Tiers; t != nil {
+		log.Printf("hdserve: %d tenant tiers over %d mapped tenants", len(t.Tiers), len(t.Tenants))
 	}
-	if *pprofOn {
+	if c.server.Pprof {
 		log.Print("hdserve: pprof enabled at /debug/pprof/")
 	}
-	serve(*addr, srv.Handler(), *drainTimeout, func() {
+	serve(c.addr, srv.Handler(), c.drainTimeout, func() {
 		if err := srv.Shutdown(); err != nil {
 			log.Printf("hdserve: flush: %v", err)
 		}
@@ -293,15 +281,12 @@ func serve(addr string, handler http.Handler, drainTimeout time.Duration, closeF
 
 // runCoordinator is main for -coordinator mode: no local index, just
 // the scatter-gather layer over the manifest's shard servers.
-func runCoordinator(manifestPath, addr string, drainTimeout time.Duration, opts cluster.Options) {
-	if manifestPath == "" {
-		log.Fatal("hdserve: -coordinator requires -cluster-manifest")
-	}
-	man, err := cluster.ReadManifest(manifestPath)
+func runCoordinator(c config) {
+	man, err := cluster.ReadManifest(c.manifestPath)
 	if err != nil {
 		log.Fatalf("hdserve: %v", err)
 	}
-	coord, err := cluster.New(man, opts)
+	coord, err := cluster.New(man, c.cluster)
 	if err != nil {
 		log.Fatalf("hdserve: %v", err)
 	}
@@ -316,6 +301,6 @@ func runCoordinator(manifestPath, addr string, drainTimeout time.Duration, opts 
 		log.Fatalf("hdserve: %v", err)
 	}
 	log.Printf("hdserve: coordinating %d shards (dim %d) from %s",
-		coord.NumShards(), coord.Dim(), manifestPath)
-	serve(addr, coord.Handler(), drainTimeout, coord.Close)
+		coord.NumShards(), coord.Dim(), c.manifestPath)
+	serve(c.addr, coord.Handler(), c.drainTimeout, coord.Close)
 }

@@ -80,26 +80,24 @@ type Config struct {
 	// drain time) above which ShouldDegrade turns on. Crossings latch
 	// for degradeHold so degradation covers the burst.
 	DegradePressure float64
-	// TenantPolicy, when set, resolves a tenant to its own admission
-	// budget (the serving layer derives it from the tier config: base
-	// knobs × tier shares). Zero fields of the returned budget inherit
-	// the base TenantRPS/TenantBurst; it is consulted once per tenant,
-	// on first sight.
-	TenantPolicy func(tenant string) TenantBudget
+	// TenantPolicy, when set, resolves a tenant to its tier's shares of
+	// the budget above (the serving layer reads them from the tier
+	// config). It is consulted once per tenant, on first sight.
+	TenantPolicy func(tenant string) TenantShares
 }
 
-// TenantBudget is one tenant's admission budget. Zero fields inherit
-// the controller's base knobs.
-type TenantBudget struct {
-	// RPS is the tenant's sustained accepted-request rate.
-	RPS float64
-	// Burst is the tenant's bucket depth.
-	Burst float64
-	// MaxInflight caps the tenant's in-flight plus queued weight; a
-	// request that would exceed it is shed instantly with
-	// "tenant_throttled" (0 = uncapped). This is the tier isolation
+// TenantShares scales the controller's base budget for one tenant; the
+// controller does the arithmetic, so the defaults it fills in (queue
+// depth, burst) have no second copy. Zero fields inherit the base.
+type TenantShares struct {
+	// RPS and Burst scale TenantRPS and TenantBurst.
+	RPS, Burst float64
+	// MaxInflight caps the tenant's in-flight plus queued weight at this
+	// fraction of the controller's whole capacity (MaxInflight +
+	// MaxQueue), at least 1; a request that would exceed it is shed
+	// instantly with "tenant_throttled". This is the tier isolation
 	// lever: a batch tier at a small cap cannot fill the shared queue.
-	MaxInflight int
+	MaxInflight float64
 }
 
 // Stats is a point-in-time view of the controller for /stats, /metrics
@@ -147,8 +145,8 @@ type waiter struct {
 }
 
 // tenantState is everything the controller tracks per tenant: the
-// token bucket (with per-tenant rate/burst when a TenantPolicy set
-// them), the in-flight+queued load against the tenant's cap, and the
+// token bucket (base rate/burst scaled by the TenantPolicy's shares),
+// the in-flight+queued load against the tenant's cap, and the
 // per-tenant outcome counters behind Stats.Tenants.
 type tenantState struct {
 	rps     float64
@@ -188,9 +186,8 @@ func (ts *tenantState) subLoad(weight int) {
 // Controller implements admission control. Construct with New; a nil
 // Controller admits everything.
 type Controller struct {
-	cfg      Config
-	maxQueue int
-	now      func() time.Time // test seam
+	cfg Config           // MaxQueue and TenantBurst hold their resolved defaults
+	now func() time.Time // test seam
 
 	mu       sync.Mutex
 	inflight int
@@ -232,13 +229,12 @@ func New(cfg Config) *Controller {
 	c := &Controller{cfg: cfg, now: time.Now}
 	// Through c.now, not a copy of it: tests swap the clock after New.
 	c.lat = telemetry.NewWindowedP99(func() time.Time { return c.now() })
-	if cfg.MaxInflight > 0 {
-		c.maxQueue = cfg.MaxQueue
-		if c.maxQueue <= 0 {
-			c.maxQueue = 4 * cfg.MaxInflight
-		}
+	if cfg.MaxInflight <= 0 {
+		c.cfg.MaxQueue = 0 // nothing queues without a limiter
+	} else if cfg.MaxQueue <= 0 {
+		c.cfg.MaxQueue = 4 * cfg.MaxInflight
 	}
-	if cfg.TenantRPS > 0 && c.cfg.TenantBurst <= 0 {
+	if cfg.TenantRPS > 0 && cfg.TenantBurst <= 0 {
 		c.cfg.TenantBurst = max(2*cfg.TenantRPS, 1)
 	}
 	if cfg.TenantRPS > 0 || cfg.TenantPolicy != nil {
@@ -259,19 +255,16 @@ func (c *Controller) tenantFor(tenant string) *tenantState {
 	if ts == nil {
 		ts = &tenantState{rps: c.cfg.TenantRPS, burst: c.cfg.TenantBurst, last: c.now()}
 		if c.cfg.TenantPolicy != nil {
-			b := c.cfg.TenantPolicy(tenant)
-			if b.RPS > 0 {
-				ts.rps = b.RPS
+			sh := c.cfg.TenantPolicy(tenant)
+			if sh.RPS > 0 {
+				ts.rps *= sh.RPS
 			}
-			if b.Burst > 0 {
-				ts.burst = b.Burst
+			if sh.Burst > 0 {
+				ts.burst *= sh.Burst
 			}
-			if b.MaxInflight > 0 {
-				ts.maxLoad = b.MaxInflight
+			if capacity := c.cfg.MaxInflight + c.cfg.MaxQueue; sh.MaxInflight > 0 && capacity > 0 {
+				ts.maxLoad = max(int(float64(capacity)*sh.MaxInflight), 1)
 			}
-		}
-		if ts.rps > 0 && ts.burst <= 0 {
-			ts.burst = max(2*ts.rps, 1)
 		}
 		ts.tokens = ts.burst
 		c.tenants[tenant] = ts
@@ -354,7 +347,7 @@ func (c *Controller) Acquire(ctx context.Context, tenant string, weight int) (re
 			c.armDegrade()
 		}
 	}
-	if c.queued+weight > c.maxQueue {
+	if c.queued+weight > c.cfg.MaxQueue {
 		c.mu.Unlock()
 		c.shedOverload.Add(1)
 		if ts != nil {
@@ -521,11 +514,11 @@ func (c *Controller) Overloaded() bool {
 	if c == nil {
 		return false
 	}
-	if c.maxQueue > 0 {
+	if c.cfg.MaxQueue > 0 {
 		c.mu.Lock()
 		queued := c.queued
 		c.mu.Unlock()
-		if queued*10 >= c.maxQueue*9 {
+		if queued*10 >= c.cfg.MaxQueue*9 {
 			return true
 		}
 	}
@@ -551,7 +544,7 @@ func (c *Controller) Stats() Stats {
 		Inflight:     inflight,
 		Queued:       queued,
 		MaxInflight:  c.cfg.MaxInflight,
-		MaxQueue:     c.maxQueue,
+		MaxQueue:     c.cfg.MaxQueue,
 		Pressure:     c.Pressure(),
 		P99Millis:    c.lat.P99NS() / 1e6,
 		Degraded:     c.ShouldDegrade(),

@@ -382,14 +382,14 @@ func TestTenantPolicyBudgets(t *testing.T) {
 	c := New(Config{
 		TenantRPS:   100,
 		TenantBurst: 10,
-		TenantPolicy: func(tenant string) TenantBudget {
+		TenantPolicy: func(tenant string) TenantShares {
 			switch tenant {
 			case "batch":
-				return TenantBudget{RPS: 5, Burst: 1}
+				return TenantShares{RPS: 0.05, Burst: 0.1} // 5 req/s, burst 1
 			case "premium":
-				return TenantBudget{RPS: 1000, Burst: 100}
+				return TenantShares{RPS: 10, Burst: 10} // 1000 req/s, burst 100
 			}
-			return TenantBudget{} // inherit base
+			return TenantShares{} // inherit base
 		},
 	})
 	ctx := context.Background()
@@ -428,11 +428,11 @@ func TestTenantPolicyBudgets(t *testing.T) {
 func TestTenantInflightCap(t *testing.T) {
 	c := New(Config{
 		MaxInflight: 10,
-		TenantPolicy: func(tenant string) TenantBudget {
+		TenantPolicy: func(tenant string) TenantShares {
 			if tenant == "capped" {
-				return TenantBudget{MaxInflight: 2}
+				return TenantShares{MaxInflight: 0.04} // 2 of the 10 + 40 capacity
 			}
-			return TenantBudget{}
+			return TenantShares{}
 		},
 	})
 	ctx := context.Background()

@@ -328,9 +328,22 @@ func DecodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// The request caps of a server or coordinator whose configuration
+// leaves them unset — the only copy: hdserve's flags default to them
+// and ValidateK/ValidateQueries fall back to them. MaxBodyBytes bounds
+// every request body and relayed shard reply ahead of any decoding.
+const (
+	DefaultMaxK     = 1000
+	DefaultMaxBatch = 4096
+	MaxBodyBytes    = 64 << 20
+)
+
 // ValidateK checks the requested neighbour count against the server's
-// cap.
+// cap (<= 0 means DefaultMaxK).
 func ValidateK(k, maxK int) error {
+	if maxK <= 0 {
+		maxK = DefaultMaxK
+	}
 	if k < 1 {
 		return BadRequest("", "k must be >= 1, got %d", k)
 	}
@@ -353,8 +366,12 @@ func ValidateQuery(name string, q []float32, dim int) error {
 }
 
 // ValidateQueries checks a batch: non-empty, within the server's batch
-// cap, every query of the indexed dimensionality.
+// cap (<= 0 means DefaultMaxBatch), every query of the indexed
+// dimensionality.
 func ValidateQueries(queries [][]float32, maxBatch, dim int) error {
+	if maxBatch <= 0 {
+		maxBatch = DefaultMaxBatch
+	}
 	if len(queries) == 0 {
 		return BadRequest("", "queries must be non-empty")
 	}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/telemetry"
 )
 
@@ -36,31 +37,27 @@ type Options struct {
 	// HedgeDelay fixes the hedging trigger: a sub-query outliving it
 	// fires the same request at the next replica, first answer wins.
 	// 0 (the default) adapts: the delay is the windowed p99 of recent
-	// successful sub-query latency, clamped to [HedgeMinDelay,
-	// HedgeMaxDelay].
+	// successful sub-query latency, clamped to [hedgeMinDelay,
+	// hedgeMaxDelay].
 	HedgeDelay time.Duration
-	// HedgeMinDelay and HedgeMaxDelay clamp the adaptive delay
-	// (defaults 2ms, 200ms); the max is also used while the latency
-	// window is still empty.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
 	// DisableHedging turns hedged requests off entirely.
 	DisableHedging bool
 	// HealthInterval is the active health-check cadence (default
 	// 500ms). Negative disables active probing — replica states then
 	// move only on sub-query outcomes.
 	HealthInterval time.Duration
-	// MaxK and MaxBatch mirror the shard servers' request caps
-	// (defaults 1000, 4096).
+	// MaxK and MaxBatch mirror the shard servers' request caps (0 = the
+	// internal/api defaults).
 	MaxK     int
 	MaxBatch int
-	// Transport overrides the HTTP transport (test seam; nil uses a
-	// pooled transport sized for the fan-out).
-	Transport http.RoundTripper
-	// Logger receives replica state transitions and rejections; nil
-	// uses slog.Default().
-	Logger *slog.Logger
 }
+
+// hedgeMinDelay and hedgeMaxDelay clamp the adaptive hedge delay; the
+// max also applies while the latency window is still empty.
+const (
+	hedgeMinDelay = 2 * time.Millisecond
+	hedgeMaxDelay = 200 * time.Millisecond
+)
 
 func (o *Options) defaults() {
 	if o.MaxAttempts <= 0 {
@@ -75,23 +72,8 @@ func (o *Options) defaults() {
 	if o.SubQueryTimeout <= 0 {
 		o.SubQueryTimeout = 5 * time.Second
 	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = 2 * time.Millisecond
-	}
-	if o.HedgeMaxDelay <= 0 {
-		o.HedgeMaxDelay = 200 * time.Millisecond
-	}
 	if o.HealthInterval == 0 {
 		o.HealthInterval = 500 * time.Millisecond
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 1000
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4096
-	}
-	if o.Logger == nil {
-		o.Logger = slog.Default()
 	}
 }
 
@@ -174,15 +156,12 @@ func New(man *Manifest, opts Options) (*Coordinator, error) {
 		healthDone: make(chan struct{}),
 		subq:       telemetry.NewWindowedP99(time.Now),
 	}
-	transport := opts.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     60 * time.Second,
-		}
-	}
-	c.client = &http.Client{Transport: transport}
+	// A pooled transport sized for the fan-out.
+	c.client = &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        64,
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     60 * time.Second,
+	}}
 	c.shards = make([][]*replica, len(man.Shards))
 	for i, s := range man.Shards {
 		c.shards[i] = make([]*replica, len(s.Replicas))
@@ -202,9 +181,7 @@ func New(man *Manifest, opts Options) (*Coordinator, error) {
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { close(c.healthStop) })
 	<-c.healthDone
-	if t, ok := c.client.Transport.(*http.Transport); ok {
-		t.CloseIdleConnections()
-	}
+	c.client.CloseIdleConnections()
 }
 
 // NumShards returns the cluster's shard count.
@@ -239,7 +216,7 @@ func (c *Coordinator) Stats() Stats {
 
 // hedgeDelay returns the delay after which a slow sub-query is hedged:
 // the configured constant, or the windowed p99 of recent successful
-// sub-query latency clamped to [HedgeMinDelay, HedgeMaxDelay]. While
+// sub-query latency clamped to [hedgeMinDelay, hedgeMaxDelay]. While
 // the window is empty (cold start) the max applies — hedging too
 // eagerly before any latency is known would double every request.
 func (c *Coordinator) hedgeDelay() time.Duration {
@@ -248,9 +225,9 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	}
 	p99 := time.Duration(c.subq.P99NS())
 	if p99 == 0 {
-		return c.opts.HedgeMaxDelay
+		return hedgeMaxDelay
 	}
-	return min(max(p99, c.opts.HedgeMinDelay), c.opts.HedgeMaxDelay)
+	return min(max(p99, hedgeMinDelay), hedgeMaxDelay)
 }
 
 // ShardError reports a sub-query that exhausted every replica of one
@@ -319,7 +296,7 @@ func (c *Coordinator) doOnce(ctx context.Context, rep *replica, path string, bod
 		return nil, classTransient, fmt.Errorf("%s: %w", rep.url, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 	if err != nil {
 		if ctx.Err() == nil {
 			rep.noteFailure(err.Error())
@@ -542,7 +519,7 @@ func (c *Coordinator) Verify(ctx context.Context) error {
 				case rep.isRejected():
 					bad = append(bad, fmt.Sprintf("shard %d replica %s: %v", rep.ordinal, rep.url, err))
 				default:
-					c.opts.Logger.Warn("cluster: replica unreachable at startup",
+					slog.Warn("cluster: replica unreachable at startup",
 						"shard", rep.ordinal, "url", rep.url, "err", err)
 				}
 			}(rep)

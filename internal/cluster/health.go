@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,7 @@ func (c *Coordinator) probe(ctx context.Context, rep *replica) error {
 	}
 	if err := c.checkIdentity(rep, &hz); err != nil {
 		if !rep.isRejected() {
-			c.opts.Logger.Error("cluster: replica rejected (identity mismatch)",
+			slog.Error("cluster: replica rejected (identity mismatch)",
 				"shard", rep.ordinal, "url", rep.url, "err", err)
 		}
 		rep.reject(err.Error())
@@ -146,7 +147,7 @@ func (c *Coordinator) probe(ctx context.Context, rep *replica) error {
 	wasDown := rep.getState() == stateDown
 	rep.noteSuccess()
 	if wasDown {
-		c.opts.Logger.Info("cluster: replica recovered", "shard", rep.ordinal, "url", rep.url)
+		slog.Info("cluster: replica recovered", "shard", rep.ordinal, "url", rep.url)
 	}
 	return nil
 }
@@ -215,7 +216,7 @@ func (c *Coordinator) healthLoop() {
 					before := rep.getState()
 					_ = c.probe(ctx, rep)
 					if after := rep.getState(); after != before && after == stateDown {
-						c.opts.Logger.Warn("cluster: replica down",
+						slog.Warn("cluster: replica down",
 							"shard", rep.ordinal, "url", rep.url, "err", rep.stats().LastErr)
 					}
 				}(rep)

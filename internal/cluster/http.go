@@ -62,7 +62,7 @@ func (c *Coordinator) Handler() http.Handler {
 func (c *Coordinator) wrap(h func(r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
+			r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 		}
 		start := time.Now()
 		resp, err := h(r)

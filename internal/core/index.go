@@ -222,10 +222,6 @@ type OpenOptions struct {
 	// acknowledged inserts sit in the memtable the background compactor
 	// merges them into the trees. 0 means the default (4096).
 	MemtableMaxVectors int
-	// MemtableMaxAge additionally compacts a non-empty memtable on this
-	// cadence, bounding tree staleness under trickle writes. 0 disables
-	// the timer (size-triggered only — deterministic for tests).
-	MemtableMaxAge time.Duration
 
 	// DisableTelemetry turns off latency histograms and per-phase query
 	// spans; see Params.DisableTelemetry.
@@ -253,7 +249,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	p.BatchWorkers = opts.BatchWorkers
 	p.WALSyncInterval = opts.WALSyncInterval
 	p.MemtableMaxVectors = opts.MemtableMaxVectors
-	p.MemtableMaxAge = opts.MemtableMaxAge
 	p.DisableTelemetry = opts.DisableTelemetry
 
 	ix := &Index{

@@ -260,24 +260,15 @@ func (ix *Index) replayRecord(r wal.Record) error {
 }
 
 // startCompactor launches the background merge goroutine. It wakes on
-// demand (Insert crossing the memtable threshold) and, when
-// MemtableMaxAge is set, on that cadence — the age bound turns "fewer
-// than MemtableMaxVectors inserts then silence" into bounded staleness
-// for the trees themselves (queries see memtable entries either way).
+// demand: Insert crossing the memtable threshold, or the breaker's
+// retry timer (queries see memtable entries either way).
 func (ix *Index) startCompactor() {
 	ctx, cancel := context.WithCancel(context.Background())
 	ix.compactCancel = cancel
 	ix.compactDone = make(chan struct{})
 	ix.compactWake = make(chan struct{}, 1)
-	maxAge := ix.params.MemtableMaxAge
 	go func() {
 		defer close(ix.compactDone)
-		var tickC <-chan time.Time
-		if maxAge > 0 {
-			t := time.NewTicker(maxAge)
-			defer t.Stop()
-			tickC = t.C
-		}
 		// Circuit breaker: after a failed merge the loop backs off
 		// exponentially (capped) instead of re-hitting a sick disk on
 		// every insert-driven wake. Compact commits all or nothing, so
@@ -290,7 +281,6 @@ func (ix *Index) startCompactor() {
 			case <-ctx.Done():
 				return
 			case <-ix.compactWake:
-			case <-tickC:
 			case <-retryC:
 			}
 			if ctx.Err() != nil {

@@ -298,3 +298,43 @@ func TestQueryBatchStats(t *testing.T) {
 		t.Fatalf("bad batch options: %v", err)
 	}
 }
+
+// QueryStats.Add sums every work counter and phase; the cascade echo is
+// adopted from the first block added and then kept.
+func TestQueryStatsAdd(t *testing.T) {
+	a := QueryStats{
+		Candidates: 1, TreeEntries: 2, PageReads: 3, PageHits: 4, PageMisses: 5,
+		ExactDistances: 6, MemtableScanned: 7,
+		Alpha: 128, Beta: 64, Gamma: 32, Ptolemaic: true, Degraded: true,
+	}
+	a.Phases[0], a.Phases[len(a.Phases)-1] = 10, 20
+	b := QueryStats{
+		Candidates: 10, TreeEntries: 20, PageReads: 30, PageHits: 40, PageMisses: 50,
+		ExactDistances: 60, MemtableScanned: 70, Alpha: 999, Gamma: 9,
+	}
+	b.Phases[0] = 5
+	sum := QueryStats{
+		Candidates: 11, TreeEntries: 22, PageReads: 33, PageHits: 44, PageMisses: 55,
+		ExactDistances: 66, MemtableScanned: 77,
+		Alpha: 128, Beta: 64, Gamma: 32, Ptolemaic: true, Degraded: true,
+	}
+	sum.Phases[0], sum.Phases[len(sum.Phases)-1] = 15, 20
+	for _, tc := range []struct {
+		name string
+		add  []QueryStats
+		want QueryStats
+	}{
+		{"nothing added", nil, QueryStats{}},
+		{"one block is copied, echo included", []QueryStats{a}, a},
+		{"counters sum, the first echo wins", []QueryStats{a, b}, sum},
+		{"an empty block neither counts nor echoes", []QueryStats{{}, a, {}}, a},
+	} {
+		var got QueryStats
+		for _, st := range tc.add {
+			got.Add(st)
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -84,9 +84,6 @@ type Params struct {
 	WALSyncInterval time.Duration `json:"-"`
 	// MemtableMaxVectors is the compaction threshold (0 = 4096).
 	MemtableMaxVectors int `json:"-"`
-	// MemtableMaxAge additionally compacts a non-empty memtable on this
-	// cadence; 0 disables the timer.
-	MemtableMaxAge time.Duration `json:"-"`
 
 	// DisableTelemetry turns off the latency histograms and per-phase
 	// query spans (internal/telemetry). Runtime-only: a measurement
@@ -173,9 +170,6 @@ func (p *Params) Validate(nu int) error {
 	}
 	if p.MemtableMaxVectors < 0 {
 		return fmt.Errorf("core: memtable max vectors must be >= 0, got %d", p.MemtableMaxVectors)
-	}
-	if p.MemtableMaxAge < 0 {
-		return fmt.Errorf("core: memtable max age must be >= 0, got %v", p.MemtableMaxAge)
 	}
 	if p.Alpha < 1 || p.Beta < 1 || p.Gamma < 1 {
 		return fmt.Errorf("core: alpha/beta/gamma must be >= 1, got %d/%d/%d", p.Alpha, p.Beta, p.Gamma)

@@ -67,6 +67,26 @@ type QueryStats struct {
 	Phases telemetry.PhaseNS
 }
 
+// Add accumulates other's work counters into s (a sharded query sums
+// its shards, the slow-query log a batch). The cascade echo is not a
+// sum: s adopts other's only while it has none (a resolved cascade has
+// Alpha >= 1), so a fold echoes the first stats block added — every
+// block of one fold ran the same cascade.
+func (s *QueryStats) Add(other QueryStats) {
+	if s.Alpha == 0 {
+		s.Alpha, s.Beta, s.Gamma = other.Alpha, other.Beta, other.Gamma
+		s.Ptolemaic, s.Degraded = other.Ptolemaic, other.Degraded
+	}
+	s.Candidates += other.Candidates
+	s.TreeEntries += other.TreeEntries
+	s.PageReads += other.PageReads
+	s.PageHits += other.PageHits
+	s.PageMisses += other.PageMisses
+	s.ExactDistances += other.ExactDistances
+	s.MemtableScanned += other.MemtableScanned
+	s.Phases.Add(other.Phases)
+}
+
 // refineCheckEvery is how many exact refinements happen between context
 // checks: frequent enough that a cancelled query stops within a few page
 // reads, rare enough to keep the check off the profile.

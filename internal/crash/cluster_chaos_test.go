@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,7 +58,12 @@ func startServerAt(t *testing.T, dir, addr string, extraArgs ...string) *serverP
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := append([]string{"-index", dir, "-addr", addr}, extraArgs...)
+	args := append([]string{"-addr", addr}, extraArgs...)
+	if !slices.Contains(extraArgs, "-coordinator") {
+		// A coordinator serves no index (its flag set has no -index);
+		// dir only holds its log.
+		args = append(args, "-index", dir)
+	}
 	cmd := exec.Command(serverBin, args...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/admission"
 	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/iofault"
@@ -187,12 +188,12 @@ func TestOverloadStormShedsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	ts := httptest.NewServer(New(idx, Config{
+	ts := httptest.NewServer(New(idx, Config{Admission: admission.Config{
 		MaxInflight: 1,
 		MaxQueue:    4,
 		// Degrade at the faintest pressure so the storm provably crosses it.
 		DegradePressure: 1e-9,
-	}).Handler())
+	}}).Handler())
 	t.Cleanup(ts.Close)
 	// Batches, not single searches: each request carries enough work
 	// that server time dominates client round-trip time, so the 16-way
@@ -334,7 +335,7 @@ func TestOverloadStormShedsFast(t *testing.T) {
 // over-budget tenant gets 429 + Retry-After while another tenant is
 // untouched.
 func TestOverloadTenantThrottled(t *testing.T) {
-	ts, _, ds := newTestServer(t, Config{TenantRPS: 0.1, TenantBurst: 1})
+	ts, _, ds := newTestServer(t, Config{Admission: admission.Config{TenantRPS: 0.1, TenantBurst: 1}})
 	q := ds.PerturbedQueries(1, 0.02, 8)[0]
 	req := api.SearchRequest{Query: q, K: 5}
 
@@ -374,7 +375,7 @@ func TestChaosServerShutdownNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(idx, Config{MaxInflight: 4, TenantRPS: 100})
+	srv := New(idx, Config{Admission: admission.Config{MaxInflight: 4, TenantRPS: 100}})
 	ts := httptest.NewServer(srv.Handler())
 	q := ds.PerturbedQueries(1, 0.02, 9)[0]
 	for i := 0; i < 5; i++ {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/admission"
 	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/slo"
@@ -191,7 +192,7 @@ func TestTenantTierPreset(t *testing.T) {
 // immediate request while a premium tenant sails through, and the
 // per-tenant breakdown shows up in /stats and /metrics.
 func TestTenantTierAdmissionShares(t *testing.T) {
-	ts, _, ds := newTestServer(t, Config{TenantRPS: 1000, Tiers: testTiers()})
+	ts, _, ds := newTestServer(t, Config{Admission: admission.Config{TenantRPS: 1000}, Tiers: testTiers()})
 	q := ds.PerturbedQueries(1, 0.02, 24)[0]
 	req := api.SearchRequest{Query: q, K: 5}
 
@@ -373,9 +374,9 @@ func TestPresetPinnedUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	ts := httptest.NewServer(New(idx, Config{
+	ts := httptest.NewServer(New(idx, Config{Admission: admission.Config{
 		MaxInflight: 1, MaxQueue: 4, DegradePressure: 1e-9,
-	}).Handler())
+	}}).Handler())
 	t.Cleanup(ts.Close)
 
 	queries := ds.PerturbedQueries(24, 0.02, 31)

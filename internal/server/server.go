@@ -52,13 +52,14 @@ type Config struct {
 	// /searchbatch requests. 0 means no deadline. A request may lower
 	// (never raise) it with "timeout_ms".
 	QueryTimeout time.Duration
-	// MaxK caps the requested neighbour count (default 1000).
-	MaxK int
-	// MaxBatch caps the number of queries in one /searchbatch request
-	// (default 4096).
+	// MaxK caps the requested neighbour count and MaxBatch the number of
+	// queries in one /searchbatch request (0 = the internal/api
+	// defaults).
+	MaxK     int
 	MaxBatch int
 	// MaxBodyBytes caps the request body size before decoding (default
-	// 64 MiB), bounding memory per request ahead of any validation.
+	// api.MaxBodyBytes), bounding memory per request ahead of any
+	// validation.
 	MaxBodyBytes int64
 	// MaxAlpha caps the per-request "alpha"/"gamma"/"max_candidates"
 	// tuning knobs (default 1 << 20). Requests above the cap are
@@ -79,31 +80,13 @@ type Config struct {
 	// belong behind an operator flag (hdserve -pprof).
 	Pprof bool
 
-	// MaxInflight caps the weight of concurrently admitted work on the
-	// query/mutation endpoints (a /searchbatch of q queries weighs q,
-	// everything else weighs 1). Requests beyond the cap wait in a
-	// bounded FIFO admission queue; requests that do not fit the queue —
-	// or whose deadline cannot cover the estimated queue wait — are shed
-	// immediately with a 503, code "overloaded", and a Retry-After hint.
-	// 0 disables the limiter. Introspection endpoints (/stats, /healthz,
-	// /metrics) are never limited: they must answer during an overload.
-	MaxInflight int
-	// MaxQueue caps the weight waiting in the admission queue (0 = 4 ×
-	// MaxInflight).
-	MaxQueue int
-	// TenantRPS rate-limits each tenant (the X-Tenant request header;
-	// absent = the shared "" tenant) to this sustained accepted-request
-	// rate, shedding the excess with a 429, code "tenant_throttled", and
-	// a Retry-After hint. 0 disables per-tenant throttling.
-	TenantRPS float64
-	// TenantBurst is the token-bucket depth (0 = max(2 × TenantRPS, 1)).
-	TenantBurst float64
-	// DegradePressure enables adaptive degradation: when the admission
-	// queue's estimated drain time (queued weight × recent p99, in
-	// seconds) exceeds this threshold, searches that leave their cascade
-	// knobs unset run the cheap cascade (the "fast" preset) and their
-	// stats echo degraded=true. 0 disables degradation.
-	DegradePressure float64
+	// Admission configures overload control on the query and mutation
+	// endpoints; admission.Config documents the mechanisms and owns
+	// their defaults, and its zero value disables the layer. A
+	// /searchbatch weighs its query count, everything else 1. /stats,
+	// /healthz and /metrics are never limited: they must answer during
+	// an overload. TenantPolicy is filled in from Tiers.
+	Admission admission.Config
 
 	// DefaultPreset is the quality preset applied when a request names
 	// none and its tenant's tier names none. Empty means "auto": the
@@ -123,13 +106,6 @@ type Config struct {
 	// tuner refreshes it by replaying sampled real queries during
 	// low-pressure windows.
 	Frontier *slo.Frontier
-	// RetuneInterval overrides how often the tuner re-evaluates its
-	// choice (0 = the tuner's default, 30s).
-	RetuneInterval time.Duration
-	// RemeasureInterval overrides how often the tuner replays sampled
-	// queries to refresh the frontier (0 = default 10m, negative =
-	// never).
-	RemeasureInterval time.Duration
 
 	// Identity is the shard identity stamp of the served directory, when
 	// it is one shard of a sharded build (hdserve reads identity.json
@@ -141,17 +117,17 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.MaxK <= 0 {
-		c.MaxK = 1000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxBodyBytes = api.MaxBodyBytes
 	}
 	if c.MaxAlpha <= 0 {
 		c.MaxAlpha = 1 << 20
+	}
+	if c.Logger == nil {
+		c.Logger = slog.Default()
+	}
+	if c.DefaultPreset == "" {
+		c.DefaultPreset = hdindex.PresetAuto
 	}
 }
 
@@ -162,7 +138,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	started time.Time
-	logger  *slog.Logger
 	// adm is the overload-control layer; nil when Config enables none of
 	// its mechanisms (every call site is nil-safe).
 	adm *admission.Controller
@@ -170,8 +145,6 @@ type Server struct {
 	// Config.Frontier are both set. tunerStop ends its Run goroutine.
 	tuner     *slo.Tuner
 	tunerStop context.CancelFunc
-	// defaultPreset is Config.DefaultPreset with "" resolved to auto.
-	defaultPreset hdindex.Preset
 
 	mSearch, mBatch, mInsert, mDelete, mStats, mHealth, mMetrics endpointMetrics
 }
@@ -179,31 +152,18 @@ type Server struct {
 // New wraps an open index in a Server.
 func New(idx *hdindex.Index, cfg Config) *Server {
 	cfg.defaults()
-	s := &Server{idx: idx, cfg: cfg, mux: http.NewServeMux(), started: time.Now(), logger: cfg.Logger}
-	if s.logger == nil {
-		s.logger = slog.Default()
+	if tiers := cfg.Tiers; tiers != nil {
+		// Tenants with no tier (and no default tier) keep the base budget.
+		cfg.Admission.TenantPolicy = func(tenant string) admission.TenantShares {
+			_, tier, _ := tiers.TierFor(tenant)
+			return admission.TenantShares{RPS: tier.RPSShare, Burst: tier.BurstShare, MaxInflight: tier.MaxInflightShare}
+		}
 	}
-	s.defaultPreset = cfg.DefaultPreset
-	if s.defaultPreset == "" {
-		s.defaultPreset = hdindex.PresetAuto
-	}
-	admCfg := admission.Config{
-		MaxInflight:     cfg.MaxInflight,
-		MaxQueue:        cfg.MaxQueue,
-		TenantRPS:       cfg.TenantRPS,
-		TenantBurst:     cfg.TenantBurst,
-		DegradePressure: cfg.DegradePressure,
-	}
-	if cfg.Tiers != nil {
-		admCfg.TenantPolicy = tenantPolicy(cfg, admCfg)
-	}
-	s.adm = admission.New(admCfg)
+	s := &Server{idx: idx, cfg: cfg, mux: http.NewServeMux(), started: time.Now(), adm: admission.New(cfg.Admission)}
 	if cfg.SLO != nil && cfg.Frontier != nil {
 		tuner, err := slo.NewTuner(cfg.Frontier, slo.Config{
-			Target:            *cfg.SLO,
-			Interval:          cfg.RetuneInterval,
-			RemeasureInterval: cfg.RemeasureInterval,
-			Replay:            s.replay,
+			Target: *cfg.SLO,
+			Replay: s.replay,
 			// Re-measurement replays the whole sample across every
 			// frontier point; skip it whenever admission is already
 			// degrading or shedding real traffic.
@@ -213,7 +173,7 @@ func New(idx *hdindex.Index, cfg Config) *Server {
 			// A frontier that fails validation disables tuning but must
 			// not take the server down with it: auto falls back to the
 			// built parameters, which is the no-tuner behaviour anyway.
-			s.logger.Error("slo tuner disabled: bad frontier", "err", err)
+			s.cfg.Logger.Error("slo tuner disabled: bad frontier", "err", err)
 		} else {
 			s.tuner = tuner
 			ctx, cancel := context.WithCancel(context.Background())
@@ -238,39 +198,6 @@ func New(idx *hdindex.Index, cfg Config) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
-}
-
-// tenantPolicy derives the admission budget of each tier from the
-// server's base per-tenant knobs: rps/burst scale by the tier's
-// shares, and max_inflight_share carves the tier's slice out of the
-// server's total inflight+queued capacity. Tenants with no tier (and
-// no default tier) keep the base budget untouched.
-func tenantPolicy(cfg Config, base admission.Config) func(string) admission.TenantBudget {
-	totalCap := base.MaxInflight + base.MaxQueue
-	if base.MaxInflight > 0 && base.MaxQueue <= 0 {
-		totalCap = 5 * base.MaxInflight // the controller's 4× default queue + inflight
-	}
-	baseBurst := base.TenantBurst
-	if baseBurst <= 0 {
-		baseBurst = max(2*base.TenantRPS, 1)
-	}
-	return func(tenant string) admission.TenantBudget {
-		_, tier, ok := cfg.Tiers.TierFor(tenant)
-		if !ok {
-			return admission.TenantBudget{}
-		}
-		var b admission.TenantBudget
-		if tier.RPSShare > 0 {
-			b.RPS = base.TenantRPS * tier.RPSShare
-		}
-		if tier.BurstShare > 0 {
-			b.Burst = baseBurst * tier.BurstShare
-		}
-		if tier.MaxInflightShare > 0 && totalCap > 0 {
-			b.MaxInflight = max(int(float64(totalCap)*tier.MaxInflightShare), 1)
-		}
-		return b
-	}
 }
 
 // replay is the tuner's ReplayFunc: it runs the sampled queries
@@ -423,7 +350,7 @@ func (s *Server) resolvePreset(r *http.Request, t api.Tuning) (hdindex.Preset, e
 	if name := s.cfg.Tiers.PresetFor(r.Header.Get("X-Tenant")); name != "" {
 		return hdindex.Preset(name), nil // validated when the tier config loaded
 	}
-	return s.defaultPreset, nil
+	return s.cfg.DefaultPreset, nil
 }
 
 // autoOptions appends the auto preset's post-admission decision: under
@@ -602,7 +529,7 @@ func (s *Server) logSlowQuery(endpoint string, elapsed time.Duration, queries, k
 			slog.Int("gamma", st.Gamma),
 		)
 	}
-	s.logger.Warn("slow query", attrs...)
+	s.cfg.Logger.Warn("slow query", attrs...)
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -635,15 +562,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any,
 		// the log.
 		agg := &hdindex.Stats{}
 		for _, rs := range res {
-			if st := rs.Stats; st != nil {
-				agg.Candidates += st.Candidates
-				agg.TreeEntries += st.TreeEntries
-				agg.PageReads += st.PageReads
-				agg.PageMisses += st.PageMisses
-				agg.ExactDistances += st.ExactDistances
-				agg.MemtableScanned += st.MemtableScanned
-				agg.Phases.Add(st.Phases)
-				agg.Alpha, agg.Gamma = st.Alpha, st.Gamma
+			if rs.Stats != nil {
+				agg.Add(*rs.Stats)
 			}
 		}
 		s.logSlowQuery("searchbatch", elapsed, len(req.Queries), req.K, agg)

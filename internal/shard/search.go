@@ -55,7 +55,6 @@ func SplitMaxCandidates(mc, k, n int) (int, error) {
 func Merge(k int, replies []*Reply) ([]core.Result, *core.QueryStats) {
 	best := topk.New(k)
 	agg := &core.QueryStats{}
-	echoed := false
 	for i, rep := range replies {
 		if rep == nil {
 			continue
@@ -63,22 +62,8 @@ func Merge(k int, replies []*Reply) ([]core.Result, *core.QueryStats) {
 		for _, r := range rep.Results {
 			best.Push(GlobalID(i, len(replies), r.ID), r.Dist)
 		}
-		st := rep.Stats
-		if st == nil {
-			continue
-		}
-		agg.Candidates += st.Candidates
-		agg.TreeEntries += st.TreeEntries
-		agg.PageReads += st.PageReads
-		agg.PageHits += st.PageHits
-		agg.PageMisses += st.PageMisses
-		agg.ExactDistances += st.ExactDistances
-		agg.MemtableScanned += st.MemtableScanned
-		agg.Phases.Add(st.Phases)
-		if !echoed {
-			agg.Alpha, agg.Beta, agg.Gamma = st.Alpha, st.Beta, st.Gamma
-			agg.Ptolemaic, agg.Degraded = st.Ptolemaic, st.Degraded
-			echoed = true
+		if rep.Stats != nil {
+			agg.Add(*rep.Stats)
 		}
 	}
 	items := best.Items()

@@ -92,7 +92,7 @@ func TestTunerDecisionTable(t *testing.T) {
 
 func TestTunerHysteresis(t *testing.T) {
 	f := testFrontier()
-	tn, err := NewTuner(f, Config{Target: mustTarget(t, "recall>=0.98"), Hysteresis: 0.10})
+	tn, err := NewTuner(f, Config{Target: mustTarget(t, "recall>=0.98")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,6 @@ func TestTunerRemeasure(t *testing.T) {
 	tn, err := NewTuner(testFrontier(), Config{
 		Target: mustTarget(t, "recall>=0.98"),
 		Replay: replay,
-		EWMA:   0.5,
-		K:      10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,27 +41,12 @@ type ReplayResult struct {
 // per-query α/γ overrides); the tuner never touches the index itself.
 type ReplayFunc func(ctx context.Context, queries [][]float32, k, alpha, gamma int) (ReplayResult, error)
 
-// Config tunes the Tuner. Zero values pick the documented defaults.
+// Config is what the serving layer hands the Tuner: the target and the
+// two hooks into the server. Everything else about the tuner is one of
+// the constants below.
 type Config struct {
 	// Target is the SLO to hold.
 	Target Target
-	// Interval is how often Run re-evaluates the decision against the
-	// current frontier (default 30s).
-	Interval time.Duration
-	// RemeasureInterval is how often Run replays sampled queries to
-	// refresh the frontier (default 10m; 0 keeps the default, negative
-	// disables live re-measurement).
-	RemeasureInterval time.Duration
-	// Hysteresis is the fractional improvement a candidate point must
-	// show over the current feasible choice before the tuner switches
-	// (default 0.10). It stops the decision flapping between adjacent
-	// frontier points whose measurements jitter across re-measurements.
-	Hysteresis float64
-	// SampleSize bounds the ring buffer of recent real queries kept for
-	// replay (default 256).
-	SampleSize int
-	// K is the neighbour count replayed queries ask for (default 10).
-	K int
 	// Replay runs a re-measurement pass; nil disables live
 	// re-measurement.
 	Replay ReplayFunc
@@ -69,36 +54,29 @@ type Config struct {
 	// passes are skipped while it returns true so tuning never competes
 	// with real traffic. Nil means never under pressure.
 	UnderPressure func() bool
-	// EWMA is the blend weight of fresh live measurements into existing
-	// frontier latencies/recall (default 0.5; 1 replaces outright).
-	EWMA float64
-	// HistorySize bounds the retained decision history (default 32).
-	HistorySize int
 }
 
-func (c *Config) setDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
-	if c.RemeasureInterval == 0 {
-		c.RemeasureInterval = 10 * time.Minute
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.10
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 256
-	}
-	if c.K <= 0 {
-		c.K = 10
-	}
-	if c.EWMA <= 0 || c.EWMA > 1 {
-		c.EWMA = 0.5
-	}
-	if c.HistorySize <= 0 {
-		c.HistorySize = 32
-	}
-}
+const (
+	// retuneInterval is how often Run re-evaluates the decision against
+	// the current frontier; remeasureInterval how often it replays
+	// sampled queries to refresh the frontier itself.
+	retuneInterval    = 30 * time.Second
+	remeasureInterval = 10 * time.Minute
+	// hysteresis is the fractional improvement a candidate point must
+	// show over the current feasible choice before the tuner switches.
+	// It stops the decision flapping between adjacent frontier points
+	// whose measurements jitter across re-measurements.
+	hysteresis = 0.10
+	// sampleSize bounds the ring of recent real queries kept for replay,
+	// replayK is the neighbour count they are replayed with.
+	sampleSize = 256
+	replayK    = 10
+	// ewma is the blend weight of fresh live measurements into the
+	// frontier's stored latencies and recall.
+	ewma = 0.5
+	// historySize bounds the retained decision history.
+	historySize = 32
+)
 
 // Tuner holds the current frontier and the current decision, and keeps
 // both fresh: Reevaluate re-picks against the frontier, Remeasure
@@ -124,16 +102,12 @@ func NewTuner(f *Frontier, cfg Config) (*Tuner, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
 	t := &Tuner{cfg: cfg, frontier: f}
 	t.mu.Lock()
 	t.reevaluateLocked(time.Now())
 	t.mu.Unlock()
 	return t, nil
 }
-
-// Target returns the SLO the tuner holds.
-func (t *Tuner) Target() Target { return t.cfg.Target }
 
 // Current returns the current decision.
 func (t *Tuner) Current() Choice {
@@ -163,18 +137,18 @@ func (t *Tuner) Frontier() Frontier {
 }
 
 // Record offers one real query vector to the replay sample. The ring
-// keeps the most recent SampleSize queries; the vector is copied so
+// keeps the most recent sampleSize queries; the vector is copied so
 // callers may reuse their buffer.
 func (t *Tuner) Record(q []float32) {
 	cp := append([]float32(nil), q...)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.sample) < t.cfg.SampleSize {
+	if len(t.sample) < sampleSize {
 		t.sample = append(t.sample, cp)
 	} else {
 		t.sample[t.sampleAt] = cp
 	}
-	t.sampleAt = (t.sampleAt + 1) % t.cfg.SampleSize
+	t.sampleAt = (t.sampleAt + 1) % sampleSize
 	t.sampleN++
 }
 
@@ -276,7 +250,7 @@ func (t *Tuner) reevaluateLocked(now time.Time) Choice {
 	if !cur.At.IsZero() && !unmet {
 		if curPt, ok := t.lookupLocked(cur.Alpha, cur.Gamma); ok && feasible(t.cfg.Target, curPt) {
 			samePoint := cand.Alpha == cur.Alpha && cand.Gamma == cur.Gamma
-			if !samePoint && improvement(t.cfg.Target, curPt, cand) < t.cfg.Hysteresis {
+			if !samePoint && improvement(t.cfg.Target, curPt, cand) < hysteresis {
 				cand, unmet = curPt, false
 			}
 		}
@@ -296,8 +270,8 @@ func (t *Tuner) reevaluateLocked(now time.Time) Choice {
 		SLOUnmet: unmet, Reason: reason, At: now,
 	}
 	t.history = append(t.history, t.choice)
-	if len(t.history) > t.cfg.HistorySize {
-		t.history = t.history[len(t.history)-t.cfg.HistorySize:]
+	if len(t.history) > historySize {
+		t.history = t.history[len(t.history)-historySize:]
 	}
 	return t.choice
 }
@@ -350,25 +324,24 @@ func (t *Tuner) Remeasure(ctx context.Context) (bool, error) {
 	}
 
 	wide := f.Widest()
-	truth, err := t.cfg.Replay(ctx, queries, t.cfg.K, wide.Alpha, wide.Gamma)
+	truth, err := t.cfg.Replay(ctx, queries, replayK, wide.Alpha, wide.Gamma)
 	if err != nil {
 		return false, err
 	}
-	w := t.cfg.EWMA
 	for i := range f.Points {
 		p := &f.Points[i]
 		var res ReplayResult
 		if p.Alpha == wide.Alpha && p.Gamma == wide.Gamma {
 			res = truth
 		} else {
-			res, err = t.cfg.Replay(ctx, queries, t.cfg.K, p.Alpha, p.Gamma)
+			res, err = t.cfg.Replay(ctx, queries, replayK, p.Alpha, p.Gamma)
 			if err != nil {
 				return false, err
 			}
-			p.Recall = (1-w)*p.Recall + w*overlapRecall(truth.IDs, res.IDs)
+			p.Recall = (1-ewma)*p.Recall + ewma*overlapRecall(truth.IDs, res.IDs)
 		}
-		p.MeanQueryUS = (1-w)*p.MeanQueryUS + w*res.MeanQueryUS
-		p.P99QueryUS = (1-w)*p.P99QueryUS + w*res.P99QueryUS
+		p.MeanQueryUS = (1-ewma)*p.MeanQueryUS + ewma*res.MeanQueryUS
+		p.P99QueryUS = (1-ewma)*p.P99QueryUS + ewma*res.P99QueryUS
 		p.Live = true
 	}
 
@@ -410,27 +383,25 @@ func overlapRecall(truth, got [][]uint64) float64 {
 	return sum / float64(len(truth))
 }
 
-// Run drives the tuner until ctx is done: re-evaluate every Interval,
-// re-measure every RemeasureInterval (skipped under pressure). The
+// Run drives the tuner until ctx is done: re-evaluate every
+// retuneInterval, re-measure every remeasureInterval (skipped under
+// pressure). The
 // serving layer runs it in one goroutine.
 func (t *Tuner) Run(ctx context.Context) {
-	reeval := time.NewTicker(t.cfg.Interval)
+	reeval := time.NewTicker(retuneInterval)
 	defer reeval.Stop()
-	var remeasC <-chan time.Time
-	if t.cfg.Replay != nil && t.cfg.RemeasureInterval > 0 {
-		rm := time.NewTicker(t.cfg.RemeasureInterval)
-		defer rm.Stop()
-		remeasC = rm.C
-	}
+	remeas := time.NewTicker(remeasureInterval)
+	defer remeas.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-reeval.C:
 			t.Reevaluate()
-		case <-remeasC:
-			// Best-effort: a failed replay (index closing, ctx cancel)
-			// leaves the previous frontier standing.
+		case <-remeas.C:
+			// A no-op without a Replay hook. Best-effort: a failed
+			// replay (index closing, ctx cancel) leaves the previous
+			// frontier standing.
 			_, _ = t.Remeasure(ctx)
 		}
 	}

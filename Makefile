@@ -3,13 +3,22 @@
 
 GO ?= go
 
-.PHONY: build test race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
+.PHONY: build test loc race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The size figure the simplicity PRs report, defined once: non-test Go
+# lines outside benchmark/, per package directory and in total. Report
+# only — nothing gates on it.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+				printf "%7d total non-test Go lines outside benchmark/\n", t }'
 
 race:
 	$(GO) test -race ./...

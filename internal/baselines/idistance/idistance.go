@@ -281,9 +281,6 @@ func (ix *Index) SizeBytes() int64 {
 	return ix.treePgr.FileSize() + ix.vecPager.FileSize()
 }
 
-// TreeSizeBytes returns the B+-tree size alone (the index proper).
-func (ix *Index) TreeSizeBytes() int64 { return ix.treePgr.FileSize() }
-
 // Close implements baselines.Index.
 func (ix *Index) Close() error {
 	err1 := ix.treePgr.Close()

@@ -10,6 +10,7 @@ package multicurves
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -232,66 +233,21 @@ func (ix *Index) Search(q []float32, k int) ([]baselines.Result, error) {
 // returns the k best candidates among the α scanned, with squared
 // distances.
 func (ix *Index) searchCurve(t int, q []float32, k int) ([]topk.Item, error) {
-	p := ix.params
 	start := t * ix.eta
 	coords := make([]uint32, ix.eta)
 	ix.quants[t].Coords(coords, q[start:start+ix.eta])
 	key := ix.curves[t].Encode(nil, coords)
 
-	right := ix.trees[t].NewCursor()
-	defer right.Close()
-	if err := right.Seek(key); err != nil {
-		return nil, err
-	}
-	left, err := right.Clone()
-	if err != nil {
-		return nil, err
-	}
-	defer left.Close()
-	if left.Valid() {
-		if err := left.Prev(); err != nil {
-			return nil, err
-		}
-	} else if err := left.Last(); err != nil {
-		return nil, err
-	}
-
 	best := topk.New(k)
 	vec := make([]float32, ix.dim)
-	dl := make([]byte, len(key))
-	dr := make([]byte, len(key))
-	consume := func(val []byte) {
+	err := ix.trees[t].WalkNearest(context.Background(), key, ix.params.Alpha, func(val []byte) {
 		id := binary.BigEndian.Uint64(val[0:8])
 		for d := range vec {
 			vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(val[8+4*d:]))
 		}
 		best.Push(id, vecmath.DistSq(q, vec))
-	}
-	for n := 0; n < p.Alpha && (left.Valid() || right.Valid()); n++ {
-		takeRight := false
-		switch {
-		case !left.Valid():
-			takeRight = true
-		case !right.Valid():
-			takeRight = false
-		default:
-			hilbert.KeyDelta(dl, key, left.Key())
-			hilbert.KeyDelta(dr, key, right.Key())
-			takeRight = bytes.Compare(dr, dl) <= 0
-		}
-		if takeRight {
-			consume(right.Value())
-			if err := right.Next(); err != nil {
-				return nil, err
-			}
-		} else {
-			consume(left.Value())
-			if err := left.Prev(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return best.Items(), nil
+	})
+	return best.Items(), err
 }
 
 // SizeBytes implements baselines.Index: τ full copies of the dataset

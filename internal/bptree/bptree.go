@@ -189,9 +189,6 @@ func (t *Tree) ValLen() int { return t.valLen }
 // LeafCap returns the leaf order Ω (entries per leaf page).
 func (t *Tree) LeafCap() int { return t.leafCap }
 
-// BranchCap returns the maximum number of separator keys per internal node.
-func (t *Tree) BranchCap() int { return t.branchCap }
-
 // Pager exposes the underlying pager (for stats and closing).
 func (t *Tree) Pager() *pager.Pager { return t.pgr }
 

@@ -2,7 +2,9 @@ package bptree
 
 import (
 	"bytes"
+	"context"
 
+	"github.com/hd-index/hdindex/internal/hilbert"
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
@@ -211,6 +213,53 @@ func (c *Cursor) Clone() (*Cursor, error) {
 		n.page = pg
 	}
 	return n, nil
+}
+
+// walkCheckEvery is how many entries WalkNearest yields between context
+// checks: the leaf-chain walk is a query's dominant I/O phase, so a
+// cancelled walk stops within a few page reads.
+const walkCheckEvery = 256
+
+// WalkNearest is the α-nearest walk of §4.1: it passes fn the values of
+// up to n entries whose keys are numerically nearest to key (keys read
+// as big-endian integers), nearest first. It seeks the key's would-be
+// position and walks outward along the leaf chain, always consuming the
+// side whose next key is closer; ties go right — keys >= the query key
+// are preferred, the same convention a forward range scan would use.
+// The value passed to fn is a view into a pinned page, valid only until
+// fn returns.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, n int, fn func(value []byte)) error {
+	right := t.NewCursor()
+	defer right.Close()
+	if err := right.Seek(key); err != nil {
+		return err
+	}
+	left, err := right.Clone()
+	if err != nil {
+		return err
+	}
+	defer left.Close()
+	if left.Valid() {
+		err = left.Prev()
+	} else {
+		// Query key past the end: left scan starts at the last entry.
+		err = left.Last()
+	}
+	for i := 0; err == nil && i < n && (left.Valid() || right.Valid()); i++ {
+		if i%walkCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !left.Valid() || (right.Valid() && hilbert.CloserKey(key, left.Key(), right.Key()) >= 0) {
+			fn(right.Value())
+			err = right.Next()
+		} else {
+			fn(left.Value())
+			err = left.Prev()
+		}
+	}
+	return err
 }
 
 // Scan invokes fn for each entry with lo <= key <= hi (inclusive bounds),

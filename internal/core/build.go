@@ -12,11 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/radix"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/refsel"
-	"github.com/hd-index/hdindex/internal/telemetry"
 	"github.com/hd-index/hdindex/internal/vecmath"
 	"github.com/hd-index/hdindex/internal/vecstore"
 	"github.com/hd-index/hdindex/internal/wal"
@@ -104,6 +102,10 @@ func (m *MemProbe) Finish() (allocs, peak uint64) {
 	return ms.Mallocs - m.startMallocs, m.peakHeap
 }
 
+// sssFraction is f of §3.4: SSS admits a reference only when it lies at
+// least f × the estimated maximum distance from those already chosen.
+const sssFraction = 0.3
+
 // Build constructs an HD-Index over vectors in directory dir
 // (Algorithm 1). The directory is created; existing index files in it
 // are overwritten.
@@ -147,9 +149,9 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	case RefRandom:
 		sel, err = refsel.Random(vectors, p.M, rng)
 	case RefSSSDyn:
-		sel, err = refsel.SSSDyn(vectors, p.M, p.SSSFraction, 64, rng)
+		sel, err = refsel.SSSDyn(vectors, p.M, sssFraction, 64, rng)
 	default:
-		sel, err = refsel.SSS(vectors, p.M, p.SSSFraction, rng)
+		sel, err = refsel.SSS(vectors, p.M, sssFraction, rng)
 	}
 	if err != nil {
 		return nil, err
@@ -162,10 +164,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	// The build-parallelism budget: every concurrently running worker —
 	// across trees and the chunked phases inside each — holds one slot,
 	// so τ × chunk workers never oversubscribe the configured bound.
-	budget := p.BuildWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
+	budget := p.buildBudget()
 
 	// Algorithm 1 line 2: distances of every object to every reference,
 	// written into one flat n×m matrix (row i at rdist[i*m:(i+1)*m]) —
@@ -182,21 +181,8 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 
 	lo, hi := vecmath.MinMax(vectors, nu)
 
-	ix := &Index{
-		dir:     dir,
-		params:  p,
-		nu:      nu,
-		eta:     nu / p.Tau,
-		refs:    refs,
-		lo:      lo,
-		hi:      hi,
-		deleted: newDeleteSet(),
-	}
-	ix.refCross = crossDistances(refs)
-	if !p.DisableTelemetry {
-		ix.tel = telemetry.NewCollector()
-	}
-	if err := ix.initCurves(); err != nil {
+	ix, err := newIndex(dir, metaJSON{Params: p, Nu: nu, Refs: refs, Lo: lo, Hi: hi})
+	if err != nil {
 		return nil, err
 	}
 
@@ -207,7 +193,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	// phase.
 	var phases phaseAccum
 	ix.trees = make([]*rdbtree.Tree, p.Tau)
-	ix.treePagers = make([]*pager.Pager, p.Tau)
 	errs := make([]error, p.Tau)
 	sem := make(chan struct{}, budget)
 	var wg sync.WaitGroup
@@ -238,31 +223,24 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	}
 
 	// The pointer target: raw vectors in a paged store.
-	vp, err := pager.Open(filepath.Join(dir, "vectors.pg"), pager.Options{
-		Create: true, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-	})
+	vp, err := ix.openPager(filepath.Join(dir, "vectors.pg"), true)
 	if err != nil {
 		ix.Close()
 		return nil, err
 	}
 	vs, err := vecstore.Create(vp, nu)
+	if err == nil {
+		err = vs.BuildFrom(vectors)
+	}
+	if err == nil {
+		err = vs.Flush()
+	}
 	if err != nil {
 		vp.Close()
 		ix.Close()
 		return nil, err
 	}
-	if err := vs.BuildFrom(vectors); err != nil {
-		vp.Close()
-		ix.Close()
-		return nil, err
-	}
-	if err := vs.Flush(); err != nil {
-		vp.Close()
-		ix.Close()
-		return nil, err
-	}
 	ix.vectors = vs
-	ix.vecPager = vp
 
 	if err := ix.writeMeta(); err != nil {
 		ix.Close()
@@ -289,20 +267,46 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 // chunks to occupy spare workers.
 const encodeChunk = 512
 
-// buildTree constructs RDB-tree t: Hilbert keys for partition t encoded
-// into a flat n×KeyLen arena by chunked workers drawn from the shared
-// budget, a radix-sorted []uint32 permutation over the arena, and an
-// arena bulk load — no per-record allocation anywhere on the path.
+// buildTree constructs RDB-tree t through the tree writer's three steps,
+// timing each — no per-record allocation anywhere on the path.
 func (ix *Index) buildTree(ctx context.Context, t int, vectors [][]float32, rdist []float32, sem chan struct{}, phases *phaseAccum) error {
-	p := ix.params
+	t0 := time.Now()
+	keys, err := ix.encodeKeys(ctx, t, vectors, sem)
+	if err != nil {
+		return err
+	}
+	phases.encodeNS.Add(int64(time.Since(t0)))
+
+	t0 = time.Now()
+	perm := sortedPerm(keys, ix.curves[t].KeyLen())
+	phases.sortNS.Add(int64(time.Since(t0)))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+
+	t0 = time.Now()
+	if ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, nil, rdist); err != nil {
+		return err
+	}
+	phases.bulkNS.Add(int64(time.Since(t0)))
+	return nil
+}
+
+// encodeKeys is the tree writer's first step, shared by Build and
+// Compact: partition t's Hilbert keys as a flat n×KeyLen arena in row
+// order. The caller's goroutine always encodes; spare slots of sem
+// (Build's budget semaphore) are borrowed for extra chunk workers, so
+// encoding parallelises inside a single tree whenever τ < budget
+// without ever oversubscribing. A nil sem never yields a slot:
+// compaction encodes serially and takes no second core from serving.
+// Keys land at fixed offsets, so scheduling cannot change the output.
+func (ix *Index) encodeKeys(ctx context.Context, t int, vectors [][]float32, sem chan struct{}) ([]byte, error) {
 	q := ix.quants[t]
 	curve := ix.curves[t]
 	start := t * ix.eta
 	n := len(vectors)
 	kl := curve.KeyLen()
 
-	// ---- encode phase ----
-	t0 := time.Now()
 	keys := make([]byte, n*kl)
 	nChunks := (n + encodeChunk - 1) / encodeChunk
 	var next atomic.Int64
@@ -325,11 +329,6 @@ func (ix *Index) buildTree(ctx context.Context, t int, vectors [][]float32, rdis
 			curve.EncodeAll(keys[lo*kl:hi*kl], coords[:rows*ix.eta], ix.eta)
 		}
 	}
-	// The tree goroutine always encodes (it already holds a budget
-	// slot); spare slots are borrowed opportunistically for extra
-	// workers, so encoding parallelises inside a single tree whenever
-	// τ < budget without ever oversubscribing. Keys land at fixed
-	// offsets, so worker count and scheduling cannot change the output.
 	var wg sync.WaitGroup
 acquire:
 	for i := 1; i < nChunks; i++ {
@@ -347,51 +346,51 @@ acquire:
 	}
 	worker()
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	phases.encodeNS.Add(int64(time.Since(t0)))
+	return keys, ctx.Err()
+}
 
-	// ---- sort phase ----
-	// A stable MSD radix sort over the fixed-width keys moves 4-byte
-	// row numbers instead of 40-byte records and never calls a
-	// comparator; ties keep id order, which the determinism tests pin.
-	t0 = time.Now()
+// identityPerm returns the row numbers 0..n-1 in order.
+func identityPerm(n int) []uint32 {
 	perm := make([]uint32, n)
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
-	radix.Sort(keys, kl, perm)
-	phases.sortNS.Add(int64(time.Since(t0)))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	return perm
+}
 
-	// ---- bulk-load phase ----
-	t0 = time.Now()
-	pgr, err := pager.Open(ix.treePath(t), pager.Options{
-		Create: true, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-	})
+// sortedPerm is the tree writer's second step: the row numbers of the
+// key arena in ascending key order. A stable MSD radix sort over the
+// fixed-width keys moves 4-byte row numbers instead of 40-byte records
+// and never calls a comparator; ties keep row (= id) order, which the
+// determinism tests pin.
+func sortedPerm(keys []byte, kl int) []uint32 {
+	perm := identityPerm(len(keys) / kl)
+	radix.Sort(keys, kl, perm)
+	return perm
+}
+
+// writeTree is the tree writer's last step: a fresh tree file at path,
+// bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes) and
+// flushed. The fsync is the caller's: compaction syncs each generation
+// file before its commit, Build does not.
+func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32) (*rdbtree.Tree, error) {
+	pgr, err := ix.openPager(path, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	p := ix.params
 	tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
+	if err == nil {
+		err = tree.BulkLoadArena(keys, perm, ids, rdist)
+	}
+	if err == nil {
+		err = tree.Flush()
+	}
 	if err != nil {
 		pgr.Close()
-		return err
+		return nil, err
 	}
-	if err := tree.BulkLoadArena(keys, perm, nil, rdist); err != nil {
-		pgr.Close()
-		return err
-	}
-	if err := tree.Flush(); err != nil {
-		pgr.Close()
-		return err
-	}
-	ix.trees[t] = tree
-	ix.treePagers[t] = pgr
-	phases.bulkNS.Add(int64(time.Since(t0)))
-	return nil
+	return tree, nil
 }
 
 // computeRefDists fills the flat n×m reference-distance matrix on up to

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,8 +30,9 @@ func sortRecords(records []rdbtree.Record) {
 // buildReferenceTree reconstructs tree t of ix the way the seed
 // implementation did — per-record Encode, Record structs, comparison
 // sort, record bulk load — into its own pager file, and returns that
-// file's bytes.
-func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rdist []float32, path string) []byte {
+// file's bytes. Ids in drop are left out, as a compaction leaves out
+// the marks it reclaims.
+func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rdist []float32, drop map[uint64]bool, path string) []byte {
 	t.Helper()
 	p := ix.params
 	q := ix.quants[tr]
@@ -38,15 +40,18 @@ func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rd
 	start := tr * ix.eta
 	m := p.M
 
-	records := make([]rdbtree.Record, len(vectors))
+	records := make([]rdbtree.Record, 0, len(vectors))
 	coords := make([]uint32, ix.eta)
 	for id, v := range vectors {
+		if drop[uint64(id)] {
+			continue
+		}
 		q.Coords(coords, v[start:start+ix.eta])
-		records[id] = rdbtree.Record{
+		records = append(records, rdbtree.Record{
 			Key:      curve.Encode(nil, coords),
 			ID:       uint64(id),
 			RefDists: rdist[id*m : (id+1)*m],
-		}
+		})
 	}
 	sortRecords(records)
 
@@ -97,8 +102,8 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 	}
 	refDir := t.TempDir()
 	for tr := 0; tr < ix.params.Tau; tr++ {
-		want := buildReferenceTree(t, ix, tr, vectors, rdist, filepath.Join(refDir, "ref.pg"))
-		got, err := os.ReadFile(ix.treePath(tr))
+		want := buildReferenceTree(t, ix, tr, vectors, rdist, nil, filepath.Join(refDir, "ref.pg"))
+		got, err := os.ReadFile(ix.treeGenPath(tr, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +117,8 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 	refIxDir := t.TempDir()
 	copyDir(t, dir, refIxDir)
 	for tr := 0; tr < ix.params.Tau; tr++ {
-		b := buildReferenceTree(t, ix, tr, vectors, rdist, filepath.Join(refDir, "ref.pg"))
-		if err := os.WriteFile(filepath.Join(refIxDir, filepath.Base(ix.treePath(tr))), b, 0o644); err != nil {
+		b := buildReferenceTree(t, ix, tr, vectors, rdist, nil, filepath.Join(refDir, "ref.pg"))
+		if err := os.WriteFile(filepath.Join(refIxDir, filepath.Base(ix.treeGenPath(tr, 0))), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,6 +147,82 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompactedGenerationEquivalentToComparisonSortPath pins the shared
+// tree writer on the compaction side: after inserts, a delete of one
+// base id and one batch id, and Compact, every tree_XX.g1.pg is
+// byte-identical to the comparison-sort reference over the surviving
+// objects — whatever the worker budget — and scans as the same
+// (key, id, refdists) stream.
+func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
+	vectors := testVectorsFlatTie(3000, 32, 13)
+	const base = 2400
+	drop := map[uint64]bool{17: true, 2700: true}
+	for _, workers := range []int{1, 4} {
+		p := Params{Tau: 8, Omega: 8, M: 6, Alpha: 256, Seed: 7, BuildWorkers: workers, MemtableMaxVectors: 1 << 20}
+		ix, err := Build(t.TempDir(), vectors[:base], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		for _, v := range vectors[base:] {
+			if _, err := ix.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := range drop {
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+
+		rdist, err := computeRefDists(context.Background(), vectors, ix.refs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refPath := filepath.Join(t.TempDir(), "ref.pg")
+		for tr := 0; tr < ix.params.Tau; tr++ {
+			want := buildReferenceTree(t, ix, tr, vectors, rdist, drop, refPath)
+			got, err := os.ReadFile(ix.treeGenPath(tr, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers %d tree %d: compacted generation differs from comparison-sort reference (%d vs %d bytes)", workers, tr, len(got), len(want))
+			}
+			if g, w := scanStream(t, ix.treeGenPath(tr, 1)), scanStream(t, refPath); !bytes.Equal(g, w) {
+				t.Fatalf("workers %d tree %d: (key, id, refdists) stream differs from the reference", workers, tr)
+			}
+		}
+	}
+}
+
+// scanStream opens the tree file at path and serialises what ScanAll
+// yields, entry by entry.
+func scanStream(t *testing.T, path string) []byte {
+	t.Helper()
+	pgr, err := pager.Open(path, pager.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pgr.Close()
+	tree, err := rdbtree.Open(pgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = tree.ScanAll(func(k []byte, e rdbtree.Entry) bool {
+		fmt.Fprintf(&out, "%x %d %v\n", k, e.ID, e.RefDists)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // testVectorsFlatTie generates vectors over a coarse integer grid so

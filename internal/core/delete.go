@@ -117,53 +117,20 @@ func (d *deleteSet) purge(ids map[uint64]struct{}) {
 
 // Delete marks object id as deleted; it will no longer be returned by
 // searches. The mark is durable when Delete returns — a WAL record
-// acknowledged through the same group commit as inserts. Deleting an
-// unknown id is an error; deleting twice (or deleting a purged id) is
-// a no-op.
+// acknowledged through the same group commit as inserts (logged).
+// Deleting an unknown id is an error; deleting twice (or deleting a
+// purged id) is a no-op.
 func (ix *Index) Delete(id uint64) error {
 	d := ix.deleted
-	ix.mu.Lock()
-	if ix.wal == nil {
-		ix.mu.Unlock()
-		return errors.New("core: index is closed")
-	}
-	if ix.walFailed {
-		err := walUnavailable(ix.walErr)
-		ix.mu.Unlock()
-		return err
-	}
-	total := ix.vectors.Count() + uint64(len(ix.mem))
-	if id >= total {
-		ix.mu.Unlock()
-		return fmt.Errorf("%w: delete of id %d (have %d)", ErrUnknownID, id, total)
-	}
-	if d.has(id) {
-		ix.mu.Unlock()
-		return nil // already deleted (marked or purged); already durable
-	}
-	off, err := ix.wal.AppendNoSync(wal.Record{Op: wal.OpDelete, ID: id})
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			ix.mu.Unlock()
-			return err
+	return ix.logged(func(total uint64) (*wal.Record, error) {
+		if id >= total {
+			return nil, fmt.Errorf("%w: delete of id %d (have %d)", ErrUnknownID, id, total)
 		}
-		err = ix.noteWALFailureLocked(err)
-		ix.mu.Unlock()
-		return err
-	}
-	d.mark(id)
-	ix.mu.Unlock()
-	if err := ix.wal.WaitDurable(off); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return err
+		if d.has(id) {
+			return nil, nil // already deleted (marked or purged); already durable
 		}
-		// Never durable, never acknowledged: lift the mark so the
-		// in-memory state matches what a crash-restart replay rebuilds,
-		// then flip read-only.
-		d.unmark(id)
-		return ix.noteWALFailure(err)
-	}
-	return nil
+		return &wal.Record{Op: wal.OpDelete, ID: id}, nil
+	}, func(int64) { d.mark(id) }, func() { d.unmark(id) })
 }
 
 // Undelete removes the deletion mark from id. Undeleting an unmarked
@@ -172,54 +139,22 @@ func (ix *Index) Delete(id uint64) error {
 // entries no longer exist, so the object cannot come back.
 func (ix *Index) Undelete(id uint64) error {
 	d := ix.deleted
-	ix.mu.Lock()
-	if ix.wal == nil {
-		ix.mu.Unlock()
-		return errors.New("core: index is closed")
-	}
-	if ix.walFailed {
-		err := walUnavailable(ix.walErr)
-		ix.mu.Unlock()
-		return err
-	}
-	total := ix.vectors.Count() + uint64(len(ix.mem))
-	if id >= total {
-		ix.mu.Unlock()
-		return fmt.Errorf("%w: undelete of id %d (have %d)", ErrUnknownID, id, total)
-	}
-	d.mu.RLock()
-	_, gone := d.purged[id]
-	_, marked := d.ids[id]
-	d.mu.RUnlock()
-	if gone {
-		ix.mu.Unlock()
-		return fmt.Errorf("%w: undelete of id %d", ErrPurged, id)
-	}
-	if !marked {
-		ix.mu.Unlock()
-		return nil
-	}
-	off, err := ix.wal.AppendNoSync(wal.Record{Op: wal.OpUndelete, ID: id})
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			ix.mu.Unlock()
-			return err
+	return ix.logged(func(total uint64) (*wal.Record, error) {
+		if id >= total {
+			return nil, fmt.Errorf("%w: undelete of id %d (have %d)", ErrUnknownID, id, total)
 		}
-		err = ix.noteWALFailureLocked(err)
-		ix.mu.Unlock()
-		return err
-	}
-	d.unmark(id)
-	ix.mu.Unlock()
-	if err := ix.wal.WaitDurable(off); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return err
+		d.mu.RLock()
+		_, gone := d.purged[id]
+		_, marked := d.ids[id]
+		d.mu.RUnlock()
+		if gone {
+			return nil, fmt.Errorf("%w: undelete of id %d", ErrPurged, id)
 		}
-		// Mirror Delete's rollback: the unmark was never durable.
-		d.mark(id)
-		return ix.noteWALFailure(err)
-	}
-	return nil
+		if !marked {
+			return nil, nil
+		}
+		return &wal.Record{Op: wal.OpUndelete, ID: id}, nil
+	}, func(int64) { d.unmark(id) }, func() { d.mark(id) })
 }
 
 // DeletedCount returns the number of deleted objects (marked plus
@@ -230,33 +165,20 @@ func newDeleteSet() *deleteSet {
 	return &deleteSet{ids: make(map[uint64]struct{}), purged: make(map[uint64]struct{})}
 }
 
-// saveDeleteSet persists the mark file under saveMu.
+// saveDeleteSet snapshots and writes the mark file (v2 layout: magic,
+// marks, purged ids) under saveMu, which serialises writers so a stale
+// snapshot can never overwrite a newer one.
 func (ix *Index) saveDeleteSet() error {
-	ix.deleted.saveMu.Lock()
-	defer ix.deleted.saveMu.Unlock()
-	return ix.saveDeleteSetLocked()
-}
-
-// saveDeleteSetLocked snapshots and writes the mark file (v2 layout:
-// magic, marks, purged ids). Callers hold d.saveMu, which serialises
-// writers so a stale snapshot can never overwrite a newer one.
-func (ix *Index) saveDeleteSetLocked() error {
 	d := ix.deleted
+	d.saveMu.Lock()
+	defer d.saveMu.Unlock()
 	d.mu.RLock()
-	buf := make([]byte, 8+8+8*len(d.ids)+8+8*len(d.purged))
-	binary.BigEndian.PutUint64(buf, deletedMagicV2)
-	off := 8
-	binary.BigEndian.PutUint64(buf[off:], uint64(len(d.ids)))
-	off += 8
-	for id := range d.ids {
-		binary.BigEndian.PutUint64(buf[off:], id)
-		off += 8
-	}
-	binary.BigEndian.PutUint64(buf[off:], uint64(len(d.purged)))
-	off += 8
-	for id := range d.purged {
-		binary.BigEndian.PutUint64(buf[off:], id)
-		off += 8
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+8+8*len(d.ids)+8+8*len(d.purged)), deletedMagicV2)
+	for _, section := range []map[uint64]struct{}{d.ids, d.purged} {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(section)))
+		for id := range section {
+			buf = binary.BigEndian.AppendUint64(buf, id)
+		}
 	}
 	d.mu.RUnlock()
 	// Atomic replace: a crash at any point leaves either the old
@@ -280,38 +202,33 @@ func (ix *Index) loadDeleteSet() error {
 	if len(buf) < 8 {
 		return fmt.Errorf("core: corrupt %s", deletedFile)
 	}
-	if binary.BigEndian.Uint64(buf) == deletedMagicV2 {
-		rest := buf[8:]
-		readSection := func(into map[uint64]struct{}) error {
-			if len(rest) < 8 {
-				return fmt.Errorf("core: truncated %s", deletedFile)
-			}
-			n := binary.BigEndian.Uint64(rest)
-			rest = rest[8:]
-			if n > uint64(len(rest))/8 {
-				return fmt.Errorf("core: truncated %s", deletedFile)
-			}
-			for i := uint64(0); i < n; i++ {
-				into[binary.BigEndian.Uint64(rest[8*i:])] = struct{}{}
-			}
-			rest = rest[8*n:]
-			return nil
+	// One section is a count then that many ids. The count is checked by
+	// division: 8+8*n overflows for a corrupt n.
+	rest := buf
+	readSection := func(into map[uint64]struct{}) error {
+		if len(rest) < 8 {
+			return fmt.Errorf("core: truncated %s", deletedFile)
 		}
-		if err := readSection(ix.deleted.ids); err != nil {
-			return err
+		n := binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
+		if n > uint64(len(rest))/8 {
+			return fmt.Errorf("core: truncated %s", deletedFile)
 		}
-		return readSection(ix.deleted.purged)
+		for i := uint64(0); i < n; i++ {
+			into[binary.BigEndian.Uint64(rest[8*i:])] = struct{}{}
+		}
+		rest = rest[8*n:]
+		return nil
 	}
-	// v1 layout (pre-WAL indexes): one count, then mark ids.
-	n := binary.BigEndian.Uint64(buf)
-	// Divide rather than multiply: 8+8*n overflows for a corrupt count.
-	if n > uint64(len(buf)-8)/8 {
-		return fmt.Errorf("core: truncated %s", deletedFile)
+	// v1 layout (pre-WAL indexes): the marks section alone.
+	if binary.BigEndian.Uint64(buf) != deletedMagicV2 {
+		return readSection(ix.deleted.ids)
 	}
-	for i := uint64(0); i < n; i++ {
-		ix.deleted.ids[binary.BigEndian.Uint64(buf[8+8*i:])] = struct{}{}
+	rest = buf[8:]
+	if err := readSection(ix.deleted.ids); err != nil {
+		return err
 	}
-	return nil
+	return readSection(ix.deleted.purged)
 }
 
 // pruneDeleteMarks drops marks for ids beyond the replayed id space: a

@@ -98,7 +98,7 @@ func (ix *Index) WALFailed() bool {
 // compactBackoffBase, capped at compactBackoffMax. The delay is stored
 // (compactRetryDelay) so the background loop can pick it up even when
 // the failing attempt was a manual Compact call.
-func (ix *Index) noteCompactFailure(err error) time.Duration {
+func (ix *Index) noteCompactFailure(err error) {
 	ix.mu.Lock()
 	ix.compactConsecFails++
 	ix.compactFailures++
@@ -114,7 +114,6 @@ func (ix *Index) noteCompactFailure(err error) time.Duration {
 	}
 	ix.compactBackoff = d
 	ix.mu.Unlock()
-	return d
 }
 
 // compactRetryDelay reports the breaker's current backoff (0 when

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -241,6 +243,92 @@ func TestFaultCompactionEIOServesOldGeneration(t *testing.T) {
 		t.Fatalf("memtable = %d after compaction, want 0", ist.MemtableVectors)
 	}
 	assertServes(t, ix, acked, ds.Vectors[200:])
+}
+
+// TestFaultCompactionCommitCannotHalfApply fails the deleted.bin write —
+// the first persistence step AFTER the meta.json commit — and checks the
+// commit still applied whole in memory: the batch left the memtable (it
+// must not live in the store, the new trees and mem at once), no
+// phantom ids answer, id allocation continues from Count, the old
+// generation's files are gone, and a reopen recovers the same state
+// with the marks intact (they are still in the untruncated WAL).
+func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
+	const base, batch = 400, 100
+	ds := data.Generate(data.Config{N: base + batch + 1, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 91})
+	dir := filepath.Join(t.TempDir(), "ix")
+	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 600, Beta: 600, Gamma: 600, Seed: 92, MemtableMaxVectors: 1 << 20}
+	ix, err := Build(dir, ds.Vectors[:base], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ix.Close() }()
+	if _, err := insertUntilFailure(t, ix, ds.Vectors[base:base+batch]); err != nil {
+		t.Fatal(err)
+	}
+	deleted := map[uint64]bool{7: true, 450: true} // one base id, one batch id
+	for id := range deleted {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// atomicfile cannot open its temp file while a directory has the name.
+	blocker := filepath.Join(dir, deletedFile+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Compact(context.Background()); err == nil {
+		t.Fatal("Compact must report the failed deleted.bin write")
+	}
+
+	live := ds.Vectors[:base+batch]
+	check := func(label string, ix *Index, count uint64) {
+		t.Helper()
+		if got := ix.Count(); got != count {
+			t.Fatalf("%s: Count = %d, want %d", label, got, count)
+		}
+		for _, qi := range []int{7, 200, 449, 450, 451, 499} {
+			res, _, err := ix.Query(context.Background(), ds.Vectors[qi], 5, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%s: query %d", label, qi), res, bruteForce(live, deleted, ds.Vectors[qi], 5))
+		}
+	}
+	if st := ix.IngestStats(); st.MemtableVectors != 0 || st.Compactions != 1 {
+		t.Fatalf("after the failed mark-file write: memtable = %d, compactions = %d; want 0 and 1", st.MemtableVectors, st.Compactions)
+	}
+	check("after failed mark-file write", ix, base+batch)
+	if _, err := os.Stat(ix.treeGenPath(0, 0)); !os.IsNotExist(err) {
+		t.Fatalf("old generation file still present (stat err %v)", err)
+	}
+	id, err := ix.Insert(ds.Vectors[base+batch])
+	if err != nil || id != base+batch {
+		t.Fatalf("next Insert = (%d, %v), want id %d", id, err, base+batch)
+	}
+	live = ds.Vectors
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = Open(dir, OpenOptions{MemtableMaxVectors: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen", ix, base+batch+1)
+	if got := ix.DeletedCount(); got != len(deleted) {
+		t.Fatalf("after reopen: DeletedCount = %d, want %d", got, len(deleted))
+	}
+	// The next compaction reclaims the replayed marks again.
+	if err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("after the next compaction", ix, base+batch+1)
+	if err := ix.Undelete(7); !errors.Is(err, ErrPurged) {
+		t.Fatalf("Undelete(7) = %v, want ErrPurged", err)
+	}
 }
 
 // TestFaultPagerReadEIOTypedError turns reads of the tree files into

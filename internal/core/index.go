@@ -34,10 +34,8 @@ type Index struct {
 	nu     int
 	eta    int
 
-	trees      []*rdbtree.Tree
-	treePagers []*pager.Pager
-	vectors    *vecstore.Store
-	vecPager   *pager.Pager
+	trees   []*rdbtree.Tree
+	vectors *vecstore.Store
 
 	refs     [][]float32 // the m reference vectors
 	refCross [][]float64 // d(R_i, R_j), for the Ptolemaic bound
@@ -107,8 +105,38 @@ type metaJSON struct {
 	Hi     []float32   `json:"hi"`
 }
 
-func (ix *Index) treePath(t int) string {
-	return filepath.Join(ix.dir, fmt.Sprintf("tree_%02d.pg", t))
+// treeGenPath names tree t's file in generation gen. A fresh build is
+// generation 0 and keeps the pre-ingest name.
+func (ix *Index) treeGenPath(t int, gen uint64) string {
+	name := fmt.Sprintf("tree_%02d.pg", t)
+	if gen > 0 {
+		name = fmt.Sprintf("tree_%02d.g%d.pg", t, gen)
+	}
+	return filepath.Join(ix.dir, name)
+}
+
+// openPager is the one place an index file is opened or created, so
+// every tree generation and the vector store share one pool
+// configuration. Reopening ignores PageSize: the file's own wins.
+func (ix *Index) openPager(path string, create bool) (*pager.Pager, error) {
+	p := ix.params
+	return pager.Open(path, pager.Options{
+		Create: create, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
+	})
+}
+
+// eachPager visits every file the index holds open — the current tree
+// generation, then the vector store — skipping what a failed Build or
+// Open never got to.
+func (ix *Index) eachPager(fn func(*pager.Pager)) {
+	for _, tr := range ix.trees {
+		if tr != nil {
+			fn(tr.Pager())
+		}
+	}
+	if ix.vectors != nil {
+		fn(ix.vectors.Pager())
+	}
 }
 
 // RemoveIndexFiles deletes every file a previous Build may have left at
@@ -148,8 +176,26 @@ func RemoveIndexFiles(dir string) error {
 	return nil
 }
 
-func (ix *Index) initCurves() error {
-	p := ix.params
+// newIndex derives the in-memory state Build and Open share from what
+// meta.json records: geometry, reference cross-distances, one curve and
+// quantiser per partition. On error the index is still safe to Close.
+func newIndex(dir string, m metaJSON) (*Index, error) {
+	p := m.Params
+	ix := &Index{
+		dir:      dir,
+		params:   p,
+		nu:       m.Nu,
+		eta:      m.Nu / p.Tau,
+		refs:     m.Refs,
+		refCross: crossDistances(m.Refs),
+		lo:       m.Lo,
+		hi:       m.Hi,
+		gen:      m.Gen,
+		deleted:  newDeleteSet(),
+	}
+	if !p.DisableTelemetry {
+		ix.tel = telemetry.NewCollector()
+	}
 	ix.curves = make([]hilbert.Curve, p.Tau)
 	ix.quants = make([]*hilbert.Quantizer, p.Tau)
 	for t := 0; t < p.Tau; t++ {
@@ -162,13 +208,13 @@ func (ix *Index) initCurves() error {
 			c, err = hilbert.New(ix.eta, p.Omega)
 		}
 		if err != nil {
-			return err
+			return ix, err
 		}
 		ix.curves[t] = c
 		start := t * ix.eta
 		ix.quants[t] = hilbert.NewQuantizer(ix.lo[start:start+ix.eta], ix.hi[start:start+ix.eta], p.Omega)
 	}
-	return nil
+	return ix, nil
 }
 
 func crossDistances(refs [][]float32) [][]float64 {
@@ -240,7 +286,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return nil, fmt.Errorf("core: parse index meta: %w", err)
 	}
-	p := m.Params
+	p := &m.Params
 	if opts.PoolPages > 0 {
 		p.PoolPages = opts.PoolPages
 	}
@@ -251,63 +297,48 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	p.MemtableMaxVectors = opts.MemtableMaxVectors
 	p.DisableTelemetry = opts.DisableTelemetry
 
-	ix := &Index{
-		dir:     dir,
-		params:  p,
-		nu:      m.Nu,
-		eta:     m.Nu / p.Tau,
-		refs:    m.Refs,
-		lo:      m.Lo,
-		hi:      m.Hi,
-		gen:     m.Gen,
-		deleted: newDeleteSet(),
+	ix, err := newIndex(dir, m)
+	if err == nil {
+		err = ix.load(m.Count)
 	}
-	ix.refCross = crossDistances(m.Refs)
-	if !p.DisableTelemetry {
-		ix.tel = telemetry.NewCollector()
-	}
-	if err := ix.initCurves(); err != nil {
+	if err != nil {
+		ix.Close()
 		return nil, err
 	}
+	ix.startCompactor()
+	return ix, nil
+}
 
+// load opens the committed generation's files and recovers the ingest
+// state: Open's body, split out so every failure is released by the one
+// Close in Open.
+func (ix *Index) load(committed uint64) error {
 	// A crash inside a compaction (before its meta commit) or right
 	// after one (before old-generation cleanup) leaves tree files of
-	// generations other than m.Gen — remove them so they cannot collide
+	// generations other than ix.gen — remove them so they cannot collide
 	// with a future compaction reusing the generation number.
-	if err := removeStaleGenerations(dir, p.Tau, m.Gen); err != nil {
-		return nil, err
+	if err := ix.removeStaleGenerations(); err != nil {
+		return err
 	}
-
-	ix.trees = make([]*rdbtree.Tree, p.Tau)
-	ix.treePagers = make([]*pager.Pager, p.Tau)
-	for t := 0; t < p.Tau; t++ {
-		pgr, err := pager.Open(ix.treeGenPath(t, m.Gen), pager.Options{
-			PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-		})
+	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
+	for t := range ix.trees {
+		pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), false)
 		if err != nil {
-			ix.Close()
-			return nil, err
+			return err
 		}
-		ix.treePagers[t] = pgr
-		tree, err := rdbtree.Open(pgr)
-		if err != nil {
-			ix.Close()
-			return nil, err
+		if ix.trees[t], err = rdbtree.Open(pgr); err != nil {
+			pgr.Close()
+			return err
 		}
-		ix.trees[t] = tree
 	}
-	vp, err := pager.Open(filepath.Join(dir, "vectors.pg"), pager.Options{
-		PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-	})
+	vp, err := ix.openPager(filepath.Join(ix.dir, "vectors.pg"), false)
 	if err != nil {
-		ix.Close()
-		return nil, err
+		return err
 	}
-	ix.vecPager = vp
 	vs, err := vecstore.Open(vp)
 	if err != nil {
-		ix.Close()
-		return nil, err
+		vp.Close()
+		return err
 	}
 	ix.vectors = vs
 
@@ -318,58 +349,42 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	// pre-WAL directory has no such discipline: its vector-store header
 	// is the historical truth, so adopt it (and persist the adoption
 	// before the WAL file starts marking the new discipline).
-	walPath := filepath.Join(dir, walFile)
-	_, statErr := os.Stat(walPath)
-	walExisted := statErr == nil
-	if walExisted {
+	walPath := filepath.Join(ix.dir, walFile)
+	if _, statErr := os.Stat(walPath); statErr == nil {
 		switch {
-		case vs.Count() > m.Count:
-			if err := vs.ResetCount(m.Count); err != nil {
-				ix.Close()
-				return nil, err
+		case vs.Count() > committed:
+			if err := vs.ResetCount(committed); err != nil {
+				return err
 			}
-		case vs.Count() < m.Count:
-			ix.Close()
-			return nil, fmt.Errorf("core: vector store holds %d vectors, meta commits %d", vs.Count(), m.Count)
+		case vs.Count() < committed:
+			return fmt.Errorf("core: vector store holds %d vectors, meta commits %d", vs.Count(), committed)
 		}
-	} else if vs.Count() != m.Count {
+	} else if vs.Count() != committed {
 		if err := ix.writeMeta(); err != nil {
-			ix.Close()
-			return nil, err
+			return err
 		}
 	}
 
 	if err := ix.loadDeleteSet(); err != nil {
-		ix.Close()
-		return nil, err
+		return err
 	}
 	ix.wal, err = wal.Open(walPath, ix.walOptions(), ix.replayRecord)
 	if err != nil {
-		ix.Close()
-		return nil, fmt.Errorf("core: wal recovery: %w", err)
+		return fmt.Errorf("core: wal recovery: %w", err)
 	}
-	if err := ix.pruneDeleteMarks(); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	ix.startCompactor()
-	return ix, nil
+	return ix.pruneDeleteMarks()
 }
 
 // removeStaleGenerations deletes tree files whose name does not belong
 // to the committed generation.
-func removeStaleGenerations(dir string, tau int, gen uint64) error {
-	matches, err := filepath.Glob(filepath.Join(dir, "tree_*.pg"))
+func (ix *Index) removeStaleGenerations() error {
+	matches, err := filepath.Glob(filepath.Join(ix.dir, "tree_*.pg"))
 	if err != nil {
 		return err
 	}
-	keep := make(map[string]bool, tau)
-	for t := 0; t < tau; t++ {
-		name := fmt.Sprintf("tree_%02d.pg", t)
-		if gen > 0 {
-			name = fmt.Sprintf("tree_%02d.g%d.pg", t, gen)
-		}
-		keep[filepath.Join(dir, name)] = true
+	keep := make(map[string]bool, ix.params.Tau)
+	for t := 0; t < ix.params.Tau; t++ {
+		keep[ix.treeGenPath(t, ix.gen)] = true
 	}
 	for _, path := range matches {
 		if !keep[path] {
@@ -400,18 +415,11 @@ func (ix *Index) Close() error {
 		}
 		ix.wal = nil
 	}
-	for _, pgr := range ix.treePagers {
-		if pgr != nil {
-			if err := pgr.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if ix.vecPager != nil {
-		if err := ix.vecPager.Close(); err != nil && first == nil {
+	ix.eachPager(func(pgr *pager.Pager) {
+		if err := pgr.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
+	})
 	return first
 }
 
@@ -451,28 +459,9 @@ func (ix *Index) References() [][]float32 { return ix.refs }
 // write-ahead log.
 func (ix *Index) SizeOnDisk() int64 {
 	var total int64
-	for _, pgr := range ix.treePagers {
-		if pgr != nil {
-			total += pgr.FileSize()
-		}
-	}
-	if ix.vecPager != nil {
-		total += ix.vecPager.FileSize()
-	}
+	ix.eachPager(func(pgr *pager.Pager) { total += pgr.FileSize() })
 	if ix.wal != nil {
 		total += ix.wal.Size()
-	}
-	return total
-}
-
-// TreeSizeOnDisk returns bytes used by the RDB-trees only (the index
-// proper, excluding the dataset vectors every method must keep).
-func (ix *Index) TreeSizeOnDisk() int64 {
-	var total int64
-	for _, pgr := range ix.treePagers {
-		if pgr != nil {
-			total += pgr.FileSize()
-		}
 	}
 	return total
 }
@@ -480,27 +469,13 @@ func (ix *Index) TreeSizeOnDisk() int64 {
 // IOStats sums the pager counters of all files.
 func (ix *Index) IOStats() pager.Stats {
 	var s pager.Stats
-	for _, pgr := range ix.treePagers {
-		if pgr != nil {
-			s.Add(pgr.Stats())
-		}
-	}
-	if ix.vecPager != nil {
-		s.Add(ix.vecPager.Stats())
-	}
+	ix.eachPager(func(pgr *pager.Pager) { s.Add(pgr.Stats()) })
 	return s
 }
 
 // ResetIOStats zeroes all pager counters.
 func (ix *Index) ResetIOStats() {
-	for _, pgr := range ix.treePagers {
-		if pgr != nil {
-			pgr.ResetStats()
-		}
-	}
-	if ix.vecPager != nil {
-		ix.vecPager.ResetStats()
-	}
+	ix.eachPager((*pager.Pager).ResetStats)
 }
 
 // Flush persists all dirty state to disk: tree and vector-store pages,
@@ -510,31 +485,25 @@ func (ix *Index) ResetIOStats() {
 // test-path tree mutations and a convenient full-sync barrier.
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
+	var err error
 	for _, tr := range ix.trees {
-		if tr != nil {
-			if err := tr.Flush(); err != nil {
-				ix.mu.Unlock()
-				return err
-			}
+		if err == nil {
+			err = tr.Flush()
 		}
 	}
-	if ix.vectors != nil {
-		if err := ix.vectors.Flush(); err != nil {
-			ix.mu.Unlock()
-			return err
-		}
+	if err == nil {
+		err = ix.vectors.Flush()
 	}
-	if err := ix.writeMeta(); err != nil {
-		ix.mu.Unlock()
-		return err
+	if err == nil {
+		err = ix.writeMeta()
 	}
 	w := ix.wal
 	ix.mu.Unlock()
-	if err := ix.saveDeleteSet(); err != nil {
-		return err
+	if err == nil {
+		err = ix.saveDeleteSet()
 	}
-	if w != nil {
-		return w.Sync()
+	if err == nil && w != nil {
+		err = w.Sync()
 	}
-	return nil
+	return err
 }

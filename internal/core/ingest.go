@@ -6,12 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
-	"github.com/hd-index/hdindex/internal/pager"
-	"github.com/hd-index/hdindex/internal/radix"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/vecmath"
 	"github.com/hd-index/hdindex/internal/wal"
@@ -131,10 +127,61 @@ func (ix *Index) memtableMax() int {
 	return defaultMemtableMaxVectors
 }
 
-// Insert adds one vector: WAL append under the index lock (so log
-// order matches id order), memtable append, then the group-commit wait
-// outside the lock. The id is durable and searchable when Insert
-// returns; no tree page or vector-store write happens on this path.
+// logged is the one mutation path: Insert, Delete and Undelete are one
+// call each. Under ix.mu it rejects a closed or read-only index, asks
+// pre (given the id watermark, committed + memtable) for the WAL record
+// — or its precondition error, or nil for a no-op with nothing to log —
+// appends it unsynced, so log order is lock order, and runs apply, the
+// in-memory effect, with the record's end offset. The group-commit wait
+// happens outside the lock. If that fsync fails the mutation was never
+// acknowledged: undo (nil when noteWALFailure's drop of the memtable
+// suffix already covers it) reverts apply, so memory matches what a
+// crash-restart replay rebuilds, and the index flips read-only.
+func (ix *Index) logged(pre func(total uint64) (*wal.Record, error), apply func(off int64), undo func()) error {
+	ix.mu.Lock()
+	if ix.wal == nil {
+		ix.mu.Unlock()
+		return errors.New("core: index is closed")
+	}
+	if ix.walFailed {
+		err := walUnavailable(ix.walErr)
+		ix.mu.Unlock()
+		return err
+	}
+	rec, err := pre(ix.vectors.Count() + uint64(len(ix.mem)))
+	if rec == nil {
+		ix.mu.Unlock()
+		return err
+	}
+	w := ix.wal
+	off, err := w.AppendNoSync(*rec)
+	if err != nil {
+		if !errors.Is(err, wal.ErrClosed) {
+			// The append poisoned the log (a torn page-cache write): flip
+			// read-only before unlocking so no later writer races past.
+			err = ix.noteWALFailureLocked(err)
+		}
+		ix.mu.Unlock()
+		return err
+	}
+	apply(off)
+	ix.mu.Unlock()
+	if err := w.WaitDurable(off); err != nil {
+		if errors.Is(err, wal.ErrClosed) {
+			return err
+		}
+		if undo != nil {
+			undo()
+		}
+		return ix.noteWALFailure(err)
+	}
+	return nil
+}
+
+// Insert adds one vector through logged: the id is the watermark at
+// append time (so log order matches id order) and the vector lands in
+// the memtable. The id is durable and searchable when Insert returns;
+// no tree page or vector-store write happens on this path.
 func (ix *Index) Insert(vec []float32) (uint64, error) {
 	if len(vec) != ix.nu {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", ErrDimMismatch, len(vec), ix.nu)
@@ -144,41 +191,18 @@ func (ix *Index) Insert(vec []float32) (uint64, error) {
 		telStart = time.Now()
 	}
 	cp := vecmath.Copy(vec)
-	ix.mu.Lock()
-	if ix.wal == nil {
-		ix.mu.Unlock()
-		return 0, errors.New("core: index is closed")
-	}
-	if ix.walFailed {
-		err := walUnavailable(ix.walErr)
-		ix.mu.Unlock()
-		return 0, err
-	}
-	id := ix.vectors.Count() + uint64(len(ix.mem))
-	off, err := ix.wal.AppendNoSync(wal.Record{Op: wal.OpInsert, ID: id, Vec: cp})
+	var id uint64
+	var memLen int
+	err := ix.logged(func(total uint64) (*wal.Record, error) {
+		id = total
+		return &wal.Record{Op: wal.OpInsert, ID: id, Vec: cp}, nil
+	}, func(off int64) {
+		ix.mem = append(ix.mem, cp)
+		ix.memOff = append(ix.memOff, off)
+		memLen = len(ix.mem)
+	}, nil)
 	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			ix.mu.Unlock()
-			return 0, err
-		}
-		// The append poisoned the log (a torn page-cache write): flip
-		// read-only before unlocking so no later writer races past.
-		err = ix.noteWALFailureLocked(err)
-		ix.mu.Unlock()
 		return 0, err
-	}
-	ix.mem = append(ix.mem, cp)
-	ix.memOff = append(ix.memOff, off)
-	memLen := len(ix.mem)
-	ix.mu.Unlock()
-	if err := ix.wal.WaitDurable(off); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return 0, err
-		}
-		// The fsync failed: this insert was never durable, so it is
-		// rolled back with the rest of the non-durable suffix and the
-		// index flips read-only.
-		return 0, ix.noteWALFailure(err)
 	}
 	if !telStart.IsZero() {
 		ix.tel.ObserveInsert(time.Since(telStart))
@@ -328,13 +352,6 @@ func (ix *Index) stopCompactor() {
 	ix.compactCancel = nil
 }
 
-func (ix *Index) treeGenPath(t int, gen uint64) string {
-	if gen == 0 {
-		return ix.treePath(t)
-	}
-	return filepath.Join(ix.dir, fmt.Sprintf("tree_%02d.g%d.pg", t, gen))
-}
-
 // Compact drains the current memtable into the RDB-trees: reference
 // distances and Hilbert keys for the batch, a merge of each tree's
 // existing entries with the radix-sorted batch into a fresh
@@ -417,11 +434,7 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		return true, ix.noteWALFailure(err)
 	}
 
-	workers := ix.params.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rdist, err := computeRefDists(ctx, batch, ix.refs, workers)
+	rdist, err := computeRefDists(ctx, batch, ix.refs, ix.params.buildBudget())
 	if err != nil {
 		return true, err
 	}
@@ -432,28 +445,24 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 	drop := ix.deleted.marksBelow(oldCount + uint64(n))
 
 	newGen := oldGen + 1
-	p := ix.params
-	newTrees := make([]*rdbtree.Tree, p.Tau)
-	newPagers := make([]*pager.Pager, p.Tau)
+	newTrees := make([]*rdbtree.Tree, ix.params.Tau)
 	abort := func() {
-		for t, pgr := range newPagers {
-			if pgr != nil {
-				pgr.Close()
+		for t, tree := range newTrees {
+			if tree != nil {
+				tree.Pager().Close()
 				os.Remove(ix.treeGenPath(t, newGen))
 			}
 		}
 	}
-	for t := 0; t < p.Tau; t++ {
+	for t := range newTrees {
 		if err := ctx.Err(); err != nil {
 			abort()
 			return true, err
 		}
-		tree, pgr, err := ix.compactTree(ctx, t, batch, rdist, oldCount, newGen, drop)
-		if err != nil {
+		if newTrees[t], err = ix.compactTree(ctx, t, batch, rdist, oldCount, newGen, drop); err != nil {
 			abort()
 			return true, err
 		}
-		newTrees[t], newPagers[t] = tree, pgr
 	}
 
 	// ---- commit ----
@@ -475,44 +484,46 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		abort()
 		return true, err
 	}
-	oldPagers := ix.treePagers
-	ix.trees, ix.treePagers = newTrees, newPagers
-	// Reclaim the delete marks the rebuild dropped, and persist the
-	// mark file before the WAL truncation drops its delete records — a
-	// crash between the two replays the records onto the saved marks,
-	// which is idempotent.
+	// meta.json landed, so the batch IS committed and memory follows
+	// unconditionally: swap the generation, reclaim the dropped marks,
+	// trim the memtable. Returning before that would leave the batch in
+	// the store, the trees AND mem.
+	oldTrees := ix.trees
+	ix.trees = newTrees
 	ix.deleted.purge(drop)
-	if err := ix.saveDeleteSet(); err != nil {
-		ix.mu.Unlock()
-		for _, pgr := range oldPagers {
-			if pgr != nil {
-				pgr.Close()
-			}
-		}
-		return true, err
-	}
 	rest := make([][]float32, len(ix.mem)-n)
 	copy(rest, ix.mem[n:])
 	restOff := make([]int64, len(ix.memOff)-n)
 	copy(restOff, ix.memOff[n:])
 	ix.mem, ix.memOff = rest, restOff
-	newCount := ix.vectors.Count()
-	tail := make([]wal.Record, len(rest))
-	for i, v := range rest {
-		tail[i] = wal.Record{Op: wal.OpInsert, ID: newCount + uint64(i), Vec: v}
-	}
-	walErr := ix.wal.RewriteWith(tail)
 	ix.compactions++
-	ix.lastCompactMS = msSince(start)
 	ix.lastCompactN = n
+	// Only then the two persistence steps that may fail. The mark file
+	// goes before the WAL truncation drops its delete records — a crash
+	// between the two replays them onto the saved marks, idempotently.
+	// If the mark file cannot be written the log stays whole, the only
+	// durable copy of the marks: replay skips the committed inserts and
+	// brings the reclaimed ids back as marks for the next compaction.
+	saveErr := ix.saveDeleteSet()
+	var walErr error
+	if saveErr == nil {
+		newCount := ix.vectors.Count()
+		tail := make([]wal.Record, len(rest))
+		for i, v := range rest {
+			tail[i] = wal.Record{Op: wal.OpInsert, ID: newCount + uint64(i), Vec: v}
+		}
+		walErr = ix.wal.RewriteWith(tail)
+	}
+	ix.lastCompactMS = msSince(start)
 	ix.mu.Unlock()
 	ix.tel.ObserveCompaction(time.Since(start))
 
-	for t, pgr := range oldPagers {
-		if pgr != nil {
-			pgr.Close()
-		}
+	for t, tree := range oldTrees {
+		tree.Pager().Close()
 		os.Remove(ix.treeGenPath(t, oldGen))
+	}
+	if saveErr != nil {
+		return true, saveErr
 	}
 	if walErr != nil && !errors.Is(walErr, wal.ErrClosed) {
 		// The commit itself is durable (meta.json landed); what failed is
@@ -530,29 +541,19 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 
 // compactTree builds tree t's next generation: the existing entries
 // (already in key order, minus the dropped ids) merged with the
-// radix-sorted batch, streamed through the flat-arena bulk load. Ties
-// keep old-before-new order, which equals id order because batch ids
-// are always larger than committed ids.
-func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]struct{}) (*rdbtree.Tree, *pager.Pager, error) {
-	p := ix.params
-	curve := ix.curves[t]
-	kl := curve.KeyLen()
-	m := p.M
+// radix-sorted batch, through the tree writer Build uses — only the
+// merge is compaction's own. Ties keep old-before-new order, which
+// equals id order because batch ids are always larger than committed
+// ids.
+func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]struct{}) (*rdbtree.Tree, error) {
+	kl := ix.curves[t].KeyLen()
+	m := ix.params.M
 	nB := len(batch)
-	startDim := t * ix.eta
-
-	// Encode + sort the batch for this partition.
-	keysB := make([]byte, nB*kl)
-	coords := make([]uint32, nB*ix.eta)
-	for i, v := range batch {
-		ix.quants[t].Coords(coords[i*ix.eta:(i+1)*ix.eta], v[startDim:startDim+ix.eta])
+	keysB, err := ix.encodeKeys(ctx, t, batch, nil)
+	if err != nil {
+		return nil, err
 	}
-	curve.EncodeAll(keysB, coords, ix.eta)
-	permB := make([]uint32, nB)
-	for i := range permB {
-		permB[i] = uint32(i)
-	}
-	radix.Sort(keysB, kl, permB)
+	permB := sortedPerm(keysB, kl)
 
 	// Merge into flat arenas. Reading the old tree without the index
 	// lock is safe: only compaction replaces trees, and Compact
@@ -582,7 +583,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	scanned := 0
 	var scanErr error
-	err := ix.trees[t].ScanAll(func(k []byte, e rdbtree.Entry) bool {
+	err = ix.trees[t].ScanAll(func(k []byte, e rdbtree.Entry) bool {
 		if scanned%4096 == 0 && ctx.Err() != nil {
 			scanErr = ctx.Err()
 			return false
@@ -600,37 +601,18 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 		err = scanErr
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	emitBatchBelow(nil)
 
-	pgr, err := pager.Open(ix.treeGenPath(t, newGen), pager.Options{
-		Create: true, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-	})
+	tree, err := ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(ids)), ids, rd)
 	if err != nil {
-		return nil, nil, err
-	}
-	tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
-	if err != nil {
-		pgr.Close()
-		return nil, nil, err
-	}
-	perm := make([]uint32, len(ids))
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	if err := tree.BulkLoadArena(keys, perm, ids, rd); err != nil {
-		pgr.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	// Fully durable before the commit point references this generation.
-	if err := tree.Flush(); err != nil {
-		pgr.Close()
-		return nil, nil, err
+	if err := tree.Pager().Sync(); err != nil {
+		tree.Pager().Close()
+		return nil, err
 	}
-	if err := pgr.Sync(); err != nil {
-		pgr.Close()
-		return nil, nil, err
-	}
-	return tree, pgr, nil
+	return tree, nil
 }

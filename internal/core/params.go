@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -47,7 +48,6 @@ type Params struct {
 	UsePtolemaic bool
 
 	RefSelection RefSelection // default SSS
-	SSSFraction  float64      // f of §3.4, default 0.3
 
 	Curve     Curve // default Hilbert
 	PageSize  int   // default 4096 (the paper's B)
@@ -131,9 +131,6 @@ func (p *Params) SetDefaults(nu, n int) {
 	if p.RefSelection == "" {
 		p.RefSelection = RefSSS
 	}
-	if p.SSSFraction == 0 {
-		p.SSSFraction = 0.3
-	}
 	if p.Curve == "" {
 		p.Curve = CurveHilbert
 	}
@@ -143,6 +140,14 @@ func (p *Params) SetDefaults(nu, n int) {
 	if p.PoolPages == 0 {
 		p.PoolPages = 256
 	}
+}
+
+// buildBudget resolves BuildWorkers: 0 means GOMAXPROCS now.
+func (p *Params) buildBudget() int {
+	if p.BuildWorkers > 0 {
+		return p.BuildWorkers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Validate reports configuration errors for a dataset of dimensionality nu.

@@ -32,11 +32,6 @@ const (
 	PresetAuto Preset = "auto"
 )
 
-// Presets lists the named presets in quality order, widest first.
-func Presets() []Preset {
-	return []Preset{PresetExact, PresetBalanced, PresetFast, PresetAuto}
-}
-
 // ParsePreset validates a preset name from a request or a config file.
 func ParsePreset(s string) (Preset, error) {
 	switch p := Preset(s); p {

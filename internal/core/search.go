@@ -11,6 +11,7 @@ import (
 	"github.com/hd-index/hdindex/internal/telemetry"
 	"github.com/hd-index/hdindex/internal/topk"
 	"github.com/hd-index/hdindex/internal/vecmath"
+	"github.com/hd-index/hdindex/internal/vecstore"
 )
 
 // Result is one returned neighbour.
@@ -195,73 +196,30 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	slices.Sort(candidates)
 	span.Mark(telemetry.PhaseCandidateSort)
 
-	// Exact refinement (lines 12-15): fetch each candidate's vector and
-	// compute the true distance — zero-copy out of the buffer pool when
-	// the record sits in one page, early-abandoning the accumulation
-	// once it exceeds the current k-th best. Deleted objects (§3.6) are
-	// skipped here — they stay in the trees but are never returned.
+	// Exact refinement (lines 12-15) over the stored candidates.
 	best := sc.bestFor(k)
-	vec := sc.vec
-	refined := 0
-	for ci, id := range candidates {
-		if ci%refineCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if ix.deleted.has(id) {
-			continue
-		}
-		bound := math.Inf(1)
-		if b, ok := best.Bound(); ok {
-			bound = b
-		}
-		var d float64
-		var full bool
-		if view, ok := ix.vectors.GetView(id); ok {
-			d, full = vecmath.DistSqBound(q, view.Vec, bound)
-			view.Release()
-		} else {
-			v, err := ix.vectors.Get(id, vec)
-			if err != nil {
-				return nil, nil, err
-			}
-			d, full = vecmath.DistSqBound(q, v, bound)
-		}
-		if full {
-			best.Push(id, d)
-		}
-		refined++
+	refined, err := ix.exactPass(ctx, q, best, sc.vec, len(candidates), func(i int) (uint64, []float32) {
+		return candidates[i], nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	span.Mark(telemetry.PhaseRefine)
 
 	// Memtable merge: acknowledged inserts not yet compacted into the
-	// trees are brute-forced with the same early-abandoning exact
-	// distance and pushed into the same top-k heap — no tree I/O, and
-	// the (Dist, ID) ordering makes the merge order-independent. Still
-	// under the read lock, so the memtable/vector-store boundary is the
-	// same one the tree candidates saw.
+	// trees are brute-forced through the same exact-distance step into
+	// the same top-k heap — no tree I/O, and the (Dist, ID) ordering makes
+	// the merge order-independent. Still under the read lock, so the
+	// memtable/vector-store boundary is the same one the tree candidates
+	// saw.
 	memScanned := 0
 	if len(ix.mem) > 0 {
 		base := ix.vectors.Count()
-		for i, mv := range ix.mem {
-			if i%refineCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-			}
-			id := base + uint64(i)
-			if ix.deleted.has(id) {
-				continue
-			}
-			bound := math.Inf(1)
-			if b, ok := best.Bound(); ok {
-				bound = b
-			}
-			if d, full := vecmath.DistSqBound(q, mv, bound); full {
-				best.Push(id, d)
-			}
-			memScanned++
+		memScanned, err = ix.exactPass(ctx, q, best, nil, len(ix.mem), func(i int) (uint64, []float32) {
+			return base + uint64(i), ix.mem[i]
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 		span.Mark(telemetry.PhaseMemtableScan)
 	}
@@ -295,6 +253,54 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 		ix.tel.ObserveQuery(time.Since(telStart), span.NS)
 	}
 	return out, stats, nil
+}
+
+// exactPass is the one exact-distance step, run over n objects: item(i)
+// names the i-th id and, for a memtable entry, its in-memory vector —
+// nil means fetch it from the store, zero-copy out of the buffer pool
+// when the record sits in one page, through scratch otherwise. Deleted
+// objects (§3.6) are skipped — they stay in the trees but are never
+// returned — and the accumulation is abandoned early once it exceeds
+// the current k-th best. Returns how many distances were evaluated;
+// ctx is checked every refineCheckEvery objects.
+func (ix *Index) exactPass(ctx context.Context, q []float32, best *topk.List, scratch []float32, n int, item func(i int) (uint64, []float32)) (int, error) {
+	done := 0
+	for i := 0; i < n; i++ {
+		if i%refineCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return done, err
+			}
+		}
+		id, v := item(i)
+		if ix.deleted.has(id) {
+			continue
+		}
+		bound := math.Inf(1)
+		if b, ok := best.Bound(); ok {
+			bound = b
+		}
+		var view vecstore.VecView
+		pinned := false
+		if v == nil {
+			if view, pinned = ix.vectors.GetView(id); pinned {
+				v = view.Vec
+			} else {
+				var err error
+				if v, err = ix.vectors.Get(id, scratch); err != nil {
+					return done, err
+				}
+			}
+		}
+		d, full := vecmath.DistSqBound(q, v, bound)
+		if pinned {
+			view.Release()
+		}
+		if full {
+			best.Push(id, d)
+		}
+		done++
+	}
+	return done, nil
 }
 
 // searchTree performs Algorithm 2 lines 2-10 for one partition: Hilbert

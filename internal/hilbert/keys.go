@@ -34,11 +34,15 @@ func KeyDelta(dst, a, b []byte) []byte {
 
 // CloserKey reports which of a or b is numerically closer to q:
 // -1 if a is strictly closer, +1 if b is strictly closer, 0 on a tie.
-// All keys must have the same length.
+// All keys must have the same length. It is the α-nearest walk's
+// per-entry direction test, so the deltas live on the stack: keys are
+// ceil(η·ω/8) bytes, which fits the arrays for every realistic geometry
+// (η·ω ≤ 512 bits); only pathological configs pay the heap fallback.
 func CloserKey(q, a, b []byte) int {
-	da := make([]byte, len(q))
-	db := make([]byte, len(q))
-	KeyDelta(da, q, a)
-	KeyDelta(db, q, b)
-	return bytes.Compare(da, db)
+	var sa, sb [64]byte
+	da, db := sa[:], sb[:]
+	if len(q) > len(sa) {
+		da, db = make([]byte, len(q)), make([]byte, len(q))
+	}
+	return bytes.Compare(KeyDelta(da[:len(q)], q, a), KeyDelta(db[:len(q)], q, b))
 }

@@ -90,6 +90,11 @@ func TestCloserKey(t *testing.T) {
 	if CloserKey(q, []byte{0x0E}, []byte{0x12}) != 0 {
 		t.Error("equidistant keys should tie")
 	}
+	// It runs once per entry of the α-nearest walk.
+	a, b := []byte{0x0E}, []byte{0x12}
+	if n := testing.AllocsPerRun(100, func() { CloserKey(q, a, b) }); n != 0 {
+		t.Errorf("CloserKey allocates %v times per call, want 0", n)
+	}
 }
 
 // Property: KeyDelta agrees with integer arithmetic for 8-byte keys.

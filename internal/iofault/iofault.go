@@ -225,10 +225,6 @@ func SetGlobal(inj *Injector) (restore func()) {
 // ClearGlobal disarms injection.
 func ClearGlobal() { global.Store(nil) }
 
-// Active reports whether any injector is armed (used by tests/logging;
-// the storage layers never branch on it).
-func Active() bool { return global.Load() != nil }
-
 var envOnce sync.Once
 
 // Open is the os.OpenFile replacement the storage layers call. With no

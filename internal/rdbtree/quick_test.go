@@ -54,7 +54,7 @@ func TestQuickNearestIsGlobalMinimum(t *testing.T) {
 	}
 	f := func(qRaw uint32) bool {
 		q := uint64(qRaw) % (1 << 24)
-		got, err := tr.SearchNearest(key16(q), 1)
+		got, err := nearest(tr, key16(q), 1)
 		if err != nil || len(got) != 1 {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestQuickAllEntriesReachable(t *testing.T) {
 		if err := tr.BulkLoad(recs); err != nil {
 			return false
 		}
-		got, err := tr.SearchNearest(key16(0), n+10)
+		got, err := nearest(tr, key16(0), n+10)
 		if err != nil || len(got) != n {
 			return false
 		}

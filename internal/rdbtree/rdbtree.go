@@ -18,7 +18,6 @@
 package rdbtree
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -26,7 +25,6 @@ import (
 	"math"
 
 	"github.com/hd-index/hdindex/internal/bptree"
-	"github.com/hd-index/hdindex/internal/hilbert"
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
@@ -264,23 +262,15 @@ func (t *Tree) Insert(key []byte, id uint64, refDists []float32) error {
 	return t.bt.Insert(key, t.valBuf)
 }
 
-// SearchNearest returns up to alpha entries whose Hilbert keys are
-// numerically nearest to key — the candidate retrieval of §4.1. It seeks
-// the key's would-be position and walks outward along the leaf chain,
-// always consuming the side whose next key is closer to the query key.
-func (t *Tree) SearchNearest(key []byte, alpha int) ([]Entry, error) {
-	entries, _, err := t.SearchNearestInto(context.Background(), key, alpha, nil, nil)
-	return entries, err
-}
-
-// SearchNearestInto is SearchNearest with caller-provided storage: dst
-// receives the entries (its backing array is reused when large enough)
-// and arena backs every entry's RefDists slice as one flat allocation of
-// alpha·m floats. Either may be nil. The returned entries alias the
-// returned arena (which the caller should keep for the next call), so
-// they are only valid until the buffers are reused. The leaf-chain walk
-// is the query's dominant I/O phase, so ctx is checked periodically and
-// a cancelled walk stops within a few page reads.
+// SearchNearestInto returns up to alpha entries whose Hilbert keys are
+// numerically nearest to key — the candidate retrieval of §4.1, one
+// bptree.WalkNearest over the leaf chain — decoded into caller-provided
+// storage: dst receives the entries (its backing array is reused when
+// large enough) and arena backs every entry's RefDists slice as one flat
+// allocation of alpha·m floats. Either may be nil. The returned entries
+// alias the returned arena (which the caller should keep for the next
+// call), so they are only valid until the buffers are reused. A
+// cancelled ctx stops the walk within a few page reads.
 func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
 	// The buffers are prepared first and returned on every path, error
 	// or not, so a pooling caller never loses them to a transient
@@ -289,83 +279,20 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 	if cap(out) < alpha {
 		out = make([]Entry, 0, alpha)
 	}
-	if cap(arena) < alpha*t.cfg.M {
-		arena = make([]float32, 0, alpha*t.cfg.M)
+	m := t.cfg.M
+	if cap(arena) < alpha*m {
+		arena = make([]float32, 0, alpha*m)
 	}
 	arena = arena[:0]
 	if alpha < 1 {
 		return out, arena, fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
-	right := t.bt.NewCursor()
-	defer right.Close()
-	if err := right.Seek(key); err != nil {
-		return out, arena, err
-	}
-	left, err := right.Clone()
-	if err != nil {
-		return out, arena, err
-	}
-	defer left.Close()
-	if left.Valid() {
-		if err := left.Prev(); err != nil {
-			return out, arena, err
-		}
-	} else {
-		// Query key past the end: left scan starts at the last entry.
-		if err := left.Last(); err != nil {
-			return out, arena, err
-		}
-	}
-	take := func(v []byte) {
-		m := t.cfg.M
+	err := t.bt.WalkNearest(ctx, key, alpha, func(v []byte) {
 		rd := arena[len(arena) : len(arena)+m : len(arena)+m]
 		arena = arena[:len(arena)+m]
 		out = append(out, t.decodeValueInto(v, rd))
-	}
-	// Key-delta scratch: keys are at most ceil(η·ω/8) bytes, which fits
-	// the stack arrays for every realistic geometry (η·ω ≤ 512 bits);
-	// only pathological configs pay the heap fallback.
-	var dlArr, drArr [64]byte
-	dl, dr := dlArr[:], drArr[:]
-	if len(key) > len(dlArr) {
-		dl = make([]byte, len(key))
-		dr = make([]byte, len(key))
-	} else {
-		dl, dr = dl[:len(key)], dr[:len(key)]
-	}
-	const walkCheckEvery = 256
-	for len(out) < alpha && (left.Valid() || right.Valid()) {
-		if len(out)%walkCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return out, arena, err
-			}
-		}
-		takeRight := false
-		switch {
-		case !left.Valid():
-			takeRight = true
-		case !right.Valid():
-			takeRight = false
-		default:
-			hilbert.KeyDelta(dl, key, left.Key())
-			hilbert.KeyDelta(dr, key, right.Key())
-			// Ties go right: keys >= the query key are preferred, the
-			// same convention a forward range scan would use.
-			takeRight = bytes.Compare(dr, dl) <= 0
-		}
-		if takeRight {
-			take(right.Value())
-			if err := right.Next(); err != nil {
-				return out, arena, err
-			}
-		} else {
-			take(left.Value())
-			if err := left.Prev(); err != nil {
-				return out, arena, err
-			}
-		}
-	}
-	return out, arena, nil
+	})
+	return out, arena, err
 }
 
 // ScanAll invokes fn for every entry in key order; used by integrity

@@ -1,6 +1,7 @@
 package rdbtree
 
 import (
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
@@ -34,6 +35,12 @@ func TestLeafOrderTable3(t *testing.T) {
 				c.name, got, c.want, c.printedInTable3)
 		}
 	}
+}
+
+// nearest is SearchNearestInto with fresh buffers.
+func nearest(tr *Tree, key []byte, alpha int) ([]Entry, error) {
+	entries, _, err := tr.SearchNearestInto(context.Background(), key, alpha, nil, nil)
+	return entries, err
 }
 
 func mkRDB(t *testing.T, cfg Config, pageSize int) (*Tree, string) {
@@ -118,7 +125,7 @@ func TestSearchNearestCentred(t *testing.T) {
 	}
 	// Query key 497 sits between ids 49 (490) and 50 (500); nearest 6 by
 	// key distance: 500(3), 490(7), 510(13), 480(17), 520(23), 470(27).
-	got, err := tr.SearchNearest(key16(497), 6)
+	got, err := nearest(tr, key16(497), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +150,7 @@ func TestSearchNearestTieGoesRight(t *testing.T) {
 	if err := tr.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.SearchNearest(key16(100), 1)
+	got, err := nearest(tr, key16(100), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestSearchNearestAtExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before all keys.
-	got, err := tr.SearchNearest(key16(0), 3)
+	got, err := nearest(tr, key16(0), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func TestSearchNearestAtExtremes(t *testing.T) {
 		t.Fatalf("before-all = %+v", got)
 	}
 	// After all keys.
-	got, err = tr.SearchNearest(key16(99999), 3)
+	got, err = nearest(tr, key16(99999), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestSearchNearestAtExtremes(t *testing.T) {
 		t.Fatalf("after-all = %+v", got)
 	}
 	// Alpha larger than the tree returns everything.
-	got, err = tr.SearchNearest(key16(1025), 500)
+	got, err = nearest(tr, key16(1025), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestSearchNearestAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := uint64(rng.Intn(1 << 20))
 		alpha := rng.Intn(20) + 1
-		got, err := tr.SearchNearest(key16(q), alpha)
+		got, err := nearest(tr, key16(q), alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +266,7 @@ func TestInsertThenSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := tr.SearchNearest(key16(300), 2)
+	got, err := nearest(tr, key16(300), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +312,7 @@ func TestPersistence(t *testing.T) {
 	if tr2.Config() != cfg {
 		t.Fatalf("config = %+v, want %+v", tr2.Config(), cfg)
 	}
-	got, err := tr2.SearchNearest(key16(42), 1)
+	got, err := nearest(tr2, key16(42), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +345,14 @@ func TestCreateValidation(t *testing.T) {
 
 func TestSearchEmptyTree(t *testing.T) {
 	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 1}, 512)
-	got, err := tr.SearchNearest(key16(5), 3)
+	got, err := nearest(tr, key16(5), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("empty tree returned %v", got)
 	}
-	if _, err := tr.SearchNearest(key16(5), 0); err == nil {
+	if _, err := nearest(tr, key16(5), 0); err == nil {
 		t.Fatal("alpha=0 must fail")
 	}
 }

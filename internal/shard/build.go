@@ -59,7 +59,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 		if err != nil {
 			return nil, err
 		}
-		return bare(ix, p.BatchWorkers), nil
+		return bare(ix), nil
 	}
 	if len(vectors) == 0 {
 		return nil, errors.New("shard: empty dataset")
@@ -102,9 +102,8 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 			UUID:          NewUUID(),
 			CreatedUnix:   now().Unix(),
 		},
-		shards:       make([]*core.Index, n),
-		total:        uint64(len(vectors)),
-		batchWorkers: p.BatchWorkers,
+		shards: make([]*core.Index, n),
+		total:  uint64(len(vectors)),
 	}
 
 	// One budget across all layers: at most shardConc shards build at

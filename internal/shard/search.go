@@ -116,15 +116,18 @@ func (s *Sharded) Query(ctx context.Context, q []float32, k int, o core.SearchOp
 	return res, st, nil
 }
 
-// QueryBatch fans the batch out on a bounded worker pool (the layout's
-// BatchWorkers, default GOMAXPROCS) with one option set shared by the
-// whole batch; each query then scatter-gathers across shards. Results
-// and work counters come back in input order. Options and
+// QueryBatch fans the batch out on a bounded worker pool (the built
+// Params' BatchWorkers, default GOMAXPROCS) with one option set shared
+// by the whole batch; each query then scatter-gathers across shards.
+// Results and work counters come back in input order. Options and
 // dimensionalities are validated up front, mirroring core.QueryBatch,
 // so a bad option set or a malformed query deep in the batch never
 // burns the fan-out ahead of it. Cancellation or the first error stops
-// the remaining queries promptly.
+// the remaining queries promptly. A 1-shard layout is core.QueryBatch.
 func (s *Sharded) QueryBatch(ctx context.Context, queries [][]float32, k int, o core.SearchOptions) ([][]core.Result, []*core.QueryStats, error) {
+	if len(s.shards) == 1 {
+		return s.shards[0].QueryBatch(ctx, queries, k, o)
+	}
 	if len(queries) == 0 {
 		return nil, nil, nil
 	}
@@ -139,7 +142,7 @@ func (s *Sharded) QueryBatch(ctx context.Context, queries [][]float32, k int, o 
 	}
 	out := make([][]core.Result, len(queries))
 	stats := make([]*core.QueryStats, len(queries))
-	err := fanout.Run(ctx, len(queries), s.batchWorkers, func(ctx context.Context, qi int) error {
+	err := fanout.Run(ctx, len(queries), s.Params().BatchWorkers, func(ctx context.Context, qi int) error {
 		res, st, err := s.Query(ctx, queries[qi], k, o)
 		if err != nil {
 			return err

@@ -27,8 +27,6 @@ type Sharded struct {
 	shards []*core.Index
 	total  uint64 // sum of shard counts; maintained by Insert when N > 1
 
-	batchWorkers int
-
 	// buildStats aggregates the shards' construction costs; set by
 	// Build, nil on an Opened layout.
 	buildStats *core.BuildStats
@@ -63,17 +61,13 @@ func Open(dir string, opts core.OpenOptions) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		return bare(ix, opts.BatchWorkers), nil
+		return bare(ix), nil
 	}
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{
-		man:          *man,
-		shards:       make([]*core.Index, man.Shards),
-		batchWorkers: opts.BatchWorkers,
-	}
+	s := &Sharded{man: *man, shards: make([]*core.Index, man.Shards)}
 	for i := range s.shards {
 		ix, err := core.Open(shardDir(dir, i), opts)
 		if err != nil {
@@ -93,13 +87,12 @@ func Open(dir string, opts core.OpenOptions) (*Sharded, error) {
 // bare wraps a core index living directly in its directory as a
 // 1-shard layout. The manifest exists in memory only: a bare directory
 // stays exactly what core wrote, so core.Open keeps reading it.
-func bare(ix *core.Index, batchWorkers int) *Sharded {
+func bare(ix *core.Index) *Sharded {
 	return &Sharded{
-		man:          Manifest{FormatVersion: FormatVersion, Shards: 1, Dim: ix.Dim()},
-		shards:       []*core.Index{ix},
-		total:        ix.Count(),
-		batchWorkers: batchWorkers,
-		buildStats:   ix.BuildStats(),
+		man:        Manifest{FormatVersion: FormatVersion, Shards: 1, Dim: ix.Dim()},
+		shards:     []*core.Index{ix},
+		total:      ix.Count(),
+		buildStats: ix.BuildStats(),
 	}
 }
 

@@ -58,17 +58,6 @@ func (l *List) Bound() (float64, bool) {
 	return l.items[0].Dist, true
 }
 
-// Accepts reports whether an item at distance d is guaranteed to enter
-// the list: any strictly smaller distance always does. At exactly the
-// bound distance admission depends on the id tie-break, so Accepts is
-// conservatively false there.
-func (l *List) Accepts(d float64) bool {
-	if len(l.items) < l.k {
-		return true
-	}
-	return d < l.items[0].Dist
-}
-
 // Push offers an item; it is kept only if it is among the k smallest by
 // (Dist, ID). Returns true if the item was retained.
 func (l *List) Push(id uint64, d float64) bool {

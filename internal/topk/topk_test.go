@@ -24,25 +24,16 @@ func TestPushKeepsKNearest(t *testing.T) {
 	}
 }
 
-func TestBoundAndAccepts(t *testing.T) {
+func TestBound(t *testing.T) {
 	l := New(2)
 	if _, ok := l.Bound(); ok {
 		t.Fatal("Bound ok on empty list")
-	}
-	if !l.Accepts(1e9) {
-		t.Fatal("non-full list must accept anything")
 	}
 	l.Push(1, 3.0)
 	l.Push(2, 1.0)
 	b, ok := l.Bound()
 	if !ok || b != 3.0 {
 		t.Fatalf("Bound = %v,%v want 3,true", b, ok)
-	}
-	if l.Accepts(3.0) {
-		t.Error("equal distance must not be accepted")
-	}
-	if !l.Accepts(2.9) {
-		t.Error("smaller distance must be accepted")
 	}
 }
 

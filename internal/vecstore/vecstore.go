@@ -128,17 +128,32 @@ func (s *Store) GetView(id uint64) (VecView, bool) {
 	return VecView{Vec: castFloat32(seg, s.dim), view: pv}, true
 }
 
+// writeRecords encodes vecs little-endian into the record slots starting
+// at slot first. It touches neither the count nor the header: when the
+// records become visible, and what is synced first, is each caller's
+// own ordering.
+func (s *Store) writeRecords(first uint64, vecs [][]float32) error {
+	buf := make([]byte, s.recSize())
+	off := int64(first) * int64(s.recSize())
+	for _, vec := range vecs {
+		if len(vec) != s.dim {
+			return ErrDim
+		}
+		for i, v := range vec {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		if err := s.writeBytes(off, buf); err != nil {
+			return err
+		}
+		off += int64(len(buf))
+	}
+	return nil
+}
+
 // Append adds a vector and returns its object id (0-based, dense).
 func (s *Store) Append(vec []float32) (uint64, error) {
-	if len(vec) != s.dim {
-		return 0, ErrDim
-	}
 	id := s.count
-	buf := make([]byte, s.recSize())
-	for i, v := range vec {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	if err := s.writeBytes(int64(id)*int64(s.recSize()), buf); err != nil {
+	if err := s.writeRecords(id, [][]float32{vec}); err != nil {
 		return 0, err
 	}
 	s.count++
@@ -148,19 +163,10 @@ func (s *Store) Append(vec []float32) (uint64, error) {
 // BuildFrom bulk-appends all vectors; far fewer header writes than
 // repeated Append calls.
 func (s *Store) BuildFrom(vecs [][]float32) error {
-	buf := make([]byte, s.recSize())
-	for _, vec := range vecs {
-		if len(vec) != s.dim {
-			return ErrDim
-		}
-		for i, v := range vec {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if err := s.writeBytes(int64(s.count)*int64(s.recSize()), buf); err != nil {
-			return err
-		}
-		s.count++
+	if err := s.writeRecords(s.count, vecs); err != nil {
+		return err
 	}
+	s.count += uint64(len(vecs))
 	return s.writeHeader()
 }
 
@@ -174,19 +180,8 @@ func (s *Store) AppendAll(vecs [][]float32) error {
 	if len(vecs) == 0 {
 		return nil
 	}
-	buf := make([]byte, s.recSize())
-	off := int64(s.count) * int64(s.recSize())
-	for _, vec := range vecs {
-		if len(vec) != s.dim {
-			return ErrDim
-		}
-		for i, v := range vec {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if err := s.writeBytes(off, buf); err != nil {
-			return err
-		}
-		off += int64(s.recSize())
+	if err := s.writeRecords(s.count, vecs); err != nil {
+		return err
 	}
 	// Data first: pages (and the superblock, still carrying the old
 	// count) reach disk before the count that makes them reachable.
@@ -198,10 +193,7 @@ func (s *Store) AppendAll(vecs [][]float32) error {
 		s.count -= uint64(len(vecs))
 		return err
 	}
-	if err := s.pgr.Sync(); err != nil {
-		return err
-	}
-	return nil
+	return s.pgr.Sync()
 }
 
 // ResetCount rewinds the record count to n (n <= Count) and persists

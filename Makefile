@@ -55,10 +55,13 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# What CI runs: one iteration per experiment plus core micro-benchmarks.
+# What CI runs: one iteration per experiment plus core micro-benchmarks,
+# and the tree walk's three (selection, direction test, leaf-chain walk)
+# so they keep compiling.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 	$(GO) test -bench=. -benchtime=50x -run='^$$' ./internal/core/
+	$(GO) test -bench='SelectK4096to1024|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
 
 # The observability smoke: the /metrics exposition tests (promlint-style
 # parser over a live scrape) plus the load test's mid-storm scraper.

@@ -42,6 +42,9 @@ var (
 	ErrValueLen  = errors.New("bptree: value length mismatch")
 	ErrNotSorted = errors.New("bptree: bulk load input not sorted")
 	ErrCorrupt   = errors.New("bptree: corrupt node")
+
+	// errNotLeaf is what a descent that lands on a non-leaf page reports.
+	errNotLeaf = fmt.Errorf("%w: expected leaf", ErrCorrupt)
 )
 
 // Config fixes the entry geometry of a tree.
@@ -325,39 +328,32 @@ func (t *Tree) leafUpperBound(data []byte, key []byte) int {
 	return lo
 }
 
-// descend walks from the root to the leaf that should contain key,
-// returning the leaf page (pinned) and, if path != nil, appending the
-// internal (pageID, childIdx) route taken.
+// descend walks from the root to the leaf that should contain key and
+// returns that leaf's page id for the caller to pin (readers View it,
+// Insert Gets it), appending to path, if non-nil, the internal
+// (pageID, childIdx) route taken.
 type pathStep struct {
 	id  pager.PageID
 	idx int
 }
 
-func (t *Tree) descend(key []byte, path *[]pathStep) (*pager.Page, error) {
+func (t *Tree) descend(key []byte, path *[]pathStep) (pager.PageID, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		pg, err := t.pgr.Get(id)
+		v, err := t.pgr.View(id)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if nodeType(pg.Data) != pageInternal {
-			pg.Release()
-			return nil, fmt.Errorf("%w: expected internal at level %d", ErrCorrupt, level)
+		if nodeType(v.Data) != pageInternal {
+			v.Release()
+			return 0, fmt.Errorf("%w: expected internal at level %d", ErrCorrupt, level)
 		}
-		idx := t.childIndex(pg.Data, key)
+		idx := t.childIndex(v.Data, key)
 		if path != nil {
 			*path = append(*path, pathStep{id, idx})
 		}
-		id = internalChild(pg.Data, idx)
-		pg.Release()
+		id = internalChild(v.Data, idx)
+		v.Release()
 	}
-	pg, err := t.pgr.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if nodeType(pg.Data) != pageLeaf {
-		pg.Release()
-		return nil, fmt.Errorf("%w: expected leaf", ErrCorrupt)
-	}
-	return pg, nil
+	return id, nil
 }

@@ -234,12 +234,12 @@ func TestCursorBidirectional(t *testing.T) {
 	if err := c.Seek(u64key(50)); err != nil {
 		t.Fatal(err)
 	}
-	left, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	left := tr.NewCursor()
 	defer left.Close()
 	// Walk right from 50 and left from 49.
+	if err := left.Seek(u64key(50)); err != nil {
+		t.Fatal(err)
+	}
 	if err := left.Prev(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,14 @@ import (
 // access pattern of the α-candidate retrieval (§4.1), which walks outward
 // from the query key's position along the leaf sibling chain.
 //
-// A cursor pins at most one leaf page at a time. The Key/Value accessors
-// return slices into that page; callers must copy data they retain past
-// the next cursor movement. Close the cursor when done.
+// A cursor pins at most one leaf page at a time, as a pager.View: moving
+// it allocates nothing. The Key/Value accessors return slices into that
+// page; callers must copy data they retain past the next cursor
+// movement. Close the cursor when done.
 type Cursor struct {
 	t     *Tree
-	page  *pager.Page
+	leaf  pager.View   // pinned while id != 0
+	id    pager.PageID // the pinned leaf, 0 = none
 	idx   int
 	valid bool
 }
@@ -29,9 +31,9 @@ func (t *Tree) NewCursor() *Cursor {
 
 // Close releases any pinned page. The cursor may be re-Seeked afterwards.
 func (c *Cursor) Close() {
-	if c.page != nil {
-		c.page.Release()
-		c.page = nil
+	if c.id != 0 {
+		c.leaf.Release()
+		c.id = 0
 	}
 	c.valid = false
 }
@@ -40,26 +42,23 @@ func (c *Cursor) Close() {
 func (c *Cursor) Valid() bool { return c.valid }
 
 // Key returns the current key (a view into the pinned page).
-func (c *Cursor) Key() []byte { return c.t.leafKey(c.page.Data, c.idx) }
+func (c *Cursor) Key() []byte { return c.t.leafKey(c.leaf.Data, c.idx) }
 
 // Value returns the current value (a view into the pinned page).
-func (c *Cursor) Value() []byte { return c.t.leafVal(c.page.Data, c.idx) }
+func (c *Cursor) Value() []byte { return c.t.leafVal(c.leaf.Data, c.idx) }
 
+// load swaps the pinned leaf for page id, releasing first; id 0 — the
+// end of the sibling chain — leaves the cursor unpinned and invalid.
 func (c *Cursor) load(id pager.PageID) error {
-	if c.page != nil {
-		c.page.Release()
-		c.page = nil
-	}
+	c.Close()
 	if id == 0 {
-		c.valid = false
 		return nil
 	}
-	pg, err := c.t.pgr.Get(id)
+	v, err := c.t.pgr.View(id)
 	if err != nil {
-		c.valid = false
 		return err
 	}
-	c.page = pg
+	c.leaf, c.id = v, id
 	return nil
 }
 
@@ -69,28 +68,27 @@ func (c *Cursor) load(id pager.PageID) error {
 // cursor. Returns any I/O error.
 func (c *Cursor) Seek(target []byte) error {
 	c.Close()
-	leaf, err := c.t.descend(target, nil)
+	id, err := c.t.descend(target, nil)
 	if err != nil {
 		return err
 	}
-	c.page = leaf
-	c.idx = c.t.leafLowerBound(leaf.Data, target)
-	if c.idx == leafCount(leaf.Data) {
+	if c.leaf, err = c.t.pgr.View(id); err != nil {
+		return err
+	}
+	c.id = id
+	if nodeType(c.leaf.Data) != pageLeaf {
+		c.Close()
+		return errNotLeaf
+	}
+	c.idx = c.t.leafLowerBound(c.leaf.Data, target)
+	if c.idx == leafCount(c.leaf.Data) {
 		// All entries here are < target; the lower bound is the first
 		// entry of the right sibling (or nothing).
-		right := leafRight(leaf.Data)
-		if err := c.load(right); err != nil {
+		if err := c.load(leafRight(c.leaf.Data)); err != nil {
 			return err
 		}
-		if c.page == nil {
-			return nil
-		}
 		c.idx = 0
-		if leafCount(c.page.Data) == 0 {
-			c.valid = false
-			return nil
-		}
-		c.valid = true
+		c.valid = c.id != 0 && leafCount(c.leaf.Data) > 0
 		return nil
 	}
 	c.valid = true
@@ -98,63 +96,55 @@ func (c *Cursor) Seek(target []byte) error {
 	// run of equal keys spans a leaf boundary; walk back to the true
 	// lower bound.
 	for c.idx == 0 {
-		leftID := leafLeft(c.page.Data)
+		leftID := leafLeft(c.leaf.Data)
 		if leftID == 0 {
 			break
 		}
-		lp, err := c.t.pgr.Get(leftID)
+		lv, err := c.t.pgr.View(leftID)
 		if err != nil {
 			return err
 		}
-		ln := leafCount(lp.Data)
-		if ln == 0 || bytes.Compare(c.t.leafKey(lp.Data, ln-1), target) < 0 {
-			lp.Release()
+		ln := leafCount(lv.Data)
+		if ln == 0 || bytes.Compare(c.t.leafKey(lv.Data, ln-1), target) < 0 {
+			lv.Release()
 			break
 		}
-		c.page.Release()
-		c.page = lp
-		c.idx = c.t.leafLowerBound(lp.Data, target)
+		c.leaf.Release()
+		c.leaf, c.id = lv, leftID
+		c.idx = c.t.leafLowerBound(lv.Data, target)
 	}
 	return nil
 }
 
 // First positions the cursor at the smallest entry.
 func (c *Cursor) First() error {
-	c.Close()
 	if err := c.load(c.t.firstLeaf); err != nil {
 		return err
 	}
-	for c.page != nil && leafCount(c.page.Data) == 0 {
-		if err := c.load(leafRight(c.page.Data)); err != nil {
+	for c.id != 0 && leafCount(c.leaf.Data) == 0 {
+		if err := c.load(leafRight(c.leaf.Data)); err != nil {
 			return err
 		}
 	}
-	if c.page == nil {
-		c.valid = false
-		return nil
-	}
 	c.idx = 0
-	c.valid = true
+	c.valid = c.id != 0
 	return nil
 }
 
 // Last positions the cursor at the largest entry.
 func (c *Cursor) Last() error {
-	c.Close()
 	if err := c.load(c.t.lastLeaf); err != nil {
 		return err
 	}
-	for c.page != nil && leafCount(c.page.Data) == 0 {
-		if err := c.load(leafLeft(c.page.Data)); err != nil {
+	for c.id != 0 && leafCount(c.leaf.Data) == 0 {
+		if err := c.load(leafLeft(c.leaf.Data)); err != nil {
 			return err
 		}
 	}
-	if c.page == nil {
-		c.valid = false
-		return nil
+	if c.id != 0 {
+		c.idx = leafCount(c.leaf.Data) - 1
+		c.valid = true
 	}
-	c.idx = leafCount(c.page.Data) - 1
-	c.valid = true
 	return nil
 }
 
@@ -165,13 +155,9 @@ func (c *Cursor) Next() error {
 		return nil
 	}
 	c.idx++
-	for c.idx >= leafCount(c.page.Data) {
-		right := leafRight(c.page.Data)
-		if err := c.load(right); err != nil {
+	for c.idx >= leafCount(c.leaf.Data) {
+		if err := c.load(leafRight(c.leaf.Data)); err != nil || c.id == 0 {
 			return err
-		}
-		if c.page == nil {
-			return nil
 		}
 		c.idx = 0
 	}
@@ -187,38 +173,25 @@ func (c *Cursor) Prev() error {
 	}
 	c.idx--
 	for c.idx < 0 {
-		left := leafLeft(c.page.Data)
-		if err := c.load(left); err != nil {
+		if err := c.load(leafLeft(c.leaf.Data)); err != nil || c.id == 0 {
 			return err
 		}
-		if c.page == nil {
-			return nil
-		}
-		c.idx = leafCount(c.page.Data) - 1
+		c.idx = leafCount(c.leaf.Data) - 1
 	}
 	c.valid = true
 	return nil
 }
 
-// Clone returns an independent cursor at the same position. It is how the
-// bidirectional α-scan forks left- and right-moving cursors from the seek
-// position.
-func (c *Cursor) Clone() (*Cursor, error) {
-	n := &Cursor{t: c.t, idx: c.idx, valid: c.valid}
-	if c.page != nil {
-		pg, err := c.t.pgr.Get(c.page.ID)
-		if err != nil {
-			return nil, err
-		}
-		n.page = pg
+// advance moves the cursor run >= 1 entries on in direction step (+1 or
+// -1), all of them in the pinned leaf, landing on the sibling leaf if
+// the run ended this one.
+func (c *Cursor) advance(run, step int) error {
+	c.idx += (run - 1) * step
+	if step > 0 {
+		return c.Next()
 	}
-	return n, nil
+	return c.Prev()
 }
-
-// walkCheckEvery is how many entries WalkNearest yields between context
-// checks: the leaf-chain walk is a query's dominant I/O phase, so a
-// cancelled walk stops within a few page reads.
-const walkCheckEvery = 256
 
 // WalkNearest is the α-nearest walk of §4.1: it passes fn the values of
 // up to n entries whose keys are numerically nearest to key (keys read
@@ -226,37 +199,76 @@ const walkCheckEvery = 256
 // position and walks outward along the leaf chain, always consuming the
 // side whose next key is closer; ties go right — keys >= the query key
 // are preferred, the same convention a forward range scan would use.
+//
+// The direction is decided a leaf at a time where it can be: keys only
+// move away from the query along either side, so when the far end of
+// one side's pinned leaf is still closer than the other side's next key,
+// the rest of that leaf goes out as one block — exactly the entries an
+// entry-by-entry comparison would have taken consecutively. Only where
+// the two pinned leaves' key ranges interleave is each entry compared.
+// ctx is checked once per step, so a cancelled walk stops within the
+// leaves it has pinned.
+//
 // The value passed to fn is a view into a pinned page, valid only until
 // fn returns.
 func (t *Tree) WalkNearest(ctx context.Context, key []byte, n int, fn func(value []byte)) error {
-	right := t.NewCursor()
+	right := Cursor{t: t}
 	defer right.Close()
 	if err := right.Seek(key); err != nil {
 		return err
 	}
-	left, err := right.Clone()
-	if err != nil {
-		return err
-	}
+	// The left side starts one entry before the seek position — at the
+	// last entry, when the query key is past the end.
+	left := Cursor{t: t}
 	defer left.Close()
-	if left.Valid() {
-		err = left.Prev()
+	var err error
+	if right.valid {
+		if err = left.load(right.id); err == nil {
+			left.idx, left.valid = right.idx, true
+			err = left.Prev()
+		}
 	} else {
-		// Query key past the end: left scan starts at the last entry.
 		err = left.Last()
 	}
-	for i := 0; err == nil && i < n && (left.Valid() || right.Valid()); i++ {
-		if i%walkCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+	for err == nil && n > 0 && (left.valid || right.valid) {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		// Each side's pinned leaf and next entry, walking outward: left
+		// runs li down to 0, right runs ri up to rend-1.
+		ldata, li := left.leaf.Data, left.idx
+		rdata, ri := right.leaf.Data, right.idx
+		rend := 0
+		if right.valid {
+			rend = leafCount(rdata)
+		}
+		switch {
+		case !left.valid || (right.valid && hilbert.CloserKey(key, t.leafKey(ldata, li), t.leafKey(rdata, rend-1)) >= 0):
+			for rend = min(rend, ri+n); ri < rend; ri++ {
+				fn(t.leafVal(rdata, ri))
+			}
+		case !right.valid || hilbert.CloserKey(key, t.leafKey(ldata, 0), t.leafKey(rdata, ri)) < 0:
+			for lend := max(0, li+1-n); li >= lend; li-- {
+				fn(t.leafVal(ldata, li))
+			}
+		default:
+			for m := n; m > 0 && li >= 0 && ri < rend; m-- {
+				if hilbert.CloserKey(key, t.leafKey(ldata, li), t.leafKey(rdata, ri)) >= 0 {
+					fn(t.leafVal(rdata, ri))
+					ri++
+				} else {
+					fn(t.leafVal(ldata, li))
+					li--
+				}
 			}
 		}
-		if !left.Valid() || (right.Valid() && hilbert.CloserKey(key, left.Key(), right.Key()) >= 0) {
-			fn(right.Value())
-			err = right.Next()
-		} else {
-			fn(left.Value())
-			err = left.Prev()
+		if run := ri - right.idx; run > 0 {
+			n -= run
+			err = right.advance(run, +1)
+		}
+		if run := left.idx - li; run > 0 && err == nil {
+			n -= run
+			err = left.advance(run, -1)
 		}
 	}
 	return err

@@ -16,9 +16,17 @@ func (t *Tree) Insert(key, value []byte) error {
 		return ErrValueLen
 	}
 	var path []pathStep
-	leaf, err := t.descend(key, &path)
+	leafID, err := t.descend(key, &path)
 	if err != nil {
 		return err
+	}
+	leaf, err := t.pgr.Get(leafID)
+	if err != nil {
+		return err
+	}
+	if nodeType(leaf.Data) != pageLeaf {
+		leaf.Release()
+		return errNotLeaf
 	}
 
 	n := leafCount(leaf.Data)

@@ -19,7 +19,20 @@ import (
 // return bit-identical Results and the same candidate count.
 func naiveSearch(t *testing.T, ix *Index, q []float32, k int) ([]Result, int) {
 	t.Helper()
-	plan, err := ix.planFor(k, SearchOptions{})
+	return naiveSearchWith(t, ix, q, k, SearchOptions{}, func(tr int, qdist []float64, plan searchPlan) []uint64 {
+		ids, _, err := ix.searchTree(context.Background(), tr, q, qdist, nil, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	})
+}
+
+// naiveSearchWith is naiveSearch over any per-tree stage (tree returns
+// one partition's surviving ids in filter rank order) and any cascade.
+func naiveSearchWith(t *testing.T, ix *Index, q []float32, k int, o SearchOptions, tree func(tr int, qdist []float64, plan searchPlan) []uint64) ([]Result, int) {
+	t.Helper()
+	plan, err := ix.planFor(k, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +43,15 @@ func naiveSearch(t *testing.T, ix *Index, q []float32, k int) ([]Result, int) {
 	seen := make(map[uint64]struct{})
 	var candidates []uint64
 	for tr := 0; tr < ix.params.Tau; tr++ {
-		ids, _, err := ix.searchTree(context.Background(), tr, q, qdist, nil, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
+		for _, id := range tree(tr, qdist, plan) {
 			if _, ok := seen[id]; !ok {
 				seen[id] = struct{}{}
 				candidates = append(candidates, id)
 			}
 		}
+	}
+	if plan.maxCandidates > 0 && len(candidates) > plan.maxCandidates {
+		candidates = candidates[:plan.maxCandidates]
 	}
 	best := topk.New(k)
 	for _, id := range candidates {

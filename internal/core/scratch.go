@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/topk"
 )
 
@@ -167,15 +166,15 @@ func putSearchScratch(s *searchScratch) {
 }
 
 // treeScratch is the per-tree state of searchTree: the Hilbert key, the
-// α fetched entries (backed by one flat refDists arena), and the filter
-// item slices.
+// α fetched entries' object ids and reference distances (one flat
+// arena), and the filter item slices.
 type treeScratch struct {
-	coords  []uint32
-	key     []byte
-	entries []rdbtree.Entry
-	arena   []float32
-	tri     []topk.Item
-	pto     []topk.Item
+	coords []uint32
+	key    []byte
+	ids    []uint64
+	arena  []float32
+	tri    []topk.Item
+	pto    []topk.Item
 }
 
 var treePool = sync.Pool{New: func() any { return new(treeScratch) }}

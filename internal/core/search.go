@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/telemetry"
 	"github.com/hd-index/hdindex/internal/topk"
 	"github.com/hd-index/hdindex/internal/vecmath"
@@ -320,65 +321,65 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	ix.quants[t].Coords(ts.coords, q[start:start+ix.eta])
 	ts.key = ix.curves[t].Encode(ts.key[:0], ts.coords)
 
-	entries, arena, err := ix.trees[t].SearchNearestInto(ctx, ts.key, plan.alpha, ts.entries, ts.arena)
-	ts.entries, ts.arena = entries, arena // keep the grown buffers for reuse
+	// α nearest leaf entries, each one's triangular lower bound (Eq. 5)
+	// taken as it comes off its leaf page. Walk position i — the filter's
+	// tie-break — has object id entryIDs[i] and reference distances
+	// arena[i*m:(i+1)*m].
+	m := len(qdist)
+	entryIDs, tri := ts.ids[:0], ts.tri[:0]
+	arena, err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, ts.arena, func(e rdbtree.Entry) {
+		tri = append(tri, topk.Item{ID: uint64(len(entryIDs)), Dist: triangularLB(qdist, e.RefDists)})
+		entryIDs = append(entryIDs, e.ID)
+	})
+	ts.arena, ts.ids, ts.tri = arena, entryIDs, tri // keep the grown buffers for reuse
 	if err != nil {
 		return nil, 0, err
 	}
-	fetched := len(entries)
-	if len(entries) == 0 {
-		return nil, 0, nil
-	}
+	fetched := len(entryIDs)
 
-	// Triangular inequality (Eq. 5): keep the β (or γ, if Ptolemaic is
-	// off) smallest lower bounds.
+	// Keep the β (or γ, if Ptolemaic is off) smallest lower bounds.
 	narrowTo := plan.gamma
 	if plan.ptolemaic {
 		narrowTo = plan.beta
 	}
-	tri := ts.tri[:0]
-	for i := range entries {
-		tri = append(tri, topk.Item{ID: uint64(i), Dist: triangularLB(qdist, entries[i].RefDists)})
-	}
-	ts.tri = tri
-	tri = topk.SelectK(tri, narrowTo)
+	keep := topk.SelectK(tri, narrowTo)
 
-	if !plan.ptolemaic {
-		for _, it := range tri {
-			ids = append(ids, entries[it.ID].ID)
+	if plan.ptolemaic {
+		// Ptolemaic inequality (Eq. 6): tighter but O(m²) per object.
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
 		}
-		return ids, fetched, nil
+		pto := ts.pto[:0]
+		for _, it := range keep {
+			pto = append(pto, topk.Item{ID: it.ID, Dist: ix.ptolemaicLB(qdist, arena[int(it.ID)*m:(int(it.ID)+1)*m])})
+		}
+		ts.pto = pto
+		keep = topk.SelectK(pto, plan.gamma)
 	}
-
-	// Ptolemaic inequality (Eq. 6): tighter but O(m²) per object.
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+	// The survivors are a set; only the κ cap, which truncates the union
+	// by filter rank, needs them in rank order.
+	if plan.maxCandidates > 0 {
+		topk.Sort(keep)
 	}
-	pto := ts.pto[:0]
-	for _, it := range tri {
-		pto = append(pto, topk.Item{ID: it.ID, Dist: ix.ptolemaicLB(qdist, entries[it.ID].RefDists)})
-	}
-	ts.pto = pto
-	pto = topk.SelectK(pto, plan.gamma)
-	for _, it := range pto {
-		ids = append(ids, entries[it.ID].ID)
+	for _, it := range keep {
+		ids = append(ids, entryIDs[it.ID])
 	}
 	return ids, fetched, nil
 }
 
-// triangularLB is Eq. (5): max_i |d(q,R_i) - d(o,R_i)|.
+// triangularLB is Eq. (5): max_i |d(q,R_i) - d(o,R_i)|. It runs once per
+// fetched leaf entry, so it is branch-free — which side of a reference
+// distance the query falls on is a coin flip no predictor learns — and
+// takes the max over the IEEE bit patterns, which order as the
+// non-negative floats they encode do: an integer max is one
+// conditional move where a float max is a chain of several
+// dependent instructions.
 func triangularLB(qdist []float64, refDists []float32) float64 {
-	var best float64
+	var best uint64
 	for i, qd := range qdist {
-		lb := qd - float64(refDists[i])
-		if lb < 0 {
-			lb = -lb
-		}
-		if lb > best {
-			best = lb
-		}
+		best = max(best, math.Float64bits(qd-float64(refDists[i]))&^(1<<63))
 	}
-	return best
+	return math.Float64frombits(best)
 }
 
 // ptolemaicLB is Eq. (6):

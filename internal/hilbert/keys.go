@@ -1,6 +1,11 @@
 package hilbert
 
-import "bytes"
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"math/bits"
+)
 
 // Key helpers. Hilbert keys are unsigned big-endian integers serialised as
 // fixed-width byte strings; the α-candidate retrieval (§4.1) walks leaf
@@ -35,14 +40,70 @@ func KeyDelta(dst, a, b []byte) []byte {
 // CloserKey reports which of a or b is numerically closer to q:
 // -1 if a is strictly closer, +1 if b is strictly closer, 0 on a tie.
 // All keys must have the same length. It is the α-nearest walk's
-// per-entry direction test, so the deltas live on the stack: keys are
-// ceil(η·ω/8) bytes, which fits the arrays for every realistic geometry
-// (η·ω ≤ 512 bits); only pathological configs pay the heap fallback.
+// direction test, so it works a uint64 limb at a time and keeps nothing
+// on the heap at any width. The 16-byte keys of the paper's geometry
+// (η=16, ω=8) are two limbs and take the closed form; other widths fall
+// to the limb loop, which is several times slower per byte.
 func CloserKey(q, a, b []byte) int {
-	var sa, sb [64]byte
-	da, db := sa[:], sb[:]
-	if len(q) > len(sa) {
-		da, db = make([]byte, len(q)), make([]byte, len(q))
+	if len(a) != len(q) || len(b) != len(q) {
+		panic("hilbert: key length mismatch")
 	}
-	return bytes.Compare(KeyDelta(da[:len(q)], q, a), KeyDelta(db[:len(q)], q, b))
+	if len(q) == 16 {
+		q0, q1 := binary.BigEndian.Uint64(q), binary.BigEndian.Uint64(q[8:])
+		a0, a1 := absDiff128(q0, q1, binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(a[8:]))
+		b0, b1 := absDiff128(q0, q1, binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:]))
+		if a0 != b0 {
+			return cmp.Compare(a0, b0)
+		}
+		return cmp.Compare(a1, b1)
+	}
+	// Order each pair so both deltas are hi - lo >= 0, then take the sign
+	// of (ah-al) - (bh-bl) in one pass, least significant limb first,
+	// carrying three borrows and materialising neither delta.
+	ah, al := q, a
+	if bytes.Compare(q, a) < 0 {
+		ah, al = a, q
+	}
+	bh, bl := q, b
+	if bytes.Compare(q, b) < 0 {
+		bh, bl = b, q
+	}
+	var borrowA, borrowB, borrow, nonzero uint64
+	for end := len(q); end > 0; end -= 8 {
+		var da, db, d uint64
+		da, borrowA = bits.Sub64(limb(ah, end), limb(al, end), borrowA)
+		db, borrowB = bits.Sub64(limb(bh, end), limb(bl, end), borrowB)
+		d, borrow = bits.Sub64(da, db, borrow)
+		nonzero |= d
+	}
+	switch {
+	case borrow != 0: // |q-a| - |q-b| went negative
+		return -1
+	case nonzero != 0:
+		return 1
+	}
+	return 0
+}
+
+// absDiff128 is |x - y| over two-limb integers (x0, y0 the high limbs).
+func absDiff128(x0, x1, y0, y1 uint64) (hi, lo uint64) {
+	if x0 < y0 || (x0 == y0 && x1 < y1) {
+		x0, x1, y0, y1 = y0, y1, x0, x1
+	}
+	lo, borrow := bits.Sub64(x1, y1, 0)
+	hi, _ = bits.Sub64(x0, y0, borrow)
+	return hi, lo
+}
+
+// limb loads the (up to) eight bytes of k that end at offset end as a
+// big-endian integer; the key's most significant limb may be short.
+func limb(k []byte, end int) uint64 {
+	if end >= 8 {
+		return binary.BigEndian.Uint64(k[end-8 : end])
+	}
+	var v uint64
+	for _, c := range k[:end] {
+		v = v<<8 | uint64(c)
+	}
+	return v
 }

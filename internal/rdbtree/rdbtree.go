@@ -262,36 +262,40 @@ func (t *Tree) Insert(key []byte, id uint64, refDists []float32) error {
 	return t.bt.Insert(key, t.valBuf)
 }
 
-// SearchNearestInto returns up to alpha entries whose Hilbert keys are
-// numerically nearest to key — the candidate retrieval of §4.1, one
-// bptree.WalkNearest over the leaf chain — decoded into caller-provided
-// storage: dst receives the entries (its backing array is reused when
-// large enough) and arena backs every entry's RefDists slice as one flat
-// allocation of alpha·m floats. Either may be nil. The returned entries
-// alias the returned arena (which the caller should keep for the next
-// call), so they are only valid until the buffers are reused. A
-// cancelled ctx stops the walk within a few page reads.
-func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
-	// The buffers are prepared first and returned on every path, error
-	// or not, so a pooling caller never loses them to a transient
-	// failure.
-	out := dst[:0]
-	if cap(out) < alpha {
-		out = make([]Entry, 0, alpha)
-	}
+// WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest
+// over the leaf chain: it passes fn up to alpha entries whose Hilbert
+// keys are numerically nearest to key, nearest first, each decoded as it
+// comes off its leaf page. Entry i's RefDists is arena[i*m:(i+1)*m] —
+// arena's backing array is reused when it holds alpha·m floats, and the
+// grown arena is returned on every path, error or not, so a pooling
+// caller keeps it for the next call (which invalidates the entries).
+// A cancelled ctx stops the walk within the leaves it has pinned.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, arena []float32, fn func(Entry)) ([]float32, error) {
 	m := t.cfg.M
 	if cap(arena) < alpha*m {
 		arena = make([]float32, 0, alpha*m)
 	}
 	arena = arena[:0]
 	if alpha < 1 {
-		return out, arena, fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
+		return arena, fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
 	err := t.bt.WalkNearest(ctx, key, alpha, func(v []byte) {
 		rd := arena[len(arena) : len(arena)+m : len(arena)+m]
 		arena = arena[:len(arena)+m]
-		out = append(out, t.decodeValueInto(v, rd))
+		fn(t.decodeValueInto(v, rd))
 	})
+	return arena, err
+}
+
+// SearchNearestInto is WalkNearest collecting the entries: dst receives
+// them (its backing array is reused when large enough; nil is fine) and
+// is returned, like the arena they alias, on every path.
+func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
+	out := dst[:0]
+	if cap(out) < alpha {
+		out = make([]Entry, 0, alpha)
+	}
+	arena, err := t.WalkNearest(ctx, key, alpha, arena, func(e Entry) { out = append(out, e) })
 	return out, arena, err
 }
 

@@ -4,7 +4,10 @@
 // with "keep the k nearest", so this lives in one shared package.
 package topk
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Item is a candidate object with its (possibly approximate) distance.
 type Item struct {
@@ -30,6 +33,20 @@ func itemLess(x, y Item) bool {
 		return x.Dist < y.Dist
 	}
 	return x.ID < y.ID
+}
+
+// Sort orders items ascending by (Dist, ID): nearest first, ties by
+// smaller id.
+func Sort(items []Item) {
+	slices.SortFunc(items, func(x, y Item) int {
+		switch {
+		case itemLess(x, y):
+			return -1
+		case itemLess(y, x):
+			return 1
+		}
+		return 0
+	})
 }
 
 // New returns a List that retains the k nearest items pushed into it.
@@ -86,7 +103,7 @@ func (l *List) Items() []Item {
 // unchanged.
 func (l *List) ItemsInto(dst []Item) []Item {
 	dst = append(dst[:0], l.items...)
-	sort.Slice(dst, func(i, j int) bool { return itemLess(dst[i], dst[j]) })
+	Sort(dst)
 	return dst
 }
 
@@ -132,18 +149,68 @@ func (l *List) down(i int) {
 	}
 }
 
-// SelectK sorts items ascending by distance and returns the first k
-// (or all, if fewer). It is the non-streaming counterpart of List, used
-// by the filter cascade where the candidate set is already materialised.
+// SelectK returns the k smallest items by (Dist, ID), reordering items
+// in place — as a set: the order of the returned prefix is unspecified,
+// and callers that need rank order Sort it. With k >= len(items) the
+// input is returned untouched, with no ordering work at all. It is the
+// non-streaming counterpart of List, used by the filter cascade where
+// the candidate set is already materialised and only membership in the
+// k survivors matters: an introselect, O(len(items)) expected, against
+// the O(n log n) of sorting everything to keep a quarter.
 func SelectK(items []Item, k int) []Item {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Dist != items[j].Dist {
-			return items[i].Dist < items[j].Dist
-		}
-		return items[i].ID < items[j].ID
-	})
-	if len(items) > k {
-		items = items[:k]
+	if k >= len(items) {
+		return items
 	}
-	return items
+	if k <= 0 {
+		return items[:0]
+	}
+	// Invariant: lo < k <= hi, and the k smallest are items[:lo] plus the
+	// k-lo smallest of items[lo:hi] — so k == hi ends it. Each round
+	// splits [lo,hi) around a median-of-three pivot and keeps the side
+	// the k-th item falls in; a short range — or one still long when the
+	// depth budget runs out, which only an adversarial input manages —
+	// is finished by sorting it.
+	lo, hi := 0, len(items)
+	for depth := 2 * bits.Len(uint(len(items))); k < hi && hi-lo > 16 && depth > 0; depth-- {
+		split := lo + partition(items[lo:hi])
+		if k <= split {
+			hi = split
+		} else {
+			lo = split
+		}
+	}
+	if k < hi {
+		Sort(items[lo:hi])
+	}
+	return items[:k]
+}
+
+// partition reorders a (len >= 3) around its median-of-three pivot and
+// returns a split point 0 < s < len(a) with every item of a[:s] ordering
+// at or before every item of a[s:] (Hoare's scheme: equal items stop
+// both scans, so runs of duplicates split evenly).
+func partition(a []Item) int {
+	mid, last := len(a)/2, len(a)-1
+	if itemLess(a[mid], a[0]) {
+		a[0], a[mid] = a[mid], a[0]
+	}
+	if itemLess(a[last], a[mid]) {
+		a[mid], a[last] = a[last], a[mid]
+		if itemLess(a[mid], a[0]) {
+			a[0], a[mid] = a[mid], a[0]
+		}
+	}
+	// a[0] <= pivot <= a[last] are in place and bound the two scans.
+	pivot := a[mid]
+	i, j := 0, last
+	for {
+		for i++; itemLess(a[i], pivot); i++ {
+		}
+		for j--; itemLess(pivot, a[j]); j-- {
+		}
+		if i >= j {
+			return j + 1
+		}
+		a[i], a[j] = a[j], a[i]
+	}
 }

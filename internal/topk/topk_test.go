@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,13 +116,80 @@ func TestQuickAgainstSort(t *testing.T) {
 func TestSelectK(t *testing.T) {
 	items := []Item{{1, 4}, {2, 1}, {3, 3}, {4, 1}}
 	got := SelectK(items, 2)
+	Sort(got)
 	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 4 {
 		t.Fatalf("SelectK = %v", got)
 	}
-	// k larger than input returns everything, sorted.
-	got = SelectK([]Item{{5, 2}, {6, 1}}, 10)
-	if len(got) != 2 || got[0].ID != 6 {
-		t.Fatalf("SelectK big-k = %v", got)
+	// k at or above the input length returns everything, untouched.
+	for _, k := range []int{2, 10} {
+		got = SelectK([]Item{{5, 2}, {6, 1}}, k)
+		if len(got) != 2 || got[0].ID != 5 || got[1].ID != 6 {
+			t.Fatalf("SelectK(k=%d) of 2 = %v", k, got)
+		}
+	}
+	if got = SelectK([]Item{{5, 2}, {6, 1}}, 0); len(got) != 0 {
+		t.Fatalf("SelectK(k=0) = %v", got)
+	}
+}
+
+// selectKBySort is the reference SelectK replaced: sort everything by
+// (Dist, ID), keep the first k.
+func selectKBySort(items []Item, k int) []Item {
+	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	return items[:min(k, len(items))]
+}
+
+// The selection must keep exactly the set the full sort keeps, for every
+// k, on inputs that stress the partition: random, heavy ties (in Dist
+// and in the whole key), sorted, reversed, organ-pipe, all equal.
+func TestSelectKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	shapes := map[string]func(n, i int) Item{
+		"random":    func(n, i int) Item { return Item{uint64(i), rng.Float64()} },
+		"ties":      func(n, i int) Item { return Item{uint64(i), float64(rng.Intn(4))} },
+		"dupkeys":   func(n, i int) Item { return Item{uint64(rng.Intn(3)), float64(rng.Intn(3))} },
+		"sorted":    func(n, i int) Item { return Item{uint64(i), float64(i)} },
+		"reversed":  func(n, i int) Item { return Item{uint64(i), float64(n - i)} },
+		"organpipe": func(n, i int) Item { return Item{uint64(i), float64(min(i, n-i))} },
+		"equal":     func(n, i int) Item { return Item{7, 1} },
+	}
+	for name, gen := range shapes {
+		for _, n := range []int{1, 2, 3, 16, 17, 18, 100, 1000, 4096} {
+			items := make([]Item, n)
+			for i := range items {
+				items[i] = gen(n, i)
+			}
+			for _, k := range []int{1, 2, n / 4, n / 2, n - 1, n, n + 1} {
+				if k < 1 {
+					continue
+				}
+				want := selectKBySort(slices.Clone(items), k)
+				got := SelectK(slices.Clone(items), k)
+				Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d k=%d: selected set differs from the full sort's", name, n, k)
+				}
+			}
+		}
+	}
+}
+
+// The filter's 4096 -> 1024 selection (the paper's default α -> γ), the
+// shape the benchmark's topk.selectk_ns times.
+func BenchmarkSelectK4096to1024(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	items := make([]Item, 4096)
+	for i := range items {
+		items[i] = Item{ID: uint64(i), Dist: rng.Float64()}
+	}
+	scratch := make([]Item, len(items))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, items)
+		if len(SelectK(scratch, 1024)) != 1024 {
+			b.Fatal("short selection")
+		}
 	}
 }
 

@@ -57,11 +57,13 @@ bench:
 
 # What CI runs: one iteration per experiment plus core micro-benchmarks,
 # and the tree walk's three (selection, direction test, leaf-chain walk)
-# so they keep compiling.
+# and the pool's two (a miss, alone and in parallel) so they keep
+# compiling.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 	$(GO) test -bench=. -benchtime=50x -run='^$$' ./internal/core/
 	$(GO) test -bench='SelectK4096to1024|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
+	$(GO) test -bench='ViewMiss' -benchtime=1x -benchmem -run='^$$' ./internal/pager/
 
 # The observability smoke: the /metrics exposition tests (promlint-style
 # parser over a live scrape) plus the load test's mid-storm scraper.

@@ -68,6 +68,11 @@ type Options struct {
 	// DisableCache turns the buffer pool off (the paper's cold-cache
 	// measurement protocol).
 	DisableCache bool
+	// PoolPages is the buffer-pool capacity of each index file (every
+	// tree, the vector store; per shard) in pages. Build records it as
+	// the index's default; Open overrides that for this handle. 0 keeps
+	// the default: 256 pages (1 MiB) at Build, the recorded value at Open.
+	PoolPages int
 	// PageSize is the disk page size in bytes (default 4096).
 	PageSize int
 	// Seed makes reference selection and construction deterministic.
@@ -216,6 +221,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 			BatchWorkers: o.BatchWorkers,
 			BuildWorkers: o.BuildWorkers,
 			DisableCache: o.DisableCache,
+			PoolPages:    o.PoolPages,
 			PageSize:     o.PageSize,
 			Seed:         o.Seed,
 
@@ -236,6 +242,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 // anything else as one index held directly in dir.
 func Open(dir string, o Options) (*Index, error) {
 	sh, err := shard.Open(dir, core.OpenOptions{
+		PoolPages:    o.PoolPages,
 		DisableCache: o.DisableCache,
 		Parallel:     o.Parallel,
 		BatchWorkers: o.BatchWorkers,

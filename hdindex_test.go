@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/data"
@@ -306,5 +307,57 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing"), Options{}); err == nil {
 		t.Error("opening a missing index must fail")
+	}
+}
+
+// Options.PoolPages reaches every file's pool on both layouts: Build
+// records it, Open overrides it for the handle, 0 at Open keeps the
+// recorded value. A pool of 8 pages per file cannot hold a query's pages
+// (a repeated query misses again), one of 4096 holds the whole index (a
+// repeated query reads nothing), and the answers do not depend on it.
+func TestFacadePoolPages(t *testing.T) {
+	ds := data.Generate(data.Config{N: 2000, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 6})
+	q := ds.PerturbedQueries(1, 0.01, 7)[0]
+	for _, shards := range []int{0, 2} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		idx, err := Build(dir, ds.Vectors, Options{Tau: 4, Omega: 8, Alpha: 512, Gamma: 128, Seed: 3, Shards: shards, PoolPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// repeatMisses runs q twice and returns the second run's pool
+		// misses and answer.
+		repeatMisses := func(idx *Index) (uint64, []Result) {
+			t.Helper()
+			var resp Response
+			for i := 0; i < 2; i++ {
+				if resp, err = idx.Query(ctx, q, 10, WithStats()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return resp.Stats.PageMisses, resp.Results
+		}
+		small, want := repeatMisses(idx)
+		if small == 0 {
+			t.Fatalf("shards=%d: Build ignored PoolPages: 8 (a repeated query never missed)", shards)
+		}
+		for _, c := range []struct {
+			pool   int
+			misses bool
+		}{{0, true}, {4096, false}} {
+			if err := idx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if idx, err = Open(dir, Options{PoolPages: c.pool}); err != nil {
+				t.Fatal(err)
+			}
+			misses, got := repeatMisses(idx)
+			if (misses > 0) != c.misses {
+				t.Errorf("shards=%d: Open with PoolPages: %d: a repeated query missed %d pages (built with 8)", shards, c.pool, misses)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("shards=%d PoolPages=%d: answer depends on the pool size", shards, c.pool)
+			}
+		}
+		idx.Close()
 	}
 }

@@ -53,9 +53,9 @@ func walkNearestPerEntry(t *Tree, key []byte, n int, fn func(value []byte)) erro
 // whole leaves lie nearer than the other side's next key) over a pool
 // small enough that duplicate runs span leaf boundaries; a tail of
 // incremental inserts leaves some leaves part-filled.
-func walkTree(t testing.TB, rng *rand.Rand, keyLen, leafCap, count int) (*Tree, [][]byte) {
+func walkTree(t testing.TB, rng *rand.Rand, keyLen, leafCap, count, poolPages int) (*Tree, [][]byte) {
 	path := fmt.Sprintf("%s/walk-%d-%d-%d.pg", t.TempDir(), keyLen, leafCap, count)
-	pgr, err := pager.Open(path, pager.Options{PageSize: 512, Create: true})
+	pgr, err := pager.Open(path, pager.Options{PageSize: 512, PoolPages: poolPages, Create: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,15 @@ func walkTree(t testing.TB, rng *rand.Rand, keyLen, leafCap, count int) (*Tree, 
 }
 
 // The block-wise walk must yield exactly the per-entry walk's sequence.
-func TestWalkNearestMatchesPerEntryWalk(t *testing.T) {
+func TestWalkNearestMatchesPerEntryWalk(t *testing.T) { walkMatchesPerEntryWalk(t, 0) }
+
+// The same through an 8-page pool, one frame per stripe: every leaf a
+// walk releases is overwritten by the next page it (or the loader
+// building the tree) misses, so a key or value borrowed from a leaf and
+// used past its Release shows as a wrong sequence.
+func TestWalkNearestThroughTinyPool(t *testing.T) { walkMatchesPerEntryWalk(t, 8) }
+
+func walkMatchesPerEntryWalk(t *testing.T, poolPages int) {
 	rng := rand.New(rand.NewSource(21))
 	collect := func(walk func(fn func([]byte)) error) []uint32 {
 		var seq []uint32
@@ -108,7 +116,7 @@ func TestWalkNearestMatchesPerEntryWalk(t *testing.T) {
 	for _, keyLen := range []int{1, 7, 8, 9, 16, 17, 65} {
 		for _, leafCap := range []int{1, 2, 5, 0} { // 0 = whatever a 512-byte page holds
 			for _, count := range []int{0, 1, 3, 40, 400} {
-				tr, keys := walkTree(t, rng, keyLen, leafCap, count)
+				tr, keys := walkTree(t, rng, keyLen, leafCap, count, poolPages)
 				queries := [][]byte{make([]byte, keyLen), bytes.Repeat([]byte{0xFF}, keyLen)} // below the first, above the last
 				for i := 0; i < 12; i++ {
 					q := make([]byte, keyLen)
@@ -139,7 +147,7 @@ func TestWalkNearestMatchesPerEntryWalk(t *testing.T) {
 // A cancelled walk stops within the leaves it has pinned — one per side
 // — and a walk cancelled before it starts yields nothing.
 func TestWalkNearestStopsOnCancel(t *testing.T) {
-	tr, keys := walkTree(t, rand.New(rand.NewSource(22)), 16, 5, 400)
+	tr, keys := walkTree(t, rand.New(rand.NewSource(22)), 16, 5, 400, 0)
 	q := keys[200]
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,0 +1,324 @@
+package pager
+
+import (
+	"bytes"
+	"errors"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hd-index/hdindex/internal/iofault"
+)
+
+// scanFile writes a file of n data pages, page id filled with byte(id),
+// and reopens it with opts.
+func scanFile(t testing.TB, n int, opts Options) *Pager {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scan.pg")
+	p, err := Open(path, Options{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		pg, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range pg.Data {
+			pg.Data[j] = byte(pg.ID)
+		}
+		pg.Release()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = Open(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// viewAll pins and releases every page once, in id order: on a file
+// larger than the pool under LRU, every View is a miss.
+func viewAll(t testing.TB, p *Pager) {
+	for id := PageID(1); uint64(id) < p.PageCount(); id++ {
+		v, err := p.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Data[0] != byte(id) {
+			t.Fatalf("page %d holds page %d's bytes", id, v.Data[0])
+		}
+		v.Release()
+	}
+}
+
+// A steady-state miss allocates nothing: the incoming page takes the
+// LRU victim's frame, or with caching off the frame its own previous
+// release parked.
+func TestMissAllocatesNothing(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"lru":     {PoolPages: 16, ReadOnly: true},
+		"nocache": {PoolPages: 16, ReadOnly: true, DisableLRU: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := scanFile(t, 4*opts.PoolPages, opts)
+			viewAll(t, p) // fill the pool: the only frames this pager ever allocates
+			p.ResetStats()
+			if avg := testing.AllocsPerRun(5, func() { viewAll(t, p) }); avg != 0 {
+				t.Fatalf("%v allocations per scan of %d missing pages, want 0", avg, 4*opts.PoolPages)
+			}
+			if st := p.Stats(); st.Hits != 0 || st.Misses != st.Reads || st.Misses != uint64(6*4*opts.PoolPages) {
+				t.Fatalf("the scan was not all misses: %+v", st)
+			}
+		})
+	}
+}
+
+// gatedFile holds every ReadAt until the test closes gate, so a test
+// decides what happens while a read is in flight, and notes a read that
+// reached the file after Close did.
+type gatedFile struct {
+	iofault.File
+	gate           chan struct{}
+	closed         atomic.Bool
+	readAfterClose atomic.Bool
+}
+
+func (g *gatedFile) ReadAt(b []byte, off int64) (int, error) {
+	<-g.gate
+	if g.closed.Load() {
+		g.readAfterClose.Store(true)
+	}
+	return g.File.ReadAt(b, off)
+}
+
+func (g *gatedFile) Close() error {
+	g.closed.Store(true)
+	return g.File.Close()
+}
+
+func gate(p *Pager) *gatedFile {
+	g := &gatedFile{File: p.f, gate: make(chan struct{})}
+	p.f = g
+	return g
+}
+
+// waitFor polls cond under id's stripe lock until it holds.
+func waitFor(t *testing.T, p *Pager, id PageID, cond func(sh *poolShard) bool) {
+	t.Helper()
+	sh := p.shardOf(id)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		ok := cond(sh)
+		sh.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the pool to reach the expected state")
+		}
+	}
+}
+
+// viewConcurrently has n goroutines View page id at once, opens the gate
+// once all n hold a pin on its loading frame, and returns what each saw.
+func viewConcurrently(t *testing.T, p *Pager, g *gatedFile, id PageID, n int) ([][]byte, []error) {
+	t.Helper()
+	data, errs := make([][]byte, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := p.View(id)
+			if errs[i] = err; err == nil {
+				data[i] = bytes.Clone(v.Data)
+				v.Release()
+			}
+		}(i)
+	}
+	waitFor(t, p, id, func(sh *poolShard) bool { return sh.frames[id] != nil && sh.frames[id].pins == n })
+	close(g.gate)
+	wg.Wait()
+	return data, errs
+}
+
+// However many callers want one cold page at once, it is read once: the
+// first is the miss, the rest hit its loading frame and wait for it.
+func TestConcurrentMissReadsOnce(t *testing.T) {
+	p := scanFile(t, 4, Options{PoolPages: 8, ReadOnly: true})
+	g := gate(p)
+	p.ResetStats()
+	data, errs := viewConcurrently(t, p, g, 3, 16)
+	for i := range data {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(data[i], bytes.Repeat([]byte{3}, p.PageSize())) {
+			t.Fatalf("caller %d saw the wrong bytes", i)
+		}
+	}
+	if st := p.Stats(); st.Reads != 1 || st.Misses != 1 || st.Hits != 15 {
+		t.Fatalf("stats = %+v, want 1 read, 1 miss, 15 hits", st)
+	}
+}
+
+// A failed read fails everyone who waited on it with the one error,
+// leaves nothing resident, keeps the frame, and the next call reads again.
+func TestFailedReadWithWaiters(t *testing.T) {
+	// Open's two superblock reads pass; the third read — the page — fails.
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: "scan.pg", Op: iofault.OpRead, AfterCalls: 2, Once: true,
+	}))
+	defer restore()
+	p := scanFile(t, 4, Options{PoolPages: 8, ReadOnly: true})
+	g := gate(p)
+	p.ResetStats()
+	_, errs := viewConcurrently(t, p, g, 3, 16)
+	for i, err := range errs {
+		if !errors.Is(err, ErrIO) || err != errs[0] {
+			t.Fatalf("caller %d: err = %v, want the read's ErrIO (%v)", i, err, errs[0])
+		}
+	}
+	sh := p.shardOf(3)
+	if len(sh.frames) != 0 || len(sh.free) != 1 {
+		t.Fatalf("after the failed read: %d resident frames, %d parked; want 0 and 1", len(sh.frames), len(sh.free))
+	}
+	v, err := p.View(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Data[0] != 3 {
+		t.Fatal("re-read returned the wrong bytes")
+	}
+	v.Release()
+	if st := p.Stats(); st.Reads != 1 || st.Misses != 2 || st.Hits != 15 || len(sh.free) != 0 {
+		t.Fatalf("stats = %+v (%d parked), want 1 read, 2 misses, 15 hits, the parked frame reused", st, len(sh.free))
+	}
+}
+
+// A dirty victim whose write-back fails stays resident and dirty — the
+// admission fails, the page's only copy is not dropped — and is written
+// by the next eviction that succeeds.
+func TestFailedEvictionKeepsDirtyPage(t *testing.T) {
+	// Create's superblock write passes; the second write — the victim — fails.
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: "test.pg", Op: iofault.OpWrite, AfterCalls: 1, Once: true,
+	}))
+	defer restore()
+	p, path := newTemp(t, Options{PoolPages: 1})
+	a, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(a.Data, "only copy")
+	a.Release()
+	if _, err := p.Alloc(); !errors.Is(err, ErrIO) {
+		t.Fatalf("Alloc over a victim that cannot be written: err = %v, want ErrIO", err)
+	}
+	b, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	v, err := p2.View(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	if !bytes.HasPrefix(v.Data, []byte("only copy")) {
+		t.Fatalf("the page was dropped with its failed write: %q", v.Data[:9])
+	}
+}
+
+// Close waits for a read in flight outside the stripe lock: the reader
+// gets its page from the still-open file, later callers ErrClosed.
+func TestCloseWaitsForInflightRead(t *testing.T) {
+	for _, readOnly := range []bool{true, false} {
+		p := scanFile(t, 4, Options{PoolPages: 8, ReadOnly: readOnly})
+		g := gate(p)
+		readErr := make(chan error, 1)
+		go func() {
+			v, err := p.View(3)
+			if err == nil && v.Data[0] != 3 {
+				err = errors.New("wrong bytes")
+			}
+			readErr <- err
+		}()
+		waitFor(t, p, 3, func(sh *poolShard) bool { return sh.reading == 1 })
+		closed := make(chan error, 1)
+		go func() { closed <- p.Close() }()
+		waitFor(t, p, 3, func(*poolShard) bool { return p.closed.Load() })
+		select {
+		case <-closed:
+			t.Fatal("Close returned with a read in flight")
+		case <-time.After(50 * time.Millisecond):
+		}
+		if _, err := p.View(2); !errors.Is(err, ErrClosed) {
+			t.Fatalf("View during Close: err = %v, want ErrClosed", err)
+		}
+		close(g.gate)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-readErr; err != nil {
+			t.Fatalf("the in-flight read: %v", err)
+		}
+		if g.readAfterClose.Load() {
+			t.Fatal("the file was closed under the read")
+		}
+	}
+}
+
+var sinkByte byte
+
+// BenchmarkViewMiss is the steady-state miss: a cyclic scan of a file 4×
+// the pool, so every View evicts, recycles the victim's frame and reads.
+func BenchmarkViewMiss(b *testing.B) {
+	const pool = 64
+	p := scanFile(b, 4*pool, Options{PoolPages: pool, ReadOnly: true})
+	viewAll(b, p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := p.View(PageID(1 + i%(4*pool)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkByte = v.Data[0]
+		v.Release()
+	}
+}
+
+// BenchmarkViewMissParallel is the same scan shared by GOMAXPROCS
+// goroutines: misses on different pages overlap their reads.
+func BenchmarkViewMissParallel(b *testing.B) {
+	const pool = 64
+	p := scanFile(b, 4*pool, Options{PoolPages: pool, ReadOnly: true})
+	viewAll(b, p)
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			v, err := p.View(PageID(1 + next.Add(1)%(4*pool)))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			v.Release()
+		}
+	})
+}

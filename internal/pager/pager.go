@@ -14,6 +14,14 @@
 // the per-shard counters. Callers on the read hot path can borrow a
 // pinned frame zero-copy via View instead of going through Get's
 // heap-allocated Page handle.
+//
+// A pool miss costs one pread and nothing else: once a stripe holds its
+// capacity share of frames every incoming page lives in a recycled one
+// (the LRU victim's), and the read is issued outside the stripe lock
+// into a frame already published as loading, so concurrent callers of
+// that page wait for the one read instead of repeating it. The price is
+// that a released frame's bytes are overwritten by the next miss: a
+// slice borrowed from a View or Page is dead at Release.
 package pager
 
 import (
@@ -70,7 +78,7 @@ type Stats struct {
 	Reads  uint64 // physical page reads from disk
 	Writes uint64 // physical page writes to disk
 	Hits   uint64 // buffer pool hits
-	Misses uint64 // buffer pool misses (each implies one Read)
+	Misses uint64 // buffer pool misses (each implies one Read unless the read failed)
 	Allocs uint64 // pages allocated
 }
 
@@ -140,18 +148,20 @@ func (v View) Release() {
 }
 
 type frame struct {
-	id    PageID
-	data  []byte
-	pins  int
-	dirty bool
-	prev  *frame // LRU list of unpinned frames
-	next  *frame
+	id      PageID
+	data    []byte
+	pins    int
+	dirty   bool
+	loading bool   // the miss that admitted it is reading into data outside the stripe lock
+	err     error  // that read's failure, for the callers that waited on it
+	prev    *frame // LRU list of unpinned frames
+	next    *frame
 }
 
 // counters is one stripe's share of the I/O statistics. The fields are
 // atomics so Stats() — called twice per query for the QueryStats deltas
 // — never touches the stripe mutexes: a stats sweep must not contend
-// with a getFrame holding a stripe lock across a disk read.
+// with the searches' getFrame/release traffic on them.
 type counters struct {
 	reads, writes, hits, misses, allocs atomic.Uint64
 }
@@ -179,9 +189,12 @@ func (c *counters) reset() {
 // the same shard, so per-page state never straddles stripes.
 type poolShard struct {
 	mu      sync.Mutex
+	loaded  sync.Cond // on mu; broadcast whenever a loading frame's read ends
+	reading int       // reads in flight outside mu; Close waits for zero
 	cap     int
 	frames  map[PageID]*frame
-	lruHead *frame // most recently used unpinned
+	free    []*frame // unmapped frames kept for the next admission
+	lruHead *frame   // most recently used unpinned
 	lruTail *frame
 	lruLen  int
 	stats   counters
@@ -286,6 +299,7 @@ func (p *Pager) initShards(n, poolPages int) {
 			p.shards[i].cap++
 		}
 		p.shards[i].frames = make(map[PageID]*frame)
+		p.shards[i].loaded.L = &p.shards[i].mu
 	}
 }
 
@@ -391,10 +405,9 @@ func (p *Pager) SetMeta(meta []byte) error {
 
 // Stats returns a snapshot of the I/O counters: the sum of every pool
 // shard's counters plus superblock traffic. The counters are atomics,
-// so the sweep is lock-free — it never contends with a stripe holding
-// its lock across a disk read. Each counter is exact; the snapshot as
-// a whole is taken without a global pause, like the per-query deltas
-// consuming it.
+// so the sweep is lock-free and takes no stripe mutex. Each counter is
+// exact; the snapshot as a whole is taken without a global pause, like
+// the per-query deltas consuming it.
 func (p *Pager) Stats() Stats {
 	var s Stats
 	for i := range p.shards {
@@ -426,15 +439,18 @@ func (p *Pager) Alloc() (*Page, error) {
 		return nil, ErrClosed
 	}
 	id := PageID(p.pageCount.Load())
-	fr := &frame{id: id, data: make([]byte, p.pageSize), pins: 1, dirty: true}
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	sh.stats.allocs.Add(1)
-	err := p.admit(sh, fr)
-	sh.mu.Unlock()
+	fr, err := p.evictFor(sh)
 	if err != nil {
+		sh.mu.Unlock()
 		return nil, err
 	}
+	clear(fr.data)
+	*fr = frame{id: id, data: fr.data, pins: 1, dirty: true}
+	sh.frames[id] = fr
+	sh.mu.Unlock()
 	// Publish only after the frame is in its shard: a concurrent Get of
 	// this id either fails the range check (not yet published) or finds
 	// the admitted frame — it can never fall through to a disk read of
@@ -464,9 +480,13 @@ func (p *Pager) View(id PageID) (View, error) {
 }
 
 // getFrame returns the pinned frame for id, reading it from disk on a
-// pool miss. All work — including the disk read — happens under the
-// owning shard's lock, so Close (which cycles every shard lock before
-// closing the file) can never pull the file out from under a read.
+// pool miss. The miss publishes its frame pinned and loading, then reads
+// with the stripe unlocked; whoever asks for the same id meanwhile pins
+// that frame, counts a hit and waits on sh.loaded, so a page is read
+// once however callers interleave. A failed read unmaps the frame and
+// hands every waiter the same error; the next call reads again. Reads
+// start only under sh.mu with the pager open and are counted in
+// sh.reading, which is what Close waits on before closing the file.
 func (p *Pager) getFrame(id PageID) (*frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
@@ -483,36 +503,84 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 			sh.lruRemove(fr)
 		}
 		fr.pins++
+		for fr.loading {
+			sh.loaded.Wait()
+		}
+		if fr.err != nil {
+			return nil, sh.unpinFailed(fr)
+		}
 		return fr, nil
 	}
 	sh.stats.misses.Add(1)
-	data := make([]byte, p.pageSize)
-	if _, err := p.f.ReadAt(data, int64(uint64(id))*int64(p.pageSize)); err != nil {
-		return nil, fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
+	fr, err := p.evictFor(sh)
+	if err != nil {
+		return nil, err
+	}
+	*fr = frame{id: id, data: fr.data, pins: 1, loading: true}
+	sh.frames[id] = fr
+	sh.reading++
+	sh.mu.Unlock()
+	_, err = p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
+	sh.mu.Lock()
+	sh.reading--
+	fr.loading = false
+	sh.loaded.Broadcast() // the woken run once mu is released
+	if err != nil {
+		fr.err = fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
+		delete(sh.frames, id)
+		return nil, sh.unpinFailed(fr)
 	}
 	sh.stats.reads.Add(1)
-	fr := &frame{id: id, data: data, pins: 1}
-	if err := p.admit(sh, fr); err != nil {
-		return nil, err
+	return fr, nil
+}
+
+// unpinFailed drops one pin of a frame whose read failed and returns
+// the read's error; the last pin out parks the frame. Caller holds sh.mu.
+func (sh *poolShard) unpinFailed(fr *frame) error {
+	if fr.pins--; fr.pins == 0 {
+		sh.park(fr)
+	}
+	return fr.err
+}
+
+// evictFor returns an unmapped frame for the page about to enter sh,
+// evicting LRU unpinned frames while the shard is at its capacity share
+// (dirty ones are written first and stay resident if the write fails).
+// The first victim is the frame returned; further ones, the surplus of a
+// pool that outgrew its share while every frame was pinned, go to the
+// GC. With no victim it is a parked frame, and a new frame and buffer
+// only when there is none: below capacity, or everything pinned. Caller
+// holds sh.mu.
+func (p *Pager) evictFor(sh *poolShard) (*frame, error) {
+	var fr *frame
+	for len(sh.frames) >= sh.cap && sh.lruLen > 0 {
+		victim := sh.lruTail
+		if victim.dirty {
+			if err := p.writeFrame(sh, victim); err != nil {
+				return nil, err
+			}
+		}
+		sh.lruRemove(victim)
+		delete(sh.frames, victim.id)
+		if fr == nil {
+			fr = victim
+		}
+	}
+	if n := len(sh.free); fr == nil && n > 0 {
+		fr, sh.free = sh.free[n-1], sh.free[:n-1]
+	}
+	if fr == nil {
+		fr = &frame{data: make([]byte, p.pageSize)}
 	}
 	return fr, nil
 }
 
-// admit inserts fr into its shard, evicting the LRU unpinned frame if
-// the shard is at its capacity share. Caller holds sh.mu.
-func (p *Pager) admit(sh *poolShard, fr *frame) error {
-	for len(sh.frames) >= sh.cap && sh.lruLen > 0 {
-		victim := sh.lruTail
-		sh.lruRemove(victim)
-		delete(sh.frames, victim.id)
-		if victim.dirty {
-			if err := p.writeFrame(sh, victim); err != nil {
-				return err
-			}
-		}
+// park keeps an unmapped, unpinned frame for the next admission, unless
+// the shard already owns its capacity share of frames. Caller holds sh.mu.
+func (sh *poolShard) park(fr *frame) {
+	if len(sh.frames)+len(sh.free) < sh.cap {
+		sh.free = append(sh.free, fr)
 	}
-	sh.frames[fr.id] = fr
-	return nil
 }
 
 func (p *Pager) writeFrame(sh *poolShard, fr *frame) error {
@@ -534,10 +602,11 @@ func (p *Pager) release(fr *frame) {
 	}
 	if p.noCache {
 		// Caching off (§5 "for fairness, we turn off buffering and
-		// caching"): write the frame out if dirty and drop it. On a
+		// caching"): write the frame out if dirty, unmap it and park it
+		// for the next Get, which in this mode is always a miss. On a
 		// write failure the frame stays resident and dirty, so the data
 		// is not lost and Flush/Close retries the write and surfaces
-		// the error (dropping the frame first would silently discard
+		// the error (unmapping the frame first would silently discard
 		// the page).
 		if fr.dirty {
 			if err := p.writeFrame(sh, fr); err != nil {
@@ -545,6 +614,7 @@ func (p *Pager) release(fr *frame) {
 			}
 		}
 		delete(sh.frames, fr.id)
+		sh.park(fr)
 		return
 	}
 	sh.lruPushFront(fr)
@@ -630,9 +700,10 @@ func (p *Pager) Sync() error {
 }
 
 // Close flushes and closes the file. The pager is unusable afterwards.
-// The closed flag is set before the shard locks are cycled, so any read
-// that began under a shard lock finishes against the still-open file
-// and later callers observe ErrClosed.
+// The closed flag is set first; each stripe is then waited on until no
+// read is in flight. A read starts only under its stripe's lock with the
+// flag clear, so past that wait none can start: every read finishes
+// against the still-open file and later callers observe ErrClosed.
 func (p *Pager) Close() error {
 	p.state.Lock()
 	if p.closed.Load() {
@@ -641,6 +712,14 @@ func (p *Pager) Close() error {
 	}
 	p.closed.Store(true)
 	p.state.Unlock()
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for sh.reading > 0 {
+			sh.loaded.Wait()
+		}
+		sh.mu.Unlock()
+	}
 	var err error
 	if !p.readOnly {
 		// The alloc lock drains in-flight Allocs (their frames are then
@@ -657,13 +736,6 @@ func (p *Pager) Close() error {
 			err = e
 		}
 		p.state.Unlock()
-	} else {
-		// Cycle the shard locks so in-flight reads drain before the
-		// file handle goes away.
-		for i := range p.shards {
-			p.shards[i].mu.Lock()
-			p.shards[i].mu.Unlock() //nolint:staticcheck // empty critical section is the drain
-		}
 	}
 	if e := p.f.Close(); e != nil && err == nil {
 		err = e

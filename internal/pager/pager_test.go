@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -252,39 +253,193 @@ func TestReadOnly(t *testing.T) {
 	g.Release()
 }
 
-// Many random writes and reads through a tiny pool: the file must end up
-// byte-identical to an in-memory model.
-func TestRandomizedAgainstModel(t *testing.T) {
-	p, path := newTemp(t, Options{PageSize: 256, PoolPages: 3})
-	rng := rand.New(rand.NewSource(7))
-	const n = 50
-	model := make(map[PageID][]byte)
-	var ids []PageID
-	for i := 0; i < n; i++ {
-		pg, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
+// poolModel is the reference buffer pool: per stripe a map of resident
+// pages and a list of the unpinned ones, most recently released first. A
+// miss reads, then evicts from the list's back while the stripe is at its
+// share — the parent implementation's order of business, frame reuse and
+// unlocked reads unknown to it.
+type poolModel struct {
+	noCache bool
+	stripes []modelStripe
+	st      Stats
+}
+
+type modelStripe struct {
+	cap    int
+	frames map[PageID]*modelFrame
+	lru    *list.List // of PageID
+}
+
+type modelFrame struct {
+	pins  int
+	dirty bool
+	elem  *list.Element
+}
+
+func (m *poolModel) stripe(id PageID) *modelStripe { return &m.stripes[int(id)%len(m.stripes)] }
+
+func (m *poolModel) admit(id PageID, dirty bool) {
+	s := m.stripe(id)
+	for len(s.frames) >= s.cap && s.lru.Len() > 0 {
+		victim := s.lru.Remove(s.lru.Back()).(PageID)
+		if s.frames[victim].dirty {
+			m.st.Writes++
 		}
-		rng.Read(pg.Data)
-		pg.MarkDirty()
-		model[pg.ID] = append([]byte(nil), pg.Data...)
-		ids = append(ids, pg.ID)
-		pg.Release()
+		delete(s.frames, victim)
 	}
-	for i := 0; i < 200; i++ {
-		id := ids[rng.Intn(len(ids))]
-		pg, err := p.Get(id)
-		if err != nil {
-			t.Fatal(err)
+	s.frames[id] = &modelFrame{pins: 1, dirty: dirty}
+}
+
+func (m *poolModel) get(id PageID) {
+	s := m.stripe(id)
+	if f := s.frames[id]; f != nil {
+		m.st.Hits++
+		if f.pins == 0 {
+			s.lru.Remove(f.elem)
 		}
-		if rng.Intn(2) == 0 {
+		f.pins++
+		return
+	}
+	m.st.Misses++
+	m.st.Reads++
+	m.admit(id, false)
+}
+
+func (m *poolModel) alloc(id PageID) {
+	m.st.Allocs++
+	m.admit(id, true)
+}
+
+func (m *poolModel) release(id PageID) {
+	s := m.stripe(id)
+	f := s.frames[id]
+	if f.pins--; f.pins > 0 {
+		return
+	}
+	if !m.noCache {
+		f.elem = s.lru.PushFront(id)
+		return
+	}
+	if f.dirty {
+		m.st.Writes++
+	}
+	delete(s.frames, id)
+}
+
+// check compares the pager with the model: every counter, and per stripe
+// the resident set, its pin counts and dirty bits, and the LRU order —
+// so every eviction is predicted, not just counted. It also holds the
+// pool to owning no more frames than its share unless pins force it.
+func (m *poolModel) check(t *testing.T, p *Pager, base Stats, op int) {
+	t.Helper()
+	want := base
+	want.Add(m.st)
+	if got := p.Stats(); got != want {
+		t.Fatalf("op %d: stats %+v, model %+v", op, got, want)
+	}
+	for i := range p.shards {
+		sh, s := &p.shards[i], &m.stripes[i]
+		if len(sh.frames) != len(s.frames) {
+			t.Fatalf("op %d stripe %d: %d resident frames, model %d", op, i, len(sh.frames), len(s.frames))
+		}
+		for id, f := range s.frames {
+			if fr := sh.frames[id]; fr == nil || fr.id != id || fr.pins != f.pins || fr.dirty != f.dirty {
+				t.Fatalf("op %d: page %d is %+v, model %+v", op, id, fr, f)
+			}
+		}
+		fr := sh.lruHead
+		for e := s.lru.Front(); e != nil; e, fr = e.Next(), fr.next {
+			if fr == nil || fr.id != e.Value.(PageID) {
+				t.Fatalf("op %d stripe %d: LRU order diverged from the model at page %d", op, i, e.Value)
+			}
+		}
+		if fr != nil || sh.lruLen != s.lru.Len() {
+			t.Fatalf("op %d stripe %d: LRU holds %d frames, model %d", op, i, sh.lruLen, s.lru.Len())
+		}
+		if len(sh.free) > 0 && len(sh.frames)+len(sh.free) > sh.cap {
+			t.Fatalf("op %d stripe %d: %d frames parked beside %d resident, share %d", op, i, len(sh.free), len(sh.frames), sh.cap)
+		}
+	}
+}
+
+// A random View/Get/Alloc/MarkDirty/Release sequence, with up to six
+// pages pinned at once over a three-frame pool (so it overshoots its
+// share and shrinks back), against the reference pool and an in-memory
+// copy of every page: counters, evictions and LRU order must follow the
+// model op by op, contents must match while pinned, and the file must
+// end up byte-identical to the copy.
+func TestRandomizedAgainstModel(t *testing.T) {
+	for name, noCache := range map[string]bool{"lru": false, "nocache": true} {
+		t.Run(name, func(t *testing.T) { randomizedAgainstModel(t, noCache) })
+	}
+}
+
+func randomizedAgainstModel(t *testing.T, noCache bool) {
+	p, path := newTemp(t, Options{PageSize: 256, PoolPages: 3, DisableLRU: noCache})
+	m := &poolModel{noCache: noCache, stripes: make([]modelStripe, len(p.shards))}
+	for i := range m.stripes {
+		m.stripes[i] = modelStripe{cap: p.shards[i].cap, frames: map[PageID]*modelFrame{}, lru: list.New()}
+	}
+	base := p.Stats()
+	rng := rand.New(rand.NewSource(7))
+	content := make(map[PageID][]byte)
+	type pin struct {
+		id      PageID
+		release func()
+	}
+	var pins []pin
+	for op := 0; op < 2000; op++ {
+		id := PageID(1 + rng.Intn(int(p.PageCount())))
+		switch r := rng.Intn(10); {
+		case len(pins) == 6 || (r < 4 && len(pins) > 0):
+			i := rng.Intn(len(pins))
+			pins[i].release()
+			m.release(pins[i].id)
+			pins = append(pins[:i], pins[i+1:]...)
+		case r < 5 && p.PageCount() < 60 || p.PageCount() == 1:
+			pg, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pg.Data, make([]byte, 256)) {
+				t.Fatalf("op %d: Alloc returned a page that is not zeroed", op)
+			}
+			rng.Read(pg.Data)
+			pg.MarkDirty()
+			content[pg.ID] = bytes.Clone(pg.Data)
+			m.alloc(pg.ID)
+			pins = append(pins, pin{pg.ID, pg.Release})
+		case id == PageID(p.PageCount()):
+			continue
+		case r < 8:
+			v, err := p.View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.get(id)
+			if !bytes.Equal(v.Data, content[id]) {
+				t.Fatalf("op %d: view of page %d diverged from model", op, id)
+			}
+			pins = append(pins, pin{id, v.Release})
+		default:
+			pg, err := p.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.get(id)
+			if !bytes.Equal(pg.Data, content[id]) {
+				t.Fatalf("op %d: page %d diverged from model", op, id)
+			}
 			rng.Read(pg.Data[:16])
 			pg.MarkDirty()
-			copy(model[id][:16], pg.Data[:16])
-		} else if !bytes.Equal(pg.Data, model[id]) {
-			t.Fatalf("page %d diverged from model", id)
+			copy(content[id], pg.Data[:16])
+			m.stripe(id).frames[id].dirty = true
+			pins = append(pins, pin{id, pg.Release})
 		}
-		pg.Release()
+		m.check(t, p, base, op)
+	}
+	for _, h := range pins {
+		h.release()
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -294,7 +449,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	for id, want := range model {
+	for id, want := range content {
 		pg, err := p2.Get(id)
 		if err != nil {
 			t.Fatal(err)

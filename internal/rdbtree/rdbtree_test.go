@@ -43,10 +43,26 @@ func nearest(tr *Tree, key []byte, alpha int) ([]Entry, error) {
 	return entries, err
 }
 
+// rdbPoolPages is the pool mkRDB opens its pager with (0 = default).
+var rdbPoolPages int
+
+// The search tests again through an 8-page pool, one frame per stripe:
+// every leaf a search releases is overwritten by its next miss, so an
+// entry decoded from a leaf after its Release shows as a wrong answer.
+func TestSearchThroughTinyPool(t *testing.T) {
+	rdbPoolPages = 8
+	defer func() { rdbPoolPages = 0 }()
+	t.Run("Centred", TestSearchNearestCentred)
+	t.Run("TieGoesRight", TestSearchNearestTieGoesRight)
+	t.Run("AtExtremes", TestSearchNearestAtExtremes)
+	t.Run("AgainstBruteForce", TestSearchNearestAgainstBruteForce)
+	t.Run("InsertThenSearch", TestInsertThenSearch)
+}
+
 func mkRDB(t *testing.T, cfg Config, pageSize int) (*Tree, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "rdb.pg")
-	pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: pageSize})
+	pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: pageSize, PoolPages: rdbPoolPages})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// testdata/parent-layout/index is an index directory written by the
+// commit before the slot-space layout (no ids.pg, no layout in
+// meta.json): core.Build over 500 16-d vectors, 40 inserts, 5 deletes, a
+// compaction (generation-1 trees, purged marks in deleted.bin), then 10
+// more inserts and 2 deletes left in wal.log. answers.json, written by
+// that same commit, holds what it answered to 20 queries in four cascade
+// shapes, and what it answered after the Insert → Delete → Compact →
+// reopen sequence recorded under "then".
+type fixtureAnswers struct {
+	Note    string         `json:"note"`
+	Queries [][]float32    `json:"queries"`
+	K       int            `json:"k"`
+	Shapes  []fixtureShape `json:"shapes"`
+	Count   uint64         `json:"count"`
+	Deleted int            `json:"deleted"`
+	Then    fixtureThen    `json:"then"`
+}
+
+type fixtureShape struct {
+	Options    SearchOptions `json:"options"`
+	Results    [][]Result    `json:"results"`
+	Candidates []int         `json:"candidates"`
+}
+
+type fixtureThen struct {
+	Insert  [][]float32 `json:"insert"`
+	Delete  []uint64    `json:"delete"`
+	Results [][]Result  `json:"results"`
+	Count   uint64      `json:"count"`
+	Deleted int         `json:"deleted"`
+}
+
+// An index directory of the previous layout opens through the same code
+// as a fresh one, answers exactly as the commit that wrote it did, and
+// keeps doing so through an insert, a delete, a compaction and a reopen.
+func TestOpensParentLayoutDirectory(t *testing.T) {
+	buf, err := os.ReadFile(filepath.Join("testdata", "parent-layout", "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want fixtureAnswers
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "parent-layout", "index"), dir)
+	opts := OpenOptions{MemtableMaxVectors: 1 << 20}
+	ix, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ix.Close() }()
+
+	if ix.Count() != want.Count || ix.DeletedCount() != want.Deleted {
+		t.Fatalf("opened %d vectors, %d deleted; the fixture recorded %d and %d", ix.Count(), ix.DeletedCount(), want.Count, want.Deleted)
+	}
+	for _, shape := range want.Shapes {
+		for qi, q := range want.Queries {
+			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%+v query %d", shape.Options, qi), got, shape.Results[qi])
+			if st.Candidates != shape.Candidates[qi] {
+				t.Fatalf("%+v query %d: %d candidates, recorded %d", shape.Options, qi, st.Candidates, shape.Candidates[qi])
+			}
+		}
+	}
+
+	for _, v := range want.Then.Insert {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range want.Then.Delete {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Count() != want.Then.Count || ix.DeletedCount() != want.Then.Deleted {
+		t.Fatalf("after the mutations: %d vectors, %d deleted; recorded %d and %d", ix.Count(), ix.DeletedCount(), want.Then.Count, want.Then.Deleted)
+	}
+	exhaustive := SearchOptions{Alpha: 600, Gamma: 600}
+	for qi, q := range want.Queries {
+		got, _, err := ix.Query(context.Background(), q, want.K, exhaustive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, fmt.Sprintf("after the mutations, query %d", qi), got, want.Then.Results[qi])
+	}
+}

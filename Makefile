@@ -20,6 +20,8 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				printf "%7d total non-test Go lines outside benchmark/\n", t }'
 
+# Includes the randomized model test (internal/core, a few hundred ops
+# per run; HD_MODEL_STEPS=5000 for a long one) and the tiny-pool suites.
 race:
 	$(GO) test -race ./...
 
@@ -58,10 +60,12 @@ bench:
 # What CI runs: one iteration per experiment plus core micro-benchmarks,
 # and the tree walk's three (selection, direction test, leaf-chain walk)
 # and the pool's two (a miss, alone and in parallel) so they keep
-# compiling.
+# compiling. BenchmarkRefinePages builds six 50 K-vector indexes to count
+# the vector pages a query touches per store layout, so it runs once.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-	$(GO) test -bench=. -benchtime=50x -run='^$$' ./internal/core/
+	$(GO) test -bench=. -skip=RefinePages -benchtime=50x -run='^$$' ./internal/core/
+	$(GO) test -bench=RefinePages -benchtime=1x -run='^$$' ./internal/core/
 	$(GO) test -bench='SelectK4096to1024|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
 	$(GO) test -bench='ViewMiss' -benchtime=1x -benchmem -run='^$$' ./internal/pager/
 

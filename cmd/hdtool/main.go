@@ -6,6 +6,7 @@
 //	hdtool build -data vectors.fvecs -index ./my.index [-tau 8 -omega 16 -m 10]
 //	hdtool query -index ./my.index -queries q.fvecs -k 10 [-out results.ivecs]
 //	hdtool info  -index ./my.index
+//	hdtool check ./my.index
 //	hdtool tune  -frontier frontier.json -slo "recall>=0.98"
 package main
 
@@ -38,6 +39,8 @@ func main() {
 		err = runQuery(os.Args[2:])
 	case "info":
 		err = runInfo(os.Args[2:])
+	case "check":
+		err = runCheck(os.Args[2:])
 	case "tune":
 		err = runTune(os.Args[2:])
 	default:
@@ -56,6 +59,7 @@ func usage() {
   hdtool query -index DIR -queries q.fvecs -k K [-out results.ivecs] [-parallel]
                [-alpha N -gamma N -ptolemaic=BOOL -stats]
   hdtool info  -index DIR
+  hdtool check DIR
   hdtool tune  -frontier frontier.json [-slo "recall>=0.98" | -slo "p99<=2ms"]`)
 }
 
@@ -249,6 +253,7 @@ func runInfo(args []string) error {
 
 	if !shard.IsSharded(*indexDir) {
 		fmt.Printf("layout:        single index\n")
+		fmt.Printf("store order:   %s\n", storeOrder(ix.Shards()[0]))
 		return nil
 	}
 	man, err := shard.ReadManifest(*indexDir)
@@ -259,10 +264,40 @@ func runInfo(args []string) error {
 	fmt.Printf("created:       %s\n", time.Unix(man.CreatedUnix, 0).UTC().Format(time.RFC3339))
 	fmt.Printf("shards:        %d\n", man.Shards)
 	for _, sh := range ix.Shards() {
-		fmt.Printf("  shard-%02d:    %d vectors, %d deleted, %d bytes\n",
-			sh.ID, sh.Count, sh.Deleted, sh.SizeOnDisk)
+		fmt.Printf("  shard-%02d:    %d vectors, %d deleted, %d bytes; %s\n",
+			sh.ID, sh.Count, sh.Deleted, sh.SizeOnDisk, storeOrder(sh))
 	}
 	return nil
+}
+
+// storeOrder describes where a shard's vectors sit in vectors.pg.
+func storeOrder(sh hdindex.ShardInfo) string {
+	if sh.Clustered == 0 {
+		return "arrival order (no ids.pg; a rebuild clusters)"
+	}
+	return fmt.Sprintf("tree-0 Hilbert order over the %d built vectors (ids.pg), %d appended behind them",
+		sh.Clustered, sh.Count-sh.Clustered)
+}
+
+// runCheck is the index fsck: it opens the directory (recovering it like
+// any Open, WAL replay included) and verifies what no query would notice
+// broken. Exit status 1 and the first violation on stderr when one is
+// found.
+func runCheck(args []string) error {
+	if len(args) != 1 {
+		return errors.New("check: usage: hdtool check DIR")
+	}
+	ix, err := hdindex.Open(args[0], hdindex.Options{})
+	if err != nil {
+		return err
+	}
+	defer ix.Close()
+	reps, err := ix.Check(context.Background())
+	for i, r := range reps {
+		fmt.Printf("shard-%02d: %d vectors (%d clustered, %d purged), %d trees, %d entries per tree re-derived from their vectors: ok\n",
+			i, r.Vectors, r.Clustered, r.Purged, r.Trees, r.Verified)
+	}
+	return err
 }
 
 // runTune inspects a frontier artifact offline: it prints the measured

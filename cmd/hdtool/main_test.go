@@ -32,6 +32,9 @@ func TestBuildQueryInfoPipeline(t *testing.T) {
 	if err := runInfo([]string{"-index", indexDir}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
+	if err := runCheck([]string{indexDir}); err != nil {
+		t.Fatalf("check: %v", err)
+	}
 	outPath := filepath.Join(tmp, "r.ivecs")
 	if err := runQuery([]string{
 		"-index", indexDir, "-queries", qPath, "-k", "5", "-out", outPath,
@@ -97,6 +100,9 @@ func TestShardedPipeline(t *testing.T) {
 	if err := runInfo([]string{"-index", indexDir}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
+	if err := runCheck([]string{indexDir}); err != nil {
+		t.Fatalf("check: %v", err)
+	}
 	outPath := filepath.Join(tmp, "r.ivecs")
 	if err := runQuery([]string{
 		"-index", indexDir, "-queries", qPath, "-k", "5", "-out", outPath,
@@ -121,6 +127,12 @@ func TestArgValidation(t *testing.T) {
 	}
 	if err := runInfo([]string{}); err == nil {
 		t.Error("info without args must fail")
+	}
+	if err := runCheck([]string{}); err == nil {
+		t.Error("check without a directory must fail")
+	}
+	if err := runCheck([]string{filepath.Join(t.TempDir(), "missing")}); err == nil {
+		t.Error("check of a missing index must fail")
 	}
 	if err := runBuild([]string{"-data", "/nonexistent.fvecs", "-index", t.TempDir()}); err == nil {
 		t.Error("missing data file must fail")

@@ -327,6 +327,17 @@ func (i *Index) NumShards() int { return i.ix.NumShards() }
 // uniformly.
 func (i *Index) Shards() []ShardInfo { return i.ix.ShardInfos() }
 
+// CheckReport is what a passing Check verified on one shard.
+type CheckReport = core.CheckReport
+
+// Check verifies the on-disk invariants a query would never notice
+// broken (`hdtool check`): the id↔slot map is a bijection, every tree
+// holds every live vector exactly once in key order with intact sibling
+// links, and the keys and reference distances in the leaves are the ones
+// recomputed from the stored vectors. One report per shard; the first
+// violation is the error. Writers wait while it runs, searches do not.
+func (i *Index) Check(ctx context.Context) ([]CheckReport, error) { return i.ix.Check(ctx) }
+
 // Flush persists all state.
 func (i *Index) Flush() error { return i.ix.Flush() }
 

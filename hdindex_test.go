@@ -278,7 +278,7 @@ func TestFacadeRebuildAcrossLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.Close()
-	for _, stale := range []string{"meta.json", "vectors.pg", "tree_00.pg"} {
+	for _, stale := range []string{"meta.json", "vectors.pg", "ids.pg", "tree_00.pg"} {
 		if _, err := os.Stat(filepath.Join(dir, stale)); err == nil {
 			t.Errorf("stale root %s left behind after bare->sharded rebuild", stale)
 		}

@@ -610,3 +610,82 @@ func BenchmarkSeek(b *testing.B) {
 		c.Seek(u64key(uint64(rng.Intn(100000))))
 	}
 }
+
+// CheckLeaves passes over bulk-loaded and inserted-into trees and names
+// each way a leaf chain can be wrong while still scanning: a left link
+// that does not point back, a key out of order, a header count that
+// disagrees with the leaves.
+func TestCheckLeaves(t *testing.T) {
+	build := func(t *testing.T) *Tree {
+		tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8, LeafCap: 4}, pager.Options{PageSize: 512})
+		var kvs []kv
+		for i := uint64(0); i < 40; i++ {
+			kvs = append(kvs, kv{i / 3 * 10, i}) // runs of equal keys across leaves
+		}
+		_, src := sortedKVs(kvs)
+		if err := tr.BulkLoad(src); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []uint64{5, 55, 1000, 0} {
+			if err := tr.Insert(u64key(k), u64val(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	count := func(tr *Tree) (int, error) {
+		n := 0
+		err := tr.CheckLeaves(func(k, v []byte) error { n++; return nil })
+		return n, err
+	}
+	tr := build(t)
+	if n, err := count(tr); err != nil || n != 44 {
+		t.Fatalf("healthy tree: %d entries, %v; want 44, nil", n, err)
+	}
+	stop := errors.New("stop")
+	if err := tr.CheckLeaves(func(k, v []byte) error { return stop }); err != stop {
+		t.Fatalf("the callback's error must come back, got %v", err)
+	}
+
+	// second returns the second leaf on the chain, for tampering.
+	second := func(tr *Tree) *pager.Page {
+		first, err := tr.pgr.Get(tr.firstLeaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := leafRight(first.Data)
+		first.Release()
+		pg, err := tr.pgr.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	for name, tamper := range map[string]func(tr *Tree){
+		"left link": func(tr *Tree) {
+			pg := second(tr)
+			setLeafLeft(pg.Data, pg.ID) // points at itself
+			pg.MarkDirty()
+			pg.Release()
+		},
+		"key order": func(tr *Tree) {
+			pg := second(tr)
+			copy(tr.leafKey(pg.Data, 1), u64key(0)) // below the first leaf's keys... and its own entry 0
+			tr.leafKey(pg.Data, 0)[0] = 0xff
+			pg.MarkDirty()
+			pg.Release()
+		},
+		"count": func(tr *Tree) { tr.count++ },
+		"last leaf": func(tr *Tree) {
+			tr.lastLeaf = tr.firstLeaf
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := build(t)
+			tamper(tr)
+			if _, err := count(tr); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("tampered %s: CheckLeaves returned %v, want ErrCorrupt", name, err)
+			}
+		})
+	}
+}

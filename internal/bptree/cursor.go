@@ -3,6 +3,7 @@ package bptree
 import (
 	"bytes"
 	"context"
+	"fmt"
 
 	"github.com/hd-index/hdindex/internal/hilbert"
 	"github.com/hd-index/hdindex/internal/pager"
@@ -293,6 +294,65 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		if err := c.Next(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// CheckLeaves walks the whole leaf chain from the first leaf, passing fn
+// every entry in order, and verifies what a scan silently trusts: every
+// page on the chain is a leaf within its capacity, each leaf's left link
+// names the leaf the walk came from, keys never decrease within or
+// across leaves, the chain ends at the recorded last leaf, and the
+// entries add up to Count. The first violation, or fn's first error,
+// stops the walk.
+func (t *Tree) CheckLeaves(fn func(key, value []byte) error) error {
+	var prev pager.PageID
+	var last []byte
+	var total, leaves uint64
+	for id := t.firstLeaf; id != 0; {
+		if leaves++; leaves > t.pgr.PageCount() {
+			return fmt.Errorf("%w: the leaf chain is longer than the file (a cycle)", ErrCorrupt)
+		}
+		v, err := t.pgr.View(id)
+		if err != nil {
+			return err
+		}
+		err = func() error {
+			if nodeType(v.Data) != pageLeaf {
+				return fmt.Errorf("%w: page %d on the leaf chain is not a leaf", ErrCorrupt, id)
+			}
+			n := leafCount(v.Data)
+			if n > t.leafCap {
+				return fmt.Errorf("%w: leaf %d holds %d entries, capacity %d", ErrCorrupt, id, n, t.leafCap)
+			}
+			if left := leafLeft(v.Data); left != prev {
+				return fmt.Errorf("%w: leaf %d links left to %d, the chain came from %d", ErrCorrupt, id, left, prev)
+			}
+			for i := 0; i < n; i++ {
+				key := t.leafKey(v.Data, i)
+				if bytes.Compare(key, last) < 0 {
+					return fmt.Errorf("%w: leaf %d entry %d: key %x after %x", ErrCorrupt, id, i, key, last)
+				}
+				last = append(last[:0], key...)
+				if err := fn(key, t.leafVal(v.Data, i)); err != nil {
+					return err
+				}
+			}
+			total += uint64(n)
+			return nil
+		}()
+		next := leafRight(v.Data)
+		v.Release()
+		if err != nil {
+			return err
+		}
+		prev, id = id, next
+	}
+	if prev != t.lastLeaf {
+		return fmt.Errorf("%w: the leaf chain ends at page %d, the header's last leaf is %d", ErrCorrupt, prev, t.lastLeaf)
+	}
+	if total != t.count {
+		return fmt.Errorf("%w: the leaf chain holds %d entries, the header counts %d", ErrCorrupt, total, t.count)
 	}
 	return nil
 }

@@ -118,6 +118,15 @@ func Build(dir string, vectors [][]float32, p Params) (*Index, error) {
 // cancelled build leaves no meta.json (the layout's commit point), so
 // Open rejects the directory instead of serving a half-built index.
 func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params) (*Index, error) {
+	return build(ctx, dir, vectors, p, true)
+}
+
+// build is BuildContext's body. Every Build clusters: the vectors go to
+// disk in tree 0's key order, with ids.pg to translate (slots.go). Only
+// the layout-equivalence tests pass clustered = false, which writes
+// records in id order and no ids.pg — the layout before the slot space,
+// and the oracle a clustered index must answer exactly like.
+func build(ctx context.Context, dir string, vectors [][]float32, p Params, clustered bool) (*Index, error) {
 	if len(vectors) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -190,11 +199,38 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	// the budget semaphore with their own encode workers: a tree
 	// goroutine holds one slot for its serial phases (sort, bulk load)
 	// and lends the spare slots to whichever tree is in its encode
-	// phase.
+	// phase. Tree 0 is sorted before the others start: its key order is
+	// the store order, and every tree's leaves point at slots.
 	var phases phaseAccum
+	sem := make(chan struct{}, budget)
+	sem <- struct{}{}
+	keys0, perm0, err := ix.sortTree(ctx, 0, vectors, sem, &phases)
+	<-sem
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	stored := vectors   // the vectors in slot order
+	var slotOf []uint64 // id → slot; nil is the identity
+	if clustered {
+		stored, slotOf = make([][]float32, len(vectors)), make([]uint64, len(vectors))
+		for slot, id := range perm0 {
+			stored[slot], slotOf[id] = vectors[id], uint64(slot)
+		}
+		sp, err := ix.openPager(filepath.Join(dir, slotFile), true)
+		if err == nil {
+			if ix.slots, err = createSlotMap(sp, perm0, slotOf); err != nil {
+				sp.Close()
+			}
+		}
+		if err != nil {
+			ix.Close()
+			return nil, err
+		}
+	}
+
 	ix.trees = make([]*rdbtree.Tree, p.Tau)
 	errs := make([]error, p.Tau)
-	sem := make(chan struct{}, budget)
 	var wg sync.WaitGroup
 	for t := 0; t < p.Tau; t++ {
 		wg.Add(1)
@@ -202,7 +238,15 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[t] = ix.buildTree(ctx, t, vectors, rdist, sem, &phases)
+			keys, perm := keys0, perm0
+			if t > 0 {
+				if keys, perm, errs[t] = ix.sortTree(ctx, t, vectors, sem, &phases); errs[t] != nil {
+					return
+				}
+			}
+			t0 := time.Now()
+			ix.trees[t], errs[t] = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist)
+			phases.bulkNS.Add(int64(time.Since(t0)))
 		}(t)
 	}
 	wg.Wait()
@@ -222,7 +266,8 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 		return nil, err
 	}
 
-	// The pointer target: raw vectors in a paged store.
+	// The pointer target: raw vectors in a paged store, record s the
+	// vector of slot s.
 	vp, err := ix.openPager(filepath.Join(dir, "vectors.pg"), true)
 	if err != nil {
 		ix.Close()
@@ -230,7 +275,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 	}
 	vs, err := vecstore.Create(vp, nu)
 	if err == nil {
-		err = vs.BuildFrom(vectors)
+		err = vs.BuildFrom(stored)
 	}
 	if err == nil {
 		err = vs.Flush()
@@ -267,29 +312,21 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 // chunks to occupy spare workers.
 const encodeChunk = 512
 
-// buildTree constructs RDB-tree t through the tree writer's three steps,
-// timing each — no per-record allocation anywhere on the path.
-func (ix *Index) buildTree(ctx context.Context, t int, vectors [][]float32, rdist []float32, sem chan struct{}, phases *phaseAccum) error {
+// sortTree runs the tree writer's first two steps for partition t,
+// timing each: the Hilbert keys in row (= id) order and the rows in
+// ascending key order. No per-record allocation anywhere on the path.
+func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, sem chan struct{}, phases *phaseAccum) ([]byte, []uint32, error) {
 	t0 := time.Now()
 	keys, err := ix.encodeKeys(ctx, t, vectors, sem)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	phases.encodeNS.Add(int64(time.Since(t0)))
 
 	t0 = time.Now()
 	perm := sortedPerm(keys, ix.curves[t].KeyLen())
 	phases.sortNS.Add(int64(time.Since(t0)))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	t0 = time.Now()
-	if ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, nil, rdist); err != nil {
-		return err
-	}
-	phases.bulkNS.Add(int64(time.Since(t0)))
-	return nil
+	return keys, perm, ctx.Err()
 }
 
 // encodeKeys is the tree writer's first step, shared by Build and
@@ -370,7 +407,8 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 }
 
 // writeTree is the tree writer's last step: a fresh tree file at path,
-// bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes) and
+// bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes; ids
+// holds each row's slot, nil when the row number is the slot) and
 // flushed. The fsync is the caller's: compaction syncs each generation
 // file before its commit, Build does not.
 func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32) (*rdbtree.Tree, error) {

@@ -30,8 +30,9 @@ func sortRecords(records []rdbtree.Record) {
 // buildReferenceTree reconstructs tree t of ix the way the seed
 // implementation did — per-record Encode, Record structs, comparison
 // sort, record bulk load — into its own pager file, and returns that
-// file's bytes. Ids in drop are left out, as a compaction leaves out
-// the marks it reclaims.
+// file's bytes. Records are sorted by (key, id) and point at the slot
+// ix's own ids.pg gives the id. Ids in drop are left out, as a compaction
+// leaves out the marks it reclaims.
 func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rdist []float32, drop map[uint64]bool, path string) []byte {
 	t.Helper()
 	p := ix.params
@@ -54,6 +55,13 @@ func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rd
 		})
 	}
 	sortRecords(records)
+	for i := range records {
+		slot, err := ix.slots.slot(records[i].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records[i].ID = slot
+	}
 
 	pgr, err := pager.Open(path, pager.Options{
 		Create: true, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,

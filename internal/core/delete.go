@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
 	"github.com/hd-index/hdindex/internal/wal"
@@ -36,13 +37,22 @@ var ErrUnknownID = errors.New("core: unknown id")
 // no longer be lifted.
 var ErrPurged = errors.New("core: id was deleted and reclaimed by compaction")
 
+// deleteSet holds the deletion marks. Each set is keyed by slot — what a
+// refinement candidate is, so a deleted one is skipped before its page
+// is fetched — and maps to the id, which is what deleted.bin and the WAL
+// record: the slot keys are an in-memory mirror, rebuilt through ids.pg
+// when the marks are loaded or replayed.
 type deleteSet struct {
 	mu  sync.RWMutex
-	ids map[uint64]struct{}
-	// purged holds ids whose marked deletion compaction made physical:
-	// their tree entries were dropped during a rebuild, so the mark is
-	// permanent. has() covers both sets; Undelete refuses purged ids.
-	purged map[uint64]struct{}
+	ids map[uint64]uint64 // slot → id
+	// purged holds the objects whose marked deletion compaction made
+	// physical: their tree entries were dropped during a rebuild, so the
+	// mark is permanent. has() covers both sets; Undelete refuses purged
+	// ids.
+	purged map[uint64]uint64
+	// n is len(ids)+len(purged), readable without mu: an index nothing
+	// was ever deleted from answers has() with one atomic load.
+	n atomic.Int64
 	// saveMu serialises deleted.bin writers (compaction's reclaim,
 	// Open's prune, Flush) so a stale snapshot can never overwrite a
 	// newer one. It is separate from Index.mu because the save also
@@ -50,69 +60,84 @@ type deleteSet struct {
 	saveMu sync.Mutex
 }
 
-// has is on the search hot path; Build and Open always initialise the
-// set, so no nil guard is needed.
-func (d *deleteSet) has(id uint64) bool {
-	d.mu.RLock()
-	_, ok := d.ids[id]
-	if !ok {
-		_, ok = d.purged[id]
+func newDeleteSet() *deleteSet {
+	return &deleteSet{ids: make(map[uint64]uint64), purged: make(map[uint64]uint64)}
+}
+
+// has is on the search hot path — once per refinement candidate — and
+// may run beside an unmark: a Delete whose group commit failed undoes its
+// mark outside the index lock.
+func (d *deleteSet) has(slot uint64) bool {
+	if d.n.Load() == 0 {
+		return false
 	}
+	marked, purged := d.state(slot)
+	return marked || purged
+}
+
+// state reports whether slot carries a liftable mark or a permanent one.
+func (d *deleteSet) state(slot uint64) (marked, purged bool) {
+	d.mu.RLock()
+	_, marked = d.ids[slot]
+	_, purged = d.purged[slot]
 	d.mu.RUnlock()
-	return ok
+	return marked, purged
 }
 
-func (d *deleteSet) len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.ids) + len(d.purged)
-}
+func (d *deleteSet) len() int { return int(d.n.Load()) }
 
-// mark adds a deletion mark unless the id is already purged (a purged
-// id is permanently deleted; WAL replay may legitimately re-deliver
-// its delete record after a crash between deleted.bin and the WAL
-// truncation).
-func (d *deleteSet) mark(id uint64) {
+// update runs fn on the sets under the write lock and republishes n.
+func (d *deleteSet) update(fn func()) {
 	d.mu.Lock()
-	if _, gone := d.purged[id]; !gone {
-		d.ids[id] = struct{}{}
-	}
+	fn()
+	d.n.Store(int64(len(d.ids) + len(d.purged)))
 	d.mu.Unlock()
 }
 
-func (d *deleteSet) unmark(id uint64) {
-	d.mu.Lock()
-	delete(d.ids, id)
-	d.mu.Unlock()
+// mark adds a deletion mark unless the object is already purged (a
+// purged object is permanently deleted; WAL replay may legitimately
+// re-deliver its delete record after a crash between deleted.bin and the
+// WAL truncation).
+func (d *deleteSet) mark(slot, id uint64) {
+	d.update(func() {
+		if _, gone := d.purged[slot]; !gone {
+			d.ids[slot] = id
+		}
+	})
 }
 
-// marksBelow snapshots the marked (not purged) ids under limit — the
-// set a compaction covering ids [0, limit) will reclaim.
-func (d *deleteSet) marksBelow(limit uint64) map[uint64]struct{} {
+func (d *deleteSet) unmark(slot uint64) {
+	d.update(func() { delete(d.ids, slot) })
+}
+
+// marksBelow snapshots the marked (not purged) objects with ids under
+// limit, by slot — the set a compaction covering ids [0, limit) will
+// reclaim, keyed the way the tree entries it drops are.
+func (d *deleteSet) marksBelow(limit uint64) map[uint64]uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make(map[uint64]struct{})
-	for id := range d.ids {
+	out := make(map[uint64]uint64)
+	for slot, id := range d.ids {
 		if id < limit {
-			out[id] = struct{}{}
+			out[slot] = id
 		}
 	}
 	return out
 }
 
-// purge moves ids from the mark set to the purged set. Ids unmarked in
-// the window since the snapshot stay unmarked (their Undelete won) but
-// still purge: their tree entries are gone either way.
-func (d *deleteSet) purge(ids map[uint64]struct{}) {
-	if len(ids) == 0 {
+// purge moves a marksBelow snapshot from the mark set to the purged set.
+// Objects unmarked in the window since the snapshot stay unmarked (their
+// Undelete won) but still purge: their tree entries are gone either way.
+func (d *deleteSet) purge(drop map[uint64]uint64) {
+	if len(drop) == 0 {
 		return
 	}
-	d.mu.Lock()
-	for id := range ids {
-		delete(d.ids, id)
-		d.purged[id] = struct{}{}
-	}
-	d.mu.Unlock()
+	d.update(func() {
+		for slot, id := range drop {
+			delete(d.ids, slot)
+			d.purged[slot] = id
+		}
+	})
 }
 
 // Delete marks object id as deleted; it will no longer be returned by
@@ -122,15 +147,20 @@ func (d *deleteSet) purge(ids map[uint64]struct{}) {
 // purged id) is a no-op.
 func (ix *Index) Delete(id uint64) error {
 	d := ix.deleted
+	var slot uint64
 	return ix.logged(func(total uint64) (*wal.Record, error) {
 		if id >= total {
 			return nil, fmt.Errorf("%w: delete of id %d (have %d)", ErrUnknownID, id, total)
 		}
-		if d.has(id) {
+		var err error
+		if slot, err = ix.slots.slot(id); err != nil {
+			return nil, err
+		}
+		if d.has(slot) {
 			return nil, nil // already deleted (marked or purged); already durable
 		}
 		return &wal.Record{Op: wal.OpDelete, ID: id}, nil
-	}, func(int64) { d.mark(id) }, func() { d.unmark(id) })
+	}, func(int64) { d.mark(slot, id) }, func() { d.unmark(slot) })
 }
 
 // Undelete removes the deletion mark from id. Undeleting an unmarked
@@ -139,14 +169,16 @@ func (ix *Index) Delete(id uint64) error {
 // entries no longer exist, so the object cannot come back.
 func (ix *Index) Undelete(id uint64) error {
 	d := ix.deleted
+	var slot uint64
 	return ix.logged(func(total uint64) (*wal.Record, error) {
 		if id >= total {
 			return nil, fmt.Errorf("%w: undelete of id %d (have %d)", ErrUnknownID, id, total)
 		}
-		d.mu.RLock()
-		_, gone := d.purged[id]
-		_, marked := d.ids[id]
-		d.mu.RUnlock()
+		var err error
+		if slot, err = ix.slots.slot(id); err != nil {
+			return nil, err
+		}
+		marked, gone := d.state(slot)
 		if gone {
 			return nil, fmt.Errorf("%w: undelete of id %d", ErrPurged, id)
 		}
@@ -154,29 +186,25 @@ func (ix *Index) Undelete(id uint64) error {
 			return nil, nil
 		}
 		return &wal.Record{Op: wal.OpUndelete, ID: id}, nil
-	}, func(int64) { d.unmark(id) }, func() { d.mark(id) })
+	}, func(int64) { d.unmark(slot) }, func() { d.mark(slot, id) })
 }
 
 // DeletedCount returns the number of deleted objects (marked plus
 // purged).
 func (ix *Index) DeletedCount() int { return ix.deleted.len() }
 
-func newDeleteSet() *deleteSet {
-	return &deleteSet{ids: make(map[uint64]struct{}), purged: make(map[uint64]struct{})}
-}
-
 // saveDeleteSet snapshots and writes the mark file (v2 layout: magic,
-// marks, purged ids) under saveMu, which serialises writers so a stale
-// snapshot can never overwrite a newer one.
+// marks, purged ids — ids, not slots) under saveMu, which serialises
+// writers so a stale snapshot can never overwrite a newer one.
 func (ix *Index) saveDeleteSet() error {
 	d := ix.deleted
 	d.saveMu.Lock()
 	defer d.saveMu.Unlock()
 	d.mu.RLock()
 	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+8+8*len(d.ids)+8+8*len(d.purged)), deletedMagicV2)
-	for _, section := range []map[uint64]struct{}{d.ids, d.purged} {
+	for _, section := range []map[uint64]uint64{d.ids, d.purged} {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(section)))
-		for id := range section {
+		for _, id := range section {
 			buf = binary.BigEndian.AppendUint64(buf, id)
 		}
 	}
@@ -187,10 +215,10 @@ func (ix *Index) saveDeleteSet() error {
 	return atomicfile.WriteFile(ix.dir, deletedFile, buf)
 }
 
-// loadDeleteSet reads deleted.bin (either layout) into memory. It does
-// not prune: stale marks can only be judged against the total id space,
-// which Open knows only after the WAL replay — pruneDeleteMarks runs
-// then.
+// loadDeleteSet reads deleted.bin (either layout) into memory, finding
+// each id's slot. It does not prune: stale marks can only be judged
+// against the total id space, which Open knows only after the WAL replay
+// — pruneDeleteMarks runs then.
 func (ix *Index) loadDeleteSet() error {
 	buf, err := os.ReadFile(filepath.Join(ix.dir, deletedFile))
 	if os.IsNotExist(err) {
@@ -205,7 +233,7 @@ func (ix *Index) loadDeleteSet() error {
 	// One section is a count then that many ids. The count is checked by
 	// division: 8+8*n overflows for a corrupt n.
 	rest := buf
-	readSection := func(into map[uint64]struct{}) error {
+	readSection := func(into map[uint64]uint64) error {
 		if len(rest) < 8 {
 			return fmt.Errorf("core: truncated %s", deletedFile)
 		}
@@ -215,20 +243,29 @@ func (ix *Index) loadDeleteSet() error {
 			return fmt.Errorf("core: truncated %s", deletedFile)
 		}
 		for i := uint64(0); i < n; i++ {
-			into[binary.BigEndian.Uint64(rest[8*i:])] = struct{}{}
+			id := binary.BigEndian.Uint64(rest[8*i:])
+			slot, err := ix.slots.slot(id)
+			if err != nil {
+				return err
+			}
+			into[slot] = id
 		}
 		rest = rest[8*n:]
 		return nil
 	}
-	// v1 layout (pre-WAL indexes): the marks section alone.
-	if binary.BigEndian.Uint64(buf) != deletedMagicV2 {
-		return readSection(ix.deleted.ids)
-	}
-	rest = buf[8:]
-	if err := readSection(ix.deleted.ids); err != nil {
-		return err
-	}
-	return readSection(ix.deleted.purged)
+	d := ix.deleted
+	d.update(func() {
+		// v1 layout (pre-WAL indexes): the marks section alone.
+		if binary.BigEndian.Uint64(buf) != deletedMagicV2 {
+			err = readSection(d.ids)
+			return
+		}
+		rest = buf[8:]
+		if err = readSection(d.ids); err == nil {
+			err = readSection(d.purged)
+		}
+	})
+	return err
 }
 
 // pruneDeleteMarks drops marks for ids beyond the replayed id space: a
@@ -242,20 +279,16 @@ func (ix *Index) pruneDeleteMarks() error {
 	total := ix.vectors.Count() + uint64(len(ix.mem))
 	d := ix.deleted
 	pruned := false
-	d.mu.Lock()
-	for id := range d.ids {
-		if id >= total {
-			delete(d.ids, id)
-			pruned = true
+	d.update(func() {
+		for _, section := range []map[uint64]uint64{d.ids, d.purged} {
+			for slot, id := range section {
+				if id >= total {
+					delete(section, slot)
+					pruned = true
+				}
+			}
 		}
-	}
-	for id := range d.purged {
-		if id >= total {
-			delete(d.purged, id)
-			pruned = true
-		}
-	}
-	d.mu.Unlock()
+	})
 	if pruned {
 		return ix.saveDeleteSet()
 	}

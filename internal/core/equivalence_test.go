@@ -29,7 +29,9 @@ func naiveSearch(t *testing.T, ix *Index, q []float32, k int) ([]Result, int) {
 }
 
 // naiveSearchWith is naiveSearch over any per-tree stage (tree returns
-// one partition's surviving ids in filter rank order) and any cascade.
+// one partition's surviving slots in filter rank order) and any cascade.
+// It translates every candidate's slot to its id up front, where the hot
+// path translates only what enters the top-k.
 func naiveSearchWith(t *testing.T, ix *Index, q []float32, k int, o SearchOptions, tree func(tr int, qdist []float64, plan searchPlan) []uint64) ([]Result, int) {
 	t.Helper()
 	plan, err := ix.planFor(k, o)
@@ -43,10 +45,10 @@ func naiveSearchWith(t *testing.T, ix *Index, q []float32, k int, o SearchOption
 	seen := make(map[uint64]struct{})
 	var candidates []uint64
 	for tr := 0; tr < ix.params.Tau; tr++ {
-		for _, id := range tree(tr, qdist, plan) {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				candidates = append(candidates, id)
+		for _, slot := range tree(tr, qdist, plan) {
+			if _, ok := seen[slot]; !ok {
+				seen[slot] = struct{}{}
+				candidates = append(candidates, slot)
 			}
 		}
 	}
@@ -54,11 +56,15 @@ func naiveSearchWith(t *testing.T, ix *Index, q []float32, k int, o SearchOption
 		candidates = candidates[:plan.maxCandidates]
 	}
 	best := topk.New(k)
-	for _, id := range candidates {
-		if ix.deleted.has(id) {
+	for _, slot := range candidates {
+		id, err := ix.slots.id(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.deleted.has(slot) {
 			continue
 		}
-		v, err := ix.vectors.Get(id, nil)
+		v, err := ix.vectors.Get(slot, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/iofault"
@@ -177,6 +179,86 @@ func TestFaultWALSyncFailureRollsBackAck(t *testing.T) {
 	}
 	defer re.Close()
 	assertServes(t, re, acked, ds.Vectors[200:])
+}
+
+// TestFaultDeleteUndoBesideQueries runs the one deleteSet writer that
+// holds no index lock — the undo of a Delete whose group commit failed —
+// beside searches reading the marks once per candidate, including through
+// the lock-free "nothing was ever deleted" path. Under -race any unordered
+// access fails the test; without it the assertions still pin the undo: the
+// failed Delete leaves no mark, the object serves, the index is read-only.
+func TestFaultDeleteUndoBesideQueries(t *testing.T) {
+	dir, ds := faultIndex(t, 200)
+	// Two fsyncs pass (a Delete and its Undelete), the third fails; every
+	// one is slow, so searches run inside each group-commit wait.
+	restore := iofault.SetGlobal(iofault.NewInjector(
+		iofault.Rule{PathGlob: "wal.log", Op: iofault.OpSync, Latency: 5 * time.Millisecond},
+		iofault.Rule{PathGlob: "wal.log", Op: iofault.OpSync, AfterCalls: 2},
+	))
+	defer restore()
+	ix, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ix.deleted.has(9) || ix.DeletedCount() != 0 {
+		t.Fatal("a fresh index holds deletion marks")
+	}
+
+	const victim = 9
+	exhaustive := SearchOptions{Alpha: 200, Gamma: 200}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Either answer is right while a Delete is in flight; the
+				// search must simply not race with it.
+				if _, _, err := ix.Query(context.Background(), ds.Vectors[victim], 3, exhaustive); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	if err := ix.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Undelete(7); err != nil {
+		t.Fatal(err)
+	}
+	err = ix.Delete(victim)
+	close(stop)
+	wg.Wait()
+	select {
+	case qerr := <-errs:
+		t.Fatal(qerr)
+	default:
+	}
+	if !errors.Is(err, ErrWALUnavailable) {
+		t.Fatalf("Delete over a failing fsync: %v, want ErrWALUnavailable", err)
+	}
+	if ix.DeletedCount() != 0 {
+		t.Fatalf("the unacknowledged Delete left %d marks", ix.DeletedCount())
+	}
+	res, _, err := ix.Query(context.Background(), ds.Vectors[victim], 1, exhaustive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].ID != victim {
+		t.Fatalf("object %d does not serve after its Delete was rolled back: %+v", victim, res)
+	}
+	if err := ix.Delete(3); !errors.Is(err, ErrWALUnavailable) {
+		t.Fatalf("a write after the WAL failure: %v, want ErrWALUnavailable", err)
+	}
 }
 
 // TestFaultCompactionEIOServesOldGeneration fails the new tree

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,12 +22,12 @@ import (
 
 const metaFile = "meta.json"
 
-// Index is an HD-Index on disk: τ RDB-trees plus the raw vector store,
-// fronted by a write-ahead log and an in-memory memtable of fresh
-// vectors (ingest.go). Searches may run concurrently with each other;
-// mu serialises them against the memtable/WAL mutations of
-// Insert/Delete and against the compaction commit, which swaps the
-// tree generation.
+// Index is an HD-Index on disk: τ RDB-trees plus the raw vector store
+// they point into by slot (slots.go), fronted by a write-ahead log and
+// an in-memory memtable of fresh vectors (ingest.go). Searches may run
+// concurrently with each other; mu serialises them against the
+// memtable/WAL mutations of Insert/Delete and against the compaction
+// commit, which swaps the tree generation.
 type Index struct {
 	mu     sync.RWMutex
 	dir    string
@@ -36,6 +37,7 @@ type Index struct {
 
 	trees   []*rdbtree.Tree
 	vectors *vecstore.Store
+	slots   slotMap // id ↔ slot; the identity for an index without ids.pg
 
 	refs     [][]float32 // the m reference vectors
 	refCross [][]float64 // d(R_i, R_j), for the Ptolemaic bound
@@ -94,15 +96,19 @@ type Index struct {
 // atomic meta.json replace in the compaction commit (or Flush), so a
 // crash leaves a consistent (Gen, Count) pair. Gen is omitempty: a
 // fresh build is generation 0 and its meta stays byte-identical to the
-// pre-ingest layout.
+// pre-ingest layout. Clustered records the store layout: that many
+// leading slots of vectors.pg are in tree-0 Hilbert-key order, translated
+// by ids.pg; absent means none are — records in id order, no ids.pg, the
+// layout every directory had before the slot space.
 type metaJSON struct {
-	Params Params      `json:"params"`
-	Nu     int         `json:"nu"`
-	Count  uint64      `json:"count"`
-	Gen    uint64      `json:"gen,omitempty"`
-	Refs   [][]float32 `json:"refs"`
-	Lo     []float32   `json:"lo"`
-	Hi     []float32   `json:"hi"`
+	Params    Params      `json:"params"`
+	Nu        int         `json:"nu"`
+	Count     uint64      `json:"count"`
+	Gen       uint64      `json:"gen,omitempty"`
+	Clustered uint64      `json:"clustered,omitempty"`
+	Refs      [][]float32 `json:"refs"`
+	Lo        []float32   `json:"lo"`
+	Hi        []float32   `json:"hi"`
 }
 
 // treeGenPath names tree t's file in generation gen. A fresh build is
@@ -116,8 +122,8 @@ func (ix *Index) treeGenPath(t int, gen uint64) string {
 }
 
 // openPager is the one place an index file is opened or created, so
-// every tree generation and the vector store share one pool
-// configuration. Reopening ignores PageSize: the file's own wins.
+// every tree generation, the vector store and the slot map share one
+// pool configuration. Reopening ignores PageSize: the file's own wins.
 func (ix *Index) openPager(path string, create bool) (*pager.Pager, error) {
 	p := ix.params
 	return pager.Open(path, pager.Options{
@@ -126,8 +132,9 @@ func (ix *Index) openPager(path string, create bool) (*pager.Pager, error) {
 }
 
 // eachPager visits every file the index holds open — the current tree
-// generation, then the vector store — skipping what a failed Build or
-// Open never got to.
+// generation, the vector store, the slot map — skipping what a failed
+// Build or Open never got to and the slot map an unclustered index never
+// had.
 func (ix *Index) eachPager(fn func(*pager.Pager)) {
 	for _, tr := range ix.trees {
 		if tr != nil {
@@ -137,16 +144,20 @@ func (ix *Index) eachPager(fn func(*pager.Pager)) {
 	if ix.vectors != nil {
 		fn(ix.vectors.Pager())
 	}
+	if ix.slots.pgr != nil {
+		fn(ix.slots.pgr)
+	}
 }
 
 // RemoveIndexFiles deletes every file a previous Build may have left at
 // dir's top level: meta.json first (the layout's commit point, so a
 // crash mid-rebuild leaves a directory Open rejects rather than one
 // silently serving the old dataset), then the deletion marks, the
-// vector store, and the tree files. Build calls it so rebuilding in
-// place starts clean — stale deleted.bin marks would otherwise
-// resurrect on the new index, and stale tree files would linger when
-// tau shrinks. Missing files (or a missing directory) are fine.
+// vector store, the slot map, and the tree files. Build calls it so
+// rebuilding in place starts clean — stale deleted.bin marks would
+// otherwise resurrect on the new index, and stale tree files would
+// linger when tau shrinks. Missing files (or a missing directory) are
+// fine.
 func RemoveIndexFiles(dir string) error {
 	trees, err := filepath.Glob(filepath.Join(dir, "tree_*.pg"))
 	if err != nil {
@@ -162,6 +173,7 @@ func RemoveIndexFiles(dir string) error {
 		filepath.Join(dir, metaFile),
 		filepath.Join(dir, deletedFile),
 		filepath.Join(dir, "vectors.pg"),
+		filepath.Join(dir, slotFile),
 		filepath.Join(dir, walFile),
 		// The sharded layout's per-shard identity stamp (internal/shard):
 		// a directory rebuilt as a standalone index must stop claiming
@@ -237,19 +249,33 @@ func crossDistances(refs [][]float32) [][]float64 {
 // descriptor or the new one.
 func (ix *Index) writeMeta() error {
 	m := metaJSON{
-		Params: ix.params,
-		Nu:     ix.nu,
-		Count:  ix.vectors.Count(),
-		Gen:    ix.gen,
-		Refs:   ix.refs,
-		Lo:     ix.lo,
-		Hi:     ix.hi,
+		Params:    ix.params,
+		Nu:        ix.nu,
+		Count:     ix.vectors.Count(),
+		Gen:       ix.gen,
+		Clustered: ix.slots.base,
+		Refs:      ix.refs,
+		Lo:        ix.lo,
+		Hi:        ix.hi,
 	}
 	buf, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
 	return atomicfile.WriteFile(ix.dir, metaFile, buf)
+}
+
+// readMeta loads dir's committed descriptor.
+func readMeta(dir string) (metaJSON, error) {
+	var m metaJSON
+	buf, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		return m, fmt.Errorf("core: read index meta: %w", err)
+	}
+	if err := json.Unmarshal(buf, &m); err != nil {
+		return m, fmt.Errorf("core: parse index meta: %w", err)
+	}
+	return m, nil
 }
 
 // OpenOptions tunes how an existing index is opened.
@@ -278,13 +304,9 @@ type OpenOptions struct {
 // surviving WAL tail into the memtable so the index recovers to the
 // last acknowledged write.
 func Open(dir string, opts OpenOptions) (*Index, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, metaFile))
+	m, err := readMeta(dir)
 	if err != nil {
-		return nil, fmt.Errorf("core: read index meta: %w", err)
-	}
-	var m metaJSON
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return nil, fmt.Errorf("core: parse index meta: %w", err)
+		return nil, err
 	}
 	p := &m.Params
 	if opts.PoolPages > 0 {
@@ -299,7 +321,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 
 	ix, err := newIndex(dir, m)
 	if err == nil {
-		err = ix.load(m.Count)
+		err = ix.load(m.Count, m.Clustered)
 	}
 	if err != nil {
 		ix.Close()
@@ -312,7 +334,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 // load opens the committed generation's files and recovers the ingest
 // state: Open's body, split out so every failure is released by the one
 // Close in Open.
-func (ix *Index) load(committed uint64) error {
+func (ix *Index) load(committed, clustered uint64) error {
 	// A crash inside a compaction (before its meta commit) or right
 	// after one (before old-generation cleanup) leaves tree files of
 	// generations other than ix.gen — remove them so they cannot collide
@@ -341,6 +363,19 @@ func (ix *Index) load(committed uint64) error {
 		return err
 	}
 	ix.vectors = vs
+	if clustered > 0 {
+		if clustered > committed {
+			return fmt.Errorf("core: meta clusters %d vectors, commits %d", clustered, committed)
+		}
+		sp, err := ix.openPager(filepath.Join(ix.dir, slotFile), false)
+		if err != nil {
+			return err
+		}
+		if ix.slots, err = openSlotMap(sp, clustered); err != nil {
+			sp.Close()
+			return err
+		}
+	}
 
 	// Reconcile the vector store against the meta commit point. With a
 	// WAL present, meta.Count is authoritative: a count beyond it is a
@@ -375,25 +410,29 @@ func (ix *Index) load(committed uint64) error {
 	return ix.pruneDeleteMarks()
 }
 
-// removeStaleGenerations deletes tree files whose name does not belong
-// to the committed generation.
-func (ix *Index) removeStaleGenerations() error {
+// staleGenerations lists the tree files in the directory whose name does
+// not belong to the committed generation.
+func (ix *Index) staleGenerations() ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(ix.dir, "tree_*.pg"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	keep := make(map[string]bool, ix.params.Tau)
 	for t := 0; t < ix.params.Tau; t++ {
 		keep[ix.treeGenPath(t, ix.gen)] = true
 	}
-	for _, path := range matches {
-		if !keep[path] {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
+	return slices.DeleteFunc(matches, func(path string) bool { return keep[path] }), nil
+}
+
+// removeStaleGenerations deletes them.
+func (ix *Index) removeStaleGenerations() error {
+	stale, err := ix.staleGenerations()
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
-	return nil
+	return err
 }
 
 // Close stops the background compactor, syncs and closes the WAL, and
@@ -451,6 +490,12 @@ func (ix *Index) Count() uint64 {
 	defer ix.mu.RUnlock()
 	return ix.vectors.Count() + uint64(len(ix.mem))
 }
+
+// Clustered returns how many of the index's vectors — the ones Build was
+// given — are stored in tree-0 Hilbert-key order behind ids.pg; the rest
+// arrived later and sit behind them in id order. 0 for a directory
+// written before the slot space.
+func (ix *Index) Clustered() uint64 { return ix.slots.base }
 
 // References returns the reference vectors (not copies).
 func (ix *Index) References() [][]float32 { return ix.refs }

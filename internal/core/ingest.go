@@ -270,12 +270,16 @@ func (ix *Index) replayRecord(r wal.Record) error {
 		// definition; offset 0 is never past the durable watermark and
 		// the WAL-failure rollback leaves them alone.
 		ix.memOff = append(ix.memOff, 0)
-	case wal.OpDelete:
-		if r.ID < ix.vectors.Count()+uint64(len(ix.mem)) {
-			ix.deleted.mark(r.ID)
+	case wal.OpDelete, wal.OpUndelete:
+		slot, err := ix.slots.slot(r.ID)
+		if err != nil {
+			return fmt.Errorf("core: wal replay: %w", err)
 		}
-	case wal.OpUndelete:
-		ix.deleted.unmark(r.ID)
+		if r.Op == wal.OpUndelete {
+			ix.deleted.unmark(slot)
+		} else if r.ID < ix.vectors.Count()+uint64(len(ix.mem)) {
+			ix.deleted.mark(slot, r.ID)
+		}
 	default:
 		return fmt.Errorf("core: wal replay: unknown op %d", r.Op)
 	}
@@ -364,7 +368,7 @@ func (ix *Index) stopCompactor() {
 // generation plus a full WAL replay; after it, the new generation with
 // replay skipping the already-committed prefix.
 //
-// Entries whose id carries a deletion mark are dropped from the
+// Entries of objects that carry a deletion mark are dropped from the
 // rebuilt trees and their marks move to the purged set (§3.6's marks,
 // physically reclaimed). Compact is a no-op on an empty memtable and
 // serialises against itself, so the background compactor and manual
@@ -439,9 +443,10 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		return true, err
 	}
 
-	// Marks to reclaim: every marked id the rebuilt trees would cover.
-	// Marks set after this snapshot keep their WAL records or land in
-	// the deleted.bin written below, so nothing acknowledged is lost.
+	// Marks to reclaim: every marked object the rebuilt trees would
+	// cover, keyed by slot as their entries are. Marks set after this
+	// snapshot keep their WAL records or land in the deleted.bin written
+	// below, so nothing acknowledged is lost.
 	drop := ix.deleted.marksBelow(oldCount + uint64(n))
 
 	newGen := oldGen + 1
@@ -540,12 +545,13 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 }
 
 // compactTree builds tree t's next generation: the existing entries
-// (already in key order, minus the dropped ids) merged with the
+// (already in key order, minus the dropped slots) merged with the
 // radix-sorted batch, through the tree writer Build uses — only the
-// merge is compaction's own. Ties keep old-before-new order, which
-// equals id order because batch ids are always larger than committed
-// ids.
-func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]struct{}) (*rdbtree.Tree, error) {
+// merge is compaction's own. A batch object's slot is its id: it joins
+// the unclustered tail of the store. Ties keep old-before-new order,
+// which equals id order because Build breaks key ties by id and batch
+// ids are always larger than committed ids.
+func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]uint64) (*rdbtree.Tree, error) {
 	kl := ix.curves[t].KeyLen()
 	m := ix.params.M
 	nB := len(batch)
@@ -561,7 +567,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	oldN := int(ix.trees[t].Count())
 	capN := oldN + nB
 	keys := make([]byte, 0, capN*kl)
-	ids := make([]uint64, 0, capN)
+	slots := make([]uint64, 0, capN)
 	rd := make([]float32, 0, capN*m)
 	j := 0
 	emitBatchBelow := func(bound []byte) {
@@ -572,12 +578,12 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 				return
 			}
 			j++
-			id := oldCount + uint64(row)
-			if _, dead := drop[id]; dead {
+			slot := oldCount + uint64(row)
+			if _, dead := drop[slot]; dead {
 				continue
 			}
 			keys = append(keys, bk...)
-			ids = append(ids, id)
+			slots = append(slots, slot)
 			rd = append(rd, rdistB[row*m:(row+1)*m]...)
 		}
 	}
@@ -592,7 +598,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 		emitBatchBelow(k)
 		if _, dead := drop[e.ID]; !dead {
 			keys = append(keys, k...)
-			ids = append(ids, e.ID)
+			slots = append(slots, e.ID)
 			rd = append(rd, e.RefDists...) // RefDists alias a scratch; append copies
 		}
 		return true
@@ -605,7 +611,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	emitBatchBelow(nil)
 
-	tree, err := ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(ids)), ids, rd)
+	tree, err := ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(slots)), slots, rd)
 	if err != nil {
 		return nil, err
 	}

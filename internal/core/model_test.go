@@ -24,7 +24,10 @@ import (
 // not the corner. A failure prints the op sequence that led to it.
 //
 // It knows nothing about how the index lays anything out on disk, which
-// is the point: a format change must pass it unchanged.
+// is the point: a format change must pass it unchanged. What it cannot
+// see from the outside — a tree entry filed under the wrong key, a
+// stale generation file — Index.Check looks for after every reopen and
+// at the end.
 
 // modelSteps is the number of ops per seed: a few hundred across the
 // seeds in tier-1, as many as HD_MODEL_STEPS asks for otherwise.
@@ -212,6 +215,15 @@ func (r *modelRun) reopen(dir string) {
 	}
 	r.dir, r.ix = dir, ix
 	r.verifyCounts()
+	r.check()
+}
+
+// check runs the index fsck: whatever the ops did, the directory must be
+// one `hdtool check` passes.
+func (r *modelRun) check() {
+	if _, err := r.ix.Check(context.Background()); err != nil {
+		r.failf("%v", err)
+	}
 }
 
 func (r *modelRun) verifyCounts() {
@@ -275,6 +287,7 @@ func TestModelAgainstBruteForceOracle(t *testing.T) {
 				r.verifyCounts()
 			}
 			r.query()
+			r.check()
 		})
 	}
 }

@@ -19,19 +19,19 @@ type searchScratch struct {
 	qdist   []float64
 	vec     []float32
 	perTree [][]uint64
-	// treeIDs holds one reusable id buffer per tree: searchTree appends
-	// its surviving ids into treeIDs[t][:0] and the (possibly regrown)
+	// treeIDs holds one reusable slot buffer per tree: searchTree appends
+	// its surviving slots into treeIDs[t][:0] and the (possibly regrown)
 	// slice lands in perTree[t]; putSearchScratch reclaims the grown
 	// capacity back into treeIDs for the next query.
 	treeIDs [][]uint64
 	fetched []int
 	errs    []error
 	// stamp is the candidate-dedup structure: a dense epoch-stamped
-	// array indexed by object id. stamp[id] == epoch means "seen this
+	// array indexed by slot. stamp[slot] == epoch means "seen this
 	// query"; bumping epoch invalidates every entry at once, so unlike
 	// a hash map there are no hash operations on the hot path and
 	// nothing to clear between queries. It is bounded by
-	// stampMaxObjects; stores beyond that (and ids a corrupted tree
+	// stampMaxObjects; stores beyond that (and slots a corrupted tree
 	// hands out past the store's count) dedup through the seen map
 	// instead, so memory stays O(min(n, cap)) rather than O(dataset).
 	stamp      []uint32
@@ -119,27 +119,27 @@ func (s *searchScratch) resetDedup(n uint64) {
 	}
 }
 
-// markSeen records id for the current query, reporting whether it was
-// already seen. Ids beyond the stamp's range — a store larger than
-// stampMaxObjects, or a corrupted tree handing out ids the store never
+// markSeen records slot for the current query, reporting whether it was
+// already seen. Slots beyond the stamp's range — a store larger than
+// stampMaxObjects, or a corrupted tree handing out slots the store never
 // assigned — dedup through the map instead, never by growing the
-// array (a garbage id near 2^63 must not become a huge allocation);
-// out-of-range ids still reach refinement, which surfaces ErrBadID.
-func (s *searchScratch) markSeen(id uint64) bool {
-	if id < uint64(len(s.stamp)) {
-		if s.stamp[id] == s.epoch {
+// array (a garbage slot near 2^63 must not become a huge allocation);
+// out-of-range slots still reach refinement, which surfaces ErrBadID.
+func (s *searchScratch) markSeen(slot uint64) bool {
+	if slot < uint64(len(s.stamp)) {
+		if s.stamp[slot] == s.epoch {
 			return true
 		}
-		s.stamp[id] = s.epoch
+		s.stamp[slot] = s.epoch
 		return false
 	}
 	if s.seen == nil {
 		s.seen = make(map[uint64]struct{}, 64)
 	}
-	if _, ok := s.seen[id]; ok {
+	if _, ok := s.seen[slot]; ok {
 		return true
 	}
-	s.seen[id] = struct{}{}
+	s.seen[slot] = struct{}{}
 	return false
 }
 
@@ -166,8 +166,8 @@ func putSearchScratch(s *searchScratch) {
 }
 
 // treeScratch is the per-tree state of searchTree: the Hilbert key, the
-// α fetched entries' object ids and reference distances (one flat
-// arena), and the filter item slices.
+// α fetched entries' slots and reference distances (one flat arena), and
+// the filter item slices.
 type treeScratch struct {
 	coords []uint32
 	key    []byte

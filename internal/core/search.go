@@ -12,7 +12,6 @@ import (
 	"github.com/hd-index/hdindex/internal/telemetry"
 	"github.com/hd-index/hdindex/internal/topk"
 	"github.com/hd-index/hdindex/internal/vecmath"
-	"github.com/hd-index/hdindex/internal/vecstore"
 )
 
 // Result is one returned neighbour.
@@ -26,7 +25,7 @@ type Result struct {
 // knobs are no longer implied by the built Params, so the stats echo
 // them back.
 type QueryStats struct {
-	Candidates  int // κ = |C|, distinct candidate ids (before the deleted-mark skip)
+	Candidates  int // κ = |C|, distinct candidates (before the deleted-mark skip)
 	TreeEntries int // total α entries fetched across trees
 	// Alpha/Beta/Gamma/Ptolemaic are the resolved cascade this query
 	// ran with: the built defaults unless overridden per query. On a
@@ -123,7 +122,8 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	}
 
 	// Searches run concurrently with each other but not with writers
-	// (Insert mutates the trees and the vector store in place).
+	// (the compaction commit swaps the trees and grows the vector store;
+	// Insert grows the memtable).
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	span := telemetry.StartSpan(telOn)
@@ -171,11 +171,12 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 
 	// Union of candidates (line 11): γ <= κ <= τ·γ, deduplicated by
 	// stamping the dense epoch array — no map operations, no clearing.
+	// A candidate is a slot from here to the top-k push.
 	candidates := sc.candidates
-	for _, ids := range sc.perTree {
-		for _, id := range ids {
-			if !sc.markSeen(id) {
-				candidates = append(candidates, id)
+	for _, slots := range sc.perTree {
+		for _, slot := range slots {
+			if !sc.markSeen(slot) {
+				candidates = append(candidates, slot)
 			}
 		}
 	}
@@ -184,16 +185,18 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	// The κ cap (WithMaxCandidates) truncates before the page-order
 	// sort, while candidates still sit in per-tree filter rank order —
 	// so the cap drops the weakest-ranked survivors of the later trees,
-	// not whichever ids happen to sort last.
+	// not whichever slots happen to sort last.
 	if plan.maxCandidates > 0 && len(candidates) > plan.maxCandidates {
 		candidates = candidates[:plan.maxCandidates]
 	}
 
-	// Page-ordered fetch: vector records are packed in id order, so
-	// sorting the candidate ids sorts their owning pages, turning the
-	// refinement step's random accesses into mostly-sequential buffer
-	// pool hits. The top-k list orders by (Dist, ID), so the retained
-	// set is unchanged by the reordering.
+	// Page-ordered fetch: vector records are packed in slot order, so
+	// sorting the candidates sorts their owning pages, and Build laid the
+	// slots out in tree-0 key order, so candidates that were neighbours
+	// on that curve are neighbours here: the refinement step pins each
+	// page once for the whole run of candidates on it. The top-k list
+	// orders by (Dist, ID) — id, not slot — so the retained set depends
+	// on neither the fetch order nor the layout.
 	slices.Sort(candidates)
 	span.Mark(telemetry.PhaseCandidateSort)
 
@@ -210,7 +213,7 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	// Memtable merge: acknowledged inserts not yet compacted into the
 	// trees are brute-forced through the same exact-distance step into
 	// the same top-k heap — no tree I/O, and the (Dist, ID) ordering makes
-	// the merge order-independent. Still under the read lock, so the
+	// the merge order-independent. A memtable entry's slot is its id. Still under the read lock, so the
 	// memtable/vector-store boundary is the same one the tree candidates
 	// saw.
 	memScanned := 0
@@ -256,15 +259,21 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	return out, stats, nil
 }
 
-// exactPass is the one exact-distance step, run over n objects: item(i)
-// names the i-th id and, for a memtable entry, its in-memory vector —
-// nil means fetch it from the store, zero-copy out of the buffer pool
-// when the record sits in one page, through scratch otherwise. Deleted
-// objects (§3.6) are skipped — they stay in the trees but are never
-// returned — and the accumulation is abandoned early once it exceeds
-// the current k-th best. Returns how many distances were evaluated;
-// ctx is checked every refineCheckEvery objects.
+// exactPass is the one exact-distance step, run over n objects in
+// ascending slot order: item(i) names the i-th slot and, for a memtable
+// entry, its in-memory vector — nil means fetch it from the store,
+// zero-copy out of the buffer pool through a cursor that keeps a page
+// pinned across the consecutive slots on it, or through scratch when the
+// record does not sit in one page. Deleted objects (§3.6) are skipped
+// before their page is touched — they stay in the trees but are never
+// returned — and the accumulation is abandoned early once it exceeds the
+// current k-th best. Only an object that makes it into the top-k has its
+// slot translated to the id the list orders by. Returns how many
+// distances were evaluated; ctx is checked every refineCheckEvery
+// objects.
 func (ix *Index) exactPass(ctx context.Context, q []float32, best *topk.List, scratch []float32, n int, item func(i int) (uint64, []float32)) (int, error) {
+	cur := ix.vectors.Cursor()
+	defer cur.Close()
 	done := 0
 	for i := 0; i < n; i++ {
 		if i%refineCheckEvery == 0 {
@@ -272,31 +281,28 @@ func (ix *Index) exactPass(ctx context.Context, q []float32, best *topk.List, sc
 				return done, err
 			}
 		}
-		id, v := item(i)
-		if ix.deleted.has(id) {
+		slot, v := item(i)
+		if ix.deleted.has(slot) {
 			continue
 		}
 		bound := math.Inf(1)
 		if b, ok := best.Bound(); ok {
 			bound = b
 		}
-		var view vecstore.VecView
-		pinned := false
 		if v == nil {
-			if view, pinned = ix.vectors.GetView(id); pinned {
-				v = view.Vec
-			} else {
+			var ok bool
+			if v, ok = cur.View(slot); !ok {
 				var err error
-				if v, err = ix.vectors.Get(id, scratch); err != nil {
+				if v, err = ix.vectors.Get(slot, scratch); err != nil {
 					return done, err
 				}
 			}
 		}
-		d, full := vecmath.DistSqBound(q, v, bound)
-		if pinned {
-			view.Release()
-		}
-		if full {
+		if d, full := vecmath.DistSqBound(q, v, bound); full {
+			id, err := ix.slots.id(slot)
+			if err != nil {
+				return done, err
+			}
 			best.Push(id, d)
 		}
 		done++
@@ -306,7 +312,7 @@ func (ix *Index) exactPass(ctx context.Context, q []float32, best *topk.List, sc
 
 // searchTree performs Algorithm 2 lines 2-10 for one partition: Hilbert
 // key, α nearest leaf entries, triangular filter, optional Ptolemaic
-// filter, appending the surviving γ object ids into ids (a per-tree
+// filter, appending the surviving γ objects' slots into ids (a per-tree
 // scratch buffer owned by the caller for the query's duration). The
 // cascade sizes come from plan, not Params: per-query overrides land
 // here without the index noticing.
@@ -323,7 +329,7 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 
 	// α nearest leaf entries, each one's triangular lower bound (Eq. 5)
 	// taken as it comes off its leaf page. Walk position i — the filter's
-	// tie-break — has object id entryIDs[i] and reference distances
+	// tie-break — has object slot entryIDs[i] and reference distances
 	// arena[i*m:(i+1)*m].
 	m := len(qdist)
 	entryIDs, tri := ts.ids[:0], ts.tri[:0]

@@ -208,6 +208,18 @@ func verifyAcked(t *testing.T, dir string, acked map[uint64][]float32) {
 			t.Fatalf("acknowledged insert id %d lost after crash: got %+v", id, res)
 		}
 	}
+	requireChecks(t, idx)
+}
+
+// requireChecks runs the index fsck (`hdtool check`) on a recovered
+// index: surviving the kill means more than answering — every tree must
+// still hold every vector once, under the key and reference distances of
+// the vector its slot points at.
+func requireChecks(t *testing.T, idx *hdindex.Index) {
+	t.Helper()
+	if _, err := idx.Check(context.Background()); err != nil {
+		t.Fatalf("recovered index fails its consistency check: %v", err)
+	}
 }
 
 // keepOnFailure registers dir for preservation: on test failure the
@@ -339,6 +351,7 @@ func TestKillInjectionSerialBitIdentical(t *testing.T) {
 		t.Fatalf("recovered count %d lost acknowledged writes (want >= %d)",
 			crashed.Count(), 500+len(history))
 	}
+	requireChecks(t, crashed)
 
 	// Replay exactly the acknowledged writes into a reference index that
 	// never crashed, then require bit-identical answers.

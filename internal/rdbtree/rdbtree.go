@@ -3,15 +3,16 @@
 //
 // An RDB-tree is a B+-tree over Hilbert keys whose leaves do not store
 // object descriptors or bare pointers, but each object's distances to the
-// m reference objects, alongside its pointer (object id). That leaf design
-// is the paper's central trade: candidates fetched from a leaf can be
-// filtered with the triangular and Ptolemaic inequalities (§4.2) without
-// any further I/O, and the leaf order Ω stays high even at ν in the
-// hundreds because m ≪ ν.
+// m reference objects, alongside its pointer — an 8-byte number this
+// package never interprets (Entry.ID; core puts the object's slot in its
+// vector store there). That leaf design is the paper's central trade:
+// candidates fetched from a leaf can be filtered with the triangular and
+// Ptolemaic inequalities (§4.2) without any further I/O, and the leaf
+// order Ω stays high even at ν in the hundreds because m ≪ ν.
 //
 // Leaf entry layout (paper Eq. (4)):
 //
-//	[Hilbert key: ceil(η·ω/8) bytes][object id: 8 bytes][m × float32 distances]
+//	[Hilbert key: ceil(η·ω/8) bytes][object pointer: 8 bytes][m × float32 distances]
 //
 // The leaf order is Ω = max { (η·(ω/8) + 4m + 8)·Ω + 16 + 1 ≤ B } exactly
 // as in Eq. (4), reproduced against Table 3 in the tests.
@@ -305,6 +306,17 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 func (t *Tree) ScanAll(fn func(key []byte, e Entry) bool) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.Scan(nil, nil, func(k, v []byte) bool {
+		return fn(k, t.decodeValueInto(v, rd))
+	})
+}
+
+// Check is ScanAll with the leaf chain verified as it is walked
+// (bptree.CheckLeaves: sibling links, key order, counts); fn's first
+// error stops it. The Entry's RefDists alias one scratch slice, as in
+// ScanAll.
+func (t *Tree) Check(fn func(key []byte, e Entry) error) error {
+	rd := make([]float32, t.cfg.M)
+	return t.bt.CheckLeaves(func(k, v []byte) error {
 		return fn(k, t.decodeValueInto(v, rd))
 	})
 }

@@ -37,6 +37,7 @@ type Sharded struct {
 type Info struct {
 	ID         int
 	Count      uint64
+	Clustered  uint64 // leading vectors stored in tree-0 key order (core's slot space)
 	Deleted    int
 	SizeOnDisk int64
 }
@@ -136,6 +137,21 @@ func (s *Sharded) Compact(ctx context.Context) error {
 	return nil
 }
 
+// Check runs core's consistency check on every shard, in shard order,
+// stopping at the first that fails; the reports are of the shards that
+// passed.
+func (s *Sharded) Check(ctx context.Context) ([]core.CheckReport, error) {
+	var reps []core.CheckReport
+	for i, ix := range s.shards {
+		rep, err := ix.Check(ctx)
+		if err != nil {
+			return reps, fmt.Errorf("shard: check shard %d: %w", i, err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
+
 // IngestStats sums the shards' ingest counters.
 func (s *Sharded) IngestStats() core.IngestStats {
 	var agg core.IngestStats
@@ -216,7 +232,7 @@ func (s *Sharded) IOStats() pager.Stats {
 func (s *Sharded) ShardInfos() []Info {
 	out := make([]Info, len(s.shards))
 	for i, ix := range s.shards {
-		out[i] = Info{ID: i, Count: ix.Count(), Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
+		out[i] = Info{ID: i, Count: ix.Count(), Clustered: ix.Clustered(), Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
 	}
 	return out
 }

@@ -7,9 +7,14 @@
 // that pointer target, with the pager's counters measuring those reads.
 //
 // Records are fixed-size (4·dim bytes) and packed back to back in the
-// data region after the superblock; a vector may span page boundaries
-// (e.g. Enron's ν=1369 needs 5476 bytes, more than one 4096-byte page),
-// and the I/O counters reflect every page touched.
+// data region after the superblock, addressed by record number; a vector
+// may span page boundaries (e.g. Enron's ν=1369 needs 5476 bytes, more
+// than one 4096-byte page), and the I/O counters reflect every page
+// touched. Which object a record number names is the caller's business:
+// core writes records in tree-0 Hilbert-key order (its slot space), so
+// the κ pointers of one query land on far fewer than κ pages, and reads
+// them back in ascending order through a Cursor, which pins each of
+// those pages once.
 package vecstore
 
 import (
@@ -23,7 +28,7 @@ import (
 
 // Errors returned by the store.
 var (
-	ErrBadID  = errors.New("vecstore: object id out of range")
+	ErrBadID  = errors.New("vecstore: record number out of range")
 	ErrDim    = errors.New("vecstore: dimension mismatch")
 	ErrHeader = errors.New("vecstore: corrupt store header")
 )
@@ -82,15 +87,6 @@ func (s *Store) recRange(id uint64) (firstPage pager.PageID, firstOff, size int)
 	return pager.PageID(1 + off/ps), int(off % ps), s.recSize()
 }
 
-// PageOf returns the id of the page holding the first byte of record
-// id. Records are packed in id order, so sorting candidate ids sorts
-// their page accesses too — core's refinement step uses this layout
-// fact to turn random reads into mostly-sequential pool hits.
-func (s *Store) PageOf(id uint64) pager.PageID {
-	first, _, _ := s.recRange(id)
-	return first
-}
-
 // VecView is a pinned zero-copy view of one stored vector: Vec aliases
 // the buffer-pool frame itself. It is read-only and valid only until
 // Release.
@@ -109,11 +105,8 @@ func (v VecView) Release() { v.view.Release() }
 // slot), or the page read failed — and the caller must fall back to
 // Get, which handles all record shapes and surfaces I/O errors.
 func (s *Store) GetView(id uint64) (VecView, bool) {
-	if id >= s.count {
-		return VecView{}, false
-	}
 	first, off, size := s.recRange(id)
-	if off+size > s.pgr.PageSize() {
+	if id >= s.count || off+size > s.pgr.PageSize() {
 		return VecView{}, false
 	}
 	pv, err := s.pgr.View(first)
@@ -126,6 +119,51 @@ func (s *Store) GetView(id uint64) (VecView, bool) {
 		return VecView{}, false
 	}
 	return VecView{Vec: castFloat32(seg, s.dim), view: pv}, true
+}
+
+// Cursor reads vectors zero-copy like GetView, but keeps the page of the
+// last one pinned, so consecutive reads that fall on one page — a sorted
+// run of record numbers — cost one pin and one unpin per page instead of
+// per vector. A Cursor belongs to one goroutine and must be Closed.
+type Cursor struct {
+	s    *Store
+	view pager.View
+	page pager.PageID // the pinned page, 0 = none (page 0 is the superblock)
+}
+
+// Cursor returns an unpositioned cursor over the store.
+func (s *Store) Cursor() Cursor { return Cursor{s: s} }
+
+// View returns vector id as a slice into the pinned page, valid until
+// the next View or Close. ok is false exactly where GetView's is — the
+// caller falls back to Get.
+func (c *Cursor) View(id uint64) (vec []float32, ok bool) {
+	s := c.s
+	first, off, size := s.recRange(id)
+	if id >= s.count || off+size > s.pgr.PageSize() {
+		return nil, false
+	}
+	if first != c.page {
+		c.Close()
+		pv, err := s.pgr.View(first)
+		if err != nil {
+			return nil, false
+		}
+		c.view, c.page = pv, first
+	}
+	seg := c.view.Data[off : off+size]
+	if !viewable(seg) {
+		return nil, false
+	}
+	return castFloat32(seg, s.dim), true
+}
+
+// Close unpins the cursor's page. The cursor may be used again.
+func (c *Cursor) Close() {
+	if c.page != 0 {
+		c.view.Release()
+		c.page = 0
+	}
 }
 
 // writeRecords encodes vecs little-endian into the record slots starting
@@ -150,7 +188,7 @@ func (s *Store) writeRecords(first uint64, vecs [][]float32) error {
 	return nil
 }
 
-// Append adds a vector and returns its object id (0-based, dense).
+// Append adds a vector and returns its record number (0-based, dense).
 func (s *Store) Append(vec []float32) (uint64, error) {
 	id := s.count
 	if err := s.writeRecords(id, [][]float32{vec}); err != nil {

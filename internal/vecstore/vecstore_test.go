@@ -296,10 +296,17 @@ func TestGetViewSpanningRecordFallsBack(t *testing.T) {
 	}
 }
 
-// PageOf must agree with where Get actually reads.
-func TestPageOf(t *testing.T) {
-	const dim = 16 // 64-byte records, 4 per 256-byte page
-	pgr, err := pager.Open(filepath.Join(t.TempDir(), "p.pg"), pager.Options{Create: true, PageSize: 256})
+// mkVec is a dim-long vector determined by seed.
+func mkVec(dim int, seed int64) []float32 {
+	return randVecs(rand.New(rand.NewSource(seed)), 1, dim)[0]
+}
+
+// A cursor hands out the same floats as Get, pins a page once for all
+// the consecutive reads that fall on it, and declines exactly where
+// GetView does.
+func TestCursorPinsEachPageOnce(t *testing.T) {
+	const dim, n = 16, 40 // 64-byte records, 4 per 256-byte page
+	pgr, err := pager.Open(filepath.Join(t.TempDir(), "c.pg"), pager.Options{Create: true, PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,15 +315,66 @@ func TestPageOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, want := range map[uint64]pager.PageID{0: 1, 3: 1, 4: 2, 7: 2, 8: 3} {
-		if got := s.PageOf(id); got != want {
-			t.Errorf("PageOf(%d) = %d, want %d", id, got, want)
+	for id := 0; id < n; id++ {
+		if _, err := s.Append(mkVec(dim, int64(id))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Monotone in id: the layout fact the page-ordered fetch relies on.
-	for id := uint64(1); id < 100; id++ {
-		if s.PageOf(id) < s.PageOf(id-1) {
-			t.Fatalf("PageOf not monotone at id %d", id)
+	// Ascending with gaps and a repeat: ids 0,1,3 share page 1; 4 and 4
+	// again page 2; 17,18 page 5; 39 page 10.
+	ids := []uint64{0, 1, 3, 4, 4, 17, 18, 39}
+	pgr.ResetStats()
+	cur := s.Cursor()
+	for _, id := range ids {
+		got, ok := cur.View(id)
+		if !ok {
+			t.Fatalf("View(%d) declined", id)
+		}
+		want := mkVec(dim, int64(id))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("View(%d)[%d] = %v, want %v", id, i, got[i], want[i])
+			}
+		}
+	}
+	if st := pgr.Stats(); st.Hits+st.Misses != 4 {
+		t.Fatalf("8 reads over 4 pages made %d page requests, want 4", st.Hits+st.Misses)
+	}
+	if _, ok := cur.View(n); ok {
+		t.Fatal("View past the end must decline")
+	}
+	cur.Close()
+	cur.Close() // idempotent
+	if v, ok := cur.View(2); !ok || v[0] != mkVec(dim, 2)[0] {
+		t.Fatal("a closed cursor must be usable again")
+	}
+	cur.Close()
+
+	// dim 24 = 96-byte records over 256-byte pages: record 2 spans.
+	pgr2, err := pager.Open(filepath.Join(t.TempDir(), "span.pg"), pager.Options{Create: true, PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pgr2.Close()
+	s2, err := Create(pgr2, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 6; id++ {
+		if _, err := s2.Append(mkVec(24, int64(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur2 := s2.Cursor()
+	defer cur2.Close()
+	for id := uint64(0); id < 6; id++ {
+		_, okCur := cur2.View(id)
+		view, okView := s2.GetView(id)
+		if okView {
+			view.Release()
+		}
+		if okCur != okView {
+			t.Fatalf("record %d: cursor ok=%v, GetView ok=%v", id, okCur, okView)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
+.PHONY: build test loc fuzz race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,25 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				printf "%7d total non-test Go lines outside benchmark/\n", t }'
+
+# Every fuzz target for FUZZTIME each, one `go test -fuzz` per target
+# (go test fuzzes one target at a time); tier-1 only replays their seed
+# corpora. A failing input is written under the package's
+# testdata/fuzz/ — commit it and it joins the seed corpus.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	FuzzSlotMap:./internal/core \
+	FuzzMeta:./internal/core \
+	FuzzStoreHeader:./internal/vecstore \
+	FuzzDistSqBound:./internal/vecmath \
+	FuzzSort:./internal/radix \
+	FuzzCloserKey:./internal/hilbert
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== $${t%%:*} ($${t#*:}, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime $(FUZZTIME) $${t#*:}; \
+	done
 
 # Includes the randomized model test (internal/core, a few hundred ops
 # per run; HD_MODEL_STEPS=5000 for a long one) and the tiny-pool suites.
@@ -60,7 +79,7 @@ bench:
 # What CI runs: one iteration per experiment plus core micro-benchmarks,
 # and the tree walk's three (selection, direction test, leaf-chain walk)
 # and the pool's two (a miss, alone and in parallel) so they keep
-# compiling. BenchmarkRefinePages builds six 50 K-vector indexes to count
+# compiling. BenchmarkRefinePages builds nine 50 K-vector indexes to count
 # the vector pages a query touches per store layout, so it runs once.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -254,6 +254,7 @@ func runInfo(args []string) error {
 	if !shard.IsSharded(*indexDir) {
 		fmt.Printf("layout:        single index\n")
 		fmt.Printf("store order:   %s\n", storeOrder(ix.Shards()[0]))
+		fmt.Printf("records:       %s\n", ix.Shards()[0].Records)
 		return nil
 	}
 	man, err := shard.ReadManifest(*indexDir)
@@ -264,8 +265,8 @@ func runInfo(args []string) error {
 	fmt.Printf("created:       %s\n", time.Unix(man.CreatedUnix, 0).UTC().Format(time.RFC3339))
 	fmt.Printf("shards:        %d\n", man.Shards)
 	for _, sh := range ix.Shards() {
-		fmt.Printf("  shard-%02d:    %d vectors, %d deleted, %d bytes; %s\n",
-			sh.ID, sh.Count, sh.Deleted, sh.SizeOnDisk, storeOrder(sh))
+		fmt.Printf("  shard-%02d:    %d vectors, %d deleted, %d bytes; %s; %s\n",
+			sh.ID, sh.Count, sh.Deleted, sh.SizeOnDisk, storeOrder(sh), sh.Records)
 	}
 	return nil
 }

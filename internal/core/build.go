@@ -118,15 +118,28 @@ func Build(dir string, vectors [][]float32, p Params) (*Index, error) {
 // cancelled build leaves no meta.json (the layout's commit point), so
 // Open rejects the directory instead of serving a half-built index.
 func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params) (*Index, error) {
-	return build(ctx, dir, vectors, p, true)
+	return build(ctx, dir, vectors, p, layoutTree0)
 }
 
-// build is BuildContext's body. Every Build clusters: the vectors go to
-// disk in tree 0's key order, with ids.pg to translate (slots.go). Only
-// the layout-equivalence tests pass clustered = false, which writes
-// records in id order and no ids.pg — the layout before the slot space,
-// and the oracle a clustered index must answer exactly like.
-func build(ctx context.Context, dir string, vectors [][]float32, p Params, clustered bool) (*Index, error) {
+// storeLayout is how build writes vectors.pg. Build always asks for
+// layoutTree0; the other two are the earlier layouts, kept for the
+// layout-equivalence tests (the oracles a Build must answer exactly
+// like) and BenchmarkRefinePages.
+type storeLayout int
+
+const (
+	// layoutTree0: records in tree 0's key order with ids.pg to translate
+	// (slots.go), as byte records when every component round-trips.
+	layoutTree0 storeLayout = iota
+	// layoutTree0Float: the same order, float32 records whatever the data.
+	layoutTree0Float
+	// layoutIDOrder: float32 records in id order and no ids.pg — the
+	// layout before the slot space.
+	layoutIDOrder
+)
+
+// build is BuildContext's body.
+func build(ctx context.Context, dir string, vectors [][]float32, p Params, layout storeLayout) (*Index, error) {
 	if len(vectors) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -212,7 +225,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, clust
 	}
 	stored := vectors   // the vectors in slot order
 	var slotOf []uint64 // id → slot; nil is the identity
-	if clustered {
+	if layout != layoutIDOrder {
 		stored, slotOf = make([][]float32, len(vectors)), make([]uint64, len(vectors))
 		for slot, id := range perm0 {
 			stored[slot], slotOf[id] = vectors[id], uint64(slot)
@@ -267,7 +280,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, clust
 	}
 
 	// The pointer target: raw vectors in a paged store, record s the
-	// vector of slot s.
+	// vector of slot s — ν bytes each when the data allows it.
 	vp, err := ix.openPager(filepath.Join(dir, "vectors.pg"), true)
 	if err != nil {
 		ix.Close()
@@ -275,7 +288,11 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, clust
 	}
 	vs, err := vecstore.Create(vp, nu)
 	if err == nil {
-		err = vs.BuildFrom(stored)
+		if layout == layoutTree0 {
+			err = vs.BuildBase(stored)
+		} else {
+			err = vs.BuildFrom(stored)
+		}
 	}
 	if err == nil {
 		err = vs.Flush()

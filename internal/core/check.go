@@ -30,8 +30,10 @@ type CheckReport struct {
 // directory they leave behind:
 //
 //   - meta.json commits what is open: count, generation, clustered base;
-//     the vector file is long enough for that count; no tree file of
-//     another generation lies around;
+//     the vector file is long enough for that count (asked of the store,
+//     which knows its record widths) and its byte records, if any, are
+//     exactly the clustered base; no tree file of another generation lies
+//     around;
 //   - ids.pg is a bijection of [0, clustered) with a consistent inverse;
 //   - every tree's leaf chain is intact (sibling links, ascending keys,
 //     counts) and holds every slot below the count exactly once, except
@@ -63,9 +65,11 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 		return fail("meta.json commits count %d, generation %d, clustered %d; open are %d, %d, %d",
 			m.Count, m.Gen, m.Clustered, count, ix.gen, ix.slots.base)
 	}
-	vp := ix.vectors.Pager()
-	if need := 1 + (count*uint64(4*ix.nu)+uint64(vp.PageSize())-1)/uint64(vp.PageSize()); vp.PageCount() < need {
-		return fail("vectors.pg has %d pages, %d vectors need %d", vp.PageCount(), count, need)
+	if err := ix.vectors.Validate(); err != nil {
+		return fail("%v", err)
+	}
+	if b := ix.vectors.Base(); b != 0 && b != ix.slots.base {
+		return fail("vectors.pg holds %d byte records, %d vectors are clustered", b, ix.slots.base)
 	}
 	if stale, err := ix.staleGenerations(); err != nil || len(stale) > 0 {
 		return fail("stale tree file(s) %v beside the open generation %d (%v)", stale, ix.gen, err)

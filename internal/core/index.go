@@ -267,13 +267,33 @@ func (ix *Index) writeMeta() error {
 
 // readMeta loads dir's committed descriptor.
 func readMeta(dir string) (metaJSON, error) {
-	var m metaJSON
 	buf, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
-		return m, fmt.Errorf("core: read index meta: %w", err)
+		return metaJSON{}, fmt.Errorf("core: read index meta: %w", err)
 	}
+	return decodeMeta(buf)
+}
+
+// decodeMeta parses a descriptor and rejects one newIndex could not
+// derive an index from — a τ of 0, reference vectors or a quantiser
+// domain of another dimensionality — so corrupt bytes are an error, not
+// a panic on the first query.
+func decodeMeta(buf []byte) (metaJSON, error) {
+	var m metaJSON
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return m, fmt.Errorf("core: parse index meta: %w", err)
+	}
+	if err := m.Params.Validate(m.Nu); err != nil {
+		return m, fmt.Errorf("%w in %s", err, metaFile)
+	}
+	if len(m.Lo) != m.Nu || len(m.Hi) != m.Nu || len(m.Refs) != m.Params.M {
+		return m, fmt.Errorf("core: %s holds %d/%d domain bounds and %d references, want %d/%d and %d",
+			metaFile, len(m.Lo), len(m.Hi), len(m.Refs), m.Nu, m.Nu, m.Params.M)
+	}
+	for i, r := range m.Refs {
+		if len(r) != m.Nu {
+			return m, fmt.Errorf("core: %s holds a %d-d reference %d, nu = %d", metaFile, len(r), i, m.Nu)
+		}
 	}
 	return m, nil
 }
@@ -363,6 +383,12 @@ func (ix *Index) load(committed, clustered uint64) error {
 		return err
 	}
 	ix.vectors = vs
+	if vs.Dim() != ix.nu {
+		return fmt.Errorf("core: vectors.pg holds %d-d vectors, meta.json says %d", vs.Dim(), ix.nu)
+	}
+	if b := vs.Base(); b != 0 && b != clustered {
+		return fmt.Errorf("core: vectors.pg holds %d byte records, meta.json clusters %d", b, clustered)
+	}
 	if clustered > 0 {
 		if clustered > committed {
 			return fmt.Errorf("core: meta clusters %d vectors, commits %d", clustered, committed)
@@ -496,6 +522,13 @@ func (ix *Index) Count() uint64 {
 // arrived later and sit behind them in id order. 0 for a directory
 // written before the slot space.
 func (ix *Index) Clustered() uint64 { return ix.slots.base }
+
+// StoreFormat describes vectors.pg's records (vecstore.Store.Format).
+func (ix *Index) StoreFormat() string {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.vectors.Format()
+}
 
 // References returns the reference vectors (not copies).
 func (ix *Index) References() [][]float32 { return ix.refs }

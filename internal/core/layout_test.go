@@ -11,39 +11,51 @@ import (
 	"github.com/hd-index/hdindex/internal/data"
 )
 
-// tieGroup returns 2·dims vectors at exactly the same distance from the
-// centre (0.5 everywhere): centre ± 1/8 along each of the first dims
-// axes, all exactly representable. They differ only inside partition 0,
-// so tree 0 — whose key order is the store order — scatters them while
-// every other tree finds them all at the query key itself.
-func tieGroup(dim, dims int) (centre []float32, group [][]float32) {
+// tieGroup returns 2·dims vectors at exactly the same distance delta
+// from the centre (c everywhere): centre ± delta along each of the first
+// dims axes, all exactly representable. They differ only inside
+// partition 0, so tree 0 — whose key order is the store order — scatters
+// them while every other tree finds them all at the query key itself.
+func tieGroup(dim, dims int, c, delta float32) (centre []float32, group [][]float32) {
 	centre = make([]float32, dim)
 	for d := range centre {
-		centre[d] = 0.5
+		centre[d] = c
 	}
 	for d := 0; d < dims; d++ {
-		for _, delta := range []float32{0.125, -0.125} {
+		for _, sign := range []float32{1, -1} {
 			v := slices.Clone(centre)
-			v[d] += delta
+			v[d] += sign * delta
 			group = append(group, v)
 		}
 	}
 	return centre, group
 }
 
-// The store layout moves bytes, not answers: the same vectors built in
-// tree-0 key order (what every Build does) and in id order with no ids.pg
-// (the layout before the slot space, reached by telling the unexported
-// builder not to cluster) must return the same result lists and do the
+// The store layout moves bytes, not answers: the same vectors built the
+// way every Build does (tree-0 key order, byte records when the data is
+// integer-valued in [0,255]) and in id order with float32 records and no
+// ids.pg (the layout before the slot space, reached by telling the
+// unexported builder so) must return the same result lists and do the
 // same work — candidates, exact distances, tree entries, memtable scans —
-// in the four cascade shapes, through deletes, tail inserts, a compaction
+// in the four cascade shapes, through deletes, tail inserts (two of them
+// not integers, so they can only live in the float32 tail), a compaction
 // and a reopen. Sixteen hand-placed vectors tie exactly at the k-th
 // boundary of one query, spread over the clustered base, the compacted
 // tail and the memtable, with slot order disagreeing with id order: the
-// tie must go to the smaller id in both layouts.
+// tie must go to the smaller id in both layouts. Run on floats in [0,1]
+// (float32 records) and on integers in [0,255] (byte records).
 func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
-	ds := data.Generate(data.Config{Name: "layout", N: 3000, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 101})
-	centre, group := tieGroup(32, 8)
+	t.Run("floats", func(t *testing.T) {
+		layoutEquivalence(t, data.Config{Name: "layout", N: 3000, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 101}, 0.5, 0.125)
+	})
+	t.Run("bytes", func(t *testing.T) {
+		layoutEquivalence(t, data.Config{Name: "layout", N: 3000, Dim: 32, Clusters: 8, Lo: 0, Hi: 255, Integer: true, Seed: 101}, 128, 32)
+	})
+}
+
+func layoutEquivalence(t *testing.T, cfg data.Config, c, delta float32) {
+	ds := data.Generate(cfg)
+	centre, group := tieGroup(32, 8, c, delta)
 	vectors := ds.Vectors
 	tieIDs := []uint64{}
 	for j, v := range group {
@@ -56,6 +68,9 @@ func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
 	}
 	slices.Sort(tieIDs)
 	const base, compacted = 2400, 2700
+	// Not integers: one for the compacted tail, one for the memtable.
+	vectors[2450][3] += 0.5
+	vectors[2800][5] += 0.25
 	queries := append(ds.PerturbedQueries(12, 0.02, 102), centre)
 
 	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 3, MemtableMaxVectors: 1 << 20}
@@ -63,7 +78,11 @@ func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
 	dirs := map[bool]string{true: filepath.Join(t.TempDir(), "clustered"), false: filepath.Join(t.TempDir(), "identity")}
 	ixs := map[bool]*Index{}
 	for clustered, dir := range dirs {
-		ix, err := build(context.Background(), dir, vectors[:base], p, clustered)
+		layout := layoutIDOrder
+		if clustered {
+			layout = layoutTree0
+		}
+		ix, err := build(context.Background(), dir, vectors[:base], p, layout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +93,19 @@ func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
 			ix.Close()
 		}
 	}()
+	// Byte records exactly when the data is integer-valued, and only in
+	// the clustered base.
+	wantBytes := uint64(0)
+	if cfg.Integer {
+		wantBytes = base
+	}
+	requireBytes := func(stage string) {
+		t.Helper()
+		if got, id := ixs[true].vectors.Base(), ixs[false].vectors.Base(); got != wantBytes || id != 0 {
+			t.Fatalf("%s: byte records: clustered %d, identity %d; want %d and 0", stage, got, id, wantBytes)
+		}
+	}
+	requireBytes("fresh build")
 
 	// The two directories differ the way the layouts say they do.
 	if _, err := os.Stat(filepath.Join(dirs[false], slotFile)); !os.IsNotExist(err) {
@@ -160,8 +192,8 @@ func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, r := range res {
-				if r.ID != want[i] || r.Dist != 0.125 {
-					t.Fatalf("%s, clustered=%v: tie rank %d is %+v, want id %d at 0.125 (got %+v)", stage, clustered, i, r, want[i], res)
+				if r.ID != want[i] || r.Dist != float64(delta) {
+					t.Fatalf("%s, clustered=%v: tie rank %d is %+v, want id %d at %v (got %+v)", stage, clustered, i, r, want[i], delta, res)
 				}
 			}
 		}
@@ -213,7 +245,14 @@ func TestClusteredLayoutAnswersAsIdentityLayout(t *testing.T) {
 		}
 		ixs[clustered] = re
 	}
+	requireBytes("reopened")
 	compare("reopened")
 	both(func(ix *Index) error { return ix.Compact(context.Background()) })
 	compare("compacted again")
+	requireBytes("compacted again")
+	for _, ix := range ixs {
+		if _, err := ix.Check(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -281,6 +281,11 @@ func TestModelAgainstBruteForceOracle(t *testing.T) {
 			}
 			r.ix = ix
 			defer func() { r.ix.Close() }()
+			// The grid is integer-valued in [0,255]: the store must hold it
+			// as byte records, or the model tests float32 alone.
+			if got := ix.vectors.Base(); got != uint64(len(r.m.vecs)) {
+				t.Fatalf("the integer grid built %d byte records, want %d", got, len(r.m.vecs))
+			}
 			r.logf("Build(%d vectors)", len(r.m.vecs))
 			for i := 0; i < steps; i++ {
 				r.step()

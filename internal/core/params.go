@@ -152,6 +152,9 @@ func (p *Params) buildBudget() int {
 
 // Validate reports configuration errors for a dataset of dimensionality nu.
 func (p *Params) Validate(nu int) error {
+	if nu < 1 {
+		return fmt.Errorf("core: dimensionality must be >= 1, got %d", nu)
+	}
 	if p.Tau < 1 {
 		return fmt.Errorf("core: tau must be >= 1, got %d", p.Tau)
 	}

@@ -261,10 +261,10 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 
 // exactPass is the one exact-distance step, run over n objects in
 // ascending slot order: item(i) names the i-th slot and, for a memtable
-// entry, its in-memory vector — nil means fetch it from the store,
-// zero-copy out of the buffer pool through a cursor that keeps a page
-// pinned across the consecutive slots on it, or through scratch when the
-// record does not sit in one page. Deleted objects (§3.6) are skipped
+// entry, its in-memory vector — nil means the store's cursor computes it
+// out of the buffer pool, whatever the record's width, keeping a page
+// pinned across the consecutive slots on it (scratch serves a record
+// that does not sit in one page). Deleted objects (§3.6) are skipped
 // before their page is touched — they stay in the trees but are never
 // returned — and the accumulation is abandoned early once it exceeds the
 // current k-th best. Only an object that makes it into the top-k has its
@@ -289,16 +289,17 @@ func (ix *Index) exactPass(ctx context.Context, q []float32, best *topk.List, sc
 		if b, ok := best.Bound(); ok {
 			bound = b
 		}
-		if v == nil {
-			var ok bool
-			if v, ok = cur.View(slot); !ok {
-				var err error
-				if v, err = ix.vectors.Get(slot, scratch); err != nil {
-					return done, err
-				}
+		var d float64
+		var full bool
+		if v != nil {
+			d, full = vecmath.DistSqBound(q, v, bound)
+		} else {
+			var err error
+			if d, full, err = cur.DistSqBound(slot, q, bound, scratch); err != nil {
+				return done, err
 			}
 		}
-		if d, full := vecmath.DistSqBound(q, v, bound); full {
+		if full {
 			id, err := ix.slots.id(slot)
 			if err != nil {
 				return done, err

@@ -38,6 +38,7 @@ type Info struct {
 	ID         int
 	Count      uint64
 	Clustered  uint64 // leading vectors stored in tree-0 key order (core's slot space)
+	Records    string // vectors.pg's record format (core.Index.StoreFormat)
 	Deleted    int
 	SizeOnDisk int64
 }
@@ -232,7 +233,7 @@ func (s *Sharded) IOStats() pager.Stats {
 func (s *Sharded) ShardInfos() []Info {
 	out := make([]Info, len(s.shards))
 	for i, ix := range s.shards {
-		out[i] = Info{ID: i, Count: ix.Count(), Clustered: ix.Clustered(), Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
+		out[i] = Info{ID: i, Count: ix.Count(), Clustered: ix.Clustered(), Records: ix.StoreFormat(), Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
 	}
 	return out
 }

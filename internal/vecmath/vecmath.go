@@ -84,6 +84,33 @@ func DistSqBound(a, b []float32, bound float64) (float64, bool) {
 	return s, true
 }
 
+// DistSqBoundBytes is DistSqBound against a vector stored one byte per
+// component (vecstore's byte records). Widening a byte to float64 gives
+// exactly float64(float32(b[j])) and the accumulation order is
+// DistSqBound's, so the result — completed or abandoned, partial sum
+// included — is bit-identical to DistSqBound over b widened to float32.
+func DistSqBoundBytes(a []float32, b []byte, bound float64) (float64, bool) {
+	if len(a) != len(b) {
+		panic("vecmath: dimension mismatch")
+	}
+	var s float64
+	i := 0
+	for ; i+abandonStride <= len(a); i += abandonStride {
+		for j := i; j < i+abandonStride; j++ {
+			d := float64(a[j]) - float64(b[j])
+			s += d * d
+		}
+		if s > bound {
+			return s, false
+		}
+	}
+	for ; i < len(a); i++ {
+		d := float64(a[i]) - float64(b[i])
+		s += d * d
+	}
+	return s, true
+}
+
 // Dot returns the inner product of a and b. Like DistSq it is kept
 // small enough to inline at call sites.
 func Dot(a, b []float32) float64 {

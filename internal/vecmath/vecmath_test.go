@@ -234,7 +234,9 @@ func TestDistSqBoundContract(t *testing.T) {
 }
 
 // FuzzDistSqBound hammers the equivalence contract with arbitrary bit
-// patterns (including NaN/Inf components) and bounds.
+// patterns (including NaN/Inf components) and bounds, and holds
+// DistSqBoundBytes to DistSqBound over the byte vector widened to
+// float32, bit for bit, partial sum at the abandon point included.
 func FuzzDistSqBound(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4, 5, 6, 7, 8}, 1.5)
 	f.Add(bytes.Repeat([]byte{0x40}, 160), 0.0)
@@ -247,6 +249,16 @@ func FuzzDistSqBound(f *testing.F) {
 			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[8*i:]))
 			b[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[8*i+4:]))
 		}
+		bb := make([]byte, n)
+		wide := make([]float32, n)
+		for i := range bb {
+			bb[i] = raw[8*i+4]
+			wide[i] = float32(bb[i])
+		}
+		wd, wok := DistSqBound(a, wide, bound)
+		if gd, gok := DistSqBoundBytes(a, bb, bound); gok != wok || math.Float64bits(gd) != math.Float64bits(wd) {
+			t.Fatalf("DistSqBoundBytes = (%x, %v), DistSqBound over the widened bytes = (%x, %v)", math.Float64bits(gd), gok, math.Float64bits(wd), wok)
+		}
 		full := DistSq(a, b)
 		got, ok := DistSqBound(a, b, bound)
 		if ok {
@@ -256,8 +268,9 @@ func FuzzDistSqBound(f *testing.F) {
 			return
 		}
 		// Abandonment requires partial > bound, and squared terms only
-		// grow, so the completed distance must also clear the bound.
-		if !(full > bound) {
+		// grow, so the completed distance must also clear the bound — or
+		// be NaN, when a NaN component comes after the abandon point.
+		if full <= bound {
 			t.Fatalf("abandoned (partial %v) but DistSq %v <= bound %v", got, full, bound)
 		}
 	})

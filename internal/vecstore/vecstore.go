@@ -6,10 +6,17 @@
 // — the κ = O(τ·γ) accesses of the I/O analysis in §4.4.1. This store is
 // that pointer target, with the pager's counters measuring those reads.
 //
-// Records are fixed-size (4·dim bytes) and packed back to back in the
-// data region after the superblock, addressed by record number; a vector
-// may span page boundaries (e.g. Enron's ν=1369 needs 5476 bytes, more
-// than one 4096-byte page), and the I/O counters reflect every page
+// Records are fixed-size within each of two runs, packed back to back in
+// the data region after the superblock and addressed by record number:
+// first `base` byte records of dim bytes, one uint8 per component, then
+// float32 records of 4·dim bytes from the next 4-byte boundary on. The
+// byte run exists only when BuildBase found every component of the
+// records it was given to be an integer in [0,255] (SIFT's bvecs shape),
+// so nothing is lost and four times as many records share a page; every
+// later append is float32. A store made by Create has base 0 and a
+// 12-byte header — the format every store had before byte records. A
+// record may span page boundaries (e.g. Enron's ν=1369 needs 5476 bytes,
+// more than one 4096-byte page), and the I/O counters reflect every page
 // touched. Which object a record number names is the caller's business:
 // core writes records in tree-0 Hilbert-key order (its slot space), so
 // the κ pointers of one query land on far fewer than κ pages, and reads
@@ -24,6 +31,7 @@ import (
 	"math"
 
 	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/vecmath"
 )
 
 // Errors returned by the store.
@@ -33,40 +41,75 @@ var (
 	ErrHeader = errors.New("vecstore: corrupt store header")
 )
 
+// Header bounds, far past any dataset, that keep every byte offset of
+// the data region inside an int64.
+const (
+	maxDim     = 1 << 20
+	maxRecords = 1 << 40
+)
+
 // Store is a fixed-dimension vector file. Safe for concurrent readers.
 type Store struct {
 	pgr   *pager.Pager
 	dim   int
 	count uint64
+	base  uint64 // leading byte records; the rest are float32
 }
 
 // Create initialises an empty store of dim-dimensional vectors in pgr.
 func Create(pgr *pager.Pager, dim int) (*Store, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("vecstore: dim must be >= 1, got %d", dim)
+	if dim < 1 || dim > maxDim {
+		return nil, fmt.Errorf("vecstore: dim must be in [1,%d], got %d", maxDim, dim)
 	}
 	s := &Store{pgr: pgr, dim: dim}
 	return s, s.writeHeader()
 }
 
-// Open loads an existing store from pgr's metadata.
+// Open loads an existing store from pgr's metadata: dim and count, and
+// the byte base when the header carries one (20 bytes, not 12). A header
+// the file cannot back — a base above the count, fewer pages than the
+// count's records fill — is ErrHeader.
 func Open(pgr *pager.Pager) (*Store, error) {
 	meta := pgr.Meta()
-	if len(meta) < 12 {
+	if len(meta) != 12 && len(meta) != 20 {
 		return nil, ErrHeader
 	}
-	return &Store{
+	s := &Store{
 		pgr:   pgr,
 		dim:   int(binary.BigEndian.Uint32(meta[0:])),
 		count: binary.BigEndian.Uint64(meta[4:]),
-	}, nil
+	}
+	if len(meta) == 20 {
+		s.base = binary.BigEndian.Uint64(meta[12:])
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 func (s *Store) writeHeader() error {
-	meta := make([]byte, 12)
-	binary.BigEndian.PutUint32(meta[0:], uint32(s.dim))
-	binary.BigEndian.PutUint64(meta[4:], s.count)
+	meta := binary.BigEndian.AppendUint32(nil, uint32(s.dim))
+	meta = binary.BigEndian.AppendUint64(meta, s.count)
+	if s.base > 0 {
+		meta = binary.BigEndian.AppendUint64(meta, s.base)
+	}
 	return s.pgr.SetMeta(meta)
+}
+
+// Validate reports whether the header is one the file can back: Open
+// runs it, and the index fsck runs it on a live store.
+func (s *Store) Validate() error {
+	if s.dim < 1 || s.dim > maxDim || s.count > maxRecords || s.base > s.count {
+		return fmt.Errorf("%w: dim %d, %d records, %d of them bytes", ErrHeader, s.dim, s.count, s.base)
+	}
+	if s.count == 0 {
+		return nil
+	}
+	if _, last := s.Span(s.count - 1); s.pgr.PageCount() <= uint64(last) {
+		return fmt.Errorf("%w: %d pages cannot hold %d records", ErrHeader, s.pgr.PageCount(), s.count)
+	}
+	return nil
 }
 
 // Dim returns the vector dimensionality ν.
@@ -75,16 +118,43 @@ func (s *Store) Dim() int { return s.dim }
 // Count returns the number of stored vectors.
 func (s *Store) Count() uint64 { return s.count }
 
+// Base returns how many leading records are byte records.
+func (s *Store) Base() uint64 { return s.base }
+
+// Format describes the records, e.g. "100000 × 128 B byte records +
+// 12 × 512 B float32 tail".
+func (s *Store) Format() string {
+	if s.base == 0 {
+		return fmt.Sprintf("%d × %d B float32 records", s.count, 4*s.dim)
+	}
+	return fmt.Sprintf("%d × %d B byte records + %d × %d B float32 tail", s.base, s.dim, s.count-s.base, 4*s.dim)
+}
+
 // Pager exposes the underlying pager for stats and closing.
 func (s *Store) Pager() *pager.Pager { return s.pgr }
 
-func (s *Store) recSize() int { return 4 * s.dim }
+// locate is the one addressing function: record id's byte offset within
+// the data region (which starts at page 1) and its size.
+func (s *Store) locate(id uint64) (off int64, size int) {
+	if id < s.base {
+		return int64(id) * int64(s.dim), s.dim
+	}
+	tail := (int64(s.base)*int64(s.dim) + 3) &^ 3
+	return tail + int64(id-s.base)*int64(4*s.dim), 4 * s.dim
+}
 
-// byte range of record id within the data region (which starts at page 1).
-func (s *Store) recRange(id uint64) (firstPage pager.PageID, firstOff, size int) {
-	off := int64(id) * int64(s.recSize())
+// pageOf maps a data-region offset to its page and the offset within it.
+func (s *Store) pageOf(off int64) (pager.PageID, int) {
 	ps := int64(s.pgr.PageSize())
-	return pager.PageID(1 + off/ps), int(off % ps), s.recSize()
+	return pager.PageID(1 + off/ps), int(off % ps)
+}
+
+// Span returns the first and last page record id occupies.
+func (s *Store) Span(id uint64) (first, last pager.PageID) {
+	off, size := s.locate(id)
+	first, _ = s.pageOf(off)
+	last, _ = s.pageOf(off + int64(size) - 1)
+	return first, last
 }
 
 // VecView is a pinned zero-copy view of one stored vector: Vec aliases
@@ -98,22 +168,24 @@ type VecView struct {
 // Release unpins the underlying page. The view must not be used after.
 func (v VecView) Release() { v.view.Release() }
 
-// GetView returns a pinned zero-copy view of vector id, skipping Get's
-// per-float decode copy. ok is false when the borrow is unavailable —
-// the record spans a page boundary (e.g. Enron's ν=1369), the bytes
-// cannot be reinterpreted in place (big-endian CPU, misaligned page
-// slot), or the page read failed — and the caller must fall back to
-// Get, which handles all record shapes and surfaces I/O errors.
+// GetView returns a pinned zero-copy view of float32 record id, skipping
+// Get's per-float decode copy. ok is false when the borrow is
+// unavailable — a byte record, a record that spans a page boundary (e.g.
+// Enron's ν=1369), bytes that cannot be reinterpreted in place
+// (big-endian CPU, misaligned page slot), or a failed page read — and the
+// caller must fall back to Get, which handles all record shapes and
+// surfaces I/O errors.
 func (s *Store) GetView(id uint64) (VecView, bool) {
-	first, off, size := s.recRange(id)
-	if id >= s.count || off+size > s.pgr.PageSize() {
+	off, size := s.locate(id)
+	first, in := s.pageOf(off)
+	if id >= s.count || id < s.base || in+size > s.pgr.PageSize() {
 		return VecView{}, false
 	}
 	pv, err := s.pgr.View(first)
 	if err != nil {
 		return VecView{}, false
 	}
-	seg := pv.Data[off : off+size]
+	seg := pv.Data[in : in+size]
 	if !viewable(seg) {
 		pv.Release()
 		return VecView{}, false
@@ -121,10 +193,11 @@ func (s *Store) GetView(id uint64) (VecView, bool) {
 	return VecView{Vec: castFloat32(seg, s.dim), view: pv}, true
 }
 
-// Cursor reads vectors zero-copy like GetView, but keeps the page of the
-// last one pinned, so consecutive reads that fall on one page — a sorted
-// run of record numbers — cost one pin and one unpin per page instead of
-// per vector. A Cursor belongs to one goroutine and must be Closed.
+// Cursor computes distances to stored records straight out of the
+// buffer pool, keeping the page of the last one pinned, so consecutive
+// reads that fall on one page — a sorted run of record numbers — cost
+// one pin and one unpin per page instead of per record. A Cursor belongs
+// to one goroutine and must be Closed.
 type Cursor struct {
 	s    *Store
 	view pager.View
@@ -134,28 +207,41 @@ type Cursor struct {
 // Cursor returns an unpositioned cursor over the store.
 func (s *Store) Cursor() Cursor { return Cursor{s: s} }
 
-// View returns vector id as a slice into the pinned page, valid until
-// the next View or Close. ok is false exactly where GetView's is — the
-// caller falls back to Get.
-func (c *Cursor) View(id uint64) (vec []float32, ok bool) {
+// DistSqBound is vecmath.DistSqBound(q, record id, bound), bit for bit,
+// whatever the record's width: a byte record in one page goes through
+// vecmath.DistSqBoundBytes, a float32 one through a zero-copy view, and a
+// record the pool cannot lend in place (it spans a page, or the view is
+// unavailable) is decoded by Get into scratch (length Dim, or nil to
+// allocate). Only Get's errors are returned.
+func (c *Cursor) DistSqBound(id uint64, q []float32, bound float64, scratch []float32) (float64, bool, error) {
 	s := c.s
-	first, off, size := s.recRange(id)
-	if id >= s.count || off+size > s.pgr.PageSize() {
-		return nil, false
-	}
-	if first != c.page {
-		c.Close()
-		pv, err := s.pgr.View(first)
-		if err != nil {
-			return nil, false
+	off, size := s.locate(id)
+	first, in := s.pageOf(off)
+	if id < s.count && in+size <= s.pgr.PageSize() {
+		if first != c.page {
+			c.Close()
+			if pv, err := s.pgr.View(first); err == nil {
+				c.view, c.page = pv, first
+			}
 		}
-		c.view, c.page = pv, first
+		if c.page == first {
+			seg := c.view.Data[in : in+size]
+			if id < s.base {
+				d, full := vecmath.DistSqBoundBytes(q, seg, bound)
+				return d, full, nil
+			}
+			if viewable(seg) {
+				d, full := vecmath.DistSqBound(q, castFloat32(seg, s.dim), bound)
+				return d, full, nil
+			}
+		}
 	}
-	seg := c.view.Data[off : off+size]
-	if !viewable(seg) {
-		return nil, false
+	v, err := s.Get(id, scratch)
+	if err != nil {
+		return 0, false, err
 	}
-	return castFloat32(seg, s.dim), true
+	d, full := vecmath.DistSqBound(q, v, bound)
+	return d, full, nil
 }
 
 // Close unpins the cursor's page. The cursor may be used again.
@@ -166,24 +252,32 @@ func (c *Cursor) Close() {
 	}
 }
 
-// writeRecords encodes vecs little-endian into the record slots starting
-// at slot first. It touches neither the count nor the header: when the
-// records become visible, and what is synced first, is each caller's
-// own ordering.
+// writeRecords encodes vecs into the record slots starting at slot first,
+// each in its slot's width (bytes below the base, little-endian float32
+// above). It touches neither the count nor the header: when the records
+// become visible, and what is synced first, is each caller's own
+// ordering.
 func (s *Store) writeRecords(first uint64, vecs [][]float32) error {
-	buf := make([]byte, s.recSize())
-	off := int64(first) * int64(s.recSize())
-	for _, vec := range vecs {
+	buf := make([]byte, 4*s.dim)
+	for i, vec := range vecs {
 		if len(vec) != s.dim {
 			return ErrDim
 		}
-		for i, v := range vec {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		id := first + uint64(i)
+		off, size := s.locate(id)
+		rec := buf[:size]
+		if id < s.base {
+			for j, v := range vec {
+				rec[j] = uint8(v)
+			}
+		} else {
+			for j, v := range vec {
+				binary.LittleEndian.PutUint32(rec[4*j:], math.Float32bits(v))
+			}
 		}
-		if err := s.writeBytes(off, buf); err != nil {
+		if err := s.writeBytes(off, rec); err != nil {
 			return err
 		}
-		off += int64(len(buf))
 	}
 	return nil
 }
@@ -206,6 +300,36 @@ func (s *Store) BuildFrom(vecs [][]float32) error {
 	}
 	s.count += uint64(len(vecs))
 	return s.writeHeader()
+}
+
+// BuildBase is BuildFrom into an empty store, but writes vecs as byte
+// records when every component of every vector is an integer in [0,255]:
+// a property of the input, recorded once, in the header. Later appends
+// are float32 whatever their values.
+func (s *Store) BuildBase(vecs [][]float32) error {
+	if s.count != 0 {
+		return fmt.Errorf("vecstore: byte base on a store of %d records", s.count)
+	}
+	if bytewise(vecs) {
+		s.base = uint64(len(vecs))
+	}
+	if err := s.BuildFrom(vecs); err != nil {
+		s.base = 0
+		return err
+	}
+	return nil
+}
+
+// bytewise reports whether every component round-trips through a uint8.
+func bytewise(vecs [][]float32) bool {
+	for _, v := range vecs {
+		for _, x := range v {
+			if !(x >= 0 && x <= 255 && float32(uint8(x)) == x) {
+				return false
+			}
+		}
+	}
+	return len(vecs) > 0
 }
 
 // AppendAll bulk-appends vecs with crash-safe ordering: every record's
@@ -234,13 +358,13 @@ func (s *Store) AppendAll(vecs [][]float32) error {
 	return s.pgr.Sync()
 }
 
-// ResetCount rewinds the record count to n (n <= Count) and persists
-// the header. Open's crash reconciliation uses it to drop an appended
-// tail whose commit point (the index meta) never landed; the bytes stay
-// in place and are overwritten by the re-run append.
+// ResetCount rewinds the record count to n (base <= n <= Count) and
+// persists the header. Open's crash reconciliation uses it to drop an
+// appended tail whose commit point (the index meta) never landed; the
+// bytes stay in place and are overwritten by the re-run append.
 func (s *Store) ResetCount(n uint64) error {
-	if n > s.count {
-		return fmt.Errorf("vecstore: reset count %d above current %d", n, s.count)
+	if n > s.count || n < s.base {
+		return fmt.Errorf("vecstore: reset count %d outside [%d, %d]", n, s.base, s.count)
 	}
 	if n == s.count {
 		return nil
@@ -255,14 +379,9 @@ func (s *Store) ResetCount(n uint64) error {
 // writeBytes writes buf at the given data-region offset, allocating pages
 // as needed.
 func (s *Store) writeBytes(off int64, buf []byte) error {
-	ps := int64(s.pgr.PageSize())
 	for len(buf) > 0 {
-		pageIdx := pager.PageID(1 + off/ps)
-		inPage := int(off % ps)
-		n := int(ps) - inPage
-		if n > len(buf) {
-			n = len(buf)
-		}
+		pageIdx, inPage := s.pageOf(off)
+		n := min(s.pgr.PageSize()-inPage, len(buf))
 		for uint64(pageIdx) >= s.pgr.PageCount() {
 			pg, err := s.pgr.Alloc()
 			if err != nil {
@@ -284,8 +403,8 @@ func (s *Store) writeBytes(off int64, buf []byte) error {
 	return nil
 }
 
-// Get reads vector id into dst (length Dim) and returns dst; if dst is
-// nil a fresh slice is allocated.
+// Get reads vector id into dst (length Dim) and returns dst, decoding
+// either record width; if dst is nil a fresh slice is allocated.
 func (s *Store) Get(id uint64, dst []float32) ([]float32, error) {
 	if id >= s.count {
 		return nil, fmt.Errorf("%w: %d (have %d)", ErrBadID, id, s.count)
@@ -295,24 +414,22 @@ func (s *Store) Get(id uint64, dst []float32) ([]float32, error) {
 	} else if len(dst) != s.dim {
 		return nil, ErrDim
 	}
-	ps := int64(s.pgr.PageSize())
-	off := int64(id) * int64(s.recSize())
-	remaining := s.recSize()
+	off, remaining := s.locate(id)
 	outIdx := 0
 	var partial [4]byte
 	partialLen := 0
 	for remaining > 0 {
-		pageIdx := pager.PageID(1 + off/ps)
-		inPage := int(off % ps)
-		n := int(ps) - inPage
-		if n > remaining {
-			n = remaining
-		}
-		pg, err := s.pgr.Get(pageIdx)
+		pageIdx, inPage := s.pageOf(off)
+		n := min(s.pgr.PageSize()-inPage, remaining)
+		pv, err := s.pgr.View(pageIdx)
 		if err != nil {
 			return nil, err
 		}
-		chunk := pg.Data[inPage : inPage+n]
+		chunk := pv.Data[inPage : inPage+n]
+		for ; id < s.base && len(chunk) > 0; chunk = chunk[1:] {
+			dst[outIdx] = float32(chunk[0])
+			outIdx++
+		}
 		// Assemble float32 values across the chunk (and page splits).
 		for len(chunk) > 0 {
 			if partialLen > 0 || len(chunk) < 4 {
@@ -332,7 +449,7 @@ func (s *Store) Get(id uint64, dst []float32) ([]float32, error) {
 			outIdx++
 			chunk = chunk[4:]
 		}
-		pg.Release()
+		pv.Release()
 		off += int64(n)
 		remaining -= n
 	}

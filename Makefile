@@ -29,6 +29,7 @@ FUZZ_TARGETS = \
 	FuzzSlotMap:./internal/core \
 	FuzzMeta:./internal/core \
 	FuzzStoreHeader:./internal/vecstore \
+	FuzzTreeFile:./internal/bptree \
 	FuzzDistSqBound:./internal/vecmath \
 	FuzzSort:./internal/radix \
 	FuzzCloserKey:./internal/hilbert

@@ -8,9 +8,10 @@
 // width, which is why the widths are parameters rather than types.
 //
 // Keys sort by bytes.Compare. Duplicate keys are allowed (two objects can
-// share a Hilbert grid cell). Trees are normally bulk-loaded bottom-up —
-// the paper builds its indexes once — but incremental Insert is provided
-// for §3.6 (updates).
+// share a Hilbert grid cell). Trees are write-once: BulkLoad builds each
+// one bottom-up, as the paper builds its indexes, and nothing modifies it
+// afterwards. Updates (§3.6) reach the trees through core's WAL, memtable
+// and compaction, which bulk-loads a new generation.
 package bptree
 
 import (
@@ -42,9 +43,6 @@ var (
 	ErrValueLen  = errors.New("bptree: value length mismatch")
 	ErrNotSorted = errors.New("bptree: bulk load input not sorted")
 	ErrCorrupt   = errors.New("bptree: corrupt node")
-
-	// errNotLeaf is what a descent that lands on a non-leaf page reports.
-	errNotLeaf = fmt.Errorf("%w: expected leaf", ErrCorrupt)
 )
 
 // Config fixes the entry geometry of a tree.
@@ -115,6 +113,11 @@ func Open(pgr *pager.Pager) (*Tree, error) {
 	t.firstLeaf = pager.PageID(binary.BigEndian.Uint64(meta[32:]))
 	t.lastLeaf = pager.PageID(binary.BigEndian.Uint64(meta[40:]))
 	t.extra = append([]byte(nil), meta[headerSize:]...)
+	// Each level holds at least one page, so a descent never pins more
+	// pages than the file has, even through a cycle of corrupt links.
+	if t.height < 1 || uint64(t.height) >= pgr.PageCount() {
+		return nil, fmt.Errorf("%w: height %d in a file of %d pages", ErrCorrupt, t.height, pgr.PageCount())
+	}
 	return t, nil
 }
 
@@ -171,7 +174,7 @@ func (t *Tree) writeHeader() error {
 func (t *Tree) Extra() []byte { return append([]byte(nil), t.extra...) }
 
 // SetExtra stores caller metadata with the tree header; it is persisted
-// on the next Flush (or any structural update).
+// on the next Flush or BulkLoad.
 func (t *Tree) SetExtra(extra []byte) error {
 	t.extra = append([]byte(nil), extra...)
 	return t.writeHeader()
@@ -313,47 +316,38 @@ func (t *Tree) leafLowerBound(data []byte, key []byte) int {
 	return lo
 }
 
-// leafUpperBound returns the first index in the leaf with key > key.
-func (t *Tree) leafUpperBound(data []byte, key []byte) int {
-	n := leafCount(data)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(t.leafKey(data, mid), key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // descend walks from the root to the leaf that should contain key and
-// returns that leaf's page id for the caller to pin (readers View it,
-// Insert Gets it), appending to path, if non-nil, the internal
-// (pageID, childIdx) route taken.
-type pathStep struct {
-	id  pager.PageID
-	idx int
-}
-
-func (t *Tree) descend(key []byte, path *[]pathStep) (pager.PageID, error) {
+// returns that leaf's page id for the caller to pin. Each internal page
+// on the way is checked once, for its type and its separator count, so
+// a corrupt page is an ErrCorrupt rather than a slice out of range.
+func (t *Tree) descend(key []byte) (pager.PageID, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
 		v, err := t.pgr.View(id)
 		if err != nil {
 			return 0, err
 		}
-		if nodeType(v.Data) != pageInternal {
+		if nodeType(v.Data) != pageInternal || internalCount(v.Data) > t.branchCap {
 			v.Release()
-			return 0, fmt.Errorf("%w: expected internal at level %d", ErrCorrupt, level)
+			return 0, fmt.Errorf("%w: page %d is not an internal node within capacity (level %d)", ErrCorrupt, id, level)
 		}
-		idx := t.childIndex(v.Data, key)
-		if path != nil {
-			*path = append(*path, pathStep{id, idx})
-		}
-		id = internalChild(v.Data, idx)
+		id = internalChild(v.Data, t.childIndex(v.Data, key))
 		v.Release()
 	}
 	return id, nil
+}
+
+// viewLeaf pins leaf id after checking, once per page, what every entry
+// access on it relies on: the page is a leaf and its count fits the leaf
+// capacity.
+func (t *Tree) viewLeaf(id pager.PageID) (pager.View, error) {
+	v, err := t.pgr.View(id)
+	if err != nil {
+		return v, err
+	}
+	if nodeType(v.Data) != pageLeaf || leafCount(v.Data) > t.leafCap {
+		v.Release()
+		return pager.View{}, fmt.Errorf("%w: page %d is not a leaf within capacity", ErrCorrupt, id)
+	}
+	return v, nil
 }

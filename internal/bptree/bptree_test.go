@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
-func mkTree(t *testing.T, cfg Config, opts pager.Options) (*Tree, string) {
+func mkTree(t testing.TB, cfg Config, opts pager.Options) (*Tree, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tree.pg")
 	opts.Create = true
@@ -285,82 +287,42 @@ func TestFirstLast(t *testing.T) {
 	}
 }
 
-func TestInsertIncremental(t *testing.T) {
-	tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8}, pager.Options{PageSize: 128})
-	rng := rand.New(rand.NewSource(3))
-	model := make(map[uint64]uint64)
-	for i := 0; i < 2000; i++ {
-		k := uint64(rng.Intn(5000))
-		v := uint64(i)
-		if _, dup := model[k]; dup {
-			continue // value model is last-write; skip dups for simplicity here
+// BulkLoad writes a tree once. Through a pool far smaller than the tree
+// it reads no page back and writes each page exactly once (Writes counts
+// the tree pages plus the one superblock write of the final flush), the
+// file holds nothing but the superblock, the leaves and the internal
+// nodes — the root leaf Create allocated is the first leaf, not an
+// orphan — and a loaded tree refuses a second load.
+func TestBulkLoadWritesEachPageOnce(t *testing.T) {
+	const leafCap = 5
+	for _, count := range []int{0, 1, leafCap, leafCap + 1, 1000} {
+		tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8, LeafCap: leafCap}, pager.Options{PageSize: 256, PoolPages: 8})
+		var kvs []kv
+		for i := 0; i < count; i++ {
+			kvs = append(kvs, kv{uint64(i / 3), uint64(i)})
 		}
-		model[k] = v
-		if err := tr.Insert(u64key(k), u64val(v)); err != nil {
+		_, src := sortedKVs(kvs)
+		tr.pgr.ResetStats()
+		if err := tr.BulkLoad(src); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if tr.Count() != uint64(len(model)) {
-		t.Fatalf("Count = %d, want %d", tr.Count(), len(model))
-	}
-	// Verify full ordered iteration matches the model.
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	i := 0
-	err := tr.Scan(nil, nil, func(k, v []byte) bool {
-		ku := binary.BigEndian.Uint64(k)
-		if ku != keys[i] {
-			t.Fatalf("pos %d key = %d, want %d", i, ku, keys[i])
+		st, pages := tr.pgr.Stats(), tr.pgr.PageCount()
+		if st.Reads != 0 || st.Writes != pages {
+			t.Fatalf("count=%d: %d page reads and %d writes for a file of %d pages, want 0 and %d", count, st.Reads, st.Writes, pages, pages)
 		}
-		if binary.BigEndian.Uint64(v) != model[ku] {
-			t.Fatalf("key %d wrong value", ku)
+		leaves := max(1, (count+leafCap-1)/leafCap)
+		internal := 0
+		for n := leaves; n > 1; internal += n {
+			n = (n + tr.branchCap) / (tr.branchCap + 1)
 		}
-		i++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != len(keys) {
-		t.Fatalf("iterated %d, want %d", i, len(keys))
-	}
-}
-
-func TestInsertIntoBulkLoadedTree(t *testing.T) {
-	// §3.6: updates land in an already-built index.
-	tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8}, pager.Options{PageSize: 128})
-	var src SliceSource
-	for i := 0; i < 500; i++ {
-		src.Keys = append(src.Keys, u64key(uint64(i*2)))
-		src.Values = append(src.Values, u64val(uint64(i)))
-	}
-	if err := tr.BulkLoad(&src); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert(u64key(uint64(i*2+1)), u64val(9999)); err != nil {
-			t.Fatal(err)
+		if want := uint64(1 + leaves + internal); pages != want {
+			t.Fatalf("count=%d: %d pages, want 1 + %d leaves + %d internal nodes = %d", count, pages, leaves, internal, want)
 		}
-	}
-	if tr.Count() != 600 {
-		t.Fatalf("Count = %d, want 600", tr.Count())
-	}
-	prev := int64(-1)
-	n := 0
-	tr.Scan(nil, nil, func(k, v []byte) bool {
-		ku := int64(binary.BigEndian.Uint64(k))
-		if ku <= prev {
-			t.Fatalf("order violated: %d after %d", ku, prev)
+		if count > 0 {
+			if err := tr.BulkLoad(&SliceSource{Keys: [][]byte{u64key(0)}, Values: [][]byte{u64val(0)}}); err == nil {
+				t.Fatalf("count=%d: a second BulkLoad succeeded", count)
+			}
 		}
-		prev = ku
-		n++
-		return true
-	})
-	if n != 600 {
-		t.Fatalf("scanned %d entries, want 600", n)
 	}
 }
 
@@ -435,91 +397,72 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-// Model-based randomized test: a mixture of bulk load and inserts must
-// agree with a sorted slice under iteration and seeks.
+// Model-based randomized test: bulk-loaded trees over several page
+// sizes, leaf capacities and entry counts — partly filled last leaves,
+// runs of duplicate keys across leaf boundaries — must agree with a
+// sorted slice under iteration and seeks, duplicates in load order.
 func TestRandomizedAgainstModel(t *testing.T) {
 	for _, pageSize := range []int{128, 256, 512} {
-		rng := rand.New(rand.NewSource(int64(pageSize)))
-		tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8}, pager.Options{PageSize: pageSize, PoolPages: 8})
-		var kvs []kv
-		for i := 0; i < 400; i++ {
-			kvs = append(kvs, kv{uint64(rng.Intn(10000)), uint64(i)})
-		}
-		_, src := sortedKVs(kvs)
-		if err := tr.BulkLoad(src); err != nil {
-			t.Fatal(err)
-		}
-		model := append([]kv(nil), kvs...)
-		for i := 0; i < 300; i++ {
-			k := uint64(rng.Intn(10000))
-			v := uint64(100000 + i)
-			if err := tr.Insert(u64key(k), u64val(v)); err != nil {
-				t.Fatal(err)
-			}
-			model = append(model, kv{k, v})
-		}
-		sort.SliceStable(model, func(i, j int) bool { return model[i].k < model[j].k })
-
-		// Full iteration must agree on keys (values of duplicates may
-		// interleave between bulk and inserted entries, so compare keys
-		// plus the multiset of values).
-		var gotKeys []uint64
-		gotVals := map[uint64]int{}
-		tr.Scan(nil, nil, func(k, v []byte) bool {
-			gotKeys = append(gotKeys, binary.BigEndian.Uint64(k))
-			gotVals[binary.BigEndian.Uint64(v)]++
-			return true
-		})
-		if len(gotKeys) != len(model) {
-			t.Fatalf("ps=%d: %d entries, want %d", pageSize, len(gotKeys), len(model))
-		}
-		for i := range model {
-			if gotKeys[i] != model[i].k {
-				t.Fatalf("ps=%d pos %d: key %d, want %d", pageSize, i, gotKeys[i], model[i].k)
-			}
-		}
-		for _, e := range model {
-			gotVals[e.v]--
-		}
-		for v, n := range gotVals {
-			if n != 0 {
-				t.Fatalf("ps=%d: value multiset mismatch at %d (%d)", pageSize, v, n)
-			}
-		}
-
-		// Random seeks: cursor lower bound must match model lower bound.
-		for i := 0; i < 200; i++ {
-			target := uint64(rng.Intn(11000))
-			c := tr.NewCursor()
-			if err := c.Seek(u64key(target)); err != nil {
-				t.Fatal(err)
-			}
-			j := sort.Search(len(model), func(i int) bool { return model[i].k >= target })
-			if j == len(model) {
-				if c.Valid() {
-					t.Fatalf("ps=%d: Seek(%d) should be invalid", pageSize, target)
+		for _, leafCap := range []int{1, 3, 0} { // 0 = whatever the page holds
+			for _, count := range []int{0, 1, 7, 400, 701} {
+				rng := rand.New(rand.NewSource(int64(pageSize + 10*leafCap + count)))
+				tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8, LeafCap: leafCap}, pager.Options{PageSize: pageSize, PoolPages: 8})
+				keySpan := count/2 + 1 // about two entries per key
+				var kvs []kv
+				for i := 0; i < count; i++ {
+					kvs = append(kvs, kv{uint64(rng.Intn(keySpan)), uint64(i)})
 				}
-			} else {
-				if !c.Valid() || binary.BigEndian.Uint64(c.Key()) != model[j].k {
-					t.Fatalf("ps=%d: Seek(%d) wrong position", pageSize, target)
+				model, src := sortedKVs(kvs)
+				if err := tr.BulkLoad(src); err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("ps=%d leafCap=%d count=%d", pageSize, leafCap, count)
+
+				var got []kv
+				tr.Scan(nil, nil, func(k, v []byte) bool {
+					got = append(got, kv{binary.BigEndian.Uint64(k), binary.BigEndian.Uint64(v)})
+					return true
+				})
+				if !slices.Equal(got, model) {
+					t.Fatalf("%s: scan disagrees with the model:\n got %v\nwant %v", where, got, model)
+				}
+
+				// Random seeks land on the model's lower bound: the first
+				// of a run of duplicates.
+				for i := 0; i < 200; i++ {
+					target := uint64(rng.Intn(keySpan + 2))
+					c := tr.NewCursor()
+					if err := c.Seek(u64key(target)); err != nil {
+						t.Fatal(err)
+					}
+					j := sort.Search(len(model), func(i int) bool { return model[i].k >= target })
+					if j == len(model) {
+						if c.Valid() {
+							t.Fatalf("%s: Seek(%d) should be invalid", where, target)
+						}
+					} else if !c.Valid() || binary.BigEndian.Uint64(c.Key()) != model[j].k || binary.BigEndian.Uint64(c.Value()) != model[j].v {
+						t.Fatalf("%s: Seek(%d) wrong position", where, target)
+					}
+					c.Close()
 				}
 			}
-			c.Close()
 		}
 	}
 }
 
 func TestKeyValueLenValidation(t *testing.T) {
-	tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 4}, pager.Options{})
-	if err := tr.Insert([]byte{1}, make([]byte, 4)); !errors.Is(err, ErrKeyLen) {
-		t.Error("short key must fail")
-	}
-	if err := tr.Insert(u64key(1), make([]byte, 3)); !errors.Is(err, ErrValueLen) {
-		t.Error("short value must fail")
-	}
-	src := &SliceSource{Keys: [][]byte{{1, 2}}, Values: [][]byte{make([]byte, 4)}}
-	if err := tr.BulkLoad(src); !errors.Is(err, ErrKeyLen) {
-		t.Error("bulk short key must fail")
+	for name, c := range map[string]struct {
+		key, val []byte
+		want     error
+	}{
+		"short key":   {[]byte{1, 2}, make([]byte, 4), ErrKeyLen},
+		"short value": {u64key(1), make([]byte, 3), ErrValueLen},
+	} {
+		tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 4}, pager.Options{})
+		src := &SliceSource{Keys: [][]byte{u64key(0), c.key}, Values: [][]byte{make([]byte, 4), c.val}}
+		if err := tr.BulkLoad(src); !errors.Is(err, c.want) {
+			t.Errorf("%s: BulkLoad = %v, want %v", name, err, c.want)
+		}
 	}
 }
 
@@ -611,25 +554,20 @@ func BenchmarkSeek(b *testing.B) {
 	}
 }
 
-// CheckLeaves passes over bulk-loaded and inserted-into trees and names
-// each way a leaf chain can be wrong while still scanning: a left link
-// that does not point back, a key out of order, a header count that
-// disagrees with the leaves.
+// CheckLeaves passes over a bulk-loaded tree and names each way a leaf
+// chain can be wrong while still scanning: a left link that does not
+// point back, a key out of order, a header count that disagrees with the
+// leaves.
 func TestCheckLeaves(t *testing.T) {
 	build := func(t *testing.T) *Tree {
 		tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 8, LeafCap: 4}, pager.Options{PageSize: 512})
 		var kvs []kv
-		for i := uint64(0); i < 40; i++ {
-			kvs = append(kvs, kv{i / 3 * 10, i}) // runs of equal keys across leaves
+		for i := uint64(0); i < 42; i++ {
+			kvs = append(kvs, kv{i / 3 * 10, i}) // runs of equal keys across leaves, the last leaf half full
 		}
 		_, src := sortedKVs(kvs)
 		if err := tr.BulkLoad(src); err != nil {
 			t.Fatal(err)
-		}
-		for _, k := range []uint64{5, 55, 1000, 0} {
-			if err := tr.Insert(u64key(k), u64val(k)); err != nil {
-				t.Fatal(err)
-			}
 		}
 		return tr
 	}
@@ -639,8 +577,8 @@ func TestCheckLeaves(t *testing.T) {
 		return n, err
 	}
 	tr := build(t)
-	if n, err := count(tr); err != nil || n != 44 {
-		t.Fatalf("healthy tree: %d entries, %v; want 44, nil", n, err)
+	if n, err := count(tr); err != nil || n != 42 {
+		t.Fatalf("healthy tree: %d entries, %v; want 42, nil", n, err)
 	}
 	stop := errors.New("stop")
 	if err := tr.CheckLeaves(func(k, v []byte) error { return stop }); err != stop {

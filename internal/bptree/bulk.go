@@ -2,6 +2,7 @@ package bptree
 
 import (
 	"bytes"
+	"errors"
 
 	"github.com/hd-index/hdindex/internal/pager"
 )
@@ -34,11 +35,25 @@ func (s *SliceSource) Next() (key, value []byte, ok bool) {
 	return k, v, true
 }
 
-// BulkLoad builds the tree bottom-up from a sorted entry stream, replacing
-// any previous content. This mirrors the paper's offline construction
-// (Algorithm 1): leaves are packed to the leaf order Ω left to right, then
-// each internal level is packed on top.
+var errNotFresh = errors.New("bptree: bulk load into a tree that is not fresh (trees are write-once)")
+
+// BulkLoad builds a fresh tree bottom-up from a sorted entry stream. This
+// mirrors the paper's offline construction (Algorithm 1): leaves are
+// packed to the leaf order Ω left to right, then each internal level is
+// packed on top.
+//
+// Trees are write-once. BulkLoad is the only writer, and on a tree that
+// is not fresh it returns an error. The empty root leaf Create allocated
+// becomes the first leaf, and each leaf stays pinned until its right
+// sibling is allocated, so both of its links are set before it is
+// released: every page is written once and none is read back. On empty
+// input the Create leaf stays the root.
 func (t *Tree) BulkLoad(src EntrySource) error {
+	// Fresh is as Create left it: no entries, and the root the empty leaf
+	// that is the file's last page.
+	if t.count != 0 || t.height != 1 || uint64(t.root)+1 != t.pgr.PageCount() {
+		return errNotFresh
+	}
 	type childRef struct {
 		firstKey []byte
 		id       pager.PageID
@@ -47,93 +62,66 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 
 	// ---- leaf level ----
 	var (
-		cur      *pager.Page
-		curN     int
-		prevLeaf pager.PageID
-		prevKey  []byte
-		n        uint64
+		cur     *pager.Page // the leaf being filled, pinned
+		curN    int
+		prevKey []byte
+		n       uint64
 	)
-	t.firstLeaf, t.lastLeaf = 0, 0
-	flushLeaf := func() {
+	defer func() {
+		if cur != nil { // an error left it unfinished
+			cur.Release()
+		}
+	}()
+	finishLeaf := func(right pager.PageID) {
 		setLeafCount(cur.Data, curN)
-		setLeafLeft(cur.Data, prevLeaf)
-		setLeafRight(cur.Data, 0)
+		setLeafRight(cur.Data, right)
 		cur.MarkDirty()
-		prevLeaf = cur.ID
-		t.lastLeaf = cur.ID
 		cur.Release()
-		cur = nil
 	}
 	for {
 		key, val, ok := src.Next()
 		if !ok {
 			break
 		}
-		if len(key) != t.keyLen {
-			if cur != nil {
-				flushLeaf()
-			}
+		switch {
+		case len(key) != t.keyLen:
 			return ErrKeyLen
-		}
-		if len(val) != t.valLen {
-			if cur != nil {
-				flushLeaf()
-			}
+		case len(val) != t.valLen:
 			return ErrValueLen
-		}
-		if prevKey != nil && bytes.Compare(prevKey, key) > 0 {
-			if cur != nil {
-				flushLeaf()
-			}
+		case prevKey != nil && bytes.Compare(prevKey, key) > 0:
 			return ErrNotSorted
 		}
 		prevKey = append(prevKey[:0], key...)
-		if cur == nil {
-			pg, err := t.pgr.Alloc()
+		if cur == nil || curN == t.leafCap {
+			var pg *pager.Page
+			var err error
+			if cur == nil {
+				pg, err = t.pgr.Get(t.root) // the Create leaf, still in the pool
+			} else {
+				pg, err = t.pgr.Alloc()
+			}
 			if err != nil {
 				return err
 			}
 			initLeaf(pg.Data)
-			cur = pg
-			curN = 0
-			if t.firstLeaf == 0 {
-				t.firstLeaf = pg.ID
+			if cur != nil {
+				setLeafLeft(pg.Data, cur.ID)
+				finishLeaf(pg.ID)
 			}
+			cur, curN = pg, 0
 			level = append(level, childRef{firstKey: append([]byte(nil), key...), id: pg.ID})
 		}
 		copy(t.leafKey(cur.Data, curN), key)
 		copy(t.leafVal(cur.Data, curN), val)
 		curN++
 		n++
-		if curN == t.leafCap {
-			flushLeaf()
-		}
 	}
-	if cur != nil {
-		flushLeaf()
-	}
-
-	if len(level) == 0 {
-		// Empty input: a single empty leaf.
-		pg, err := t.pgr.Alloc()
-		if err != nil {
-			return err
-		}
-		initLeaf(pg.Data)
-		pg.MarkDirty()
-		t.root = pg.ID
-		t.firstLeaf, t.lastLeaf = pg.ID, pg.ID
-		t.height = 1
-		t.count = 0
-		pg.Release()
+	if cur == nil {
 		return t.Flush()
 	}
-
-	// Fix up right-sibling links: leaves were chained left-to-right with
-	// left links set; now set right links by walking the chain.
-	if err := t.linkRightSiblings(); err != nil {
-		return err
-	}
+	t.firstLeaf, t.lastLeaf = t.root, cur.ID
+	finishLeaf(0)
+	cur = nil
 
 	// ---- internal levels ----
 	height := 1
@@ -173,23 +161,4 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 	t.height = height
 	t.count = n
 	return t.Flush()
-}
-
-// linkRightSiblings walks the leaf chain backwards using left links and
-// sets the right links.
-func (t *Tree) linkRightSiblings() error {
-	var right pager.PageID
-	id := t.lastLeaf
-	for id != 0 {
-		pg, err := t.pgr.Get(id)
-		if err != nil {
-			return err
-		}
-		setLeafRight(pg.Data, right)
-		pg.MarkDirty()
-		right = id
-		id = leafLeft(pg.Data)
-		pg.Release()
-	}
-	return nil
 }

@@ -48,19 +48,31 @@ func (c *Cursor) Key() []byte { return c.t.leafKey(c.leaf.Data, c.idx) }
 // Value returns the current value (a view into the pinned page).
 func (c *Cursor) Value() []byte { return c.t.leafVal(c.leaf.Data, c.idx) }
 
-// load swaps the pinned leaf for page id, releasing first; id 0 — the
-// end of the sibling chain — leaves the cursor unpinned and invalid.
+// load swaps the pinned leaf for page id, releasing first, and leaves
+// the cursor valid when the leaf holds an entry; id 0 — the end of the
+// sibling chain — leaves it unpinned and invalid. Only an empty tree's
+// root leaf is empty, so a sibling link to an empty leaf is corrupt:
+// each move along the chain is then one hop, never a loop over pages.
 func (c *Cursor) load(id pager.PageID) error {
 	c.Close()
 	if id == 0 {
 		return nil
 	}
-	v, err := c.t.pgr.View(id)
+	v, err := c.t.viewLeaf(id)
 	if err != nil {
 		return err
 	}
-	c.leaf, c.id = v, id
+	c.leaf, c.id, c.valid = v, id, leafCount(v.Data) > 0
 	return nil
+}
+
+// hop moves to the sibling leaf id, which must hold an entry (see load).
+func (c *Cursor) hop(id pager.PageID) error {
+	if err := c.load(id); err != nil || c.valid || c.id == 0 {
+		return err
+	}
+	c.Close()
+	return fmt.Errorf("%w: empty leaf %d on the sibling chain", ErrCorrupt, id)
 }
 
 // Seek positions the cursor at the first entry with key >= target
@@ -69,39 +81,35 @@ func (c *Cursor) load(id pager.PageID) error {
 // cursor. Returns any I/O error.
 func (c *Cursor) Seek(target []byte) error {
 	c.Close()
-	id, err := c.t.descend(target, nil)
+	id, err := c.t.descend(target)
 	if err != nil {
 		return err
 	}
-	if c.leaf, err = c.t.pgr.View(id); err != nil {
+	if c.leaf, err = c.t.viewLeaf(id); err != nil {
 		return err
 	}
 	c.id = id
-	if nodeType(c.leaf.Data) != pageLeaf {
-		c.Close()
-		return errNotLeaf
-	}
 	c.idx = c.t.leafLowerBound(c.leaf.Data, target)
 	if c.idx == leafCount(c.leaf.Data) {
 		// All entries here are < target; the lower bound is the first
 		// entry of the right sibling (or nothing).
-		if err := c.load(leafRight(c.leaf.Data)); err != nil {
-			return err
-		}
 		c.idx = 0
-		c.valid = c.id != 0 && leafCount(c.leaf.Data) > 0
-		return nil
+		return c.hop(leafRight(c.leaf.Data))
 	}
 	c.valid = true
 	// Duplicates equal to target may extend into the left sibling when a
 	// run of equal keys spans a leaf boundary; walk back to the true
-	// lower bound.
-	for c.idx == 0 {
+	// lower bound. A walk longer than the file has pages has met a cycle
+	// of corrupt links.
+	for hops := uint64(0); c.idx == 0; hops++ {
 		leftID := leafLeft(c.leaf.Data)
 		if leftID == 0 {
 			break
 		}
-		lv, err := c.t.pgr.View(leftID)
+		if hops == c.t.pgr.PageCount() {
+			return fmt.Errorf("%w: the left links from leaf %d form a cycle", ErrCorrupt, c.id)
+		}
+		lv, err := c.t.viewLeaf(leftID)
 		if err != nil {
 			return err
 		}
@@ -119,34 +127,17 @@ func (c *Cursor) Seek(target []byte) error {
 
 // First positions the cursor at the smallest entry.
 func (c *Cursor) First() error {
-	if err := c.load(c.t.firstLeaf); err != nil {
-		return err
-	}
-	for c.id != 0 && leafCount(c.leaf.Data) == 0 {
-		if err := c.load(leafRight(c.leaf.Data)); err != nil {
-			return err
-		}
-	}
 	c.idx = 0
-	c.valid = c.id != 0
-	return nil
+	return c.load(c.t.firstLeaf)
 }
 
 // Last positions the cursor at the largest entry.
 func (c *Cursor) Last() error {
-	if err := c.load(c.t.lastLeaf); err != nil {
-		return err
-	}
-	for c.id != 0 && leafCount(c.leaf.Data) == 0 {
-		if err := c.load(leafLeft(c.leaf.Data)); err != nil {
-			return err
-		}
-	}
-	if c.id != 0 {
+	err := c.load(c.t.lastLeaf)
+	if c.valid {
 		c.idx = leafCount(c.leaf.Data) - 1
-		c.valid = true
 	}
-	return nil
+	return err
 }
 
 // Next advances to the next entry in key order; the cursor becomes
@@ -155,15 +146,11 @@ func (c *Cursor) Next() error {
 	if !c.valid {
 		return nil
 	}
-	c.idx++
-	for c.idx >= leafCount(c.leaf.Data) {
-		if err := c.load(leafRight(c.leaf.Data)); err != nil || c.id == 0 {
-			return err
-		}
-		c.idx = 0
+	if c.idx++; c.idx < leafCount(c.leaf.Data) {
+		return nil
 	}
-	c.valid = true
-	return nil
+	c.idx = 0
+	return c.hop(leafRight(c.leaf.Data))
 }
 
 // Prev moves to the previous entry in key order; the cursor becomes
@@ -172,15 +159,14 @@ func (c *Cursor) Prev() error {
 	if !c.valid {
 		return nil
 	}
-	c.idx--
-	for c.idx < 0 {
-		if err := c.load(leafLeft(c.leaf.Data)); err != nil || c.id == 0 {
-			return err
-		}
+	if c.idx--; c.idx >= 0 {
+		return nil
+	}
+	err := c.hop(leafLeft(c.leaf.Data))
+	if c.valid {
 		c.idx = leafCount(c.leaf.Data) - 1
 	}
-	c.valid = true
-	return nil
+	return err
 }
 
 // advance moves the cursor run >= 1 entries on in direction step (+1 or

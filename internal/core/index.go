@@ -559,8 +559,8 @@ func (ix *Index) ResetIOStats() {
 // Flush persists all dirty state to disk: tree and vector-store pages,
 // the meta descriptor, the deletion marks, and an fsync of the WAL.
 // The ingest path does not need it for durability (acknowledged writes
-// are WAL-durable already); it remains the explicit writeback for
-// test-path tree mutations and a convenient full-sync barrier.
+// are WAL-durable already, and tree files are written once, by the
+// build or a compaction); it remains a convenient full-sync barrier.
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
 	var err error

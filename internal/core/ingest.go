@@ -213,41 +213,6 @@ func (ix *Index) Insert(vec []float32) (uint64, error) {
 	return id, nil
 }
 
-// insertDirect is the pre-WAL insert path — vector-store append plus
-// one in-place tree insert per partition — kept for the equivalence
-// tests, which pin the ingest pipeline (Insert + Compact) against it.
-// It bypasses the WAL and the memtable entirely, so it must only run
-// on an index with an empty memtable and requires an explicit Flush
-// for durability, exactly like the old API.
-func (ix *Index) insertDirect(vec []float32) (uint64, error) {
-	if len(vec) != ix.nu {
-		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", ErrDimMismatch, len(vec), ix.nu)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.mem) > 0 {
-		return 0, errors.New("core: insertDirect with non-empty memtable")
-	}
-	id, err := ix.vectors.Append(vec)
-	if err != nil {
-		return 0, err
-	}
-	rd := make([]float32, ix.params.M)
-	for r, rv := range ix.refs {
-		rd[r] = float32(vecmath.Dist(vec, rv))
-	}
-	coords := make([]uint32, ix.eta)
-	for t := 0; t < ix.params.Tau; t++ {
-		start := t * ix.eta
-		ix.quants[t].Coords(coords, vec[start:start+ix.eta])
-		key := ix.curves[t].Encode(nil, coords)
-		if err := ix.trees[t].Insert(key, id, rd); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
-}
-
 // replayRecord rebuilds the in-memory ingest state from one WAL record
 // during Open. Insert records below the committed count were already
 // compacted (the crash hit between the meta commit and the WAL

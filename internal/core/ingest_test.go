@@ -299,49 +299,6 @@ func TestInsertThenCompactEqualsOneShotBuild(t *testing.T) {
 	}
 }
 
-// At non-exhaustive settings, compaction's bulk merge must index the
-// tail exactly as the legacy in-place insert path did: both indexes hold
-// the same (key, id, refdists) entries, so queries are bit-identical.
-func TestCompactionMatchesDirectInsert(t *testing.T) {
-	ds := data.Generate(data.Config{Name: "dir", N: 700, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 71})
-	queries := ds.PerturbedQueries(10, 0.02, 72)
-	p := ingestParams()
-
-	viaWAL, err := Build(filepath.Join(t.TempDir(), "wal"), ds.Vectors[:600], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaWAL.Close()
-	viaDirect, err := Build(filepath.Join(t.TempDir(), "direct"), ds.Vectors[:600], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaDirect.Close()
-
-	for _, v := range ds.Vectors[600:] {
-		if _, err := viaWAL.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := viaDirect.insertDirect(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := viaWAL.Compact(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		a, _, err := viaWAL.Query(context.Background(), q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := viaDirect.Query(context.Background(), q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("query %d compacted vs direct-insert", qi), a, b)
-	}
-}
-
 // Compacting twice (second time with an empty memtable) and crashing
 // after a compaction must both be harmless.
 func TestCompactIdempotentAndDurable(t *testing.T) {

@@ -159,34 +159,6 @@ func TestBulkLoadArenaEmpty(t *testing.T) {
 	}
 }
 
-// TestInsertNoAlloc pins the write-path satellite: after warm-up,
-// Insert's value encoding reuses the tree's scratch buffer.
-func TestInsertNoAlloc(t *testing.T) {
-	cfg := Config{Eta: 16, Omega: 8, M: 4}
-	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "ins.pg"), cfg, 4096)
-	defer pgr.Close()
-	rd := []float32{1, 2, 3, 4}
-	key := make([]byte, cfg.KeyLen())
-	put := func(i uint64) {
-		for b := range key {
-			key[b] = byte(i >> (8 * uint(len(key)-1-b)))
-		}
-		if err := tr.Insert(key, i, rd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(0) // warm-up allocates the scratch and the first leaf split path
-	allocs := testing.AllocsPerRun(50, func() {
-		put(1) // same key each run: no page splits, pure encode+insert
-	})
-	// The bptree layer itself still allocates (descend path, header
-	// write); the bound asserts only that rdbtree's per-call value
-	// buffer is gone — with it, the same loop measured 4.
-	if allocs > 3 {
-		t.Fatalf("Insert allocates %.1f objects/op, want <= 3", allocs)
-	}
-}
-
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)

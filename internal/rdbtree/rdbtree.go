@@ -62,11 +62,6 @@ type Entry struct {
 type Tree struct {
 	bt  *bptree.Tree
 	cfg Config
-	// valBuf is Insert's value-encoding scratch, reused across calls so
-	// the single-object write path allocates nothing. Insert already
-	// requires external serialisation (core holds its write lock), so
-	// the shared buffer adds no new constraint.
-	valBuf []byte
 }
 
 // Create initialises an empty RDB-tree in a fresh pager file.
@@ -248,19 +243,6 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 	}
 	s.t.encodeValue(s.buf, id, s.rdist[row*m:(row+1)*m])
 	return s.keys[row*kl : (row+1)*kl], s.buf, true
-}
-
-// Insert adds a single object (§3.6 updates). Not safe for concurrent
-// use with itself (callers already serialise writes).
-func (t *Tree) Insert(key []byte, id uint64, refDists []float32) error {
-	if len(refDists) != t.cfg.M {
-		return fmt.Errorf("rdbtree: got %d reference distances, want %d", len(refDists), t.cfg.M)
-	}
-	if t.valBuf == nil {
-		t.valBuf = make([]byte, t.cfg.ValLen())
-	}
-	t.encodeValue(t.valBuf, id, refDists)
-	return t.bt.Insert(key, t.valBuf)
 }
 
 // WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest

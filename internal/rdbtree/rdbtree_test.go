@@ -56,7 +56,6 @@ func TestSearchThroughTinyPool(t *testing.T) {
 	t.Run("TieGoesRight", TestSearchNearestTieGoesRight)
 	t.Run("AtExtremes", TestSearchNearestAtExtremes)
 	t.Run("AgainstBruteForce", TestSearchNearestAgainstBruteForce)
-	t.Run("InsertThenSearch", TestInsertThenSearch)
 }
 
 func mkRDB(t *testing.T, cfg Config, pageSize int) (*Tree, string) {
@@ -268,29 +267,6 @@ func TestSearchNearestAgainstBruteForce(t *testing.T) {
 				t.Fatalf("trial %d pos %d: id %d, want %d (q=%d)", trial, i, got[i].ID, idx[i], q)
 			}
 		}
-	}
-}
-
-func TestInsertThenSearch(t *testing.T) {
-	cfg := Config{Eta: 16, Omega: 8, M: 2}
-	tr, _ := mkRDB(t, cfg, 512)
-	if err := tr.BulkLoad(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := tr.Insert(key16(uint64(i*3)), uint64(i), []float32{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := nearest(tr, key16(300), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != 100 {
-		t.Fatalf("nearest to 300 = %d, want 100", got[0].ID)
-	}
-	if err := tr.Insert(key16(1), 999, []float32{1}); err == nil {
-		t.Fatal("wrong refdist count must fail")
 	}
 }
 

@@ -32,7 +32,8 @@ FUZZ_TARGETS = \
 	FuzzTreeFile:./internal/bptree \
 	FuzzDistSqBound:./internal/vecmath \
 	FuzzSort:./internal/radix \
-	FuzzCloserKey:./internal/hilbert
+	FuzzCloserKey:./internal/hilbert \
+	FuzzWALReplay:./internal/wal
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -56,9 +57,12 @@ crash:
 # EIO, goroutine-leak checks, the 4× overload storm, and tenant
 # throttling (the chaos CI job). HD_CHAOS turns on the storm's two
 # wall-clock assertions (shed latency, accepted p99), which tier-1 skips.
+# A query's helper goroutines are checked ten times over: none outlives
+# Query on success, cancellation, EIO or a corrupt tree page.
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/
+	$(GO) test -race -count=10 -run '^TestFaultQueryHelpersExit$$' ./internal/core/
 
 # Cluster robustness suite under the race detector: the coordinator's
 # equivalence/failover/hedging tests, the netfault flaky-TCP proxy
@@ -77,14 +81,15 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# What CI runs: one iteration per experiment plus core micro-benchmarks,
-# and the tree walk's three (selection, direction test, leaf-chain walk)
+# What CI runs: one iteration per experiment plus core micro-benchmarks
+# at -cpu 1,2 (a query alone on one CPU, and with a helper on the
+# idle one), and the tree walk's three (selection, direction test, leaf-chain walk)
 # and the pool's two (a miss, alone and in parallel) so they keep
 # compiling. BenchmarkRefinePages builds nine 50 K-vector indexes to count
 # the vector pages a query touches per store layout, so it runs once.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-	$(GO) test -bench=. -skip=RefinePages -benchtime=50x -run='^$$' ./internal/core/
+	$(GO) test -bench=. -skip=RefinePages -benchtime=50x -cpu 1,2 -run='^$$' ./internal/core/
 	$(GO) test -bench=RefinePages -benchtime=1x -run='^$$' ./internal/core/
 	$(GO) test -bench='SelectK4096to1024|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
 	$(GO) test -bench='ViewMiss' -benchtime=1x -benchmem -run='^$$' ./internal/pager/

@@ -16,6 +16,10 @@
 //
 // SIGINT/SIGTERM drain in-flight requests, flush the index, and exit.
 //
+// A query's tree walks and refinement take helper goroutines only onto
+// CPUs no other query holds, so one client's query uses the idle cores
+// and a loaded server runs each query on one goroutine.
+//
 // Quality tiers: -preset sets the server default quality preset,
 // -tiers maps X-Tenant values to tiers (preset + admission shares),
 // and -slo "recall>=0.98" -frontier frontier.json runs the auto-tuner,
@@ -82,8 +86,6 @@ type config struct {
 func parseFlags(args []string, stderr io.Writer) (config, error) {
 	c := config{
 		coordinator: slices.Contains(args, "-coordinator") || slices.Contains(args, "--coordinator"),
-		// One query's trees are always searched concurrently.
-		index: hdindex.Options{Parallel: true},
 	}
 	if err := c.flagSet(stderr).Parse(args); err != nil {
 		return c, err

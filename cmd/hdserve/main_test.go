@@ -55,7 +55,7 @@ func TestZeroArgsYieldZeroConfigs(t *testing.T) {
 	if want := (server.Config{QueryTimeout: 2 * time.Second, MaxK: 1000, MaxBatch: 4096}); !reflect.DeepEqual(c.server, want) {
 		t.Errorf("server.Config %+v, want %+v", c.server, want)
 	}
-	if want := (hdindex.Options{Parallel: true}); c.index != want {
+	if want := (hdindex.Options{}); c.index != want {
 		t.Errorf("hdindex.Options %+v, want %+v", c.index, want)
 	}
 	if !reflect.DeepEqual(c.cluster, cluster.Options{}) {

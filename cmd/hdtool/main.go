@@ -56,7 +56,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   hdtool build -data vectors.fvecs -index DIR [-shards N] [-tau N -omega N -m N -alpha N -gamma N -ptolemaic]
-  hdtool query -index DIR -queries q.fvecs -k K [-out results.ivecs] [-parallel]
+  hdtool query -index DIR -queries q.fvecs -k K [-out results.ivecs]
                [-alpha N -gamma N -ptolemaic=BOOL -stats]
   hdtool info  -index DIR
   hdtool check DIR
@@ -123,7 +123,6 @@ func runQuery(args []string) error {
 	queriesPath := fs.String("queries", "", "fvecs file with queries")
 	k := fs.Int("k", 10, "neighbours to return")
 	out := fs.String("out", "", "optional ivecs output of result ids")
-	parallel := fs.Bool("parallel", false, "search trees in parallel")
 	alpha := fs.Int("alpha", 0, "per-query override of the leaf candidates per tree (0 = built default)")
 	gamma := fs.Int("gamma", 0, "per-query override of the filter survivors per tree (0 = built default)")
 	pto := fs.Bool("ptolemaic", false, "per-query Ptolemaic filter override (only applied when the flag is given)")
@@ -156,7 +155,7 @@ func runQuery(args []string) error {
 	if *stats {
 		opts = append(opts, hdindex.WithStats())
 	}
-	ix, err := hdindex.Open(*indexDir, hdindex.Options{Parallel: *parallel})
+	ix, err := hdindex.Open(*indexDir, hdindex.Options{})
 	if err != nil {
 		return err
 	}

@@ -60,8 +60,6 @@ type Options struct {
 	// UsePtolemaic enables the Ptolemaic filter (§5.2.5): better MAP for
 	// the same I/O, roughly doubled CPU time.
 	UsePtolemaic bool
-	// Parallel searches the τ trees concurrently.
-	Parallel bool
 	// BatchWorkers bounds the QueryBatch fan-out: at most this many
 	// queries run concurrently (0 = GOMAXPROCS).
 	BatchWorkers int
@@ -217,7 +215,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 			Beta:         o.Beta,
 			Gamma:        o.Gamma,
 			UsePtolemaic: o.UsePtolemaic,
-			Parallel:     o.Parallel,
 			BatchWorkers: o.BatchWorkers,
 			BuildWorkers: o.BuildWorkers,
 			DisableCache: o.DisableCache,
@@ -244,7 +241,6 @@ func Open(dir string, o Options) (*Index, error) {
 	sh, err := shard.Open(dir, core.OpenOptions{
 		PoolPages:    o.PoolPages,
 		DisableCache: o.DisableCache,
-		Parallel:     o.Parallel,
 		BatchWorkers: o.BatchWorkers,
 
 		WALSyncInterval:    o.WALSyncInterval,

@@ -78,7 +78,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Reopen.
-	re, err := Open(dir, Options{Parallel: true})
+	re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
@@ -86,27 +87,49 @@ func AblationCurve(out io.Writer, cfg Config) error {
 }
 
 // AblationParallel measures the trivial parallelisation across trees the
-// paper notes in §5.2.8.
+// paper notes in §5.2.8 on one built index: at GOMAXPROCS(1) a query
+// recruits no helper and runs its trees and refinement on one goroutine;
+// at the default it takes a helper onto every idle CPU.
 func AblationParallel(out io.Writer, cfg Config) error {
 	cfg.defaults()
 	cfg.K = 10
 	spec, _ := SpecByName("SIFT1M")
 	w := MakeWorkload(spec, cfg)
-	fmt.Fprintln(out, "\nAblation (§5.2.8): sequential vs parallel tree search (SIFT1M)")
-	t := NewTable(out, "mode", "query ms", "MAP@10")
-	for _, parallel := range []bool{false, true} {
-		p := HDParams(spec, len(w.Data.Vectors))
-		p.Parallel = parallel
-		p.Seed = cfg.Seed
-		mode := "sequential"
-		if parallel {
-			mode = "parallel"
+	fmt.Fprintln(out, "\nAblation (§5.2.8): one goroutine vs idle-core helpers per query (SIFT1M)")
+	p := HDParams(spec, len(w.Data.Vectors))
+	p.Seed = cfg.Seed
+	ix, err := core.Build(filepath.Join(cfg.WorkDir, "abl-par"), w.Data.Vectors, p)
+	if err != nil {
+		return err
+	}
+	defer ix.Close()
+	run := func(procs int) (ms, mapv float64, err error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		got := make([][]uint64, len(w.Queries))
+		t0 := time.Now()
+		for qi, q := range w.Queries {
+			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
+			if err != nil {
+				return 0, 0, err
+			}
+			for _, r := range res {
+				got[qi] = append(got[qi], r.ID)
+			}
 		}
-		r, err := runHD(w, filepath.Join(cfg.WorkDir, "abl-par", mode), p, 10)
+		ms = float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
+		return ms, mapOf(got, w.TruthIDs, 10), nil
+	}
+	// An untimed pass first, so both rows read from a warm pool.
+	if _, _, err := run(runtime.GOMAXPROCS(0)); err != nil {
+		return err
+	}
+	t := NewTable(out, "GOMAXPROCS", "query ms", "MAP@10")
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		ms, mapv, err := run(procs)
 		if err != nil {
 			return err
 		}
-		t.Row(mode, r.AvgQueryMS, r.MAP)
+		t.Row(procs, ms, mapv)
 	}
 	t.Flush()
 	return nil

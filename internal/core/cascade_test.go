@@ -124,8 +124,7 @@ func TestCascadeMatchesReferencePipeline(t *testing.T) {
 	}
 	for name, o := range shapes {
 		t.Run(name, func(t *testing.T) {
-			for _, parallel := range []bool{false, true} {
-				ix.params.Parallel = parallel
+			eachHelperCount(p.Tau, func(int) {
 				for qi, q := range queries {
 					want, wantCand := naiveSearchWith(t, ix, q, 10, o, func(tr int, qdist []float64, plan searchPlan) []uint64 {
 						return trees.referenceTree(ix, tr, q, qdist, plan)
@@ -139,7 +138,7 @@ func TestCascadeMatchesReferencePipeline(t *testing.T) {
 					}
 					assertSameResults(t, qi, got, st, want, wantCand)
 				}
-			}
+			})
 		})
 	}
 }

@@ -270,35 +270,6 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	ds := data.Generate(data.Config{N: 1000, Dim: 32, Lo: 0, Hi: 1, Seed: 41})
-	queries := ds.PerturbedQueries(10, 0.02, 42)
-	dir := filepath.Join(t.TempDir(), "ix")
-	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 43}
-	ix, err := Build(dir, ds.Vectors, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	for _, q := range queries {
-		ix.params.Parallel = false
-		seq, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.params.Parallel = true
-		par, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatal("parallel result differs from sequential")
-			}
-		}
-	}
-}
-
 func TestInsertAfterBuild(t *testing.T) {
 	ds := data.Generate(data.Config{N: 500, Dim: 16, Lo: 0, Hi: 1, Seed: 51})
 	dir := filepath.Join(t.TempDir(), "ix")

@@ -95,10 +95,10 @@ func assertSameResults(t *testing.T, q int, got []Result, st *QueryStats, want [
 
 // Random clustered data: the common case.
 func TestRefineEquivalenceRandom(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 256, Gamma: 64, Parallel: parallel, Seed: 7}
-		ix, ds, _ := buildSmall(t, 2000, p)
-		queries := ds.PerturbedQueries(25, 0.02, 11)
+	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 256, Gamma: 64, Seed: 7}
+	ix, ds, _ := buildSmall(t, 2000, p)
+	queries := ds.PerturbedQueries(25, 0.02, 11)
+	eachHelperCount(p.Tau, func(int) {
 		for _, k := range []int{1, 5, 20} {
 			for qi, q := range queries {
 				want, wantCand := naiveSearch(t, ix, q, k)
@@ -109,8 +109,7 @@ func TestRefineEquivalenceRandom(t *testing.T) {
 				assertSameResults(t, qi, got, st, want, wantCand)
 			}
 		}
-		ix.Close()
-	}
+	})
 }
 
 // Adversarial ties: every vector duplicated many times, queries sitting

@@ -302,7 +302,6 @@ func decodeMeta(buf []byte) (metaJSON, error) {
 type OpenOptions struct {
 	PoolPages    int  // buffer-pool pages per file; 0 keeps the build-time value
 	DisableCache bool // paper's caching-off protocol
-	Parallel     bool // search trees concurrently
 	BatchWorkers int  // QueryBatch fan-out bound; 0 = GOMAXPROCS
 
 	// WALSyncInterval selects the ingest durability discipline: 0 group-
@@ -333,7 +332,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 		p.PoolPages = opts.PoolPages
 	}
 	p.DisableCache = opts.DisableCache
-	p.Parallel = opts.Parallel
 	p.BatchWorkers = opts.BatchWorkers
 	p.WALSyncInterval = opts.WALSyncInterval
 	p.MemtableMaxVectors = opts.MemtableMaxVectors

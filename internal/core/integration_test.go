@@ -15,7 +15,7 @@ func TestConcurrentSearches(t *testing.T) {
 	ds := data.Generate(data.Config{N: 1500, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 91})
 	queries := ds.PerturbedQueries(16, 0.01, 92)
 	dir := filepath.Join(t.TempDir(), "ix")
-	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Parallel: true, Seed: 93}
+	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 93}
 	ix, err := Build(dir, ds.Vectors, p)
 	if err != nil {
 		t.Fatal(err)

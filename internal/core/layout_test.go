@@ -154,29 +154,22 @@ func layoutEquivalence(t *testing.T, cfg data.Config, c, delta float32) {
 	compare := func(stage string) {
 		t.Helper()
 		for name, o := range shapes {
-			for _, parallel := range []bool{false, true} {
+			eachHelperCount(p.Tau, func(procs int) {
 				for qi, q := range queries {
 					var res [2][]Result
 					var sts [2]*QueryStats
 					for i, clustered := range []bool{false, true} {
 						ix := ixs[clustered]
-						ix.params.Parallel = parallel
 						var err error
 						if res[i], sts[i], err = ix.Query(context.Background(), q, 10, o); err != nil {
 							t.Fatal(err)
 						}
 					}
-					label := fmt.Sprintf("%s, %s, parallel=%v, query %d", stage, name, parallel, qi)
+					label := fmt.Sprintf("%s, %s, GOMAXPROCS %d, query %d: clustered vs identity layout", stage, name, procs, qi)
 					requireIdentical(t, label, res[1], res[0])
-					a, b := sts[0], sts[1]
-					if a.Candidates != b.Candidates || a.ExactDistances != b.ExactDistances ||
-						a.TreeEntries != b.TreeEntries || a.MemtableScanned != b.MemtableScanned {
-						t.Fatalf("%s: work differs: identity %d candidates / %d distances / %d entries / %d memtable, clustered %d / %d / %d / %d",
-							label, a.Candidates, a.ExactDistances, a.TreeEntries, a.MemtableScanned,
-							b.Candidates, b.ExactDistances, b.TreeEntries, b.MemtableScanned)
-					}
+					requireSameWork(t, label, sts[1], sts[0])
 				}
-			}
+			})
 		}
 		// The tie: at k = 5 the centre's answer is the five smallest live
 		// ids of the group visible so far, all at the one distance.

@@ -79,7 +79,7 @@ func (r *modelRun) params() Params {
 }
 
 func (r *modelRun) openOptions() OpenOptions {
-	return OpenOptions{MemtableMaxVectors: 1 << 20, Parallel: r.rng.Intn(2) == 0}
+	return OpenOptions{MemtableMaxVectors: 1 << 20}
 }
 
 func (r *modelRun) failf(format string, args ...any) {
@@ -235,35 +235,37 @@ func (r *modelRun) verifyCounts() {
 	}
 }
 
-// query asks one exhaustive question and compares with the brute-force
-// answer over the oracle.
+// query asks one exhaustive question, with and without helpers, and
+// compares with the brute-force answer over the oracle.
 func (r *modelRun) query() {
 	q := r.someVector()
 	k := 1 + r.rng.Intn(12)
 	n := max(len(r.m.vecs), k)
-	got, st, err := r.ix.Query(context.Background(), q, k, SearchOptions{Alpha: n, Gamma: n})
 	r.logf("Query(%v, k=%d)", q, k)
-	if err != nil {
-		r.failf("Query: %v", err)
-	}
 	want := bruteForce(r.m.vecs, r.m.dead(), q, k)
-	if len(got) != len(want) {
-		r.failf("Query returned %d results, oracle %d\n got  %+v\n want %+v", len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-			r.failf("Query rank %d: got %+v, oracle %+v\n got  %+v\n want %+v", i, got[i], want[i], got, want)
+	eachHelperCount(r.params().Tau, func(procs int) {
+		got, st, err := r.ix.Query(context.Background(), q, k, SearchOptions{Alpha: n, Gamma: n})
+		if err != nil {
+			r.failf("Query at GOMAXPROCS %d: %v", procs, err)
 		}
-	}
-	// Exhaustive means exhaustive: every object the trees still hold is a
-	// candidate, every memtable entry is scanned.
-	if wantCand := len(r.m.vecs) - r.m.mem - len(r.m.purged); st.Candidates != wantCand {
-		r.failf("Query saw %d tree candidates, oracle expects %d (= %d objects - %d in the memtable - %d purged)",
-			st.Candidates, wantCand, len(r.m.vecs), r.m.mem, len(r.m.purged))
-	}
-	if st.MemtableScanned > r.m.mem {
-		r.failf("Query scanned %d memtable entries, the memtable holds %d", st.MemtableScanned, r.m.mem)
-	}
+		if len(got) != len(want) {
+			r.failf("Query at GOMAXPROCS %d returned %d results, oracle %d\n got  %+v\n want %+v", procs, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				r.failf("Query at GOMAXPROCS %d, rank %d: got %+v, oracle %+v\n got  %+v\n want %+v", procs, i, got[i], want[i], got, want)
+			}
+		}
+		// Exhaustive means exhaustive: every object the trees still hold is
+		// a candidate, every memtable entry is scanned.
+		if wantCand := len(r.m.vecs) - r.m.mem - len(r.m.purged); st.Candidates != wantCand {
+			r.failf("Query saw %d tree candidates, oracle expects %d (= %d objects - %d in the memtable - %d purged)",
+				st.Candidates, wantCand, len(r.m.vecs), r.m.mem, len(r.m.purged))
+		}
+		if st.MemtableScanned > r.m.mem {
+			r.failf("Query scanned %d memtable entries, the memtable holds %d", st.MemtableScanned, r.m.mem)
+		}
+	})
 }
 
 func TestModelAgainstBruteForceOracle(t *testing.T) {

@@ -28,9 +28,9 @@ const (
 	PtolemaicOff
 )
 
-// maxKnob bounds explicit per-query α/β/γ/MaxCandidates values. The
-// limit is far above any sensible operating point (the paper peaks at
-// α = 8192); it exists so a garbage request cannot coerce the scratch
+// maxKnob bounds k and explicit per-query α/β/γ/MaxCandidates values.
+// The limit is far above any sensible operating point (the paper peaks
+// at α = 8192); it exists so a garbage request cannot coerce the scratch
 // buffers into multi-gigabyte allocations.
 const maxKnob = 1 << 24
 
@@ -102,6 +102,9 @@ func (ix *Index) ValidateOptions(k int, o SearchOptions) error {
 func (ix *Index) planFor(k int, o SearchOptions) (searchPlan, error) {
 	if k < 1 {
 		return searchPlan{}, badOptions("k must be >= 1, got %d", k)
+	}
+	if k > maxKnob {
+		return searchPlan{}, badOptions("k = %d exceeds the limit %d", k, maxKnob)
 	}
 	for _, knob := range []struct {
 		name string

@@ -55,9 +55,6 @@ type Params struct {
 	// DisableCache turns the buffer pool off so every page touch is a
 	// physical read — the paper's "caching effects off" protocol (§5).
 	DisableCache bool
-	// Parallel searches the τ trees concurrently (§5.2.8 notes HD-Index
-	// parallelises trivially across its independent trees).
-	Parallel bool
 
 	// BatchWorkers bounds the QueryBatch fan-out: at most this many
 	// queries run concurrently. 0 means GOMAXPROCS.

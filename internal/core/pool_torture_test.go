@@ -13,7 +13,7 @@ import (
 // Release reads another page's bytes. One fixed-seed index is built and
 // served through 8-page pools — one frame per stripe: every released
 // frame is overwritten by the next miss in its stripe — and through
-// pools that hold every page. Query, sequential and Parallel, and a
+// pools that hold every page. Query, with and without helpers, and a
 // four-worker QueryBatch must answer as the in-memory reference pipeline
 // does (ids, distances, order, candidate count) at both sizes, in quiet
 // and then beside a writer that inserts, deletes and compacts. The
@@ -71,14 +71,12 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 				assertSameResults(t, qi, batch[qi], sts[qi], want[o][qi].res, want[o][qi].cand)
 			}
 		}
-		for _, parallel := range []bool{false, true} {
-			ix.params.Parallel = parallel
+		eachHelperCount(p.Tau, func(int) {
 			for _, o := range shapes {
 				verify(o)
 			}
-		}
-		for _, parallel := range []bool{false, true} {
-			ix.params.Parallel = parallel
+		})
+		eachHelperCount(p.Tau, func(int) {
 			var compactions atomic.Int32
 			stop, writer := make(chan struct{}), make(chan error, 1)
 			go func() {
@@ -114,6 +112,6 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 			if err := <-writer; err != nil {
 				t.Fatal(err)
 			}
-		}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"sync"
 
 	"github.com/hd-index/hdindex/internal/topk"
@@ -16,8 +18,15 @@ import (
 
 // searchScratch is the per-query state of Query.
 type searchScratch struct {
+	// The query's inputs, read by the helper goroutines its two split
+	// phases recruit (treeWalks, refineRuns); cleared when the scratch
+	// returns to the pool.
+	ix   *Index
+	ctx  context.Context
+	q    []float32
+	plan searchPlan
+
 	qdist   []float64
-	vec     []float32
 	perTree [][]uint64
 	// treeIDs holds one reusable slot buffer per tree: searchTree appends
 	// its surviving slots into treeIDs[t][:0] and the (possibly regrown)
@@ -38,8 +47,20 @@ type searchScratch struct {
 	epoch      uint32
 	seen       map[uint64]struct{}
 	candidates []uint64
-	best       *topk.List
-	items      []topk.Item
+	// runs holds one refinement run each (cutRuns); run 0's list is the
+	// query's own, which the other runs' lists merge into.
+	runs  []refineRun
+	items []topk.Item
+}
+
+// refineRun is one contiguous run of a query's sorted candidates,
+// refined on its own store cursor into its own top-k list.
+type refineRun struct {
+	slots []uint64
+	best  *topk.List
+	vec   []float32 // the cursor's scratch for a record the pool cannot lend
+	done  int       // distances evaluated
+	err   error
 }
 
 // stampMaxObjects caps the dense dedup array at 8 MiB per pooled
@@ -50,18 +71,16 @@ const stampMaxObjects = 1 << 21
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// getSearchScratch returns a scratch sized for this index's parameters.
-func (ix *Index) getSearchScratch() *searchScratch {
+// getSearchScratch returns a scratch sized for this index's parameters
+// and holding the query's inputs.
+func (ix *Index) getSearchScratch(ctx context.Context, q []float32, plan searchPlan) *searchScratch {
 	s := searchPool.Get().(*searchScratch)
+	s.ix, s.ctx, s.q, s.plan = ix, ctx, q, plan
 	p := ix.params
 	if cap(s.qdist) < p.M {
 		s.qdist = make([]float64, p.M)
 	}
 	s.qdist = s.qdist[:p.M]
-	if cap(s.vec) < ix.nu {
-		s.vec = make([]float32, ix.nu)
-	}
-	s.vec = s.vec[:ix.nu]
 	// Each slice is gated on its own capacity: allocator size-class
 	// rounding can give the three different caps for the same make
 	// length, so checking one cap for all three could reslice a
@@ -143,18 +162,30 @@ func (s *searchScratch) markSeen(slot uint64) bool {
 	return false
 }
 
-// bestFor returns the pooled top-k list, reallocating only when k
+// cutRuns cuts the sorted candidates into n contiguous runs of near-equal
+// length, each with an empty top-k list for k and a vector buffer of the
+// index's dimensionality. The pooled lists are reallocated only when k
 // changes between queries.
-func (s *searchScratch) bestFor(k int) *topk.List {
-	if s.best == nil || s.best.K() != k {
-		s.best = topk.New(k)
-	} else {
-		s.best.Reset()
+func (s *searchScratch) cutRuns(candidates []uint64, n, k int) {
+	s.runs = slices.Grow(s.runs[:0], n)[:n]
+	for i := range s.runs {
+		r := &s.runs[i]
+		r.slots = candidates[i*len(candidates)/n : (i+1)*len(candidates)/n]
+		if r.best == nil || r.best.K() != k {
+			r.best = topk.New(k)
+		} else {
+			r.best.Reset()
+		}
+		if cap(r.vec) < s.ix.nu {
+			r.vec = make([]float32, s.ix.nu)
+		}
+		r.vec = r.vec[:s.ix.nu]
+		r.done, r.err = 0, nil
 	}
-	return s.best
 }
 
 func putSearchScratch(s *searchScratch) {
+	s.ix, s.ctx, s.q = nil, nil, nil
 	// Reclaim the per-tree id buffers grown inside searchTree so their
 	// capacity carries over to the next query.
 	for t, ids := range s.perTree {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/telemetry"
 	"github.com/hd-index/hdindex/internal/topk"
@@ -93,13 +93,42 @@ func (s *QueryStats) Add(other QueryStats) {
 // reads, rare enough to keep the check off the profile.
 const refineCheckEvery = 64
 
+// minRefineRun is the fewest candidates a refinement run is cut to.
+// Below it a helper's start and a run's own warm-up — its bound is +∞
+// until it holds k items — cost more than the distances it takes over.
+const minRefineRun = 256
+
+// treeWalks and refineRuns are a query's two split phases as
+// fanout.Jobs over its scratch: part t walks tree t, part i refines run
+// i of the sorted candidates. Parts write only their own elements of
+// the scratch, and Spread returns after every part has.
+type (
+	treeWalks  searchScratch
+	refineRuns searchScratch
+)
+
+func (w *treeWalks) Do(t int) {
+	s := (*searchScratch)(w)
+	s.perTree[t], s.fetched[t], s.errs[t] = s.ix.searchTree(s.ctx, t, s.q, s.qdist, s.treeIDs[t][:0], s.plan)
+}
+
+func (w *refineRuns) Do(i int) {
+	s := (*searchScratch)(w)
+	r := &s.runs[i]
+	slots := r.slots
+	r.done, r.err = s.ix.exactPass(s.ctx, s.q, r.best, r.vec, len(slots), func(j int) (uint64, []float32) {
+		return slots[j], nil
+	})
+}
+
 // Query answers a kANN query: Algorithm 2 with per-query
 // filter-cascade overrides, work counters, and cooperative
 // cancellation. Options are resolved against the built Params and
 // validated once, before any tree is touched; the zero SearchOptions
-// runs exactly the built defaults. The context is checked between
-// pipeline stages (per tree when sequential) and every refineCheckEvery
-// candidate refinements.
+// runs exactly the built defaults. The context is checked per tree and
+// every refineCheckEvery candidate refinements. The tree walks and the
+// refinement take helper goroutines only onto idle CPUs (fanout.Spread),
+// and the answer and every work counter are the same however many join.
 func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions) ([]Result, *QueryStats, error) {
 	if len(q) != ix.nu {
 		return nil, nil, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimMismatch, len(q), ix.nu)
@@ -126,42 +155,24 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	// Insert grows the memtable).
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	fanout.Enter()
+	defer fanout.Leave()
 	span := telemetry.StartSpan(telOn)
 
-	p := ix.params
 	ioBefore := ix.IOStats()
-	sc := ix.getSearchScratch()
+	sc := ix.getSearchScratch(ctx, q, plan)
 	defer putSearchScratch(sc)
 
 	// Distances from q to the m reference objects (lines handled before
 	// the loop in Algorithm 2; O(m·ν)).
-	qdist := sc.qdist
 	for r, rv := range ix.refs {
-		qdist[r] = vecmath.Dist(q, rv)
+		sc.qdist[r] = vecmath.Dist(q, rv)
 	}
 
-	// Per-tree candidate retrieval and filtering (lines 1-10).
-	run := func(t int) {
-		sc.perTree[t], sc.fetched[t], sc.errs[t] = ix.searchTree(ctx, t, q, qdist, sc.treeIDs[t][:0], plan)
-	}
-	if p.Parallel && p.Tau > 1 {
-		var wg sync.WaitGroup
-		for t := 0; t < p.Tau; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				run(t)
-			}(t)
-		}
-		wg.Wait()
-	} else {
-		for t := 0; t < p.Tau; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			run(t)
-		}
-	}
+	// Per-tree candidate retrieval and filtering (lines 1-10), one tree
+	// per part: on an idle CPU a helper walks trees beside this
+	// goroutine. The first error in tree order is the query's.
+	fanout.Spread(ix.params.Tau, (*treeWalks)(sc))
 	for _, err := range sc.errs {
 		if err != nil {
 			return nil, nil, err
@@ -200,13 +211,29 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	slices.Sort(candidates)
 	span.Mark(telemetry.PhaseCandidateSort)
 
-	// Exact refinement (lines 12-15) over the stored candidates.
-	best := sc.bestFor(k)
-	refined, err := ix.exactPass(ctx, q, best, sc.vec, len(candidates), func(i int) (uint64, []float32) {
-		return candidates[i], nil
-	})
-	if err != nil {
-		return nil, nil, err
+	// Exact refinement (lines 12-15) over the stored candidates, in
+	// contiguous runs when a CPU is idle: each run keeps its own top-k,
+	// and since a run's k-th bound is never tighter than the whole
+	// query's, early abandonment inside a run drops nothing the query
+	// would keep. Merging the runs' lists by (Dist, ID) is then exact,
+	// ties included. The first error in slot order is the query's.
+	runs := max(1, min(len(candidates)/minRefineRun, 1+fanout.Idle()))
+	sc.cutRuns(candidates, runs, k)
+	fanout.Spread(runs, (*refineRuns)(sc))
+	best := sc.runs[0].best
+	refined := 0
+	for i := range sc.runs {
+		r := &sc.runs[i]
+		if r.err != nil {
+			return nil, nil, r.err
+		}
+		refined += r.done
+		if i > 0 {
+			sc.items = r.best.ItemsInto(sc.items)
+			for _, it := range sc.items {
+				best.Push(it.ID, it.Dist)
+			}
+		}
 	}
 	span.Mark(telemetry.PhaseRefine)
 

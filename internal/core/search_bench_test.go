@@ -19,19 +19,6 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallelTrees is Search with the per-tree fan-out on.
-func BenchmarkSearchParallelTrees(b *testing.B) {
-	p := Params{Tau: 4, Omega: 8, M: 8, Alpha: 512, Gamma: 128, Parallel: true, Seed: 1}
-	ix, _, queries := buildSmall(b, 4000, p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Query(context.Background(), queries[i%len(queries)], 10, SearchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchBatch measures the batch fan-out path under the worker
 // pool.
 func BenchmarkSearchBatch(b *testing.B) {

@@ -3,6 +3,7 @@ package fanout
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -56,5 +57,61 @@ func TestRunEmpty(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countJob counts how many times each part ran.
+type countJob struct{ hit [40]atomic.Int32 }
+
+func (j *countJob) Do(i int) { j.hit[i].Add(1) }
+
+// orderJob records the order parts ran in; safe only without helpers.
+type orderJob struct{ order []int }
+
+func (j *orderJob) Do(i int) { j.order = append(j.order, i) }
+
+// Spread runs every part exactly once, whatever the helper count, and
+// leaves the busy count where it found it.
+func TestSpreadRunsEveryPartOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			Enter()
+			defer Leave()
+			idle := Idle()
+			var j countJob
+			Spread(len(j.hit), &j)
+			for i := range j.hit {
+				if n := j.hit[i].Load(); n != 1 {
+					t.Fatalf("GOMAXPROCS %d: part %d ran %d times", procs, i, n)
+				}
+			}
+			if got := Idle(); got != idle {
+				t.Fatalf("GOMAXPROCS %d: %d idle CPUs after Spread, %d before", procs, got, idle)
+			}
+		}()
+	}
+}
+
+// With every CPU held by counted work, Spread starts no goroutine and
+// runs the parts in order on the caller.
+func TestSpreadRecruitsOnlyIdleCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	Enter()
+	Enter() // a second query holds the other CPU
+	defer Leave()
+	defer Leave()
+	if Idle() != 0 {
+		t.Fatalf("Idle() = %d with both CPUs counted", Idle())
+	}
+	var j orderJob
+	Spread(10, &j)
+	for i, part := range j.order {
+		if part != i {
+			t.Fatalf("parts ran in order %v, want 0..9 on the caller", j.order)
+		}
+	}
+	if len(j.order) != 10 {
+		t.Fatalf("ran %d parts, want 10", len(j.order))
 	}
 }

@@ -50,11 +50,13 @@ func Sort(items []Item) {
 }
 
 // New returns a List that retains the k nearest items pushed into it.
+// It holds only what is pushed: nothing is set aside for k, so a k far
+// above the number of items pushed costs nothing.
 func New(k int) *List {
 	if k < 1 {
 		panic("topk: k must be >= 1")
 	}
-	return &List{k: k, items: make([]Item, 0, k)}
+	return &List{k: k}
 }
 
 // K returns the bound this list was created with.

@@ -3,6 +3,8 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -336,4 +338,121 @@ func TestClosedLogRejectsUse(t *testing.T) {
 	if err := l.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("sync on closed log: %v", err)
 	}
+}
+
+// referenceReplay is the log framing written out plainly, apart from
+// scan: records follow each other from offset 0 until one is short,
+// declares a payload under 9 bytes or over maxPayload, fails its
+// CRC-32C, names an unknown op, or carries a body its op does not take.
+// It returns the records before that point and the prefix's length.
+func referenceReplay(log []byte) (recs []Record, valid int) {
+	for {
+		rest := log[valid:]
+		if len(rest) < 8 {
+			return recs, valid
+		}
+		plen := int(binary.LittleEndian.Uint32(rest[0:4]))
+		if plen < 9 || plen > maxPayload || len(rest)-8 < plen {
+			return recs, valid
+		}
+		p := rest[8 : 8+plen]
+		if crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(rest[4:8]) {
+			return recs, valid
+		}
+		rec := Record{Op: p[0], ID: binary.LittleEndian.Uint64(p[1:9])}
+		body := p[9:]
+		switch {
+		case rec.Op == OpInsert && len(body)%4 == 0:
+			for i := 0; i < len(body); i += 4 {
+				rec.Vec = append(rec.Vec, math.Float32frombits(binary.LittleEndian.Uint32(body[i:])))
+			}
+		case (rec.Op == OpDelete || rec.Op == OpUndelete) && len(body) == 0:
+		default:
+			return recs, valid
+		}
+		recs = append(recs, rec)
+		valid += 8 + plen
+	}
+}
+
+// FuzzWALReplay feeds Open arbitrary log bytes. It must never panic,
+// must replay exactly the records of the valid prefix (referenceReplay's),
+// and must truncate the file to that prefix, so that a second Open
+// replays the same records from a file of the same length. Seeded from
+// a log the tests write, a torn tail of it, and a corrupt record.
+func FuzzWALReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "wal.log")
+	l, err := Open(path, Options{}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []Record{
+		{Op: OpInsert, ID: 0, Vec: []float32{1, 2, 3.5}},
+		{Op: OpDelete, ID: 0},
+		{Op: OpInsert, ID: 1, Vec: []float32{float32(math.NaN()), -0, 7}},
+		{Op: OpUndelete, ID: 0},
+		{Op: OpInsert, ID: 2},
+	} {
+		if _, err := l.AppendNoSync(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5]) // a torn tail
+	corrupt := append([]byte(nil), whole...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	f.Add(corrupt)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, log []byte) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, valid := referenceReplay(log)
+		for open := 1; open <= 2; open++ {
+			var got []Record
+			l, err := Open(path, Options{}, func(r Record) error {
+				got = append(got, r)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("Open %d: %v", open, err)
+			}
+			size := l.Size()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if size != int64(valid) {
+				t.Fatalf("Open %d: log size %d, valid prefix %d", open, size, valid)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(valid) {
+				t.Fatalf("Open %d: file truncated to %d bytes, valid prefix %d", open, fi.Size(), valid)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("Open %d replayed %d records, the valid prefix holds %d", open, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				same := g.Op == w.Op && g.ID == w.ID && len(g.Vec) == len(w.Vec)
+				for j := 0; same && j < len(w.Vec); j++ {
+					same = math.Float32bits(g.Vec[j]) == math.Float32bits(w.Vec[j])
+				}
+				if !same {
+					t.Fatalf("Open %d, record %d: replayed %+v, want %+v", open, i, g, w)
+				}
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/core"
@@ -161,6 +162,44 @@ func TestQueryTypedErrors(t *testing.T) {
 			}
 			if _, err := idx.QueryBatch(ctx, queries, 10, WithGamma(4)); !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("batch gamma<k err = %v, want ErrBadOptions", err)
+			}
+		})
+	}
+}
+
+// A k far above the index's size is answered with every vector at the
+// cost of what the index holds, on both layouts; a k beyond the knob
+// limit (2^24) is an ErrBadOptions, where it used to be an
+// unrecoverable out-of-memory.
+func TestQueryHugeK(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "hugek", N: 300, Dim: 16, Clusters: 3, Lo: 0, Hi: 1, Seed: 35})
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			idx, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors,
+				Options{Tau: 2, Omega: 8, M: 3, Alpha: 300, Beta: 300, Gamma: 300, Seed: 4, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			ctx, q := context.Background(), ds.Vectors[7]
+			if _, err := idx.Query(ctx, q, 1<<24+1); !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("k = 2^24+1: err %v, want ErrBadOptions", err)
+			}
+			if _, err := idx.Query(ctx, q, 10); err != nil { // warm the scratch pools
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp, err := idx.Query(ctx, q, 1<<20)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != 300 {
+				t.Fatalf("k = 2^20 over 300 vectors returned %d results", len(resp.Results))
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("k = 2^20 allocated %d bytes, want < 1 MiB", grew)
 			}
 		})
 	}

@@ -28,6 +28,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	FuzzSlotMap:./internal/core \
 	FuzzMeta:./internal/core \
+	FuzzDeleteSet:./internal/core \
 	FuzzStoreHeader:./internal/vecstore \
 	FuzzTreeFile:./internal/bptree \
 	FuzzDistSqBound:./internal/vecmath \
@@ -57,12 +58,14 @@ crash:
 # EIO, goroutine-leak checks, the 4× overload storm, and tenant
 # throttling (the chaos CI job). HD_CHAOS turns on the storm's two
 # wall-clock assertions (shed latency, accepted p99), which tier-1 skips.
-# A query's helper goroutines are checked ten times over: none outlives
-# Query on success, cancellation, EIO or a corrupt tree page.
+# Helper goroutines are checked ten times over: none outlives a Query
+# (success, cancellation, EIO, a corrupt tree page), nor a Build, a
+# QueryBatch or a sharded Query (success, cancellation, EIO).
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/
 	$(GO) test -race -count=10 -run '^TestFaultQueryHelpersExit$$' ./internal/core/
+	$(GO) test -race -count=10 -run '^TestFaultSpreadHelpersExit$$' ./internal/shard/
 
 # Cluster robustness suite under the race detector: the coordinator's
 # equivalence/failover/hedging tests, the netfault flaky-TCP proxy

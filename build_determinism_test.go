@@ -38,28 +38,26 @@ func facadeFiles(t *testing.T, dir string) map[string][]byte {
 // TestFacadeBuildDeterministicAcrossGOMAXPROCS is the top-level
 // determinism guarantee: on both layouts, the bytes a build writes —
 // and therefore every search result it will ever return — depend only
-// on the dataset, options, and seed, never on the machine's core count
-// or the BuildWorkers budget.
+// on the dataset, options, and seed, never on how many of the machine's
+// cores the build found idle.
 func TestFacadeBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ds := data.Generate(data.Config{N: 1500, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 17})
 	queries := ds.PerturbedQueries(8, 0.01, 4)
 
 	for _, shards := range []int{0, 3} {
 		opts := Options{Tau: 4, Omega: 8, Alpha: 256, Gamma: 64, Seed: 5, Shards: shards}
-		build := func(dir string, procs, workers int) {
+		build := func(dir string, procs int) {
 			old := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(old)
-			o := opts
-			o.BuildWorkers = workers
-			ix, err := Build(dir, ds.Vectors, o)
+			ix, err := Build(dir, ds.Vectors, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ix.Close()
 		}
 		dirA, dirB := t.TempDir(), t.TempDir()
-		build(dirA, 1, 1)
-		build(dirB, 8, 8)
+		build(dirA, 1)
+		build(dirB, 8)
 
 		fa, fb := facadeFiles(t, dirA), facadeFiles(t, dirB)
 		if len(fa) != len(fb) {

@@ -7,7 +7,7 @@
 // Endpoints (JSON bodies; see internal/server):
 //
 //	POST /search       single kNN query
-//	POST /searchbatch  many queries, answered on a bounded worker pool
+//	POST /searchbatch  many queries, spread over idle cores
 //	POST /insert       add a vector (§3.6)
 //	POST /delete       mark/unmark a vector deleted (§3.6)
 //	GET  /stats        index + per-endpoint latency/QPS counters

@@ -47,6 +47,14 @@ import (
 // parameters (§5.2): m = 10 reference objects chosen by SSS, τ = 8 trees
 // (16 at ν ≥ 500), α = 4096 candidates per tree narrowed to γ = α/4 by
 // the triangular filter, 4 KB pages.
+//
+// No option sizes a worker pool. A build, a query and a batch each count
+// as one unit of work and split into independent parts (trees, chunks,
+// refinement runs, queries, shards) that helper goroutines join only on
+// CPUs no other counted work in the process holds (internal/fanout). One
+// client's work thus uses every idle core and a loaded server runs each
+// unit alone; the bytes written and the answers returned are the same
+// however many helpers join.
 type Options struct {
 	// Tau is the number of dimension partitions (and RDB-trees). It must
 	// divide the dataset dimensionality; 0 picks the paper's default.
@@ -60,9 +68,6 @@ type Options struct {
 	// UsePtolemaic enables the Ptolemaic filter (§5.2.5): better MAP for
 	// the same I/O, roughly doubled CPU time.
 	UsePtolemaic bool
-	// BatchWorkers bounds the QueryBatch fan-out: at most this many
-	// queries run concurrently (0 = GOMAXPROCS).
-	BatchWorkers int
 	// DisableCache turns the buffer pool off (the paper's cold-cache
 	// measurement protocol).
 	DisableCache bool
@@ -81,12 +86,6 @@ type Options struct {
 	// directly into the directory. Open ignores this field: it detects
 	// the layout from the directory.
 	Shards int
-	// BuildWorkers is the total construction-parallelism budget
-	// (0 = GOMAXPROCS): one bound shared by concurrently building
-	// shards, the τ tree builds inside each index, and the chunked
-	// Hilbert-encode workers inside each tree, so nested build
-	// parallelism never oversubscribes the machine.
-	BuildWorkers int
 	// WALSyncInterval selects the write-ahead log's durability
 	// discipline for live inserts and deletes. 0 (the default)
 	// group-commits: every acknowledged mutation is fsynced, batched
@@ -215,8 +214,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 			Beta:         o.Beta,
 			Gamma:        o.Gamma,
 			UsePtolemaic: o.UsePtolemaic,
-			BatchWorkers: o.BatchWorkers,
-			BuildWorkers: o.BuildWorkers,
 			DisableCache: o.DisableCache,
 			PoolPages:    o.PoolPages,
 			PageSize:     o.PageSize,
@@ -241,7 +238,6 @@ func Open(dir string, o Options) (*Index, error) {
 	sh, err := shard.Open(dir, core.OpenOptions{
 		PoolPages:    o.PoolPages,
 		DisableCache: o.DisableCache,
-		BatchWorkers: o.BatchWorkers,
 
 		WALSyncInterval:    o.WALSyncInterval,
 		MemtableMaxVectors: o.MemtableMaxVectors,

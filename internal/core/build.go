@@ -8,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/radix"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/refsel"
@@ -138,7 +138,10 @@ const (
 	layoutIDOrder
 )
 
-// build is BuildContext's body.
+// build is BuildContext's body. It counts as one unit of work: the
+// reference distances, the Hilbert keys and the trees are independent
+// parts that idle CPUs join (fanout), and the bytes written are the same
+// however many do.
 func build(ctx context.Context, dir string, vectors [][]float32, p Params, layout storeLayout) (*Index, error) {
 	if len(vectors) == 0 {
 		return nil, errors.New("core: empty dataset")
@@ -158,6 +161,8 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		return nil, err
 	}
 
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
 	buildStart := time.Now()
 	var probe MemProbe
 	probe.Sample()
@@ -183,17 +188,12 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		refs[i] = vecmath.Copy(v)
 	}
 
-	// The build-parallelism budget: every concurrently running worker —
-	// across trees and the chunked phases inside each — holds one slot,
-	// so τ × chunk workers never oversubscribe the configured bound.
-	budget := p.buildBudget()
-
 	// Algorithm 1 line 2: distances of every object to every reference,
 	// written into one flat n×m matrix (row i at rdist[i*m:(i+1)*m]) —
 	// a single allocation the trees' bulk loads later stream from
 	// directly.
 	t0 := time.Now()
-	rdist, err := computeRefDists(ctx, vectors, refs, budget)
+	rdist, err := computeRefDists(ctx, vectors, refs)
 	if err != nil {
 		return nil, err
 	}
@@ -208,17 +208,11 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		return nil, err
 	}
 
-	// Algorithm 1 lines 5-10: one RDB-tree per partition. Trees share
-	// the budget semaphore with their own encode workers: a tree
-	// goroutine holds one slot for its serial phases (sort, bulk load)
-	// and lends the spare slots to whichever tree is in its encode
-	// phase. Tree 0 is sorted before the others start: its key order is
-	// the store order, and every tree's leaves point at slots.
+	// Algorithm 1 lines 5-10: one RDB-tree per partition. Tree 0 is
+	// sorted before the others start: its key order is the store order,
+	// and every tree's leaves point at slots.
 	var phases phaseAccum
-	sem := make(chan struct{}, budget)
-	sem <- struct{}{}
-	keys0, perm0, err := ix.sortTree(ctx, 0, vectors, sem, &phases)
-	<-sem
+	keys0, perm0, err := ix.sortTree(ctx, 0, vectors, &phases)
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -242,32 +236,24 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		}
 	}
 
+	// The trees are independent parts: idle CPUs write some beside this
+	// goroutine, each tree's file the same whichever writes it.
 	ix.trees = make([]*rdbtree.Tree, p.Tau)
-	errs := make([]error, p.Tau)
-	var wg sync.WaitGroup
-	for t := 0; t < p.Tau; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			keys, perm := keys0, perm0
-			if t > 0 {
-				if keys, perm, errs[t] = ix.sortTree(ctx, t, vectors, sem, &phases); errs[t] != nil {
-					return
-				}
+	err = fanout.Each(ctx, p.Tau, func(ctx context.Context, t int) (err error) {
+		keys, perm := keys0, perm0
+		if t > 0 {
+			if keys, perm, err = ix.sortTree(ctx, t, vectors, &phases); err != nil {
+				return err
 			}
-			t0 := time.Now()
-			ix.trees[t], errs[t] = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist)
-			phases.bulkNS.Add(int64(time.Since(t0)))
-		}(t)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			ix.Close()
-			return nil, e
 		}
+		t0 := time.Now()
+		ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist)
+		phases.bulkNS.Add(int64(time.Since(t0)))
+		return err
+	})
+	if err != nil {
+		ix.Close()
+		return nil, err
 	}
 	stats.EncodeMS = msOf(phases.encodeNS.Load())
 	stats.SortMS = msOf(phases.sortNS.Load())
@@ -323,18 +309,27 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	return ix, nil
 }
 
-// encodeChunk is how many vectors one encode work unit covers: large
-// enough that chunk hand-off (one atomic add) is noise, small enough
-// that τ=8 trees over a 10k-vector partition still split into enough
-// chunks to occupy spare workers.
-const encodeChunk = 512
+// buildChunk is how many vectors one part of the chunked build phases
+// (reference distances, Hilbert keys) covers: large enough that handing
+// a part out is noise, small enough that τ = 8 trees over a 10k-vector
+// partition still split into enough parts to occupy idle CPUs.
+const buildChunk = 512
+
+// eachChunk runs fn over the rows [lo, hi) of each buildChunk part of
+// [0, n), in parts that idle CPUs join.
+func eachChunk(ctx context.Context, n int, fn func(lo, hi int)) error {
+	return fanout.Each(ctx, (n+buildChunk-1)/buildChunk, func(_ context.Context, c int) error {
+		fn(c*buildChunk, min(n, (c+1)*buildChunk))
+		return nil
+	})
+}
 
 // sortTree runs the tree writer's first two steps for partition t,
 // timing each: the Hilbert keys in row (= id) order and the rows in
 // ascending key order. No per-record allocation anywhere on the path.
-func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, sem chan struct{}, phases *phaseAccum) ([]byte, []uint32, error) {
+func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, phases *phaseAccum) ([]byte, []uint32, error) {
 	t0 := time.Now()
-	keys, err := ix.encodeKeys(ctx, t, vectors, sem)
+	keys, err := ix.encodeKeys(ctx, t, vectors)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -348,59 +343,21 @@ func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, sem c
 
 // encodeKeys is the tree writer's first step, shared by Build and
 // Compact: partition t's Hilbert keys as a flat n×KeyLen arena in row
-// order. The caller's goroutine always encodes; spare slots of sem
-// (Build's budget semaphore) are borrowed for extra chunk workers, so
-// encoding parallelises inside a single tree whenever τ < budget
-// without ever oversubscribing. A nil sem never yields a slot:
-// compaction encodes serially and takes no second core from serving.
-// Keys land at fixed offsets, so scheduling cannot change the output.
-func (ix *Index) encodeKeys(ctx context.Context, t int, vectors [][]float32, sem chan struct{}) ([]byte, error) {
-	q := ix.quants[t]
-	curve := ix.curves[t]
-	start := t * ix.eta
-	n := len(vectors)
-	kl := curve.KeyLen()
-
+// order, in buildChunk parts that idle CPUs join. Compaction's goroutine
+// is not counted as busy, so there only CPUs no query holds help. Keys
+// land at fixed offsets, so scheduling cannot change the output.
+func (ix *Index) encodeKeys(ctx context.Context, t int, vectors [][]float32) ([]byte, error) {
+	q, curve := ix.quants[t], ix.curves[t]
+	start, n, kl := t*ix.eta, len(vectors), curve.KeyLen()
 	keys := make([]byte, n*kl)
-	nChunks := (n + encodeChunk - 1) / encodeChunk
-	var next atomic.Int64
-	worker := func() {
-		coords := make([]uint32, encodeChunk*ix.eta)
-		for {
-			ci := int(next.Add(1) - 1)
-			if ci >= nChunks || ctx.Err() != nil {
-				return
-			}
-			lo := ci * encodeChunk
-			hi := lo + encodeChunk
-			if hi > n {
-				hi = n
-			}
-			rows := hi - lo
-			for i := lo; i < hi; i++ {
-				q.Coords(coords[(i-lo)*ix.eta:(i-lo+1)*ix.eta], vectors[i][start:start+ix.eta])
-			}
-			curve.EncodeAll(keys[lo*kl:hi*kl], coords[:rows*ix.eta], ix.eta)
+	err := eachChunk(ctx, n, func(lo, hi int) {
+		coords := make([]uint32, (hi-lo)*ix.eta)
+		for i := lo; i < hi; i++ {
+			q.Coords(coords[(i-lo)*ix.eta:(i-lo+1)*ix.eta], vectors[i][start:start+ix.eta])
 		}
-	}
-	var wg sync.WaitGroup
-acquire:
-	for i := 1; i < nChunks; i++ {
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				worker()
-			}()
-		default:
-			break acquire
-		}
-	}
-	worker()
-	wg.Wait()
-	return keys, ctx.Err()
+		curve.EncodeAll(keys[lo*kl:hi*kl], coords, ix.eta)
+	})
+	return keys, err
 }
 
 // identityPerm returns the row numbers 0..n-1 in order.
@@ -448,44 +405,21 @@ func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64
 	return tree, nil
 }
 
-// computeRefDists fills the flat n×m reference-distance matrix on up to
-// `workers` goroutines. Rows are written at fixed offsets, so the
-// result is independent of scheduling.
-func computeRefDists(ctx context.Context, vectors, refs [][]float32, workers int) ([]float32, error) {
+// computeRefDists fills the flat n×m reference-distance matrix in
+// buildChunk parts that idle CPUs join. Rows are written at fixed
+// offsets, so the result is independent of scheduling.
+func computeRefDists(ctx context.Context, vectors, refs [][]float32) ([]float32, error) {
 	n, m := len(vectors), len(refs)
 	rdist := make([]float32, n*m)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		loI, hiI := w*chunk, (w+1)*chunk
-		if hiI > n {
-			hiI = n
-		}
-		if loI >= hiI {
-			break
-		}
-		wg.Add(1)
-		go func(loI, hiI int) {
-			defer wg.Done()
-			for i := loI; i < hiI; i++ {
-				if i%1024 == 0 && ctx.Err() != nil {
-					return
-				}
-				row := rdist[i*m : (i+1)*m]
-				for r, rv := range refs {
-					row[r] = float32(vecmath.Dist(vectors[i], rv))
-				}
+	err := eachChunk(ctx, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := rdist[i*m : (i+1)*m]
+			for r, rv := range refs {
+				row[r] = float32(vecmath.Dist(vectors[i], rv))
 			}
-		}(loI, hiI)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rdist, nil

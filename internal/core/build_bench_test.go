@@ -61,48 +61,33 @@ func BenchmarkBuild(b *testing.B) {
 	}
 	defer refIx.Close()
 	refs := refIx.refs
-	rdist, err := computeRefDists(context.Background(), vectors, refs, 1)
+	rdist, err := computeRefDists(context.Background(), vectors, refs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := refIx.quants[0]
-	curve := refIx.curves[0]
-	kl := curve.KeyLen()
-
 	b.Run("refdists", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := computeRefDists(context.Background(), vectors, refs, 0); err != nil {
+			if _, err := computeRefDists(context.Background(), vectors, refs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	encodeKeys := func(keys []byte, coords []uint32) {
-		for lo := 0; lo < n; lo += encodeChunk {
-			hi := lo + encodeChunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				q.Coords(coords[(i-lo)*eta:(i-lo+1)*eta], vectors[i][:eta])
-			}
-			curve.EncodeAll(keys[lo*kl:hi*kl], coords[:(hi-lo)*eta], eta)
-		}
-	}
-
 	b.Run("encode", func(b *testing.B) {
-		keys := make([]byte, n*kl)
-		coords := make([]uint32, encodeChunk*eta)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			encodeKeys(keys, coords)
+			if _, err := refIx.encodeKeys(context.Background(), 0, vectors); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 
-	keys := make([]byte, n*kl)
-	encodeKeys(keys, make([]uint32, encodeChunk*eta))
+	keys, err := refIx.encodeKeys(context.Background(), 0, vectors)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kl := refIx.curves[0].KeyLen()
 
 	b.Run("sort", func(b *testing.B) {
 		perm := make([]uint32, n)
@@ -166,7 +151,7 @@ func BenchmarkBuildSeedPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer refIx.Close()
-	rdist, err := computeRefDists(context.Background(), vectors, refIx.refs, 1)
+	rdist, err := computeRefDists(context.Background(), vectors, refIx.refs)
 	if err != nil {
 		b.Fatal(err)
 	}

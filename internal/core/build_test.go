@@ -104,7 +104,7 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 	}
 	defer ix.Close()
 
-	rdist, err := computeRefDists(context.Background(), vectors, ix.refs, 1)
+	rdist, err := computeRefDists(context.Background(), vectors, ix.refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 // tree writer on the compaction side: after inserts, a delete of one
 // base id and one batch id, and Compact, every tree_XX.g1.pg is
 // byte-identical to the comparison-sort reference over the surviving
-// objects — whatever the worker budget — and scans as the same
-// (key, id, refdists) stream.
+// objects — however many helpers build and compact — and scans as the
+// same (key, id, refdists) stream.
 func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
 	vectors := testVectorsFlatTie(3000, 32, 13)
 	const base = 2400
 	drop := map[uint64]bool{17: true, 2700: true}
-	for _, workers := range []int{1, 4} {
-		p := Params{Tau: 8, Omega: 8, M: 6, Alpha: 256, Seed: 7, BuildWorkers: workers, MemtableMaxVectors: 1 << 20}
+	p := Params{Tau: 8, Omega: 8, M: 6, Alpha: 256, Seed: 7, MemtableMaxVectors: 1 << 20}
+	eachHelperCount(p.Tau, func(procs int) {
 		ix, err := Build(t.TempDir(), vectors[:base], p)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rdist, err := computeRefDists(context.Background(), vectors, ix.refs, 1)
+		rdist, err := computeRefDists(context.Background(), vectors, ix.refs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,13 +200,13 @@ func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("workers %d tree %d: compacted generation differs from comparison-sort reference (%d vs %d bytes)", workers, tr, len(got), len(want))
+				t.Errorf("GOMAXPROCS %d tree %d: compacted generation differs from comparison-sort reference (%d vs %d bytes)", procs, tr, len(got), len(want))
 			}
 			if g, w := scanStream(t, ix.treeGenPath(tr, 1)), scanStream(t, refPath); !bytes.Equal(g, w) {
-				t.Fatalf("workers %d tree %d: (key, id, refdists) stream differs from the reference", workers, tr)
+				t.Fatalf("GOMAXPROCS %d tree %d: (key, id, refdists) stream differs from the reference", procs, tr)
 			}
 		}
-	}
+	})
 }
 
 // scanStream opens the tree file at path and serialises what ScanAll
@@ -315,9 +315,10 @@ func assertSameFiles(t *testing.T, a, b map[string][]byte, skip func(string) boo
 }
 
 // TestBuildDeterministicAcrossGOMAXPROCS pins core-level build
-// determinism: one worker vs eight produce bit-identical index files
-// and search results. Chunked encoding writes at fixed offsets and the
-// radix sort is stable, so parallelism must not leak into the output.
+// determinism: a build alone on one CPU and one that idle CPUs join on
+// eight produce bit-identical index files. Chunked encoding writes at
+// fixed offsets and the radix sort is stable, so parallelism must not
+// leak into the output.
 func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	vectors := testVectorsFlatTie(3000, 32, 10)
 	p := Params{Tau: 8, Omega: 8, M: 5, Alpha: 128, Seed: 3}
@@ -335,23 +336,6 @@ func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	build(dir1, 1)
 	build(dir8, 8)
 	assertSameFiles(t, dirFiles(t, dir1), dirFiles(t, dir8), nil)
-
-	// And explicit BuildWorkers budgets agree too (1 vs 8), since the
-	// budget is excluded from meta.json.
-	p1, p8 := p, p
-	p1.BuildWorkers, p8.BuildWorkers = 1, 8
-	dw1, dw8 := t.TempDir(), t.TempDir()
-	ix1, err := Build(dw1, vectors, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix1.Close()
-	ix8, err := Build(dw8, vectors, p8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix8.Close()
-	assertSameFiles(t, dirFiles(t, dw1), dirFiles(t, dw8), nil)
 }
 
 // TestBuildContextCancelled checks the cancellation contract: the build

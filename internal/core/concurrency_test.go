@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,53 +13,61 @@ import (
 	"github.com/hd-index/hdindex/internal/data"
 )
 
-// SearchBatch must return results in input order regardless of worker
-// scheduling: batch results must equal per-query sequential results.
+// QueryBatch must return results in input order however many helpers
+// join it: batch results and work counters must equal per-query
+// sequential ones, alone on one CPU and with τ helpers.
 func TestSearchBatchPreservesOrder(t *testing.T) {
-	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, BatchWorkers: 3, Seed: 1}
+	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 1}
 	ix, ds, _ := buildSmall(t, 1500, p)
 	queries := ds.PerturbedQueries(50, 0.02, 2)
 
 	want := make([][]Result, len(queries))
+	wantStats := make([]*QueryStats, len(queries))
 	for i, q := range queries {
 		var err error
-		want[i], _, err = ix.Query(context.Background(), q, 5, SearchOptions{})
+		want[i], wantStats[i], err = ix.Query(context.Background(), q, 5, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := ix.QueryBatch(context.Background(), queries, 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch returned %d result sets, want %d", len(got), len(want))
-	}
-	for qi := range want {
-		if len(got[qi]) != len(want[qi]) {
-			t.Fatalf("query %d: %d results, want %d", qi, len(got[qi]), len(want[qi]))
+	eachHelperCount(p.Tau, func(procs int) {
+		got, stats, err := ix.QueryBatch(context.Background(), queries, 5, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want[qi] {
-			if got[qi][j] != want[qi][j] {
-				t.Fatalf("query %d rank %d: batch %+v != sequential %+v",
-					qi, j, got[qi][j], want[qi][j])
-			}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: batch returned %d result sets, want %d", procs, len(got), len(want))
 		}
-	}
+		for qi := range want {
+			label := fmt.Sprintf("GOMAXPROCS %d, query %d", procs, qi)
+			requireIdentical(t, label, got[qi], want[qi])
+			requireSameWork(t, label, stats[qi], wantStats[qi])
+		}
+	})
 }
 
+// The batch's helpers are bounded by GOMAXPROCS: one helper, a few, and
+// more helpers than queries must each answer every query.
 func TestSearchBatchWorkerBounds(t *testing.T) {
-	for _, workers := range []int{1, 2, 16} {
-		p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, BatchWorkers: workers, Seed: 3}
-		ix, ds, _ := buildSmall(t, 400, p)
-		queries := ds.PerturbedQueries(9, 0.02, 4)
-		res, _, err := ix.QueryBatch(context.Background(), queries, 3, SearchOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res) != len(queries) {
-			t.Fatalf("workers=%d: %d result sets", workers, len(res))
-		}
+	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 3}
+	ix, ds, _ := buildSmall(t, 400, p)
+	queries := ds.PerturbedQueries(9, 0.02, 4)
+	for _, procs := range []int{1, 2, 16} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, _, err := ix.QueryBatch(context.Background(), queries, 3, SearchOptions{})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+			if len(res) != len(queries) {
+				t.Fatalf("GOMAXPROCS %d: %d result sets", procs, len(res))
+			}
+			for qi, r := range res {
+				if len(r) != 3 {
+					t.Fatalf("GOMAXPROCS %d, query %d: %d results, want 3", procs, qi, len(r))
+				}
+			}
+		}()
 	}
 }
 
@@ -200,10 +210,9 @@ func TestSearchDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// SearchBatchContext must stop dispatching once cancelled and report
-// ctx.Err().
+// QueryBatch must stop dispatching once cancelled and report ctx.Err().
 func TestSearchBatchCancellation(t *testing.T) {
-	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, BatchWorkers: 2, Seed: 10}
+	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 10}
 	ix, ds, _ := buildSmall(t, 400, p)
 	queries := ds.PerturbedQueries(200, 0.02, 11)
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"maps"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -118,4 +121,84 @@ func TestDeleteValidation(t *testing.T) {
 	if err := ix.Undelete(7); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDeleteSet feeds deleted.bin to loadDeleteSet in both layouts —
+// v1, a count and that many marked ids; v2, a magic, the marks and the
+// purged ids. A corrupt file is an error, never a panic, and a file
+// that loads saves (as v2) to one that loads to the same two sets. The
+// seeds are the files the delete and compaction paths write: the
+// parent-layout fixture's, one written here by deletes around a
+// compaction, the v1 file TestOpenPrunesStaleDeleteMarks writes and the
+// corrupt one TestOpenCorruptDeleteFile does.
+func FuzzDeleteSet(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-layout", "index", deletedFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	dir := filepath.Join(f.TempDir(), "ix")
+	ds := data.Generate(data.Config{N: 300, Dim: 16, Lo: 0, Hi: 1, Seed: 81})
+	ix, err := Build(dir, ds.Vectors, Params{Tau: 2, Omega: 8, M: 3, Seed: 82})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, v := range ds.PerturbedQueries(20, 0.05, 83) {
+		if _, err = ix.Insert(v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i, id := range []uint64{7, 150, 305, 41, 310} {
+		if err = ix.Delete(id); err != nil {
+			f.Fatal(err)
+		}
+		if i == 2 {
+			if err = ix.Compact(context.Background()); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err = ix.Close(); err != nil {
+		f.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, deletedFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add(written[:len(written)-3])
+	f.Add(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 200))
+	f.Add([]byte{1, 2, 3})
+
+	load := func(t *testing.T, buf []byte) (*deleteSet, error) {
+		ix := &Index{dir: t.TempDir(), deleted: newDeleteSet()}
+		if err := os.WriteFile(filepath.Join(ix.dir, deletedFile), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ix.deleted, ix.loadDeleteSet()
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		d, err := load(t, buf)
+		if err != nil {
+			return
+		}
+		ix := &Index{dir: t.TempDir(), deleted: d}
+		if err := ix.saveDeleteSet(); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(filepath.Join(ix.dir, deletedFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := load(t, saved)
+		if err != nil {
+			t.Fatalf("the saved set does not load: %v", err)
+		}
+		if !maps.Equal(again.ids, d.ids) || !maps.Equal(again.purged, d.purged) {
+			t.Fatalf("round trip changed the sets: marks %v → %v, purged %v → %v", d.ids, again.ids, d.purged, again.purged)
+		}
+		if again.len() != d.len() {
+			t.Fatalf("round trip changed the count: %d → %d", d.len(), again.len())
+		}
+	})
 }

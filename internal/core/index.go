@@ -302,7 +302,6 @@ func decodeMeta(buf []byte) (metaJSON, error) {
 type OpenOptions struct {
 	PoolPages    int  // buffer-pool pages per file; 0 keeps the build-time value
 	DisableCache bool // paper's caching-off protocol
-	BatchWorkers int  // QueryBatch fan-out bound; 0 = GOMAXPROCS
 
 	// WALSyncInterval selects the ingest durability discipline: 0 group-
 	// commits every insert/delete (acknowledged = fsynced); > 0
@@ -332,7 +331,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 		p.PoolPages = opts.PoolPages
 	}
 	p.DisableCache = opts.DisableCache
-	p.BatchWorkers = opts.BatchWorkers
 	p.WALSyncInterval = opts.WALSyncInterval
 	p.MemtableMaxVectors = opts.MemtableMaxVectors
 	p.DisableTelemetry = opts.DisableTelemetry

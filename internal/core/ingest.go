@@ -403,7 +403,7 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		return true, ix.noteWALFailure(err)
 	}
 
-	rdist, err := computeRefDists(ctx, batch, ix.refs, ix.params.buildBudget())
+	rdist, err := computeRefDists(ctx, batch, ix.refs)
 	if err != nil {
 		return true, err
 	}
@@ -520,7 +520,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	kl := ix.curves[t].KeyLen()
 	m := ix.params.M
 	nB := len(batch)
-	keysB, err := ix.encodeKeys(ctx, t, batch, nil)
+	keysB, err := ix.encodeKeys(ctx, t, batch)
 	if err != nil {
 		return nil, err
 	}

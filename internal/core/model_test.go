@@ -240,7 +240,8 @@ func (r *modelRun) verifyCounts() {
 func (r *modelRun) query() {
 	q := r.someVector()
 	k := 1 + r.rng.Intn(12)
-	n := max(len(r.m.vecs), k)
+	// α past every entry, and far enough past that the tree walks split.
+	n := max(len(r.m.vecs), k, minWalkSplit/r.params().Tau)
 	r.logf("Query(%v, k=%d)", q, k)
 	want := bruteForce(r.m.vecs, r.m.dead(), q, k)
 	eachHelperCount(r.params().Tau, func(procs int) {

@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -56,23 +55,9 @@ type Params struct {
 	// physical read — the paper's "caching effects off" protocol (§5).
 	DisableCache bool
 
-	// BatchWorkers bounds the QueryBatch fan-out: at most this many
-	// queries run concurrently. 0 means GOMAXPROCS.
-	BatchWorkers int
-
-	// BuildWorkers is the construction-parallelism budget: the total
-	// number of concurrently working goroutines across the τ tree
-	// builds and the chunked encode workers inside each (a sharded
-	// layout divides its budget among concurrently building shards).
-	// 0 means GOMAXPROCS at build time. Deliberately not baked into
-	// SetDefaults and excluded from serialisation: a build-time knob in
-	// meta.json would make index bytes depend on the building machine's
-	// core count, breaking bit-identical builds.
-	BuildWorkers int `json:"-"`
-
-	// Live-ingest knobs (ingest.go). Runtime-only like BuildWorkers —
-	// excluded from meta.json so the on-disk descriptor never depends
-	// on a deployment's durability tuning.
+	// Live-ingest knobs (ingest.go). Runtime-only — excluded from
+	// meta.json so the on-disk descriptor never depends on a
+	// deployment's durability tuning.
 	//
 	// WALSyncInterval selects the write-ahead log's durability
 	// discipline: 0 group-commits every mutation (acknowledged =
@@ -139,14 +124,6 @@ func (p *Params) SetDefaults(nu, n int) {
 	}
 }
 
-// buildBudget resolves BuildWorkers: 0 means GOMAXPROCS now.
-func (p *Params) buildBudget() int {
-	if p.BuildWorkers > 0 {
-		return p.BuildWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Validate reports configuration errors for a dataset of dimensionality nu.
 func (p *Params) Validate(nu int) error {
 	if nu < 1 {
@@ -163,12 +140,6 @@ func (p *Params) Validate(nu int) error {
 	}
 	if p.M < 1 {
 		return fmt.Errorf("core: m must be >= 1, got %d", p.M)
-	}
-	if p.BatchWorkers < 0 {
-		return fmt.Errorf("core: batch workers must be >= 0, got %d", p.BatchWorkers)
-	}
-	if p.BuildWorkers < 0 {
-		return fmt.Errorf("core: build workers must be >= 0, got %d", p.BuildWorkers)
 	}
 	if p.WALSyncInterval < 0 {
 		return fmt.Errorf("core: wal sync interval must be >= 0, got %v", p.WALSyncInterval)

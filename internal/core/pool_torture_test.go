@@ -13,8 +13,8 @@ import (
 // Release reads another page's bytes. One fixed-seed index is built and
 // served through 8-page pools — one frame per stripe: every released
 // frame is overwritten by the next miss in its stripe — and through
-// pools that hold every page. Query, with and without helpers, and a
-// four-worker QueryBatch must answer as the in-memory reference pipeline
+// pools that hold every page. Query and QueryBatch, with and without
+// helpers, must answer as the in-memory reference pipeline
 // does (ids, distances, order, candidate count) at both sizes, in quiet
 // and then beside a writer that inserts, deletes and compacts. The
 // writer only adds and removes vectors far outside the data, and runs
@@ -23,7 +23,7 @@ import (
 func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "torture", N: 3000, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 91})
 	queries := ds.PerturbedQueries(12, 0.02, 92)
-	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 5, BatchWorkers: 4}
+	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 5}
 	exhaustive := SearchOptions{Alpha: 4 * len(ds.Vectors), Gamma: 256}
 	shapes := []SearchOptions{{}, exhaustive}
 

@@ -98,6 +98,13 @@ const refineCheckEvery = 64
 // until it holds k items — cost more than the distances it takes over.
 const minRefineRun = 256
 
+// minWalkSplit is the fewest leaf entries (τ·α) a query's tree walks
+// fetch before a helper may take some of them. Below it waking the
+// helper costs more than the walks it takes over: on BenchmarkSearch's
+// index (τ = 4) on 2 vCPUs a split query is 1.07× slower at α = 512 and
+// 0.83× the time at α = 1 024.
+const minWalkSplit = 4096
+
 // treeWalks and refineRuns are a query's two split phases as
 // fanout.Jobs over its scratch: part t walks tree t, part i refines run
 // i of the sorted candidates. Parts write only their own elements of
@@ -155,8 +162,8 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	// Insert grows the memtable).
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	fanout.Enter()
-	defer fanout.Leave()
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
 	span := telemetry.StartSpan(telOn)
 
 	ioBefore := ix.IOStats()
@@ -171,8 +178,16 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 
 	// Per-tree candidate retrieval and filtering (lines 1-10), one tree
 	// per part: on an idle CPU a helper walks trees beside this
-	// goroutine. The first error in tree order is the query's.
-	fanout.Spread(ix.params.Tau, (*treeWalks)(sc))
+	// goroutine, once the walks are long enough to repay its start. The
+	// first error in tree order is the query's.
+	walks := (*treeWalks)(sc)
+	if ix.params.Tau*plan.alpha >= minWalkSplit {
+		fanout.Spread(ix.params.Tau, walks)
+	} else {
+		for t := range ix.params.Tau {
+			walks.Do(t)
+		}
+	}
 	for _, err := range sc.errs {
 		if err != nil {
 			return nil, nil, err

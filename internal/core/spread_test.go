@@ -64,7 +64,9 @@ func TestQueryIdenticalAcrossHelperCounts(t *testing.T) {
 		tieIDs = append(tieIDs, uint64(id))
 	}
 	slices.Sort(tieIDs)
-	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 43, MemtableMaxVectors: 1 << 20}
+	// τ·α reaches minWalkSplit in every shape but alpha-eq-gamma, whose
+	// walks stay on the query's goroutine.
+	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 1024, Gamma: 128, Seed: 43, MemtableMaxVectors: 1 << 20}
 	ix, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors, p)
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -153,9 +154,17 @@ func stormVector(dim, i int) []float32 {
 	return v
 }
 
-func buildBase(t *testing.T, dir string, memtableMax int) *data.Dataset {
+// buildBase writes the 500-vector base index. With byteValued its
+// components are integers in [0,255], so the clustered base of
+// vectors.pg is stored as byte records; the storm's non-integer inserts
+// go to the float32 tail behind it.
+func buildBase(t *testing.T, dir string, memtableMax int, byteValued bool) *data.Dataset {
 	t.Helper()
-	ds := data.Generate(data.Config{Name: "crash", N: 500, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 7})
+	cfg := data.Config{Name: "crash", N: 500, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 7}
+	if byteValued {
+		cfg.Hi, cfg.Integer = 255, true
+	}
+	ds := data.Generate(cfg)
 	// Alpha >= n keeps queries exact, so "is this exact vector present"
 	// is decidable by a k=1 search.
 	idx, err := hdindex.Build(dir, ds.Vectors, hdindex.Options{
@@ -164,6 +173,9 @@ func buildBase(t *testing.T, dir string, memtableMax int) *data.Dataset {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if format := idx.Shards()[0].Records; strings.Contains(format, "byte records") != byteValued {
+		t.Fatalf("base stored as %q", format)
 	}
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
@@ -255,8 +267,12 @@ func artifactDir(t *testing.T, name string) string {
 }
 
 // Concurrent insert storm, SIGKILL at a randomized offset, recover,
-// assert no acknowledged write lost. Half the rounds force a tiny
-// memtable so the kill also lands during background compactions.
+// assert no acknowledged write lost and the index consistent. Rounds
+// cycle through three bases: float-valued with a large memtable; the
+// same with a tiny memtable, so compactions fire mid-storm and some
+// kills land mid-compaction; and byte-valued (byte records) with a tiny
+// memtable, so the kill lands beside a byte base and a float32 tail that
+// compactions keep appending to.
 func TestKillInjectionConcurrentStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill-injection; skipped in -short")
@@ -267,13 +283,11 @@ func TestKillInjectionConcurrentStorm(t *testing.T) {
 			dir := artifactDir(t, fmt.Sprintf("storm-%d", round))
 			memtableMax := 1 << 20
 			args := []string{}
-			if round%2 == 1 {
-				// Small memtable: compactions fire mid-storm, so some
-				// kills land mid-compaction.
+			if round%3 > 0 {
 				memtableMax = 16
 				args = append(args, "-memtable-max", "16")
 			}
-			buildBase(t, dir, memtableMax)
+			buildBase(t, dir, memtableMax, round%3 == 2)
 			srv := startServer(t, dir, args...)
 
 			var mu sync.Mutex
@@ -323,7 +337,7 @@ func TestKillInjectionSerialBitIdentical(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	dir := artifactDir(t, "serial")
-	ds := buildBase(t, dir, 1<<20)
+	ds := buildBase(t, dir, 1<<20, false)
 	srv := startServer(t, dir)
 
 	history := make([][]float32, 0, 4096) // history[j] = vector acked with id 500+j
@@ -356,7 +370,7 @@ func TestKillInjectionSerialBitIdentical(t *testing.T) {
 	// Replay exactly the acknowledged writes into a reference index that
 	// never crashed, then require bit-identical answers.
 	refDir := artifactDir(t, "serial-ref")
-	buildBase(t, refDir, 1<<20)
+	buildBase(t, refDir, 1<<20, false)
 	ref, err := hdindex.Open(refDir, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)

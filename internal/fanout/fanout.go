@@ -1,35 +1,47 @@
-// Package fanout runs a bounded worker-pool fan-out with cooperative
-// cancellation: the shape shared by core's batch search, shard's batch
-// search, and shard's per-query scatter-gather. One implementation
-// keeps the failure semantics — first error cancels the rest, parent
-// cancellation wins the race to be reported — identical everywhere.
-//
-// Beside Run, Spread splits one query's work across idle CPUs only: a
-// process-wide count of goroutines doing query work decides whether a
-// helper may join, so a query runs alone whenever every core is already
-// busy with another.
+// Package fanout is the engine's one rule for spending CPUs. HD-Index's
+// only parallelism is independent parts: the τ trees a build writes and
+// a query walks, the runs of a refinement, the queries of a batch, the
+// shards of a scatter or a sharded build. A query, a batch or a build
+// counts its own goroutine as busy (Enter), and splits its parts with
+// Spread or Each, where helper goroutines join only on CPUs that no
+// counted goroutine holds. So one client's work uses every idle core, and
+// a loaded process runs each unit of work alone instead of
+// oversubscribing the machine. No answer and no written byte depends on
+// how many helpers join.
 package fanout
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// busy counts the goroutines doing query work in this process: every
-// query between Enter and Leave, and every helper Spread has recruited
-// until it exits. CPUs are a process-wide resource, so the count is a
-// package-level one; no answer depends on it, only how many goroutines
-// compute the answer.
+// busy counts the goroutines doing engine work in this process: every
+// caller between Enter and its leave, and every helper Spread has
+// recruited until it exits. CPUs are a process-wide resource, so the
+// count is a package-level one.
 var busy atomic.Int32
 
-// Enter counts the calling goroutine as doing query work until the
-// matching Leave.
-func Enter() { busy.Add(1) }
+// counted is the context key Enter marks a counted goroutine's ctx with.
+type counted struct{}
 
-// Leave ends the count Enter started.
-func Leave() { busy.Add(-1) }
+// Enter counts the calling goroutine as busy until the returned leave is
+// called, and returns ctx marked as counted. Under a marked ctx Enter
+// counts nothing again: a query inside a batch or a scatter, or a shard's
+// build inside a sharded one, runs on a goroutine already counted — the
+// caller, or a helper Spread recruited — so it takes no second place.
+func Enter(ctx context.Context) (context.Context, func()) {
+	if ctx.Value(counted{}) != nil {
+		return ctx, func() {}
+	}
+	busy.Add(1)
+	return context.WithValue(ctx, counted{}, true), leave
+}
+
+func leave() { busy.Add(-1) }
 
 // Idle returns how many CPUs no counted goroutine holds right now:
 // GOMAXPROCS less the count, never below 0. It is a snapshot; Spread
@@ -45,13 +57,12 @@ type Job interface {
 }
 
 // Spread runs job.Do(i) for every i in [0, n) and returns once every
-// call has returned. The caller, which Enter counts, works through the
-// parts itself, joined by one helper goroutine per CPU that is idle when
-// Spread starts, at most n-1. A helper counts as busy until it exits,
-// and it exits before Spread returns. An atomic counter hands the parts
-// out in index order to whichever goroutine asks next, so with no idle
-// CPU — every core already runs a query — no goroutine starts and the
-// parts run in order on the caller.
+// call has returned. The caller works through the parts itself, joined
+// by one helper goroutine per CPU that is idle when Spread starts, at
+// most n-1. A helper counts as busy until it exits, and it exits before
+// Spread returns. An atomic counter hands the parts out in index order
+// to whichever goroutine asks next, so with no idle CPU no goroutine
+// starts and the parts run in order on the caller.
 func Spread(n int, job Job) {
 	helpers := recruit(n - 1)
 	if helpers == 0 {
@@ -115,78 +126,50 @@ func (s *spread) work() {
 // Spread returns.
 func (s *spread) help() {
 	defer s.wg.Done()
-	defer Leave()
+	defer leave()
 	s.work()
 }
 
-// Run invokes fn(ctx, i) for every i in [0, n) on at most workers
-// concurrent goroutines (workers <= 0 means GOMAXPROCS). The first
-// error cancels the context passed to the remaining calls and is
-// returned; work not yet dispatched is dropped. If the parent ctx is
-// cancelled, ctx.Err() is returned unless a real error was recorded
-// first.
-func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	fctx, cancel := context.WithCancel(ctx)
+// Each is Spread for parts that can fail: it runs fn(ctx, i) for every i
+// in [0, n) under a context cancelled at the first failure, so parts
+// still running see the cancellation and parts not yet started are
+// skipped. It returns the error of the lowest-numbered part that failed,
+// passing over the cancellations one part's failure caused in the
+// others, or nil.
+func Each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	parent := ctx
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		failMu   sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		failMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				if fctx.Err() != nil {
-					continue // drain without working
-				}
-				if err := fn(fctx, i); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case ch <- i:
-		case <-fctx.Done():
-			break dispatch
+	j := &each{ctx: ctx, cancel: cancel, fn: fn, errs: make([]error, n)}
+	Spread(n, j)
+	var induced error
+	for _, err := range j.errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled) && parent.Err() == nil:
+			induced = cmp.Or(induced, err)
+		default:
+			return err
 		}
 	}
-	close(ch)
-	wg.Wait()
+	return induced
+}
 
-	// A worker cancelled by our own cancel() reports ctx.Canceled; the
-	// caller should see the original cause. A recorded real error
-	// therefore wins over the parent's cancellation, which is checked
-	// second so dropped work still surfaces as an error.
-	failMu.Lock()
-	err := firstErr
-	failMu.Unlock()
+// each is one Each call as a Job: part i's error lands in errs[i].
+type each struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	fn     func(context.Context, int) error
+	errs   []error
+}
+
+func (j *each) Do(i int) {
+	err := j.ctx.Err()
+	if err == nil {
+		err = j.fn(j.ctx, i)
+	}
 	if err != nil {
-		return err
+		j.errs[i] = err
+		j.cancel()
 	}
-	return ctx.Err()
 }

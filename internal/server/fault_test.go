@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"github.com/hd-index/hdindex/internal/admission"
 	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/data"
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/iofault"
 	"github.com/hd-index/hdindex/internal/leakcheck"
 )
@@ -178,16 +180,19 @@ func TestFaultWALFailureReadOnlyServing(t *testing.T) {
 // (`make chaos`), the counting ones always.
 func TestOverloadStormShedsFast(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "t", N: 1500, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 42})
-	// BatchWorkers 2 keeps the admitted batch from saturating every
-	// core: shedding is only "immediate" if the shed path can get CPU
-	// while admitted work runs, which is exactly the property under test.
 	idx, err := hdindex.Build(t.TempDir(), ds.Vectors, hdindex.Options{
-		Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 1, BatchWorkers: 2,
+		Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
+	// Holding one CPU place in the engine's count keeps the admitted
+	// batch from recruiting a helper onto every core: shedding is only
+	// "immediate" if the shed path can get CPU while admitted work runs,
+	// which is exactly the property under test.
+	_, leave := fanout.Enter(context.Background())
+	t.Cleanup(leave)
 	ts := httptest.NewServer(New(idx, Config{Admission: admission.Config{
 		MaxInflight: 1,
 		MaxQueue:    4,

@@ -368,7 +368,7 @@ func TestServerSLOUnmetSurfaces(t *testing.T) {
 func TestPresetPinnedUnderPressure(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "t", N: 1500, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 42})
 	idx, err := hdindex.Build(t.TempDir(), ds.Vectors, hdindex.Options{
-		Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 1, BatchWorkers: 2,
+		Tau: 4, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
@@ -13,10 +12,7 @@ import (
 )
 
 // Params configures a build: the HD-Index parameters plus the layout
-// shape. Params.BuildWorkers is the total construction-parallelism
-// budget (0 = GOMAXPROCS): it bounds how many shards build concurrently
-// AND is divided among them, so shard × tree × encode-chunk workers
-// never oversubscribe the machine however the three layers nest.
+// shape.
 type Params struct {
 	core.Params
 
@@ -32,7 +28,7 @@ type Params struct {
 
 // Build constructs an HD-Index over vectors in directory dir. With
 // Shards >= 1 it stripes the dataset round-robin across N shards,
-// builds the shards concurrently on a bounded worker pool, and commits
+// builds them as parts idle CPUs join (fanout.Each), and commits
 // the layout by writing the manifest last; with Shards == 0 the
 // directory holds the one core index itself.
 func Build(dir string, vectors [][]float32, p Params) (*Sharded, error) {
@@ -106,54 +102,30 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 		total:  uint64(len(vectors)),
 	}
 
-	// One budget across all layers: at most shardConc shards build at
-	// once, each internally limited to perShard workers, so the total
-	// worker count stays at (or just under) the budget.
-	budget := p.BuildWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	shardConc := budget
-	if shardConc > n {
-		shardConc = n
-	}
-	perShard := budget / shardConc
-	if perShard < 1 {
-		perShard = 1
-	}
-	// Distribute the remainder: the first budget%shardConc shards get
-	// one extra worker, so no requested slot idles (e.g. budget 7 over
-	// 4 shards splits 2+2+2+1, not 1+1+1+1). At most shardConc shards
-	// run at once and rem < shardConc, so the concurrent total never
-	// exceeds the budget; worker count never affects output bytes.
-	rem := 0
-	if perShard*shardConc < budget {
-		rem = budget - perShard*shardConc
-	}
-
+	// The sharded build counts as one unit of work, so a shard's build
+	// on a goroutine already counted takes no second CPU place; the
+	// shards, and the trees and chunks inside each, are parts idle CPUs
+	// join. The first failure (or ctx) stops further shard builds
+	// instead of burning CPU on a doomed layout.
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
 	buildStart := time.Now()
 	// One allocation window around the whole fan-out: per-shard Allocs
 	// deltas are process-wide counters over overlapping windows when
 	// shards build concurrently, so summing them would multiply-count.
 	var probe core.MemProbe
 	probe.Sample()
-	// The bounded fan-out also stops scheduling further shard builds as
-	// soon as one fails (or ctx is cancelled), instead of burning CPU
-	// on a doomed layout.
-	err := fanout.Run(ctx, n, shardConc, func(ctx context.Context, i int) error {
+	err := fanout.Each(ctx, n, func(ctx context.Context, i int) error {
 		sp := p.Params
 		// Derive per-shard seeds so shards don't sample identical
 		// reference candidates; shard 0 keeps the caller's seed, so
 		// a 1-shard build is bit-identical to the monolithic layout.
 		sp.Seed = p.Seed + int64(i)
-		sp.BuildWorkers = perShard
-		if i < rem {
-			sp.BuildWorkers++
-		}
 		ix, err := core.BuildContext(ctx, shardDir(dir, i), stripes[i], sp)
 		if err != nil {
 			return fmt.Errorf("shard: build shard %d: %w", i, err)
 		}
+		s.shards[i] = ix
 		// Stamp the shard with its place in the layout so a standalone
 		// server over this directory can prove which shard it holds
 		// (the distributed deployment's miswiring check).
@@ -162,7 +134,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, p Params
 		}); err != nil {
 			return fmt.Errorf("shard: stamp shard %d: %w", i, err)
 		}
-		s.shards[i] = ix
 		return nil
 	})
 	if err != nil {

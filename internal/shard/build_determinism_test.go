@@ -37,27 +37,25 @@ func shardFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestShardedBuildDeterministicAcrossGOMAXPROCS pins layout-level
-// determinism: varying available parallelism (and the BuildWorkers
-// budget) must not change a single byte of any shard. Only
+// determinism: a build alone on one CPU and one that idle CPUs join on
+// eight must not differ in a single byte of any shard. Only
 // manifest.json (embeds a creation timestamp) and identity.json (the
 // cluster UUID is random by design — it exists to tell two builds
 // apart) are exempt.
 func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ds := testData(t, 1501)
-	build := func(dir string, procs, workers int) {
+	build := func(dir string, procs int) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		p := testParams(3)
-		p.BuildWorkers = workers
-		s, err := Build(dir, ds.Vectors, p)
+		s, err := Build(dir, ds.Vectors, testParams(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
-	build(dirA, 1, 1)
-	build(dirB, 8, 8)
+	build(dirA, 1)
+	build(dirB, 8)
 
 	fa, fb := shardFiles(t, dirA), shardFiles(t, dirB)
 	if len(fa) != len(fb) {

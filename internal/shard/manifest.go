@@ -21,9 +21,9 @@
 // persisted unevenly across a crash self-heal instead of refusing to
 // open.
 //
-// Shards are built concurrently (bounded by Params.BuildWorkers) and
-// searched with a scatter-gather fan-out whose per-shard top-k results
-// are merged through internal/topk. Each shard carries its own reference
+// Shards are built, and searched with a scatter-gather whose per-shard
+// top-k results are merged through internal/topk, as parts idle CPUs
+// join (internal/fanout). Each shard carries its own reference
 // objects, RDB-trees, and deletion marks, so every durability property
 // of core.Index holds per shard — and therefore for the whole layout.
 package shard

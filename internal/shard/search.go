@@ -76,10 +76,11 @@ func Merge(k int, replies []*Reply) ([]core.Result, *core.QueryStats) {
 
 // Query scatter-gathers the query with per-query cascade overrides:
 // the same options apply to every shard (the cascade is a per-query
-// property, not a per-shard one), every shard answers its local top-k
-// concurrently, and Merge folds the answers. Cancellation propagates
+// property, not a per-shard one), every shard answers its local top-k,
+// and Merge folds the answers. The scatter counts as one query, and its
+// shards are parts idle CPUs join (fanout.Each). Cancellation propagates
 // into each shard's query loop, and the first shard error cancels the
-// remaining fan-out.
+// rest of the scatter.
 //
 // A 1-shard layout returns exactly what its one core index does, and
 // with exhaustive filter parameters an N-shard layout returns the exact
@@ -98,9 +99,11 @@ func (s *Sharded) Query(ctx context.Context, q []float32, k int, o core.SearchOp
 		return nil, nil, err
 	}
 
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
 	answers := make([]Reply, n)
 	replies := make([]*Reply, n)
-	err = fanout.Run(ctx, n, n, func(ctx context.Context, i int) error {
+	err = fanout.Each(ctx, n, func(ctx context.Context, i int) error {
 		res, st, err := s.shards[i].Query(ctx, q, k, o)
 		if err != nil {
 			return err
@@ -116,9 +119,9 @@ func (s *Sharded) Query(ctx context.Context, q []float32, k int, o core.SearchOp
 	return res, st, nil
 }
 
-// QueryBatch fans the batch out on a bounded worker pool (the built
-// Params' BatchWorkers, default GOMAXPROCS) with one option set shared
-// by the whole batch; each query then scatter-gathers across shards.
+// QueryBatch spreads the batch's queries onto idle CPUs (fanout.Each)
+// with one option set shared by the whole batch; each query then
+// scatter-gathers across shards.
 // Results and work counters come back in input order. Options and
 // dimensionalities are validated up front, mirroring core.QueryBatch,
 // so a bad option set or a malformed query deep in the batch never
@@ -140,15 +143,14 @@ func (s *Sharded) QueryBatch(ctx context.Context, queries [][]float32, k int, o 
 			return nil, nil, fmt.Errorf("%w: query %d has %d dims, index has %d", core.ErrDimMismatch, i, len(q), s.man.Dim)
 		}
 	}
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
 	out := make([][]core.Result, len(queries))
 	stats := make([]*core.QueryStats, len(queries))
-	err := fanout.Run(ctx, len(queries), s.Params().BatchWorkers, func(ctx context.Context, qi int) error {
-		res, st, err := s.Query(ctx, queries[qi], k, o)
-		if err != nil {
-			return err
-		}
-		out[qi], stats[qi] = res, st
-		return nil
+	err := fanout.Each(ctx, len(queries), func(ctx context.Context, qi int) error {
+		var err error
+		out[qi], stats[qi], err = s.Query(ctx, queries[qi], k, o)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err

@@ -34,7 +34,9 @@ FUZZ_TARGETS = \
 	FuzzDistSqBound:./internal/vecmath \
 	FuzzSort:./internal/radix \
 	FuzzCloserKey:./internal/hilbert \
-	FuzzWALReplay:./internal/wal
+	FuzzWALReplay:./internal/wal \
+	FuzzSelect:./internal/topk \
+	FuzzPagerSuperblock:./internal/pager
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

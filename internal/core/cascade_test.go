@@ -105,29 +105,65 @@ func (trees referenceTrees) referenceTree(ix *Index, tr int, q []float32, qdist 
 // per-entry, full-sort pipeline did — ids, distances and order — in the
 // four shapes that exercise it differently: selection with α > γ, no
 // selection at α = γ, two selections with Ptolemaic on, and the κ cap,
-// the one path where the survivors' rank order reaches the answer.
+// the one path where the survivors' rank order reaches the answer. The
+// duplicates dataset holds every vector 20 times over, so runs of equal
+// bounds straddle the γ and β boundaries, and only ties broken by walk
+// position, as the reference breaks them, keep the same survivors.
 func TestCascadeMatchesReferencePipeline(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "cascade", N: 5000, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 77})
 	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 3}
-	ix, err := Build(t.TempDir()+"/ix", ds.Vectors, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	trees := loadReferenceTrees(t, ix)
-	queries := ds.PerturbedQueries(20, 0.02, 78)
 	shapes := map[string]SearchOptions{
 		"alpha-gt-gamma": {},
 		"alpha-eq-gamma": {Alpha: 256, Gamma: 256},
 		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: PtolemaicOn},
 		"maxcandidates":  {MaxCandidates: 150},
 	}
+	cascadeMatchesReference(t, ds.Vectors, ds.PerturbedQueries(20, 0.02, 78), p, shapes)
+
+	t.Run("duplicates", func(t *testing.T) {
+		base := data.Generate(data.Config{Name: "duplicates", N: 250, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 79})
+		var vectors [][]float32
+		for range 20 {
+			vectors = append(vectors, base.Vectors...)
+		}
+		// At α = γ nothing is selected, so no boundary is straddled; the
+		// copies shrink the union, so the cap comes down to bind.
+		delete(shapes, "alpha-eq-gamma")
+		shapes["maxcandidates"] = SearchOptions{MaxCandidates: 100}
+		cascadeMatchesReference(t, vectors, base.PerturbedQueries(20, 0.02, 80), p, shapes)
+	})
+}
+
+// cascadeMatchesReference builds an index over vectors and checks every
+// query against the reference pipeline in each shape, one subtest each.
+func cascadeMatchesReference(t *testing.T, vectors, queries [][]float32, p Params, shapes map[string]SearchOptions) {
+	ix, err := Build(t.TempDir()+"/ix", vectors, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	trees := loadReferenceTrees(t, ix)
 	for name, o := range shapes {
 		t.Run(name, func(t *testing.T) {
 			eachHelperCount(p.Tau, func(int) {
 				for qi, q := range queries {
 					want, wantCand := naiveSearchWith(t, ix, q, 10, o, func(tr int, qdist []float64, plan searchPlan) []uint64 {
-						return trees.referenceTree(ix, tr, q, qdist, plan)
+						// Each tree's survivors, not only the answer: a tie
+						// broken otherwise swaps one copy for another, which
+						// the answer and κ rarely show. They are a set unless
+						// the cap needs their rank order.
+						ref := trees.referenceTree(ix, tr, q, qdist, plan)
+						got, _, err := ix.searchTree(context.Background(), tr, q, qdist, nil, plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if plan.maxCandidates == 0 {
+							got, ref = slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(ref))
+						}
+						if !slices.Equal(got, ref) {
+							t.Fatalf("query %d tree %d: survivors %v, reference %v", qi, tr, got, ref)
+						}
+						return ref
 					})
 					got, st, err := ix.Query(context.Background(), q, 10, o)
 					if err != nil {

@@ -14,9 +14,10 @@ import (
 // naiveSearch is the pre-optimization refinement path, kept as the
 // reference the hot path is proven against: map-based candidate dedup
 // in tree order (no page-ordered sort), a full copying vector fetch per
-// candidate, and an unbounded DistSq. The optimized path — epoch-array
-// dedup, id-sorted zero-copy fetch, early-abandoning kernel — must
-// return bit-identical Results and the same candidate count.
+// candidate, and an unbounded DistSq. The optimized path — a bitmap
+// union read back as ascending slots, the page-ordered zero-copy fetch,
+// the early-abandoning kernel — must return bit-identical Results and
+// the same candidate count.
 func naiveSearch(t *testing.T, ix *Index, q []float32, k int) ([]Result, int) {
 	t.Helper()
 	return naiveSearchWith(t, ix, q, k, SearchOptions{}, func(tr int, qdist []float64, plan searchPlan) []uint64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // Per-search scratch reuse. A query allocates O(τ·α) intermediate state
-// — fetched leaf entries, their reference-distance arrays, filter items,
-// the candidate union — none of which outlives the call. Under serving
-// load (internal/server) those allocations dominate the hot path, so
-// both levels of scratch are pooled: one searchScratch per query, one
+// — fetched leaf entries' slots and bounds, the filter's survivors, the
+// candidate union — none of which outlives the call. Under serving load
+// (internal/server) those allocations dominate the hot path, so both
+// levels of scratch are pooled: one searchScratch per query, one
 // treeScratch per searchTree invocation (trees may run concurrently
 // within a query, so tree scratch cannot live inside searchScratch).
 
@@ -35,16 +36,12 @@ type searchScratch struct {
 	treeIDs [][]uint64
 	fetched []int
 	errs    []error
-	// stamp is the candidate-dedup structure: a dense epoch-stamped
-	// array indexed by slot. stamp[slot] == epoch means "seen this
-	// query"; bumping epoch invalidates every entry at once, so unlike
-	// a hash map there are no hash operations on the hot path and
-	// nothing to clear between queries. It is bounded by
-	// stampMaxObjects; stores beyond that (and slots a corrupted tree
-	// hands out past the store's count) dedup through the seen map
-	// instead, so memory stays O(min(n, cap)) rather than O(dataset).
-	stamp      []uint32
-	epoch      uint32
+	// bitmap is the candidate union's dedup, bit s%64 of word s/64 for
+	// slot s; union clears every word it sets, so it is all zero between
+	// queries. It covers slots up to bitmapMaxSlots; slots beyond (a larger
+	// store, or a corrupt tree's garbage slot near 2^63, which must not
+	// become a huge allocation) dedup through the seen map.
+	bitmap     []uint64
 	seen       map[uint64]struct{}
 	candidates []uint64
 	// runs holds one refinement run each (cutRuns); run 0's list is the
@@ -63,11 +60,10 @@ type refineRun struct {
 	err   error
 }
 
-// stampMaxObjects caps the dense dedup array at 8 MiB per pooled
-// scratch. Every pooled scratch (≈ one per concurrent searcher) holds
-// one, so the cap keeps dedup memory from scaling with the dataset;
-// larger stores fall back to the map, which costs O(candidates).
-const stampMaxObjects = 1 << 21
+// bitmapMaxSlots caps the dedup bitmap at 256 KiB per pooled scratch
+// (≈ one per concurrent searcher), so dedup memory does not scale with
+// the dataset; slots beyond it take the map, which costs O(candidates).
+const bitmapMaxSlots = 1 << 21
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
@@ -77,89 +73,75 @@ func (ix *Index) getSearchScratch(ctx context.Context, q []float32, plan searchP
 	s := searchPool.Get().(*searchScratch)
 	s.ix, s.ctx, s.q, s.plan = ix, ctx, q, plan
 	p := ix.params
-	if cap(s.qdist) < p.M {
-		s.qdist = make([]float64, p.M)
-	}
-	s.qdist = s.qdist[:p.M]
-	// Each slice is gated on its own capacity: allocator size-class
-	// rounding can give the three different caps for the same make
-	// length, so checking one cap for all three could reslice a
-	// shorter sibling out of range.
-	if cap(s.perTree) < p.Tau {
-		s.perTree = make([][]uint64, p.Tau)
-	}
-	if cap(s.treeIDs) < p.Tau {
-		s.treeIDs = make([][]uint64, p.Tau)
-	}
-	if cap(s.fetched) < p.Tau {
-		s.fetched = make([]int, p.Tau)
-	}
-	if cap(s.errs) < p.Tau {
-		s.errs = make([]error, p.Tau)
-	}
-	s.perTree = s.perTree[:p.Tau]
-	s.treeIDs = s.treeIDs[:p.Tau]
-	s.fetched = s.fetched[:p.Tau]
-	s.errs = s.errs[:p.Tau]
-	for t := 0; t < p.Tau; t++ {
-		s.perTree[t], s.fetched[t], s.errs[t] = nil, 0, nil
-	}
-	s.resetDedup(ix.vectors.Count())
-	s.candidates = s.candidates[:0]
+	s.qdist = slices.Grow(s.qdist[:0], p.M)[:p.M]
+	// treeIDs keeps the buffers putSearchScratch reclaimed into it; the
+	// rest start each query empty.
+	s.treeIDs = slices.Grow(s.treeIDs[:0], p.Tau)[:p.Tau]
+	s.perTree = slices.Grow(s.perTree[:0], p.Tau)[:p.Tau]
+	s.fetched = slices.Grow(s.fetched[:0], p.Tau)[:p.Tau]
+	s.errs = slices.Grow(s.errs[:0], p.Tau)[:p.Tau]
+	clear(s.perTree)
+	clear(s.fetched)
+	clear(s.errs)
+	s.sizeBitmap(ix.vectors.Count())
 	return s
 }
 
-// resetDedup prepares candidate dedup for a store of n objects: a dense
-// stamp array up to stampMaxObjects, the map beyond. Growing the array
-// allocates zeroed memory, so the epoch restarts at 1; on the (rare)
-// uint32 wraparound the array is cleared once rather than colliding
-// with stamps from 2^32 queries ago.
-func (s *searchScratch) resetDedup(n uint64) {
-	if len(s.seen) > 0 {
-		clear(s.seen)
-	}
-	if n > stampMaxObjects {
-		s.stamp = s.stamp[:0] // every id takes the map path
-		return
-	}
-	if uint64(cap(s.stamp)) < n {
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
-	}
-	s.stamp = s.stamp[:n]
-	s.epoch++
-	if s.epoch == 0 {
-		// The whole capacity, not just [:n]: a smaller index may be
-		// resliced back up within capacity by a later query, and stale
-		// stamps beyond n would then collide with small post-wrap
-		// epochs.
-		clear(s.stamp[:cap(s.stamp)])
-		s.epoch = 1
-	}
+// sizeBitmap fits the dedup bitmap to a store of n slots, up to
+// bitmapMaxSlots. Every word is zero between queries, the words past the
+// old length included, so a reslice needs no clearing.
+func (s *searchScratch) sizeBitmap(n uint64) {
+	words := int(min(n, bitmapMaxSlots)+63) / 64
+	s.bitmap = slices.Grow(s.bitmap[:0], words)[:words]
 }
 
-// markSeen records slot for the current query, reporting whether it was
-// already seen. Slots beyond the stamp's range — a store larger than
-// stampMaxObjects, or a corrupted tree handing out slots the store never
-// assigned — dedup through the map instead, never by growing the
-// array (a garbage slot near 2^63 must not become a huge allocation);
-// out-of-range slots still reach refinement, which surfaces ErrBadID.
-func (s *searchScratch) markSeen(slot uint64) bool {
-	if slot < uint64(len(s.stamp)) {
-		if s.stamp[slot] == s.epoch {
-			return true
+// union returns the distinct slots of the τ trees' survivors in
+// ascending order, at most maxCandidates of them when that is positive.
+// Marking a slot's bit dedups it; the marks stop at the κ cap, keeping
+// the first maxCandidates distinct slots in tree order, each tree's in
+// filter rank order — so the cap drops the later trees' weakest-ranked
+// survivors. Reading the touched words back, lowest bit first, emits
+// the union sorted and clears them; the map's slots, all larger, follow.
+func (s *searchScratch) union(maxCandidates int) []uint64 {
+	lo, hi := len(s.bitmap), -1 // the touched words
+	kappa := 0
+mark:
+	for _, slots := range s.perTree {
+		for _, slot := range slots {
+			if w := slot >> 6; w < uint64(len(s.bitmap)) {
+				old := s.bitmap[w]
+				s.bitmap[w] = old | 1<<(slot&63)
+				kappa += int(^old >> (slot & 63) & 1)
+				lo, hi = min(lo, int(w)), max(hi, int(w))
+			} else if _, ok := s.seen[slot]; !ok {
+				if s.seen == nil {
+					s.seen = make(map[uint64]struct{}, 64)
+				}
+				s.seen[slot] = struct{}{}
+				kappa++
+			}
+			if maxCandidates > 0 && kappa == maxCandidates {
+				break mark
+			}
 		}
-		s.stamp[slot] = s.epoch
-		return false
 	}
-	if s.seen == nil {
-		s.seen = make(map[uint64]struct{}, 64)
+	out := s.candidates[:0]
+	for w := lo; w <= hi; w++ {
+		for word := s.bitmap[w]; word != 0; word &= word - 1 {
+			out = append(out, uint64(w)<<6|uint64(bits.TrailingZeros64(word)))
+		}
+		s.bitmap[w] = 0
 	}
-	if _, ok := s.seen[slot]; ok {
-		return true
+	if len(s.seen) > 0 {
+		n := len(out)
+		for slot := range s.seen {
+			out = append(out, slot)
+		}
+		slices.Sort(out[n:])
+		clear(s.seen)
 	}
-	s.seen[slot] = struct{}{}
-	return false
+	s.candidates = out // keep the grown buffer for reuse
+	return out
 }
 
 // cutRuns cuts the sorted candidates into n contiguous runs of near-equal
@@ -176,10 +158,7 @@ func (s *searchScratch) cutRuns(candidates []uint64, n, k int) {
 		} else {
 			r.best.Reset()
 		}
-		if cap(r.vec) < s.ix.nu {
-			r.vec = make([]float32, s.ix.nu)
-		}
-		r.vec = r.vec[:s.ix.nu]
+		r.vec = slices.Grow(r.vec[:0], s.ix.nu)[:s.ix.nu]
 		r.done, r.err = 0, nil
 	}
 }
@@ -197,25 +176,26 @@ func putSearchScratch(s *searchScratch) {
 }
 
 // treeScratch is the per-tree state of searchTree: the Hilbert key, the
-// α fetched entries' slots and reference distances (one flat arena), and
-// the filter item slices.
+// α fetched entries' slots and triangular bounds by walk position, their
+// reference distances (one flat arena, filled only for the Ptolemaic
+// stage), and the two filter stages' survivors and selection scratch.
 type treeScratch struct {
 	coords []uint32
 	key    []byte
 	ids    []uint64
+	tri    []uint64
 	arena  []float32
-	tri    []topk.Item
-	pto    []topk.Item
+	pto    []uint64
+	keep   []uint32
+	sub    []uint32
+	sel    topk.Selector
 }
 
 var treePool = sync.Pool{New: func() any { return new(treeScratch) }}
 
 func (ix *Index) getTreeScratch() *treeScratch {
 	s := treePool.Get().(*treeScratch)
-	if cap(s.coords) < ix.eta {
-		s.coords = make([]uint32, ix.eta)
-	}
-	s.coords = s.coords[:ix.eta]
+	s.coords = slices.Grow(s.coords[:0], ix.eta)[:ix.eta]
 	return s
 }
 

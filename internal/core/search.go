@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -195,35 +196,16 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	}
 	span.Mark(telemetry.PhaseTreeWalk)
 
-	// Union of candidates (line 11): γ <= κ <= τ·γ, deduplicated by
-	// stamping the dense epoch array — no map operations, no clearing.
-	// A candidate is a slot from here to the top-k push.
-	candidates := sc.candidates
-	for _, slots := range sc.perTree {
-		for _, slot := range slots {
-			if !sc.markSeen(slot) {
-				candidates = append(candidates, slot)
-			}
-		}
-	}
-	sc.candidates = candidates // keep the grown buffer for reuse
-
-	// The κ cap (WithMaxCandidates) truncates before the page-order
-	// sort, while candidates still sit in per-tree filter rank order —
-	// so the cap drops the weakest-ranked survivors of the later trees,
-	// not whichever slots happen to sort last.
-	if plan.maxCandidates > 0 && len(candidates) > plan.maxCandidates {
-		candidates = candidates[:plan.maxCandidates]
-	}
-
-	// Page-ordered fetch: vector records are packed in slot order, so
-	// sorting the candidates sorts their owning pages, and Build laid the
-	// slots out in tree-0 key order, so candidates that were neighbours
-	// on that curve are neighbours here: the refinement step pins each
-	// page once for the whole run of candidates on it. The top-k list
-	// orders by (Dist, ID) — id, not slot — so the retained set depends
-	// on neither the fetch order nor the layout.
-	slices.Sort(candidates)
+	// Union of candidates (line 11): γ <= κ <= τ·γ distinct slots, in
+	// ascending order for the page-ordered fetch. A candidate is a slot
+	// from here to the top-k push. Vector records are packed in slot
+	// order, so ascending slots visit their owning pages in order, and
+	// Build laid the slots out in tree-0 key order, so candidates that
+	// were neighbours on that curve are neighbours here: the refinement
+	// step pins each page once for the whole run of candidates on it. The
+	// top-k list orders by (Dist, ID) — id, not slot — so the retained
+	// set depends on neither the fetch order nor the layout.
+	candidates := sc.union(plan.maxCandidates)
 	span.Mark(telemetry.PhaseCandidateSort)
 
 	// Exact refinement (lines 12-15) over the stored candidates, in
@@ -371,14 +353,20 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	ts.key = ix.curves[t].Encode(ts.key[:0], ts.coords)
 
 	// α nearest leaf entries, each one's triangular lower bound (Eq. 5)
-	// taken as it comes off its leaf page. Walk position i — the filter's
-	// tie-break — has object slot entryIDs[i] and reference distances
+	// read off its pinned leaf page. Walk position i — the filter's
+	// tie-break — has object slot entryIDs[i], bound tri[i] and, when the
+	// Ptolemaic stage will want them, reference distances
 	// arena[i*m:(i+1)*m].
-	m := len(qdist)
-	entryIDs, tri := ts.ids[:0], ts.tri[:0]
-	arena, err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, ts.arena, func(e rdbtree.Entry) {
-		tri = append(tri, topk.Item{ID: uint64(len(entryIDs)), Dist: triangularLB(qdist, e.RefDists)})
-		entryIDs = append(entryIDs, e.ID)
+	m, ptolemaic := len(qdist), plan.ptolemaic
+	entryIDs, tri, arena := ts.ids[:0], ts.tri[:0], ts.arena[:0]
+	err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, func(slot uint64, dists []byte) {
+		tri = append(tri, triangularLB(qdist, dists))
+		entryIDs = append(entryIDs, slot)
+		if ptolemaic {
+			for i := range m {
+				arena = append(arena, rdbtree.RefDist(dists, i))
+			}
+		}
 	})
 	ts.arena, ts.ids, ts.tri = arena, entryIDs, tri // keep the grown buffers for reuse
 	if err != nil {
@@ -386,49 +374,61 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	}
 	fetched := len(entryIDs)
 
-	// Keep the β (or γ, if Ptolemaic is off) smallest lower bounds.
+	// Keep the β (or γ, if Ptolemaic is off) smallest lower bounds, as
+	// walk positions in ascending order.
 	narrowTo := plan.gamma
 	if plan.ptolemaic {
 		narrowTo = plan.beta
 	}
-	keep := topk.SelectK(tri, narrowTo)
+	keep := ts.sel.Select(ts.keep, tri, nil, narrowTo)
+	ts.keep = keep
 
 	if plan.ptolemaic {
-		// Ptolemaic inequality (Eq. 6): tighter but O(m²) per object.
+		// Ptolemaic inequality (Eq. 6): tighter but O(m²) per object. Each
+		// survivor's bound replaces its triangular one in tri, which then
+		// holds the last stage's bound by walk position. The survivors
+		// ascend, so ranking their bounds by index ties by walk position.
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		pto := ts.pto[:0]
-		for _, it := range keep {
-			pto = append(pto, topk.Item{ID: it.ID, Dist: ix.ptolemaicLB(qdist, arena[int(it.ID)*m:(int(it.ID)+1)*m])})
+		ts.pto = ts.pto[:0]
+		for _, p := range keep {
+			tri[p] = math.Float64bits(ix.ptolemaicLB(qdist, arena[int(p)*m:int(p+1)*m]))
+			ts.pto = append(ts.pto, tri[p])
 		}
-		ts.pto = pto
-		keep = topk.SelectK(pto, plan.gamma)
+		ts.sub = ts.sel.Select(ts.sub, ts.pto, nil, plan.gamma)
+		for j, i := range ts.sub {
+			keep[j] = keep[i]
+		}
+		keep = keep[:len(ts.sub)]
 	}
 	// The survivors are a set; only the κ cap, which truncates the union
-	// by filter rank, needs them in rank order.
+	// by filter rank, needs them in (bound, walk position) order.
 	if plan.maxCandidates > 0 {
-		topk.Sort(keep)
+		slices.SortFunc(keep, func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(tri[a], tri[b]), cmp.Compare(a, b))
+		})
 	}
-	for _, it := range keep {
-		ids = append(ids, entryIDs[it.ID])
+	for _, p := range keep {
+		ids = append(ids, entryIDs[p])
 	}
 	return ids, fetched, nil
 }
 
-// triangularLB is Eq. (5): max_i |d(q,R_i) - d(o,R_i)|. It runs once per
-// fetched leaf entry, so it is branch-free — which side of a reference
-// distance the query falls on is a coin flip no predictor learns — and
-// takes the max over the IEEE bit patterns, which order as the
-// non-negative floats they encode do: an integer max is one
-// conditional move where a float max is a chain of several
-// dependent instructions.
-func triangularLB(qdist []float64, refDists []float32) float64 {
+// triangularLB is Eq. (5), max_i |d(q,R_i) - d(o,R_i)|, over an entry's
+// raw distance bytes, as the IEEE bit pattern of the bound: for the
+// non-negative floats it encodes that orders as the float does, and it
+// is the filter's selection key. It runs once per fetched leaf entry, so
+// it is branch-free — which side of a reference distance the query falls
+// on is a coin flip no predictor learns — and an integer max is one
+// conditional move where a float max is a chain of several dependent
+// instructions.
+func triangularLB(qdist []float64, dists []byte) uint64 {
 	var best uint64
 	for i, qd := range qdist {
-		best = max(best, math.Float64bits(qd-float64(refDists[i]))&^(1<<63))
+		best = max(best, math.Float64bits(qd-float64(rdbtree.RefDist(dists, i)))&^(1<<63))
 	}
-	return math.Float64frombits(best)
+	return best
 }
 
 // ptolemaicLB is Eq. (6):

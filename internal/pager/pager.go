@@ -25,10 +25,13 @@
 package pager
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -347,6 +350,11 @@ func (p *Pager) readSuperblock() error {
 	if ps < headerLen+8 {
 		return ErrBadChecksum
 	}
+	// A superblock page past the end of the file is a short read, found
+	// before a buffer that size is made.
+	if st, err := p.f.Stat(); err != nil || int64(ps) > st.Size() {
+		return fmt.Errorf("%w: read superblock: a %d-byte page past the end of the file: %w", ErrIO, ps, cmp.Or(err, io.ErrUnexpectedEOF))
+	}
 	p.pageSize = ps
 	buf := make([]byte, ps)
 	if _, err := p.f.ReadAt(buf, 0); err != nil {
@@ -357,7 +365,11 @@ func (p *Pager) readSuperblock() error {
 	if superChecksum(buf) != want {
 		return ErrBadChecksum
 	}
-	p.pageCount.Store(binary.BigEndian.Uint64(buf[offPageCount:]))
+	count := binary.BigEndian.Uint64(buf[offPageCount:])
+	if count == 0 || count > math.MaxInt64/uint64(ps) { // it counts the superblock; offsets fit an int64
+		return fmt.Errorf("%w: page count %d", ErrBadChecksum, count)
+	}
+	p.pageCount.Store(count)
 	metaLen := int(binary.BigEndian.Uint32(buf[offMetaLen:]))
 	if metaLen > p.pageSize-offMeta {
 		return ErrBadChecksum

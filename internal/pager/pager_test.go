@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func newTemp(t *testing.T, opts Options) (*Pager, string) {
+func newTemp(t testing.TB, opts Options) (*Pager, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.pg")
 	opts.Create = true
@@ -190,6 +190,68 @@ func TestTruncatedFile(t *testing.T) {
 	if _, err := Open(path, Options{}); err == nil {
 		t.Fatal("opening truncated file must fail")
 	}
+}
+
+// FuzzPagerSuperblock opens a pager over arbitrary page-0 bytes: Open
+// answers with an error or with a pager whose page count and metadata
+// are consistent — never a panic, nor a buffer sized by a corrupt
+// header. With fix set the checksum is recomputed over the page the
+// header's page size names, so mutations get past it to the fields it
+// guards. Seeded from a file written the way TestCorruptedSuperblock's
+// is, whole and cut short.
+func FuzzPagerSuperblock(f *testing.F) {
+	p, path := newTemp(f, Options{PageSize: 512})
+	if err := p.SetMeta([]byte("important")); err != nil {
+		f.Fatal(err)
+	}
+	pg, err := p.Alloc()
+	if err != nil {
+		f.Fatal(err)
+	}
+	copy(pg.Data, "x")
+	pg.Release()
+	if err := p.Close(); err != nil {
+		f.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file, false)
+	f.Add(file, true)
+	f.Add(file[:512], true)
+	f.Add(file[:100], true)
+	f.Fuzz(func(t *testing.T, file []byte, fix bool) {
+		if fix && len(file) >= headerLen {
+			if ps := int(binary.BigEndian.Uint32(file[offPageSize:])); ps >= headerLen+8 && ps <= len(file) {
+				binary.BigEndian.PutUint64(file[offChecksum:], superChecksum(file[:ps]))
+			}
+		}
+		path := filepath.Join(t.TempDir(), "page0.pg")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Open(path, Options{ReadOnly: true, PoolPages: 4})
+		if err != nil {
+			return
+		}
+		defer p.Close()
+		ps, count := p.PageSize(), p.PageCount()
+		if ps < headerLen+8 || ps > len(file) {
+			t.Fatalf("page size %d from a %d-byte file", ps, len(file))
+		}
+		if count < 1 || p.FileSize()/int64(ps) != int64(count) {
+			t.Fatalf("page count %d at %d-byte pages spans %d bytes", count, ps, p.FileSize())
+		}
+		if meta := p.Meta(); len(meta) > ps-offMeta || !bytes.Equal(meta, file[offMeta:offMeta+len(meta)]) {
+			t.Fatalf("%d bytes of metadata in a %d-byte superblock, not the ones it holds", len(meta), ps)
+		}
+		for id := PageID(1); uint64(id) < min(count, 8); id++ {
+			if v, err := p.View(id); err == nil {
+				v.Release()
+			}
+		}
+	})
 }
 
 func TestOpenWithDifferentConfiguredPageSize(t *testing.T) {

@@ -8,7 +8,9 @@
 // vector store there). That leaf design is the paper's central trade:
 // candidates fetched from a leaf can be filtered with the triangular and
 // Ptolemaic inequalities (§4.2) without any further I/O, and the leaf
-// order Ω stays high even at ν in the hundreds because m ≪ ν.
+// order Ω stays high even at ν in the hundreds because m ≪ ν. A query's
+// walk (WalkNearest) hands out each entry's distances as raw bytes in the
+// pinned leaf, so a bound is taken where the entry lies, copying nothing.
 //
 // Leaf entry layout (paper Eq. (4)):
 //
@@ -144,14 +146,16 @@ func (t *Tree) encodeValue(dst []byte, id uint64, refDists []float32) {
 
 // decodeValueInto decodes into caller-provided RefDists storage (len m).
 func (t *Tree) decodeValueInto(v []byte, rd []float32) Entry {
-	e := Entry{
-		ID:       binary.BigEndian.Uint64(v[0:8]),
-		RefDists: rd,
+	for i := range rd {
+		rd[i] = RefDist(v[8:], i)
 	}
-	for i := range e.RefDists {
-		e.RefDists[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[8+4*i:]))
-	}
-	return e
+	return Entry{ID: binary.BigEndian.Uint64(v), RefDists: rd}
+}
+
+// RefDist is reference distance i of an entry's raw distance bytes, as
+// WalkNearest passes them.
+func RefDist(dists []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(dists[4*i : 4*i+4]))
 }
 
 // Record is bulk-load input: a pre-computed Hilbert key, the object id,
@@ -247,38 +251,38 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 
 // WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest
 // over the leaf chain: it passes fn up to alpha entries whose Hilbert
-// keys are numerically nearest to key, nearest first, each decoded as it
-// comes off its leaf page. Entry i's RefDists is arena[i*m:(i+1)*m] —
-// arena's backing array is reused when it holds alpha·m floats, and the
-// grown arena is returned on every path, error or not, so a pooling
-// caller keeps it for the next call (which invalidates the entries).
-// A cancelled ctx stops the walk within the leaves it has pinned.
-func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, arena []float32, fn func(Entry)) ([]float32, error) {
-	m := t.cfg.M
-	if cap(arena) < alpha*m {
-		arena = make([]float32, 0, alpha*m)
-	}
-	arena = arena[:0]
+// keys are numerically nearest to key, nearest first, each as its
+// pointer and a view of its raw reference distances (RefDist reads
+// them) in the pinned leaf page, valid only until fn returns. A
+// cancelled ctx stops the walk within the leaves it has pinned.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(id uint64, dists []byte)) error {
 	if alpha < 1 {
-		return arena, fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
+		return fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
-	err := t.bt.WalkNearest(ctx, key, alpha, func(v []byte) {
-		rd := arena[len(arena) : len(arena)+m : len(arena)+m]
-		arena = arena[:len(arena)+m]
-		fn(t.decodeValueInto(v, rd))
+	return t.bt.WalkNearest(ctx, key, alpha, func(v []byte) {
+		fn(binary.BigEndian.Uint64(v), v[8:])
 	})
-	return arena, err
 }
 
-// SearchNearestInto is WalkNearest collecting the entries: dst receives
-// them (its backing array is reused when large enough; nil is fine) and
-// is returned, like the arena they alias, on every path.
+// SearchNearestInto is WalkNearest collecting the entries decoded: dst
+// receives them, entry i's RefDists is arena[i*m:(i+1)*m], and both are
+// reused when large enough (nil is fine) and returned on every path, so
+// a pooling caller keeps them for the next call.
 func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
-	out := dst[:0]
+	m := t.cfg.M
+	out, arena := dst[:0], arena[:0]
 	if cap(out) < alpha {
 		out = make([]Entry, 0, alpha)
 	}
-	arena, err := t.WalkNearest(ctx, key, alpha, arena, func(e Entry) { out = append(out, e) })
+	if cap(arena) < alpha*m {
+		arena = make([]float32, 0, alpha*m)
+	}
+	err := t.WalkNearest(ctx, key, alpha, func(id uint64, dists []byte) {
+		for i := range m {
+			arena = append(arena, RefDist(dists, i))
+		}
+		out = append(out, Entry{ID: id, RefDists: arena[len(arena)-m : len(arena) : len(arena)]})
+	})
 	return out, arena, err
 }
 

@@ -5,8 +5,11 @@
 package topk
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Item is a candidate object with its (possibly approximate) distance.
@@ -39,13 +42,7 @@ func itemLess(x, y Item) bool {
 // smaller id.
 func Sort(items []Item) {
 	slices.SortFunc(items, func(x, y Item) int {
-		switch {
-		case itemLess(x, y):
-			return -1
-		case itemLess(y, x):
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(x.Dist, y.Dist), cmp.Compare(x.ID, y.ID))
 	})
 }
 
@@ -109,16 +106,6 @@ func (l *List) ItemsInto(dst []Item) []Item {
 	return dst
 }
 
-// IDs returns just the ids, nearest first.
-func (l *List) IDs() []uint64 {
-	items := l.Items()
-	ids := make([]uint64, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
-	}
-	return ids
-}
-
 // Reset empties the list, keeping capacity.
 func (l *List) Reset() { l.items = l.items[:0] }
 
@@ -154,65 +141,140 @@ func (l *List) down(i int) {
 // SelectK returns the k smallest items by (Dist, ID), reordering items
 // in place — as a set: the order of the returned prefix is unspecified,
 // and callers that need rank order Sort it. With k >= len(items) the
-// input is returned untouched, with no ordering work at all. It is the
-// non-streaming counterpart of List, used by the filter cascade where
-// the candidate set is already materialised and only membership in the
-// k survivors matters: an introselect, O(len(items)) expected, against
-// the O(n log n) of sorting everything to keep a quarter.
+// input is returned untouched, with no ordering work at all. It is
+// Selector.Select with the ids as the tie-break; NaN has no order.
 func SelectK(items []Item, k int) []Item {
 	if k >= len(items) {
 		return items
 	}
-	if k <= 0 {
-		return items[:0]
+	s := selectKPool.Get().(*selectKScratch)
+	defer selectKPool.Put(s)
+	s.keys, s.ids = s.keys[:0], s.ids[:0]
+	for _, it := range items {
+		s.keys, s.ids = append(s.keys, orderKey(it.Dist)), append(s.ids, it.ID)
 	}
-	// Invariant: lo < k <= hi, and the k smallest are items[:lo] plus the
-	// k-lo smallest of items[lo:hi] — so k == hi ends it. Each round
-	// splits [lo,hi) around a median-of-three pivot and keeps the side
-	// the k-th item falls in; a short range — or one still long when the
-	// depth budget runs out, which only an adversarial input manages —
-	// is finished by sorting it.
-	lo, hi := 0, len(items)
-	for depth := 2 * bits.Len(uint(len(items))); k < hi && hi-lo > 16 && depth > 0; depth-- {
-		split := lo + partition(items[lo:hi])
-		if k <= split {
-			hi = split
-		} else {
-			lo = split
-		}
+	s.pos = s.sel.Select(s.pos, s.keys, s.ids, k)
+	for j, p := range s.pos { // positions ascend: p >= j is never one still to move
+		items[j] = items[p]
 	}
-	if k < hi {
-		Sort(items[lo:hi])
-	}
-	return items[:k]
+	return items[:len(s.pos)]
 }
 
-// partition reorders a (len >= 3) around its median-of-three pivot and
-// returns a split point 0 < s < len(a) with every item of a[:s] ordering
-// at or before every item of a[s:] (Hoare's scheme: equal items stop
-// both scans, so runs of duplicates split evenly).
-func partition(a []Item) int {
-	mid, last := len(a)/2, len(a)-1
-	if itemLess(a[mid], a[0]) {
-		a[0], a[mid] = a[mid], a[0]
+type selectKScratch struct {
+	sel       Selector
+	keys, ids []uint64
+	pos       []uint32
+}
+
+var selectKPool = sync.Pool{New: func() any { return new(selectKScratch) }}
+
+// orderKey maps a distance to a uint64 that orders as it does: the sign
+// bit set on a non-negative float's bits, a negative one's complemented,
+// and -0 made by d+0 the +0 it equals.
+func orderKey(d float64) uint64 {
+	b := math.Float64bits(d + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// digitBits is the width of the digit a Selector ranks keys by per
+// round; smallBucket the most keys it sorts instead of taking a round.
+const digitBits, smallBucket = 11, 64
+
+// Selector is a radix selection of the k smallest of n integer order
+// keys in O(n). The zero value is ready; it holds only scratch, which a
+// reused Selector keeps. Not safe for concurrent use.
+type Selector struct {
+	hist      [1 << digitBits]uint32
+	pos       []uint32 // the positions left in kth's descent
+	remaining []uint64 // and their keys
+}
+
+// Select returns, appended to dst[:0], the positions of the k smallest
+// keys in ascending position order, ranked by (key, tie[i], i) — by
+// (key, i) when tie is nil. It finds the k-th (kth), then writes every
+// position ranking at or before it in one pass, branch-free when tie is
+// nil: the keys are read, never moved.
+func (s *Selector) Select(dst []uint32, keys, tie []uint64, k int) []uint32 {
+	n := len(keys)
+	dst = slices.Grow(dst[:0], n)[:n]
+	if k <= 0 || k >= n { // none or all
+		dst = dst[:min(max(k, 0), n)]
+		for i := range dst {
+			dst[i] = uint32(i)
+		}
+		return dst
 	}
-	if itemLess(a[last], a[mid]) {
-		a[mid], a[last] = a[last], a[mid]
-		if itemLess(a[mid], a[0]) {
-			a[0], a[mid] = a[mid], a[0]
+	c := s.kth(keys, tie, k)
+	kc, kept := keys[c], 0
+	if tie == nil { // up to c an equal key ranks at or before it, past c after
+		for i := 0; i <= c; i++ {
+			dst[kept] = uint32(i)
+			kept += b2i(keys[i] <= kc)
 		}
+		for i := c + 1; i < n; i++ {
+			dst[kept] = uint32(i)
+			kept += b2i(keys[i] < kc)
+		}
+		return dst[:kept]
 	}
-	// a[0] <= pivot <= a[last] are in place and bound the two scans.
-	pivot := a[mid]
-	i, j := 0, last
-	for {
-		for i++; itemLess(a[i], pivot); i++ {
-		}
-		for j--; itemLess(pivot, a[j]); j-- {
-		}
-		if i >= j {
-			return j + 1
-		}
-		a[i], a[j] = a[j], a[i]
+	for i, key := range keys {
+		dst[kept] = uint32(i)
+		kept += b2i(key < kc || key == kc && (tie[i] < tie[c] || tie[i] == tie[c] && i <= c))
 	}
+	return dst[:kept]
+}
+
+// kth returns the position of the k-th smallest key (0 < k < len(keys))
+// by (key, tie, position). Each round takes the digit below the highest
+// bit where two remaining keys differ (above it all agree), counts them
+// per digit value, and keeps only the bucket holding the k-th: those
+// below it rank before it and leave k. A bucket of at most smallBucket,
+// or of equal keys, is sorted.
+func (s *Selector) kth(keys, tie []uint64, k int) int {
+	n := len(keys)
+	s.pos, s.remaining = slices.Grow(s.pos[:0], n)[:n], slices.Grow(s.remaining[:0], n)[:n]
+	for i := range s.pos {
+		s.pos[i] = uint32(i)
+	}
+	cur := keys
+	for len(cur) > smallBucket {
+		or, and := uint64(0), ^uint64(0)
+		for _, key := range cur {
+			or, and = or|key, and&key
+		}
+		if or == and {
+			break
+		}
+		shift, h := uint(max(0, bits.Len64(or^and)-digitBits)), &s.hist
+		clear(h[:])
+		for _, key := range cur {
+			h[key>>shift%(1<<digitBits)]++
+		}
+		d := and >> shift % (1 << digitBits)
+		for ; int(h[d]) < k; d++ {
+			k -= int(h[d])
+		}
+		j := 0
+		for i, key := range cur { // in place: j <= i
+			s.pos[j], s.remaining[j] = s.pos[i], key
+			j += b2i(key>>shift%(1<<digitBits) == d)
+		}
+		cur = s.remaining[:j]
+	}
+	if tie == nil {
+		tie = keys // (key, key, position) ranks as (key, position)
+	}
+	m := s.pos[:len(cur)]
+	slices.SortFunc(m, func(a, b uint32) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(tie[a], tie[b]), cmp.Compare(a, b))
+	})
+	return int(m[k-1])
+}
+
+// b2i is 1 for true: a flag set without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

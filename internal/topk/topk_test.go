@@ -1,6 +1,9 @@
 package topk
 
 import (
+	"cmp"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -44,12 +47,9 @@ func TestTieBreakDeterminism(t *testing.T) {
 	l.Push(3, 1)
 	l.Push(7, 1)
 	l.Push(1, 1)
-	ids := l.IDs()
-	want := []uint64{1, 3, 7, 9}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids = %v, want %v", ids, want)
-		}
+	want := []Item{{1, 1}, {3, 1}, {7, 1}, {9, 1}}
+	if got := l.Items(); !slices.Equal(got, want) {
+		t.Fatalf("items = %v, want %v", got, want)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestReset(t *testing.T) {
 		t.Fatal("Reset did not empty the list")
 	}
 	l.Push(2, 5)
-	if got := l.IDs(); len(got) != 1 || got[0] != 2 {
+	if got := l.Items(); len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("after reset got %v", got)
 	}
 }
@@ -140,18 +140,28 @@ func selectKBySort(items []Item, k int) []Item {
 }
 
 // The selection must keep exactly the set the full sort keeps, for every
-// k, on inputs that stress the partition: random, heavy ties (in Dist
-// and in the whole key), sorted, reversed, organ-pipe, all equal.
+// k, on inputs that stress the radix descent: random, heavy ties (in
+// Dist and in the whole key), sorted, reversed, organ-pipe, all equal,
+// keys in one exponent, and those beside one far outlier — the first
+// digit then splits only the outlier off, and the k-th is found digits
+// further down.
 func TestSelectKMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	shapes := map[string]func(n, i int) Item{
-		"random":    func(n, i int) Item { return Item{uint64(i), rng.Float64()} },
-		"ties":      func(n, i int) Item { return Item{uint64(i), float64(rng.Intn(4))} },
-		"dupkeys":   func(n, i int) Item { return Item{uint64(rng.Intn(3)), float64(rng.Intn(3))} },
-		"sorted":    func(n, i int) Item { return Item{uint64(i), float64(i)} },
-		"reversed":  func(n, i int) Item { return Item{uint64(i), float64(n - i)} },
-		"organpipe": func(n, i int) Item { return Item{uint64(i), float64(min(i, n-i))} },
-		"equal":     func(n, i int) Item { return Item{7, 1} },
+		"random":       func(n, i int) Item { return Item{uint64(i), rng.Float64()} },
+		"ties":         func(n, i int) Item { return Item{uint64(i), float64(rng.Intn(4))} },
+		"dupkeys":      func(n, i int) Item { return Item{uint64(rng.Intn(3)), float64(rng.Intn(3))} },
+		"sorted":       func(n, i int) Item { return Item{uint64(i), float64(i)} },
+		"reversed":     func(n, i int) Item { return Item{uint64(i), float64(n - i)} },
+		"organpipe":    func(n, i int) Item { return Item{uint64(i), float64(min(i, n-i))} },
+		"equal":        func(n, i int) Item { return Item{7, 1} },
+		"one-exponent": func(n, i int) Item { return Item{uint64(i), 1 + rng.Float64()} },
+		"outlier": func(n, i int) Item {
+			if i == n/3 {
+				return Item{uint64(i), 1e300}
+			}
+			return Item{uint64(i), 1 + rng.Float64()}
+		},
 	}
 	for name, gen := range shapes {
 		for _, n := range []int{1, 2, 3, 16, 17, 18, 100, 1000, 4096} {
@@ -172,6 +182,114 @@ func TestSelectKMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encodeItems lays items out the way FuzzSelect reads them: per item the
+// distance's float64 bits, little-endian, then one byte of id.
+func encodeItems(items []Item) []byte {
+	var b []byte
+	for _, it := range items {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(it.Dist))
+		b = append(b, byte(it.ID))
+	}
+	return b
+}
+
+// FuzzSelect checks Select against a full sort on fuzzer-built keys for
+// every k: ranked by (distance, id) — the ids are one byte, so they tie
+// heavily — and by distance alone, ties by position; and that SelectK
+// returns the items at the positions the first keeps. Seeded with -0
+// beside +0, keys in one exponent beside one far outlier (the descent
+// past the first digit), all keys equal, and heavy ties at the k
+// boundary.
+func FuzzSelect(f *testing.F) {
+	rng := rand.New(rand.NewSource(4))
+	gen := func(n int, dist func(i int) float64, id func(i int) uint64) []Item {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{id(i), dist(i)}
+		}
+		return items
+	}
+	f.Add(encodeItems(gen(40, func(i int) float64 { return math.Copysign(0, float64(i%2*2-1)) * float64(i%3/2) }, func(i int) uint64 { return uint64(i % 5) })))
+	f.Add(encodeItems(gen(200, func(i int) float64 {
+		if i == 77 {
+			return 1e300
+		}
+		return 1 + rng.Float64()
+	}, func(i int) uint64 { return uint64(i) })))
+	f.Add(encodeItems(gen(150, func(int) float64 { return 2.5 }, func(i int) uint64 { return uint64(rng.Intn(3)) })))
+	f.Add(encodeItems(gen(300, func(int) float64 { return float64(rng.Intn(3)) }, func(i int) uint64 { return uint64(rng.Intn(256)) })))
+	f.Add(encodeItems(gen(100, func(int) float64 { return -rng.ExpFloat64() }, func(i int) uint64 { return uint64(i) })))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var items []Item
+		for ; len(data) >= 9 && len(items) < 300; data = data[9:] {
+			if d := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(d) {
+				items = append(items, Item{uint64(data[8]), d})
+			}
+		}
+		keys, ids := make([]uint64, len(items)), make([]uint64, len(items))
+		for i, it := range items {
+			keys[i], ids[i] = orderKey(it.Dist), it.ID
+		}
+		// Each position's rank in a full stable sort by (distance, id) and
+		// by distance alone: Select must keep the positions ranked below k.
+		byItem := ranks(len(items), func(a, b int) int {
+			return cmp.Or(cmp.Compare(items[a].Dist, items[b].Dist), cmp.Compare(items[a].ID, items[b].ID))
+		})
+		byDist := ranks(len(items), func(a, b int) int { return cmp.Compare(items[a].Dist, items[b].Dist) })
+		var s Selector
+		var got []uint32
+		kept := make([]Item, len(items))
+		for k := 0; k <= len(items)+1; k++ {
+			n := min(k, len(items))
+			if got = s.Select(got, keys, ids, k); !rankedBelow(got, byItem, n) {
+				t.Fatalf("k=%d ties by id: Select kept %v, ranked %v", k, got, byItem)
+			}
+			// SelectK keeps the same positions' items, in position order.
+			copy(kept, items)
+			sel := SelectK(kept, k)
+			if len(sel) != n {
+				t.Fatalf("k=%d: SelectK kept %d items", k, len(sel))
+			}
+			for j, it := range sel {
+				if it != items[got[j]] {
+					t.Fatalf("k=%d: SelectK's item %d is %v, Select kept %v", k, j, it, items[got[j]])
+				}
+			}
+			if got = s.Select(got, keys, nil, k); !rankedBelow(got, byDist, n) {
+				t.Fatalf("k=%d ties by position: Select kept %v, ranked %v", k, got, byDist)
+			}
+		}
+	})
+}
+
+// ranks returns each of n positions' place in a stable sort by cmp.
+func ranks(n int, cmp func(a, b int) int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, cmp)
+	rank := make([]int, n)
+	for r, p := range order {
+		rank[p] = r
+	}
+	return rank
+}
+
+// rankedBelow reports whether got is, ascending, exactly the positions
+// whose rank is below n.
+func rankedBelow(got []uint32, rank []int, n int) bool {
+	if len(got) != n {
+		return false
+	}
+	for i, p := range got {
+		if rank[p] >= n || i > 0 && got[i-1] >= p {
+			return false
+		}
+	}
+	return true
 }
 
 // The filter's 4096 -> 1024 selection (the paper's default α -> γ), the

@@ -3,6 +3,7 @@ package hdindex
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,15 +37,17 @@ func facadeFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestFacadeBuildDeterministicAcrossGOMAXPROCS is the top-level
-// determinism guarantee: on both layouts, the bytes a build writes —
-// and therefore every search result it will ever return — depend only
-// on the dataset, options, and seed, never on how many of the machine's
-// cores the build found idle.
+// determinism guarantee: on every layout (bare, one shard, three), the
+// bytes a build writes — and therefore every search result it will ever
+// return — depend only on the dataset, options, and seed, never on how
+// many of the machine's cores the build found idle. Only manifest.json
+// (it embeds a creation timestamp) and identity.json (the cluster UUID
+// is random by design — it exists to tell two builds apart) are exempt.
 func TestFacadeBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	ds := data.Generate(data.Config{N: 1500, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 17})
+	ds := data.Generate(data.Config{N: 1501, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 17}) // 1501: a ragged stripe
 	queries := ds.PerturbedQueries(8, 0.01, 4)
 
-	for _, shards := range []int{0, 3} {
+	for _, shards := range []int{0, 1, 3} {
 		opts := Options{Tau: 4, Omega: 8, Alpha: 256, Gamma: 64, Seed: 5, Shards: shards}
 		build := func(dir string, procs int) {
 			old := runtime.GOMAXPROCS(procs)
@@ -70,7 +73,11 @@ func TestFacadeBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			case "identity.json":
 				continue // cluster UUID is random by design
 			}
-			if !bytes.Equal(ab, fb[name]) {
+			bb, ok := fb[name]
+			if !ok {
+				t.Fatalf("shards=%d: %s missing from the second build", shards, name)
+			}
+			if !bytes.Equal(ab, bb) {
 				t.Fatalf("shards=%d: %s differs across GOMAXPROCS", shards, name)
 			}
 		}
@@ -93,26 +100,20 @@ func TestFacadeBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ra, rb := respA.Results, respB.Results
-			if len(ra) != len(rb) {
-				t.Fatalf("shards=%d: result counts differ", shards)
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("shards=%d result %d: %+v vs %+v", shards, i, ra[i], rb[i])
-				}
-			}
+			requireBitIdentical(t, fmt.Sprintf("shards=%d", shards), respB.Results, respA.Results)
 		}
 		ixA.Close()
 		ixB.Close()
 	}
 }
 
-// TestFacadeBuildContextCancelled: cancellation through the facade, on
-// both layouts, leaves a directory Open rejects.
+// TestFacadeBuildContextCancelled: cancelling a rebuild, on every
+// layout, invalidates the complete index it replaces and leaves a
+// directory without a commit point (meta.json or manifest.json), which
+// Open rejects.
 func TestFacadeBuildContextCancelled(t *testing.T) {
 	ds := data.Generate(data.Config{N: 800, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 19})
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 1, 2} {
 		dir := filepath.Join(t.TempDir(), "ix")
 		opts := Options{Tau: 4, Omega: 8, Seed: 2, Shards: shards}
 		ix, err := Build(dir, ds.Vectors, opts)
@@ -126,36 +127,48 @@ func TestFacadeBuildContextCancelled(t *testing.T) {
 		if _, err := BuildContext(ctx, dir, ds.Vectors, opts); err == nil {
 			t.Fatalf("shards=%d: cancelled build must fail", shards)
 		}
+		for _, commit := range []string{"meta.json", "manifest.json"} {
+			if _, err := os.Stat(filepath.Join(dir, commit)); !os.IsNotExist(err) {
+				t.Fatalf("shards=%d: a cancelled build left %s behind (stat err %v)", shards, commit, err)
+			}
+		}
 		if _, err := Open(dir, Options{}); err == nil {
 			t.Fatalf("shards=%d: Open must reject a cancelled build's directory", shards)
 		}
 	}
 }
 
-// TestFacadeInfo checks the Info surface end to end: a built index
-// exposes its construction breakdown, an opened one does not.
+// TestFacadeInfo checks the Info surface end to end on every layout: a
+// built index exposes its construction breakdown (on a sharded layout
+// aggregated across the shards), an opened one does not.
 func TestFacadeInfo(t *testing.T) {
 	ds := data.Generate(data.Config{N: 600, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 23})
-	dir := filepath.Join(t.TempDir(), "ix")
-	ix, err := Build(dir, ds.Vectors, Options{Tau: 4, Omega: 8, Seed: 2, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := ix.Info()
-	if info.Count != 600 || info.Dim != 16 || info.NumShards != 2 || len(info.Shards) != 2 {
-		t.Fatalf("bad info: %+v", info)
-	}
-	if info.Build == nil || info.Build.TotalMS <= 0 || info.Build.Allocs == 0 {
-		t.Fatalf("fresh build must report build stats, got %+v", info.Build)
-	}
-	ix.Close()
+	for _, shards := range []int{0, 1, 2} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		ix, err := Build(dir, ds.Vectors, Options{Tau: 4, Omega: 8, Seed: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := max(shards, 1)
+		info := ix.Info()
+		if info.Count != 600 || info.Dim != 16 || info.NumShards != n || len(info.Shards) != n {
+			t.Fatalf("shards=%d: bad info: %+v", shards, info)
+		}
+		if info.Build == nil || info.Build.TotalMS <= 0 || info.Build.Allocs == 0 {
+			t.Fatalf("shards=%d: fresh build must report build stats, got %+v", shards, info.Build)
+		}
+		if ix.BuildStats() != info.Build {
+			t.Fatalf("shards=%d: BuildStats() is not Info().Build", shards)
+		}
+		ix.Close()
 
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.Info(); got.Build != nil {
-		t.Fatal("opened index must report Build == nil")
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Info().Build != nil || re.BuildStats() != nil {
+			t.Fatalf("shards=%d: opened index must report no build stats", shards)
+		}
+		re.Close()
 	}
 }

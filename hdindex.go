@@ -28,16 +28,24 @@
 //	resp, err := idx.Query(ctx, query, 10,
 //	    hdindex.WithAlpha(8192), hdindex.WithStats())
 //
-// The package is a thin facade over internal/shard and internal/core;
-// README.md's "Layout" section is the system inventory and its
-// "Benchmarks" section the reproduction of the paper's evaluation.
+// An Index is N >= 1 such structures (internal/core), one per shard of a
+// round-robin stripe of the vectors: it routes writes to the owning shard
+// and merges the shards' answers to a query (internal/shard holds the
+// on-disk layout and the merge rule). README.md's "Layout" section is
+// the system inventory and its "Benchmarks" section the reproduction of
+// the paper's evaluation.
 package hdindex
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"sync"
 	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/shard"
 	"github.com/hd-index/hdindex/internal/telemetry"
@@ -99,12 +107,6 @@ type Options struct {
 	// (0 = 4096). It bounds both queries' brute-force memtable scan and
 	// WAL replay time after a crash. Both Build and Open honour it.
 	MemtableMaxVectors int
-	// DisableTelemetry turns off the built-in latency histograms and
-	// per-phase query spans (see Telemetry). The default-on telemetry
-	// costs a few clock reads per operation; disabling it zeroes
-	// Stats.Phases and empties Telemetry(). Both Build and Open honour
-	// it.
-	DisableTelemetry bool
 }
 
 // ErrUnknownID reports a Delete of an id the index never assigned.
@@ -140,14 +142,35 @@ type Stats = core.QueryStats
 type PoolStats = pager.Stats
 
 // Index is a built HD-Index of one or more shards; the on-disk layout
-// is transparent to every method. It is safe for concurrent searches.
+// is transparent to every method. It is safe for concurrent use.
+//
+// Global id g lives in shard g mod N at local id g div N. Searches run
+// lock-free here (each shard does its own reader/writer locking); mu
+// serialises Insert's route-and-append pair and guards the cached total
+// count. A one-shard index has nothing to route, so its Insert and Count
+// go straight to the shard without mu and concurrent writers keep core's
+// WAL group commit.
 type Index struct {
-	ix *shard.Sharded
+	mu     sync.RWMutex
+	shards []*core.Index
+	total  uint64 // sum of shard counts; maintained by Insert when N > 1
+
+	// build is the construction cost breakdown; set by Build, nil after
+	// Open.
+	build *BuildStats
 }
 
-// ShardInfo is one shard's row of an index's layout breakdown. An index
-// built with Shards == 0 reports exactly one shard.
-type ShardInfo = shard.Info
+// ShardInfo is one shard's row of an index's layout breakdown (/stats,
+// hdtool info). An index built with Shards == 0 reports exactly one
+// shard.
+type ShardInfo struct {
+	ID         int
+	Count      uint64
+	Clustered  uint64 // leading vectors stored in tree-0 key order (core's slot space)
+	Records    string // vectors.pg's record format (core.Index.StoreFormat)
+	Deleted    int
+	SizeOnDisk int64
+}
 
 // BuildStats is the construction cost breakdown of a freshly built
 // index: per-phase milliseconds (reference distances, Hilbert encode,
@@ -182,13 +205,13 @@ func (i *Index) Info() Info {
 		SizeOnDisk: i.SizeOnDisk(),
 		NumShards:  i.NumShards(),
 		Shards:     i.Shards(),
-		Build:      i.ix.BuildStats(),
+		Build:      i.build,
 	}
 }
 
 // BuildStats returns the construction cost breakdown when this handle
 // built the index, nil otherwise. Shorthand for Info().Build.
-func (i *Index) BuildStats() *BuildStats { return i.ix.BuildStats() }
+func (i *Index) BuildStats() *BuildStats { return i.build }
 
 // Build constructs an HD-Index over vectors in the directory dir.
 // All vectors must share the same dimensionality. Options.Shards
@@ -205,48 +228,181 @@ func Build(dir string, vectors [][]float32, o Options) (*Index, error) {
 // (meta.json or manifest.json), so Open rejects the directory instead
 // of serving a half-built index.
 func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Options) (*Index, error) {
-	sh, err := shard.BuildContext(ctx, dir, vectors, shard.Params{
-		Params: core.Params{
-			Tau:          o.Tau,
-			Omega:        o.Omega,
-			M:            o.M,
-			Alpha:        o.Alpha,
-			Beta:         o.Beta,
-			Gamma:        o.Gamma,
-			UsePtolemaic: o.UsePtolemaic,
-			DisableCache: o.DisableCache,
-			PoolPages:    o.PoolPages,
-			PageSize:     o.PageSize,
-			Seed:         o.Seed,
+	p := core.Params{
+		Tau:          o.Tau,
+		Omega:        o.Omega,
+		M:            o.M,
+		Alpha:        o.Alpha,
+		Beta:         o.Beta,
+		Gamma:        o.Gamma,
+		UsePtolemaic: o.UsePtolemaic,
+		DisableCache: o.DisableCache,
+		PoolPages:    o.PoolPages,
+		PageSize:     o.PageSize,
+		Seed:         o.Seed,
 
-			WALSyncInterval:    o.WALSyncInterval,
-			MemtableMaxVectors: o.MemtableMaxVectors,
-			DisableTelemetry:   o.DisableTelemetry,
-		},
-		Shards: o.Shards,
-	})
-	if err != nil {
+		WALSyncInterval:    o.WALSyncInterval,
+		MemtableMaxVectors: o.MemtableMaxVectors,
+	}
+	switch {
+	case o.Shards < 0:
+		return nil, fmt.Errorf("hdindex: shards must be >= 0, got %d", o.Shards)
+	case o.Shards == 0:
+		// A bare build into a directory that previously held a manifest
+		// layout must remove it first — a stale manifest would keep Open
+		// serving the old shards, and stale shard dirs would leak a full
+		// copy of the previous dataset.
+		if err := shard.ClearLayout(dir); err != nil {
+			return nil, err
+		}
+		ix, err := core.BuildContext(ctx, dir, vectors, p)
+		if err != nil {
+			return nil, err
+		}
+		return &Index{shards: []*core.Index{ix}, build: ix.BuildStats()}, nil
+	case len(vectors) == 0:
+		return nil, errors.New("hdindex: empty dataset")
+	case o.Shards > len(vectors):
+		return nil, fmt.Errorf("hdindex: %d shards exceed dataset size %d", o.Shards, len(vectors))
+	}
+	return buildShards(ctx, dir, vectors, p, o.Shards)
+}
+
+// buildShards writes the manifest layout of n shards: it stripes the
+// dataset round-robin, builds the shards as parts idle CPUs join
+// (fanout.Each), stamps each with its place in the layout, and commits
+// the layout by writing the manifest last. Per-shard builds check ctx
+// between work chunks, the first failure stops further shard builds,
+// and a failed or cancelled build never writes the manifest.
+func buildShards(ctx context.Context, dir string, vectors [][]float32, p core.Params, n int) (*Index, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("hdindex: mkdir %s: %w", dir, err)
+	}
+	// Invalidate and remove any previous layout first — the manifest
+	// and shard dirs, and a bare index's root meta.json, trees and
+	// vectors alike. Until the new manifest is written at the end, the
+	// directory must not look like a complete index of either kind, so
+	// a crash mid-rebuild fails Open instead of silently serving the
+	// old dataset.
+	if err := shard.ClearLayout(dir); err != nil {
 		return nil, err
 	}
-	return &Index{ix: sh}, nil
+	if err := core.RemoveIndexFiles(dir); err != nil {
+		return nil, err
+	}
+
+	stripes := make([][][]float32, n)
+	for s := range stripes {
+		stripes[s] = make([][]float32, 0, (len(vectors)-s+n-1)/n)
+	}
+	for g, v := range vectors {
+		stripes[g%n] = append(stripes[g%n], v)
+	}
+	man := shard.Manifest{
+		FormatVersion: shard.FormatVersion,
+		Shards:        n,
+		Dim:           len(vectors[0]),
+		UUID:          shard.NewUUID(),
+		CreatedUnix:   time.Now().Unix(),
+	}
+	i := &Index{shards: make([]*core.Index, n), total: uint64(len(vectors))}
+
+	// The sharded build counts as one unit of work, so a shard's build
+	// on a goroutine already counted takes no second CPU place; the
+	// shards, and the trees and chunks inside each, are parts idle CPUs
+	// join.
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
+	start := time.Now()
+	// One allocation window around the whole fan-out: per-shard Allocs
+	// deltas are process-wide counters over overlapping windows when
+	// shards build concurrently, so summing them would multiply-count.
+	var probe core.MemProbe
+	probe.Sample()
+	err := fanout.Each(ctx, n, func(ctx context.Context, s int) error {
+		sp := p
+		// Derive per-shard seeds so shards don't sample identical
+		// reference candidates; shard 0 keeps the caller's seed, so a
+		// 1-shard build is bit-identical to the bare layout.
+		sp.Seed = p.Seed + int64(s)
+		ix, err := core.BuildContext(ctx, shard.Dir(dir, s), stripes[s], sp)
+		if err != nil {
+			return fmt.Errorf("hdindex: build shard %d: %w", s, err)
+		}
+		i.shards[s] = ix
+		// Stamp the shard with its place in the layout so a standalone
+		// server over this directory can prove which shard it holds
+		// (the distributed deployment's miswiring check).
+		if err := shard.WriteIdentity(shard.Dir(dir, s), shard.Identity{
+			ClusterUUID: man.UUID, Shard: s, Shards: n, Dim: man.Dim,
+		}); err != nil {
+			return fmt.Errorf("hdindex: stamp shard %d: %w", s, err)
+		}
+		return nil
+	})
+	if err != nil {
+		i.Close()
+		return nil, err
+	}
+
+	// Phase times sum (with shards building concurrently the sums exceed
+	// wall clock) and peak heap takes the max, while TotalMS and Allocs
+	// are measured here, across the whole fan-out.
+	i.build = &BuildStats{}
+	for _, ix := range i.shards {
+		if bs := ix.BuildStats(); bs != nil {
+			i.build.Add(*bs)
+		}
+	}
+	i.build.TotalMS = float64(time.Since(start).Microseconds()) / 1e3
+	i.build.Allocs, i.build.PeakHeapBytes = probe.Finish()
+
+	// Commit point: a crash before this line leaves a directory Open
+	// rejects (no manifest) instead of a silently short layout.
+	if err := shard.WriteManifest(dir, &man); err != nil {
+		i.Close()
+		return nil, err
+	}
+	return i, nil
 }
 
 // Open loads an index previously written by Build, detecting the
 // layout: a directory with a manifest.json opens as its N shards,
 // anything else as one index held directly in dir.
 func Open(dir string, o Options) (*Index, error) {
-	sh, err := shard.Open(dir, core.OpenOptions{
+	opts := core.OpenOptions{
 		PoolPages:    o.PoolPages,
 		DisableCache: o.DisableCache,
 
 		WALSyncInterval:    o.WALSyncInterval,
 		MemtableMaxVectors: o.MemtableMaxVectors,
-		DisableTelemetry:   o.DisableTelemetry,
-	})
+	}
+	if !shard.IsSharded(dir) {
+		ix, err := core.Open(dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Index{shards: []*core.Index{ix}}, nil
+	}
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ix: sh}, nil
+	i := &Index{shards: make([]*core.Index, man.Shards)}
+	for s := range i.shards {
+		ix, err := core.Open(shard.Dir(dir, s), opts)
+		if err != nil {
+			i.Close()
+			return nil, fmt.Errorf("hdindex: open shard %d: %w", s, err)
+		}
+		i.shards[s] = ix
+		if d := ix.Dim(); d != man.Dim {
+			i.Close()
+			return nil, fmt.Errorf("hdindex: shard %d has dimensionality %d, manifest declares %d", s, d, man.Dim)
+		}
+		i.total += ix.Count()
+	}
+	return i, nil
 }
 
 // Insert adds a vector to the index (§3.6) and returns its id. The
@@ -254,25 +410,94 @@ func Open(dir string, o Options) (*Index, error) {
 // Options.WALSyncInterval for the exact durability guarantee), lands in
 // an in-memory memtable that queries scan exactly, and is folded into
 // the index structure by a background compaction.
+//
+// The vector goes to the shard that owns the smallest unassigned global
+// id. With balanced shard counts that is exactly "total mod N"
+// round-robin; after a crash that persisted some shards' tails and not
+// others', it refills the lost ids first, so the layout self-heals
+// instead of refusing to open — the same semantics as a single shard,
+// where ids of unflushed inserts are reused.
 func (i *Index) Insert(vec []float32) (uint64, error) {
-	return i.ix.Insert(vec)
+	if dim := i.Dim(); len(vec) != dim {
+		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", core.ErrDimMismatch, len(vec), dim)
+	}
+	if len(i.shards) == 1 {
+		return i.shards[0].Insert(vec)
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	n := uint64(len(i.shards))
+	owner, next := 0, i.shards[0].Count()*n
+	for s := 1; s < len(i.shards); s++ {
+		if cand := i.shards[s].Count()*n + uint64(s); cand < next {
+			owner, next = s, cand
+		}
+	}
+	local, err := i.shards[owner].Insert(vec)
+	if err != nil {
+		return 0, err
+	}
+	if id := shard.GlobalID(owner, len(i.shards), local); id != next {
+		// The shard disagrees about its own length — id ownership can no
+		// longer be trusted, so fail loudly rather than hand out a global
+		// id that may collide.
+		return 0, fmt.Errorf("hdindex: shard %d assigned global id %d, routing expected %d", owner, id, next)
+	}
+	i.total++
+	return next, nil
 }
 
 // Delete marks an object as deleted (§3.6); it will no longer be
 // returned by Query. The mark is WAL-logged before Delete returns.
-func (i *Index) Delete(id uint64) error { return i.ix.Delete(id) }
+func (i *Index) Delete(id uint64) error {
+	ix, local, err := i.route("delete", id)
+	if err != nil {
+		return err
+	}
+	return ix.Delete(local)
+}
 
 // Undelete removes a deletion mark. It fails with ErrPurged when a
 // compaction has already reclaimed the deletion.
-func (i *Index) Undelete(id uint64) error { return i.ix.Undelete(id) }
+func (i *Index) Undelete(id uint64) error {
+	ix, local, err := i.route("undelete", id)
+	if err != nil {
+		return err
+	}
+	return ix.Undelete(local)
+}
+
+// route returns the shard owning global id and the id's local number
+// there. The bound is the owning shard's own length, not the total:
+// after a crash-induced ragged tail the id space may briefly have holes,
+// and only the owner knows whether its stripe reaches id. The check
+// happens here so the error reports the global id, not a confusing
+// per-shard local one.
+func (i *Index) route(op string, id uint64) (*core.Index, uint64, error) {
+	n := uint64(len(i.shards))
+	s, local := id%n, id/n
+	if count := i.shards[s].Count(); local >= count {
+		return nil, 0, fmt.Errorf("%w: %s of id %d (shard %d holds ids below %d)",
+			core.ErrUnknownID, op, id, s, count*n+s)
+	}
+	return i.shards[s], local, nil
+}
 
 // Compact synchronously folds any memtable-resident inserts into the
 // index trees and truncates the write-ahead log. Normally the
 // background compactor does this when the memtable crosses
 // Options.MemtableMaxVectors; Compact forces it — useful before
 // benchmarking reads or snapshotting the directory. No-op when the
-// memtable is empty.
-func (i *Index) Compact(ctx context.Context) error { return i.ix.Compact(ctx) }
+// memtable is empty. Shards compact in order; the first error aborts
+// the sweep (shards already compacted stay compacted).
+func (i *Index) Compact(ctx context.Context) error {
+	for s, ix := range i.shards {
+		if err := ix.Compact(ctx); err != nil {
+			return fmt.Errorf("hdindex: compact shard %d: %w", s, err)
+		}
+	}
+	return nil
+}
 
 // IngestStats is a point-in-time snapshot of the live-ingest machinery:
 // memtable occupancy, WAL size and sync counts, records replayed at
@@ -281,43 +506,87 @@ func (i *Index) Compact(ctx context.Context) error { return i.ix.Compact(ctx) }
 type IngestStats = core.IngestStats
 
 // IngestStats returns the live-ingest counters.
-func (i *Index) IngestStats() IngestStats { return i.ix.IngestStats() }
+func (i *Index) IngestStats() IngestStats {
+	var agg IngestStats
+	for _, ix := range i.shards {
+		agg.Add(ix.IngestStats())
+	}
+	return agg
+}
 
 // Count returns the number of indexed vectors.
-func (i *Index) Count() uint64 { return i.ix.Count() }
+func (i *Index) Count() uint64 {
+	if len(i.shards) == 1 {
+		return i.shards[0].Count()
+	}
+	i.mu.RLock()
+	defer i.mu.RUnlock()
+	return i.total
+}
 
 // Dim returns the indexed dimensionality.
-func (i *Index) Dim() int { return i.ix.Dim() }
+func (i *Index) Dim() int { return i.shards[0].Dim() }
 
 // SizeOnDisk returns the total size of the index files in bytes.
-func (i *Index) SizeOnDisk() int64 { return i.ix.SizeOnDisk() }
+func (i *Index) SizeOnDisk() int64 {
+	var total int64
+	for _, ix := range i.shards {
+		total += ix.SizeOnDisk()
+	}
+	return total
+}
 
 // DeletedCount returns the number of deletion marks.
-func (i *Index) DeletedCount() int { return i.ix.DeletedCount() }
+func (i *Index) DeletedCount() int {
+	var n int
+	for _, ix := range i.shards {
+		n += ix.DeletedCount()
+	}
+	return n
+}
 
 // IOStats returns the cumulative pager counters across all index files;
 // PoolStats.HitRatio summarises buffer-pool effectiveness.
-func (i *Index) IOStats() PoolStats { return i.ix.IOStats() }
+func (i *Index) IOStats() PoolStats {
+	var agg PoolStats
+	for _, ix := range i.shards {
+		agg.Add(ix.IOStats())
+	}
+	return agg
+}
 
 // Telemetry is a point-in-time copy of the index's latency histograms:
 // whole queries, the per-phase breakdown, inserts, compactions, and WAL
 // fsyncs. Histograms are log-bucketed (quantile estimates within 3.125%)
 // with exact counts, sums, and maxima; on a sharded layout the per-shard
 // histograms are bucket-merged, so quantiles reflect the layout-wide
-// distribution. Empty when Options.DisableTelemetry was set.
+// distribution, not an average of averages.
 type Telemetry = telemetry.CollectorSnapshot
 
 // Telemetry returns the index's latency histogram snapshot.
-func (i *Index) Telemetry() Telemetry { return i.ix.Telemetry() }
+func (i *Index) Telemetry() Telemetry {
+	var agg Telemetry
+	for _, ix := range i.shards {
+		agg.Merge(ix.Telemetry())
+	}
+	return agg
+}
 
 // NumShards returns the number of shards in the on-disk layout; an
 // index built with Shards == 0 counts as 1.
-func (i *Index) NumShards() int { return i.ix.NumShards() }
+func (i *Index) NumShards() int { return len(i.shards) }
 
 // Shards returns the per-shard layout breakdown, in shard order, so
 // callers (the /stats endpoint, hdtool info) render every layout
 // uniformly.
-func (i *Index) Shards() []ShardInfo { return i.ix.ShardInfos() }
+func (i *Index) Shards() []ShardInfo {
+	out := make([]ShardInfo, len(i.shards))
+	for s, ix := range i.shards {
+		out[s] = ShardInfo{ID: s, Count: ix.Count(), Clustered: ix.Clustered(), Records: ix.StoreFormat(),
+			Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
+	}
+	return out
+}
 
 // CheckReport is what a passing Check verified on one shard.
 type CheckReport = core.CheckReport
@@ -326,12 +595,45 @@ type CheckReport = core.CheckReport
 // broken (`hdtool check`): the id↔slot map is a bijection, every tree
 // holds every live vector exactly once in key order with intact sibling
 // links, and the keys and reference distances in the leaves are the ones
-// recomputed from the stored vectors. One report per shard; the first
-// violation is the error. Writers wait while it runs, searches do not.
-func (i *Index) Check(ctx context.Context) ([]CheckReport, error) { return i.ix.Check(ctx) }
+// recomputed from the stored vectors. One report per shard, in shard
+// order, of the shards that passed; the first violation is the error.
+// Writers wait while it runs, searches do not.
+func (i *Index) Check(ctx context.Context) ([]CheckReport, error) {
+	var reps []CheckReport
+	for s, ix := range i.shards {
+		rep, err := ix.Check(ctx)
+		if err != nil {
+			return reps, fmt.Errorf("hdindex: check shard %d: %w", s, err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
 
-// Flush persists all state.
-func (i *Index) Flush() error { return i.ix.Flush() }
+// Flush writes back every shard's dirty pages and meta. Inserts and
+// deletes are already durable when they return (each shard's WAL), so
+// Flush is only needed before copying the directory around.
+func (i *Index) Flush() error {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	for _, ix := range i.shards {
+		if err := ix.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-// Close releases all file handles.
-func (i *Index) Close() error { return i.ix.Close() }
+// Close releases all file handles. Safe to call more than once and on
+// a partially built or opened index.
+func (i *Index) Close() error {
+	var first error
+	for _, ix := range i.shards {
+		if ix != nil {
+			if err := ix.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}

@@ -155,9 +155,11 @@ func TestFacadeShardedLayout(t *testing.T) {
 	}
 }
 
-// The mutation lifecycle must survive close/reopen with identical
-// results on both layouts the facade can write (Options.Shards 0, 1,
-// and 4 — bare, 1-shard manifest, multi-shard manifest).
+// The mutation lifecycle — Build → Insert → Delete → Close → Open — must
+// survive close/reopen with identical results on every layout the facade
+// can write (Options.Shards 0, 1, and 4 — bare, 1-shard manifest,
+// multi-shard manifest), and the deletion marks, of a built vector and
+// of a fresh insert alike, must still hold.
 func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -169,19 +171,28 @@ func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			novel := make([]float32, 32)
-			for d := range novel {
-				novel[d] = 0.95
+			// Six novel vectors, far from the data and from each other.
+			novel := make([][]float32, 6)
+			var inserted []uint64
+			for i := range novel {
+				novel[i] = make([]float32, 32)
+				for d := range novel[i] {
+					novel[i][d] = 0.95 - 0.03*float32(i)
+				}
+				id, err := idx.Insert(novel[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id != uint64(1000+i) {
+					t.Fatalf("insert %d assigned id %d", i, id)
+				}
+				inserted = append(inserted, id)
 			}
-			id, err := idx.Insert(novel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != 1000 {
-				t.Fatalf("insert assigned id %d", id)
-			}
-			if err := idx.Delete(55); err != nil {
-				t.Fatal(err)
+			deleted := []uint64{55, inserted[2]}
+			for _, id := range deleted {
+				if err := idx.Delete(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 			want := make([][]Result, len(queries))
 			for qi, q := range queries {
@@ -200,31 +211,30 @@ func TestFacadeDurabilityAcrossLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if re.Count() != 1001 || re.DeletedCount() != 1 {
-				t.Fatalf("reopened count=%d deleted=%d", re.Count(), re.DeletedCount())
+			if re.Count() != 1006 || re.DeletedCount() != 2 {
+				t.Fatalf("reopened count=%d deleted=%d, want 1006 and 2", re.Count(), re.DeletedCount())
 			}
 			for qi, q := range queries {
 				resp, err := re.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := resp.Results
-				if len(got) != len(want[qi]) {
-					t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want[qi]))
-				}
-				for i := range got {
-					if got[i].ID != want[qi][i].ID || got[i].Dist != want[qi][i].Dist {
-						t.Fatalf("query %d rank %d: (%d, %g) vs pre-close (%d, %g)",
-							qi, i, got[i].ID, got[i].Dist, want[qi][i].ID, want[qi][i].Dist)
-					}
-				}
+				requireBitIdentical(t, fmt.Sprintf("query %d after reopen", qi), resp.Results, want[qi])
 			}
-			resp, err := re.Query(ctx, novel, 1)
+			resp, err := re.Query(ctx, novel[0], 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.Results[0].ID != id {
-				t.Fatal("reopened index lost the inserted vector")
+			if got := resp.Results[0].ID; got != inserted[0] {
+				t.Fatalf("reopened index lost the inserted vector: nearest is %d", got)
+			}
+			if resp, err = re.Query(ctx, ds.Vectors[0], int(re.Count())/2); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range resp.Results {
+				if slices.Contains(deleted, r.ID) {
+					t.Fatalf("deleted id %d resurfaced after reopen", r.ID)
+				}
 			}
 		})
 	}

@@ -54,11 +54,11 @@ func crashClone(t *testing.T, dir string) string {
 	return dst
 }
 
-// Every acknowledged write must survive a crash on both layouts, with
-// bit-identical query answers after recovery — the facade-level leg of
-// the durability round-trip suite.
+// Every acknowledged insert and delete must survive a crash — no Close,
+// no Flush — on every layout, each shard's WAL replaying its stripe, with
+// bit-identical query answers after recovery.
 func TestFacadeCrashRecovery(t *testing.T) {
-	for _, shards := range []int{0, 3} {
+	for _, shards := range []int{0, 1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ds := data.Generate(data.Config{Name: "fcrash", N: 900, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 171})
 			queries := ds.PerturbedQueries(8, 0.02, 172)

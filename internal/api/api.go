@@ -110,9 +110,8 @@ type QueryStats struct {
 	Preset string `json:"preset,omitempty"`
 	// PhaseUS attributes the query's time to pipeline phases, in
 	// microseconds, keyed by phase name (tree_walk, candidate_sort,
-	// refine, memtable_scan, topk_merge). Omitted when telemetry is
-	// disabled on the index. Across shards the phases sum — work, not
-	// wall time.
+	// refine, memtable_scan, topk_merge). Omitted when the stats carry
+	// no phase time. Across shards the phases sum — work, not wall time.
 	PhaseUS map[string]float64 `json:"phase_us,omitempty"`
 	// PartialShards lists the ordinals that contributed nothing to this
 	// answer (every replica exhausted). Only a coordinator sets it, and
@@ -231,6 +230,7 @@ func (st *QueryStats) Core() *core.QueryStats {
 //
 //	dim_mismatch      -> 400 (query or vector of the wrong dimensionality)
 //	bad_options       -> 400 (a cascade that cannot be formed, unknown preset, preset + knobs)
+//	purged            -> 409 (undelete of an id whose deletion a compaction reclaimed)
 //	wal_unavailable   -> 503 (WAL failed; index read-only, reads keep serving)
 //	io_error          -> 503 (disk I/O failure in the page layer)
 //	shard_unavailable -> 503 (coordinator: a shard exhausted every replica
@@ -238,6 +238,7 @@ func (st *QueryStats) Core() *core.QueryStats {
 const (
 	CodeDimMismatch      = "dim_mismatch"
 	CodeBadOptions       = "bad_options"
+	CodePurged           = "purged"
 	CodeWALUnavailable   = "wal_unavailable"
 	CodeIOError          = "io_error"
 	CodeShardUnavailable = "shard_unavailable"
@@ -278,9 +279,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteError renders err as a structured error body, classifying the
-// errors every search endpoint can meet: an *Error's own status, the
-// index's typed errors, and the request context's end. Anything else
-// is a 500.
+// errors every endpoint can meet: an *Error's own status, the index's
+// typed errors, and the request context's end. Anything else is a 500.
 func WriteError(w http.ResponseWriter, err error) {
 	body := ErrorBody{Error: err.Error()}
 	status := http.StatusInternalServerError
@@ -292,6 +292,12 @@ func WriteError(w http.ResponseWriter, err error) {
 		status, body.Code = http.StatusBadRequest, CodeDimMismatch
 	case errors.Is(err, core.ErrBadOptions):
 		status, body.Code = http.StatusBadRequest, CodeBadOptions
+	case errors.Is(err, core.ErrUnknownID):
+		status = http.StatusBadRequest
+	case errors.Is(err, core.ErrPurged):
+		// The id exists but its vector is gone for good: the request
+		// conflicts with the index's state, and retrying cannot help.
+		status, body.Code = http.StatusConflict, CodePurged
 	case errors.Is(err, core.ErrWALUnavailable):
 		// The WAL failed: writes are rejected while reads keep serving.
 		// 503 tells the client this is the server's condition, not the

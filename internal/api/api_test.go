@@ -111,6 +111,10 @@ func TestGoldenErrors(t *testing.T) {
 			`{"error":"gamma must be \u003e= 0, got -1","code":"bad_options"}`},
 		{"bad_options from the index", fmt.Errorf("%w: max_candidates=3 < k=5", core.ErrBadOptions), 400,
 			`{"error":"` + core.ErrBadOptions.Error() + `: max_candidates=3 \u003c k=5","code":"bad_options"}`},
+		{"unknown id", fmt.Errorf("%w: delete of id 9 (have 4)", core.ErrUnknownID), 400,
+			`{"error":"` + core.ErrUnknownID.Error() + `: delete of id 9 (have 4)"}`},
+		{"purged", fmt.Errorf("%w: undelete of id 3", core.ErrPurged), 409,
+			`{"error":"` + core.ErrPurged.Error() + `: undelete of id 3","code":"purged"}`},
 		{"wal_unavailable", core.ErrWALUnavailable, 503,
 			`{"error":"` + core.ErrWALUnavailable.Error() + `","code":"wal_unavailable"}`},
 		{"io_error", fmt.Errorf("read page 7: %w", pager.ErrIO), 503,

@@ -18,14 +18,14 @@ import (
 // and validated once, up front — a bad option set fails before any query
 // runs. Results and per-query work counters are returned in input order.
 func (ix *Index) QueryBatch(ctx context.Context, queries [][]float32, k int, o SearchOptions) ([][]Result, []*QueryStats, error) {
-	if len(queries) == 0 {
-		return nil, nil, nil
-	}
-	// Validate once for the whole batch: options (fail fast, before any
-	// tree walk) and dimensionality (so a malformed query deep in the
-	// batch cannot waste the fan-out ahead of it).
+	// Validate once for the whole batch, an empty one included: options
+	// (fail fast, before any tree walk) and dimensionality (so a malformed
+	// query deep in the batch cannot waste the fan-out ahead of it).
 	if _, err := ix.planFor(k, o); err != nil {
 		return nil, nil, err
+	}
+	if len(queries) == 0 {
+		return nil, nil, nil
 	}
 	for i, q := range queries {
 		if len(q) != ix.nu {

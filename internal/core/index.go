@@ -84,8 +84,7 @@ type Index struct {
 	buildStats *BuildStats
 
 	// tel collects operation latency histograms and per-phase query
-	// spans; nil when Params.DisableTelemetry is set (every observation
-	// site is nil-safe).
+	// spans.
 	tel *telemetry.Collector
 }
 
@@ -204,9 +203,7 @@ func newIndex(dir string, m metaJSON) (*Index, error) {
 		hi:       m.Hi,
 		gen:      m.Gen,
 		deleted:  newDeleteSet(),
-	}
-	if !p.DisableTelemetry {
-		ix.tel = telemetry.NewCollector()
+		tel:      telemetry.NewCollector(),
 	}
 	ix.curves = make([]hilbert.Curve, p.Tau)
 	ix.quants = make([]*hilbert.Quantizer, p.Tau)
@@ -312,10 +309,6 @@ type OpenOptions struct {
 	// acknowledged inserts sit in the memtable the background compactor
 	// merges them into the trees. 0 means the default (4096).
 	MemtableMaxVectors int
-
-	// DisableTelemetry turns off latency histograms and per-phase query
-	// spans; see Params.DisableTelemetry.
-	DisableTelemetry bool
 }
 
 // Open loads an HD-Index previously written by Build, replaying any
@@ -333,7 +326,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	p.DisableCache = opts.DisableCache
 	p.WALSyncInterval = opts.WALSyncInterval
 	p.MemtableMaxVectors = opts.MemtableMaxVectors
-	p.DisableTelemetry = opts.DisableTelemetry
 
 	ix, err := newIndex(dir, m)
 	if err == nil {
@@ -485,18 +477,14 @@ func (ix *Index) Close() error {
 }
 
 // walOptions builds the WAL configuration, wiring fsync durations into
-// the telemetry collector when one is attached.
+// the telemetry collector.
 func (ix *Index) walOptions() wal.Options {
-	o := wal.Options{SyncInterval: ix.params.WALSyncInterval}
-	if ix.tel != nil {
-		o.OnSync = ix.tel.ObserveWALSync
-	}
-	return o
+	return wal.Options{SyncInterval: ix.params.WALSyncInterval, OnSync: ix.tel.ObserveWALSync}
 }
 
 // Telemetry returns a point-in-time copy of the index's latency
 // histograms (whole queries, per-phase breakdowns, inserts, compactions,
-// WAL fsyncs). Empty when telemetry is disabled.
+// WAL fsyncs).
 func (ix *Index) Telemetry() telemetry.CollectorSnapshot { return ix.tel.Snapshot() }
 
 // Params returns the effective parameters.

@@ -186,10 +186,7 @@ func (ix *Index) Insert(vec []float32) (uint64, error) {
 	if len(vec) != ix.nu {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", ErrDimMismatch, len(vec), ix.nu)
 	}
-	var telStart time.Time
-	if ix.tel.Enabled() {
-		telStart = time.Now()
-	}
+	telStart := time.Now()
 	cp := vecmath.Copy(vec)
 	var id uint64
 	var memLen int
@@ -204,9 +201,7 @@ func (ix *Index) Insert(vec []float32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !telStart.IsZero() {
-		ix.tel.ObserveInsert(time.Since(telStart))
-	}
+	ix.tel.ObserveInsert(time.Since(telStart))
 	if memLen >= ix.memtableMax() {
 		ix.wakeCompactor()
 	}

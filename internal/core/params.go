@@ -67,12 +67,6 @@ type Params struct {
 	// MemtableMaxVectors is the compaction threshold (0 = 4096).
 	MemtableMaxVectors int `json:"-"`
 
-	// DisableTelemetry turns off the latency histograms and per-phase
-	// query spans (internal/telemetry). Runtime-only: a measurement
-	// preference, not an index property. The default (enabled) costs a
-	// handful of clock reads and atomic adds per operation.
-	DisableTelemetry bool `json:"-"`
-
 	Seed int64
 }
 

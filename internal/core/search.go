@@ -62,10 +62,9 @@ type QueryStats struct {
 	MemtableScanned int
 	// Phases attributes the query's wall time to its pipeline stages
 	// (tree walk, candidate sort, refinement, memtable scan, top-k
-	// merge), in nanoseconds. All zero when telemetry is disabled. A
-	// sharded query sums the per-shard phase times, so the total can
-	// exceed wall time when shards run concurrently — it measures work,
-	// not latency.
+	// merge), in nanoseconds. A sharded query sums the per-shard phase
+	// times, so the total can exceed wall time when shards run
+	// concurrently — it measures work, not latency.
 	Phases telemetry.PhaseNS
 }
 
@@ -151,12 +150,8 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 
 	// Telemetry: the whole-query histogram times from here (including
 	// any wait for the index lock); the span attributes post-lock time
-	// to pipeline phases. Both collapse to no-ops when disabled.
-	telOn := ix.tel.Enabled()
-	var telStart time.Time
-	if telOn {
-		telStart = time.Now()
-	}
+	// to pipeline phases.
+	telStart := time.Now()
 
 	// Searches run concurrently with each other but not with writers
 	// (the compaction commit swaps the trees and grows the vector store;
@@ -165,7 +160,7 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	defer ix.mu.RUnlock()
 	ctx, leave := fanout.Enter(ctx)
 	defer leave()
-	span := telemetry.StartSpan(telOn)
+	span := telemetry.StartSpan(true)
 
 	ioBefore := ix.IOStats()
 	sc := ix.getSearchScratch(ctx, q, plan)
@@ -277,9 +272,7 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	}
 	span.Mark(telemetry.PhaseTopKMerge)
 	stats.Phases = span.NS
-	if telOn {
-		ix.tel.ObserveQuery(time.Since(telStart), span.NS)
-	}
+	ix.tel.ObserveQuery(time.Since(telStart), span.NS)
 	return out, stats, nil
 }
 

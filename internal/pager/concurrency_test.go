@@ -89,7 +89,7 @@ func TestPinnedPageSurvivesPressure(t *testing.T) {
 // access pattern of parallel searches — must stay race-free and serve
 // consistent content under eviction pressure. Run under -race in CI.
 func TestConcurrentShardedPool(t *testing.T) {
-	p, _ := newTemp(t, Options{PoolPages: 8, PoolShards: 4})
+	p, _ := newTemp(t, Options{PoolPages: 8})
 	const pages = 64
 	ids := make([]PageID, pages)
 	for i := 0; i < pages; i++ {

@@ -107,7 +107,6 @@ func (s Stats) HitRatio() float64 {
 type Options struct {
 	PageSize   int  // bytes per page; DefaultPageSize if zero
 	PoolPages  int  // buffer pool capacity in pages; 256 if zero
-	PoolShards int  // lock-striped pool segments; 0 picks a default, rounded down to a power of two and clamped to PoolPages
 	Create     bool // create (truncate) instead of opening existing
 	ReadOnly   bool // open without write permission
 	DisableLRU bool // bypass caching entirely: every Get is a disk read (paper's "caching off" mode)
@@ -271,16 +270,15 @@ func Open(path string, opts Options) (*Pager, error) {
 			return nil, err
 		}
 	}
-	p.initShards(opts.PoolShards, opts.PoolPages)
+	p.initShards(defaultPoolShards, opts.PoolPages)
 	return p, nil
 }
 
-// initShards sizes the lock stripes: a power-of-two count no larger
-// than the pool itself, each owning an equal share of the capacity.
+// initShards splits the pool into at most n lock stripes: a power-of-two
+// count no larger than the pool itself, each owning an equal share of
+// the capacity. Open calls it once, before any page traffic; tests that
+// need one LRU order over the whole pool call it again with n = 1.
 func (p *Pager) initShards(n, poolPages int) {
-	if n <= 0 {
-		n = defaultPoolShards
-	}
 	if n > poolPages {
 		n = poolPages
 	}
@@ -309,9 +307,6 @@ func (p *Pager) initShards(n, poolPages int) {
 func (p *Pager) shardOf(id PageID) *poolShard {
 	return &p.shards[uint64(id)&p.mask]
 }
-
-// NumPoolShards returns the number of lock stripes in the buffer pool.
-func (p *Pager) NumPoolShards() int { return len(p.shards) }
 
 // writeSuperblockLocked writes the superblock recording count pages;
 // caller holds p.state (or has exclusive access, as during Open) and

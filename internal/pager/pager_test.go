@@ -22,6 +22,15 @@ func newTemp(t testing.TB, opts Options) (*Pager, string) {
 	return p, path
 }
 
+// newOneStripe is newTemp with the whole pool in one lock stripe, so
+// eviction follows one LRU order instead of one per stripe.
+func newOneStripe(t testing.TB, opts Options) *Pager {
+	t.Helper()
+	p, _ := newTemp(t, opts)
+	p.initShards(1, opts.PoolPages)
+	return p
+}
+
 func TestAllocGetRoundTrip(t *testing.T) {
 	p, path := newTemp(t, Options{PoolPages: 4})
 	pg, err := p.Alloc()
@@ -595,7 +604,7 @@ func TestViewZeroCopy(t *testing.T) {
 
 // A pinned view must survive pool pressure, like a pinned Page.
 func TestViewPinSurvivesPressure(t *testing.T) {
-	p, _ := newTemp(t, Options{PoolPages: 2, PoolShards: 1})
+	p := newOneStripe(t, Options{PoolPages: 2})
 	pg, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -625,7 +634,7 @@ func TestViewPinSurvivesPressure(t *testing.T) {
 // The aggregate Stats must be the exact sum of per-shard counters: a
 // known access sequence produces known totals regardless of sharding.
 func TestShardedStatsExact(t *testing.T) {
-	p, path := newTemp(t, Options{PoolPages: 64, PoolShards: 8})
+	p, path := newTemp(t, Options{PoolPages: 64})
 	const pages = 20
 	ids := make([]PageID, pages)
 	for i := range ids {
@@ -640,13 +649,13 @@ func TestShardedStatsExact(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Open(path, Options{PoolPages: 64, PoolShards: 8})
+	p2, err := Open(path, Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if got := p2.NumPoolShards(); got != 8 {
-		t.Fatalf("NumPoolShards = %d, want 8", got)
+	if got := len(p2.shards); got != 8 {
+		t.Fatalf("%d pool stripes, want 8", got)
 	}
 	p2.ResetStats()
 	for _, id := range ids { // cold: all misses
@@ -672,20 +681,25 @@ func TestShardedStatsExact(t *testing.T) {
 	}
 }
 
-// PoolShards is clamped to the pool size and rounded down to a power of
-// two so the shard selector can be a mask.
+// The stripe count is clamped to the pool size and rounded down to a
+// power of two so the shard selector can be a mask, and the stripes'
+// capacities sum to the pool's.
 func TestPoolShardsClamp(t *testing.T) {
-	cases := []struct{ pages, shards, want int }{
-		{2, 64, 2},  // clamped to pool size
-		{256, 5, 4}, // rounded down to a power of two
-		{256, 0, 8}, // default
-		{1, 0, 1},   // degenerate pool
+	cases := []struct{ pages, want int }{
+		{256, 8}, // the default
+		{6, 4},   // clamped to the pool size, rounded down to a power of two
+		{2, 2},   // clamped to the pool size
+		{1, 1},   // degenerate pool
 	}
 	for _, c := range cases {
-		p, _ := newTemp(t, Options{PoolPages: c.pages, PoolShards: c.shards})
-		if got := p.NumPoolShards(); got != c.want {
-			t.Errorf("PoolPages=%d PoolShards=%d: NumPoolShards = %d, want %d",
-				c.pages, c.shards, got, c.want)
+		p, _ := newTemp(t, Options{PoolPages: c.pages})
+		capacity := 0
+		for i := range p.shards {
+			capacity += p.shards[i].cap
+		}
+		if got := len(p.shards); got != c.want || capacity != c.pages {
+			t.Errorf("PoolPages=%d: %d stripes holding %d frames, want %d holding %d",
+				c.pages, got, capacity, c.want, c.pages)
 		}
 		p.Close()
 	}

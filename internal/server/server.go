@@ -634,9 +634,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, erro
 		op, verb = s.idx.Undelete, "undeleted"
 	}
 	if err := op(req.ID); err != nil {
-		if errors.Is(err, hdindex.ErrUnknownID) {
-			return nil, api.BadRequest("", "%v", err)
-		}
 		return nil, err
 	}
 	return map[string]uint64{verb: req.ID}, nil

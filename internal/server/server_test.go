@@ -457,6 +457,27 @@ func TestDeleteUnknownIDMessage(t *testing.T) {
 	}
 }
 
+// Undeleting an id whose deletion a compaction reclaimed is the
+// client's conflict with the index's state, not a server fault: 409
+// with code "purged".
+func TestUndeletePurgedIDConflict(t *testing.T) {
+	ts, idx, _ := newTestServer(t, Config{})
+	if code := post(t, ts.URL+"/delete", deleteRequest{ID: 3}, nil); code != http.StatusOK {
+		t.Fatalf("delete status %d", code)
+	}
+	if code := post(t, ts.URL+"/insert", map[string][]float32{"vector": make([]float32, idx.Dim())}, nil); code != http.StatusOK {
+		t.Fatalf("insert status %d", code)
+	}
+	if err := idx.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var errResp api.ErrorBody
+	code := post(t, ts.URL+"/delete", deleteRequest{ID: 3, Undelete: true}, &errResp)
+	if code != http.StatusConflict || errResp.Code != api.CodePurged || errResp.Error == "" {
+		t.Fatalf("undelete of a purged id: status %d, body %+v, want 409 with code %q", code, errResp, api.CodePurged)
+	}
+}
+
 // The /stats io block and the per-query page_hits/page_misses counters
 // make the buffer pool's behaviour observable over the wire.
 func TestStatsExposeBufferPoolHitRatio(t *testing.T) {

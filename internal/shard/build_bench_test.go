@@ -1,14 +1,18 @@
-package shard
+package shard_test
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
 
-	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/data"
 )
+
+// benchOpts is the paper's SIFT shape at a benchmark-sized cascade.
+func benchOpts(shards int) hdindex.Options {
+	return hdindex.Options{Tau: 8, Omega: 8, M: 10, Alpha: 1024, Gamma: 256, Seed: 1, Shards: shards}
+}
 
 // BenchmarkBuild measures the wall-clock win of partitioned
 // construction: the same dataset built as one monolithic shard versus
@@ -18,14 +22,10 @@ func BenchmarkBuild(b *testing.B) {
 	ds := data.SIFTLike(8000, 3)
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p := Params{
-				Params: core.Params{Tau: 8, Omega: 8, M: 10, Alpha: 1024, Gamma: 256, Seed: 1},
-				Shards: shards,
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dir := filepath.Join(b.TempDir(), fmt.Sprintf("ix-%d", i))
-				s, err := Build(dir, ds.Vectors, p)
+				s, err := hdindex.Build(dir, ds.Vectors, benchOpts(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -41,10 +41,7 @@ func BenchmarkSearch(b *testing.B) {
 	queries := ds.PerturbedQueries(64, 0.01, 4)
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := Build(filepath.Join(b.TempDir(), "ix"), ds.Vectors, Params{
-				Params: core.Params{Tau: 8, Omega: 8, M: 10, Alpha: 1024, Gamma: 256, Seed: 1},
-				Shards: shards,
-			})
+			s, err := hdindex.Build(filepath.Join(b.TempDir(), "ix"), ds.Vectors, benchOpts(shards))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,7 +49,7 @@ func BenchmarkSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Query(context.Background(), queries[i%len(queries)], 10, core.SearchOptions{}); err != nil {
+				if _, err := s.Query(ctx, queries[i%len(queries)], 10); err != nil {
 					b.Fatal(err)
 				}
 			}

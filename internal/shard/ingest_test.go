@@ -1,136 +1,26 @@
-package shard
+package shard_test
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/iofault"
+	"github.com/hd-index/hdindex/internal/shard"
 )
-
-// crashCopyTree snapshots the sharded layout while its owner is still
-// open — the SIGKILL simulation: recovery sees exactly what reached the
-// filesystem, nothing the process only held in memory.
-func crashCopyTree(t *testing.T, dir string) string {
-	t.Helper()
-	dst := filepath.Join(t.TempDir(), "crashed")
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		src, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, src); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-// Acknowledged inserts and deletes on a sharded layout must survive a
-// crash with no Close and no Flush: each shard's WAL replays its stripe.
-func TestShardedInsertsSurviveCrash(t *testing.T) {
-	ds := data.Generate(data.Config{Name: "scrash", N: 900, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 141})
-	queries := ds.PerturbedQueries(8, 0.02, 142)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors[:800], Params{
-		Params: core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 143,
-			MemtableMaxVectors: 1 << 20},
-		Shards: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i, v := range ds.Vectors[800:] {
-		id, err := s.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != uint64(800+i) {
-			t.Fatalf("insert %d assigned id %d", i, id)
-		}
-	}
-	if err := s.Delete(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(850); err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]core.Result, len(queries))
-	for qi, q := range queries {
-		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[qi] = res
-	}
-
-	re, err := Open(crashCopyTree(t, dir), core.OpenOptions{MemtableMaxVectors: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Count() != 900 {
-		t.Fatalf("recovered count = %d, want 900", re.Count())
-	}
-	if re.DeletedCount() != 2 {
-		t.Fatalf("recovered deleted = %d, want 2", re.DeletedCount())
-	}
-	if got := re.IngestStats().Replayed; got != 102 {
-		t.Fatalf("replayed = %d, want 102", got)
-	}
-	for qi, q := range queries {
-		res, _, err := re.Query(context.Background(), q, 10, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, fmt.Sprintf("query %d after sharded crash", qi), res, want[qi])
-	}
-}
 
 // Compact sweeps every shard's memtable into its trees; results are
 // unchanged and the layout reports zero memtable residue.
 func TestShardedCompact(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "scomp", N: 700, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 151})
 	queries := ds.PerturbedQueries(8, 0.02, 152)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors[:600], Params{
-		Params: core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 153,
-			MemtableMaxVectors: 1 << 20},
-		Shards: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := build(t, ds.Vectors[:600], hdindex.Options{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 153,
+		MemtableMaxVectors: 1 << 20, Shards: 3})
 	defer s.Close()
 	for _, v := range ds.Vectors[600:] {
 		if _, err := s.Insert(v); err != nil {
@@ -140,15 +30,15 @@ func TestShardedCompact(t *testing.T) {
 	if got := s.IngestStats().MemtableVectors; got != 100 {
 		t.Fatalf("memtable = %d, want 100", got)
 	}
-	want := make([][]core.Result, len(queries))
+	want := make([][]hdindex.Result, len(queries))
 	for qi, q := range queries {
-		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
+		resp, err := s.Query(ctx, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[qi] = res
+		want[qi] = resp.Results
 	}
-	if err := s.Compact(context.Background()); err != nil {
+	if err := s.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st := s.IngestStats()
@@ -159,11 +49,11 @@ func TestShardedCompact(t *testing.T) {
 		t.Fatalf("compactions = %d, want 3 (one per shard)", st.Compactions)
 	}
 	for qi, q := range queries {
-		res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
+		resp, err := s.Query(ctx, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, fmt.Sprintf("query %d after sharded compact", qi), res, want[qi])
+		requireSameResults(t, fmt.Sprintf("query %d after sharded compact", qi), resp.Results, want[qi])
 	}
 }
 
@@ -172,15 +62,9 @@ func TestShardedCompact(t *testing.T) {
 // first, self-healing the stripe.
 func TestShardedTornWALRecord(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "storn", N: 310, Dim: 16, Lo: 0, Hi: 1, Seed: 161})
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors[:300], Params{
-		Params: core.Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 162,
-			MemtableMaxVectors: 1 << 20},
-		Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := hdindex.Options{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 162,
+		MemtableMaxVectors: 1 << 20, Shards: 2}
+	s, dir := build(t, ds.Vectors[:300], opts)
 	// Ids 300..309 round-robin: even ids to shard 0, odd to shard 1.
 	for _, v := range ds.Vectors[300:] {
 		if _, err := s.Insert(v); err != nil {
@@ -192,7 +76,7 @@ func TestShardedTornWALRecord(t *testing.T) {
 	}
 
 	// Tear the last record of shard 1's WAL — id 309's insert.
-	walPath := filepath.Join(shardDir(dir, 1), "wal.log")
+	walPath := filepath.Join(shard.Dir(dir, 1), "wal.log")
 	fi, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +85,7 @@ func TestShardedTornWALRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, core.OpenOptions{MemtableMaxVectors: 1 << 20})
+	re, err := hdindex.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +101,11 @@ func TestShardedTornWALRecord(t *testing.T) {
 	if id != 309 {
 		t.Fatalf("reassigned id = %d, want 309", id)
 	}
-	res, _, err := re.Query(context.Background(), ds.Vectors[309], 1, core.SearchOptions{})
+	resp, err := re.Query(ctx, ds.Vectors[309], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0].ID != 309 || res[0].Dist > 1e-6 {
+	if res := resp.Results; len(res) != 1 || res[0].ID != 309 || res[0].Dist > 1e-6 {
 		t.Fatalf("refilled insert not queryable: %+v", res)
 	}
 }
@@ -233,11 +117,7 @@ func TestShardedTornWALRecord(t *testing.T) {
 func TestBareLayoutInsertsGroupCommit(t *testing.T) {
 	const writers, each = 8, 25
 	ds := data.Generate(data.Config{Name: "sgroup", N: 300 + writers*each, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 171})
-	dir := filepath.Join(t.TempDir(), "ix")
-	built, err := Build(dir, ds.Vectors[:300], testParams(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, dir := build(t, ds.Vectors[:300], testOpts(0))
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +128,7 @@ func TestBareLayoutInsertsGroupCommit(t *testing.T) {
 		PathGlob: "wal.log", Op: iofault.OpSync, Latency: time.Millisecond,
 	}))
 	defer restore()
-	s, err := Open(dir, core.OpenOptions{})
+	s, err := hdindex.Open(dir, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

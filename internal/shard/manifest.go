@@ -1,6 +1,8 @@
-// Package shard partitions an HD-Index across N independent sub-indexes
-// (each a core.Index in its own subdirectory), described by a
-// manifest.json at the layout root:
+// Package shard is the on-disk shard layout and the merge rule that
+// the in-process index (package hdindex) and the cluster coordinator
+// share. An N-shard index is N independent HD-Indexes (each a core.Index
+// in its own subdirectory), described by a manifest.json at the layout
+// root:
 //
 //	dir/
 //	  manifest.json     {"format_version":1,"shards":4,"dim":128,...}
@@ -10,22 +12,16 @@
 //	  shard-03/
 //
 // A directory without a manifest.json that holds a core.Index directly
-// is the other layout: it opens as a single shard (see Open), and Build
-// with Shards == 0 writes it.
+// is the other layout: it opens as a single shard.
 //
 // Vectors are striped round-robin, so global id g lives in shard g mod N
-// at local id g div N. The striping keeps shard sizes within one vector
-// of each other and the global id space dense and append-only, exactly
-// like the single-index layout's; Insert routes to the shard owning the
-// smallest unassigned global id, which also lets a layout whose shards
-// persisted unevenly across a crash self-heal instead of refusing to
-// open.
-//
-// Shards are built, and searched with a scatter-gather whose per-shard
-// top-k results are merged through internal/topk, as parts idle CPUs
-// join (internal/fanout). Each shard carries its own reference
-// objects, RDB-trees, and deletion marks, so every durability property
-// of core.Index holds per shard — and therefore for the whole layout.
+// at local id g div N (GlobalID). The striping keeps shard sizes within
+// one vector of each other and the global id space dense and append-only,
+// exactly like the single-index layout's. Each shard carries its own
+// reference objects, RDB-trees, and deletion marks, so every durability
+// property of core.Index holds per shard — and therefore for the whole
+// layout. A query's per-shard top-k answers fold into the global answer
+// through Merge.
 package shard
 
 import (
@@ -33,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
 )
@@ -62,8 +57,8 @@ type Manifest struct {
 	CreatedUnix int64 `json:"created_unix"`
 }
 
-// shardDir returns the subdirectory of shard s under root.
-func shardDir(root string, s int) string {
+// Dir returns the subdirectory of shard s under root.
+func Dir(root string, s int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%02d", s))
 }
 
@@ -73,7 +68,7 @@ func IsSharded(dir string) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
-// clearLayout removes the sharded layout's artifacts under dir: the
+// ClearLayout removes the sharded layout's artifacts under dir: the
 // manifest first, then every shard subdirectory. Every build calls it
 // before touching any file — a bare build replacing a sharded layout
 // included — so the old commit point is invalidated first (a crash
@@ -81,12 +76,12 @@ func IsSharded(dir string) bool {
 // manifest silently serving the previous dataset) and nothing of the
 // old layout survives to be served or leak disk. Missing pieces (or a
 // missing dir) are fine.
-func clearLayout(dir string) error {
+func ClearLayout(dir string) error {
 	if err := os.Remove(filepath.Join(dir, ManifestFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// Glob rather than counting up from shard-00: a gap in the numbering
-	// (say, a crash partway through a previous clearLayout) must not
+	// (say, a crash partway through a previous ClearLayout) must not
 	// strand the stale dirs behind it.
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
@@ -122,17 +117,14 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// writeManifest persists m atomically (the same crash discipline as
+// WriteManifest persists m atomically (the same crash discipline as
 // core's deleted.bin). The manifest is the layout's commit point: Open
 // refuses a directory without one, so a build that dies mid-way leaves
 // no half-layout that looks complete.
-func writeManifest(dir string, m *Manifest) error {
+func WriteManifest(dir string, m *Manifest) error {
 	buf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	return atomicfile.WriteFile(dir, ManifestFile, buf)
 }
-
-// now is stubbed in tests.
-var now = time.Now

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"errors"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
 func TestMerge(t *testing.T) {
@@ -22,14 +23,14 @@ func TestMerge(t *testing.T) {
 	cases := []struct {
 		name      string
 		k         int
-		replies   []*Reply
+		replies   []*shard.Reply
 		want      []core.Result // global ids
 		wantStats core.QueryStats
 	}{
 		{
 			name: "two shards interleave by distance",
 			k:    3,
-			replies: []*Reply{
+			replies: []*shard.Reply{
 				{Results: res(0, 0.1, 1, 0.4), Stats: stats(5, 64)},
 				{Results: res(0, 0.2, 1, 0.3), Stats: stats(7, 64)},
 			},
@@ -40,7 +41,7 @@ func TestMerge(t *testing.T) {
 		{
 			name: "nil reply contributes nothing but keeps its ordinal",
 			k:    2,
-			replies: []*Reply{
+			replies: []*shard.Reply{
 				nil,
 				{Results: res(2, 0.5), Stats: stats(3, 32)},
 				nil,
@@ -51,7 +52,7 @@ func TestMerge(t *testing.T) {
 		{
 			name: "cross-shard distance ties order by global id",
 			k:    3,
-			replies: []*Reply{
+			replies: []*shard.Reply{
 				{Results: res(1, 0.5, 2, 0.5)}, // global 2, 4
 				{Results: res(0, 0.5, 1, 0.5)}, // global 1, 3
 			},
@@ -60,7 +61,7 @@ func TestMerge(t *testing.T) {
 		{
 			name: "fewer than k results in total",
 			k:    10,
-			replies: []*Reply{
+			replies: []*shard.Reply{
 				{Results: res(0, 0.3)},
 				{Results: res()},
 			},
@@ -69,7 +70,7 @@ func TestMerge(t *testing.T) {
 		{
 			name: "cascade echo from the lowest answering ordinal",
 			k:    1,
-			replies: []*Reply{
+			replies: []*shard.Reply{
 				nil,
 				{Results: res(0, 0.9)}, // answered without stats
 				{Results: res(0, 0.8), Stats: &core.QueryStats{Candidates: 1, Alpha: 128, Beta: 64, Gamma: 32, Ptolemaic: true, Degraded: true}},
@@ -81,7 +82,7 @@ func TestMerge(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, st := Merge(tc.k, tc.replies)
+			got, st := shard.Merge(tc.k, tc.replies)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("results %+v, want %+v", got, tc.want)
 			}
@@ -107,7 +108,7 @@ func TestSplitMaxCandidates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := SplitMaxCandidates(tc.mc, tc.k, tc.n)
+			got, err := shard.SplitMaxCandidates(tc.mc, tc.k, tc.n)
 			if tc.bad != errors.Is(err, core.ErrBadOptions) || (err != nil) != tc.bad {
 				t.Fatalf("err = %v, want ErrBadOptions: %v", err, tc.bad)
 			}

@@ -1,4 +1,7 @@
-package shard
+// The layout's behaviour end to end — striping, routing, the scatter,
+// crash healing — is tested through its one handle, hdindex.Index, so
+// these tests live in the external test package.
+package shard_test
 
 import (
 	"context"
@@ -7,18 +10,21 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/metrics"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
-// testParams keeps shard-level tests fast but representative: real
-// filtering (alpha < n) over clustered data.
-func testParams(shards int) Params {
-	return Params{
-		Params: core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 7},
-		Shards: shards,
-	}
+// ctx is the context of every call in this package's tests that does
+// not exercise cancellation.
+var ctx = context.Background()
+
+// testOpts keeps layout tests fast but representative: real filtering
+// (alpha < n) over clustered data.
+func testOpts(shards int) hdindex.Options {
+	return hdindex.Options{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 7, Shards: shards}
 }
 
 func testData(t *testing.T, n int) *data.Dataset {
@@ -26,15 +32,32 @@ func testData(t *testing.T, n int) *data.Dataset {
 	return data.Generate(data.Config{Name: "shardtest", N: n, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 11})
 }
 
-func TestBuildSearchQuality(t *testing.T) {
-	ds := testData(t, 2001) // deliberately not divisible by 4
-	queries := ds.PerturbedQueries(10, 0.01, 3)
+// build builds vectors under opts into a fresh directory and returns
+// the index and the directory.
+func build(t *testing.T, vectors [][]float32, opts hdindex.Options) (*hdindex.Index, string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ix")
-
-	s, err := Build(dir, ds.Vectors, testParams(4))
+	ix, err := hdindex.Build(dir, vectors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ix, dir
+}
+
+// nearest returns the id of q's nearest neighbour.
+func nearest(t *testing.T, ix *hdindex.Index, q []float32) uint64 {
+	t.Helper()
+	resp, err := ix.Query(ctx, q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results[0].ID
+}
+
+func TestBuildSearchQuality(t *testing.T) {
+	ds := testData(t, 2001) // deliberately not divisible by 4
+	queries := ds.PerturbedQueries(10, 0.01, 3)
+	s, _ := build(t, ds.Vectors, testOpts(4))
 	defer s.Close()
 
 	if s.NumShards() != 4 {
@@ -49,7 +72,7 @@ func TestBuildSearchQuality(t *testing.T) {
 
 	// Striping balance: per-shard counts differ by at most one and sum
 	// to the total.
-	infos := s.ShardInfos()
+	infos := s.Shards()
 	var sum, min, max uint64
 	min = infos[0].Count
 	for _, in := range infos {
@@ -68,21 +91,22 @@ func TestBuildSearchQuality(t *testing.T) {
 	truthIDs, _ := data.GroundTruth(ds.Vectors, queries, 10)
 	var got [][]uint64
 	for _, q := range queries {
-		res, st, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
+		resp, err := s.Query(ctx, q, 10, hdindex.WithStats())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != 10 {
-			t.Fatalf("%d results", len(res))
+		if len(resp.Results) != 10 {
+			t.Fatalf("%d results", len(resp.Results))
 		}
+		st := resp.Stats
 		if st.Candidates == 0 || st.TreeEntries == 0 {
 			t.Fatalf("aggregated stats not populated: %+v", st)
 		}
 		if st.PageHits+st.PageMisses == 0 {
 			t.Fatalf("buffer-pool counters not aggregated across shards: %+v", st)
 		}
-		ids := make([]uint64, len(res))
-		for i, r := range res {
+		ids := make([]uint64, len(resp.Results))
+		for i, r := range resp.Results {
 			ids[i] = r.ID
 		}
 		got = append(got, ids)
@@ -94,11 +118,7 @@ func TestBuildSearchQuality(t *testing.T) {
 
 func TestInsertRoutingAndReopen(t *testing.T) {
 	ds := testData(t, 1001)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := build(t, ds.Vectors, testOpts(4))
 
 	// Inserts continue the dense global id sequence and stay findable.
 	for i := 0; i < 9; i++ {
@@ -113,12 +133,8 @@ func TestInsertRoutingAndReopen(t *testing.T) {
 		if want := uint64(1001 + i); id != want {
 			t.Fatalf("insert %d assigned id %d, want %d", i, id, want)
 		}
-		res, _, err := s.Query(context.Background(), vec, 1, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[0].ID != id {
-			t.Fatalf("inserted id %d not nearest to itself: %+v", id, res[0])
+		if got := nearest(t, s, vec); got != id {
+			t.Fatalf("inserted id %d not nearest to itself: %d", id, got)
 		}
 	}
 	if s.Count() != 1010 {
@@ -131,7 +147,7 @@ func TestInsertRoutingAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, core.OpenOptions{})
+	re, err := hdindex.Open(dir, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +156,7 @@ func TestInsertRoutingAndReopen(t *testing.T) {
 		t.Fatalf("reopened count = %d", re.Count())
 	}
 	// The next insert resumes the sequence where it left off.
-	vec := make([]float32, 32)
-	id, err := re.Insert(vec)
+	id, err := re.Insert(make([]float32, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +167,12 @@ func TestInsertRoutingAndReopen(t *testing.T) {
 
 func TestDeleteRouting(t *testing.T) {
 	ds := testData(t, 800)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := build(t, ds.Vectors, testOpts(4))
 	defer s.Close()
 
 	q := ds.Vectors[123]
-	res, _, err := s.Query(context.Background(), q, 1, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].ID != 123 {
-		t.Fatalf("self-query returned %d", res[0].ID)
+	if got := nearest(t, s, q); got != 123 {
+		t.Fatalf("self-query returned %d", got)
 	}
 	if err := s.Delete(123); err != nil {
 		t.Fatal(err)
@@ -173,114 +180,69 @@ func TestDeleteRouting(t *testing.T) {
 	if s.DeletedCount() != 1 {
 		t.Fatalf("DeletedCount = %d", s.DeletedCount())
 	}
-	res, _, err = s.Query(context.Background(), q, 1, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].ID == 123 {
+	if nearest(t, s, q) == 123 {
 		t.Fatal("deleted id still returned")
 	}
 	if err := s.Undelete(123); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = s.Query(context.Background(), q, 1, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].ID != 123 {
+	if nearest(t, s, q) != 123 {
 		t.Fatal("undeleted id not returned")
 	}
 
-	if err := s.Delete(800); !errors.Is(err, core.ErrUnknownID) {
+	if err := s.Delete(800); !errors.Is(err, hdindex.ErrUnknownID) {
 		t.Fatalf("delete of unknown id: %v", err)
 	}
-	if err := s.Undelete(12345); !errors.Is(err, core.ErrUnknownID) {
+	if err := s.Undelete(12345); !errors.Is(err, hdindex.ErrUnknownID) {
 		t.Fatalf("undelete of unknown id: %v", err)
-	}
-}
-
-func TestBatchMatchesSingle(t *testing.T) {
-	ds := testData(t, 900)
-	queries := ds.PerturbedQueries(12, 0.01, 5)
-	s, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors, testParams(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	batch, _, err := s.QueryBatch(context.Background(), queries, 5, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(queries) {
-		t.Fatalf("%d batch results", len(batch))
-	}
-	for qi, q := range queries {
-		single, _, err := s.Query(context.Background(), q, 5, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(single) != len(batch[qi]) {
-			t.Fatalf("query %d: %d vs %d results", qi, len(batch[qi]), len(single))
-		}
-		for i := range single {
-			if single[i].ID != batch[qi][i].ID {
-				t.Fatalf("query %d rank %d: batch %d, single %d", qi, i, batch[qi][i].ID, single[i].ID)
-			}
-		}
 	}
 }
 
 func TestCancellation(t *testing.T) {
 	ds := testData(t, 600)
-	s, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := build(t, ds.Vectors, testOpts(2))
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Query(ctx, ds.Vectors[0], 5, core.SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Query(ctx, ds.Vectors[0], 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: %v", err)
 	}
-	if _, _, err := s.QueryBatch(ctx, ds.PerturbedQueries(4, 0.01, 1), 5, core.SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := s.QueryBatch(ctx, ds.PerturbedQueries(4, 0.01, 1), 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: %v", err)
 	}
 }
 
 func TestBuildErrors(t *testing.T) {
 	ds := testData(t, 10)
-	if _, err := Build(filepath.Join(t.TempDir(), "x"), nil, testParams(2)); err == nil {
+	if _, err := hdindex.Build(filepath.Join(t.TempDir(), "x"), nil, testOpts(2)); err == nil {
 		t.Error("empty dataset must fail")
 	}
-	if _, err := Build(filepath.Join(t.TempDir(), "x"), ds.Vectors, testParams(11)); err == nil {
+	if _, err := hdindex.Build(filepath.Join(t.TempDir(), "x"), ds.Vectors, testOpts(11)); err == nil {
 		t.Error("more shards than vectors must fail")
 	}
-	p := testParams(-1)
-	if _, err := Build(filepath.Join(t.TempDir(), "x"), ds.Vectors, p); err == nil {
+	if _, err := hdindex.Build(filepath.Join(t.TempDir(), "x"), ds.Vectors, testOpts(-1)); err == nil {
 		t.Error("negative shard count must fail")
 	}
 }
 
 func TestOpenRejectsBadLayouts(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing"), core.OpenOptions{}); err == nil {
+	if _, err := hdindex.Open(filepath.Join(t.TempDir(), "missing"), hdindex.Options{}); err == nil {
 		t.Error("missing layout must fail")
 	}
 
 	// A bare core directory has no manifest and opens as one shard.
 	ds := testData(t, 400)
 	bareDir := filepath.Join(t.TempDir(), "bare")
-	p := testParams(1)
-	ix, err := core.Build(bareDir, ds.Vectors, p.Params)
+	ix, err := core.Build(bareDir, ds.Vectors, core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.Close()
-	if IsSharded(bareDir) {
+	if shard.IsSharded(bareDir) {
 		t.Error("bare dir misdetected as a manifest layout")
 	}
-	one, err := Open(bareDir, core.OpenOptions{})
+	one, err := hdindex.Open(bareDir, hdindex.Options{})
 	if err != nil {
 		t.Fatalf("bare dir must open as one shard: %v", err)
 	}
@@ -294,37 +256,33 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, shard.ManifestFile), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, core.OpenOptions{}); err == nil {
+	if _, err := hdindex.Open(dir, hdindex.Options{}); err == nil {
 		t.Error("corrupt manifest must fail")
 	}
 
 	// Future format version.
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile),
+	if err := os.WriteFile(filepath.Join(dir, shard.ManifestFile),
 		[]byte(`{"format_version":99,"shards":1,"dim":8}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, core.OpenOptions{}); err == nil {
+	if _, err := hdindex.Open(dir, hdindex.Options{}); err == nil {
 		t.Error("future manifest version must fail")
 	}
 
 	// A shard whose dimensionality disagrees with the manifest.
-	mixed := filepath.Join(t.TempDir(), "mixed")
-	s2, err := Build(mixed, ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, mixed := build(t, ds.Vectors, testOpts(2))
 	s2.Close()
 	other := data.Generate(data.Config{Name: "d16", N: 100, Dim: 16, Clusters: 2, Lo: 0, Hi: 1, Seed: 3})
 	p16 := core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 64, Gamma: 16, Seed: 7}
-	sub16, err := core.Build(filepath.Join(mixed, "shard-01"), other.Vectors, p16)
+	sub16, err := core.Build(shard.Dir(mixed, 1), other.Vectors, p16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub16.Close()
-	if _, err := Open(mixed, core.OpenOptions{}); err == nil {
+	if _, err := hdindex.Open(mixed, hdindex.Options{}); err == nil {
 		t.Error("dim-mismatched shard must fail to open")
 	}
 }
@@ -336,17 +294,13 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 // where unflushed inserts lose their ids to later ones.
 func TestRaggedTailSelfHeals(t *testing.T) {
 	ds := testData(t, 400)
-	dir := filepath.Join(t.TempDir(), "ragged")
-	s, err := Build(dir, ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := build(t, ds.Vectors, testOpts(2))
 	s.Close()
 
 	// Simulate the torn state: shard 1 persisted an extra insert (global
 	// id 401) that shard 0's counterpart (global id 400) never reached
 	// disk. Shard counts become (200, 201).
-	sub, err := core.Open(filepath.Join(dir, "shard-01"), core.OpenOptions{})
+	sub, err := core.Open(shard.Dir(dir, 1), core.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +316,7 @@ func TestRaggedTailSelfHeals(t *testing.T) {
 	}
 	sub.Close()
 
-	re, err := Open(dir, core.OpenOptions{})
+	re, err := hdindex.Open(dir, hdindex.Options{})
 	if err != nil {
 		t.Fatalf("ragged layout must open: %v", err)
 	}
@@ -378,7 +332,7 @@ func TestRaggedTailSelfHeals(t *testing.T) {
 	if err := re.Undelete(401); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Delete(400); !errors.Is(err, core.ErrUnknownID) {
+	if err := re.Delete(400); !errors.Is(err, hdindex.ErrUnknownID) {
 		t.Fatalf("delete of hole id 400: %v", err)
 	}
 	// The next insert refills the hole, restoring balanced striping.
@@ -400,26 +354,22 @@ func TestRaggedTailSelfHeals(t *testing.T) {
 
 func TestClearLayout(t *testing.T) {
 	ds := testData(t, 300)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := build(t, ds.Vectors, testOpts(2))
 	s.Close()
-	if err := clearLayout(dir); err != nil {
+	if err := shard.ClearLayout(dir); err != nil {
 		t.Fatal(err)
 	}
-	if IsSharded(dir) {
+	if shard.IsSharded(dir) {
 		t.Fatal("manifest survived ClearLayout")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-00")); !os.IsNotExist(err) {
+	if _, err := os.Stat(shard.Dir(dir, 0)); !os.IsNotExist(err) {
 		t.Fatal("shard dir survived ClearLayout")
 	}
 	// Idempotent, and fine on a directory that never held a layout.
-	if err := clearLayout(dir); err != nil {
+	if err := shard.ClearLayout(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := clearLayout(filepath.Join(t.TempDir(), "missing")); err != nil {
+	if err := shard.ClearLayout(filepath.Join(t.TempDir(), "missing")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -8,21 +8,19 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/iofault"
 	"github.com/hd-index/hdindex/internal/leakcheck"
-	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
-// spreadParams is a 2-shard layout whose τ·α reaches the walk split, so
+// spreadOpts is a 2-shard layout whose τ·α reaches the walk split, so
 // at GOMAXPROCS(τ+1) every layer of the fan-out — queries of a batch,
 // shards of a scatter, trees of a walk — can take a helper.
-func spreadParams() Params {
-	return Params{
-		Params: core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 1024, Gamma: 128, Seed: 13, MemtableMaxVectors: 1 << 20},
-		Shards: 2,
-	}
+func spreadOpts() hdindex.Options {
+	return hdindex.Options{Tau: 4, Omega: 8, M: 4, Alpha: 1024, Gamma: 128, Seed: 13, MemtableMaxVectors: 1 << 20, Shards: 2}
 }
 
 // A 2-shard Query and QueryBatch answer the same however many helpers
@@ -30,42 +28,35 @@ func spreadParams() Params {
 // on a fresh layout and beside a memtable.
 func TestShardedQueryIdenticalAcrossHelperCounts(t *testing.T) {
 	ds := testData(t, 2400)
-	p := spreadParams()
-	s, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := spreadOpts()
+	s, _ := build(t, ds.Vectors, opts)
 	defer s.Close()
 	queries := ds.PerturbedQueries(12, 0.02, 14)
 
 	compare := func(stage string) {
 		t.Helper()
-		type answer struct {
-			res []core.Result
-			st  *core.QueryStats
-		}
-		var want []answer
-		for _, procs := range []int{1, p.Tau + 1} {
+		var want []hdindex.Response
+		for _, procs := range []int{1, opts.Tau + 1} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				batch, stats, err := s.QueryBatch(context.Background(), queries, 10, core.SearchOptions{})
+				batch, err := s.QueryBatch(ctx, queries, 10, hdindex.WithStats())
 				if err != nil {
 					t.Fatal(err)
 				}
 				for qi, q := range queries {
-					res, st, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
+					resp, err := s.Query(ctx, q, 10, hdindex.WithStats())
 					if err != nil {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("%s, GOMAXPROCS %d, query %d", stage, procs, qi)
-					requireSameResults(t, label+" batch", batch[qi], res)
-					requireSameWork(t, label+" batch", stats[qi], st)
+					requireSameResults(t, label+" batch", batch[qi].Results, resp.Results)
+					requireSameWork(t, label+" batch", batch[qi].Stats, resp.Stats)
 					if len(want) <= qi {
-						want = append(want, answer{res, st})
+						want = append(want, resp)
 						continue
 					}
-					requireSameResults(t, label, res, want[qi].res)
-					requireSameWork(t, label, st, want[qi].st)
+					requireSameResults(t, label, resp.Results, want[qi].Results)
+					requireSameWork(t, label, resp.Stats, want[qi].Stats)
 				}
 			}()
 		}
@@ -81,7 +72,7 @@ func TestShardedQueryIdenticalAcrossHelperCounts(t *testing.T) {
 }
 
 // requireSameWork fails unless two runs of one query did the same work.
-func requireSameWork(t *testing.T, label string, got, want *core.QueryStats) {
+func requireSameWork(t *testing.T, label string, got, want *hdindex.Stats) {
 	t.Helper()
 	if got.Candidates != want.Candidates || got.ExactDistances != want.ExactDistances ||
 		got.TreeEntries != want.TreeEntries || got.MemtableScanned != want.MemtableScanned {
@@ -99,47 +90,60 @@ func requireSameWork(t *testing.T, label string, got, want *core.QueryStats) {
 // `make chaos` runs it with -race -count=10.
 func TestFaultSpreadHelpersExit(t *testing.T) {
 	ds := testData(t, 1200)
-	p := spreadParams()
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := spreadOpts()
+	s, dir := build(t, ds.Vectors, opts)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.Tau + 1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(opts.Tau + 1))
 	queries := ds.PerturbedQueries(16, 0.02, 16)
 
-	// The query calls run on the layout opened with the cache off, so a
-	// query reads tree pages again and the EIO rule, armed before the
-	// open and counting the open's own reads, fires inside it.
+	// The query calls open the layout with the cache off, so a query
+	// reads tree pages again and the EIO rule, armed before the open and
+	// counting the open's own reads, fires inside it.
+	open := func(t *testing.T) *hdindex.Index {
+		t.Helper()
+		ix, err := hdindex.Open(dir, hdindex.Options{DisableCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
 	calls := []struct {
 		name  string
 		fault iofault.Rule // fails the call
-		run   func(ctx context.Context, t *testing.T, s *Sharded) error
+		run   func(ctx context.Context, t *testing.T) error
 	}{
 		{"Build", iofault.Rule{PathGlob: "tree_02.pg", Op: iofault.OpWrite, AfterCalls: 1},
-			func(ctx context.Context, t *testing.T, _ *Sharded) error {
-				s, err := BuildContext(ctx, filepath.Join(t.TempDir(), "ix"), ds.Vectors, p)
+			func(ctx context.Context, t *testing.T) error {
+				ix, err := hdindex.BuildContext(ctx, filepath.Join(t.TempDir(), "ix"), ds.Vectors, opts)
 				if err == nil {
-					s.Close()
+					ix.Close()
 				}
 				return err
 			}},
 		{"core QueryBatch", iofault.Rule{PathGlob: "tree_01.pg", Op: iofault.OpRead, AfterCalls: 8},
-			func(ctx context.Context, t *testing.T, s *Sharded) error {
-				_, _, err := s.shards[0].QueryBatch(ctx, queries, 10, core.SearchOptions{})
+			func(ctx context.Context, t *testing.T) error {
+				ix, err := core.Open(shard.Dir(dir, 0), core.OpenOptions{DisableCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
+				_, _, err = ix.QueryBatch(ctx, queries, 10, core.SearchOptions{})
 				return err
 			}},
 		{"sharded QueryBatch", iofault.Rule{PathGlob: "tree_01.pg", Op: iofault.OpRead, AfterCalls: 8},
-			func(ctx context.Context, t *testing.T, s *Sharded) error {
-				_, _, err := s.QueryBatch(ctx, queries, 10, core.SearchOptions{})
+			func(ctx context.Context, t *testing.T) error {
+				ix := open(t)
+				defer ix.Close()
+				_, err := ix.QueryBatch(ctx, queries, 10)
 				return err
 			}},
 		{"sharded Query", iofault.Rule{PathGlob: "tree_01.pg", Op: iofault.OpRead, AfterCalls: 8},
-			func(ctx context.Context, t *testing.T, s *Sharded) error {
-				_, _, err := s.Query(ctx, queries[0], 10, core.SearchOptions{})
+			func(ctx context.Context, t *testing.T) error {
+				ix := open(t)
+				defer ix.Close()
+				_, err := ix.Query(ctx, queries[0], 10)
 				return err
 			}},
 	}
@@ -154,15 +158,7 @@ func TestFaultSpreadHelpersExit(t *testing.T) {
 				if fault != nil {
 					defer iofault.SetGlobal(iofault.NewInjector(*fault))()
 				}
-				if c.name == "Build" {
-					return c.run(ctx, t, nil)
-				}
-				s, err := Open(dir, core.OpenOptions{DisableCache: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				return c.run(ctx, t, s)
+				return c.run(ctx, t)
 			}()
 			check()
 			if got := fanout.Idle(); got != idle {
@@ -196,8 +192,8 @@ func TestFaultSpreadHelpersExit(t *testing.T) {
 				t.Fatal("no call observed the cancellation in 100 trials")
 			}
 
-			if err := call(t, context.Background(), &c.fault); !errors.Is(err, pager.ErrIO) {
-				t.Fatalf("failing: err = %v, want pager.ErrIO", err)
+			if err := call(t, context.Background(), &c.fault); !errors.Is(err, hdindex.ErrIO) {
+				t.Fatalf("failing: err = %v, want ErrIO", err)
 			}
 		})
 	}

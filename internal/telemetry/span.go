@@ -70,7 +70,7 @@ func (p PhaseNS) Total() int64 {
 // StartSpan at the top of an operation and call Mark(phase) at each
 // phase boundary: the time since the previous mark is charged to that
 // phase. A span from StartSpan(false) is inert — Mark is a single
-// branch, no clock reads — which is the "telemetry disabled" fast path.
+// branch, no clock reads.
 type Span struct {
 	on   bool
 	last time.Time

@@ -29,7 +29,7 @@ func ParsePreset(s string) (Preset, error) { return core.ParsePreset(s) }
 // built defaults). PresetAuto has no fixed expansion and returns
 // ErrBadOptions; the serving layer resolves it through the tuner.
 func (i *Index) PresetOptions(p Preset, k int) ([]QueryOption, error) {
-	o, err := p.Options(i.ix.Params(), k)
+	o, err := p.Options(i.shards[0].Params(), k)
 	if err != nil {
 		return nil, err
 	}

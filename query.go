@@ -2,8 +2,11 @@ package hdindex
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex/internal/fanout"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
 // ErrBadOptions reports a per-query option set that cannot form a valid
@@ -109,11 +112,8 @@ type Response struct {
 // the same index serves every operating point of the recall/latency
 // frontier concurrently.
 func (i *Index) Query(ctx context.Context, q []float32, k int, opts ...QueryOption) (Response, error) {
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	res, st, err := i.ix.Query(ctx, q, k, cfg.opts)
+	cfg := resolve(opts)
+	res, st, err := i.query(ctx, q, k, cfg.opts)
 	if err != nil {
 		return Response{}, err
 	}
@@ -126,23 +126,109 @@ func (i *Index) Query(ctx context.Context, q []float32, k int, opts ...QueryOpti
 
 // QueryBatch answers many queries concurrently with one shared option
 // set, preserving input order. Options are resolved and validated once
-// for the whole batch; each Response carries its own Stats when
-// WithStats is given.
+// for the whole batch, an empty one included, and so are the queries'
+// dimensionalities, so a bad option set or a malformed query deep in the
+// batch never burns the fan-out ahead of it. The batch's queries are
+// parts idle CPUs join (fanout.Each); cancellation or the first error
+// stops the remaining queries promptly. Each Response carries its own
+// Stats when WithStats is given.
 func (i *Index) QueryBatch(ctx context.Context, queries [][]float32, k int, opts ...QueryOption) ([]Response, error) {
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	res, stats, err := i.ix.QueryBatch(ctx, queries, k, cfg.opts)
+	cfg := resolve(opts)
+	res, stats, err := i.queryBatch(ctx, queries, k, cfg.opts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Response, len(res))
 	for qi := range res {
 		out[qi] = Response{Results: res[qi]}
-		if cfg.stats && qi < len(stats) {
+		if cfg.stats {
 			out[qi].Stats = stats[qi]
 		}
 	}
 	return out, nil
+}
+
+// resolve applies a query's options to the zero configuration.
+func resolve(opts []QueryOption) queryConfig {
+	var cfg queryConfig
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
+// query runs one query on every shard with the same options (the
+// cascade is a per-query property, not a per-shard one) and merges the
+// shards' local top-k answers (shard.Merge). The scatter counts as one
+// query, and its shards are parts idle CPUs join (fanout.Each).
+// Cancellation propagates into each shard's query loop, and the first
+// shard error cancels the rest of the scatter.
+//
+// A 1-shard index returns exactly what its one shard does, and with
+// exhaustive filter parameters an N-shard index returns the exact
+// global kNN.
+func (i *Index) query(ctx context.Context, q []float32, k int, o core.SearchOptions) ([]Result, *Stats, error) {
+	n := len(i.shards)
+	if n == 1 {
+		// Global and local ids coincide; skip the merge entirely.
+		return i.shards[0].Query(ctx, q, k, o)
+	}
+	if dim := i.Dim(); len(q) != dim {
+		return nil, nil, fmt.Errorf("%w: query has %d dims, index has %d", core.ErrDimMismatch, len(q), dim)
+	}
+	var err error
+	if o.MaxCandidates, err = shard.SplitMaxCandidates(o.MaxCandidates, k, n); err != nil {
+		return nil, nil, err
+	}
+
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
+	answers := make([]shard.Reply, n)
+	replies := make([]*shard.Reply, n)
+	err = fanout.Each(ctx, n, func(ctx context.Context, s int) error {
+		res, st, err := i.shards[s].Query(ctx, q, k, o)
+		if err != nil {
+			return err
+		}
+		answers[s] = shard.Reply{Results: res, Stats: st}
+		replies[s] = &answers[s]
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, st := shard.Merge(k, replies)
+	return res, st, nil
+}
+
+// queryBatch is QueryBatch on the index's shards: a 1-shard index's
+// batch is its shard's, an N-shard index's each query of the batch
+// scatter-gathers across the shards (query).
+func (i *Index) queryBatch(ctx context.Context, queries [][]float32, k int, o core.SearchOptions) ([][]Result, []*Stats, error) {
+	if len(i.shards) == 1 {
+		return i.shards[0].QueryBatch(ctx, queries, k, o)
+	}
+	// Every shard shares the built params, so shard 0 validates for all.
+	if err := i.shards[0].ValidateOptions(k, o); err != nil {
+		return nil, nil, err
+	}
+	dim := i.Dim()
+	for qi, q := range queries {
+		if len(q) != dim {
+			return nil, nil, fmt.Errorf("%w: query %d has %d dims, index has %d", core.ErrDimMismatch, qi, len(q), dim)
+		}
+	}
+	ctx, leave := fanout.Enter(ctx)
+	defer leave()
+	res := make([][]Result, len(queries))
+	stats := make([]*Stats, len(queries))
+	err := fanout.Each(ctx, len(queries), func(ctx context.Context, qi int) error {
+		var err error
+		res[qi], stats[qi], err = i.query(ctx, queries[qi], k, o)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, stats, nil
 }

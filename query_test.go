@@ -73,7 +73,9 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 }
 
 // Per-query overrides change the work done — on the same built index,
-// with no rebuild — and the stats echo the cascade actually run.
+// with no rebuild — and the stats echo the cascade actually run, once
+// (not summed across shards). QueryBatch applies one option set to every
+// query and answers each exactly as Query does.
 func TestQueryOverridesOnEveryLayout(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -81,8 +83,12 @@ func TestQueryOverridesOnEveryLayout(t *testing.T) {
 			ctx := context.Background()
 			prev := -1
 			for _, gamma := range []int{16, 32, 64} {
+				batch, err := idx.QueryBatch(ctx, queries, 10, WithGamma(gamma), WithStats())
+				if err != nil {
+					t.Fatal(err)
+				}
 				var total int
-				for _, q := range queries {
+				for qi, q := range queries {
 					resp, err := idx.Query(ctx, q, 10, WithGamma(gamma), WithStats())
 					if err != nil {
 						t.Fatal(err)
@@ -91,6 +97,10 @@ func TestQueryOverridesOnEveryLayout(t *testing.T) {
 						t.Fatalf("gamma=%d: stats echo %+v", gamma, resp.Stats)
 					}
 					total += resp.Stats.Candidates
+					requireBitIdentical(t, fmt.Sprintf("gamma=%d batch query %d", gamma, qi), batch[qi].Results, resp.Results)
+					if st := batch[qi].Stats; st == nil || st.Gamma != gamma || st.Candidates != resp.Stats.Candidates {
+						t.Fatalf("gamma=%d batch query %d: stats %+v, single query refined %d", gamma, qi, st, resp.Stats.Candidates)
+					}
 				}
 				if total < prev {
 					t.Fatalf("gamma=%d: candidates %d < previous %d — override not applied", gamma, total, prev)
@@ -123,24 +133,15 @@ func TestQueryOverridesOnEveryLayout(t *testing.T) {
 			if !pto.Stats.Ptolemaic {
 				t.Fatal("WithPtolemaic(true) not echoed")
 			}
-
-			// QueryBatch applies one option set to every query.
-			batch, err := idx.QueryBatch(ctx, queries, 10, WithGamma(32), WithStats())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qi := range queries {
-				if batch[qi].Stats == nil || batch[qi].Stats.Gamma != 32 {
-					t.Fatalf("batch query %d: stats %+v", qi, batch[qi].Stats)
-				}
-			}
 		})
 	}
 }
 
-// The typed errors must surface through the facade on every layout.
+// The typed errors must surface on every layout, and a batch is
+// validated like a query — up front, before any fan-out, an empty batch
+// included.
 func TestQueryTypedErrors(t *testing.T) {
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			idx, queries := buildLayout(t, shards)
 			ctx := context.Background()
@@ -151,6 +152,9 @@ func TestQueryTypedErrors(t *testing.T) {
 			if _, err := idx.QueryBatch(ctx, [][]float32{make([]float32, 5)}, 10); !errors.Is(err, ErrDimMismatch) {
 				t.Fatalf("batch dim err = %v, want ErrDimMismatch", err)
 			}
+			if _, err := idx.QueryBatch(ctx, [][]float32{queries[0], make([]float32, 3)}, 10); !errors.Is(err, ErrDimMismatch) {
+				t.Fatalf("batch dim err on its second query = %v, want ErrDimMismatch", err)
+			}
 			if _, err := idx.Insert(make([]float32, 5)); !errors.Is(err, ErrDimMismatch) {
 				t.Fatalf("insert dim err = %v, want ErrDimMismatch", err)
 			}
@@ -160,8 +164,20 @@ func TestQueryTypedErrors(t *testing.T) {
 			if _, err := idx.Query(ctx, queries[0], 10, WithAlpha(-3)); !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("negative alpha err = %v, want ErrBadOptions", err)
 			}
+			if _, err := idx.Query(ctx, queries[0], 0); !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("k = 0 err = %v, want ErrBadOptions", err)
+			}
 			if _, err := idx.QueryBatch(ctx, queries, 10, WithGamma(4)); !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("batch gamma<k err = %v, want ErrBadOptions", err)
+			}
+			if _, err := idx.QueryBatch(ctx, nil, 0); !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("empty batch, k = 0: err = %v, want ErrBadOptions", err)
+			}
+			if _, err := idx.QueryBatch(ctx, nil, 5, WithAlpha(-1)); !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("empty batch, negative alpha: err = %v, want ErrBadOptions", err)
+			}
+			if resps, err := idx.QueryBatch(ctx, nil, 5); err != nil || len(resps) != 0 {
+				t.Fatalf("empty batch with valid options: %d responses, err %v", len(resps), err)
 			}
 		})
 	}
@@ -208,8 +224,8 @@ func TestQueryHugeK(t *testing.T) {
 // One set of vectors, three ways to hold it — a bare directory opened
 // through the facade, the same bytes opened with core.Open (what a
 // cluster's shard server does), and a 1-shard manifest layout — must
-// answer bit-identically, and keep doing so across a live insert, a
-// compaction and a reopen.
+// answer bit-identically and do the same work, and keep doing so across
+// a live insert, a compaction and a reopen.
 func TestOneShardLayoutsBitIdentical(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "lay", N: 1200, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 51})
 	novel := make([]float32, 32)
@@ -254,20 +270,25 @@ func TestOneShardLayoutsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: NumShards = %d (bare), %d (Shards: 1), want 1 and 1", stage, viaFacade.NumShards(), oneShard.NumShards())
 		}
 		for qi, q := range queries {
-			want, err := viaFacade.Query(ctx, q, 10)
+			want, err := viaFacade.Query(ctx, q, 10, WithStats())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromCore, _, err := viaCore.Query(ctx, q, 10, core.SearchOptions{})
+			fromCore, coreSt, err := viaCore.Query(ctx, q, 10, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromOne, err := oneShard.Query(ctx, q, 10)
+			fromOne, err := oneShard.Query(ctx, q, 10, WithStats())
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, fmt.Sprintf("%s, query %d, core.Open", stage, qi), fromCore, want.Results)
 			requireBitIdentical(t, fmt.Sprintf("%s, query %d, Shards: 1", stage, qi), fromOne.Results, want.Results)
+			for _, st := range []*Stats{coreSt, fromOne.Stats} {
+				if st.Candidates != want.Stats.Candidates || st.TreeEntries != want.Stats.TreeEntries {
+					t.Fatalf("%s, query %d: work diverges: %+v vs %+v", stage, qi, st, want.Stats)
+				}
+			}
 		}
 
 		// Mutate all three alike; the second pass reads it back from disk.

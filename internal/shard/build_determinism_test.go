@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"bytes"
@@ -8,7 +8,8 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/shard"
 )
 
 // shardFiles maps relative path → bytes for every file under dir.
@@ -44,18 +45,15 @@ func shardFiles(t *testing.T, dir string) map[string][]byte {
 // apart) are exempt.
 func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ds := testData(t, 1501)
-	build := func(dir string, procs int) {
+	buildAt := func(procs int) string {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		s, err := Build(dir, ds.Vectors, testParams(3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, dir := build(t, ds.Vectors, testOpts(3))
 		s.Close()
+		return dir
 	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	build(dirA, 1)
-	build(dirB, 8)
+	dirA := buildAt(1)
+	dirB := buildAt(8)
 
 	fa, fb := shardFiles(t, dirA), shardFiles(t, dirB)
 	if len(fa) != len(fb) {
@@ -63,7 +61,7 @@ func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	for name, ab := range fa {
 		switch filepath.Base(name) {
-		case "manifest.json":
+		case shard.ManifestFile:
 			continue // CreatedUnix timestamp differs by design
 		case "identity.json":
 			continue // ClusterUUID differs by design
@@ -78,31 +76,31 @@ func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 
 	// Identical files ⇒ identical answers; spot-check through search.
-	sa, err := Open(dirA, core.OpenOptions{})
+	sa, err := hdindex.Open(dirA, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sa.Close()
-	sb, err := Open(dirB, core.OpenOptions{})
+	sb, err := hdindex.Open(dirB, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Close()
 	for _, q := range ds.PerturbedQueries(10, 0.01, 5) {
-		ra, _, err := sa.Query(context.Background(), q, 10, core.SearchOptions{})
+		ra, err := sa.Query(ctx, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, _, err := sb.Query(context.Background(), q, 10, core.SearchOptions{})
+		rb, err := sb.Query(ctx, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ra) != len(rb) {
-			t.Fatalf("result counts differ: %d vs %d", len(ra), len(rb))
+		if len(ra.Results) != len(rb.Results) {
+			t.Fatalf("result counts differ: %d vs %d", len(ra.Results), len(rb.Results))
 		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("result %d differs: %+v vs %+v", i, ra[i], rb[i])
+		for i := range ra.Results {
+			if ra.Results[i] != rb.Results[i] {
+				t.Fatalf("result %d differs: %+v vs %+v", i, ra.Results[i], rb.Results[i])
 			}
 		}
 	}
@@ -112,20 +110,16 @@ func TestShardedBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // leave a directory without a manifest, which Open rejects.
 func TestShardedBuildContextCancelled(t *testing.T) {
 	ds := testData(t, 900)
-	dir := filepath.Join(t.TempDir(), "ix")
 	// Complete layout first: cancellation of a rebuild must invalidate it.
-	s, err := Build(dir, ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := build(t, ds.Vectors, testOpts(2))
 	s.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildContext(ctx, dir, ds.Vectors, testParams(2)); err == nil {
+	if _, err := hdindex.BuildContext(cctx, dir, ds.Vectors, testOpts(2)); err == nil {
 		t.Fatal("cancelled sharded build must fail")
 	}
-	if _, err := Open(dir, core.OpenOptions{}); err == nil {
+	if _, err := hdindex.Open(dir, hdindex.Options{}); err == nil {
 		t.Fatal("Open must reject a cancelled build's directory")
 	}
 }
@@ -134,11 +128,7 @@ func TestShardedBuildContextCancelled(t *testing.T) {
 // stats; an opened layout reports nil.
 func TestShardedBuildStats(t *testing.T) {
 	ds := testData(t, 800)
-	dir := filepath.Join(t.TempDir(), "ix")
-	s, err := Build(dir, ds.Vectors, testParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := build(t, ds.Vectors, testOpts(2))
 	bs := s.BuildStats()
 	if bs == nil {
 		t.Fatal("fresh sharded build must report BuildStats")
@@ -147,7 +137,7 @@ func TestShardedBuildStats(t *testing.T) {
 		t.Fatalf("implausible aggregate stats: %+v", bs)
 	}
 	s.Close()
-	re, err := Open(dir, core.OpenOptions{})
+	re, err := hdindex.Open(dir, hdindex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

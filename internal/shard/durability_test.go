@@ -1,12 +1,10 @@
-package shard
+package shard_test
 
 import (
-	"context"
 	"fmt"
-	"path/filepath"
 	"testing"
 
-	"github.com/hd-index/hdindex/internal/core"
+	"github.com/hd-index/hdindex"
 	"github.com/hd-index/hdindex/internal/data"
 )
 
@@ -18,15 +16,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ds := data.Generate(data.Config{Name: "dur", N: 1200, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 41})
 			queries := ds.PerturbedQueries(10, 0.02, 42)
-			dir := filepath.Join(t.TempDir(), "ix")
-
-			s, err := Build(dir, ds.Vectors, Params{
-				Params: core.Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 13},
-				Shards: shards,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, dir := build(t, ds.Vectors, hdindex.Options{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 13, Shards: shards})
 
 			// Mutate: a few inserts, then delete both an original vector
 			// and one of the fresh inserts.
@@ -51,19 +41,19 @@ func TestDurabilityRoundTrip(t *testing.T) {
 
 			// Record the pre-close answers, then close. Close persists
 			// dirty pages; deletes were already persisted synchronously.
-			want := make([][]core.Result, len(queries))
+			want := make([][]hdindex.Result, len(queries))
 			for qi, q := range queries {
-				res, _, err := s.Query(context.Background(), q, 10, core.SearchOptions{})
+				resp, err := s.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[qi] = res
+				want[qi] = resp.Results
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 
-			re, err := Open(dir, core.OpenOptions{})
+			re, err := hdindex.Open(dir, hdindex.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,19 +65,19 @@ func TestDurabilityRoundTrip(t *testing.T) {
 				t.Fatalf("reopened deleted count = %d, want 2", re.DeletedCount())
 			}
 			for qi, q := range queries {
-				res, _, err := re.Query(context.Background(), q, 10, core.SearchOptions{})
+				resp, err := re.Query(ctx, q, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResults(t, fmt.Sprintf("query %d after reopen", qi), res, want[qi])
+				requireSameResults(t, fmt.Sprintf("query %d after reopen", qi), resp.Results, want[qi])
 			}
 			// The deletion marks specifically must still hold.
+			resp, err := re.Query(ctx, ds.Vectors[0], int(re.Count())/2)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, id := range []uint64{77, inserted[2]} {
-				res, _, err := re.Query(context.Background(), ds.Vectors[0], int(re.Count())/2, core.SearchOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range res {
+				for _, r := range resp.Results {
 					if r.ID == id {
 						t.Fatalf("deleted id %d resurfaced after reopen", id)
 					}

@@ -1,9 +1,11 @@
 package shard_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"github.com/hd-index/hdindex"
+	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/data"
 )
 
@@ -18,6 +20,38 @@ func requireSameResults(t *testing.T, label string, got, want []hdindex.Result) 
 		if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
 			t.Fatalf("%s rank %d: got (%d, %g), want (%d, %g)",
 				label, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+		}
+	}
+}
+
+// A 1-shard layout is the monolithic index plus a manifest: same seed,
+// same stripe (round-robin over 1 shard is the identity), same files —
+// so every query must return bit-identical results.
+func TestOneShardMatchesMonolithic(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "equiv", N: 1500, Dim: 32, Clusters: 5, Lo: 0, Hi: 1, Seed: 21})
+	queries := ds.PerturbedQueries(15, 0.02, 22)
+
+	mono, err := core.Build(filepath.Join(t.TempDir(), "mono"), ds.Vectors,
+		core.Params{Tau: 4, Omega: 8, M: 5, Alpha: 512, Gamma: 128, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mono.Close()
+	one, _ := build(t, ds.Vectors, hdindex.Options{Tau: 4, Omega: 8, M: 5, Alpha: 512, Gamma: 128, Seed: 9, Shards: 1})
+	defer one.Close()
+
+	for qi, q := range queries {
+		want, wantSt, err := mono.Query(ctx, q, 10, core.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := one.Query(ctx, q, 10, hdindex.WithStats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, "query", got.Results, want)
+		if gotSt := got.Stats; gotSt.Candidates != wantSt.Candidates || gotSt.TreeEntries != wantSt.TreeEntries {
+			t.Fatalf("query %d: stats diverge: %+v vs %+v", qi, gotSt, wantSt)
 		}
 	}
 }

@@ -198,6 +198,35 @@ func TestDeleteRouting(t *testing.T) {
 	}
 }
 
+func TestBatchMatchesSingle(t *testing.T) {
+	ds := testData(t, 900)
+	queries := ds.PerturbedQueries(12, 0.01, 5)
+	s, _ := build(t, ds.Vectors, testOpts(3))
+	defer s.Close()
+
+	batch, err := s.QueryBatch(ctx, queries, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(queries) {
+		t.Fatalf("%d batch results", len(batch))
+	}
+	for qi, q := range queries {
+		single, err := s.Query(ctx, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(single.Results) != len(batch[qi].Results) {
+			t.Fatalf("query %d: %d vs %d results", qi, len(batch[qi].Results), len(single.Results))
+		}
+		for i, r := range single.Results {
+			if r.ID != batch[qi].Results[i].ID {
+				t.Fatalf("query %d rank %d: batch %d, single %d", qi, i, batch[qi].Results[i].ID, r.ID)
+			}
+		}
+	}
+}
+
 func TestCancellation(t *testing.T) {
 	ds := testData(t, 600)
 	s, _ := build(t, ds.Vectors, testOpts(2))

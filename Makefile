@@ -36,7 +36,8 @@ FUZZ_TARGETS = \
 	FuzzCloserKey:./internal/hilbert \
 	FuzzWALReplay:./internal/wal \
 	FuzzSelect:./internal/topk \
-	FuzzPagerSuperblock:./internal/pager
+	FuzzPagerSuperblock:./internal/pager \
+	FuzzManifest:./internal/shard
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

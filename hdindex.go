@@ -145,15 +145,14 @@ type PoolStats = pager.Stats
 // is transparent to every method. It is safe for concurrent use.
 //
 // Global id g lives in shard g mod N at local id g div N. Searches run
-// lock-free here (each shard does its own reader/writer locking); mu
-// serialises Insert's route-and-append pair and guards the cached total
-// count. A one-shard index has nothing to route, so its Insert and Count
-// go straight to the shard without mu and concurrent writers keep core's
-// WAL group commit.
+// lock-free here (each shard does its own reader/writer locking). mu
+// guards only the reservations: Insert picks its owner shard and reserves
+// the next local id there under mu, then appends outside it, so
+// concurrent writers share each shard's WAL group commit.
 type Index struct {
-	mu     sync.RWMutex
-	shards []*core.Index
-	total  uint64 // sum of shard counts; maintained by Insert when N > 1
+	mu       sync.Mutex
+	shards   []*core.Index
+	reserved []uint64 // per shard: local ids below this are taken or in flight
 
 	// build is the construction cost breakdown; set by Build, nil after
 	// Open.
@@ -259,7 +258,7 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 		if err != nil {
 			return nil, err
 		}
-		return &Index{shards: []*core.Index{ix}, build: ix.BuildStats()}, nil
+		return (&Index{shards: []*core.Index{ix}, build: ix.BuildStats()}).reserve(), nil
 	case len(vectors) == 0:
 		return nil, errors.New("hdindex: empty dataset")
 	case o.Shards > len(vectors):
@@ -305,7 +304,7 @@ func buildShards(ctx context.Context, dir string, vectors [][]float32, p core.Pa
 		UUID:          shard.NewUUID(),
 		CreatedUnix:   time.Now().Unix(),
 	}
-	i := &Index{shards: make([]*core.Index, n), total: uint64(len(vectors))}
+	i := &Index{shards: make([]*core.Index, n)}
 
 	// The sharded build counts as one unit of work, so a shard's build
 	// on a goroutine already counted takes no second CPU place; the
@@ -363,7 +362,17 @@ func buildShards(ctx context.Context, dir string, vectors [][]float32, p core.Pa
 		i.Close()
 		return nil, err
 	}
-	return i, nil
+	return i.reserve(), nil
+}
+
+// reserve starts each shard's reservations at its count, once every
+// shard is open.
+func (i *Index) reserve() *Index {
+	i.reserved = make([]uint64, len(i.shards))
+	for s, ix := range i.shards {
+		i.reserved[s] = ix.Count()
+	}
+	return i
 }
 
 // Open loads an index previously written by Build, detecting the
@@ -382,27 +391,28 @@ func Open(dir string, o Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Index{shards: []*core.Index{ix}}, nil
+		return (&Index{shards: []*core.Index{ix}}).reserve(), nil
 	}
 	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	i := &Index{shards: make([]*core.Index, man.Shards)}
-	for s := range i.shards {
+	// The slice grows as shards open: the manifest's count is only
+	// trusted as far as there are shard directories to back it.
+	i := &Index{}
+	for s := 0; s < man.Shards; s++ {
 		ix, err := core.Open(shard.Dir(dir, s), opts)
 		if err != nil {
 			i.Close()
 			return nil, fmt.Errorf("hdindex: open shard %d: %w", s, err)
 		}
-		i.shards[s] = ix
+		i.shards = append(i.shards, ix)
 		if d := ix.Dim(); d != man.Dim {
 			i.Close()
 			return nil, fmt.Errorf("hdindex: shard %d has dimensionality %d, manifest declares %d", s, d, man.Dim)
 		}
-		i.total += ix.Count()
 	}
-	return i, nil
+	return i.reserve(), nil
 }
 
 // Insert adds a vector to the index (§3.6) and returns its id. The
@@ -411,40 +421,46 @@ func Open(dir string, o Options) (*Index, error) {
 // an in-memory memtable that queries scan exactly, and is folded into
 // the index structure by a background compaction.
 //
-// The vector goes to the shard that owns the smallest unassigned global
-// id. With balanced shard counts that is exactly "total mod N"
+// The vector goes to the shard that owns the smallest unreserved global
+// id. With balanced shard counts that is exactly "count mod N"
 // round-robin; after a crash that persisted some shards' tails and not
 // others', it refills the lost ids first, so the layout self-heals
 // instead of refusing to open — the same semantics as a single shard,
 // where ids of unflushed inserts are reused.
+//
+// Only the reservation holds mu: the shard's append and its durable wait
+// run outside it, so concurrent writers share the owner's WAL group
+// commit. Concurrent inserts into one shard may take its reserved local
+// ids in either order, so the id returned is the one the shard assigned.
 func (i *Index) Insert(vec []float32) (uint64, error) {
 	if dim := i.Dim(); len(vec) != dim {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", core.ErrDimMismatch, len(vec), dim)
 	}
-	if len(i.shards) == 1 {
-		return i.shards[0].Insert(vec)
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	n := uint64(len(i.shards))
-	owner, next := 0, i.shards[0].Count()*n
-	for s := 1; s < len(i.shards); s++ {
-		if cand := i.shards[s].Count()*n + uint64(s); cand < next {
-			owner, next = s, cand
+	i.mu.Lock()
+	owner := 0
+	for s := range i.reserved {
+		if i.reserved[s]*n+uint64(s) < i.reserved[owner]*n+uint64(owner) {
+			owner = s
 		}
 	}
+	i.reserved[owner]++
+	i.mu.Unlock()
+
 	local, err := i.shards[owner].Insert(vec)
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	if err != nil {
+		i.reserved[owner]--
 		return 0, err
 	}
-	if id := shard.GlobalID(owner, len(i.shards), local); id != next {
+	if local >= i.reserved[owner] {
 		// The shard disagrees about its own length — id ownership can no
 		// longer be trusted, so fail loudly rather than hand out a global
 		// id that may collide.
-		return 0, fmt.Errorf("hdindex: shard %d assigned global id %d, routing expected %d", owner, id, next)
+		return 0, fmt.Errorf("hdindex: shard %d assigned local id %d past its %d reserved", owner, local, i.reserved[owner])
 	}
-	i.total++
-	return next, nil
+	return shard.GlobalID(owner, len(i.shards), local), nil
 }
 
 // Delete marks an object as deleted (§3.6); it will no longer be
@@ -516,12 +532,11 @@ func (i *Index) IngestStats() IngestStats {
 
 // Count returns the number of indexed vectors.
 func (i *Index) Count() uint64 {
-	if len(i.shards) == 1 {
-		return i.shards[0].Count()
+	var n uint64
+	for _, ix := range i.shards {
+		n += ix.Count()
 	}
-	i.mu.RLock()
-	defer i.mu.RUnlock()
-	return i.total
+	return n
 }
 
 // Dim returns the indexed dimensionality.
@@ -614,8 +629,6 @@ func (i *Index) Check(ctx context.Context) ([]CheckReport, error) {
 // deletes are already durable when they return (each shard's WAL), so
 // Flush is only needed before copying the directory around.
 func (i *Index) Flush() error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	for _, ix := range i.shards {
 		if err := ix.Flush(); err != nil {
 			return err

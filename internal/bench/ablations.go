@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
 )
@@ -103,33 +101,21 @@ func AblationParallel(out io.Writer, cfg Config) error {
 		return err
 	}
 	defer ix.Close()
-	run := func(procs int) (ms, mapv float64, err error) {
+	run := func(procs int) (RunResult, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		got := make([][]uint64, len(w.Queries))
-		t0 := time.Now()
-		for qi, q := range w.Queries {
-			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, r := range res {
-				got[qi] = append(got[qi], r.ID)
-			}
-		}
-		ms = float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
-		return ms, mapOf(got, w.TruthIDs, 10), nil
+		return runQueries(w, 10, hdAdapter{ix: ix}.Search)
 	}
 	// An untimed pass first, so both rows read from a warm pool.
-	if _, _, err := run(runtime.GOMAXPROCS(0)); err != nil {
+	if _, err := run(runtime.GOMAXPROCS(0)); err != nil {
 		return err
 	}
 	t := NewTable(out, "GOMAXPROCS", "query ms", "MAP@10")
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
-		ms, mapv, err := run(procs)
+		r, err := run(procs)
 		if err != nil {
 			return err
 		}
-		t.Row(procs, ms, mapv)
+		t.Row(procs, r.AvgQueryMS, r.MAP)
 	}
 	t.Flush()
 	return nil
@@ -144,42 +130,38 @@ func AblationCache(out io.Writer, cfg Config) error {
 	w := MakeWorkload(spec, cfg)
 	fmt.Fprintln(out, "\nAblation (§5 protocol): buffer pool on vs off (SIFT10K)")
 	t := NewTable(out, "cache", "query ms", "page reads/query", "MAP@10")
-	for _, disable := range []bool{false, true} {
-		p := HDParams(spec, len(w.Data.Vectors))
-		p.DisableCache = disable
-		p.Seed = cfg.Seed
-		dir := filepath.Join(cfg.WorkDir, "abl-cache", fmt.Sprintf("%v", disable))
-		ix, err := core.Build(dir, w.Data.Vectors, p)
-		if err != nil {
-			return err
-		}
-		ix.ResetIOStats()
-		got := make([][]uint64, len(w.Queries))
-		t0 := time.Now()
-		for qi, q := range w.Queries {
-			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
-			if err != nil {
-				ix.Close()
-				return err
-			}
-			ids := make([]uint64, len(res))
-			for i, r := range res {
-				ids[i] = r.ID
-			}
-			got[qi] = ids
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
-		reads := float64(ix.IOStats().Reads) / float64(len(w.Queries))
-		mapv := mapOf(got, w.TruthIDs, 10)
-		mode := "on"
-		if disable {
-			mode = "off"
-		}
-		t.Row(mode, ms, reads, mapv)
-		ix.Close()
+	p := HDParams(spec, len(w.Data.Vectors))
+	p.Seed = cfg.Seed
+	dir := filepath.Join(cfg.WorkDir, "abl-cache")
+	ix, err := core.Build(dir, w.Data.Vectors, p)
+	if err != nil {
+		return err
 	}
+	r, reads, err := runIO(ix, w, core.SearchOptions{})
+	ix.Close()
+	if err != nil {
+		return err
+	}
+	t.Row("on", r.AvgQueryMS, reads, r.MAP)
+	// The pool is an open-time switch: the same files reopened without it.
+	if ix, err = core.Open(dir, core.OpenOptions{DisableCache: true}); err != nil {
+		return err
+	}
+	defer ix.Close()
+	if r, reads, err = runIO(ix, w, core.SearchOptions{}); err != nil {
+		return err
+	}
+	t.Row("off", r.AvgQueryMS, reads, r.MAP)
 	t.Flush()
 	return nil
+}
+
+// runIO is runQueries at k = 10 on ix at o, with the physical page
+// reads per query beside it.
+func runIO(ix *core.Index, w *Workload, o core.SearchOptions) (RunResult, float64, error) {
+	ix.ResetIOStats()
+	r, err := runQueries(w, 10, hdAdapter{ix, o}.Search)
+	return r, float64(ix.IOStats().Reads) / float64(len(w.Queries)), err
 }
 
 // AblationScaling supports §5.4.2: HD-Index's query time "scales
@@ -236,42 +218,24 @@ func AblationPtolemaicIO(out io.Writer, cfg Config) error {
 	w := MakeWorkload(spec, cfg)
 	fmt.Fprintln(out, "\nAblation (§5.2.5): Ptolemaic filtering is I/O-free (SIFT10K)")
 	t := NewTable(out, "filter", "page reads/query", "MAP@10", "query ms")
-	for _, pto := range []bool{false, true} {
-		p := HDParams(spec, len(w.Data.Vectors))
-		p.UsePtolemaic = pto
-		if pto {
-			p.Beta = p.Alpha
-		}
-		p.DisableCache = true
-		p.Seed = cfg.Seed
-		dir := filepath.Join(cfg.WorkDir, "abl-pto", fmt.Sprintf("%v", pto))
-		ix, err := core.Build(dir, w.Data.Vectors, p)
+	p := HDParams(spec, len(w.Data.Vectors))
+	p.DisableCache = true
+	p.Seed = cfg.Seed
+	ix, err := core.Build(filepath.Join(cfg.WorkDir, "abl-pto"), w.Data.Vectors, p)
+	if err != nil {
+		return err
+	}
+	defer ix.Close()
+	// HDParams leaves β = α, the §5.2.5 setting for the Ptolemaic row.
+	for _, row := range []struct {
+		name      string
+		ptolemaic core.PtolemaicMode
+	}{{"triangular", core.PtolemaicOff}, {"tri+ptolemaic", core.PtolemaicOn}} {
+		r, reads, err := runIO(ix, w, core.SearchOptions{Ptolemaic: row.ptolemaic})
 		if err != nil {
 			return err
 		}
-		ix.ResetIOStats()
-		got := make([][]uint64, len(w.Queries))
-		t0 := time.Now()
-		for qi, q := range w.Queries {
-			res, _, err := ix.Query(context.Background(), q, 10, core.SearchOptions{})
-			if err != nil {
-				ix.Close()
-				return err
-			}
-			ids := make([]uint64, len(res))
-			for i, r := range res {
-				ids[i] = r.ID
-			}
-			got[qi] = ids
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
-		reads := float64(ix.IOStats().Reads) / float64(len(w.Queries))
-		name := "triangular"
-		if pto {
-			name = "tri+ptolemaic"
-		}
-		t.Row(name, reads, mapOf(got, w.TruthIDs, 10), ms)
-		ix.Close()
+		t.Row(row.name, reads, r.MAP, r.AvgQueryMS)
 	}
 	t.Flush()
 	return nil

@@ -30,6 +30,7 @@ import (
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/metrics"
+	"github.com/hd-index/hdindex/internal/slo"
 )
 
 // Config controls experiment scale and output.
@@ -130,12 +131,16 @@ type RunResult struct {
 	Err        error   // non-nil when the method cannot run (the paper's NP/CR)
 }
 
-// hdAdapter exposes core.Index through the baselines interface.
-type hdAdapter struct{ ix *core.Index }
+// hdAdapter exposes core.Index through the baselines interface, every
+// query run at the per-query overrides o.
+type hdAdapter struct {
+	ix *core.Index
+	o  core.SearchOptions
+}
 
 func (a hdAdapter) Name() string { return "HD-Index" }
 func (a hdAdapter) Search(q []float32, k int) ([]baselines.Result, error) {
-	res, _, err := a.ix.Query(context.Background(), q, k, core.SearchOptions{})
+	res, _, err := a.ix.Query(context.Background(), q, k, a.o)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +229,7 @@ func Methods(seed int64) []Builder {
 			if err != nil {
 				return nil, err
 			}
-			return hdAdapter{ix}, nil
+			return hdAdapter{ix: ix}, nil
 		}},
 	}
 }
@@ -266,25 +271,12 @@ func RunMethod(b Builder, w *Workload, dir string, k int) RunResult {
 	}
 	res.IndexBytes = ix.SizeBytes()
 
-	got := make([][]uint64, len(w.Queries))
-	gotD := make([][]float64, len(w.Queries))
-	t0 = time.Now()
-	for qi, q := range w.Queries {
-		r, err := ix.Search(q, k)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		ids := make([]uint64, len(r))
-		ds := make([]float64, len(r))
-		for i, x := range r {
-			ids[i] = x.ID
-			ds[i] = x.Dist
-		}
-		got[qi] = ids
-		gotD[qi] = ds
+	q, err := runQueries(w, k, ix.Search)
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	res.AvgQueryMS = float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
+	res.MAP, res.Ratio, res.AvgQueryMS = q.MAP, q.Ratio, q.AvgQueryMS
 	// Querying RAM, in the paper's sense: everything that must stay
 	// heap-resident to serve queries — the in-memory index structures of
 	// HNSW/OPQ/LSH methods, only buffers for the disk-based ones.
@@ -292,18 +284,42 @@ func RunMethod(b Builder, w *Workload, dir string, k int) RunResult {
 	if res.QueryRAMMB < 0 {
 		res.QueryRAMMB = 0
 	}
+	return res
+}
 
-	res.MAP = metrics.MAP(got, w.TruthIDs, k)
+// runQueries times search over w's queries (slo.Measure) and scores the
+// answers at k: the MAP, approximation ratio and mean query time of a
+// RunResult, measured on an index that is already built.
+func runQueries(w *Workload, k int, search func(q []float32, k int) ([]baselines.Result, error)) (RunResult, error) {
+	dists := make([][]float64, 0, len(w.Queries))
+	rep, err := slo.Measure(w.Queries, func(q []float32) ([]uint64, error) {
+		r, err := search(q, k)
+		if err != nil {
+			return nil, err
+		}
+		ids, ds := make([]uint64, len(r)), make([]float64, len(r))
+		for i, x := range r {
+			ids[i], ds[i] = x.ID, x.Dist
+		}
+		dists = append(dists, ds)
+		return ids, nil
+	})
+	if err != nil {
+		return RunResult{}, err
+	}
 	var rsum float64
-	for qi := range got {
+	for qi, ds := range dists {
 		tk := w.TruthDs[qi]
 		if len(tk) > k {
 			tk = tk[:k]
 		}
-		rsum += metrics.Ratio(gotD[qi], tk)
+		rsum += metrics.Ratio(ds, tk)
 	}
-	res.Ratio = rsum / float64(len(got))
-	return res
+	return RunResult{
+		MAP:        metrics.MAP(rep.IDs, w.TruthIDs, k),
+		Ratio:      rsum / float64(len(dists)),
+		AvgQueryMS: rep.MeanQueryUS / 1000,
+	}, nil
 }
 
 // Table prints aligned rows.

@@ -9,7 +9,6 @@ import (
 
 	"github.com/hd-index/hdindex/internal/baselines"
 	"github.com/hd-index/hdindex/internal/core"
-	"github.com/hd-index/hdindex/internal/metrics"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/refsel"
 )
@@ -21,10 +20,40 @@ func runHD(w *Workload, dir string, p core.Params, k int) (RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return hdAdapter{cix}, nil
+		return hdAdapter{ix: cix}, nil
 	}}
 	res := RunMethod(b, w, dir, k)
 	return res, res.Err
+}
+
+// hdRow is one row of a figure that varies only query-time knobs: its
+// leading cells and the per-query options it is measured at.
+type hdRow struct {
+	cells []any
+	o     core.SearchOptions
+}
+
+// sweepHD builds w's HD-Index once, at the paper's parameters, and adds
+// each row to t measured on it at k = 10, the row's cells followed by
+// query ms and MAP@10. α, β, γ and the Ptolemaic filter are per-query
+// knobs (§5.2.5–5.2.6): an override answers exactly as an index rebuilt
+// with those parameters would, so the rows share one build.
+func sweepHD(t *Table, w *Workload, dir string, seed int64, rows []hdRow) error {
+	p := HDParams(w.Spec, len(w.Data.Vectors))
+	p.Seed = seed
+	ix, err := core.Build(dir, w.Data.Vectors, p)
+	if err != nil {
+		return err
+	}
+	defer ix.Close()
+	for _, row := range rows {
+		r, err := runQueries(w, 10, hdAdapter{ix, row.o}.Search)
+		if err != nil {
+			return err
+		}
+		t.Row(append(row.cells, r.AvgQueryMS, r.MAP)...)
+	}
+	return nil
 }
 
 // Fig1 reproduces Figure 1: MAP@10 vs approximation ratio for the six
@@ -142,32 +171,19 @@ func Fig5(out io.Writer, cfg Config, alpha int) error {
 		}
 		fmt.Fprintf(out, "\nFigure 5 (%s): filtering mechanisms at alpha=%d\n", name, a)
 		t := NewTable(out, "a:b,b:g", "filter", "query ms", "MAP@10")
+		var rows []hdRow
 		for _, combo := range [][2]int{{1, 4}, {2, 2}, {1, 2}} {
 			beta := a / combo[0]
-			gamma := beta / combo[1]
-			if gamma < 1 {
-				gamma = 1
-			}
-			// Combined: alpha -> beta (triangular) -> gamma (Ptolemaic).
-			p := HDParams(spec, len(w.Data.Vectors))
-			p.Alpha, p.Beta, p.Gamma = a, beta, gamma
-			p.UsePtolemaic = true
-			p.Seed = cfg.Seed
-			r, err := runHD(w, filepath.Join(cfg.WorkDir, name, "pto"), p, 10)
-			if err != nil {
-				return err
-			}
-			t.Row(fmt.Sprintf("%d:%d", combo[0], combo[1]), "tri+pto", r.AvgQueryMS, r.MAP)
-			// Triangular alone with the same overall reduction alpha -> gamma.
-			p2 := HDParams(spec, len(w.Data.Vectors))
-			p2.Alpha, p2.Beta, p2.Gamma = a, gamma, gamma
-			p2.UsePtolemaic = false
-			p2.Seed = cfg.Seed
-			r2, err := runHD(w, filepath.Join(cfg.WorkDir, name, "tri"), p2, 10)
-			if err != nil {
-				return err
-			}
-			t.Row(fmt.Sprintf("%d:%d", combo[0], combo[1]), "tri", r2.AvgQueryMS, r2.MAP)
+			gamma := max(beta/combo[1], cfg.K) // a per-query γ yields k
+			ratios := fmt.Sprintf("%d:%d", combo[0], combo[1])
+			rows = append(rows,
+				// Combined: alpha -> beta (triangular) -> gamma (Ptolemaic).
+				hdRow{[]any{ratios, "tri+pto"}, core.SearchOptions{Alpha: a, Beta: beta, Gamma: gamma, Ptolemaic: core.PtolemaicOn}},
+				// Triangular alone with the same overall reduction alpha -> gamma.
+				hdRow{[]any{ratios, "tri"}, core.SearchOptions{Alpha: a, Gamma: gamma, Ptolemaic: core.PtolemaicOff}})
+		}
+		if err := sweepHD(t, w, filepath.Join(cfg.WorkDir, name, "fig5"), cfg.Seed, rows); err != nil {
+			return err
 		}
 		t.Flush()
 	}
@@ -188,21 +204,20 @@ func Fig6Alpha(out io.Writer, cfg Config) error {
 		// Reduced-scale run: sweep proportionally instead.
 		alphas = []int{n / 8, n / 4, n / 2, n}
 	}
+	var rows []hdRow
 	for _, ratio := range []int{2, 4, 8} {
 		for _, a := range alphas {
 			if a > n || a/ratio < 1 {
 				continue
 			}
-			gamma := a / ratio
-			p := HDParams(spec, n)
-			p.Alpha, p.Beta, p.Gamma = a, gamma, gamma
-			p.Seed = cfg.Seed
-			r, err := runHD(w, filepath.Join(cfg.WorkDir, "fig6a"), p, 10)
-			if err != nil {
-				return err
-			}
-			t.Row(a, ratio, r.AvgQueryMS, r.MAP)
+			// A per-query γ yields k: only reduced-scale runs, whose
+			// α/8 falls below k, reach the floor.
+			gamma := max(a/ratio, cfg.K)
+			rows = append(rows, hdRow{[]any{a, ratio}, core.SearchOptions{Alpha: a, Gamma: gamma}})
 		}
+	}
+	if err := sweepHD(t, w, filepath.Join(cfg.WorkDir, "fig6a"), cfg.Seed, rows); err != nil {
+		return err
 	}
 	t.Flush()
 	return nil
@@ -221,18 +236,14 @@ func Fig6Gamma(out io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(out, "\nFigure 6(g,h) (SIFT10K): varying gamma at alpha=%d\n", a)
 	t := NewTable(out, "gamma", "query ms", "MAP@10")
+	var rows []hdRow
 	for _, g := range []int{128, 256, 512, 1024, 2048, 4096} {
-		if g > a {
-			continue
+		if g <= a {
+			rows = append(rows, hdRow{[]any{g}, core.SearchOptions{Alpha: a, Gamma: g}})
 		}
-		p := HDParams(spec, n)
-		p.Alpha, p.Beta, p.Gamma = a, g, g
-		p.Seed = cfg.Seed
-		r, err := runHD(w, filepath.Join(cfg.WorkDir, "fig6g"), p, 10)
-		if err != nil {
-			return err
-		}
-		t.Row(g, r.AvgQueryMS, r.MAP)
+	}
+	if err := sweepHD(t, w, filepath.Join(cfg.WorkDir, "fig6g"), cfg.Seed, rows); err != nil {
+		return err
 	}
 	t.Flush()
 	return nil
@@ -493,22 +504,12 @@ func Fig13(out io.Writer, cfg Config) error {
 				if k > cfg.K {
 					continue // ground truth depth
 				}
-				got := make([][]uint64, len(w.Queries))
-				t0 := time.Now()
-				for qi, q := range w.Queries {
-					r, err := ix.Search(q, k)
-					if err != nil {
-						ix.Close()
-						return err
-					}
-					ids := make([]uint64, len(r))
-					for i, x := range r {
-						ids[i] = x.ID
-					}
-					got[qi] = ids
+				r, err := runQueries(w, k, ix.Search)
+				if err != nil {
+					ix.Close()
+					return err
 				}
-				ms := float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
-				t.Row(b.Name, k, metrics.MAP(got, w.TruthIDs, k), ms)
+				t.Row(b.Name, k, r.MAP, r.AvgQueryMS)
 			}
 			ix.Close()
 		}

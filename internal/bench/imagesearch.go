@@ -143,7 +143,7 @@ func imageSearchImpl(out io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		got, err := retrieve(hdAdapter{hd}, corpus, qDescs, k, topImages)
+		got, err := retrieve(hdAdapter{ix: hd}, corpus, qDescs, k, topImages)
 		if err != nil {
 			return err
 		}

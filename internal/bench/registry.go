@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"github.com/hd-index/hdindex/internal/metrics"
 )
-
-func mapOf(got, truth [][]uint64, k int) float64 { return metrics.MAP(got, truth, k) }
 
 // Experiment is a registered, runnable reproduction of one table/figure.
 type Experiment struct {

@@ -3,12 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/metrics"
@@ -100,7 +98,6 @@ func RunSweep(cfg Config, spec *SweepSpec) (*slo.Frontier, error) {
 
 	f := &slo.Frontier{FormatVersion: slo.FrontierFormatVersion, Dataset: ds.Name, K: w.K}
 	ctx := context.Background()
-	nq := float64(len(w.Queries))
 	for _, v := range spec.Values {
 		var o core.SearchOptions
 		switch spec.Param {
@@ -115,37 +112,26 @@ func RunSweep(cfg Config, spec *SweepSpec) (*slo.Frontier, error) {
 		}
 		var pt slo.Point
 		var candidates int
-		got := make([][]uint64, 0, len(w.Queries))
-		perQuery := make([]time.Duration, 0, len(w.Queries))
-		var elapsed time.Duration
-		for _, q := range w.Queries {
-			// Only the Query call is timed — metric bookkeeping must not
-			// inflate the point.
-			t0 := time.Now()
+		rep, err := slo.Measure(w.Queries, func(q []float32) ([]uint64, error) {
 			res, st, err := ix.Query(ctx, q, w.K, o)
-			d := time.Since(t0)
 			if err != nil {
-				return nil, fmt.Errorf("sweep %s=%d: %w", spec.Param, v, err)
+				return nil, err
 			}
-			elapsed += d
-			perQuery = append(perQuery, d)
+			candidates += st.Candidates
+			pt.Alpha, pt.Gamma = st.Alpha, st.Gamma
 			ids := make([]uint64, len(res))
 			for i, r := range res {
 				ids[i] = r.ID
 			}
-			got = append(got, ids)
-			candidates += st.Candidates
-			pt.Alpha, pt.Gamma = st.Alpha, st.Gamma
+			return ids, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s=%d: %w", spec.Param, v, err)
 		}
-		// Nearest-rank p99 (the ⌈0.99·n⌉-th smallest), the convention
-		// the telemetry histograms estimate.
-		slices.Sort(perQuery)
-		p99 := perQuery[int(math.Ceil(0.99*nq))-1]
-		pt.MeanQueryUS = float64(elapsed.Microseconds()) / nq
-		pt.P99QueryUS = float64(p99.Nanoseconds()) / 1e3
-		pt.Recall = metrics.MeanRecall(got, w.TruthIDs, w.K)
-		pt.MAP = metrics.MAP(got, w.TruthIDs, w.K)
-		pt.CandidatesPerQuery = float64(candidates) / nq
+		pt.MeanQueryUS, pt.P99QueryUS = rep.MeanQueryUS, rep.P99QueryUS
+		pt.Recall = metrics.MeanRecall(rep.IDs, w.TruthIDs, w.K)
+		pt.MAP = metrics.MAP(rep.IDs, w.TruthIDs, w.K)
+		pt.CandidatesPerQuery = float64(candidates) / float64(len(w.Queries))
 		f.Points = append(f.Points, pt)
 	}
 	return f, nil

@@ -283,6 +283,9 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	if err == nil {
 		err = vs.Flush()
 	}
+	if err == nil {
+		err = vp.Sync()
+	}
 	if err != nil {
 		vp.Close()
 		ix.Close()
@@ -290,6 +293,8 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	}
 	ix.vectors = vs
 
+	// Every file it names is fsynced, so a power loss cannot leave a
+	// meta.json over pages that never reached the disk.
 	if err := ix.writeMeta(); err != nil {
 		ix.Close()
 		return nil, err
@@ -382,9 +387,9 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 
 // writeTree is the tree writer's last step: a fresh tree file at path,
 // bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes; ids
-// holds each row's slot, nil when the row number is the slot) and
-// flushed. The fsync is the caller's: compaction syncs each generation
-// file before its commit, Build does not.
+// holds each row's slot, nil when the row number is the slot), flushed
+// and fsynced — fully durable before a meta commit (Build's or a
+// compaction's) references it.
 func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32) (*rdbtree.Tree, error) {
 	pgr, err := ix.openPager(path, true)
 	if err != nil {
@@ -397,6 +402,9 @@ func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64
 	}
 	if err == nil {
 		err = tree.Flush()
+	}
+	if err == nil {
+		err = pgr.Sync()
 	}
 	if err != nil {
 		pgr.Close()

@@ -448,6 +448,32 @@ func TestFaultPagerReadEIOTypedError(t *testing.T) {
 	}
 }
 
+// TestFaultBuildSyncFailureLeavesNoMeta fails the fsync of one file
+// Build writes. Every file must be durable before meta.json, the commit
+// point, names it, so the build fails with the fsync's error and leaves
+// no meta.json for Open to trust.
+func TestFaultBuildSyncFailureLeavesNoMeta(t *testing.T) {
+	ds := data.Generate(data.Config{N: 300, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 83})
+	for _, file := range []string{"vectors.pg", "tree_00.pg"} {
+		t.Run(file, func(t *testing.T) {
+			restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{PathGlob: file, Op: iofault.OpSync}))
+			defer restore()
+			dir := filepath.Join(t.TempDir(), "ix")
+			ix, err := Build(dir, ds.Vectors, ingestParams())
+			if err == nil {
+				ix.Close()
+				t.Fatalf("Build succeeded through a failed fsync of %s", file)
+			}
+			if !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Build error = %v, want the fsync's EIO", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, metaFile)); !os.IsNotExist(err) {
+				t.Fatalf("meta.json after a failed build: stat err = %v", err)
+			}
+		})
+	}
+}
+
 // TestChaosCompactorStopNoLeak exercises the background compactor's
 // whole lifecycle — threshold-triggered compactions, then Close — and
 // asserts every goroutine is reaped.

@@ -571,14 +571,5 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	emitBatchBelow(nil)
 
-	tree, err := ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(slots)), slots, rd)
-	if err != nil {
-		return nil, err
-	}
-	// Fully durable before the commit point references this generation.
-	if err := tree.Pager().Sync(); err != nil {
-		tree.Pager().Close()
-		return nil, err
-	}
-	return tree, nil
+	return ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(slots)), slots, rd)
 }

@@ -58,8 +58,8 @@ func decodeSlotHeader(meta []byte) (base uint64, err error) {
 	return binary.BigEndian.Uint64(meta[len(slotMagic):]), nil
 }
 
-// createSlotMap writes a fresh ids.pg into pgr: order[s] is the id
-// stored at slot s, slotOf its inverse.
+// createSlotMap writes a fresh ids.pg into pgr and fsyncs it: order[s]
+// is the id stored at slot s, slotOf its inverse.
 func createSlotMap(pgr *pager.Pager, order []uint32, slotOf []uint64) (slotMap, error) {
 	m := slotMap{pgr: pgr, base: uint64(len(order)), per: uint64(pgr.PageSize() / 4)}
 	entry := func(e uint64) uint32 {
@@ -82,7 +82,7 @@ func createSlotMap(pgr *pager.Pager, order []uint32, slotOf []uint64) (slotMap, 
 	if err := pgr.SetMeta(encodeSlotHeader(m.base)); err != nil {
 		return slotMap{}, err
 	}
-	return m, pgr.Flush()
+	return m, pgr.Sync()
 }
 
 // openSlotMap adopts an existing ids.pg, which must hold exactly the

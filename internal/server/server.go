@@ -31,10 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"time"
 
@@ -205,32 +203,18 @@ func New(idx *hdindex.Index, cfg Config) *Server {
 // latencies plus result IDs. It goes through the facade (not HTTP), so
 // replays never count against admission or endpoint metrics.
 func (s *Server) replay(ctx context.Context, queries [][]float32, k, alpha, gamma int) (slo.ReplayResult, error) {
-	var out slo.ReplayResult
-	out.IDs = make([][]uint64, len(queries))
-	durs := make([]time.Duration, len(queries))
-	var total time.Duration
-	for i, q := range queries {
-		start := time.Now()
+	return slo.Measure(queries, func(q []float32) ([]uint64, error) {
 		resp, err := s.idx.Query(ctx, q, k,
 			hdindex.WithAlpha(max(alpha, k)), hdindex.WithGamma(max(gamma, k)))
 		if err != nil {
-			return slo.ReplayResult{}, err
+			return nil, err
 		}
-		durs[i] = time.Since(start)
-		total += durs[i]
 		ids := make([]uint64, len(resp.Results))
 		for j, r := range resp.Results {
 			ids[j] = r.ID
 		}
-		out.IDs[i] = ids
-	}
-	if len(queries) > 0 {
-		out.MeanQueryUS = float64(total.Microseconds()) / float64(len(queries))
-		slices.Sort(durs)
-		idx := int(math.Ceil(0.99*float64(len(durs)))) - 1
-		out.P99QueryUS = float64(durs[max(idx, 0)].Microseconds())
-	}
-	return out, nil
+		return ids, nil
+	})
 }
 
 // Handler returns the routed http.Handler for mounting in an

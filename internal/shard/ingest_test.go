@@ -207,14 +207,21 @@ func TestShardedTornWALRecord(t *testing.T) {
 	}
 }
 
-// TestBareLayoutInsertsGroupCommit pins the one-shard write path: a bare
-// directory has nothing to route, so concurrent writers must reach
-// core.Insert unserialised and share fsyncs. An outer lock held across
-// the durable wait would cost exactly one fsync per insert.
-func TestBareLayoutInsertsGroupCommit(t *testing.T) {
+// TestBareLayoutInsertsGroupCommit pins the one-shard write path:
+// concurrent writers must reach core.Insert unserialised and share
+// fsyncs. An outer lock held across the durable wait would cost exactly
+// one fsync per insert.
+func TestBareLayoutInsertsGroupCommit(t *testing.T) { testInsertsGroupCommit(t, 0) }
+
+// TestShardedInsertsGroupCommit is the same on two shards: routing
+// reserves the owner's next id under the index's lock and appends
+// outside it, so writers routed to one shard share its fsyncs.
+func TestShardedInsertsGroupCommit(t *testing.T) { testInsertsGroupCommit(t, 2) }
+
+func testInsertsGroupCommit(t *testing.T, shards int) {
 	const writers, each = 8, 25
 	ds := data.Generate(data.Config{Name: "sgroup", N: 300 + writers*each, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 171})
-	built, dir := build(t, ds.Vectors[:300], testOpts(0))
+	built, dir := build(t, ds.Vectors[:300], testOpts(shards))
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+
+	"github.com/hd-index/hdindex/internal/atomicfile"
 )
 
 // ErrBadFrontier reports a frontier artifact that cannot be used: wrong
@@ -125,8 +128,8 @@ func ReadFrontier(path string) (*Frontier, error) {
 }
 
 // WriteFrontier validates and writes the artifact, replacing path
-// atomically so a crashed writer never leaves a torn file for the
-// tuner to load.
+// atomically and durably (atomicfile) so neither a crashed writer nor a
+// power loss leaves a torn or empty file for the tuner to load.
 func WriteFrontier(path string, f *Frontier) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -136,12 +139,7 @@ func WriteFrontier(path string, f *Frontier) error {
 		return fmt.Errorf("slo: encode frontier: %w", err)
 	}
 	raw = append(raw, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("slo: write frontier: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.WriteFile(filepath.Dir(path), filepath.Base(path), raw); err != nil {
 		return fmt.Errorf("slo: write frontier: %w", err)
 	}
 	return nil

@@ -340,3 +340,45 @@ func TestTierConfig(t *testing.T) {
 		t.Fatal("nil config produced a tier")
 	}
 }
+
+// TestMeasure pins the shared timing loop's contract: ids in input
+// order, a p99 that is the nearest-rank sample (the maximum below 100
+// samples) and so never below the mean, and the first error returned
+// with no call after it.
+func TestMeasure(t *testing.T) {
+	queries := [][]float32{{3}, {1}, {4}, {1}, {5}}
+	rep, err := Measure(queries, func(q []float32) ([]uint64, error) {
+		return []uint64{uint64(q[0]), uint64(q[0]) + 10}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ids := range rep.IDs {
+		if want := uint64(queries[i][0]); len(ids) != 2 || ids[0] != want || ids[1] != want+10 {
+			t.Fatalf("query %d: ids %v, want [%d %d]", i, ids, want, want+10)
+		}
+	}
+	if rep.MeanQueryUS < 0 || rep.P99QueryUS < rep.MeanQueryUS {
+		t.Fatalf("mean %v µs, p99 %v µs", rep.MeanQueryUS, rep.P99QueryUS)
+	}
+
+	first, second := errors.New("first"), errors.New("second")
+	calls := 0
+	_, err = Measure(queries, func(q []float32) ([]uint64, error) {
+		calls++
+		switch calls {
+		case 2:
+			return nil, first
+		case 3:
+			return nil, second
+		}
+		return nil, nil
+	})
+	if !errors.Is(err, first) || calls != 2 {
+		t.Fatalf("err %v after %d calls, want the first error after 2", err, calls)
+	}
+
+	if rep, err := Measure(nil, nil); err != nil || len(rep.IDs) != 0 || rep.MeanQueryUS != 0 || rep.P99QueryUS != 0 {
+		t.Fatalf("empty query set: %+v, %v", rep, err)
+	}
+}

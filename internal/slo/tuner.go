@@ -3,6 +3,7 @@ package slo
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,6 +35,38 @@ type ReplayResult struct {
 	MeanQueryUS float64
 	P99QueryUS  float64
 	IDs         [][]uint64
+}
+
+// Measure runs query over each of queries, in input order and one at a
+// time, timing every call: the one per-query timing loop behind the
+// tuner's live replays, the frontier sweep and the paper harness. It
+// returns the mean and the nearest-rank p99 (the ⌈0.99·n⌉-th smallest,
+// the convention the telemetry histograms estimate) in microseconds
+// with the ids of every call, in input order. The first error stops the
+// run and is returned. Because the calls run in order, query may append
+// whatever else it keeps per query.
+func Measure(queries [][]float32, query func(q []float32) ([]uint64, error)) (ReplayResult, error) {
+	out := ReplayResult{IDs: make([][]uint64, len(queries))}
+	if len(queries) == 0 {
+		return out, nil
+	}
+	durs := make([]time.Duration, len(queries))
+	var total time.Duration
+	for i, q := range queries {
+		start := time.Now()
+		ids, err := query(q)
+		durs[i] = time.Since(start)
+		if err != nil {
+			return ReplayResult{}, err
+		}
+		total += durs[i]
+		out.IDs[i] = ids
+	}
+	slices.Sort(durs)
+	p99 := durs[int(math.Ceil(0.99*float64(len(durs))))-1]
+	out.MeanQueryUS = float64(total.Nanoseconds()) / 1e3 / float64(len(queries))
+	out.P99QueryUS = float64(p99.Nanoseconds()) / 1e3
+	return out, nil
 }
 
 // ReplayFunc replays sampled queries at an explicit operating point.

@@ -37,7 +37,8 @@ FUZZ_TARGETS = \
 	FuzzWALReplay:./internal/wal \
 	FuzzSelect:./internal/topk \
 	FuzzPagerSuperblock:./internal/pager \
-	FuzzManifest:./internal/shard
+	FuzzManifest:./internal/shard \
+	FuzzSearchRequest:./internal/api
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -63,12 +64,15 @@ crash:
 # wall-clock assertions (shed latency, accepted p99), which tier-1 skips.
 # Helper goroutines are checked ten times over: none outlives a Query
 # (success, cancellation, EIO, a corrupt tree page), nor a Build, a
-# QueryBatch or a sharded Query (success, cancellation, EIO).
+# QueryBatch or a sharded Query (success, cancellation, EIO). The WAL's
+# fault tests (a compaction's log rewrite under a slow group-commit
+# fsync) run ten times over too.
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/
 	$(GO) test -race -count=10 -run '^TestFaultQueryHelpersExit$$' ./internal/core/
 	$(GO) test -race -count=10 -run '^TestFaultSpreadHelpersExit$$' ./internal/shard/
+	$(GO) test -race -count=10 -run '^TestFault' ./internal/wal/
 
 # Cluster robustness suite under the race detector: the coordinator's
 # equivalence/failover/hedging tests, the netfault flaky-TCP proxy

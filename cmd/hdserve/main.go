@@ -131,7 +131,6 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 		fs.StringVar(&c.indexDir, "index", "", "directory of a built index (required)")
 		fs.DurationVar(&c.server.QueryTimeout, "query-timeout", 2*time.Second, "default per-request search deadline (0 = none)")
 		fs.BoolVar(&c.server.ReadOnly, "readonly", false, "reject /insert and /delete")
-		fs.DurationVar(&c.index.WALSyncInterval, "wal-sync", 0, "WAL fsync cadence: 0 group-commits every write, >0 acks after the page-cache write and fsyncs on this interval")
 		fs.IntVar(&c.index.MemtableMaxVectors, "memtable-max", 0, "memtable vectors before a background compaction folds them into the trees (0 = 4096)")
 		fs.IntVar(&c.index.PoolPages, "pool-pages", 0, "buffer-pool pages per index file, 4 KiB each (0 = the index's build-time value, 256 unless built otherwise)")
 		fs.Func("slow-query-ms", "log a structured slow-query record with the per-phase breakdown for searches slower than this many milliseconds (0 = off)", func(v string) error {

@@ -27,7 +27,7 @@ func TestFlagSets(t *testing.T) {
 	wantServe := []string{
 		"addr", "degrade-pressure", "drain-timeout", "frontier", "index", "max-batch",
 		"max-inflight", "max-k", "memtable-max", "pool-pages", "pprof", "preset", "query-timeout",
-		"readonly", "slo", "slow-query-ms", "tenant-rps", "tiers", "wal-sync",
+		"readonly", "slo", "slow-query-ms", "tenant-rps", "tiers",
 	}
 	wantCoord := []string{
 		"addr", "cluster-manifest", "coordinator", "drain-timeout", "health-interval",
@@ -78,12 +78,12 @@ func TestZeroArgsYieldZeroConfigs(t *testing.T) {
 }
 
 func TestFlagsBindIntoTheirStructs(t *testing.T) {
-	c, err := parseFlags(strings.Fields("-index idx -memtable-max 16 -pool-pages 4096 -wal-sync 5ms -slow-query-ms 50 "+
+	c, err := parseFlags(strings.Fields("-index idx -memtable-max 16 -pool-pages 4096 -slow-query-ms 50 "+
 		"-max-inflight 8 -tenant-rps 2.5 -degrade-pressure 0.5 -preset fast -readonly -query-timeout 0"), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.index.MemtableMaxVectors != 16 || c.index.PoolPages != 4096 || c.index.WALSyncInterval != 5*time.Millisecond {
+	if c.index.MemtableMaxVectors != 16 || c.index.PoolPages != 4096 {
 		t.Errorf("hdindex.Options %+v", c.index)
 	}
 	s := c.server

@@ -94,14 +94,6 @@ type Options struct {
 	// directly into the directory. Open ignores this field: it detects
 	// the layout from the directory.
 	Shards int
-	// WALSyncInterval selects the write-ahead log's durability
-	// discipline for live inserts and deletes. 0 (the default)
-	// group-commits: every acknowledged mutation is fsynced, batched
-	// across concurrent writers. > 0 acknowledges after the page-cache
-	// write and fsyncs on this cadence — acknowledged writes survive a
-	// process crash but the last interval may be lost on power failure.
-	// Both Build and Open honour it.
-	WALSyncInterval time.Duration
 	// MemtableMaxVectors is the number of live-inserted vectors held in
 	// memory before a background compaction folds them into the trees
 	// (0 = 4096). It bounds both queries' brute-force memtable scan and
@@ -240,7 +232,6 @@ func BuildContext(ctx context.Context, dir string, vectors [][]float32, o Option
 		PageSize:     o.PageSize,
 		Seed:         o.Seed,
 
-		WALSyncInterval:    o.WALSyncInterval,
 		MemtableMaxVectors: o.MemtableMaxVectors,
 	}
 	switch {
@@ -383,7 +374,6 @@ func Open(dir string, o Options) (*Index, error) {
 		PoolPages:    o.PoolPages,
 		DisableCache: o.DisableCache,
 
-		WALSyncInterval:    o.WALSyncInterval,
 		MemtableMaxVectors: o.MemtableMaxVectors,
 	}
 	if !shard.IsSharded(dir) {
@@ -416,10 +406,10 @@ func Open(dir string, o Options) (*Index, error) {
 }
 
 // Insert adds a vector to the index (§3.6) and returns its id. The
-// insert is appended to a write-ahead log before Insert returns (see
-// Options.WALSyncInterval for the exact durability guarantee), lands in
-// an in-memory memtable that queries scan exactly, and is folded into
-// the index structure by a background compaction.
+// insert is appended to a write-ahead log and fsynced before Insert
+// returns (one fsync serves every writer queued behind it), lands in an
+// in-memory memtable that queries scan exactly, and is folded into the
+// index structure by a background compaction.
 //
 // The vector goes to the shard that owns the smallest unreserved global
 // id. With balanced shard counts that is exactly "count mod N"

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/data"
 )
@@ -178,31 +177,5 @@ func TestFacadeCompactAndPurge(t *testing.T) {
 	}
 	if err := idx.Undelete(42); !errors.Is(err, ErrPurged) {
 		t.Fatalf("Undelete(42) = %v, want ErrPurged", err)
-	}
-}
-
-// The interval-sync WAL mode threads through Options: inserts are acked
-// after the page-cache write and survive a process-crash clone.
-func TestFacadeWALSyncInterval(t *testing.T) {
-	ds := data.Generate(data.Config{Name: "fiv", N: 300, Dim: 16, Lo: 0, Hi: 1, Seed: 191})
-	dir := filepath.Join(t.TempDir(), "ix")
-	idx, err := Build(dir, ds.Vectors[:280], Options{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16,
-		Seed: 192, WALSyncInterval: 2 * time.Millisecond, MemtableMaxVectors: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	for _, v := range ds.Vectors[280:] {
-		if _, err := idx.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	re, err := Open(crashClone(t, dir), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Count() != 300 {
-		t.Fatalf("count = %d, want 300", re.Count())
 	}
 }

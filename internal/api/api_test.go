@@ -231,3 +231,82 @@ func TestTimeout(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSearchRequest feeds an arbitrary body through the request path a
+// server runs before it touches the index: DecodeBody into the /search
+// and the /searchbatch request, then ValidateK, ValidateQuery or
+// ValidateQueries, and Tuning.Validate, at the default caps. Nothing may
+// panic, every rejection must be a 400 *Error, and a body that passes
+// every check asks for k in [1, DefaultMaxK] of at most DefaultMaxBatch
+// queries of the declared dimensionality, and survives the
+// coordinator's re-encoding unchanged. Seeded from the
+// request bodies of the golden and decoder tests.
+func FuzzSearchRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"query":[0.5,1],"k":10,"stats":true,"alpha":64,"preset":"fast"}`,
+		`{"queries":[[0.5,1]],"k":10,"timeout_ms":250,"max_candidates":40}`,
+		`{"query":[1,2],"k":3,"timeout_ms":5,"stats":true,"alpha":8,"gamma":4,"max_candidates":9,"ptolemaic":true,"preset":"x"}`,
+		`{"k":1,"wat":true}`,
+		`{"k":1} {"k":2}`,
+		`{"k":`,
+		`{"query":[1,2,3,4,5,6,7,8,9,10],"k":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const dim = 2
+	f.Fuzz(func(t *testing.T, body []byte) {
+		decode := func(v any) error {
+			r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(string(body)))
+			r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, MaxBodyBytes)
+			return DecodeBody(r, v)
+		}
+		rejected := func(err error) bool {
+			if err == nil {
+				return false
+			}
+			var e *Error
+			if !errors.As(err, &e) || e.Status != http.StatusBadRequest {
+				t.Fatalf("rejection %v is not a 400 *Error", err)
+			}
+			return true
+		}
+		roundTrips := func(v, decoded any) {
+			wire, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("re-encoding %+v: %v", v, err)
+			}
+			if err := json.Unmarshal(wire, decoded); err != nil {
+				t.Fatalf("decoding the re-encoded %s: %v", wire, err)
+			}
+		}
+
+		var one SearchRequest
+		if !rejected(decode(&one)) && !rejected(ValidateK(one.K, 0)) &&
+			!rejected(ValidateQuery("query", one.Query, dim)) && !rejected(one.Tuning.Validate()) {
+			if one.K < 1 || one.K > DefaultMaxK || len(one.Query) != dim {
+				t.Fatalf("accepted k %d with a %d-d query", one.K, len(one.Query))
+			}
+			var again SearchRequest
+			if roundTrips(one, &again); !reflect.DeepEqual(again, one) {
+				t.Fatalf("re-encoding changed %+v into %+v", one, again)
+			}
+		}
+
+		var batch SearchBatchRequest
+		if !rejected(decode(&batch)) && !rejected(ValidateK(batch.K, 0)) &&
+			!rejected(ValidateQueries(batch.Queries, 0, dim)) && !rejected(batch.Tuning.Validate()) {
+			if batch.K < 1 || batch.K > DefaultMaxK || len(batch.Queries) < 1 || len(batch.Queries) > DefaultMaxBatch {
+				t.Fatalf("accepted k %d with %d queries", batch.K, len(batch.Queries))
+			}
+			for i, q := range batch.Queries {
+				if len(q) != dim {
+					t.Fatalf("accepted a %d-d query %d", len(q), i)
+				}
+			}
+			var again SearchBatchRequest
+			if roundTrips(batch, &again); !reflect.DeepEqual(again, batch) {
+				t.Fatalf("re-encoding changed %+v into %+v", batch, again)
+			}
+		}
+	})
+}

@@ -12,12 +12,11 @@ import (
 //   - WAL failure (fsync or append error): the durability contract is
 //     broken, so the index flips to read-only — every further
 //     Insert/Delete/Undelete fails fast with ErrWALUnavailable while
-//     queries keep serving. Under the group-commit discipline
-//     (WALSyncInterval == 0) an insert is acknowledged iff its record
-//     is fsynced, so the memtable suffix past the last durable offset
-//     was never acknowledged to anyone and is rolled back — the
-//     in-memory state then matches exactly what a crash-restart replay
-//     would rebuild.
+//     queries keep serving. An insert is acknowledged iff its record is
+//     fsynced (the WAL's group commit), so the memtable suffix past the
+//     last durable offset was never acknowledged to anyone and is
+//     rolled back — the in-memory state then matches exactly what a
+//     crash-restart replay would rebuild.
 //
 //   - Compaction failure (tree rebuild I/O, vector-store append, meta
 //     write): Compact commits all-or-nothing, so the old generation
@@ -55,31 +54,26 @@ func (ix *Index) noteWALFailure(cause error) error {
 }
 
 // noteWALFailureLocked is noteWALFailure with ix.mu already held. The
-// first failure wins: it records the cause and, under group commit,
-// rolls back the never-acknowledged memtable suffix.
+// first failure wins: it records the cause and rolls back the
+// never-acknowledged memtable suffix.
 func (ix *Index) noteWALFailureLocked(cause error) error {
 	if ix.walFailed {
 		return walUnavailable(ix.walErr)
 	}
 	ix.walFailed = true
 	ix.walErr = cause
-	// Group commit acknowledges an insert only once its record is
-	// fsynced, so entries past the durable offset were never promised to
-	// any caller: drop them, restoring the exact state a crash-restart
-	// replay would rebuild. Relaxed mode (SyncInterval > 0) acknowledges
-	// ahead of the fsync — there nothing is provably unacknowledged, so
-	// the memtable stays whole and the WAL tail at risk is the
-	// documented power-loss window.
-	if ix.params.WALSyncInterval == 0 && ix.wal != nil {
+	// An insert is acknowledged only once its record is fsynced, so
+	// entries past the durable offset were never promised to any caller:
+	// drop them, restoring the exact state a crash-restart replay would
+	// rebuild.
+	if ix.wal != nil {
 		durable := ix.wal.DurableOffset()
 		keep := len(ix.mem)
 		for keep > 0 && ix.memOff[keep-1] > durable {
 			keep--
 		}
-		if keep < len(ix.mem) {
-			ix.mem = ix.mem[:keep:keep]
-			ix.memOff = ix.memOff[:keep:keep]
-		}
+		ix.mem = ix.mem[:keep:keep]
+		ix.memOff = ix.memOff[:keep:keep]
 	}
 	return walUnavailable(cause)
 }

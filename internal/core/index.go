@@ -299,12 +299,6 @@ func decodeMeta(buf []byte) (metaJSON, error) {
 type OpenOptions struct {
 	PoolPages    int  // buffer-pool pages per file; 0 keeps the build-time value
 	DisableCache bool // paper's caching-off protocol
-
-	// WALSyncInterval selects the ingest durability discipline: 0 group-
-	// commits every insert/delete (acknowledged = fsynced); > 0
-	// acknowledges after the page-cache write and fsyncs on this cadence
-	// (safe against process crash, a bounded window against power loss).
-	WALSyncInterval time.Duration
 	// MemtableMaxVectors is the compaction threshold: once this many
 	// acknowledged inserts sit in the memtable the background compactor
 	// merges them into the trees. 0 means the default (4096).
@@ -324,7 +318,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 		p.PoolPages = opts.PoolPages
 	}
 	p.DisableCache = opts.DisableCache
-	p.WALSyncInterval = opts.WALSyncInterval
 	p.MemtableMaxVectors = opts.MemtableMaxVectors
 
 	ix, err := newIndex(dir, m)
@@ -479,7 +472,7 @@ func (ix *Index) Close() error {
 // walOptions builds the WAL configuration, wiring fsync durations into
 // the telemetry collector.
 func (ix *Index) walOptions() wal.Options {
-	return wal.Options{SyncInterval: ix.params.WALSyncInterval, OnSync: ix.tel.ObserveWALSync}
+	return wal.Options{OnSync: ix.tel.ObserveWALSync}
 }
 
 // Telemetry returns a point-in-time copy of the index's latency
@@ -523,7 +516,7 @@ func (ix *Index) SizeOnDisk() int64 {
 	var total int64
 	ix.eachPager(func(pgr *pager.Pager) { total += pgr.FileSize() })
 	if ix.wal != nil {
-		total += ix.wal.Size()
+		total += ix.wal.Stats().Bytes
 	}
 	return total
 }

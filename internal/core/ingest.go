@@ -386,11 +386,9 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 	ix.mu.RUnlock()
 
 	// The batch must be durable before the commit makes it part of the
-	// committed index state: under relaxed durability (SyncInterval > 0)
-	// acknowledgements outrun the fsync cadence, and committing a
-	// non-durable insert then truncating its WAL record would turn a
-	// crash into lost acknowledged data. Group commit makes this a no-op
-	// (everything snapshotted is fsynced already).
+	// committed index state. A batch insert may still be waiting on its
+	// group commit; were that fsync to fail after the snapshot, the WAL-
+	// failure rollback would drop an insert this compaction commits.
 	if err := ix.wal.Sync(); err != nil {
 		if errors.Is(err, wal.ErrClosed) {
 			return true, err

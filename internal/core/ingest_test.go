@@ -511,35 +511,6 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	}
 }
 
-// Interval-mode WAL: acked-after-write, fsynced on a cadence. The data
-// still lands in the file (page cache), so a process-kill crash copy
-// sees everything.
-func TestIntervalSyncMode(t *testing.T) {
-	ds := data.Generate(data.Config{Name: "iv", N: 200, Dim: 16, Lo: 0, Hi: 1, Seed: 121})
-	dir := filepath.Join(t.TempDir(), "ix")
-	p := ingestParams()
-	p.Tau, p.Seed = 2, 122
-	p.WALSyncInterval = 5 * time.Millisecond
-	ix, err := Build(dir, ds.Vectors[:180], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	for _, v := range ds.Vectors[180:] {
-		if _, err := ix.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	re, err := Open(crashCopy(t, dir), OpenOptions{MemtableMaxVectors: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Count() != 200 {
-		t.Fatalf("count = %d, want 200", re.Count())
-	}
-}
-
 // Closing the index mid-stream and reopening without ever compacting
 // must keep replaying the same WAL tail — replay is idempotent across
 // arbitrarily many open/close cycles.

@@ -4,10 +4,7 @@
 // reference objects.
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Curve selects the space-filling curve used for the one-dimensional
 // ordering. The paper uses Hilbert ([37]: "most appropriate for
@@ -55,16 +52,8 @@ type Params struct {
 	// physical read — the paper's "caching effects off" protocol (§5).
 	DisableCache bool
 
-	// Live-ingest knobs (ingest.go). Runtime-only — excluded from
-	// meta.json so the on-disk descriptor never depends on a
-	// deployment's durability tuning.
-	//
-	// WALSyncInterval selects the write-ahead log's durability
-	// discipline: 0 group-commits every mutation (acknowledged =
-	// fsynced), > 0 acknowledges after the page-cache write and fsyncs
-	// on this cadence.
-	WALSyncInterval time.Duration `json:"-"`
-	// MemtableMaxVectors is the compaction threshold (0 = 4096).
+	// MemtableMaxVectors is the live-ingest compaction threshold
+	// (ingest.go; 0 = 4096). Runtime-only: excluded from meta.json.
 	MemtableMaxVectors int `json:"-"`
 
 	Seed int64
@@ -134,9 +123,6 @@ func (p *Params) Validate(nu int) error {
 	}
 	if p.M < 1 {
 		return fmt.Errorf("core: m must be >= 1, got %d", p.M)
-	}
-	if p.WALSyncInterval < 0 {
-		return fmt.Errorf("core: wal sync interval must be >= 0, got %v", p.WALSyncInterval)
 	}
 	if p.MemtableMaxVectors < 0 {
 		return fmt.Errorf("core: memtable max vectors must be >= 0, got %d", p.MemtableMaxVectors)

@@ -16,12 +16,13 @@
 // the file at the first invalid record and replays the prefix — the
 // log never needs a recovery index or segment map.
 //
-// Durability is group-committed: appends land in the OS page cache
-// immediately (surviving process death on their own) and WaitDurable
-// rides the next fsync, with the first waiter acting as leader and
-// syncing on behalf of everyone queued behind it. A SyncInterval > 0
-// trades the power-loss window for latency: WaitDurable then returns
-// without fsyncing and a background ticker syncs the file instead.
+// Durability is group-committed, and an append is acknowledged only
+// once an fsync covers it: appends land in the OS page cache
+// immediately and WaitDurable rides the next fsync, with the first
+// waiter acting as leader and syncing on behalf of everyone queued
+// behind it. Sync and Close wait the same way, so once the log is open
+// its file is fsynced in exactly one place. The log starts no
+// goroutines.
 package wal
 
 import (
@@ -64,14 +65,6 @@ type Record struct {
 
 // Options tunes a log.
 type Options struct {
-	// SyncInterval selects the durability discipline. 0 (the default)
-	// group-commits: WaitDurable blocks until an fsync covers the
-	// record, with one fsync serving every waiter queued behind the
-	// leader. > 0 acknowledges after the buffered write (safe against
-	// process crash, a bounded window against power loss) and fsyncs on
-	// this cadence in the background.
-	SyncInterval time.Duration
-
 	// OnSync, when non-nil, is invoked with the wall-clock duration of
 	// every fsync the log issues. It runs on the group-commit leader's
 	// goroutine with the log lock held: implementations must be cheap
@@ -109,12 +102,12 @@ type Log struct {
 	fileSize int64 // physical length of the current file
 	records  int64
 	syncs    int64
-	syncing  bool  // a group-commit leader is mid-fsync
-	syncErr  error // sticky: an fsync failure poisons the log
-	closed   bool
-
-	tickStop chan struct{}
-	tickDone chan struct{}
+	// syncing is the file a group-commit leader is fsyncing, nil when
+	// none is. A file RewriteWith swapped out under the leader is closed
+	// by the leader once its fsync returns.
+	syncing iofault.File
+	syncErr error // sticky: an fsync failure poisons the log
+	closed  bool
 }
 
 // Open opens (creating if absent) the log at path, truncates any torn
@@ -125,39 +118,30 @@ func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
+	fail := func(e error) (*Log, error) { f.Close(); return nil, e }
 	valid, nrec, err := scan(f, replay)
 	if err != nil {
-		f.Close()
-		return nil, err
+		return fail(err)
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: stat: %w", err)
+		return fail(fmt.Errorf("wal: stat: %w", err))
 	}
 	if fi.Size() > valid {
 		// Torn or corrupt tail: the record was never acknowledged (its
 		// fsync cannot have completed), so dropping it loses nothing.
 		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+			return fail(fmt.Errorf("wal: truncate torn tail: %w", err))
 		}
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: sync after truncate: %w", err)
+			return fail(fmt.Errorf("wal: sync after truncate: %w", err))
 		}
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
+		return fail(fmt.Errorf("wal: seek: %w", err))
 	}
 	l := &Log{path: path, opts: opts, f: f, size: valid, synced: valid, fileSize: valid, records: nrec}
 	l.cond = sync.NewCond(&l.mu)
-	if opts.SyncInterval > 0 {
-		l.tickStop = make(chan struct{})
-		l.tickDone = make(chan struct{})
-		go l.syncLoop()
-	}
 	return l, nil
 }
 
@@ -255,9 +239,7 @@ func (l *Log) AppendNoSync(rec Record) (int64, error) {
 	if _, err := l.f.Write(buf); err != nil {
 		// A torn in-cache write would desynchronise size from the file;
 		// poison the log rather than guess.
-		l.syncErr = fmt.Errorf("wal: append: %w", err)
-		l.cond.Broadcast()
-		return 0, l.syncErr
+		return 0, l.poisonLocked(fmt.Errorf("wal: append: %w", err))
 	}
 	l.size += int64(len(buf))
 	l.fileSize += int64(len(buf))
@@ -265,20 +247,25 @@ func (l *Log) AppendNoSync(rec Record) (int64, error) {
 	return l.size, nil
 }
 
+// poisonLocked makes err the log's sticky failure and wakes every
+// waiter to see it.
+func (l *Log) poisonLocked(err error) error {
+	l.syncErr = err
+	l.cond.Broadcast()
+	return err
+}
+
 // WaitDurable blocks until the log is durable up to off (an offset
-// returned by AppendNoSync). With SyncInterval == 0 this is the group
-// commit: the first waiter fsyncs on behalf of everyone queued behind
-// it. With SyncInterval > 0 it returns immediately — the record is in
-// the page cache (safe against process death) and the background loop
-// owns the fsync cadence.
+// returned by AppendNoSync): the group commit, in which the first waiter
+// fsyncs on behalf of everyone queued behind it.
 func (l *Log) WaitDurable(off int64) error {
-	if l.opts.SyncInterval > 0 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.syncErr
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.waitLocked(off)
+}
+
+// waitLocked is WaitDurable with l.mu held: the log's one wait loop.
+func (l *Log) waitLocked(off int64) error {
 	for {
 		if l.syncErr != nil {
 			return l.syncErr
@@ -289,7 +276,7 @@ func (l *Log) WaitDurable(off int64) error {
 		if l.closed {
 			return ErrClosed
 		}
-		if !l.syncing {
+		if l.syncing == nil {
 			l.leaderSyncLocked()
 			continue
 		}
@@ -301,16 +288,21 @@ func (l *Log) WaitDurable(off int64) error {
 // appended so far, then wakes the waiters riding on it. Called with
 // l.mu held; the lock is released for the fsync itself so appends keep
 // landing (and queueing into the next commit) while the disk works.
+// This is the only fsync of the live file.
 func (l *Log) leaderSyncLocked() {
-	l.syncing = true
-	target := l.size
-	f := l.f
+	f, target := l.f, l.size
+	l.syncing = f
 	l.mu.Unlock()
 	start := time.Now()
 	err := f.Sync()
 	elapsed := time.Since(start)
 	l.mu.Lock()
-	l.syncing = false
+	l.syncing = nil
+	if f != l.f {
+		// RewriteWith replaced the file during the fsync and left closing
+		// the old descriptor to us.
+		f.Close()
+	}
 	l.syncs++
 	if l.opts.OnSync != nil {
 		l.opts.OnSync(elapsed)
@@ -323,48 +315,15 @@ func (l *Log) leaderSyncLocked() {
 	l.cond.Broadcast()
 }
 
-// Sync forces everything appended so far onto disk.
+// Sync waits until everything appended so far is durable: the group
+// commit up to the current end of the log.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.syncErr != nil {
-			return l.syncErr
-		}
-		if l.closed {
-			return ErrClosed
-		}
-		if l.synced >= l.size {
-			return nil
-		}
-		if !l.syncing {
-			l.leaderSyncLocked()
-			continue
-		}
-		l.cond.Wait()
+	if l.closed {
+		return ErrClosed
 	}
-}
-
-func (l *Log) syncLoop() {
-	defer close(l.tickDone)
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.tickStop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.closed || l.syncErr != nil {
-				l.mu.Unlock()
-				return
-			}
-			if l.synced < l.size && !l.syncing {
-				l.leaderSyncLocked()
-			}
-			l.mu.Unlock()
-		}
-	}
+	return l.waitLocked(l.size)
 }
 
 // RewriteWith atomically replaces the log's contents with recs — the
@@ -420,25 +379,23 @@ func (l *Log) RewriteWith(recs []Record) error {
 		// must not be acknowledged as cleanly committed. Poison the log;
 		// the old handle keeps pointing at the unlinked previous file,
 		// which no longer matters because every write path now fails.
-		l.syncErr = fmt.Errorf("wal: rewrite dir sync: %w", err)
-		l.cond.Broadcast()
-		return l.syncErr
+		return l.poisonLocked(fmt.Errorf("wal: rewrite dir sync: %w", err))
 	}
 	// Swap the handle: the old descriptor still points at the unlinked
 	// previous file.
 	nf, err := iofault.Open(l.path, os.O_RDWR, 0o644)
 	if err != nil {
-		l.syncErr = fmt.Errorf("wal: reopen after rewrite: %w", err)
-		l.cond.Broadcast()
-		return l.syncErr
+		return l.poisonLocked(fmt.Errorf("wal: reopen after rewrite: %w", err))
 	}
 	if _, err := nf.Seek(size, io.SeekStart); err != nil {
 		nf.Close()
-		l.syncErr = fmt.Errorf("wal: seek after rewrite: %w", err)
-		l.cond.Broadcast()
-		return l.syncErr
+		return l.poisonLocked(fmt.Errorf("wal: seek after rewrite: %w", err))
 	}
-	l.f.Close()
+	// A leader mid-fsync on the old file closes it when its fsync
+	// returns; closing it here would fail that fsync and poison the log.
+	if l.syncing != l.f {
+		l.f.Close()
+	}
 	l.f = nf
 	// Everything appended before the rewrite is durable now (folded into
 	// the caller's committed state or re-written into the fsynced tail),
@@ -495,45 +452,26 @@ func (l *Log) Stats() Stats {
 	return Stats{Bytes: l.fileSize, Records: l.records, Syncs: l.syncs}
 }
 
-// Size returns the log file's current length in bytes.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fileSize
-}
-
-// Close fsyncs outstanding appends and closes the file. Safe to call
-// more than once.
+// Close makes outstanding appends durable through a last group commit
+// and closes the file. It reports that commit's failure, not an earlier
+// poison. Safe to call more than once.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
-	var syncErr error
-	if l.syncErr == nil && l.synced < l.size && !l.syncing {
-		l.syncing = true
-		f := l.f
-		l.mu.Unlock()
-		syncErr = f.Sync()
-		l.mu.Lock()
-		l.syncing = false
+	var err error
+	if l.syncErr == nil {
+		err = l.waitLocked(l.size)
 	}
-	for l.syncing {
-		// An in-flight group-commit leader holds the file; wait it out.
-		l.cond.Wait()
+	for l.syncing != nil {
+		l.cond.Wait() // a leader still holds a file
 	}
 	l.closed = true
 	l.cond.Broadcast()
-	f := l.f
-	tickStop, tickDone := l.tickStop, l.tickDone
-	l.mu.Unlock()
-	if tickStop != nil {
-		close(tickStop)
-		<-tickDone
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil && syncErr == nil {
-		syncErr = err
-	}
-	return syncErr
+	return err
 }

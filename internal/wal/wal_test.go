@@ -8,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/hd-index/hdindex/internal/iofault"
 )
 
 func reopenAndCollect(t *testing.T, path string, opts Options) (*Log, []Record) {
@@ -141,7 +144,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("replayed %v, want only record 0", got)
 	}
-	if sz := l2.Size(); sz != offs[0] {
+	if sz := l2.Stats().Bytes; sz != offs[0] {
 		t.Fatalf("log size %d after corrupt truncate, want %d", sz, offs[0])
 	}
 }
@@ -160,8 +163,8 @@ func TestAbsurdLengthIsCorruption(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("replayed %d records from garbage", len(got))
 	}
-	if l.Size() != 0 {
-		t.Fatalf("size %d, want 0", l.Size())
+	if l.Stats().Bytes != 0 {
+		t.Fatalf("size %d, want 0", l.Stats().Bytes)
 	}
 }
 
@@ -234,36 +237,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestBackgroundSyncInterval(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := reopenAndCollect(t, path, Options{SyncInterval: time.Millisecond})
-	off, err := l.AppendNoSync(Record{Op: OpInsert, ID: 0, Vec: []float32{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// WaitDurable must not block in interval mode.
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(off) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("wait durable: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitDurable blocked in interval mode")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Syncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background sync never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRewriteWith(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := reopenAndCollect(t, path, Options{})
@@ -312,14 +285,65 @@ func TestRewriteWithEmpty(t *testing.T) {
 	if err := l.RewriteWith(nil); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("size %d after empty rewrite", l.Size())
+	if l.Stats().Bytes != 0 {
+		t.Fatalf("size %d after empty rewrite", l.Stats().Bytes)
 	}
 	l.Close()
 	l2, got := reopenAndCollect(t, path, Options{})
 	defer l2.Close()
 	if len(got) != 0 {
 		t.Fatalf("replayed %d records after empty rewrite", len(got))
+	}
+}
+
+// TestFaultRewriteDuringLeaderFsync runs a compaction's rewrite while a
+// group-commit leader sits in a slow fsync of the file the rewrite
+// replaces. The rewrite must leave that descriptor open for the leader,
+// so the waiter is acknowledged, the log stays healthy, and appends
+// after the rewrite land in the new file.
+func TestFaultRewriteDuringLeaderFsync(t *testing.T) {
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: "wal.log", Op: iofault.OpSync, Latency: 50 * time.Millisecond,
+	}))
+	defer restore()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _ := reopenAndCollect(t, path, Options{})
+	off, err := l.AppendNoSync(Record{Op: OpInsert, ID: 0, Vec: []float32{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.WaitDurable(off) }()
+	for leading := false; !leading; {
+		runtime.Gosched()
+		l.mu.Lock()
+		leading = l.syncing != nil
+		l.mu.Unlock()
+	}
+	tail := []Record{{Op: OpInsert, ID: 0, Vec: []float32{1}}}
+	if err := l.RewriteWith(tail); err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("WaitDurable across the rewrite: %v", err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("log poisoned by the rewrite: %v", err)
+	}
+	off, err = l.AppendNoSync(Record{Op: OpDelete, ID: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitDurable(off); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got := reopenAndCollect(t, path, Options{})
+	defer l2.Close()
+	if want := append(tail, Record{Op: OpDelete, ID: 0}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay = %v, want %v", got, want)
 	}
 }
 
@@ -426,7 +450,7 @@ func FuzzWALReplay(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Open %d: %v", open, err)
 			}
-			size := l.Size()
+			size := l.Stats().Bytes
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,8 @@ FUZZ_TARGETS = \
 	FuzzSelect:./internal/topk \
 	FuzzPagerSuperblock:./internal/pager \
 	FuzzManifest:./internal/shard \
-	FuzzSearchRequest:./internal/api
+	FuzzSearchRequest:./internal/api \
+	FuzzReadVecs:./internal/data
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

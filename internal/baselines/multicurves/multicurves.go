@@ -240,12 +240,17 @@ func (ix *Index) searchCurve(t int, q []float32, k int) ([]topk.Item, error) {
 
 	best := topk.New(k)
 	vec := make([]float32, ix.dim)
-	err := ix.trees[t].WalkNearest(context.Background(), key, ix.params.Alpha, func(val []byte) {
-		id := binary.BigEndian.Uint64(val[0:8])
-		for d := range vec {
-			vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(val[8+4*d:]))
+	valLen := ix.trees[t].ValLen()
+	// The top-k list orders by (Dist, ID), so a run's entries may go in
+	// whichever direction the walk took them.
+	err := ix.trees[t].WalkNearest(context.Background(), key, ix.params.Alpha, func(run []byte, _ bool) {
+		for ; len(run) >= valLen; run = run[valLen:] {
+			id := binary.BigEndian.Uint64(run[0:8])
+			for d := range vec {
+				vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(run[8+4*d:]))
+			}
+			best.Push(id, vecmath.DistSq(q, vec))
 		}
-		best.Push(id, vecmath.DistSq(q, vec))
 	})
 	return best.Items(), err
 }

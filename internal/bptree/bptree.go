@@ -27,14 +27,19 @@ const (
 	pageInternal = 1
 	pageLeaf     = 2
 
-	// Leaf layout: [1B type][8B left][8B right][2B count] + entries.
-	// The paper's Eq. (4) accounts 16+1 bytes of leaf overhead (sibling
-	// pointers + indicator); our two extra count bytes do not change any
-	// of the Table 3 leaf orders (verified in rdbtree tests).
+	// Leaf layout: [1B type][8B left][8B right][2B count], LeafCap keys,
+	// then from the next 8-byte boundary (valOff) LeafCap values, so the
+	// values of consecutive entries are one aligned run.
 	leafHeader = 1 + 8 + 8 + 2
 
 	// Internal layout: [1B type][2B count] + (count+1)*8B children + count*keyLen keys.
 	internalHeader = 1 + 2
+
+	// The leaf layout a header records; earlier versions interleaved.
+	layoutInterleaved = 0
+	layoutSplit       = 1
+
+	maxLeafCap = 1<<16 - 1 // what the 2-byte leaf count holds
 )
 
 // Errors returned by the tree.
@@ -43,6 +48,8 @@ var (
 	ErrValueLen  = errors.New("bptree: value length mismatch")
 	ErrNotSorted = errors.New("bptree: bulk load input not sorted")
 	ErrCorrupt   = errors.New("bptree: corrupt node")
+	// ErrLegacyLayout is Open's answer to a tree in the interleaved layout.
+	ErrLegacyLayout = errors.New("bptree: tree in the interleaved leaf layout")
 )
 
 // Config fixes the entry geometry of a tree.
@@ -50,8 +57,7 @@ type Config struct {
 	KeyLen int // bytes per key, > 0
 	ValLen int // bytes per value, >= 0
 
-	// LeafCap overrides the computed leaf capacity when positive. The
-	// RDB-tree uses it to pin the leaf order Ω to the paper's Eq. (4).
+	// LeafCap overrides the computed leaf capacity when positive.
 	LeafCap int
 }
 
@@ -69,11 +75,15 @@ type Tree struct {
 	firstLeaf pager.PageID
 	lastLeaf  pager.PageID
 	extra     []byte // caller metadata persisted after the tree header
+
+	// Entry i's key is at leafHeader + i·keyStride, its value at
+	// valOff + i·valStride.
+	keyStride, valOff, valStride int
 }
 
 // Create initialises an empty tree in pgr (which must be freshly created).
 func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
-	t, err := newTree(pgr, cfg)
+	t, err := newTree(pgr, cfg, layoutSplit)
 	if err != nil {
 		return nil, err
 	}
@@ -92,18 +102,30 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	return t, t.writeHeader()
 }
 
-// Open loads an existing tree from pgr's metadata.
+// Open loads an existing tree from pgr's metadata; a tree in the
+// interleaved layout is ErrLegacyLayout.
 func Open(pgr *pager.Pager) (*Tree, error) {
+	return open(pgr, layoutSplit)
+}
+
+func open(pgr *pager.Pager, layout int) (*Tree, error) {
 	meta := pgr.Meta()
 	if len(meta) < headerSize {
 		return nil, fmt.Errorf("%w: short tree header", ErrCorrupt)
 	}
+	switch got := int(binary.BigEndian.Uint16(meta[8:])); got {
+	case layout:
+	case layoutInterleaved:
+		return nil, ErrLegacyLayout
+	default:
+		return nil, fmt.Errorf("%w: leaf layout %d, want %d", ErrCorrupt, got, layout)
+	}
 	cfg := Config{
 		KeyLen:  int(binary.BigEndian.Uint32(meta[0:])),
 		ValLen:  int(binary.BigEndian.Uint32(meta[4:])),
-		LeafCap: int(binary.BigEndian.Uint32(meta[8:])),
+		LeafCap: int(binary.BigEndian.Uint16(meta[10:])),
 	}
-	t, err := newTree(pgr, cfg)
+	t, err := newTree(pgr, cfg, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +143,21 @@ func Open(pgr *pager.Pager) (*Tree, error) {
 	return t, nil
 }
 
-func newTree(pgr *pager.Pager, cfg Config) (*Tree, error) {
+// ReadLegacy passes fn every entry, in key order with CheckLeaves'
+// checks, of a tree of the given widths in the interleaved layout of
+// earlier versions, which Open refuses, for a one-time rewrite.
+func ReadLegacy(pgr *pager.Pager, keyLen, valLen int, fn func(key, value []byte) error) error {
+	t, err := open(pgr, layoutInterleaved)
+	if err != nil {
+		return err
+	}
+	if t.keyLen != keyLen || t.valLen != valLen {
+		return fmt.Errorf("%w: legacy tree holds %d-byte keys and %d-byte values, want %d and %d", ErrCorrupt, t.keyLen, t.valLen, keyLen, valLen)
+	}
+	return t.CheckLeaves(fn)
+}
+
+func newTree(pgr *pager.Pager, cfg Config, layout int) (*Tree, error) {
 	if cfg.KeyLen <= 0 {
 		return nil, fmt.Errorf("bptree: KeyLen must be positive, got %d", cfg.KeyLen)
 	}
@@ -129,10 +165,13 @@ func newTree(pgr *pager.Pager, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("bptree: ValLen must be >= 0, got %d", cfg.ValLen)
 	}
 	ps := pgr.PageSize()
-	entry := cfg.KeyLen + cfg.ValLen
-	maxLeaf := (ps - leafHeader) / entry
+	// The split layout pads the value run to an 8-byte boundary.
+	maxLeaf := min((ps-leafHeader-7)/(cfg.KeyLen+cfg.ValLen), maxLeafCap)
+	if layout == layoutInterleaved {
+		maxLeaf = (ps - leafHeader) / (cfg.KeyLen + cfg.ValLen)
+	}
 	if maxLeaf < 1 {
-		return nil, fmt.Errorf("bptree: entry size %d does not fit page size %d", entry, ps)
+		return nil, fmt.Errorf("bptree: entry size %d does not fit page size %d", cfg.KeyLen+cfg.ValLen, ps)
 	}
 	leafCap := maxLeaf
 	if cfg.LeafCap > 0 {
@@ -145,13 +184,22 @@ func newTree(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	if branchCap < 2 {
 		return nil, fmt.Errorf("bptree: key length %d too large for page size %d", cfg.KeyLen, ps)
 	}
-	return &Tree{
+	t := &Tree{
 		pgr:       pgr,
 		keyLen:    cfg.KeyLen,
 		valLen:    cfg.ValLen,
 		leafCap:   leafCap,
 		branchCap: branchCap,
-	}, nil
+		keyStride: cfg.KeyLen,
+		valOff:    (leafHeader + leafCap*cfg.KeyLen + 7) &^ 7,
+		valStride: cfg.ValLen,
+	}
+	if layout == layoutInterleaved {
+		t.keyStride = cfg.KeyLen + cfg.ValLen
+		t.valOff = leafHeader + cfg.KeyLen
+		t.valStride = t.keyStride
+	}
+	return t, nil
 }
 
 const headerSize = 48
@@ -160,7 +208,8 @@ func (t *Tree) writeHeader() error {
 	meta := make([]byte, headerSize, headerSize+len(t.extra))
 	binary.BigEndian.PutUint32(meta[0:], uint32(t.keyLen))
 	binary.BigEndian.PutUint32(meta[4:], uint32(t.valLen))
-	binary.BigEndian.PutUint32(meta[8:], uint32(t.leafCap))
+	binary.BigEndian.PutUint16(meta[8:], layoutSplit)
+	binary.BigEndian.PutUint16(meta[10:], uint16(t.leafCap))
 	binary.BigEndian.PutUint64(meta[12:], uint64(t.root))
 	binary.BigEndian.PutUint32(meta[20:], uint32(t.height))
 	binary.BigEndian.PutUint64(meta[24:], t.count)
@@ -246,16 +295,19 @@ func setLeafRight(data []byte, id pager.PageID) {
 	binary.BigEndian.PutUint64(data[9:17], uint64(id))
 }
 
-func (t *Tree) entrySize() int { return t.keyLen + t.valLen }
-
 func (t *Tree) leafKey(data []byte, i int) []byte {
-	off := leafHeader + i*t.entrySize()
+	off := leafHeader + i*t.keyStride
 	return data[off : off+t.keyLen]
 }
 
 func (t *Tree) leafVal(data []byte, i int) []byte {
-	off := leafHeader + i*t.entrySize() + t.keyLen
+	off := t.valOff + i*t.valStride
 	return data[off : off+t.valLen]
+}
+
+// leafVals is the values of entries [lo, hi) as one run (split layout).
+func (t *Tree) leafVals(data []byte, lo, hi int) []byte {
+	return data[t.valOff+lo*t.valLen : t.valOff+hi*t.valLen]
 }
 
 func internalCount(data []byte) int {

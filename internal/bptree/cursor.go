@@ -187,18 +187,21 @@ func (c *Cursor) advance(run, step int) error {
 // side whose next key is closer; ties go right — keys >= the query key
 // are preferred, the same convention a forward range scan would use.
 //
+// The values go out in runs: those of consecutive entries of one pinned
+// leaf, in key order. The runs in delivery order, each descending one
+// (walked leftwards, nearest last) reversed, are the walk's sequence.
+//
 // The direction is decided a leaf at a time where it can be: keys only
 // move away from the query along either side, so when the far end of
 // one side's pinned leaf is still closer than the other side's next key,
-// the rest of that leaf goes out as one block — exactly the entries an
+// the rest of that leaf goes out as one run — exactly the entries an
 // entry-by-entry comparison would have taken consecutively. Only where
 // the two pinned leaves' key ranges interleave is each entry compared.
 // ctx is checked once per step, so a cancelled walk stops within the
 // leaves it has pinned.
 //
-// The value passed to fn is a view into a pinned page, valid only until
-// fn returns.
-func (t *Tree) WalkNearest(ctx context.Context, key []byte, n int, fn func(value []byte)) error {
+// A run is a view into a pinned page, valid only until fn returns.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, n int, fn func(run []byte, descending bool)) error {
 	right := Cursor{t: t}
 	defer right.Close()
 	if err := right.Seek(key); err != nil {
@@ -231,22 +234,34 @@ func (t *Tree) WalkNearest(ctx context.Context, key []byte, n int, fn func(value
 		}
 		switch {
 		case !left.valid || (right.valid && hilbert.CloserKey(key, t.leafKey(ldata, li), t.leafKey(rdata, rend-1)) >= 0):
-			for rend = min(rend, ri+n); ri < rend; ri++ {
-				fn(t.leafVal(rdata, ri))
-			}
+			ri = min(rend, ri+n)
+			fn(t.leafVals(rdata, right.idx, ri), false)
 		case !right.valid || hilbert.CloserKey(key, t.leafKey(ldata, 0), t.leafKey(rdata, ri)) < 0:
-			for lend := max(0, li+1-n); li >= lend; li-- {
-				fn(t.leafVal(ldata, li))
-			}
+			li = max(0, li+1-n) - 1
+			fn(t.leafVals(ldata, li+1, left.idx+1), true)
 		default:
+			// A side's run goes out when the other side takes an entry.
+			rs, ls := ri, li
 			for m := n; m > 0 && li >= 0 && ri < rend; m-- {
 				if hilbert.CloserKey(key, t.leafKey(ldata, li), t.leafKey(rdata, ri)) >= 0 {
-					fn(t.leafVal(rdata, ri))
+					if li < ls {
+						fn(t.leafVals(ldata, li+1, ls+1), true)
+						ls = li
+					}
 					ri++
 				} else {
-					fn(t.leafVal(ldata, li))
+					if ri > rs {
+						fn(t.leafVals(rdata, rs, ri), false)
+						rs = ri
+					}
 					li--
 				}
+			}
+			if ri > rs {
+				fn(t.leafVals(rdata, rs, ri), false)
+			}
+			if li < ls {
+				fn(t.leafVals(ldata, li+1, ls+1), true)
 			}
 		}
 		if run := ri - right.idx; run > 0 {

@@ -47,6 +47,40 @@ func walkNearestPerEntry(t *Tree, key []byte, n int, fn func(value []byte)) erro
 	return err
 }
 
+// checkRun reports what is wrong with a run WalkNearest passed: it must
+// be a whole number of values lying inside one leaf's value run. A run
+// is a slice of its pinned page, whose frame ends the page, so the
+// run's capacity tells where in the page it starts.
+func checkRun(tr *Tree, run []byte) error {
+	off := tr.pgr.PageSize() - cap(run)
+	if tr.valLen > 0 && (len(run)%tr.valLen != 0 || (off-tr.valOff)%tr.valLen != 0) {
+		return fmt.Errorf("a %d-byte run at page offset %d is not whole %d-byte values of the run at %d", len(run), off, tr.valLen, tr.valOff)
+	}
+	if off < tr.valOff || off+len(run) > tr.valOff+tr.leafCap*tr.valLen {
+		return fmt.Errorf("a %d-byte run at page offset %d leaves the value run [%d, %d)", len(run), off, tr.valOff, tr.valOff+tr.leafCap*tr.valLen)
+	}
+	return nil
+}
+
+// perEntry adapts fn, called once per value in walk order, to
+// WalkNearest's runs: each run split into its values, a descending
+// one's taken from its end. Each run is checked with checkRun first.
+func perEntry(t testing.TB, tr *Tree, fn func(value []byte)) func(run []byte, descending bool) {
+	return func(run []byte, descending bool) {
+		if err := checkRun(tr, run); err != nil {
+			t.Fatal(err)
+		}
+		n := len(run) / tr.valLen
+		for i := range n {
+			e := i
+			if descending {
+				e = n - 1 - i
+			}
+			fn(run[e*tr.valLen : (e+1)*tr.valLen])
+		}
+	}
+}
+
 // walkTree builds a tree of count entries at the given geometry whose
 // values are the entries' sequence numbers in key order at load time.
 // Keys come from a few tight clusters with wide gaps between them (so
@@ -88,7 +122,9 @@ func walkTree(t testing.TB, rng *rand.Rand, keyLen, leafCap, count, poolPages in
 	return tr, keys
 }
 
-// The block-wise walk must yield exactly the per-entry walk's sequence.
+// The block-wise walk must yield exactly the per-entry walk's sequence:
+// its runs, concatenated in delivery order with the descending ones
+// reversed, at leaf capacities 1, 2, 5 and a full page.
 func TestWalkNearestMatchesPerEntryWalk(t *testing.T) { walkMatchesPerEntryWalk(t, 0) }
 
 // The same through an 8-page pool, one frame per stripe: every leaf a
@@ -123,7 +159,7 @@ func walkMatchesPerEntryWalk(t *testing.T, poolPages int) {
 				for _, q := range queries {
 					for _, n := range []int{1, 2, tr.LeafCap(), tr.LeafCap() + 1, count / 3, count, count + 7} {
 						want := collect(func(fn func([]byte)) error { return walkNearestPerEntry(tr, q, n, fn) })
-						got := collect(func(fn func([]byte)) error { return tr.WalkNearest(context.Background(), q, n, fn) })
+						got := collect(func(fn func([]byte)) error { return tr.WalkNearest(context.Background(), q, n, perEntry(t, tr, fn)) })
 						if !slices.Equal(got, want) {
 							t.Fatalf("keyLen=%d leafCap=%d count=%d q=%x n=%d:\n got %v\nwant %v", keyLen, leafCap, count, q, n, got, want)
 						}
@@ -145,13 +181,13 @@ func TestWalkNearestStopsOnCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	emitted, after := 0, 0
-	err := tr.WalkNearest(ctx, q, 400, func([]byte) {
+	err := tr.WalkNearest(ctx, q, 400, perEntry(t, tr, func([]byte) {
 		if emitted++; emitted == 50 {
 			cancel()
 		} else if emitted > 50 {
 			after++
 		}
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled walk returned %v", err)
 	}
@@ -160,14 +196,14 @@ func TestWalkNearestStopsOnCancel(t *testing.T) {
 	}
 
 	emitted = 0
-	err = tr.WalkNearest(ctx, q, 400, func([]byte) { emitted++ })
+	err = tr.WalkNearest(ctx, q, 400, perEntry(t, tr, func([]byte) { emitted++ }))
 	if !errors.Is(err, context.Canceled) || emitted != 0 {
 		t.Fatalf("walk under a cancelled ctx: %d entries, err %v", emitted, err)
 	}
 }
 
 // The α=4096 walk of the paper's default cascade over the RDB-tree leaf
-// geometry (16-byte keys, 48-byte values, 4 KiB pages), every page in
+// geometry (16-byte keys, 44-byte values, 4 KiB pages), every page in
 // the pool (the bulk load leaves them there).
 func BenchmarkWalkNearest4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -176,7 +212,7 @@ func BenchmarkWalkNearest4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pgr.Close()
-	tr, err := Create(pgr, Config{KeyLen: 16, ValLen: 48})
+	tr, err := Create(pgr, Config{KeyLen: 16, ValLen: 44})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,7 +229,7 @@ func BenchmarkWalkNearest4096(b *testing.B) {
 		keys[i] = k
 	}
 	slices.SortFunc(keys, bytes.Compare)
-	val := make([]byte, 48)
+	val := make([]byte, 44)
 	src := &SliceSource{Keys: keys}
 	for range keys {
 		src.Values = append(src.Values, val)
@@ -203,7 +239,7 @@ func BenchmarkWalkNearest4096(b *testing.B) {
 	}
 	ctx := context.Background()
 	var sum int
-	fn := func(v []byte) { sum += int(v[0]) }
+	fn := func(run []byte, _ bool) { sum += len(run) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -146,6 +146,9 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	if len(vectors) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
+	if uint64(len(vectors)) > slotSpace {
+		return nil, fmt.Errorf("%w: %d vectors, %d slots", rdbtree.ErrIDRange, len(vectors), slotSpace)
+	}
 	nu := len(vectors[0])
 	p.SetDefaults(nu, len(vectors))
 	if err := p.Validate(nu); err != nil {

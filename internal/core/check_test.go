@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,8 +138,9 @@ func TestCheckCatchesSilentCorruption(t *testing.T) {
 			})
 		}, "ids.pg"},
 		{"a leaf entry redirected to another vector's slot", func(t *testing.T, dir string) {
-			// An entry is key ‖ big-endian slot ‖ distances: find slot 20's
-			// in tree 1 and point it at slot 21.
+			// A leaf keeps its values apart from its keys, each a
+			// little-endian slot ‖ distances: find slot 20's in tree 1 and
+			// point it at slot 21.
 			ix, err := Open(dir, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +148,10 @@ func TestCheckCatchesSilentCorruption(t *testing.T) {
 			var entry []byte
 			err = ix.trees[1].ScanAll(func(k []byte, e rdbtree.Entry) bool {
 				if e.ID == 20 {
-					entry = binary.BigEndian.AppendUint64(bytes.Clone(k), 20)
+					entry = binary.LittleEndian.AppendUint32(nil, 20)
+					for _, d := range e.RefDists {
+						entry = binary.LittleEndian.AppendUint32(entry, math.Float32bits(d))
+					}
 				}
 				return entry == nil
 			})
@@ -163,7 +168,7 @@ func TestCheckCatchesSilentCorruption(t *testing.T) {
 			if at < 0 || bytes.Contains(file[at+1:], entry) {
 				t.Fatal("the entry's bytes are not unique in the tree file")
 			}
-			patch(t, path, int64(at), func(x []byte) { x[len(entry)-1] = 21 })
+			patch(t, path, int64(at), func(x []byte) { x[0] = 21 })
 		}, "tree 1"},
 	}
 	for _, c := range cases {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -216,14 +215,12 @@ func TestLowerBoundsNeverExceedTrueDistance(t *testing.T) {
 		o := ds.Vectors[rng.Intn(len(ds.Vectors))]
 		qdist := make([]float64, p.M)
 		odist := make([]float32, p.M)
-		raw := make([]byte, 4*p.M) // as a leaf page holds odist
 		for r, rv := range ix.References() {
 			qdist[r] = vecmath.Dist(q, rv)
 			odist[r] = float32(vecmath.Dist(o, rv))
-			binary.LittleEndian.PutUint32(raw[4*r:], math.Float32bits(odist[r]))
 		}
 		trueD := vecmath.Dist(q, o)
-		if lb := math.Float64frombits(triangularLB(qdist, raw)); lb > trueD+1e-4 {
+		if lb := math.Float64frombits(triangularLB(qdist, odist)); lb > trueD+1e-4 {
 			t.Fatalf("triangular LB %v exceeds true %v", lb, trueD)
 		}
 		if lb := ix.ptolemaicLB(qdist, odist); lb > trueD+1e-4 {

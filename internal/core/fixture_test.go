@@ -1,12 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"github.com/hd-index/hdindex/internal/bptree"
+	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/rdbtree"
 )
 
 // testdata/parent-layout/index is an index directory written by the
@@ -107,5 +116,83 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, fmt.Sprintf("after the mutations, query %d", qi), got, want.Then.Results[qi])
+	}
+}
+
+// Open rewrites the fixture's trees, written in the interleaved leaf
+// layout, once: into generation 2 through the tree writer, entry for
+// entry, committed through meta.json. The vector store, the delete
+// marks and the WAL keep their bytes, and a second Open rewrites
+// nothing.
+func TestOpenRewritesLegacyTrees(t *testing.T) {
+	fixture := filepath.Join("testdata", "parent-layout", "index")
+	dir := t.TempDir()
+	copyDir(t, fixture, dir)
+	type entry struct {
+		key  string
+		slot uint64
+		rd   string
+	}
+	legacy := make([][]entry, 2)
+	for tr := range legacy {
+		pgr, err := pager.Open(filepath.Join(fixture, fmt.Sprintf("tree_%02d.g1.pg", tr)), pager.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rdbtree.Open(pgr); !errors.Is(err, bptree.ErrLegacyLayout) {
+			t.Fatalf("tree %d of the fixture opens with %v, want ErrLegacyLayout", tr, err)
+		}
+		err = bptree.ReadLegacy(pgr, 8, 8+4*3, func(k, v []byte) error {
+			rd := make([]float32, 3)
+			for i := range rd {
+				rd[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[8+4*i:]))
+			}
+			legacy[tr] = append(legacy[tr], entry{string(k), binary.BigEndian.Uint64(v), fmt.Sprint(rd)})
+			return nil
+		})
+		pgr.Close()
+		if err != nil || len(legacy[tr]) == 0 {
+			t.Fatalf("tree %d: read %d legacy entries, %v", tr, len(legacy[tr]), err)
+		}
+	}
+
+	for range 2 {
+		ix, err := Open(dir, OpenOptions{MemtableMaxVectors: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.gen != 2 {
+			t.Fatalf("opened generation %d, want 2", ix.gen)
+		}
+		for tr, want := range legacy {
+			var got []entry
+			err := ix.trees[tr].Check(func(k []byte, e rdbtree.Entry) error {
+				got = append(got, entry{string(k), e.ID, fmt.Sprint(e.RefDists)})
+				return nil
+			})
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("tree %d after the rewrite: %d entries (%v), the legacy tree holds %d", tr, len(got), err, len(want))
+			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readMeta(dir)
+		if err != nil || m.Gen != 2 {
+			t.Fatalf("meta.json commits generation %d (%v), want 2", m.Gen, err)
+		}
+		trees, _ := filepath.Glob(filepath.Join(dir, "tree_*.pg"))
+		if want := []string{filepath.Join(dir, "tree_00.g2.pg"), filepath.Join(dir, "tree_01.g2.pg")}; !slices.Equal(trees, want) {
+			t.Fatalf("tree files %v, want %v", trees, want)
+		}
+		for _, name := range []string{"vectors.pg", deletedFile, walFile} {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := os.ReadFile(filepath.Join(fixture, name)); !bytes.Equal(got, want) {
+				t.Errorf("%s changed", name)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
+	"github.com/hd-index/hdindex/internal/bptree"
 	"github.com/hd-index/hdindex/internal/hilbert"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/rdbtree"
@@ -344,6 +346,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 		return err
 	}
 	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
+	legacy := false // trees written before the split leaf layout
 	for t := range ix.trees {
 		pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), false)
 		if err != nil {
@@ -351,7 +354,10 @@ func (ix *Index) load(committed, clustered uint64) error {
 		}
 		if ix.trees[t], err = rdbtree.Open(pgr); err != nil {
 			pgr.Close()
-			return err
+			if !errors.Is(err, bptree.ErrLegacyLayout) {
+				return err
+			}
+			legacy = true
 		}
 	}
 	vp, err := ix.openPager(filepath.Join(ix.dir, "vectors.pg"), false)
@@ -403,6 +409,12 @@ func (ix *Index) load(committed, clustered uint64) error {
 		}
 	} else if vs.Count() != committed {
 		if err := ix.writeMeta(); err != nil {
+			return err
+		}
+	}
+
+	if legacy {
+		if err := ix.upgradeTrees(); err != nil {
 			return err
 		}
 	}

@@ -181,7 +181,8 @@ func (ix *Index) logged(pre func(total uint64) (*wal.Record, error), apply func(
 // Insert adds one vector through logged: the id is the watermark at
 // append time (so log order matches id order) and the vector lands in
 // the memtable. The id is durable and searchable when Insert returns;
-// no tree page or vector-store write happens on this path.
+// no tree page or vector-store write happens on this path. An insert
+// past the 2³² slots a tree leaf can name is rdbtree.ErrIDRange.
 func (ix *Index) Insert(vec []float32) (uint64, error) {
 	if len(vec) != ix.nu {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", ErrDimMismatch, len(vec), ix.nu)
@@ -191,6 +192,9 @@ func (ix *Index) Insert(vec []float32) (uint64, error) {
 	var id uint64
 	var memLen int
 	err := ix.logged(func(total uint64) (*wal.Record, error) {
+		if total >= slotSpace {
+			return nil, fmt.Errorf("%w: id %d, %d slots", rdbtree.ErrIDRange, total, slotSpace)
+		}
 		id = total
 		return &wal.Record{Op: wal.OpInsert, ID: id, Vec: cp}, nil
 	}, func(off int64) {
@@ -409,14 +413,7 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 
 	newGen := oldGen + 1
 	newTrees := make([]*rdbtree.Tree, ix.params.Tau)
-	abort := func() {
-		for t, tree := range newTrees {
-			if tree != nil {
-				tree.Pager().Close()
-				os.Remove(ix.treeGenPath(t, newGen))
-			}
-		}
-	}
+	abort := func() { ix.dropTrees(newTrees, newGen) }
 	for t := range newTrees {
 		if err := ctx.Err(); err != nil {
 			abort()
@@ -481,10 +478,7 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 	ix.mu.Unlock()
 	ix.tel.ObserveCompaction(time.Since(start))
 
-	for t, tree := range oldTrees {
-		tree.Pager().Close()
-		os.Remove(ix.treeGenPath(t, oldGen))
-	}
+	ix.dropTrees(oldTrees, oldGen)
 	if saveErr != nil {
 		return true, saveErr
 	}
@@ -500,6 +494,16 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		}
 	}
 	return true, walErr
+}
+
+// dropTrees closes generation gen's open trees and removes its files.
+func (ix *Index) dropTrees(trees []*rdbtree.Tree, gen uint64) {
+	for t, tree := range trees {
+		if tree != nil {
+			tree.Pager().Close()
+		}
+		os.Remove(ix.treeGenPath(t, gen))
+	}
 }
 
 // compactTree builds tree t's next generation: the existing entries

@@ -43,8 +43,9 @@ func TestUnionCorruptSlot(t *testing.T) {
 	}
 	requireClearBitmap(t, s)
 
-	// End to end: tree 0 rewritten with one entry pointing past the
-	// store, and a cascade that keeps every entry it walks.
+	// End to end: tree 0 rewritten with one entry pointing at the last
+	// 32-bit slot, far past the store, and a cascade that keeps every
+	// entry it walks.
 	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 300, Beta: 300, Gamma: 300, Seed: 5}
 	ix, _, queries := buildSmall(t, 300, p)
 	good := ix.trees[0]
@@ -65,7 +66,7 @@ func TestUnionCorruptSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs[len(recs)/2].ID = huge
+	recs[len(recs)/2].ID = math.MaxUint32
 	if err := bad.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}

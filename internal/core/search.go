@@ -350,15 +350,12 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	// tie-break — has object slot entryIDs[i], bound tri[i] and, when the
 	// Ptolemaic stage will want them, reference distances
 	// arena[i*m:(i+1)*m].
-	m, ptolemaic := len(qdist), plan.ptolemaic
+	m := len(qdist)
 	entryIDs, tri, arena := ts.ids[:0], ts.tri[:0], ts.arena[:0]
-	err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, func(slot uint64, dists []byte) {
-		tri = append(tri, triangularLB(qdist, dists))
-		entryIDs = append(entryIDs, slot)
-		if ptolemaic {
-			for i := range m {
-				arena = append(arena, rdbtree.RefDist(dists, i))
-			}
+	err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, func(run []float32, descending bool) {
+		tri, entryIDs = appendTriangular(tri, entryIDs, qdist, run, descending)
+		if plan.ptolemaic {
+			arena = appendRefDists(arena, run, m, descending)
 		}
 	})
 	ts.arena, ts.ids, ts.tri = arena, entryIDs, tri // keep the grown buffers for reuse
@@ -408,18 +405,50 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	return ids, fetched, nil
 }
 
+// appendTriangular appends each entry of a walk's run, in walk order,
+// to ids (its slot) and tri (its bound): one loop per leaf.
+func appendTriangular(tri, ids []uint64, qdist []float64, run []float32, descending bool) ([]uint64, []uint64) {
+	w := 1 + len(qdist)
+	n := len(run) / w
+	for i := range n {
+		e := i
+		if descending {
+			e = n - 1 - i
+		}
+		entry := run[e*w : (e+1)*w]
+		tri = append(tri, triangularLB(qdist, entry[1:]))
+		ids = append(ids, rdbtree.Slot(entry))
+	}
+	return tri, ids
+}
+
+// appendRefDists appends each entry's distances to arena in walk order.
+func appendRefDists(arena, run []float32, m int, descending bool) []float32 {
+	w := 1 + m
+	n := len(run) / w
+	for i := range n {
+		e := i
+		if descending {
+			e = n - 1 - i
+		}
+		arena = append(arena, run[e*w+1:(e+1)*w]...)
+	}
+	return arena
+}
+
 // triangularLB is Eq. (5), max_i |d(q,R_i) - d(o,R_i)|, over an entry's
-// raw distance bytes, as the IEEE bit pattern of the bound: for the
-// non-negative floats it encodes that orders as the float does, and it
-// is the filter's selection key. It runs once per fetched leaf entry, so
-// it is branch-free — which side of a reference distance the query falls
-// on is a coin flip no predictor learns — and an integer max is one
+// distances, as the IEEE bit pattern of the bound: for the non-negative
+// floats it encodes that orders as the float does, and it is the
+// filter's selection key. It runs once per fetched leaf entry, so it is
+// branch-free — which side of a reference distance the query falls on
+// is a coin flip no predictor learns — and an integer max is one
 // conditional move where a float max is a chain of several dependent
 // instructions.
-func triangularLB(qdist []float64, dists []byte) uint64 {
+func triangularLB(qdist []float64, dists []float32) uint64 {
+	dists = dists[:len(qdist)]
 	var best uint64
 	for i, qd := range qdist {
-		best = max(best, math.Float64bits(qd-float64(rdbtree.RefDist(dists, i)))&^(1<<63))
+		best = max(best, math.Float64bits(qd-float64(dists[i]))&^(1<<63))
 	}
 	return best
 }

@@ -26,6 +26,10 @@ import (
 
 const slotFile = "ids.pg"
 
+// slotSpace is how many slots a leaf's 32 bits name; Build and Insert
+// refuse an object past it. A variable so tests can reach it.
+var slotSpace uint64 = 1 << 32
+
 // ids.pg is a pager file. Its superblock metadata is the header below;
 // the data region (page 1 on) holds 2·base little-endian uint32s packed
 // back to back: slot→id for slots 0..base-1, then id→slot for ids

@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/rdbtree"
 )
 
 // writeSlotFile lays header and data out as a structurally valid pager
@@ -142,4 +145,35 @@ func FuzzSlotMap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// An index holds at most as many objects as there are 32-bit slots:
+// Build and Insert refuse one past the slot space — lowered here to 200
+// — with rdbtree.ErrIDRange, and the refused insert leaves no trace.
+func TestSlotSpaceLimit(t *testing.T) {
+	defer func(n uint64) { slotSpace = n }(slotSpace)
+	slotSpace = 200
+	ds := data.Generate(data.Config{N: 201, Dim: 8, Lo: 0, Hi: 1, Seed: 3})
+	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 64, Gamma: 16, Seed: 4}
+	dir := filepath.Join(t.TempDir(), "ix")
+	if _, err := Build(dir, ds.Vectors, p); !errors.Is(err, rdbtree.ErrIDRange) {
+		t.Fatalf("Build of 201 objects into 200 slots: %v, want ErrIDRange", err)
+	}
+	ix, err := Build(dir, ds.Vectors[:199], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if id, err := ix.Insert(ds.Vectors[199]); err != nil || id != 199 {
+		t.Fatalf("Insert into the last slot: id %d, %v", id, err)
+	}
+	if _, err := ix.Insert(ds.Vectors[200]); !errors.Is(err, rdbtree.ErrIDRange) {
+		t.Fatalf("Insert past the slot space: %v, want ErrIDRange", err)
+	}
+	if err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Count(); n != 200 {
+		t.Fatalf("Count = %d after the refused insert, want 200", n)
+	}
 }

@@ -42,6 +42,10 @@ func WriteFvecs(path string, vectors [][]float32) error {
 	return f.Close()
 }
 
+// rowPrealloc caps what a row reader allocates on a header's word: a row
+// grows as its values are read, so a lying header cannot exhaust memory.
+const rowPrealloc = 1 << 12
+
 // ReadFvecs reads all vectors from an fvecs file. Every vector must have
 // the same dimensionality.
 func ReadFvecs(path string) ([][]float32, error) {
@@ -70,12 +74,12 @@ func ReadFvecs(path string) ([][]float32, error) {
 		} else if d != dim {
 			return nil, fmt.Errorf("data: %s: mixed dimensions %d and %d", path, dim, d)
 		}
-		v := make([]float32, d)
-		for i := range v {
+		v := make([]float32, 0, min(d, rowPrealloc))
+		for range d {
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return nil, fmt.Errorf("data: %s: truncated vector: %w", path, err)
 			}
-			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))
+			v = append(v, math.Float32frombits(binary.LittleEndian.Uint32(buf[:])))
 		}
 		vectors = append(vectors, v)
 	}
@@ -202,12 +206,12 @@ func ReadIvecs(path string) ([][]uint64, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("data: %s: bad row length %d", path, n)
 		}
-		row := make([]uint64, n)
-		for i := range row {
+		row := make([]uint64, 0, min(n, rowPrealloc))
+		for range n {
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return nil, fmt.Errorf("data: %s: truncated row: %w", path, err)
 			}
-			row[i] = uint64(binary.LittleEndian.Uint32(buf[:]))
+			row = append(row, uint64(binary.LittleEndian.Uint32(buf[:])))
 		}
 		rows = append(rows, row)
 	}

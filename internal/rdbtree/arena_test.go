@@ -2,9 +2,12 @@ package rdbtree
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/pager"
@@ -166,4 +169,39 @@ func readFile(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// A pointer is a 32-bit slot: an id past 32 bits is ErrIDRange from
+// both loaders, never a truncated slot, and the last 32-bit id loads and
+// reads back.
+func TestBulkLoadRejectsIDPast32Bits(t *testing.T) {
+	cfg := Config{Eta: 16, Omega: 8, M: 2}
+	loads := map[string]func(*Tree, uint64) error{
+		"BulkLoad": func(tr *Tree, id uint64) error {
+			return tr.BulkLoad([]Record{{Key: key16(1), ID: 0, RefDists: []float32{1, 2}}, {Key: key16(2), ID: id, RefDists: []float32{3, 4}}})
+		},
+		"BulkLoadArena": func(tr *Tree, id uint64) error {
+			return tr.BulkLoadArena(make([]byte, 2*cfg.KeyLen()), []uint32{0, 1}, []uint64{0, id}, []float32{1, 2, 3, 4})
+		},
+	}
+	for name, load := range loads {
+		dir := t.TempDir()
+		tr, pgr := mkTreeAt(t, filepath.Join(dir, "past.pg"), cfg, 1024)
+		if err := load(tr, 1<<32); !errors.Is(err, ErrIDRange) {
+			t.Errorf("%s of id 2^32: %v, want ErrIDRange", name, err)
+		}
+		pgr.Close()
+		tr, pgr = mkTreeAt(t, filepath.Join(dir, "last.pg"), cfg, 1024)
+		if err := load(tr, math.MaxUint32); err != nil {
+			t.Fatalf("%s of id 2^32-1: %v", name, err)
+		}
+		var ids []uint64
+		if err := tr.ScanAll(func(_ []byte, e Entry) bool { ids = append(ids, e.ID); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ids, []uint64{0, math.MaxUint32}) {
+			t.Errorf("%s: read back ids %v", name, ids)
+		}
+		pgr.Close()
+	}
 }

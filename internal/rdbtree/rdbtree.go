@@ -2,22 +2,22 @@
 // (Reference Distance B+-tree, §3.2).
 //
 // An RDB-tree is a B+-tree over Hilbert keys whose leaves do not store
-// object descriptors or bare pointers, but each object's distances to the
-// m reference objects, alongside its pointer — an 8-byte number this
-// package never interprets (Entry.ID; core puts the object's slot in its
-// vector store there). That leaf design is the paper's central trade:
-// candidates fetched from a leaf can be filtered with the triangular and
-// Ptolemaic inequalities (§4.2) without any further I/O, and the leaf
-// order Ω stays high even at ν in the hundreds because m ≪ ν. A query's
-// walk (WalkNearest) hands out each entry's distances as raw bytes in the
-// pinned leaf, so a bound is taken where the entry lies, copying nothing.
+// object descriptors, but each object's distances to the m reference
+// objects, alongside its pointer — a 32-bit number this package never
+// interprets (Entry.ID; core puts the object's slot in its vector store
+// there). That leaf design is the paper's central trade: candidates
+// fetched from a leaf can be filtered with the triangular and Ptolemaic
+// inequalities (§4.2) without any further I/O, and the leaf order Ω
+// stays high even at ν in the hundreds because m ≪ ν.
 //
-// Leaf entry layout (paper Eq. (4)):
+// Leaf entry: a key [Hilbert key: ceil(η·ω/8) bytes] and, in bptree's
+// aligned value run, a value [slot: uint32 LE][m × float32 LE distances]
+// — so WalkNearest hands consecutive values out as a []float32 in place.
 //
-//	[Hilbert key: ceil(η·ω/8) bytes][object pointer: 8 bytes][m × float32 distances]
-//
-// The leaf order is Ω = max { (η·(ω/8) + 4m + 8)·Ω + 16 + 1 ≤ B } exactly
-// as in Eq. (4), reproduced against Table 3 in the tests.
+// LeafOrder is the paper's Eq. (4), Ω = max { (η·(ω/8) + 4m + 8)·Ω + 16
+// + 1 ≤ B }, reproduced against Table 3 in the tests. A tree's own order
+// is what the page physically holds: 67 against Eq. (4)'s 63 at SIFT
+// geometry (16-byte keys, m = 10, 4 KiB pages).
 package rdbtree
 
 import (
@@ -26,8 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hd-index/hdindex/internal/bptree"
+	"github.com/hd-index/hdindex/internal/f32view"
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
@@ -41,8 +43,11 @@ type Config struct {
 // KeyLen returns the Hilbert key width in bytes: ceil(η·ω/8).
 func (c Config) KeyLen() int { return (c.Eta*c.Omega + 7) / 8 }
 
-// ValLen returns the per-entry payload width: 8-byte pointer + m floats.
-func (c Config) ValLen() int { return 8 + 4*c.M }
+// ValLen returns the per-entry payload width: 4-byte slot + m floats.
+func (c Config) ValLen() int { return 4 + 4*c.M }
+
+// ErrIDRange rejects an entry whose pointer does not fit the 32-bit slot.
+var ErrIDRange = errors.New("rdbtree: entry id does not fit 32 bits")
 
 // LeafOrder evaluates the paper's Eq. (4): the largest Ω such that
 // (η·(ω/8) + 4·m + 8)·Ω + 16 + 1 ≤ B.
@@ -71,20 +76,9 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	if cfg.Eta < 1 || cfg.Omega < 1 || cfg.Omega > 32 || cfg.M < 1 {
 		return nil, fmt.Errorf("rdbtree: invalid config %+v", cfg)
 	}
-	order := LeafOrder(pgr.PageSize(), cfg.Eta, cfg.Omega, cfg.M)
-	if order < 1 {
-		return nil, fmt.Errorf("rdbtree: page size %d cannot hold one entry of config %+v", pgr.PageSize(), cfg)
-	}
-	// Our leaf header needs 2 bytes more than Eq. (4) accounts for (an
-	// entry count); cap at the physically possible order in that corner.
-	maxPhysical := (pgr.PageSize() - 19) / (cfg.KeyLen() + cfg.ValLen())
-	if order > maxPhysical {
-		order = maxPhysical
-	}
 	bt, err := bptree.Create(pgr, bptree.Config{
-		KeyLen:  cfg.KeyLen(),
-		ValLen:  cfg.ValLen(),
-		LeafCap: order,
+		KeyLen: cfg.KeyLen(),
+		ValLen: cfg.ValLen(),
 	})
 	if err != nil {
 		return nil, err
@@ -93,7 +87,8 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	return t, t.writeExtra()
 }
 
-// Open loads an RDB-tree from an existing pager file.
+// Open loads an RDB-tree from an existing pager file. A tree in the
+// interleaved leaf layout of earlier versions is bptree.ErrLegacyLayout.
 func Open(pgr *pager.Pager) (*Tree, error) {
 	bt, err := bptree.Open(pgr)
 	if err != nil {
@@ -137,25 +132,20 @@ func (t *Tree) Pager() *pager.Pager { return t.bt.Pager() }
 // Flush persists all state.
 func (t *Tree) Flush() error { return t.bt.Flush() }
 
-func (t *Tree) encodeValue(dst []byte, id uint64, refDists []float32) {
-	binary.BigEndian.PutUint64(dst[0:8], id)
+// encodeValue lays one entry's value out: its slot, then its distances.
+func encodeValue(dst []byte, id uint64, refDists []float32) {
+	binary.LittleEndian.PutUint32(dst, uint32(id))
 	for i, d := range refDists {
-		binary.LittleEndian.PutUint32(dst[8+4*i:], math.Float32bits(d))
+		binary.LittleEndian.PutUint32(dst[4+4*i:], math.Float32bits(d))
 	}
 }
 
 // decodeValueInto decodes into caller-provided RefDists storage (len m).
-func (t *Tree) decodeValueInto(v []byte, rd []float32) Entry {
+func decodeValueInto(v []byte, rd []float32) Entry {
 	for i := range rd {
-		rd[i] = RefDist(v[8:], i)
+		rd[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[4+4*i:]))
 	}
-	return Entry{ID: binary.BigEndian.Uint64(v), RefDists: rd}
-}
-
-// RefDist is reference distance i of an entry's raw distance bytes, as
-// WalkNearest passes them.
-func RefDist(dists []byte, i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(dists[4*i : 4*i+4]))
+	return Entry{ID: uint64(binary.LittleEndian.Uint32(v)), RefDists: rd}
 }
 
 // Record is bulk-load input: a pre-computed Hilbert key, the object id,
@@ -167,32 +157,20 @@ type Record struct {
 }
 
 // BulkLoad builds the tree from records sorted by Key (Algorithm 1,
-// lines 8–10).
+// lines 8–10), through BulkLoadArena. An ID past 32 bits is ErrIDRange.
 func (t *Tree) BulkLoad(records []Record) error {
-	src := &recordSource{t: t, records: records, buf: make([]byte, t.cfg.ValLen())}
-	return t.bt.BulkLoad(src)
-}
-
-type recordSource struct {
-	t       *Tree
-	records []Record
-	buf     []byte
-	i       int
-}
-
-func (s *recordSource) Next() (key, value []byte, ok bool) {
-	if s.i >= len(s.records) {
-		return nil, nil, false
+	kl, m, n := t.cfg.KeyLen(), t.cfg.M, len(records)
+	keys, rdist := make([]byte, 0, n*kl), make([]float32, 0, n*m)
+	perm, ids := make([]uint32, n), make([]uint64, n)
+	for i, r := range records {
+		if len(r.Key) != kl || len(r.RefDists) != m {
+			return fmt.Errorf("rdbtree: record %d has a %d-byte key and %d distances, want %d and %d", i, len(r.Key), len(r.RefDists), kl, m)
+		}
+		keys = append(keys, r.Key...)
+		rdist = append(rdist, r.RefDists...)
+		perm[i], ids[i] = uint32(i), r.ID
 	}
-	r := s.records[s.i]
-	s.i++
-	if len(r.RefDists) != s.t.cfg.M {
-		// Signal the mismatch through a wrong-length value, which
-		// BulkLoad turns into ErrValueLen.
-		return r.Key, nil, true
-	}
-	s.t.encodeValue(s.buf, r.ID, r.RefDists)
-	return r.Key, s.buf, true
+	return t.BulkLoadArena(keys, perm, ids, rdist)
 }
 
 // BulkLoadArena builds the tree from flat construction arenas — the
@@ -204,7 +182,7 @@ func (s *recordSource) Next() (key, value []byte, ok bool) {
 // its object id; nil means the row number is the id, which is exactly
 // the shape core's build produces. Nothing is allocated per record: the
 // leaf writer copies straight out of the arenas through one reused
-// value buffer.
+// value buffer. An id past 32 bits is ErrIDRange.
 func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []float32) error {
 	n := len(perm)
 	kl, m := t.cfg.KeyLen(), t.cfg.M
@@ -216,6 +194,9 @@ func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []f
 	}
 	if ids != nil && len(ids) != n {
 		return fmt.Errorf("rdbtree: got %d ids for %d rows", len(ids), n)
+	}
+	if i := slices.IndexFunc(ids, func(id uint64) bool { return id > math.MaxUint32 }); i >= 0 {
+		return fmt.Errorf("%w: row %d has id %d", ErrIDRange, i, ids[i])
 	}
 	src := &arenaSource{
 		t: t, keys: keys, perm: perm, ids: ids, rdist: rdist,
@@ -245,31 +226,53 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 	if s.ids != nil {
 		id = s.ids[row]
 	}
-	s.t.encodeValue(s.buf, id, s.rdist[row*m:(row+1)*m])
+	encodeValue(s.buf, id, s.rdist[row*m:(row+1)*m])
 	return s.keys[row*kl : (row+1)*kl], s.buf, true
 }
 
 // WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest
 // over the leaf chain: it passes fn up to alpha entries whose Hilbert
-// keys are numerically nearest to key, nearest first, each as its
-// pointer and a view of its raw reference distances (RefDist reads
-// them) in the pinned leaf page, valid only until fn returns. A
-// cancelled ctx stops the walk within the leaves it has pinned.
-func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(id uint64, dists []byte)) error {
+// keys are numerically nearest to key, in bptree's runs (a descending
+// one lists its entries nearest last). Entry e of a run is
+// run[e*(1+m):(e+1)*(1+m)]: its slot (Slot) and its m distances, viewed
+// in place (or decoded) and valid only until fn returns. A cancelled ctx
+// stops the walk within the leaves it has pinned.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(run []float32, descending bool)) error {
 	if alpha < 1 {
 		return fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
-	return t.bt.WalkNearest(ctx, key, alpha, func(v []byte) {
-		fn(binary.BigEndian.Uint64(v), v[8:])
+	var scratch []float32
+	return t.bt.WalkNearest(ctx, key, alpha, func(run []byte, descending bool) {
+		var words []float32
+		words, scratch = viewRun(run, scratch)
+		fn(words, descending)
 	})
 }
 
-// SearchNearestInto is WalkNearest collecting the entries decoded: dst
-// receives them, entry i's RefDists is arena[i*m:(i+1)*m], and both are
-// reused when large enough (nil is fine) and returned on every path, so
-// a pooling caller keeps them for the next call.
+// viewRun is run's little-endian words as float32s: viewed in place, or
+// decoded into scratch, which it returns for the next run.
+func viewRun(run []byte, scratch []float32) (words, grown []float32) {
+	n := len(run) / 4
+	if f32view.Viewable(run) {
+		return f32view.Cast(run, n), scratch
+	}
+	scratch = slices.Grow(scratch[:0], n)[:n]
+	for i := range scratch {
+		scratch[i] = math.Float32frombits(binary.LittleEndian.Uint32(run[4*i:]))
+	}
+	return scratch, scratch
+}
+
+// Slot is the pointer of a run's entry: its first word's bits.
+func Slot(entry []float32) uint64 { return uint64(math.Float32bits(entry[0])) }
+
+// SearchNearestInto is WalkNearest collecting the entries decoded, in
+// walk order: dst receives them, entry i's RefDists is arena[i*m:(i+1)*m],
+// and both are reused when large enough (nil is fine) and returned on
+// every path, so a pooling caller keeps them for the next call.
 func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
 	m := t.cfg.M
+	w := 1 + m
 	out, arena := dst[:0], arena[:0]
 	if cap(out) < alpha {
 		out = make([]Entry, 0, alpha)
@@ -277,11 +280,17 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 	if cap(arena) < alpha*m {
 		arena = make([]float32, 0, alpha*m)
 	}
-	err := t.WalkNearest(ctx, key, alpha, func(id uint64, dists []byte) {
-		for i := range m {
-			arena = append(arena, RefDist(dists, i))
+	err := t.WalkNearest(ctx, key, alpha, func(run []float32, descending bool) {
+		n := len(run) / w
+		for i := range n {
+			e := i
+			if descending {
+				e = n - 1 - i
+			}
+			entry := run[e*w : (e+1)*w]
+			arena = append(arena, entry[1:]...)
+			out = append(out, Entry{ID: Slot(entry), RefDists: arena[len(arena)-m : len(arena) : len(arena)]})
 		}
-		out = append(out, Entry{ID: id, RefDists: arena[len(arena)-m : len(arena) : len(arena)]})
 	})
 	return out, arena, err
 }
@@ -292,7 +301,7 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 func (t *Tree) ScanAll(fn func(key []byte, e Entry) bool) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.Scan(nil, nil, func(k, v []byte) bool {
-		return fn(k, t.decodeValueInto(v, rd))
+		return fn(k, decodeValueInto(v, rd))
 	})
 }
 
@@ -303,6 +312,6 @@ func (t *Tree) ScanAll(fn func(key []byte, e Entry) bool) error {
 func (t *Tree) Check(fn func(key []byte, e Entry) error) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.CheckLeaves(func(k, v []byte) error {
-		return fn(k, t.decodeValueInto(v, rd))
+		return fn(k, decodeValueInto(v, rd))
 	})
 }

@@ -3,8 +3,10 @@ package rdbtree
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -80,10 +82,15 @@ func key16(v uint64) []byte {
 }
 
 func TestCreateUsesEquation4Order(t *testing.T) {
-	// SIFT geometry: keys 16 B, values 8+40 B, order 63 at 4 KB pages.
+	// SIFT geometry: keys 16 B, values 4+40 B at 4 KB pages. Eq. (4),
+	// which prices an 8-byte pointer, gives 63; the page physically holds
+	// 67: 24 bytes of header and pad, then 67 × (16 + 44) = 4 020 bytes.
 	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 10}, 4096)
-	if tr.LeafOrder() != 63 {
-		t.Fatalf("leaf order = %d, want 63", tr.LeafOrder())
+	if got := LeafOrder(4096, 16, 8, 10); got != 63 {
+		t.Fatalf("Eq. (4) order = %d, want 63", got)
+	}
+	if tr.LeafOrder() != 67 {
+		t.Fatalf("leaf order = %d, want 67", tr.LeafOrder())
 	}
 }
 
@@ -346,5 +353,29 @@ func TestSearchEmptyTree(t *testing.T) {
 	}
 	if _, err := nearest(tr, key16(5), 0); err == nil {
 		t.Fatal("alpha=0 must fail")
+	}
+}
+
+// A run the CPU cannot view in place — misaligned here, big-endian
+// elsewhere — decodes into scratch to the same words, slot bits and
+// all; an aligned one is viewed, where the CPU allows it, without a copy.
+func TestViewRunDecodesWhatItCannotView(t *testing.T) {
+	words := []float32{math.Float32frombits(7), 1.5, -2.25, math.Float32frombits(math.MaxUint32), 0}
+	buf := make([]byte, 1+4*len(words)+7)
+	for _, off := range []int{0, 1} {
+		run := buf[off : off+4*len(words)]
+		for i, w := range words {
+			binary.LittleEndian.PutUint32(run[4*i:], math.Float32bits(w))
+		}
+		got, scratch := viewRun(run, nil)
+		if !slices.EqualFunc(got, words, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+			t.Fatalf("offset %d: %v, want %v", off, got, words)
+		}
+		if off == 1 && &got[0] != &scratch[0] {
+			t.Fatal("a misaligned run was not decoded into the scratch")
+		}
+		if Slot(got) != 7 {
+			t.Fatalf("offset %d: slot %d, want 7", off, Slot(got))
+		}
 	}
 }

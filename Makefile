@@ -38,6 +38,8 @@ FUZZ_TARGETS = \
 	FuzzSelect:./internal/topk \
 	FuzzPagerSuperblock:./internal/pager \
 	FuzzManifest:./internal/shard \
+	FuzzIdentity:./internal/shard \
+	FuzzClusterManifest:./internal/cluster \
 	FuzzSearchRequest:./internal/api \
 	FuzzReadVecs:./internal/data
 
@@ -67,13 +69,18 @@ crash:
 # (success, cancellation, EIO, a corrupt tree page), nor a Build, a
 # QueryBatch or a sharded Query (success, cancellation, EIO). The WAL's
 # fault tests (a compaction's log rewrite under a slow group-commit
-# fsync) run ten times over too.
+# fsync) run ten times over too, and so do the shared buffer pool's race
+# tests: a file closing while other files' misses evict its dirty
+# frames, and an index served through one frame per stripe beside a
+# writer that compacts.
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/
 	$(GO) test -race -count=10 -run '^TestFaultQueryHelpersExit$$' ./internal/core/
 	$(GO) test -race -count=10 -run '^TestFaultSpreadHelpersExit$$' ./internal/shard/
 	$(GO) test -race -count=10 -run '^TestFault' ./internal/wal/
+	$(GO) test -race -count=10 -run '^TestSharedCache' ./internal/pager/
+	$(GO) test -race -count=10 -run '^TestTinyPoolAnswersAsLargePool$$' ./internal/core/
 
 # Cluster robustness suite under the race detector: the coordinator's
 # equivalence/failover/hedging tests, the netfault flaky-TCP proxy

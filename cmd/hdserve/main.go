@@ -98,6 +98,8 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		}
 	case c.indexDir == "":
 		err = errors.New("-index is required")
+	case c.index.PoolPages < 0:
+		err = fmt.Errorf("-pool-pages must be >= 0, got %d", c.index.PoolPages)
 	case c.server.SLO != nil && c.server.Frontier == nil:
 		err = errors.New("-slo requires -frontier (write one with hdbench -sweep ... -sweep-out)")
 	case c.server.SLO == nil && c.server.Frontier != nil:
@@ -132,7 +134,7 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 		fs.DurationVar(&c.server.QueryTimeout, "query-timeout", 2*time.Second, "default per-request search deadline (0 = none)")
 		fs.BoolVar(&c.server.ReadOnly, "readonly", false, "reject /insert and /delete")
 		fs.IntVar(&c.index.MemtableMaxVectors, "memtable-max", 0, "memtable vectors before a background compaction folds them into the trees (0 = 4096)")
-		fs.IntVar(&c.index.PoolPages, "pool-pages", 0, "buffer-pool pages per index file, 4 KiB each (0 = the index's build-time value, 256 unless built otherwise)")
+		fs.IntVar(&c.index.PoolPages, "pool-pages", 0, "buffer-pool pages per index file, 4 KiB each, pooled across the index's files (0 = the index's build-time value, 256 unless built otherwise)")
 		fs.Func("slow-query-ms", "log a structured slow-query record with the per-phase breakdown for searches slower than this many milliseconds (0 = off)", func(v string) error {
 			ms, err := strconv.Atoi(v)
 			c.server.SlowQueryThreshold = time.Duration(ms) * time.Millisecond

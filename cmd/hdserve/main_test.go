@@ -125,6 +125,7 @@ func TestParseFlagsRejects(t *testing.T) {
 		{"-coordinator", "-coordinator requires -cluster-manifest"},
 		{"-index idx -slo recall>=0.9", "-slo requires -frontier"},
 		{"-index idx -preset bogus", `invalid value "bogus" for flag -preset`},
+		{"-index idx -pool-pages -1", "-pool-pages must be >= 0, got -1"},
 		{"-index idx -tiers /nonexistent/tiers.json", "flag -tiers"},
 		// A flag of the other mode is the flag package's own error.
 		{"-index idx -health-interval 1s", "flag provided but not defined: -health-interval"},

@@ -80,9 +80,11 @@ type Options struct {
 	// measurement protocol).
 	DisableCache bool
 	// PoolPages is the buffer-pool capacity of each index file (every
-	// tree, the vector store; per shard) in pages. Build records it as
-	// the index's default; Open overrides that for this handle. 0 keeps
-	// the default: 256 pages (1 MiB) at Build, the recorded value at Open.
+	// tree, the vector store, the slot map; per shard) in pages, pooled
+	// across the index's files: a shard's files share one pool of files ×
+	// PoolPages frames. Build records it as the index's default; Open
+	// overrides that for this handle. 0 keeps the default: 256 pages
+	// (1 MiB) at Build, the recorded value at Open. Negative is an error.
 	PoolPages int
 	// PageSize is the disk page size in bytes (default 4096).
 	PageSize int

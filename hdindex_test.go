@@ -1,6 +1,7 @@
 package hdindex
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -317,6 +318,50 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing"), Options{}); err == nil {
 		t.Error("opening a missing index must fail")
+	}
+}
+
+// A negative PoolPages is an error at Build and at Open, never a value
+// meta.json records; a directory whose meta.json records one anyway
+// (Build used to accept it) opens with the default 256.
+func TestNegativePoolPages(t *testing.T) {
+	ds := data.Generate(data.Config{N: 500, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 8})
+	dir := filepath.Join(t.TempDir(), "ix")
+	o := Options{Tau: 2, Omega: 8, Seed: 1, PoolPages: -5}
+	if idx, err := Build(dir, ds.Vectors, o); err == nil {
+		idx.Close()
+		t.Fatal("Build accepted PoolPages: -5")
+	}
+	o.PoolPages = 0
+	idx, err := Build(dir, ds.Vectors, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := Open(dir, Options{PoolPages: -1}); err == nil {
+		idx.Close()
+		t.Fatal("Open accepted PoolPages: -1")
+	}
+	path := filepath.Join(dir, "meta.json")
+	meta, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := meta
+	if meta = bytes.Replace(meta, []byte(`"PoolPages": 256`), []byte(`"PoolPages": -5`), 1); bytes.Equal(meta, old) {
+		t.Fatalf("meta.json records no \"PoolPages\": 256:\n%s", old)
+	}
+	if err := os.WriteFile(path, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if got := idx.shards[0].Params().PoolPages; got != 256 {
+		t.Fatalf("a meta.json recording PoolPages -5 opened with %d pool pages, want 256", got)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"unicode"
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
 )
@@ -90,7 +91,7 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("cluster: shard %d has no replicas", s.Ordinal)
 		}
 		for j, r := range s.Replicas {
-			if strings.TrimSpace(r) == "" {
+			if trimURL(r) == "" {
 				return fmt.Errorf("cluster: shard %d replica %d is empty", s.Ordinal, j)
 			}
 		}
@@ -99,13 +100,19 @@ func (m *Manifest) Validate() error {
 }
 
 // normalizeURL promotes a bare host:port to an http:// base URL and
-// strips any trailing slash.
+// strips surrounding space and any trailing slash; a second pass
+// changes nothing, so a manifest reads back as it was written.
 func normalizeURL(u string) string {
-	u = strings.TrimRight(strings.TrimSpace(u), "/")
+	u = trimURL(u)
 	if !strings.Contains(u, "://") {
 		u = "http://" + u
 	}
 	return u
+}
+
+// trimURL strips surrounding space and trailing slashes, mixed or not.
+func trimURL(u string) string {
+	return strings.TrimRightFunc(strings.TrimSpace(u), func(r rune) bool { return r == '/' || unicode.IsSpace(r) })
 }
 
 // ReadManifest loads and validates the cluster manifest at path.

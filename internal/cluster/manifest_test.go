@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,7 @@ func TestManifestValidation(t *testing.T) {
 		{"out of order", func(m *Manifest) { m.Shards[0].Ordinal = 1 }, "ordinal"},
 		{"no replicas", func(m *Manifest) { m.Shards[1].Replicas = nil }, "no replicas"},
 		{"blank replica", func(m *Manifest) { m.Shards[0].Replicas[0] = "  " }, "empty"},
+		{"slashes only", func(m *Manifest) { m.Shards[0].Replicas[0] = " / /" }, "empty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,4 +75,39 @@ func TestReadManifestMissing(t *testing.T) {
 	if _, err := ReadManifest(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("reading a missing manifest succeeded")
 	}
+}
+
+// FuzzClusterManifest reads fuzzed cluster manifest bytes. ReadManifest
+// returns a manifest or an error, never a panic, and a manifest it
+// accepts is one WriteManifest writes and ReadManifest reads back
+// unchanged. Seeded from the manifest TestManifestRoundTrip writes.
+func FuzzClusterManifest(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "cluster.json")
+	if err := WriteManifest(seed, validManifest()); err != nil {
+		f.Fatal(err)
+	}
+	written, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add([]byte(`{"format_version":1,"dim":4,"shards":[{"ordinal":0,"replicas":[" a /"]}]}`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		if err := os.WriteFile(path, manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(path)
+		if err != nil {
+			return
+		}
+		again := filepath.Join(t.TempDir(), "again.json")
+		if err := WriteManifest(again, m); err != nil {
+			t.Fatalf("WriteManifest rejected the manifest ReadManifest accepted, %+v: %v", m, err)
+		}
+		back, err := ReadManifest(again)
+		if err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("%+v read back as %+v, %v", m, back, err)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hd-index/hdindex/internal/fanout"
+	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/radix"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/refsel"
@@ -227,7 +228,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		for slot, id := range perm0 {
 			stored[slot], slotOf[id] = vectors[id], uint64(slot)
 		}
-		sp, err := ix.openPager(filepath.Join(dir, slotFile), true)
+		sp, err := ix.openPager(ix.cache, filepath.Join(dir, slotFile), true)
 		if err == nil {
 			if ix.slots, err = createSlotMap(sp, perm0, slotOf); err != nil {
 				sp.Close()
@@ -270,7 +271,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 
 	// The pointer target: raw vectors in a paged store, record s the
 	// vector of slot s — ν bytes each when the data allows it.
-	vp, err := ix.openPager(filepath.Join(dir, "vectors.pg"), true)
+	vp, err := ix.openPager(ix.cache, filepath.Join(dir, "vectors.pg"), true)
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -392,9 +393,10 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 // bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes; ids
 // holds each row's slot, nil when the row number is the slot), flushed
 // and fsynced — fully durable before a meta commit (Build's or a
-// compaction's) references it.
+// compaction's) references it — through a cache of its own, so a bulk
+// load never evicts the queries' pages, then reopened on ix.cache.
 func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32) (*rdbtree.Tree, error) {
-	pgr, err := ix.openPager(path, true)
+	pgr, err := ix.openPager(pager.NewCache(), path, true)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +411,16 @@ func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64
 	if err == nil {
 		err = pgr.Sync()
 	}
+	if e := pgr.Close(); err == nil {
+		err = e
+	}
+	if err == nil {
+		pgr, err = ix.openPager(ix.cache, path, false)
+	}
 	if err != nil {
+		return nil, err
+	}
+	if tree, err = rdbtree.Open(pgr); err != nil {
 		pgr.Close()
 		return nil, err
 	}

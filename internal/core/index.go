@@ -39,7 +39,8 @@ type Index struct {
 
 	trees   []*rdbtree.Tree
 	vectors *vecstore.Store
-	slots   slotMap // id ↔ slot; the identity for an index without ids.pg
+	slots   slotMap      // id ↔ slot; the identity for an index without ids.pg
+	cache   *pager.Cache // the one buffer pool of every file opened, PoolPages frames each
 
 	refs     [][]float32 // the m reference vectors
 	refCross [][]float64 // d(R_i, R_j), for the Ptolemaic bound
@@ -122,12 +123,12 @@ func (ix *Index) treeGenPath(t int, gen uint64) string {
 	return filepath.Join(ix.dir, name)
 }
 
-// openPager is the one place an index file is opened or created, so
-// every tree generation, the vector store and the slot map share one
-// pool configuration. Reopening ignores PageSize: the file's own wins.
-func (ix *Index) openPager(path string, create bool) (*pager.Pager, error) {
+// openPager is the one place an index file is opened to write or serve,
+// on c: ix.cache, the pool all its files share, or writeTree's own.
+// Reopening ignores PageSize: the file's own wins.
+func (ix *Index) openPager(c *pager.Cache, path string, create bool) (*pager.Pager, error) {
 	p := ix.params
-	return pager.Open(path, pager.Options{
+	return c.Open(path, pager.Options{
 		Create: create, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
 	})
 }
@@ -205,6 +206,7 @@ func newIndex(dir string, m metaJSON) (*Index, error) {
 		hi:       m.Hi,
 		gen:      m.Gen,
 		deleted:  newDeleteSet(),
+		cache:    pager.NewCache(),
 		tel:      telemetry.NewCollector(),
 	}
 	ix.curves = make([]hilbert.Curve, p.Tau)
@@ -282,6 +284,10 @@ func decodeMeta(buf []byte) (metaJSON, error) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return m, fmt.Errorf("core: parse index meta: %w", err)
 	}
+	// Build used to record any PoolPages; one it now rejects opens as 256.
+	if m.Params.PoolPages <= 0 {
+		m.Params.PoolPages = 256
+	}
 	if err := m.Params.Validate(m.Nu); err != nil {
 		return m, fmt.Errorf("%w in %s", err, metaFile)
 	}
@@ -299,7 +305,7 @@ func decodeMeta(buf []byte) (metaJSON, error) {
 
 // OpenOptions tunes how an existing index is opened.
 type OpenOptions struct {
-	PoolPages    int  // buffer-pool pages per file; 0 keeps the build-time value
+	PoolPages    int  // buffer-pool pages per file, pooled across the index's files; 0 keeps the build-time value
 	DisableCache bool // paper's caching-off protocol
 	// MemtableMaxVectors is the compaction threshold: once this many
 	// acknowledged inserts sit in the memtable the background compactor
@@ -311,6 +317,9 @@ type OpenOptions struct {
 // surviving WAL tail into the memtable so the index recovers to the
 // last acknowledged write.
 func Open(dir string, opts OpenOptions) (*Index, error) {
+	if opts.PoolPages < 0 {
+		return nil, fmt.Errorf("core: pool pages must be >= 0, got %d", opts.PoolPages)
+	}
 	m, err := readMeta(dir)
 	if err != nil {
 		return nil, err
@@ -348,7 +357,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
 	legacy := false // trees written before the split leaf layout
 	for t := range ix.trees {
-		pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), false)
+		pgr, err := ix.openPager(ix.cache, ix.treeGenPath(t, ix.gen), false)
 		if err != nil {
 			return err
 		}
@@ -360,7 +369,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 			legacy = true
 		}
 	}
-	vp, err := ix.openPager(filepath.Join(ix.dir, "vectors.pg"), false)
+	vp, err := ix.openPager(ix.cache, filepath.Join(ix.dir, "vectors.pg"), false)
 	if err != nil {
 		return err
 	}
@@ -380,7 +389,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 		if clustered > committed {
 			return fmt.Errorf("core: meta clusters %d vectors, commits %d", clustered, committed)
 		}
-		sp, err := ix.openPager(filepath.Join(ix.dir, slotFile), false)
+		sp, err := ix.openPager(ix.cache, filepath.Join(ix.dir, slotFile), false)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/vecmath"
 	"github.com/hd-index/hdindex/internal/wal"
@@ -525,8 +526,17 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 
 	// Merge into flat arenas. Reading the old tree without the index
 	// lock is safe: only compaction replaces trees, and Compact
-	// serialises against itself via compactMu.
-	oldN := int(ix.trees[t].Count())
+	// serialises against itself via compactMu; its own pool spares ix.cache.
+	scan, err := pager.Open(ix.treeGenPath(t, newGen-1), pager.Options{ReadOnly: true})
+	if err != nil {
+		return nil, err
+	}
+	defer scan.Close()
+	old, err := rdbtree.Open(scan)
+	if err != nil {
+		return nil, err
+	}
+	oldN := int(old.Count())
 	capN := oldN + nB
 	keys := make([]byte, 0, capN*kl)
 	slots := make([]uint64, 0, capN)
@@ -551,7 +561,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	scanned := 0
 	var scanErr error
-	err = ix.trees[t].ScanAll(func(k []byte, e rdbtree.Entry) bool {
+	err = old.ScanAll(func(k []byte, e rdbtree.Entry) bool {
 		if scanned%4096 == 0 && ctx.Err() != nil {
 			scanErr = ctx.Err()
 			return false

@@ -47,7 +47,7 @@ type Params struct {
 
 	Curve     Curve // default Hilbert
 	PageSize  int   // default 4096 (the paper's B)
-	PoolPages int   // buffer-pool pages per file; default 256
+	PoolPages int   // buffer-pool pages per file, pooled across the index's files; default 256
 	// DisableCache turns the buffer pool off so every page touch is a
 	// physical read — the paper's "caching effects off" protocol (§5).
 	DisableCache bool
@@ -123,6 +123,9 @@ func (p *Params) Validate(nu int) error {
 	}
 	if p.M < 1 {
 		return fmt.Errorf("core: m must be >= 1, got %d", p.M)
+	}
+	if p.PoolPages < 0 {
+		return fmt.Errorf("core: pool pages must be >= 0, got %d", p.PoolPages)
 	}
 	if p.MemtableMaxVectors < 0 {
 		return fmt.Errorf("core: memtable max vectors must be >= 0, got %d", p.MemtableMaxVectors)

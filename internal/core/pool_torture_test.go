@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"github.com/hd-index/hdindex/internal/data"
+	"github.com/hd-index/hdindex/internal/pager"
 )
 
 // The buffer pool reads a missing page into the frame of the page it
 // evicts, so a slice borrowed from a pinned frame and used after its
 // Release reads another page's bytes. One fixed-seed index is built and
-// served through 8-page pools — one frame per stripe: every released
-// frame is overwritten by the next miss in its stripe — and through
-// pools that hold every page. Query and QueryBatch, with and without
+// served through a pool of one page per file — six frames over the
+// shared pool's eight stripes, so at most one per stripe outside a
+// compaction: every released frame is overwritten by the next miss in
+// its stripe, whichever file it is of — and through a pool that holds
+// every page. Query and QueryBatch, with and without
 // helpers, must answer as the in-memory reference pipeline
 // does (ids, distances, order, candidate count) at both sizes, in quiet
 // and then beside a writer that inserts, deletes and compacts. The
@@ -47,8 +50,8 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 	}
 	ref.Close()
 
-	for _, pool := range []int{8, 16384} {
-		p.PoolPages = pool // Build's bulk load and every compaction go through the same pools
+	for _, pool := range []int{1, 16384} {
+		p.PoolPages = pool // every file's share, and the pool each tree writer writes through
 		ix, err := Build(t.TempDir()+"/ix", ds.Vectors, p)
 		if err != nil {
 			t.Fatal(err)
@@ -113,5 +116,52 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A compaction scans the old trees and writes the new ones through
+// pools of their own, so none of its one-pass traffic evicts the pages
+// queries reuse from the index's shared pool: the old trees' pagers
+// serve the scan no page, and the new trees' pagers, reopened on the
+// shared pool once written, have allocated and written none.
+func TestCompactionBypassesTheSharedPool(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "bypass", N: 2000, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 93})
+	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 5, MemtableMaxVectors: 1 << 20}
+	ix, err := Build(t.TempDir()+"/ix", ds.Vectors, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, q := range ds.PerturbedQueries(8, 0.02, 94) {
+		if _, _, err := ix.Query(context.Background(), q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := make([]*pager.Pager, len(ix.trees))
+	before := make([]pager.Stats, len(ix.trees))
+	for i, tr := range ix.trees {
+		old[i], before[i] = tr.Pager(), tr.Pager().Stats()
+	}
+	far := make([]float32, len(ds.Vectors[0]))
+	for i := range far {
+		far[i] = 50
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := ix.Insert(far); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, pgr := range old {
+		if st := pgr.Stats(); st.Hits != before[i].Hits || st.Misses != before[i].Misses || st.Reads != before[i].Reads {
+			t.Errorf("tree %d: the compaction's scan read through the shared pool: %+v, then %+v", i, before[i], st)
+		}
+	}
+	for i, tr := range ix.trees {
+		if st := tr.Pager().Stats(); st.Allocs != 0 || st.Writes != 0 {
+			t.Errorf("new tree %d was written through the shared pool: %+v", i, st)
+		}
 	}
 }

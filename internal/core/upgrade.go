@@ -37,7 +37,7 @@ func (ix *Index) upgradeTrees() error {
 // upgradeTree writes legacy tree t into generation gen. The legacy value
 // is an 8-byte big-endian slot, then m little-endian float32 distances.
 func (ix *Index) upgradeTree(t int, gen uint64) (*rdbtree.Tree, error) {
-	pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), false)
+	pgr, err := ix.openPager(ix.cache, ix.treeGenPath(t, ix.gen), false)
 	if err != nil {
 		return nil, err
 	}

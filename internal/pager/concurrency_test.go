@@ -2,8 +2,12 @@ package pager
 
 import (
 	"encoding/binary"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"github.com/hd-index/hdindex/internal/iofault"
 )
 
 // Concurrent readers over a shared pager (the access pattern of parallel
@@ -150,5 +154,139 @@ func TestConcurrentShardedPool(t *testing.T) {
 	st := p.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no pool traffic recorded")
+	}
+}
+
+// closeWatch notes a write that reaches the file after its Close.
+type closeWatch struct {
+	iofault.File
+	closed, writeAfterClose atomic.Bool
+}
+
+func (w *closeWatch) WriteAt(b []byte, off int64) (int, error) {
+	if w.closed.Load() {
+		w.writeAfterClose.Store(true)
+	}
+	return w.File.WriteAt(b, off)
+}
+
+func (w *closeWatch) Close() error {
+	w.closed.Store(true)
+	return w.File.Close()
+}
+
+// One file of a shared cache closes while the misses of two others,
+// read from goroutines of their own, evict its dirty frames and write
+// them back to it. Every page of the closing file must reach it exactly
+// once, by an eviction or by Close's flush, none after the file is
+// closed; the readers see their own bytes throughout; and the cache
+// ends with the readers' shares alone. Run under -race in CI, ten times
+// over (make chaos).
+func TestSharedCacheCloseRacesEviction(t *testing.T) {
+	const readerPages, dirtyPages, readerShare = 96, 48, 4
+	paths := []string{scanPath(t, readerPages), scanPath(t, readerPages)}
+	for round := 0; round < 5; round++ {
+		c := NewCache()
+		readers := make([]*Pager, len(paths))
+		for i, path := range paths {
+			p, err := c.Open(path, Options{PoolPages: readerShare, ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers[i] = p
+		}
+		path := filepath.Join(t.TempDir(), "dirty.pg")
+		a, err := c.Open(path, Options{Create: true, PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watch := &closeWatch{File: a.f}
+		a.f = watch
+		want := make(map[PageID]uint64)
+		for i := 0; i < dirtyPages; i++ {
+			pg, err := a.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[pg.ID] = uint64(round<<16 | i)
+			binary.BigEndian.PutUint64(pg.Data, want[pg.ID])
+			pg.MarkDirty()
+			pg.Release()
+		}
+
+		stop := make(chan struct{})
+		var started, wg sync.WaitGroup
+		errs := make([]error, len(readers))
+		for r, p := range readers {
+			started.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; ; n++ {
+					if n == 4 { // Close starts with the evictions under way
+						started.Done()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					id := PageID(1 + (n*7+r)%readerPages)
+					v, err := p.View(id)
+					if err != nil {
+						errs[r] = err
+						if n < 4 {
+							started.Done()
+						}
+						return
+					}
+					if v.Data[0] != byte(id) || v.Data[len(v.Data)-1] != byte(id) {
+						errs[r] = ErrCorrupt(id)
+					}
+					v.Release()
+				}
+			}()
+		}
+		started.Wait()
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if watch.writeAfterClose.Load() {
+			t.Fatal("a page was written to the file after its Close")
+		}
+		// The superblock at Create and at Close, and each page once.
+		if st := a.Stats(); st.Writes != dirtyPages+2 {
+			t.Fatalf("%d writes to the closed file, want %d: each page once and the superblock twice", st.Writes, dirtyPages+2)
+		}
+		if c.pages != len(readers)*readerShare {
+			t.Fatalf("the cache holds %d pages of capacity after the close, want the readers' %d", c.pages, len(readers)*readerShare)
+		}
+		a2, err := Open(path, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, w := range want {
+			v, err := a2.View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := binary.BigEndian.Uint64(v.Data); got != w {
+				t.Fatalf("round %d: page %d holds %#x, want %#x", round, id, got, w)
+			}
+			v.Release()
+		}
+		a2.Close()
+		for _, p := range readers {
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -16,6 +16,17 @@ import (
 // and reopens it with opts.
 func scanFile(t testing.TB, n int, opts Options) *Pager {
 	t.Helper()
+	p, err := Open(scanPath(t, n), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// scanPath writes scanFile's file and returns its path.
+func scanPath(t testing.TB, n int) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "scan.pg")
 	p, err := Open(path, Options{Create: true})
 	if err != nil {
@@ -34,11 +45,7 @@ func scanFile(t testing.TB, n int, opts Options) *Pager {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if p, err = Open(path, opts); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
+	return path
 }
 
 // viewAll pins and releases every page once, in id order: on a file
@@ -107,14 +114,15 @@ func gate(p *Pager) *gatedFile {
 	return g
 }
 
-// waitFor polls cond under id's stripe lock until it holds.
-func waitFor(t *testing.T, p *Pager, id PageID, cond func(sh *poolShard) bool) {
+// waitFor polls cond on p's part of id's stripe, under the stripe's
+// lock, until it holds.
+func waitFor(t *testing.T, p *Pager, id PageID, cond func(fs *fileStripe) bool) {
 	t.Helper()
-	sh := p.shardOf(id)
+	st, fs := p.stripeOf(id)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		sh.mu.Lock()
-		ok := cond(sh)
-		sh.mu.Unlock()
+		st.mu.Lock()
+		ok := cond(fs)
+		st.mu.Unlock()
 		if ok {
 			return
 		}
@@ -141,7 +149,7 @@ func viewConcurrently(t *testing.T, p *Pager, g *gatedFile, id PageID, n int) ([
 			}
 		}(i)
 	}
-	waitFor(t, p, id, func(sh *poolShard) bool { return sh.frames[id] != nil && sh.frames[id].pins == n })
+	waitFor(t, p, id, func(fs *fileStripe) bool { return fs.frames[id] != nil && fs.frames[id].pins == n })
 	close(g.gate)
 	wg.Wait()
 	return data, errs
@@ -184,9 +192,9 @@ func TestFailedReadWithWaiters(t *testing.T) {
 			t.Fatalf("caller %d: err = %v, want the read's ErrIO (%v)", i, err, errs[0])
 		}
 	}
-	sh := p.shardOf(3)
-	if len(sh.frames) != 0 || len(sh.free) != 1 {
-		t.Fatalf("after the failed read: %d resident frames, %d parked; want 0 and 1", len(sh.frames), len(sh.free))
+	str, fs := p.stripeOf(3)
+	if len(fs.frames) != 0 || str.resident != 0 || len(str.free) != 1 {
+		t.Fatalf("after the failed read: %d resident frames, %d parked; want 0 and 1", str.resident, len(str.free))
 	}
 	v, err := p.View(3)
 	if err != nil {
@@ -196,8 +204,8 @@ func TestFailedReadWithWaiters(t *testing.T) {
 		t.Fatal("re-read returned the wrong bytes")
 	}
 	v.Release()
-	if st := p.Stats(); st.Reads != 1 || st.Misses != 2 || st.Hits != 15 || len(sh.free) != 0 {
-		t.Fatalf("stats = %+v (%d parked), want 1 read, 2 misses, 15 hits, the parked frame reused", st, len(sh.free))
+	if st := p.Stats(); st.Reads != 1 || st.Misses != 2 || st.Hits != 15 || len(str.free) != 0 {
+		t.Fatalf("stats = %+v (%d parked), want 1 read, 2 misses, 15 hits, the parked frame reused", st, len(str.free))
 	}
 }
 
@@ -257,10 +265,10 @@ func TestCloseWaitsForInflightRead(t *testing.T) {
 			}
 			readErr <- err
 		}()
-		waitFor(t, p, 3, func(sh *poolShard) bool { return sh.reading == 1 })
+		waitFor(t, p, 3, func(fs *fileStripe) bool { return fs.reading == 1 })
 		closed := make(chan error, 1)
 		go func() { closed <- p.Close() }()
-		waitFor(t, p, 3, func(*poolShard) bool { return p.closed.Load() })
+		waitFor(t, p, 3, func(*fileStripe) bool { return p.closed.Load() })
 		select {
 		case <-closed:
 			t.Fatal("Close returned with a read in flight")

@@ -8,20 +8,21 @@
 // filter is free in I/O terms. The counters here are what let the
 // benchmarks report those numbers on any hardware.
 //
-// The buffer pool is sharded into lock-striped LRU segments keyed by
-// page id, so concurrent searches touching different pages never
-// contend on one global mutex; aggregate Stats stay exact by summing
-// the per-shard counters. Callers on the read hot path can borrow a
-// pinned frame zero-copy via View instead of going through Get's
-// heap-allocated Page handle.
+// The buffer pool, a Cache the files of an index share, is sharded into
+// lock-striped LRU segments keyed by page id, so concurrent searches
+// never contend on one global mutex; a pager keeps its own page map and
+// counters per stripe, so a hit is one lock and one map lookup and Stats
+// stay exact per file. The read hot path borrows a pinned frame
+// zero-copy via View instead of Get's heap-allocated Page handle.
 //
 // A pool miss costs one pread and nothing else: once a stripe holds its
 // capacity share of frames every incoming page lives in a recycled one
-// (the LRU victim's), and the read is issued outside the stripe lock
-// into a frame already published as loading, so concurrent callers of
-// that page wait for the one read instead of repeating it. The price is
-// that a released frame's bytes are overwritten by the next miss: a
-// slice borrowed from a View or Page is dead at Release.
+// (the LRU victim's, whichever file it belonged to), and the read is
+// issued outside the stripe lock into a frame already published as
+// loading, so concurrent callers of that page wait for the one read
+// instead of repeating it. The price is that a released frame's bytes
+// are overwritten by the next miss: a slice borrowed from a View or Page
+// is dead at Release.
 package pager
 
 import (
@@ -32,6 +33,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -106,7 +108,7 @@ func (s Stats) HitRatio() float64 {
 // Options configures Open.
 type Options struct {
 	PageSize   int  // bytes per page; DefaultPageSize if zero
-	PoolPages  int  // buffer pool capacity in pages; 256 if zero
+	PoolPages  int  // the pager's share of its cache's frames; 256 if zero or negative
 	Create     bool // create (truncate) instead of opening existing
 	ReadOnly   bool // open without write permission
 	DisableLRU bool // bypass caching entirely: every Get is a disk read (paper's "caching off" mode)
@@ -118,20 +120,19 @@ type Page struct {
 	ID    PageID
 	Data  []byte
 	frame *frame
-	pgr   *Pager
 }
 
 // MarkDirty records that Data was modified and must reach disk.
 func (p *Page) MarkDirty() {
-	sh := p.pgr.shardOf(p.frame.id)
-	sh.mu.Lock()
+	st, _ := p.frame.pgr.stripeOf(p.frame.id)
+	st.mu.Lock()
 	p.frame.dirty = true
-	sh.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // Release unpins the page. The Page must not be used afterwards.
 func (p *Page) Release() {
-	p.pgr.release(p.frame)
+	p.frame.pgr.release(p.frame)
 }
 
 // View is a pinned zero-copy borrow of a page's pool frame: the read
@@ -141,29 +142,29 @@ func (p *Page) Release() {
 type View struct {
 	Data []byte
 	fr   *frame
-	pgr  *Pager
 }
 
 // Release unpins the viewed frame. The View must not be used afterwards.
 func (v View) Release() {
-	v.pgr.release(v.fr)
+	v.fr.pgr.release(v.fr)
 }
 
 type frame struct {
 	id      PageID
+	pgr     *Pager // the file the page belongs to
 	data    []byte
 	pins    int
 	dirty   bool
 	loading bool   // the miss that admitted it is reading into data outside the stripe lock
 	err     error  // that read's failure, for the callers that waited on it
-	prev    *frame // LRU list of unpinned frames
+	prev    *frame // the stripe's LRU list of unpinned frames
 	next    *frame
 }
 
-// counters is one stripe's share of the I/O statistics. The fields are
-// atomics so Stats() — called twice per query for the QueryStats deltas
-// — never touches the stripe mutexes: a stats sweep must not contend
-// with the searches' getFrame/release traffic on them.
+// counters is one stripe's share of a pager's I/O statistics. The
+// fields are atomics so Stats() — called twice per query for the
+// QueryStats deltas — never touches the stripe mutexes: a stats sweep
+// must not contend with the searches' getFrame/release traffic on them.
 type counters struct {
 	reads, writes, hits, misses, allocs atomic.Uint64
 }
@@ -186,24 +187,39 @@ func (c *counters) reset() {
 	c.allocs.Store(0)
 }
 
-// poolShard is one lock stripe of the buffer pool: its own frame map,
-// LRU list, capacity share, and I/O counters. A page id always maps to
-// the same shard, so per-page state never straddles stripes.
-type poolShard struct {
-	mu      sync.Mutex
-	loaded  sync.Cond // on mu; broadcast whenever a loading frame's read ends
-	reading int       // reads in flight outside mu; Close waits for zero
-	cap     int
-	frames  map[PageID]*frame
-	free    []*frame // unmapped frames kept for the next admission
-	lruHead *frame   // most recently used unpinned
-	lruTail *frame
-	lruLen  int
+// Cache is a buffer pool that pagers share, of PoolPages frames per open
+// pager: Close drops the pager's frames and takes its share back. A full
+// stripe evicts its least recently used unpinned frame of any file.
+type Cache struct {
+	mu      sync.Mutex // serialises capacity changes
+	pages   int        // the sum of PoolPages over the open pagers
+	stripes []stripe
+	mask    uint64 // len(stripes)-1; len is a power of two
+}
+
+// stripe is one lock stripe of a Cache: the LRU list, parked frames and
+// capacity share of every file's pages whose id maps to it, and mu,
+// which also guards each pager's fileStripe of it.
+type stripe struct {
+	mu       sync.Mutex
+	loaded   sync.Cond // on mu; broadcast whenever a loading frame's read ends
+	cap      int
+	resident int      // frames mapped by any pager
+	free     []*frame // unmapped frames kept for the next admission
+	lruHead  *frame   // most recently used unpinned
+	lruTail  *frame
+	lruLen   int
+}
+
+// fileStripe is one pager's part of a cache stripe.
+type fileStripe struct {
+	frames  map[PageID]*frame // nil once the pager has closed
+	reading int               // reads in flight outside mu; Close waits for zero
 	stats   counters
 }
 
 // Pager manages one page file. It is safe for concurrent use: readers
-// of distinct pool shards proceed in parallel; only the superblock and
+// of distinct cache stripes proceed in parallel; only the superblock and
 // metadata share a mutex.
 type Pager struct {
 	f        iofault.File
@@ -224,14 +240,71 @@ type Pager struct {
 
 	state      sync.Mutex // guards meta, superblock I/O, close
 	meta       []byte
-	superStats counters // superblock traffic (page 0 never enters the shards)
+	superStats counters // superblock traffic (page 0 never enters the cache)
 
-	shards []poolShard
-	mask   uint64 // len(shards)-1; len is a power of two
+	cache   *Cache
+	share   int          // the frames this pager added to the cache's capacity
+	stripes []fileStripe // this pager's part of each cache stripe
 }
 
-// Open creates or opens the page file at path.
+// NewCache returns an empty cache of eight lock stripes.
+func NewCache() *Cache { return newCache(defaultPoolShards) }
+
+// newCache makes a cache of n lock stripes rounded down to a power of
+// two, so the stripe of a page is a mask, not a modulo.
+func newCache(n int) *Cache {
+	pow := 1 << (bits.Len(uint(n)) - 1) // n >= 1
+	c := &Cache{stripes: make([]stripe, pow), mask: uint64(pow - 1)}
+	for i := range c.stripes {
+		c.stripes[i].loaded.L = &c.stripes[i].mu
+	}
+	return c
+}
+
+// resize adds p's share to the capacity as p opens (sign 1), or drops
+// p's frames and takes its share back as p closes (sign -1). It splits
+// the capacity over the stripes exactly — the first pages%n take one
+// extra frame — and evicts a stripe left over its share down to it.
+func (c *Cache) resize(p *Pager, sign int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pages += sign * p.share
+	n := len(c.stripes)
+	for i := range c.stripes {
+		st, fs := &c.stripes[i], &p.stripes[i]
+		st.mu.Lock()
+		for _, fr := range fs.frames {
+			if fr.pins == 0 {
+				st.lruRemove(fr)
+				st.free = append(st.free, fr)
+			}
+			st.resident--
+		}
+		fs.frames = nil
+		if sign > 0 {
+			fs.frames = make(map[PageID]*frame)
+		}
+		st.cap = c.pages / n
+		if i < c.pages%n {
+			st.cap++
+		}
+		st.trim()
+		st.mu.Unlock()
+	}
+}
+
+// Open creates or opens the page file at path, on a cache of its own:
+// at most eight stripes, and no more than opts.PoolPages.
 func Open(path string, opts Options) (*Pager, error) {
+	if opts.PoolPages <= 0 {
+		opts.PoolPages = defaultFrames
+	}
+	return newCache(min(defaultPoolShards, opts.PoolPages)).Open(path, opts)
+}
+
+// Open creates or opens the page file at path against c, adding
+// opts.PoolPages to the cache's capacity.
+func (c *Cache) Open(path string, opts Options) (*Pager, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = DefaultPageSize
 	}
@@ -257,6 +330,9 @@ func Open(path string, opts Options) (*Pager, error) {
 		pageSize: opts.PageSize,
 		noCache:  opts.DisableLRU,
 		readOnly: opts.ReadOnly,
+		cache:    c,
+		share:    opts.PoolPages,
+		stripes:  make([]fileStripe, len(c.stripes)),
 	}
 	if opts.Create {
 		p.pageCount.Store(1)
@@ -270,42 +346,13 @@ func Open(path string, opts Options) (*Pager, error) {
 			return nil, err
 		}
 	}
-	p.initShards(defaultPoolShards, opts.PoolPages)
+	c.resize(p, 1)
 	return p, nil
 }
 
-// initShards splits the pool into at most n lock stripes: a power-of-two
-// count no larger than the pool itself, each owning an equal share of
-// the capacity. Open calls it once, before any page traffic; tests that
-// need one LRU order over the whole pool call it again with n = 1.
-func (p *Pager) initShards(n, poolPages int) {
-	if n > poolPages {
-		n = poolPages
-	}
-	// Round down to a power of two so shardOf is a mask, not a modulo.
-	pow := 1
-	for pow*2 <= n {
-		pow *= 2
-	}
-	n = pow
-	p.shards = make([]poolShard, n)
-	p.mask = uint64(n - 1)
-	// Distribute the capacity exactly: the first poolPages%n stripes
-	// take one extra frame, so the aggregate equals PoolPages rather
-	// than silently rounding down.
-	perShard, extra := poolPages/n, poolPages%n
-	for i := range p.shards {
-		p.shards[i].cap = perShard
-		if i < extra {
-			p.shards[i].cap++
-		}
-		p.shards[i].frames = make(map[PageID]*frame)
-		p.shards[i].loaded.L = &p.shards[i].mu
-	}
-}
-
-func (p *Pager) shardOf(id PageID) *poolShard {
-	return &p.shards[uint64(id)&p.mask]
+func (p *Pager) stripeOf(id PageID) (*stripe, *fileStripe) {
+	i := uint64(id) & p.cache.mask
+	return &p.cache.stripes[i], &p.stripes[i]
 }
 
 // writeSuperblockLocked writes the superblock recording count pages;
@@ -410,15 +457,15 @@ func (p *Pager) SetMeta(meta []byte) error {
 	return nil
 }
 
-// Stats returns a snapshot of the I/O counters: the sum of every pool
-// shard's counters plus superblock traffic. The counters are atomics,
-// so the sweep is lock-free and takes no stripe mutex. Each counter is
+// Stats returns a snapshot of the I/O counters: the sum of this pager's
+// counters in every cache stripe plus superblock traffic. The counters
+// are atomics, so the sweep is lock-free and takes no stripe mutex. Each counter is
 // exact; the snapshot as a whole is taken without a global pause, like
 // the per-query deltas consuming it.
 func (p *Pager) Stats() Stats {
 	var s Stats
-	for i := range p.shards {
-		s.Add(p.shards[i].stats.snapshot())
+	for i := range p.stripes {
+		s.Add(p.stripes[i].stats.snapshot())
 	}
 	s.Add(p.superStats.snapshot())
 	return s
@@ -426,8 +473,8 @@ func (p *Pager) Stats() Stats {
 
 // ResetStats zeroes the I/O counters; benchmarks call it per query batch.
 func (p *Pager) ResetStats() {
-	for i := range p.shards {
-		p.shards[i].stats.reset()
+	for i := range p.stripes {
+		p.stripes[i].stats.reset()
 	}
 	p.superStats.reset()
 }
@@ -446,24 +493,25 @@ func (p *Pager) Alloc() (*Page, error) {
 		return nil, ErrClosed
 	}
 	id := PageID(p.pageCount.Load())
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	sh.stats.allocs.Add(1)
-	fr, err := p.evictFor(sh)
+	st, fs := p.stripeOf(id)
+	st.mu.Lock()
+	fs.stats.allocs.Add(1)
+	fr, err := p.evictFor(st)
 	if err != nil {
-		sh.mu.Unlock()
+		st.mu.Unlock()
 		return nil, err
 	}
 	clear(fr.data)
-	*fr = frame{id: id, data: fr.data, pins: 1, dirty: true}
-	sh.frames[id] = fr
-	sh.mu.Unlock()
-	// Publish only after the frame is in its shard: a concurrent Get of
+	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, dirty: true}
+	fs.frames[id] = fr
+	st.resident++
+	st.mu.Unlock()
+	// Publish only after the frame is in its stripe: a concurrent Get of
 	// this id either fails the range check (not yet published) or finds
 	// the admitted frame — it can never fall through to a disk read of
 	// a page the file doesn't have yet.
 	p.pageCount.Store(uint64(id) + 1)
-	return &Page{ID: id, Data: fr.data, frame: fr, pgr: p}, nil
+	return &Page{ID: id, Data: fr.data, frame: fr}, nil
 }
 
 // Get returns the page with the given id, pinned.
@@ -472,7 +520,7 @@ func (p *Pager) Get(id PageID) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Page{ID: id, Data: fr.data, frame: fr, pgr: p}, nil
+	return &Page{ID: id, Data: fr.data, frame: fr}, nil
 }
 
 // View returns a pinned zero-copy view of the page: Get without the
@@ -483,128 +531,161 @@ func (p *Pager) View(id PageID) (View, error) {
 	if err != nil {
 		return View{}, err
 	}
-	return View{Data: fr.data, fr: fr, pgr: p}, nil
+	return View{Data: fr.data, fr: fr}, nil
 }
 
 // getFrame returns the pinned frame for id, reading it from disk on a
 // pool miss. The miss publishes its frame pinned and loading, then reads
 // with the stripe unlocked; whoever asks for the same id meanwhile pins
-// that frame, counts a hit and waits on sh.loaded, so a page is read
+// that frame, counts a hit and waits on st.loaded, so a page is read
 // once however callers interleave. A failed read unmaps the frame and
 // hands every waiter the same error; the next call reads again. Reads
-// start only under sh.mu with the pager open and are counted in
-// sh.reading, which is what Close waits on before closing the file.
+// start only under st.mu with the pager open and are counted in
+// fs.reading, which is what Close waits on before closing the file.
 func (p *Pager) getFrame(id PageID) (*frame, error) {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st, fs := p.stripeOf(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	if count := p.pageCount.Load(); id == 0 || uint64(id) >= count {
 		return nil, fmt.Errorf("%w: %d (have %d)", ErrPageRange, id, count)
 	}
-	if fr, ok := sh.frames[id]; ok {
-		sh.stats.hits.Add(1)
+	if fr, ok := fs.frames[id]; ok {
+		fs.stats.hits.Add(1)
 		if fr.pins == 0 {
-			sh.lruRemove(fr)
+			st.lruRemove(fr)
 		}
 		fr.pins++
 		for fr.loading {
-			sh.loaded.Wait()
+			st.loaded.Wait()
 		}
 		if fr.err != nil {
-			return nil, sh.unpinFailed(fr)
+			return nil, st.unpinFailed(fr)
 		}
 		return fr, nil
 	}
-	sh.stats.misses.Add(1)
-	fr, err := p.evictFor(sh)
+	fs.stats.misses.Add(1)
+	fr, err := p.evictFor(st)
 	if err != nil {
 		return nil, err
 	}
-	*fr = frame{id: id, data: fr.data, pins: 1, loading: true}
-	sh.frames[id] = fr
-	sh.reading++
-	sh.mu.Unlock()
+	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, loading: true}
+	fs.frames[id] = fr
+	st.resident++
+	fs.reading++
+	st.mu.Unlock()
 	_, err = p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
-	sh.mu.Lock()
-	sh.reading--
+	st.mu.Lock()
+	fs.reading--
 	fr.loading = false
-	sh.loaded.Broadcast() // the woken run once mu is released
+	st.loaded.Broadcast() // the woken run once mu is released
 	if err != nil {
 		fr.err = fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
-		delete(sh.frames, id)
-		return nil, sh.unpinFailed(fr)
+		delete(fs.frames, id)
+		st.resident--
+		return nil, st.unpinFailed(fr)
 	}
-	sh.stats.reads.Add(1)
+	fs.stats.reads.Add(1)
 	return fr, nil
 }
 
 // unpinFailed drops one pin of a frame whose read failed and returns
-// the read's error; the last pin out parks the frame. Caller holds sh.mu.
-func (sh *poolShard) unpinFailed(fr *frame) error {
+// the read's error; the last pin out parks the frame. Caller holds st.mu.
+func (st *stripe) unpinFailed(fr *frame) error {
 	if fr.pins--; fr.pins == 0 {
-		sh.park(fr)
+		st.park(fr)
 	}
 	return fr.err
 }
 
-// evictFor returns an unmapped frame for the page about to enter sh,
-// evicting LRU unpinned frames while the shard is at its capacity share
+// evictFor returns an unmapped frame for a page of p about to enter st,
+// evicting LRU unpinned frames while the stripe is at its capacity share
 // (dirty ones are written first and stay resident if the write fails).
-// The first victim is the frame returned; further ones, the surplus of a
-// pool that outgrew its share while every frame was pinned, go to the
-// GC. With no victim it is a parked frame, and a new frame and buffer
-// only when there is none: below capacity, or everything pinned. Caller
-// holds sh.mu.
-func (p *Pager) evictFor(sh *poolShard) (*frame, error) {
+// The first victim is the frame returned; further ones, left by an
+// eviction whose write failed earlier, go to the GC. With no victim it
+// is a parked frame, and a new frame and buffer only when there is none:
+// below capacity, or everything pinned. Caller holds st.mu.
+func (p *Pager) evictFor(st *stripe) (*frame, error) {
 	var fr *frame
-	for len(sh.frames) >= sh.cap && sh.lruLen > 0 {
-		victim := sh.lruTail
-		if victim.dirty {
-			if err := p.writeFrame(sh, victim); err != nil {
-				return nil, err
-			}
+	for st.resident >= st.cap && st.lruLen > 0 {
+		victim, err := st.evict()
+		if err != nil {
+			return nil, err
 		}
-		sh.lruRemove(victim)
-		delete(sh.frames, victim.id)
 		if fr == nil {
 			fr = victim
 		}
 	}
-	if n := len(sh.free); fr == nil && n > 0 {
-		fr, sh.free = sh.free[n-1], sh.free[:n-1]
+	if n := len(st.free); fr == nil && n > 0 {
+		fr, st.free = st.free[n-1], st.free[:n-1]
 	}
-	if fr == nil {
+	if fr == nil || len(fr.data) != p.pageSize { // its last file may have had another page size
 		fr = &frame{data: make([]byte, p.pageSize)}
 	}
 	return fr, nil
 }
 
-// park keeps an unmapped, unpinned frame for the next admission, unless
-// the shard already owns its capacity share of frames. Caller holds sh.mu.
-func (sh *poolShard) park(fr *frame) {
-	if len(sh.frames)+len(sh.free) < sh.cap {
-		sh.free = append(sh.free, fr)
+// evict unmaps the stripe's least recently used unpinned frame, writing
+// it to its own file first if dirty, and returns it. A failed write
+// leaves the victim resident, dirty and in the LRU. Caller holds st.mu.
+func (st *stripe) evict() (*frame, error) {
+	victim := st.lruTail
+	if victim.dirty {
+		if err := victim.pgr.writeFrame(victim); err != nil {
+			return nil, err
+		}
+	}
+	st.lruRemove(victim)
+	_, fs := victim.pgr.stripeOf(victim.id)
+	delete(fs.frames, victim.id)
+	st.resident--
+	return victim, nil
+}
+
+// trim evicts LRU frames while the stripe is over its share and drops
+// parked frames beyond it. A pinned frame, or a dirty one whose write
+// fails, stays until a later release or admission. Caller holds st.mu.
+func (st *stripe) trim() {
+	for st.resident > st.cap && st.lruLen > 0 {
+		if _, err := st.evict(); err != nil {
+			// The victim keeps its data and its dirty bit; the owning
+			// pager's next Flush or Close retries the write and reports it.
+			break
+		}
+	}
+	if keep := max(0, st.cap-st.resident); len(st.free) > keep {
+		clear(st.free[keep:])
+		st.free = st.free[:keep]
 	}
 }
 
-func (p *Pager) writeFrame(sh *poolShard, fr *frame) error {
+// park keeps an unmapped, unpinned frame for the next admission, unless
+// the stripe already owns its capacity share of frames. Caller holds st.mu.
+func (st *stripe) park(fr *frame) {
+	if st.resident+len(st.free) < st.cap {
+		st.free = append(st.free, fr)
+	}
+}
+
+// writeFrame writes fr back to p's file. Caller holds fr's stripe lock.
+func (p *Pager) writeFrame(fr *frame) error {
 	if _, err := p.f.WriteAt(fr.data, int64(uint64(fr.id))*int64(p.pageSize)); err != nil {
 		return fmt.Errorf("%w: write page %d: %w", ErrIO, fr.id, err)
 	}
 	fr.dirty = false
-	sh.stats.writes.Add(1)
+	_, fs := p.stripeOf(fr.id)
+	fs.stats.writes.Add(1)
 	return nil
 }
 
 func (p *Pager) release(fr *frame) {
-	sh := p.shardOf(fr.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fr.pins--
-	if fr.pins > 0 {
+	st, fs := p.stripeOf(fr.id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	// With frames nil, p closed under the pin and the cache let it go.
+	if fr.pins--; fr.pins > 0 || fs.frames == nil {
 		return
 	}
 	if p.noCache {
@@ -616,60 +697,65 @@ func (p *Pager) release(fr *frame) {
 		// the error (unmapping the frame first would silently discard
 		// the page).
 		if fr.dirty {
-			if err := p.writeFrame(sh, fr); err != nil {
+			if err := p.writeFrame(fr); err != nil {
 				return
 			}
 		}
-		delete(sh.frames, fr.id)
-		sh.park(fr)
+		delete(fs.frames, fr.id)
+		st.resident--
+		st.park(fr)
 		return
 	}
-	sh.lruPushFront(fr)
+	st.lruPushFront(fr)
+	// A stripe that outgrew its share while every frame was pinned
+	// shrinks back as its frames come free.
+	if st.resident > st.cap {
+		st.trim()
+	}
 }
 
-func (sh *poolShard) lruPushFront(fr *frame) {
+func (st *stripe) lruPushFront(fr *frame) {
 	fr.prev = nil
-	fr.next = sh.lruHead
-	if sh.lruHead != nil {
-		sh.lruHead.prev = fr
+	fr.next = st.lruHead
+	if st.lruHead != nil {
+		st.lruHead.prev = fr
 	}
-	sh.lruHead = fr
-	if sh.lruTail == nil {
-		sh.lruTail = fr
+	st.lruHead = fr
+	if st.lruTail == nil {
+		st.lruTail = fr
 	}
-	sh.lruLen++
+	st.lruLen++
 }
 
-func (sh *poolShard) lruRemove(fr *frame) {
+func (st *stripe) lruRemove(fr *frame) {
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {
-		sh.lruHead = fr.next
+		st.lruHead = fr.next
 	}
 	if fr.next != nil {
 		fr.next.prev = fr.prev
 	} else {
-		sh.lruTail = fr.prev
+		st.lruTail = fr.prev
 	}
 	fr.prev, fr.next = nil, nil
-	sh.lruLen--
+	st.lruLen--
 }
 
-// flushShards writes every shard's dirty frames, taking each shard lock
-// in turn.
-func (p *Pager) flushShards() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, fr := range sh.frames {
+// flushFrames writes p's dirty frames, taking each stripe lock in turn.
+func (p *Pager) flushFrames() error {
+	for i := range p.stripes {
+		st := &p.cache.stripes[i]
+		st.mu.Lock()
+		for _, fr := range p.stripes[i].frames {
 			if fr.dirty {
-				if err := p.writeFrame(sh, fr); err != nil {
-					sh.mu.Unlock()
+				if err := p.writeFrame(fr); err != nil {
+					st.mu.Unlock()
 					return err
 				}
 			}
 		}
-		sh.mu.Unlock()
+		st.mu.Unlock()
 	}
 	return nil
 }
@@ -687,7 +773,7 @@ func (p *Pager) Flush() error {
 	p.allocMu.Lock()
 	defer p.allocMu.Unlock()
 	count := p.pageCount.Load()
-	if err := p.flushShards(); err != nil {
+	if err := p.flushFrames(); err != nil {
 		return err
 	}
 	p.state.Lock()
@@ -706,11 +792,14 @@ func (p *Pager) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the file. The pager is unusable afterwards.
-// The closed flag is set first; each stripe is then waited on until no
-// read is in flight. A read starts only under its stripe's lock with the
+// Close flushes and closes the file, and gives its frames and its share
+// back to the cache. The pager is unusable afterwards. The closed flag
+// is set first; each stripe is then waited on until no read of this
+// file is in flight. A read starts only under its stripe's lock with the
 // flag clear, so past that wait none can start: every read finishes
-// against the still-open file and later callers observe ErrClosed.
+// against the still-open file and later callers observe ErrClosed. The
+// frames, which other files' misses may evict and write back, are
+// dropped under the stripe locks before the file closes.
 func (p *Pager) Close() error {
 	p.state.Lock()
 	if p.closed.Load() {
@@ -719,13 +808,13 @@ func (p *Pager) Close() error {
 	}
 	p.closed.Store(true)
 	p.state.Unlock()
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for sh.reading > 0 {
-			sh.loaded.Wait()
+	for i := range p.stripes {
+		st := &p.cache.stripes[i]
+		st.mu.Lock()
+		for p.stripes[i].reading > 0 {
+			st.loaded.Wait()
 		}
-		sh.mu.Unlock()
+		st.mu.Unlock()
 	}
 	var err error
 	if !p.readOnly {
@@ -735,7 +824,7 @@ func (p *Pager) Close() error {
 		p.allocMu.Lock()
 		defer p.allocMu.Unlock()
 		count := p.pageCount.Load()
-		if e := p.flushShards(); e != nil {
+		if e := p.flushFrames(); e != nil {
 			err = e
 		}
 		p.state.Lock()
@@ -744,6 +833,7 @@ func (p *Pager) Close() error {
 		}
 		p.state.Unlock()
 	}
+	p.cache.resize(p, -1)
 	if e := p.f.Close(); e != nil && err == nil {
 		err = e
 	}

@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -26,8 +27,11 @@ func newTemp(t testing.TB, opts Options) (*Pager, string) {
 // eviction follows one LRU order instead of one per stripe.
 func newOneStripe(t testing.TB, opts Options) *Pager {
 	t.Helper()
-	p, _ := newTemp(t, opts)
-	p.initShards(1, opts.PoolPages)
+	opts.Create = true
+	p, err := newCache(1).Open(filepath.Join(t.TempDir(), "test.pg"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return p
 }
 
@@ -324,21 +328,37 @@ func TestReadOnly(t *testing.T) {
 	g.Release()
 }
 
-// poolModel is the reference buffer pool: per stripe a map of resident
-// pages and a list of the unpinned ones, most recently released first. A
-// miss reads, then evicts from the list's back while the stripe is at its
-// share — the parent implementation's order of business, frame reuse and
-// unlocked reads unknown to it.
+// poolModel is the reference buffer pool: per stripe a map of the
+// resident pages of every file and a list of the unpinned ones, most
+// recently released first, with the stripe's share of the capacity the
+// open files bring. A miss reads, then evicts from the list's back while
+// the stripe is at its share; a release that leaves a stripe over its
+// share, and a close that takes a share back, evict down to it. It is
+// the parent implementation's order of business for one file, frame
+// reuse and unlocked reads unknown to it.
 type poolModel struct {
-	noCache bool
 	stripes []modelStripe
-	st      Stats
+	pages   int // the sum of the open files' shares
+	files   []*modelFile
+}
+
+type modelFile struct {
+	open    bool
+	share   int
+	noCache bool
+	st      Stats // since the file was last opened
+}
+
+// pageKey names a page of the cache: file is the index in poolModel.files.
+type pageKey struct {
+	file int
+	id   PageID
 }
 
 type modelStripe struct {
 	cap    int
-	frames map[PageID]*modelFrame
-	lru    *list.List // of PageID
+	frames map[pageKey]*modelFrame
+	lru    *list.List // of pageKey
 }
 
 type modelFrame struct {
@@ -347,126 +367,263 @@ type modelFrame struct {
 	elem  *list.Element
 }
 
-func (m *poolModel) stripe(id PageID) *modelStripe { return &m.stripes[int(id)%len(m.stripes)] }
-
-func (m *poolModel) admit(id PageID, dirty bool) {
-	s := m.stripe(id)
-	for len(s.frames) >= s.cap && s.lru.Len() > 0 {
-		victim := s.lru.Remove(s.lru.Back()).(PageID)
-		if s.frames[victim].dirty {
-			m.st.Writes++
-		}
-		delete(s.frames, victim)
+func newPoolModel(stripes int) *poolModel {
+	m := &poolModel{stripes: make([]modelStripe, stripes)}
+	for i := range m.stripes {
+		m.stripes[i] = modelStripe{frames: map[pageKey]*modelFrame{}, lru: list.New()}
 	}
-	s.frames[id] = &modelFrame{pins: 1, dirty: dirty}
+	return m
 }
 
-func (m *poolModel) get(id PageID) {
-	s := m.stripe(id)
-	if f := s.frames[id]; f != nil {
-		m.st.Hits++
+func (m *poolModel) stripe(id PageID) *modelStripe { return &m.stripes[int(id)%len(m.stripes)] }
+
+// resize sets the capacity and each stripe's share of it, then evicts
+// every stripe down to its share.
+func (m *poolModel) resize(pages int) {
+	m.pages = pages
+	n := len(m.stripes)
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.cap = pages / n
+		if i < pages%n {
+			s.cap++
+		}
+		m.trim(s)
+	}
+}
+
+func (m *poolModel) evict(s *modelStripe) {
+	victim := s.lru.Remove(s.lru.Back()).(pageKey)
+	if s.frames[victim].dirty {
+		m.files[victim.file].st.Writes++
+	}
+	delete(s.frames, victim)
+}
+
+func (m *poolModel) trim(s *modelStripe) {
+	for len(s.frames) > s.cap && s.lru.Len() > 0 {
+		m.evict(s)
+	}
+}
+
+func (m *poolModel) open(file, share int, noCache bool) {
+	for len(m.files) <= file {
+		m.files = append(m.files, &modelFile{})
+	}
+	*m.files[file] = modelFile{open: true, share: share, noCache: noCache}
+	m.resize(m.pages + share)
+}
+
+// close drops an open file's frames, none of them pinned, and its share.
+func (m *poolModel) close(file int) {
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		for k, f := range s.frames {
+			if k.file == file {
+				s.lru.Remove(f.elem)
+				delete(s.frames, k)
+			}
+		}
+	}
+	m.files[file].open = false
+	m.resize(m.pages - m.files[file].share)
+}
+
+func (m *poolModel) admit(k pageKey, dirty bool) {
+	s := m.stripe(k.id)
+	for len(s.frames) >= s.cap && s.lru.Len() > 0 {
+		m.evict(s)
+	}
+	s.frames[k] = &modelFrame{pins: 1, dirty: dirty}
+}
+
+func (m *poolModel) get(k pageKey) {
+	s, st := m.stripe(k.id), &m.files[k.file].st
+	if f := s.frames[k]; f != nil {
+		st.Hits++
 		if f.pins == 0 {
 			s.lru.Remove(f.elem)
 		}
 		f.pins++
 		return
 	}
-	m.st.Misses++
-	m.st.Reads++
-	m.admit(id, false)
+	st.Misses++
+	st.Reads++
+	m.admit(k, false)
 }
 
-func (m *poolModel) alloc(id PageID) {
-	m.st.Allocs++
-	m.admit(id, true)
+func (m *poolModel) alloc(k pageKey) {
+	m.files[k.file].st.Allocs++
+	m.admit(k, true)
 }
 
-func (m *poolModel) release(id PageID) {
-	s := m.stripe(id)
-	f := s.frames[id]
+func (m *poolModel) release(k pageKey) {
+	s := m.stripe(k.id)
+	f := s.frames[k]
 	if f.pins--; f.pins > 0 {
 		return
 	}
-	if !m.noCache {
-		f.elem = s.lru.PushFront(id)
+	if !m.files[k.file].noCache {
+		f.elem = s.lru.PushFront(k)
+		m.trim(s)
 		return
 	}
 	if f.dirty {
-		m.st.Writes++
+		m.files[k.file].st.Writes++
 	}
-	delete(s.frames, id)
+	delete(s.frames, k)
 }
 
-// check compares the pager with the model: every counter, and per stripe
-// the resident set, its pin counts and dirty bits, and the LRU order —
-// so every eviction is predicted, not just counted. It also holds the
-// pool to owning no more frames than its share unless pins force it.
-func (m *poolModel) check(t *testing.T, p *Pager, base Stats, op int) {
+// check compares the cache and its open pagers with the model: every
+// file's counters, the capacity and each stripe's share of it, and per
+// stripe the resident set, its pin counts and dirty bits, and the LRU
+// order over all files — so every eviction, of which page of which file,
+// is predicted, not just counted. It also holds each stripe to owning no
+// more frames than its share unless every frame it owns is pinned.
+func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, op int) {
 	t.Helper()
-	want := base
-	want.Add(m.st)
-	if got := p.Stats(); got != want {
-		t.Fatalf("op %d: stats %+v, model %+v", op, got, want)
+	if c.pages != m.pages {
+		t.Fatalf("op %d: capacity %d, model %d", op, c.pages, m.pages)
 	}
-	for i := range p.shards {
-		sh, s := &p.shards[i], &m.stripes[i]
-		if len(sh.frames) != len(s.frames) {
-			t.Fatalf("op %d stripe %d: %d resident frames, model %d", op, i, len(sh.frames), len(s.frames))
+	for f, mf := range m.files {
+		if !mf.open {
+			continue
 		}
-		for id, f := range s.frames {
-			if fr := sh.frames[id]; fr == nil || fr.id != id || fr.pins != f.pins || fr.dirty != f.dirty {
-				t.Fatalf("op %d: page %d is %+v, model %+v", op, id, fr, f)
+		want := base[f]
+		want.Add(mf.st)
+		if got := pgrs[f].Stats(); got != want {
+			t.Fatalf("op %d file %d: stats %+v, model %+v", op, f, got, want)
+		}
+	}
+	for i := range c.stripes {
+		st, s := &c.stripes[i], &m.stripes[i]
+		if st.cap != s.cap || st.resident != len(s.frames) {
+			t.Fatalf("op %d stripe %d: %d resident frames of share %d, model %d of %d", op, i, st.resident, st.cap, len(s.frames), s.cap)
+		}
+		for k, f := range s.frames {
+			if fr := pgrs[k.file].stripes[i].frames[k.id]; fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.pins != f.pins || fr.dirty != f.dirty {
+				t.Fatalf("op %d: page %d of file %d is %+v, model %+v", op, k.id, k.file, fr, f)
 			}
 		}
-		fr := sh.lruHead
+		fr := st.lruHead
 		for e := s.lru.Front(); e != nil; e, fr = e.Next(), fr.next {
-			if fr == nil || fr.id != e.Value.(PageID) {
-				t.Fatalf("op %d stripe %d: LRU order diverged from the model at page %d", op, i, e.Value)
+			if k := e.Value.(pageKey); fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] {
+				t.Fatalf("op %d stripe %d: LRU order diverged from the model at page %d of file %d", op, i, k.id, k.file)
 			}
 		}
-		if fr != nil || sh.lruLen != s.lru.Len() {
-			t.Fatalf("op %d stripe %d: LRU holds %d frames, model %d", op, i, sh.lruLen, s.lru.Len())
+		if fr != nil || st.lruLen != s.lru.Len() {
+			t.Fatalf("op %d stripe %d: LRU holds %d frames, model %d", op, i, st.lruLen, s.lru.Len())
 		}
-		if len(sh.free) > 0 && len(sh.frames)+len(sh.free) > sh.cap {
-			t.Fatalf("op %d stripe %d: %d frames parked beside %d resident, share %d", op, i, len(sh.free), len(sh.frames), sh.cap)
+		if held := st.resident + len(st.free); held > st.cap && (len(st.free) > 0 || st.lruLen > 0) {
+			t.Fatalf("op %d stripe %d: holds %d frames (%d parked, %d unpinned), share %d", op, i, held, len(st.free), st.lruLen, st.cap)
 		}
 	}
+}
+
+// poolFile is one file of a randomized model run.
+type poolFile struct {
+	share   int
+	noCache bool
 }
 
 // A random View/Get/Alloc/MarkDirty/Release sequence, with up to six
-// pages pinned at once over a three-frame pool (so it overshoots its
+// pages pinned at once over small pools (so a stripe overshoots its
 // share and shrinks back), against the reference pool and an in-memory
 // copy of every page: counters, evictions and LRU order must follow the
-// model op by op, contents must match while pinned, and the file must
-// end up byte-identical to the copy.
+// model op by op, contents must match while pinned, and every file must
+// end up byte-identical to its copy. The one-file cases are Open's own
+// cache; the others put two and three files on one shared cache and
+// close and reopen files mid-sequence, so capacity moves with them.
 func TestRandomizedAgainstModel(t *testing.T) {
-	for name, noCache := range map[string]bool{"lru": false, "nocache": true} {
-		t.Run(name, func(t *testing.T) { randomizedAgainstModel(t, noCache) })
+	cases := []struct {
+		name  string
+		cache func() *Cache // nil: Open's cache of its own
+		files []poolFile
+	}{
+		{"lru", nil, []poolFile{{3, false}}},
+		{"nocache", nil, []poolFile{{3, true}}},
+		{"two-files", NewCache, []poolFile{{6, false}, {10, false}}},
+		{"three-files", func() *Cache { return newCache(2) }, []poolFile{{3, false}, {4, false}, {5, true}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { randomizedAgainstModel(t, c.cache, c.files) })
 	}
 }
 
-func randomizedAgainstModel(t *testing.T, noCache bool) {
-	p, path := newTemp(t, Options{PageSize: 256, PoolPages: 3, DisableLRU: noCache})
-	m := &poolModel{noCache: noCache, stripes: make([]modelStripe, len(p.shards))}
-	for i := range m.stripes {
-		m.stripes[i] = modelStripe{cap: p.shards[i].cap, frames: map[PageID]*modelFrame{}, lru: list.New()}
+func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) {
+	dir := t.TempDir()
+	pgrs := make([]*Pager, len(files))
+	base := make([]Stats, len(files))
+	content := make([]map[PageID][]byte, len(files))
+	var c *Cache
+	var m *poolModel
+	open := func(f int, create bool) {
+		opts := Options{PageSize: 256, PoolPages: files[f].share, DisableLRU: files[f].noCache, Create: create}
+		path := filepath.Join(dir, fmt.Sprintf("f%d.pg", f))
+		var err error
+		if newC == nil {
+			pgrs[f], err = Open(path, opts)
+		} else {
+			pgrs[f], err = c.Open(path, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			c = pgrs[f].cache
+		}
+		if m == nil {
+			m = newPoolModel(len(c.stripes))
+		}
+		base[f] = pgrs[f].Stats()
+		m.open(f, files[f].share, files[f].noCache)
 	}
-	base := p.Stats()
+	if newC != nil {
+		c = newC()
+	}
+	for f := range files {
+		content[f] = make(map[PageID][]byte)
+		open(f, true)
+	}
+	m.check(t, c, pgrs, base, -1)
+
 	rng := rand.New(rand.NewSource(7))
-	content := make(map[PageID][]byte)
 	type pin struct {
-		id      PageID
+		k       pageKey
 		release func()
 	}
 	var pins []pin
-	for op := 0; op < 2000; op++ {
+	unpin := func(i int) {
+		pins[i].release()
+		m.release(pins[i].k)
+		pins = append(pins[:i], pins[i+1:]...)
+	}
+	for op := 0; op < 3000; op++ {
+		f := rng.Intn(len(files))
+		if !m.files[f].open {
+			if rng.Intn(4) == 0 {
+				open(f, false)
+				m.check(t, c, pgrs, base, op)
+			}
+			continue
+		}
+		p := pgrs[f]
 		id := PageID(1 + rng.Intn(int(p.PageCount())))
+		k := pageKey{f, id}
 		switch r := rng.Intn(10); {
+		case len(files) > 1 && rng.Intn(40) == 0:
+			// Close the file mid-sequence, its own pins released first.
+			for i := len(pins) - 1; i >= 0; i-- {
+				if pins[i].k.file == f {
+					unpin(i)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m.close(f)
 		case len(pins) == 6 || (r < 4 && len(pins) > 0):
-			i := rng.Intn(len(pins))
-			pins[i].release()
-			m.release(pins[i].id)
-			pins = append(pins[:i], pins[i+1:]...)
+			unpin(rng.Intn(len(pins)))
 		case r < 5 && p.PageCount() < 60 || p.PageCount() == 1:
 			pg, err := p.Alloc()
 			if err != nil {
@@ -477,9 +634,10 @@ func randomizedAgainstModel(t *testing.T, noCache bool) {
 			}
 			rng.Read(pg.Data)
 			pg.MarkDirty()
-			content[pg.ID] = bytes.Clone(pg.Data)
-			m.alloc(pg.ID)
-			pins = append(pins, pin{pg.ID, pg.Release})
+			content[f][pg.ID] = bytes.Clone(pg.Data)
+			k.id = pg.ID
+			m.alloc(k)
+			pins = append(pins, pin{k, pg.Release})
 		case id == PageID(p.PageCount()):
 			continue
 		case r < 8:
@@ -487,48 +645,58 @@ func randomizedAgainstModel(t *testing.T, noCache bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.get(id)
-			if !bytes.Equal(v.Data, content[id]) {
-				t.Fatalf("op %d: view of page %d diverged from model", op, id)
+			m.get(k)
+			if !bytes.Equal(v.Data, content[f][id]) {
+				t.Fatalf("op %d: view of page %d of file %d diverged from model", op, id, f)
 			}
-			pins = append(pins, pin{id, v.Release})
+			pins = append(pins, pin{k, v.Release})
 		default:
 			pg, err := p.Get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.get(id)
-			if !bytes.Equal(pg.Data, content[id]) {
-				t.Fatalf("op %d: page %d diverged from model", op, id)
+			m.get(k)
+			if !bytes.Equal(pg.Data, content[f][id]) {
+				t.Fatalf("op %d: page %d of file %d diverged from model", op, id, f)
 			}
 			rng.Read(pg.Data[:16])
 			pg.MarkDirty()
-			copy(content[id], pg.Data[:16])
-			m.stripe(id).frames[id].dirty = true
-			pins = append(pins, pin{id, pg.Release})
+			copy(content[f][id], pg.Data[:16])
+			m.stripe(id).frames[k].dirty = true
+			pins = append(pins, pin{k, pg.Release})
 		}
-		m.check(t, p, base, op)
+		m.check(t, c, pgrs, base, op)
 	}
-	for _, h := range pins {
-		h.release()
+	for len(pins) > 0 {
+		unpin(len(pins) - 1)
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+	for f := range files {
+		if m.files[f].open {
+			if err := pgrs[f].Close(); err != nil {
+				t.Fatal(err)
+			}
+			m.close(f)
+		}
 	}
-	p2, err := Open(path, Options{PoolPages: 3})
-	if err != nil {
-		t.Fatal(err)
+	if c.pages != 0 {
+		t.Fatalf("every file closed, the cache still counts %d pages", c.pages)
 	}
-	defer p2.Close()
-	for id, want := range content {
-		pg, err := p2.Get(id)
+	for f := range files {
+		p2, err := Open(filepath.Join(dir, fmt.Sprintf("f%d.pg", f)), Options{PoolPages: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(pg.Data, want) {
-			t.Fatalf("page %d content mismatch after reopen", id)
+		for id, want := range content[f] {
+			pg, err := p2.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pg.Data, want) {
+				t.Fatalf("page %d of file %d: content mismatch after reopen", id, f)
+			}
+			pg.Release()
 		}
-		pg.Release()
+		p2.Close()
 	}
 }
 
@@ -654,7 +822,7 @@ func TestShardedStatsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if got := len(p2.shards); got != 8 {
+	if got := len(p2.cache.stripes); got != 8 {
 		t.Fatalf("%d pool stripes, want 8", got)
 	}
 	p2.ResetStats()
@@ -694,10 +862,10 @@ func TestPoolShardsClamp(t *testing.T) {
 	for _, c := range cases {
 		p, _ := newTemp(t, Options{PoolPages: c.pages})
 		capacity := 0
-		for i := range p.shards {
-			capacity += p.shards[i].cap
+		for i := range p.cache.stripes {
+			capacity += p.cache.stripes[i].cap
 		}
-		if got := len(p.shards); got != c.want || capacity != c.pages {
+		if got := len(p.cache.stripes); got != c.want || capacity != c.pages {
 			t.Errorf("PoolPages=%d: %d stripes holding %d frames, want %d holding %d",
 				c.pages, got, capacity, c.want, c.pages)
 		}

@@ -45,8 +45,20 @@ func NewUUID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// WriteIdentity stamps dir with id, atomically.
+// validate rejects a stamp no sharded build can have written: an
+// ordinal outside [0, Shards), or a dimensionality below 1.
+func (id Identity) validate() error {
+	if id.Shard < 0 || id.Shard >= id.Shards || id.Dim < 1 {
+		return fmt.Errorf("shard: identity names shard %d of %d at dimensionality %d", id.Shard, id.Shards, id.Dim)
+	}
+	return nil
+}
+
+// WriteIdentity stamps dir with id, atomically, if it is valid.
 func WriteIdentity(dir string, id Identity) error {
+	if err := id.validate(); err != nil {
+		return err
+	}
 	buf, err := json.MarshalIndent(id, "", "  ")
 	if err != nil {
 		return err
@@ -57,6 +69,7 @@ func WriteIdentity(dir string, id Identity) error {
 // ReadIdentity loads dir's identity stamp. A directory without one —
 // a bare single-index directory, or a shard built before identities
 // existed — returns (nil, nil): absence is a valid state, not an error.
+// A stamp that cannot exist (validate) is one.
 func ReadIdentity(dir string) (*Identity, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, IdentityFile))
 	if os.IsNotExist(err) {
@@ -68,6 +81,9 @@ func ReadIdentity(dir string) (*Identity, error) {
 	var id Identity
 	if err := json.Unmarshal(buf, &id); err != nil {
 		return nil, fmt.Errorf("shard: parse identity: %w", err)
+	}
+	if err := id.validate(); err != nil {
+		return nil, fmt.Errorf("%w in %s", err, IdentityFile)
 	}
 	return &id, nil
 }

@@ -41,7 +41,9 @@ FUZZ_TARGETS = \
 	FuzzIdentity:./internal/shard \
 	FuzzClusterManifest:./internal/cluster \
 	FuzzSearchRequest:./internal/api \
-	FuzzReadVecs:./internal/data
+	FuzzReadVecs:./internal/data \
+	FuzzFrontier:./internal/slo \
+	FuzzTierConfig:./internal/slo
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

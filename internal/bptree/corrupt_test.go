@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -28,6 +29,47 @@ func treeFile(t testing.TB) (header, pages []byte) {
 	for i := 0; i < 60; i++ {
 		src.Keys = append(src.Keys, u64key(uint64(i/4)))
 		src.Values = append(src.Values, binary.BigEndian.AppendUint32(nil, uint32(i)))
+	}
+	if err := tr.BulkLoad(&src); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id < tr.pgr.PageCount(); id++ {
+		v, err := tr.pgr.View(pager.PageID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, v.Data...)
+		v.Release()
+	}
+	return tr.pgr.Meta(), pages
+}
+
+// rdbTreeFile lays treeFile's shape out as an RDB-tree stores it: the
+// keys widened to 16 bytes, each value a little-endian 4-byte slot and
+// m = 3 uint16 distance codes, and after the tree header the RDB-tree's
+// metadata — η, ω and m as big-endian uint32s, then its scale s and
+// error bound ε as big-endian float64 bits, which this package carries
+// without reading.
+func rdbTreeFile(t testing.TB, s, eps float64) (header, pages []byte) {
+	t.Helper()
+	tr, _ := mkTree(t, Config{KeyLen: 16, ValLen: 4 + 2*3, LeafCap: 3}, pager.Options{PageSize: treePageSize})
+	extra := make([]byte, 12, 28)
+	for i, v := range []uint32{16, 8, 3} {
+		binary.BigEndian.PutUint32(extra[4*i:], v)
+	}
+	extra = binary.BigEndian.AppendUint64(extra, math.Float64bits(s))
+	extra = binary.BigEndian.AppendUint64(extra, math.Float64bits(eps))
+	if err := tr.SetExtra(extra); err != nil {
+		t.Fatal(err)
+	}
+	var src SliceSource
+	for i := 0; i < 60; i++ {
+		src.Keys = append(src.Keys, append(make([]byte, 8), u64key(uint64(i/4))...))
+		v := binary.LittleEndian.AppendUint32(nil, uint32(i))
+		for r := range 3 {
+			v = binary.LittleEndian.AppendUint16(v, uint16(i*1000+r))
+		}
+		src.Values = append(src.Values, v)
 	}
 	if err := tr.BulkLoad(&src); err != nil {
 		t.Fatal(err)
@@ -98,9 +140,6 @@ func TestReadLegacy(t *testing.T) {
 		t.Fatalf("ReadLegacy at the wrong value width: %v, want ErrCorrupt", err)
 	}
 	for name, corrupt := range corruptions {
-		if name == "internal count" {
-			continue // a read of the leaf chain never visits an internal node
-		}
 		p := slices.Clone(pages)
 		corrupt(p)
 		if err := ReadLegacy(writeTreeFile(t, header, p), 8, 4, func(k, v []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
@@ -179,6 +218,38 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	}
 }
 
+// A separator that no longer bounds its children sends Seek, and so
+// WalkNearest, to the wrong leaf, and the walk answers without an
+// error. CheckLeaves descends the internal levels and catches it: here
+// the first separator of the first internal node (page 21, over leaves
+// 1–10) with its high byte set, above the keys of the child to its right.
+func TestCheckLeavesCatchesABadSeparator(t *testing.T) {
+	header, pages := treeFile(t)
+	check := func(p []byte) error {
+		tr, err := Open(writeTreeFile(t, header, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.CheckLeaves(func(k, v []byte) error { return nil })
+	}
+	if err := check(pages); err != nil {
+		t.Fatalf("the intact tree: %v", err)
+	}
+	tr, err := Open(writeTreeFile(t, header, pages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := slices.Clone(pages)
+	node := treePage(p, 21)
+	if nodeType(node) != pageInternal || internalCount(node) == 0 {
+		t.Fatal("page 21 is not an internal node with separators")
+	}
+	tr.internalKey(node, 0)[0] ^= 0xFF
+	if err := check(p); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a flipped separator byte: CheckLeaves = %v, want ErrCorrupt", err)
+	}
+}
+
 // FuzzTreeFile feeds the tree header and its pages arbitrary bytes under
 // a valid superblock: raw-byte mutation of a whole file mostly trips the
 // superblock checksum and never reaches a node. Open, CheckLeaves, the
@@ -188,7 +259,9 @@ func TestCorruptPageIsAnError(t *testing.T) {
 // runs add up to at most the entries asked for. A tree in the legacy
 // interleaved layout goes to ReadLegacy instead, under the same rule.
 // Seeded from treeFile, whose duplicate runs span leaves, its
-// corruptions, and the same tree in the legacy layout.
+// corruptions, the same tree in the legacy layout, and the RDB-tree
+// layout of uint16 codes (rdbTreeFile): intact, cut short, and with a
+// scale and error bound no tree may record.
 func FuzzTreeFile(f *testing.F) {
 	header, pages := treeFile(f)
 	f.Add(header, pages)
@@ -200,6 +273,11 @@ func FuzzTreeFile(f *testing.F) {
 	}
 	legacyHeader, legacyPages := legacyTreeFile(f, header, pages)
 	f.Add(legacyHeader, legacyPages)
+	rdbHeader, rdbPages := rdbTreeFile(f, 1.0/64, 1.0/128)
+	f.Add(rdbHeader, rdbPages)
+	f.Add(rdbHeader, rdbPages[:len(rdbPages)/2])
+	badHeader, badPages := rdbTreeFile(f, math.NaN(), -1)
+	f.Add(badHeader, badPages)
 	f.Fuzz(func(t *testing.T, header, pages []byte) {
 		pgr := writeTreeFile(t, header, pages)
 		tr, err := Open(pgr)

@@ -299,14 +299,18 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// CheckLeaves walks the whole leaf chain from the first leaf, passing fn
-// every entry in order, and verifies what a scan silently trusts: every
-// page on the chain is a leaf within its capacity, each leaf's left link
-// names the leaf the walk came from, keys never decrease within or
-// across leaves, the chain ends at the recorded last leaf, and the
-// entries add up to Count. The first violation, or fn's first error,
-// stops the walk.
+// CheckLeaves walks the internal levels (checkLevels), then the whole
+// leaf chain from the first leaf, passing fn every entry in order, and
+// verifies what a scan silently trusts: every page on the chain is a
+// leaf within its capacity, each leaf's left link names the leaf the
+// walk came from, keys never decrease within or across leaves, the
+// chain ends at the recorded last leaf, and the entries add up to
+// Count. The first violation, or fn's first error, stops the walk.
 func (t *Tree) CheckLeaves(fn func(key, value []byte) error) error {
+	var visits uint64
+	if err := t.checkLevels(t.root, t.height, nil, nil, &visits); err != nil {
+		return err
+	}
 	var prev pager.PageID
 	var last []byte
 	var total, leaves uint64
@@ -354,6 +358,64 @@ func (t *Tree) CheckLeaves(fn func(key, value []byte) error) error {
 	}
 	if total != t.count {
 		return fmt.Errorf("%w: the leaf chain holds %d entries, the header counts %d", ErrCorrupt, total, t.count)
+	}
+	return nil
+}
+
+// checkLevels checks what Seek assumes of the subtree at page id, level
+// levels above the leaves, whose keys the separators above bound to
+// [lo, hi] (nil bounds nothing; inclusive, as duplicates may span
+// leaves): each node above level 1 is internal, within capacity, its
+// separators ascending within [lo, hi]; each page at level 1 is a leaf
+// within capacity, so all leaves sit at one depth, and holds keys in
+// its bounds. More visits than the file has pages mean a cycle.
+func (t *Tree) checkLevels(id pager.PageID, level int, lo, hi []byte, visits *uint64) error {
+	if *visits++; *visits > t.pgr.PageCount() {
+		return fmt.Errorf("%w: the internal levels reach more pages than the file holds", ErrCorrupt)
+	}
+	v, err := t.pgr.View(id)
+	if err != nil {
+		return err
+	}
+	within := func(k []byte) bool {
+		return (lo == nil || bytes.Compare(k, lo) >= 0) && (hi == nil || bytes.Compare(k, hi) <= 0)
+	}
+	if level == 1 {
+		defer v.Release()
+		if nodeType(v.Data) != pageLeaf || leafCount(v.Data) > t.leafCap {
+			return fmt.Errorf("%w: page %d at the leaf level is not a leaf within capacity", ErrCorrupt, id)
+		}
+		for i := range leafCount(v.Data) {
+			if k := t.leafKey(v.Data, i); !within(k) {
+				return fmt.Errorf("%w: leaf %d entry %d: key %x outside its separators [%x, %x]", ErrCorrupt, id, i, k, lo, hi)
+			}
+		}
+		return nil
+	}
+	if nodeType(v.Data) != pageInternal || internalCount(v.Data) > t.branchCap {
+		v.Release()
+		return fmt.Errorf("%w: page %d is not an internal node within capacity (level %d)", ErrCorrupt, id, level)
+	}
+	// Copied out, bounded by lo and hi: the children pin pages of their own.
+	n := internalCount(v.Data)
+	children, seps := make([]pager.PageID, n+1), make([][]byte, n+2)
+	seps[0], seps[n+1] = lo, hi
+	for i := range children {
+		children[i] = internalChild(v.Data, i)
+	}
+	for i := 1; i <= n; i++ {
+		seps[i] = bytes.Clone(t.internalKey(v.Data, i-1))
+	}
+	v.Release()
+	for i := 1; i <= n; i++ {
+		if !within(seps[i]) || (i > 1 && bytes.Compare(seps[i], seps[i-1]) < 0) {
+			return fmt.Errorf("%w: page %d separator %d is %x, outside [%x, %x] or below its predecessor", ErrCorrupt, id, i-1, seps[i], lo, hi)
+		}
+	}
+	for i, child := range children {
+		if err := t.checkLevels(child, level-1, seps[i], seps[i+1], visits); err != nil {
+			return err
+		}
 	}
 	return nil
 }

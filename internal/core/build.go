@@ -251,7 +251,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 			}
 		}
 		t0 := time.Now()
-		ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist)
+		ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist, rdbtree.Scale{})
 		phases.bulkNS.Add(int64(time.Since(t0)))
 		return err
 	})
@@ -391,11 +391,12 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 
 // writeTree is the tree writer's last step: a fresh tree file at path,
 // bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes; ids
-// holds each row's slot, nil when the row number is the slot), flushed
-// and fsynced — fully durable before a meta commit (Build's or a
+// holds each row's slot, nil when the row number is the slot; prev is
+// the scale of the tree rows were decoded from, zero when none were),
+// flushed and fsynced — fully durable before a meta commit (Build's or a
 // compaction's) references it — through a cache of its own, so a bulk
 // load never evicts the queries' pages, then reopened on ix.cache.
-func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32) (*rdbtree.Tree, error) {
+func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32, prev rdbtree.Scale) (*rdbtree.Tree, error) {
 	pgr, err := ix.openPager(pager.NewCache(), path, true)
 	if err != nil {
 		return nil, err
@@ -403,7 +404,7 @@ func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64
 	p := ix.params
 	tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
 	if err == nil {
-		err = tree.BulkLoadArena(keys, perm, ids, rdist)
+		err = tree.BulkLoadArena(keys, perm, ids, rdist, prev)
 	}
 	if err == nil {
 		err = tree.Flush()

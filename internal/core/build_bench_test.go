@@ -121,7 +121,7 @@ func BenchmarkBuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := tree.BulkLoadArena(keys, perm, nil, rdist); err != nil {
+			if err := tree.BulkLoadArena(keys, perm, nil, rdist, rdbtree.Scale{}); err != nil {
 				b.Fatal(err)
 			}
 			if err := tree.Flush(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -42,8 +43,9 @@ func loadReferenceTrees(t *testing.T, ix *Index) referenceTrees {
 // reference and sharing none of its machinery: the α entries nearest the
 // query's Hilbert key by a per-entry two-sided walk (byte-at-a-time
 // KeyDelta comparison, ties right) over the tree's entries in memory, a
-// second pass for the triangular bounds with the branching Eq. (5), and
-// a full sort by (bound, walk position) at each filter.
+// second pass for the triangular bounds with the branching Eq. (5) over
+// the codes the decoded distances round back to, widened by the tree's
+// ε, and a full sort by (bound, walk position) at each filter.
 func (trees referenceTrees) referenceTree(ix *Index, tr int, q []float32, qdist []float64, plan searchPlan) []uint64 {
 	coords := make([]uint32, ix.eta)
 	ix.quants[tr].Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
@@ -74,11 +76,19 @@ func (trees referenceTrees) referenceTree(ix *Index, tr int, q []float32, qdist 
 		})
 		return items[:min(k, len(items))]
 	}
+	sc := ix.trees[tr].Scale()
+	codes := func(e referenceEntry) []uint16 {
+		u := make([]uint16, len(e.refDists))
+		for i, d := range e.refDists {
+			u[i] = uint16(math.Round(float64(d) / sc.S)) // float32 rounding is far under half a code
+		}
+		return u
+	}
 	var items []topk.Item
 	for pos, e := range walked {
 		var lb float64
-		for i, qd := range qdist {
-			d := qd - float64(e.refDists[i])
+		for i, u := range codes(e) {
+			d := qdist[i]/sc.S - float64(u)
 			if d < 0 {
 				d = -d
 			}
@@ -86,12 +96,15 @@ func (trees referenceTrees) referenceTree(ix *Index, tr int, q []float32, qdist 
 				lb = d
 			}
 		}
+		if lb = lb*sc.S - sc.Eps; lb < 0 {
+			lb = 0
+		}
 		items = append(items, topk.Item{ID: uint64(pos), Dist: lb})
 	}
 	if plan.ptolemaic {
 		items = keepSorted(items, plan.beta)
 		for i, it := range items {
-			items[i].Dist = ix.ptolemaicLB(qdist, walked[it.ID].refDists)
+			items[i].Dist = ix.ptolemaicLB(qdist, codes(walked[it.ID]), sc)
 		}
 	}
 	var ids []uint64

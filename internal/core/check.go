@@ -35,12 +35,15 @@ type CheckReport struct {
 //     exactly the clustered base; no tree file of another generation lies
 //     around;
 //   - ids.pg is a bijection of [0, clustered) with a consistent inverse;
-//   - every tree's leaf chain is intact (sibling links, ascending keys,
-//     counts) and holds every slot below the count exactly once, except
-//     the purged ones, which it must not hold;
+//   - every tree is intact (separators bound their children's keys,
+//     every leaf at one depth, sibling links, ascending keys, counts)
+//     and holds every slot below the count exactly once, except the
+//     purged ones, which it must not hold;
 //   - for a sample of entries (all, up to checkSampleMax per tree) the
-//     Hilbert key and the reference distances stored in the leaf are the
-//     ones recomputed from the vector behind that entry's slot.
+//     Hilbert key stored in the leaf is the one recomputed from the
+//     vector behind that entry's slot, and each decoded reference
+//     distance lies within the tree's error bound ε of the recomputed
+//     one.
 //
 // It holds off compactions and writers while it runs; searches proceed.
 func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
@@ -103,6 +106,7 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 	var key []byte
 	for t, tree := range ix.trees {
 		seen := make([]uint64, (count+63)/64)
+		eps := tree.Scale().Eps
 		var pos, verified uint64
 		err := tree.Check(func(k []byte, e rdbtree.Entry) error {
 			if pos%4096 == 0 && ctx.Err() != nil {
@@ -131,10 +135,10 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 				return fmt.Errorf("slot %d is filed under key %x, its vector encodes to %x", slot, k, key)
 			}
 			for r, rv := range ix.refs {
-				// Equal up to float32 rounding: the stored distance may
-				// have been computed on another CPU.
+				// Equal within ε and float32 rounding: the stored distance
+				// may have been computed on another CPU.
 				want := vecmath.Dist(vec, rv)
-				if got := float64(e.RefDists[r]); math.Abs(got-want) > 1e-6*math.Max(1, want) {
+				if got := float64(e.RefDists[r]); math.Abs(got-want) > eps+1e-6*math.Max(1, want) {
 					return fmt.Errorf("slot %d stores distance %v to reference %d, its vector is %v away", slot, got, r, want)
 				}
 			}

@@ -139,18 +139,19 @@ func TestCheckCatchesSilentCorruption(t *testing.T) {
 		}, "ids.pg"},
 		{"a leaf entry redirected to another vector's slot", func(t *testing.T, dir string) {
 			// A leaf keeps its values apart from its keys, each a
-			// little-endian slot ‖ distances: find slot 20's in tree 1 and
-			// point it at slot 21.
+			// little-endian slot ‖ distance codes: find slot 20's in tree 1
+			// and point it at slot 21.
 			ix, err := Open(dir, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var entry []byte
+			s := ix.trees[1].Scale().S
 			err = ix.trees[1].ScanAll(func(k []byte, e rdbtree.Entry) bool {
 				if e.ID == 20 {
 					entry = binary.LittleEndian.AppendUint32(nil, 20)
 					for _, d := range e.RefDists {
-						entry = binary.LittleEndian.AppendUint32(entry, math.Float32bits(d))
+						entry = binary.LittleEndian.AppendUint16(entry, uint16(math.Round(float64(d)/s)))
 					}
 				}
 				return entry == nil

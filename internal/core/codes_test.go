@@ -1,0 +1,321 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"testing"
+
+	"github.com/hd-index/hdindex/internal/bptree"
+	"github.com/hd-index/hdindex/internal/data"
+	"github.com/hd-index/hdindex/internal/pager"
+	"github.com/hd-index/hdindex/internal/rdbtree"
+	"github.com/hd-index/hdindex/internal/vecmath"
+)
+
+// firstWrite is a fresh tree's error bound in units of its scale: half a
+// code plus float32's rounding of the distance it codes.
+const firstWrite = 0.5 + 1.0/256
+
+// Every bound the walk takes from 16-bit codes stays a lower bound.
+// Over random data and queries, through a build and four compactions —
+// the third of which takes in a vector farther from every reference
+// than any before it, so every tree is coded again at a coarser scale —
+// the triangular and Ptolemaic bounds of every walked entry are at most
+// its true float64 distance to the query, and each tree's ε bounds the
+// largest |u·s − true| over its entries. Where nothing was coded twice
+// (after the build, and after compactions that keep the scale, which
+// keep every code) ε is that largest error to within 1/128 of a code;
+// after the rescale it is the old ε plus one more rounding.
+func TestCodedBoundsStayLowerBounds(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "codes", N: 1500, Dim: 24, Clusters: 6, Lo: 0, Hi: 1, Seed: 41})
+	p := Params{Tau: 3, Omega: 8, M: 5, Alpha: 256, Gamma: 64, Seed: 42, MemtableMaxVectors: 1 << 20}
+	ix, err := Build(t.TempDir()+"/ix", ds.Vectors, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	rng := rand.New(rand.NewSource(43))
+	queries := append(ds.PerturbedQueries(6, 0.05, 44), ds.Vectors[7], ds.Vectors[900])
+	far := make([]float32, len(ds.Vectors[0]))
+	for i := range far {
+		far[i] = 10
+	}
+	queries = append(queries, far)
+
+	// check returns each tree's scale and, by slot, its decoded distances.
+	type tree struct {
+		scale rdbtree.Scale
+		dists map[uint64][]float32
+	}
+	vec := make([]float32, ix.nu)
+	check := func(stage string) []tree {
+		t.Helper()
+		trees := make([]tree, len(ix.trees))
+		for tr, tree := range ix.trees {
+			sc := tree.Scale()
+			trees[tr].scale, trees[tr].dists = sc, make(map[uint64][]float32)
+			var worst float64
+			err := tree.ScanAll(func(_ []byte, e rdbtree.Entry) bool {
+				trees[tr].dists[e.ID] = slices.Clone(e.RefDists)
+				if _, err := ix.vectors.Get(e.ID, vec); err != nil {
+					t.Fatal(err)
+				}
+				for r, rv := range ix.refs {
+					dec := sc.Decode(uint16(math.Round(float64(e.RefDists[r]) / sc.S)))
+					worst = max(worst, math.Abs(dec-vecmath.Dist(vec, rv)))
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if worst > sc.Eps {
+				t.Fatalf("%s, tree %d: a decoded distance is %v off, ε is %v", stage, tr, worst, sc.Eps)
+			}
+			if sc.Eps == firstWrite*sc.S && sc.Eps-worst > sc.S/128 {
+				t.Errorf("%s, tree %d: ε %v is loose, the largest error is %v (s %v)", stage, tr, sc.Eps, worst, sc.S)
+			}
+
+			qdist, qs := make([]float64, len(ix.refs)), make([]float64, len(ix.refs))
+			for _, q := range queries {
+				for r, rv := range ix.refs {
+					qdist[r] = vecmath.Dist(q, rv)
+					qs[r] = qdist[r] / sc.S
+				}
+				coords := make([]uint32, ix.eta)
+				ix.quants[tr].Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
+				key := ix.curves[tr].Encode(nil, coords)
+				w := 2 + len(ix.refs)
+				var bad error
+				err := tree.WalkNearest(context.Background(), key, int(tree.Count()), func(run []uint16, _ bool) {
+					for e := 0; e < len(run)/w && bad == nil; e++ {
+						entry := run[e*w : (e+1)*w]
+						if _, err := ix.vectors.Get(rdbtree.Slot(entry), vec); err != nil {
+							bad = err
+							return
+						}
+						truth := vecmath.Dist(q, vec) + 1e-9 // float64 noise in the distances
+						if lb := math.Float64frombits(triangularLB(qs, entry[2:], sc)); lb > truth {
+							bad = fmt.Errorf("slot %d: triangular bound %v above the distance %v", rdbtree.Slot(entry), lb, truth)
+						}
+						if lb := ix.ptolemaicLB(qdist, entry[2:], sc); lb > truth {
+							bad = fmt.Errorf("slot %d: Ptolemaic bound %v above the distance %v", rdbtree.Slot(entry), lb, truth)
+						}
+					}
+				})
+				if err == nil {
+					err = bad
+				}
+				if err != nil {
+					t.Fatalf("%s, tree %d: %v", stage, tr, err)
+				}
+			}
+		}
+		return trees
+	}
+	// sameCodes fails unless every tree of after kept before's scale and
+	// the codes of every entry both hold.
+	sameCodes := func(stage string, before, after []tree) {
+		t.Helper()
+		for tr := range before {
+			if after[tr].scale != before[tr].scale {
+				t.Fatalf("%s, tree %d: the scale moved from %+v to %+v", stage, tr, before[tr].scale, after[tr].scale)
+			}
+			for slot, d := range after[tr].dists {
+				if old, ok := before[tr].dists[slot]; ok && !slices.Equal(d, old) {
+					t.Fatalf("%s, tree %d: slot %d was coded again, %v then %v", stage, tr, slot, old, d)
+				}
+			}
+		}
+	}
+
+	// insert adds n vectors of the data's distribution and deletes a few
+	// of the existing ones, then compacts.
+	insert := func(n int, extra ...[]float32) {
+		t.Helper()
+		for range n {
+			v := slices.Clone(ds.Vectors[rng.Intn(len(ds.Vectors))])
+			for d := range v {
+				v[d] += float32(rng.NormFloat64() * 0.02)
+			}
+			extra = append(extra, v)
+		}
+		for _, v := range extra {
+			if _, err := ix.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 {
+			if err := ix.Delete(uint64(rng.Intn(len(ds.Vectors)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	built := check("after the build")
+	for tr, b := range built {
+		if sc := b.scale; sc.Eps != firstWrite*sc.S {
+			t.Fatalf("tree %d was built with ε %v at scale %v", tr, sc.Eps, sc.S)
+		}
+	}
+	insert(40)
+	insert(40)
+	kept := check("after two compactions")
+	sameCodes("after two compactions", built, kept)
+	insert(10, far)
+	wide := check("after the far insert")
+	for tr, w := range wide {
+		if old, sc := kept[tr].scale, w.scale; !(sc.S > old.S) || sc.Eps != old.Eps+firstWrite*sc.S {
+			t.Fatalf("tree %d: the far insert took scale %+v to %+v", tr, old, sc)
+		}
+	}
+	insert(40)
+	sameCodes("after a compaction at the wide scale", wide, check("after a compaction at the wide scale"))
+}
+
+// A tree of the float32 layout — the one before 16-bit codes: a 4-byte
+// slot and m float32 distances per value, and metadata of η, ω and m
+// only — is written here with bptree directly over a built index's
+// entries and their exact distances. Open rewrites such trees once,
+// into generation 1, coded as Build codes them: the same scale, error
+// bound, keys, slots and codes, so the same answers; a second Open
+// rewrites nothing.
+func TestOpenRewritesFloat32Trees(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "float32", N: 700, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 45})
+	p := Params{Tau: 2, Omega: 8, M: 4, Alpha: 128, Gamma: 32, Seed: 46}
+	dir := t.TempDir()
+	ix, err := Build(dir, ds.Vectors, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := ds.PerturbedQueries(10, 0.02, 47)
+	type tree struct {
+		scale   rdbtree.Scale
+		keys    []byte
+		slots   []uint64
+		decoded []float32
+		exact   []float32
+	}
+	built := make([]tree, p.Tau)
+	vec := make([]float32, ix.nu)
+	for tr := range built {
+		b := &built[tr]
+		b.scale = ix.trees[tr].Scale()
+		err := ix.trees[tr].ScanAll(func(k []byte, e rdbtree.Entry) bool {
+			b.keys = append(b.keys, k...)
+			b.slots = append(b.slots, e.ID)
+			b.decoded = append(b.decoded, e.RefDists...)
+			if _, err := ix.vectors.Get(e.ID, vec); err != nil {
+				t.Fatal(err)
+			}
+			for _, rv := range ix.refs {
+				b.exact = append(b.exact, float32(vecmath.Dist(vec, rv)))
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]Result, len(queries))
+	for i, q := range queries {
+		if want[i], _, err = ix.Query(context.Background(), q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kl := ix.curves[0].KeyLen()
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for tr, b := range built {
+		path := ix.treeGenPath(tr, 0)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := bptree.Create(pgr, bptree.Config{KeyLen: kl, ValLen: 4 + 4*p.M})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := make([]byte, 12)
+		for i, v := range []int{ix.eta, p.Omega, p.M} {
+			binary.BigEndian.PutUint32(extra[4*i:], uint32(v))
+		}
+		if err := bt.SetExtra(extra); err != nil {
+			t.Fatal(err)
+		}
+		var src bptree.SliceSource
+		for i, slot := range b.slots {
+			src.Keys = append(src.Keys, b.keys[i*kl:(i+1)*kl])
+			v := binary.LittleEndian.AppendUint32(nil, uint32(slot))
+			for _, d := range b.exact[i*p.M : (i+1)*p.M] {
+				v = binary.LittleEndian.AppendUint32(v, math.Float32bits(d))
+			}
+			src.Values = append(src.Values, v)
+		}
+		if err := bt.BulkLoad(&src); err == nil {
+			err = pgr.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var upgraded [][]byte
+	for round := range 2 {
+		ix, err := Open(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.gen != 1 {
+			t.Fatalf("open %d: generation %d, want 1", round, ix.gen)
+		}
+		for tr, b := range built {
+			got := tree{scale: ix.trees[tr].Scale()}
+			err := ix.trees[tr].Check(func(k []byte, e rdbtree.Entry) error {
+				got.keys = append(got.keys, k...)
+				got.slots = append(got.slots, e.ID)
+				got.decoded = append(got.decoded, e.RefDists...)
+				return nil
+			})
+			if err != nil || got.scale != b.scale || !bytes.Equal(got.keys, b.keys) || !slices.Equal(got.slots, b.slots) || !slices.Equal(got.decoded, b.decoded) {
+				t.Fatalf("open %d, tree %d: the rewrite differs from the build (%v): scale %+v, built %+v", round, tr, err, got.scale, b.scale)
+			}
+		}
+		for i, q := range queries {
+			got, _, err := ix.Query(context.Background(), q, 10, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("open %d, query %d", round, i), got, want[i])
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var files [][]byte
+		for tr := range built {
+			f, err := os.ReadFile(ix.treeGenPath(tr, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		if round == 1 && !slices.EqualFunc(files, upgraded, bytes.Equal) {
+			t.Fatal("the second Open rewrote a tree")
+		}
+		upgraded = files
+	}
+}

@@ -210,20 +210,22 @@ func TestLowerBoundsNeverExceedTrueDistance(t *testing.T) {
 	}
 	defer ix.Close()
 	rng := rand.New(rand.NewSource(23))
+	sc := ix.trees[0].Scale()
 	for trial := 0; trial < 50; trial++ {
 		q := ds.Vectors[rng.Intn(len(ds.Vectors))]
 		o := ds.Vectors[rng.Intn(len(ds.Vectors))]
-		qdist := make([]float64, p.M)
-		odist := make([]float32, p.M)
+		qdist, qs := make([]float64, p.M), make([]float64, p.M)
+		codes := make([]uint16, p.M)
 		for r, rv := range ix.References() {
 			qdist[r] = vecmath.Dist(q, rv)
-			odist[r] = float32(vecmath.Dist(o, rv))
+			qs[r] = qdist[r] / sc.S
+			codes[r] = uint16(math.Round(vecmath.Dist(o, rv) / sc.S))
 		}
 		trueD := vecmath.Dist(q, o)
-		if lb := math.Float64frombits(triangularLB(qdist, odist)); lb > trueD+1e-4 {
+		if lb := math.Float64frombits(triangularLB(qs, codes, sc)); lb > trueD+1e-4 {
 			t.Fatalf("triangular LB %v exceeds true %v", lb, trueD)
 		}
-		if lb := ix.ptolemaicLB(qdist, odist); lb > trueD+1e-4 {
+		if lb := ix.ptolemaicLB(qdist, codes, sc); lb > trueD+1e-4 {
 			t.Fatalf("Ptolemaic LB %v exceeds true %v", lb, trueD)
 		}
 	}

@@ -121,9 +121,10 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 
 // Open rewrites the fixture's trees, written in the interleaved leaf
 // layout, once: into generation 2 through the tree writer, entry for
-// entry, committed through meta.json. The vector store, the delete
-// marks and the WAL keep their bytes, and a second Open rewrites
-// nothing.
+// entry — keys and slots exactly, each distance coded within the new
+// tree's error bound — committed through meta.json. The vector store,
+// the delete marks and the WAL keep their bytes, and a second Open
+// rewrites nothing.
 func TestOpenRewritesLegacyTrees(t *testing.T) {
 	fixture := filepath.Join("testdata", "parent-layout", "index")
 	dir := t.TempDir()
@@ -131,7 +132,7 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 	type entry struct {
 		key  string
 		slot uint64
-		rd   string
+		rd   []float32
 	}
 	legacy := make([][]entry, 2)
 	for tr := range legacy {
@@ -147,7 +148,7 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 			for i := range rd {
 				rd[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[8+4*i:]))
 			}
-			legacy[tr] = append(legacy[tr], entry{string(k), binary.BigEndian.Uint64(v), fmt.Sprint(rd)})
+			legacy[tr] = append(legacy[tr], entry{string(k), binary.BigEndian.Uint64(v), rd})
 			return nil
 		})
 		pgr.Close()
@@ -167,11 +168,17 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 		for tr, want := range legacy {
 			var got []entry
 			err := ix.trees[tr].Check(func(k []byte, e rdbtree.Entry) error {
-				got = append(got, entry{string(k), e.ID, fmt.Sprint(e.RefDists)})
+				got = append(got, entry{string(k), e.ID, slices.Clone(e.RefDists)})
 				return nil
 			})
-			if err != nil || !slices.Equal(got, want) {
+			if err != nil || len(got) != len(want) {
 				t.Fatalf("tree %d after the rewrite: %d entries (%v), the legacy tree holds %d", tr, len(got), err, len(want))
+			}
+			eps := ix.trees[tr].Scale().Eps
+			for i, g := range got {
+				if w := want[i]; g.key != w.key || g.slot != w.slot || !codedWithin(g.rd, w.rd, eps) {
+					t.Fatalf("tree %d entry %d after the rewrite: %+v, the legacy tree holds %+v (ε %v)", tr, i, g, w, eps)
+				}
 			}
 		}
 		if err := ix.Close(); err != nil {
@@ -195,4 +202,12 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 			}
 		}
 	}
+}
+
+// codedWithin reports whether each decoded distance lies within eps of
+// the float32 one it was coded from.
+func codedWithin(got, want []float32, eps float64) bool {
+	return slices.EqualFunc(got, want, func(g, w float32) bool {
+		return math.Abs(float64(g)-float64(w)) <= eps
+	})
 }

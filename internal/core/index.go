@@ -355,7 +355,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 		return err
 	}
 	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
-	legacy := false // trees written before the split leaf layout
+	legacy := false // trees written before the 16-bit codes
 	for t := range ix.trees {
 		pgr, err := ix.openPager(ix.cache, ix.treeGenPath(t, ix.gen), false)
 		if err != nil {
@@ -363,7 +363,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 		}
 		if ix.trees[t], err = rdbtree.Open(pgr); err != nil {
 			pgr.Close()
-			if !errors.Is(err, bptree.ErrLegacyLayout) {
+			if !errors.Is(err, bptree.ErrLegacyLayout) && !errors.Is(err, rdbtree.ErrFloat32Layout) {
 				return err
 			}
 			legacy = true

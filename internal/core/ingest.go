@@ -513,7 +513,10 @@ func (ix *Index) dropTrees(trees []*rdbtree.Tree, gen uint64) {
 // merge is compaction's own. A batch object's slot is its id: it joins
 // the unclustered tail of the store. Ties keep old-before-new order,
 // which equals id order because Build breaks key ties by id and batch
-// ids are always larger than committed ids.
+// ids are always larger than committed ids. The old entries' distances
+// are decoded and coded again: bit for bit while the old tree's scale
+// covers the batch, at a coarser scale and a wider error bound when a
+// batch object lies farther from a reference than anything before it.
 func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]uint64) (*rdbtree.Tree, error) {
 	kl := ix.curves[t].KeyLen()
 	m := ix.params.M
@@ -571,7 +574,7 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 		if _, dead := drop[e.ID]; !dead {
 			keys = append(keys, k...)
 			slots = append(slots, e.ID)
-			rd = append(rd, e.RefDists...) // RefDists alias a scratch; append copies
+			rd = append(rd, e.RefDists...) // decoded, into a scratch; append copies
 		}
 		return true
 	})
@@ -583,5 +586,5 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	emitBatchBelow(nil)
 
-	return ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(slots)), slots, rd)
+	return ix.writeTree(ix.treeGenPath(t, newGen), keys, identityPerm(len(slots)), slots, rd, old.Scale())
 }

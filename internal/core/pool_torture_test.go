@@ -23,12 +23,29 @@ import (
 // writer only adds and removes vectors far outside the data, and runs
 // beside the exhaustive cascade alone (α covers every entry, so no α
 // window can shift): it moves pages under the queries, never an answer.
+// A compaction that first takes in a vector that far codes every tree
+// again at a coarser scale, which does move the bounds, so both indexes
+// take one far vector in before any query: the writer's then fit the
+// trees' scales, and each compaction keeps every code.
 func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "torture", N: 3000, Dim: 32, Clusters: 8, Lo: 0, Hi: 1, Seed: 91})
 	queries := ds.PerturbedQueries(12, 0.02, 92)
 	p := Params{Tau: 4, Omega: 8, M: 6, Alpha: 512, Gamma: 128, Seed: 5}
 	exhaustive := SearchOptions{Alpha: 4 * len(ds.Vectors), Gamma: 256}
 	shapes := []SearchOptions{{}, exhaustive}
+	far := make([]float32, len(ds.Vectors[0]))
+	for i := range far {
+		far[i] = 50
+	}
+	widen := func(ix *Index) {
+		t.Helper()
+		if _, err := ix.Insert(far); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	type answer struct {
 		res  []Result
@@ -39,6 +56,7 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	widen(ref)
 	trees := loadReferenceTrees(t, ref)
 	for _, o := range shapes {
 		for _, q := range queries {
@@ -57,6 +75,7 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
+		widen(ix)
 		verify := func(o SearchOptions) {
 			t.Helper()
 			for qi, q := range queries {
@@ -83,10 +102,6 @@ func TestTinyPoolAnswersAsLargePool(t *testing.T) {
 			var compactions atomic.Int32
 			stop, writer := make(chan struct{}), make(chan error, 1)
 			go func() {
-				far := make([]float32, len(ds.Vectors[0]))
-				for i := range far {
-					far[i] = 50
-				}
 				for i := 0; ; i++ {
 					select {
 					case <-stop:

@@ -176,15 +176,17 @@ func putSearchScratch(s *searchScratch) {
 }
 
 // treeScratch is the per-tree state of searchTree: the Hilbert key, the
-// α fetched entries' slots and triangular bounds by walk position, their
-// reference distances (one flat arena, filled only for the Ptolemaic
-// stage), and the two filter stages' survivors and selection scratch.
+// query's reference distances in the tree's code units, the α fetched
+// entries' slots and triangular bounds by walk position, their distance
+// codes (one flat arena, filled only for the Ptolemaic stage), and the
+// two filter stages' survivors and selection scratch.
 type treeScratch struct {
 	coords []uint32
 	key    []byte
+	qs     []float64
 	ids    []uint64
 	tri    []uint64
-	arena  []float32
+	arena  []uint16
 	pto    []uint64
 	keep   []uint32
 	sub    []uint32
@@ -196,6 +198,7 @@ var treePool = sync.Pool{New: func() any { return new(treeScratch) }}
 func (ix *Index) getTreeScratch() *treeScratch {
 	s := treePool.Get().(*treeScratch)
 	s.coords = slices.Grow(s.coords[:0], ix.eta)[:ix.eta]
+	s.qs = slices.Grow(s.qs[:0], ix.params.M)[:ix.params.M]
 	return s
 }
 

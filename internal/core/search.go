@@ -346,16 +346,20 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 	ts.key = ix.curves[t].Encode(ts.key[:0], ts.coords)
 
 	// α nearest leaf entries, each one's triangular lower bound (Eq. 5)
-	// read off its pinned leaf page. Walk position i — the filter's
-	// tie-break — has object slot entryIDs[i], bound tri[i] and, when the
-	// Ptolemaic stage will want them, reference distances
-	// arena[i*m:(i+1)*m].
+	// read off its pinned leaf page, from the query's reference distances
+	// in the tree's code units. Walk position i — the filter's tie-break —
+	// has object slot entryIDs[i], bound tri[i] and, when the Ptolemaic
+	// stage will want them, distance codes arena[i*m:(i+1)*m].
 	m := len(qdist)
+	sc := ix.trees[t].Scale()
+	for i, qd := range qdist {
+		ts.qs[i] = qd / sc.S
+	}
 	entryIDs, tri, arena := ts.ids[:0], ts.tri[:0], ts.arena[:0]
-	err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, func(run []float32, descending bool) {
-		tri, entryIDs = appendTriangular(tri, entryIDs, qdist, run, descending)
+	err := ix.trees[t].WalkNearest(ctx, ts.key, plan.alpha, func(run []uint16, descending bool) {
+		tri, entryIDs = appendTriangular(tri, entryIDs, ts.qs, sc, run, descending)
 		if plan.ptolemaic {
-			arena = appendRefDists(arena, run, m, descending)
+			arena = appendCodes(arena, run, m, descending)
 		}
 	})
 	ts.arena, ts.ids, ts.tri = arena, entryIDs, tri // keep the grown buffers for reuse
@@ -383,7 +387,7 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 		}
 		ts.pto = ts.pto[:0]
 		for _, p := range keep {
-			tri[p] = math.Float64bits(ix.ptolemaicLB(qdist, arena[int(p)*m:int(p+1)*m]))
+			tri[p] = math.Float64bits(ix.ptolemaicLB(qdist, arena[int(p)*m:int(p+1)*m], sc))
 			ts.pto = append(ts.pto, tri[p])
 		}
 		ts.sub = ts.sel.Select(ts.sub, ts.pto, nil, plan.gamma)
@@ -406,56 +410,63 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 }
 
 // appendTriangular appends each entry of a walk's run, in walk order,
-// to ids (its slot) and tri (its bound): one loop per leaf.
-func appendTriangular(tri, ids []uint64, qdist []float64, run []float32, descending bool) ([]uint64, []uint64) {
-	w := 1 + len(qdist)
+// to ids (its slot) and tri (its bound, triangularLB over its codes).
+func appendTriangular(tri, ids []uint64, qs []float64, sc rdbtree.Scale, run []uint16, descending bool) ([]uint64, []uint64) {
+	w := 2 + len(qs)
 	n := len(run) / w
-	for i := range n {
-		e := i
-		if descending {
-			e = n - 1 - i
-		}
+	at := len(tri)
+	tri, ids = slices.Grow(tri, n)[:at+n], slices.Grow(ids, n)[:at+n]
+	bounds, slots := tri[at:], ids[at:]
+	for e := range n {
 		entry := run[e*w : (e+1)*w]
-		tri = append(tri, triangularLB(qdist, entry[1:]))
-		ids = append(ids, rdbtree.Slot(entry))
+		i := e
+		if descending {
+			i = n - 1 - e
+		}
+		bounds[i] = triangularLB(qs, entry[2:], sc)
+		slots[i] = rdbtree.Slot(entry)
 	}
 	return tri, ids
 }
 
-// appendRefDists appends each entry's distances to arena in walk order.
-func appendRefDists(arena, run []float32, m int, descending bool) []float32 {
-	w := 1 + m
+// appendCodes appends each entry's distance codes to arena in walk order.
+func appendCodes(arena, run []uint16, m int, descending bool) []uint16 {
+	w := 2 + m
 	n := len(run) / w
 	for i := range n {
 		e := i
 		if descending {
 			e = n - 1 - i
 		}
-		arena = append(arena, run[e*w+1:(e+1)*w]...)
+		arena = append(arena, run[e*w+2:(e+1)*w]...)
 	}
 	return arena
 }
 
 // triangularLB is Eq. (5), max_i |d(q,R_i) - d(o,R_i)|, over an entry's
-// distances, as the IEEE bit pattern of the bound: for the non-negative
-// floats it encodes that orders as the float does, and it is the
-// filter's selection key. It runs once per fetched leaf entry, so it is
-// branch-free — which side of a reference distance the query falls on
-// is a coin flip no predictor learns — and an integer max is one
-// conditional move where a float max is a chain of several dependent
-// instructions.
-func triangularLB(qdist []float64, dists []float32) uint64 {
-	dists = dists[:len(qdist)]
+// codes, widened by the tree's error bound: max(0, max_i |qs_i − u_i|·s
+// − ε), where qs_i = d(q,R_i)/s. It is the IEEE bit pattern of the
+// bound: for the non-negative floats it encodes that orders as the float
+// does, and it is the filter's selection key. It runs once per fetched
+// leaf entry, so it is branch-free — which side of a reference distance
+// the query falls on is a coin flip no predictor learns — and an integer
+// max is one conditional move where a float max is a chain of several
+// dependent instructions. A widened bound below zero has its sign bit
+// set, so as a signed integer it is below zero's bits, +0.
+func triangularLB(qs []float64, codes []uint16, sc rdbtree.Scale) uint64 {
+	codes = codes[:len(qs)]
 	var best uint64
-	for i, qd := range qdist {
-		best = max(best, math.Float64bits(qd-float64(dists[i]))&^(1<<63))
+	for i, q := range qs {
+		best = max(best, math.Float64bits(q-float64(codes[i]))&^(1<<63))
 	}
-	return best
+	lb := math.Float64frombits(best)*sc.S - sc.Eps
+	return uint64(max(int64(math.Float64bits(lb)), 0))
 }
 
-// ptolemaicLB is Eq. (6):
-// max_{i<j} |d(q,R_i)·d(o,R_j) - d(q,R_j)·d(o,R_i)| / d(R_i,R_j).
-func (ix *Index) ptolemaicLB(qdist []float64, refDists []float32) float64 {
+// ptolemaicLB is Eq. (6) over an entry's decoded distances d'(o,R_i),
+// its numerator widened by the error bound ε they carry:
+// max(0, max_{i<j} (|d(q,R_i)·d'(o,R_j) - d(q,R_j)·d'(o,R_i)| − ε·(d(q,R_i)+d(q,R_j))) / d(R_i,R_j)).
+func (ix *Index) ptolemaicLB(qdist []float64, codes []uint16, sc rdbtree.Scale) float64 {
 	var best float64
 	m := len(qdist)
 	for i := 0; i < m; i++ {
@@ -464,10 +475,7 @@ func (ix *Index) ptolemaicLB(qdist []float64, refDists []float32) float64 {
 			if den <= 0 {
 				continue
 			}
-			num := qdist[i]*float64(refDists[j]) - qdist[j]*float64(refDists[i])
-			if num < 0 {
-				num = -num
-			}
+			num := math.Abs(qdist[i]*sc.Decode(codes[j])-qdist[j]*sc.Decode(codes[i])) - sc.Eps*(qdist[i]+qdist[j])
 			if lb := num / den; lb > best {
 				best = lb
 			}

@@ -2,11 +2,11 @@
 
 package f32view
 
-// Viewable reports false: big-endian CPUs cannot alias the
-// little-endian bytes as native float32s, so callers decode.
-func Viewable(b []byte) bool { return false }
+// Viewable reports false: big-endian CPUs cannot alias little-endian
+// bytes as native words, so callers decode.
+func Viewable[T float32 | uint16](b []byte) bool { return false }
 
 // Cast is never reached: Viewable is false on this platform.
-func Cast(b []byte, n int) []float32 {
-	panic("f32view: zero-copy float32 view is unavailable on this platform")
+func Cast[T float32 | uint16](b []byte, n int) []T {
+	panic("f32view: zero-copy view is unavailable on this platform")
 }

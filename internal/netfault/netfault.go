@@ -19,7 +19,8 @@
 //   - Reset tears connections down with an RST (SO_LINGER 0) at the
 //     next activity, and new connections at accept.
 //   - BandwidthBPS throttles forwarding to this many bytes/second per
-//     direction per connection.
+//     direction per connection: each chunk is held for its transmission
+//     time before it is forwarded.
 //
 // The zero Rules value is a transparent pass-through.
 package netfault
@@ -180,11 +181,13 @@ func (p *Proxy) pipe(dst, src net.Conn) {
 				if r.Latency > 0 {
 					time.Sleep(r.Latency)
 				}
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					return
-				}
+				// Before the write: no chunk, the last included, arrives
+				// sooner than the link could carry it.
 				if r.BandwidthBPS > 0 {
 					time.Sleep(time.Duration(float64(n) / float64(r.BandwidthBPS) * float64(time.Second)))
+				}
+				if _, werr := dst.Write(buf[:n]); werr != nil {
+					return
 				}
 			}
 		}

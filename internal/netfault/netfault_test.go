@@ -159,6 +159,40 @@ func TestBandwidthThrottle(t *testing.T) {
 	}
 }
 
+// A response that fits one chunk still takes its transmission time on a
+// fresh connection: the throttle holds a chunk before forwarding it, so
+// the last one is not delivered at once with its delay charged to the
+// next request. Sleeps never return early, so the lower bound holds on
+// any host.
+func TestBandwidthThrottleDelaysLastChunk(t *testing.T) {
+	payload := strings.Repeat("x", 16<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, payload)
+	}))
+	defer ts.Close()
+	p, err := Listen(strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.SetRules(Rules{BandwidthBPS: 64 << 10})
+	client := &http.Client{Timeout: 5 * time.Second}
+	defer client.CloseIdleConnections()
+	start := time.Now()
+	resp, err := client.Get("http://" + p.Addr() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(body) != len(payload) {
+		t.Fatalf("read %d bytes, err %v", len(body), err)
+	}
+	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
+		t.Fatalf("16 KiB at 64 KiB/s took %v, want >= 200ms", elapsed)
+	}
+}
+
 // TestConcurrentSetRules hammers rule swaps against live traffic —
 // run with -race, this is the data-race check.
 func TestConcurrentSetRules(t *testing.T) {

@@ -65,7 +65,7 @@ func TestBulkLoadArenaMatchesBulkLoad(t *testing.T) {
 	dir := t.TempDir()
 	pa, pb := filepath.Join(dir, "arena.pg"), filepath.Join(dir, "records.pg")
 	ta, pgrA := mkTreeAt(t, pa, cfg, 4096)
-	if err := ta.BulkLoadArena(keys, perm, nil, rdist); err != nil {
+	if err := ta.BulkLoadArena(keys, perm, nil, rdist, Scale{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ta.Flush(); err != nil {
@@ -103,7 +103,7 @@ func TestBulkLoadArenaIDs(t *testing.T) {
 	}
 	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "ids.pg"), cfg, 1024)
 	defer pgr.Close()
-	if err := tr.BulkLoadArena(keys, perm, ids, rdist); err != nil {
+	if err := tr.BulkLoadArena(keys, perm, ids, rdist, Scale{}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]uint64, 0, n)
@@ -132,20 +132,40 @@ func TestBulkLoadArenaValidation(t *testing.T) {
 	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "bad.pg"), cfg, 1024)
 	defer pgr.Close()
 	kl := cfg.KeyLen()
-	if err := tr.BulkLoadArena(make([]byte, 3*kl), []uint32{0, 1}, nil, make([]float32, 4)); err == nil {
+	if err := tr.BulkLoadArena(make([]byte, 3*kl), []uint32{0, 1}, nil, make([]float32, 4), Scale{}); err == nil {
 		t.Fatal("short perm vs keys must fail")
 	}
-	if err := tr.BulkLoadArena(make([]byte, 2*kl), []uint32{0, 1}, nil, make([]float32, 3)); err == nil {
+	if err := tr.BulkLoadArena(make([]byte, 2*kl), []uint32{0, 1}, nil, make([]float32, 3), Scale{}); err == nil {
 		t.Fatal("wrong refdist arena length must fail")
 	}
-	if err := tr.BulkLoadArena(make([]byte, 2*kl), []uint32{0, 1}, []uint64{1}, make([]float32, 4)); err == nil {
+	if err := tr.BulkLoadArena(make([]byte, 2*kl), []uint32{0, 1}, []uint64{1}, make([]float32, 4), Scale{}); err == nil {
 		t.Fatal("wrong ids length must fail")
 	}
 	// Unsorted perm must surface bptree's ErrNotSorted, not corrupt.
 	keys := make([]byte, 2*kl)
 	keys[0] = 1 // row 0 > row 1
-	if err := tr.BulkLoadArena(keys, []uint32{0, 1}, nil, make([]float32, 4)); err == nil {
+	if err := tr.BulkLoadArena(keys, []uint32{0, 1}, nil, make([]float32, 4), Scale{}); err == nil {
 		t.Fatal("unsorted arena order must fail")
+	}
+}
+
+// A tree is written once: a second load is refused, and the tree keeps
+// the scale its codes were written at — here one the second load's
+// farther distances would have coarsened.
+func TestRefusedLoadKeepsTheScale(t *testing.T) {
+	cfg := Config{Eta: 16, Omega: 8, M: 2}
+	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "once.pg"), cfg, 1024)
+	defer pgr.Close()
+	if err := tr.BulkLoad([]Record{{Key: key16(1), ID: 0, RefDists: []float32{1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	sc := tr.Scale()
+	if err := tr.BulkLoad([]Record{{Key: key16(2), ID: 1, RefDists: []float32{100, 200}}}); err == nil {
+		t.Fatal("a second load was accepted")
+	}
+	got, err := nearest(tr, key16(1), 1)
+	if err != nil || tr.Scale() != sc || len(got) != 1 || !within(tr, got[0].RefDists[1], 2) {
+		t.Fatalf("after the refused load: scale %+v (was %+v), entries %+v, %v", tr.Scale(), sc, got, err)
 	}
 }
 
@@ -154,7 +174,7 @@ func TestBulkLoadArenaEmpty(t *testing.T) {
 	cfg := Config{Eta: 16, Omega: 8, M: 2}
 	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "empty.pg"), cfg, 1024)
 	defer pgr.Close()
-	if err := tr.BulkLoadArena(nil, nil, nil, nil); err != nil {
+	if err := tr.BulkLoadArena(nil, nil, nil, nil, Scale{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Count() != 0 {
@@ -181,7 +201,7 @@ func TestBulkLoadRejectsIDPast32Bits(t *testing.T) {
 			return tr.BulkLoad([]Record{{Key: key16(1), ID: 0, RefDists: []float32{1, 2}}, {Key: key16(2), ID: id, RefDists: []float32{3, 4}}})
 		},
 		"BulkLoadArena": func(tr *Tree, id uint64) error {
-			return tr.BulkLoadArena(make([]byte, 2*cfg.KeyLen()), []uint32{0, 1}, []uint64{0, id}, []float32{1, 2, 3, 4})
+			return tr.BulkLoadArena(make([]byte, 2*cfg.KeyLen()), []uint32{0, 1}, []uint64{0, id}, []float32{1, 2, 3, 4}, Scale{})
 		},
 	}
 	for name, load := range loads {

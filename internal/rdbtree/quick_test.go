@@ -105,7 +105,7 @@ func TestQuickAllEntriesReachable(t *testing.T) {
 			if e.ID >= uint64(n) || found[e.ID] {
 				return false
 			}
-			if e.RefDists[0] != float32(e.ID) {
+			if !within(tr, e.RefDists[0], float32(e.ID)) {
 				return false
 			}
 			found[e.ID] = true

@@ -11,13 +11,18 @@
 // stays high even at ν in the hundreds because m ≪ ν.
 //
 // Leaf entry: a key [Hilbert key: ceil(η·ω/8) bytes] and, in bptree's
-// aligned value run, a value [slot: uint32 LE][m × float32 LE distances]
-// — so WalkNearest hands consecutive values out as a []float32 in place.
+// aligned value run, a value [slot: uint32 LE][m × uint16 LE codes] — so
+// WalkNearest hands consecutive values out as a []uint16 in place. A
+// distance is 16-bit fixed point: code u stands for u·s, where the scale
+// s (distance per code unit) is the tree's own, recorded in its metadata
+// beside an error bound ε, the most any decoded distance may differ from
+// the one it was written for. A filter built from codes widens its bound
+// by ε, so it stays a lower bound.
 //
 // LeafOrder is the paper's Eq. (4), Ω = max { (η·(ω/8) + 4m + 8)·Ω + 16
 // + 1 ≤ B }, reproduced against Table 3 in the tests. A tree's own order
-// is what the page physically holds: 67 against Eq. (4)'s 63 at SIFT
-// geometry (16-byte keys, m = 10, 4 KiB pages).
+// is what the page physically holds: 101 against Eq. (4)'s 63 at SIFT
+// geometry (16-byte keys, m = 10, 4 KiB pages), 40 bytes an entry.
 package rdbtree
 
 import (
@@ -43,11 +48,15 @@ type Config struct {
 // KeyLen returns the Hilbert key width in bytes: ceil(η·ω/8).
 func (c Config) KeyLen() int { return (c.Eta*c.Omega + 7) / 8 }
 
-// ValLen returns the per-entry payload width: 4-byte slot + m floats.
-func (c Config) ValLen() int { return 4 + 4*c.M }
+// ValLen returns the per-entry payload width: 4-byte slot + m codes.
+func (c Config) ValLen() int { return 4 + 2*c.M }
 
 // ErrIDRange rejects an entry whose pointer does not fit the 32-bit slot.
 var ErrIDRange = errors.New("rdbtree: entry id does not fit 32 bits")
+
+// ErrFloat32Layout is Open's answer to a tree of the earlier layout of
+// m float32 distances per value.
+var ErrFloat32Layout = errors.New("rdbtree: tree of float32 distances (an earlier layout)")
 
 // LeafOrder evaluates the paper's Eq. (4): the largest Ω such that
 // (η·(ω/8) + 4·m + 8)·Ω + 16 + 1 ≤ B.
@@ -59,16 +68,51 @@ func LeafOrder(pageSize, eta, omega, m int) int {
 	return (pageSize - 17) / entry
 }
 
-// Entry is one leaf record: an object pointer plus its reference distances.
+// Entry is one leaf record: an object pointer plus its reference
+// distances, decoded.
 type Entry struct {
 	ID       uint64
 	RefDists []float32
 }
 
+const (
+	// codeMax is the largest code: distances are 16-bit fixed point.
+	codeMax = math.MaxUint16
+	// roundErr is, in code units, what one write adds to a distance's
+	// error: half a code of rounding, plus float32's rounding of the
+	// distance the writer was handed (under 2⁻²⁴ of codeMax codes).
+	roundErr = 0.5 + 1.0/256
+	// minScale is the scale of a tree whose distances are all zero: it
+	// codes them exactly and keeps a query distance over it finite.
+	minScale = 0x1p-100
+)
+
+// Scale is a tree's fixed-point code: code u stands for the distance
+// u·S, which lies within Eps of the distance the entry was written for.
+type Scale struct {
+	S, Eps float64
+}
+
+// Decode is the distance code u stands for.
+func (sc Scale) Decode(u uint16) float64 { return float64(u) * sc.S }
+
+// extend is the scale for distances up to maxd, some decoded at scale
+// prev (zero for none). While prev covers maxd (to half a code past
+// codeMax) it stays, and so does every re-encoded code; a wider range
+// coarsens the codes, each erring by its old ε plus the new rounding.
+func (prev Scale) extend(maxd float64) Scale {
+	if prev.S > 0 && maxd <= (codeMax+0.5)*prev.S {
+		return prev
+	}
+	s := max(maxd/codeMax, minScale)
+	return Scale{S: s, Eps: prev.Eps + s*roundErr}
+}
+
 // Tree is an RDB-tree in a single pager file.
 type Tree struct {
-	bt  *bptree.Tree
-	cfg Config
+	bt    *bptree.Tree
+	cfg   Config
+	scale Scale
 }
 
 // Create initialises an empty RDB-tree in a fresh pager file.
@@ -83,12 +127,18 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{bt: bt, cfg: cfg}
+	t := &Tree{bt: bt, cfg: cfg, scale: Scale{}.extend(0)}
 	return t, t.writeExtra()
 }
 
+// extraLen is the metadata after bptree's header: η, ω and m as
+// big-endian uint32s (the float32 layout's all), then s and ε as float64s.
+const extraLen = 12 + 16
+
 // Open loads an RDB-tree from an existing pager file. A tree in the
-// interleaved leaf layout of earlier versions is bptree.ErrLegacyLayout.
+// interleaved leaf layout of earlier versions is bptree.ErrLegacyLayout,
+// one of float32 distances ErrFloat32Layout; metadata that names no
+// usable scale is an error.
 func Open(pgr *pager.Pager) (*Tree, error) {
 	bt, err := bptree.Open(pgr)
 	if err != nil {
@@ -103,22 +153,37 @@ func Open(pgr *pager.Pager) (*Tree, error) {
 		Omega: int(binary.BigEndian.Uint32(extra[4:])),
 		M:     int(binary.BigEndian.Uint32(extra[8:])),
 	}
-	if cfg.KeyLen() != bt.KeyLen() || cfg.ValLen() != bt.ValLen() {
+	if len(extra) == 12 && bt.ValLen() == 4+4*cfg.M {
+		return nil, ErrFloat32Layout
+	}
+	if len(extra) != extraLen || cfg.KeyLen() != bt.KeyLen() || cfg.ValLen() != bt.ValLen() {
 		return nil, errors.New("rdbtree: config/tree geometry mismatch")
 	}
-	return &Tree{bt: bt, cfg: cfg}, nil
+	sc := Scale{
+		S:   math.Float64frombits(binary.BigEndian.Uint64(extra[12:])),
+		Eps: math.Float64frombits(binary.BigEndian.Uint64(extra[20:])),
+	}
+	if !(sc.S > 0) || math.IsInf(sc.S, 0) || !(sc.Eps >= 0) || math.IsInf(sc.Eps, 0) {
+		return nil, fmt.Errorf("rdbtree: scale %v with error bound %v", sc.S, sc.Eps)
+	}
+	return &Tree{bt: bt, cfg: cfg, scale: sc}, nil
 }
 
 func (t *Tree) writeExtra() error {
-	extra := make([]byte, 12)
+	extra := make([]byte, extraLen)
 	binary.BigEndian.PutUint32(extra[0:], uint32(t.cfg.Eta))
 	binary.BigEndian.PutUint32(extra[4:], uint32(t.cfg.Omega))
 	binary.BigEndian.PutUint32(extra[8:], uint32(t.cfg.M))
+	binary.BigEndian.PutUint64(extra[12:], math.Float64bits(t.scale.S))
+	binary.BigEndian.PutUint64(extra[20:], math.Float64bits(t.scale.Eps))
 	return t.bt.SetExtra(extra)
 }
 
 // Config returns the tree's geometry.
 func (t *Tree) Config() Config { return t.cfg }
+
+// Scale returns the tree's code scale s and error bound ε.
+func (t *Tree) Scale() Scale { return t.scale }
 
 // Count returns the number of indexed objects.
 func (t *Tree) Count() uint64 { return t.bt.Count() }
@@ -132,18 +197,10 @@ func (t *Tree) Pager() *pager.Pager { return t.bt.Pager() }
 // Flush persists all state.
 func (t *Tree) Flush() error { return t.bt.Flush() }
 
-// encodeValue lays one entry's value out: its slot, then its distances.
-func encodeValue(dst []byte, id uint64, refDists []float32) {
-	binary.LittleEndian.PutUint32(dst, uint32(id))
-	for i, d := range refDists {
-		binary.LittleEndian.PutUint32(dst[4+4*i:], math.Float32bits(d))
-	}
-}
-
 // decodeValueInto decodes into caller-provided RefDists storage (len m).
-func decodeValueInto(v []byte, rd []float32) Entry {
+func (t *Tree) decodeValueInto(v []byte, rd []float32) Entry {
 	for i := range rd {
-		rd[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[4+4*i:]))
+		rd[i] = float32(t.scale.Decode(binary.LittleEndian.Uint16(v[4+2*i:])))
 	}
 	return Entry{ID: uint64(binary.LittleEndian.Uint32(v)), RefDists: rd}
 }
@@ -157,7 +214,8 @@ type Record struct {
 }
 
 // BulkLoad builds the tree from records sorted by Key (Algorithm 1,
-// lines 8–10), through BulkLoadArena. An ID past 32 bits is ErrIDRange.
+// lines 8–10), through BulkLoadArena of fresh distances. An ID past 32
+// bits is ErrIDRange.
 func (t *Tree) BulkLoad(records []Record) error {
 	kl, m, n := t.cfg.KeyLen(), t.cfg.M, len(records)
 	keys, rdist := make([]byte, 0, n*kl), make([]float32, 0, n*m)
@@ -170,7 +228,7 @@ func (t *Tree) BulkLoad(records []Record) error {
 		rdist = append(rdist, r.RefDists...)
 		perm[i], ids[i] = uint32(i), r.ID
 	}
-	return t.BulkLoadArena(keys, perm, ids, rdist)
+	return t.BulkLoadArena(keys, perm, ids, rdist, Scale{})
 }
 
 // BulkLoadArena builds the tree from flat construction arenas — the
@@ -183,7 +241,12 @@ func (t *Tree) BulkLoad(records []Record) error {
 // the shape core's build produces. Nothing is allocated per record: the
 // leaf writer copies straight out of the arenas through one reused
 // value buffer. An id past 32 bits is ErrIDRange.
-func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []float32) error {
+//
+// The tree's scale covers the largest distance in rdist. prev is the
+// scale of the tree some rows were decoded from (a compaction's old
+// tree; the zero Scale when every distance is fresh): while it covers
+// every row the tree keeps it, so those rows keep their codes exactly.
+func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []float32, prev Scale) error {
 	n := len(perm)
 	kl, m := t.cfg.KeyLen(), t.cfg.M
 	if len(keys) != n*kl {
@@ -198,11 +261,27 @@ func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []f
 	if i := slices.IndexFunc(ids, func(id uint64) bool { return id > math.MaxUint32 }); i >= 0 {
 		return fmt.Errorf("%w: row %d has id %d", ErrIDRange, i, ids[i])
 	}
-	src := &arenaSource{
-		t: t, keys: keys, perm: perm, ids: ids, rdist: rdist,
-		buf: make([]byte, t.cfg.ValLen()),
+	var maxd float32
+	for i, d := range rdist {
+		if !(d >= 0 && d <= math.MaxFloat32) {
+			return fmt.Errorf("rdbtree: row %d holds distance %v", i/m, d)
+		}
+		maxd = max(maxd, d)
 	}
-	return t.bt.BulkLoad(src)
+	old := t.scale
+	t.scale = prev.extend(float64(maxd))
+	err := t.writeExtra()
+	if err == nil {
+		err = t.bt.BulkLoad(&arenaSource{
+			t: t, keys: keys, perm: perm, ids: ids, rdist: rdist,
+			buf: make([]byte, t.cfg.ValLen()), inv: 1 / t.scale.S,
+		})
+	}
+	if err != nil { // a refused load leaves the tree's scale as it was
+		t.scale = old
+		_ = t.writeExtra() // it fitted before
+	}
+	return err
 }
 
 type arenaSource struct {
@@ -212,6 +291,7 @@ type arenaSource struct {
 	ids   []uint64
 	rdist []float32
 	buf   []byte
+	inv   float64 // codes per unit of distance, 1/s
 	i     int
 }
 
@@ -226,7 +306,11 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 	if s.ids != nil {
 		id = s.ids[row]
 	}
-	encodeValue(s.buf, id, s.rdist[row*m:(row+1)*m])
+	binary.LittleEndian.PutUint32(s.buf, uint32(id))
+	for i, d := range s.rdist[row*m : (row+1)*m] {
+		u := min(float64(d)*s.inv+0.5, codeMax) // truncated: the nearest code
+		binary.LittleEndian.PutUint16(s.buf[4+2*i:], uint16(u))
+	}
 	return s.keys[row*kl : (row+1)*kl], s.buf, true
 }
 
@@ -234,37 +318,37 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 // over the leaf chain: it passes fn up to alpha entries whose Hilbert
 // keys are numerically nearest to key, in bptree's runs (a descending
 // one lists its entries nearest last). Entry e of a run is
-// run[e*(1+m):(e+1)*(1+m)]: its slot (Slot) and its m distances, viewed
-// in place (or decoded) and valid only until fn returns. A cancelled ctx
-// stops the walk within the leaves it has pinned.
-func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(run []float32, descending bool)) error {
+// run[e*(2+m):(e+1)*(2+m)]: its slot (Slot) in two words, then its m
+// codes (Scale), viewed in place (or decoded) and valid only until fn
+// returns. A cancelled ctx stops the walk within the leaves it has pinned.
+func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(run []uint16, descending bool)) error {
 	if alpha < 1 {
 		return fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
-	var scratch []float32
+	var scratch []uint16
 	return t.bt.WalkNearest(ctx, key, alpha, func(run []byte, descending bool) {
-		var words []float32
+		var words []uint16
 		words, scratch = viewRun(run, scratch)
 		fn(words, descending)
 	})
 }
 
-// viewRun is run's little-endian words as float32s: viewed in place, or
+// viewRun is run's little-endian words as uint16s: viewed in place, or
 // decoded into scratch, which it returns for the next run.
-func viewRun(run []byte, scratch []float32) (words, grown []float32) {
-	n := len(run) / 4
-	if f32view.Viewable(run) {
-		return f32view.Cast(run, n), scratch
+func viewRun(run []byte, scratch []uint16) (words, grown []uint16) {
+	n := len(run) / 2
+	if f32view.Viewable[uint16](run) {
+		return f32view.Cast[uint16](run, n), scratch
 	}
 	scratch = slices.Grow(scratch[:0], n)[:n]
 	for i := range scratch {
-		scratch[i] = math.Float32frombits(binary.LittleEndian.Uint32(run[4*i:]))
+		scratch[i] = binary.LittleEndian.Uint16(run[2*i:])
 	}
 	return scratch, scratch
 }
 
-// Slot is the pointer of a run's entry: its first word's bits.
-func Slot(entry []float32) uint64 { return uint64(math.Float32bits(entry[0])) }
+// Slot is the pointer of a run's entry: its first two words.
+func Slot(entry []uint16) uint64 { return uint64(entry[0]) | uint64(entry[1])<<16 }
 
 // SearchNearestInto is WalkNearest collecting the entries decoded, in
 // walk order: dst receives them, entry i's RefDists is arena[i*m:(i+1)*m],
@@ -272,7 +356,7 @@ func Slot(entry []float32) uint64 { return uint64(math.Float32bits(entry[0])) }
 // every path, so a pooling caller keeps them for the next call.
 func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
 	m := t.cfg.M
-	w := 1 + m
+	w := 2 + m
 	out, arena := dst[:0], arena[:0]
 	if cap(out) < alpha {
 		out = make([]Entry, 0, alpha)
@@ -280,38 +364,43 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 	if cap(arena) < alpha*m {
 		arena = make([]float32, 0, alpha*m)
 	}
-	err := t.WalkNearest(ctx, key, alpha, func(run []float32, descending bool) {
+	err := t.WalkNearest(ctx, key, alpha, func(run []uint16, descending bool) {
 		n := len(run) / w
+		at := len(arena)
+		arena = slices.Grow(arena, n*m)[:at+n*m]
 		for i := range n {
 			e := i
 			if descending {
 				e = n - 1 - i
 			}
-			entry := run[e*w : (e+1)*w]
-			arena = append(arena, entry[1:]...)
-			out = append(out, Entry{ID: Slot(entry), RefDists: arena[len(arena)-m : len(arena) : len(arena)]})
+			entry, rd := run[e*w:(e+1)*w], arena[at+i*m:at+(i+1)*m:at+(i+1)*m]
+			for j, u := range entry[2:] {
+				rd[j] = float32(t.scale.Decode(u))
+			}
+			out = append(out, Entry{ID: Slot(entry), RefDists: rd})
 		}
 	})
 	return out, arena, err
 }
 
-// ScanAll invokes fn for every entry in key order; used by integrity
-// checks and tests. The Entry's RefDists alias one scratch slice reused
-// across callbacks — valid only for the duration of fn; copy to retain.
+// ScanAll invokes fn for every entry in key order, decoded; used by
+// compaction, integrity checks and tests. The Entry's RefDists alias
+// one scratch slice reused across callbacks — valid only for the
+// duration of fn; copy to retain.
 func (t *Tree) ScanAll(fn func(key []byte, e Entry) bool) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.Scan(nil, nil, func(k, v []byte) bool {
-		return fn(k, decodeValueInto(v, rd))
+		return fn(k, t.decodeValueInto(v, rd))
 	})
 }
 
-// Check is ScanAll with the leaf chain verified as it is walked
-// (bptree.CheckLeaves: sibling links, key order, counts); fn's first
-// error stops it. The Entry's RefDists alias one scratch slice, as in
-// ScanAll.
+// Check is ScanAll with the tree verified as it is walked
+// (bptree.CheckLeaves: separators, depth, sibling links, key order,
+// counts); fn's first error stops it. The Entry's RefDists alias one
+// scratch slice, as in ScanAll.
 func (t *Tree) Check(fn func(key []byte, e Entry) error) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.CheckLeaves(func(k, v []byte) error {
-		return fn(k, decodeValueInto(v, rd))
+		return fn(k, t.decodeValueInto(v, rd))
 	})
 }

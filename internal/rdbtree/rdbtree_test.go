@@ -3,6 +3,7 @@ package rdbtree
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/hd-index/hdindex/internal/bptree"
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
@@ -82,16 +84,23 @@ func key16(v uint64) []byte {
 }
 
 func TestCreateUsesEquation4Order(t *testing.T) {
-	// SIFT geometry: keys 16 B, values 4+40 B at 4 KB pages. Eq. (4),
-	// which prices an 8-byte pointer, gives 63; the page physically holds
-	// 67: 24 bytes of header and pad, then 67 × (16 + 44) = 4 020 bytes.
+	// SIFT geometry: keys 16 B, values 4+20 B at 4 KB pages. Eq. (4),
+	// which prices an 8-byte pointer and float32 distances, gives 63; the
+	// page physically holds 101: 19 bytes of header and up to 7 of pad,
+	// then 101 × (16 + 24) = 4 040 bytes.
 	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 10}, 4096)
 	if got := LeafOrder(4096, 16, 8, 10); got != 63 {
 		t.Fatalf("Eq. (4) order = %d, want 63", got)
 	}
-	if tr.LeafOrder() != 67 {
-		t.Fatalf("leaf order = %d, want 67", tr.LeafOrder())
+	if tr.LeafOrder() != 101 {
+		t.Fatalf("leaf order = %d, want 101", tr.LeafOrder())
 	}
+}
+
+// within reports whether a decoded distance lies within the tree's
+// error bound of the distance it was written for.
+func within(tr *Tree, got, want float32) bool {
+	return math.Abs(float64(got)-float64(want)) <= tr.Scale().Eps
 }
 
 func TestBulkLoadAndScan(t *testing.T) {
@@ -116,7 +125,7 @@ func TestBulkLoadAndScan(t *testing.T) {
 		if e.ID != uint64(i) {
 			t.Fatalf("pos %d id = %d", i, e.ID)
 		}
-		if e.RefDists[1] != float32(i)*2 {
+		if !within(tr, e.RefDists[1], float32(i)*2) {
 			t.Fatalf("pos %d refdists = %v", i, e.RefDists)
 		}
 		i++
@@ -315,7 +324,7 @@ func TestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].ID != 42 || got[0].RefDists[3] != 4 {
+	if got[0].ID != 42 || !within(tr2, got[0].RefDists[3], 4) || tr2.Scale() != tr.Scale() {
 		t.Fatalf("reopened search = %+v", got[0])
 	}
 }
@@ -357,25 +366,125 @@ func TestSearchEmptyTree(t *testing.T) {
 }
 
 // A run the CPU cannot view in place — misaligned here, big-endian
-// elsewhere — decodes into scratch to the same words, slot bits and
+// elsewhere — decodes into scratch to the same words, slot halves and
 // all; an aligned one is viewed, where the CPU allows it, without a copy.
 func TestViewRunDecodesWhatItCannotView(t *testing.T) {
-	words := []float32{math.Float32frombits(7), 1.5, -2.25, math.Float32frombits(math.MaxUint32), 0}
-	buf := make([]byte, 1+4*len(words)+7)
+	words := []uint16{7, 1, 15, math.MaxUint16, 0}
+	buf := make([]byte, 1+2*len(words)+7)
 	for _, off := range []int{0, 1} {
-		run := buf[off : off+4*len(words)]
+		run := buf[off : off+2*len(words)]
 		for i, w := range words {
-			binary.LittleEndian.PutUint32(run[4*i:], math.Float32bits(w))
+			binary.LittleEndian.PutUint16(run[2*i:], w)
 		}
 		got, scratch := viewRun(run, nil)
-		if !slices.EqualFunc(got, words, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		if !slices.Equal(got, words) {
 			t.Fatalf("offset %d: %v, want %v", off, got, words)
 		}
 		if off == 1 && &got[0] != &scratch[0] {
 			t.Fatal("a misaligned run was not decoded into the scratch")
 		}
-		if Slot(got) != 7 {
-			t.Fatalf("offset %d: slot %d, want 7", off, Slot(got))
+		if Slot(got) != 1<<16|7 {
+			t.Fatalf("offset %d: slot %d, want %d", off, Slot(got), 1<<16|7)
 		}
+	}
+}
+
+// setExtra rewrites the metadata of the tree at path in place.
+func setExtra(t *testing.T, path string, extra []byte) {
+	t.Helper()
+	pgr, err := pager.Open(path, pager.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pgr.Close()
+	bt, err := bptree.Open(pgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.SetExtra(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Open takes a tree's scale and error bound from its metadata only when
+// they can code a distance: s positive and finite, ε non-negative and
+// finite. Anything else — or metadata cut short — is an error, never a
+// tree whose bounds are NaN or infinite.
+func TestOpenRejectsBadScale(t *testing.T) {
+	tr, path := mkRDB(t, Config{Eta: 16, Omega: 8, M: 2}, 512)
+	if err := tr.BulkLoad([]Record{{Key: key16(1), ID: 3, RefDists: []float32{1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Pager().Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := make([]byte, extraLen)
+	for i, v := range []uint32{16, 8, 2} {
+		binary.BigEndian.PutUint32(good[4*i:], v)
+	}
+	with := func(s, eps float64) []byte {
+		b := slices.Clone(good)
+		binary.BigEndian.PutUint64(b[12:], math.Float64bits(s))
+		binary.BigEndian.PutUint64(b[20:], math.Float64bits(eps))
+		return b
+	}
+	open := func(extra []byte) (*Tree, error) {
+		setExtra(t, path, extra)
+		pgr, err := pager.Open(path, pager.Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pgr.Close() })
+		return Open(pgr)
+	}
+	if got, err := open(with(0.5, 0.25)); err != nil || got.Scale() != (Scale{0.5, 0.25}) {
+		t.Fatalf("a valid scale: %v, %v", got, err)
+	}
+	bad := map[string][]byte{
+		"s = 0":         with(0, 0.25),
+		"s < 0":         with(-1, 0.25),
+		"s NaN":         with(math.NaN(), 0.25),
+		"s infinite":    with(math.Inf(1), 0.25),
+		"ε < 0":         with(0.5, -1),
+		"ε NaN":         with(0.5, math.NaN()),
+		"ε infinite":    with(0.5, math.Inf(1)),
+		"no scale":      good[:12],
+		"half a scale":  good[:20],
+		"no metadata":   nil,
+		"trailing byte": append(with(0.5, 0.25), 0),
+	}
+	for name, extra := range bad {
+		if _, err := open(extra); err == nil {
+			t.Errorf("%s: Open accepted the tree", name)
+		}
+	}
+}
+
+// A tree of the float32 layout — values of a 4-byte slot and m float32
+// distances, metadata η, ω, m — is ErrFloat32Layout to Open, for core
+// to rewrite.
+func TestOpenRefusesFloat32Layout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f32.pg")
+	pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pgr.Close()
+	bt, err := bptree.Create(pgr, bptree.Config{KeyLen: 16, ValLen: 4 + 4*2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := make([]byte, 12)
+	for i, v := range []uint32{16, 8, 2} {
+		binary.BigEndian.PutUint32(extra[4*i:], v)
+	}
+	if err := bt.SetExtra(extra); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(pgr); !errors.Is(err, ErrFloat32Layout) {
+		t.Fatalf("Open of a float32 tree: %v, want ErrFloat32Layout", err)
 	}
 }

@@ -285,10 +285,10 @@ func TestTunerRemeasure(t *testing.T) {
 	}
 }
 
-func TestTierConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tiers.json")
-	cfgJSON := `{
+// tierConfigJSON is a valid tier config file; badTierConfigs are files
+// ReadTierConfig must refuse, one for each rule Validate enforces.
+var (
+	tierConfigJSON = `{
   "default_tier": "standard",
   "tiers": {
     "premium":  {"preset": "exact", "rps_share": 1.0, "burst_share": 1.0, "max_inflight_share": 0.5},
@@ -297,7 +297,19 @@ func TestTierConfig(t *testing.T) {
   },
   "tenants": {"acme": "premium", "crawler": "batch"}
 }`
-	if err := os.WriteFile(path, []byte(cfgJSON), 0o644); err != nil {
+	badTierConfigs = []string{
+		`{"tiers": {}}`,
+		`{"tiers": {"a": {"preset": "warp"}}}`,
+		`{"tiers": {"a": {"preset": "fast", "rps_share": 2}}}`,
+		`{"default_tier": "missing", "tiers": {"a": {"preset": "fast"}}}`,
+		`{"tiers": {"a": {"preset": "fast"}}, "tenants": {"x": "missing"}}`,
+	}
+)
+
+func TestTierConfig(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiers.json")
+	if err := os.WriteFile(path, []byte(tierConfigJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := ReadTierConfig(path)
@@ -319,14 +331,7 @@ func TestTierConfig(t *testing.T) {
 		t.Fatalf("headerless preset %q", got)
 	}
 
-	bad := []string{
-		`{"tiers": {}}`,
-		`{"tiers": {"a": {"preset": "warp"}}}`,
-		`{"tiers": {"a": {"preset": "fast", "rps_share": 2}}}`,
-		`{"default_tier": "missing", "tiers": {"a": {"preset": "fast"}}}`,
-		`{"tiers": {"a": {"preset": "fast"}}, "tenants": {"x": "missing"}}`,
-	}
-	for i, j := range bad {
+	for i, j := range badTierConfigs {
 		if err := os.WriteFile(path, []byte(j), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -187,11 +187,11 @@ func (s *Store) GetView(id uint64) (VecView, bool) {
 		return VecView{}, false
 	}
 	seg := pv.Data[in : in+size]
-	if !f32view.Viewable(seg) {
+	if !f32view.Viewable[float32](seg) {
 		pv.Release()
 		return VecView{}, false
 	}
-	return VecView{Vec: f32view.Cast(seg, s.dim), view: pv}, true
+	return VecView{Vec: f32view.Cast[float32](seg, s.dim), view: pv}, true
 }
 
 // Cursor computes distances to stored records straight out of the
@@ -231,8 +231,8 @@ func (c *Cursor) DistSqBound(id uint64, q []float32, bound float64, scratch []fl
 				d, full := vecmath.DistSqBoundBytes(q, seg, bound)
 				return d, full, nil
 			}
-			if f32view.Viewable(seg) {
-				d, full := vecmath.DistSqBound(q, f32view.Cast(seg, s.dim), bound)
+			if f32view.Viewable[float32](seg) {
+				d, full := vecmath.DistSqBound(q, f32view.Cast[float32](seg, s.dim), bound)
 				return d, full, nil
 			}
 		}

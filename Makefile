@@ -40,6 +40,7 @@ FUZZ_TARGETS = \
 	FuzzManifest:./internal/shard \
 	FuzzIdentity:./internal/shard \
 	FuzzClusterManifest:./internal/cluster \
+	FuzzUpstreamError:./internal/cluster \
 	FuzzSearchRequest:./internal/api \
 	FuzzReadVecs:./internal/data \
 	FuzzFrontier:./internal/slo \
@@ -85,11 +86,12 @@ chaos:
 	$(GO) test -race -count=10 -run '^TestTinyPoolAnswersAsLargePool$$' ./internal/core/
 
 # Cluster robustness suite under the race detector: the coordinator's
-# equivalence/failover/hedging tests, the netfault flaky-TCP proxy
-# tests, and the replica SIGKILL storm against real hdserve processes
-# (the cluster CI job).
+# equivalence/failover/hedging tests, the HTTP edge both front ends
+# mount (internal/api: wrapper, error mapping, deadline), the netfault
+# flaky-TCP proxy tests, and the replica SIGKILL storm against real
+# hdserve processes (the cluster CI job).
 cluster-chaos:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/netfault/
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/api/ ./internal/netfault/
 	$(GO) test -race -count=1 -run '^TestClusterReplicaKillStorm$$' -v ./internal/crash/
 
 # Requires staticcheck on PATH (CI installs it; there is no vendored

@@ -1,10 +1,14 @@
-// Package api is the wire schema of the search endpoints: the JSON
-// request, response and error types of /search, /searchbatch and
-// /healthz, the strict body decoder, and the request checks that need
-// no index. A shard server (internal/server) and the cluster
-// coordinator (internal/cluster) speak it to clients and to each other,
-// so a field exists — and is accepted, rejected or omitted — in exactly
-// one place.
+// Package api is the wire schema of the search endpoints and the HTTP
+// edge that serves them. The schema is the JSON request, response and
+// error types of /search, /searchbatch and /healthz, the strict body
+// decoder, and the request checks that need no index. The edge is the
+// handler wrapper both front ends mount (Handle: body cap, timing,
+// Server-Timing, rendering), the one mapping from an error to a status
+// and a body (WriteError), and the one deadline rule (Deadline). A
+// shard server (internal/server) and the cluster coordinator
+// (internal/cluster) speak it to clients and to each other, so a field
+// is accepted, rejected or omitted, and an error mapped to a status, in
+// exactly one place.
 package api
 
 import (
@@ -14,8 +18,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"time"
 
+	"github.com/hd-index/hdindex/internal/admission"
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/shard"
@@ -226,7 +232,8 @@ func (st *QueryStats) Core() *core.QueryStats {
 }
 
 // Machine-readable error classes of the structured error body (the
-// admission layer adds "overloaded" and "tenant_throttled"):
+// admission layer's "overloaded" and "tenant_throttled" are its own
+// constants; WriteError maps them too):
 //
 //	dim_mismatch      -> 400 (query or vector of the wrong dimensionality)
 //	bad_options       -> 400 (a cascade that cannot be formed, unknown preset, preset + knobs)
@@ -278,16 +285,29 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v) // a failed write means the client is gone
 }
 
-// WriteError renders err as a structured error body, classifying the
-// errors every endpoint can meet: an *Error's own status, the index's
-// typed errors, and the request context's end. Anything else is a 500.
+// WriteError renders err as a structured error body: the only mapping
+// from an error to a status and a body. It classifies the errors every
+// endpoint can meet: an *Error's own status, an admission decision, the
+// index's typed errors, and the request context's end. Anything else
+// is a 500.
 func WriteError(w http.ResponseWriter, err error) {
 	body := ErrorBody{Error: err.Error()}
 	status := http.StatusInternalServerError
 	var e *Error
+	var ae *admission.Error
 	switch {
 	case errors.As(err, &e):
 		status, body.Code = e.Status, e.Code
+	case errors.As(err, &ae):
+		// A shed (503) or a tenant throttle (429), with a Retry-After
+		// hint rounded up to whole seconds: the header's resolution, and
+		// never 0 — a zero would read as "retry immediately" mid-overload.
+		status, body.Code = http.StatusServiceUnavailable, ae.Code
+		if ae.Code == admission.CodeTenantThrottled {
+			status = http.StatusTooManyRequests
+		}
+		secs := max(int64((ae.RetryAfter+time.Second-1)/time.Second), 1)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	case errors.Is(err, core.ErrDimMismatch):
 		status, body.Code = http.StatusBadRequest, CodeDimMismatch
 	case errors.Is(err, core.ErrBadOptions):
@@ -314,6 +334,33 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, status, body)
 }
 
+// Handle is the edge both front ends mount on their JSON endpoints. It
+// caps the request body at MaxBodyBytes, times h, reports the duration
+// and outcome to observe when it is non-nil, sets the Server-Timing
+// header, and renders h's result as a 200 or its error through
+// WriteError.
+func Handle(observe func(d time.Duration, failed bool), h func(*http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+		start := time.Now()
+		resp, err := h(r)
+		elapsed := time.Since(start)
+		if observe != nil {
+			observe(elapsed, err != nil)
+		}
+		// Standard Server-Timing header: the server-side duration, queue
+		// wait included. Lets clients (and the overload bench) separate
+		// server latency from client-side delivery delay.
+		w.Header().Set("Server-Timing",
+			fmt.Sprintf("total;dur=%.3f", float64(elapsed.Nanoseconds())/1e6))
+		if err != nil {
+			WriteError(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}
+}
+
 // DecodeBody strictly parses the JSON request body into v: unknown
 // fields and trailing data are a 400, a body over the reader's cap a
 // 413.
@@ -321,12 +368,7 @@ func DecodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &Error{Status: http.StatusRequestEntityTooLarge,
-				Msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return BadRequest("", "invalid request body: %v", err)
+		return bodyError(err)
 	}
 	if dec.More() {
 		return BadRequest("", "invalid request body: trailing data after JSON object")
@@ -334,10 +376,22 @@ func DecodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// bodyError classifies a failed read of a request body: a 413 past
+// the reader's cap, a 400 otherwise.
+func bodyError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &Error{Status: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	}
+	return BadRequest("", "invalid request body: %v", err)
+}
+
 // The request caps of a server or coordinator whose configuration
 // leaves them unset — the only copy: hdserve's flags default to them
 // and ValidateK/ValidateQueries fall back to them. MaxBodyBytes bounds
-// every request body and relayed shard reply ahead of any decoding.
+// every request body (Handle) and, by default, every shard reply a
+// coordinator reads, ahead of any decoding.
 const (
 	DefaultMaxK     = 1000
 	DefaultMaxBatch = 4096
@@ -404,4 +458,18 @@ func Timeout(timeoutMs int) time.Duration {
 		return time.Duration(timeoutMs) * time.Millisecond
 	}
 	return 0
+}
+
+// Deadline applies a request's effective deadline: def, lowered (never
+// raised) by the request's timeout_ms; 0 means no deadline. A shard
+// server passes its configured query timeout, a coordinator 0.
+func Deadline(r *http.Request, def time.Duration, timeoutMs int) (context.Context, context.CancelFunc) {
+	d := def
+	if rd := Timeout(timeoutMs); rd > 0 && (d == 0 || rd < d) {
+		d = rd
+	}
+	if d > 0 {
+		return context.WithTimeout(r.Context(), d)
+	}
+	return r.Context(), func() {}
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/hd-index/hdindex/internal/admission"
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/telemetry"
@@ -228,6 +231,106 @@ func TestTimeout(t *testing.T) {
 	for ms, want := range map[int]int64{0: 0, -5: 0, 250: 250e6, 1 << 62: 0} {
 		if got := Timeout(ms); int64(got) != want {
 			t.Errorf("Timeout(%d) = %v, want %dns", ms, got, want)
+		}
+	}
+}
+
+// TestDeadline pins the one deadline rule: the default, lowered but
+// never raised by timeout_ms, and no deadline when both are 0.
+func TestDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		def       time.Duration
+		timeoutMs int
+		want      time.Duration // 0: no deadline
+	}{
+		{0, 0, 0},
+		{0, 250, 250 * time.Millisecond},
+		{time.Second, 0, time.Second},
+		{time.Second, 250, 250 * time.Millisecond},
+		{time.Second, 5000, time.Second},
+	} {
+		ctx, cancel := Deadline(httptest.NewRequest(http.MethodPost, "/search", nil), tc.def, tc.timeoutMs)
+		dl, ok := ctx.Deadline()
+		cancel()
+		if ok != (tc.want > 0) {
+			t.Errorf("Deadline(%v, %d): has deadline %v, want %v", tc.def, tc.timeoutMs, ok, tc.want > 0)
+			continue
+		}
+		if left := time.Until(dl); ok && (left > tc.want || left < tc.want/2) {
+			t.Errorf("Deadline(%v, %d): %v left, want about %v", tc.def, tc.timeoutMs, left, tc.want)
+		}
+	}
+}
+
+// TestWriteErrorAdmission pins the admission mapping: a shed is a 503
+// and a tenant throttle a 429, each coded and with a Retry-After of
+// whole seconds, rounded up and never 0.
+func TestWriteErrorAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		err    *admission.Error
+		status int
+		retry  string
+	}{
+		{&admission.Error{Code: admission.CodeOverloaded}, http.StatusServiceUnavailable, "1"},
+		{&admission.Error{Code: admission.CodeTenantThrottled, RetryAfter: 1500 * time.Millisecond}, http.StatusTooManyRequests, "2"},
+	} {
+		rec := httptest.NewRecorder()
+		WriteError(rec, fmt.Errorf("search: %w", tc.err))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.err.Code, rec.Code, tc.status)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.retry {
+			t.Errorf("%s: Retry-After %q, want %q", tc.err.Code, got, tc.retry)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Code != tc.err.Code {
+			t.Errorf("%s: body %s (err %v)", tc.err.Code, rec.Body, err)
+		}
+	}
+}
+
+// lazyBody is an n-byte request body produced on demand, so a test can
+// send one past MaxBodyBytes without holding it.
+type lazyBody struct{ n int64 }
+
+func (b *lazyBody) Read(p []byte) (int, error) {
+	if b.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), b.n)]
+	clear(p)
+	b.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestHandleBodyCap drives Handle with a body of MaxBodyBytes and one
+// of MaxBodyBytes + 1: the first is read whole, the second is a 413
+// with the structured body. Both carry Server-Timing. The handler drains
+// the body without buffering it and classifies the read error as
+// DecodeBody does.
+func TestHandleBodyCap(t *testing.T) {
+	h := Handle(nil, func(r *http.Request) (any, error) {
+		n, err := io.Copy(io.Discard, r.Body)
+		if err != nil {
+			return nil, bodyError(err)
+		}
+		return map[string]int64{"read": n}, nil
+	})
+	for _, tc := range []struct {
+		size   int64
+		status int
+		want   string
+	}{
+		{MaxBodyBytes, http.StatusOK, fmt.Sprintf(`{"read":%d}`, MaxBodyBytes)},
+		{MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`, MaxBodyBytes)},
+	} {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodPost, "/search", &lazyBody{n: tc.size}))
+		if rec.Code != tc.status || rec.Body.String() != tc.want+"\n" {
+			t.Errorf("%d-byte body: %d %s, want %d %s", tc.size, rec.Code, rec.Body, tc.status, tc.want)
+		}
+		if st := rec.Header().Get("Server-Timing"); !strings.HasPrefix(st, "total;dur=") {
+			t.Errorf("%d-byte body: Server-Timing %q", tc.size, st)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -139,6 +140,7 @@ type Coordinator struct {
 	// subq is successful sub-query latency; its windowed p99 is the
 	// adaptive hedge delay.
 	subq *telemetry.WindowedP99
+	now  func() time.Time // the hedge window's clock; test seam
 }
 
 // New builds a Coordinator over a validated manifest and starts the
@@ -154,8 +156,9 @@ func New(man *Manifest, opts Options) (*Coordinator, error) {
 		opts:       opts,
 		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
-		subq:       telemetry.NewWindowedP99(time.Now),
+		now:        time.Now,
 	}
+	c.subq = telemetry.NewWindowedP99(func() time.Time { return c.now() })
 	// A pooled transport sized for the fan-out.
 	c.client = &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        64,
@@ -244,16 +247,27 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// permanentError carries a shard server's 4xx straight through: the
-// request itself is wrong (bad options, dim mismatch), so no amount of
-// retrying or failing over can fix it.
-type permanentError struct {
-	status int
-	body   []byte
-}
+// maxReplyBytes caps the shard reply the coordinator reads; a variable
+// so a test can lower it.
+var maxReplyBytes int64 = api.MaxBodyBytes
 
-func (e *permanentError) Error() string {
-	return fmt.Sprintf("shard server returned %d: %s", e.status, bytes.TrimSpace(e.body))
+// upstreamError turns a shard server's 4xx reply into an error for the
+// client: the shard's status, and the message and code of its
+// structured body, which api.WriteError renders back byte for byte. A
+// body that is not exactly one ErrorBody becomes the message as trimmed
+// text. A 4xx means the request itself is wrong (bad options, dim
+// mismatch), so no amount of retrying or failing over can fix it.
+func upstreamError(status int, body []byte) *api.Error {
+	e := &api.Error{Status: status}
+	var eb *api.ErrorBody
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&eb) == nil && eb != nil && dec.Decode(new(struct{})) == io.EOF {
+		e.Msg, e.Code = eb.Error, eb.Code
+	} else {
+		e.Msg = string(bytes.TrimSpace(body))
+	}
+	return e
 }
 
 // class is the retry policy's verdict on one attempt.
@@ -263,7 +277,7 @@ const (
 	classOK        class = iota
 	classShed            // alive but shedding (503+Retry-After / 429): fail over NOW, no sleep
 	classTransient       // connect error, timeout, or 5xx: back off, then next replica
-	classPermanent       // 4xx: the request is wrong, do not retry
+	classPermanent       // 4xx or an over-cap reply: every replica would answer alike, do not retry
 )
 
 // attemptOut is one attempt's outcome inside the hedging race.
@@ -296,12 +310,19 @@ func (c *Coordinator) doOnce(ctx context.Context, rep *replica, path string, bod
 		return nil, classTransient, fmt.Errorf("%s: %w", rep.url, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
+	// One byte past the cap tells a reply that fits from one cut off.
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
 	if err != nil {
 		if ctx.Err() == nil {
 			rep.noteFailure(err.Error())
 		}
 		return nil, classTransient, fmt.Errorf("%s: read response: %w", rep.url, err)
+	}
+	if int64(len(payload)) > maxReplyBytes {
+		// Every replica would send the same bytes, and none is at
+		// fault: no retry and no health penalty.
+		return nil, classPermanent, &api.Error{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("cluster: shard %d reply exceeds %d bytes", rep.ordinal, maxReplyBytes)}
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
@@ -316,7 +337,7 @@ func (c *Coordinator) doOnce(ctx context.Context, rep *replica, path string, bod
 		rep.noteSuccess()
 		return nil, classShed, fmt.Errorf("%s: shed with %d (Retry-After %s)", rep.url, resp.StatusCode, resp.Header.Get("Retry-After"))
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		return nil, classPermanent, &permanentError{status: resp.StatusCode, body: payload}
+		return nil, classPermanent, upstreamError(resp.StatusCode, payload)
 	default:
 		rep.noteFailure(fmt.Sprintf("HTTP %d", resp.StatusCode))
 		return nil, classTransient, fmt.Errorf("%s: HTTP %d: %s", rep.url, resp.StatusCode, bytes.TrimSpace(payload))
@@ -485,8 +506,8 @@ func (c *Coordinator) scatter(ctx context.Context, path string, body []byte) (re
 		if err == nil {
 			continue
 		}
-		var pe *permanentError
-		if errors.As(err, &pe) && permErr == nil {
+		var ae *api.Error
+		if errors.As(err, &ae) && permErr == nil {
 			permErr = err
 		}
 		failed = append(failed, i)

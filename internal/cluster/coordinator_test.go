@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,64 @@ func TestPermanentErrorPropagates(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("%d attempts on a permanent error, want 1", n)
+	}
+}
+
+// TestOverCapShardReplyIs502: a shard reply one byte over the cap is a
+// 502 naming the shard and the cap, after one attempt — every replica
+// would send the same bytes — and not a cut-off body read as a
+// malformed reply (a 500).
+func TestOverCapShardReplyIs502(t *testing.T) {
+	const limit = 256
+	cluster.SetMaxReplyBytes(t, limit)
+	var hits atomic.Int64
+	node := stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		head, tail := `{"results":[{"id":1,"dist":0.5}],"pad":"`, `"}`
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, head+strings.Repeat("x", limit+1-len(head)-len(tail))+tail)
+	})
+	_, front := newCoordinator(t, stubManifest(4, []string{node.URL, node.URL}), fastOpts())
+
+	code, body := searchOnce(t, front.URL, map[string]any{"k": 1})
+	if code != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %s", code, body)
+	}
+	if want := fmt.Sprintf("shard 0 reply exceeds %d bytes", limit); !strings.Contains(string(body), want) {
+		t.Fatalf("error body %s does not say %q", body, want)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d attempts on an over-cap reply, want 1", n)
+	}
+}
+
+// TestCoordinatorServerTiming: coordinator /search and /searchbatch
+// answers carry the edge's Server-Timing header, as a shard server's
+// do.
+func TestCoordinatorServerTiming(t *testing.T) {
+	node := stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/searchbatch" {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"results":[[{"id":3,"dist":0.5}]]}`)
+			return
+		}
+		answer(w, 3, 0.5)
+	})
+	_, front := newCoordinator(t, stubManifest(4, []string{node.URL}), fastOpts())
+	for path, body := range map[string]string{
+		"/search":      `{"query":[0.1,0.2,0.3,0.4],"k":1}`,
+		"/searchbatch": `{"queries":[[0.1,0.2,0.3,0.4]],"k":1}`,
+	} {
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		st := resp.Header.Get("Server-Timing")
+		dur, ok := strings.CutPrefix(st, "total;dur=")
+		if ms, err := strconv.ParseFloat(dur, 64); resp.StatusCode != http.StatusOK || !ok || err != nil || ms < 0 {
+			t.Fatalf("%s: status %d, Server-Timing %q", path, resp.StatusCode, st)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,11 +116,21 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 
 // TestAdaptiveHedgeDelay checks the windowed-p99 trigger: cold it sits
 // at the conservative maximum, and after real traffic it tracks the
-// observed sub-query latency down to the clamp floor.
+// observed sub-query latency down to the clamp floor. The window runs
+// on a fake clock, advanced past its cache TTL instead of slept out.
 func TestAdaptiveHedgeDelay(t *testing.T) {
 	node := stubNode(t, func(w http.ResponseWriter, r *http.Request) { answer(w, 0, 0.5) })
 	opts := cluster.Options{HealthInterval: -1} // hedging on, adaptive delay
-	coord, front := newCoordinator(t, stubManifest(4, []string{node.URL, node.URL}), opts)
+	coord, err := cluster.New(stubManifest(4, []string{node.URL, node.URL}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	var clock atomic.Int64
+	clock.Store(time.Now().UnixNano())
+	cluster.SetClock(coord, func() time.Time { return time.Unix(0, clock.Load()) })
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
 
 	cold := coord.Stats().HedgeDelayUS
 	if want := float64((200 * time.Millisecond).Microseconds()); cold != want {
@@ -130,8 +141,8 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 			t.Fatalf("status %d: %s", code, body)
 		}
 	}
-	// The cached p99 refreshes on a 250ms TTL; wait it out.
-	time.Sleep(300 * time.Millisecond)
+	// The cached p99 refreshes on a 250ms TTL.
+	clock.Add(int64(time.Second))
 	warm := coord.Stats().HedgeDelayUS
 	if warm >= cold {
 		t.Fatalf("hedge delay did not adapt: cold %vus, warm %vus", cold, warm)

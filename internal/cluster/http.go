@@ -3,10 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/api"
 	"github.com/hd-index/hdindex/internal/shard"
@@ -52,48 +50,11 @@ func shardUnavailable(format string, args ...any) error {
 // servers' read API re-served cluster-wide.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /search", c.wrap(c.handleSearch))
-	mux.HandleFunc("POST /searchbatch", c.wrap(c.handleSearchBatch))
+	mux.HandleFunc("POST /search", api.Handle(nil, c.handleSearch))
+	mux.HandleFunc("POST /searchbatch", api.Handle(nil, c.handleSearchBatch))
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /stats", c.handleStats)
 	return mux
-}
-
-func (c *Coordinator) wrap(h func(r *http.Request) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
-		}
-		start := time.Now()
-		resp, err := h(r)
-		w.Header().Set("Server-Timing",
-			fmt.Sprintf("total;dur=%.3f", float64(time.Since(start).Nanoseconds())/1e6))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, resp)
-	}
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var pe *permanentError
-	var se *ShardError
-	switch {
-	case errors.As(err, &pe):
-		// A shard server judged the request itself invalid (bad options,
-		// a preset combined with knobs). Its body is already the
-		// structured error the client expects — relay it.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(pe.status)
-		_, _ = w.Write(pe.body)
-	case errors.As(err, &se):
-		api.WriteJSON(w, http.StatusServiceUnavailable, api.ErrorBody{
-			Error: err.Error(), Code: api.CodeShardUnavailable,
-		})
-	default:
-		api.WriteError(w, err)
-	}
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -149,14 +110,6 @@ func (c *Coordinator) perShard(k int, t api.Tuning) (api.Tuning, error) {
 	var err error
 	t.MaxCandidates, err = shard.SplitMaxCandidates(t.MaxCandidates, k, len(c.shards))
 	return t, err
-}
-
-// requestContext applies the request's own deadline, if any.
-func requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	if d := api.Timeout(timeoutMs); d > 0 {
-		return context.WithTimeout(r.Context(), d)
-	}
-	return r.Context(), func() {}
 }
 
 // gather scatters one sub-request to every shard, applies the
@@ -222,7 +175,7 @@ func (c *Coordinator) handleSearch(r *http.Request) (any, error) {
 	if req.Tuning, err = c.perShard(req.K, req.Tuning); err != nil {
 		return nil, err
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
+	ctx, cancel := api.Deadline(r, 0, req.TimeoutMs)
 	defer cancel()
 	subs := make([]*api.SearchResponse, len(c.shards))
 	failed, err := gather(ctx, c, "/search", req.SearchRequest, req.RequireFull, subs)
@@ -248,7 +201,7 @@ func (c *Coordinator) handleSearchBatch(r *http.Request) (any, error) {
 	if req.Tuning, err = c.perShard(req.K, req.Tuning); err != nil {
 		return nil, err
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
+	ctx, cancel := api.Deadline(r, 0, req.TimeoutMs)
 	defer cancel()
 	subs := make([]*api.SearchBatchResponse, len(c.shards))
 	failed, err := gather(ctx, c, "/searchbatch", req.SearchBatchRequest, req.RequireFull, subs)

@@ -3,6 +3,9 @@
 // (single and batch), index mutation, and introspection endpoints,
 // honours per-request deadlines via context cancellation threaded down
 // to core's query loop, and keeps per-endpoint latency/QPS counters.
+// The request edge — the body cap, Server-Timing, the deadline rule and
+// the mapping from an error to a status — is internal/api's (Handle,
+// Deadline, WriteError), shared with the cluster coordinator.
 //
 // Endpoints:
 //
@@ -28,12 +31,9 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	hdindex "github.com/hd-index/hdindex"
@@ -55,10 +55,6 @@ type Config struct {
 	// defaults).
 	MaxK     int
 	MaxBatch int
-	// MaxBodyBytes caps the request body size before decoding (default
-	// api.MaxBodyBytes), bounding memory per request ahead of any
-	// validation.
-	MaxBodyBytes int64
 	// MaxAlpha caps the per-request "alpha"/"gamma"/"max_candidates"
 	// tuning knobs (default 1 << 20). Requests above the cap are
 	// clamped to it — a tenant asking for "as much recall as allowed"
@@ -115,9 +111,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = api.MaxBodyBytes
-	}
 	if c.MaxAlpha <= 0 {
 		c.MaxAlpha = 1 << 20
 	}
@@ -179,11 +172,11 @@ func New(idx *hdindex.Index, cfg Config) *Server {
 			go tuner.Run(ctx)
 		}
 	}
-	s.mux.HandleFunc("POST /search", s.instrument(&s.mSearch, s.handleSearch))
-	s.mux.HandleFunc("POST /searchbatch", s.instrument(&s.mBatch, s.handleSearchBatch))
-	s.mux.HandleFunc("POST /insert", s.instrument(&s.mInsert, s.handleInsert))
-	s.mux.HandleFunc("POST /delete", s.instrument(&s.mDelete, s.handleDelete))
-	s.mux.HandleFunc("GET /stats", s.instrument(&s.mStats, s.handleStats))
+	s.mux.HandleFunc("POST /search", api.Handle(s.mSearch.observe, s.handleSearch))
+	s.mux.HandleFunc("POST /searchbatch", api.Handle(s.mBatch.observe, s.handleSearchBatch))
+	s.mux.HandleFunc("POST /insert", api.Handle(s.mInsert.observe, s.handleInsert))
+	s.mux.HandleFunc("POST /delete", api.Handle(s.mDelete.observe, s.handleDelete))
+	s.mux.HandleFunc("GET /stats", api.Handle(s.mStats.observe, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.Pprof {
@@ -228,85 +221,6 @@ func (s *Server) Shutdown() error {
 		s.tunerStop()
 	}
 	return s.idx.Flush()
-}
-
-// handlerFunc is an endpoint body: it returns the response object, or
-// an *api.Error/plain error.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) (any, error)
-
-// instrument wraps a handler with a body-size cap, metrics, and uniform
-// JSON rendering.
-func (s *Server) instrument(m *endpointMetrics, h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
-		start := time.Now()
-		resp, err := h(w, r)
-		elapsed := time.Since(start)
-		m.observe(elapsed, err != nil)
-		// Standard Server-Timing header: the server-side duration,
-		// queue wait included. Lets clients (and the overload bench)
-		// separate server latency from client-side delivery delay.
-		w.Header().Set("Server-Timing",
-			fmt.Sprintf("total;dur=%.3f", float64(elapsed.Nanoseconds())/1e6))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, resp)
-	}
-}
-
-// writeError renders err as the structured error body. The admission
-// layer's shed/throttle decisions are this server's own:
-//
-//	overloaded       -> 503 + Retry-After (admission queue full or deadline cannot cover the wait)
-//	tenant_throttled -> 429 + Retry-After (per-tenant rate exceeded)
-//
-// everything else is classified by api.WriteError.
-func writeError(w http.ResponseWriter, err error) {
-	var ae *admission.Error
-	if !errors.As(err, &ae) {
-		api.WriteError(w, err)
-		return
-	}
-	// Shed/throttle decisions carry a Retry-After hint, rounded up to
-	// whole seconds (the header's resolution, and never 0 — a zero
-	// would read as "retry immediately" mid-overload).
-	secs := int64((ae.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	status := http.StatusServiceUnavailable
-	if ae.Code == admission.CodeTenantThrottled {
-		status = http.StatusTooManyRequests
-	}
-	api.WriteJSON(w, status, api.ErrorBody{Error: err.Error(), Code: ae.Code})
-}
-
-// queryContext applies the effective deadline: the server default,
-// lowered by the request's timeout_ms if given.
-func (s *Server) queryContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.cfg.QueryTimeout
-	if rd := api.Timeout(timeoutMs); rd > 0 && (d == 0 || rd < d) {
-		d = rd
-	}
-	if d > 0 {
-		return context.WithTimeout(r.Context(), d)
-	}
-	return r.Context(), func() {}
-}
-
-// admit runs the request through the admission controller: per-tenant
-// token bucket first, then the weighted concurrency limiter, queueing
-// against the request's own deadline. The returned release must be
-// called exactly once when the work finishes. Shed decisions surface
-// as *admission.Error, which writeError maps to 429/503 with a
-// Retry-After header. A nil controller admits everything for free.
-func (s *Server) admit(ctx context.Context, r *http.Request, weight int) (func(), error) {
-	return s.adm.Acquire(ctx, r.Header.Get("X-Tenant"), weight)
 }
 
 // resolvePreset picks the request's effective quality preset:
@@ -396,7 +310,9 @@ type admitted struct {
 // options, applies the effective deadline, and runs admission with the
 // request's weight (a batch weighs its query count: one huge
 // /searchbatch occupies the limiter like the equivalent run of single
-// searches would).
+// searches would). Admission takes the per-tenant token bucket first,
+// then the weighted concurrency limiter, queueing against the request's
+// own deadline; a nil controller admits everything for free.
 //
 // Named presets (exact/balanced/fast) are pinned: their knobs come
 // straight from the preset table and pressure degradation never touches
@@ -426,8 +342,8 @@ func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, 
 	if wantStats || s.cfg.SlowQueryThreshold > 0 {
 		opts = append(opts, hdindex.WithStats())
 	}
-	ctx, cancel := s.queryContext(r, timeoutMs)
-	release, err := s.admit(ctx, r, weight)
+	ctx, cancel := api.Deadline(r, s.cfg.QueryTimeout, timeoutMs)
+	release, err := s.adm.Acquire(ctx, r.Header.Get("X-Tenant"), weight)
 	if err != nil {
 		cancel()
 		return admitted{}, err
@@ -438,7 +354,7 @@ func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, 
 	return admitted{ctx: ctx, opts: opts, preset: preset, done: func() { release(); cancel() }}, nil
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleSearch(r *http.Request) (any, error) {
 	var req api.SearchRequest
 	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
@@ -516,7 +432,7 @@ func (s *Server) logSlowQuery(endpoint string, elapsed time.Duration, queries, k
 	s.cfg.Logger.Warn("slow query", attrs...)
 }
 
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleSearchBatch(r *http.Request) (any, error) {
 	var req api.SearchBatchRequest
 	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
@@ -569,7 +485,7 @@ type insertRequest struct {
 	Vector []float32 `json:"vector"`
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleInsert(r *http.Request) (any, error) {
 	if s.cfg.ReadOnly {
 		return nil, &api.Error{Status: http.StatusForbidden, Msg: "server is read-only"}
 	}
@@ -580,7 +496,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (any, erro
 	if err := api.ValidateQuery("vector", req.Vector, s.idx.Dim()); err != nil {
 		return nil, err
 	}
-	release, err := s.admit(r.Context(), r, 1)
+	release, err := s.adm.Acquire(r.Context(), r.Header.Get("X-Tenant"), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +516,7 @@ type deleteRequest struct {
 	Undelete bool   `json:"undelete"`
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleDelete(r *http.Request) (any, error) {
 	if s.cfg.ReadOnly {
 		return nil, &api.Error{Status: http.StatusForbidden, Msg: "server is read-only"}
 	}
@@ -608,7 +524,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, erro
 	if err := api.DecodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	release, err := s.admit(r.Context(), r, 1)
+	release, err := s.adm.Acquire(r.Context(), r.Header.Get("X-Tenant"), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -681,7 +597,7 @@ type StatsResponse struct {
 	SLO *slo.Stats `json:"slo,omitempty"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleStats(r *http.Request) (any, error) {
 	now := time.Now()
 	up := now.Sub(s.started)
 	var resp StatsResponse
@@ -745,7 +661,7 @@ func (s *Server) healthState() string {
 // ok, degraded, and read_only — the server is still answering queries
 // and a restart would not help — and 503 for overloaded, which pulls
 // the instance out of load-balancer rotation until the storm passes.
-// Registered raw (not through instrument) so the body always carries
+// Registered raw (not through api.Handle) so the body always carries
 // the "status" field whatever the HTTP code.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()

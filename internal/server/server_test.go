@@ -418,21 +418,6 @@ func TestEndpointMetricsWindowForgetsOutlier(t *testing.T) {
 	}
 }
 
-func TestBodySizeLimit(t *testing.T) {
-	ts, _, _ := newTestServer(t, Config{MaxBodyBytes: 256})
-	nums := bytes.Repeat([]byte("0.5,"), 500)
-	body := append([]byte(`{"query":[`), nums...)
-	body = append(body[:len(body)-1], []byte(`],"k":5}`)...)
-	resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-}
-
 func TestUnknownRoute(t *testing.T) {
 	ts, _, _ := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/nope")

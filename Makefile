@@ -37,6 +37,7 @@ FUZZ_TARGETS = \
 	FuzzWALReplay:./internal/wal \
 	FuzzSelect:./internal/topk \
 	FuzzPagerSuperblock:./internal/pager \
+	FuzzTrace:./internal/pager \
 	FuzzManifest:./internal/shard \
 	FuzzIdentity:./internal/shard \
 	FuzzClusterManifest:./internal/cluster \
@@ -74,6 +75,7 @@ crash:
 # fault tests (a compaction's log rewrite under a slow group-commit
 # fsync) run ten times over too, and so do the shared buffer pool's race
 # tests: a file closing while other files' misses evict its dirty
+# frames, a file closing while the eviction hand rests on one of its
 # frames, and an index served through one frame per stripe beside a
 # writer that compacts.
 chaos:

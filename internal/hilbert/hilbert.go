@@ -85,7 +85,15 @@ func (h *Hilbert) Encode(dst []byte, coords []uint32) []byte {
 	if len(coords) != h.dims {
 		panic("hilbert: coordinate count mismatch")
 	}
-	x := make([]uint32, h.dims)
+	// The transpose scratch lives on the stack up to 64 dimensions (η =
+	// 16 in every benchmark workload), so a query's per-tree key is free.
+	var buf [64]uint32
+	var x []uint32
+	if h.dims <= len(buf) {
+		x = buf[:h.dims]
+	} else {
+		x = make([]uint32, h.dims)
+	}
 	maxv := maxCoord(h.order)
 	for i, c := range coords {
 		if c > maxv {
@@ -100,8 +108,9 @@ func (h *Hilbert) Encode(dst []byte, coords []uint32) []byte {
 // EncodeAll encodes len(coords)/stride points into dst (KeyLen() bytes
 // each, overwritten in place). stride must be >= Dims(); row i's
 // coordinates are coords[i*stride : i*stride+Dims()]. Unlike Encode,
-// which allocates its transpose scratch per call, the scratch here is
-// hoisted out of the loop — per-point cost is pure transform + pack.
+// which allocates its transpose scratch per call above 64 dimensions,
+// the scratch here is hoisted out of the loop — per-point cost is pure
+// transform + pack.
 func (h *Hilbert) EncodeAll(dst []byte, coords []uint32, stride int) {
 	if stride < h.dims {
 		panic("hilbert: stride below dimensionality")

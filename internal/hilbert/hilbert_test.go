@@ -191,6 +191,20 @@ func TestEncodeAppends(t *testing.T) {
 	}
 }
 
+// A query encodes one key per tree at η = 16, ω = 8: into a slice with
+// room for the key, Encode allocates nothing.
+func TestEncodeDoesNotAllocate(t *testing.T) {
+	h := MustNew(16, 8)
+	coords := make([]uint32, 16)
+	for i := range coords {
+		coords[i] = uint32(i * 13 % 256)
+	}
+	dst := make([]byte, 0, h.KeyLen())
+	if allocs := testing.AllocsPerRun(100, func() { dst = h.Encode(dst[:0], coords) }); allocs != 0 {
+		t.Fatalf("Encode at η=16, ω=8 allocates %v times per call, want 0", allocs)
+	}
+}
+
 // Locality smoke test: points close in space get keys that are closer on
 // average than points far apart. This is statistical, so use a fixed seed
 // and a generous margin.

@@ -48,8 +48,9 @@ func scanPath(t testing.TB, n int) string {
 	return path
 }
 
-// viewAll pins and releases every page once, in id order: on a file
-// larger than the pool under LRU, every View is a miss.
+// viewAll pins and releases every page once, in id order: repeated over
+// a file larger than the pool, every View is a miss (no page is hit
+// while resident, so the pool evicts in admission order).
 func viewAll(t testing.TB, p *Pager) {
 	for id := PageID(1); uint64(id) < p.PageCount(); id++ {
 		v, err := p.View(id)
@@ -64,11 +65,11 @@ func viewAll(t testing.TB, p *Pager) {
 }
 
 // A steady-state miss allocates nothing: the incoming page takes the
-// LRU victim's frame, or with caching off the frame its own previous
+// victim's frame, or with caching off the frame its own previous
 // release parked.
 func TestMissAllocatesNothing(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"lru":     {PoolPages: 16, ReadOnly: true},
+		"cached":  {PoolPages: 16, ReadOnly: true},
 		"nocache": {PoolPages: 16, ReadOnly: true, DisableLRU: true},
 	} {
 		t.Run(name, func(t *testing.T) {

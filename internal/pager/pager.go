@@ -1,6 +1,6 @@
 // Package pager implements the disk substrate of the reproduction: a
 // page-structured file with a fixed page size (4096 bytes in all of the
-// paper's experiments, §5 "Parameters"), an LRU buffer pool with pin
+// paper's experiments, §5 "Parameters"), a SIEVE buffer pool with pin
 // counts, and I/O statistics.
 //
 // The statistics matter beyond bookkeeping: §4.4.1 analyses HD-Index by
@@ -9,15 +9,15 @@
 // benchmarks report those numbers on any hardware.
 //
 // The buffer pool, a Cache the files of an index share, is sharded into
-// lock-striped LRU segments keyed by page id, so concurrent searches
+// lock-striped SIEVE segments keyed by page id, so concurrent searches
 // never contend on one global mutex; a pager keeps its own page map and
-// counters per stripe, so a hit is one lock and one map lookup and Stats
-// stay exact per file. The read hot path borrows a pinned frame
+// counters per stripe, so a hit is one lock, one map lookup and one bit
+// set, and Stats stay exact per file. The read hot path borrows a pinned frame
 // zero-copy via View instead of Get's heap-allocated Page handle.
 //
 // A pool miss costs one pread and nothing else: once a stripe holds its
 // capacity share of frames every incoming page lives in a recycled one
-// (the LRU victim's, whichever file it belonged to), and the read is
+// (the eviction victim's, whichever file it belonged to), and the read is
 // issued outside the stripe lock into a frame already published as
 // loading, so concurrent callers of that page wait for the one read
 // instead of repeating it. The price is that a released frame's bytes
@@ -111,7 +111,7 @@ type Options struct {
 	PoolPages  int  // the pager's share of its cache's frames; 256 if zero or negative
 	Create     bool // create (truncate) instead of opening existing
 	ReadOnly   bool // open without write permission
-	DisableLRU bool // bypass caching entirely: every Get is a disk read (paper's "caching off" mode)
+	DisableLRU bool // bypass the SIEVE pool: no page stays past its last Release, every Get is a disk read (paper's "caching off" mode)
 }
 
 // Page is a pinned page in the buffer pool. Callers must Release it when
@@ -157,8 +157,9 @@ type frame struct {
 	dirty   bool
 	loading bool   // the miss that admitted it is reading into data outside the stripe lock
 	err     error  // that read's failure, for the callers that waited on it
-	prev    *frame // the stripe's LRU list of unpinned frames
-	next    *frame
+	visited bool   // hit since it was admitted or last passed by the hand
+	prev    *frame // the newer neighbour in the stripe's queue
+	next    *frame // the older one
 }
 
 // counters is one stripe's share of a pager's I/O statistics. The
@@ -189,26 +190,33 @@ func (c *counters) reset() {
 
 // Cache is a buffer pool that pagers share, of PoolPages frames per open
 // pager: Close drops the pager's frames and takes its share back. A full
-// stripe evicts its least recently used unpinned frame of any file.
+// stripe evicts by SIEVE (Zhang et al., NSDI 2024), over frames of any
+// file: every resident frame waits in one FIFO queue, a hit sets its
+// visited bit, and the stripe's hand walks from the oldest frame toward
+// the newest, passing pinned frames and clearing set bits, to the first
+// unpinned frame not visited. A page hit once since it entered outlives
+// a stream of pages used once, and a hit writes one bit, not a list.
 type Cache struct {
 	mu      sync.Mutex // serialises capacity changes
 	pages   int        // the sum of PoolPages over the open pagers
 	stripes []stripe
-	mask    uint64 // len(stripes)-1; len is a power of two
+	mask    uint64    // len(stripes)-1; len is a power of two
+	rec     *recorder // the access trace; nil when none is taken
 }
 
-// stripe is one lock stripe of a Cache: the LRU list, parked frames and
+// stripe is one lock stripe of a Cache: the queue, parked frames and
 // capacity share of every file's pages whose id maps to it, and mu,
 // which also guards each pager's fileStripe of it.
 type stripe struct {
 	mu       sync.Mutex
 	loaded   sync.Cond // on mu; broadcast whenever a loading frame's read ends
 	cap      int
-	resident int      // frames mapped by any pager
+	resident int      // frames mapped by any pager, each in the queue
+	unpinned int      // resident frames without a pin: the evictable ones
 	free     []*frame // unmapped frames kept for the next admission
-	lruHead  *frame   // most recently used unpinned
-	lruTail  *frame
-	lruLen   int
+	head     *frame   // the queue's newest frame
+	tail     *frame   // its oldest
+	hand     *frame   // where the next eviction's walk starts; nil: at tail
 }
 
 // fileStripe is one pager's part of a cache stripe.
@@ -269,16 +277,23 @@ func (c *Cache) resize(p *Pager, sign int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pages += sign * p.share
+	if c.rec != nil {
+		if sign > 0 {
+			c.rec.open(p)
+		} else {
+			c.rec.close(p)
+		}
+	}
 	n := len(c.stripes)
 	for i := range c.stripes {
 		st, fs := &c.stripes[i], &p.stripes[i]
 		st.mu.Lock()
 		for _, fr := range fs.frames {
+			st.unlink(fr)
 			if fr.pins == 0 {
-				st.lruRemove(fr)
+				st.unpinned--
 				st.free = append(st.free, fr)
 			}
-			st.resident--
 		}
 		fs.frames = nil
 		if sign > 0 {
@@ -501,10 +516,13 @@ func (p *Pager) Alloc() (*Page, error) {
 		st.mu.Unlock()
 		return nil, err
 	}
+	if rec := p.cache.rec; rec != nil {
+		rec.access(evAlloc, p, id)
+	}
 	clear(fr.data)
 	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, dirty: true}
 	fs.frames[id] = fr
-	st.resident++
+	st.push(fr)
 	st.mu.Unlock()
 	// Publish only after the frame is in its stripe: a concurrent Get of
 	// this id either fails the range check (not yet published) or finds
@@ -554,8 +572,12 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 	}
 	if fr, ok := fs.frames[id]; ok {
 		fs.stats.hits.Add(1)
+		if rec := p.cache.rec; rec != nil {
+			rec.access(evHit, p, id)
+		}
+		fr.visited = true
 		if fr.pins == 0 {
-			st.lruRemove(fr)
+			st.unpinned--
 		}
 		fr.pins++
 		for fr.loading {
@@ -571,9 +593,12 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rec := p.cache.rec; rec != nil {
+		rec.access(evMiss, p, id)
+	}
 	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, loading: true}
 	fs.frames[id] = fr
-	st.resident++
+	st.push(fr)
 	fs.reading++
 	st.mu.Unlock()
 	_, err = p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
@@ -584,7 +609,7 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 	if err != nil {
 		fr.err = fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
 		delete(fs.frames, id)
-		st.resident--
+		st.unlink(fr)
 		return nil, st.unpinFailed(fr)
 	}
 	fs.stats.reads.Add(1)
@@ -601,7 +626,7 @@ func (st *stripe) unpinFailed(fr *frame) error {
 }
 
 // evictFor returns an unmapped frame for a page of p about to enter st,
-// evicting LRU unpinned frames while the stripe is at its capacity share
+// evicting unpinned frames while the stripe is at its capacity share
 // (dirty ones are written first and stay resident if the write fails).
 // The first victim is the frame returned; further ones, left by an
 // eviction whose write failed earlier, go to the GC. With no victim it
@@ -609,7 +634,7 @@ func (st *stripe) unpinFailed(fr *frame) error {
 // below capacity, or everything pinned. Caller holds st.mu.
 func (p *Pager) evictFor(st *stripe) (*frame, error) {
 	var fr *frame
-	for st.resident >= st.cap && st.lruLen > 0 {
+	for st.resident >= st.cap && st.unpinned > 0 {
 		victim, err := st.evict()
 		if err != nil {
 			return nil, err
@@ -627,28 +652,40 @@ func (p *Pager) evictFor(st *stripe) (*frame, error) {
 	return fr, nil
 }
 
-// evict unmaps the stripe's least recently used unpinned frame, writing
-// it to its own file first if dirty, and returns it. A failed write
-// leaves the victim resident, dirty and in the LRU. Caller holds st.mu.
+// evict walks the hand from where it rests toward the newest frame,
+// going on from the oldest past the newest: it passes pinned frames,
+// clears the visited bit of an unpinned one that has it, and stops at
+// the first unpinned frame without it. It unmaps that victim, writing it
+// to its own file first if dirty, and returns it; the hand rests on the
+// next newer frame. A failed write leaves the victim resident, dirty
+// and under the hand. Caller holds st.mu, with st.unpinned > 0, so the
+// walk ends within two turns.
 func (st *stripe) evict() (*frame, error) {
-	victim := st.lruTail
+	victim := cmp.Or(st.hand, st.tail)
+	for victim.pins > 0 || victim.visited {
+		if victim.pins == 0 {
+			victim.visited = false
+		}
+		victim = cmp.Or(victim.prev, st.tail)
+	}
+	st.hand = victim
 	if victim.dirty {
 		if err := victim.pgr.writeFrame(victim); err != nil {
 			return nil, err
 		}
 	}
-	st.lruRemove(victim)
 	_, fs := victim.pgr.stripeOf(victim.id)
 	delete(fs.frames, victim.id)
-	st.resident--
+	st.unlink(victim)
+	st.unpinned--
 	return victim, nil
 }
 
-// trim evicts LRU frames while the stripe is over its share and drops
+// trim evicts frames while the stripe is over its share and drops
 // parked frames beyond it. A pinned frame, or a dirty one whose write
 // fails, stays until a later release or admission. Caller holds st.mu.
 func (st *stripe) trim() {
-	for st.resident > st.cap && st.lruLen > 0 {
+	for st.resident > st.cap && st.unpinned > 0 {
 		if _, err := st.evict(); err != nil {
 			// The victim keeps its data and its dirty bit; the owning
 			// pager's next Flush or Close retries the write and reports it.
@@ -685,7 +722,13 @@ func (p *Pager) release(fr *frame) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// With frames nil, p closed under the pin and the cache let it go.
-	if fr.pins--; fr.pins > 0 || fs.frames == nil {
+	if fr.pins--; fs.frames == nil {
+		return
+	}
+	if rec := p.cache.rec; rec != nil {
+		rec.access(evRelease, p, fr.id)
+	}
+	if fr.pins > 0 {
 		return
 	}
 	if p.noCache {
@@ -698,15 +741,16 @@ func (p *Pager) release(fr *frame) {
 		// the page).
 		if fr.dirty {
 			if err := p.writeFrame(fr); err != nil {
+				st.unpinned++ // an eviction retries the write
 				return
 			}
 		}
 		delete(fs.frames, fr.id)
-		st.resident--
+		st.unlink(fr)
 		st.park(fr)
 		return
 	}
-	st.lruPushFront(fr)
+	st.unpinned++
 	// A stripe that outgrew its share while every frame was pinned
 	// shrinks back as its frames come free.
 	if st.resident > st.cap {
@@ -714,32 +758,36 @@ func (p *Pager) release(fr *frame) {
 	}
 }
 
-func (st *stripe) lruPushFront(fr *frame) {
-	fr.prev = nil
-	fr.next = st.lruHead
-	if st.lruHead != nil {
-		st.lruHead.prev = fr
+// push admits fr, just mapped, at the newest end of the queue.
+func (st *stripe) push(fr *frame) {
+	fr.next = st.head
+	if st.head != nil {
+		st.head.prev = fr
+	} else {
+		st.tail = fr
 	}
-	st.lruHead = fr
-	if st.lruTail == nil {
-		st.lruTail = fr
-	}
-	st.lruLen++
+	st.head = fr
+	st.resident++
 }
 
-func (st *stripe) lruRemove(fr *frame) {
+// unlink takes fr, just unmapped, out of the queue; a hand resting on it
+// moves on to the next newer frame.
+func (st *stripe) unlink(fr *frame) {
+	if st.hand == fr {
+		st.hand = fr.prev
+	}
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {
-		st.lruHead = fr.next
+		st.head = fr.next
 	}
 	if fr.next != nil {
 		fr.next.prev = fr.prev
 	} else {
-		st.lruTail = fr.prev
+		st.tail = fr.prev
 	}
 	fr.prev, fr.next = nil, nil
-	st.lruLen--
+	st.resident--
 }
 
 // flushFrames writes p's dirty frames, taking each stripe lock in turn.

@@ -2,7 +2,6 @@ package pager
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +23,7 @@ func newTemp(t testing.TB, opts Options) (*Pager, string) {
 }
 
 // newOneStripe is newTemp with the whole pool in one lock stripe, so
-// eviction follows one LRU order instead of one per stripe.
+// eviction follows one queue instead of one per stripe.
 func newOneStripe(t testing.TB, opts Options) *Pager {
 	t.Helper()
 	opts.Create = true
@@ -104,7 +103,7 @@ func TestGetOutOfRange(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionAndStats(t *testing.T) {
+func TestEvictionAndStats(t *testing.T) {
 	p, _ := newTemp(t, Options{PoolPages: 2})
 	defer p.Close()
 	var ids []PageID
@@ -328,157 +327,12 @@ func TestReadOnly(t *testing.T) {
 	g.Release()
 }
 
-// poolModel is the reference buffer pool: per stripe a map of the
-// resident pages of every file and a list of the unpinned ones, most
-// recently released first, with the stripe's share of the capacity the
-// open files bring. A miss reads, then evicts from the list's back while
-// the stripe is at its share; a release that leaves a stripe over its
-// share, and a close that takes a share back, evict down to it. It is
-// the parent implementation's order of business for one file, frame
-// reuse and unlocked reads unknown to it.
-type poolModel struct {
-	stripes []modelStripe
-	pages   int // the sum of the open files' shares
-	files   []*modelFile
-}
-
-type modelFile struct {
-	open    bool
-	share   int
-	noCache bool
-	st      Stats // since the file was last opened
-}
-
-// pageKey names a page of the cache: file is the index in poolModel.files.
-type pageKey struct {
-	file int
-	id   PageID
-}
-
-type modelStripe struct {
-	cap    int
-	frames map[pageKey]*modelFrame
-	lru    *list.List // of pageKey
-}
-
-type modelFrame struct {
-	pins  int
-	dirty bool
-	elem  *list.Element
-}
-
-func newPoolModel(stripes int) *poolModel {
-	m := &poolModel{stripes: make([]modelStripe, stripes)}
-	for i := range m.stripes {
-		m.stripes[i] = modelStripe{frames: map[pageKey]*modelFrame{}, lru: list.New()}
-	}
-	return m
-}
-
-func (m *poolModel) stripe(id PageID) *modelStripe { return &m.stripes[int(id)%len(m.stripes)] }
-
-// resize sets the capacity and each stripe's share of it, then evicts
-// every stripe down to its share.
-func (m *poolModel) resize(pages int) {
-	m.pages = pages
-	n := len(m.stripes)
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.cap = pages / n
-		if i < pages%n {
-			s.cap++
-		}
-		m.trim(s)
-	}
-}
-
-func (m *poolModel) evict(s *modelStripe) {
-	victim := s.lru.Remove(s.lru.Back()).(pageKey)
-	if s.frames[victim].dirty {
-		m.files[victim.file].st.Writes++
-	}
-	delete(s.frames, victim)
-}
-
-func (m *poolModel) trim(s *modelStripe) {
-	for len(s.frames) > s.cap && s.lru.Len() > 0 {
-		m.evict(s)
-	}
-}
-
-func (m *poolModel) open(file, share int, noCache bool) {
-	for len(m.files) <= file {
-		m.files = append(m.files, &modelFile{})
-	}
-	*m.files[file] = modelFile{open: true, share: share, noCache: noCache}
-	m.resize(m.pages + share)
-}
-
-// close drops an open file's frames, none of them pinned, and its share.
-func (m *poolModel) close(file int) {
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		for k, f := range s.frames {
-			if k.file == file {
-				s.lru.Remove(f.elem)
-				delete(s.frames, k)
-			}
-		}
-	}
-	m.files[file].open = false
-	m.resize(m.pages - m.files[file].share)
-}
-
-func (m *poolModel) admit(k pageKey, dirty bool) {
-	s := m.stripe(k.id)
-	for len(s.frames) >= s.cap && s.lru.Len() > 0 {
-		m.evict(s)
-	}
-	s.frames[k] = &modelFrame{pins: 1, dirty: dirty}
-}
-
-func (m *poolModel) get(k pageKey) {
-	s, st := m.stripe(k.id), &m.files[k.file].st
-	if f := s.frames[k]; f != nil {
-		st.Hits++
-		if f.pins == 0 {
-			s.lru.Remove(f.elem)
-		}
-		f.pins++
-		return
-	}
-	st.Misses++
-	st.Reads++
-	m.admit(k, false)
-}
-
-func (m *poolModel) alloc(k pageKey) {
-	m.files[k.file].st.Allocs++
-	m.admit(k, true)
-}
-
-func (m *poolModel) release(k pageKey) {
-	s := m.stripe(k.id)
-	f := s.frames[k]
-	if f.pins--; f.pins > 0 {
-		return
-	}
-	if !m.files[k.file].noCache {
-		f.elem = s.lru.PushFront(k)
-		m.trim(s)
-		return
-	}
-	if f.dirty {
-		m.files[k.file].st.Writes++
-	}
-	delete(s.frames, k)
-}
-
 // check compares the cache and its open pagers with the model: every
 // file's counters, the capacity and each stripe's share of it, and per
-// stripe the resident set, its pin counts and dirty bits, and the LRU
-// order over all files — so every eviction, of which page of which file,
-// is predicted, not just counted. It also holds each stripe to owning no
+// stripe the resident set, its pin counts and dirty bits, and the queue
+// over all files with its visited bits, hand and unpinned count — so
+// every eviction, of which page of which file, is predicted, not just
+// counted. It also holds each stripe to owning no
 // more frames than its share unless every frame it owns is pinned.
 func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, op int) {
 	t.Helper()
@@ -505,17 +359,24 @@ func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, o
 				t.Fatalf("op %d: page %d of file %d is %+v, model %+v", op, k.id, k.file, fr, f)
 			}
 		}
-		fr := st.lruHead
-		for e := s.lru.Front(); e != nil; e, fr = e.Next(), fr.next {
-			if k := e.Value.(pageKey); fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] {
-				t.Fatalf("op %d stripe %d: LRU order diverged from the model at page %d of file %d", op, i, k.id, k.file)
+		sieve := s.pol.(*sievePolicy)
+		fr := st.head
+		for e := sieve.q.Front(); e != nil; e, fr = e.Next(), fr.next {
+			if k := e.Value.(pageKey); fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.visited != sieve.visited[k] {
+				t.Fatalf("op %d stripe %d: the queue diverged from the model at page %d of file %d", op, i, k.id, k.file)
+			}
+			if (st.hand == fr) != (sieve.hand == e) {
+				t.Fatalf("op %d stripe %d: the hand diverged from the model at page %d of file %d", op, i, e.Value.(pageKey).id, e.Value.(pageKey).file)
 			}
 		}
-		if fr != nil || st.lruLen != s.lru.Len() {
-			t.Fatalf("op %d stripe %d: LRU holds %d frames, model %d", op, i, st.lruLen, s.lru.Len())
+		if fr != nil || (st.hand == nil) != (sieve.hand == nil) || st.unpinned != s.unpinned {
+			t.Fatalf("op %d stripe %d: %d frames past the model's queue, hand %v (model %v), %d unpinned (model %d)", op, i, st.resident-len(s.frames), st.hand != nil, sieve.hand != nil, st.unpinned, s.unpinned)
 		}
-		if held := st.resident + len(st.free); held > st.cap && (len(st.free) > 0 || st.lruLen > 0) {
-			t.Fatalf("op %d stripe %d: holds %d frames (%d parked, %d unpinned), share %d", op, i, held, len(st.free), st.lruLen, st.cap)
+		if tail := st.tail; (tail == nil) != (sieve.q.Len() == 0) || tail != nil && tail.next != nil {
+			t.Fatalf("op %d stripe %d: the queue's tail is not its oldest frame", op, i)
+		}
+		if held := st.resident + len(st.free); held > st.cap && (len(st.free) > 0 || st.unpinned > 0) {
+			t.Fatalf("op %d stripe %d: holds %d frames (%d parked, %d unpinned), share %d", op, i, held, len(st.free), st.unpinned, st.cap)
 		}
 	}
 }
@@ -529,9 +390,9 @@ type poolFile struct {
 // A random View/Get/Alloc/MarkDirty/Release sequence, with up to six
 // pages pinned at once over small pools (so a stripe overshoots its
 // share and shrinks back), against the reference pool and an in-memory
-// copy of every page: counters, evictions and LRU order must follow the
-// model op by op, contents must match while pinned, and every file must
-// end up byte-identical to its copy. The one-file cases are Open's own
+// copy of every page: counters, evictions, the queue and the hand must
+// follow the model op by op, contents must match while pinned, and every
+// file must end up byte-identical to its copy. The one-file cases are Open's own
 // cache; the others put two and three files on one shared cache and
 // close and reopen files mid-sequence, so capacity moves with them.
 func TestRandomizedAgainstModel(t *testing.T) {
@@ -540,7 +401,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		cache func() *Cache // nil: Open's cache of its own
 		files []poolFile
 	}{
-		{"lru", nil, []poolFile{{3, false}}},
+		{"cached", nil, []poolFile{{3, false}}},
 		{"nocache", nil, []poolFile{{3, true}}},
 		{"two-files", NewCache, []poolFile{{6, false}, {10, false}}},
 		{"three-files", func() *Cache { return newCache(2) }, []poolFile{{3, false}, {4, false}, {5, true}}},
@@ -573,7 +434,7 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 			c = pgrs[f].cache
 		}
 		if m == nil {
-			m = newPoolModel(len(c.stripes))
+			m = newPoolModel(len(c.stripes), newSIEVE)
 		}
 		base[f] = pgrs[f].Stats()
 		m.open(f, files[f].share, files[f].noCache)
@@ -726,6 +587,21 @@ func BenchmarkGetCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g, _ := p.Get(id)
 		g.Release()
+	}
+}
+
+// BenchmarkViewCached is BenchmarkGetCached on the read hot path: a View
+// hit and its Release, no Page allocated.
+func BenchmarkViewCached(b *testing.B) {
+	p, _ := newTemp(b, Options{})
+	defer p.Close()
+	pg, _ := p.Alloc()
+	id := pg.ID
+	pg.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := p.View(id)
+		v.Release()
 	}
 }
 

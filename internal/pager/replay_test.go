@@ -1,0 +1,399 @@
+package pager
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// traceEvent is one decoded trace record: k.id is 0 for an open or a close.
+type traceEvent struct {
+	op      byte
+	k       pageKey
+	share   int  // an open's
+	noCache bool // an open's
+}
+
+// traceArgs is the number of uvarints after each event byte.
+var traceArgs = map[byte]int{evOpen: 3, evClose: 1, evHit: 2, evMiss: 2, evAlloc: 2, evRelease: 2}
+
+// maxTraceShare bounds an open's share, so no sum of shares overflows.
+const maxTraceShare = 1 << 30
+
+// readTrace decodes the trace b, checking it as it goes, and hands each
+// event to fn. It returns the recorded cache's stripe count. A cut
+// record, an unknown event, a file index not open, page 0, an open out
+// of sequence, more than 64 stripes, an alloc of a page the file already
+// had or a release of a page no event pinned is an error, so a trace it
+// accepts replays against any policy without a panic.
+func readTrace(b []byte, fn func(traceEvent)) (stripes int, err error) {
+	stripes, b, err = traceHeader(b)
+	if err != nil {
+		return 0, err
+	}
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return v, true
+	}
+	var ok bool
+	var open []bool
+	var top []PageID // per file, the highest page an event named
+	pins := map[pageKey]int{}
+	for rec := 0; len(b) > 0; rec++ {
+		ev := traceEvent{op: b[0]}
+		b = b[1:]
+		var args [3]uint64
+		nargs := traceArgs[ev.op]
+		if nargs == 0 {
+			return 0, fmt.Errorf("trace: record %d: unknown event %q", rec, ev.op)
+		}
+		for i := range nargs {
+			if args[i], ok = next(); !ok {
+				return 0, fmt.Errorf("trace: record %d (%q) cut short", rec, ev.op)
+			}
+		}
+		if ev.op == evOpen {
+			if args[0] != uint64(len(open)) || args[1] == 0 || args[1] > maxTraceShare || args[2] > 1 {
+				return 0, fmt.Errorf("trace: record %d: open of file %d, share %d, flags %d", rec, args[0], args[1], args[2])
+			}
+			ev.k.file, ev.share, ev.noCache = len(open), int(args[1]), args[2] == 1
+			open = append(open, true)
+			top = append(top, 0)
+			fn(ev)
+			continue
+		}
+		if args[0] >= uint64(len(open)) || !open[args[0]] {
+			return 0, fmt.Errorf("trace: record %d (%q): file %d is not open", rec, ev.op, args[0])
+		}
+		ev.k.file = int(args[0])
+		if ev.op == evClose {
+			open[ev.k.file] = false
+			for k := range pins {
+				if k.file == ev.k.file {
+					delete(pins, k)
+				}
+			}
+			fn(ev)
+			continue
+		}
+		if ev.k.id = PageID(args[1]); ev.k.id == 0 {
+			return 0, fmt.Errorf("trace: record %d (%q): page 0", rec, ev.op)
+		}
+		if ev.op == evAlloc && ev.k.id <= top[ev.k.file] {
+			return 0, fmt.Errorf("trace: record %d: alloc of page %d of file %d, which it already had", rec, ev.k.id, ev.k.file)
+		}
+		top[ev.k.file] = max(top[ev.k.file], ev.k.id)
+		if ev.op != evRelease {
+			pins[ev.k]++
+		} else if pins[ev.k]--; pins[ev.k] < 0 {
+			return 0, fmt.Errorf("trace: record %d: release of page %d of file %d, which no event pinned", rec, ev.k.id, ev.k.file)
+		} else if pins[ev.k] == 0 {
+			delete(pins, ev.k)
+		}
+		fn(ev)
+	}
+	return stripes, nil
+}
+
+// traceHeader returns the stripe count a trace records and its records.
+func traceHeader(b []byte) (int, []byte, error) {
+	if !bytes.HasPrefix(b, []byte(traceMagic)) {
+		return 0, nil, errors.New("trace: bad magic")
+	}
+	n, w := binary.Uvarint(b[len(traceMagic):])
+	if w <= 0 || n == 0 || n > 64 || n&(n-1) != 0 {
+		return 0, nil, errors.New("trace: bad stripe count")
+	}
+	return int(n), b[len(traceMagic)+w:], nil
+}
+
+// replay runs the trace b against newPolicy at the frames each open
+// brought and returns the model that ran it; onEvent, when set, sees
+// every event after the model took it, whether an access hit, and the
+// pages the event evicted.
+func replay(b []byte, newPolicy func() policy, onEvent func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey)) (*poolModel, error) {
+	stripes, _, err := traceHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	m := newPoolModel(stripes, newPolicy)
+	var evicted []pageKey
+	m.evicted = func(k pageKey) { evicted = append(evicted, k) }
+	// Each event reaches the model only once it has been checked.
+	_, err = readTrace(b, func(ev traceEvent) {
+		evicted = evicted[:0]
+		hit := false
+		switch ev.op {
+		case evOpen:
+			m.open(ev.k.file, ev.share, ev.noCache)
+		case evClose:
+			m.close(ev.k.file)
+		case evHit, evMiss:
+			hit = m.get(ev.k)
+		case evAlloc:
+			m.alloc(ev.k)
+		case evRelease:
+			m.release(ev.k)
+		}
+		if onEvent != nil {
+			onEvent(m, ev, hit, evicted)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// misses sums the pool misses of every file the model saw.
+func (m *poolModel) misses() uint64 {
+	var n uint64
+	for _, f := range m.files {
+		n += f.st.Misses
+	}
+	return n
+}
+
+// replayPolicies are the policies a trace is replayed against.
+var replayPolicies = []struct {
+	name string
+	new  func() policy
+}{
+	{"LRU", newLRU},
+	{"CLOCK", newCLOCK},
+	{"2Q", new2Q},
+	{"SIEVE", newSIEVE},
+}
+
+// committedTrace is a trace the LRU pool wrote: a small index of 8 trees
+// built over 4 000 SIFT-like vectors, reopened at 8 pages per file, and
+// 40 queries at α = γ = 256 asked twice (see testdata/README.md).
+const committedTrace = "testdata/query.trace"
+
+// The committed trace replays against LRU to the misses its own LRU
+// pool took, so the replayer is exact; every policy's count is logged.
+func TestReplayCommittedTrace(t *testing.T) {
+	b, err := os.ReadFile(committedTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded uint64
+	if _, err := readTrace(b, func(ev traceEvent) {
+		if ev.op == evMiss {
+			recorded++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range replayPolicies {
+		m, err := replay(b, p.new, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%-5s %6d misses", p.name, m.misses())
+		if p.name == "LRU" && m.misses() != recorded {
+			t.Fatalf("the LRU replay takes %d misses, the recording LRU pool took %d", m.misses(), recorded)
+		}
+	}
+}
+
+// Driven through the committed trace's events, the Cache hits and
+// misses where the SIEVE replay does, and evicts the pages the replay
+// evicts, each at the access the replay evicts it on.
+func TestCacheFollowsReplay(t *testing.T) {
+	b, err := os.ReadFile(committedTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One file per open, as long as the pages the trace names.
+	pages := map[int]PageID{}
+	stripes, err := readTrace(b, func(ev traceEvent) {
+		if ev.op == evAlloc {
+			t.Fatal("the committed trace allocates; the drive below reads only")
+		}
+		pages[ev.k.file] = max(pages[ev.k.file], ev.k.id)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := func(f int) string { return filepath.Join(dir, fmt.Sprintf("f%d.pg", f)) }
+	for f, n := range pages {
+		p, err := Open(path(f), Options{Create: true, PageSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range n {
+			pg, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg.Release()
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := newCache(stripes)
+	pgrs := map[int]*Pager{}
+	views := map[pageKey][]View{}
+	var misses uint64
+	m, err := replay(b, newSIEVE, func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey) {
+		p := pgrs[ev.k.file]
+		switch ev.op {
+		case evOpen:
+			p, err := c.Open(path(ev.k.file), Options{PoolPages: ev.share, DisableLRU: ev.noCache, ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pgrs[ev.k.file] = p
+		case evClose:
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for k := range views {
+				if k.file == ev.k.file {
+					delete(views, k)
+				}
+			}
+		case evHit, evMiss:
+			_, fs := p.stripeOf(ev.k.id)
+			_, resident := fs.frames[ev.k.id]
+			if resident != hit {
+				t.Fatalf("after %d misses: page %d of file %d: the Cache hit %v, the replay %v", misses, ev.k.id, ev.k.file, resident, hit)
+			}
+			v, err := p.View(ev.k.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[ev.k] = append(views[ev.k], v)
+		case evRelease:
+			vs := views[ev.k]
+			vs[len(vs)-1].Release()
+			views[ev.k] = vs[:len(vs)-1]
+		}
+		if (ev.op == evHit || ev.op == evMiss) && !hit {
+			misses++
+		}
+		for _, k := range evicted {
+			if _, fs := pgrs[k.file].stripeOf(k.id); fs.frames[k.id] != nil {
+				t.Fatalf("after %d misses: the replay evicted page %d of file %d, the Cache kept it", misses, k.id, k.file)
+			}
+		}
+		for i := range c.stripes {
+			if got, want := c.stripes[i].resident, len(m.stripes[i].frames); got != want {
+				t.Fatalf("after %d misses: stripe %d holds %d pages, the replay %d", misses, i, got, want)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.misses() != misses {
+		t.Fatalf("the Cache took %d misses, the replay %d", misses, m.misses())
+	}
+}
+
+// A trace the recorder writes decodes, and its SIEVE replay takes the
+// misses the Cache took: a reader and a
+// writer share a cache, pages stay pinned across other accesses, and the
+// reader closes and reopens mid-run.
+func TestRecordedTraceReplays(t *testing.T) {
+	var trace bytes.Buffer
+	c := newCache(2)
+	c.record(&trace)
+	rpath := scanPath(t, 40)
+	reader, err := c.Open(rpath, Options{PoolPages: 3, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := c.Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PoolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var misses uint64
+	rng := rand.New(rand.NewSource(3))
+	var pins []View
+	for op := 0; op < 2000; op++ {
+		switch r := rng.Intn(10); {
+		case op%500 == 499:
+			for _, v := range pins {
+				v.Release()
+			}
+			pins = pins[:0]
+			misses += reader.Stats().Misses
+			if err := reader.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if reader, err = c.Open(rpath, Options{PoolPages: 3, ReadOnly: true}); err != nil {
+				t.Fatal(err)
+			}
+		case len(pins) == 4 || r < 4 && len(pins) > 0:
+			i := rng.Intn(len(pins))
+			pins[i].Release()
+			pins = append(pins[:i], pins[i+1:]...)
+		case r == 4:
+			pg, err := writer.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg.MarkDirty()
+			pg.Release()
+		default:
+			v, err := reader.View(PageID(1 + rng.Intn(40)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pins = append(pins, v)
+		}
+	}
+	misses += reader.Stats().Misses + writer.Stats().Misses
+	if err := c.rec.flush(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := replay(trace.Bytes(), newSIEVE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.misses() != misses {
+		t.Fatalf("the replay of the recorded trace takes %d misses, the Cache took %d", m.misses(), misses)
+	}
+}
+
+// FuzzTrace feeds the trace decoder arbitrary bytes: it answers with an
+// error or a trace every policy replays without a panic. Seeded with the
+// committed trace's head, a trace cut inside a record, an unknown event,
+// page 0, and an access to a file never opened.
+func FuzzTrace(f *testing.F) {
+	b, err := os.ReadFile(committedTrace)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b[:min(len(b), 512)])
+	head := []byte(traceMagic + "\x02" + "o\x00\x03\x00")
+	f.Add(append(bytes.Clone(head), "m\x00\x05r\x00\x05h\x00\x05m\x00\x07c\x00"...))
+	f.Add(append(bytes.Clone(head), "m\x00"...))
+	f.Add(append(bytes.Clone(head), "x\x00\x05"...))
+	f.Add(append(bytes.Clone(head), "h\x00\x00"...))
+	f.Add(append(bytes.Clone(head), "m\x01\x05"...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if _, err := readTrace(b, func(traceEvent) {}); err != nil {
+			return
+		}
+		for _, p := range replayPolicies {
+			if _, err := replay(b, p.new, nil); err != nil {
+				t.Fatalf("%s: %v on a trace the decoder accepted", p.name, err)
+			}
+		}
+	})
+}

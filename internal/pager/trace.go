@@ -1,0 +1,101 @@
+package pager
+
+import (
+	"bufio"
+	"encoding/binary"
+	"io"
+	"sync"
+)
+
+// An access trace is what a cache's replacement policy sees, in the
+// order each stripe saw it: which files open and close with which
+// share, and every pin and release of a page. Replaying one against
+// another policy at the same frames tells, exactly, how many misses that
+// policy would have taken on the same run.
+//
+// The format is traceMagic, the cache's stripe count as a uvarint, then
+// one record per event: an event byte and uvarints.
+//
+//	'o' file share flags  a file opens (flags bit 0: caching off); file
+//	                      counts the opens before it on this cache
+//	'c' file              it closes
+//	'h' file page         a pool hit pins the page
+//	'm' file page         a miss admits the page, pinned, and reads it
+//	'a' file page         an Alloc admits the page, pinned, unread
+//	'r' file page         one pin of the page is released
+const traceMagic = "HDPGTRC1"
+
+const (
+	evOpen    = 'o'
+	evClose   = 'c'
+	evHit     = 'h'
+	evMiss    = 'm'
+	evAlloc   = 'a'
+	evRelease = 'r'
+)
+
+// recorder writes a cache's access trace. Cache.rec is nil when no trace
+// is taken, so an access pays one pointer test for the instrument.
+// Events are written under the stripe lock of the page (under the cache
+// lock for open and close), so each stripe's events keep their order.
+type recorder struct {
+	mu    sync.Mutex
+	w     *bufio.Writer
+	err   error // the first write error; later events are dropped
+	files map[*Pager]uint64
+	opens uint64
+	buf   [1 + 3*binary.MaxVarintLen64]byte
+}
+
+// record starts writing c's access trace to w. It must be called before
+// the first Open on c; flush the trace with c.rec.flush.
+func (c *Cache) record(w io.Writer) {
+	r := &recorder{w: bufio.NewWriterSize(w, 1<<16), files: make(map[*Pager]uint64)}
+	_, r.err = r.w.Write(binary.AppendUvarint([]byte(traceMagic), uint64(len(c.stripes))))
+	c.rec = r
+}
+
+func (r *recorder) write(ev byte, args ...uint64) {
+	b := append(r.buf[:0], ev)
+	for _, a := range args {
+		b = binary.AppendUvarint(b, a)
+	}
+	if r.err == nil {
+		_, r.err = r.w.Write(b)
+	}
+}
+
+func (r *recorder) open(p *Pager) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.files[p] = r.opens
+	var flags uint64
+	if p.noCache {
+		flags = 1
+	}
+	r.write(evOpen, r.opens, uint64(p.share), flags)
+	r.opens++
+}
+
+func (r *recorder) close(p *Pager) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.write(evClose, r.files[p])
+	delete(r.files, p)
+}
+
+func (r *recorder) access(ev byte, p *Pager, id PageID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.write(ev, r.files[p], uint64(id))
+}
+
+// flush writes out what is buffered and returns the first write error.
+func (r *recorder) flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = r.w.Flush()
+	}
+	return r.err
+}

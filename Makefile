@@ -74,10 +74,12 @@ crash:
 # QueryBatch or a sharded Query (success, cancellation, EIO). The WAL's
 # fault tests (a compaction's log rewrite under a slow group-commit
 # fsync) run ten times over too, and so do the shared buffer pool's race
-# tests: a file closing while other files' misses evict its dirty
-# frames, a file closing while the eviction hand rests on one of its
-# frames, and an index served through one frame per stripe beside a
-# writer that compacts.
+# tests (TestSharedCache*): a file closing while other files' misses
+# evict its frames, a file closing while the eviction hand rests on one
+# of its frames, readers viewing pages while a writer replaces them and
+# appends more, files opening, closing and being written beside readers
+# with the trace's SIEVE replay held to the Cache's misses, and an index
+# served through one frame per stripe beside a writer that compacts.
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/

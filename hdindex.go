@@ -617,9 +617,11 @@ func (i *Index) Check(ctx context.Context) ([]CheckReport, error) {
 	return reps, nil
 }
 
-// Flush writes back every shard's dirty pages and meta. Inserts and
-// deletes are already durable when they return (each shard's WAL), so
-// Flush is only needed before copying the directory around.
+// Flush persists every shard's in-memory state: its vector store's
+// header, meta and deletion marks, and a WAL fsync (core.Index.Flush);
+// pages reach their files as they are written. Inserts and deletes are
+// already durable when they return (each shard's WAL), so Flush is only
+// needed before copying the directory around.
 func (i *Index) Flush() error {
 	for _, ix := range i.shards {
 		if err := ix.Flush(); err != nil {

@@ -81,24 +81,19 @@ type Tree struct {
 	keyStride, valOff, valStride int
 }
 
-// Create initialises an empty tree in pgr (which must be freshly created).
+// Create initialises an empty tree in pgr (which must be freshly
+// created): a single empty leaf as root, the file's next page. Create
+// writes no page; the root leaf reaches the file as BulkLoad's first
+// leaf, or empty at the first Flush.
 func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	t, err := newTree(pgr, cfg, layoutSplit)
 	if err != nil {
 		return nil, err
 	}
-	// Empty tree: a single empty leaf as root.
-	pg, err := pgr.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	initLeaf(pg.Data)
-	pg.MarkDirty()
-	t.root = pg.ID
-	t.firstLeaf = pg.ID
-	t.lastLeaf = pg.ID
+	t.root = pager.PageID(pgr.PageCount())
+	t.firstLeaf = t.root
+	t.lastLeaf = t.root
 	t.height = 1
-	pg.Release()
 	return t, t.writeHeader()
 }
 
@@ -247,8 +242,17 @@ func (t *Tree) LeafCap() int { return t.leafCap }
 // Pager exposes the underlying pager (for stats and closing).
 func (t *Tree) Pager() *pager.Pager { return t.pgr }
 
-// Flush persists the header and all dirty pages.
+// Flush persists the header, and the empty root leaf of a tree Create
+// made that no BulkLoad has written. Every other page reached the file
+// when BulkLoad wrote it.
 func (t *Tree) Flush() error {
+	if uint64(t.root) == t.pgr.PageCount() {
+		leaf := make([]byte, t.pgr.PageSize())
+		initLeaf(leaf)
+		if err := t.pgr.Write(t.root, leaf); err != nil {
+			return err
+		}
+	}
 	if err := t.writeHeader(); err != nil {
 		return err
 	}

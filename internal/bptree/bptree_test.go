@@ -585,33 +585,37 @@ func TestCheckLeaves(t *testing.T) {
 		t.Fatalf("the callback's error must come back, got %v", err)
 	}
 
-	// second returns the second leaf on the chain, for tampering.
-	second := func(tr *Tree) *pager.Page {
-		first, err := tr.pgr.Get(tr.firstLeaf)
+	// rewrite passes the second leaf on the chain to edit, for tampering,
+	// and writes it back.
+	rewrite := func(tr *Tree, edit func(id pager.PageID, data []byte)) {
+		first, err := tr.pgr.View(tr.firstLeaf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		id := leafRight(first.Data)
 		first.Release()
-		pg, err := tr.pgr.Get(id)
+		v, err := tr.pgr.View(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pg
+		data := bytes.Clone(v.Data)
+		v.Release()
+		edit(id, data)
+		if err := tr.pgr.Write(id, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, tamper := range map[string]func(tr *Tree){
 		"left link": func(tr *Tree) {
-			pg := second(tr)
-			setLeafLeft(pg.Data, pg.ID) // points at itself
-			pg.MarkDirty()
-			pg.Release()
+			rewrite(tr, func(id pager.PageID, data []byte) {
+				setLeafLeft(data, id) // points at itself
+			})
 		},
 		"key order": func(tr *Tree) {
-			pg := second(tr)
-			copy(tr.leafKey(pg.Data, 1), u64key(0)) // below the first leaf's keys... and its own entry 0
-			tr.leafKey(pg.Data, 0)[0] = 0xff
-			pg.MarkDirty()
-			pg.Release()
+			rewrite(tr, func(_ pager.PageID, data []byte) {
+				copy(tr.leafKey(data, 1), u64key(0)) // below the first leaf's keys... and its own entry 0
+				tr.leafKey(data, 0)[0] = 0xff
+			})
 		},
 		"count": func(tr *Tree) { tr.count++ },
 		"last leaf": func(tr *Tree) {

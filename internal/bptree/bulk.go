@@ -43,15 +43,15 @@ var errNotFresh = errors.New("bptree: bulk load into a tree that is not fresh (t
 // packed on top.
 //
 // Trees are write-once. BulkLoad is the only writer, and on a tree that
-// is not fresh it returns an error. The empty root leaf Create allocated
-// becomes the first leaf, and each leaf stays pinned until its right
-// sibling is allocated, so both of its links are set before it is
-// released: every page is written once and none is read back. On empty
-// input the Create leaf stays the root.
+// is not fresh it returns an error. It assembles each page in a buffer of
+// its own and writes it once, whole, reading nothing back: pages are
+// appended in order, so a leaf knows its right sibling's id before it is
+// written. The root leaf Create named becomes the first leaf. On empty
+// input the tree stays one empty root leaf, which Flush writes.
 func (t *Tree) BulkLoad(src EntrySource) error {
 	// Fresh is as Create left it: no entries, and the root the empty leaf
-	// that is the file's last page.
-	if t.count != 0 || t.height != 1 || uint64(t.root)+1 != t.pgr.PageCount() {
+	// that is the file's next page, or its last once a Flush wrote it.
+	if t.count != 0 || t.height != 1 || uint64(t.root)+1 < t.pgr.PageCount() {
 		return errNotFresh
 	}
 	type childRef struct {
@@ -59,24 +59,19 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 		id       pager.PageID
 	}
 	var level []childRef
+	buf := make([]byte, t.pgr.PageSize())
 
 	// ---- leaf level ----
 	var (
-		cur     *pager.Page // the leaf being filled, pinned
+		cur     = t.root // the page buf becomes
 		curN    int
 		prevKey []byte
 		n       uint64
 	)
-	defer func() {
-		if cur != nil { // an error left it unfinished
-			cur.Release()
-		}
-	}()
-	finishLeaf := func(right pager.PageID) {
-		setLeafCount(cur.Data, curN)
-		setLeafRight(cur.Data, right)
-		cur.MarkDirty()
-		cur.Release()
+	finishLeaf := func(right pager.PageID) error {
+		setLeafCount(buf, curN)
+		setLeafRight(buf, right)
+		return t.pgr.Write(cur, buf)
 	}
 	for {
 		key, val, ok := src.Next()
@@ -92,36 +87,33 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 			return ErrNotSorted
 		}
 		prevKey = append(prevKey[:0], key...)
-		if cur == nil || curN == t.leafCap {
-			var pg *pager.Page
-			var err error
-			if cur == nil {
-				pg, err = t.pgr.Get(t.root) // the Create leaf, still in the pool
-			} else {
-				pg, err = t.pgr.Alloc()
+		if level == nil || curN == t.leafCap {
+			if level != nil {
+				if err := finishLeaf(cur + 1); err != nil {
+					return err
+				}
+				cur++
 			}
-			if err != nil {
-				return err
+			clear(buf)
+			initLeaf(buf)
+			if cur != t.root {
+				setLeafLeft(buf, cur-1)
 			}
-			initLeaf(pg.Data)
-			if cur != nil {
-				setLeafLeft(pg.Data, cur.ID)
-				finishLeaf(pg.ID)
-			}
-			cur, curN = pg, 0
-			level = append(level, childRef{firstKey: append([]byte(nil), key...), id: pg.ID})
+			curN = 0
+			level = append(level, childRef{firstKey: append([]byte(nil), key...), id: cur})
 		}
-		copy(t.leafKey(cur.Data, curN), key)
-		copy(t.leafVal(cur.Data, curN), val)
+		copy(t.leafKey(buf, curN), key)
+		copy(t.leafVal(buf, curN), val)
 		curN++
 		n++
 	}
-	if cur == nil {
+	if level == nil {
 		return t.Flush()
 	}
-	t.firstLeaf, t.lastLeaf = t.root, cur.ID
-	finishLeaf(0)
-	cur = nil
+	if err := finishLeaf(0); err != nil {
+		return err
+	}
+	t.firstLeaf, t.lastLeaf = t.root, cur
 
 	// ---- internal levels ----
 	height := 1
@@ -137,21 +129,20 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 			if rem := len(level) - i - run; rem == 1 && run > 2 {
 				run--
 			}
-			pg, err := t.pgr.Alloc()
-			if err != nil {
-				return err
-			}
-			initInternal(pg.Data)
-			setInternalCount(pg.Data, run-1)
+			clear(buf)
+			initInternal(buf)
+			setInternalCount(buf, run-1)
 			for j := 0; j < run; j++ {
-				setInternalChild(pg.Data, j, level[i+j].id)
+				setInternalChild(buf, j, level[i+j].id)
 				if j > 0 {
-					copy(t.internalKey(pg.Data, j-1), level[i+j].firstKey)
+					copy(t.internalKey(buf, j-1), level[i+j].firstKey)
 				}
 			}
-			pg.MarkDirty()
-			next = append(next, childRef{firstKey: level[i].firstKey, id: pg.ID})
-			pg.Release()
+			id := pager.PageID(t.pgr.PageCount())
+			if err := t.pgr.Write(id, buf); err != nil {
+				return err
+			}
+			next = append(next, childRef{firstKey: level[i].firstKey, id: id})
 			i += run
 		}
 		level = next

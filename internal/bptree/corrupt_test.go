@@ -158,13 +158,11 @@ func writeTreeFile(t testing.TB, header, pages []byte) *pager.Pager {
 	}
 	t.Cleanup(func() { pgr.Close() })
 	for len(pages) > 0 {
-		pg, err := pgr.Alloc()
-		if err != nil {
+		buf := make([]byte, treePageSize)
+		pages = pages[copy(buf, pages):]
+		if err := pgr.Write(pager.PageID(pgr.PageCount()), buf); err != nil {
 			t.Fatal(err)
 		}
-		pages = pages[copy(pg.Data, pages):]
-		pg.MarkDirty()
-		pg.Release()
 	}
 	if err := pgr.SetMeta(header); err != nil {
 		t.Skip("header does not fit a superblock")

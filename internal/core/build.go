@@ -228,9 +228,11 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		for slot, id := range perm0 {
 			stored[slot], slotOf[id] = vectors[id], uint64(slot)
 		}
-		sp, err := ix.openPager(ix.cache, filepath.Join(dir, slotFile), true)
+		sp, err := ix.writeFile(filepath.Join(dir, slotFile), func(pgr *pager.Pager) error {
+			return createSlotMap(pgr, perm0, slotOf)
+		})
 		if err == nil {
-			if ix.slots, err = createSlotMap(sp, perm0, slotOf); err != nil {
+			if ix.slots, err = openSlotMap(sp, uint64(len(perm0))); err != nil {
 				sp.Close()
 			}
 		}
@@ -271,7 +273,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 
 	// The pointer target: raw vectors in a paged store, record s the
 	// vector of slot s — ν bytes each when the data allows it.
-	vp, err := ix.openPager(ix.cache, filepath.Join(dir, "vectors.pg"), true)
+	vp, err := ix.openPager(filepath.Join(dir, "vectors.pg"), pager.Options{Create: true})
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -392,40 +394,52 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 // writeTree is the tree writer's last step: a fresh tree file at path,
 // bulk-loaded from the flat arenas (rdbtree.BulkLoadArena's shapes; ids
 // holds each row's slot, nil when the row number is the slot; prev is
-// the scale of the tree rows were decoded from, zero when none were),
-// flushed and fsynced — fully durable before a meta commit (Build's or a
-// compaction's) references it — through a cache of its own, so a bulk
-// load never evicts the queries' pages, then reopened on ix.cache.
+// the scale of the tree rows were decoded from, zero when none were) by
+// writeFile, and opened to serve.
 func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32, prev rdbtree.Scale) (*rdbtree.Tree, error) {
-	pgr, err := ix.openPager(pager.NewCache(), path, true)
+	p := ix.params
+	pgr, err := ix.writeFile(path, func(pgr *pager.Pager) error {
+		tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
+		if err == nil {
+			err = tree.BulkLoadArena(keys, perm, ids, rdist, prev)
+		}
+		if err == nil {
+			err = tree.Flush()
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := ix.params
-	tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
-	if err == nil {
-		err = tree.BulkLoadArena(keys, perm, ids, rdist, prev)
+	tree, err := rdbtree.Open(pgr)
+	if err != nil {
+		pgr.Close()
+		return nil, err
 	}
-	if err == nil {
-		err = tree.Flush()
+	return tree, nil
+}
+
+// writeFile makes a write-once index file, a tree or ids.pg: write fills
+// a fresh file at path, each page written once, through a pager that
+// reads nothing; the file is fsynced — fully durable before a meta
+// commit (Build's or a compaction's) references it — closed, and
+// reopened read-only on ix.cache to serve.
+func (ix *Index) writeFile(path string, write func(*pager.Pager) error) (*pager.Pager, error) {
+	pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: ix.params.PageSize})
+	if err != nil {
+		return nil, err
 	}
+	err = write(pgr)
 	if err == nil {
 		err = pgr.Sync()
 	}
 	if e := pgr.Close(); err == nil {
 		err = e
 	}
-	if err == nil {
-		pgr, err = ix.openPager(ix.cache, path, false)
-	}
 	if err != nil {
 		return nil, err
 	}
-	if tree, err = rdbtree.Open(pgr); err != nil {
-		pgr.Close()
-		return nil, err
-	}
-	return tree, nil
+	return ix.openPager(path, pager.Options{ReadOnly: true})
 }
 
 // computeRefDists fills the flat n×m reference-distance matrix in

@@ -136,7 +136,7 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 	}
 	legacy := make([][]entry, 2)
 	for tr := range legacy {
-		pgr, err := pager.Open(filepath.Join(fixture, fmt.Sprintf("tree_%02d.g1.pg", tr)), pager.Options{})
+		pgr, err := pager.Open(filepath.Join(fixture, fmt.Sprintf("tree_%02d.g1.pg", tr)), pager.Options{ReadOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}

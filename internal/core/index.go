@@ -123,14 +123,15 @@ func (ix *Index) treeGenPath(t int, gen uint64) string {
 	return filepath.Join(ix.dir, name)
 }
 
-// openPager is the one place an index file is opened to write or serve,
-// on c: ix.cache, the pool all its files share, or writeTree's own.
-// Reopening ignores PageSize: the file's own wins.
-func (ix *Index) openPager(c *pager.Cache, path string, create bool) (*pager.Pager, error) {
+// openPager is the one place an index file is opened to serve, on
+// ix.cache, the pool all its files share: the trees and ids.pg with
+// o.ReadOnly, vectors.pg writable (Build creates it here, and
+// compactions append to it). Reopening ignores PageSize: the file's own
+// wins.
+func (ix *Index) openPager(path string, o pager.Options) (*pager.Pager, error) {
 	p := ix.params
-	return c.Open(path, pager.Options{
-		Create: create, PageSize: p.PageSize, PoolPages: p.PoolPages, DisableLRU: p.DisableCache,
-	})
+	o.PageSize, o.PoolPages, o.DisableLRU = p.PageSize, p.PoolPages, p.DisableCache
+	return ix.cache.Open(path, o)
 }
 
 // eachPager visits every file the index holds open — the current tree
@@ -357,7 +358,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
 	legacy := false // trees written before the 16-bit codes
 	for t := range ix.trees {
-		pgr, err := ix.openPager(ix.cache, ix.treeGenPath(t, ix.gen), false)
+		pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), pager.Options{ReadOnly: true})
 		if err != nil {
 			return err
 		}
@@ -369,7 +370,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 			legacy = true
 		}
 	}
-	vp, err := ix.openPager(ix.cache, filepath.Join(ix.dir, "vectors.pg"), false)
+	vp, err := ix.openPager(filepath.Join(ix.dir, "vectors.pg"), pager.Options{})
 	if err != nil {
 		return err
 	}
@@ -389,7 +390,7 @@ func (ix *Index) load(committed, clustered uint64) error {
 		if clustered > committed {
 			return fmt.Errorf("core: meta clusters %d vectors, commits %d", clustered, committed)
 		}
-		sp, err := ix.openPager(ix.cache, filepath.Join(ix.dir, slotFile), false)
+		sp, err := ix.openPager(filepath.Join(ix.dir, slotFile), pager.Options{ReadOnly: true})
 		if err != nil {
 			return err
 		}
@@ -554,22 +555,16 @@ func (ix *Index) ResetIOStats() {
 	ix.eachPager((*pager.Pager).ResetStats)
 }
 
-// Flush persists all dirty state to disk: tree and vector-store pages,
-// the meta descriptor, the deletion marks, and an fsync of the WAL.
-// The ingest path does not need it for durability (acknowledged writes
-// are WAL-durable already, and tree files are written once, by the
-// build or a compaction); it remains a convenient full-sync barrier.
+// Flush persists the state that lives in memory: the vector store's
+// header, the meta descriptor, the deletion marks, and an fsync of the
+// WAL. Pages need no flush — every one reached its file when it was
+// written, and tree files and ids.pg are written once, by the build or a
+// compaction, and served read-only. The ingest path does not need it for
+// durability (acknowledged writes are WAL-durable already); it remains a
+// convenient full-sync barrier.
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
-	var err error
-	for _, tr := range ix.trees {
-		if err == nil {
-			err = tr.Flush()
-		}
-	}
-	if err == nil {
-		err = ix.vectors.Flush()
-	}
+	err := ix.vectors.Flush()
 	if err == nil {
 		err = ix.writeMeta()
 	}

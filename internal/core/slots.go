@@ -62,31 +62,28 @@ func decodeSlotHeader(meta []byte) (base uint64, err error) {
 	return binary.BigEndian.Uint64(meta[len(slotMagic):]), nil
 }
 
-// createSlotMap writes a fresh ids.pg into pgr and fsyncs it: order[s]
-// is the id stored at slot s, slotOf its inverse.
-func createSlotMap(pgr *pager.Pager, order []uint32, slotOf []uint64) (slotMap, error) {
-	m := slotMap{pgr: pgr, base: uint64(len(order)), per: uint64(pgr.PageSize() / 4)}
+// createSlotMap writes a fresh ids.pg into pgr, each page assembled in
+// a buffer and written once, and its header: order[s] is the id stored
+// at slot s, slotOf its inverse. The caller syncs.
+func createSlotMap(pgr *pager.Pager, order []uint32, slotOf []uint64) error {
+	base, per := uint64(len(order)), uint64(pgr.PageSize()/4)
 	entry := func(e uint64) uint32 {
-		if e < m.base {
+		if e < base {
 			return order[e]
 		}
-		return uint32(slotOf[e-m.base])
+		return uint32(slotOf[e-base])
 	}
-	for e := uint64(0); e < 2*m.base; {
-		pg, err := pgr.Alloc()
-		if err != nil {
-			return slotMap{}, err
+	page := make([]byte, pgr.PageSize())
+	for e := uint64(0); e < 2*base; {
+		clear(page)
+		for i := uint64(0); i < per && e < 2*base; i, e = i+1, e+1 {
+			binary.LittleEndian.PutUint32(page[4*i:], entry(e))
 		}
-		for i := uint64(0); i < m.per && e < 2*m.base; i, e = i+1, e+1 {
-			binary.LittleEndian.PutUint32(pg.Data[4*i:], entry(e))
+		if err := pgr.Write(pager.PageID(pgr.PageCount()), page); err != nil {
+			return err
 		}
-		pg.MarkDirty()
-		pg.Release()
 	}
-	if err := pgr.SetMeta(encodeSlotHeader(m.base)); err != nil {
-		return slotMap{}, err
-	}
-	return m, pgr.Sync()
+	return pgr.SetMeta(encodeSlotHeader(base))
 }
 
 // openSlotMap adopts an existing ids.pg, which must hold exactly the

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"github.com/hd-index/hdindex/internal/bptree"
+	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/rdbtree"
 )
 
@@ -43,7 +44,7 @@ func (ix *Index) upgradeTrees() error {
 // distances; a value of the float32 layout has a 4-byte little-endian
 // slot instead. Both readers check the tree as they walk it.
 func (ix *Index) upgradeTree(t int, gen uint64) (*rdbtree.Tree, error) {
-	pgr, err := ix.openPager(ix.cache, ix.treeGenPath(t, ix.gen), false)
+	pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), pager.Options{ReadOnly: true})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package pager
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -18,14 +20,7 @@ func TestConcurrentReaders(t *testing.T) {
 	const pages = 16
 	ids := make([]PageID, pages)
 	for i := 0; i < pages; i++ {
-		pg, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.BigEndian.PutUint64(pg.Data, uint64(i)*7)
-		pg.MarkDirty()
-		ids[i] = pg.ID
-		pg.Release()
+		ids[i] = appendPage(t, p, binary.BigEndian.AppendUint64(nil, uint64(i)*7))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -64,20 +59,21 @@ func (e ErrCorrupt) Error() string { return "corrupt page content" }
 
 // A pinned page must never be evicted even under pool pressure.
 func TestPinnedPageSurvivesPressure(t *testing.T) {
-	p, _ := newTemp(t, Options{PoolPages: 2})
-	pinned, err := p.Alloc()
+	p := newOneStripe(t, Options{PoolPages: 2})
+	id := appendPage(t, p, []byte("pinned!!"))
+	for i := 0; i < 20; i++ {
+		appendPage(t, p, nil)
+	}
+	pinned, err := p.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(pinned.Data, "pinned!!")
-	pinned.MarkDirty()
 	// Flood the pool far past capacity while the first page stays pinned.
-	for i := 0; i < 20; i++ {
-		pg, err := p.Alloc()
+	for i := id + 1; i <= id+20; i++ {
+		pg, err := p.Get(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.MarkDirty()
 		pg.Release()
 	}
 	if string(pinned.Data[:8]) != "pinned!!" {
@@ -97,14 +93,7 @@ func TestConcurrentShardedPool(t *testing.T) {
 	const pages = 64
 	ids := make([]PageID, pages)
 	for i := 0; i < pages; i++ {
-		pg, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.BigEndian.PutUint64(pg.Data, uint64(i)*13)
-		pg.MarkDirty()
-		ids[i] = pg.ID
-		pg.Release()
+		ids[i] = appendPage(t, p, binary.BigEndian.AppendUint64(nil, uint64(i)*13))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 12)
@@ -176,14 +165,13 @@ func (w *closeWatch) Close() error {
 }
 
 // One file of a shared cache closes while the misses of two others,
-// read from goroutines of their own, evict its dirty frames and write
-// them back to it. Every page of the closing file must reach it exactly
-// once, by an eviction or by Close's flush, none after the file is
-// closed; the readers see their own bytes throughout; and the cache
-// ends with the readers' shares alone. Run under -race in CI, ten times
-// over (make chaos).
+// read from goroutines of their own, evict its frames. Its pages reach
+// it once each, when written, and nothing after the file is closed: an
+// eviction only forgets a page. The readers see their own bytes
+// throughout, and the cache ends with the readers' shares alone. Run
+// under -race in CI, ten times over (make chaos).
 func TestSharedCacheCloseRacesEviction(t *testing.T) {
-	const readerPages, dirtyPages, readerShare = 96, 48, 4
+	const readerPages, writtenPages, readerShare = 96, 48, 4
 	paths := []string{scanPath(t, readerPages), scanPath(t, readerPages)}
 	for round := 0; round < 5; round++ {
 		c := NewCache()
@@ -195,7 +183,7 @@ func TestSharedCacheCloseRacesEviction(t *testing.T) {
 			}
 			readers[i] = p
 		}
-		path := filepath.Join(t.TempDir(), "dirty.pg")
+		path := filepath.Join(t.TempDir(), "written.pg")
 		a, err := c.Open(path, Options{Create: true, PoolPages: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -203,15 +191,16 @@ func TestSharedCacheCloseRacesEviction(t *testing.T) {
 		watch := &closeWatch{File: a.f}
 		a.f = watch
 		want := make(map[PageID]uint64)
-		for i := 0; i < dirtyPages; i++ {
-			pg, err := a.Alloc()
+		for i := 0; i < writtenPages; i++ {
+			w := uint64(round<<16 | i)
+			want[appendPage(t, a, binary.BigEndian.AppendUint64(nil, w))] = w
+		}
+		for id := range want { // resident, for the readers' misses to evict
+			v, err := a.View(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[pg.ID] = uint64(round<<16 | i)
-			binary.BigEndian.PutUint64(pg.Data, want[pg.ID])
-			pg.MarkDirty()
-			pg.Release()
+			v.Release()
 		}
 
 		stop := make(chan struct{})
@@ -262,8 +251,8 @@ func TestSharedCacheCloseRacesEviction(t *testing.T) {
 			t.Fatal("a page was written to the file after its Close")
 		}
 		// The superblock at Create and at Close, and each page once.
-		if st := a.Stats(); st.Writes != dirtyPages+2 {
-			t.Fatalf("%d writes to the closed file, want %d: each page once and the superblock twice", st.Writes, dirtyPages+2)
+		if st := a.Stats(); st.Writes != writtenPages+2 {
+			t.Fatalf("%d writes to the closed file, want %d: each page once and the superblock twice", st.Writes, writtenPages+2)
 		}
 		if c.pages != len(readers)*readerShare {
 			t.Fatalf("the cache holds %d pages of capacity after the close, want the readers' %d", c.pages, len(readers)*readerShare)
@@ -288,5 +277,92 @@ func TestSharedCacheCloseRacesEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// Readers view a file's pages while a writer replaces every page, round
+// after round, and appends more, through a pool too small to hold them:
+// each view holds one whole round's bytes, never a torn page, and never
+// an older round than that reader saw before; a pinned copy keeps its
+// bytes while writes replace its page; and the file ends holding the
+// last round. Run under -race in CI, ten times over (make chaos).
+func TestSharedCacheWritesBesideReaders(t *testing.T) {
+	const rounds, maxPages = 60, 16
+	p, err := newCache(2).Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PageSize: 64, PoolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	page := func(round int) []byte { return bytes.Repeat([]byte{byte(round)}, p.PageSize()) }
+	for range 8 {
+		appendPage(t, p, page(0))
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := make(map[PageID]byte)
+			var held View // pinned across other views and writes
+			var heldRound byte
+			for n := 0; !done.Load() && errs[r] == nil; n++ {
+				id := PageID(1 + (n*7+r)%(int(p.PageCount())-1))
+				v, err := p.View(id)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				round := v.Data[0]
+				if !bytes.Equal(v.Data, bytes.Repeat([]byte{round}, len(v.Data))) {
+					errs[r] = fmt.Errorf("page %d is torn: %v", id, v.Data)
+				} else if round < seen[id] {
+					errs[r] = fmt.Errorf("page %d went back from round %d to %d", id, seen[id], round)
+				}
+				seen[id] = round
+				if n%16 != 0 {
+					v.Release()
+					continue
+				}
+				if held.fr != nil {
+					if !bytes.Equal(held.Data, bytes.Repeat([]byte{heldRound}, len(held.Data))) {
+						errs[r] = fmt.Errorf("a pinned copy of round %d changed under its pin", heldRound)
+					}
+					held.Release()
+				}
+				held, heldRound = v, round
+			}
+			if held.fr != nil {
+				held.Release()
+			}
+		}()
+	}
+	for round := 1; round <= rounds; round++ {
+		for id := PageID(1); uint64(id) < p.PageCount(); id++ {
+			if err := p.Write(id, page(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p.PageCount() <= maxPages {
+			appendPage(t, p, page(round))
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := PageID(1); uint64(id) < p.PageCount(); id++ {
+		v, err := p.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Data[0] != rounds {
+			t.Fatalf("page %d holds round %d after the last, %d", id, v.Data[0], rounds)
+		}
+		v.Release()
 	}
 }

@@ -3,12 +3,13 @@ package pager
 import "container/list"
 
 // poolModel is the reference buffer pool: per stripe a map of the
-// resident pages of every file with their pins and dirty bits, the
+// resident pages of every file with their pins, the
 // stripe's share of the capacity the open files bring, and a policy that
 // orders the resident frames for eviction. An admission evicts the
 // policy's victim while the stripe is at its share and holds an unpinned
 // frame; a release that leaves a stripe over its share, and a close that
-// takes a share back, evict down to it. It is the Cache's order of
+// takes a share back, evict down to it; a write or a failed read drops
+// the page's copy, pinned or not. It is the Cache's order of
 // business, frame reuse and unlocked reads unknown to it. With SIEVE,
 // the Cache's own policy, it predicts every eviction the Cache makes;
 // with another it is the replayer's pool of that policy at the same
@@ -41,8 +42,7 @@ type modelStripe struct {
 }
 
 type modelFrame struct {
-	pins  int
-	dirty bool
+	pins int
 }
 
 func (s *modelStripe) pinned(k pageKey) bool { return s.frames[k].pins > 0 }
@@ -55,7 +55,7 @@ type policy interface {
 	hit(k pageKey, unpinned bool) // k, resident, is pinned again; unpinned: it had no pin
 	unpin(k pageKey)              // k's last pin is released
 	victim(s *modelStripe) pageKey
-	remove(k pageKey) // k leaves without an eviction: its file closed, or caching is off
+	remove(k pageKey) // k leaves without an eviction: its file closed, it was written, its read failed, or caching is off
 }
 
 func newPoolModel(stripes int, newPolicy func() policy) *poolModel {
@@ -85,9 +85,6 @@ func (m *poolModel) resize(pages int) {
 
 func (m *poolModel) evict(s *modelStripe) {
 	victim := s.pol.victim(s)
-	if s.frames[victim].dirty {
-		m.files[victim.file].st.Writes++
-	}
 	delete(s.frames, victim)
 	s.unpinned--
 	if m.evicted != nil {
@@ -112,14 +109,9 @@ func (m *poolModel) open(file, share int, noCache bool) {
 // close drops an open file's frames, pinned or not, and its share.
 func (m *poolModel) close(file int) {
 	for i := range m.stripes {
-		s := &m.stripes[i]
-		for k, f := range s.frames {
+		for k := range m.stripes[i].frames {
 			if k.file == file {
-				s.pol.remove(k)
-				if f.pins == 0 {
-					s.unpinned--
-				}
-				delete(s.frames, k)
+				m.drop(k)
 			}
 		}
 	}
@@ -127,12 +119,26 @@ func (m *poolModel) close(file int) {
 	m.resize(m.pages - m.files[file].share)
 }
 
-func (m *poolModel) admit(k pageKey, dirty bool) {
+// drop takes k's copy, if resident, out of the pool, pinned or not.
+func (m *poolModel) drop(k pageKey) {
+	s := m.stripe(k.id)
+	f := s.frames[k]
+	if f == nil {
+		return
+	}
+	s.pol.remove(k)
+	if f.pins == 0 {
+		s.unpinned--
+	}
+	delete(s.frames, k)
+}
+
+func (m *poolModel) admit(k pageKey) {
 	s := m.stripe(k.id)
 	for len(s.frames) >= s.cap && s.unpinned > 0 {
 		m.evict(s)
 	}
-	s.frames[k] = &modelFrame{pins: 1, dirty: dirty}
+	s.frames[k] = &modelFrame{pins: 1}
 	s.pol.admit(k)
 }
 
@@ -150,13 +156,20 @@ func (m *poolModel) get(k pageKey) bool {
 	}
 	st.Misses++
 	st.Reads++
-	m.admit(k, false)
+	m.admit(k)
 	return false
 }
 
+// alloc is a write that appends k to its file: nothing enters the pool.
 func (m *poolModel) alloc(k pageKey) {
 	m.files[k.file].st.Allocs++
-	m.admit(k, true)
+	m.files[k.file].st.Writes++
+}
+
+// write is a write of k, a page the file has: its copy is dropped.
+func (m *poolModel) write(k pageKey) {
+	m.files[k.file].st.Writes++
+	m.drop(k)
 }
 
 func (m *poolModel) release(k pageKey) {
@@ -165,17 +178,13 @@ func (m *poolModel) release(k pageKey) {
 	if f.pins--; f.pins > 0 {
 		return
 	}
-	if !m.files[k.file].noCache {
-		s.unpinned++
-		s.pol.unpin(k)
-		m.trim(s)
+	s.unpinned++
+	if m.files[k.file].noCache {
+		m.drop(k)
 		return
 	}
-	if f.dirty {
-		m.files[k.file].st.Writes++
-	}
-	s.pol.remove(k)
-	delete(s.frames, k)
+	s.pol.unpin(k)
+	m.trim(s)
 }
 
 // lruPolicy keeps the unpinned frames most recently released first and

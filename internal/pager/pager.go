@@ -8,12 +8,15 @@
 // filter is free in I/O terms. The counters here are what let the
 // benchmarks report those numbers on any hardware.
 //
-// The buffer pool, a Cache the files of an index share, is sharded into
-// lock-striped SIEVE segments keyed by page id, so concurrent searches
-// never contend on one global mutex; a pager keeps its own page map and
-// counters per stripe, so a hit is one lock, one map lookup and one bit
-// set, and Stats stay exact per file. The read hot path borrows a pinned frame
-// zero-copy via View instead of Get's heap-allocated Page handle.
+// The buffer pool, a Cache the files of an index share, is a read cache:
+// a page reaches its file in the Write that writes it, one write of the
+// whole page, and no frame ever holds bytes the file lacks. It is sharded
+// into lock-striped SIEVE segments keyed by page id, so concurrent
+// searches never contend on one global mutex; a pager keeps its own page
+// map and counters per stripe, so a hit is one lock, one map lookup and
+// one bit set, and Stats stay exact per file. The read hot path borrows a
+// pinned frame zero-copy via View instead of Get's heap-allocated Page
+// handle.
 //
 // A pool miss costs one pread and nothing else: once a stripe holds its
 // capacity share of frames every incoming page lives in a recycled one
@@ -26,6 +29,7 @@
 package pager
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -84,7 +88,7 @@ type Stats struct {
 	Writes uint64 // physical page writes to disk
 	Hits   uint64 // buffer pool hits
 	Misses uint64 // buffer pool misses (each implies one Read unless the read failed)
-	Allocs uint64 // pages allocated
+	Allocs uint64 // pages appended to the file
 }
 
 // Add accumulates o into s; aggregators (multi-file indexes, sharded
@@ -105,29 +109,23 @@ func (s Stats) HitRatio() float64 {
 	return 0
 }
 
-// Options configures Open.
+// Options configures Open. Whether a file is writable changes nothing in
+// the pool, which only ever holds what the file holds.
 type Options struct {
 	PageSize   int  // bytes per page; DefaultPageSize if zero
 	PoolPages  int  // the pager's share of its cache's frames; 256 if zero or negative
 	Create     bool // create (truncate) instead of opening existing
-	ReadOnly   bool // open without write permission
+	ReadOnly   bool // open without write permission: Write fails, Flush and Close write nothing
 	DisableLRU bool // bypass the SIEVE pool: no page stays past its last Release, every Get is a disk read (paper's "caching off" mode)
 }
 
-// Page is a pinned page in the buffer pool. Callers must Release it when
-// done; writes must be followed by MarkDirty before Release.
+// Page is a pinned, read-only page in the buffer pool: Get's heap handle
+// on the bytes View lends. Callers must Release it when done and must
+// not write through Data; a page changes only by Write.
 type Page struct {
 	ID    PageID
 	Data  []byte
 	frame *frame
-}
-
-// MarkDirty records that Data was modified and must reach disk.
-func (p *Page) MarkDirty() {
-	st, _ := p.frame.pgr.stripeOf(p.frame.id)
-	st.mu.Lock()
-	p.frame.dirty = true
-	st.mu.Unlock()
 }
 
 // Release unpins the page. The Page must not be used afterwards.
@@ -154,10 +152,10 @@ type frame struct {
 	pgr     *Pager // the file the page belongs to
 	data    []byte
 	pins    int
-	dirty   bool
 	loading bool   // the miss that admitted it is reading into data outside the stripe lock
 	err     error  // that read's failure, for the callers that waited on it
 	visited bool   // hit since it was admitted or last passed by the hand
+	dropped bool   // unmapped while pinned: its pinners keep it until their Release
 	prev    *frame // the newer neighbour in the stripe's queue
 	next    *frame // the older one
 }
@@ -196,9 +194,9 @@ func (c *counters) reset() {
 // the newest, passing pinned frames and clearing set bits, to the first
 // unpinned frame not visited. A page hit once since it entered outlives
 // a stream of pages used once, and a hit writes one bit, not a list.
+// Every frame is clean, so an eviction only forgets a page.
 type Cache struct {
-	mu      sync.Mutex // serialises capacity changes
-	pages   int        // the sum of PoolPages over the open pagers
+	pages   int // the sum of PoolPages over the open pagers; changed under every stripe lock
 	stripes []stripe
 	mask    uint64    // len(stripes)-1; len is a power of two
 	rec     *recorder // the access trace; nil when none is taken
@@ -227,27 +225,23 @@ type fileStripe struct {
 }
 
 // Pager manages one page file. It is safe for concurrent use: readers
-// of distinct cache stripes proceed in parallel; only the superblock and
-// metadata share a mutex.
+// of distinct cache stripes proceed in parallel; writes, the superblock
+// and the metadata share one mutex.
 type Pager struct {
 	f        iofault.File
 	pageSize int
 	noCache  bool
 	readOnly bool
 
-	pageCount atomic.Uint64 // includes superblock
+	pageCount atomic.Uint64 // includes superblock; grows only after its page is written
 	closed    atomic.Bool
 
-	// allocMu serialises Allocs with each other and with Flush/Close.
-	// Two invariants hang off it: pageCount is published only after the
-	// new frame is admitted (so a Get that passes the range check always
-	// finds the frame instead of reading past EOF), and the superblock
-	// never records a count covering a frame the flush didn't see.
-	// Get/View never touch it — allocation is off the read hot path.
-	allocMu sync.Mutex
-
-	state      sync.Mutex // guards meta, superblock I/O, close
+	// state serialises Write, SetMeta, Flush and Close: one writer at a
+	// time, and none after the closed flag is set. Get/View never touch
+	// it — writing is off the read hot path.
+	state      sync.Mutex
 	meta       []byte
+	super      []byte   // the superblock the file holds, as last read or written
 	superStats counters // superblock traffic (page 0 never enters the cache)
 
 	cache   *Cache
@@ -272,10 +266,14 @@ func newCache(n int) *Cache {
 // resize adds p's share to the capacity as p opens (sign 1), or drops
 // p's frames and takes its share back as p closes (sign -1). It splits
 // the capacity over the stripes exactly — the first pages%n take one
-// extra frame — and evicts a stripe left over its share down to it.
+// extra frame — and evicts a stripe left over its share down to it. It
+// holds every stripe lock throughout, so in a trace the open or close
+// falls between two of any stripe's accesses exactly where the Cache
+// made it, and two resizes never interleave.
 func (c *Cache) resize(p *Pager, sign int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	for i := range c.stripes {
+		c.stripes[i].mu.Lock()
+	}
 	c.pages += sign * p.share
 	if c.rec != nil {
 		if sign > 0 {
@@ -287,13 +285,8 @@ func (c *Cache) resize(p *Pager, sign int) {
 	n := len(c.stripes)
 	for i := range c.stripes {
 		st, fs := &c.stripes[i], &p.stripes[i]
-		st.mu.Lock()
 		for _, fr := range fs.frames {
-			st.unlink(fr)
-			if fr.pins == 0 {
-				st.unpinned--
-				st.free = append(st.free, fr)
-			}
+			st.drop(fs, fr)
 		}
 		fs.frames = nil
 		if sign > 0 {
@@ -304,7 +297,9 @@ func (c *Cache) resize(p *Pager, sign int) {
 			st.cap++
 		}
 		st.trim()
-		st.mu.Unlock()
+	}
+	for i := range c.stripes {
+		c.stripes[i].mu.Unlock()
 	}
 }
 
@@ -351,15 +346,13 @@ func (c *Cache) Open(path string, opts Options) (*Pager, error) {
 	}
 	if opts.Create {
 		p.pageCount.Store(1)
-		if err := p.writeSuperblockLocked(1); err != nil {
-			f.Close()
-			return nil, err
-		}
+		err = p.writeSuperblockLocked()
 	} else {
-		if err := p.readSuperblock(); err != nil {
-			f.Close()
-			return nil, err
-		}
+		err = p.readSuperblock()
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	c.resize(p, 1)
 	return p, nil
@@ -370,22 +363,26 @@ func (p *Pager) stripeOf(id PageID) (*stripe, *fileStripe) {
 	return &p.cache.stripes[i], &p.stripes[i]
 }
 
-// writeSuperblockLocked writes the superblock recording count pages;
-// caller holds p.state (or has exclusive access, as during Open) and
-// must have captured count under allocMu, so it never exceeds the set
-// of pages whose frames were admitted when the pool was flushed.
-func (p *Pager) writeSuperblockLocked(count uint64) error {
+// writeSuperblockLocked writes the superblock recording the page count
+// and meta, unless the file already holds exactly that superblock: a
+// file only read is never written. Caller holds p.state (or has
+// exclusive access, as during Open).
+func (p *Pager) writeSuperblockLocked() error {
 	buf := make([]byte, p.pageSize)
 	copy(buf, magic)
 	binary.BigEndian.PutUint32(buf[offVersion:], version)
 	binary.BigEndian.PutUint32(buf[offPageSize:], uint32(p.pageSize))
-	binary.BigEndian.PutUint64(buf[offPageCount:], count)
+	binary.BigEndian.PutUint64(buf[offPageCount:], p.pageCount.Load())
 	binary.BigEndian.PutUint32(buf[offMetaLen:], uint32(len(p.meta)))
 	copy(buf[offMeta:], p.meta)
 	binary.BigEndian.PutUint64(buf[offChecksum:], superChecksum(buf))
+	if bytes.Equal(buf, p.super) {
+		return nil
+	}
 	if _, err := p.f.WriteAt(buf, 0); err != nil {
 		return fmt.Errorf("%w: write superblock: %w", ErrIO, err)
 	}
+	p.super = buf
 	p.superStats.writes.Add(1)
 	return nil
 }
@@ -432,6 +429,7 @@ func (p *Pager) readSuperblock() error {
 		return ErrBadChecksum
 	}
 	p.meta = append([]byte(nil), buf[offMeta:offMeta+metaLen]...)
+	p.super = buf
 	return nil
 }
 
@@ -494,45 +492,79 @@ func (p *Pager) ResetStats() {
 	p.superStats.reset()
 }
 
-// Alloc appends a zeroed page to the file and returns it pinned.
-func (p *Pager) Alloc() (*Page, error) {
-	if p.readOnly {
-		return nil, errors.New("pager: alloc on read-only file")
+// Write writes data, exactly one page, as page id: a page the file has,
+// or the next one, which it appends. The page reaches the file in this
+// call, one write of the whole page, under its stripe's lock and after
+// any read of it in flight, so no reader sees it torn. A resident copy
+// is dropped: later callers read the new bytes, and whoever holds the
+// old copy pinned keeps it until their Release. An appended page counts
+// only once written. A failed write changes neither the page count nor
+// any copy.
+func (p *Pager) Write(id PageID, data []byte) error {
+	if id == 0 {
+		return fmt.Errorf("%w: write of page 0, the superblock", ErrPageRange)
 	}
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
-	// An Alloc that loses the lock race to Close fails here; one that
-	// wins it completes fully (admit + publish) before Close can
-	// capture the count and flush, so nothing counted is ever missing.
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	id := PageID(p.pageCount.Load())
-	st, fs := p.stripeOf(id)
-	st.mu.Lock()
-	fs.stats.allocs.Add(1)
-	fr, err := p.evictFor(st)
-	if err != nil {
-		st.mu.Unlock()
-		return nil, err
-	}
-	if rec := p.cache.rec; rec != nil {
-		rec.access(evAlloc, p, id)
-	}
-	clear(fr.data)
-	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, dirty: true}
-	fs.frames[id] = fr
-	st.push(fr)
-	st.mu.Unlock()
-	// Publish only after the frame is in its stripe: a concurrent Get of
-	// this id either fails the range check (not yet published) or finds
-	// the admitted frame — it can never fall through to a disk read of
-	// a page the file doesn't have yet.
-	p.pageCount.Store(uint64(id) + 1)
-	return &Page{ID: id, Data: fr.data, frame: fr}, nil
+	_, err := p.write(id, data)
+	return err
 }
 
-// Get returns the page with the given id, pinned.
+// Alloc appends a zeroed page to the file and returns it pinned, read
+// back as by Get.
+func (p *Pager) Alloc() (*Page, error) {
+	id, err := p.write(0, make([]byte, p.pageSize))
+	if err != nil {
+		return nil, err
+	}
+	return p.Get(id)
+}
+
+// write is Write, with id 0 naming the next page, and returns the id.
+func (p *Pager) write(id PageID, data []byte) (PageID, error) {
+	if p.readOnly {
+		return 0, errors.New("pager: write to a read-only file")
+	}
+	if len(data) != p.pageSize {
+		return 0, fmt.Errorf("pager: a %d-byte write to a file of %d-byte pages", len(data), p.pageSize)
+	}
+	p.state.Lock()
+	defer p.state.Unlock()
+	if p.closed.Load() {
+		return 0, ErrClosed
+	}
+	count := p.pageCount.Load()
+	if id == 0 {
+		id = PageID(count)
+	}
+	if uint64(id) > count {
+		return 0, fmt.Errorf("%w: write of page %d (have %d)", ErrPageRange, id, count)
+	}
+	st, fs := p.stripeOf(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fr := fs.frames[id]
+	for ; fr != nil && fr.loading; fr = fs.frames[id] {
+		st.loaded.Wait()
+	}
+	if _, err := p.f.WriteAt(data, int64(uint64(id))*int64(p.pageSize)); err != nil {
+		return 0, fmt.Errorf("%w: write page %d: %w", ErrIO, id, err)
+	}
+	fs.stats.writes.Add(1)
+	ev := byte(evWrite)
+	if uint64(id) == count {
+		ev = evAlloc
+		fs.stats.allocs.Add(1)
+		p.pageCount.Store(count + 1)
+	}
+	if rec := p.cache.rec; rec != nil {
+		rec.access(ev, p, id)
+	}
+	if fr != nil {
+		st.drop(fs, fr)
+	}
+	return id, nil
+}
+
+// Get returns the page with the given id, pinned and read-only.
 func (p *Pager) Get(id PageID) (*Page, error) {
 	fr, err := p.getFrame(id)
 	if err != nil {
@@ -556,7 +588,7 @@ func (p *Pager) View(id PageID) (View, error) {
 // pool miss. The miss publishes its frame pinned and loading, then reads
 // with the stripe unlocked; whoever asks for the same id meanwhile pins
 // that frame, counts a hit and waits on st.loaded, so a page is read
-// once however callers interleave. A failed read unmaps the frame and
+// once however callers interleave. A failed read drops the frame and
 // hands every waiter the same error; the next call reads again. Reads
 // start only under st.mu with the pager open and are counted in
 // fs.reading, which is what Close waits on before closing the file.
@@ -589,10 +621,7 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 		return fr, nil
 	}
 	fs.stats.misses.Add(1)
-	fr, err := p.evictFor(st)
-	if err != nil {
-		return nil, err
-	}
+	fr := p.evictFor(st)
 	if rec := p.cache.rec; rec != nil {
 		rec.access(evMiss, p, id)
 	}
@@ -601,15 +630,17 @@ func (p *Pager) getFrame(id PageID) (*frame, error) {
 	st.push(fr)
 	fs.reading++
 	st.mu.Unlock()
-	_, err = p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
+	_, err := p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
 	st.mu.Lock()
 	fs.reading--
 	fr.loading = false
 	st.loaded.Broadcast() // the woken run once mu is released
 	if err != nil {
 		fr.err = fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
-		delete(fs.frames, id)
-		st.unlink(fr)
+		if rec := p.cache.rec; rec != nil {
+			rec.access(evFail, p, id)
+		}
+		st.drop(fs, fr)
 		return nil, st.unpinFailed(fr)
 	}
 	fs.stats.reads.Add(1)
@@ -626,41 +657,30 @@ func (st *stripe) unpinFailed(fr *frame) error {
 }
 
 // evictFor returns an unmapped frame for a page of p about to enter st,
-// evicting unpinned frames while the stripe is at its capacity share
-// (dirty ones are written first and stay resident if the write fails).
-// The first victim is the frame returned; further ones, left by an
-// eviction whose write failed earlier, go to the GC. With no victim it
-// is a parked frame, and a new frame and buffer only when there is none:
-// below capacity, or everything pinned. Caller holds st.mu.
-func (p *Pager) evictFor(st *stripe) (*frame, error) {
+// evicting unpinned frames while the stripe is at its capacity share:
+// the victim's frame, else a parked one, and a new frame and buffer only
+// when there is neither — below capacity, or everything pinned. Caller
+// holds st.mu.
+func (p *Pager) evictFor(st *stripe) *frame {
 	var fr *frame
-	for st.resident >= st.cap && st.unpinned > 0 {
-		victim, err := st.evict()
-		if err != nil {
-			return nil, err
-		}
-		if fr == nil {
-			fr = victim
-		}
-	}
-	if n := len(st.free); fr == nil && n > 0 {
+	if st.resident >= st.cap && st.unpinned > 0 {
+		fr = st.evict()
+	} else if n := len(st.free); n > 0 {
 		fr, st.free = st.free[n-1], st.free[:n-1]
 	}
 	if fr == nil || len(fr.data) != p.pageSize { // its last file may have had another page size
 		fr = &frame{data: make([]byte, p.pageSize)}
 	}
-	return fr, nil
+	return fr
 }
 
 // evict walks the hand from where it rests toward the newest frame,
 // going on from the oldest past the newest: it passes pinned frames,
 // clears the visited bit of an unpinned one that has it, and stops at
-// the first unpinned frame without it. It unmaps that victim, writing it
-// to its own file first if dirty, and returns it; the hand rests on the
-// next newer frame. A failed write leaves the victim resident, dirty
-// and under the hand. Caller holds st.mu, with st.unpinned > 0, so the
-// walk ends within two turns.
-func (st *stripe) evict() (*frame, error) {
+// the first unpinned frame without it. It unmaps that victim and returns
+// it; the hand rests on the next newer frame. Caller holds st.mu, with
+// st.unpinned > 0, so the walk ends within two turns.
+func (st *stripe) evict() *frame {
 	victim := cmp.Or(st.hand, st.tail)
 	for victim.pins > 0 || victim.visited {
 		if victim.pins == 0 {
@@ -669,33 +689,39 @@ func (st *stripe) evict() (*frame, error) {
 		victim = cmp.Or(victim.prev, st.tail)
 	}
 	st.hand = victim
-	if victim.dirty {
-		if err := victim.pgr.writeFrame(victim); err != nil {
-			return nil, err
-		}
-	}
 	_, fs := victim.pgr.stripeOf(victim.id)
 	delete(fs.frames, victim.id)
 	st.unlink(victim)
 	st.unpinned--
-	return victim, nil
+	return victim
 }
 
 // trim evicts frames while the stripe is over its share and drops
-// parked frames beyond it. A pinned frame, or a dirty one whose write
-// fails, stays until a later release or admission. Caller holds st.mu.
+// parked frames beyond it. A pinned frame stays until a later release or
+// admission. Caller holds st.mu.
 func (st *stripe) trim() {
 	for st.resident > st.cap && st.unpinned > 0 {
-		if _, err := st.evict(); err != nil {
-			// The victim keeps its data and its dirty bit; the owning
-			// pager's next Flush or Close retries the write and reports it.
-			break
-		}
+		st.evict()
 	}
 	if keep := max(0, st.cap-st.resident); len(st.free) > keep {
 		clear(st.free[keep:])
 		st.free = st.free[:keep]
 	}
+}
+
+// drop unmaps fr from fs outside any eviction: its file closed, a write
+// replaced its page, its read failed, or caching is off and its last pin
+// went. An unpinned frame is parked; a pinned one stays with its pinners
+// and goes when the last of them releases it. Caller holds st.mu.
+func (st *stripe) drop(fs *fileStripe, fr *frame) {
+	delete(fs.frames, fr.id)
+	st.unlink(fr)
+	if fr.pins > 0 {
+		fr.dropped = true
+		return
+	}
+	st.unpinned--
+	st.park(fr)
 }
 
 // park keeps an unmapped, unpinned frame for the next admission, unless
@@ -706,23 +732,13 @@ func (st *stripe) park(fr *frame) {
 	}
 }
 
-// writeFrame writes fr back to p's file. Caller holds fr's stripe lock.
-func (p *Pager) writeFrame(fr *frame) error {
-	if _, err := p.f.WriteAt(fr.data, int64(uint64(fr.id))*int64(p.pageSize)); err != nil {
-		return fmt.Errorf("%w: write page %d: %w", ErrIO, fr.id, err)
-	}
-	fr.dirty = false
-	_, fs := p.stripeOf(fr.id)
-	fs.stats.writes.Add(1)
-	return nil
-}
-
 func (p *Pager) release(fr *frame) {
 	st, fs := p.stripeOf(fr.id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// With frames nil, p closed under the pin and the cache let it go.
-	if fr.pins--; fs.frames == nil {
+	// A dropped frame is no page's copy any more: the trace and the
+	// queue have already let it go.
+	if fr.pins--; fr.dropped {
 		return
 	}
 	if rec := p.cache.rec; rec != nil {
@@ -731,29 +747,16 @@ func (p *Pager) release(fr *frame) {
 	if fr.pins > 0 {
 		return
 	}
-	if p.noCache {
-		// Caching off (§5 "for fairness, we turn off buffering and
-		// caching"): write the frame out if dirty, unmap it and park it
-		// for the next Get, which in this mode is always a miss. On a
-		// write failure the frame stays resident and dirty, so the data
-		// is not lost and Flush/Close retries the write and surfaces
-		// the error (unmapping the frame first would silently discard
-		// the page).
-		if fr.dirty {
-			if err := p.writeFrame(fr); err != nil {
-				st.unpinned++ // an eviction retries the write
-				return
-			}
-		}
-		delete(fs.frames, fr.id)
-		st.unlink(fr)
-		st.park(fr)
-		return
-	}
 	st.unpinned++
-	// A stripe that outgrew its share while every frame was pinned
-	// shrinks back as its frames come free.
-	if st.resident > st.cap {
+	switch {
+	case p.noCache:
+		// Caching off (§5 "for fairness, we turn off buffering and
+		// caching"): the frame goes at once, parked for the next Get,
+		// which in this mode is always a miss.
+		st.drop(fs, fr)
+	case st.resident > st.cap:
+		// A stripe that outgrew its share while every frame was pinned
+		// shrinks back as its frames come free.
 		st.trim()
 	}
 }
@@ -790,43 +793,19 @@ func (st *stripe) unlink(fr *frame) {
 	st.resident--
 }
 
-// flushFrames writes p's dirty frames, taking each stripe lock in turn.
-func (p *Pager) flushFrames() error {
-	for i := range p.stripes {
-		st := &p.cache.stripes[i]
-		st.mu.Lock()
-		for _, fr := range p.stripes[i].frames {
-			if fr.dirty {
-				if err := p.writeFrame(fr); err != nil {
-					st.mu.Unlock()
-					return err
-				}
-			}
-		}
-		st.mu.Unlock()
-	}
-	return nil
-}
-
-// Flush writes all dirty pages and the superblock to disk. It excludes
-// concurrent Alloc (via allocMu) so the persisted page count is a
-// consistent snapshot: every page it covers had its frame flushed.
+// Flush writes the superblock if the page count or the metadata changed
+// since the file last held one. Pages need no flush: Write put each on
+// the file. A read-only pager has nothing to flush.
 func (p *Pager) Flush() error {
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	if p.readOnly {
-		return nil
-	}
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
-	count := p.pageCount.Load()
-	if err := p.flushFrames(); err != nil {
-		return err
-	}
 	p.state.Lock()
 	defer p.state.Unlock()
-	return p.writeSuperblockLocked(count)
+	switch {
+	case p.closed.Load():
+		return ErrClosed
+	case p.readOnly:
+		return nil
+	}
+	return p.writeSuperblockLocked()
 }
 
 // Sync flushes and fsyncs the file.
@@ -840,14 +819,14 @@ func (p *Pager) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the file, and gives its frames and its share
-// back to the cache. The pager is unusable afterwards. The closed flag
-// is set first; each stripe is then waited on until no read of this
-// file is in flight. A read starts only under its stripe's lock with the
-// flag clear, so past that wait none can start: every read finishes
-// against the still-open file and later callers observe ErrClosed. The
-// frames, which other files' misses may evict and write back, are
-// dropped under the stripe locks before the file closes.
+// Close writes the superblock if it changed, closes the file, and gives
+// its frames and its share back to the cache; a file that was only read
+// is not written. The pager is unusable afterwards. The closed flag is
+// set first, under the lock a Write holds, so no write follows it; each
+// stripe is then waited on until no read of this file is in flight. A
+// read starts only under its stripe's lock with the flag clear, so past
+// that wait none can start: every read finishes against the still-open
+// file and later callers observe ErrClosed.
 func (p *Pager) Close() error {
 	p.state.Lock()
 	if p.closed.Load() {
@@ -855,6 +834,10 @@ func (p *Pager) Close() error {
 		return nil
 	}
 	p.closed.Store(true)
+	var err error
+	if !p.readOnly {
+		err = p.writeSuperblockLocked()
+	}
 	p.state.Unlock()
 	for i := range p.stripes {
 		st := &p.cache.stripes[i]
@@ -863,23 +846,6 @@ func (p *Pager) Close() error {
 			st.loaded.Wait()
 		}
 		st.mu.Unlock()
-	}
-	var err error
-	if !p.readOnly {
-		// The alloc lock drains in-flight Allocs (their frames are then
-		// admitted and flushable) and holds off later ones, which fail
-		// on the closed flag.
-		p.allocMu.Lock()
-		defer p.allocMu.Unlock()
-		count := p.pageCount.Load()
-		if e := p.flushFrames(); e != nil {
-			err = e
-		}
-		p.state.Lock()
-		if e := p.writeSuperblockLocked(count); e != nil && err == nil {
-			err = e
-		}
-		p.state.Unlock()
 	}
 	p.cache.resize(p, -1)
 	if e := p.f.Close(); e != nil && err == nil {

@@ -34,18 +34,38 @@ func newOneStripe(t testing.TB, opts Options) *Pager {
 	return p
 }
 
-func TestAllocGetRoundTrip(t *testing.T) {
-	p, path := newTemp(t, Options{PoolPages: 4})
-	pg, err := p.Alloc()
-	if err != nil {
+// appendPage writes a page holding data, then zeros, at the end of p's
+// file and returns its id.
+func appendPage(t testing.TB, p *Pager, data []byte) PageID {
+	t.Helper()
+	buf := make([]byte, p.PageSize())
+	copy(buf, data)
+	id := PageID(p.PageCount())
+	if err := p.Write(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if pg.ID != 1 {
-		t.Fatalf("first alloc id = %d, want 1", pg.ID)
+	return id
+}
+
+// Writing past the end allocates the page; it reads back after a reopen,
+// and a write that is neither an append nor of a page the file has, or
+// not of a whole page, is refused.
+func TestAllocGetRoundTrip(t *testing.T) {
+	p, path := newTemp(t, Options{PoolPages: 4})
+	if id := appendPage(t, p, []byte("hello page")); id != 1 {
+		t.Fatalf("first page id = %d, want 1", id)
 	}
-	copy(pg.Data, "hello page")
-	pg.MarkDirty()
-	pg.Release()
+	for _, id := range []PageID{0, 3} {
+		if err := p.Write(id, make([]byte, p.PageSize())); !errors.Is(err, ErrPageRange) {
+			t.Fatalf("write of page %d in a file of 2 pages: err = %v, want ErrPageRange", id, err)
+		}
+	}
+	if err := p.Write(1, []byte("short")); err == nil {
+		t.Fatal("a write of less than a page succeeded")
+	}
+	if st := p.Stats(); st.Writes != 2 || st.Allocs != 1 || p.PageCount() != 2 {
+		t.Fatalf("stats %+v, %d pages; want 2 writes (superblock, page), 1 alloc, 2 pages", st, p.PageCount())
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +128,9 @@ func TestEvictionAndStats(t *testing.T) {
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 4; i++ {
-		pg, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.BigEndian.PutUint64(pg.Data, uint64(i))
-		pg.MarkDirty()
-		ids = append(ids, pg.ID)
-		pg.Release()
+		ids = append(ids, appendPage(t, p, binary.BigEndian.AppendUint64(nil, uint64(i))))
 	}
-	// Pool holds 2 of the 4; reading the evicted ones must miss.
+	// Pool holds 2 of the 4; reading them in turn must miss.
 	st0 := p.Stats()
 	for i, id := range ids {
 		pg, err := p.Get(id)
@@ -141,10 +154,7 @@ func TestEvictionAndStats(t *testing.T) {
 func TestDisableLRUCountsEveryRead(t *testing.T) {
 	p, _ := newTemp(t, Options{DisableLRU: true})
 	defer p.Close()
-	pg, _ := p.Alloc()
-	id := pg.ID
-	pg.MarkDirty()
-	pg.Release()
+	id := appendPage(t, p, nil)
 	p.ResetStats()
 	for i := 0; i < 3; i++ {
 		g, err := p.Get(id)
@@ -192,9 +202,7 @@ func TestCorruptedSuperblock(t *testing.T) {
 
 func TestTruncatedFile(t *testing.T) {
 	p, path := newTemp(t, Options{})
-	pg, _ := p.Alloc()
-	pg.MarkDirty()
-	pg.Release()
+	appendPage(t, p, nil)
 	p.Close()
 	if err := os.Truncate(path, DefaultPageSize/2); err != nil {
 		t.Fatal(err)
@@ -216,12 +224,7 @@ func FuzzPagerSuperblock(f *testing.F) {
 	if err := p.SetMeta([]byte("important")); err != nil {
 		f.Fatal(err)
 	}
-	pg, err := p.Alloc()
-	if err != nil {
-		f.Fatal(err)
-	}
-	copy(pg.Data, "x")
-	pg.Release()
+	appendPage(f, p, []byte("x"))
 	if err := p.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -268,10 +271,7 @@ func FuzzPagerSuperblock(f *testing.F) {
 
 func TestOpenWithDifferentConfiguredPageSize(t *testing.T) {
 	p, path := newTemp(t, Options{PageSize: 512})
-	pg, _ := p.Alloc()
-	copy(pg.Data, "x")
-	pg.MarkDirty()
-	pg.Release()
+	appendPage(t, p, []byte("x"))
 	p.Close()
 	// Opening with the default page size must self-correct to 512.
 	p2, err := Open(path, Options{})
@@ -308,9 +308,7 @@ func TestClosedErrors(t *testing.T) {
 
 func TestReadOnly(t *testing.T) {
 	p, path := newTemp(t, Options{})
-	pg, _ := p.Alloc()
-	pg.MarkDirty()
-	pg.Release()
+	appendPage(t, p, nil)
 	p.Close()
 	ro, err := Open(path, Options{ReadOnly: true})
 	if err != nil {
@@ -329,7 +327,7 @@ func TestReadOnly(t *testing.T) {
 
 // check compares the cache and its open pagers with the model: every
 // file's counters, the capacity and each stripe's share of it, and per
-// stripe the resident set, its pin counts and dirty bits, and the queue
+// stripe the resident set and its pin counts, and the queue
 // over all files with its visited bits, hand and unpinned count — so
 // every eviction, of which page of which file, is predicted, not just
 // counted. It also holds each stripe to owning no
@@ -355,7 +353,7 @@ func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, o
 			t.Fatalf("op %d stripe %d: %d resident frames of share %d, model %d of %d", op, i, st.resident, st.cap, len(s.frames), s.cap)
 		}
 		for k, f := range s.frames {
-			if fr := pgrs[k.file].stripes[i].frames[k.id]; fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.pins != f.pins || fr.dirty != f.dirty {
+			if fr := pgrs[k.file].stripes[i].frames[k.id]; fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.pins != f.pins {
 				t.Fatalf("op %d: page %d of file %d is %+v, model %+v", op, k.id, k.file, fr, f)
 			}
 		}
@@ -387,12 +385,13 @@ type poolFile struct {
 	noCache bool
 }
 
-// A random View/Get/Alloc/MarkDirty/Release sequence, with up to six
-// pages pinned at once over small pools (so a stripe overshoots its
-// share and shrinks back), against the reference pool and an in-memory
-// copy of every page: counters, evictions, the queue and the hand must
-// follow the model op by op, contents must match while pinned, and every
-// file must end up byte-identical to its copy. The one-file cases are Open's own
+// A random View/Get/Write/Release sequence, with up to six pages pinned
+// at once over small pools (so a stripe overshoots its share and shrinks
+// back), against the reference pool and an in-memory copy of every page:
+// counters, evictions, the queue and the hand must follow the model op
+// by op, a write appends or replaces a page without touching a pinned
+// copy of it, contents must match while pinned, and every file must end
+// up byte-identical to its copy. The one-file cases are Open's own
 // cache; the others put two and three files on one shared cache and
 // close and reopen files mid-sequence, so capacity moves with them.
 func TestRandomizedAgainstModel(t *testing.T) {
@@ -450,13 +449,20 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 
 	rng := rand.New(rand.NewSource(7))
 	type pin struct {
-		k       pageKey
-		release func()
+		k          pageKey
+		data, want []byte // the pinned bytes, and what they held when pinned
+		release    func()
+		dropped    bool // a write replaced the page, and the pool let this copy go
 	}
 	var pins []pin
 	unpin := func(i int) {
+		if !bytes.Equal(pins[i].data, pins[i].want) {
+			t.Fatalf("page %d of file %d changed under its pin", pins[i].k.id, pins[i].k.file)
+		}
 		pins[i].release()
-		m.release(pins[i].k)
+		if !pins[i].dropped {
+			m.release(pins[i].k)
+		}
 		pins = append(pins[:i], pins[i+1:]...)
 	}
 	for op := 0; op < 3000; op++ {
@@ -486,22 +492,16 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 		case len(pins) == 6 || (r < 4 && len(pins) > 0):
 			unpin(rng.Intn(len(pins)))
 		case r < 5 && p.PageCount() < 60 || p.PageCount() == 1:
-			pg, err := p.Alloc()
-			if err != nil {
+			k.id = PageID(p.PageCount())
+			content[f][k.id] = make([]byte, 256)
+			rng.Read(content[f][k.id])
+			if err := p.Write(k.id, content[f][k.id]); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(pg.Data, make([]byte, 256)) {
-				t.Fatalf("op %d: Alloc returned a page that is not zeroed", op)
-			}
-			rng.Read(pg.Data)
-			pg.MarkDirty()
-			content[f][pg.ID] = bytes.Clone(pg.Data)
-			k.id = pg.ID
 			m.alloc(k)
-			pins = append(pins, pin{k, pg.Release})
 		case id == PageID(p.PageCount()):
 			continue
-		case r < 8:
+		case r < 7:
 			v, err := p.View(id)
 			if err != nil {
 				t.Fatal(err)
@@ -510,8 +510,8 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 			if !bytes.Equal(v.Data, content[f][id]) {
 				t.Fatalf("op %d: view of page %d of file %d diverged from model", op, id, f)
 			}
-			pins = append(pins, pin{k, v.Release})
-		default:
+			pins = append(pins, pin{k, v.Data, bytes.Clone(v.Data), v.Release, false})
+		case r < 9:
 			pg, err := p.Get(id)
 			if err != nil {
 				t.Fatal(err)
@@ -520,11 +520,17 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 			if !bytes.Equal(pg.Data, content[f][id]) {
 				t.Fatalf("op %d: page %d of file %d diverged from model", op, id, f)
 			}
-			rng.Read(pg.Data[:16])
-			pg.MarkDirty()
-			copy(content[f][id], pg.Data[:16])
-			m.stripe(id).frames[k].dirty = true
-			pins = append(pins, pin{k, pg.Release})
+			pins = append(pins, pin{k, pg.Data, bytes.Clone(pg.Data), pg.Release, false})
+		default:
+			content[f][id] = make([]byte, 256)
+			rng.Read(content[f][id])
+			if err := p.Write(id, content[f][id]); err != nil {
+				t.Fatal(err)
+			}
+			m.write(k)
+			for i := range pins {
+				pins[i].dropped = pins[i].dropped || pins[i].k == k
+			}
 		}
 		m.check(t, c, pgrs, base, op)
 	}
@@ -609,14 +615,7 @@ func BenchmarkViewCached(b *testing.B) {
 // release cleanly.
 func TestViewZeroCopy(t *testing.T) {
 	p, path := newTemp(t, Options{PoolPages: 8})
-	pg, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(pg.Data, "view me")
-	pg.MarkDirty()
-	id := pg.ID
-	pg.Release()
+	id := appendPage(t, p, []byte("view me"))
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -649,24 +648,19 @@ func TestViewZeroCopy(t *testing.T) {
 // A pinned view must survive pool pressure, like a pinned Page.
 func TestViewPinSurvivesPressure(t *testing.T) {
 	p := newOneStripe(t, Options{PoolPages: 2})
-	pg, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
+	id := appendPage(t, p, []byte("pinned-view"))
+	for i := 0; i < 20; i++ {
+		appendPage(t, p, nil)
 	}
-	copy(pg.Data, "pinned-view")
-	pg.MarkDirty()
-	id := pg.ID
-	pg.Release()
 	v, err := p.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		x, err := p.Alloc()
+	for i := PageID(2); i <= 21; i++ {
+		x, err := p.View(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.MarkDirty()
 		x.Release()
 	}
 	if string(v.Data[:11]) != "pinned-view" {
@@ -682,13 +676,7 @@ func TestShardedStatsExact(t *testing.T) {
 	const pages = 20
 	ids := make([]PageID, pages)
 	for i := range ids {
-		pg, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg.MarkDirty()
-		ids[i] = pg.ID
-		pg.Release()
+		ids[i] = appendPage(t, p, nil)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

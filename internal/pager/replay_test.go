@@ -8,7 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"github.com/hd-index/hdindex/internal/iofault"
 )
 
 // traceEvent is one decoded trace record: k.id is 0 for an open or a close.
@@ -20,7 +24,7 @@ type traceEvent struct {
 }
 
 // traceArgs is the number of uvarints after each event byte.
-var traceArgs = map[byte]int{evOpen: 3, evClose: 1, evHit: 2, evMiss: 2, evAlloc: 2, evRelease: 2}
+var traceArgs = map[byte]int{evOpen: 3, evClose: 1, evHit: 2, evMiss: 2, evRelease: 2, evAlloc: 2, evWrite: 2, evFail: 2}
 
 // maxTraceShare bounds an open's share, so no sum of shares overflows.
 const maxTraceShare = 1 << 30
@@ -30,7 +34,8 @@ const maxTraceShare = 1 << 30
 // record, an unknown event, a file index not open, page 0, an open out
 // of sequence, more than 64 stripes, an alloc of a page the file already
 // had or a release of a page no event pinned is an error, so a trace it
-// accepts replays against any policy without a panic.
+// accepts replays against any policy without a panic. A write or a failed
+// read takes the page's pins with its copy, as a close takes its file's.
 func readTrace(b []byte, fn func(traceEvent)) (stripes int, err error) {
 	stripes, b, err = traceHeader(b)
 	if err != nil {
@@ -92,12 +97,17 @@ func readTrace(b []byte, fn func(traceEvent)) (stripes int, err error) {
 			return 0, fmt.Errorf("trace: record %d: alloc of page %d of file %d, which it already had", rec, ev.k.id, ev.k.file)
 		}
 		top[ev.k.file] = max(top[ev.k.file], ev.k.id)
-		if ev.op != evRelease {
+		switch ev.op {
+		case evHit, evMiss:
 			pins[ev.k]++
-		} else if pins[ev.k]--; pins[ev.k] < 0 {
-			return 0, fmt.Errorf("trace: record %d: release of page %d of file %d, which no event pinned", rec, ev.k.id, ev.k.file)
-		} else if pins[ev.k] == 0 {
+		case evWrite, evFail:
 			delete(pins, ev.k)
+		case evRelease:
+			if pins[ev.k]--; pins[ev.k] < 0 {
+				return 0, fmt.Errorf("trace: record %d: release of page %d of file %d, which no event pinned", rec, ev.k.id, ev.k.file)
+			} else if pins[ev.k] == 0 {
+				delete(pins, ev.k)
+			}
 		}
 		fn(ev)
 	}
@@ -139,10 +149,14 @@ func replay(b []byte, newPolicy func() policy, onEvent func(m *poolModel, ev tra
 			m.close(ev.k.file)
 		case evHit, evMiss:
 			hit = m.get(ev.k)
-		case evAlloc:
-			m.alloc(ev.k)
 		case evRelease:
 			m.release(ev.k)
+		case evAlloc:
+			m.alloc(ev.k)
+		case evWrite:
+			m.write(ev.k)
+		case evFail:
+			m.drop(ev.k)
 		}
 		if onEvent != nil {
 			onEvent(m, ev, hit, evicted)
@@ -305,14 +319,20 @@ func TestCacheFollowsReplay(t *testing.T) {
 }
 
 // A trace the recorder writes decodes, and its SIEVE replay takes the
-// misses the Cache took: a reader and a
-// writer share a cache, pages stay pinned across other accesses, and the
-// reader closes and reopens mid-run.
+// misses the Cache took: a reader and a writer share a cache, pages stay
+// pinned across other accesses, the writer appends pages and replaces
+// ones that are resident and pinned, one of the reader's reads fails,
+// and the reader closes and reopens mid-run.
 func TestRecordedTraceReplays(t *testing.T) {
 	var trace bytes.Buffer
 	c := newCache(2)
 	c.record(&trace)
 	rpath := scanPath(t, 40)
+	// Armed before the reader opens: its 60th read after the superblock's
+	// two fails, once.
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{PathGlob: "scan.pg", Op: iofault.OpRead, AfterCalls: 62, Once: true}))
+	defer restore()
+	failed := 0
 	reader, err := c.Open(rpath, Options{PoolPages: 3, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -342,22 +362,44 @@ func TestRecordedTraceReplays(t *testing.T) {
 			i := rng.Intn(len(pins))
 			pins[i].Release()
 			pins = append(pins[:i], pins[i+1:]...)
+		case r == 4 && writer.PageCount() < 8:
+			appendPage(t, writer, nil)
 		case r == 4:
-			pg, err := writer.Alloc()
+			if err := writer.Write(PageID(1+rng.Intn(7)), make([]byte, writer.PageSize())); err != nil {
+				t.Fatal(err)
+			}
+		case r == 5 && writer.PageCount() > 1:
+			v, err := writer.View(PageID(1 + rng.Intn(int(writer.PageCount())-1)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pg.MarkDirty()
-			pg.Release()
+			pins = append(pins, v)
 		default:
 			v, err := reader.View(PageID(1 + rng.Intn(40)))
+			if errors.Is(err, ErrIO) && failed == 0 {
+				failed++
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			pins = append(pins, v)
 		}
 	}
+	if failed != 1 {
+		t.Fatal("the injected read failure never fired")
+	}
 	misses += reader.Stats().Misses + writer.Stats().Misses
+	for _, v := range pins {
+		v.Release()
+	}
+	replayMatches(t, c, &trace, misses)
+}
+
+// replayMatches flushes c's trace and holds its SIEVE replay to the
+// misses the Cache took.
+func replayMatches(t *testing.T, c *Cache, trace *bytes.Buffer, misses uint64) {
+	t.Helper()
 	if err := c.rec.flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +412,101 @@ func TestRecordedTraceReplays(t *testing.T) {
 	}
 }
 
+// Files open, close and get written beside readers on goroutines of their
+// own, all on one recorded cache: however they interleave, the SIEVE
+// replay of the trace takes exactly the misses the Cache took. Run under
+// -race in CI, ten times over (make chaos).
+func TestSharedCacheTraceReplaysExactly(t *testing.T) {
+	var trace bytes.Buffer
+	c := newCache(4)
+	c.record(&trace)
+	rpath := scanPath(t, 64)
+	w, err := c.Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		appendPage(t, w, nil)
+	}
+	var misses atomic.Uint64
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			var p *Pager
+			var pins []View
+			for op := 0; op < 1500 && errs[r] == nil; op++ {
+				if op%300 == 0 { // close and reopen this reader's file
+					for _, v := range pins {
+						v.Release()
+					}
+					pins = pins[:0]
+					if p != nil {
+						misses.Add(p.Stats().Misses)
+						if errs[r] = p.Close(); errs[r] != nil {
+							return
+						}
+					}
+					if p, errs[r] = c.Open(rpath, Options{PoolPages: 2 + r, ReadOnly: true}); errs[r] != nil {
+						return
+					}
+				}
+				if len(pins) == 2 {
+					pins[0].Release()
+					pins = pins[1:]
+				}
+				src := p
+				if rng.Intn(2) == 0 {
+					src = w
+				}
+				v, err := src.View(PageID(1 + rng.Intn(int(src.PageCount())-1)))
+				if err != nil {
+					errs[r] = err
+					break
+				}
+				pins = append(pins, v)
+			}
+			for _, v := range pins {
+				v.Release()
+			}
+			misses.Add(p.Stats().Misses)
+			if err := p.Close(); errs[r] == nil {
+				errs[r] = err
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < 600; n++ {
+		id := PageID(1 + rng.Intn(8)) // mostly resident, often pinned
+		if n%50 == 0 {
+			id = PageID(w.PageCount())
+		}
+		if err := w.Write(id, make([]byte, w.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses.Add(w.Stats().Misses)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayMatches(t, c, &trace, misses.Load())
+}
+
 // FuzzTrace feeds the trace decoder arbitrary bytes: it answers with an
 // error or a trace every policy replays without a panic. Seeded with the
 // committed trace's head, a trace cut inside a record, an unknown event,
-// page 0, and an access to a file never opened.
+// page 0, an access to a file never opened, and a write and a failed
+// read dropping a pinned page, whose release is then not recorded,
+// before an append of a page the file already had.
 func FuzzTrace(f *testing.F) {
 	b, err := os.ReadFile(committedTrace)
 	if err != nil {
@@ -386,6 +519,7 @@ func FuzzTrace(f *testing.F) {
 	f.Add(append(bytes.Clone(head), "x\x00\x05"...))
 	f.Add(append(bytes.Clone(head), "h\x00\x00"...))
 	f.Add(append(bytes.Clone(head), "m\x01\x05"...))
+	f.Add(append(bytes.Clone(head), "a\x00\x01m\x00\x01w\x00\x01r\x00\x01m\x00\x01f\x00\x01a\x00\x01"...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if _, err := readTrace(b, func(traceEvent) {}); err != nil {
 			return

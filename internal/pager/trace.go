@@ -9,9 +9,10 @@ import (
 
 // An access trace is what a cache's replacement policy sees, in the
 // order each stripe saw it: which files open and close with which
-// share, and every pin and release of a page. Replaying one against
-// another policy at the same frames tells, exactly, how many misses that
-// policy would have taken on the same run.
+// share, every pin and release of a page, and every page a write or a
+// failed read takes out of the pool. Replaying one against another
+// policy at the same frames tells, exactly, how many misses that policy
+// would have taken on the same run.
 //
 // The format is traceMagic, the cache's stripe count as a uvarint, then
 // one record per event: an event byte and uvarints.
@@ -21,8 +22,13 @@ import (
 //	'c' file              it closes
 //	'h' file page         a pool hit pins the page
 //	'm' file page         a miss admits the page, pinned, and reads it
-//	'a' file page         an Alloc admits the page, pinned, unread
 //	'r' file page         one pin of the page is released
+//	'a' file page         a write appends the page to the file
+//	'w' file page         a write replaces the page
+//	'f' file page         the miss's read of the page fails
+//
+// A 'w' or an 'f' drops the page's resident copy, if any: its pins stay
+// with their holders, whose releases are not recorded.
 const traceMagic = "HDPGTRC1"
 
 const (
@@ -30,14 +36,17 @@ const (
 	evClose   = 'c'
 	evHit     = 'h'
 	evMiss    = 'm'
-	evAlloc   = 'a'
 	evRelease = 'r'
+	evAlloc   = 'a'
+	evWrite   = 'w'
+	evFail    = 'f'
 )
 
 // recorder writes a cache's access trace. Cache.rec is nil when no trace
 // is taken, so an access pays one pointer test for the instrument.
-// Events are written under the stripe lock of the page (under the cache
-// lock for open and close), so each stripe's events keep their order.
+// Events are written under the stripe lock of the page (under every
+// stripe lock for open and close), so each stripe's events keep their
+// order.
 type recorder struct {
 	mu    sync.Mutex
 	w     *bufio.Writer

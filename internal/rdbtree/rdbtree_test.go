@@ -353,6 +353,9 @@ func TestCreateValidation(t *testing.T) {
 
 func TestSearchEmptyTree(t *testing.T) {
 	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 1}, 512)
+	if err := tr.Flush(); err != nil { // writes the empty root leaf
+		t.Fatal(err)
+	}
 	got, err := nearest(tr, key16(5), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -482,6 +485,9 @@ func TestOpenRefusesFloat32Layout(t *testing.T) {
 		binary.BigEndian.PutUint32(extra[4*i:], v)
 	}
 	if err := bt.SetExtra(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Flush(); err != nil { // writes the empty root leaf
 		t.Fatal(err)
 	}
 	if _, err := Open(pgr); !errors.Is(err, ErrFloat32Layout) {

@@ -39,8 +39,8 @@ func TestDurabilityRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Record the pre-close answers, then close. Close persists
-			// dirty pages; deletes were already persisted synchronously.
+			// Record the pre-close answers, then close. Inserts live in
+			// the WAL; deletes were already persisted synchronously.
 			want := make([][]hdindex.Result, len(queries))
 			for qi, q := range queries {
 				resp, err := s.Query(ctx, q, 10)

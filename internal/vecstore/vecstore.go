@@ -255,10 +255,14 @@ func (c *Cursor) Close() {
 
 // writeRecords encodes vecs into the record slots starting at slot first,
 // each in its slot's width (bytes below the base, little-endian float32
-// above). It touches neither the count nor the header: when the records
-// become visible, and what is synced first, is each caller's own
-// ordering.
+// above), and writes each page they touch once, whole: a page the file
+// already has is read first and keeps its other bytes (the partial tail
+// page an append continues), a new one starts zeroed. It touches neither
+// the count nor the header: when the records become visible, and what is
+// synced first, is each caller's own ordering.
 func (s *Store) writeRecords(first uint64, vecs [][]float32) error {
+	page := make([]byte, s.pgr.PageSize())
+	var cur pager.PageID // the page in page; 0 = none yet
 	buf := make([]byte, 4*s.dim)
 	for i, vec := range vecs {
 		if len(vec) != s.dim {
@@ -276,25 +280,50 @@ func (s *Store) writeRecords(first uint64, vecs [][]float32) error {
 				binary.LittleEndian.PutUint32(rec[4*j:], math.Float32bits(v))
 			}
 		}
-		if err := s.writeBytes(off, rec); err != nil {
-			return err
+		for len(rec) > 0 {
+			pid, in := s.pageOf(off)
+			if pid != cur {
+				if err := s.writePage(cur, page); err != nil {
+					return err
+				}
+				if err := s.readPage(pid, page); err != nil {
+					return err
+				}
+				cur = pid
+			}
+			n := copy(page[in:], rec)
+			rec, off = rec[n:], off+int64(n)
 		}
 	}
+	return s.writePage(cur, page)
+}
+
+// readPage loads page id into buf, all zeros when the file has no such
+// page yet.
+func (s *Store) readPage(id pager.PageID, buf []byte) error {
+	if uint64(id) >= s.pgr.PageCount() {
+		clear(buf)
+		return nil
+	}
+	v, err := s.pgr.View(id)
+	if err != nil {
+		return err
+	}
+	copy(buf, v.Data)
+	v.Release()
 	return nil
 }
 
-// Append adds a vector and returns its record number (0-based, dense).
-func (s *Store) Append(vec []float32) (uint64, error) {
-	id := s.count
-	if err := s.writeRecords(id, [][]float32{vec}); err != nil {
-		return 0, err
+// writePage writes buf as page id; id 0 is no page yet.
+func (s *Store) writePage(id pager.PageID, buf []byte) error {
+	if id == 0 {
+		return nil
 	}
-	s.count++
-	return id, s.writeHeader()
+	return s.pgr.Write(id, buf)
 }
 
-// BuildFrom bulk-appends all vectors; far fewer header writes than
-// repeated Append calls.
+// BuildFrom appends all vectors and sets the header, which the next
+// Flush persists.
 func (s *Store) BuildFrom(vecs [][]float32) error {
 	if err := s.writeRecords(s.count, vecs); err != nil {
 		return err
@@ -377,33 +406,6 @@ func (s *Store) ResetCount(n uint64) error {
 	return s.pgr.Flush()
 }
 
-// writeBytes writes buf at the given data-region offset, allocating pages
-// as needed.
-func (s *Store) writeBytes(off int64, buf []byte) error {
-	for len(buf) > 0 {
-		pageIdx, inPage := s.pageOf(off)
-		n := min(s.pgr.PageSize()-inPage, len(buf))
-		for uint64(pageIdx) >= s.pgr.PageCount() {
-			pg, err := s.pgr.Alloc()
-			if err != nil {
-				return err
-			}
-			pg.MarkDirty()
-			pg.Release()
-		}
-		pg, err := s.pgr.Get(pageIdx)
-		if err != nil {
-			return err
-		}
-		copy(pg.Data[inPage:inPage+n], buf[:n])
-		pg.MarkDirty()
-		pg.Release()
-		buf = buf[n:]
-		off += int64(n)
-	}
-	return nil
-}
-
 // Get reads vector id into dst (length Dim) and returns dst, decoding
 // either record width; if dst is nil a fresh slice is allocated.
 func (s *Store) Get(id uint64, dst []float32) ([]float32, error) {
@@ -457,7 +459,8 @@ func (s *Store) Get(id uint64, dst []float32) ([]float32, error) {
 	return dst, nil
 }
 
-// Flush persists the header and dirty pages.
+// Flush persists the header; the records reached the file as they were
+// written.
 func (s *Store) Flush() error {
 	if err := s.writeHeader(); err != nil {
 		return err

@@ -38,17 +38,19 @@ func randVecs(rng *rand.Rand, n, dim int) [][]float32 {
 	return vecs
 }
 
+// Appends in batches of 1, 2, 3, ... records, each continuing the page
+// the last one ended in, read back as they went in.
 func TestAppendGetRoundTrip(t *testing.T) {
 	s, _ := mkStore(t, 8, 256)
 	rng := rand.New(rand.NewSource(1))
 	vecs := randVecs(rng, 100, 8)
-	for i, v := range vecs {
-		id, err := s.Append(v)
-		if err != nil {
+	for lo, n := 0, 1; lo < len(vecs); lo, n = lo+n, n+1 {
+		hi := min(lo+n, len(vecs))
+		if err := s.AppendAll(vecs[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
-		if id != uint64(i) {
-			t.Fatalf("id = %d, want %d", id, i)
+		if s.Count() != uint64(hi) {
+			t.Fatalf("count = %d after appending records up to %d", s.Count(), hi)
 		}
 	}
 	for i, want := range vecs {
@@ -131,13 +133,15 @@ func TestPersistence(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	s, _ := mkStore(t, 4, 256)
-	if _, err := s.Append([]float32{1}); !errors.Is(err, ErrDim) {
+	if err := s.AppendAll([][]float32{{1}}); !errors.Is(err, ErrDim) {
 		t.Error("short vector must fail")
 	}
 	if _, err := s.Get(0, nil); !errors.Is(err, ErrBadID) {
 		t.Error("get from empty store must fail")
 	}
-	s.Append([]float32{1, 2, 3, 4})
+	if err := s.AppendAll([][]float32{{1, 2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Get(1, nil); !errors.Is(err, ErrBadID) {
 		t.Error("out of range id must fail")
 	}
@@ -310,7 +314,7 @@ func TestCursorPinsEachPageOnce(t *testing.T) {
 	const dim, n = 16, 40 // 64-byte records, 4 per 256-byte page
 	s, _ := mkStore(t, dim, 256)
 	for id := 0; id < n; id++ {
-		if _, err := s.Append(mkVec(dim, int64(id))); err != nil {
+		if err := s.AppendAll([][]float32{mkVec(dim, int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +344,7 @@ func TestCursorPinsEachPageOnce(t *testing.T) {
 	// dim 24 = 96-byte records over 256-byte pages: record 2 spans.
 	s2, _ := mkStore(t, 24, 256)
 	for id := 0; id < 6; id++ {
-		if _, err := s2.Append(mkVec(24, int64(id))); err != nil {
+		if err := s2.AppendAll([][]float32{mkVec(24, int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,7 +406,7 @@ func TestByteBaseAndFloatTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range tail[5:] {
-		if _, err := s.Append(v); err != nil {
+		if err := s.AppendAll([][]float32{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,13 +527,11 @@ func writeStoreFile(t testing.TB, header, data []byte) *pager.Pager {
 	}
 	t.Cleanup(func() { pgr.Close() })
 	for len(data) > 0 {
-		pg, err := pgr.Alloc()
-		if err != nil {
+		buf := make([]byte, pgr.PageSize())
+		data = data[copy(buf, data):]
+		if err := pgr.Write(pager.PageID(pgr.PageCount()), buf); err != nil {
 			t.Fatal(err)
 		}
-		data = data[copy(pg.Data, data):]
-		pg.MarkDirty()
-		pg.Release()
 	}
 	if err := pgr.SetMeta(header); err != nil {
 		t.Skip("header does not fit a superblock")

@@ -73,7 +73,10 @@ crash:
 # (success, cancellation, EIO, a corrupt tree page), nor a Build, a
 # QueryBatch or a sharded Query (success, cancellation, EIO). The WAL's
 # fault tests (a compaction's log rewrite under a slow group-commit
-# fsync) run ten times over too, and so do the shared buffer pool's race
+# fsync) run ten times over too, and so do core's compaction fault tests
+# (tree or vectors.pg writes failing before the meta.json commit, the
+# WAL rewrite failing after it, a crash between the append to vectors.pg
+# and the commit), and so do the shared buffer pool's race
 # tests (TestSharedCache*): a file closing while other files' misses
 # evict its frames, a file closing while the eviction hand rests on one
 # of its frames, readers viewing pages while a writer replaces them and
@@ -86,6 +89,7 @@ chaos:
 	$(GO) test -race -count=10 -run '^TestFaultQueryHelpersExit$$' ./internal/core/
 	$(GO) test -race -count=10 -run '^TestFaultSpreadHelpersExit$$' ./internal/shard/
 	$(GO) test -race -count=10 -run '^TestFault' ./internal/wal/
+	$(GO) test -race -count=10 -run '^TestFaultCompaction' ./internal/core/
 	$(GO) test -race -count=10 -run '^TestSharedCache' ./internal/pager/
 	$(GO) test -race -count=10 -run '^TestTinyPoolAnswersAsLargePool$$' ./internal/core/
 

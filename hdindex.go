@@ -617,8 +617,8 @@ func (i *Index) Check(ctx context.Context) ([]CheckReport, error) {
 	return reps, nil
 }
 
-// Flush persists every shard's in-memory state: its vector store's
-// header, meta and deletion marks, and a WAL fsync (core.Index.Flush);
+// Flush persists every shard's in-memory state: its deletion marks,
+// committed through meta.json, and a WAL fsync (core.Index.Flush);
 // pages reach their files as they are written. Inserts and deletes are
 // already durable when they return (each shard's WAL), so Flush is only
 // needed before copying the directory around.

@@ -1,8 +1,8 @@
 // Package atomicfile writes small metadata files with crash-safe
 // replace semantics. Both the index layouts' commit points use it —
-// core's deleted.bin mark file and shard's manifest.json — and so does
-// slo's frontier artifact, so the write-fsync-rename-dirsync discipline
-// lives in exactly one place.
+// core's meta.json and shard's manifest.json — and so does slo's
+// frontier artifact, so the write-fsync-rename-dirsync discipline lives
+// in exactly one place.
 package atomicfile
 
 import (

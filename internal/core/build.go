@@ -301,7 +301,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 
 	// Every file it names is fsynced, so a power loss cannot leave a
 	// meta.json over pages that never reached the disk.
-	if err := ix.writeMeta(); err != nil {
+	if err := ix.writeMeta(vs.Count(), ix.gen, nil); err != nil {
 		ix.Close()
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/vecmath"
@@ -29,11 +30,11 @@ type CheckReport struct {
 // check`, and the model test and the crash suite run it on every
 // directory they leave behind:
 //
-//   - meta.json commits what is open: count, generation, clustered base;
-//     the vector file is long enough for that count (asked of the store,
-//     which knows its record widths) and its byte records, if any, are
-//     exactly the clustered base; no tree file of another generation lies
-//     around;
+//   - meta.json commits what is open: count, generation, clustered base,
+//     purged ids; the vector file is long enough for that count (asked of
+//     the store, which knows its record widths) and its byte records, if
+//     any, are exactly the clustered base; no tree file of another
+//     generation lies around;
 //   - ids.pg is a bijection of [0, clustered) with a consistent inverse;
 //   - every tree is intact (separators bound their children's keys,
 //     every leaf at one depth, sibling links, ascending keys, counts)
@@ -67,6 +68,9 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 	if m.Count != count || m.Gen != ix.gen || m.Clustered != ix.slots.base {
 		return fail("meta.json commits count %d, generation %d, clustered %d; open are %d, %d, %d",
 			m.Count, m.Gen, m.Clustered, count, ix.gen, ix.slots.base)
+	}
+	if _, purged := ix.deleted.lists(nil); !slices.Equal(m.Purged, purged) {
+		return fail("meta.json commits %d purged ids, %d are open", len(m.Purged), len(purged))
 	}
 	if err := ix.vectors.Validate(); err != nil {
 		return fail("%v", err)

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"github.com/hd-index/hdindex/internal/atomicfile"
+	"github.com/hd-index/hdindex/internal/rdbtree"
 	"github.com/hd-index/hdindex/internal/wal"
 )
 
@@ -19,9 +20,11 @@ import (
 // group commit — and consulted during the exact-refinement step, so no
 // tree surgery happens on the request path. Compaction is where the
 // physical reclaim lives: it drops marked entries from the rebuilt
-// trees and moves their marks into the purged set, persisted in the
-// side file (deleted.bin) together with the live marks.
+// trees and moves their marks into the purged set, and its meta.json
+// commit records both sets.
 
+// deletedFile held the marks of directories written before meta.json
+// did: Open merges it into meta.json once and removes it.
 const deletedFile = "deleted.bin"
 
 // deletedMagicV2 tags the two-section deleted.bin layout (marks +
@@ -39,7 +42,7 @@ var ErrPurged = errors.New("core: id was deleted and reclaimed by compaction")
 
 // deleteSet holds the deletion marks. Each set is keyed by slot — what a
 // refinement candidate is, so a deleted one is skipped before its page
-// is fetched — and maps to the id, which is what deleted.bin and the WAL
+// is fetched — and maps to the id, which is what meta.json and the WAL
 // record: the slot keys are an in-memory mirror, rebuilt through ids.pg
 // when the marks are loaded or replayed.
 type deleteSet struct {
@@ -53,11 +56,6 @@ type deleteSet struct {
 	// n is len(ids)+len(purged), readable without mu: an index nothing
 	// was ever deleted from answers has() with one atomic load.
 	n atomic.Int64
-	// saveMu serialises deleted.bin writers (compaction's reclaim,
-	// Open's prune, Flush) so a stale snapshot can never overwrite a
-	// newer one. It is separate from Index.mu because the save also
-	// runs outside the index lock.
-	saveMu sync.Mutex
 }
 
 func newDeleteSet() *deleteSet {
@@ -96,8 +94,8 @@ func (d *deleteSet) update(fn func()) {
 
 // mark adds a deletion mark unless the object is already purged (a
 // purged object is permanently deleted; WAL replay may legitimately
-// re-deliver its delete record after a crash between deleted.bin and the
-// WAL truncation).
+// re-deliver its delete record after a crash between the meta.json commit
+// and the WAL truncation).
 func (d *deleteSet) mark(slot, id uint64) {
 	d.update(func() {
 		if _, gone := d.purged[slot]; !gone {
@@ -138,6 +136,27 @@ func (d *deleteSet) purge(drop map[uint64]uint64) {
 			d.purged[slot] = id
 		}
 	})
+}
+
+// lists returns the marked and the purged ids, each ascending, as
+// meta.json records them, with drop's marks already purged: the sets a
+// compaction commit is about to apply.
+func (d *deleteSet) lists(drop map[uint64]uint64) (marked, purged []uint64) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for slot, id := range d.ids {
+		if _, gone := drop[slot]; !gone {
+			marked = append(marked, id)
+		}
+	}
+	for _, set := range []map[uint64]uint64{d.purged, drop} {
+		for _, id := range set {
+			purged = append(purged, id)
+		}
+	}
+	slices.Sort(marked)
+	slices.Sort(purged)
+	return marked, purged
 }
 
 // Delete marks object id as deleted; it will no longer be returned by
@@ -193,89 +212,79 @@ func (ix *Index) Undelete(id uint64) error {
 // purged).
 func (ix *Index) DeletedCount() int { return ix.deleted.len() }
 
-// saveDeleteSet snapshots and writes the mark file (v2 layout: magic,
-// marks, purged ids — ids, not slots) under saveMu, which serialises
-// writers so a stale snapshot can never overwrite a newer one.
-func (ix *Index) saveDeleteSet() error {
-	d := ix.deleted
-	d.saveMu.Lock()
-	defer d.saveMu.Unlock()
-	d.mu.RLock()
-	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+8+8*len(d.ids)+8+8*len(d.purged)), deletedMagicV2)
-	for _, section := range []map[uint64]uint64{d.ids, d.purged} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(section)))
-		for _, id := range section {
-			buf = binary.BigEndian.AppendUint64(buf, id)
-		}
-	}
-	d.mu.RUnlock()
-	// Atomic replace: a crash at any point leaves either the old
-	// complete file or the new complete file, never a torn deleted.bin
-	// that would fail loadDeleteSet and brick Open.
-	return atomicfile.WriteFile(ix.dir, deletedFile, buf)
-}
-
-// loadDeleteSet reads deleted.bin (either layout) into memory, finding
-// each id's slot. It does not prune: stale marks can only be judged
-// against the total id space, which Open knows only after the WAL replay
-// — pruneDeleteMarks runs then.
-func (ix *Index) loadDeleteSet() error {
-	buf, err := os.ReadFile(filepath.Join(ix.dir, deletedFile))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if len(buf) < 8 {
-		return fmt.Errorf("core: corrupt %s", deletedFile)
-	}
-	// One section is a count then that many ids. The count is checked by
-	// division: 8+8*n overflows for a corrupt n.
-	rest := buf
-	readSection := func(into map[uint64]uint64) error {
-		if len(rest) < 8 {
-			return fmt.Errorf("core: truncated %s", deletedFile)
-		}
-		n := binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		if n > uint64(len(rest))/8 {
-			return fmt.Errorf("core: truncated %s", deletedFile)
-		}
-		for i := uint64(0); i < n; i++ {
-			id := binary.BigEndian.Uint64(rest[8*i:])
+// addMarks adds marked and purged ids to the delete set, finding each
+// one's slot; an id past the slot space, or one the slot map cannot
+// place, is an error. A purged id loses any mark it also carries.
+func (ix *Index) addMarks(marked, purged []uint64) error {
+	add := func(ids []uint64, into map[uint64]uint64) error {
+		for _, id := range ids {
+			if id >= slotSpace {
+				return fmt.Errorf("%w: deleted id %d, %d slots", rdbtree.ErrIDRange, id, slotSpace)
+			}
 			slot, err := ix.slots.slot(id)
 			if err != nil {
 				return err
 			}
 			into[slot] = id
 		}
-		rest = rest[8*n:]
 		return nil
 	}
 	d := ix.deleted
+	var err error
 	d.update(func() {
-		// v1 layout (pre-WAL indexes): the marks section alone.
-		if binary.BigEndian.Uint64(buf) != deletedMagicV2 {
-			err = readSection(d.ids)
-			return
+		if err = add(marked, d.ids); err == nil {
+			err = add(purged, d.purged)
 		}
-		rest = buf[8:]
-		if err = readSection(d.ids); err == nil {
-			err = readSection(d.purged)
+		for slot := range d.purged {
+			delete(d.ids, slot)
 		}
 	})
 	return err
+}
+
+// loadDeleteSet adds the marks of an older directory's deleted.bin
+// (either layout) and reports whether there was one. It does not prune:
+// stale marks can only be judged against the total id space, which Open
+// knows only after the WAL replay — pruneDeleteMarks runs then.
+func (ix *Index) loadDeleteSet() (bool, error) {
+	buf, err := os.ReadFile(filepath.Join(ix.dir, deletedFile))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return true, err
+	}
+	if len(buf) < 8 {
+		return true, fmt.Errorf("core: corrupt %s", deletedFile)
+	}
+	// A v2 file is the magic, the marks and the purged ids; a v1 file
+	// (pre-WAL indexes) the marks alone. A section is a count then that
+	// many ids, the count checked by division: 8+8*n overflows for a
+	// corrupt n.
+	rest, sections := buf, 1
+	if binary.BigEndian.Uint64(buf) == deletedMagicV2 {
+		rest, sections = buf[8:], 2
+	}
+	var ids [2][]uint64
+	for i := range sections {
+		if len(rest) < 8 || binary.BigEndian.Uint64(rest) > uint64(len(rest)-8)/8 {
+			return true, fmt.Errorf("core: truncated %s", deletedFile)
+		}
+		n := binary.BigEndian.Uint64(rest)
+		for rest = rest[8:]; n > 0; n, rest = n-1, rest[8:] {
+			ids[i] = append(ids[i], binary.BigEndian.Uint64(rest))
+		}
+	}
+	return true, ix.addMarks(ids[0], ids[1])
 }
 
 // pruneDeleteMarks drops marks for ids beyond the replayed id space: a
 // legacy index whose insert never flushed before a crash but was
 // deleted in the same window persists the mark without the vector. The
 // id will be reassigned to a future insert, which must not be born
-// deleted — rewrite the file so the stale mark cannot outlive this
-// Open. Runs after WAL replay, when the total id space (committed +
-// memtable) is known.
-func (ix *Index) pruneDeleteMarks() error {
+// deleted, so Open commits the prune when this reports one. Runs after
+// WAL replay, when the total id space (committed + memtable) is known.
+func (ix *Index) pruneDeleteMarks() bool {
 	total := ix.vectors.Count() + uint64(len(ix.mem))
 	d := ix.deleted
 	pruned := false
@@ -289,8 +298,5 @@ func (ix *Index) pruneDeleteMarks() error {
 			}
 		}
 	})
-	if pruned {
-		return ix.saveDeleteSet()
-	}
-	return nil
+	return pruned
 }

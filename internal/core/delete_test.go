@@ -126,11 +126,11 @@ func TestDeleteValidation(t *testing.T) {
 // FuzzDeleteSet feeds deleted.bin to loadDeleteSet in both layouts —
 // v1, a count and that many marked ids; v2, a magic, the marks and the
 // purged ids. A corrupt file is an error, never a panic, and a file
-// that loads saves (as v2) to one that loads to the same two sets. The
-// seeds are the files the delete and compaction paths write: the
-// parent-layout fixture's, one written here by deletes around a
-// compaction, the v1 file TestOpenPrunesStaleDeleteMarks writes and the
-// corrupt one TestOpenCorruptDeleteFile does.
+// that loads commits (as meta.json's two lists) to sets that load back
+// the same. The seeds are the parent-layout fixture's file, a v2 file of
+// the sets deletes around a compaction leave, the v1 file
+// TestOpenPrunesStaleDeleteMarks writes and the corrupt one
+// TestOpenCorruptDeleteFile does.
 func FuzzDeleteSet(f *testing.F) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-layout", "index", deletedFile))
 	if err != nil {
@@ -158,47 +158,40 @@ func FuzzDeleteSet(f *testing.F) {
 			}
 		}
 	}
+	marked, purged := ix.deleted.lists(nil)
 	if err = ix.Close(); err != nil {
 		f.Fatal(err)
 	}
-	written, err := os.ReadFile(filepath.Join(dir, deletedFile))
-	if err != nil {
-		f.Fatal(err)
+	written := binary.BigEndian.AppendUint64(nil, deletedMagicV2)
+	for _, section := range [][]uint64{marked, purged} {
+		written = binary.BigEndian.AppendUint64(written, uint64(len(section)))
+		for _, id := range section {
+			written = binary.BigEndian.AppendUint64(written, id)
+		}
 	}
 	f.Add(written)
 	f.Add(written[:len(written)-3])
 	f.Add(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 200))
 	f.Add([]byte{1, 2, 3})
 
-	load := func(t *testing.T, buf []byte) (*deleteSet, error) {
+	f.Fuzz(func(t *testing.T, buf []byte) {
 		ix := &Index{dir: t.TempDir(), deleted: newDeleteSet()}
 		if err := os.WriteFile(filepath.Join(ix.dir, deletedFile), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return ix.deleted, ix.loadDeleteSet()
-	}
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		d, err := load(t, buf)
-		if err != nil {
+		if _, err := ix.loadDeleteSet(); err != nil {
 			return
 		}
-		ix := &Index{dir: t.TempDir(), deleted: d}
-		if err := ix.saveDeleteSet(); err != nil {
-			t.Fatal(err)
+		d := ix.deleted
+		again := &Index{deleted: newDeleteSet()}
+		if err := again.addMarks(d.lists(nil)); err != nil {
+			t.Fatalf("the committed lists do not load: %v", err)
 		}
-		saved, err := os.ReadFile(filepath.Join(ix.dir, deletedFile))
-		if err != nil {
-			t.Fatal(err)
+		if a := again.deleted; !maps.Equal(a.ids, d.ids) || !maps.Equal(a.purged, d.purged) {
+			t.Fatalf("round trip changed the sets: marks %v → %v, purged %v → %v", d.ids, a.ids, d.purged, a.purged)
 		}
-		again, err := load(t, saved)
-		if err != nil {
-			t.Fatalf("the saved set does not load: %v", err)
-		}
-		if !maps.Equal(again.ids, d.ids) || !maps.Equal(again.purged, d.purged) {
-			t.Fatalf("round trip changed the sets: marks %v → %v, purged %v → %v", d.ids, again.ids, d.purged, again.purged)
-		}
-		if again.len() != d.len() {
-			t.Fatalf("round trip changed the count: %d → %d", d.len(), again.len())
+		if again.deleted.len() != d.len() {
+			t.Fatalf("round trip changed the count: %d → %d", d.len(), again.deleted.len())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -327,13 +328,15 @@ func TestFaultCompactionEIOServesOldGeneration(t *testing.T) {
 	assertServes(t, ix, acked, ds.Vectors[200:])
 }
 
-// TestFaultCompactionCommitCannotHalfApply fails the deleted.bin write —
-// the first persistence step AFTER the meta.json commit — and checks the
+// TestFaultCompactionCommitCannotHalfApply fails the WAL rewrite — the
+// first persistence step after the meta.json commit — and checks the
 // commit still applied whole in memory: the batch left the memtable (it
 // must not live in the store, the new trees and mem at once), no
 // phantom ids answer, id allocation continues from Count, the old
-// generation's files are gone, and a reopen recovers the same state
-// with the marks intact (they are still in the untruncated WAL).
+// generation's files are gone. A reopen recovers the same state: the
+// untruncated WAL replays onto the commit, and the purged ids are the
+// commit's, so an Undelete of one is ErrPurged and its vector stays out
+// of answers.
 func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
 	const base, batch = 400, 100
 	ds := data.Generate(data.Config{N: base + batch + 1, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 91})
@@ -354,13 +357,20 @@ func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
 		}
 	}
 
-	// atomicfile cannot open its temp file while a directory has the name.
+	// The purged ids live in meta.json alone. A directory named like a
+	// mark file's temp copy blocks writing one, so an index that kept
+	// them in a file of their own after the commit would lose them here.
 	blocker := filepath.Join(dir, deletedFile+".tmp")
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Compact(context.Background()); err == nil {
-		t.Fatal("Compact must report the failed deleted.bin write")
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: walFile + ".tmp*", Op: iofault.OpSync, Once: true,
+	}))
+	err = ix.Compact(context.Background())
+	restore()
+	if err == nil {
+		t.Fatal("Compact must report the failed WAL rewrite")
 	}
 
 	live := ds.Vectors[:base+batch]
@@ -377,10 +387,11 @@ func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
 			requireIdentical(t, fmt.Sprintf("%s: query %d", label, qi), res, bruteForce(live, deleted, ds.Vectors[qi], 5))
 		}
 	}
-	if st := ix.IngestStats(); st.MemtableVectors != 0 || st.Compactions != 1 {
-		t.Fatalf("after the failed mark-file write: memtable = %d, compactions = %d; want 0 and 1", st.MemtableVectors, st.Compactions)
+	if st := ix.IngestStats(); st.MemtableVectors != 0 || st.Compactions != 1 || st.WALFailed {
+		t.Fatalf("after the failed WAL rewrite: memtable = %d, compactions = %d, WAL failed %v; want 0, 1, false",
+			st.MemtableVectors, st.Compactions, st.WALFailed)
 	}
-	check("after failed mark-file write", ix, base+batch)
+	check("after failed WAL rewrite", ix, base+batch)
 	if _, err := os.Stat(ix.treeGenPath(0, 0)); !os.IsNotExist(err) {
 		t.Fatalf("old generation file still present (stat err %v)", err)
 	}
@@ -390,20 +401,23 @@ func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
 	}
 	live = ds.Vectors
 
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if ix, err = Open(dir, OpenOptions{MemtableMaxVectors: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
+	if err := ix.Undelete(7); !errors.Is(err, ErrPurged) {
+		t.Fatalf("after reopen: Undelete(7) = %v, want ErrPurged", err)
+	}
 	check("after reopen", ix, base+batch+1)
 	if got := ix.DeletedCount(); got != len(deleted) {
 		t.Fatalf("after reopen: DeletedCount = %d, want %d", got, len(deleted))
 	}
-	// The next compaction reclaims the replayed marks again.
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	// The next compaction truncates the WAL the failed one left whole.
 	if err := ix.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +425,172 @@ func TestFaultCompactionCommitCannotHalfApply(t *testing.T) {
 	if err := ix.Undelete(7); !errors.Is(err, ErrPurged) {
 		t.Fatalf("Undelete(7) = %v, want ErrPurged", err)
 	}
+	if _, err := ix.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exactIngestDir builds a 400-vector index whose cascade is exhaustive,
+// logs 100 inserts to its WAL and closes it: Open replays them into the
+// memtable, ready for one compaction.
+func exactIngestDir(t *testing.T) (string, [][]float32) {
+	t.Helper()
+	ds := data.Generate(data.Config{N: 500, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 93})
+	dir := filepath.Join(t.TempDir(), "ix")
+	p := Params{Tau: 2, Omega: 8, M: 3, Alpha: 600, Beta: 600, Gamma: 600, Seed: 94, MemtableMaxVectors: 1 << 20}
+	ix, err := Build(dir, ds.Vectors[:400], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := insertUntilFailure(t, ix, ds.Vectors[400:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, ds.Vectors
+}
+
+// requireExact fails unless ix holds len(live) vectors and answers
+// queries at some of them as a brute-force scan does.
+func requireExact(t *testing.T, label string, ix *Index, live [][]float32) {
+	t.Helper()
+	if got := ix.Count(); got != uint64(len(live)) {
+		t.Fatalf("%s: Count = %d, want %d", label, got, len(live))
+	}
+	for _, qi := range []int{0, 199, 399, 400, 450, 499} {
+		res, _, err := ix.Query(context.Background(), live[qi], 5, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, fmt.Sprintf("%s: query %d", label, qi), res, bruteForce(live, nil, live[qi], 5))
+	}
+}
+
+// TestFaultCompactionStoreWriteLeavesMeta fails the write, then the
+// fsync, of the batch's records in vectors.pg — the step a compaction
+// takes before its commit. Nothing may be committed: meta.json keeps its
+// bytes, the old generation serves the batch from the memtable, and a
+// retry commits and answers exactly.
+func TestFaultCompactionStoreWriteLeavesMeta(t *testing.T) {
+	for _, op := range []iofault.Op{iofault.OpWrite, iofault.OpSync} {
+		t.Run(op.String(), func(t *testing.T) {
+			dir, live := exactIngestDir(t)
+			meta, err := os.ReadFile(filepath.Join(dir, metaFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Armed before Open, which wraps vectors.pg; neither Open nor a
+			// query writes or syncs it, so the compaction's append fails.
+			restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{PathGlob: "vectors.pg", Op: op, Once: true}))
+			ix, err := Open(dir, OpenOptions{MemtableMaxVectors: 1 << 20})
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+
+			if err := ix.Compact(context.Background()); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Compact = %v, want the %s's EIO", err, op)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, metaFile)); err != nil || !bytes.Equal(got, meta) {
+				t.Fatalf("meta.json changed under a failed %s (%v)", op, err)
+			}
+			if st := ix.IngestStats(); ix.gen != 0 || st.MemtableVectors != 100 || st.Compactions != 0 {
+				t.Fatalf("after the failed %s: generation %d, memtable %d, compactions %d; want 0, 100, 0", op, ix.gen, st.MemtableVectors, st.Compactions)
+			}
+			requireExact(t, "after the failed "+op.String(), ix, live)
+
+			if err := ix.Compact(context.Background()); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			if st := ix.IngestStats(); ix.gen != 1 || st.MemtableVectors != 0 {
+				t.Fatalf("after the retry: generation %d, memtable %d; want 1, 0", ix.gen, st.MemtableVectors)
+			}
+			requireExact(t, "after the retry", ix, live)
+			if _, err := ix.Check(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestFaultCompactionCrashAfterStoreWrite opens the directory a crash
+// leaves between a compaction's append to vectors.pg and its meta.json
+// commit: records past meta.json's count, here made garbage. Open takes
+// meta.json's count, the WAL replays the batch, the index answers as if
+// nothing had happened, and the next compaction writes over the garbage.
+func TestFaultCompactionCrashAfterStoreWrite(t *testing.T) {
+	dir, live := exactIngestDir(t)
+	vecPath := filepath.Join(dir, "vectors.pg")
+	st, err := os.Stat(vecPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committedSize := st.Size()
+	ix, err := Open(dir, OpenOptions{MemtableMaxVectors: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ix.Close() }()
+	// A directory where the temp meta.json goes fails the commit after
+	// the append; the files as they are then are the crash's.
+	blocker := filepath.Join(dir, metaFile+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Compact(context.Background()); err == nil {
+		t.Fatal("Compact committed past a blocked meta.json")
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.Mkdir(crashed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, dir, crashed)
+	vecPath = filepath.Join(crashed, "vectors.pg")
+	buf, err := os.ReadFile(vecPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(buf)) <= committedSize {
+		t.Fatalf("vectors.pg is %d bytes after the append, %d before", len(buf), committedSize)
+	}
+	// Whole pages past the committed ones hold nothing but batch records.
+	for i := committedSize; i < int64(len(buf)); i++ {
+		buf[i] = 0xFF
+	}
+	if err := os.WriteFile(vecPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ix.Close()
+	if ix, err = Open(crashed, OpenOptions{MemtableMaxVectors: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.vectors.Count(); got != 400 {
+		t.Fatalf("opened with %d vectors in the store, meta.json commits 400", got)
+	}
+	requireExact(t, "after the crash", ix, live)
+	if _, err := ix.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(vecPath); err != nil || st.Size() != int64(len(buf)) {
+		t.Fatalf("vectors.pg after the next compaction: %v (%v), want %d bytes, written over", st.Size(), err, len(buf))
+	}
+	requireExact(t, "after the next compaction", ix, live)
+	if _, err := ix.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = Open(crashed, OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, "after a reopen", ix, live)
 }
 
 // TestFaultPagerReadEIOTypedError turns reads of the tree files into

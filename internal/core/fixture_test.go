@@ -122,9 +122,9 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 // Open rewrites the fixture's trees, written in the interleaved leaf
 // layout, once: into generation 2 through the tree writer, entry for
 // entry — keys and slots exactly, each distance coded within the new
-// tree's error bound — committed through meta.json. The vector store,
-// the delete marks and the WAL keep their bytes, and a second Open
-// rewrites nothing.
+// tree's error bound — committed through meta.json. The vector store
+// and the WAL keep their bytes, deleted.bin's marks move into meta.json,
+// and a second Open rewrites nothing.
 func TestOpenRewritesLegacyTrees(t *testing.T) {
 	fixture := filepath.Join("testdata", "parent-layout", "index")
 	dir := t.TempDir()
@@ -192,7 +192,7 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 		if want := []string{filepath.Join(dir, "tree_00.g2.pg"), filepath.Join(dir, "tree_01.g2.pg")}; !slices.Equal(trees, want) {
 			t.Fatalf("tree files %v, want %v", trees, want)
 		}
-		for _, name := range []string{"vectors.pg", deletedFile, walFile} {
+		for _, name := range []string{"vectors.pg", walFile} {
 			got, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
@@ -200,6 +200,12 @@ func TestOpenRewritesLegacyTrees(t *testing.T) {
 			if want, _ := os.ReadFile(filepath.Join(fixture, name)); !bytes.Equal(got, want) {
 				t.Errorf("%s changed", name)
 			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, deletedFile)); !os.IsNotExist(err) {
+			t.Errorf("%s left beside the meta.json that holds its marks (stat err %v)", deletedFile, err)
+		}
+		if want := []uint64{3, 77, 250, 499, 510}; !slices.Equal(m.Purged, want) {
+			t.Errorf("meta.json purges %v, the fixture's deleted.bin purges %v", m.Purged, want)
 		}
 	}
 }

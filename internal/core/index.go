@@ -91,23 +91,28 @@ type Index struct {
 	tel *telemetry.Collector
 }
 
-// metaJSON is the serialised index descriptor. Count and Gen together
-// are the ingest commit point: Count is the id watermark below which
-// objects live in the vector store and the trees of generation Gen;
-// WAL replay skips insert records under it. Both move only via the
-// atomic meta.json replace in the compaction commit (or Flush), so a
-// crash leaves a consistent (Gen, Count) pair. Gen is omitempty: a
-// fresh build is generation 0 and its meta stays byte-identical to the
-// pre-ingest layout. Clustered records the store layout: that many
-// leading slots of vectors.pg are in tree-0 Hilbert-key order, translated
-// by ids.pg; absent means none are — records in id order, no ids.pg, the
-// layout every directory had before the slot space.
+// metaJSON is the serialised index descriptor and the index's one commit
+// point. Count is the id watermark below which objects live in the
+// vector store (whatever its header says) and the trees of generation
+// Gen; WAL replay skips insert records under it. Deleted and Purged are
+// the deletion marks and the ids a compaction dropped from the trees,
+// ascending ids, not slots; the WAL's delete records replay on top of
+// them. All of it moves only by the atomic meta.json replace of a
+// compaction commit, Open or Flush, so a crash leaves one consistent
+// state. Gen, Deleted and Purged are omitempty: a fresh build is
+// generation 0 with nothing deleted, and its meta stays byte-identical
+// to the pre-ingest layout. Clustered records the store layout: that
+// many leading slots of vectors.pg are in tree-0 Hilbert-key order,
+// translated by ids.pg; absent means none are — records in id order, no
+// ids.pg, the layout every directory had before the slot space.
 type metaJSON struct {
 	Params    Params      `json:"params"`
 	Nu        int         `json:"nu"`
 	Count     uint64      `json:"count"`
 	Gen       uint64      `json:"gen,omitempty"`
 	Clustered uint64      `json:"clustered,omitempty"`
+	Deleted   []uint64    `json:"deleted,omitempty"`
+	Purged    []uint64    `json:"purged,omitempty"`
 	Refs      [][]float32 `json:"refs"`
 	Lo        []float32   `json:"lo"`
 	Hi        []float32   `json:"hi"`
@@ -155,11 +160,11 @@ func (ix *Index) eachPager(fn func(*pager.Pager)) {
 // RemoveIndexFiles deletes every file a previous Build may have left at
 // dir's top level: meta.json first (the layout's commit point, so a
 // crash mid-rebuild leaves a directory Open rejects rather than one
-// silently serving the old dataset), then the deletion marks, the
-// vector store, the slot map, and the tree files. Build calls it so
-// rebuilding in place starts clean — stale deleted.bin marks would
-// otherwise resurrect on the new index, and stale tree files would
-// linger when tau shrinks. Missing files (or a missing directory) are
+// silently serving the old dataset), then an older layout's deletion
+// marks, the vector store, the slot map, and the tree files. Build calls
+// it so rebuilding in place starts clean — stale deleted.bin marks would
+// otherwise merge into the new index, and stale tree files would linger
+// when tau shrinks. Missing files (or a missing directory) are
 // fine.
 func RemoveIndexFiles(dir string) error {
 	trees, err := filepath.Glob(filepath.Join(dir, "tree_*.pg"))
@@ -245,21 +250,24 @@ func crossDistances(refs [][]float32) [][]float64 {
 	return cross
 }
 
-// writeMeta atomically replaces meta.json — it is the ingest commit
-// point (Count + Gen), so a torn write must be impossible: the
+// writeMeta atomically replaces meta.json, the commit point, with the
+// index at count and gen and with drop's marks moved to the purged set:
+// the state a compaction commit or a tree upgrade is about to apply;
+// everyone else passes the index's own count, generation and nil. The
 // write-fsync-rename-dirsync discipline leaves either the old complete
 // descriptor or the new one.
-func (ix *Index) writeMeta() error {
+func (ix *Index) writeMeta(count, gen uint64, drop map[uint64]uint64) error {
 	m := metaJSON{
 		Params:    ix.params,
 		Nu:        ix.nu,
-		Count:     ix.vectors.Count(),
-		Gen:       ix.gen,
+		Count:     count,
+		Gen:       gen,
 		Clustered: ix.slots.base,
 		Refs:      ix.refs,
 		Lo:        ix.lo,
 		Hi:        ix.hi,
 	}
+	m.Deleted, m.Purged = ix.deleted.lists(drop)
 	buf, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
@@ -334,7 +342,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 
 	ix, err := newIndex(dir, m)
 	if err == nil {
-		err = ix.load(m.Count, m.Clustered)
+		err = ix.load(m)
 	}
 	if err != nil {
 		ix.Close()
@@ -347,7 +355,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 // load opens the committed generation's files and recovers the ingest
 // state: Open's body, split out so every failure is released by the one
 // Close in Open.
-func (ix *Index) load(committed, clustered uint64) error {
+func (ix *Index) load(m metaJSON) error {
 	// A crash inside a compaction (before its meta commit) or right
 	// after one (before old-generation cleanup) leaves tree files of
 	// generations other than ix.gen — remove them so they cannot collide
@@ -383,60 +391,61 @@ func (ix *Index) load(committed, clustered uint64) error {
 	if vs.Dim() != ix.nu {
 		return fmt.Errorf("core: vectors.pg holds %d-d vectors, meta.json says %d", vs.Dim(), ix.nu)
 	}
-	if b := vs.Base(); b != 0 && b != clustered {
-		return fmt.Errorf("core: vectors.pg holds %d byte records, meta.json clusters %d", b, clustered)
+	if b := vs.Base(); b != 0 && b != m.Clustered {
+		return fmt.Errorf("core: vectors.pg holds %d byte records, meta.json clusters %d", b, m.Clustered)
 	}
-	if clustered > 0 {
-		if clustered > committed {
-			return fmt.Errorf("core: meta clusters %d vectors, commits %d", clustered, committed)
+	// meta.json's count is the store's, whatever its header says: records
+	// past it are a batch whose commit never landed, which the WAL still
+	// holds and the next compaction writes over.
+	vs.SetCount(m.Count)
+	if err := vs.Validate(); err != nil {
+		return fmt.Errorf("core: meta.json commits %d vectors: %w", m.Count, err)
+	}
+	if m.Clustered > 0 {
+		if m.Clustered > m.Count {
+			return fmt.Errorf("core: meta clusters %d vectors, commits %d", m.Clustered, m.Count)
 		}
 		sp, err := ix.openPager(filepath.Join(ix.dir, slotFile), pager.Options{ReadOnly: true})
 		if err != nil {
 			return err
 		}
-		if ix.slots, err = openSlotMap(sp, clustered); err != nil {
+		if ix.slots, err = openSlotMap(sp, m.Clustered); err != nil {
 			sp.Close()
 			return err
 		}
 	}
 
-	// Reconcile the vector store against the meta commit point. With a
-	// WAL present, meta.Count is authoritative: a count beyond it is a
-	// compaction commit that crashed before meta.json landed — rewind
-	// it; the WAL still holds those inserts and replays them below. A
-	// pre-WAL directory has no such discipline: its vector-store header
-	// is the historical truth, so adopt it (and persist the adoption
-	// before the WAL file starts marking the new discipline).
-	walPath := filepath.Join(ix.dir, walFile)
-	if _, statErr := os.Stat(walPath); statErr == nil {
-		switch {
-		case vs.Count() > committed:
-			if err := vs.ResetCount(committed); err != nil {
-				return err
-			}
-		case vs.Count() < committed:
-			return fmt.Errorf("core: vector store holds %d vectors, meta commits %d", vs.Count(), committed)
-		}
-	} else if vs.Count() != committed {
-		if err := ix.writeMeta(); err != nil {
-			return err
-		}
+	// The marks meta.json commits, and those of an older directory's
+	// deleted.bin, before anything writes meta.json again.
+	if err := ix.addMarks(m.Deleted, m.Purged); err != nil {
+		return err
 	}
-
+	legacyMarks, err := ix.loadDeleteSet()
+	if err != nil {
+		return err
+	}
 	if legacy {
 		if err := ix.upgradeTrees(); err != nil {
 			return err
 		}
 	}
-
-	if err := ix.loadDeleteSet(); err != nil {
-		return err
-	}
-	ix.wal, err = wal.Open(walPath, ix.walOptions(), ix.replayRecord)
+	ix.wal, err = wal.Open(filepath.Join(ix.dir, walFile), ix.walOptions(), ix.replayRecord)
 	if err != nil {
 		return fmt.Errorf("core: wal recovery: %w", err)
 	}
-	return ix.pruneDeleteMarks()
+	if !ix.pruneDeleteMarks() && !legacyMarks {
+		return nil
+	}
+	// Commit the pruned or merged marks, then drop deleted.bin: a crash
+	// in between merges the same file into the same marks again, and
+	// the next meta.json write syncs the directory past its removal.
+	if err := ix.writeMeta(ix.vectors.Count(), ix.gen, nil); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(ix.dir, deletedFile)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }
 
 // staleGenerations lists the tree files in the directory whose name does
@@ -555,24 +564,17 @@ func (ix *Index) ResetIOStats() {
 	ix.eachPager((*pager.Pager).ResetStats)
 }
 
-// Flush persists the state that lives in memory: the vector store's
-// header, the meta descriptor, the deletion marks, and an fsync of the
-// WAL. Pages need no flush — every one reached its file when it was
-// written, and tree files and ids.pg are written once, by the build or a
-// compaction, and served read-only. The ingest path does not need it for
-// durability (acknowledged writes are WAL-durable already); it remains a
-// convenient full-sync barrier.
+// Flush commits the state that lives in memory — the deletion marks —
+// through meta.json and fsyncs the WAL. Pages need no flush: every one
+// reached its file when it was written, and tree files and ids.pg are
+// written once, by the build or a compaction, and served read-only. The
+// ingest path does not need it for durability (acknowledged writes are
+// WAL-durable already); it remains a convenient full-sync barrier.
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
-	err := ix.vectors.Flush()
-	if err == nil {
-		err = ix.writeMeta()
-	}
+	err := ix.writeMeta(ix.vectors.Count(), ix.gen, nil)
 	w := ix.wal
 	ix.mu.Unlock()
-	if err == nil {
-		err = ix.saveDeleteSet()
-	}
 	if err == nil && w != nil {
 		err = w.Sync()
 	}

@@ -324,14 +324,15 @@ func (ix *Index) stopCompactor() {
 // Compact drains the current memtable into the RDB-trees: reference
 // distances and Hilbert keys for the batch, a merge of each tree's
 // existing entries with the radix-sorted batch into a fresh
-// tree-generation file via the flat-arena bulk load, then one commit
-// section under the index write lock — vector-store append (data
-// fsynced before its count header), atomic meta.json replace carrying
-// the new generation and count (THE commit point), tree swap, delete-
-// mark reclamation, WAL truncation to the surviving tail. A crash on
-// either side of the meta replace recovers cleanly: before it, the old
-// generation plus a full WAL replay; after it, the new generation with
-// replay skipping the already-committed prefix.
+// tree-generation file via the flat-arena bulk load, the batch's
+// records written and fsynced into vectors.pg past the committed count,
+// then one commit section under the index write lock — the atomic
+// meta.json replace carrying the new generation, count and delete marks
+// (THE commit point), the swap in memory, WAL truncation to the
+// surviving tail. A crash on either side of the meta replace recovers
+// cleanly: before it, the old generation plus a full WAL replay; after
+// it, the new generation with replay skipping the already-committed
+// prefix.
 //
 // Entries of objects that carry a deletion mark are dropped from the
 // rebuilt trees and their marks move to the purged set (§3.6's marks,
@@ -408,7 +409,7 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 
 	// Marks to reclaim: every marked object the rebuilt trees would
 	// cover, keyed by slot as their entries are. Marks set after this
-	// snapshot keep their WAL records or land in the deleted.bin written
+	// snapshot keep their WAL records or land in the meta.json written
 	// below, so nothing acknowledged is lost.
 	drop := ix.deleted.marksBelow(oldCount + uint64(n))
 
@@ -426,31 +427,28 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		}
 	}
 
-	// ---- commit ----
-	ix.mu.Lock()
+	// The batch's records go past the committed count, fsynced: a
+	// failure here or a crash after it leaves bytes no count reaches,
+	// which the next compaction writes over. Only compactions append.
 	if err := ix.vectors.AppendAll(batch); err != nil {
-		ix.mu.Unlock()
 		abort()
 		return true, err
 	}
-	ix.gen = newGen
-	if err := ix.writeMeta(); err != nil {
-		// Roll the staged state back so the in-process index stays
-		// consistent; the next Open reconciles the disk (the vector
-		// store's advanced count exceeds the still-old meta count and is
-		// rewound, with the WAL re-covering the batch).
-		ix.gen = oldGen
-		_ = ix.vectors.ResetCount(oldCount)
+
+	// ---- commit ----
+	newCount := oldCount + uint64(n)
+	ix.mu.Lock()
+	if err := ix.writeMeta(newCount, newGen, drop); err != nil {
 		ix.mu.Unlock()
 		abort()
 		return true, err
 	}
 	// meta.json landed, so the batch IS committed and memory follows
-	// unconditionally: swap the generation, reclaim the dropped marks,
-	// trim the memtable. Returning before that would leave the batch in
-	// the store, the trees AND mem.
+	// unconditionally: the store's count, the generation, the reclaimed
+	// marks, the memtable.
+	ix.vectors.SetCount(newCount)
 	oldTrees := ix.trees
-	ix.trees = newTrees
+	ix.trees, ix.gen = newTrees, newGen
 	ix.deleted.purge(drop)
 	rest := make([][]float32, len(ix.mem)-n)
 	copy(rest, ix.mem[n:])
@@ -459,30 +457,19 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 	ix.mem, ix.memOff = rest, restOff
 	ix.compactions++
 	ix.lastCompactN = n
-	// Only then the two persistence steps that may fail. The mark file
-	// goes before the WAL truncation drops its delete records — a crash
-	// between the two replays them onto the saved marks, idempotently.
-	// If the mark file cannot be written the log stays whole, the only
-	// durable copy of the marks: replay skips the committed inserts and
-	// brings the reclaimed ids back as marks for the next compaction.
-	saveErr := ix.saveDeleteSet()
-	var walErr error
-	if saveErr == nil {
-		newCount := ix.vectors.Count()
-		tail := make([]wal.Record, len(rest))
-		for i, v := range rest {
-			tail[i] = wal.Record{Op: wal.OpInsert, ID: newCount + uint64(i), Vec: v}
-		}
-		walErr = ix.wal.RewriteWith(tail)
+	// Then the one persistence step that may fail: the WAL keeps only the
+	// surviving inserts, meta.json holds the marks. A log left whole
+	// replays idempotently onto the commit.
+	tail := make([]wal.Record, len(rest))
+	for i, v := range rest {
+		tail[i] = wal.Record{Op: wal.OpInsert, ID: newCount + uint64(i), Vec: v}
 	}
+	walErr := ix.wal.RewriteWith(tail)
 	ix.lastCompactMS = msSince(start)
 	ix.mu.Unlock()
 	ix.tel.ObserveCompaction(time.Since(start))
 
 	ix.dropTrees(oldTrees, oldGen)
-	if saveErr != nil {
-		return true, saveErr
-	}
 	if walErr != nil && !errors.Is(walErr, wal.ErrClosed) {
 		// The commit itself is durable (meta.json landed); what failed is
 		// the WAL truncation. A transient failure (the temp file could

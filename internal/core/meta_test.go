@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/vecmath"
 )
 
@@ -81,9 +83,11 @@ func TestOpenRejectsCorruptHeaders(t *testing.T) {
 // FuzzMeta feeds meta.json's decoder arbitrary bytes: decodeMeta answers
 // with an error or with a descriptor newIndex derives an index from that
 // can place a query on every curve and measure it against every
-// reference — never a panic. Seeded from the descriptors a Build writes,
-// the committed parent-layout fixture's, and the τ = 0 that used to
-// divide by zero.
+// reference, and whose marks and purged ids load into the delete set or
+// are an error — never a panic. Seeded from the descriptors a Build
+// writes, the committed parent-layout fixture's, the τ = 0 that used to
+// divide by zero, and Build's with marks and purged ids, one of them past
+// the slot space.
 func FuzzMeta(f *testing.F) {
 	dir := filepath.Join(f.TempDir(), "ix")
 	ix, err := Build(dir, testVectorsFlatTie(300, 16, 5), Params{Tau: 2, Omega: 8, M: 3, Seed: 1})
@@ -99,6 +103,28 @@ func FuzzMeta(f *testing.F) {
 		f.Add(meta)
 		f.Add(bytes.Replace(meta, []byte(`"Tau": 2`), []byte(`"Tau": 0`), 1))
 		f.Add(bytes.Replace(meta, []byte(`"nu": 16`), []byte(`"nu": 12`), 1))
+	}
+	m, err := readMeta(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The built directory's ids.pg places the marks as Open would.
+	sp, err := pager.Open(filepath.Join(dir, slotFile), pager.Options{ReadOnly: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { sp.Close() })
+	slots, err := openSlotMap(sp, m.Clustered)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, purged := range [][]uint64{{2, 7, 299}, {2, 1 << 40}} {
+		m.Deleted, m.Purged = []uint64{1, 5, 7}, purged
+		meta, err := json.MarshalIndent(&m, "", "  ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(meta)
 	}
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		m, err := decodeMeta(meta)
@@ -118,6 +144,12 @@ func FuzzMeta(f *testing.F) {
 		}
 		for _, r := range ix.refs {
 			vecmath.Dist(q, r)
+		}
+		ix.slots = slots
+		err = ix.addMarks(m.Deleted, m.Purged)
+		ix.slots = slotMap{} // every run shares the pager: Close leaves it open
+		if err == nil && ix.DeletedCount() > len(m.Deleted)+len(m.Purged) {
+			t.Fatalf("%d marks and %d purged ids loaded as %d", len(m.Deleted), len(m.Purged), ix.DeletedCount())
 		}
 	})
 }

@@ -160,7 +160,7 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	defer ix.mu.RUnlock()
 	ctx, leave := fanout.Enter(ctx)
 	defer leave()
-	span := telemetry.StartSpan(true)
+	span := telemetry.StartSpan()
 
 	ioBefore := ix.IOStats()
 	sc := ix.getSearchScratch(ctx, q, plan)

@@ -8,7 +8,7 @@ import (
 	"github.com/hd-index/hdindex/internal/pager"
 )
 
-// The slot space. Callers, the WAL and deleted.bin name an object by its
+// The slot space. Callers, the WAL and meta.json name an object by its
 // id — its arrival number. The vector store and the tree leaves name it
 // by its slot — where its vector sits in vectors.pg. Build makes the two
 // differ on purpose: it writes the vectors in tree 0's Hilbert-key order,

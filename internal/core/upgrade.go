@@ -24,17 +24,14 @@ func (ix *Index) upgradeTrees() error {
 		newTrees[t], err = ix.upgradeTree(t, newGen)
 	}
 	if err == nil {
-		ix.gen = newGen
-		if err = ix.writeMeta(); err != nil {
-			ix.gen = oldGen
-		}
+		err = ix.writeMeta(ix.vectors.Count(), newGen, nil)
 	}
 	if err != nil {
 		ix.dropTrees(newTrees, newGen)
 		return err
 	}
 	ix.dropTrees(ix.trees, oldGen)
-	ix.trees = newTrees
+	ix.trees, ix.gen = newTrees, newGen
 	return nil
 }
 

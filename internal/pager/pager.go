@@ -504,39 +504,20 @@ func (p *Pager) Write(id PageID, data []byte) error {
 	if id == 0 {
 		return fmt.Errorf("%w: write of page 0, the superblock", ErrPageRange)
 	}
-	_, err := p.write(id, data)
-	return err
-}
-
-// Alloc appends a zeroed page to the file and returns it pinned, read
-// back as by Get.
-func (p *Pager) Alloc() (*Page, error) {
-	id, err := p.write(0, make([]byte, p.pageSize))
-	if err != nil {
-		return nil, err
-	}
-	return p.Get(id)
-}
-
-// write is Write, with id 0 naming the next page, and returns the id.
-func (p *Pager) write(id PageID, data []byte) (PageID, error) {
 	if p.readOnly {
-		return 0, errors.New("pager: write to a read-only file")
+		return errors.New("pager: write to a read-only file")
 	}
 	if len(data) != p.pageSize {
-		return 0, fmt.Errorf("pager: a %d-byte write to a file of %d-byte pages", len(data), p.pageSize)
+		return fmt.Errorf("pager: a %d-byte write to a file of %d-byte pages", len(data), p.pageSize)
 	}
 	p.state.Lock()
 	defer p.state.Unlock()
 	if p.closed.Load() {
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	count := p.pageCount.Load()
-	if id == 0 {
-		id = PageID(count)
-	}
 	if uint64(id) > count {
-		return 0, fmt.Errorf("%w: write of page %d (have %d)", ErrPageRange, id, count)
+		return fmt.Errorf("%w: write of page %d (have %d)", ErrPageRange, id, count)
 	}
 	st, fs := p.stripeOf(id)
 	st.mu.Lock()
@@ -546,7 +527,7 @@ func (p *Pager) write(id PageID, data []byte) (PageID, error) {
 		st.loaded.Wait()
 	}
 	if _, err := p.f.WriteAt(data, int64(uint64(id))*int64(p.pageSize)); err != nil {
-		return 0, fmt.Errorf("%w: write page %d: %w", ErrIO, id, err)
+		return fmt.Errorf("%w: write page %d: %w", ErrIO, id, err)
 	}
 	fs.stats.writes.Add(1)
 	ev := byte(evWrite)
@@ -561,7 +542,7 @@ func (p *Pager) write(id PageID, data []byte) (PageID, error) {
 	if fr != nil {
 		st.drop(fs, fr)
 	}
-	return id, nil
+	return nil
 }
 
 // Get returns the page with the given id, pinned and read-only.

@@ -295,8 +295,8 @@ func TestOpenWithDifferentConfiguredPageSize(t *testing.T) {
 func TestClosedErrors(t *testing.T) {
 	p, _ := newTemp(t, Options{})
 	p.Close()
-	if _, err := p.Alloc(); !errors.Is(err, ErrClosed) {
-		t.Error("Alloc after close must fail")
+	if err := p.Write(PageID(p.PageCount()), make([]byte, p.PageSize())); !errors.Is(err, ErrClosed) {
+		t.Error("an append after close must fail")
 	}
 	if _, err := p.Get(1); !errors.Is(err, ErrClosed) {
 		t.Error("Get after close must fail")
@@ -315,8 +315,8 @@ func TestReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if _, err := ro.Alloc(); err == nil {
-		t.Error("Alloc on read-only pager must fail")
+	if err := ro.Write(PageID(ro.PageCount()), make([]byte, ro.PageSize())); err == nil {
+		t.Error("an append to a read-only pager must fail")
 	}
 	g, err := ro.Get(1)
 	if err != nil {
@@ -571,8 +571,7 @@ func TestFileSize(t *testing.T) {
 	p, _ := newTemp(t, Options{PageSize: 512})
 	defer p.Close()
 	for i := 0; i < 3; i++ {
-		pg, _ := p.Alloc()
-		pg.Release()
+		appendPage(t, p, nil)
 	}
 	if got := p.FileSize(); got != 4*512 {
 		t.Fatalf("FileSize = %d, want %d", got, 4*512)
@@ -586,9 +585,7 @@ func BenchmarkGetCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	pg, _ := p.Alloc()
-	id := pg.ID
-	pg.Release()
+	id := appendPage(b, p, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, _ := p.Get(id)
@@ -601,9 +598,7 @@ func BenchmarkGetCached(b *testing.B) {
 func BenchmarkViewCached(b *testing.B) {
 	p, _ := newTemp(b, Options{})
 	defer p.Close()
-	pg, _ := p.Alloc()
-	id := pg.ID
-	pg.Release()
+	id := appendPage(b, p, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, _ := p.View(id)

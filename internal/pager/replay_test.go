@@ -247,11 +247,7 @@ func TestCacheFollowsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for range n {
-			pg, err := p.Alloc()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pg.Release()
+			appendPage(t, p, nil)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)

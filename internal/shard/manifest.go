@@ -118,7 +118,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // WriteManifest persists m atomically (the same crash discipline as
-// core's deleted.bin). The manifest is the layout's commit point: Open
+// core's meta.json). The manifest is the layout's commit point: Open
 // refuses a directory without one, so a build that dies mid-way leaves
 // no half-layout that looks complete.
 func WriteManifest(dir string, m *Manifest) error {

@@ -3,9 +3,7 @@ package telemetry
 import "time"
 
 // Collector bundles one index's operation histograms. core.Index owns
-// one; shards each own their own and merge snapshots on read. All
-// methods are safe on a nil receiver (every observation becomes a no-op)
-// so callers never need nil guards on cold paths.
+// one; shards each own their own and merge snapshots on read.
 type Collector struct {
 	// Query records whole-query wall time (single queries and each
 	// query of a batch).
@@ -20,20 +18,12 @@ type Collector struct {
 	Phase [NumPhases]Histogram
 }
 
-// NewCollector returns an enabled collector.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
-
-// Enabled reports whether observations will be recorded; a nil
-// collector is disabled. Pass this to StartSpan so a disabled index
-// skips clock reads entirely.
-func (c *Collector) Enabled() bool { return c != nil }
 
 // ObserveQuery records one whole-query duration plus its per-phase
 // breakdown.
 func (c *Collector) ObserveQuery(d time.Duration, phases PhaseNS) {
-	if c == nil {
-		return
-	}
 	c.Query.ObserveDuration(d)
 	for i := range c.Phase {
 		// Phases the query never reached keep the histogram honest at
@@ -47,25 +37,16 @@ func (c *Collector) ObserveQuery(d time.Duration, phases PhaseNS) {
 
 // ObserveInsert records one insert duration.
 func (c *Collector) ObserveInsert(d time.Duration) {
-	if c == nil {
-		return
-	}
 	c.Insert.ObserveDuration(d)
 }
 
 // ObserveCompaction records one compaction duration.
 func (c *Collector) ObserveCompaction(d time.Duration) {
-	if c == nil {
-		return
-	}
 	c.Compaction.ObserveDuration(d)
 }
 
 // ObserveWALSync records one WAL fsync duration.
 func (c *Collector) ObserveWALSync(d time.Duration) {
-	if c == nil {
-		return
-	}
 	c.WALSync.ObserveDuration(d)
 }
 
@@ -79,13 +60,9 @@ type CollectorSnapshot struct {
 	Phase      [NumPhases]Snapshot
 }
 
-// Snapshot copies every histogram. Safe on a nil collector (returns an
-// empty snapshot).
+// Snapshot copies every histogram.
 func (c *Collector) Snapshot() CollectorSnapshot {
 	var s CollectorSnapshot
-	if c == nil {
-		return s
-	}
 	s.Query = c.Query.Snapshot()
 	s.Insert = c.Insert.Snapshot()
 	s.Compaction = c.Compaction.Snapshot()

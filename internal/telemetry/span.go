@@ -69,29 +69,18 @@ func (p PhaseNS) Total() int64 {
 // Span attributes wall time to pipeline phases. Create one with
 // StartSpan at the top of an operation and call Mark(phase) at each
 // phase boundary: the time since the previous mark is charged to that
-// phase. A span from StartSpan(false) is inert — Mark is a single
-// branch, no clock reads.
+// phase.
 type Span struct {
-	on   bool
 	last time.Time
 	NS   PhaseNS
 }
 
-// StartSpan begins a span at the current time when enabled is true, or
-// returns an inert span otherwise.
-func StartSpan(enabled bool) Span {
-	if !enabled {
-		return Span{}
-	}
-	return Span{on: true, last: time.Now()}
-}
+// StartSpan begins a span at the current time.
+func StartSpan() Span { return Span{last: time.Now()} }
 
 // Mark charges the time since the previous mark (or span start) to
 // phase and restarts the clock.
 func (s *Span) Mark(phase Phase) {
-	if !s.on {
-		return
-	}
 	now := time.Now()
 	s.NS[phase] += now.Sub(s.last).Nanoseconds()
 	s.last = now

@@ -5,17 +5,8 @@ import (
 	"time"
 )
 
-func TestSpanDisabledIsInert(t *testing.T) {
-	s := StartSpan(false)
-	s.Mark(PhaseTreeWalk)
-	s.Mark(PhaseRefine)
-	if s.NS != (PhaseNS{}) {
-		t.Fatalf("disabled span recorded time: %v", s.NS)
-	}
-}
-
 func TestSpanMarks(t *testing.T) {
-	s := StartSpan(true)
+	s := StartSpan()
 	time.Sleep(2 * time.Millisecond)
 	s.Mark(PhaseTreeWalk)
 	time.Sleep(1 * time.Millisecond)
@@ -58,20 +49,6 @@ func TestPhaseNSAdd(t *testing.T) {
 	}
 	if a.Total() != 165 {
 		t.Fatalf("Total = %d", a.Total())
-	}
-}
-
-func TestCollectorNilSafe(t *testing.T) {
-	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector enabled")
-	}
-	c.ObserveQuery(time.Millisecond, PhaseNS{1, 2, 3, 4, 5})
-	c.ObserveInsert(time.Millisecond)
-	c.ObserveCompaction(time.Millisecond)
-	c.ObserveWALSync(time.Millisecond)
-	if s := c.Snapshot(); s.Query.Count != 0 {
-		t.Fatalf("nil collector snapshot = %+v", s)
 	}
 }
 

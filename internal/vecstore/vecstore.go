@@ -22,6 +22,13 @@
 // the κ pointers of one query land on far fewer than κ pages, and reads
 // them back in ascending order through a Cursor, which pins each of
 // those pages once.
+//
+// How many records the store holds is the caller's business too: the
+// header's count is advisory. core appends a compaction's batch with
+// AppendAll before its commit, records the new count in meta.json — the
+// index's one commit point — and only then moves the store's with
+// SetCount; its Open takes the count from meta.json whatever the header
+// says.
 package vecstore
 
 import (
@@ -98,8 +105,9 @@ func (s *Store) writeHeader() error {
 	return s.pgr.SetMeta(meta)
 }
 
-// Validate reports whether the header is one the file can back: Open
-// runs it, and the index fsck runs it on a live store.
+// Validate reports whether the file can back the store's dim, base and
+// count: Open runs it on the header, core on meta.json's count, and the
+// index fsck on a live store.
 func (s *Store) Validate() error {
 	if s.dim < 1 || s.dim > maxDim || s.count > maxRecords || s.base > s.count {
 		return fmt.Errorf("%w: dim %d, %d records, %d of them bytes", ErrHeader, s.dim, s.count, s.base)
@@ -362,12 +370,11 @@ func bytewise(vecs [][]float32) bool {
 	return len(vecs) > 0
 }
 
-// AppendAll bulk-appends vecs with crash-safe ordering: every record's
-// bytes are written and fsynced before the count header advances, and
-// the header commit is its own sync. A crash anywhere leaves either the
-// old count (the new bytes are invisible garbage past the end) or the
-// new count with every record durable — never a count that admits torn
-// records. The compaction commit path depends on exactly this.
+// AppendAll writes vecs as the records after the last one and fsyncs
+// them, with the page count that covers them; Count does not move. The
+// records become the store's when the caller's commit point names them
+// and SetCount follows it (core: meta.json), so a failure or a crash
+// anywhere leaves bytes past the count that the next append writes over.
 func (s *Store) AppendAll(vecs [][]float32) error {
 	if len(vecs) == 0 {
 		return nil
@@ -375,36 +382,14 @@ func (s *Store) AppendAll(vecs [][]float32) error {
 	if err := s.writeRecords(s.count, vecs); err != nil {
 		return err
 	}
-	// Data first: pages (and the superblock, still carrying the old
-	// count) reach disk before the count that makes them reachable.
-	if err := s.pgr.Sync(); err != nil {
-		return err
-	}
-	s.count += uint64(len(vecs))
-	if err := s.writeHeader(); err != nil {
-		s.count -= uint64(len(vecs))
-		return err
-	}
 	return s.pgr.Sync()
 }
 
-// ResetCount rewinds the record count to n (base <= n <= Count) and
-// persists the header. Open's crash reconciliation uses it to drop an
-// appended tail whose commit point (the index meta) never landed; the
-// bytes stay in place and are overwritten by the re-run append.
-func (s *Store) ResetCount(n uint64) error {
-	if n > s.count || n < s.base {
-		return fmt.Errorf("vecstore: reset count %d outside [%d, %d]", n, s.base, s.count)
-	}
-	if n == s.count {
-		return nil
-	}
-	s.count = n
-	if err := s.writeHeader(); err != nil {
-		return err
-	}
-	return s.pgr.Flush()
-}
+// SetCount makes the first n records the store's: n is the count a
+// commit point outside the store recorded, and the header, advisory,
+// follows at the next Flush. Validate reports whether the file can hold
+// n records.
+func (s *Store) SetCount(n uint64) { s.count = n }
 
 // Get reads vector id into dst (length Dim) and returns dst, decoding
 // either record width; if dst is nil a fresh slice is allocated.

@@ -26,6 +26,15 @@ func mkStore(t testing.TB, dim, pageSize int) (*Store, string) {
 	return s, path
 }
 
+// push appends vecs and commits them, as core's compaction does.
+func push(s *Store, vecs [][]float32) error {
+	if err := s.AppendAll(vecs); err != nil {
+		return err
+	}
+	s.SetCount(s.Count() + uint64(len(vecs)))
+	return nil
+}
+
 func randVecs(rng *rand.Rand, n, dim int) [][]float32 {
 	vecs := make([][]float32, n)
 	for i := range vecs {
@@ -47,6 +56,17 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	for lo, n := 0, 1; lo < len(vecs); lo, n = lo+n, n+1 {
 		hi := min(lo+n, len(vecs))
 		if err := s.AppendAll(vecs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		if s.Count() != uint64(lo) {
+			t.Fatalf("count = %d after writing records past %d, before SetCount", s.Count(), lo)
+		}
+		s.SetCount(uint64(hi) + 100)
+		if err := s.Validate(); !errors.Is(err, ErrHeader) {
+			t.Fatalf("a count pages past the written records: %v, want ErrHeader", err)
+		}
+		s.SetCount(uint64(hi))
+		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		if s.Count() != uint64(hi) {
@@ -139,7 +159,7 @@ func TestErrors(t *testing.T) {
 	if _, err := s.Get(0, nil); !errors.Is(err, ErrBadID) {
 		t.Error("get from empty store must fail")
 	}
-	if err := s.AppendAll([][]float32{{1, 2, 3, 4}}); err != nil {
+	if err := push(s, [][]float32{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(1, nil); !errors.Is(err, ErrBadID) {
@@ -314,7 +334,7 @@ func TestCursorPinsEachPageOnce(t *testing.T) {
 	const dim, n = 16, 40 // 64-byte records, 4 per 256-byte page
 	s, _ := mkStore(t, dim, 256)
 	for id := 0; id < n; id++ {
-		if err := s.AppendAll([][]float32{mkVec(dim, int64(id))}); err != nil {
+		if err := push(s, [][]float32{mkVec(dim, int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +364,7 @@ func TestCursorPinsEachPageOnce(t *testing.T) {
 	// dim 24 = 96-byte records over 256-byte pages: record 2 spans.
 	s2, _ := mkStore(t, 24, 256)
 	for id := 0; id < 6; id++ {
-		if err := s2.AppendAll([][]float32{mkVec(24, int64(id))}); err != nil {
+		if err := push(s2, [][]float32{mkVec(24, int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,11 +422,11 @@ func TestByteBaseAndFloatTail(t *testing.T) {
 		t.Fatalf("base %d after BuildBase over integers, want %d", s.Base(), base)
 	}
 	tail := randVecs(rng, 9, dim) // not integers
-	if err := s.AppendAll(tail[:5]); err != nil {
+	if err := push(s, tail[:5]); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range tail[5:] {
-		if err := s.AppendAll([][]float32{v}); err != nil {
+		if err := push(s, [][]float32{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,9 +440,11 @@ func TestByteBaseAndFloatTail(t *testing.T) {
 	if len(s.Pager().Meta()) != 20 {
 		t.Fatalf("a byte base's header is %d bytes, want 20", len(s.Pager().Meta()))
 	}
-	if err := s.ResetCount(base - 1); err == nil {
-		t.Fatal("ResetCount below the byte base must fail")
+	s.SetCount(base - 1)
+	if err := s.Validate(); !errors.Is(err, ErrHeader) {
+		t.Fatalf("a count below the byte base: %v, want ErrHeader", err)
 	}
+	s.SetCount(uint64(len(want)))
 	if err := s.BuildBase(want[:1]); err == nil {
 		t.Fatal("BuildBase on a non-empty store must fail")
 	}
@@ -571,7 +593,7 @@ func FuzzStoreHeader(f *testing.F) {
 	if err := s.BuildBase(intVecs(rng, 40, 13)); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.AppendAll(randVecs(rng, 9, 13)); err != nil {
+	if err := push(s, randVecs(rng, 9, 13)); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {

@@ -66,7 +66,8 @@ crash:
 
 # Fault-injection + overload chaos suite under the race detector: WAL
 # ENOSPC/fsync poison, compaction EIO + circuit breaker, pager read
-# EIO, goroutine-leak checks, the 4× overload storm, and tenant
+# EIO, EIO while Open rebuilds trees of an older layout (meta.json
+# untouched, the next Open rebuilds), goroutine-leak checks, the 4× overload storm, and tenant
 # throttling (the chaos CI job). HD_CHAOS turns on the storm's two
 # wall-clock assertions (shed latency, accepted p99), which tier-1 skips.
 # Helper goroutines are checked ten times over: none outlives a Query

@@ -35,7 +35,8 @@ const (
 	// Internal layout: [1B type][2B count] + (count+1)*8B children + count*keyLen keys.
 	internalHeader = 1 + 2
 
-	// The leaf layout a header records; earlier versions interleaved.
+	// The leaf layout a header records. Earlier versions interleaved
+	// keys and values; Open detects such a tree and reads none of it.
 	layoutInterleaved = 0
 	layoutSplit       = 1
 
@@ -48,8 +49,10 @@ var (
 	ErrValueLen  = errors.New("bptree: value length mismatch")
 	ErrNotSorted = errors.New("bptree: bulk load input not sorted")
 	ErrCorrupt   = errors.New("bptree: corrupt node")
-	// ErrLegacyLayout is Open's answer to a tree in the interleaved layout.
-	ErrLegacyLayout = errors.New("bptree: tree in the interleaved leaf layout")
+	// ErrOldLayout is Open's answer to a tree of an older layout, which
+	// holds nothing its owner cannot derive again: the interleaved leaves
+	// here, and the RDB-tree's float32 distances.
+	ErrOldLayout = errors.New("bptree: tree of an older layout")
 )
 
 // Config fixes the entry geometry of a tree.
@@ -76,9 +79,9 @@ type Tree struct {
 	lastLeaf  pager.PageID
 	extra     []byte // caller metadata persisted after the tree header
 
-	// Entry i's key is at leafHeader + i·keyStride, its value at
-	// valOff + i·valStride.
-	keyStride, valOff, valStride int
+	// Entry i's key is at leafHeader + i·keyLen, its value at
+	// valOff + i·valLen.
+	valOff int
 }
 
 // Create initialises an empty tree in pgr (which must be freshly
@@ -86,7 +89,7 @@ type Tree struct {
 // writes no page; the root leaf reaches the file as BulkLoad's first
 // leaf, or empty at the first Flush.
 func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
-	t, err := newTree(pgr, cfg, layoutSplit)
+	t, err := newTree(pgr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -98,29 +101,25 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 }
 
 // Open loads an existing tree from pgr's metadata; a tree in the
-// interleaved layout is ErrLegacyLayout.
+// interleaved layout is ErrOldLayout.
 func Open(pgr *pager.Pager) (*Tree, error) {
-	return open(pgr, layoutSplit)
-}
-
-func open(pgr *pager.Pager, layout int) (*Tree, error) {
 	meta := pgr.Meta()
 	if len(meta) < headerSize {
 		return nil, fmt.Errorf("%w: short tree header", ErrCorrupt)
 	}
 	switch got := int(binary.BigEndian.Uint16(meta[8:])); got {
-	case layout:
+	case layoutSplit:
 	case layoutInterleaved:
-		return nil, ErrLegacyLayout
+		return nil, fmt.Errorf("%w: interleaved leaves", ErrOldLayout)
 	default:
-		return nil, fmt.Errorf("%w: leaf layout %d, want %d", ErrCorrupt, got, layout)
+		return nil, fmt.Errorf("%w: leaf layout %d, want %d", ErrCorrupt, got, layoutSplit)
 	}
 	cfg := Config{
 		KeyLen:  int(binary.BigEndian.Uint32(meta[0:])),
 		ValLen:  int(binary.BigEndian.Uint32(meta[4:])),
 		LeafCap: int(binary.BigEndian.Uint16(meta[10:])),
 	}
-	t, err := newTree(pgr, cfg, layout)
+	t, err := newTree(pgr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -138,21 +137,7 @@ func open(pgr *pager.Pager, layout int) (*Tree, error) {
 	return t, nil
 }
 
-// ReadLegacy passes fn every entry, in key order with CheckLeaves'
-// checks, of a tree of the given widths in the interleaved layout of
-// earlier versions, which Open refuses, for a one-time rewrite.
-func ReadLegacy(pgr *pager.Pager, keyLen, valLen int, fn func(key, value []byte) error) error {
-	t, err := open(pgr, layoutInterleaved)
-	if err != nil {
-		return err
-	}
-	if t.keyLen != keyLen || t.valLen != valLen {
-		return fmt.Errorf("%w: legacy tree holds %d-byte keys and %d-byte values, want %d and %d", ErrCorrupt, t.keyLen, t.valLen, keyLen, valLen)
-	}
-	return t.CheckLeaves(fn)
-}
-
-func newTree(pgr *pager.Pager, cfg Config, layout int) (*Tree, error) {
+func newTree(pgr *pager.Pager, cfg Config) (*Tree, error) {
 	if cfg.KeyLen <= 0 {
 		return nil, fmt.Errorf("bptree: KeyLen must be positive, got %d", cfg.KeyLen)
 	}
@@ -160,11 +145,8 @@ func newTree(pgr *pager.Pager, cfg Config, layout int) (*Tree, error) {
 		return nil, fmt.Errorf("bptree: ValLen must be >= 0, got %d", cfg.ValLen)
 	}
 	ps := pgr.PageSize()
-	// The split layout pads the value run to an 8-byte boundary.
+	// The value run starts at an 8-byte boundary: up to 7 bytes of pad.
 	maxLeaf := min((ps-leafHeader-7)/(cfg.KeyLen+cfg.ValLen), maxLeafCap)
-	if layout == layoutInterleaved {
-		maxLeaf = (ps - leafHeader) / (cfg.KeyLen + cfg.ValLen)
-	}
 	if maxLeaf < 1 {
 		return nil, fmt.Errorf("bptree: entry size %d does not fit page size %d", cfg.KeyLen+cfg.ValLen, ps)
 	}
@@ -179,22 +161,14 @@ func newTree(pgr *pager.Pager, cfg Config, layout int) (*Tree, error) {
 	if branchCap < 2 {
 		return nil, fmt.Errorf("bptree: key length %d too large for page size %d", cfg.KeyLen, ps)
 	}
-	t := &Tree{
+	return &Tree{
 		pgr:       pgr,
 		keyLen:    cfg.KeyLen,
 		valLen:    cfg.ValLen,
 		leafCap:   leafCap,
 		branchCap: branchCap,
-		keyStride: cfg.KeyLen,
 		valOff:    (leafHeader + leafCap*cfg.KeyLen + 7) &^ 7,
-		valStride: cfg.ValLen,
-	}
-	if layout == layoutInterleaved {
-		t.keyStride = cfg.KeyLen + cfg.ValLen
-		t.valOff = leafHeader + cfg.KeyLen
-		t.valStride = t.keyStride
-	}
-	return t, nil
+	}, nil
 }
 
 const headerSize = 48
@@ -300,16 +274,16 @@ func setLeafRight(data []byte, id pager.PageID) {
 }
 
 func (t *Tree) leafKey(data []byte, i int) []byte {
-	off := leafHeader + i*t.keyStride
+	off := leafHeader + i*t.keyLen
 	return data[off : off+t.keyLen]
 }
 
 func (t *Tree) leafVal(data []byte, i int) []byte {
-	off := t.valOff + i*t.valStride
+	off := t.valOff + i*t.valLen
 	return data[off : off+t.valLen]
 }
 
-// leafVals is the values of entries [lo, hi) as one run (split layout).
+// leafVals is the values of entries [lo, hi) as one run.
 func (t *Tree) leafVals(data []byte, lo, hi int) []byte {
 	return data[t.valOff+lo*t.valLen : t.valOff+hi*t.valLen]
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -83,69 +82,6 @@ func rdbTreeFile(t testing.TB, s, eps float64) (header, pages []byte) {
 		v.Release()
 	}
 	return tr.pgr.Meta(), pages
-}
-
-// legacyTreeFile is header and pages of a tree in the split layout laid
-// out again in the interleaved layout of earlier versions: each leaf's
-// entries as key, value, key, value…, and the header's layout field 0.
-func legacyTreeFile(t testing.TB, header, pages []byte) (legacyHeader, legacyPages []byte) {
-	t.Helper()
-	tr, err := Open(writeTreeFile(t, header, pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := *tr
-	old.keyStride, old.valOff, old.valStride = tr.keyLen+tr.valLen, leafHeader+tr.keyLen, tr.keyLen+tr.valLen
-	legacyHeader, legacyPages = slices.Clone(header), slices.Clone(pages)
-	binary.BigEndian.PutUint16(legacyHeader[8:], layoutInterleaved)
-	for id := 1; id <= len(pages)/treePageSize; id++ {
-		from, to := treePage(pages, id), treePage(legacyPages, id)
-		if nodeType(from) != pageLeaf {
-			continue
-		}
-		clear(to[leafHeader:])
-		for i := range leafCount(from) {
-			copy(old.leafKey(to, i), tr.leafKey(from, i))
-			copy(old.leafVal(to, i), tr.leafVal(from, i))
-		}
-	}
-	return legacyHeader, legacyPages
-}
-
-// A tree in the interleaved layout is ErrLegacyLayout to Open, and
-// ReadLegacy reads every entry of it, in order, with the leaf chain
-// checked — or ErrCorrupt for each of the corruptions.
-func TestReadLegacy(t *testing.T) {
-	header, pages := treeFile(t)
-	header, pages = legacyTreeFile(t, header, pages)
-	want := make([]uint32, 60)
-	for i := range want {
-		want[i] = uint32(i)
-	}
-	if _, err := Open(writeTreeFile(t, header, pages)); !errors.Is(err, ErrLegacyLayout) {
-		t.Fatalf("Open of a legacy tree: %v, want ErrLegacyLayout", err)
-	}
-	var got []uint32
-	err := ReadLegacy(writeTreeFile(t, header, pages), 8, 4, func(k, v []byte) error {
-		if want := u64key(uint64(len(got) / 4)); !bytes.Equal(k, want) {
-			return fmt.Errorf("entry %d: key %x, want %x", len(got), k, want)
-		}
-		got = append(got, binary.BigEndian.Uint32(v))
-		return nil
-	})
-	if err != nil || !slices.Equal(got, want) {
-		t.Fatalf("ReadLegacy: %v, values %v; want 0..59", err, got)
-	}
-	if err := ReadLegacy(writeTreeFile(t, header, pages), 8, 5, func(k, v []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadLegacy at the wrong value width: %v, want ErrCorrupt", err)
-	}
-	for name, corrupt := range corruptions {
-		p := slices.Clone(pages)
-		corrupt(p)
-		if err := ReadLegacy(writeTreeFile(t, header, p), 8, 4, func(k, v []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: ReadLegacy = %v, want ErrCorrupt", name, err)
-		}
-	}
 }
 
 // writeTreeFile lays header and pages out as a structurally valid pager
@@ -254,10 +190,10 @@ func TestCheckLeavesCatchesABadSeparator(t *testing.T) {
 // cursor and WalkNearest answer a corrupt tree with errors — never a
 // panic, a read outside a page, or an endless loop — and every run the
 // walk passes lies inside one leaf's value run, is whole values, and the
-// runs add up to at most the entries asked for. A tree in the legacy
-// interleaved layout goes to ReadLegacy instead, under the same rule.
-// Seeded from treeFile, whose duplicate runs span leaves, its
-// corruptions, the same tree in the legacy layout, and the RDB-tree
+// runs add up to at most the entries asked for. A header that names the
+// interleaved layout of earlier versions is ErrOldLayout, whatever the
+// pages hold. Seeded from treeFile, whose duplicate runs span leaves, its
+// corruptions, its header naming the interleaved layout, and the RDB-tree
 // layout of uint16 codes (rdbTreeFile): intact, cut short, and with a
 // scale and error bound no tree may record.
 func FuzzTreeFile(f *testing.F) {
@@ -269,8 +205,9 @@ func FuzzTreeFile(f *testing.F) {
 		corrupt(p)
 		f.Add(header, p)
 	}
-	legacyHeader, legacyPages := legacyTreeFile(f, header, pages)
-	f.Add(legacyHeader, legacyPages)
+	legacyHeader := slices.Clone(header)
+	binary.BigEndian.PutUint16(legacyHeader[8:], layoutInterleaved)
+	f.Add(legacyHeader, pages)
 	rdbHeader, rdbPages := rdbTreeFile(f, 1.0/64, 1.0/128)
 	f.Add(rdbHeader, rdbPages)
 	f.Add(rdbHeader, rdbPages[:len(rdbPages)/2])
@@ -279,15 +216,8 @@ func FuzzTreeFile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, header, pages []byte) {
 		pgr := writeTreeFile(t, header, pages)
 		tr, err := Open(pgr)
-		if errors.Is(err, ErrLegacyLayout) {
-			kl, vl := int(binary.BigEndian.Uint32(header[0:])), int(binary.BigEndian.Uint32(header[4:]))
-			_ = ReadLegacy(pgr, kl, vl, func(k, v []byte) error {
-				if len(k) != kl || len(v) != vl {
-					t.Fatalf("ReadLegacy passed a %d-byte key and a %d-byte value, want %d and %d", len(k), len(v), kl, vl)
-				}
-				return nil
-			})
-			return
+		if len(header) >= headerSize && binary.BigEndian.Uint16(header[8:]) == layoutInterleaved && !errors.Is(err, ErrOldLayout) {
+			t.Fatalf("Open of a header naming the interleaved layout: %v, want ErrOldLayout", err)
 		}
 		if err != nil {
 			return

@@ -242,21 +242,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 		}
 	}
 
-	// The trees are independent parts: idle CPUs write some beside this
-	// goroutine, each tree's file the same whichever writes it.
-	ix.trees = make([]*rdbtree.Tree, p.Tau)
-	err = fanout.Each(ctx, p.Tau, func(ctx context.Context, t int) (err error) {
-		keys, perm := keys0, perm0
-		if t > 0 {
-			if keys, perm, err = ix.sortTree(ctx, t, vectors, &phases); err != nil {
-				return err
-			}
-		}
-		t0 := time.Now()
-		ix.trees[t], err = ix.writeTree(ix.treeGenPath(t, 0), keys, perm, slotOf, rdist, rdbtree.Scale{})
-		phases.bulkNS.Add(int64(time.Since(t0)))
-		return err
-	})
+	ix.trees, err = ix.writeTrees(ctx, ix.gen, vectors, slotOf, rdist, keys0, perm0, &phases)
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -333,6 +319,30 @@ func eachChunk(ctx context.Context, n int, fn func(lo, hi int)) error {
 		fn(c*buildChunk, min(n, (c+1)*buildChunk))
 		return nil
 	})
+}
+
+// writeTrees is the tree writer, shared by Build and Open's rebuild: the
+// τ trees of generation gen over the rows vectors (row i's reference
+// distances at rdist[i·m:], its slot slotOf[i], nil when the row number
+// is the slot). The trees are independent parts: idle CPUs write some
+// beside this goroutine, each tree's file the same whichever writes it.
+// keys0 and perm0 are tree 0's sortTree output when the caller has it,
+// else nil. The trees written are returned with any error, to drop.
+func (ix *Index) writeTrees(ctx context.Context, gen uint64, vectors [][]float32, slotOf []uint64, rdist []float32, keys0 []byte, perm0 []uint32, phases *phaseAccum) ([]*rdbtree.Tree, error) {
+	trees := make([]*rdbtree.Tree, ix.params.Tau)
+	err := fanout.Each(ctx, len(trees), func(ctx context.Context, t int) (err error) {
+		keys, perm := keys0, perm0
+		if t > 0 || keys == nil {
+			if keys, perm, err = ix.sortTree(ctx, t, vectors, phases); err != nil {
+				return err
+			}
+		}
+		t0 := time.Now()
+		trees[t], err = ix.writeTree(ix.treeGenPath(t, gen), keys, perm, slotOf, rdist, rdbtree.Scale{})
+		phases.bulkNS.Add(int64(time.Since(t0)))
+		return err
+	})
+	return trees, err
 }
 
 // sortTree runs the tree writer's first two steps for partition t,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -721,5 +722,79 @@ func TestChaosCancelledBuildNoLeak(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ix")
 	if _, err := BuildContext(ctx, dir, ds.Vectors, ingestParams()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: got %v, want context.Canceled", err)
+	}
+}
+
+// TestFaultRebuildLeavesMeta fails the writes of the trees Open rebuilds
+// for the parent-layout fixture, whose trees are of an older layout: Open
+// returns the EIO, removes what it wrote, and leaves meta.json's bytes,
+// so the directory still commits the old generation. A crash inside the
+// rebuild would leave generation-2 files behind — planted here as copies
+// of the old trees — and the next Open, without the fault, writes that
+// generation anew over them, drops the old one (Check finds no stale
+// tree file), and answers as answers.json records.
+func TestFaultRebuildLeavesMeta(t *testing.T) {
+	buf, err := os.ReadFile(filepath.Join("testdata", "parent-layout", "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want fixtureAnswers
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "parent-layout", "index"), dir)
+	meta, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := OpenOptions{MemtableMaxVectors: 1 << 20}
+
+	restore := iofault.SetGlobal(iofault.NewInjector(iofault.Rule{
+		PathGlob: "tree_*.g*.pg", Op: iofault.OpWrite,
+	}))
+	_, err = Open(dir, opts)
+	restore()
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Open with the rebuilt trees' writes failing: %v, want EIO", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, metaFile)); err != nil || !bytes.Equal(got, meta) {
+		t.Fatalf("the failed rebuild changed meta.json (%v)", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "tree_*.g2.pg")); len(left) != 0 {
+		t.Fatalf("the failed rebuild left %v", left)
+	}
+	for tr := range 2 {
+		old, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("tree_%02d.g1.pg", tr)))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, fmt.Sprintf("tree_%02d.g2.pg", tr)), old, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ix, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open after the fault: %v", err)
+	}
+	defer ix.Close()
+	if ix.gen != 2 || ix.Count() != want.Count || ix.DeletedCount() != want.Deleted {
+		t.Fatalf("opened generation %d, %d vectors, %d deleted; want 2, %d and %d", ix.gen, ix.Count(), ix.DeletedCount(), want.Count, want.Deleted)
+	}
+	for _, shape := range want.Shapes {
+		for qi, q := range want.Queries {
+			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%+v query %d", shape.Options, qi), got, shape.Results[qi])
+			if st.Candidates != shape.Candidates[qi] {
+				t.Fatalf("%+v query %d: %d candidates, recorded %d", shape.Options, qi, st.Candidates, shape.Candidates[qi])
+			}
+		}
+	}
+	if _, err := ix.Check(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

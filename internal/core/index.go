@@ -13,6 +13,7 @@ import (
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
 	"github.com/hd-index/hdindex/internal/bptree"
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/hilbert"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/rdbtree"
@@ -252,7 +253,7 @@ func crossDistances(refs [][]float32) [][]float64 {
 
 // writeMeta atomically replaces meta.json, the commit point, with the
 // index at count and gen and with drop's marks moved to the purged set:
-// the state a compaction commit or a tree upgrade is about to apply;
+// the state a compaction commit or a rebuild is about to apply;
 // everyone else passes the index's own count, generation and nil. The
 // write-fsync-rename-dirsync discipline leaves either the old complete
 // descriptor or the new one.
@@ -364,7 +365,7 @@ func (ix *Index) load(m metaJSON) error {
 		return err
 	}
 	ix.trees = make([]*rdbtree.Tree, ix.params.Tau)
-	legacy := false // trees written before the 16-bit codes
+	old := false // trees of an older layout, to rebuild
 	for t := range ix.trees {
 		pgr, err := ix.openPager(ix.treeGenPath(t, ix.gen), pager.Options{ReadOnly: true})
 		if err != nil {
@@ -372,10 +373,10 @@ func (ix *Index) load(m metaJSON) error {
 		}
 		if ix.trees[t], err = rdbtree.Open(pgr); err != nil {
 			pgr.Close()
-			if !errors.Is(err, bptree.ErrLegacyLayout) && !errors.Is(err, rdbtree.ErrFloat32Layout) {
+			if !errors.Is(err, bptree.ErrOldLayout) {
 				return err
 			}
-			legacy = true
+			old = true
 		}
 	}
 	vp, err := ix.openPager(filepath.Join(ix.dir, "vectors.pg"), pager.Options{})
@@ -424,8 +425,8 @@ func (ix *Index) load(m metaJSON) error {
 	if err != nil {
 		return err
 	}
-	if legacy {
-		if err := ix.upgradeTrees(); err != nil {
+	if old {
+		if err := ix.rebuildTrees(); err != nil {
 			return err
 		}
 	}
@@ -445,6 +446,49 @@ func (ix *Index) load(m metaJSON) error {
 	if err := os.Remove(filepath.Join(ix.dir, deletedFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
+	return nil
+}
+
+// rebuildTrees writes all τ trees anew into generation gen+1 from what
+// they are a function of (Algorithm 1): the committed vectors — every id
+// below the count but the purged, in id order, each read from its slot —
+// the references and the quantisers, through Build's tree writer, and
+// commits them through meta.json as a compaction does. A crash leaves
+// the old generation to rebuild again or the new one's stale files.
+func (ix *Index) rebuildTrees() error {
+	count, gen := ix.vectors.Count(), ix.gen+1
+	var vectors [][]float32
+	var slotOf []uint64
+	for id := range count {
+		slot, err := ix.slots.slot(id)
+		if err != nil {
+			return err
+		}
+		if _, purged := ix.deleted.state(slot); purged {
+			continue
+		}
+		v, err := ix.vectors.Get(slot, nil)
+		if err != nil {
+			return err
+		}
+		vectors, slotOf = append(vectors, v), append(slotOf, slot)
+	}
+	ctx, leave := fanout.Enter(context.Background())
+	defer leave()
+	rdist, err := computeRefDists(ctx, vectors, ix.refs)
+	if err != nil {
+		return err
+	}
+	trees, err := ix.writeTrees(ctx, gen, vectors, slotOf, rdist, nil, nil, new(phaseAccum))
+	if err == nil {
+		err = ix.writeMeta(count, gen, nil)
+	}
+	if err != nil {
+		ix.dropTrees(trees, gen)
+		return err
+	}
+	ix.dropTrees(ix.trees, ix.gen)
+	ix.trees, ix.gen = trees, gen
 	return nil
 }
 

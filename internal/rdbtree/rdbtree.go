@@ -54,10 +54,6 @@ func (c Config) ValLen() int { return 4 + 2*c.M }
 // ErrIDRange rejects an entry whose pointer does not fit the 32-bit slot.
 var ErrIDRange = errors.New("rdbtree: entry id does not fit 32 bits")
 
-// ErrFloat32Layout is Open's answer to a tree of the earlier layout of
-// m float32 distances per value.
-var ErrFloat32Layout = errors.New("rdbtree: tree of float32 distances (an earlier layout)")
-
 // LeafOrder evaluates the paper's Eq. (4): the largest Ω such that
 // (η·(ω/8) + 4·m + 8)·Ω + 16 + 1 ≤ B.
 func LeafOrder(pageSize, eta, omega, m int) int {
@@ -135,10 +131,10 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 // big-endian uint32s (the float32 layout's all), then s and ε as float64s.
 const extraLen = 12 + 16
 
-// Open loads an RDB-tree from an existing pager file. A tree in the
-// interleaved leaf layout of earlier versions is bptree.ErrLegacyLayout,
-// one of float32 distances ErrFloat32Layout; metadata that names no
-// usable scale is an error.
+// Open loads an RDB-tree from an existing pager file. A tree of an
+// older layout — interleaved leaves, or m float32 distances per value —
+// is bptree.ErrOldLayout; metadata that names no usable scale is an
+// error.
 func Open(pgr *pager.Pager) (*Tree, error) {
 	bt, err := bptree.Open(pgr)
 	if err != nil {
@@ -154,7 +150,7 @@ func Open(pgr *pager.Pager) (*Tree, error) {
 		M:     int(binary.BigEndian.Uint32(extra[8:])),
 	}
 	if len(extra) == 12 && bt.ValLen() == 4+4*cfg.M {
-		return nil, ErrFloat32Layout
+		return nil, fmt.Errorf("%w: float32 distances", bptree.ErrOldLayout)
 	}
 	if len(extra) != extraLen || cfg.KeyLen() != bt.KeyLen() || cfg.ValLen() != bt.ValLen() {
 		return nil, errors.New("rdbtree: config/tree geometry mismatch")

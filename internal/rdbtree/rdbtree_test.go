@@ -467,8 +467,8 @@ func TestOpenRejectsBadScale(t *testing.T) {
 }
 
 // A tree of the float32 layout — values of a 4-byte slot and m float32
-// distances, metadata η, ω, m — is ErrFloat32Layout to Open, for core
-// to rewrite.
+// distances, metadata η, ω, m — is bptree.ErrOldLayout to Open, for core
+// to rebuild.
 func TestOpenRefusesFloat32Layout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f32.pg")
 	pgr, err := pager.Open(path, pager.Options{Create: true, PageSize: 512})
@@ -490,7 +490,7 @@ func TestOpenRefusesFloat32Layout(t *testing.T) {
 	if err := bt.Flush(); err != nil { // writes the empty root leaf
 		t.Fatal(err)
 	}
-	if _, err := Open(pgr); !errors.Is(err, ErrFloat32Layout) {
-		t.Fatalf("Open of a float32 tree: %v, want ErrFloat32Layout", err)
+	if _, err := Open(pgr); !errors.Is(err, bptree.ErrOldLayout) {
+		t.Fatalf("Open of a float32 tree: %v, want bptree.ErrOldLayout", err)
 	}
 }

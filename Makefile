@@ -43,6 +43,7 @@ FUZZ_TARGETS = \
 	FuzzClusterManifest:./internal/cluster \
 	FuzzUpstreamError:./internal/cluster \
 	FuzzSearchRequest:./internal/api \
+	FuzzSearchResponse:./internal/api \
 	FuzzReadVecs:./internal/data \
 	FuzzFrontier:./internal/slo \
 	FuzzTierConfig:./internal/slo

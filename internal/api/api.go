@@ -25,7 +25,6 @@ import (
 	"github.com/hd-index/hdindex/internal/core"
 	"github.com/hd-index/hdindex/internal/pager"
 	"github.com/hd-index/hdindex/internal/shard"
-	"github.com/hd-index/hdindex/internal/telemetry"
 )
 
 // Tuning is the per-request filter-cascade override block shared by
@@ -80,45 +79,14 @@ type SearchBatchRequest struct {
 	Tuning
 }
 
-// Result is one neighbour in a search response. Dist stays a float64
-// end to end — Go's JSON encoding of a float64 round-trips exactly,
-// which is what makes the cluster's merged answer bit-identical to the
-// in-process sharded index.
-type Result struct {
-	ID   uint64  `json:"id"`
-	Dist float64 `json:"dist"`
-}
+// Result is one neighbour in a search response: core's own type, which
+// carries the wire's keys.
+type Result = core.Result
 
-// QueryStats mirrors core.QueryStats with stable snake_case keys, so
-// the wire format stays put if the internal struct evolves. Alongside
-// the work counters it echoes the effective filter cascade the query
-// ran with — with per-request overrides the knobs are no longer implied
-// by the built index.
+// QueryStats is one query's stats block: core's, whose keys and field
+// order are the wire's, plus the coordinator's completeness report.
 type QueryStats struct {
-	Candidates      int    `json:"candidates"`
-	TreeEntries     int    `json:"tree_entries"`
-	PageReads       uint64 `json:"page_reads"`
-	PageHits        uint64 `json:"page_hits"`
-	PageMisses      uint64 `json:"page_misses"`
-	ExactDistances  int    `json:"exact_distances"`
-	MemtableScanned int    `json:"memtable_scanned"`
-	Alpha           int    `json:"alpha"`
-	Beta            int    `json:"beta"`
-	Gamma           int    `json:"gamma"`
-	Ptolemaic       bool   `json:"ptolemaic"`
-	// Degraded reports that adaptive degradation actually shrank a
-	// cascade knob for this query (overload pressure + no explicit
-	// α/β/γ in the request).
-	Degraded bool `json:"degraded,omitempty"`
-	// Preset echoes the quality preset the server resolved for this
-	// request — the request's own, its tenant tier's, or the server
-	// default ("auto" when the tuner/degradation decided).
-	Preset string `json:"preset,omitempty"`
-	// PhaseUS attributes the query's time to pipeline phases, in
-	// microseconds, keyed by phase name (tree_walk, candidate_sort,
-	// refine, memtable_scan, topk_merge). Omitted when the stats carry
-	// no phase time. Across shards the phases sum — work, not wall time.
-	PhaseUS map[string]float64 `json:"phase_us,omitempty"`
+	core.QueryStats
 	// PartialShards lists the ordinals that contributed nothing to this
 	// answer (every replica exhausted). Only a coordinator sets it, and
 	// only on partial answers.
@@ -155,80 +123,6 @@ type Healthz struct {
 	// Identity names which shard of which sharded build this server
 	// holds; absent for standalone indexes.
 	Identity *shard.Identity `json:"identity,omitempty"`
-}
-
-// ToResults renders neighbours for the wire.
-func ToResults(res []core.Result) []Result {
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
-
-// FromResults is ToResults' inverse, for a coordinator reading a shard
-// server's reply.
-func FromResults(res []Result) []core.Result {
-	out := make([]core.Result, len(res))
-	for i, r := range res {
-		out[i] = core.Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
-
-// ToStats renders a query's work counters for the wire; nil stays nil.
-func ToStats(st *core.QueryStats) *QueryStats {
-	if st == nil {
-		return nil
-	}
-	out := &QueryStats{
-		Candidates:      st.Candidates,
-		TreeEntries:     st.TreeEntries,
-		PageReads:       st.PageReads,
-		PageHits:        st.PageHits,
-		PageMisses:      st.PageMisses,
-		ExactDistances:  st.ExactDistances,
-		MemtableScanned: st.MemtableScanned,
-		Alpha:           st.Alpha,
-		Beta:            st.Beta,
-		Gamma:           st.Gamma,
-		Ptolemaic:       st.Ptolemaic,
-		Degraded:        st.Degraded,
-	}
-	if st.Phases.Total() != 0 {
-		out.PhaseUS = make(map[string]float64, telemetry.NumPhases)
-		for i, ns := range st.Phases {
-			out.PhaseUS[telemetry.Phase(i).String()] = float64(ns) / 1e3
-		}
-	}
-	return out
-}
-
-// Core is ToStats' inverse (Preset and PartialShards have no core
-// counterpart and are dropped); nil stays nil. The µs → ns rounding
-// undoes ToStats' division exactly.
-func (st *QueryStats) Core() *core.QueryStats {
-	if st == nil {
-		return nil
-	}
-	out := &core.QueryStats{
-		Candidates:      st.Candidates,
-		TreeEntries:     st.TreeEntries,
-		PageReads:       st.PageReads,
-		PageHits:        st.PageHits,
-		PageMisses:      st.PageMisses,
-		ExactDistances:  st.ExactDistances,
-		MemtableScanned: st.MemtableScanned,
-		Alpha:           st.Alpha,
-		Beta:            st.Beta,
-		Gamma:           st.Gamma,
-		Ptolemaic:       st.Ptolemaic,
-		Degraded:        st.Degraded,
-	}
-	for i := range out.Phases {
-		out.Phases[i] = int64(math.Round(st.PhaseUS[telemetry.Phase(i).String()] * 1e3))
-	}
-	return out
 }
 
 // Machine-readable error classes of the structured error body (the

@@ -28,45 +28,45 @@ var (
 	}
 )
 
-// TestGoldenResponses pins the exact bytes of every search response
-// shape: a renamed field, a reordered one or a lost omitempty fails
-// here instead of in a client.
-func TestGoldenResponses(t *testing.T) {
-	withPreset := ToStats(goldenStats)
-	withPreset.Preset = "fast"
-	bare := *goldenStats
-	bare.Phases = telemetry.PhaseNS{} // telemetry off: phase_us omitted
-	bare.Degraded = true
-	partial := ToStats(&bare)
-	partial.PartialShards = []int{1}
+// goldenCase is one wire shape and its exact bytes.
+type goldenCase struct {
+	name string
+	v    any
+	want string
+}
 
-	cases := []struct {
-		name string
-		v    any
-		want string
-	}{
+// goldenCases are the wire shapes TestGoldenResponses pins and
+// FuzzSearchResponse starts from.
+func goldenCases() []goldenCase {
+	withPreset := &QueryStats{QueryStats: *goldenStats}
+	withPreset.Preset = core.PresetFast
+	partial := &QueryStats{QueryStats: *goldenStats, PartialShards: []int{1}}
+	partial.Phases = telemetry.PhaseNS{} // telemetry off: phase_us omitted
+	partial.Degraded = true
+
+	return []goldenCase{
 		{"search without stats",
-			SearchResponse{Results: ToResults(goldenResults)},
+			SearchResponse{Results: goldenResults},
 			`{"results":[{"id":42,"dist":0},{"id":7,"dist":1.5}]}`},
 		{"search with stats",
-			SearchResponse{Results: ToResults(goldenResults), Stats: withPreset},
+			SearchResponse{Results: goldenResults, Stats: withPreset},
 			`{"results":[{"id":42,"dist":0},{"id":7,"dist":1.5}],"stats":{"candidates":12,"tree_entries":512,` +
 				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
 				`"alpha":64,"beta":64,"gamma":16,"ptolemaic":true,"preset":"fast",` +
 				`"phase_us":{"candidate_sort":0.25,"memtable_scan":0,"refine":4,"topk_merge":0.125,"tree_walk":1.5}}}`},
 		{"search with no neighbours",
-			SearchResponse{Results: ToResults(nil)},
+			SearchResponse{Results: []Result{}},
 			`{"results":[]}`},
 		{"partial search",
-			SearchResponse{Results: ToResults(goldenResults[:1]), Stats: partial},
+			SearchResponse{Results: goldenResults[:1], Stats: partial},
 			`{"results":[{"id":42,"dist":0}],"stats":{"candidates":12,"tree_entries":512,` +
 				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
 				`"alpha":64,"beta":64,"gamma":16,"ptolemaic":true,"degraded":true,"partial_shards":[1]}}`},
 		{"searchbatch",
-			SearchBatchResponse{Results: [][]Result{ToResults(goldenResults[:1]), ToResults(nil)}},
+			SearchBatchResponse{Results: [][]Result{goldenResults[:1], {}}},
 			`{"results":[[{"id":42,"dist":0}],[]]}`},
 		{"partial searchbatch with stats",
-			SearchBatchResponse{Results: [][]Result{ToResults(goldenResults[:1])},
+			SearchBatchResponse{Results: [][]Result{goldenResults[:1]},
 				Stats: []*QueryStats{partial}, PartialShards: []int{1}},
 			`{"results":[[{"id":42,"dist":0}]],"stats":[{"candidates":12,"tree_entries":512,` +
 				`"page_reads":9,"page_hits":30,"page_misses":9,"exact_distances":12,"memtable_scanned":3,` +
@@ -81,7 +81,13 @@ func TestGoldenResponses(t *testing.T) {
 			SearchBatchRequest{Queries: [][]float32{{0.5, 1}}, K: 10, TimeoutMs: 250, Tuning: Tuning{MaxCandidates: 40}},
 			`{"queries":[[0.5,1]],"k":10,"timeout_ms":250,"max_candidates":40}`},
 	}
-	for _, tc := range cases {
+}
+
+// TestGoldenResponses pins the exact bytes of every search response
+// shape: a renamed field, a reordered one or a lost omitempty fails
+// here instead of in a client.
+func TestGoldenResponses(t *testing.T) {
+	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
 			WriteJSON(rec, http.StatusOK, tc.v)
@@ -148,12 +154,13 @@ func TestGoldenErrors(t *testing.T) {
 
 // A stats block must survive wire -> core -> wire unchanged: that is
 // what lets a coordinator merge shard replies with the in-process merge
-// and stay bit-identical to it.
+// and stay bit-identical to it. Phases travel as microseconds and must
+// come back to the nanosecond; a phase too long to do so is refused.
 func TestStatsRoundTrip(t *testing.T) {
 	odd := *goldenStats
 	odd.Phases = telemetry.PhaseNS{1, 999_999_999_937, 3, 123_456_789, 7}
 	for _, st := range []*core.QueryStats{goldenStats, &odd, {}} {
-		wire, err := json.Marshal(ToStats(st))
+		wire, err := json.Marshal(&QueryStats{QueryStats: *st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,12 +168,17 @@ func TestStatsRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(wire, &decoded); err != nil {
 			t.Fatal(err)
 		}
-		if got := decoded.Core(); *got != *st {
-			t.Errorf("round trip\n got: %+v\nwant: %+v", *got, *st)
+		if decoded.QueryStats != *st {
+			t.Errorf("round trip\n got: %+v\nwant: %+v", decoded.QueryStats, *st)
+		}
+		again, err := json.Marshal(&decoded)
+		if err != nil || string(again) != string(wire) {
+			t.Errorf("re-encoded %s (err %v), want %s", again, err, wire)
 		}
 	}
-	if (*QueryStats)(nil).Core() != nil || ToStats(nil) != nil {
-		t.Error("nil stats must stay nil")
+	var decoded QueryStats
+	if err := json.Unmarshal([]byte(`{"phase_us":{"refine":4.471709163065188e+12}}`), &decoded); err == nil {
+		t.Errorf("a 52-day phase decoded to %v, want an error", decoded.Phases)
 	}
 }
 
@@ -409,6 +421,68 @@ func FuzzSearchRequest(f *testing.F) {
 			var again SearchBatchRequest
 			if roundTrips(batch, &again); !reflect.DeepEqual(again, batch) {
 				t.Fatalf("re-encoding changed %+v into %+v", batch, again)
+			}
+		}
+	})
+}
+
+// FuzzSearchResponse feeds arbitrary bytes to the decoding a coordinator
+// runs on a shard server's reply: a /search and a /searchbatch response,
+// decoded without the request decoder's strictness. Nothing may panic,
+// and whatever decodes must survive re-encoding and decoding again
+// unchanged — the phase block to the nanosecond — but for the empty
+// lists the encoder omits, which come back nil. Seeded from the golden
+// wire bytes and a phase too long to come back to the nanosecond.
+func FuzzSearchResponse(f *testing.F) {
+	for _, tc := range goldenCases() {
+		f.Add([]byte(tc.want))
+	}
+	f.Add([]byte(`{"results":[],"stats":{"phase_us":{"refine":4.471709163065188e+12}}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		roundTrips := func(v, again any) {
+			wire, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("re-encoding %+v: %v", v, err)
+			}
+			if err := json.Unmarshal(wire, again); err != nil {
+				t.Fatalf("decoding the re-encoded %s: %v", wire, err)
+			}
+		}
+		show := func(v any) string {
+			wire, _ := json.Marshal(v)
+			return string(wire)
+		}
+		omitted := func(st *QueryStats) {
+			if st != nil && len(st.PartialShards) == 0 {
+				st.PartialShards = nil
+			}
+		}
+
+		var one SearchResponse
+		if json.Unmarshal(body, &one) == nil {
+			var again SearchResponse
+			roundTrips(one, &again)
+			omitted(one.Stats)
+			if !reflect.DeepEqual(again, one) {
+				t.Fatalf("re-encoding changed %s into %s", show(one), show(again))
+			}
+		}
+
+		var batch SearchBatchResponse
+		if json.Unmarshal(body, &batch) == nil {
+			var again SearchBatchResponse
+			roundTrips(batch, &again)
+			for _, st := range batch.Stats {
+				omitted(st)
+			}
+			if len(batch.Stats) == 0 {
+				batch.Stats = nil
+			}
+			if len(batch.PartialShards) == 0 {
+				batch.PartialShards = nil
+			}
+			if !reflect.DeepEqual(again, batch) {
+				t.Fatalf("re-encoding changed %s into %s", show(batch), show(again))
 			}
 		}
 	})

@@ -201,9 +201,6 @@ func (t *Tree) SetExtra(extra []byte) error {
 // Count returns the number of entries.
 func (t *Tree) Count() uint64 { return t.count }
 
-// Height returns the tree height (1 = the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
 // KeyLen returns the key width in bytes.
 func (t *Tree) KeyLen() int { return t.keyLen }
 

@@ -85,8 +85,8 @@ func TestBulkLoadAndScanAll(t *testing.T) {
 	if tr.Count() != 1000 {
 		t.Fatalf("Count = %d, want 1000", tr.Count())
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("height = %d, expected a multi-level tree at page size 256", tr.Height())
+	if tr.height < 2 {
+		t.Fatalf("height = %d, expected a multi-level tree at page size 256", tr.height)
 	}
 	var got []kv
 	err := tr.Scan(nil, nil, func(k, v []byte) bool {
@@ -480,7 +480,7 @@ func TestLeafCapOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 23 entries at 5/leaf = 5 leaves; root must be internal.
-	if tr.Height() < 2 {
+	if tr.height < 2 {
 		t.Fatal("expected multi-level tree with LeafCap=5")
 	}
 	n := 0

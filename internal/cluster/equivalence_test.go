@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -188,7 +189,7 @@ func requireQueryResults(t *testing.T, label string, whole *hdindex.Index, q []f
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(api.ToResults(resp.Results))
+	want, err := json.Marshal(resp.Results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +224,40 @@ func TestClusterPresetWithKnobsRelayed(t *testing.T) {
 			t.Fatalf("%s: error body not relayed verbatim\ninproc:  %s\ncluster: %s", path, wantBody, gotBody)
 		}
 	}
+}
+
+// TestClusterEchoesPreset: the merged stats block echoes the preset
+// the shard servers resolved, on /search and /searchbatch, on a full
+// answer and on a partial one.
+func TestClusterEchoesPreset(t *testing.T) {
+	tc := buildCluster(t, fastOpts())
+	q := tc.ds.PerturbedQueries(1, 0.01, 9)[0]
+	type stats struct {
+		Preset        string `json:"preset"`
+		PartialShards []int  `json:"partial_shards"`
+	}
+	check := func(label string, partial []int) {
+		t.Helper()
+		var one struct{ Stats stats }
+		code, body := post(t, tc.front.URL, "/search", map[string]any{"query": q, "k": 5, "preset": "fast", "stats": true})
+		if err := json.Unmarshal(body, &one); code != http.StatusOK || err != nil {
+			t.Fatalf("%s search: status %d (err %v): %s", label, code, err, body)
+		}
+		if one.Stats.Preset != "fast" || !slices.Equal(one.Stats.PartialShards, partial) {
+			t.Errorf("%s search: stats echo %+v, want preset fast and partial_shards %v", label, one.Stats, partial)
+		}
+		var batch struct{ Stats []stats }
+		code, body = post(t, tc.front.URL, "/searchbatch", map[string]any{"queries": [][]float32{q}, "k": 5, "preset": "fast", "stats": true})
+		if err := json.Unmarshal(body, &batch); code != http.StatusOK || err != nil || len(batch.Stats) != 1 {
+			t.Fatalf("%s searchbatch: status %d (err %v): %s", label, code, err, body)
+		}
+		if batch.Stats[0].Preset != "fast" {
+			t.Errorf("%s searchbatch: stats echo %+v, want preset fast", label, batch.Stats[0])
+		}
+	}
+	check("full", nil)
+	tc.nodes[1].Close()
+	check("partial", []int{1})
 }
 
 // TestClusterEquivalenceBatch is the batch-endpoint leg of the

@@ -143,24 +143,20 @@ func gather[T any](ctx context.Context, c *Coordinator, path string, subReq any,
 // merge folds one query's per-shard /search replies (indexed by
 // ordinal, nil where the shard did not answer) through the same
 // shard.Merge the in-process sharded index runs. The preset echo, like
-// the cascade echo, is the lowest answering ordinal's.
+// the rest of the cascade echo, is the lowest answering ordinal's.
 func merge(k int, failed []int, subs []*api.SearchResponse) api.SearchResponse {
 	replies := make([]*shard.Reply, len(subs))
-	preset := ""
 	for i, sub := range subs {
 		if sub == nil {
 			continue
 		}
-		replies[i] = &shard.Reply{Results: api.FromResults(sub.Results), Stats: sub.Stats.Core()}
-		if preset == "" && sub.Stats != nil {
-			preset = sub.Stats.Preset
+		replies[i] = &shard.Reply{Results: sub.Results}
+		if sub.Stats != nil {
+			replies[i].Stats = &sub.Stats.QueryStats
 		}
 	}
 	res, st := shard.Merge(k, replies)
-	out := api.SearchResponse{Results: api.ToResults(res), Stats: api.ToStats(st)}
-	out.Stats.Preset = preset
-	out.Stats.PartialShards = failed
-	return out
+	return api.SearchResponse{Results: res, Stats: &api.QueryStats{QueryStats: *st, PartialShards: failed}}
 }
 
 func (c *Coordinator) handleSearch(r *http.Request) (any, error) {

@@ -216,7 +216,7 @@ func TestLowerBoundsNeverExceedTrueDistance(t *testing.T) {
 		o := ds.Vectors[rng.Intn(len(ds.Vectors))]
 		qdist, qs := make([]float64, p.M), make([]float64, p.M)
 		codes := make([]uint16, p.M)
-		for r, rv := range ix.References() {
+		for r, rv := range ix.refs {
 			qdist[r] = vecmath.Dist(q, rv)
 			qs[r] = qdist[r] / sc.S
 			codes[r] = uint16(math.Round(vecmath.Dist(o, rv) / sc.S))

@@ -582,9 +582,6 @@ func (ix *Index) StoreFormat() string {
 	return ix.vectors.Format()
 }
 
-// References returns the reference vectors (not copies).
-func (ix *Index) References() [][]float32 { return ix.refs }
-
 // SizeOnDisk returns the total bytes of all index files, including the
 // write-ahead log.
 func (ix *Index) SizeOnDisk() int64 {

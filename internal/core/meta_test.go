@@ -153,3 +153,52 @@ func FuzzMeta(f *testing.F) {
 		}
 	})
 }
+
+// DisableCache is a property of an open index, not of its directory:
+// Build leaves it out of meta.json, and Open takes it from OpenOptions
+// alone — also on a directory whose meta.json still records it. With
+// the pool off a repeated query reads its pages again; with it on, the
+// pool holds them.
+func TestMetaLeavesDisableCacheOut(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ix")
+	ix, err := Build(dir, testVectorsFlatTie(300, 16, 5), Params{Tau: 2, Omega: 8, M: 3, DisableCache: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(meta, []byte("DisableCache")) {
+		t.Fatalf("meta.json records DisableCache:\n%s", meta)
+	}
+
+	fixture := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "parent-layout", "index"), fixture)
+	if meta, err := os.ReadFile(filepath.Join(fixture, metaFile)); err != nil || !bytes.Contains(meta, []byte(`"DisableCache": false`)) {
+		t.Fatalf("the parent-layout fixture's meta.json should record DisableCache (err %v)", err)
+	}
+	for _, d := range []string{dir, fixture} {
+		for _, off := range []bool{true, false} {
+			ix := openOrFatal(t, d, OpenOptions{DisableCache: off})
+			q := make([]float32, ix.Dim())
+			var reads uint64
+			for range 2 {
+				_, st, err := ix.Query(context.Background(), q, 5, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads = st.PageReads
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if (reads > 0) != off {
+				t.Errorf("%s opened with DisableCache %v: a repeated query read %d pages", d, off, reads)
+			}
+		}
+	}
+}

@@ -50,7 +50,9 @@ type Params struct {
 	PoolPages int   // buffer-pool pages per file, pooled across the index's files; default 256
 	// DisableCache turns the buffer pool off so every page touch is a
 	// physical read — the paper's "caching effects off" protocol (§5).
-	DisableCache bool
+	// Runtime-only: Open takes it from OpenOptions, so meta.json
+	// leaves it out.
+	DisableCache bool `json:"-"`
 
 	// MemtableMaxVectors is the live-ingest compaction threshold
 	// (ingest.go; 0 = 4096). Runtime-only: excluded from meta.json.

@@ -39,8 +39,9 @@ type searchScratch struct {
 	// bitmap is the candidate union's dedup, bit s%64 of word s/64 for
 	// slot s; union clears every word it sets, so it is all zero between
 	// queries. It covers slots up to bitmapMaxSlots; slots beyond (a larger
-	// store, or a corrupt tree's garbage slot near 2^63, which must not
-	// become a huge allocation) dedup through the seen map.
+	// store, or a corrupt tree's garbage slot below 2^32 — a leaf slot is
+	// 32 bits, rdbtree.Slot — which must not become a huge allocation)
+	// dedup through the seen map.
 	bitmap     []uint64
 	seen       map[uint64]struct{}
 	candidates []uint64

@@ -15,57 +15,70 @@ import (
 	"github.com/hd-index/hdindex/internal/vecmath"
 )
 
-// Result is one returned neighbour.
+// Result is one returned neighbour, as the search endpoints serve it.
+// Dist stays a float64 end to end: Go's JSON encoding of a float64
+// round-trips exactly, which is what makes a cluster's merged answer
+// bit-identical to the in-process sharded index.
 type Result struct {
-	ID   uint64
-	Dist float64
+	ID   uint64  `json:"id"`
+	Dist float64 `json:"dist"`
 }
 
 // QueryStats reports the work one query did, plus the effective filter
 // cascade it ran with — with per-query overrides (SearchOptions) the
 // knobs are no longer implied by the built Params, so the stats echo
-// them back.
+// them back. It is also the stats block of the search endpoints: its
+// keys and field order are the wire's.
 type QueryStats struct {
-	Candidates  int // κ = |C|, distinct candidates (before the deleted-mark skip)
-	TreeEntries int // total α entries fetched across trees
-	// Alpha/Beta/Gamma/Ptolemaic are the resolved cascade this query
-	// ran with: the built defaults unless overridden per query. On a
-	// sharded layout every shard runs the same cascade, so the
-	// aggregated stats carry it unchanged.
-	Alpha, Beta, Gamma int
-	Ptolemaic          bool
-	// Degraded reports that this query ran the cheap cascade: the
-	// serving layer requested degradation (SearchOptions.Degrade) and an
-	// unset knob actually shrank. False when the request pinned its own
-	// knobs or the built cascade was already at the degraded floor.
-	Degraded bool
+	Candidates  int `json:"candidates"`   // κ = |C|, distinct candidates (before the deleted-mark skip)
+	TreeEntries int `json:"tree_entries"` // total α entries fetched across trees
 	// PageReads is the delta of the index-wide pager counters across
 	// this query: exact when queries run one at a time (the paper's
 	// measurement protocol), best-effort under concurrent searches,
 	// whose reads land in whichever windows overlap them.
-	PageReads uint64
+	PageReads uint64 `json:"page_reads"`
 	// PageHits/PageMisses split the buffer-pool traffic over the same
 	// window (same best-effort caveat), exposing the cache behaviour of
 	// the page-ordered candidate fetch.
-	PageHits   uint64
-	PageMisses uint64
+	PageHits   uint64 `json:"page_hits"`
+	PageMisses uint64 `json:"page_misses"`
 	// ExactDistances counts candidate distance evaluations. Early
 	// abandonment may cut an evaluation short once its partial sum
 	// clears the current top-k bound, but the candidate still counts:
 	// the figure tracks the paper's κ, not FLOPs.
-	ExactDistances int
+	ExactDistances int `json:"exact_distances"`
 	// MemtableScanned counts the acknowledged-but-uncompacted inserts
 	// this query brute-forced (exact, early-abandoning distances) and
 	// merged into the top-k — the live-ingest visibility path. 0 when
 	// the memtable is empty, which is the steady state between write
 	// bursts.
-	MemtableScanned int
+	MemtableScanned int `json:"memtable_scanned"`
+	// Alpha/Beta/Gamma/Ptolemaic are the resolved cascade this query
+	// ran with: the built defaults unless overridden per query. On a
+	// sharded layout every shard runs the same cascade, so the
+	// aggregated stats carry it unchanged.
+	Alpha     int  `json:"alpha"`
+	Beta      int  `json:"beta"`
+	Gamma     int  `json:"gamma"`
+	Ptolemaic bool `json:"ptolemaic"`
+	// Degraded reports that this query ran the cheap cascade: the
+	// serving layer requested degradation (SearchOptions.Degrade) and an
+	// unset knob actually shrank. False when the request pinned its own
+	// knobs or the built cascade was already at the degraded floor.
+	Degraded bool `json:"degraded,omitempty"`
+	// Preset echoes the quality preset the serving layer resolved for
+	// the request — the request's own, its tenant tier's, or the server
+	// default ("auto" when the tuner or degradation decided). Only the
+	// serving layer sets it; a query leaves it empty.
+	Preset Preset `json:"preset,omitempty"`
 	// Phases attributes the query's wall time to its pipeline stages
 	// (tree walk, candidate sort, refinement, memtable scan, top-k
-	// merge), in nanoseconds. A sharded query sums the per-shard phase
-	// times, so the total can exceed wall time when shards run
-	// concurrently — it measures work, not latency.
-	Phases telemetry.PhaseNS
+	// merge), in nanoseconds; the wire carries them in microseconds,
+	// keyed by phase name, and omits them when every phase is 0. A
+	// sharded query sums the per-shard phase times, so the total can
+	// exceed wall time when shards run concurrently — it measures work,
+	// not latency.
+	Phases telemetry.PhaseNS `json:"phase_us,omitzero"`
 }
 
 // Add accumulates other's work counters into s (a sharded query sums
@@ -76,7 +89,7 @@ type QueryStats struct {
 func (s *QueryStats) Add(other QueryStats) {
 	if s.Alpha == 0 {
 		s.Alpha, s.Beta, s.Gamma = other.Alpha, other.Beta, other.Gamma
-		s.Ptolemaic, s.Degraded = other.Ptolemaic, other.Degraded
+		s.Ptolemaic, s.Degraded, s.Preset = other.Ptolemaic, other.Degraded, other.Preset
 	}
 	s.Candidates += other.Candidates
 	s.TreeEntries += other.TreeEntries

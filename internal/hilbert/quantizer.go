@@ -33,19 +33,6 @@ func NewQuantizer(lo, hi []float32, order int) *Quantizer {
 	return q
 }
 
-// UniformQuantizer returns a Quantizer with the same [lo, hi] domain in
-// every one of dims dimensions — convenient when the dataset documents a
-// single domain of values (Table 4).
-func UniformQuantizer(dims int, lo, hi float32, order int) *Quantizer {
-	l := make([]float32, dims)
-	h := make([]float32, dims)
-	for d := 0; d < dims; d++ {
-		l[d] = lo
-		h[d] = hi
-	}
-	return NewQuantizer(l, h, order)
-}
-
 // Dims returns the vector dimensionality the quantizer accepts.
 func (q *Quantizer) Dims() int { return len(q.lo) }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestQuantizerBasics(t *testing.T) {
-	q := UniformQuantizer(2, 0, 1, 8)
+	q := NewQuantizer([]float32{0, 0}, []float32{1, 1}, 8)
 	c := q.Coords(nil, []float32{0, 1})
 	if c[0] != 0 || c[1] != 255 {
 		t.Errorf("bounds -> %v, want [0 255]", c)
@@ -20,7 +20,7 @@ func TestQuantizerBasics(t *testing.T) {
 }
 
 func TestQuantizerClamps(t *testing.T) {
-	q := UniformQuantizer(2, 0, 255, 8)
+	q := NewQuantizer([]float32{0, 0}, []float32{255, 255}, 8)
 	c := q.Coords(nil, []float32{-10, 300})
 	if c[0] != 0 || c[1] != 255 {
 		t.Errorf("clamp -> %v", c)
@@ -37,14 +37,14 @@ func TestQuantizerDegenerateDim(t *testing.T) {
 
 func TestQuantizerMismatchPanics(t *testing.T) {
 	mustPanic(t, "lo/hi", func() { NewQuantizer([]float32{0}, []float32{1, 2}, 4) })
-	q := UniformQuantizer(2, 0, 1, 4)
+	q := NewQuantizer([]float32{0, 0}, []float32{1, 1}, 4)
 	mustPanic(t, "vec len", func() { q.Coords(nil, []float32{1}) })
 }
 
 // Property: quantisation is monotone per dimension, so closer values can
 // never be mapped to farther-apart cells in that dimension.
 func TestQuickQuantizerMonotone(t *testing.T) {
-	q := UniformQuantizer(1, -100, 100, 16)
+	q := NewQuantizer([]float32{-100}, []float32{100}, 16)
 	f := func(a, b float64) bool {
 		av := float32(a - float64(int64(a/1e3))*1e3) // keep finite-ish
 		bv := float32(b - float64(int64(b/1e3))*1e3)

@@ -81,7 +81,7 @@ func TestSearchPresetBitIdentical(t *testing.T) {
 		if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 			t.Fatalf("%s: status %d", c.preset, code)
 		}
-		if got.Stats.Alpha != c.alpha || got.Stats.Gamma != c.gamma || got.Stats.Preset != c.preset {
+		if got.Stats.Alpha != c.alpha || got.Stats.Gamma != c.gamma || string(got.Stats.Preset) != c.preset {
 			t.Fatalf("%s: stats echo alpha=%d gamma=%d preset=%q, want %d/%d/%q",
 				c.preset, got.Stats.Alpha, got.Stats.Gamma, got.Stats.Preset, c.alpha, c.gamma, c.preset)
 		}
@@ -155,7 +155,7 @@ func TestTenantTierPreset(t *testing.T) {
 	cases := []struct {
 		tenant       string
 		req          api.SearchRequest
-		preset       string
+		preset       hdindex.Preset
 		alpha, gamma int
 	}{
 		{"alice", plain, "exact", 512, 512},

@@ -384,21 +384,12 @@ func (s *Server) handleSearch(r *http.Request) (any, error) {
 	if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold {
 		s.logSlowQuery("search", elapsed, 1, req.K, resp.Stats)
 	}
-	out := api.SearchResponse{Results: api.ToResults(resp.Results)}
+	out := api.SearchResponse{Results: resp.Results}
 	if req.Stats {
-		out.Stats = statsJSON(resp.Stats, a.preset)
+		resp.Stats.Preset = a.preset
+		out.Stats = &api.QueryStats{QueryStats: *resp.Stats}
 	}
 	return out, nil
-}
-
-// statsJSON renders one query's stats block with the resolved preset
-// echoed.
-func statsJSON(st *hdindex.Stats, preset hdindex.Preset) *api.QueryStats {
-	out := api.ToStats(st)
-	if out != nil {
-		out.Preset = string(preset)
-	}
-	return out
 }
 
 // logSlowQuery emits one structured slow-query record: the endpoint,
@@ -473,9 +464,10 @@ func (s *Server) handleSearchBatch(r *http.Request) (any, error) {
 		out.Stats = make([]*api.QueryStats, len(res))
 	}
 	for i, rs := range res {
-		out.Results[i] = api.ToResults(rs.Results)
+		out.Results[i] = rs.Results
 		if req.Stats {
-			out.Stats[i] = statsJSON(rs.Stats, a.preset)
+			rs.Stats.Preset = a.preset
+			out.Stats[i] = &api.QueryStats{QueryStats: *rs.Stats}
 		}
 	}
 	return out, nil

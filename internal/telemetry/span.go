@@ -1,6 +1,11 @@
 package telemetry
 
-import "time"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"time"
+)
 
 // Phase identifies one stage of the query pipeline. The order follows
 // the execution order in core's Query.
@@ -64,6 +69,40 @@ func (p PhaseNS) Total() int64 {
 		t += v
 	}
 	return t
+}
+
+// maxWireNS bounds a phase's nanoseconds on the wire: below 2^51 ns (26
+// days) the microsecond figure MarshalJSON writes rounds back to every
+// nanosecond, at and past it it does not.
+const maxWireNS = 1 << 51
+
+// MarshalJSON writes the stats JSON's phase_us block: microseconds
+// (ns/1e3) keyed by phase name.
+func (p PhaseNS) MarshalJSON() ([]byte, error) {
+	us := make(map[string]float64, NumPhases)
+	for i, ns := range p {
+		us[phaseNames[i]] = float64(ns) / 1e3
+	}
+	return json.Marshal(us)
+}
+
+// UnmarshalJSON reads a phase_us block back to nanoseconds, undoing
+// MarshalJSON's division exactly. A phase the block does not name is 0,
+// a name that is no phase is ignored, and a phase of maxWireNS or more
+// is an error.
+func (p *PhaseNS) UnmarshalJSON(b []byte) error {
+	var us map[string]float64
+	if err := json.Unmarshal(b, &us); err != nil {
+		return err
+	}
+	for i, name := range phaseNames {
+		ns := math.Round(us[name] * 1e3)
+		if math.Abs(ns) >= maxWireNS {
+			return fmt.Errorf("telemetry: phase %s of %g µs is out of range", name, us[name])
+		}
+		p[i] = int64(ns)
+	}
+	return nil
 }
 
 // Span attributes wall time to pipeline phases. Create one with

@@ -124,15 +124,6 @@ func Dot(a, b []float32) float64 {
 	return s
 }
 
-// Norm returns the L2 norm of v.
-func Norm(v []float32) float64 {
-	var s float64
-	for _, x := range v {
-		s += float64(x) * float64(x)
-	}
-	return math.Sqrt(s)
-}
-
 // Sub stores a-b into dst and returns dst. dst may alias a or b.
 func Sub(dst, a, b []float32) []float32 {
 	for i := range a {
@@ -175,23 +166,10 @@ func SortableFloat64(f float64) uint64 {
 	return u | (1 << 63) // positive: flip sign bit
 }
 
-// UnsortableFloat64 inverts SortableFloat64.
-func UnsortableFloat64(u uint64) float64 {
-	if u&(1<<63) != 0 {
-		return math.Float64frombits(u &^ (1 << 63))
-	}
-	return math.Float64frombits(^u)
-}
-
 // PutSortableFloat64 writes the sortable encoding of f into b (8 bytes,
 // big-endian) so that bytes.Compare agrees with numeric order.
 func PutSortableFloat64(b []byte, f float64) {
 	binary.BigEndian.PutUint64(b, SortableFloat64(f))
-}
-
-// GetSortableFloat64 reads a value written by PutSortableFloat64.
-func GetSortableFloat64(b []byte) float64 {
-	return UnsortableFloat64(binary.BigEndian.Uint64(b))
 }
 
 // MinMax returns the per-dimension minimum and maximum over vecs.

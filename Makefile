@@ -123,7 +123,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 	$(GO) test -bench=. -skip=RefinePages -benchtime=50x -cpu 1,2 -run='^$$' ./internal/core/
 	$(GO) test -bench=RefinePages -benchtime=1x -run='^$$' ./internal/core/
-	$(GO) test -bench='SelectK4096to1024|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
+	$(GO) test -bench='SelectK4096to1024|CloserKey8|CloserKey16|WalkNearest4096' -benchtime=1x -benchmem -run='^$$' ./internal/topk/ ./internal/hilbert/ ./internal/bptree/
 	$(GO) test -bench='ViewMiss' -benchtime=1x -benchmem -run='^$$' ./internal/pager/
 
 # The observability smoke: the /metrics exposition tests (promlint-style

@@ -294,8 +294,8 @@ func runCheck(args []string) error {
 	defer ix.Close()
 	reps, err := ix.Check(context.Background())
 	for i, r := range reps {
-		fmt.Printf("shard-%02d: %d vectors (%d clustered, %d purged), %d trees, %d entries per tree re-derived from their vectors: ok\n",
-			i, r.Vectors, r.Clustered, r.Purged, r.Trees, r.Verified)
+		fmt.Printf("shard-%02d: %d vectors (%d clustered, %d purged), %d trees, %d entries per tree re-derived from their vectors, at most %d key-prefix ties per tree: ok\n",
+			i, r.Vectors, r.Clustered, r.Purged, r.Trees, r.Verified, r.KeyTies)
 	}
 	return err
 }

@@ -44,14 +44,15 @@ func treeFile(t testing.TB) (header, pages []byte) {
 }
 
 // rdbTreeFile lays treeFile's shape out as an RDB-tree stores it: the
-// keys widened to 16 bytes, each value a little-endian 4-byte slot and
+// 8-byte keys, the stored prefix of η = 16, ω = 8's 16-byte Hilbert
+// keys, each value a little-endian 4-byte slot and
 // m = 3 uint16 distance codes, and after the tree header the RDB-tree's
 // metadata — η, ω and m as big-endian uint32s, then its scale s and
 // error bound ε as big-endian float64 bits, which this package carries
 // without reading.
 func rdbTreeFile(t testing.TB, s, eps float64) (header, pages []byte) {
 	t.Helper()
-	tr, _ := mkTree(t, Config{KeyLen: 16, ValLen: 4 + 2*3, LeafCap: 3}, pager.Options{PageSize: treePageSize})
+	tr, _ := mkTree(t, Config{KeyLen: 8, ValLen: 4 + 2*3, LeafCap: 3}, pager.Options{PageSize: treePageSize})
 	extra := make([]byte, 12, 28)
 	for i, v := range []uint32{16, 8, 3} {
 		binary.BigEndian.PutUint32(extra[4*i:], v)
@@ -63,7 +64,7 @@ func rdbTreeFile(t testing.TB, s, eps float64) (header, pages []byte) {
 	}
 	var src SliceSource
 	for i := 0; i < 60; i++ {
-		src.Keys = append(src.Keys, append(make([]byte, 8), u64key(uint64(i/4))...))
+		src.Keys = append(src.Keys, u64key(uint64(i/4)))
 		v := binary.LittleEndian.AppendUint32(nil, uint32(i))
 		for r := range 3 {
 			v = binary.LittleEndian.AppendUint16(v, uint16(i*1000+r))

@@ -203,8 +203,9 @@ func TestWalkNearestStopsOnCancel(t *testing.T) {
 }
 
 // The α=4096 walk of the paper's default cascade over the RDB-tree leaf
-// geometry (16-byte keys, 44-byte values, 4 KiB pages), every page in
-// the pool (the bulk load leaves them there).
+// geometry at η=16, ω=8, m=10 (the 8-byte stored key prefix, 24-byte
+// values, 4 KiB pages), every page in the pool (the bulk load leaves
+// them there).
 func BenchmarkWalkNearest4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pgr, err := pager.Open(b.TempDir()+"/walk.pg", pager.Options{PoolPages: 4096, Create: true})
@@ -212,7 +213,7 @@ func BenchmarkWalkNearest4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pgr.Close()
-	tr, err := Create(pgr, Config{KeyLen: 16, ValLen: 44})
+	tr, err := Create(pgr, Config{KeyLen: 8, ValLen: 24})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,14 +223,14 @@ func BenchmarkWalkNearest4096(b *testing.B) {
 	const count = 100_000
 	keys := make([][]byte, count)
 	for i := range keys {
-		k := make([]byte, 16)
+		k := make([]byte, 8)
 		rng.Read(k[:3])
 		k[0] &= 0x0F
-		rng.Read(k[3+rng.Intn(12):])
+		rng.Read(k[3+rng.Intn(5):])
 		keys[i] = k
 	}
 	slices.SortFunc(keys, bytes.Compare)
-	val := make([]byte, 44)
+	val := make([]byte, 24)
 	src := &SliceSource{Keys: keys}
 	for range keys {
 		src.Values = append(src.Values, val)

@@ -346,8 +346,9 @@ func (ix *Index) writeTrees(ctx context.Context, gen uint64, vectors [][]float32
 }
 
 // sortTree runs the tree writer's first two steps for partition t,
-// timing each: the Hilbert keys in row (= id) order and the rows in
-// ascending key order. No per-record allocation anywhere on the path.
+// timing each: the stored key prefixes in row (= id) order and the rows
+// in ascending (prefix, row) order. No per-record allocation anywhere on
+// the path.
 func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, phases *phaseAccum) ([]byte, []uint32, error) {
 	t0 := time.Now()
 	keys, err := ix.encodeKeys(ctx, t, vectors)
@@ -357,26 +358,32 @@ func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, phase
 	phases.encodeNS.Add(int64(time.Since(t0)))
 
 	t0 = time.Now()
-	perm := sortedPerm(keys, ix.curves[t].KeyLen())
+	perm := sortedPerm(keys, ix.treeConfig().StoredKeyLen())
 	phases.sortNS.Add(int64(time.Since(t0)))
 	return keys, perm, ctx.Err()
 }
 
 // encodeKeys is the tree writer's first step, shared by Build and
-// Compact: partition t's Hilbert keys as a flat n×KeyLen arena in row
-// order, in buildChunk parts that idle CPUs join. Compaction's goroutine
-// is not counted as busy, so there only CPUs no query holds help. Keys
-// land at fixed offsets, so scheduling cannot change the output.
+// Compact: partition t's stored key prefixes (each the first w =
+// StoredKeyLen bytes of the object's Hilbert key) as a flat n×w arena in
+// row order, in buildChunk parts that idle CPUs join. Compaction's
+// goroutine is not counted as busy, so there only CPUs no query holds
+// help. Keys land at fixed offsets, so scheduling cannot change the
+// output.
 func (ix *Index) encodeKeys(ctx context.Context, t int, vectors [][]float32) ([]byte, error) {
 	q, curve := ix.quants[t], ix.curves[t]
-	start, n, kl := t*ix.eta, len(vectors), curve.KeyLen()
-	keys := make([]byte, n*kl)
+	start, n, kl, w := t*ix.eta, len(vectors), curve.KeyLen(), ix.treeConfig().StoredKeyLen()
+	keys := make([]byte, n*w)
 	err := eachChunk(ctx, n, func(lo, hi int) {
 		coords := make([]uint32, (hi-lo)*ix.eta)
 		for i := lo; i < hi; i++ {
 			q.Coords(coords[(i-lo)*ix.eta:(i-lo+1)*ix.eta], vectors[i][start:start+ix.eta])
 		}
-		curve.EncodeAll(keys[lo*kl:hi*kl], coords, ix.eta)
+		full := make([]byte, (hi-lo)*kl)
+		curve.EncodeAll(full, coords, ix.eta)
+		for i := range hi - lo {
+			copy(keys[(lo+i)*w:(lo+i+1)*w], full[i*kl:])
+		}
 	})
 	return keys, err
 }
@@ -391,13 +398,13 @@ func identityPerm(n int) []uint32 {
 }
 
 // sortedPerm is the tree writer's second step: the row numbers of the
-// key arena in ascending key order. A stable MSD radix sort over the
-// fixed-width keys moves 4-byte row numbers instead of 40-byte records
-// and never calls a comparator; ties keep row (= id) order, which the
-// determinism tests pin.
-func sortedPerm(keys []byte, kl int) []uint32 {
-	perm := identityPerm(len(keys) / kl)
-	radix.Sort(keys, kl, perm)
+// w-byte key arena in ascending key order. A stable MSD radix sort over
+// the fixed-width keys moves 4-byte row numbers instead of the 32-byte
+// entries a leaf holds and never calls a comparator; ties keep row (=
+// id) order, which the determinism tests pin.
+func sortedPerm(keys []byte, w int) []uint32 {
+	perm := identityPerm(len(keys) / w)
+	radix.Sort(keys, w, perm)
 	return perm
 }
 
@@ -407,9 +414,8 @@ func sortedPerm(keys []byte, kl int) []uint32 {
 // the scale of the tree rows were decoded from, zero when none were) by
 // writeFile, and opened to serve.
 func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64, rdist []float32, prev rdbtree.Scale) (*rdbtree.Tree, error) {
-	p := ix.params
 	pgr, err := ix.writeFile(path, func(pgr *pager.Pager) error {
-		tree, err := rdbtree.Create(pgr, rdbtree.Config{Eta: ix.eta, Omega: p.Omega, M: p.M})
+		tree, err := rdbtree.Create(pgr, ix.treeConfig())
 		if err == nil {
 			err = tree.BulkLoadArena(keys, perm, ids, rdist, prev)
 		}
@@ -427,6 +433,11 @@ func (ix *Index) writeTree(path string, keys []byte, perm []uint32, ids []uint64
 		return nil, err
 	}
 	return tree, nil
+}
+
+// treeConfig is the geometry of the index's RDB-trees.
+func (ix *Index) treeConfig() rdbtree.Config {
+	return rdbtree.Config{Eta: ix.eta, Omega: ix.params.Omega, M: ix.params.M}
 }
 
 // writeFile makes a write-once index file, a tree or ids.pg: write fills

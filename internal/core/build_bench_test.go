@@ -87,7 +87,7 @@ func BenchmarkBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kl := refIx.curves[0].KeyLen()
+	kl := refIx.treeConfig().StoredKeyLen()
 
 	b.Run("sort", func(b *testing.B) {
 		perm := make([]uint32, n)
@@ -171,7 +171,7 @@ func BenchmarkBuildSeedPath(b *testing.B) {
 					RefDists: rdist[id*m : (id+1)*m],
 				}
 			}
-			sortRecords(records)
+			sortRecords(records, refIx.treeConfig().StoredKeyLen())
 		}
 	})
 }

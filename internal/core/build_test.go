@@ -15,12 +15,13 @@ import (
 	"github.com/hd-index/hdindex/internal/rdbtree"
 )
 
-// sortRecords is the seed build's comparison sort, made deterministic
-// under key ties by falling back to id order — the same tie rule the
-// stable radix sort inherits from an identity input permutation.
-func sortRecords(records []rdbtree.Record) {
+// sortRecords is the seed build's comparison sort on the w-byte key
+// prefix a tree stores, made deterministic under prefix ties by falling
+// back to id order — the same tie rule the stable radix sort inherits
+// from an identity input permutation.
+func sortRecords(records []rdbtree.Record, w int) {
 	sort.Slice(records, func(i, j int) bool {
-		if c := bytes.Compare(records[i].Key, records[j].Key); c != 0 {
+		if c := bytes.Compare(records[i].Key[:w], records[j].Key[:w]); c != 0 {
 			return c < 0
 		}
 		return records[i].ID < records[j].ID
@@ -30,7 +31,7 @@ func sortRecords(records []rdbtree.Record) {
 // buildReferenceTree reconstructs tree t of ix the way the seed
 // implementation did — per-record Encode, Record structs, comparison
 // sort, record bulk load — into its own pager file, and returns that
-// file's bytes. Records are sorted by (key, id) and point at the slot
+// file's bytes. Records are sorted by (stored key, id) and point at the slot
 // ix's own ids.pg gives the id. Ids in drop are left out, as a compaction
 // leaves out the marks it reclaims.
 func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rdist []float32, drop map[uint64]bool, path string) []byte {
@@ -54,7 +55,7 @@ func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rd
 			RefDists: rdist[id*m : (id+1)*m],
 		})
 	}
-	sortRecords(records)
+	sortRecords(records, ix.treeConfig().StoredKeyLen())
 	for i := range records {
 		slot, err := ix.slots.slot(records[i].ID)
 		if err != nil {
@@ -162,12 +163,28 @@ func TestBuildEquivalentToComparisonSortPath(t *testing.T) {
 // base id and one batch id, and Compact, every tree_XX.g1.pg is
 // byte-identical to the comparison-sort reference over the surviving
 // objects — however many helpers build and compact — and scans as the
-// same (key, id, refdists) stream.
+// same (key, id, refdists) stream. It runs at two geometries: τ = 8
+// (4-byte Hilbert keys, stored whole, ties on the whole key) and τ = 2
+// (16-byte keys cut to their 8-byte prefix) over data whose vectors
+// differ mostly in bits past the prefix, so most neighbours tie on the
+// prefix and only the id orders them.
 func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
-	vectors := testVectorsFlatTie(3000, 32, 13)
+	for _, c := range []struct {
+		name    string
+		vectors [][]float32
+		tau     int
+	}{
+		{"4-byte keys", testVectorsFlatTie(3000, 32, 13), 8},
+		{"16-byte keys", testVectorsPrefixTie(3000, 32, 13), 2},
+	} {
+		t.Run(c.name, func(t *testing.T) { requireCompactedEquivalent(t, c.vectors, c.tau) })
+	}
+}
+
+func requireCompactedEquivalent(t *testing.T, vectors [][]float32, tau int) {
 	const base = 2400
 	drop := map[uint64]bool{17: true, 2700: true}
-	p := Params{Tau: 8, Omega: 8, M: 6, Alpha: 256, Seed: 7, MemtableMaxVectors: 1 << 20}
+	p := Params{Tau: tau, Omega: 8, M: 6, Alpha: 256, Seed: 7, MemtableMaxVectors: 1 << 20}
 	eachHelperCount(p.Tau, func(procs int) {
 		ix, err := Build(t.TempDir(), vectors[:base], p)
 		if err != nil {
@@ -186,6 +203,9 @@ func TestCompactedGenerationEquivalentToComparisonSortPath(t *testing.T) {
 		}
 		if err := ix.Compact(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+		if rep := mustCheck(t, ix, "compacted"); rep.KeyTies < base/4 {
+			t.Fatalf("at most %d key ties in a tree of %d entries: the geometry barely tests the tie order", rep.KeyTies, len(vectors)-len(drop))
 		}
 
 		rdist, err := computeRefDists(context.Background(), vectors, ix.refs)
@@ -243,6 +263,25 @@ func testVectorsFlatTie(n, dim int, seed int64) [][]float32 {
 		v := make([]float32, dim)
 		for d := range v {
 			v[d] = float32(rng.Intn(8)) // 8 distinct values/dim: many collisions
+		}
+		vs[i] = v
+	}
+	return vs
+}
+
+// testVectorsPrefixTie generates vectors whose coordinates are one of
+// three widely spaced levels per vector plus a 0/1 offset per dimension:
+// at ω = 8 the offsets reach only the Hilbert key's low-order levels,
+// past the 8-byte prefix of a 16-dimension key, so vectors of one level
+// tie on the prefix and (mostly) not on the full key.
+func testVectorsPrefixTie(n, dim int, seed int64) [][]float32 {
+	rng := rand.New(rand.NewSource(seed))
+	vs := make([][]float32, n)
+	for i := range vs {
+		v := make([]float32, dim)
+		level := float32(100 * rng.Intn(3))
+		for d := range v {
+			v[d] = level + float32(rng.Intn(2))
 		}
 		vs[i] = v
 	}

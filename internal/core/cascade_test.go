@@ -49,7 +49,7 @@ func loadReferenceTrees(t *testing.T, ix *Index) referenceTrees {
 func (trees referenceTrees) referenceTree(ix *Index, tr int, q []float32, qdist []float64, plan searchPlan) []uint64 {
 	coords := make([]uint32, ix.eta)
 	ix.quants[tr].Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
-	key := ix.curves[tr].Encode(nil, coords)
+	key := ix.curves[tr].Encode(nil, coords)[:ix.treeConfig().StoredKeyLen()]
 
 	all := trees[tr]
 	r := sort.Search(len(all), func(i int) bool { return bytes.Compare(all[i].key, key) >= 0 })

@@ -23,6 +23,10 @@ type CheckReport struct {
 	Purged    int    // objects compaction dropped from the trees
 	Trees     int
 	Verified  uint64 // leaf entries per tree re-derived from the vector behind their slot
+	// KeyTies is the most leaf entries, over the trees, whose stored key
+	// prefix equals the entry's before them: how many walk decisions the
+	// 8-byte prefix leaves to the tie rule instead of the full key.
+	KeyTies uint64
 }
 
 // Check verifies the on-disk invariants no query would notice broken —
@@ -41,10 +45,10 @@ type CheckReport struct {
 //     and holds every slot below the count exactly once, except the
 //     purged ones, which it must not hold;
 //   - for a sample of entries (all, up to checkSampleMax per tree) the
-//     Hilbert key stored in the leaf is the one recomputed from the
-//     vector behind that entry's slot, and each decoded reference
-//     distance lies within the tree's error bound ε of the recomputed
-//     one.
+//     key stored in the leaf is the prefix of the Hilbert key
+//     recomputed from the vector behind that entry's slot, and each
+//     decoded reference distance lies within the tree's error bound ε of
+//     the recomputed one.
 //
 // It holds off compactions and writers while it runs; searches proceed.
 func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
@@ -107,15 +111,20 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 	stride := max(1, (count+checkSampleMax-1)/checkSampleMax)
 	vec := make([]float32, ix.nu)
 	coords := make([]uint32, ix.eta)
-	var key []byte
+	var key, prev []byte
+	w := ix.treeConfig().StoredKeyLen()
 	for t, tree := range ix.trees {
 		seen := make([]uint64, (count+63)/64)
 		eps := tree.Scale().Eps
-		var pos, verified uint64
+		var pos, verified, ties uint64
 		err := tree.Check(func(k []byte, e rdbtree.Entry) error {
 			if pos%4096 == 0 && ctx.Err() != nil {
 				return ctx.Err()
 			}
+			if pos > 0 && bytes.Equal(k, prev) {
+				ties++
+			}
+			prev = append(prev[:0], k...)
 			slot := e.ID
 			if slot >= count {
 				return fmt.Errorf("entry %d points at slot %d, the store holds %d", pos, slot, count)
@@ -135,7 +144,7 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 				return err
 			}
 			ix.quants[t].Coords(coords, vec[t*ix.eta:(t+1)*ix.eta])
-			if key = ix.curves[t].Encode(key[:0], coords); !bytes.Equal(key, k) {
+			if key = ix.curves[t].Encode(key[:0], coords); !bytes.Equal(key[:w], k) {
 				return fmt.Errorf("slot %d is filed under key %x, its vector encodes to %x", slot, k, key)
 			}
 			for r, rv := range ix.refs {
@@ -161,7 +170,7 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 				}
 			}
 		}
-		rep.Verified = verified
+		rep.Verified, rep.KeyTies = verified, max(rep.KeyTies, ties)
 	}
 	return rep, nil
 }

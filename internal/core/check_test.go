@@ -76,6 +76,28 @@ func openAndCheck(t *testing.T, dir string) error {
 	return err
 }
 
+// Check counts, per tree, the leaf entries whose stored key prefix
+// equals the one before them, and reports the most: 50 duplicate
+// vectors share their whole key with the vector they copy, so every tree
+// holds at least 50 ties, whatever the cut bytes would have told apart.
+func TestCheckReportsKeyTies(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "ties", N: 500, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 72})
+	for i := range 50 {
+		ds.Vectors = append(ds.Vectors, ds.Vectors[9*i])
+	}
+	ix, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors, Params{Tau: 2, Omega: 8, M: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if w := ix.treeConfig().KeyLen(); w != 16 {
+		t.Fatalf("%d-byte Hilbert keys, want 16: the prefix would not cut", w)
+	}
+	if rep := mustCheck(t, ix, "duplicates"); rep.KeyTies < 50 || rep.KeyTies >= 550 {
+		t.Fatalf("%d key-prefix ties in a tree over 550 vectors, 50 of them duplicates", rep.KeyTies)
+	}
+}
+
 func TestCheckPassesOnHealthyDirectories(t *testing.T) {
 	dir := checkedIndex(t)
 	if err := openAndCheck(t, dir); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -196,11 +197,42 @@ func TestOpenRebuildsFloat32Trees(t *testing.T) {
 		{Name: "bytes", N: 700, Dim: 16, Clusters: 4, Lo: 0, Hi: 255, Integer: true, Seed: 45},
 		{Name: "floats", N: 700, Dim: 16, Clusters: 4, Lo: 0, Hi: 1, Seed: 45},
 	} {
-		t.Run(cfg.Name, func(t *testing.T) { rebuildFloat32Trees(t, cfg) })
+		t.Run(cfg.Name, func(t *testing.T) { requireRebuildsOldTrees(t, cfg, float32Layout) })
 	}
 }
 
-func rebuildFloat32Trees(t *testing.T, cfg data.Config) {
+// A tree of the full-key layout — the one before key prefixes: each
+// leaf and separator key the whole ceil(η·ω/8)-byte Hilbert key, beside
+// today's values and today's metadata with the tree's scale — is written
+// here with bptree directly, at η·ω = 128 (16-byte keys), over a built
+// index's entries in (full key, id) order. Open rebuilds such trees once,
+// into generation 1, through Build's tree writer, byte for byte the trees
+// the Build wrote, over byte-valued and float-valued data whose
+// duplicate vectors tie on the whole key, so the answers are the same; a
+// second Open rebuilds nothing.
+func TestOpenRebuildsFullKeyTrees(t *testing.T) {
+	for _, cfg := range []data.Config{
+		{Name: "bytes", N: 700, Dim: 32, Clusters: 4, Lo: 0, Hi: 255, Integer: true, Seed: 55},
+		{Name: "floats", N: 700, Dim: 32, Clusters: 4, Lo: 0, Hi: 1, Seed: 55},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) { requireRebuildsOldTrees(t, cfg, fullKeyLayout) })
+	}
+}
+
+// An older tree layout Open rebuilds.
+type oldLayout int
+
+const (
+	float32Layout oldLayout = iota // m exact float32 distances per value; metadata η, ω, m
+	fullKeyLayout                  // whole Hilbert keys; today's values and metadata
+)
+
+// requireRebuildsOldTrees builds an index over cfg's data and 50
+// duplicates of its vectors with τ = 2, rewrites each generation-0 tree
+// with bptree directly in layout, its entries in (key, id) order, and
+// requires Open to rebuild them into generation 1 byte-identical to the
+// Build's trees, answering as the Build did, twice.
+func requireRebuildsOldTrees(t *testing.T, cfg data.Config, layout oldLayout) {
 	ds := data.Generate(cfg)
 	for i := range 50 {
 		ds.Vectors = append(ds.Vectors, ds.Vectors[7*i])
@@ -215,29 +247,69 @@ func rebuildFloat32Trees(t *testing.T, cfg data.Config) {
 		t.Fatalf("byte records %v over integer data %v", byteRecords, cfg.Integer)
 	}
 	queries := ds.PerturbedQueries(10, 0.02, 47)
-	type tree struct {
-		keys  []byte
-		slots []uint64
-		exact []float32
+	type entry struct {
+		key, value []byte
+		id         uint64
 	}
-	trees := make([]tree, p.Tau)
+	type oldTree struct {
+		cfg     bptree.Config
+		extra   []byte
+		entries []entry
+	}
+	olds := make([]oldTree, p.Tau)
 	vec := make([]float32, ix.nu)
-	for tr := range trees {
-		b := &trees[tr]
+	coords := make([]uint32, ix.eta)
+	for tr := range olds {
+		o := &olds[tr]
+		tc, sc := ix.treeConfig(), ix.trees[tr].Scale()
+		o.cfg = bptree.Config{KeyLen: tc.StoredKeyLen(), ValLen: 4 + 4*p.M}
+		o.extra = make([]byte, 12)
+		if layout == fullKeyLayout {
+			o.cfg = bptree.Config{KeyLen: tc.KeyLen(), ValLen: tc.ValLen()}
+			o.extra = make([]byte, 28)
+			binary.BigEndian.PutUint64(o.extra[12:], math.Float64bits(sc.S))
+			binary.BigEndian.PutUint64(o.extra[20:], math.Float64bits(sc.Eps))
+		}
+		for i, v := range []int{ix.eta, p.Omega, p.M} {
+			binary.BigEndian.PutUint32(o.extra[4*i:], uint32(v))
+		}
 		err := ix.trees[tr].ScanAll(func(k []byte, e rdbtree.Entry) bool {
-			b.keys = append(b.keys, k...)
-			b.slots = append(b.slots, e.ID)
 			if _, err := ix.vectors.Get(e.ID, vec); err != nil {
 				t.Fatal(err)
 			}
-			for _, rv := range ix.refs {
-				b.exact = append(b.exact, float32(vecmath.Dist(vec, rv)))
+			id, err := ix.slots.id(e.ID)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ix.quants[tr].Coords(coords, vec[tr*ix.eta:(tr+1)*ix.eta])
+			full := ix.curves[tr].Encode(nil, coords)
+			if !bytes.Equal(full[:len(k)], k) {
+				t.Fatalf("tree %d stores key %x for slot %d, whose key is %x", tr, k, e.ID, full)
+			}
+			v := binary.LittleEndian.AppendUint32(nil, uint32(e.ID))
+			switch layout {
+			case float32Layout:
+				for _, rv := range ix.refs {
+					v = binary.LittleEndian.AppendUint32(v, math.Float32bits(float32(vecmath.Dist(vec, rv))))
+				}
+			case fullKeyLayout:
+				k = full
+				for _, d := range e.RefDists { // the code each decoded distance came from
+					v = binary.LittleEndian.AppendUint16(v, uint16(math.Round(float64(d)/sc.S)))
+				}
+			}
+			o.entries = append(o.entries, entry{slices.Clone(k), v, id})
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		slices.SortFunc(o.entries, func(a, b entry) int {
+			if c := bytes.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
 	}
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
@@ -245,13 +317,12 @@ func rebuildFloat32Trees(t *testing.T, cfg data.Config) {
 			t.Fatal(err)
 		}
 	}
-	kl := ix.curves[0].KeyLen()
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	built := make([][]byte, p.Tau)
-	for tr, b := range trees {
+	for tr, o := range olds {
 		path := ix.treeGenPath(tr, 0)
 		if built[tr], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
@@ -263,25 +334,16 @@ func rebuildFloat32Trees(t *testing.T, cfg data.Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bt, err := bptree.Create(pgr, bptree.Config{KeyLen: kl, ValLen: 4 + 4*p.M})
+		bt, err := bptree.Create(pgr, o.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		extra := make([]byte, 12)
-		for i, v := range []int{ix.eta, p.Omega, p.M} {
-			binary.BigEndian.PutUint32(extra[4*i:], uint32(v))
-		}
-		if err := bt.SetExtra(extra); err != nil {
+		if err := bt.SetExtra(o.extra); err != nil {
 			t.Fatal(err)
 		}
 		var src bptree.SliceSource
-		for i, slot := range b.slots {
-			src.Keys = append(src.Keys, b.keys[i*kl:(i+1)*kl])
-			v := binary.LittleEndian.AppendUint32(nil, uint32(slot))
-			for _, d := range b.exact[i*p.M : (i+1)*p.M] {
-				v = binary.LittleEndian.AppendUint32(v, math.Float32bits(d))
-			}
-			src.Values = append(src.Values, v)
+		for _, e := range o.entries {
+			src.Keys, src.Values = append(src.Keys, e.key), append(src.Values, e.value)
 		}
 		if err := bt.BulkLoad(&src); err == nil {
 			err = pgr.Close()

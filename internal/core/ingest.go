@@ -495,24 +495,25 @@ func (ix *Index) dropTrees(trees []*rdbtree.Tree, gen uint64) {
 }
 
 // compactTree builds tree t's next generation: the existing entries
-// (already in key order, minus the dropped slots) merged with the
-// radix-sorted batch, through the tree writer Build uses — only the
-// merge is compaction's own. A batch object's slot is its id: it joins
-// the unclustered tail of the store. Ties keep old-before-new order,
-// which equals id order because Build breaks key ties by id and batch
-// ids are always larger than committed ids. The old entries' distances
-// are decoded and coded again: bit for bit while the old tree's scale
-// covers the batch, at a coarser scale and a wider error bound when a
-// batch object lies farther from a reference than anything before it.
+// (already in stored-key order, minus the dropped slots) merged with the
+// radix-sorted batch on their stored key prefixes, through the tree
+// writer Build uses — only the merge is compaction's own. A batch
+// object's slot is its id: it joins the unclustered tail of the store.
+// Ties keep old-before-new order, which equals id order because Build
+// breaks key ties by id and batch ids are always larger than committed
+// ids. The old entries' distances are decoded and coded again: bit for
+// bit while the old tree's scale covers the batch, at a coarser scale
+// and a wider error bound when a batch object lies farther from a
+// reference than anything before it.
 func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdistB []float32, oldCount, newGen uint64, drop map[uint64]uint64) (*rdbtree.Tree, error) {
-	kl := ix.curves[t].KeyLen()
+	w := ix.treeConfig().StoredKeyLen()
 	m := ix.params.M
 	nB := len(batch)
 	keysB, err := ix.encodeKeys(ctx, t, batch)
 	if err != nil {
 		return nil, err
 	}
-	permB := sortedPerm(keysB, kl)
+	permB := sortedPerm(keysB, w)
 
 	// Merge into flat arenas. Reading the old tree without the index
 	// lock is safe: only compaction replaces trees, and Compact
@@ -528,14 +529,14 @@ func (ix *Index) compactTree(ctx context.Context, t int, batch [][]float32, rdis
 	}
 	oldN := int(old.Count())
 	capN := oldN + nB
-	keys := make([]byte, 0, capN*kl)
+	keys := make([]byte, 0, capN*w)
 	slots := make([]uint64, 0, capN)
 	rd := make([]float32, 0, capN*m)
 	j := 0
 	emitBatchBelow := func(bound []byte) {
 		for j < nB {
 			row := int(permB[j])
-			bk := keysB[row*kl : (row+1)*kl]
+			bk := keysB[row*w : (row+1)*w]
 			if bound != nil && bytes.Compare(bk, bound) >= 0 {
 				return
 			}

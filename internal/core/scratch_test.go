@@ -58,9 +58,11 @@ func TestUnionCorruptSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A record takes a full-width key: the stored prefix, zero-padded.
 	var recs []rdbtree.Record
+	pad := make([]byte, good.Config().KeyLen()-good.Config().StoredKeyLen())
 	err = good.ScanAll(func(key []byte, e rdbtree.Entry) bool {
-		recs = append(recs, rdbtree.Record{Key: slices.Clone(key), ID: e.ID, RefDists: slices.Clone(e.RefDists)})
+		recs = append(recs, rdbtree.Record{Key: append(slices.Clone(key), pad...), ID: e.ID, RefDists: slices.Clone(e.RefDists)})
 		return true
 	})
 	if err != nil {

@@ -41,14 +41,21 @@ func KeyDelta(dst, a, b []byte) []byte {
 // -1 if a is strictly closer, +1 if b is strictly closer, 0 on a tie.
 // All keys must have the same length. It is the α-nearest walk's
 // direction test, so it works a uint64 limb at a time and keeps nothing
-// on the heap at any width. The 16-byte keys of the paper's geometry
-// (η=16, ω=8) are two limbs and take the closed form; other widths fall
-// to the limb loop, which is several times slower per byte.
+// on the heap at any width. The 8-byte keys an RDB-tree stores (a
+// key's first machine word) are one limb, and the full 16-byte keys of
+// the paper's geometry (η=16, ω=8), which the multicurves baseline
+// walks, two; both take a closed form (BenchmarkCloserKey8/16, about a
+// third of the limb loop's time at either width). Other widths fall to
+// the limb loop.
 func CloserKey(q, a, b []byte) int {
 	if len(a) != len(q) || len(b) != len(q) {
 		panic("hilbert: key length mismatch")
 	}
-	if len(q) == 16 {
+	switch len(q) {
+	case 8:
+		qv := binary.BigEndian.Uint64(q)
+		return cmp.Compare(absDiff64(qv, binary.BigEndian.Uint64(a)), absDiff64(qv, binary.BigEndian.Uint64(b)))
+	case 16:
 		q0, q1 := binary.BigEndian.Uint64(q), binary.BigEndian.Uint64(q[8:])
 		a0, a1 := absDiff128(q0, q1, binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(a[8:]))
 		b0, b1 := absDiff128(q0, q1, binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:]))
@@ -83,6 +90,14 @@ func CloserKey(q, a, b []byte) int {
 		return 1
 	}
 	return 0
+}
+
+// absDiff64 is |x - y|.
+func absDiff64(x, y uint64) uint64 {
+	if x < y {
+		return y - x
+	}
+	return x - y
 }
 
 // absDiff128 is |x - y| over two-limb integers (x0, y0 the high limbs).

@@ -65,7 +65,7 @@ func FuzzCloserKey(f *testing.F) {
 
 // The walk runs it per entry at any key width: never on the heap.
 func TestCloserKeyDoesNotAllocate(t *testing.T) {
-	for _, n := range []int{16, 65} {
+	for _, n := range []int{8, 16, 65} {
 		q, a, b := borrowRipple(n)
 		if allocs := testing.AllocsPerRun(100, func() { CloserKey(q, a, b) }); allocs != 0 {
 			t.Errorf("CloserKey at %d bytes allocates %v times per call, want 0", n, allocs)
@@ -75,11 +75,17 @@ func TestCloserKeyDoesNotAllocate(t *testing.T) {
 
 var closerSink int
 
-// The direction test at the 16-byte keys (η=16, ω=8) every benchmark
-// workload uses, left key below the query, right key above — the walk's
-// case.
-func BenchmarkCloserKey16(b *testing.B) {
-	q, l, r := borrowRipple(16)
+// The direction test at the 8-byte key prefix an RDB-tree stores (every
+// benchmark workload's trees), left key below the query, right key
+// above — the walk's case.
+func BenchmarkCloserKey8(b *testing.B) { benchCloserKey(b, 8) }
+
+// The same at the full 16-byte key (η=16, ω=8) that hdbench's
+// multicurves baseline walks.
+func BenchmarkCloserKey16(b *testing.B) { benchCloserKey(b, 16) }
+
+func benchCloserKey(b *testing.B, n int) {
+	q, l, r := borrowRipple(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,14 +14,16 @@ import (
 	"github.com/hd-index/hdindex/internal/radix"
 )
 
-// mkArena builds parallel flat arenas of n random keys/refdists plus the
-// sorted permutation, and the equivalent []Record input for BulkLoad.
+// mkArena builds parallel flat arenas of n random keys (each row the
+// stored prefix of a random full-width key)/refdists plus the sorted
+// permutation, and the equivalent []Record input for BulkLoad, which
+// takes the full keys.
 func mkArena(t *testing.T, cfg Config, n int, seed int64) (keys []byte, perm []uint32, rdist []float32, recs []Record) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	kl, m := cfg.KeyLen(), cfg.M
-	keys = make([]byte, n*kl)
-	rng.Read(keys)
+	kl, w, m := cfg.KeyLen(), cfg.StoredKeyLen(), cfg.M
+	full := make([]byte, n*kl)
+	rng.Read(full)
 	rdist = make([]float32, n*m)
 	for i := range rdist {
 		rdist[i] = rng.Float32() * 100
@@ -30,11 +32,15 @@ func mkArena(t *testing.T, cfg Config, n int, seed int64) (keys []byte, perm []u
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
-	radix.Sort(keys, kl, perm)
+	radix.Sort(full, kl, perm)
+	keys = make([]byte, n*w)
+	for r := range n {
+		copy(keys[r*w:(r+1)*w], full[r*kl:])
+	}
 	recs = make([]Record, n)
 	for i, row := range perm {
 		recs[i] = Record{
-			Key:      keys[int(row)*kl : (int(row)+1)*kl],
+			Key:      full[int(row)*kl : (int(row)+1)*kl],
 			ID:       uint64(row),
 			RefDists: rdist[int(row)*m : (int(row)+1)*m],
 		}
@@ -111,7 +117,7 @@ func TestBulkLoadArenaIDs(t *testing.T) {
 		want = append(want, ids[row])
 	}
 	// Equal keys may interleave, so compare as sorted multisets per scan
-	// position is overkill — keys are random 16-byte, ties negligible.
+	// position is overkill — stored keys are random 8-byte, ties negligible.
 	got := make([]uint64, 0, n)
 	tr.ScanAll(func(_ []byte, e Entry) bool {
 		got = append(got, e.ID)
@@ -131,7 +137,7 @@ func TestBulkLoadArenaValidation(t *testing.T) {
 	cfg := Config{Eta: 16, Omega: 8, M: 2}
 	tr, pgr := mkTreeAt(t, filepath.Join(t.TempDir(), "bad.pg"), cfg, 1024)
 	defer pgr.Close()
-	kl := cfg.KeyLen()
+	kl := cfg.StoredKeyLen()
 	if err := tr.BulkLoadArena(make([]byte, 3*kl), []uint32{0, 1}, nil, make([]float32, 4), Scale{}); err == nil {
 		t.Fatal("short perm vs keys must fail")
 	}
@@ -201,7 +207,7 @@ func TestBulkLoadRejectsIDPast32Bits(t *testing.T) {
 			return tr.BulkLoad([]Record{{Key: key16(1), ID: 0, RefDists: []float32{1, 2}}, {Key: key16(2), ID: id, RefDists: []float32{3, 4}}})
 		},
 		"BulkLoadArena": func(tr *Tree, id uint64) error {
-			return tr.BulkLoadArena(make([]byte, 2*cfg.KeyLen()), []uint32{0, 1}, []uint64{0, id}, []float32{1, 2, 3, 4}, Scale{})
+			return tr.BulkLoadArena(make([]byte, 2*cfg.StoredKeyLen()), []uint32{0, 1}, []uint64{0, id}, []float32{1, 2, 3, 4}, Scale{})
 		},
 	}
 	for name, load := range loads {

@@ -10,9 +10,13 @@
 // inequalities (§4.2) without any further I/O, and the leaf order Ω
 // stays high even at ν in the hundreds because m ≪ ν.
 //
-// Leaf entry: a key [Hilbert key: ceil(η·ω/8) bytes] and, in bptree's
-// aligned value run, a value [slot: uint32 LE][m × uint16 LE codes] — so
-// WalkNearest hands consecutive values out as a []uint16 in place. A
+// Leaf entry: a key [the Hilbert key's first min(ceil(η·ω/8), 8) bytes]
+// and, in bptree's aligned value run, a value [slot: uint32 LE][m ×
+// uint16 LE codes] — so WalkNearest hands consecutive values out as a
+// []uint16 in place. The key is cut to one big-endian machine word: past
+// the build's sort, keys only seek the query's position and pick the
+// nearer side, and on SIFT-like data at η = 16, ω = 8 the first 8 bytes
+// picked the same α entries as the whole key in every walk measured. A
 // distance is 16-bit fixed point: code u stands for u·s, where the scale
 // s (distance per code unit) is the tree's own, recorded in its metadata
 // beside an error bound ε, the most any decoded distance may differ from
@@ -21,8 +25,9 @@
 //
 // LeafOrder is the paper's Eq. (4), Ω = max { (η·(ω/8) + 4m + 8)·Ω + 16
 // + 1 ≤ B }, reproduced against Table 3 in the tests. A tree's own order
-// is what the page physically holds: 101 against Eq. (4)'s 63 at SIFT
-// geometry (16-byte keys, m = 10, 4 KiB pages), 40 bytes an entry.
+// is what the page physically holds: 127 against Eq. (4)'s 63 at SIFT
+// geometry (16-byte Hilbert keys, m = 10, 4 KiB pages), 32 bytes an
+// entry: an 8-byte key prefix, a 4-byte slot and 2m bytes of codes.
 package rdbtree
 
 import (
@@ -45,8 +50,16 @@ type Config struct {
 	M     int // number of reference objects (m)
 }
 
-// KeyLen returns the Hilbert key width in bytes: ceil(η·ω/8).
+// KeyLen returns the Hilbert key width in bytes: ceil(η·ω/8), the
+// width of a query key and of a BulkLoad record's key.
 func (c Config) KeyLen() int { return (c.Eta*c.Omega + 7) / 8 }
+
+// maxStoredKey is the widest key prefix a tree stores: one machine word.
+const maxStoredKey = 8
+
+// StoredKeyLen returns the width of the key prefix a tree stores, in
+// its leaves, its separators and a BulkLoadArena row: min(KeyLen, 8).
+func (c Config) StoredKeyLen() int { return min(c.KeyLen(), maxStoredKey) }
 
 // ValLen returns the per-entry payload width: 4-byte slot + m codes.
 func (c Config) ValLen() int { return 4 + 2*c.M }
@@ -117,7 +130,7 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("rdbtree: invalid config %+v", cfg)
 	}
 	bt, err := bptree.Create(pgr, bptree.Config{
-		KeyLen: cfg.KeyLen(),
+		KeyLen: cfg.StoredKeyLen(),
 		ValLen: cfg.ValLen(),
 	})
 	if err != nil {
@@ -132,9 +145,9 @@ func Create(pgr *pager.Pager, cfg Config) (*Tree, error) {
 const extraLen = 12 + 16
 
 // Open loads an RDB-tree from an existing pager file. A tree of an
-// older layout — interleaved leaves, or m float32 distances per value —
-// is bptree.ErrOldLayout; metadata that names no usable scale is an
-// error.
+// older layout — interleaved leaves, m float32 distances per value, or
+// full Hilbert keys wider than the stored prefix — is
+// bptree.ErrOldLayout; metadata that names no usable scale is an error.
 func Open(pgr *pager.Pager) (*Tree, error) {
 	bt, err := bptree.Open(pgr)
 	if err != nil {
@@ -152,7 +165,10 @@ func Open(pgr *pager.Pager) (*Tree, error) {
 	if len(extra) == 12 && bt.ValLen() == 4+4*cfg.M {
 		return nil, fmt.Errorf("%w: float32 distances", bptree.ErrOldLayout)
 	}
-	if len(extra) != extraLen || cfg.KeyLen() != bt.KeyLen() || cfg.ValLen() != bt.ValLen() {
+	if len(extra) == extraLen && bt.KeyLen() > maxStoredKey && bt.KeyLen() == cfg.KeyLen() && bt.ValLen() == cfg.ValLen() {
+		return nil, fmt.Errorf("%w: %d-byte keys", bptree.ErrOldLayout, bt.KeyLen())
+	}
+	if len(extra) != extraLen || cfg.StoredKeyLen() != bt.KeyLen() || cfg.ValLen() != bt.ValLen() {
 		return nil, errors.New("rdbtree: config/tree geometry mismatch")
 	}
 	sc := Scale{
@@ -201,8 +217,9 @@ func (t *Tree) decodeValueInto(v []byte, rd []float32) Entry {
 	return Entry{ID: uint64(binary.LittleEndian.Uint32(v)), RefDists: rd}
 }
 
-// Record is bulk-load input: a pre-computed Hilbert key, the object id,
-// and the object's distances to the m reference objects.
+// Record is bulk-load input: a pre-computed Hilbert key (KeyLen wide;
+// the tree stores its prefix), the object id, and the object's distances
+// to the m reference objects.
 type Record struct {
 	Key      []byte
 	ID       uint64
@@ -213,14 +230,14 @@ type Record struct {
 // lines 8–10), through BulkLoadArena of fresh distances. An ID past 32
 // bits is ErrIDRange.
 func (t *Tree) BulkLoad(records []Record) error {
-	kl, m, n := t.cfg.KeyLen(), t.cfg.M, len(records)
-	keys, rdist := make([]byte, 0, n*kl), make([]float32, 0, n*m)
+	kl, w, m, n := t.cfg.KeyLen(), t.cfg.StoredKeyLen(), t.cfg.M, len(records)
+	keys, rdist := make([]byte, 0, n*w), make([]float32, 0, n*m)
 	perm, ids := make([]uint32, n), make([]uint64, n)
 	for i, r := range records {
 		if len(r.Key) != kl || len(r.RefDists) != m {
 			return fmt.Errorf("rdbtree: record %d has a %d-byte key and %d distances, want %d and %d", i, len(r.Key), len(r.RefDists), kl, m)
 		}
-		keys = append(keys, r.Key...)
+		keys = append(keys, r.Key[:w]...)
 		rdist = append(rdist, r.RefDists...)
 		perm[i], ids[i] = uint32(i), r.ID
 	}
@@ -229,14 +246,15 @@ func (t *Tree) BulkLoad(records []Record) error {
 
 // BulkLoadArena builds the tree from flat construction arenas — the
 // zero-copy counterpart of BulkLoad that the radix-sorted build path
-// streams from. keys holds one KeyLen()-wide row per object in object
-// order (never reordered; row r is keys[r*KeyLen():(r+1)*KeyLen()]),
-// rdist the matching M-wide float32 rows, and perm lists row numbers in
-// ascending key order (radix.Sort's output). ids maps a row number to
-// its object id; nil means the row number is the id, which is exactly
-// the shape core's build produces. Nothing is allocated per record: the
-// leaf writer copies straight out of the arenas through one reused
-// value buffer. An id past 32 bits is ErrIDRange.
+// streams from. keys holds one StoredKeyLen()-wide row per object, the
+// prefix of its Hilbert key, in object order (never reordered; row r is
+// keys[r*w:(r+1)*w]), rdist the matching M-wide float32 rows, and perm
+// lists row numbers in ascending key order (radix.Sort's output). ids
+// maps a row number to its object id; nil means the row number is the
+// id, which is exactly the shape core's build produces. Nothing is
+// allocated per record: the leaf writer copies straight out of the
+// arenas through one reused value buffer. An id past 32 bits is
+// ErrIDRange.
 //
 // The tree's scale covers the largest distance in rdist. prev is the
 // scale of the tree some rows were decoded from (a compaction's old
@@ -244,9 +262,9 @@ func (t *Tree) BulkLoad(records []Record) error {
 // every row the tree keeps it, so those rows keep their codes exactly.
 func (t *Tree) BulkLoadArena(keys []byte, perm []uint32, ids []uint64, rdist []float32, prev Scale) error {
 	n := len(perm)
-	kl, m := t.cfg.KeyLen(), t.cfg.M
-	if len(keys) != n*kl {
-		return fmt.Errorf("rdbtree: key arena holds %d bytes, want %d rows × %d", len(keys), n, kl)
+	w, m := t.cfg.StoredKeyLen(), t.cfg.M
+	if len(keys) != n*w {
+		return fmt.Errorf("rdbtree: key arena holds %d bytes, want %d rows × %d", len(keys), n, w)
 	}
 	if len(rdist) != n*m {
 		return fmt.Errorf("rdbtree: refdist arena holds %d floats, want %d rows × %d", len(rdist), n, m)
@@ -297,7 +315,7 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 	}
 	row := int(s.perm[s.i])
 	s.i++
-	kl, m := s.t.cfg.KeyLen(), s.t.cfg.M
+	w, m := s.t.cfg.StoredKeyLen(), s.t.cfg.M
 	id := uint64(row)
 	if s.ids != nil {
 		id = s.ids[row]
@@ -307,13 +325,16 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 		u := min(float64(d)*s.inv+0.5, codeMax) // truncated: the nearest code
 		binary.LittleEndian.PutUint16(s.buf[4+2*i:], uint16(u))
 	}
-	return s.keys[row*kl : (row+1)*kl], s.buf, true
+	return s.keys[row*w : (row+1)*w], s.buf, true
 }
 
 // WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest
 // over the leaf chain: it passes fn up to alpha entries whose Hilbert
 // keys are numerically nearest to key, in bptree's runs (a descending
-// one lists its entries nearest last). Entry e of a run is
+// one lists its entries nearest last). key is a full Hilbert key, KeyLen
+// bytes (any other width is an error); the walk compares its stored
+// prefix, so two entries whose prefixes tie are equally near, and the
+// right side goes first. Entry e of a run is
 // run[e*(2+m):(e+1)*(2+m)]: its slot (Slot) in two words, then its m
 // codes (Scale), viewed in place (or decoded) and valid only until fn
 // returns. A cancelled ctx stops the walk within the leaves it has pinned.
@@ -321,8 +342,11 @@ func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(r
 	if alpha < 1 {
 		return fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
+	if len(key) != t.cfg.KeyLen() {
+		return fmt.Errorf("rdbtree: query key of %d bytes, want %d", len(key), t.cfg.KeyLen())
+	}
 	var scratch []uint16
-	return t.bt.WalkNearest(ctx, key, alpha, func(run []byte, descending bool) {
+	return t.bt.WalkNearest(ctx, key[:t.cfg.StoredKeyLen()], alpha, func(run []byte, descending bool) {
 		var words []uint16
 		words, scratch = viewRun(run, scratch)
 		fn(words, descending)
@@ -379,10 +403,10 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 	return out, arena, err
 }
 
-// ScanAll invokes fn for every entry in key order, decoded; used by
-// compaction, integrity checks and tests. The Entry's RefDists alias
-// one scratch slice reused across callbacks — valid only for the
-// duration of fn; copy to retain.
+// ScanAll invokes fn for every entry in key order, with its stored key
+// prefix, decoded; used by compaction, integrity checks and tests. The
+// Entry's RefDists alias one scratch slice reused across callbacks —
+// valid only for the duration of fn; copy to retain.
 func (t *Tree) ScanAll(fn func(key []byte, e Entry) bool) error {
 	rd := make([]float32, t.cfg.M)
 	return t.bt.Scan(nil, nil, func(k, v []byte) bool {

@@ -77,23 +77,26 @@ func mkRDB(t *testing.T, cfg Config, pageSize int) (*Tree, string) {
 	return tr, path
 }
 
+// key16 is a 16-byte Hilbert key whose value v sits in the 8-byte
+// prefix a tree stores; the bytes past it are zero.
 func key16(v uint64) []byte {
 	b := make([]byte, 16)
-	binary.BigEndian.PutUint64(b[8:], v)
+	binary.BigEndian.PutUint64(b, v)
 	return b
 }
 
 func TestCreateUsesEquation4Order(t *testing.T) {
-	// SIFT geometry: keys 16 B, values 4+20 B at 4 KB pages. Eq. (4),
-	// which prices an 8-byte pointer and float32 distances, gives 63; the
-	// page physically holds 101: 19 bytes of header and up to 7 of pad,
-	// then 101 × (16 + 24) = 4 040 bytes.
+	// SIFT geometry: 16-byte Hilbert keys, stored as their 8-byte
+	// prefix, values 4+20 B at 4 KB pages. Eq. (4), which prices the full
+	// key, an 8-byte pointer and float32 distances, gives 63; the page
+	// physically holds 127: 19 bytes of header and up to 7 of pad, then
+	// 127 × (8 + 24) = 4 064 bytes.
 	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 10}, 4096)
 	if got := LeafOrder(4096, 16, 8, 10); got != 63 {
 		t.Fatalf("Eq. (4) order = %d, want 63", got)
 	}
-	if tr.LeafOrder() != 101 {
-		t.Fatalf("leaf order = %d, want 101", tr.LeafOrder())
+	if tr.LeafOrder() != 127 {
+		t.Fatalf("leaf order = %d, want 127", tr.LeafOrder())
 	}
 }
 
@@ -345,8 +348,9 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := Create(pgr, Config{Eta: 4, Omega: 8, M: 0}); err == nil {
 		t.Error("m=0 must fail")
 	}
-	// Entry too large for the page.
-	if _, err := Create(pgr, Config{Eta: 64, Omega: 32, M: 100}); err == nil {
+	// Entry too large for the page: its 8-byte key prefix and 604 bytes
+	// of value.
+	if _, err := Create(pgr, Config{Eta: 64, Omega: 32, M: 300}); err == nil {
 		t.Error("oversized entry must fail")
 	}
 }
@@ -492,5 +496,127 @@ func TestOpenRefusesFloat32Layout(t *testing.T) {
 	}
 	if _, err := Open(pgr); !errors.Is(err, bptree.ErrOldLayout) {
 		t.Fatalf("Open of a float32 tree: %v, want bptree.ErrOldLayout", err)
+	}
+}
+
+// A tree of the full-key layout — bptree keys the whole 16-byte Hilbert
+// key, beside today's values and metadata, scale included — is
+// bptree.ErrOldLayout to Open, for core to rebuild. A tree whose Hilbert
+// key is 8 bytes stores it whole, in the same layout as before, and
+// opens.
+func TestOpenRefusesFullKeyLayout(t *testing.T) {
+	write := func(cfg Config, keyLen int) *pager.Pager {
+		pgr, err := pager.Open(filepath.Join(t.TempDir(), "full.pg"), pager.Options{Create: true, PageSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pgr.Close() })
+		bt, err := bptree.Create(pgr, bptree.Config{KeyLen: keyLen, ValLen: cfg.ValLen()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := make([]byte, extraLen)
+		for i, v := range []int{cfg.Eta, cfg.Omega, cfg.M} {
+			binary.BigEndian.PutUint32(extra[4*i:], uint32(v))
+		}
+		binary.BigEndian.PutUint64(extra[12:], math.Float64bits(0.5))
+		binary.BigEndian.PutUint64(extra[20:], math.Float64bits(0.25))
+		if err := bt.SetExtra(extra); err != nil {
+			t.Fatal(err)
+		}
+		src := &bptree.SliceSource{}
+		for i := range 20 {
+			src.Keys = append(src.Keys, slices.Concat(make([]byte, keyLen-1), []byte{byte(i)}))
+			src.Values = append(src.Values, make([]byte, cfg.ValLen()))
+		}
+		if err := bt.BulkLoad(src); err != nil {
+			t.Fatal(err)
+		}
+		return pgr
+	}
+	full := Config{Eta: 16, Omega: 8, M: 2}
+	if _, err := Open(write(full, full.KeyLen())); !errors.Is(err, bptree.ErrOldLayout) {
+		t.Fatalf("Open of a tree with %d-byte keys: %v, want bptree.ErrOldLayout", full.KeyLen(), err)
+	}
+	word := Config{Eta: 8, Omega: 8, M: 2}
+	if tr, err := Open(write(word, word.KeyLen())); err != nil || tr.Count() != 20 {
+		t.Fatalf("Open of a tree with %d-byte keys: %v", word.KeyLen(), err)
+	}
+}
+
+// keyWith is a 16-byte Hilbert key: prefix in the 8 bytes a tree
+// stores, suffix in the 8 it cuts.
+func keyWith(prefix, suffix uint64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, prefix)
+	return binary.BigEndian.AppendUint64(b, suffix)
+}
+
+// The walk compares stored prefixes only. Two keys equal in their first
+// 8 bytes and different after them tie, and so does a pair equally far
+// from the query's prefix on either side, however the cut bytes would
+// have ordered it: the right side goes first.
+func TestSearchNearestTiesOnStoredPrefix(t *testing.T) {
+	tr, _ := mkRDB(t, Config{Eta: 16, Omega: 8, M: 1}, 512)
+	recs := []Record{
+		{Key: keyWith(5, math.MaxUint64), ID: 1, RefDists: []float32{0}},
+		{Key: keyWith(7, 1), ID: 2, RefDists: []float32{0}},
+		{Key: keyWith(7, 2), ID: 3, RefDists: []float32{0}},
+	}
+	if err := tr.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    []byte
+		want []uint64
+	}{
+		// By the full key, id 1 lies 1 below the query and id 2 2^64 above.
+		{"either side", keyWith(6, 0), []uint64{2, 3, 1}},
+		// By the full key, id 3 is the query itself.
+		{"equal prefixes", keyWith(7, 2), []uint64{2, 3, 1}},
+	} {
+		got, err := nearest(tr, c.q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]uint64, len(got))
+		for i, e := range got {
+			ids[i] = e.ID
+		}
+		if !slices.Equal(ids, c.want) {
+			t.Errorf("%s: walk order %v, want %v", c.name, ids, c.want)
+		}
+	}
+}
+
+// A query key must be the tree's full Hilbert key width: any other width
+// is an error from WalkNearest and SearchNearestInto, never a panic or a
+// walk over a silently cut key.
+func TestWalkRejectsWrongKeyWidth(t *testing.T) {
+	for _, cfg := range []Config{{Eta: 16, Omega: 8, M: 1}, {Eta: 4, Omega: 8, M: 1}} {
+		tr, _ := mkRDB(t, cfg, 512)
+		kl := cfg.KeyLen()
+		var recs []Record
+		for i := range 50 {
+			k := make([]byte, kl)
+			k[0] = byte(i)
+			recs = append(recs, Record{Key: k, ID: uint64(i), RefDists: []float32{0}})
+		}
+		if err := tr.BulkLoad(recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, kl - 1, kl + 1, 2 * kl} {
+			key := make([]byte, n)
+			if n > 0 {
+				key[0] = 25
+			}
+			err := tr.WalkNearest(context.Background(), key, 5, func([]uint16, bool) {})
+			if err == nil {
+				t.Errorf("%d-byte tree keys: WalkNearest of a %d-byte key succeeded", kl, n)
+			}
+			if _, err := nearest(tr, key, 5); err == nil {
+				t.Errorf("%d-byte tree keys: SearchNearestInto of a %d-byte key succeeded", kl, n)
+			}
+		}
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test loc fuzz race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
+.PHONY: build test loc fuzz fuzz-targets-check race crash chaos cluster-chaos staticcheck bench bench-smoke metrics-smoke tune-smoke fmt fmt-check vet check serve clean
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,15 @@ FUZZ_TARGETS = \
 	FuzzReadVecs:./internal/data \
 	FuzzFrontier:./internal/slo \
 	FuzzTierConfig:./internal/slo
+
+# Fails when a `func Fuzz*` of a _test.go is missing from FUZZ_TARGETS,
+# a target `make fuzz` would skip without a word. CI's fuzz job runs it
+# before `make fuzz`.
+fuzz-targets-check:
+	@missing=$$(grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' . | \
+		sed 's|^\(.*\)/[^/]*:func \(Fuzz[A-Za-z0-9_]*\)$$|\2:\1|' | \
+		while read -r t; do case " $(FUZZ_TARGETS) " in *" $$t "*) ;; *) echo "$$t";; esac; done); \
+	if [ -n "$$missing" ]; then echo "fuzz targets missing from FUZZ_TARGETS:"; echo "$$missing"; exit 1; fi
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

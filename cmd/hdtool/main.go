@@ -131,27 +131,18 @@ func runQuery(args []string) error {
 	if *indexDir == "" || *queriesPath == "" {
 		return errors.New("query: -index and -queries are required")
 	}
-	// Negative knobs are an explicit error everywhere else (server,
-	// library); the CLI must not silently read them as "unset".
-	if *alpha < 0 || *gamma < 0 {
-		return fmt.Errorf("query: -alpha and -gamma must be >= 0, got %d/%d", *alpha, *gamma)
-	}
 	// A bool flag cannot distinguish "absent" from "false" by value, and
 	// -ptolemaic=false (forcing the filter OFF on an index built with
 	// it) is a meaningful request — so flag presence is what arms the
-	// override.
-	var opts []hdindex.QueryOption
+	// override. Negative knobs are the index's ErrBadOptions, never
+	// "unset".
+	o := hdindex.SearchOptions{Alpha: *alpha, Gamma: *gamma}
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "ptolemaic" {
-			opts = append(opts, hdindex.WithPtolemaic(*pto))
+			o.Ptolemaic = pto
 		}
 	})
-	if *alpha > 0 {
-		opts = append(opts, hdindex.WithAlpha(*alpha))
-	}
-	if *gamma > 0 {
-		opts = append(opts, hdindex.WithGamma(*gamma))
-	}
+	opts := []hdindex.QueryOption{hdindex.WithOptions(o)}
 	if *stats {
 		opts = append(opts, hdindex.WithStats())
 	}
@@ -170,9 +161,7 @@ func runQuery(args []string) error {
 	queries := data.Rows(qflat, qdim)
 	ctx := context.Background()
 	results := make([][]uint64, len(queries))
-	var candidates, treeEntries, pageReads, pageHits, pageMisses uint64
-	var phases telemetry.PhaseNS
-	var effective *hdindex.Stats
+	var sum hdindex.Stats
 	t0 := time.Now()
 	for qi, q := range queries {
 		resp, err := ix.Query(ctx, q, *k, opts...)
@@ -185,35 +174,27 @@ func runQuery(args []string) error {
 		}
 		results[qi] = ids
 		if resp.Stats != nil {
-			candidates += uint64(resp.Stats.Candidates)
-			treeEntries += uint64(resp.Stats.TreeEntries)
-			pageReads += resp.Stats.PageReads
-			pageHits += resp.Stats.PageHits
-			pageMisses += resp.Stats.PageMisses
-			phases.Add(resp.Stats.Phases)
-			effective = resp.Stats
+			sum.Add(*resp.Stats)
 		}
 	}
 	elapsed := time.Since(t0)
 	fmt.Printf("%d queries, k=%d: %.3f ms/query\n",
 		len(queries), *k, float64(elapsed.Microseconds())/1000/float64(len(queries)))
-	if *stats && effective != nil {
+	if *stats {
 		nq := float64(len(queries))
 		fmt.Printf("effective cascade: alpha=%d beta=%d gamma=%d ptolemaic=%v\n",
-			effective.Alpha, effective.Beta, effective.Gamma, effective.Ptolemaic)
+			sum.Alpha, sum.Beta, sum.Gamma, sum.Ptolemaic)
 		hitRatio := 0.0
-		if total := pageHits + pageMisses; total > 0 {
-			hitRatio = float64(pageHits) / float64(total)
+		if total := sum.PageHits + sum.PageMisses; total > 0 {
+			hitRatio = float64(sum.PageHits) / float64(total)
 		}
 		fmt.Printf("per query: %.1f candidates, %.1f tree entries, %.1f page reads, hit ratio %.3f\n",
-			float64(candidates)/nq, float64(treeEntries)/nq, float64(pageReads)/nq, hitRatio)
-		if total := phases.Total(); total > 0 {
+			float64(sum.Candidates)/nq, float64(sum.TreeEntries)/nq, float64(sum.PageReads)/nq, hitRatio)
+		if total := sum.Phases.Total(); total > 0 {
 			fmt.Printf("phase breakdown (mean per query):\n")
-			for i := range phases {
-				ph := telemetry.Phase(i)
-				ns := phases[i]
+			for i, ns := range sum.Phases {
 				fmt.Printf("  %-14s %8.1f us  %5.1f%%\n",
-					ph, float64(ns)/1e3/nq, 100*float64(ns)/float64(total))
+					telemetry.Phase(i), float64(ns)/1e3/nq, 100*float64(ns)/float64(total))
 			}
 		}
 	}

@@ -21,8 +21,8 @@
 //   - Pressure = queued work × the p99 of recent accepted-request
 //     latency — an estimate, in seconds, of how long the queue tail
 //     will take to drain. Above a configured threshold the server
-//     switches unset per-query knobs to a cheaper cascade preset
-//     (core's Degrade path). Pressure crossings are latched for a
+//     runs requests that left α and γ unset at the "fast" cascade
+//     preset. Pressure crossings are latched for a
 //     short hold (requests queueing or shedding under pressure arm
 //     it), so degradation covers the burst instead of flickering with
 //     instantaneous queue depth.

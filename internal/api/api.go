@@ -28,36 +28,19 @@ import (
 )
 
 // Tuning is the per-request filter-cascade override block shared by
-// /search and /searchbatch. Zero values inherit the index's built
-// parameters; "ptolemaic" is a JSON tri-state (absent = built default).
-// "preset" names a quality preset instead of spelling knobs out; the
-// two ways are mutually exclusive.
+// /search and /searchbatch: core's SearchOptions, whose JSON keys are
+// the wire's, and a quality preset. Unset knobs inherit the index's
+// built parameters; "ptolemaic" is a JSON tri-state (absent = built
+// default). "preset" names a quality preset instead of spelling knobs
+// out; the two ways are mutually exclusive.
 type Tuning struct {
-	Alpha         int    `json:"alpha,omitempty"`
-	Gamma         int    `json:"gamma,omitempty"`
-	MaxCandidates int    `json:"max_candidates,omitempty"`
-	Ptolemaic     *bool  `json:"ptolemaic,omitempty"`
-	Preset        string `json:"preset,omitempty"`
+	core.SearchOptions
+	Preset string `json:"preset,omitempty"`
 }
 
 // HasKnobs reports whether the request spelled out any explicit
 // cascade override.
-func (t Tuning) HasKnobs() bool {
-	return t.Alpha != 0 || t.Gamma != 0 || t.MaxCandidates != 0 || t.Ptolemaic != nil
-}
-
-// Validate rejects negative knobs with a coded 400.
-func (t Tuning) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"alpha", t.Alpha}, {"gamma", t.Gamma}, {"max_candidates", t.MaxCandidates}} {
-		if f.v < 0 {
-			return BadRequest(CodeBadOptions, "%s must be >= 0, got %d", f.name, f.v)
-		}
-	}
-	return nil
-}
+func (t Tuning) HasKnobs() bool { return t.SearchOptions != core.SearchOptions{} }
 
 // SearchRequest is the /search body. The coordinator forwards it to
 // every shard server re-encoded, which is why absent fields are

@@ -75,10 +75,15 @@ func goldenCases() []goldenCase {
 			Healthz{Status: "ok", Count: 100, Dim: 128},
 			`{"status":"ok","count":100,"dim":128}`},
 		{"forwarded search request",
-			SearchRequest{Query: []float32{0.5, 1}, K: 10, Stats: true, Tuning: Tuning{Alpha: 64, Preset: "fast"}},
+			SearchRequest{Query: []float32{0.5, 1}, K: 10, Stats: true, Tuning: Tuning{SearchOptions: core.SearchOptions{Alpha: 64}, Preset: "fast"}},
 			`{"query":[0.5,1],"k":10,"stats":true,"alpha":64,"preset":"fast"}`},
+		{"forwarded search request with every tuning field",
+			SearchRequest{Query: []float32{1, 2}, K: 3, TimeoutMs: 5, Stats: true, Tuning: Tuning{
+				SearchOptions: core.SearchOptions{Alpha: 8, Beta: 6, Gamma: 4, MaxCandidates: 9, Ptolemaic: new(bool)},
+				Preset:        "x"}},
+			`{"query":[1,2],"k":3,"timeout_ms":5,"stats":true,"alpha":8,"gamma":4,"max_candidates":9,"ptolemaic":false,"preset":"x"}`},
 		{"forwarded batch request",
-			SearchBatchRequest{Queries: [][]float32{{0.5, 1}}, K: 10, TimeoutMs: 250, Tuning: Tuning{MaxCandidates: 40}},
+			SearchBatchRequest{Queries: [][]float32{{0.5, 1}}, K: 10, TimeoutMs: 250, Tuning: Tuning{SearchOptions: core.SearchOptions{MaxCandidates: 40}}},
 			`{"queries":[[0.5,1]],"k":10,"timeout_ms":250,"max_candidates":40}`},
 	}
 }
@@ -116,8 +121,8 @@ func TestGoldenErrors(t *testing.T) {
 			`{"error":"query has 2 dims, index has 4","code":"dim_mismatch"}`},
 		{"dim_mismatch from the index", fmt.Errorf("%w: query has 2 dims, index has 4", core.ErrDimMismatch), 400,
 			`{"error":"` + core.ErrDimMismatch.Error() + `: query has 2 dims, index has 4","code":"dim_mismatch"}`},
-		{"bad_options from validation", Tuning{Gamma: -1}.Validate(), 400,
-			`{"error":"gamma must be \u003e= 0, got -1","code":"bad_options"}`},
+		{"bad_options from validation", core.SearchOptions{Gamma: -1}.Validate(), 400,
+			`{"error":"` + core.ErrBadOptions.Error() + `: gamma must be \u003e= 0, got -1","code":"bad_options"}`},
 		{"bad_options from the index", fmt.Errorf("%w: max_candidates=3 < k=5", core.ErrBadOptions), 400,
 			`{"error":"` + core.ErrBadOptions.Error() + `: max_candidates=3 \u003c k=5","code":"bad_options"}`},
 		{"unknown id", fmt.Errorf("%w: delete of id 9 (have 4)", core.ErrUnknownID), 400,
@@ -197,7 +202,7 @@ func TestDecodeBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := SearchRequest{Query: []float32{1, 2}, K: 3, TimeoutMs: 5, Stats: true,
-		Tuning: Tuning{Alpha: 8, Gamma: 4, MaxCandidates: 9, Ptolemaic: &on, Preset: "x"}}
+		Tuning: Tuning{SearchOptions: core.SearchOptions{Alpha: 8, Gamma: 4, MaxCandidates: 9, Ptolemaic: &on}, Preset: "x"}}
 	if !reflect.DeepEqual(req, want) {
 		t.Errorf("decoded %+v, want %+v", req, want)
 	}
@@ -210,6 +215,8 @@ func TestDecodeBody(t *testing.T) {
 		"trailing data": {`{"k":1} {"k":2}`, 0, 400},
 		"malformed":     {`{"k":`, 0, 400},
 		"over the cap":  {`{"query":[1,2,3,4,5,6,7,8,9,10],"k":1}`, 16, 413},
+		"beta":          {`{"k":1,"beta":8}`, 0, 400},
+		"degrade":       {`{"k":1,"degrade":true}`, 0, 400},
 	} {
 		_, err := decode(tc.body, tc.limit)
 		var e *Error
@@ -350,12 +357,14 @@ func TestHandleBodyCap(t *testing.T) {
 // FuzzSearchRequest feeds an arbitrary body through the request path a
 // server runs before it touches the index: DecodeBody into the /search
 // and the /searchbatch request, then ValidateK, ValidateQuery or
-// ValidateQueries, and Tuning.Validate, at the default caps. Nothing may
-// panic, every rejection must be a 400 *Error, and a body that passes
+// ValidateQueries, and SearchOptions.Validate, at the default caps.
+// Nothing may panic, every rejection must render as a 400, and a body
+// that passes
 // every check asks for k in [1, DefaultMaxK] of at most DefaultMaxBatch
 // queries of the declared dimensionality, and survives the
-// coordinator's re-encoding unchanged. Seeded from the
-// request bodies of the golden and decoder tests.
+// coordinator's re-encoding unchanged. Seeded from the request bodies
+// of the golden and decoder tests, the Ptolemaic tri-state's false and
+// null, and the keys the wire does not carry.
 func FuzzSearchRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"query":[0.5,1],"k":10,"stats":true,"alpha":64,"preset":"fast"}`,
@@ -365,6 +374,10 @@ func FuzzSearchRequest(f *testing.F) {
 		`{"k":1} {"k":2}`,
 		`{"k":`,
 		`{"query":[1,2,3,4,5,6,7,8,9,10],"k":1}`,
+		`{"query":[1,2],"k":3,"ptolemaic":false}`,
+		`{"query":[1,2],"k":3,"ptolemaic":null}`,
+		`{"query":[1,2],"k":3,"beta":8}`,
+		`{"query":[1,2],"k":3,"degrade":true}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -379,9 +392,9 @@ func FuzzSearchRequest(f *testing.F) {
 			if err == nil {
 				return false
 			}
-			var e *Error
-			if !errors.As(err, &e) || e.Status != http.StatusBadRequest {
-				t.Fatalf("rejection %v is not a 400 *Error", err)
+			rec := httptest.NewRecorder()
+			if WriteError(rec, err); rec.Code != http.StatusBadRequest {
+				t.Fatalf("rejection %v renders as a %d, not a 400", err, rec.Code)
 			}
 			return true
 		}
@@ -397,7 +410,7 @@ func FuzzSearchRequest(f *testing.F) {
 
 		var one SearchRequest
 		if !rejected(decode(&one)) && !rejected(ValidateK(one.K, 0)) &&
-			!rejected(ValidateQuery("query", one.Query, dim)) && !rejected(one.Tuning.Validate()) {
+			!rejected(ValidateQuery("query", one.Query, dim)) && !rejected(one.SearchOptions.Validate()) {
 			if one.K < 1 || one.K > DefaultMaxK || len(one.Query) != dim {
 				t.Fatalf("accepted k %d with a %d-d query", one.K, len(one.Query))
 			}
@@ -409,7 +422,7 @@ func FuzzSearchRequest(f *testing.F) {
 
 		var batch SearchBatchRequest
 		if !rejected(decode(&batch)) && !rejected(ValidateK(batch.K, 0)) &&
-			!rejected(ValidateQueries(batch.Queries, 0, dim)) && !rejected(batch.Tuning.Validate()) {
+			!rejected(ValidateQueries(batch.Queries, 0, dim)) && !rejected(batch.SearchOptions.Validate()) {
 			if batch.K < 1 || batch.K > DefaultMaxK || len(batch.Queries) < 1 || len(batch.Queries) > DefaultMaxBatch {
 				t.Fatalf("accepted k %d with %d queries", batch.K, len(batch.Queries))
 			}

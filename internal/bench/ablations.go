@@ -229,9 +229,9 @@ func AblationPtolemaicIO(out io.Writer, cfg Config) error {
 	// HDParams leaves β = α, the §5.2.5 setting for the Ptolemaic row.
 	for _, row := range []struct {
 		name      string
-		ptolemaic core.PtolemaicMode
-	}{{"triangular", core.PtolemaicOff}, {"tri+ptolemaic", core.PtolemaicOn}} {
-		r, reads, err := runIO(ix, w, core.SearchOptions{Ptolemaic: row.ptolemaic})
+		ptolemaic bool
+	}{{"triangular", false}, {"tri+ptolemaic", true}} {
+		r, reads, err := runIO(ix, w, core.SearchOptions{Ptolemaic: &row.ptolemaic})
 		if err != nil {
 			return err
 		}

@@ -172,15 +172,16 @@ func Fig5(out io.Writer, cfg Config, alpha int) error {
 		fmt.Fprintf(out, "\nFigure 5 (%s): filtering mechanisms at alpha=%d\n", name, a)
 		t := NewTable(out, "a:b,b:g", "filter", "query ms", "MAP@10")
 		var rows []hdRow
+		on, off := true, false
 		for _, combo := range [][2]int{{1, 4}, {2, 2}, {1, 2}} {
 			beta := a / combo[0]
 			gamma := max(beta/combo[1], cfg.K) // a per-query γ yields k
 			ratios := fmt.Sprintf("%d:%d", combo[0], combo[1])
 			rows = append(rows,
 				// Combined: alpha -> beta (triangular) -> gamma (Ptolemaic).
-				hdRow{[]any{ratios, "tri+pto"}, core.SearchOptions{Alpha: a, Beta: beta, Gamma: gamma, Ptolemaic: core.PtolemaicOn}},
+				hdRow{[]any{ratios, "tri+pto"}, core.SearchOptions{Alpha: a, Beta: beta, Gamma: gamma, Ptolemaic: &on}},
 				// Triangular alone with the same overall reduction alpha -> gamma.
-				hdRow{[]any{ratios, "tri"}, core.SearchOptions{Alpha: a, Gamma: gamma, Ptolemaic: core.PtolemaicOff}})
+				hdRow{[]any{ratios, "tri"}, core.SearchOptions{Alpha: a, Gamma: gamma, Ptolemaic: &off}})
 		}
 		if err := sweepHD(t, w, filepath.Join(cfg.WorkDir, name, "fig5"), cfg.Seed, rows); err != nil {
 			return err

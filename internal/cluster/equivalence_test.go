@@ -181,11 +181,11 @@ var presetRows = []map[string]any{
 // in-process 4-shard index with the preset's options.
 func requireQueryResults(t *testing.T, label string, whole *hdindex.Index, q []float32, k int, preset string, got json.RawMessage) {
 	t.Helper()
-	opts, err := whole.PresetOptions(hdindex.Preset(preset), k)
+	o, err := whole.PresetOptions(hdindex.Preset(preset), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := whole.Query(context.Background(), q, k, opts...)
+	resp, err := whole.Query(context.Background(), q, k, hdindex.WithOptions(o))
 	if err != nil {
 		t.Fatal(err)
 	}

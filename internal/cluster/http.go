@@ -104,7 +104,7 @@ func (c *Coordinator) perShard(k int, t api.Tuning) (api.Tuning, error) {
 	if err := api.ValidateK(k, c.opts.MaxK); err != nil {
 		return t, err
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.SearchOptions.Validate(); err != nil {
 		return t, err
 	}
 	var err error

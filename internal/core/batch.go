@@ -21,7 +21,7 @@ func (ix *Index) QueryBatch(ctx context.Context, queries [][]float32, k int, o S
 	// Validate once for the whole batch, an empty one included: options
 	// (fail fast, before any tree walk) and dimensionality (so a malformed
 	// query deep in the batch cannot waste the fan-out ahead of it).
-	if _, err := ix.planFor(k, o); err != nil {
+	if _, err := ix.params.planFor(k, o); err != nil {
 		return nil, nil, err
 	}
 	if len(queries) == 0 {

@@ -128,7 +128,7 @@ func TestCascadeMatchesReferencePipeline(t *testing.T) {
 	shapes := map[string]SearchOptions{
 		"alpha-gt-gamma": {},
 		"alpha-eq-gamma": {Alpha: 256, Gamma: 256},
-		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: PtolemaicOn},
+		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: boolp(true)},
 		"maxcandidates":  {MaxCandidates: 150},
 	}
 	cascadeMatchesReference(t, ds.Vectors, ds.PerturbedQueries(20, 0.02, 78), p, shapes)

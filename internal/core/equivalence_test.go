@@ -35,7 +35,7 @@ func naiveSearch(t *testing.T, ix *Index, q []float32, k int) ([]Result, int) {
 // path translates only what enters the top-k.
 func naiveSearchWith(t *testing.T, ix *Index, q []float32, k int, o SearchOptions, tree func(tr int, qdist []float64, plan searchPlan) []uint64) ([]Result, int) {
 	t.Helper()
-	plan, err := ix.planFor(k, o)
+	plan, err := ix.params.planFor(k, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -784,7 +784,7 @@ func TestFaultRebuildLeavesMeta(t *testing.T) {
 	}
 	for _, shape := range want.Shapes {
 		for qi, q := range want.Queries {
-			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options)
+			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options.searchOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,9 +35,25 @@ type fixtureAnswers struct {
 }
 
 type fixtureShape struct {
-	Options    SearchOptions `json:"options"`
-	Results    [][]Result    `json:"results"`
-	Candidates []int         `json:"candidates"`
+	Options    fixtureOptions `json:"options"`
+	Results    [][]Result     `json:"results"`
+	Candidates []int          `json:"candidates"`
+}
+
+// fixtureOptions is a cascade shape as the fixture's commit recorded
+// its SearchOptions: Go field names, and Ptolemaic as a mode (0 = the
+// built default, 1 = on, 2 = off).
+type fixtureOptions struct {
+	Alpha, Beta, Gamma, MaxCandidates int
+	Ptolemaic                         int
+}
+
+func (f fixtureOptions) searchOptions() SearchOptions {
+	o := SearchOptions{Alpha: f.Alpha, Beta: f.Beta, Gamma: f.Gamma, MaxCandidates: f.MaxCandidates}
+	if f.Ptolemaic != 0 {
+		o.Ptolemaic = boolp(f.Ptolemaic == 1)
+	}
+	return o
 }
 
 type fixtureThen struct {
@@ -74,7 +90,7 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	}
 	for _, shape := range want.Shapes {
 		for qi, q := range want.Queries {
-			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options)
+			got, st, err := ix.Query(context.Background(), q, want.K, shape.Options.searchOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,7 @@ func layoutEquivalence(t *testing.T, cfg data.Config, c, delta float32) {
 	shapes := map[string]SearchOptions{
 		"alpha-gt-gamma": {},
 		"alpha-eq-gamma": {Alpha: 256, Gamma: 256},
-		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: PtolemaicOn},
+		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: boolp(true)},
 		"maxcandidates":  {MaxCandidates: 150},
 	}
 	deleted := map[uint64]bool{}

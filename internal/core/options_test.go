@@ -10,10 +10,12 @@ import (
 	"github.com/hd-index/hdindex/internal/data"
 )
 
+func boolp(b bool) *bool { return &b }
+
 func TestPlanForDefaults(t *testing.T) {
 	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 1}
 	ix, _, _ := buildSmall(t, 500, p)
-	plan, err := ix.planFor(10, SearchOptions{})
+	plan, err := ix.params.planFor(10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestPlanForDefaults(t *testing.T) {
 func TestPlanForClampsInheritedCascade(t *testing.T) {
 	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 1}
 	ix, _, _ := buildSmall(t, 500, p)
-	plan, err := ix.planFor(10, SearchOptions{Alpha: 32})
+	plan, err := ix.params.planFor(10, SearchOptions{Alpha: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestPlanForClampsInheritedCascade(t *testing.T) {
 	// re-derives β = α the way a fresh build would, so an explicit γ
 	// above the BUILT β (256) is accepted exactly as a rebuild with
 	// these knobs would accept it.
-	plan, err = ix.planFor(10, SearchOptions{Alpha: 1024, Gamma: 512})
+	plan, err = ix.params.planFor(10, SearchOptions{Alpha: 1024, Gamma: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestPlanForClampsInheritedCascade(t *testing.T) {
 	}
 	// γ alone may widen up to the effective α when the Ptolemaic
 	// filter is off (β is unused and resolves to α).
-	plan, err = ix.planFor(10, SearchOptions{Gamma: 200})
+	plan, err = ix.params.planFor(10, SearchOptions{Gamma: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +79,9 @@ func TestPlanForRejectsBadOptions(t *testing.T) {
 		{"alpha<k", 50, SearchOptions{Alpha: 49}},
 		{"gamma<k", 50, SearchOptions{Gamma: 49}},
 		{"maxcand<k", 50, SearchOptions{MaxCandidates: 10}},
-		{"bad ptolemaic", 10, SearchOptions{Ptolemaic: PtolemaicMode(9)}},
 	}
 	for _, tc := range cases {
-		if _, err := ix.planFor(tc.k, tc.o); !errors.Is(err, ErrBadOptions) {
+		if _, err := ix.params.planFor(tc.k, tc.o); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s: err = %v, want ErrBadOptions", tc.name, err)
 		}
 		// The same rejection must surface through Query, before any
@@ -143,7 +144,7 @@ func TestQueryOverrideMatchesRebuiltIndex(t *testing.T) {
 	}
 	defer ixHi.Close()
 
-	for _, pto := range []PtolemaicMode{PtolemaicDefault, PtolemaicOn} {
+	for _, pto := range []*bool{nil, boolp(true)} {
 		// Beta is explicit: unset it would clamp to the BUILT beta
 		// (128), while the rebuilt index defaults beta to its own
 		// alpha (384).
@@ -153,28 +154,21 @@ func TestQueryOverrideMatchesRebuiltIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []Result
-			var wantSt *QueryStats
-			if pto == PtolemaicOn {
-				want, wantSt, err = ixHi.Query(context.Background(), q, 10,
-					SearchOptions{Ptolemaic: PtolemaicOn})
-			} else {
-				want, wantSt, err = ixHi.Query(context.Background(), q, 10, SearchOptions{})
-			}
+			want, wantSt, err := ixHi.Query(context.Background(), q, 10, SearchOptions{Ptolemaic: pto})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("pto=%v query %d: %d results vs rebuilt %d", pto, qi, len(got), len(want))
+				t.Fatalf("pto=%v query %d: %d results vs rebuilt %d", pto != nil, qi, len(got), len(want))
 			}
 			for i := range want {
 				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-					t.Fatalf("pto=%v query %d rank %d: override %+v vs rebuilt %+v", pto, qi, i, got[i], want[i])
+					t.Fatalf("pto=%v query %d rank %d: override %+v vs rebuilt %+v", pto != nil, qi, i, got[i], want[i])
 				}
 			}
 			if gotSt.Candidates != wantSt.Candidates {
 				t.Fatalf("pto=%v query %d: override saw %d candidates, rebuilt %d",
-					pto, qi, gotSt.Candidates, wantSt.Candidates)
+					pto != nil, qi, gotSt.Candidates, wantSt.Candidates)
 			}
 		}
 	}

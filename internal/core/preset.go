@@ -7,9 +7,9 @@ import "fmt"
 // the name to explicit α/γ overrides against the built parameters, so a
 // request carrying a preset is bit-identical to the same request
 // carrying the preset's knobs spelled out. The table is the single
-// source of truth for every quality tier in the system — the adaptive
-// degradation cascade (SearchOptions.Degrade) runs exactly the "fast"
-// preset, and per-tenant tiers (internal/slo) name rows of this table.
+// source of truth for every quality tier in the system — the serving
+// layer's overload degradation runs the "fast" preset, and per-tenant
+// tiers (internal/slo) name rows of this table.
 type Preset string
 
 // The named presets.
@@ -21,9 +21,10 @@ const (
 	// PresetBalanced is the built parameters unchanged — what a request
 	// with no overrides has always run.
 	PresetBalanced Preset = "balanced"
-	// PresetFast is the cheap cascade: α and γ shrunk to a quarter of
-	// the built values (floored at 64/16 and at k). It is byte-for-byte
-	// the cascade adaptive degradation switches unpinned queries to.
+	// PresetFast is the cheap cascade: α and γ lowered toward a quarter
+	// of the built values (floored at 64/16 and at k), and never wider
+	// than balanced's. It is the cascade the serving layer's overload
+	// degradation switches unpinned queries to.
 	PresetFast Preset = "fast"
 	// PresetAuto delegates the choice to the serving layer: the SLO
 	// tuner's current operating point when a tuner is running, the
@@ -44,19 +45,27 @@ func ParsePreset(s string) (Preset, error) {
 // exactFactor widens α for the exact preset; γ = α refines everything.
 const exactFactor = 4
 
-// fastCascade is THE cheap cascade: α and γ at a quarter of the built
-// values, floored (64 leaf candidates, 16 refined) so a small built
-// index is not strangled, clamped at k so the query can still return k
-// results, and never widened past the built values. Both the "fast"
-// preset and the adaptive-degradation path resolve through this one
-// function — the clamp constants exist exactly once.
-func fastCascade(p Params, k int) (alpha, gamma int) {
-	alpha = min(p.Alpha, max(p.Alpha/4, 64))
-	alpha = max(alpha, k)
-	gamma = min(p.Gamma, max(p.Gamma/4, 16))
-	gamma = max(gamma, k)
-	gamma = min(gamma, alpha)
-	return alpha, gamma
+// fastCascade is THE cheap cascade: α and γ toward a quarter of the
+// built values, floored (64 leaf candidates, 16 refined) so a small
+// built index is not strangled, and clamped up to k so the query can
+// still return k results. A knob is set only where that lowers it below
+// what balanced resolves to, so the cascade is never widened past
+// balanced's; where nothing can be lowered it is the zero options,
+// which run balanced itself.
+func fastCascade(p Params, k int) (SearchOptions, error) {
+	balanced, err := p.planFor(k, SearchOptions{})
+	if err != nil {
+		return SearchOptions{}, err
+	}
+	var o SearchOptions
+	alpha := max(p.Alpha/4, 64, k)
+	if alpha < balanced.alpha {
+		o.Alpha = alpha
+	}
+	if gamma := min(max(p.Gamma/4, 16, k), alpha); gamma < balanced.gamma {
+		o.Gamma = gamma
+	}
+	return o, nil
 }
 
 // Options resolves the preset against the built parameters for a query
@@ -73,8 +82,7 @@ func (p Preset) Options(built Params, k int) (SearchOptions, error) {
 	case PresetBalanced:
 		return SearchOptions{}, nil
 	case PresetFast:
-		a, g := fastCascade(built, k)
-		return SearchOptions{Alpha: a, Gamma: g}, nil
+		return fastCascade(built, k)
 	case PresetExact:
 		a := min(built.Alpha*exactFactor, maxKnob)
 		a = max(a, k)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -50,64 +51,54 @@ func TestPresetOptionsTable(t *testing.T) {
 	if err != nil || o.Alpha != 64 || o.Gamma != 16 {
 		t.Fatalf("fast on small cascade = %+v, %v; want alpha=64 gamma=16", o, err)
 	}
-	// ...never widens past the built values...
+	// ...leaves a knob it cannot lower unset, down to the zero options
+	// on a cascade already below its floors...
 	o, _ = PresetFast.Options(Params{Alpha: 48, Beta: 48, Gamma: 12}, 10)
-	if o.Alpha != 48 || o.Gamma != 12 {
-		t.Fatalf("fast widened past built: %+v", o)
+	if o != (SearchOptions{}) {
+		t.Fatalf("fast below its floors = %+v, want the zero options", o)
 	}
-	// ...and clamps up to k so the query can still return k results.
+	// ...and clamps up to k, so γ = max(32/4, 16, 50) = 50 would widen
+	// the built 32 and stays unset.
 	o, _ = PresetFast.Options(Params{Alpha: 128, Beta: 128, Gamma: 32}, 50)
-	if o.Alpha != 64 || o.Gamma != 50 {
-		t.Fatalf("fast at k=50 = %+v, want alpha=64 gamma=50", o)
+	if o.Alpha != 64 || o.Gamma != 0 {
+		t.Fatalf("fast at k=50 = %+v, want alpha=64 and gamma unset", o)
 	}
 }
 
-// The fast preset IS the adaptive-degradation cascade: resolving the
-// preset's explicit options must run a plan identical to the Degrade
-// flag's, and return bit-identical results.
-func TestPresetFastEqualsDegrade(t *testing.T) {
-	p := Params{Tau: 4, Omega: 8, M: 4, Alpha: 256, Gamma: 64, Seed: 1}
-	ix, _, queries := buildSmall(t, 1500, p)
-	const k = 10
-
-	fast, err := PresetFast.Options(ix.Params(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planFast, err := ix.planFor(k, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planDeg, err := ix.planFor(k, SearchOptions{Degrade: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !planDeg.degraded {
-		t.Fatal("Degrade on an unset cascade did not degrade")
-	}
-	if planFast.alpha != planDeg.alpha || planFast.beta != planDeg.beta || planFast.gamma != planDeg.gamma {
-		t.Fatalf("fast preset plan %+v != degrade plan %+v", planFast, planDeg)
-	}
-
-	ctx := context.Background()
-	for _, q := range queries {
-		rf, _, err := ix.Query(ctx, q, k, fast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, st, err := ix.Query(ctx, q, k, SearchOptions{Degrade: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Degraded {
-			t.Fatal("degrade query did not report Degraded")
-		}
-		if len(rf) != len(rd) {
-			t.Fatalf("result lengths differ: %d vs %d", len(rf), len(rd))
-		}
-		for i := range rf {
-			if rf[i] != rd[i] {
-				t.Fatalf("result %d differs: fast %+v degrade %+v", i, rf[i], rd[i])
+// The fast preset never runs a wider α or γ than balanced, over built
+// cascades at, below and around its floors and ks up to past the built
+// α, and a knob it sets is one it lowered.
+func TestPresetFastNeverWiderThanBalanced(t *testing.T) {
+	for _, built := range []Params{
+		{Alpha: 4096, Beta: 4096, Gamma: 1024},
+		{Alpha: 256, Beta: 256, Gamma: 64},
+		{Alpha: 128, Beta: 128, Gamma: 32},
+		{Alpha: 64, Beta: 64, Gamma: 16},
+		{Alpha: 48, Beta: 48, Gamma: 12},
+		{Alpha: 100, Beta: 100, Gamma: 100},
+		{Alpha: 1, Beta: 1, Gamma: 1},
+		{Alpha: 256, Beta: 256, Gamma: 64, UsePtolemaic: true},
+		{Alpha: 1024, Beta: 512, Gamma: 128, UsePtolemaic: true},
+	} {
+		for _, k := range []int{1, 10, built.Gamma, built.Alpha - 1, built.Alpha, built.Alpha + 44} {
+			if k < 1 {
+				continue
+			}
+			name := fmt.Sprintf("built %d/%d/%d ptolemaic=%v, k=%d", built.Alpha, built.Beta, built.Gamma, built.UsePtolemaic, k)
+			o, err := PresetFast.Options(built, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fast, err := built.planFor(k, o)
+			if err != nil {
+				t.Fatalf("%s: fast options %+v do not plan: %v", name, o, err)
+			}
+			balanced, _ := built.planFor(k, SearchOptions{})
+			if fast.alpha > balanced.alpha || fast.gamma > balanced.gamma {
+				t.Errorf("%s: fast runs %d/%d, wider than balanced's %d/%d", name, fast.alpha, fast.gamma, balanced.alpha, balanced.gamma)
+			}
+			if o.Alpha != 0 && o.Alpha >= balanced.alpha || o.Gamma != 0 && o.Gamma >= balanced.gamma {
+				t.Errorf("%s: fast sets %+v, which lowers nothing below balanced's %d/%d", name, o, balanced.alpha, balanced.gamma)
 			}
 		}
 	}

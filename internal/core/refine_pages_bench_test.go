@@ -69,7 +69,7 @@ func BenchmarkRefinePages(b *testing.B) {
 // occupy, as the store lays them out.
 func refinePages(tb testing.TB, ix *Index, q []float32) (pages, candidates int) {
 	tb.Helper()
-	plan, err := ix.planFor(10, SearchOptions{})
+	plan, err := ix.params.planFor(10, SearchOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

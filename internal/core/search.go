@@ -61,10 +61,10 @@ type QueryStats struct {
 	Beta      int  `json:"beta"`
 	Gamma     int  `json:"gamma"`
 	Ptolemaic bool `json:"ptolemaic"`
-	// Degraded reports that this query ran the cheap cascade: the
-	// serving layer requested degradation (SearchOptions.Degrade) and an
-	// unset knob actually shrank. False when the request pinned its own
-	// knobs or the built cascade was already at the degraded floor.
+	// Degraded reports that overload pressure switched this query to
+	// the fast preset and that preset lowered a knob. Only the serving
+	// layer sets it, like Preset: false when the request pinned its own
+	// α or γ, named a preset, or fast could lower nothing.
 	Degraded bool `json:"degraded,omitempty"`
 	// Preset echoes the quality preset the serving layer resolved for
 	// the request — the request's own, its tenant tier's, or the server
@@ -153,7 +153,7 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 	if len(q) != ix.nu {
 		return nil, nil, fmt.Errorf("%w: query has %d dims, index has %d", ErrDimMismatch, len(q), ix.nu)
 	}
-	plan, err := ix.planFor(k, o)
+	plan, err := ix.params.planFor(k, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -278,7 +278,6 @@ func (ix *Index) Query(ctx context.Context, q []float32, k int, o SearchOptions)
 		Beta:            plan.beta,
 		Gamma:           plan.gamma,
 		Ptolemaic:       plan.ptolemaic,
-		Degraded:        plan.degraded,
 	}
 	for _, f := range sc.fetched {
 		stats.TreeEntries += f

@@ -93,7 +93,7 @@ func TestQueryIdenticalAcrossHelperCounts(t *testing.T) {
 	shapes := map[string]SearchOptions{
 		"alpha-gt-gamma": {},
 		"alpha-eq-gamma": {Alpha: 256, Gamma: 256},
-		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: PtolemaicOn},
+		"ptolemaic":      {Beta: 200, Gamma: 64, Ptolemaic: boolp(true)},
 		"maxcandidates":  {MaxCandidates: 150},
 		"exhaustive":     {Alpha: n, Gamma: n},
 	}

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +36,7 @@ func TestSearchPresetBitIdentical(t *testing.T) {
 	if code := post(t, ts.URL+"/search", req, &viaPreset); code != 200 {
 		t.Fatalf("preset request: status %d", code)
 	}
-	req = api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 64, Gamma: 16}}
+	req = api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 64, Gamma: 16}}}
 	if code := post(t, ts.URL+"/search", req, &viaKnobs); code != 200 {
 		t.Fatalf("explicit request: status %d", code)
 	}
@@ -57,11 +59,11 @@ func TestSearchPresetBitIdentical(t *testing.T) {
 	}
 
 	// And both match the library's own expansion of the preset.
-	opts, err := idx.PresetOptions(hdindex.PresetFast, 5)
+	fast, err := idx.PresetOptions(hdindex.PresetFast, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := idx.Query(context.Background(), q, 5, opts...)
+	want, err := idx.Query(context.Background(), q, 5, hdindex.WithOptions(fast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestSearchPresetValidation(t *testing.T) {
 	q := ds.PerturbedQueries(1, 0.02, 22)[0]
 
 	var errResp api.ErrorBody
-	req := api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Preset: "fast", Alpha: 64}}
+	req := api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Preset: "fast", SearchOptions: hdindex.SearchOptions{Alpha: 64}}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("preset+alpha: status %d, want 400", code)
 	}
@@ -112,7 +114,7 @@ func TestSearchPresetValidation(t *testing.T) {
 	}
 
 	breq := api.SearchBatchRequest{Queries: [][]float32{q}, K: 5,
-		Tuning: api.Tuning{Preset: "exact", Gamma: 16}}
+		Tuning: api.Tuning{Preset: "exact", SearchOptions: hdindex.SearchOptions{Gamma: 16}}}
 	if code := post(t, ts.URL+"/searchbatch", breq, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("batch preset+gamma: status %d, want 400", code)
 	}
@@ -169,7 +171,7 @@ func TestTenantTierPreset(t *testing.T) {
 			Tuning: api.Tuning{Preset: "fast"}}, "fast", 64, 16},
 		// Explicit knobs beat the tier too, and echo as auto.
 		{"alice", api.SearchRequest{Query: q, K: 5, Stats: true,
-			Tuning: api.Tuning{Alpha: 100}}, "auto", 100, 32},
+			Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 100}}}, "auto", 100, 32},
 	}
 	for _, c := range cases {
 		resp := postTenant(t, ts.URL+"/search", c.tenant, c.req)
@@ -282,7 +284,7 @@ func TestServerSLOTunerAppliesChoice(t *testing.T) {
 	}
 
 	// Explicit knobs and named presets are never tuner-overridden.
-	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 100}}
+	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 100}}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -445,5 +447,82 @@ func TestPresetPinnedUnderPressure(t *testing.T) {
 	}
 	if exactOK == 0 {
 		t.Fatal("no pinned exact request was accepted during the storm")
+	}
+}
+
+// Overload degradation is the fast preset: under pressure a request
+// that left α and γ unset runs exactly what "preset": "fast" runs — the
+// same cascade and the same answer — and echoes degraded exactly when
+// fast lowered a knob; the pinned fast request never does. Over built
+// cascades at, below and around fast's floors and ks up to past the
+// built α.
+func TestDegradeRunsPresetFast(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "t", N: 600, Dim: 8, Clusters: 4, Lo: 0, Hi: 1, Seed: 42})
+	q := ds.PerturbedQueries(1, 0.02, 32)[0]
+	for _, built := range []hdindex.Options{
+		{Alpha: 4096, Gamma: 1024},
+		{Alpha: 256, Gamma: 64},
+		{Alpha: 64, Gamma: 16},
+		{Alpha: 48, Gamma: 12},
+		{Alpha: 256, Gamma: 64, UsePtolemaic: true},
+	} {
+		built.Tau, built.Omega, built.M, built.Seed = 2, 8, 4, 1
+		idx, err := hdindex.Build(t.TempDir(), ds.Vectors, built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(idx, Config{MaxK: 1 << 20, Admission: admission.Config{MaxInflight: 1, DegradePressure: 1e-9}})
+		serve := func(req api.SearchRequest) api.SearchResponse {
+			t.Helper()
+			body, _ := json.Marshal(req)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(string(body))))
+			var out api.SearchResponse
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || out.Stats == nil {
+				t.Fatalf("built %+v: %s answered %d %s", built, body, rec.Code, rec.Body)
+			}
+			return out
+		}
+		for _, k := range []int{1, 10, built.Gamma, built.Alpha - 1, built.Alpha, built.Alpha + 44} {
+			fast, err := idx.PresetOptions(hdindex.PresetFast, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdPressure(t, s)
+			degraded := serve(api.SearchRequest{Query: q, K: k, Stats: true})
+			pinned := serve(api.SearchRequest{Query: q, K: k, Stats: true, Tuning: api.Tuning{Preset: "fast"}})
+			name := fmt.Sprintf("built %d/%d ptolemaic=%v, k=%d", built.Alpha, built.Gamma, built.UsePtolemaic, k)
+			if degraded.Stats.Degraded != (fast != hdindex.SearchOptions{}) || pinned.Stats.Degraded {
+				t.Errorf("%s: degraded echo %v under pressure and %v pinned, fast options %+v",
+					name, degraded.Stats.Degraded, pinned.Stats.Degraded, fast)
+			}
+			d, p := degraded.Stats.QueryStats, pinned.Stats.QueryStats
+			if d.Alpha != p.Alpha || d.Beta != p.Beta || d.Gamma != p.Gamma || d.Ptolemaic != p.Ptolemaic ||
+				!slices.Equal(degraded.Results, pinned.Results) {
+				t.Errorf("%s: degrade ran %d/%d/%d, fast %d/%d/%d, or their answers differ",
+					name, d.Alpha, d.Beta, d.Gamma, p.Alpha, p.Beta, p.Gamma)
+			}
+		}
+		idx.Close()
+	}
+}
+
+// holdPressure arms s's degrade hold: one slot held, a second request
+// that finds it taken is shed against the latency already observed.
+func holdPressure(t *testing.T, s *Server) {
+	t.Helper()
+	release, err := s.adm.Acquire(context.Background(), "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.adm.Observe(time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	if again, err := s.adm.Acquire(ctx, "", 1); err == nil {
+		again()
+	}
+	cancel()
+	release()
+	if !s.adm.ShouldDegrade() {
+		t.Fatal("admission did not arm the degrade hold")
 	}
 }

@@ -251,75 +251,71 @@ func (s *Server) resolvePreset(r *http.Request, t api.Tuning) (hdindex.Preset, e
 	return s.cfg.DefaultPreset, nil
 }
 
-// autoOptions appends the auto preset's post-admission decision: under
-// pressure the fast cascade (stats echo degraded=true), otherwise the
-// SLO tuner's operating point when one runs, otherwise nothing (the
-// built parameters). Requests with explicit knobs keep them — the
-// degrade marker is still appended because core only acts on it when
-// every cascade knob is unset.
-func (s *Server) autoOptions(opts []hdindex.QueryOption, t api.Tuning, k int) []hdindex.QueryOption {
+// autoOptions takes the auto preset's post-admission decision for a
+// request's options o. Under pressure a request that left α and γ unset
+// runs the fast preset's α and γ, and degraded reports whether that
+// lowered a knob; otherwise a request with no knobs at all runs the SLO
+// tuner's operating point when one runs, and the built parameters when
+// none does. Explicit α or γ are the request's own contract and are
+// kept as they are.
+func (s *Server) autoOptions(o hdindex.SearchOptions, k int) (_ hdindex.SearchOptions, degraded bool) {
 	if s.adm.ShouldDegrade() {
-		return append(opts, hdindex.WithDegrade())
+		if o.Alpha != 0 || o.Gamma != 0 {
+			return o, false
+		}
+		fast, err := s.idx.PresetOptions(hdindex.PresetFast, k)
+		if err != nil || fast == (hdindex.SearchOptions{}) {
+			return o, false // a bad k fails in the query, as without pressure
+		}
+		o.Alpha, o.Gamma = fast.Alpha, fast.Gamma
+		return o, true
 	}
-	if s.tuner != nil && !t.HasKnobs() {
+	if s.tuner != nil && o == (hdindex.SearchOptions{}) {
 		if ch := s.tuner.Current(); ch.Alpha > 0 {
 			// Clamped up to k: a frontier measured at k=10 must not make
 			// a k=500 request invalid.
-			opts = append(opts, hdindex.WithAlpha(max(ch.Alpha, k)), hdindex.WithGamma(max(ch.Gamma, k)))
+			o.Alpha, o.Gamma = max(ch.Alpha, k), max(ch.Gamma, k)
 		}
 	}
-	return opts
-}
-
-// knobOptions converts the request's explicit tuning knobs into query
-// options: negative knobs are a coded 400, values above the server's
-// MaxAlpha cap are clamped to it.
-func (s *Server) knobOptions(t api.Tuning) ([]hdindex.QueryOption, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	var opts []hdindex.QueryOption
-	if v := min(t.Alpha, s.cfg.MaxAlpha); v > 0 {
-		opts = append(opts, hdindex.WithAlpha(v))
-	}
-	if v := min(t.Gamma, s.cfg.MaxAlpha); v > 0 {
-		opts = append(opts, hdindex.WithGamma(v))
-	}
-	if v := min(t.MaxCandidates, s.cfg.MaxAlpha); v > 0 {
-		opts = append(opts, hdindex.WithMaxCandidates(v))
-	}
-	if t.Ptolemaic != nil {
-		opts = append(opts, hdindex.WithPtolemaic(*t.Ptolemaic))
-	}
-	return opts, nil
+	return o, false
 }
 
 // admitted is what begin hands a search handler: the deadline-bound
-// context, the resolved query options, the preset to echo in stats, and
-// the release the handler must call exactly once when the work
-// finishes (it frees the admission slot and the deadline).
+// context, the resolved query options, what to echo in stats (the
+// preset and whether pressure degraded the cascade), and the release
+// the handler must call exactly once when the work finishes (it frees
+// the admission slot and the deadline).
 type admitted struct {
-	ctx    context.Context
-	opts   []hdindex.QueryOption
-	preset hdindex.Preset
-	done   func()
+	ctx      context.Context
+	opts     []hdindex.QueryOption
+	preset   hdindex.Preset
+	degraded bool
+	done     func()
+}
+
+// stats stamps the serving layer's echo onto one query's stats block.
+func (a admitted) stats(st *hdindex.Stats) *api.QueryStats {
+	st.Preset, st.Degraded = a.preset, a.degraded
+	return &api.QueryStats{QueryStats: *st}
 }
 
 // begin is the part of /search and /searchbatch between validation and
-// the index call: it resolves the request's quality preset into query
-// options, applies the effective deadline, and runs admission with the
-// request's weight (a batch weighs its query count: one huge
-// /searchbatch occupies the limiter like the equivalent run of single
-// searches would). Admission takes the per-tenant token bucket first,
-// then the weighted concurrency limiter, queueing against the request's
-// own deadline; a nil controller admits everything for free.
+// the index call, and the one place a request's cascade is decided: it
+// resolves the request's quality preset into query options, applies the
+// effective deadline, and runs admission with the request's weight (a
+// batch weighs its query count: one huge /searchbatch occupies the
+// limiter like the equivalent run of single searches would). Admission
+// takes the per-tenant token bucket first, then the weighted
+// concurrency limiter, queueing against the request's own deadline; a
+// nil controller admits everything for free.
 //
 // Named presets (exact/balanced/fast) are pinned: their knobs come
 // straight from the preset table and pressure degradation never touches
-// them. Auto leaves the options to the explicit knobs, and the
-// degrade/tuner decision is taken after the queue wait, against the
-// current pressure: a request that queued through the worst of a burst
-// does not pay the quality cut if pressure already fell.
+// them. Auto runs the explicit knobs — negative ones a 400, ones above
+// MaxAlpha clamped to it — and the degrade/tuner decision is taken
+// after the queue wait, against the current pressure: a request that
+// queued through the worst of a burst does not pay the quality cut if
+// pressure already fell.
 //
 // With the slow-query log armed, stats are requested regardless of the
 // client's wish (the phase breakdown is the log's payload); handlers
@@ -330,17 +326,16 @@ func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, 
 		return admitted{}, err
 	}
 	pinned := preset != hdindex.PresetAuto
-	var opts []hdindex.QueryOption
+	o := t.SearchOptions
 	if pinned {
-		opts, err = s.idx.PresetOptions(preset, k)
-	} else {
-		opts, err = s.knobOptions(t)
+		o, err = s.idx.PresetOptions(preset, k)
+	} else if err = o.Validate(); err == nil {
+		o.Alpha = min(o.Alpha, s.cfg.MaxAlpha)
+		o.Gamma = min(o.Gamma, s.cfg.MaxAlpha)
+		o.MaxCandidates = min(o.MaxCandidates, s.cfg.MaxAlpha)
 	}
 	if err != nil {
 		return admitted{}, err
-	}
-	if wantStats || s.cfg.SlowQueryThreshold > 0 {
-		opts = append(opts, hdindex.WithStats())
 	}
 	ctx, cancel := api.Deadline(r, s.cfg.QueryTimeout, timeoutMs)
 	release, err := s.adm.Acquire(ctx, r.Header.Get("X-Tenant"), weight)
@@ -348,10 +343,15 @@ func (s *Server) begin(r *http.Request, t api.Tuning, k, timeoutMs, weight int, 
 		cancel()
 		return admitted{}, err
 	}
+	a := admitted{ctx: ctx, preset: preset, done: func() { release(); cancel() }}
 	if !pinned {
-		opts = s.autoOptions(opts, t, k)
+		o, a.degraded = s.autoOptions(o, k)
 	}
-	return admitted{ctx: ctx, opts: opts, preset: preset, done: func() { release(); cancel() }}, nil
+	a.opts = []hdindex.QueryOption{hdindex.WithOptions(o)}
+	if wantStats || s.cfg.SlowQueryThreshold > 0 {
+		a.opts = append(a.opts, hdindex.WithStats())
+	}
+	return a, nil
 }
 
 func (s *Server) handleSearch(r *http.Request) (any, error) {
@@ -386,8 +386,7 @@ func (s *Server) handleSearch(r *http.Request) (any, error) {
 	}
 	out := api.SearchResponse{Results: resp.Results}
 	if req.Stats {
-		resp.Stats.Preset = a.preset
-		out.Stats = &api.QueryStats{QueryStats: *resp.Stats}
+		out.Stats = a.stats(resp.Stats)
 	}
 	return out, nil
 }
@@ -466,8 +465,7 @@ func (s *Server) handleSearchBatch(r *http.Request) (any, error) {
 	for i, rs := range res {
 		out.Results[i] = rs.Results
 		if req.Stats {
-			rs.Stats.Preset = a.preset
-			out.Stats[i] = &api.QueryStats{QueryStats: *rs.Stats}
+			out.Stats[i] = a.stats(rs.Stats)
 		}
 	}
 	return out, nil

@@ -20,7 +20,7 @@ func TestSearchPerRequestTuning(t *testing.T) {
 
 	var got api.SearchResponse
 	req := api.SearchRequest{Query: q, K: 5, Stats: true,
-		Tuning: api.Tuning{Alpha: 64, Gamma: 16, Ptolemaic: boolp(true)}}
+		Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 64, Gamma: 16, Ptolemaic: boolp(true)}}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -65,7 +65,7 @@ func TestSearchTuningClampAndValidation(t *testing.T) {
 	q := ds.PerturbedQueries(1, 0.02, 8)[0]
 
 	var got api.SearchResponse
-	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{Alpha: 100000}}
+	req := api.SearchRequest{Query: q, K: 5, Stats: true, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 100000}}}
 	if code := post(t, ts.URL+"/search", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -74,7 +74,7 @@ func TestSearchTuningClampAndValidation(t *testing.T) {
 	}
 
 	var errResp api.ErrorBody
-	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Alpha: -2}}
+	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: -2}}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("negative alpha: status %d", code)
 	}
@@ -84,7 +84,7 @@ func TestSearchTuningClampAndValidation(t *testing.T) {
 
 	// A widening cascade is rejected by the library and surfaces as the
 	// same coded 400.
-	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{Alpha: 16, Gamma: 32}}
+	req = api.SearchRequest{Query: q, K: 5, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 16, Gamma: 32}}}
 	if code := post(t, ts.URL+"/search", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("widening cascade: status %d", code)
 	}
@@ -130,7 +130,7 @@ func TestSearchBatchPerRequestTuning(t *testing.T) {
 
 	var got api.SearchBatchResponse
 	req := api.SearchBatchRequest{Queries: queries, K: 5, Stats: true,
-		Tuning: api.Tuning{Gamma: 16}}
+		Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Gamma: 16}}}
 	if code := post(t, ts.URL+"/searchbatch", req, &got); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -163,7 +163,7 @@ func TestSearchBatchPerRequestTuning(t *testing.T) {
 
 	// Bad options fail the whole batch with the coded 400.
 	var errResp api.ErrorBody
-	req = api.SearchBatchRequest{Queries: queries, K: 5, Tuning: api.Tuning{Alpha: 8, Gamma: 16}}
+	req = api.SearchBatchRequest{Queries: queries, K: 5, Tuning: api.Tuning{SearchOptions: hdindex.SearchOptions{Alpha: 8, Gamma: 16}}}
 	if code := post(t, ts.URL+"/searchbatch", req, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("bad batch options: status %d", code)
 	}

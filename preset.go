@@ -25,23 +25,10 @@ func ParsePreset(s string) (Preset, error) { return core.ParsePreset(s) }
 
 // PresetOptions resolves a named preset against this index's built
 // parameters for a query asking k neighbours, returning the explicit
-// per-query options the preset stands for (empty for "balanced" — the
-// built defaults). PresetAuto has no fixed expansion and returns
-// ErrBadOptions; the serving layer resolves it through the tuner.
-func (i *Index) PresetOptions(p Preset, k int) ([]QueryOption, error) {
-	o, err := p.Options(i.shards[0].Params(), k)
-	if err != nil {
-		return nil, err
-	}
-	var opts []QueryOption
-	if o.Alpha > 0 {
-		opts = append(opts, WithAlpha(o.Alpha))
-	}
-	if o.Beta > 0 {
-		opts = append(opts, WithBeta(o.Beta))
-	}
-	if o.Gamma > 0 {
-		opts = append(opts, WithGamma(o.Gamma))
-	}
-	return opts, nil
+// per-query options the preset stands for (the zero options for
+// "balanced" — the built defaults); pass them with WithOptions.
+// PresetAuto has no fixed expansion and returns ErrBadOptions; the
+// serving layer resolves it through the tuner.
+func (i *Index) PresetOptions(p Preset, k int) (SearchOptions, error) {
+	return p.Options(i.shards[0].Params(), k)
 }

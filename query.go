@@ -27,9 +27,21 @@ var ErrDimMismatch = core.ErrDimMismatch
 // rebuild per point.
 type QueryOption func(*queryConfig)
 
+// SearchOptions is the whole per-query cascade as one value — α, β, γ,
+// the κ cap and the Ptolemaic switch, each unset at its zero — the type
+// the HTTP request bodies decode into (see core.SearchOptions).
+type SearchOptions = core.SearchOptions
+
 type queryConfig struct {
 	opts  core.SearchOptions
 	stats bool
+}
+
+// WithOptions sets the query's whole cascade to o, replacing every
+// cascade knob an earlier option set; a preset's expansion
+// (PresetOptions) and a decoded request body are passed this way.
+func WithOptions(o SearchOptions) QueryOption {
+	return func(c *queryConfig) { c.opts = o }
 }
 
 // WithAlpha overrides α, the leaf candidates fetched per tree (§5.2.6;
@@ -58,13 +70,7 @@ func WithGamma(gamma int) QueryOption {
 // Unlike the zero option, WithPtolemaic(false) forces the filter off
 // even when the index was built with UsePtolemaic.
 func WithPtolemaic(on bool) QueryOption {
-	return func(c *queryConfig) {
-		if on {
-			c.opts.Ptolemaic = core.PtolemaicOn
-		} else {
-			c.opts.Ptolemaic = core.PtolemaicOff
-		}
-	}
+	return func(c *queryConfig) { c.opts.Ptolemaic = &on }
 }
 
 // WithMaxCandidates caps κ, the deduplicated candidate union refined
@@ -81,17 +87,6 @@ func WithMaxCandidates(n int) QueryOption {
 // without it Stats is nil.
 func WithStats() QueryOption {
 	return func(c *queryConfig) { c.stats = true }
-}
-
-// WithDegrade requests the cheap cascade: when the query leaves the
-// whole α/β/γ triple unset, α and γ shrink to a quarter of the built
-// values (floored, never below k) so the query does a fraction of the
-// I/O and refinement work. Queries that pin any cascade knob are
-// unaffected — their explicit contract is honoured. The serving layer
-// sets this under overload pressure (adaptive degradation);
-// Stats.Degraded echoes whether a knob actually shrank.
-func WithDegrade() QueryOption {
-	return func(c *queryConfig) { c.opts.Degrade = true }
 }
 
 // Response is one query's answer: the approximate k nearest neighbours

@@ -87,13 +87,16 @@ crash:
 # fsync) run ten times over too, and so do core's compaction fault tests
 # (tree or vectors.pg writes failing before the meta.json commit, the
 # WAL rewrite failing after it, a crash between the append to vectors.pg
-# and the commit), and so do the shared buffer pool's race
-# tests (TestSharedCache*): a file closing while other files' misses
-# evict its frames, a file closing while the eviction hand rests on one
-# of its frames, readers viewing pages while a writer replaces them and
-# appends more, files opening, closing and being written beside readers
-# with the trace's SIEVE replay held to the Cache's misses, and an index
-# served through one frame per stripe beside a writer that compacts.
+# and the commit), and so do the shared buffer pool's race, model and
+# replay tests (-run 'SharedCache|Randomized|Replay', the set a pager
+# change runs): a file closing while other files' misses evict its
+# frames, a file closing while the eviction hand rests on one of its
+# frames, readers viewing pages while a writer replaces them and appends
+# more, files opening, closing and being written beside readers with the
+# trace's SIEVE replay held to the Cache's misses, random op sequences
+# with every eviction predicted by the reference pool, the Cache driven
+# through the committed trace beside its replay, and an index served
+# through one page per file beside a writer that compacts.
 chaos:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/admission/
 	HD_CHAOS=1 $(GO) test -race -count=1 -run '^Test(Fault|Chaos|Overload)' ./internal/core/ ./internal/server/
@@ -101,7 +104,7 @@ chaos:
 	$(GO) test -race -count=10 -run '^TestFaultSpreadHelpersExit$$' ./internal/shard/
 	$(GO) test -race -count=10 -run '^TestFault' ./internal/wal/
 	$(GO) test -race -count=10 -run '^TestFaultCompaction' ./internal/core/
-	$(GO) test -race -count=10 -run '^TestSharedCache' ./internal/pager/
+	$(GO) test -race -count=10 -run 'SharedCache|Randomized|Replay' ./internal/pager/
 	$(GO) test -race -count=10 -run '^TestTinyPoolAnswersAsLargePool$$' ./internal/core/
 
 # Cluster robustness suite under the race detector: the coordinator's

@@ -367,7 +367,7 @@ func TestNegativePoolPages(t *testing.T) {
 
 // Options.PoolPages reaches every file's pool on both layouts: Build
 // records it, Open overrides it for the handle, 0 at Open keeps the
-// recorded value. A pool of 8 pages per file cannot hold a query's pages
+// recorded value. A pool of 4 pages per file cannot hold a query's pages
 // (a repeated query misses again), one of 4096 holds the whole index (a
 // repeated query reads nothing), and the answers do not depend on it.
 func TestFacadePoolPages(t *testing.T) {
@@ -375,7 +375,7 @@ func TestFacadePoolPages(t *testing.T) {
 	q := ds.PerturbedQueries(1, 0.01, 7)[0]
 	for _, shards := range []int{0, 2} {
 		dir := filepath.Join(t.TempDir(), "ix")
-		idx, err := Build(dir, ds.Vectors, Options{Tau: 4, Omega: 8, Alpha: 512, Gamma: 128, Seed: 3, Shards: shards, PoolPages: 8})
+		idx, err := Build(dir, ds.Vectors, Options{Tau: 4, Omega: 8, Alpha: 512, Gamma: 128, Seed: 3, Shards: shards, PoolPages: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestFacadePoolPages(t *testing.T) {
 		}
 		small, want := repeatMisses(idx)
 		if small == 0 {
-			t.Fatalf("shards=%d: Build ignored PoolPages: 8 (a repeated query never missed)", shards)
+			t.Fatalf("shards=%d: Build ignored PoolPages: 4 (a repeated query never missed)", shards)
 		}
 		for _, c := range []struct {
 			pool   int
@@ -407,7 +407,7 @@ func TestFacadePoolPages(t *testing.T) {
 			}
 			misses, got := repeatMisses(idx)
 			if (misses > 0) != c.misses {
-				t.Errorf("shards=%d: Open with PoolPages: %d: a repeated query missed %d pages (built with 8)", shards, c.pool, misses)
+				t.Errorf("shards=%d: Open with PoolPages: %d: a repeated query missed %d pages (built with 4)", shards, c.pool, misses)
 			}
 			if !slices.Equal(got, want) {
 				t.Errorf("shards=%d PoolPages=%d: answer depends on the pool size", shards, c.pool)

@@ -127,10 +127,10 @@ func walkTree(t testing.TB, rng *rand.Rand, keyLen, leafCap, count, poolPages in
 // reversed, at leaf capacities 1, 2, 5 and a full page.
 func TestWalkNearestMatchesPerEntryWalk(t *testing.T) { walkMatchesPerEntryWalk(t, 0) }
 
-// The same through an 8-page pool, one frame per stripe: every leaf a
-// walk releases is overwritten by the next page it (or the loader
-// building the tree) misses, so a key or value borrowed from a leaf and
-// used past its Release shows as a wrong sequence.
+// The same through an 8-page pool: every leaf a walk releases is soon
+// overwritten by a page it (or the loader building the tree) misses, so
+// a key or value borrowed from a leaf and used past its Release shows as
+// a wrong sequence.
 func TestWalkNearestThroughTinyPool(t *testing.T) { walkMatchesPerEntryWalk(t, 8) }
 
 func walkMatchesPerEntryWalk(t *testing.T, poolPages int) {

@@ -12,11 +12,10 @@ import (
 // The buffer pool reads a missing page into the frame of the page it
 // evicts, so a slice borrowed from a pinned frame and used after its
 // Release reads another page's bytes. One fixed-seed index is built and
-// served through a pool of one page per file — six frames over the
-// shared pool's eight stripes, so at most one per stripe outside a
-// compaction: every released frame is overwritten by the next miss in
-// its stripe, whichever file it is of — and through a pool that holds
-// every page. Query and QueryBatch, with and without
+// served through a pool of one page per file — six frames in the shared
+// pool's one queue outside a compaction: every released frame is soon
+// overwritten by a miss, whichever file it is of — and through a pool
+// that holds every page. Query and QueryBatch, with and without
 // helpers, must answer as the in-memory reference pipeline
 // does (ids, distances, order, candidate count) at both sizes, in quiet
 // and then beside a writer that inserts, deletes and compacts. The

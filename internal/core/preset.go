@@ -51,7 +51,9 @@ const exactFactor = 4
 // still return k results. A knob is set only where that lowers it below
 // what balanced resolves to, so the cascade is never widened past
 // balanced's; where nothing can be lowered it is the zero options,
-// which run balanced itself.
+// which run balanced itself. β is the exception that proves the rule:
+// a lowered α resets an unset β to it, which on a Ptolemaic build of
+// β below that α would widen the filter, so there β stays balanced's.
 func fastCascade(p Params, k int) (SearchOptions, error) {
 	balanced, err := p.planFor(k, SearchOptions{})
 	if err != nil {
@@ -61,6 +63,9 @@ func fastCascade(p Params, k int) (SearchOptions, error) {
 	alpha := max(p.Alpha/4, 64, k)
 	if alpha < balanced.alpha {
 		o.Alpha = alpha
+		if balanced.ptolemaic && balanced.beta < alpha {
+			o.Beta = balanced.beta
+		}
 	}
 	if gamma := min(max(p.Gamma/4, 16, k), alpha); gamma < balanced.gamma {
 		o.Gamma = gamma

@@ -65,9 +65,9 @@ func TestPresetOptionsTable(t *testing.T) {
 	}
 }
 
-// The fast preset never runs a wider α or γ than balanced, over built
+// The fast preset never runs a wider α, β or γ than balanced, over built
 // cascades at, below and around its floors and ks up to past the built
-// α, and a knob it sets is one it lowered.
+// α, and an α or γ it sets is one it lowered.
 func TestPresetFastNeverWiderThanBalanced(t *testing.T) {
 	for _, built := range []Params{
 		{Alpha: 4096, Beta: 4096, Gamma: 1024},
@@ -79,6 +79,7 @@ func TestPresetFastNeverWiderThanBalanced(t *testing.T) {
 		{Alpha: 1, Beta: 1, Gamma: 1},
 		{Alpha: 256, Beta: 256, Gamma: 64, UsePtolemaic: true},
 		{Alpha: 1024, Beta: 512, Gamma: 128, UsePtolemaic: true},
+		{Alpha: 4096, Beta: 512, Gamma: 128, UsePtolemaic: true},
 	} {
 		for _, k := range []int{1, 10, built.Gamma, built.Alpha - 1, built.Alpha, built.Alpha + 44} {
 			if k < 1 {
@@ -94,8 +95,8 @@ func TestPresetFastNeverWiderThanBalanced(t *testing.T) {
 				t.Fatalf("%s: fast options %+v do not plan: %v", name, o, err)
 			}
 			balanced, _ := built.planFor(k, SearchOptions{})
-			if fast.alpha > balanced.alpha || fast.gamma > balanced.gamma {
-				t.Errorf("%s: fast runs %d/%d, wider than balanced's %d/%d", name, fast.alpha, fast.gamma, balanced.alpha, balanced.gamma)
+			if fast.alpha > balanced.alpha || fast.beta > balanced.beta || fast.gamma > balanced.gamma {
+				t.Errorf("%s: fast runs %d/%d/%d, wider than balanced's %d/%d/%d", name, fast.alpha, fast.beta, fast.gamma, balanced.alpha, balanced.beta, balanced.gamma)
 			}
 			if o.Alpha != 0 && o.Alpha >= balanced.alpha || o.Gamma != 0 && o.Gamma >= balanced.gamma {
 				t.Errorf("%s: fast sets %+v, which lowers nothing below balanced's %d/%d", name, o, balanced.alpha, balanced.gamma)

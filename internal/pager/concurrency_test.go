@@ -59,7 +59,7 @@ func (e ErrCorrupt) Error() string { return "corrupt page content" }
 
 // A pinned page must never be evicted even under pool pressure.
 func TestPinnedPageSurvivesPressure(t *testing.T) {
-	p := newOneStripe(t, Options{PoolPages: 2})
+	p, _ := newTemp(t, Options{PoolPages: 2})
 	id := appendPage(t, p, []byte("pinned!!"))
 	for i := 0; i < 20; i++ {
 		appendPage(t, p, nil)
@@ -85,7 +85,7 @@ func TestPinnedPageSurvivesPressure(t *testing.T) {
 	}
 }
 
-// Concurrent Get/View/Stats traffic across the lock-striped pool — the
+// Concurrent Get/View/Stats traffic across the shared pool — the
 // access pattern of parallel searches — must stay race-free and serve
 // consistent content under eviction pressure. Run under -race in CI.
 func TestConcurrentShardedPool(t *testing.T) {
@@ -288,7 +288,7 @@ func TestSharedCacheCloseRacesEviction(t *testing.T) {
 // last round. Run under -race in CI, ten times over (make chaos).
 func TestSharedCacheWritesBesideReaders(t *testing.T) {
 	const rounds, maxPages = 60, 16
-	p, err := newCache(2).Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PageSize: 64, PoolPages: 4})
+	p, err := NewCache().Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PageSize: 64, PoolPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

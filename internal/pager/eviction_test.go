@@ -7,18 +7,6 @@ import (
 	"testing"
 )
 
-// oneStripeReader opens scanFile's file of n pages read-only on a cache
-// of one lock stripe, so every page competes for the same frames.
-func oneStripeReader(t *testing.T, n, share int) *Pager {
-	t.Helper()
-	p, err := newCache(1).Open(scanPath(t, n), Options{PoolPages: share, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
-}
-
 func view(t *testing.T, p *Pager, id PageID) View {
 	t.Helper()
 	v, err := p.View(id)
@@ -35,7 +23,7 @@ func view(t *testing.T, p *Pager, id PageID) View {
 // are each used once, however long: the stream evicts its own pages.
 func TestHitPageSurvivesOneShotStream(t *testing.T) {
 	const share = 4
-	p := oneStripeReader(t, 64, share)
+	p := scanFile(t, 64, Options{PoolPages: share, ReadOnly: true})
 	view(t, p, 1).Release()
 	view(t, p, 1).Release() // the hit
 	for id := PageID(2); id <= 64; id++ {
@@ -44,31 +32,51 @@ func TestHitPageSurvivesOneShotStream(t *testing.T) {
 	st0 := p.Stats()
 	view(t, p, 1).Release()
 	if st := p.Stats(); st.Hits != st0.Hits+1 || st.Misses != st0.Misses {
-		t.Fatalf("page 1 was evicted by %d one-shot pages through a %d-frame stripe", 63, share)
+		t.Fatalf("page 1 was evicted by %d one-shot pages through a %d-frame pool", 63, share)
 	}
 }
 
-// With every frame of a stripe pinned an admission still succeeds, above
-// the share; with pinned frames around one unpinned, visited frame the
+// The pool is one budget of PoolPages frames whatever the pages' ids:
+// eight pages whose ids are all multiples of eight fit an 8-frame pool,
+// so only their first pass misses.
+func TestPoolIsOneBudget(t *testing.T) {
+	p := scanFile(t, 64, Options{PoolPages: 8, ReadOnly: true})
+	for pass := range 4 {
+		st0 := p.Stats()
+		for id := PageID(8); id <= 64; id += 8 {
+			view(t, p, id).Release()
+		}
+		want := uint64(0)
+		if pass == 0 {
+			want = 8
+		}
+		if misses := p.Stats().Misses - st0.Misses; misses != want {
+			t.Fatalf("pass %d over eight pages through an 8-frame pool: %d misses, want %d", pass, misses, want)
+		}
+	}
+}
+
+// With every frame of the pool pinned an admission still succeeds, above
+// the capacity; with pinned frames around one unpinned, visited frame the
 // hand clears its bit, passes the pins and comes back for it; and the
-// stripe trims back to its share as the pins are released.
-func TestAllPinnedStripeAdmitsAndTrims(t *testing.T) {
+// pool trims back to its capacity as the pins are released.
+func TestAllPinnedPoolAdmitsAndTrims(t *testing.T) {
 	const share = 2
-	p := oneStripeReader(t, 16, share)
-	st := &p.cache.stripes[0]
+	p := scanFile(t, 16, Options{PoolPages: share, ReadOnly: true})
+	c := p.cache
 	var pins []View
 	for id := PageID(1); id <= 4; id++ {
 		pins = append(pins, view(t, p, id))
 	}
-	if st.resident != 4 || st.unpinned != 0 {
-		t.Fatalf("four pinned pages over a share of %d: %d resident, %d unpinned", share, st.resident, st.unpinned)
+	if c.resident != 4 || c.unpinned != 0 {
+		t.Fatalf("four pinned pages over a share of %d: %d resident, %d unpinned", share, c.resident, c.unpinned)
 	}
 	// Pages 1 and 2 come free above the share and go at once; 3 and 4
 	// stay pinned, and the share is full.
 	for i, want := range []int{3, 2} {
 		pins[i].Release()
-		if st.resident != want {
-			t.Fatalf("release %d: %d resident, want %d", i+1, st.resident, want)
+		if c.resident != want {
+			t.Fatalf("release %d: %d resident, want %d", i+1, c.resident, want)
 		}
 	}
 	pins = pins[2:]
@@ -77,18 +85,18 @@ func TestAllPinnedStripeAdmitsAndTrims(t *testing.T) {
 	pins[0].Release()
 	view(t, p, 3).Release()
 	pins = append(pins[1:], view(t, p, 5))
-	if fs := &p.stripes[0]; fs.frames[3] != nil || st.resident != share {
-		t.Fatalf("after admitting 5 beside pinned 4: page 3 resident %v, %d resident", fs.frames[3] != nil, st.resident)
+	if p.frames[3] != nil || c.resident != share {
+		t.Fatalf("after admitting 5 beside pinned 4: page 3 resident %v, %d resident", p.frames[3] != nil, c.resident)
 	}
 	view(t, p, 6).Release() // at share + 1 with both frames pinned: admitted above the share
-	if st.resident != share {
-		t.Fatalf("a page admitted beside two pinned frames: %d resident, want the share %d", st.resident, share)
+	if c.resident != share {
+		t.Fatalf("a page admitted beside two pinned frames: %d resident, want the share %d", c.resident, share)
 	}
 	for _, v := range pins {
 		v.Release()
 	}
-	if st.resident != share || st.unpinned != share {
-		t.Fatalf("every pin released: %d resident, %d unpinned, want the share %d", st.resident, st.unpinned, share)
+	if c.resident != share || c.unpinned != share {
+		t.Fatalf("every pin released: %d resident, %d unpinned, want the share %d", c.resident, c.unpinned, share)
 	}
 }
 
@@ -98,7 +106,7 @@ func TestAllPinnedStripeAdmitsAndTrims(t *testing.T) {
 // the closed file. Run under -race in CI, ten times over (make chaos).
 func TestSharedCacheCloseMovesHand(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		c := newCache(1)
+		c := NewCache()
 		path := filepath.Join(t.TempDir(), "written.pg")
 		a, err := c.Open(path, Options{Create: true, PoolPages: 2})
 		if err != nil {
@@ -123,24 +131,23 @@ func TestSharedCacheCloseMovesHand(t *testing.T) {
 		// The queue is b2 b1 a2 a1, newest first. Admitting b3 evicts a1
 		// and leaves the hand on a2.
 		view(t, b, 3).Release()
-		st := &c.stripes[0]
-		if st.hand == nil || st.hand.pgr != a || st.hand.id != 2 {
-			t.Fatalf("the hand does not rest on the closing file's page 2: %+v", st.hand)
+		if c.hand == nil || c.hand.pgr != a || c.hand.id != 2 {
+			t.Fatalf("the hand does not rest on the closing file's page 2: %+v", c.hand)
 		}
 
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st.mu.Lock()
-		for fr := st.head; fr != nil; fr = fr.next {
+		c.mu.Lock()
+		for fr := c.head; fr != nil; fr = fr.next {
 			if fr.pgr != b {
 				t.Errorf("page %d of the closed file is still in the queue", fr.id)
 			}
 		}
-		if st.hand != nil && st.hand.pgr != b {
-			t.Errorf("the hand rests on page %d of the closed file", st.hand.id)
+		if c.hand != nil && c.hand.pgr != b {
+			t.Errorf("the hand rests on page %d of the closed file", c.hand.id)
 		}
-		st.mu.Unlock()
+		c.mu.Unlock()
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
@@ -167,7 +174,7 @@ func TestSharedCacheCloseMovesHand(t *testing.T) {
 				}
 			}()
 		}
-		for n := 0; n < 64; n++ { // more evictions than the stripe has frames
+		for n := 0; n < 64; n++ { // more evictions than the pool has frames
 			view(t, b, PageID(1+n%32)).Release()
 		}
 		close(stop)

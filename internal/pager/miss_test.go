@@ -108,15 +108,13 @@ func gate(p *Pager) *gatedFile {
 	return g
 }
 
-// waitFor polls cond on p's part of id's stripe, under the stripe's
-// lock, until it holds.
-func waitFor(t *testing.T, p *Pager, id PageID, cond func(fs *fileStripe) bool) {
+// waitFor polls cond, under p's cache lock, until it holds.
+func waitFor(t *testing.T, p *Pager, cond func() bool) {
 	t.Helper()
-	st, fs := p.stripeOf(id)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		st.mu.Lock()
-		ok := cond(fs)
-		st.mu.Unlock()
+		p.cache.mu.Lock()
+		ok := cond()
+		p.cache.mu.Unlock()
 		if ok {
 			return
 		}
@@ -143,7 +141,7 @@ func viewConcurrently(t *testing.T, p *Pager, g *gatedFile, id PageID, n int) ([
 			}
 		}(i)
 	}
-	waitFor(t, p, id, func(fs *fileStripe) bool { return fs.frames[id] != nil && fs.frames[id].pins == n })
+	waitFor(t, p, func() bool { return p.frames[id] != nil && p.frames[id].pins == n })
 	close(g.gate)
 	wg.Wait()
 	return data, errs
@@ -186,9 +184,9 @@ func TestFailedReadWithWaiters(t *testing.T) {
 			t.Fatalf("caller %d: err = %v, want the read's ErrIO (%v)", i, err, errs[0])
 		}
 	}
-	str, fs := p.stripeOf(3)
-	if len(fs.frames) != 0 || str.resident != 0 || len(str.free) != 1 {
-		t.Fatalf("after the failed read: %d resident frames, %d parked; want 0 and 1", str.resident, len(str.free))
+	c := p.cache
+	if len(p.frames) != 0 || c.resident != 0 || len(c.free) != 1 {
+		t.Fatalf("after the failed read: %d resident frames, %d parked; want 0 and 1", c.resident, len(c.free))
 	}
 	v, err := p.View(3)
 	if err != nil {
@@ -198,8 +196,8 @@ func TestFailedReadWithWaiters(t *testing.T) {
 		t.Fatal("re-read returned the wrong bytes")
 	}
 	v.Release()
-	if st := p.Stats(); st.Reads != 1 || st.Misses != 2 || st.Hits != 15 || len(str.free) != 0 {
-		t.Fatalf("stats = %+v (%d parked), want 1 read, 2 misses, 15 hits, the parked frame reused", st, len(str.free))
+	if st := p.Stats(); st.Reads != 1 || st.Misses != 2 || st.Hits != 15 || len(c.free) != 0 {
+		t.Fatalf("stats = %+v (%d parked), want 1 read, 2 misses, 15 hits, the parked frame reused", st, len(c.free))
 	}
 }
 
@@ -230,8 +228,7 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 	if n := p.PageCount(); n != 3 {
 		t.Fatalf("%d pages after a failed append, want 3", n)
 	}
-	_, fs := p.stripeOf(1)
-	if fr := fs.frames[1]; fr != v.fr || !bytes.Equal(fr.data, bytes.Repeat([]byte{1}, p.PageSize())) {
+	if fr := p.frames[1]; fr != v.fr || !bytes.Equal(fr.data, bytes.Repeat([]byte{1}, p.PageSize())) {
 		t.Fatal("a failed write changed or dropped the resident copy of its page")
 	}
 	view(t, p, 1).Release()
@@ -243,7 +240,7 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 	}
 }
 
-// Close waits for a read in flight outside the stripe lock: the reader
+// Close waits for a read in flight outside the cache lock: the reader
 // gets its page from the still-open file, later callers ErrClosed.
 func TestCloseWaitsForInflightRead(t *testing.T) {
 	for _, readOnly := range []bool{true, false} {
@@ -257,10 +254,10 @@ func TestCloseWaitsForInflightRead(t *testing.T) {
 			}
 			readErr <- err
 		}()
-		waitFor(t, p, 3, func(fs *fileStripe) bool { return fs.reading == 1 })
+		waitFor(t, p, func() bool { return p.reading == 1 })
 		closed := make(chan error, 1)
 		go func() { closed <- p.Close() }()
-		waitFor(t, p, 3, func(*fileStripe) bool { return p.closed.Load() })
+		waitFor(t, p, p.closed.Load)
 		select {
 		case <-closed:
 			t.Fatal("Close returned with a read in flight")

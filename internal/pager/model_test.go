@@ -3,17 +3,18 @@ package pager
 import "container/list"
 
 // poolModel is the reference buffer pool: per stripe a map of the
-// resident pages of every file with their pins, the
-// stripe's share of the capacity the open files bring, and a policy that
-// orders the resident frames for eviction. An admission evicts the
-// policy's victim while the stripe is at its share and holds an unpinned
-// frame; a release that leaves a stripe over its share, and a close that
-// takes a share back, evict down to it; a write or a failed read drops
-// the page's copy, pinned or not. It is the Cache's order of
-// business, frame reuse and unlocked reads unknown to it. With SIEVE,
-// the Cache's own policy, it predicts every eviction the Cache makes;
-// with another it is the replayer's pool of that policy at the same
-// frames.
+// resident pages of every file with their pins, the stripe's share of
+// the capacity the open files bring, and a policy that orders the
+// resident frames for eviction. An admission evicts the policy's victim
+// while the stripe is at its share and holds an unpinned frame; a
+// release that leaves a stripe over its share, and a close that takes a
+// share back, evict down to it; a write or a failed read drops the
+// page's copy, pinned or not. It is the Cache's order of business,
+// frame reuse and unlocked reads unknown to it. At one stripe, the
+// Cache's one queue, and with SIEVE, the Cache's own policy, it
+// predicts every eviction the Cache makes; with another policy it is
+// the replayer's pool of that policy at the same frames. More stripes
+// model the eight-stripe pool that recorded testdata/query.trace.
 type poolModel struct {
 	stripes []modelStripe
 	pages   int // the sum of the open files' shares

@@ -10,20 +10,20 @@
 //
 // The buffer pool, a Cache the files of an index share, is a read cache:
 // a page reaches its file in the Write that writes it, one write of the
-// whole page, and no frame ever holds bytes the file lacks. It is sharded
-// into lock-striped SIEVE segments keyed by page id, so concurrent
-// searches never contend on one global mutex; a pager keeps its own page
-// map and counters per stripe, so a hit is one lock, one map lookup and
-// one bit set, and Stats stay exact per file. The read hot path borrows a
+// whole page, and no frame ever holds bytes the file lacks. It is one
+// SIEVE queue of M frames under one mutex, the single buffer of M pages
+// the paper prices a query against (§4.4.1); a pager keeps its own page
+// map and atomic counters, so a hit is one lock, one map lookup and one
+// bit set, and Stats stay exact per file. The read hot path borrows a
 // pinned frame zero-copy via View instead of Get's heap-allocated Page
 // handle.
 //
-// A pool miss costs one pread and nothing else: once a stripe holds its
-// capacity share of frames every incoming page lives in a recycled one
-// (the eviction victim's, whichever file it belonged to), and the read is
-// issued outside the stripe lock into a frame already published as
-// loading, so concurrent callers of that page wait for the one read
-// instead of repeating it. The price is that a released frame's bytes
+// A pool miss costs one pread and nothing else: once the cache holds its
+// capacity of frames every incoming page lives in a recycled one (the
+// eviction victim's, whichever file it belonged to), and the read is
+// issued outside the lock into a frame already published as loading, so
+// concurrent callers of that page wait for the one read instead of
+// repeating it. The price is that a released frame's bytes
 // are overwritten by the next miss: a slice borrowed from a View or Page
 // is dead at Release.
 package pager
@@ -37,7 +37,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -49,17 +48,16 @@ import (
 const DefaultPageSize = 4096
 
 const (
-	magic             = "HDIXPAGE"
-	version           = 1
-	headerLen         = 36 // magic(8) + version(4) + pageSize(4) + pageCount(8) + checksum(8) + metaLen(4)
-	offVersion        = 8
-	offPageSize       = 12
-	offPageCount      = 16
-	offChecksum       = 24
-	offMetaLen        = 32
-	offMeta           = 36
-	defaultFrames     = 256
-	defaultPoolShards = 8
+	magic         = "HDIXPAGE"
+	version       = 1
+	headerLen     = 36 // magic(8) + version(4) + pageSize(4) + pageCount(8) + checksum(8) + metaLen(4)
+	offVersion    = 8
+	offPageSize   = 12
+	offPageCount  = 16
+	offChecksum   = 24
+	offMetaLen    = 32
+	offMeta       = 36
+	defaultFrames = 256
 )
 
 // Errors returned by the pager.
@@ -152,18 +150,18 @@ type frame struct {
 	pgr     *Pager // the file the page belongs to
 	data    []byte
 	pins    int
-	loading bool   // the miss that admitted it is reading into data outside the stripe lock
+	loading bool   // the miss that admitted it is reading into data outside the cache lock
 	err     error  // that read's failure, for the callers that waited on it
 	visited bool   // hit since it was admitted or last passed by the hand
 	dropped bool   // unmapped while pinned: its pinners keep it until their Release
-	prev    *frame // the newer neighbour in the stripe's queue
+	prev    *frame // the newer neighbour in the cache's queue
 	next    *frame // the older one
 }
 
-// counters is one stripe's share of a pager's I/O statistics. The
-// fields are atomics so Stats() — called twice per query for the
-// QueryStats deltas — never touches the stripe mutexes: a stats sweep
-// must not contend with the searches' getFrame/release traffic on them.
+// counters are a pager's I/O statistics. The fields are atomics so
+// Stats() — called twice per query for the QueryStats deltas — never
+// takes the cache mutex: a stats read must not contend with the
+// searches' getFrame/release traffic on it.
 type counters struct {
 	reads, writes, hits, misses, allocs atomic.Uint64
 }
@@ -188,45 +186,32 @@ func (c *counters) reset() {
 
 // Cache is a buffer pool that pagers share, of PoolPages frames per open
 // pager: Close drops the pager's frames and takes its share back. A full
-// stripe evicts by SIEVE (Zhang et al., NSDI 2024), over frames of any
+// cache evicts by SIEVE (Zhang et al., NSDI 2024), over frames of any
 // file: every resident frame waits in one FIFO queue, a hit sets its
-// visited bit, and the stripe's hand walks from the oldest frame toward
-// the newest, passing pinned frames and clearing set bits, to the first
+// visited bit, and the hand walks from the oldest frame toward the
+// newest, passing pinned frames and clearing set bits, to the first
 // unpinned frame not visited. A page hit once since it entered outlives
 // a stream of pages used once, and a hit writes one bit, not a list.
 // Every frame is clean, so an eviction only forgets a page.
+//
+// mu guards everything here and every open pager's page map and
+// in-flight read count.
 type Cache struct {
-	pages   int // the sum of PoolPages over the open pagers; changed under every stripe lock
-	stripes []stripe
-	mask    uint64    // len(stripes)-1; len is a power of two
-	rec     *recorder // the access trace; nil when none is taken
-}
-
-// stripe is one lock stripe of a Cache: the queue, parked frames and
-// capacity share of every file's pages whose id maps to it, and mu,
-// which also guards each pager's fileStripe of it.
-type stripe struct {
 	mu       sync.Mutex
 	loaded   sync.Cond // on mu; broadcast whenever a loading frame's read ends
-	cap      int
-	resident int      // frames mapped by any pager, each in the queue
-	unpinned int      // resident frames without a pin: the evictable ones
-	free     []*frame // unmapped frames kept for the next admission
-	head     *frame   // the queue's newest frame
-	tail     *frame   // its oldest
-	hand     *frame   // where the next eviction's walk starts; nil: at tail
+	pages    int       // the capacity: the sum of PoolPages over the open pagers
+	resident int       // frames mapped by any pager, each in the queue
+	unpinned int       // resident frames without a pin: the evictable ones
+	free     []*frame  // unmapped frames kept for the next admission
+	head     *frame    // the queue's newest frame
+	tail     *frame    // its oldest
+	hand     *frame    // where the next eviction's walk starts; nil: at tail
+	rec      *recorder // the access trace; nil when none is taken
 }
 
-// fileStripe is one pager's part of a cache stripe.
-type fileStripe struct {
-	frames  map[PageID]*frame // nil once the pager has closed
-	reading int               // reads in flight outside mu; Close waits for zero
-	stats   counters
-}
-
-// Pager manages one page file. It is safe for concurrent use: readers
-// of distinct cache stripes proceed in parallel; writes, the superblock
-// and the metadata share one mutex.
+// Pager manages one page file. It is safe for concurrent use: reads go
+// through the cache's lock, and only a miss's disk read is issued
+// outside it; writes, the superblock and the metadata share one mutex.
 type Pager struct {
 	f        iofault.File
 	pageSize int
@@ -239,41 +224,29 @@ type Pager struct {
 	// state serialises Write, SetMeta, Flush and Close: one writer at a
 	// time, and none after the closed flag is set. Get/View never touch
 	// it — writing is off the read hot path.
-	state      sync.Mutex
-	meta       []byte
-	super      []byte   // the superblock the file holds, as last read or written
-	superStats counters // superblock traffic (page 0 never enters the cache)
+	state sync.Mutex
+	meta  []byte
+	super []byte // the superblock the file holds, as last read or written
 
+	stats   counters // every page's traffic, the superblock's included
 	cache   *Cache
-	share   int          // the frames this pager added to the cache's capacity
-	stripes []fileStripe // this pager's part of each cache stripe
+	share   int               // the frames this pager added to the cache's capacity
+	frames  map[PageID]*frame // this pager's resident pages; nil once closed. Guarded by cache.mu
+	reading int               // reads in flight outside cache.mu; Close waits for zero
 }
 
-// NewCache returns an empty cache of eight lock stripes.
-func NewCache() *Cache { return newCache(defaultPoolShards) }
-
-// newCache makes a cache of n lock stripes rounded down to a power of
-// two, so the stripe of a page is a mask, not a modulo.
-func newCache(n int) *Cache {
-	pow := 1 << (bits.Len(uint(n)) - 1) // n >= 1
-	c := &Cache{stripes: make([]stripe, pow), mask: uint64(pow - 1)}
-	for i := range c.stripes {
-		c.stripes[i].loaded.L = &c.stripes[i].mu
-	}
+// NewCache returns an empty cache.
+func NewCache() *Cache {
+	c := &Cache{}
+	c.loaded.L = &c.mu
 	return c
 }
 
 // resize adds p's share to the capacity as p opens (sign 1), or drops
-// p's frames and takes its share back as p closes (sign -1). It splits
-// the capacity over the stripes exactly — the first pages%n take one
-// extra frame — and evicts a stripe left over its share down to it. It
-// holds every stripe lock throughout, so in a trace the open or close
-// falls between two of any stripe's accesses exactly where the Cache
-// made it, and two resizes never interleave.
+// p's frames and takes its share back as p closes (sign -1), and evicts
+// down to the capacity. Caller holds c.mu, so in a trace the open or
+// close falls between two accesses exactly where the Cache made it.
 func (c *Cache) resize(p *Pager, sign int) {
-	for i := range c.stripes {
-		c.stripes[i].mu.Lock()
-	}
 	c.pages += sign * p.share
 	if c.rec != nil {
 		if sign > 0 {
@@ -282,34 +255,19 @@ func (c *Cache) resize(p *Pager, sign int) {
 			c.rec.close(p)
 		}
 	}
-	n := len(c.stripes)
-	for i := range c.stripes {
-		st, fs := &c.stripes[i], &p.stripes[i]
-		for _, fr := range fs.frames {
-			st.drop(fs, fr)
-		}
-		fs.frames = nil
-		if sign > 0 {
-			fs.frames = make(map[PageID]*frame)
-		}
-		st.cap = c.pages / n
-		if i < c.pages%n {
-			st.cap++
-		}
-		st.trim()
+	for _, fr := range p.frames {
+		c.drop(fr)
 	}
-	for i := range c.stripes {
-		c.stripes[i].mu.Unlock()
+	p.frames = nil
+	if sign > 0 {
+		p.frames = make(map[PageID]*frame)
 	}
+	c.trim()
 }
 
-// Open creates or opens the page file at path, on a cache of its own:
-// at most eight stripes, and no more than opts.PoolPages.
+// Open creates or opens the page file at path, on a cache of its own.
 func Open(path string, opts Options) (*Pager, error) {
-	if opts.PoolPages <= 0 {
-		opts.PoolPages = defaultFrames
-	}
-	return newCache(min(defaultPoolShards, opts.PoolPages)).Open(path, opts)
+	return NewCache().Open(path, opts)
 }
 
 // Open creates or opens the page file at path against c, adding
@@ -342,7 +300,6 @@ func (c *Cache) Open(path string, opts Options) (*Pager, error) {
 		readOnly: opts.ReadOnly,
 		cache:    c,
 		share:    opts.PoolPages,
-		stripes:  make([]fileStripe, len(c.stripes)),
 	}
 	if opts.Create {
 		p.pageCount.Store(1)
@@ -354,13 +311,10 @@ func (c *Cache) Open(path string, opts Options) (*Pager, error) {
 		f.Close()
 		return nil, err
 	}
+	c.mu.Lock()
 	c.resize(p, 1)
+	c.mu.Unlock()
 	return p, nil
-}
-
-func (p *Pager) stripeOf(id PageID) (*stripe, *fileStripe) {
-	i := uint64(id) & p.cache.mask
-	return &p.cache.stripes[i], &p.stripes[i]
 }
 
 // writeSuperblockLocked writes the superblock recording the page count
@@ -383,7 +337,7 @@ func (p *Pager) writeSuperblockLocked() error {
 		return fmt.Errorf("%w: write superblock: %w", ErrIO, err)
 	}
 	p.super = buf
-	p.superStats.writes.Add(1)
+	p.stats.writes.Add(1)
 	return nil
 }
 
@@ -414,7 +368,7 @@ func (p *Pager) readSuperblock() error {
 	if _, err := p.f.ReadAt(buf, 0); err != nil {
 		return fmt.Errorf("%w: read superblock: %w", ErrIO, err)
 	}
-	p.superStats.reads.Add(1)
+	p.stats.reads.Add(1)
 	want := binary.BigEndian.Uint64(buf[offChecksum:])
 	if superChecksum(buf) != want {
 		return ErrBadChecksum
@@ -470,34 +424,21 @@ func (p *Pager) SetMeta(meta []byte) error {
 	return nil
 }
 
-// Stats returns a snapshot of the I/O counters: the sum of this pager's
-// counters in every cache stripe plus superblock traffic. The counters
-// are atomics, so the sweep is lock-free and takes no stripe mutex. Each counter is
-// exact; the snapshot as a whole is taken without a global pause, like
-// the per-query deltas consuming it.
-func (p *Pager) Stats() Stats {
-	var s Stats
-	for i := range p.stripes {
-		s.Add(p.stripes[i].stats.snapshot())
-	}
-	s.Add(p.superStats.snapshot())
-	return s
-}
+// Stats returns a snapshot of the I/O counters, superblock traffic
+// included. The counters are atomics, so the read takes no lock. Each
+// counter is exact; the snapshot as a whole is taken without a global
+// pause, like the per-query deltas consuming it.
+func (p *Pager) Stats() Stats { return p.stats.snapshot() }
 
 // ResetStats zeroes the I/O counters; benchmarks call it per query batch.
-func (p *Pager) ResetStats() {
-	for i := range p.stripes {
-		p.stripes[i].stats.reset()
-	}
-	p.superStats.reset()
-}
+func (p *Pager) ResetStats() { p.stats.reset() }
 
 // Write writes data, exactly one page, as page id: a page the file has,
 // or the next one, which it appends. The page reaches the file in this
-// call, one write of the whole page, under its stripe's lock and after
-// any read of it in flight, so no reader sees it torn. A resident copy
-// is dropped: later callers read the new bytes, and whoever holds the
-// old copy pinned keeps it until their Release. An appended page counts
+// call, one write of the whole page, under the cache lock and after any
+// read of it in flight, so no reader sees it torn. A resident copy is
+// dropped: later callers read the new bytes, and whoever holds the old
+// copy pinned keeps it until their Release. An appended page counts
 // only once written. A failed write changes neither the page count nor
 // any copy.
 func (p *Pager) Write(id PageID, data []byte) error {
@@ -519,28 +460,28 @@ func (p *Pager) Write(id PageID, data []byte) error {
 	if uint64(id) > count {
 		return fmt.Errorf("%w: write of page %d (have %d)", ErrPageRange, id, count)
 	}
-	st, fs := p.stripeOf(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	fr := fs.frames[id]
-	for ; fr != nil && fr.loading; fr = fs.frames[id] {
-		st.loaded.Wait()
+	c := p.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fr := p.frames[id]
+	for ; fr != nil && fr.loading; fr = p.frames[id] {
+		c.loaded.Wait()
 	}
 	if _, err := p.f.WriteAt(data, int64(uint64(id))*int64(p.pageSize)); err != nil {
 		return fmt.Errorf("%w: write page %d: %w", ErrIO, id, err)
 	}
-	fs.stats.writes.Add(1)
+	p.stats.writes.Add(1)
 	ev := byte(evWrite)
 	if uint64(id) == count {
 		ev = evAlloc
-		fs.stats.allocs.Add(1)
+		p.stats.allocs.Add(1)
 		p.pageCount.Store(count + 1)
 	}
-	if rec := p.cache.rec; rec != nil {
-		rec.access(ev, p, id)
+	if c.rec != nil {
+		c.rec.access(ev, p, id)
 	}
 	if fr != nil {
-		st.drop(fs, fr)
+		c.drop(fr)
 	}
 	return nil
 }
@@ -567,90 +508,90 @@ func (p *Pager) View(id PageID) (View, error) {
 
 // getFrame returns the pinned frame for id, reading it from disk on a
 // pool miss. The miss publishes its frame pinned and loading, then reads
-// with the stripe unlocked; whoever asks for the same id meanwhile pins
-// that frame, counts a hit and waits on st.loaded, so a page is read
+// with the cache unlocked; whoever asks for the same id meanwhile pins
+// that frame, counts a hit and waits on c.loaded, so a page is read
 // once however callers interleave. A failed read drops the frame and
 // hands every waiter the same error; the next call reads again. Reads
-// start only under st.mu with the pager open and are counted in
-// fs.reading, which is what Close waits on before closing the file.
+// start only under c.mu with the pager open and are counted in
+// p.reading, which is what Close waits on before closing the file.
 func (p *Pager) getFrame(id PageID) (*frame, error) {
-	st, fs := p.stripeOf(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	c := p.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	if count := p.pageCount.Load(); id == 0 || uint64(id) >= count {
 		return nil, fmt.Errorf("%w: %d (have %d)", ErrPageRange, id, count)
 	}
-	if fr, ok := fs.frames[id]; ok {
-		fs.stats.hits.Add(1)
-		if rec := p.cache.rec; rec != nil {
-			rec.access(evHit, p, id)
+	if fr, ok := p.frames[id]; ok {
+		p.stats.hits.Add(1)
+		if c.rec != nil {
+			c.rec.access(evHit, p, id)
 		}
 		fr.visited = true
 		if fr.pins == 0 {
-			st.unpinned--
+			c.unpinned--
 		}
 		fr.pins++
 		for fr.loading {
-			st.loaded.Wait()
+			c.loaded.Wait()
 		}
 		if fr.err != nil {
-			return nil, st.unpinFailed(fr)
+			return nil, c.unpinFailed(fr)
 		}
 		return fr, nil
 	}
-	fs.stats.misses.Add(1)
-	fr := p.evictFor(st)
-	if rec := p.cache.rec; rec != nil {
-		rec.access(evMiss, p, id)
+	p.stats.misses.Add(1)
+	fr := c.evictFor(p.pageSize)
+	if c.rec != nil {
+		c.rec.access(evMiss, p, id)
 	}
 	*fr = frame{id: id, pgr: p, data: fr.data, pins: 1, loading: true}
-	fs.frames[id] = fr
-	st.push(fr)
-	fs.reading++
-	st.mu.Unlock()
+	p.frames[id] = fr
+	c.push(fr)
+	p.reading++
+	c.mu.Unlock()
 	_, err := p.f.ReadAt(fr.data, int64(uint64(id))*int64(p.pageSize))
-	st.mu.Lock()
-	fs.reading--
+	c.mu.Lock()
+	p.reading--
 	fr.loading = false
-	st.loaded.Broadcast() // the woken run once mu is released
+	c.loaded.Broadcast() // the woken run once mu is released
 	if err != nil {
 		fr.err = fmt.Errorf("%w: read page %d: %w", ErrIO, id, err)
-		if rec := p.cache.rec; rec != nil {
-			rec.access(evFail, p, id)
+		if c.rec != nil {
+			c.rec.access(evFail, p, id)
 		}
-		st.drop(fs, fr)
-		return nil, st.unpinFailed(fr)
+		c.drop(fr)
+		return nil, c.unpinFailed(fr)
 	}
-	fs.stats.reads.Add(1)
+	p.stats.reads.Add(1)
 	return fr, nil
 }
 
 // unpinFailed drops one pin of a frame whose read failed and returns
-// the read's error; the last pin out parks the frame. Caller holds st.mu.
-func (st *stripe) unpinFailed(fr *frame) error {
+// the read's error; the last pin out parks the frame. Caller holds c.mu.
+func (c *Cache) unpinFailed(fr *frame) error {
 	if fr.pins--; fr.pins == 0 {
-		st.park(fr)
+		c.park(fr)
 	}
 	return fr.err
 }
 
-// evictFor returns an unmapped frame for a page of p about to enter st,
-// evicting unpinned frames while the stripe is at its capacity share:
+// evictFor returns an unmapped frame of pageSize bytes for a page about
+// to enter, evicting unpinned frames while the cache is at its capacity:
 // the victim's frame, else a parked one, and a new frame and buffer only
 // when there is neither — below capacity, or everything pinned. Caller
-// holds st.mu.
-func (p *Pager) evictFor(st *stripe) *frame {
+// holds c.mu.
+func (c *Cache) evictFor(pageSize int) *frame {
 	var fr *frame
-	if st.resident >= st.cap && st.unpinned > 0 {
-		fr = st.evict()
-	} else if n := len(st.free); n > 0 {
-		fr, st.free = st.free[n-1], st.free[:n-1]
+	if c.resident >= c.pages && c.unpinned > 0 {
+		fr = c.evict()
+	} else if n := len(c.free); n > 0 {
+		fr, c.free = c.free[n-1], c.free[:n-1]
 	}
-	if fr == nil || len(fr.data) != p.pageSize { // its last file may have had another page size
-		fr = &frame{data: make([]byte, p.pageSize)}
+	if fr == nil || len(fr.data) != pageSize { // its last file may have had another page size
+		fr = &frame{data: make([]byte, pageSize)}
 	}
 	return fr
 }
@@ -659,119 +600,118 @@ func (p *Pager) evictFor(st *stripe) *frame {
 // going on from the oldest past the newest: it passes pinned frames,
 // clears the visited bit of an unpinned one that has it, and stops at
 // the first unpinned frame without it. It unmaps that victim and returns
-// it; the hand rests on the next newer frame. Caller holds st.mu, with
-// st.unpinned > 0, so the walk ends within two turns.
-func (st *stripe) evict() *frame {
-	victim := cmp.Or(st.hand, st.tail)
+// it; the hand rests on the next newer frame. Caller holds c.mu, with
+// c.unpinned > 0, so the walk ends within two turns.
+func (c *Cache) evict() *frame {
+	victim := cmp.Or(c.hand, c.tail)
 	for victim.pins > 0 || victim.visited {
 		if victim.pins == 0 {
 			victim.visited = false
 		}
-		victim = cmp.Or(victim.prev, st.tail)
+		victim = cmp.Or(victim.prev, c.tail)
 	}
-	st.hand = victim
-	_, fs := victim.pgr.stripeOf(victim.id)
-	delete(fs.frames, victim.id)
-	st.unlink(victim)
-	st.unpinned--
+	c.hand = victim
+	delete(victim.pgr.frames, victim.id)
+	c.unlink(victim)
+	c.unpinned--
 	return victim
 }
 
-// trim evicts frames while the stripe is over its share and drops
+// trim evicts frames while the cache is over its capacity and drops
 // parked frames beyond it. A pinned frame stays until a later release or
-// admission. Caller holds st.mu.
-func (st *stripe) trim() {
-	for st.resident > st.cap && st.unpinned > 0 {
-		st.evict()
+// admission. Caller holds c.mu.
+func (c *Cache) trim() {
+	for c.resident > c.pages && c.unpinned > 0 {
+		c.evict()
 	}
-	if keep := max(0, st.cap-st.resident); len(st.free) > keep {
-		clear(st.free[keep:])
-		st.free = st.free[:keep]
+	if keep := max(0, c.pages-c.resident); len(c.free) > keep {
+		clear(c.free[keep:])
+		c.free = c.free[:keep]
 	}
 }
 
-// drop unmaps fr from fs outside any eviction: its file closed, a write
-// replaced its page, its read failed, or caching is off and its last pin
-// went. An unpinned frame is parked; a pinned one stays with its pinners
-// and goes when the last of them releases it. Caller holds st.mu.
-func (st *stripe) drop(fs *fileStripe, fr *frame) {
-	delete(fs.frames, fr.id)
-	st.unlink(fr)
+// drop unmaps fr outside any eviction: its file closed, a write replaced
+// its page, its read failed, or caching is off and its last pin went. An
+// unpinned frame is parked; a pinned one stays with its pinners and goes
+// when the last of them releases it. Caller holds c.mu.
+func (c *Cache) drop(fr *frame) {
+	delete(fr.pgr.frames, fr.id)
+	c.unlink(fr)
 	if fr.pins > 0 {
 		fr.dropped = true
 		return
 	}
-	st.unpinned--
-	st.park(fr)
+	c.unpinned--
+	c.park(fr)
 }
 
 // park keeps an unmapped, unpinned frame for the next admission, unless
-// the stripe already owns its capacity share of frames. Caller holds st.mu.
-func (st *stripe) park(fr *frame) {
-	if st.resident+len(st.free) < st.cap {
-		st.free = append(st.free, fr)
+// the cache already owns its capacity of frames. Caller holds c.mu.
+func (c *Cache) park(fr *frame) {
+	if c.resident+len(c.free) < c.pages {
+		c.free = append(c.free, fr)
 	}
 }
 
 func (p *Pager) release(fr *frame) {
-	st, fs := p.stripeOf(fr.id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	c := p.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// A dropped frame is no page's copy any more: the trace and the
 	// queue have already let it go.
 	if fr.pins--; fr.dropped {
 		return
 	}
-	if rec := p.cache.rec; rec != nil {
-		rec.access(evRelease, p, fr.id)
+	if c.rec != nil {
+		c.rec.access(evRelease, p, fr.id)
 	}
 	if fr.pins > 0 {
 		return
 	}
-	st.unpinned++
+	c.unpinned++
 	switch {
 	case p.noCache:
 		// Caching off (§5 "for fairness, we turn off buffering and
 		// caching"): the frame goes at once, parked for the next Get,
 		// which in this mode is always a miss.
-		st.drop(fs, fr)
-	case st.resident > st.cap:
-		// A stripe that outgrew its share while every frame was pinned
-		// shrinks back as its frames come free.
-		st.trim()
+		c.drop(fr)
+	case c.resident > c.pages:
+		// A cache that outgrew its capacity while every frame was
+		// pinned shrinks back as its frames come free.
+		c.trim()
 	}
 }
 
 // push admits fr, just mapped, at the newest end of the queue.
-func (st *stripe) push(fr *frame) {
-	fr.next = st.head
-	if st.head != nil {
-		st.head.prev = fr
+func (c *Cache) push(fr *frame) {
+	fr.next = c.head
+	if c.head != nil {
+		c.head.prev = fr
 	} else {
-		st.tail = fr
+		c.tail = fr
 	}
-	st.head = fr
-	st.resident++
+	c.head = fr
+	c.resident++
 }
 
 // unlink takes fr, just unmapped, out of the queue; a hand resting on it
 // moves on to the next newer frame.
-func (st *stripe) unlink(fr *frame) {
-	if st.hand == fr {
-		st.hand = fr.prev
+func (c *Cache) unlink(fr *frame) {
+	if c.hand == fr {
+		c.hand = fr.prev
 	}
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {
-		st.head = fr.next
+		c.head = fr.next
 	}
 	if fr.next != nil {
 		fr.next.prev = fr.prev
 	} else {
-		st.tail = fr.prev
+		c.tail = fr.prev
 	}
 	fr.prev, fr.next = nil, nil
-	st.resident--
+	c.resident--
 }
 
 // Flush writes the superblock if the page count or the metadata changed
@@ -803,9 +743,9 @@ func (p *Pager) Sync() error {
 // Close writes the superblock if it changed, closes the file, and gives
 // its frames and its share back to the cache; a file that was only read
 // is not written. The pager is unusable afterwards. The closed flag is
-// set first, under the lock a Write holds, so no write follows it; each
-// stripe is then waited on until no read of this file is in flight. A
-// read starts only under its stripe's lock with the flag clear, so past
+// set first, under the lock a Write holds, so no write follows it; the
+// cache is then waited on until no read of this file is in flight. A
+// read starts only under the cache lock with the flag clear, so past
 // that wait none can start: every read finishes against the still-open
 // file and later callers observe ErrClosed.
 func (p *Pager) Close() error {
@@ -820,15 +760,13 @@ func (p *Pager) Close() error {
 		err = p.writeSuperblockLocked()
 	}
 	p.state.Unlock()
-	for i := range p.stripes {
-		st := &p.cache.stripes[i]
-		st.mu.Lock()
-		for p.stripes[i].reading > 0 {
-			st.loaded.Wait()
-		}
-		st.mu.Unlock()
+	c := p.cache
+	c.mu.Lock()
+	for p.reading > 0 {
+		c.loaded.Wait()
 	}
-	p.cache.resize(p, -1)
+	c.resize(p, -1)
+	c.mu.Unlock()
 	if e := p.f.Close(); e != nil && err == nil {
 		err = e
 	}

@@ -22,18 +22,6 @@ func newTemp(t testing.TB, opts Options) (*Pager, string) {
 	return p, path
 }
 
-// newOneStripe is newTemp with the whole pool in one lock stripe, so
-// eviction follows one queue instead of one per stripe.
-func newOneStripe(t testing.TB, opts Options) *Pager {
-	t.Helper()
-	opts.Create = true
-	p, err := newCache(1).Open(filepath.Join(t.TempDir(), "test.pg"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // appendPage writes a page holding data, then zeros, at the end of p's
 // file and returns its id.
 func appendPage(t testing.TB, p *Pager, data []byte) PageID {
@@ -326,16 +314,16 @@ func TestReadOnly(t *testing.T) {
 }
 
 // check compares the cache and its open pagers with the model: every
-// file's counters, the capacity and each stripe's share of it, and per
-// stripe the resident set and its pin counts, and the queue
-// over all files with its visited bits, hand and unpinned count — so
-// every eviction, of which page of which file, is predicted, not just
-// counted. It also holds each stripe to owning no
-// more frames than its share unless every frame it owns is pinned.
+// file's counters, the capacity, the resident set and its pin counts,
+// and the queue over all files with its visited bits, hand and unpinned
+// count — so every eviction, of which page of which file, is predicted,
+// not just counted. It also holds the cache to owning no more frames
+// than its capacity unless every frame it owns is pinned.
 func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, op int) {
 	t.Helper()
-	if c.pages != m.pages {
-		t.Fatalf("op %d: capacity %d, model %d", op, c.pages, m.pages)
+	s := &m.stripes[0]
+	if c.pages != m.pages || c.pages != s.cap || c.resident != len(s.frames) {
+		t.Fatalf("op %d: %d resident frames of capacity %d, model %d of %d", op, c.resident, c.pages, len(s.frames), s.cap)
 	}
 	for f, mf := range m.files {
 		if !mf.open {
@@ -347,35 +335,29 @@ func (m *poolModel) check(t *testing.T, c *Cache, pgrs []*Pager, base []Stats, o
 			t.Fatalf("op %d file %d: stats %+v, model %+v", op, f, got, want)
 		}
 	}
-	for i := range c.stripes {
-		st, s := &c.stripes[i], &m.stripes[i]
-		if st.cap != s.cap || st.resident != len(s.frames) {
-			t.Fatalf("op %d stripe %d: %d resident frames of share %d, model %d of %d", op, i, st.resident, st.cap, len(s.frames), s.cap)
+	for k, f := range s.frames {
+		if fr := pgrs[k.file].frames[k.id]; fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.pins != f.pins {
+			t.Fatalf("op %d: page %d of file %d is %+v, model %+v", op, k.id, k.file, fr, f)
 		}
-		for k, f := range s.frames {
-			if fr := pgrs[k.file].stripes[i].frames[k.id]; fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.pins != f.pins {
-				t.Fatalf("op %d: page %d of file %d is %+v, model %+v", op, k.id, k.file, fr, f)
-			}
+	}
+	sieve := s.pol.(*sievePolicy)
+	fr := c.head
+	for e := sieve.q.Front(); e != nil; e, fr = e.Next(), fr.next {
+		if k := e.Value.(pageKey); fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.visited != sieve.visited[k] {
+			t.Fatalf("op %d: the queue diverged from the model at page %d of file %d", op, k.id, k.file)
 		}
-		sieve := s.pol.(*sievePolicy)
-		fr := st.head
-		for e := sieve.q.Front(); e != nil; e, fr = e.Next(), fr.next {
-			if k := e.Value.(pageKey); fr == nil || fr.id != k.id || fr.pgr != pgrs[k.file] || fr.visited != sieve.visited[k] {
-				t.Fatalf("op %d stripe %d: the queue diverged from the model at page %d of file %d", op, i, k.id, k.file)
-			}
-			if (st.hand == fr) != (sieve.hand == e) {
-				t.Fatalf("op %d stripe %d: the hand diverged from the model at page %d of file %d", op, i, e.Value.(pageKey).id, e.Value.(pageKey).file)
-			}
+		if (c.hand == fr) != (sieve.hand == e) {
+			t.Fatalf("op %d: the hand diverged from the model at page %d of file %d", op, e.Value.(pageKey).id, e.Value.(pageKey).file)
 		}
-		if fr != nil || (st.hand == nil) != (sieve.hand == nil) || st.unpinned != s.unpinned {
-			t.Fatalf("op %d stripe %d: %d frames past the model's queue, hand %v (model %v), %d unpinned (model %d)", op, i, st.resident-len(s.frames), st.hand != nil, sieve.hand != nil, st.unpinned, s.unpinned)
-		}
-		if tail := st.tail; (tail == nil) != (sieve.q.Len() == 0) || tail != nil && tail.next != nil {
-			t.Fatalf("op %d stripe %d: the queue's tail is not its oldest frame", op, i)
-		}
-		if held := st.resident + len(st.free); held > st.cap && (len(st.free) > 0 || st.unpinned > 0) {
-			t.Fatalf("op %d stripe %d: holds %d frames (%d parked, %d unpinned), share %d", op, i, held, len(st.free), st.unpinned, st.cap)
-		}
+	}
+	if fr != nil || (c.hand == nil) != (sieve.hand == nil) || c.unpinned != s.unpinned {
+		t.Fatalf("op %d: %d frames past the model's queue, hand %v (model %v), %d unpinned (model %d)", op, c.resident-len(s.frames), c.hand != nil, sieve.hand != nil, c.unpinned, s.unpinned)
+	}
+	if tail := c.tail; (tail == nil) != (sieve.q.Len() == 0) || tail != nil && tail.next != nil {
+		t.Fatalf("op %d: the queue's tail is not its oldest frame", op)
+	}
+	if held := c.resident + len(c.free); held > c.pages && (len(c.free) > 0 || c.unpinned > 0) {
+		t.Fatalf("op %d: holds %d frames (%d parked, %d unpinned), capacity %d", op, held, len(c.free), c.unpinned, c.pages)
 	}
 }
 
@@ -386,8 +368,8 @@ type poolFile struct {
 }
 
 // A random View/Get/Write/Release sequence, with up to six pages pinned
-// at once over small pools (so a stripe overshoots its share and shrinks
-// back), against the reference pool and an in-memory copy of every page:
+// at once over small pools (so the cache overshoots its capacity and
+// shrinks back), against the reference pool and an in-memory copy of every page:
 // counters, evictions, the queue and the hand must follow the model op
 // by op, a write appends or replaces a page without touching a pinned
 // copy of it, contents must match while pinned, and every file must end
@@ -403,7 +385,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		{"cached", nil, []poolFile{{3, false}}},
 		{"nocache", nil, []poolFile{{3, true}}},
 		{"two-files", NewCache, []poolFile{{6, false}, {10, false}}},
-		{"three-files", func() *Cache { return newCache(2) }, []poolFile{{3, false}, {4, false}, {5, true}}},
+		{"three-files", NewCache, []poolFile{{3, false}, {4, false}, {5, true}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { randomizedAgainstModel(t, c.cache, c.files) })
@@ -433,7 +415,7 @@ func randomizedAgainstModel(t *testing.T, newC func() *Cache, files []poolFile) 
 			c = pgrs[f].cache
 		}
 		if m == nil {
-			m = newPoolModel(len(c.stripes), newSIEVE)
+			m = newPoolModel(1, newSIEVE)
 		}
 		base[f] = pgrs[f].Stats()
 		m.open(f, files[f].share, files[f].noCache)
@@ -642,7 +624,7 @@ func TestViewZeroCopy(t *testing.T) {
 
 // A pinned view must survive pool pressure, like a pinned Page.
 func TestViewPinSurvivesPressure(t *testing.T) {
-	p := newOneStripe(t, Options{PoolPages: 2})
+	p, _ := newTemp(t, Options{PoolPages: 2})
 	id := appendPage(t, p, []byte("pinned-view"))
 	for i := 0; i < 20; i++ {
 		appendPage(t, p, nil)
@@ -664,8 +646,7 @@ func TestViewPinSurvivesPressure(t *testing.T) {
 	v.Release()
 }
 
-// The aggregate Stats must be the exact sum of per-shard counters: a
-// known access sequence produces known totals regardless of sharding.
+// Stats are exact: a known access sequence produces known totals.
 func TestShardedStatsExact(t *testing.T) {
 	p, path := newTemp(t, Options{PoolPages: 64})
 	const pages = 20
@@ -681,9 +662,6 @@ func TestShardedStatsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if got := len(p2.cache.stripes); got != 8 {
-		t.Fatalf("%d pool stripes, want 8", got)
-	}
 	p2.ResetStats()
 	for _, id := range ids { // cold: all misses
 		v, err := p2.View(id)
@@ -705,29 +683,5 @@ func TestShardedStatsExact(t *testing.T) {
 	}
 	if got := st.HitRatio(); got != 0.5 {
 		t.Fatalf("HitRatio = %v, want 0.5", got)
-	}
-}
-
-// The stripe count is clamped to the pool size and rounded down to a
-// power of two so the shard selector can be a mask, and the stripes'
-// capacities sum to the pool's.
-func TestPoolShardsClamp(t *testing.T) {
-	cases := []struct{ pages, want int }{
-		{256, 8}, // the default
-		{6, 4},   // clamped to the pool size, rounded down to a power of two
-		{2, 2},   // clamped to the pool size
-		{1, 1},   // degenerate pool
-	}
-	for _, c := range cases {
-		p, _ := newTemp(t, Options{PoolPages: c.pages})
-		capacity := 0
-		for i := range p.cache.stripes {
-			capacity += p.cache.stripes[i].cap
-		}
-		if got := len(p.cache.stripes); got != c.want || capacity != c.pages {
-			t.Errorf("PoolPages=%d: %d stripes holding %d frames, want %d holding %d",
-				c.pages, got, capacity, c.want, c.pages)
-		}
-		p.Close()
 	}
 }

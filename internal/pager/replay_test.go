@@ -30,14 +30,15 @@ var traceArgs = map[byte]int{evOpen: 3, evClose: 1, evHit: 2, evMiss: 2, evRelea
 const maxTraceShare = 1 << 30
 
 // readTrace decodes the trace b, checking it as it goes, and hands each
-// event to fn. It returns the recorded cache's stripe count. A cut
-// record, an unknown event, a file index not open, page 0, an open out
-// of sequence, more than 64 stripes, an alloc of a page the file already
-// had or a release of a page no event pinned is an error, so a trace it
-// accepts replays against any policy without a panic. A write or a failed
-// read takes the page's pins with its copy, as a close takes its file's.
-func readTrace(b []byte, fn func(traceEvent)) (stripes int, err error) {
-	stripes, b, err = traceHeader(b)
+// event to fn. It returns the number of queues the recording pool split
+// its frames over. A cut record, an unknown event, a file index not
+// open, page 0, an open out of sequence, more than 64 queues, an alloc
+// of a page the file already had or a release of a page no event pinned
+// is an error, so a trace it accepts replays against any policy without
+// a panic. A write or a failed read takes the page's pins with its copy,
+// as a close takes its file's.
+func readTrace(b []byte, fn func(traceEvent)) (queues int, err error) {
+	queues, b, err = traceHeader(b)
 	if err != nil {
 		return 0, err
 	}
@@ -111,35 +112,32 @@ func readTrace(b []byte, fn func(traceEvent)) (stripes int, err error) {
 		}
 		fn(ev)
 	}
-	return stripes, nil
+	return queues, nil
 }
 
-// traceHeader returns the stripe count a trace records and its records.
+// traceHeader returns the queue count a trace records and its records.
 func traceHeader(b []byte) (int, []byte, error) {
 	if !bytes.HasPrefix(b, []byte(traceMagic)) {
 		return 0, nil, errors.New("trace: bad magic")
 	}
 	n, w := binary.Uvarint(b[len(traceMagic):])
 	if w <= 0 || n == 0 || n > 64 || n&(n-1) != 0 {
-		return 0, nil, errors.New("trace: bad stripe count")
+		return 0, nil, errors.New("trace: bad queue count")
 	}
 	return int(n), b[len(traceMagic)+w:], nil
 }
 
 // replay runs the trace b against newPolicy at the frames each open
-// brought and returns the model that ran it; onEvent, when set, sees
+// brought, split over queues page-id stripes (1: the Cache's one
+// queue), and returns the model that ran it; onEvent, when set, sees
 // every event after the model took it, whether an access hit, and the
 // pages the event evicted.
-func replay(b []byte, newPolicy func() policy, onEvent func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey)) (*poolModel, error) {
-	stripes, _, err := traceHeader(b)
-	if err != nil {
-		return nil, err
-	}
-	m := newPoolModel(stripes, newPolicy)
+func replay(b []byte, queues int, newPolicy func() policy, onEvent func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey)) (*poolModel, error) {
+	m := newPoolModel(queues, newPolicy)
 	var evicted []pageKey
 	m.evicted = func(k pageKey) { evicted = append(evicted, k) }
 	// Each event reaches the model only once it has been checked.
-	_, err = readTrace(b, func(ev traceEvent) {
+	_, err := readTrace(b, func(ev traceEvent) {
 		evicted = evicted[:0]
 		hit := false
 		switch ev.op {
@@ -193,23 +191,25 @@ var replayPolicies = []struct {
 // 40 queries at α = γ = 256 asked twice (see testdata/README.md).
 const committedTrace = "testdata/query.trace"
 
-// The committed trace replays against LRU to the misses its own LRU
-// pool took, so the replayer is exact; every policy's count is logged.
+// The committed trace replays against LRU, split over the eight stripes
+// of the pool that recorded it, to the misses that pool took, so the
+// replayer is exact; every policy's count is logged.
 func TestReplayCommittedTrace(t *testing.T) {
 	b, err := os.ReadFile(committedTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recorded uint64
-	if _, err := readTrace(b, func(ev traceEvent) {
+	queues, err := readTrace(b, func(ev traceEvent) {
 		if ev.op == evMiss {
 			recorded++
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range replayPolicies {
-		m, err := replay(b, p.new, nil)
+		m, err := replay(b, queues, p.new, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +221,8 @@ func TestReplayCommittedTrace(t *testing.T) {
 }
 
 // Driven through the committed trace's events, the Cache hits and
-// misses where the SIEVE replay does, and evicts the pages the replay
-// evicts, each at the access the replay evicts it on.
+// misses where the SIEVE replay at one queue does, and evicts the pages
+// the replay evicts, each at the access the replay evicts it on.
 func TestCacheFollowsReplay(t *testing.T) {
 	b, err := os.ReadFile(committedTrace)
 	if err != nil {
@@ -230,13 +230,12 @@ func TestCacheFollowsReplay(t *testing.T) {
 	}
 	// One file per open, as long as the pages the trace names.
 	pages := map[int]PageID{}
-	stripes, err := readTrace(b, func(ev traceEvent) {
+	if _, err := readTrace(b, func(ev traceEvent) {
 		if ev.op == evAlloc {
 			t.Fatal("the committed trace allocates; the drive below reads only")
 		}
 		pages[ev.k.file] = max(pages[ev.k.file], ev.k.id)
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -254,11 +253,11 @@ func TestCacheFollowsReplay(t *testing.T) {
 		}
 	}
 
-	c := newCache(stripes)
+	c := NewCache()
 	pgrs := map[int]*Pager{}
 	views := map[pageKey][]View{}
 	var misses uint64
-	m, err := replay(b, newSIEVE, func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey) {
+	m, err := replay(b, 1, newSIEVE, func(m *poolModel, ev traceEvent, hit bool, evicted []pageKey) {
 		p := pgrs[ev.k.file]
 		switch ev.op {
 		case evOpen:
@@ -277,8 +276,7 @@ func TestCacheFollowsReplay(t *testing.T) {
 				}
 			}
 		case evHit, evMiss:
-			_, fs := p.stripeOf(ev.k.id)
-			_, resident := fs.frames[ev.k.id]
+			_, resident := p.frames[ev.k.id]
 			if resident != hit {
 				t.Fatalf("after %d misses: page %d of file %d: the Cache hit %v, the replay %v", misses, ev.k.id, ev.k.file, resident, hit)
 			}
@@ -296,14 +294,12 @@ func TestCacheFollowsReplay(t *testing.T) {
 			misses++
 		}
 		for _, k := range evicted {
-			if _, fs := pgrs[k.file].stripeOf(k.id); fs.frames[k.id] != nil {
+			if pgrs[k.file].frames[k.id] != nil {
 				t.Fatalf("after %d misses: the replay evicted page %d of file %d, the Cache kept it", misses, k.id, k.file)
 			}
 		}
-		for i := range c.stripes {
-			if got, want := c.stripes[i].resident, len(m.stripes[i].frames); got != want {
-				t.Fatalf("after %d misses: stripe %d holds %d pages, the replay %d", misses, i, got, want)
-			}
+		if got, want := c.resident, len(m.stripes[0].frames); got != want {
+			t.Fatalf("after %d misses: the Cache holds %d pages, the replay %d", misses, got, want)
 		}
 	})
 	if err != nil {
@@ -321,7 +317,7 @@ func TestCacheFollowsReplay(t *testing.T) {
 // and the reader closes and reopens mid-run.
 func TestRecordedTraceReplays(t *testing.T) {
 	var trace bytes.Buffer
-	c := newCache(2)
+	c := NewCache()
 	c.record(&trace)
 	rpath := scanPath(t, 40)
 	// Armed before the reader opens: its 60th read after the superblock's
@@ -399,7 +395,7 @@ func replayMatches(t *testing.T, c *Cache, trace *bytes.Buffer, misses uint64) {
 	if err := c.rec.flush(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := replay(trace.Bytes(), newSIEVE, nil)
+	m, err := replay(trace.Bytes(), 1, newSIEVE, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +410,7 @@ func replayMatches(t *testing.T, c *Cache, trace *bytes.Buffer, misses uint64) {
 // -race in CI, ten times over (make chaos).
 func TestSharedCacheTraceReplaysExactly(t *testing.T) {
 	var trace bytes.Buffer
-	c := newCache(4)
+	c := NewCache()
 	c.record(&trace)
 	rpath := scanPath(t, 64)
 	w, err := c.Open(filepath.Join(t.TempDir(), "w.pg"), Options{Create: true, PoolPages: 8})
@@ -517,11 +513,12 @@ func FuzzTrace(f *testing.F) {
 	f.Add(append(bytes.Clone(head), "m\x01\x05"...))
 	f.Add(append(bytes.Clone(head), "a\x00\x01m\x00\x01w\x00\x01r\x00\x01m\x00\x01f\x00\x01a\x00\x01"...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, err := readTrace(b, func(traceEvent) {}); err != nil {
+		queues, err := readTrace(b, func(traceEvent) {})
+		if err != nil {
 			return
 		}
 		for _, p := range replayPolicies {
-			if _, err := replay(b, p.new, nil); err != nil {
+			if _, err := replay(b, queues, p.new, nil); err != nil {
 				t.Fatalf("%s: %v on a trace the decoder accepted", p.name, err)
 			}
 		}

@@ -4,18 +4,20 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
-	"sync"
 )
 
 // An access trace is what a cache's replacement policy sees, in the
-// order each stripe saw it: which files open and close with which
+// order the cache saw it: which files open and close with which
 // share, every pin and release of a page, and every page a write or a
 // failed read takes out of the pool. Replaying one against another
 // policy at the same frames tells, exactly, how many misses that policy
 // would have taken on the same run.
 //
-// The format is traceMagic, the cache's stripe count as a uvarint, then
-// one record per event: an event byte and uvarints.
+// The format is traceMagic, the number of queues the cache splits its
+// frames over as a uvarint, then one record per event: an event byte
+// and uvarints. A Cache is one queue and records 1; the committed
+// testdata/query.trace comes from a pool that split its frames over
+// eight queues by page id, and records 8.
 //
 //	'o' file share flags  a file opens (flags bit 0: caching off); file
 //	                      counts the opens before it on this cache
@@ -44,11 +46,9 @@ const (
 
 // recorder writes a cache's access trace. Cache.rec is nil when no trace
 // is taken, so an access pays one pointer test for the instrument.
-// Events are written under the stripe lock of the page (under every
-// stripe lock for open and close), so each stripe's events keep their
-// order.
+// Events are written under Cache.mu, so the trace keeps the order the
+// cache took them in.
 type recorder struct {
-	mu    sync.Mutex
 	w     *bufio.Writer
 	err   error // the first write error; later events are dropped
 	files map[*Pager]uint64
@@ -60,7 +60,7 @@ type recorder struct {
 // the first Open on c; flush the trace with c.rec.flush.
 func (c *Cache) record(w io.Writer) {
 	r := &recorder{w: bufio.NewWriterSize(w, 1<<16), files: make(map[*Pager]uint64)}
-	_, r.err = r.w.Write(binary.AppendUvarint([]byte(traceMagic), uint64(len(c.stripes))))
+	_, r.err = r.w.Write(binary.AppendUvarint([]byte(traceMagic), 1))
 	c.rec = r
 }
 
@@ -75,8 +75,6 @@ func (r *recorder) write(ev byte, args ...uint64) {
 }
 
 func (r *recorder) open(p *Pager) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.files[p] = r.opens
 	var flags uint64
 	if p.noCache {
@@ -87,22 +85,17 @@ func (r *recorder) open(p *Pager) {
 }
 
 func (r *recorder) close(p *Pager) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.write(evClose, r.files[p])
 	delete(r.files, p)
 }
 
 func (r *recorder) access(ev byte, p *Pager, id PageID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.write(ev, r.files[p], uint64(id))
 }
 
 // flush writes out what is buffered and returns the first write error.
+// Call it once no access to the cache is in flight.
 func (r *recorder) flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.err == nil {
 		r.err = r.w.Flush()
 	}

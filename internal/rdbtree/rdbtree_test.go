@@ -50,9 +50,9 @@ func nearest(tr *Tree, key []byte, alpha int) ([]Entry, error) {
 // rdbPoolPages is the pool mkRDB opens its pager with (0 = default).
 var rdbPoolPages int
 
-// The search tests again through an 8-page pool, one frame per stripe:
-// every leaf a search releases is overwritten by its next miss, so an
-// entry decoded from a leaf after its Release shows as a wrong answer.
+// The search tests again through an 8-page pool: every leaf a search
+// releases is soon overwritten by one of its misses, so an entry decoded
+// from a leaf after its Release shows as a wrong answer.
 func TestSearchThroughTinyPool(t *testing.T) {
 	rdbPoolPages = 8
 	defer func() { rdbPoolPages = 0 }()

@@ -465,6 +465,7 @@ func TestDegradeRunsPresetFast(t *testing.T) {
 		{Alpha: 64, Gamma: 16},
 		{Alpha: 48, Gamma: 12},
 		{Alpha: 256, Gamma: 64, UsePtolemaic: true},
+		{Alpha: 4096, Beta: 512, Gamma: 128, UsePtolemaic: true},
 	} {
 		built.Tau, built.Omega, built.M, built.Seed = 2, 8, 4, 1
 		idx, err := hdindex.Build(t.TempDir(), ds.Vectors, built)
@@ -491,7 +492,7 @@ func TestDegradeRunsPresetFast(t *testing.T) {
 			holdPressure(t, s)
 			degraded := serve(api.SearchRequest{Query: q, K: k, Stats: true})
 			pinned := serve(api.SearchRequest{Query: q, K: k, Stats: true, Tuning: api.Tuning{Preset: "fast"}})
-			name := fmt.Sprintf("built %d/%d ptolemaic=%v, k=%d", built.Alpha, built.Gamma, built.UsePtolemaic, k)
+			name := fmt.Sprintf("built %d/%d/%d ptolemaic=%v, k=%d", built.Alpha, built.Beta, built.Gamma, built.UsePtolemaic, k)
 			if degraded.Stats.Degraded != (fast != hdindex.SearchOptions{}) || pinned.Stats.Degraded {
 				t.Errorf("%s: degraded echo %v under pressure and %v pinned, fast options %+v",
 					name, degraded.Stats.Degraded, pinned.Stats.Degraded, fast)

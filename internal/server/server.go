@@ -253,7 +253,7 @@ func (s *Server) resolvePreset(r *http.Request, t api.Tuning) (hdindex.Preset, e
 
 // autoOptions takes the auto preset's post-admission decision for a
 // request's options o. Under pressure a request that left α and γ unset
-// runs the fast preset's α and γ, and degraded reports whether that
+// runs the fast preset's α, β and γ, and degraded reports whether that
 // lowered a knob; otherwise a request with no knobs at all runs the SLO
 // tuner's operating point when one runs, and the built parameters when
 // none does. Explicit α or γ are the request's own contract and are
@@ -267,7 +267,7 @@ func (s *Server) autoOptions(o hdindex.SearchOptions, k int) (_ hdindex.SearchOp
 		if err != nil || fast == (hdindex.SearchOptions{}) {
 			return o, false // a bad k fails in the query, as without pressure
 		}
-		o.Alpha, o.Gamma = fast.Alpha, fast.Gamma
+		o.Alpha, o.Beta, o.Gamma = fast.Alpha, fast.Beta, fast.Gamma
 		return o, true
 	}
 	if s.tuner != nil && o == (hdindex.SearchOptions{}) {

@@ -161,8 +161,10 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
+# go vet on the host and on big-endian s390x, as CI's vet steps run it.
 vet:
 	$(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./...
 
 check: build vet fmt-check test race
 

@@ -90,7 +90,6 @@ func (r *replica) reject(msg string) {
 
 func (r *replica) getState() int32  { return r.state.Load() }
 func (r *replica) isRejected() bool { return r.rejected.Load() }
-func (r *replica) isVerified() bool { return r.verified.Load() }
 
 func (r *replica) stats() ReplicaStats {
 	rs := ReplicaStats{

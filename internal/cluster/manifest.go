@@ -63,9 +63,6 @@ type ShardSpec struct {
 	Replicas []string `json:"replicas"`
 }
 
-// NumShards returns the layout's shard count.
-func (m *Manifest) NumShards() int { return len(m.Shards) }
-
 // Validate checks structural invariants: ordinals 0..N-1 exactly once,
 // at least one replica per shard, a positive dimensionality.
 func (m *Manifest) Validate() error {

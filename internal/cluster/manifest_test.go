@@ -29,7 +29,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.UUID != "abc123" || m.Dim != 32 || m.NumShards() != 2 {
+	if m.UUID != "abc123" || m.Dim != 32 || len(m.Shards) != 2 {
 		t.Fatalf("round trip lost fields: %+v", m)
 	}
 	// Reading normalizes: bare host:port promoted, trailing slash gone.

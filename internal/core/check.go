@@ -101,9 +101,11 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 
 	d := ix.deleted
 	d.mu.RLock()
-	purged := make(map[uint64]struct{}, len(d.purged))
-	for slot := range d.purged {
-		purged[slot] = struct{}{}
+	purged := make(map[uint64]struct{})
+	for slot, m := range d.marks {
+		if m.purged {
+			purged[slot] = struct{}{}
+		}
 	}
 	d.mu.RUnlock()
 	rep.Purged = len(purged)

@@ -20,8 +20,8 @@ import (
 // group commit — and consulted during the exact-refinement step, so no
 // tree surgery happens on the request path. Compaction is where the
 // physical reclaim lives: it drops marked entries from the rebuilt
-// trees and moves their marks into the purged set, and its meta.json
-// commit records both sets.
+// trees and makes their marks purged (permanent), and its meta.json
+// commit records the marked and the purged ids.
 
 // deletedFile held the marks of directories written before meta.json
 // did: Open merges it into meta.json once and removes it.
@@ -40,26 +40,29 @@ var ErrUnknownID = errors.New("core: unknown id")
 // no longer be lifted.
 var ErrPurged = errors.New("core: id was deleted and reclaimed by compaction")
 
-// deleteSet holds the deletion marks. Each set is keyed by slot — what a
-// refinement candidate is, so a deleted one is skipped before its page
-// is fetched — and maps to the id, which is what meta.json and the WAL
-// record: the slot keys are an in-memory mirror, rebuilt through ids.pg
-// when the marks are loaded or replayed.
+// deleteSet holds the deletion marks, keyed by slot — what a refinement
+// candidate is, so a deleted one is skipped before its page is fetched.
+// Each mark carries the id, which is what meta.json and the WAL record:
+// the slot keys are an in-memory mirror, rebuilt through ids.pg when the
+// marks are loaded or replayed.
 type deleteSet struct {
-	mu  sync.RWMutex
-	ids map[uint64]uint64 // slot → id
-	// purged holds the objects whose marked deletion compaction made
-	// physical: their tree entries were dropped during a rebuild, so the
-	// mark is permanent. has() covers both sets; Undelete refuses purged
-	// ids.
-	purged map[uint64]uint64
-	// n is len(ids)+len(purged), readable without mu: an index nothing
-	// was ever deleted from answers has() with one atomic load.
+	mu    sync.RWMutex
+	marks map[uint64]mark // slot → mark
+	// n is len(marks), readable without mu: an index nothing was ever
+	// deleted from answers has() with one atomic load.
 	n atomic.Int64
 }
 
+// mark is one deleted object. A purged mark is one whose deletion
+// compaction made physical: its tree entries were dropped during a
+// rebuild, so the mark is permanent and Undelete refuses it.
+type mark struct {
+	id     uint64
+	purged bool
+}
+
 func newDeleteSet() *deleteSet {
-	return &deleteSet{ids: make(map[uint64]uint64), purged: make(map[uint64]uint64)}
+	return &deleteSet{marks: make(map[uint64]mark)}
 }
 
 // has is on the search hot path — once per refinement candidate — and
@@ -69,71 +72,76 @@ func (d *deleteSet) has(slot uint64) bool {
 	if d.n.Load() == 0 {
 		return false
 	}
-	marked, purged := d.state(slot)
-	return marked || purged
+	_, ok := d.get(slot)
+	return ok
 }
 
-// state reports whether slot carries a liftable mark or a permanent one.
-func (d *deleteSet) state(slot uint64) (marked, purged bool) {
+// get returns slot's mark, if it carries one.
+func (d *deleteSet) get(slot uint64) (mark, bool) {
 	d.mu.RLock()
-	_, marked = d.ids[slot]
-	_, purged = d.purged[slot]
+	m, ok := d.marks[slot]
 	d.mu.RUnlock()
-	return marked, purged
+	return m, ok
 }
 
 func (d *deleteSet) len() int { return int(d.n.Load()) }
 
-// update runs fn on the sets under the write lock and republishes n.
+// update runs fn on the marks under the write lock and republishes n.
 func (d *deleteSet) update(fn func()) {
 	d.mu.Lock()
 	fn()
-	d.n.Store(int64(len(d.ids) + len(d.purged)))
+	d.n.Store(int64(len(d.marks)))
 	d.mu.Unlock()
 }
 
-// mark adds a deletion mark unless the object is already purged (a
-// purged object is permanently deleted; WAL replay may legitimately
-// re-deliver its delete record after a crash between the meta.json commit
-// and the WAL truncation).
+// setLocked marks slot, keeping a purged mark as it is (a purged object
+// is permanently deleted; WAL replay may legitimately re-deliver its
+// delete record after a crash between the meta.json commit and the WAL
+// truncation). d.mu must be held.
+func (d *deleteSet) setLocked(slot, id uint64) {
+	if !d.marks[slot].purged {
+		d.marks[slot] = mark{id: id}
+	}
+}
+
 func (d *deleteSet) mark(slot, id uint64) {
+	d.update(func() { d.setLocked(slot, id) })
+}
+
+// unmark lifts slot's mark unless it is purged.
+func (d *deleteSet) unmark(slot uint64) {
 	d.update(func() {
-		if _, gone := d.purged[slot]; !gone {
-			d.ids[slot] = id
+		if !d.marks[slot].purged {
+			delete(d.marks, slot)
 		}
 	})
 }
 
-func (d *deleteSet) unmark(slot uint64) {
-	d.update(func() { delete(d.ids, slot) })
-}
-
-// marksBelow snapshots the marked (not purged) objects with ids under
-// limit, by slot — the set a compaction covering ids [0, limit) will
-// reclaim, keyed the way the tree entries it drops are.
+// marksBelow snapshots the liftable marks with ids under limit, by slot
+// — the set a compaction covering ids [0, limit) will reclaim, keyed the
+// way the tree entries it drops are.
 func (d *deleteSet) marksBelow(limit uint64) map[uint64]uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make(map[uint64]uint64)
-	for slot, id := range d.ids {
-		if id < limit {
-			out[slot] = id
+	for slot, m := range d.marks {
+		if !m.purged && m.id < limit {
+			out[slot] = m.id
 		}
 	}
 	return out
 }
 
-// purge moves a marksBelow snapshot from the mark set to the purged set.
-// Objects unmarked in the window since the snapshot stay unmarked (their
-// Undelete won) but still purge: their tree entries are gone either way.
+// purge makes a marksBelow snapshot's marks permanent. Objects unmarked
+// in the window since the snapshot stay unmarked (their Undelete won)
+// but still purge: their tree entries are gone either way.
 func (d *deleteSet) purge(drop map[uint64]uint64) {
 	if len(drop) == 0 {
 		return
 	}
 	d.update(func() {
 		for slot, id := range drop {
-			delete(d.ids, slot)
-			d.purged[slot] = id
+			d.marks[slot] = mark{id: id, purged: true}
 		}
 	})
 }
@@ -144,15 +152,15 @@ func (d *deleteSet) purge(drop map[uint64]uint64) {
 func (d *deleteSet) lists(drop map[uint64]uint64) (marked, purged []uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for slot, id := range d.ids {
-		if _, gone := drop[slot]; !gone {
-			marked = append(marked, id)
+	for slot, m := range d.marks {
+		if m.purged {
+			purged = append(purged, m.id)
+		} else if _, gone := drop[slot]; !gone {
+			marked = append(marked, m.id)
 		}
 	}
-	for _, set := range []map[uint64]uint64{d.purged, drop} {
-		for _, id := range set {
-			purged = append(purged, id)
-		}
+	for _, id := range drop {
+		purged = append(purged, id)
 	}
 	slices.Sort(marked)
 	slices.Sort(purged)
@@ -197,8 +205,8 @@ func (ix *Index) Undelete(id uint64) error {
 		if slot, err = ix.slots.slot(id); err != nil {
 			return nil, err
 		}
-		marked, gone := d.state(slot)
-		if gone {
+		m, marked := d.get(slot)
+		if m.purged {
 			return nil, fmt.Errorf("%w: undelete of id %d", ErrPurged, id)
 		}
 		if !marked {
@@ -214,9 +222,11 @@ func (ix *Index) DeletedCount() int { return ix.deleted.len() }
 
 // addMarks adds marked and purged ids to the delete set, finding each
 // one's slot; an id past the slot space, or one the slot map cannot
-// place, is an error. A purged id loses any mark it also carries.
+// place, is an error. A purged id's mark is purged whatever else lists
+// it.
 func (ix *Index) addMarks(marked, purged []uint64) error {
-	add := func(ids []uint64, into map[uint64]uint64) error {
+	d := ix.deleted
+	add := func(ids []uint64, purged bool) error {
 		for _, id := range ids {
 			if id >= slotSpace {
 				return fmt.Errorf("%w: deleted id %d, %d slots", rdbtree.ErrIDRange, id, slotSpace)
@@ -225,18 +235,18 @@ func (ix *Index) addMarks(marked, purged []uint64) error {
 			if err != nil {
 				return err
 			}
-			into[slot] = id
+			if purged {
+				d.marks[slot] = mark{id: id, purged: true}
+			} else {
+				d.setLocked(slot, id)
+			}
 		}
 		return nil
 	}
-	d := ix.deleted
 	var err error
 	d.update(func() {
-		if err = add(marked, d.ids); err == nil {
-			err = add(purged, d.purged)
-		}
-		for slot := range d.purged {
-			delete(d.ids, slot)
+		if err = add(marked, false); err == nil {
+			err = add(purged, true)
 		}
 	})
 	return err
@@ -289,12 +299,10 @@ func (ix *Index) pruneDeleteMarks() bool {
 	d := ix.deleted
 	pruned := false
 	d.update(func() {
-		for _, section := range []map[uint64]uint64{d.ids, d.purged} {
-			for slot, id := range section {
-				if id >= total {
-					delete(section, slot)
-					pruned = true
-				}
+		for slot, m := range d.marks {
+			if m.id >= total {
+				delete(d.marks, slot)
+				pruned = true
 			}
 		}
 	})

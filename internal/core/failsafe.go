@@ -10,20 +10,22 @@ import (
 // domains, two distinct behaviours:
 //
 //   - WAL failure (fsync or append error): the durability contract is
-//     broken, so the index flips to read-only — every further
-//     Insert/Delete/Undelete fails fast with ErrWALUnavailable while
-//     queries keep serving. An insert is acknowledged iff its record is
-//     fsynced (the WAL's group commit), so the memtable suffix past the
-//     last durable offset was never acknowledged to anyone and is
-//     rolled back — the in-memory state then matches exactly what a
-//     crash-restart replay would rebuild.
+//     broken and the log stays poisoned (wal.Log.Err), which is the
+//     index's read-only state — every further Insert/Delete/Undelete
+//     fails fast with ErrWALUnavailable while queries keep serving. An
+//     insert is acknowledged iff its record is fsynced (the WAL's group
+//     commit), so the memtable suffix past the last durable offset was
+//     never acknowledged to anyone and is rolled back — the in-memory
+//     state then matches exactly what a crash-restart replay would
+//     rebuild.
 //
 //   - Compaction failure (tree rebuild I/O, vector-store append, meta
 //     write): Compact commits all-or-nothing, so the old generation
 //     keeps serving and the WAL + memtable still cover every
 //     acknowledged write. The background compactor retries under a
 //     circuit breaker with capped exponential backoff instead of
-//     hammering a sick disk on every wake.
+//     hammering a sick disk on every wake. The breaker is open while
+//     the count of consecutive failures is above zero.
 
 // ErrWALUnavailable reports a write rejected because the write-ahead
 // log failed: the index is read-only until reopened. Callers (the
@@ -31,9 +33,8 @@ import (
 // to a 503 while continuing to serve reads.
 var ErrWALUnavailable = errors.New("core: write-ahead log unavailable, index is read-only")
 
-// Compaction-breaker backoff bounds. Vars, not consts, so chaos tests
-// can shrink them to milliseconds.
-var (
+// Compaction-breaker backoff bounds.
+const (
 	compactBackoffBase = 250 * time.Millisecond
 	compactBackoffMax  = 30 * time.Second
 )
@@ -45,8 +46,8 @@ func walUnavailable(cause error) error {
 	return fmt.Errorf("%w: %w", ErrWALUnavailable, cause)
 }
 
-// noteWALFailure flips the index read-only. Takes ix.mu itself; returns
-// the error callers should surface.
+// noteWALFailure brings memory in line with a failed log. Takes ix.mu
+// itself; returns the error callers should surface.
 func (ix *Index) noteWALFailure(cause error) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -54,14 +55,11 @@ func (ix *Index) noteWALFailure(cause error) error {
 }
 
 // noteWALFailureLocked is noteWALFailure with ix.mu already held. The
-// first failure wins: it records the cause and rolls back the
-// never-acknowledged memtable suffix.
+// log keeps its own sticky failure (ix.wal.Err), so all this does is
+// roll back the never-acknowledged memtable suffix. A poisoned log
+// takes no more appends and its durable offset never falls, so every
+// call after the first finds nothing left to drop.
 func (ix *Index) noteWALFailureLocked(cause error) error {
-	if ix.walFailed {
-		return walUnavailable(ix.walErr)
-	}
-	ix.walFailed = true
-	ix.walErr = cause
 	// An insert is acknowledged only once its record is fsynced, so
 	// entries past the durable offset were never promised to any caller:
 	// drop them, restoring the exact state a crash-restart replay would
@@ -80,51 +78,47 @@ func (ix *Index) noteWALFailureLocked(cause error) error {
 
 // WALFailed reports whether the write-ahead log has failed and the
 // index is read-only. Queries are unaffected; every write fails with
-// ErrWALUnavailable.
+// ErrWALUnavailable. A closed index reports false.
 func (ix *Index) WALFailed() bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.walFailed
+	return ix.readOnlyLocked()
 }
 
-// noteCompactFailure records one failed compaction and computes how
-// long the breaker holds before the next attempt: exponential from
-// compactBackoffBase, capped at compactBackoffMax. The delay is stored
-// (compactRetryDelay) so the background loop can pick it up even when
-// the failing attempt was a manual Compact call.
+// readOnlyLocked is WALFailed with ix.mu held: the log's poison is the
+// read-only state.
+func (ix *Index) readOnlyLocked() bool {
+	return ix.wal != nil && ix.wal.Err() != nil
+}
+
+// noteCompactFailure records one failed compaction, which opens the
+// breaker or keeps it open one step longer.
 func (ix *Index) noteCompactFailure(err error) {
 	ix.mu.Lock()
 	ix.compactConsecFails++
 	ix.compactFailures++
-	ix.breakerOpen = true
 	ix.lastCompactErr = err.Error()
-	shift := ix.compactConsecFails - 1
-	if shift > 20 {
-		shift = 20
-	}
-	d := compactBackoffBase << shift
-	if d > compactBackoffMax || d <= 0 {
-		d = compactBackoffMax
-	}
-	ix.compactBackoff = d
 	ix.mu.Unlock()
 }
 
-// compactRetryDelay reports the breaker's current backoff (0 when
-// closed).
+// compactRetryDelay reports how long the breaker holds before the next
+// attempt: 0 while it is closed (no failure since the last success),
+// else exponential in the consecutive failures from compactBackoffBase,
+// capped at compactBackoffMax. The background loop reads it after any
+// failed attempt, a manual Compact call's included.
 func (ix *Index) compactRetryDelay() time.Duration {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if !ix.breakerOpen {
+	n := ix.compactConsecFails
+	ix.mu.RUnlock()
+	if n == 0 {
 		return 0
 	}
-	return ix.compactBackoff
+	return min(compactBackoffBase<<min(n-1, 20), compactBackoffMax)
 }
 
 // noteCompactOK closes the breaker after a successful compaction.
 func (ix *Index) noteCompactOK() {
 	ix.mu.Lock()
 	ix.compactConsecFails = 0
-	ix.breakerOpen = false
 	ix.mu.Unlock()
 }

@@ -117,6 +117,12 @@ func TestFaultWALENOSPCWrite(t *testing.T) {
 	// Close flushes through the poisoned WAL, so it may report the
 	// failure; what matters is that it returns (files closed, no panic).
 	_ = ix.Close()
+	// A closed index holds no log: like its WAL byte and record counts,
+	// its read-only flag reads zero.
+	if ist := ix.IngestStats(); ist.WALFailed || ix.WALFailed() || ist.WALBytes != 0 || ist.WALRecords != 0 {
+		t.Fatalf("closed index: WALFailed %v/%v, %d WAL bytes, %d records; want false and zeros",
+			ist.WALFailed, ix.WALFailed(), ist.WALBytes, ist.WALRecords)
+	}
 	restore()
 	re, err := Open(dir, OpenOptions{})
 	if err != nil {
@@ -260,6 +266,33 @@ func TestFaultDeleteUndoBesideQueries(t *testing.T) {
 	}
 	if err := ix.Delete(3); !errors.Is(err, ErrWALUnavailable) {
 		t.Fatalf("a write after the WAL failure: %v, want ErrWALUnavailable", err)
+	}
+}
+
+// TestCompactRetryDelay holds the breaker's backoff to its schedule
+// over 0–25 consecutive failures, past the point where the shift stops
+// growing: none after no failure, else 250 ms doubled per further
+// failure up to 30 s; a success closes the breaker again.
+func TestCompactRetryDelay(t *testing.T) {
+	want := time.Duration(0)
+	for n := range 26 {
+		switch {
+		case n == 1:
+			want = 250 * time.Millisecond
+		case n > 1:
+			want = min(2*want, 30*time.Second)
+		}
+		ix := &Index{}
+		for range n {
+			ix.noteCompactFailure(errors.New("eio"))
+		}
+		if got := ix.compactRetryDelay(); got != want {
+			t.Errorf("%d consecutive failures: retry delay %v, want %v", n, got, want)
+		}
+		ix.noteCompactOK()
+		if got := ix.compactRetryDelay(); got != 0 {
+			t.Errorf("%d failures then a success: retry delay %v, want 0", n, got)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/hd-index/hdindex/internal/atomicfile"
 	"github.com/hd-index/hdindex/internal/bptree"
@@ -62,14 +61,11 @@ type Index struct {
 	gen      uint64
 	replayed int // WAL records replayed by Open
 
-	// Write-path failure state (failsafe.go): a WAL failure flips the
-	// index read-only; walErr keeps the root cause for error messages.
-	walFailed bool
-	walErr    error
-
 	// Background compactor plumbing; compactMu serialises Compact.
-	// breakerOpen/compactConsecFails/compactFailures/lastCompactErr are
-	// the compaction circuit breaker (failsafe.go), guarded by mu.
+	// compactConsecFails/compactFailures/lastCompactErr are the
+	// compaction circuit breaker (failsafe.go), open while
+	// compactConsecFails > 0, guarded by mu. The WAL's read-only state
+	// is the log's own (ix.wal.Err).
 	compactMu          sync.Mutex
 	compactCancel      context.CancelFunc
 	compactDone        chan struct{}
@@ -77,11 +73,9 @@ type Index struct {
 	compactions        uint64
 	lastCompactMS      float64
 	lastCompactN       int
-	breakerOpen        bool
 	compactConsecFails int
 	compactFailures    uint64
 	lastCompactErr     string
-	compactBackoff     time.Duration
 
 	// buildStats is the construction cost breakdown; set by Build,
 	// nil on an Opened index.
@@ -464,7 +458,7 @@ func (ix *Index) rebuildTrees() error {
 		if err != nil {
 			return err
 		}
-		if _, purged := ix.deleted.state(slot); purged {
+		if m, _ := ix.deleted.get(slot); m.purged {
 			continue
 		}
 		v, err := ix.vectors.Get(slot, nil)

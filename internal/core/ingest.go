@@ -103,12 +103,12 @@ func (ix *Index) IngestStats() IngestStats {
 		Compactions:           ix.compactions,
 		LastCompactionMS:      ix.lastCompactMS,
 		LastCompactionVectors: ix.lastCompactN,
-		WALFailed:             ix.walFailed,
+		WALFailed:             ix.readOnlyLocked(),
 		CompactFailures:       ix.compactFailures,
 		CompactBreaker:        "closed",
 		LastCompactError:      ix.lastCompactErr,
 	}
-	if ix.breakerOpen {
+	if ix.compactConsecFails > 0 {
 		st.CompactBreaker = "open"
 	}
 	if ix.wal != nil {
@@ -137,15 +137,16 @@ func (ix *Index) memtableMax() int {
 // happens outside the lock. If that fsync fails the mutation was never
 // acknowledged: undo (nil when noteWALFailure's drop of the memtable
 // suffix already covers it) reverts apply, so memory matches what a
-// crash-restart replay rebuilds, and the index flips read-only.
+// crash-restart replay rebuilds, and the poisoned log keeps the index
+// read-only.
 func (ix *Index) logged(pre func(total uint64) (*wal.Record, error), apply func(off int64), undo func()) error {
 	ix.mu.Lock()
 	if ix.wal == nil {
 		ix.mu.Unlock()
 		return errors.New("core: index is closed")
 	}
-	if ix.walFailed {
-		err := walUnavailable(ix.walErr)
+	if err := ix.wal.Err(); err != nil {
+		err = ix.noteWALFailureLocked(err)
 		ix.mu.Unlock()
 		return err
 	}
@@ -158,8 +159,8 @@ func (ix *Index) logged(pre func(total uint64) (*wal.Record, error), apply func(
 	off, err := w.AppendNoSync(*rec)
 	if err != nil {
 		if !errors.Is(err, wal.ErrClosed) {
-			// The append poisoned the log (a torn page-cache write): flip
-			// read-only before unlocking so no later writer races past.
+			// The append poisoned the log (a torn page-cache write), so
+			// the index is read-only; roll back before unlocking.
 			err = ix.noteWALFailureLocked(err)
 		}
 		ix.mu.Unlock()
@@ -355,7 +356,7 @@ func (ix *Index) Compact(ctx context.Context) error {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// External cancel (shutdown), not a sick disk: breaker unchanged.
 	case errors.Is(err, wal.ErrClosed), errors.Is(err, ErrWALUnavailable):
-		// WAL failure domain: noteWALFailure already flipped read-only;
+		// WAL failure domain: the poisoned log made the index read-only;
 		// opening the compaction breaker too would misreport the cause.
 	default:
 		ix.noteCompactFailure(err)
@@ -380,10 +381,9 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 		ix.mu.RUnlock()
 		return false, nil
 	}
-	if ix.walFailed {
-		err := walUnavailable(ix.walErr)
+	if err := ix.wal.Err(); err != nil {
 		ix.mu.RUnlock()
-		return true, err
+		return true, walUnavailable(err)
 	}
 	batch := make([][]float32, n)
 	copy(batch, ix.mem[:n])
@@ -464,24 +464,25 @@ func (ix *Index) compact(ctx context.Context) (bool, error) {
 	for i, v := range rest {
 		tail[i] = wal.Record{Op: wal.OpInsert, ID: newCount + uint64(i), Vec: v}
 	}
-	walErr := ix.wal.RewriteWith(tail)
+	rewriteErr := ix.wal.RewriteWith(tail)
 	ix.lastCompactMS = msSince(start)
 	ix.mu.Unlock()
 	ix.tel.ObserveCompaction(time.Since(start))
 
 	ix.dropTrees(oldTrees, oldGen)
-	if walErr != nil && !errors.Is(walErr, wal.ErrClosed) {
+	if rewriteErr != nil && !errors.Is(rewriteErr, wal.ErrClosed) {
 		// The commit itself is durable (meta.json landed); what failed is
 		// the WAL truncation. A transient failure (the temp file could
 		// not be created) leaves the log healthy — replay idempotently
 		// skips the committed prefix, so the only cost is a longer log
 		// and the breaker retries. A poisoned log (fsync failed) breaks
-		// the durability contract for FUTURE writes: flip read-only.
+		// the durability contract for FUTURE writes: the index is
+		// read-only from here.
 		if ix.wal.Err() != nil {
-			return true, ix.noteWALFailure(walErr)
+			return true, ix.noteWALFailure(rewriteErr)
 		}
 	}
-	return true, walErr
+	return true, rewriteErr
 }
 
 // dropTrees closes generation gen's open trees and removes its files.

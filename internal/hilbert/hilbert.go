@@ -22,17 +22,13 @@ import "fmt"
 // to keys along a space-filling curve and back. Implementations must be
 // bijections from [0,2^order)^dims onto [0, 2^(dims·order)).
 type Curve interface {
-	// Dims returns the grid dimensionality η.
-	Dims() int
-	// Order returns the bits per dimension ω.
-	Order() int
 	// KeyLen returns the key size in bytes: ceil(dims·order/8).
 	KeyLen() int
 	// Encode appends the key of coords to dst and returns it.
 	// Each coordinate must be < 2^order.
 	Encode(dst []byte, coords []uint32) []byte
 	// EncodeAll encodes a batch of points held row-major in coords
-	// (stride uint32s apart, the first Dims() of each row being the
+	// (stride uint32s apart, the first dims of each row being the
 	// coordinates) into dst, KeyLen() bytes per point, overwriting
 	// dst's prefix. It is Encode in a loop with the per-call scratch
 	// and validation hoisted out — the bulk-construction fast path.
@@ -69,18 +65,13 @@ func MustNew(dims, order int) *Hilbert {
 	return h
 }
 
-// Dims returns the dimensionality of the curve.
-func (h *Hilbert) Dims() int { return h.dims }
-
-// Order returns the bits per dimension.
-func (h *Hilbert) Order() int { return h.order }
-
 // KeyLen returns the number of bytes in a key.
 func (h *Hilbert) KeyLen() int { return h.keyLen }
 
 // Encode appends the Hilbert key of coords to dst and returns the extended
-// slice. len(coords) must equal Dims() and every coordinate must fit in
-// Order() bits; violations panic, as they are always caller bugs.
+// slice. len(coords) must equal the curve's dims and every coordinate
+// must fit in order bits; violations panic, as they are always caller
+// bugs.
 func (h *Hilbert) Encode(dst []byte, coords []uint32) []byte {
 	if len(coords) != h.dims {
 		panic("hilbert: coordinate count mismatch")
@@ -106,8 +97,8 @@ func (h *Hilbert) Encode(dst []byte, coords []uint32) []byte {
 }
 
 // EncodeAll encodes len(coords)/stride points into dst (KeyLen() bytes
-// each, overwritten in place). stride must be >= Dims(); row i's
-// coordinates are coords[i*stride : i*stride+Dims()]. Unlike Encode,
+// each, overwritten in place). stride must be >= dims; row i's
+// coordinates are coords[i*stride : i*stride+dims]. Unlike Encode,
 // which allocates its transpose scratch per call above 64 dimensions,
 // the scratch here is hoisted out of the loop — per-point cost is pure
 // transform + pack.
@@ -134,7 +125,7 @@ func (h *Hilbert) EncodeAll(dst []byte, coords []uint32, stride int) {
 	}
 }
 
-// Decode writes the grid coordinates of key into coords (length Dims()).
+// Decode writes the grid coordinates of key into coords (length dims).
 func (h *Hilbert) Decode(key []byte, coords []uint32) {
 	if len(coords) != h.dims {
 		panic("hilbert: coordinate count mismatch")

@@ -42,27 +42,17 @@ func KeyDelta(dst, a, b []byte) []byte {
 // All keys must have the same length. It is the α-nearest walk's
 // direction test, so it works a uint64 limb at a time and keeps nothing
 // on the heap at any width. The 8-byte keys an RDB-tree stores (a
-// key's first machine word) are one limb, and the full 16-byte keys of
-// the paper's geometry (η=16, ω=8), which the multicurves baseline
-// walks, two; both take a closed form (BenchmarkCloserKey8/16, about a
-// third of the limb loop's time at either width). Other widths fall to
-// the limb loop.
+// key's first machine word) are one limb and take a closed form
+// (BenchmarkCloserKey8, about a third of the limb loop's time); every
+// other width, the multicurves baseline's full 16-byte keys included,
+// takes the limb loop.
 func CloserKey(q, a, b []byte) int {
 	if len(a) != len(q) || len(b) != len(q) {
 		panic("hilbert: key length mismatch")
 	}
-	switch len(q) {
-	case 8:
+	if len(q) == 8 {
 		qv := binary.BigEndian.Uint64(q)
 		return cmp.Compare(absDiff64(qv, binary.BigEndian.Uint64(a)), absDiff64(qv, binary.BigEndian.Uint64(b)))
-	case 16:
-		q0, q1 := binary.BigEndian.Uint64(q), binary.BigEndian.Uint64(q[8:])
-		a0, a1 := absDiff128(q0, q1, binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(a[8:]))
-		b0, b1 := absDiff128(q0, q1, binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:]))
-		if a0 != b0 {
-			return cmp.Compare(a0, b0)
-		}
-		return cmp.Compare(a1, b1)
 	}
 	// Order each pair so both deltas are hi - lo >= 0, then take the sign
 	// of (ah-al) - (bh-bl) in one pass, least significant limb first,
@@ -98,16 +88,6 @@ func absDiff64(x, y uint64) uint64 {
 		return y - x
 	}
 	return x - y
-}
-
-// absDiff128 is |x - y| over two-limb integers (x0, y0 the high limbs).
-func absDiff128(x0, x1, y0, y1 uint64) (hi, lo uint64) {
-	if x0 < y0 || (x0 == y0 && x1 < y1) {
-		x0, x1, y0, y1 = y0, y1, x0, x1
-	}
-	lo, borrow := bits.Sub64(x1, y1, 0)
-	hi, _ = bits.Sub64(x0, y0, borrow)
-	return hi, lo
 }
 
 // limb loads the (up to) eight bytes of k that end at offset end as a

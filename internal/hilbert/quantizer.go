@@ -8,7 +8,6 @@ package hilbert
 type Quantizer struct {
 	lo, hi []float32 // per-dimension domain
 	scale  []float64 // (2^order - 1) / (hi - lo), 0 for degenerate dims
-	order  int
 	maxv   uint32
 }
 
@@ -22,7 +21,6 @@ func NewQuantizer(lo, hi []float32, order int) *Quantizer {
 		lo:    lo,
 		hi:    hi,
 		scale: make([]float64, len(lo)),
-		order: order,
 		maxv:  maxCoord(order),
 	}
 	for d := range lo {
@@ -32,12 +30,6 @@ func NewQuantizer(lo, hi []float32, order int) *Quantizer {
 	}
 	return q
 }
-
-// Dims returns the vector dimensionality the quantizer accepts.
-func (q *Quantizer) Dims() int { return len(q.lo) }
-
-// Order returns the curve order the grid was built for.
-func (q *Quantizer) Order() int { return q.order }
 
 // Coords writes the grid cell of v (or of a dims-length slice of it) into
 // dst and returns dst. Out-of-domain values are clamped: queries may fall
@@ -67,9 +59,3 @@ func (q *Quantizer) Coords(dst []uint32, v []float32) []uint32 {
 	}
 	return dst
 }
-
-// Lo returns the per-dimension lower bounds (not a copy).
-func (q *Quantizer) Lo() []float32 { return q.lo }
-
-// Hi returns the per-dimension upper bounds (not a copy).
-func (q *Quantizer) Hi() []float32 { return q.hi }

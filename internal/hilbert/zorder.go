@@ -24,12 +24,6 @@ func NewZOrder(dims, order int) (*ZOrder, error) {
 	return &ZOrder{dims: dims, order: order, keyLen: (dims*order + 7) / 8}, nil
 }
 
-// Dims returns the dimensionality of the curve.
-func (z *ZOrder) Dims() int { return z.dims }
-
-// Order returns the bits per dimension.
-func (z *ZOrder) Order() int { return z.order }
-
 // KeyLen returns the number of bytes in a key.
 func (z *ZOrder) KeyLen() int { return z.keyLen }
 

@@ -222,9 +222,6 @@ func SetGlobal(inj *Injector) (restore func()) {
 	return func() { global.Store(prev) }
 }
 
-// ClearGlobal disarms injection.
-func ClearGlobal() { global.Store(nil) }
-
 var envOnce sync.Once
 
 // Open is the os.OpenFile replacement the storage layers call. With no

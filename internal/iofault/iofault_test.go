@@ -20,7 +20,7 @@ func openTemp(t *testing.T, name string) File {
 }
 
 func TestFaultPassthroughWhenDisarmed(t *testing.T) {
-	ClearGlobal()
+	defer SetGlobal(nil)()
 	f := openTemp(t, "plain.dat")
 	if _, ok := f.(*os.File); !ok {
 		t.Fatalf("disarmed Open returned %T, want *os.File passthrough", f)

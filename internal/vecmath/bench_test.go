@@ -61,16 +61,6 @@ func BenchmarkDistSqBoundLoose(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkDot128(b *testing.B) {
-	x, y := benchVecs(128)
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += Dot(x, y)
-	}
-	_ = sink
-}
-
 // distSqUnrolled4 is a four-accumulator reference kept benchmark-only:
 // measured against DistSq it shows why the shipped kernel is scalar —
 // the float32→float64 conversions bound the loop on the FP ports, so

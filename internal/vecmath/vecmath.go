@@ -111,43 +111,6 @@ func DistSqBoundBytes(a []float32, b []byte, bound float64) (float64, bool) {
 	return s, true
 }
 
-// Dot returns the inner product of a and b. Like DistSq it is kept
-// small enough to inline at call sites.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("vecmath: dimension mismatch")
-	}
-	var s float64
-	for i, av := range a {
-		s += float64(av) * float64(b[i])
-	}
-	return s
-}
-
-// Sub stores a-b into dst and returns dst. dst may alias a or b.
-func Sub(dst, a, b []float32) []float32 {
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
-// Add stores a+b into dst and returns dst. dst may alias a or b.
-func Add(dst, a, b []float32) []float32 {
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Scale multiplies v by s in place and returns v.
-func Scale(v []float32, s float32) []float32 {
-	for i := range v {
-		v[i] *= s
-	}
-	return v
-}
-
 // Copy returns a fresh copy of v.
 func Copy(v []float32) []float32 {
 	c := make([]float32, len(v))

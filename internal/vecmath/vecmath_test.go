@@ -29,30 +29,8 @@ func TestDistMismatchPanics(t *testing.T) {
 	DistSq([]float32{1}, []float32{1, 2})
 }
 
-func TestDot(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
-func TestAddSubScaleCopy(t *testing.T) {
+func TestCopy(t *testing.T) {
 	a := []float32{1, 2}
-	b := []float32{3, 5}
-	dst := make([]float32, 2)
-	Sub(dst, b, a)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Errorf("Sub = %v", dst)
-	}
-	Add(dst, dst, a)
-	if dst[0] != 3 || dst[1] != 5 {
-		t.Errorf("Add = %v", dst)
-	}
-	Scale(dst, 2)
-	if dst[0] != 6 || dst[1] != 10 {
-		t.Errorf("Scale = %v", dst)
-	}
 	c := Copy(a)
 	c[0] = 99
 	if a[0] != 1 {
@@ -162,21 +140,6 @@ func TestDistSqMatchesReference(t *testing.T) {
 		got, want := DistSq(a, b), distSqScalar(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("n=%d: DistSq = %v, reference = %v", n, got, want)
-		}
-	}
-}
-
-func TestDotMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for n := 0; n <= 67; n++ {
-		a, b := randVecs(rng, n)
-		var want float64
-		for i := range a {
-			want += float64(a[i]) * float64(b[i])
-		}
-		got := Dot(a, b)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: Dot = %v, reference = %v", n, got, want)
 		}
 	}
 }

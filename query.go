@@ -51,13 +51,6 @@ func WithAlpha(alpha int) QueryOption {
 	return func(c *queryConfig) { c.opts.Alpha = alpha }
 }
 
-// WithBeta overrides β, the triangular-filter survivor count feeding
-// the Ptolemaic filter (§5.2.5). It only matters when the Ptolemaic
-// filter is active for the query.
-func WithBeta(beta int) QueryOption {
-	return func(c *queryConfig) { c.opts.Beta = beta }
-}
-
 // WithGamma overrides γ, the per-tree filter output size (§5.2.6; the
 // built default is Options.Gamma). Raising it refines more candidates
 // against raw vectors: more exact distance work, better MAP.

@@ -183,6 +183,64 @@ func TestQueryTypedErrors(t *testing.T) {
 	}
 }
 
+// β reaches a query through WithOptions, the facade's one way to set it.
+// On a Ptolemaic build it is echoed in the stats and bounds the
+// triangular filter's hand-off: at β = γ the Ptolemaic stage has nothing
+// to drop, so every query answers and refines exactly as with the
+// Ptolemaic filter off, while the built β (= α) answers differently for
+// some query. β above α does not narrow and is refused.
+func TestQueryBetaOverride(t *testing.T) {
+	ds := data.Generate(data.Config{Name: "beta", N: 1600, Dim: 32, Clusters: 6, Lo: 0, Hi: 1, Seed: 33})
+	queries := ds.PerturbedQueries(16, 0.02, 34)
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			idx, err := Build(filepath.Join(t.TempDir(), "ix"), ds.Vectors,
+				Options{Tau: 4, Omega: 8, M: 5, Alpha: 256, Beta: 256, Gamma: 32, UsePtolemaic: true, Seed: 3, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			ctx := context.Background()
+			differs := false
+			for qi, q := range queries {
+				narrow, err := idx.Query(ctx, q, 10, WithOptions(SearchOptions{Beta: 32}), WithStats())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := narrow.Stats; st.Beta != 32 || !st.Ptolemaic || st.Alpha != 256 || st.Gamma != 32 {
+					t.Fatalf("query %d: stats echo α/β/γ %d/%d/%d ptolemaic %v, want 256/32/32 true",
+						qi, st.Alpha, st.Beta, st.Gamma, st.Ptolemaic)
+				}
+				tri, err := idx.Query(ctx, q, 10, WithPtolemaic(false), WithStats())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("query %d at β = γ", qi), narrow.Results, tri.Results)
+				if narrow.Stats.Candidates != tri.Stats.Candidates {
+					t.Fatalf("query %d: β = γ refined %d candidates, the triangular filter alone %d",
+						qi, narrow.Stats.Candidates, tri.Stats.Candidates)
+				}
+				wide, err := idx.Query(ctx, q, 10, WithStats())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wide.Stats.Beta != 256 {
+					t.Fatalf("query %d: built β echoed as %d, want 256", qi, wide.Stats.Beta)
+				}
+				if wide.Stats.Candidates != narrow.Stats.Candidates || fmt.Sprint(wide.Results) != fmt.Sprint(narrow.Results) {
+					differs = true
+				}
+			}
+			if !differs {
+				t.Fatal("β = 32 and β = 256 answered every query alike: β never reached the filter")
+			}
+			if _, err := idx.Query(ctx, queries[0], 10, WithOptions(SearchOptions{Beta: 257})); !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("β 257 > α 256: err %v, want ErrBadOptions", err)
+			}
+		})
+	}
+}
+
 // A k far above the index's size is answered with every vector at the
 // cost of what the index holds, on both layouts; a k beyond the knob
 // limit (2^24) is an ErrBadOptions, where it used to be an

@@ -34,6 +34,7 @@ FUZZ_TARGETS = \
 	FuzzDistSqBound:./internal/vecmath \
 	FuzzSort:./internal/radix \
 	FuzzCloserKey:./internal/hilbert \
+	FuzzKeyPrefix:./internal/hilbert \
 	FuzzWALReplay:./internal/wal \
 	FuzzSelect:./internal/topk \
 	FuzzPagerSuperblock:./internal/pager \

@@ -114,6 +114,7 @@ type Healthz struct {
 //
 //	dim_mismatch      -> 400 (query or vector of the wrong dimensionality)
 //	bad_options       -> 400 (a cascade that cannot be formed, unknown preset, preset + knobs)
+//	bad_vector        -> 400 (an insert whose distance to a reference object overflows float32)
 //	purged            -> 409 (undelete of an id whose deletion a compaction reclaimed)
 //	wal_unavailable   -> 503 (WAL failed; index read-only, reads keep serving)
 //	io_error          -> 503 (disk I/O failure in the page layer)
@@ -122,6 +123,7 @@ type Healthz struct {
 const (
 	CodeDimMismatch      = "dim_mismatch"
 	CodeBadOptions       = "bad_options"
+	CodeBadVector        = "bad_vector"
 	CodePurged           = "purged"
 	CodeWALUnavailable   = "wal_unavailable"
 	CodeIOError          = "io_error"
@@ -189,6 +191,8 @@ func WriteError(w http.ResponseWriter, err error) {
 		status, body.Code = http.StatusBadRequest, CodeDimMismatch
 	case errors.Is(err, core.ErrBadOptions):
 		status, body.Code = http.StatusBadRequest, CodeBadOptions
+	case errors.Is(err, core.ErrBadVector):
+		status, body.Code = http.StatusBadRequest, CodeBadVector
 	case errors.Is(err, core.ErrUnknownID):
 		status = http.StatusBadRequest
 	case errors.Is(err, core.ErrPurged):

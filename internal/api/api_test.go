@@ -125,6 +125,8 @@ func TestGoldenErrors(t *testing.T) {
 			`{"error":"` + core.ErrBadOptions.Error() + `: gamma must be \u003e= 0, got -1","code":"bad_options"}`},
 		{"bad_options from the index", fmt.Errorf("%w: max_candidates=3 < k=5", core.ErrBadOptions), 400,
 			`{"error":"` + core.ErrBadOptions.Error() + `: max_candidates=3 \u003c k=5","code":"bad_options"}`},
+		{"bad_vector", fmt.Errorf("%w: its distance to reference 2 is +Inf", core.ErrBadVector), 400,
+			`{"error":"` + core.ErrBadVector.Error() + `: its distance to reference 2 is +Inf","code":"bad_vector"}`},
 		{"unknown id", fmt.Errorf("%w: delete of id 9 (have 4)", core.ErrUnknownID), 400,
 			`{"error":"` + core.ErrUnknownID.Error() + `: delete of id 9 (have 4)"}`},
 		{"purged", fmt.Errorf("%w: undelete of id 3", core.ErrPurged), 409,

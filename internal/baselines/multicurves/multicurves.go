@@ -46,7 +46,7 @@ type Index struct {
 	dim    int
 	eta    int
 	lo, hi []float32
-	curves []*hilbert.Hilbert
+	curves []*hilbert.Curve
 	quants []*hilbert.Quantizer
 	trees  []*bptree.Tree
 	pagers []*pager.Pager
@@ -92,7 +92,7 @@ func Build(dir string, vectors [][]float32, p Params) (*Index, error) {
 
 	lo, hi := vecmath.MinMax(vectors, dim)
 	ix := &Index{dir: dir, params: p, dim: dim, eta: eta, lo: lo, hi: hi}
-	ix.curves = make([]*hilbert.Hilbert, p.Tau)
+	ix.curves = make([]*hilbert.Curve, p.Tau)
 	ix.quants = make([]*hilbert.Quantizer, p.Tau)
 	ix.trees = make([]*bptree.Tree, p.Tau)
 	ix.pagers = make([]*pager.Pager, p.Tau)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -157,6 +158,13 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	}
 	if p.M > len(vectors) {
 		return nil, fmt.Errorf("core: m = %d exceeds dataset size %d", p.M, len(vectors))
+	}
+	for i, v := range vectors {
+		for d, x := range v {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				return nil, fmt.Errorf("%w: vector %d, component %d is %v", ErrBadVector, i, d, x)
+			}
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: mkdir %s: %w", dir, err)
@@ -346,8 +354,8 @@ func (ix *Index) writeTrees(ctx context.Context, gen uint64, vectors [][]float32
 }
 
 // sortTree runs the tree writer's first two steps for partition t,
-// timing each: the stored key prefixes in row (= id) order and the rows
-// in ascending (prefix, row) order. No per-record allocation anywhere on
+// timing each: the stored keys in row (= id) order and the rows in
+// ascending (key, row) order. No per-record allocation anywhere on
 // the path.
 func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, phases *phaseAccum) ([]byte, []uint32, error) {
 	t0 := time.Now()
@@ -364,26 +372,20 @@ func (ix *Index) sortTree(ctx context.Context, t int, vectors [][]float32, phase
 }
 
 // encodeKeys is the tree writer's first step, shared by Build and
-// Compact: partition t's stored key prefixes (each the first w =
-// StoredKeyLen bytes of the object's Hilbert key) as a flat n×w arena in
-// row order, in buildChunk parts that idle CPUs join. Compaction's
-// goroutine is not counted as busy, so there only CPUs no query holds
-// help. Keys land at fixed offsets, so scheduling cannot change the
-// output.
+// Compact: partition t's stored keys (ix.curve's, w bytes each) as a
+// flat n×w arena in row order, in buildChunk parts that idle CPUs join.
+// Compaction's goroutine is not counted as busy, so there only CPUs no
+// query holds help. Keys land at fixed offsets, so scheduling cannot
+// change the output.
 func (ix *Index) encodeKeys(ctx context.Context, t int, vectors [][]float32) ([]byte, error) {
-	q, curve := ix.quants[t], ix.curves[t]
-	start, n, kl, w := t*ix.eta, len(vectors), curve.KeyLen(), ix.treeConfig().StoredKeyLen()
-	keys := make([]byte, n*w)
-	err := eachChunk(ctx, n, func(lo, hi int) {
+	q, start, w := ix.quants[t], t*ix.eta, ix.treeConfig().StoredKeyLen()
+	keys := make([]byte, len(vectors)*w)
+	err := eachChunk(ctx, len(vectors), func(lo, hi int) {
 		coords := make([]uint32, (hi-lo)*ix.eta)
 		for i := lo; i < hi; i++ {
 			q.Coords(coords[(i-lo)*ix.eta:(i-lo+1)*ix.eta], vectors[i][start:start+ix.eta])
 		}
-		full := make([]byte, (hi-lo)*kl)
-		curve.EncodeAll(full, coords, ix.eta)
-		for i := range hi - lo {
-			copy(keys[(lo+i)*w:(lo+i+1)*w], full[i*kl:])
-		}
+		ix.curve.EncodeAll(keys[lo*w:hi*w], coords, ix.eta)
 	})
 	return keys, err
 }

@@ -156,7 +156,7 @@ func BenchmarkBuildSeedPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := refIx.quants[0]
-	curve := refIx.curves[0]
+	curve := fullCurve(b, refIx)
 
 	b.Run("encode+sort", func(b *testing.B) {
 		b.ReportAllocs()

@@ -38,7 +38,7 @@ func buildReferenceTree(t *testing.T, ix *Index, tr int, vectors [][]float32, rd
 	t.Helper()
 	p := ix.params
 	q := ix.quants[tr]
-	curve := ix.curves[tr]
+	curve := fullCurve(t, ix)
 	start := tr * ix.eta
 	m := p.M
 

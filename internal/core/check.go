@@ -114,7 +114,6 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 	vec := make([]float32, ix.nu)
 	coords := make([]uint32, ix.eta)
 	var key, prev []byte
-	w := ix.treeConfig().StoredKeyLen()
 	for t, tree := range ix.trees {
 		seen := make([]uint64, (count+63)/64)
 		eps := tree.Scale().Eps
@@ -146,7 +145,7 @@ func (ix *Index) Check(ctx context.Context) (CheckReport, error) {
 				return err
 			}
 			ix.quants[t].Coords(coords, vec[t*ix.eta:(t+1)*ix.eta])
-			if key = ix.curves[t].Encode(key[:0], coords); !bytes.Equal(key[:w], k) {
+			if key = ix.curve.Encode(key[:0], coords); !bytes.Equal(key, k) {
 				return fmt.Errorf("slot %d is filed under key %x, its vector encodes to %x", slot, k, key)
 			}
 			for r, rv := range ix.refs {

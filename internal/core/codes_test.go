@@ -91,7 +91,7 @@ func TestCodedBoundsStayLowerBounds(t *testing.T) {
 				}
 				coords := make([]uint32, ix.eta)
 				ix.quants[tr].Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
-				key := ix.curves[tr].Encode(nil, coords)
+				key := ix.curve.Encode(nil, coords)
 				w := 2 + len(ix.refs)
 				var bad error
 				err := tree.WalkNearest(context.Background(), key, int(tree.Count()), func(run []uint16, _ bool) {
@@ -282,9 +282,8 @@ func requireRebuildsOldTrees(t *testing.T, cfg data.Config, layout oldLayout) {
 				t.Fatal(err)
 			}
 			ix.quants[tr].Coords(coords, vec[tr*ix.eta:(tr+1)*ix.eta])
-			full := ix.curves[tr].Encode(nil, coords)
-			if !bytes.Equal(full[:len(k)], k) {
-				t.Fatalf("tree %d stores key %x for slot %d, whose key is %x", tr, k, e.ID, full)
+			if key := ix.curve.Encode(nil, coords); !bytes.Equal(key, k) {
+				t.Fatalf("tree %d stores key %x for slot %d, whose key is %x", tr, k, e.ID, key)
 			}
 			v := binary.LittleEndian.AppendUint32(nil, uint32(e.ID))
 			switch layout {
@@ -293,7 +292,7 @@ func requireRebuildsOldTrees(t *testing.T, cfg data.Config, layout oldLayout) {
 					v = binary.LittleEndian.AppendUint32(v, math.Float32bits(float32(vecmath.Dist(vec, rv))))
 				}
 			case fullKeyLayout:
-				k = full
+				k = fullCurve(t, ix).Encode(nil, coords)
 				for _, d := range e.RefDists { // the code each decoded distance came from
 					v = binary.LittleEndian.AppendUint16(v, uint16(math.Round(float64(d)/sc.S)))
 				}

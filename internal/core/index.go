@@ -46,7 +46,7 @@ type Index struct {
 	refCross [][]float64 // d(R_i, R_j), for the Ptolemaic bound
 	lo, hi   []float32   // per-dimension quantiser domain
 
-	curves  []hilbert.Curve      // one per partition
+	curve   *hilbert.Curve       // every partition's: keys treeConfig().StoredKeyLen() wide
 	quants  []*hilbert.Quantizer // one per partition
 	deleted *deleteSet           // §3.6 deletion marks
 
@@ -192,8 +192,8 @@ func RemoveIndexFiles(dir string) error {
 }
 
 // newIndex derives the in-memory state Build and Open share from what
-// meta.json records: geometry, reference cross-distances, one curve and
-// quantiser per partition. On error the index is still safe to Close.
+// meta.json records: geometry, reference cross-distances, the curve and
+// one quantiser per partition. On error the index is still safe to Close.
 func newIndex(dir string, m metaJSON) (*Index, error) {
 	p := m.Params
 	ix := &Index{
@@ -210,21 +210,16 @@ func newIndex(dir string, m metaJSON) (*Index, error) {
 		cache:    pager.NewCache(),
 		tel:      telemetry.NewCollector(),
 	}
-	ix.curves = make([]hilbert.Curve, p.Tau)
+	kind := hilbert.HilbertCurve
+	if p.Curve == CurveZOrder {
+		kind = hilbert.ZOrderCurve
+	}
+	var err error
+	if ix.curve, err = hilbert.NewPrefix(kind, ix.eta, p.Omega, ix.treeConfig().StoredKeyLen()); err != nil {
+		return ix, err
+	}
 	ix.quants = make([]*hilbert.Quantizer, p.Tau)
-	for t := 0; t < p.Tau; t++ {
-		var c hilbert.Curve
-		var err error
-		switch p.Curve {
-		case CurveZOrder:
-			c, err = hilbert.NewZOrder(ix.eta, p.Omega)
-		default:
-			c, err = hilbert.New(ix.eta, p.Omega)
-		}
-		if err != nil {
-			return ix, err
-		}
-		ix.curves[t] = c
+	for t := range ix.quants {
 		start := t * ix.eta
 		ix.quants[t] = hilbert.NewQuantizer(ix.lo[start:start+ix.eta], ix.hi[start:start+ix.eta], p.Omega)
 	}

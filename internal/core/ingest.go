@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -188,6 +189,11 @@ func (ix *Index) logged(pre func(total uint64) (*wal.Record, error), apply func(
 func (ix *Index) Insert(vec []float32) (uint64, error) {
 	if len(vec) != ix.nu {
 		return 0, fmt.Errorf("%w: vector has %d dims, index has %d", ErrDimMismatch, len(vec), ix.nu)
+	}
+	for r, rv := range ix.refs { // what the trees will store; NaN fails too
+		if d := float32(vecmath.Dist(vec, rv)); !(d <= math.MaxFloat32) {
+			return 0, fmt.Errorf("%w: its distance to reference %d is %v", ErrBadVector, r, d)
+		}
 	}
 	telStart := time.Now()
 	cp := vecmath.Copy(vec)

@@ -138,9 +138,9 @@ func FuzzMeta(f *testing.F) {
 		}
 		q := make([]float32, ix.nu)
 		coords := make([]uint32, ix.eta)
-		for tr := range ix.curves {
-			ix.quants[tr].Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
-			ix.curves[tr].Encode(nil, coords)
+		for tr, quant := range ix.quants {
+			quant.Coords(coords, q[tr*ix.eta:(tr+1)*ix.eta])
+			ix.curve.Encode(nil, coords)
 		}
 		for _, r := range ix.refs {
 			vecmath.Dist(q, r)

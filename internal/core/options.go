@@ -17,6 +17,12 @@ var ErrBadOptions = errors.New("core: bad search options")
 // it with errors.Is to map the failure to a client error.
 var ErrDimMismatch = errors.New("core: dimensionality mismatch")
 
+// ErrBadVector reports a build or insert vector the trees cannot hold:
+// a component that is not finite, or a distance to a reference object
+// past float32's range. Insert refuses it before the WAL sees it, so
+// one bad vector cannot stall every later compaction.
+var ErrBadVector = errors.New("core: vector out of range")
+
 // maxKnob bounds k and explicit per-query α/β/γ/MaxCandidates values.
 // The limit is far above any sensible operating point (the paper peaks
 // at α = 8192); it exists so a garbage request cannot coerce the scratch

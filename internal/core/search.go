@@ -355,7 +355,7 @@ func (ix *Index) searchTree(ctx context.Context, t int, q []float32, qdist []flo
 
 	start := t * ix.eta
 	ix.quants[t].Coords(ts.coords, q[start:start+ix.eta])
-	ts.key = ix.curves[t].Encode(ts.key[:0], ts.coords)
+	ts.key = ix.curve.Encode(ts.key[:0], ts.coords)
 
 	// α nearest leaf entries, each one's triangular lower bound (Eq. 5)
 	// read off its pinned leaf page, from the query's reference distances

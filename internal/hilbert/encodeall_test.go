@@ -18,15 +18,22 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 		{8, 16, 8},
 		{3, 5, 3}, // key not a whole number of bytes
 	}
-	curves := func(dims, order int) map[string]Curve {
-		return map[string]Curve{
-			"hilbert": MustNew(dims, order),
-			"zorder": func() Curve {
-				z, err := NewZOrder(dims, order)
+	curves := func(dims, order int) map[string]*Curve {
+		return map[string]*Curve{
+			"hilbert": mustNew(dims, order),
+			"zorder": func() *Curve {
+				z, err := newZOrder(dims, order)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return z
+			}(),
+			"hilbert one byte": func() *Curve {
+				h, err := NewPrefix(HilbertCurve, dims, order, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
 			}(),
 		}
 	}
@@ -57,17 +64,17 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 }
 
 func TestEncodeAllPanics(t *testing.T) {
-	h := MustNew(2, 4)
+	h := mustNew(2, 4)
 	mustPanic(t, "short dst", func() { h.EncodeAll(make([]byte, 0), make([]uint32, 2), 2) })
 	mustPanic(t, "stride < dims", func() { h.EncodeAll(make([]byte, 8), make([]uint32, 2), 1) })
 	mustPanic(t, "coord range", func() { h.EncodeAll(make([]byte, 1), []uint32{16, 0}, 2) })
-	z, _ := NewZOrder(2, 4)
+	z, _ := newZOrder(2, 4)
 	mustPanic(t, "zorder coord range", func() { z.EncodeAll(make([]byte, 1), []uint32{16, 0}, 2) })
 	mustPanic(t, "zorder stride", func() { z.EncodeAll(make([]byte, 8), make([]uint32, 2), 1) })
 }
 
 func BenchmarkEncodeAll128(b *testing.B) {
-	h := MustNew(16, 8)
+	h := mustNew(16, 8)
 	const n = 1000
 	coords := make([]uint32, n*16)
 	rng := rand.New(rand.NewSource(8))
@@ -82,7 +89,7 @@ func BenchmarkEncodeAll128(b *testing.B) {
 }
 
 func BenchmarkEncodePerPoint128(b *testing.B) {
-	h := MustNew(16, 8)
+	h := mustNew(16, 8)
 	const n = 1000
 	coords := make([]uint32, n*16)
 	rng := rand.New(rand.NewSource(8))

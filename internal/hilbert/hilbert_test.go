@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// mustNew is New for known-good parameters; it panics on error.
+func mustNew(dims, order int) *Curve {
+	c, err := New(dims, order)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // keyToUint converts a short key (≤ 8 bytes) to an integer for readability.
 func keyToUint(key []byte) uint64 {
 	var buf [8]byte
@@ -40,7 +49,7 @@ func TestKeyLen(t *testing.T) {
 		{3, 3, 2}, // 9 bits -> 2 bytes
 	}
 	for _, c := range cases {
-		h := MustNew(c.dims, c.order)
+		h := mustNew(c.dims, c.order)
 		if h.KeyLen() != c.want {
 			t.Errorf("KeyLen(%d,%d) = %d, want %d", c.dims, c.order, h.KeyLen(), c.want)
 		}
@@ -56,7 +65,7 @@ func TestExhaustiveBijectionAndUnitStep(t *testing.T) {
 		{2, 1}, {2, 2}, {2, 3}, {2, 4}, {3, 2}, {3, 3}, {4, 2}, {5, 2},
 	}
 	for _, c := range cases {
-		h := MustNew(c.dims, c.order)
+		h := mustNew(c.dims, c.order)
 		total := uint64(1) << uint(c.dims*c.order)
 		side := uint32(1) << uint(c.order)
 
@@ -126,7 +135,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dims := rng.Intn(64) + 1
 		order := rng.Intn(32) + 1
-		h := MustNew(dims, order)
+		h := mustNew(dims, order)
 		coords := make([]uint32, dims)
 		maxv := maxCoord(order)
 		for i := range coords {
@@ -154,7 +163,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // at key 0.
 func TestOriginIsKeyZero(t *testing.T) {
 	for _, c := range []struct{ dims, order int }{{2, 4}, {8, 8}, {16, 8}} {
-		h := MustNew(c.dims, c.order)
+		h := mustNew(c.dims, c.order)
 		key := h.Encode(nil, make([]uint32, c.dims))
 		for _, b := range key {
 			if b != 0 {
@@ -165,11 +174,13 @@ func TestOriginIsKeyZero(t *testing.T) {
 }
 
 func TestEncodePanics(t *testing.T) {
-	h := MustNew(2, 4)
+	h := mustNew(2, 4)
 	mustPanic(t, "coord count", func() { h.Encode(nil, []uint32{1}) })
 	mustPanic(t, "coord range", func() { h.Encode(nil, []uint32{16, 0}) })
 	mustPanic(t, "decode key len", func() { h.Decode([]byte{0, 0}, make([]uint32, 2)) })
 	mustPanic(t, "decode coord count", func() { h.Decode([]byte{0}, make([]uint32, 1)) })
+	prefix, _ := NewPrefix(HilbertCurve, 16, 8, 8)
+	mustPanic(t, "decode a prefix key", func() { prefix.Decode(make([]byte, 8), make([]uint32, 16)) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {
@@ -183,7 +194,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 func TestEncodeAppends(t *testing.T) {
-	h := MustNew(2, 2)
+	h := mustNew(2, 2)
 	prefix := []byte{0xAA}
 	key := h.Encode(prefix, []uint32{1, 1})
 	if len(key) != 1+h.KeyLen() || key[0] != 0xAA {
@@ -194,7 +205,7 @@ func TestEncodeAppends(t *testing.T) {
 // A query encodes one key per tree at η = 16, ω = 8: into a slice with
 // room for the key, Encode allocates nothing.
 func TestEncodeDoesNotAllocate(t *testing.T) {
-	h := MustNew(16, 8)
+	h := mustNew(16, 8)
 	coords := make([]uint32, 16)
 	for i := range coords {
 		coords[i] = uint32(i * 13 % 256)
@@ -209,7 +220,7 @@ func TestEncodeDoesNotAllocate(t *testing.T) {
 // average than points far apart. This is statistical, so use a fixed seed
 // and a generous margin.
 func TestLocalityStatistical(t *testing.T) {
-	h := MustNew(4, 8)
+	h := mustNew(4, 8)
 	rng := rand.New(rand.NewSource(42))
 	var nearSum, farSum float64
 	n := 300

@@ -118,7 +118,7 @@ func TestQuickKeyDeltaInteger(t *testing.T) {
 }
 
 func BenchmarkEncode16x8(b *testing.B) {
-	h := MustNew(16, 8)
+	h := mustNew(16, 8)
 	rng := rand.New(rand.NewSource(1))
 	coords := make([]uint32, 16)
 	for i := range coords {
@@ -132,7 +132,7 @@ func BenchmarkEncode16x8(b *testing.B) {
 }
 
 func BenchmarkEncode64x32(b *testing.B) {
-	h := MustNew(64, 32)
+	h := mustNew(64, 32)
 	rng := rand.New(rand.NewSource(1))
 	coords := make([]uint32, 64)
 	for i := range coords {

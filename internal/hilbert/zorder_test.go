@@ -6,21 +6,31 @@ import (
 	"testing/quick"
 )
 
+// newZOrder is the full-width Z-order curve.
+func newZOrder(dims, order int) (*Curve, error) {
+	return NewPrefix(ZOrderCurve, dims, order, (dims*order+7)/8)
+}
+
 func TestZOrderValidation(t *testing.T) {
-	if _, err := NewZOrder(0, 4); err == nil {
+	if _, err := newZOrder(0, 4); err == nil {
 		t.Error("dims=0 must fail")
 	}
-	if _, err := NewZOrder(2, 0); err == nil {
+	if _, err := newZOrder(2, 0); err == nil {
 		t.Error("order=0 must fail")
 	}
-	if _, err := NewZOrder(2, 33); err == nil {
+	if _, err := newZOrder(2, 33); err == nil {
 		t.Error("order=33 must fail")
+	}
+	for _, w := range []int{0, 3} {
+		if _, err := NewPrefix(ZOrderCurve, 2, 8, w); err == nil {
+			t.Errorf("key width %d of a 2-byte curve must fail", w)
+		}
 	}
 }
 
 // Z-order of 2D (x,y) with order 2: key is bit-interleaved with x first.
 func TestZOrderKnown2D(t *testing.T) {
-	z, err := NewZOrder(2, 2)
+	z, err := newZOrder(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestQuickZOrderRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dims := rng.Intn(32) + 1
 		order := rng.Intn(32) + 1
-		z, err := NewZOrder(dims, order)
+		z, err := newZOrder(dims, order)
 		if err != nil {
 			return false
 		}
@@ -63,10 +73,4 @@ func TestQuickZOrderRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCurveInterface(t *testing.T) {
-	var _ Curve = MustNew(2, 2)
-	z, _ := NewZOrder(2, 2)
-	var _ Curve = z
 }

@@ -1,13 +1,13 @@
 // Package radix sorts permutations of fixed-width byte keys held in a
 // flat arena — the shape the HD-Index build path produces: one
-// n×KeyLen allocation of Hilbert keys per RDB-tree, written in object-id
-// order, never moved afterwards.
+// n×w allocation of stored Hilbert keys per RDB-tree, written in
+// object-id order, never moved afterwards.
 //
 // Sorting a []uint32 permutation instead of records keeps the moved
 // element 4 bytes wide regardless of key width, and an MSD radix sort
 // over the fixed-width big-endian keys replaces the comparison sort's
 // O(n log n) key comparisons (each a byte-wise loop through up to
-// KeyLen bytes) with one counting pass per distinguishing byte. Both
+// w bytes) with one counting pass per distinguishing byte. Both
 // properties matter at million-scale bulk load, where the sort is the
 // serial phase of every tree build.
 package radix

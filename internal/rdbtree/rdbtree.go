@@ -10,13 +10,16 @@
 // inequalities (§4.2) without any further I/O, and the leaf order Ω
 // stays high even at ν in the hundreds because m ≪ ν.
 //
-// Leaf entry: a key [the Hilbert key's first min(ceil(η·ω/8), 8) bytes]
-// and, in bptree's aligned value run, a value [slot: uint32 LE][m ×
-// uint16 LE codes] — so WalkNearest hands consecutive values out as a
-// []uint16 in place. The key is cut to one big-endian machine word: past
-// the build's sort, keys only seek the query's position and pick the
-// nearer side, and on SIFT-like data at η = 16, ω = 8 the first 8 bytes
-// picked the same α entries as the whole key in every walk measured. A
+// Leaf entry: a key [the Hilbert key's first w = min(ceil(η·ω/8), 8)
+// bytes, StoredKeyLen] and, in bptree's aligned value run, a value [slot:
+// uint32 LE][m × uint16 LE codes] — so WalkNearest hands consecutive
+// values out as a []uint16 in place. The key is one big-endian machine
+// word: past the build's sort, keys only seek the query's position and
+// pick the nearer side, and on SIFT-like data at η = 16, ω = 8 the first
+// 8 bytes picked the same α entries as the whole key in every walk
+// measured. The engine encodes those w bytes and nothing more
+// (hilbert.NewPrefix), so WalkNearest takes a w-byte key; BulkLoad and
+// SearchNearestInto take a whole KeyLen-byte key and cut it. A
 // distance is 16-bit fixed point: code u stands for u·s, where the scale
 // s (distance per code unit) is the tree's own, recorded in its metadata
 // beside an error bound ε, the most any decoded distance may differ from
@@ -50,8 +53,10 @@ type Config struct {
 	M     int // number of reference objects (m)
 }
 
-// KeyLen returns the Hilbert key width in bytes: ceil(η·ω/8), the
-// width of a query key and of a BulkLoad record's key.
+// KeyLen returns the whole Hilbert key's width in bytes, ceil(η·ω/8):
+// the width of a BulkLoad record's key and of SearchNearestInto's query
+// key, which the tree cuts to StoredKeyLen, and of the keys of the older
+// layout Open refuses.
 func (c Config) KeyLen() int { return (c.Eta*c.Omega + 7) / 8 }
 
 // maxStoredKey is the widest key prefix a tree stores: one machine word.
@@ -331,10 +336,10 @@ func (s *arenaSource) Next() (key, value []byte, ok bool) {
 // WalkNearest is the candidate retrieval of §4.1, one bptree.WalkNearest
 // over the leaf chain: it passes fn up to alpha entries whose Hilbert
 // keys are numerically nearest to key, in bptree's runs (a descending
-// one lists its entries nearest last). key is a full Hilbert key, KeyLen
-// bytes (any other width is an error); the walk compares its stored
-// prefix, so two entries whose prefixes tie are equally near, and the
-// right side goes first. Entry e of a run is
+// one lists its entries nearest last). key is the query's stored key,
+// StoredKeyLen bytes (any other width is an error), so two entries
+// whose stored keys tie are equally near, and the right side goes
+// first. Entry e of a run is
 // run[e*(2+m):(e+1)*(2+m)]: its slot (Slot) in two words, then its m
 // codes (Scale), viewed in place (or decoded) and valid only until fn
 // returns. A cancelled ctx stops the walk within the leaves it has pinned.
@@ -342,11 +347,11 @@ func (t *Tree) WalkNearest(ctx context.Context, key []byte, alpha int, fn func(r
 	if alpha < 1 {
 		return fmt.Errorf("rdbtree: alpha must be >= 1, got %d", alpha)
 	}
-	if len(key) != t.cfg.KeyLen() {
-		return fmt.Errorf("rdbtree: query key of %d bytes, want %d", len(key), t.cfg.KeyLen())
+	if len(key) != t.cfg.StoredKeyLen() {
+		return fmt.Errorf("rdbtree: query key of %d bytes, want %d", len(key), t.cfg.StoredKeyLen())
 	}
 	var scratch []uint16
-	return t.bt.WalkNearest(ctx, key[:t.cfg.StoredKeyLen()], alpha, func(run []byte, descending bool) {
+	return t.bt.WalkNearest(ctx, key, alpha, func(run []byte, descending bool) {
 		var words []uint16
 		words, scratch = viewRun(run, scratch)
 		fn(words, descending)
@@ -370,11 +375,15 @@ func viewRun(run []byte, scratch []uint16) (words, grown []uint16) {
 // Slot is the pointer of a run's entry: its first two words.
 func Slot(entry []uint16) uint64 { return uint64(entry[0]) | uint64(entry[1])<<16 }
 
-// SearchNearestInto is WalkNearest collecting the entries decoded, in
+// SearchNearestInto is WalkNearest from a whole KeyLen-byte Hilbert key
+// (any other width is an error), collecting the entries decoded, in
 // walk order: dst receives them, entry i's RefDists is arena[i*m:(i+1)*m],
 // and both are reused when large enough (nil is fine) and returned on
 // every path, so a pooling caller keeps them for the next call.
 func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst []Entry, arena []float32) ([]Entry, []float32, error) {
+	if len(key) != t.cfg.KeyLen() {
+		return dst[:0], arena[:0], fmt.Errorf("rdbtree: query key of %d bytes, want %d", len(key), t.cfg.KeyLen())
+	}
 	m := t.cfg.M
 	w := 2 + m
 	out, arena := dst[:0], arena[:0]
@@ -384,7 +393,7 @@ func (t *Tree) SearchNearestInto(ctx context.Context, key []byte, alpha int, dst
 	if cap(arena) < alpha*m {
 		arena = make([]float32, 0, alpha*m)
 	}
-	err := t.WalkNearest(ctx, key, alpha, func(run []uint16, descending bool) {
+	err := t.WalkNearest(ctx, key[:t.cfg.StoredKeyLen()], alpha, func(run []uint16, descending bool) {
 		n := len(run) / w
 		at := len(arena)
 		arena = slices.Grow(arena, n*m)[:at+n*m]

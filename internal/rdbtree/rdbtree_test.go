@@ -589,13 +589,13 @@ func TestSearchNearestTiesOnStoredPrefix(t *testing.T) {
 	}
 }
 
-// A query key must be the tree's full Hilbert key width: any other width
-// is an error from WalkNearest and SearchNearestInto, never a panic or a
-// walk over a silently cut key.
+// WalkNearest takes a StoredKeyLen-byte query key and SearchNearestInto
+// a whole KeyLen-byte one: any other width is an error, never a panic or
+// a walk over a silently cut or padded key.
 func TestWalkRejectsWrongKeyWidth(t *testing.T) {
 	for _, cfg := range []Config{{Eta: 16, Omega: 8, M: 1}, {Eta: 4, Omega: 8, M: 1}} {
 		tr, _ := mkRDB(t, cfg, 512)
-		kl := cfg.KeyLen()
+		kl, w := cfg.KeyLen(), cfg.StoredKeyLen()
 		var recs []Record
 		for i := range 50 {
 			k := make([]byte, kl)
@@ -605,17 +605,17 @@ func TestWalkRejectsWrongKeyWidth(t *testing.T) {
 		if err := tr.BulkLoad(recs); err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{0, kl - 1, kl + 1, 2 * kl} {
+		for _, n := range []int{0, w - 1, w, w + 1, kl - 1, kl, kl + 1, 2 * kl} {
 			key := make([]byte, n)
 			if n > 0 {
 				key[0] = 25
 			}
 			err := tr.WalkNearest(context.Background(), key, 5, func([]uint16, bool) {})
-			if err == nil {
-				t.Errorf("%d-byte tree keys: WalkNearest of a %d-byte key succeeded", kl, n)
+			if (err == nil) != (n == w) {
+				t.Errorf("%d-byte keys stored: WalkNearest of a %d-byte key: %v", w, n, err)
 			}
-			if _, err := nearest(tr, key, 5); err == nil {
-				t.Errorf("%d-byte tree keys: SearchNearestInto of a %d-byte key succeeded", kl, n)
+			if _, err := nearest(tr, key, 5); (err == nil) != (n == kl) {
+				t.Errorf("%d-byte keys: SearchNearestInto of a %d-byte key: %v", kl, n, err)
 			}
 		}
 	}

@@ -87,8 +87,8 @@ func SSS(vectors [][]float32, m int, f float64, rng *rand.Rand) (*Result, error)
 	for len(selected) < m {
 		found := scanFor(vectors, selected, f*dmax)
 		if found < 0 {
-			f *= 0.8 // relax and retry
-			if f*dmax < 1e-12 {
+			f *= 0.8 // relax and retry; no threshold helps past an infinite or NaN dmax
+			if !(f*dmax >= 1e-12) || math.IsInf(dmax, 1) {
 				return nil, fmt.Errorf("refsel: cannot find %d distinct references", m)
 			}
 			continue

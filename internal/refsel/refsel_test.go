@@ -1,8 +1,10 @@
 package refsel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/hd-index/hdindex/internal/data"
 	"github.com/hd-index/hdindex/internal/vecmath"
@@ -150,5 +152,31 @@ func TestSSSDegenerateData(t *testing.T) {
 	}
 	if len(r.Indices) != 3 {
 		t.Fatalf("got %d refs", len(r.Indices))
+	}
+}
+
+// An infinite component makes the diameter estimate infinite, against
+// which no relaxed threshold ever admits a reference: SSS reports it
+// instead of relaxing forever.
+func TestSSSStopsOnNonFiniteDiameter(t *testing.T) {
+	for _, x := range []float64{math.Inf(1), math.Inf(-1)} {
+		vecs := make([][]float32, 20)
+		for i := range vecs {
+			vecs[i] = []float32{float32(i), 1}
+		}
+		vecs[3][1] = float32(x)
+		done := make(chan error, 1)
+		go func() {
+			_, err := SSS(vecs, 4, DefaultFraction, rand.New(rand.NewSource(1)))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("SSS over a %v component chose references", x)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("SSS over a %v component has not returned in a minute", x)
+		}
 	}
 }

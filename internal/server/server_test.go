@@ -463,6 +463,23 @@ func TestUndeletePurgedIDConflict(t *testing.T) {
 	}
 }
 
+// An insert the trees could not hold — two components of 3e38 put it
+// past float32's range from every reference object, yet it is valid
+// JSON — is a coded 400, and the index keeps compacting.
+func TestInsertOutOfRangeIsBadRequest(t *testing.T) {
+	ts, idx, _ := newTestServer(t, Config{})
+	vec := make([]float32, idx.Dim())
+	vec[0], vec[1] = 3e38, 3e38
+	var errResp api.ErrorBody
+	code := post(t, ts.URL+"/insert", insertRequest{Vector: vec}, &errResp)
+	if code != http.StatusBadRequest || errResp.Code != api.CodeBadVector {
+		t.Fatalf("out-of-range insert: status %d, body %+v, want 400 with code %q", code, errResp, api.CodeBadVector)
+	}
+	if err := idx.Compact(context.Background()); err != nil {
+		t.Fatalf("compaction after a refused insert: %v", err)
+	}
+}
+
 // The /stats io block and the per-query page_hits/page_misses counters
 // make the buffer pool's behaviour observable over the wire.
 func TestStatsExposeBufferPoolHitRatio(t *testing.T) {

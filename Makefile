@@ -140,9 +140,11 @@ bench-smoke:
 	$(GO) test -bench='ViewMiss' -benchtime=1x -benchmem -run='^$$' ./internal/pager/
 
 # The observability smoke: the /metrics exposition tests (promlint-style
-# parser over a live scrape) plus the load test's mid-storm scraper.
+# parser over a live scrape), the /stats index block and its /metrics
+# gauges pinned key by key to the facade's accessors, plus the load
+# test's mid-storm scraper.
 metrics-smoke:
-	$(GO) test -race -run 'TestMetricsExposition|TestLoad64Clients' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestMetricsExposition|TestStatsIndexBlockMatchesFacade|TestLoad64Clients' -count=1 ./internal/server/
 
 # The SLO-tuning smoke: sweep a small frontier to an artifact, then
 # resolve a recall target against it offline with `hdtool tune` — the

@@ -196,17 +196,18 @@ func runServer(c config) {
 	}
 	// No defer: every exit path below ends in os.Exit, so the index is
 	// closed explicitly after the drain.
+	info := idx.Info()
 	log.Printf("hdserve: opened %s: %d vectors, %d dims, %.1f MB on disk",
-		c.indexDir, idx.Count(), idx.Dim(), float64(idx.SizeOnDisk())/(1<<20))
+		c.indexDir, info.Count, info.Dim, float64(info.SizeOnDisk)/(1<<20))
 	// Replay happens on any open with an uncompacted WAL tail — after a
 	// crash, but also after a clean shutdown whose memtable had not hit
 	// the compaction threshold yet. Both are normal.
-	if ist := idx.IngestStats(); ist.Replayed > 0 {
-		log.Printf("hdserve: replayed %d write-ahead-log records into the memtable", ist.Replayed)
+	if info.WAL.Replayed > 0 {
+		log.Printf("hdserve: replayed %d write-ahead-log records into the memtable", info.WAL.Replayed)
 	}
-	if n := idx.NumShards(); n > 1 {
-		for _, sh := range idx.Shards() {
-			log.Printf("hdserve: shard %02d/%d: %d vectors, %d deleted", sh.ID, n, sh.Count, sh.Deleted)
+	if info.NumShards > 1 {
+		for _, sh := range info.Shards {
+			log.Printf("hdserve: shard %02d/%d: %d vectors, %d deleted", sh.ID, info.NumShards, sh.Count, sh.Deleted)
 		}
 	}
 

@@ -226,15 +226,16 @@ func runInfo(args []string) error {
 		return err
 	}
 	defer ix.Close()
-	fmt.Printf("vectors:       %d\n", ix.Count())
-	fmt.Printf("dimensions:    %d\n", ix.Dim())
-	fmt.Printf("deleted:       %d\n", ix.DeletedCount())
-	fmt.Printf("size on disk:  %d bytes (%.1f MB)\n", ix.SizeOnDisk(), float64(ix.SizeOnDisk())/(1<<20))
+	info := ix.Info()
+	fmt.Printf("vectors:       %d\n", info.Count)
+	fmt.Printf("dimensions:    %d\n", info.Dim)
+	fmt.Printf("deleted:       %d\n", info.Deleted)
+	fmt.Printf("size on disk:  %d bytes (%.1f MB)\n", info.SizeOnDisk, float64(info.SizeOnDisk)/(1<<20))
 
 	if !shard.IsSharded(*indexDir) {
 		fmt.Printf("layout:        single index\n")
-		fmt.Printf("store order:   %s\n", storeOrder(ix.Shards()[0]))
-		fmt.Printf("records:       %s\n", ix.Shards()[0].Records)
+		fmt.Printf("store order:   %s\n", storeOrder(info.Shards[0]))
+		fmt.Printf("records:       %s\n", info.Shards[0].Records)
 		return nil
 	}
 	man, err := shard.ReadManifest(*indexDir)
@@ -244,7 +245,7 @@ func runInfo(args []string) error {
 	fmt.Printf("layout:        sharded (manifest v%d)\n", man.FormatVersion)
 	fmt.Printf("created:       %s\n", time.Unix(man.CreatedUnix, 0).UTC().Format(time.RFC3339))
 	fmt.Printf("shards:        %d\n", man.Shards)
-	for _, sh := range ix.Shards() {
+	for _, sh := range info.Shards {
 		fmt.Printf("  shard-%02d:    %d vectors, %d deleted, %d bytes; %s; %s\n",
 			sh.ID, sh.Count, sh.Deleted, sh.SizeOnDisk, storeOrder(sh), sh.Records)
 	}

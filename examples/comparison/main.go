@@ -7,11 +7,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
-	"github.com/hd-index/hdindex/internal/baselines"
 	"github.com/hd-index/hdindex/internal/bench"
-	"github.com/hd-index/hdindex/internal/metrics"
 )
 
 func main() {
@@ -28,49 +25,15 @@ func main() {
 		len(w.Data.Vectors), w.Data.Dim, len(w.Queries))
 	fmt.Printf("%-12s %8s %10s %10s %9s\n", "method", "MAP@10", "ratio", "ms/query", "index MB")
 
-	run := func(name string, ix baselines.Index) {
-		defer ix.Close()
-		got := make([][]uint64, len(w.Queries))
-		gotD := make([][]float64, len(w.Queries))
-		t0 := time.Now()
-		for qi, q := range w.Queries {
-			res, err := ix.Search(q, 10)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ids := make([]uint64, len(res))
-			ds := make([]float64, len(res))
-			for i, r := range res {
-				ids[i], ds[i] = r.ID, r.Dist
-			}
-			got[qi], gotD[qi] = ids, ds
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000 / float64(len(w.Queries))
-		var rsum float64
-		for qi := range got {
-			tk := w.TruthDs[qi]
-			if len(tk) > 10 {
-				tk = tk[:10]
-			}
-			rsum += metrics.Ratio(gotD[qi], tk)
-		}
-		fmt.Printf("%-12s %8.3f %10.3f %10.3f %9.1f\n",
-			name, metrics.MAP(got, w.TruthIDs, 10), rsum/float64(len(got)),
-			ms, float64(ix.SizeBytes())/(1<<20))
-	}
-
-	for _, b := range bench.Methods(cfg.Seed) {
-		ix, err := b.Build(filepath.Join(cfg.WorkDir, b.Name), w)
-		if err != nil {
+	// Each method is built, timed and scored by the harness's own
+	// RunMethod, the step behind every Fig. 8 row.
+	for _, b := range append(bench.Methods(cfg.Seed), bench.LinearBuilder()) {
+		r := bench.RunMethod(b, w, filepath.Join(cfg.WorkDir, b.Name), 10)
+		if r.Err != nil {
 			fmt.Printf("%-12s %8s\n", b.Name, "NP")
 			continue
 		}
-		run(b.Name, ix)
+		fmt.Printf("%-12s %8.3f %10.3f %10.3f %9.1f\n",
+			r.Method, r.MAP, r.Ratio, r.AvgQueryMS, float64(r.IndexBytes)/(1<<20))
 	}
-	lin := bench.LinearBuilder()
-	ix, err := lin.Build("", w)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run("Linear", ix)
 }

@@ -153,16 +153,12 @@ type Index struct {
 	build *BuildStats
 }
 
-// ShardInfo is one shard's row of an index's layout breakdown (/stats,
-// hdtool info). An index built with Shards == 0 reports exactly one
-// shard.
+// ShardInfo is one shard's row of an index's report (/stats' per_shard,
+// hdtool info): the shard's own snapshot, taken under its lock, and its
+// ordinal. An index built with Shards == 0 reports exactly one shard.
 type ShardInfo struct {
-	ID         int
-	Count      uint64
-	Clustered  uint64 // leading vectors stored in tree-0 key order (core's slot space)
-	Records    string // vectors.pg's record format (core.Index.StoreFormat)
-	Deleted    int
-	SizeOnDisk int64
+	ID int `json:"id"`
+	core.Info
 }
 
 // BuildStats is the construction cost breakdown of a freshly built
@@ -172,34 +168,46 @@ type ShardInfo struct {
 // shards while TotalMS stays wall clock.
 type BuildStats = core.BuildStats
 
-// Info is a point-in-time descriptive summary of an index: size,
-// layout, and — when this process built it — the construction cost
-// breakdown.
+// Info is the index's one report of itself: size, layout, buffer-pool
+// and ingest counters, and — when this process built it — the
+// construction cost breakdown. Its JSON is /stats' "index" block, and
+// /metrics and hdtool info read it too. Each shard's row is taken under
+// that shard's lock; the totals are their sums.
 type Info struct {
-	Count      uint64
-	Dim        int
-	Deleted    int
-	SizeOnDisk int64
-	NumShards  int
-	Shards     []ShardInfo
+	Count      uint64      `json:"count"`
+	Dim        int         `json:"dim"`
+	Deleted    int         `json:"deleted"`
+	SizeOnDisk int64       `json:"size_on_disk"`
+	NumShards  int         `json:"shards"`
+	Shards     []ShardInfo `json:"per_shard"`
+	// IO is the pager counters of every file since open (hit_ratio =
+	// hits/(hits+misses) shows the page-ordered fetch's cache behaviour).
+	IO PoolStats `json:"io"`
+	// WAL is the live-ingest block: memtable occupancy (the query
+	// staleness bound), WAL size and group-commit counters, records
+	// replayed at open (>0 means the index recovered from a crash), and
+	// compaction history.
+	WAL IngestStats `json:"wal"`
 	// Build is the construction cost of this index when it was built
 	// by this process; nil after Open.
-	Build *BuildStats
+	Build *BuildStats `json:"-"`
 }
 
-// Info returns the index's descriptive summary. Build statistics are
-// only available on the handle returned by Build — an Opened index
-// reports Build == nil.
+// Info returns the index's report. Build statistics are only available
+// on the handle returned by Build — an Opened index reports Build == nil.
 func (i *Index) Info() Info {
-	return Info{
-		Count:      i.Count(),
-		Dim:        i.Dim(),
-		Deleted:    i.DeletedCount(),
-		SizeOnDisk: i.SizeOnDisk(),
-		NumShards:  i.NumShards(),
-		Shards:     i.Shards(),
-		Build:      i.build,
+	n := len(i.shards)
+	in := Info{Dim: i.Dim(), NumShards: n, Shards: make([]ShardInfo, n), Build: i.build}
+	for s, ix := range i.shards {
+		sh := ShardInfo{ID: s, Info: ix.Info()}
+		in.Shards[s] = sh
+		in.Count += sh.Count
+		in.Deleted += sh.Deleted
+		in.SizeOnDisk += sh.SizeOnDisk
+		in.IO.Add(sh.IO)
+		in.WAL.Add(sh.WAL)
 	}
+	return in
 }
 
 // BuildStats returns the construction cost breakdown when this handle
@@ -582,18 +590,6 @@ func (i *Index) Telemetry() Telemetry {
 // NumShards returns the number of shards in the on-disk layout; an
 // index built with Shards == 0 counts as 1.
 func (i *Index) NumShards() int { return len(i.shards) }
-
-// Shards returns the per-shard layout breakdown, in shard order, so
-// callers (the /stats endpoint, hdtool info) render every layout
-// uniformly.
-func (i *Index) Shards() []ShardInfo {
-	out := make([]ShardInfo, len(i.shards))
-	for s, ix := range i.shards {
-		out[s] = ShardInfo{ID: s, Count: ix.Count(), Clustered: ix.Clustered(), Records: ix.StoreFormat(),
-			Deleted: ix.DeletedCount(), SizeOnDisk: ix.SizeOnDisk()}
-	}
-	return out
-}
 
 // CheckReport is what a passing Check verified on one shard.
 type CheckReport = core.CheckReport

@@ -110,7 +110,7 @@ func TestFacadeShardedLayout(t *testing.T) {
 	if idx.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", idx.NumShards())
 	}
-	shards := idx.Shards()
+	shards := idx.Info().Shards
 	if len(shards) != 4 {
 		t.Fatalf("%d shard infos", len(shards))
 	}

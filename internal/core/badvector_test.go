@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,15 +64,16 @@ func TestInsertRefusesOutOfRangeVector(t *testing.T) {
 	}
 }
 
-// Build refuses a NaN or infinite component, and returns: reference
-// selection used to relax its threshold forever against an infinite
-// diameter estimate.
+// Build refuses every vector Insert refuses, names it, and returns:
+// reference selection used to relax its threshold forever against an
+// infinite diameter estimate, and a vector of finite components far
+// enough out may be picked as a reference, which puts every row's
+// distance past float32.
 func TestBuildRefusesNonFiniteComponent(t *testing.T) {
 	ds := data.Generate(data.Config{Name: "bad", N: 300, Dim: 16, Clusters: 3, Lo: 0, Hi: 1, Seed: 6})
-	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for name, bad := range badVectors(16) {
 		vectors := slices.Clone(ds.Vectors)
-		vectors[42] = slices.Clone(vectors[42])
-		vectors[42][3] = float32(x)
+		vectors[42] = bad
 		dir := t.TempDir()
 		done := make(chan error, 1)
 		go func() {
@@ -83,11 +85,11 @@ func TestBuildRefusesNonFiniteComponent(t *testing.T) {
 		}()
 		select {
 		case err := <-done:
-			if !errors.Is(err, ErrBadVector) {
-				t.Errorf("Build with a %v component: %v, want ErrBadVector", x, err)
+			if !errors.Is(err, ErrBadVector) || !strings.Contains(err.Error(), "vector 42:") {
+				t.Errorf("Build with %s as vector 42: %v, want ErrBadVector naming vector 42", name, err)
 			}
 		case <-time.After(time.Minute):
-			t.Fatalf("Build with a %v component has not returned in a minute", x)
+			t.Fatalf("Build with %s as vector 42 has not returned in a minute", name)
 		}
 	}
 }

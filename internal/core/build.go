@@ -162,7 +162,7 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	for i, v := range vectors {
 		for d, x := range v {
 			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-				return nil, fmt.Errorf("%w: vector %d, component %d is %v", ErrBadVector, i, d, x)
+				return nil, fmt.Errorf("%w: vector %d: component %d is %v", ErrBadVector, i, d, x)
 			}
 		}
 	}
@@ -208,6 +208,19 @@ func build(ctx context.Context, dir string, vectors [][]float32, p Params, layou
 	rdist, err := computeRefDists(ctx, vectors, refs)
 	if err != nil {
 		return nil, err
+	}
+	// Insert's rule on every distance the trees will store. Vectors far
+	// enough out to break it are the ones reference selection favours,
+	// so of the pair the error names the one farther from the origin.
+	for c, d := range rdist {
+		if !(d <= math.MaxFloat32) {
+			i, r, origin := c/p.M, c%p.M, make([]float32, nu)
+			bad := i
+			if vecmath.DistSq(refs[r], origin) > vecmath.DistSq(vectors[i], origin) {
+				bad = sel.Indices[r]
+			}
+			return nil, fmt.Errorf("%w: vector %d: the distance from vector %d to reference %d is %v", ErrBadVector, bad, i, r, d)
+		}
 	}
 	var stats BuildStats
 	stats.RefDistsMS = msSince(t0)

@@ -558,17 +558,37 @@ func (ix *Index) Count() uint64 {
 	return ix.vectors.Count() + uint64(len(ix.mem))
 }
 
-// Clustered returns how many of the index's vectors — the ones Build was
-// given — are stored in tree-0 Hilbert-key order behind ids.pg; the rest
-// arrived later and sit behind them in id order. 0 for a directory
-// written before the slot space.
-func (ix *Index) Clustered() uint64 { return ix.slots.base }
+// Info is an index's report of itself, every field read under one hold
+// of the index lock: a compaction lands wholly before or wholly after
+// it. The JSON keys are /stats' per-shard row; the pool counters and
+// the ingest stats are summed into the layout's own blocks instead.
+type Info struct {
+	Count uint64 `json:"count"`
+	// Clustered is how many of the vectors — the ones Build was given —
+	// are stored in tree-0 Hilbert-key order behind ids.pg; the rest
+	// arrived later and sit behind them in id order. 0 for a directory
+	// written before the slot space.
+	Clustered  uint64      `json:"clustered"`
+	Records    string      `json:"records"` // vectors.pg's records (vecstore.Store.Format)
+	Deleted    int         `json:"deleted"`
+	SizeOnDisk int64       `json:"size_on_disk"`
+	IO         pager.Stats `json:"-"`
+	WAL        IngestStats `json:"-"`
+}
 
-// StoreFormat describes vectors.pg's records (vecstore.Store.Format).
-func (ix *Index) StoreFormat() string {
+// Info returns the index's snapshot of itself.
+func (ix *Index) Info() Info {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.vectors.Format()
+	return Info{
+		Count:      ix.vectors.Count() + uint64(len(ix.mem)),
+		Clustered:  ix.slots.base,
+		Records:    ix.vectors.Format(),
+		Deleted:    ix.deleted.len(),
+		SizeOnDisk: ix.SizeOnDisk(),
+		IO:         ix.IOStats(),
+		WAL:        ix.ingestStatsLocked(),
+	}
 }
 
 // SizeOnDisk returns the total bytes of all index files, including the

@@ -98,6 +98,11 @@ func (s *IngestStats) Add(other IngestStats) {
 func (ix *Index) IngestStats() IngestStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	return ix.ingestStatsLocked()
+}
+
+// ingestStatsLocked is IngestStats with ix.mu held.
+func (ix *Index) ingestStatsLocked() IngestStats {
 	st := IngestStats{
 		MemtableVectors:       len(ix.mem),
 		Replayed:              ix.replayed,

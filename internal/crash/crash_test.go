@@ -174,7 +174,7 @@ func buildBase(t *testing.T, dir string, memtableMax int, byteValued bool) *data
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format := idx.Shards()[0].Records; strings.Contains(format, "byte records") != byteValued {
+	if format := idx.Info().Shards[0].Records; strings.Contains(format, "byte records") != byteValued {
 		t.Fatalf("base stored as %q", format)
 	}
 	if err := idx.Close(); err != nil {

@@ -12,12 +12,12 @@
 package data
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"github.com/hd-index/hdindex/internal/fanout"
 	"github.com/hd-index/hdindex/internal/topk"
 	"github.com/hd-index/hdindex/internal/vecmath"
 )
@@ -197,39 +197,25 @@ func (ds *Dataset) PerturbedQueries(q int, noiseFrac float64, seed int64) [][]fl
 }
 
 // GroundTruth computes the exact k nearest neighbours of every query by
-// parallel linear scan, returning ranked ids and distances.
+// linear scan, returning ranked ids and distances. The call counts as one
+// unit of work and its queries are parts that idle CPUs join
+// (internal/fanout).
 func GroundTruth(vectors, queries [][]float32, k int) (ids [][]uint64, dists [][]float64) {
 	ids = make([][]uint64, len(queries))
 	dists = make([][]float64, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	ch := make(chan int, len(queries))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range ch {
-				l := topk.New(k)
-				q := queries[qi]
-				for id, v := range vectors {
-					l.Push(uint64(id), vecmath.DistSq(q, v))
-				}
-				items := l.Items()
-				qids := make([]uint64, len(items))
-				qd := make([]float64, len(items))
-				for i, it := range items {
-					qids[i] = it.ID
-					qd[i] = math.Sqrt(it.Dist)
-				}
-				ids[qi] = qids
-				dists[qi] = qd
-			}
-		}()
-	}
-	for qi := range queries {
-		ch <- qi
-	}
-	close(ch)
-	wg.Wait()
+	ctx, leave := fanout.Enter(context.TODO())
+	defer leave()
+	_ = fanout.Each(ctx, len(queries), func(_ context.Context, qi int) error { // no part fails
+		l := topk.New(k)
+		for id, v := range vectors {
+			l.Push(uint64(id), vecmath.DistSq(queries[qi], v))
+		}
+		items := l.Items()
+		ids[qi], dists[qi] = make([]uint64, len(items)), make([]float64, len(items))
+		for i, it := range items {
+			ids[qi][i], dists[qi][i] = it.ID, math.Sqrt(it.Dist)
+		}
+		return nil
+	})
 	return ids, dists
 }

@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -81,12 +82,13 @@ var (
 type PageID uint64
 
 // Stats counts logical and physical page traffic since the last reset.
+// Its JSON adds "hit_ratio" (HitRatio).
 type Stats struct {
-	Reads  uint64 // physical page reads from disk
-	Writes uint64 // physical page writes to disk
-	Hits   uint64 // buffer pool hits
-	Misses uint64 // buffer pool misses (each implies one Read unless the read failed)
-	Allocs uint64 // pages appended to the file
+	Reads  uint64 `json:"reads"`  // physical page reads from disk
+	Writes uint64 `json:"writes"` // physical page writes to disk
+	Hits   uint64 `json:"hits"`   // buffer pool hits
+	Misses uint64 `json:"misses"` // buffer pool misses (each implies one Read unless the read failed)
+	Allocs uint64 `json:"allocs"` // pages appended to the file
 }
 
 // Add accumulates o into s; aggregators (multi-file indexes, sharded
@@ -105,6 +107,15 @@ func (s Stats) HitRatio() float64 {
 		return float64(s.Hits) / float64(total)
 	}
 	return 0
+}
+
+// MarshalJSON writes the counters and their hit ratio.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	type counters Stats // the fields without this method
+	return json.Marshal(struct {
+		counters
+		HitRatio float64 `json:"hit_ratio"`
+	}{counters(s), s.HitRatio()})
 }
 
 // Options configures Open. Whether a file is writable changes nothing in

@@ -71,8 +71,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("phase=%q", telemetry.Phase(i)), tel.Phase[i])
 	}
 
-	// Buffer pool, WAL/memtable/compaction, and index gauges.
-	io := s.idx.IOStats()
+	// Buffer pool, WAL/memtable/compaction, and index gauges, all from
+	// one snapshot of the index.
+	info := s.idx.Info()
+	io, ist := info.IO, info.WAL
 	writeHeader(bw, "hdindex_pool_reads_total", "counter", "Buffer-pool page reads.")
 	fmt.Fprintf(bw, "hdindex_pool_reads_total %d\n", io.Reads)
 	writeHeader(bw, "hdindex_pool_writes_total", "counter", "Buffer-pool page writes.")
@@ -82,7 +84,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeHeader(bw, "hdindex_pool_misses_total", "counter", "Buffer-pool page misses.")
 	fmt.Fprintf(bw, "hdindex_pool_misses_total %d\n", io.Misses)
 
-	ist := s.idx.IngestStats()
 	writeHeader(bw, "hdindex_memtable_vectors", "gauge",
 		"Acknowledged inserts not yet compacted into the trees.")
 	fmt.Fprintf(bw, "hdindex_memtable_vectors %d\n", ist.MemtableVectors)
@@ -187,13 +188,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	writeHeader(bw, "hdindex_index_vectors", "gauge", "Indexed vectors.")
-	fmt.Fprintf(bw, "hdindex_index_vectors %d\n", s.idx.Count())
+	fmt.Fprintf(bw, "hdindex_index_vectors %d\n", info.Count)
 	writeHeader(bw, "hdindex_index_deleted", "gauge", "Deletion marks.")
-	fmt.Fprintf(bw, "hdindex_index_deleted %d\n", s.idx.DeletedCount())
+	fmt.Fprintf(bw, "hdindex_index_deleted %d\n", info.Deleted)
 	writeHeader(bw, "hdindex_index_shards", "gauge", "Shards in the on-disk layout.")
-	fmt.Fprintf(bw, "hdindex_index_shards %d\n", s.idx.NumShards())
+	fmt.Fprintf(bw, "hdindex_index_shards %d\n", info.NumShards)
 	writeHeader(bw, "hdindex_index_size_bytes", "gauge", "Total index file bytes on disk.")
-	fmt.Fprintf(bw, "hdindex_index_size_bytes %d\n", s.idx.SizeOnDisk())
+	fmt.Fprintf(bw, "hdindex_index_size_bytes %d\n", info.SizeOnDisk)
 	writeHeader(bw, "hdindex_uptime_seconds", "gauge", "Seconds since the server started.")
 	fmt.Fprintf(bw, "hdindex_uptime_seconds %s\n", formatFloat(time.Since(s.started).Seconds()))
 

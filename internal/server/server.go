@@ -529,45 +529,10 @@ func (s *Server) handleDelete(r *http.Request) (any, error) {
 	return map[string]uint64{verb: req.ID}, nil
 }
 
-// ShardStatsJSON is one shard's row of the /stats layout breakdown.
-type ShardStatsJSON struct {
-	ID         int    `json:"id"`
-	Count      uint64 `json:"count"`
-	Deleted    int    `json:"deleted"`
-	SizeOnDisk int64  `json:"size_on_disk"`
-}
-
-// IOStatsJSON is the /stats buffer-pool and I/O block: the cumulative
-// pager counters across every index file since the server opened the
-// index. hit_ratio = hits/(hits+misses) makes the cache behaviour of
-// the page-ordered candidate fetch observable in production.
-type IOStatsJSON struct {
-	Reads    uint64  `json:"reads"`
-	Writes   uint64  `json:"writes"`
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-}
-
 // StatsResponse is the /stats payload.
 type StatsResponse struct {
-	Index struct {
-		Count      uint64 `json:"count"`
-		Dim        int    `json:"dim"`
-		Deleted    int    `json:"deleted"`
-		SizeOnDisk int64  `json:"size_on_disk"`
-		// Shards describes the on-disk layout: 1 for a bare
-		// single-index directory, N for a manifest-backed sharded
-		// layout, with the per-shard breakdown alongside.
-		Shards   int              `json:"shards"`
-		PerShard []ShardStatsJSON `json:"per_shard"`
-		IO       IOStatsJSON      `json:"io"`
-		// WAL is the live-ingest block: memtable occupancy (the query
-		// staleness bound), WAL size and group-commit counters, records
-		// replayed at open (>0 means the server recovered from a crash),
-		// and compaction history. Summed across shards.
-		WAL hdindex.IngestStats `json:"wal"`
-	} `json:"index"`
+	// Index is the index's one report of itself, hdindex.Info.
+	Index         hdindex.Info             `json:"index"`
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 	// Health mirrors /healthz's status field so one /stats poll carries
@@ -589,29 +554,13 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(r *http.Request) (any, error) {
 	now := time.Now()
-	up := now.Sub(s.started)
-	var resp StatsResponse
-	resp.Index.Count = s.idx.Count()
-	resp.Index.Dim = s.idx.Dim()
-	resp.Index.Deleted = s.idx.DeletedCount()
-	resp.Index.SizeOnDisk = s.idx.SizeOnDisk()
-	shards := s.idx.Shards()
-	resp.Index.Shards = len(shards)
-	resp.Index.PerShard = make([]ShardStatsJSON, len(shards))
-	for i, sh := range shards {
-		resp.Index.PerShard[i] = ShardStatsJSON{
-			ID: sh.ID, Count: sh.Count, Deleted: sh.Deleted, SizeOnDisk: sh.SizeOnDisk,
-		}
+	info := s.idx.Info()
+	resp := StatsResponse{
+		Index:         info,
+		UptimeSeconds: now.Sub(s.started).Seconds(),
+		Health:        s.healthState(info.WAL),
+		Identity:      s.cfg.Identity,
 	}
-	io := s.idx.IOStats()
-	resp.Index.IO = IOStatsJSON{
-		Reads: io.Reads, Writes: io.Writes, Hits: io.Hits, Misses: io.Misses,
-		HitRatio: io.HitRatio(),
-	}
-	resp.Index.WAL = s.idx.IngestStats()
-	resp.UptimeSeconds = up.Seconds()
-	resp.Health = s.healthState()
-	resp.Identity = s.cfg.Identity
 	if s.adm != nil {
 		st := s.adm.Stats()
 		resp.Admission = &st
@@ -634,8 +583,7 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 //	degraded   — pressure-degraded cascades, or the compaction circuit
 //	             breaker is open (old tree generation serving)
 //	ok
-func (s *Server) healthState() string {
-	ist := s.idx.IngestStats()
+func (s *Server) healthState(ist hdindex.IngestStats) string {
 	switch {
 	case ist.WALFailed:
 		return "read_only"
@@ -655,7 +603,7 @@ func (s *Server) healthState() string {
 // the "status" field whatever the HTTP code.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	status := s.healthState()
+	status := s.healthState(s.idx.IngestStats())
 	code := http.StatusOK
 	if status == "overloaded" {
 		code = http.StatusServiceUnavailable

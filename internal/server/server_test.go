@@ -258,7 +258,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("index stats = %+v", st.Index)
 	}
 	// A bare single-index layout reports itself as one shard.
-	if st.Index.Shards != 1 || len(st.Index.PerShard) != 1 || st.Index.PerShard[0].Count != idx.Count() {
+	if st.Index.NumShards != 1 || len(st.Index.Shards) != 1 || st.Index.Shards[0].Count != idx.Count() {
 		t.Errorf("bare layout shard stats = %+v", st.Index)
 	}
 	es := st.Endpoints["search"]
@@ -296,13 +296,13 @@ func TestStatsShardedLayout(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Index.Shards != 4 || len(st.Index.PerShard) != 4 {
+	if st.Index.NumShards != 4 || len(st.Index.Shards) != 4 {
 		t.Fatalf("shard stats = %+v", st.Index)
 	}
 	var count uint64
 	var deleted int
 	var size int64
-	for _, sh := range st.Index.PerShard {
+	for _, sh := range st.Index.Shards {
 		count += sh.Count
 		deleted += sh.Deleted
 		size += sh.SizeOnDisk
@@ -502,7 +502,14 @@ func TestStatsExposeBufferPoolHitRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
+	var st struct {
+		Index struct {
+			IO struct {
+				Hits, Misses uint64
+				HitRatio     float64 `json:"hit_ratio"`
+			}
+		}
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

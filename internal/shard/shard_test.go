@@ -72,7 +72,7 @@ func TestBuildSearchQuality(t *testing.T) {
 
 	// Striping balance: per-shard counts differ by at most one and sum
 	// to the total.
-	infos := s.Shards()
+	infos := s.Info().Shards
 	var sum, min, max uint64
 	min = infos[0].Count
 	for _, in := range infos {
